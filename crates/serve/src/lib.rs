@@ -67,6 +67,7 @@
 pub mod api;
 pub mod cache;
 pub mod engine;
+pub mod report;
 
 pub use aeris_obs::{SloConfig, SloState, SloVerdict, StatusReport};
 pub use aeris_sched::{QuotaConfig, RouterConfig, TenantPolicy, Tier};
@@ -74,7 +75,5 @@ pub use api::{
     ForecastRequest, ForecastResponse, Forcings, NowcastRequest, ServeConfig, ServeError,
 };
 pub use cache::{content_hash, CacheEntry, CacheKey, CacheStats, RolloutCache};
-pub use engine::{
-    ServeEngine, ServeEvent, ServeMetrics, ServeReport, ServeSloReport, TenantCounts, Ticket,
-    TierCounts,
-};
+pub use engine::{ServeEngine, ServeEvent, ServeMetrics, Ticket};
+pub use report::{ServeReport, ServeSloReport, TenantCounts, TierCounts};
