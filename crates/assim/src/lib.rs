@@ -31,7 +31,7 @@ pub mod operator;
 
 pub use guidance::{GuidanceSchedule, ObsGuidance};
 pub use nowcast::{
-    nowcast_ensemble, nowcast_member, nowcast_member_fast, relax_toward_observations,
-    NowcastEnsemble,
+    nowcast_ensemble, nowcast_member, nowcast_member_fast, nowcast_step, nowcast_step_fast,
+    relax_toward_observations, NowcastEnsemble,
 };
 pub use operator::{ObsOperator, ObsSite, ObservationSet};

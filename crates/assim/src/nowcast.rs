@@ -3,13 +3,14 @@
 //! A nowcast is one guided forecast step — the diffusion model proposes a
 //! residual consistent with both the background (through conditioning) and
 //! the observations (through [`ObsGuidance`]), yielding an analysis state.
-//! Member seeds follow the exact `Forecaster::ensemble` discipline
-//! (`Rng::seed_from(seed).stream(m + 1)`), which is what lets the serving
-//! engine reproduce a direct call bit for bit.
+//! Member seeds follow the `Forecaster::ensemble` discipline
+//! ([`member_rng`]), and the serving engine runs the same
+//! [`nowcast_step`] / [`nowcast_step_fast`] the member calls wrap, so a
+//! served analysis equals a direct call bit for bit.
 
 use crate::guidance::{GuidanceSchedule, ObsGuidance};
 use crate::operator::ObservationSet;
-use aeris_core::{ConsistencyStudent, Forecaster};
+use aeris_core::{member_rng, ConsistencyStudent, Forecaster};
 use aeris_tensor::{Rng, Tensor};
 use rayon::prelude::*;
 use std::sync::Arc;
@@ -35,8 +36,29 @@ impl NowcastEnsemble {
     }
 }
 
-/// One analysis member: a guided forecast step from `background` toward
-/// `obs`, using member seed stream `seed ⊕ (member + 1)`.
+/// One guided analysis step on the caller's noise stream: a forecast step
+/// from `background` with [`ObsGuidance`] toward `obs` threaded through the
+/// sampler.
+pub fn nowcast_step(
+    fc: &Forecaster,
+    background: &Arc<Tensor>,
+    forcings: &Tensor,
+    obs: &Arc<ObservationSet>,
+    schedule: GuidanceSchedule,
+    rng: &mut Rng,
+) -> Tensor {
+    let mut guidance = ObsGuidance::new(
+        Arc::clone(obs),
+        Arc::clone(background),
+        &fc.res_stats,
+        schedule,
+        fc.sampler.cfg.n_steps,
+    );
+    fc.forecast_step_guided(background, forcings, rng, &mut guidance)
+}
+
+/// One analysis member: [`nowcast_step`] on member `member`'s stream of an
+/// ensemble seeded `seed`.
 pub fn nowcast_member(
     fc: &Forecaster,
     background: &Arc<Tensor>,
@@ -46,15 +68,7 @@ pub fn nowcast_member(
     seed: u64,
     member: usize,
 ) -> Tensor {
-    let mut rng = Rng::seed_from(seed).stream(member as u64 + 1);
-    let mut guidance = ObsGuidance::new(
-        Arc::clone(obs),
-        Arc::clone(background),
-        &fc.res_stats,
-        schedule,
-        fc.sampler.cfg.n_steps,
-    );
-    fc.forecast_step_guided(background, forcings, &mut rng, &mut guidance)
+    nowcast_step(fc, background, forcings, obs, schedule, &mut member_rng(seed, member))
 }
 
 /// One bounded Kalman-like relaxation of `x` toward the present
@@ -84,10 +98,25 @@ pub fn relax_toward_observations(x: &mut Tensor, obs: &ObservationSet, weight: f
     }
 }
 
-/// Fast-tier analysis member: one distilled forecast step from `background`
-/// followed by [`relax_toward_observations`] at the schedule's initial
-/// weight. Same member-seed discipline as [`nowcast_member`], so the result
-/// is bitwise reproducible across runs, thread counts, and serving engines.
+/// Fast-tier analysis step on the caller's noise stream: one distilled
+/// forecast step from `background` followed by
+/// [`relax_toward_observations`] at the schedule's initial weight.
+pub fn nowcast_step_fast(
+    student: &ConsistencyStudent,
+    background: &Tensor,
+    forcings: &Tensor,
+    obs: &ObservationSet,
+    schedule: GuidanceSchedule,
+    rng: &mut Rng,
+) -> Tensor {
+    let mut x = student.forecast_step(background, forcings, rng);
+    relax_toward_observations(&mut x, obs, schedule.weight(0, 1));
+    x
+}
+
+/// Fast-tier analysis member: [`nowcast_step_fast`] on the same member-seed
+/// discipline as [`nowcast_member`], so the result is bitwise reproducible
+/// across runs, thread counts, and serving engines.
 pub fn nowcast_member_fast(
     student: &ConsistencyStudent,
     background: &Arc<Tensor>,
@@ -97,10 +126,7 @@ pub fn nowcast_member_fast(
     seed: u64,
     member: usize,
 ) -> Tensor {
-    let mut rng = Rng::seed_from(seed).stream(member as u64 + 1);
-    let mut x = student.forecast_step(background, forcings, &mut rng);
-    relax_toward_observations(&mut x, obs, schedule.weight(0, 1));
-    x
+    nowcast_step_fast(student, background, forcings, obs, schedule, &mut member_rng(seed, member))
 }
 
 /// A full analysis ensemble (members parallelized with rayon; results are

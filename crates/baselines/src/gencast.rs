@@ -4,7 +4,7 @@
 //! contrasted against AERIS's TrigFlow in the ablation benches.
 
 use aeris_autodiff::Tape;
-use aeris_core::{AerisModel, TrainSample};
+use aeris_core::{member_rng, AerisModel, TrainSample};
 use aeris_diffusion::{EdmConfig, EdmSampler};
 use aeris_earthsim::NormStats;
 use aeris_nn::{AdamW, AdamWConfig, Binding};
@@ -167,7 +167,7 @@ impl GenCastAnalog {
         (0..n_members)
             .into_par_iter()
             .map(|m| {
-                let mut rng = Rng::seed_from(base_seed).stream(m as u64 + 1);
+                let mut rng = member_rng(base_seed, m);
                 self.rollout(x0, &forcings, steps, &mut rng)
             })
             .collect()

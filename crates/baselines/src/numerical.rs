@@ -7,8 +7,9 @@
 //! is perfect by construction, and only initial-condition and stochastic
 //! uncertainty limit its skill.
 
+use aeris_core::member_rng;
 use aeris_earthsim::{ToyAtmosphere, VariableSet};
-use aeris_tensor::{Rng, Tensor};
+use aeris_tensor::Tensor;
 use rayon::prelude::*;
 
 /// Run an `n_members` numerical ensemble from the given simulator state for
@@ -27,7 +28,7 @@ pub fn numerical_ensemble(
         .into_par_iter()
         .map(|m| {
             let mut sim = init.clone();
-            let mut rng = Rng::seed_from(base_seed).stream(m as u64 + 1);
+            let mut rng = member_rng(base_seed, m);
             sim.perturb(pert_amp, &mut rng);
             sim.reseed_stochastic(base_seed ^ (m as u64).wrapping_mul(0x9E3779B97F4A7C15));
             let mut out = Vec::with_capacity(steps);

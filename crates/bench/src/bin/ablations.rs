@@ -3,8 +3,8 @@
 //! 1. residual (Δx) vs full-field prediction — rollout stability,
 //! 2. log-uniform vs uniform diffusion-time prior — tail coverage / val loss,
 //! 3. churn on vs off — ensemble spread,
-//!
-//! (Window-shift and solver-order ablations live in the criterion benches.)
+//! 4. 1st- vs 2nd-order solver — cost of one sampler solve at equal steps,
+//! 5. window shift on vs off — cost of the gather permutations.
 
 use aeris_bench::*;
 use aeris_core::{prepare_samples, AerisConfig, AerisModel, Forecaster, TrainSample, Trainer, TrainerConfig};
@@ -12,6 +12,8 @@ use aeris_diffusion::{SamplerConfig, TrigFlow, TrigFlowSampler};
 use aeris_earthsim::NormStats;
 use aeris_nn::LrSchedule;
 use aeris_tensor::{Rng, Tensor};
+use std::hint::black_box;
+use std::time::Instant;
 
 fn main() {
     let scale = RunScale::from_env();
@@ -69,6 +71,61 @@ fn main() {
         println!("  churn {churn:>4.1}: T2m ensemble spread {spread:.3} K");
     }
     println!("Expected: churn adds calibrated stochasticity → larger spread.");
+
+    // ---- 4. solver order ----
+    header("4. 1st- vs 2nd-order solver (one 10-step solve, tiny model)");
+    let m = AerisModel::new(AerisConfig::test_tiny());
+    let mut rng = Rng::seed_from(3);
+    let prev = Tensor::randn(&[128, 4], &mut rng);
+    let forc = Tensor::randn(&[128, 3], &mut rng);
+    for (label, second_order) in [("first order", false), ("second order", true)] {
+        let sampler = TrigFlowSampler::new(
+            TrigFlow::default(),
+            SamplerConfig { n_steps: 10, churn: 0.1, second_order },
+        );
+        let ms = best_ms(|| {
+            let mut vel = |x: &Tensor, t: f32| m.velocity(x, &prev, &forc, t);
+            black_box(sampler.sample(&[128, 4], &mut vel, &mut Rng::seed_from(4)));
+        });
+        println!("  {label:<14} {ms:>8.2} ms/solve");
+    }
+    println!("Expected: 2S costs up to 2 network evals per step (up to 2× the time) but needs");
+    println!("half the steps for the same accuracy (see the sampler unit tests).");
+
+    // ---- 5. window shift ----
+    header("5. window shift cost (one velocity evaluation, tiny model)");
+    // Blocks alternate unshifted / shifted, so the 2-block model adds exactly
+    // one shifted block to the 1-block model.
+    let ms = [1usize, 2].map(|n_blocks| {
+        let cfg =
+            AerisConfig { n_layers: n_blocks, blocks_per_layer: 1, ..AerisConfig::test_tiny() };
+        let m = AerisModel::new(cfg);
+        let mut rng = Rng::seed_from(5);
+        let x_t = Tensor::randn(&[128, 4], &mut rng);
+        let prev = Tensor::randn(&[128, 4], &mut rng);
+        let forc = Tensor::randn(&[128, 3], &mut rng);
+        best_ms(|| {
+            black_box(m.velocity(black_box(&x_t), &prev, &forc, 0.5));
+        })
+    });
+    println!("  1 block  (unshifted)           {:>8.3} ms", ms[0]);
+    println!("  2 blocks (unshifted + shifted) {:>8.3} ms", ms[1]);
+    println!("  the shifted block adds         {:>8.3} ms", ms[1] - ms[0]);
+    println!("Expected: the shift is a gather permutation only, so the shifted block");
+    println!("adds no more than the unshifted block (plus embed/decode) costs — the");
+    println!("argument for shifted windows over global attention.");
+}
+
+/// Best-of-20 milliseconds per call of `f`, after one warmup call.
+fn best_ms(mut f: impl FnMut()) -> f64 {
+    f();
+    let mut best = f64::INFINITY;
+    for _ in 0..20 {
+        let t0 = Instant::now();
+        f();
+        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
+    }
+    best
 }
 
 /// Train a model whose diffusion target is the standardized next state.

@@ -11,7 +11,7 @@
 //! trajectories. After distillation a forecast step costs **one** network
 //! evaluation instead of `2·n_steps` (the DPMSolver++ 2S budget).
 
-use crate::forecast::{Forecaster, StepJob};
+use crate::forecast::{self, Forecaster};
 use crate::model::AerisModel;
 use crate::training::TrainSample;
 use aeris_autodiff::Tape;
@@ -19,7 +19,6 @@ use aeris_diffusion::TrigFlow;
 use aeris_earthsim::NormStats;
 use aeris_nn::{AdamW, AdamWConfig, Binding, Ema};
 use aeris_tensor::{Rng, Tensor};
-use rayon::prelude::*;
 
 /// Configuration for consistency distillation.
 #[derive(Clone, Copy, Debug)]
@@ -59,8 +58,7 @@ impl ConsistencyStudent {
         assert!(!samples.is_empty());
         let tf = teacher.sampler.tf;
         // Student starts as a copy of the teacher.
-        let mut student = AerisModel::new(teacher.model.cfg.clone());
-        student.store.restore(&teacher.model.store.snapshot());
+        let mut student = teacher.replicate().model;
         // EMA of the student provides the distillation target (stop-grad).
         let mut target_ema = Ema::new(&student.store, cfg.target_halflife);
         let mut opt = AdamW::new(&student.store, AdamWConfig { weight_decay: 0.0, ..Default::default() });
@@ -140,58 +138,14 @@ impl ConsistencyStudent {
         let noise = Tensor::randn(prev_std.shape(), rng).scale(self.tf.sigma_d);
         let v = self.model.velocity(&noise, &prev_std, forcings, t);
         let residual_std = self.tf.denoise(&noise, &v, t);
-        let mut next = x_prev.clone();
-        let (rows, cols) = (next.shape()[0], next.shape()[1]);
-        for r in 0..rows {
-            let row = next.row_mut(r);
-            for j in 0..cols {
-                row[j] += residual_std.at(&[r, j]) * self.res_stats.std[j] + self.res_stats.mean[j];
-            }
-        }
-        next
-    }
-
-    /// Batched one-step forecast: advance several independent states by one
-    /// distilled step each. The same purity discipline as
-    /// [`Forecaster::forecast_step_batch`]: every job owns its RNG, so batch
-    /// composition and order can never change a job's numbers — the serving
-    /// engine's fast tier coalesces requests under exactly this contract.
-    pub fn forecast_step_batch(&self, jobs: &mut [StepJob<'_>]) -> Vec<Tensor> {
-        jobs.iter_mut()
-            .into_par_iter()
-            .map(|job| self.forecast_step(job.x_prev, job.forcings, job.rng))
-            .collect()
-    }
-
-    /// A bitwise-identical copy with its own parameter storage (replica
-    /// pools in the serving engine; see [`Forecaster::replicate`]).
-    pub fn replicate(&self) -> ConsistencyStudent {
-        let mut model = AerisModel::new(self.model.cfg.clone());
-        model.store.restore(&self.model.store.snapshot());
-        ConsistencyStudent {
-            model,
-            stats: self.stats.clone(),
-            res_stats: self.res_stats.clone(),
-            tf: self.tf,
-        }
+        forecast::add_residual(x_prev, &residual_std, &self.res_stats)
     }
 
     /// Save the student checkpoint: `<path>` gets the weights, `<path>.stats`
     /// the two normalization blocks (same layout as [`Forecaster::save`], so
     /// the formats stay mutually inspectable).
     pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
-        aeris_nn::save_params(&self.model.store, path)?;
-        let mut f = std::io::BufWriter::new(std::fs::File::create(
-            path.with_extension("stats"),
-        )?);
-        use std::io::Write;
-        for stats in [&self.stats, &self.res_stats] {
-            f.write_all(&(stats.mean.len() as u32).to_le_bytes())?;
-            for &v in stats.mean.iter().chain(&stats.std) {
-                f.write_all(&v.to_le_bytes())?;
-            }
-        }
-        Ok(())
+        forecast::save_checkpoint(&self.model, &self.stats, &self.res_stats, path)
     }
 
     /// Load a student checkpoint saved by [`ConsistencyStudent::save`] into
@@ -202,18 +156,7 @@ impl ConsistencyStudent {
         tf: TrigFlow,
         path: &std::path::Path,
     ) -> std::io::Result<ConsistencyStudent> {
-        let mut model = AerisModel::new(cfg);
-        aeris_nn::load_params(&mut model.store, path)?;
-        let bytes = std::fs::read(path.with_extension("stats"))?;
-        let mut off = 0usize;
-        let stats = crate::forecast::read_stats(&bytes, &mut off)?;
-        let res_stats = crate::forecast::read_stats(&bytes, &mut off)?;
-        if off != bytes.len() {
-            return Err(crate::forecast::stats_corrupt(format!(
-                "{} trailing bytes after statistics",
-                bytes.len() - off
-            )));
-        }
+        let (model, stats, res_stats) = forecast::load_checkpoint(cfg, path)?;
         Ok(ConsistencyStudent { model, stats, res_stats, tf })
     }
 
@@ -225,13 +168,7 @@ impl ConsistencyStudent {
         steps: usize,
         rng: &mut Rng,
     ) -> Vec<Tensor> {
-        let mut states = Vec::with_capacity(steps);
-        let mut x = x0.clone();
-        for k in 0..steps {
-            x = self.forecast_step(&x, &forcings(k), rng);
-            states.push(x.clone());
-        }
-        states
+        forecast::rollout(x0, forcings, steps, |x, f| self.forecast_step(x, f, rng))
     }
 
     /// Ensemble of one-step rollouts.
@@ -243,13 +180,7 @@ impl ConsistencyStudent {
         n_members: usize,
         base_seed: u64,
     ) -> Vec<Vec<Tensor>> {
-        (0..n_members)
-            .into_par_iter()
-            .map(|m| {
-                let mut rng = Rng::seed_from(base_seed).stream(m as u64 + 1);
-                self.rollout(x0, &forcings, steps, &mut rng)
-            })
-            .collect()
+        forecast::ensemble(n_members, base_seed, |rng| self.rollout(x0, &forcings, steps, rng))
     }
 }
 
@@ -306,29 +237,7 @@ mod tests {
     }
 
     #[test]
-    fn student_batched_step_matches_sequential_bitwise() {
-        let (teacher, samples, weights) = make_teacher_and_samples();
-        let cfg = DistillConfig { steps: 4, n_times: 6, ..Default::default() };
-        let student = ConsistencyStudent::distill(&teacher, &samples, &weights, cfg);
-        let forc = Tensor::zeros(&[128, 3]);
-        let root = Rng::seed_from(21);
-        let expect: Vec<Tensor> = samples
-            .iter()
-            .enumerate()
-            .map(|(i, s)| student.forecast_step(&s.x_prev, &forc, &mut root.stream(i as u64)))
-            .collect();
-        let mut rngs: Vec<Rng> = (0..samples.len()).map(|i| root.stream(i as u64)).collect();
-        let mut jobs: Vec<StepJob> = samples
-            .iter()
-            .zip(&mut rngs)
-            .map(|(s, rng)| StepJob { x_prev: &s.x_prev, forcings: &forc, rng })
-            .collect();
-        let got = student.forecast_step_batch(&mut jobs);
-        assert_eq!(expect, got, "batching must not change the student's numbers");
-    }
-
-    #[test]
-    fn student_save_load_and_replicate_are_bitwise() {
+    fn student_save_load_is_bitwise() {
         let (teacher, samples, weights) = make_teacher_and_samples();
         let cfg = DistillConfig { steps: 4, n_times: 6, ..Default::default() };
         let student = ConsistencyStudent::distill(&teacher, &samples, &weights, cfg);
@@ -338,13 +247,10 @@ mod tests {
         student.save(&path).unwrap();
         let loaded =
             ConsistencyStudent::load(AerisConfig::test_tiny(), student.tf, &path).unwrap();
-        let copy = student.replicate();
         let forc = |_k: usize| Tensor::zeros(&[128, 3]);
         let a = student.ensemble(&samples[0].x_prev, &forc, 2, 2, 31);
         let b = loaded.ensemble(&samples[0].x_prev, &forc, 2, 2, 31);
-        let c = copy.ensemble(&samples[0].x_prev, &forc, 2, 2, 31);
         assert_eq!(a, b, "loaded student diverged from the original");
-        assert_eq!(a, c, "replicated student diverged from the original");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -24,41 +24,14 @@ pub struct Forecaster {
     pub sampler: TrigFlowSampler,
 }
 
-/// One unit of work for [`Forecaster::forecast_step_batch`]: an independent
-/// (state, forcings, RNG) triple to advance by a single forecast step.
-pub struct StepJob<'a> {
-    /// Physical state at the input of the step.
-    pub x_prev: &'a Tensor,
-    /// Forcings valid at the input of the step.
-    pub forcings: &'a Tensor,
-    /// The job's private noise stream (advanced by the step).
-    pub rng: &'a mut Rng,
-}
-
-/// A [`StepJob`] with an optional observation-guidance hook: the assimilation
-/// path through [`Forecaster::forecast_step_batch_guided`]. The hook is
-/// `Send` (not `Sync`) because each job owns its guidance exclusively, the
-/// same way it owns its RNG — jobs can migrate across worker threads but are
-/// never shared between them.
-pub struct GuidedStepJob<'a> {
-    /// Physical state at the input of the step.
-    pub x_prev: &'a Tensor,
-    /// Forcings valid at the input of the step.
-    pub forcings: &'a Tensor,
-    /// The job's private noise stream (advanced by the step).
-    pub rng: &'a mut Rng,
-    /// Observation guidance, or `None` for a plain forecast step.
-    pub guidance: Option<&'a mut (dyn Guidance + Send)>,
-}
-
 /// An ensemble of autoregressive rollouts: `members[m][k]` is member `m`'s
 /// state after `k+1` forecast steps, in physical units.
 pub struct EnsembleForecast {
     pub members: Vec<Vec<Tensor>>,
 }
 
-/// Typed corrupt-statistics error for [`Forecaster::load`].
-pub(crate) fn stats_corrupt(detail: String) -> std::io::Error {
+/// Typed corrupt-statistics error for [`load_checkpoint`].
+fn stats_corrupt(detail: String) -> std::io::Error {
     std::io::Error::new(
         std::io::ErrorKind::InvalidData,
         format!("corrupt .stats file: {detail}"),
@@ -69,7 +42,7 @@ pub(crate) fn stats_corrupt(detail: String) -> std::io::Error {
 /// f32 values) from `bytes` starting at `*off`, advancing the offset.
 /// Truncated or absurd inputs surface as [`std::io::ErrorKind::InvalidData`]
 /// instead of a panic.
-pub(crate) fn read_stats(bytes: &[u8], off: &mut usize) -> std::io::Result<NormStats> {
+fn read_stats(bytes: &[u8], off: &mut usize) -> std::io::Result<NormStats> {
     let header = bytes
         .get(*off..*off + 4)
         .ok_or_else(|| stats_corrupt(format!("truncated header at byte {}", *off)))?;
@@ -88,6 +61,111 @@ pub(crate) fn read_stats(bytes: &[u8], off: &mut usize) -> std::io::Result<NormS
         vals.push(f32::from_le_bytes(chunk.try_into().unwrap()));
     }
     Ok(NormStats { mean: vals[..n].to_vec(), std: vals[n..].to_vec() })
+}
+
+/// Write a model checkpoint: `<path>` gets the weights, `<path>.stats` the
+/// two normalization blocks. The one on-disk layout behind
+/// [`Forecaster::save`] and `ConsistencyStudent::save`.
+pub(crate) fn save_checkpoint(
+    model: &AerisModel,
+    stats: &NormStats,
+    res_stats: &NormStats,
+    path: &std::path::Path,
+) -> std::io::Result<()> {
+    aeris_nn::save_params(&model.store, path)?;
+    let mut f = std::io::BufWriter::new(std::fs::File::create(path.with_extension("stats"))?);
+    use std::io::Write;
+    for stats in [stats, res_stats] {
+        f.write_all(&(stats.mean.len() as u32).to_le_bytes())?;
+        for &v in stats.mean.iter().chain(&stats.std) {
+            f.write_all(&v.to_le_bytes())?;
+        }
+    }
+    Ok(())
+}
+
+/// Read a checkpoint written by [`save_checkpoint`] into a model built from
+/// `cfg`, returning `(model, stats, res_stats)`.
+pub(crate) fn load_checkpoint(
+    cfg: crate::config::AerisConfig,
+    path: &std::path::Path,
+) -> std::io::Result<(AerisModel, NormStats, NormStats)> {
+    let mut model = AerisModel::new(cfg);
+    aeris_nn::load_params(&mut model.store, path)?;
+    let bytes = std::fs::read(path.with_extension("stats"))?;
+    let mut off = 0usize;
+    let stats = read_stats(&bytes, &mut off)?;
+    let res_stats = read_stats(&bytes, &mut off)?;
+    if off != bytes.len() {
+        return Err(stats_corrupt(format!(
+            "{} trailing bytes after statistics",
+            bytes.len() - off
+        )));
+    }
+    Ok((model, stats, res_stats))
+}
+
+/// `x_prev` plus the un-standardized residual: one unrolled unit-stride
+/// sweep per row (no per-element multi-index lookups).
+pub(crate) fn add_residual(
+    x_prev: &Tensor,
+    residual_std: &Tensor,
+    res_stats: &NormStats,
+) -> Tensor {
+    let mut next = x_prev.clone();
+    let (std, mean) = (&res_stats.std, &res_stats.mean);
+    for r in 0..next.shape()[0] {
+        sweeps::add_scale_shift(next.row_mut(r), residual_std.row(r), std, mean);
+    }
+    next
+}
+
+/// The autoregressive loop: apply `step(x, forcings(k))` for `steps` steps,
+/// feeding each output back as the next input.
+pub(crate) fn rollout(
+    x0: &Tensor,
+    forcings: &dyn Fn(usize) -> Tensor,
+    steps: usize,
+    mut step: impl FnMut(&Tensor, &Tensor) -> Tensor,
+) -> Vec<Tensor> {
+    let mut states = Vec::with_capacity(steps);
+    let mut x = x0.clone();
+    for k in 0..steps {
+        x = step(&x, &forcings(k));
+        states.push(x.clone());
+    }
+    states
+}
+
+/// Member `member`'s private noise stream in an ensemble seeded `seed`.
+/// Every ensemble in the workspace — direct calls, nowcasts, baselines and
+/// the serving engine — seeds its members here, which is what makes a served
+/// member bitwise equal to the same member of a direct call.
+pub fn member_rng(seed: u64, member: usize) -> Rng {
+    Rng::seed_from(seed).stream(member as u64 + 1)
+}
+
+/// Run `member` once per ensemble member (rayon-parallel), each on its own
+/// [`member_rng`] stream.
+pub(crate) fn ensemble(
+    n_members: usize,
+    base_seed: u64,
+    member: impl Fn(&mut Rng) -> Vec<Tensor> + Sync,
+) -> Vec<Vec<Tensor>> {
+    (0..n_members)
+        .into_par_iter()
+        .map(|m| member(&mut member_rng(base_seed, m)))
+        .collect()
+}
+
+/// Advance several independent jobs by one step each, in parallel;
+/// `out[i]` is `step(&mut jobs[i])`. A job owns everything its step mutates
+/// (its RNG, any guidance state), so a job's result is a pure function of
+/// that job alone — batch order and composition can never change the
+/// numbers, which is what lets the serving engine coalesce requests freely
+/// while staying bitwise deterministic.
+pub fn step_batch<J: Send>(jobs: &mut [J], step: impl Fn(&mut J) -> Tensor + Sync) -> Vec<Tensor> {
+    jobs.iter_mut().into_par_iter().map(step).collect()
 }
 
 impl EnsembleForecast {
@@ -128,18 +206,7 @@ impl Forecaster {
     /// Save the model weights and normalization statistics next to each
     /// other: `<path>` gets the weights, `<path>.stats` the statistics.
     pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
-        aeris_nn::save_params(&self.model.store, path)?;
-        let mut f = std::io::BufWriter::new(std::fs::File::create(
-            path.with_extension("stats"),
-        )?);
-        use std::io::Write;
-        for stats in [&self.stats, &self.res_stats] {
-            f.write_all(&(stats.mean.len() as u32).to_le_bytes())?;
-            for &v in stats.mean.iter().chain(&stats.std) {
-                f.write_all(&v.to_le_bytes())?;
-            }
-        }
-        Ok(())
+        save_checkpoint(&self.model, &self.stats, &self.res_stats, path)
     }
 
     /// Load weights + statistics saved by [`Forecaster::save`] into a
@@ -149,25 +216,13 @@ impl Forecaster {
         sampler: TrigFlowSampler,
         path: &std::path::Path,
     ) -> std::io::Result<Forecaster> {
-        let mut model = crate::model::AerisModel::new(cfg);
-        aeris_nn::load_params(&mut model.store, path)?;
-        let bytes = std::fs::read(path.with_extension("stats"))?;
-        let mut off = 0usize;
-        let stats = read_stats(&bytes, &mut off)?;
-        let res_stats = read_stats(&bytes, &mut off)?;
-        if off != bytes.len() {
-            return Err(stats_corrupt(format!(
-                "{} trailing bytes after statistics",
-                bytes.len() - off
-            )));
-        }
+        let (model, stats, res_stats) = load_checkpoint(cfg, path)?;
         Ok(Forecaster { model, stats, res_stats, sampler })
     }
 
-    /// A bitwise-identical copy with its own parameter storage (snapshot +
-    /// restore of the store). Replica pools in the serving engine use this to
-    /// give each worker group an independent instance; the copies produce
-    /// identical numbers by construction.
+    /// Deep-copy the model: a bitwise-identical forecaster with its own
+    /// parameter storage (snapshot + restore of the store). Distillation
+    /// seeds the student from such a copy.
     pub fn replicate(&self) -> Forecaster {
         let mut model = AerisModel::new(self.model.cfg.clone());
         model.store.restore(&self.model.store.snapshot());
@@ -200,44 +255,7 @@ impl Forecaster {
         let mut velocity =
             |x_t: &Tensor, t: f32| self.model.velocity(x_t, &prev_std, forcings, t);
         let residual_std = self.sampler.sample_guided(&shape, &mut velocity, rng, guidance);
-        // Un-standardize the residual and add to the state, one unrolled
-        // unit-stride sweep per row (no per-element multi-index lookups).
-        let mut next = x_prev.clone();
-        let (std, mean) = (&self.res_stats.std, &self.res_stats.mean);
-        for r in 0..shape[0] {
-            sweeps::add_scale_shift(next.row_mut(r), residual_std.row(r), std, mean);
-        }
-        next
-    }
-
-    /// Batched forecast step: advance several independent states by one step
-    /// each. Every job carries its own RNG, so the result of a job is a pure
-    /// function of that job alone — batching order and batch composition can
-    /// never change the numbers, which is what lets the serving engine
-    /// coalesce requests freely while staying bitwise deterministic.
-    pub fn forecast_step_batch(&self, jobs: &mut [StepJob<'_>]) -> Vec<Tensor> {
-        let outs: Vec<Tensor> = jobs
-            .iter_mut()
-            .into_par_iter()
-            .map(|job| self.forecast_step(job.x_prev, job.forcings, job.rng))
-            .collect();
-        outs
-    }
-
-    /// Batched guided step: like [`Self::forecast_step_batch`] but each job
-    /// may carry its own guidance hook, so the serving engine can mix plain
-    /// forecast and nowcast member-steps in one batch. The purity argument is
-    /// unchanged — guidance state, like the RNG, is private to its job.
-    pub fn forecast_step_batch_guided(&self, jobs: &mut [GuidedStepJob<'_>]) -> Vec<Tensor> {
-        let outs: Vec<Tensor> = jobs
-            .iter_mut()
-            .into_par_iter()
-            .map(|job| match job.guidance.as_deref_mut() {
-                Some(g) => self.forecast_step_guided(job.x_prev, job.forcings, job.rng, g),
-                None => self.forecast_step(job.x_prev, job.forcings, job.rng),
-            })
-            .collect();
-        outs
+        add_residual(x_prev, &residual_std, &self.res_stats)
     }
 
     /// Autoregressive rollout for `steps` steps. `forcings(k)` returns the
@@ -250,17 +268,11 @@ impl Forecaster {
         steps: usize,
         rng: &mut Rng,
     ) -> Vec<Tensor> {
-        let mut states = Vec::with_capacity(steps);
-        let mut x = x0.clone();
-        for k in 0..steps {
-            x = self.forecast_step(&x, &forcings(k), rng);
-            states.push(x.clone());
-        }
-        states
+        rollout(x0, forcings, steps, |x, f| self.forecast_step(x, f, rng))
     }
 
     /// Generate an ensemble of rollouts (members parallelized with rayon).
-    /// Member `m` uses the deterministic seed stream `base_seed ⊕ m`.
+    /// Member `m` draws from [`member_rng`]`(base_seed, m)`.
     pub fn ensemble(
         &self,
         x0: &Tensor,
@@ -269,13 +281,8 @@ impl Forecaster {
         n_members: usize,
         base_seed: u64,
     ) -> EnsembleForecast {
-        let members: Vec<Vec<Tensor>> = (0..n_members)
-            .into_par_iter()
-            .map(|m| {
-                let mut rng = Rng::seed_from(base_seed).stream(m as u64 + 1);
-                self.rollout(x0, &forcings, steps, &mut rng)
-            })
-            .collect();
+        let members =
+            ensemble(n_members, base_seed, |rng| self.rollout(x0, &forcings, steps, rng));
         EnsembleForecast { members }
     }
 }
@@ -362,11 +369,11 @@ mod tests {
     }
 
     #[test]
-    fn batched_step_matches_sequential_bitwise() {
+    fn step_batch_is_the_sequential_map_in_order_at_any_thread_count() {
         let f = tiny_forecaster();
         let mut rng = Rng::seed_from(6);
         let states: Vec<Tensor> =
-            (0..3).map(|_| Tensor::randn(&[128, 4], &mut rng)).collect();
+            (0..5).map(|_| Tensor::randn(&[128, 4], &mut rng)).collect();
         let forc = Tensor::zeros(&[128, 3]);
         // Sequential reference, one private RNG stream per job.
         let root = Rng::seed_from(77);
@@ -375,15 +382,20 @@ mod tests {
             .enumerate()
             .map(|(i, x)| f.forecast_step(x, &forc, &mut root.stream(i as u64)))
             .collect();
-        // Batched evaluation with identically-seeded streams.
-        let mut rngs: Vec<Rng> = (0..3).map(|i| root.stream(i as u64)).collect();
-        let mut jobs: Vec<StepJob> = states
-            .iter()
-            .zip(&mut rngs)
-            .map(|(x, rng)| StepJob { x_prev: x, forcings: &forc, rng })
-            .collect();
-        let got = f.forecast_step_batch(&mut jobs);
-        assert_eq!(expect, got, "batching must not change the numbers");
+        for threads in [1, 4] {
+            rayon::set_thread_override(Some(threads));
+            let mut jobs: Vec<(&Tensor, Rng)> =
+                states.iter().enumerate().map(|(i, x)| (x, root.stream(i as u64))).collect();
+            let got = step_batch(&mut jobs, |(x, rng)| f.forecast_step(x, &forc, rng));
+            rayon::set_thread_override(None);
+            assert_eq!(expect, got, "batching must not change the numbers ({threads} threads)");
+            // The jobs' own state advanced exactly as the sequential calls did.
+            for (i, (x, rng)) in jobs.iter_mut().enumerate() {
+                let mut seq = root.stream(i as u64);
+                f.forecast_step(x, &forc, &mut seq);
+                assert_eq!(rng.snapshot(), seq.snapshot(), "job {i} RNG state");
+            }
+        }
     }
 
     #[test]

@@ -26,6 +26,6 @@ pub mod training;
 
 pub use config::AerisConfig;
 pub use distill::{ConsistencyStudent, DistillConfig};
-pub use forecast::{EnsembleForecast, Forecaster, GuidedStepJob, StepJob};
+pub use forecast::{member_rng, step_batch, EnsembleForecast, Forecaster};
 pub use model::AerisModel;
 pub use training::{prepare_samples, TrainSample, Trainer, TrainerConfig};

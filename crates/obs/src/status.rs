@@ -2,7 +2,7 @@
 //! an operator needs to answer "is serving healthy *right now*".
 //!
 //! The report is plain data — the serve engine (which can see the
-//! scheduler, quota table, replica pools, cache, and SLO trackers) fills it
+//! scheduler, quota table, cache, and SLO trackers) fills it
 //! in; this module only defines the shape, the text dashboard rendering
 //! ([`std::fmt::Display`]), and the Prometheus gauge export
 //! ([`StatusReport::export_gauges`] pushes every numeric field into the
@@ -28,8 +28,6 @@ pub struct TierStatus {
     pub est_ms_per_unit: Option<f64>,
     /// Samples the estimator has absorbed.
     pub est_samples: u64,
-    /// Model replicas backing the tier.
-    pub replicas: usize,
     /// Worker threads dispatching for the tier.
     pub workers: usize,
     pub admitted: u64,
@@ -94,8 +92,8 @@ impl std::fmt::Display for StatusReport {
         for t in &self.tiers {
             writeln!(
                 f,
-                "tier {:<8} depth={:<3} admitted={} completed={} shed={} replicas={} workers={}",
-                t.name, t.queue_depth, t.admitted, t.completed, t.shed, t.replicas, t.workers
+                "tier {:<8} depth={:<3} admitted={} completed={} shed={} workers={}",
+                t.name, t.queue_depth, t.admitted, t.completed, t.shed, t.workers
             )?;
             writeln!(f, "  queue wait ms: {}", fmt_summary(&t.queue_wait_ms))?;
             writeln!(f, "  wfq lag:       {}", fmt_summary(&t.wfq_lag))?;
@@ -153,7 +151,6 @@ impl StatusReport {
             g("admitted", t.admitted as f64);
             g("completed", t.completed as f64);
             g("shed", t.shed as f64);
-            g("replicas", t.replicas as f64);
             if let Some(w) = &t.queue_wait_ms {
                 g("queue_wait_p99_ms", w.p99);
             }
@@ -203,7 +200,6 @@ mod tests {
                 wfq_lag: None,
                 est_ms_per_unit: Some(1.25),
                 est_samples: 42,
-                replicas: 2,
                 workers: 2,
                 admitted: 100,
                 completed: 95,

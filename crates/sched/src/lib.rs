@@ -22,24 +22,18 @@
 //! - [`QuotaTable`]: per-tenant token buckets — admission-time rate limits
 //!   so one tenant cannot monopolize the engine — plus the per-tenant WFQ
 //!   weights the dispatch queue consumes.
-//! - [`ReplicaPool`]: N interchangeable replicas of an immutable model,
-//!   workers pinned round-robin. Replicas must be bitwise-identical copies;
-//!   the pool only distributes them, the engine's determinism tests prove
-//!   the copies are exact.
 //!
 //! Every policy here shapes *latency and ordering only*. Tasks carry their
-//! own RNG streams (the engine's discipline), so which tier pool, replica,
-//! batch, or dispatch order a task sees can never change its numbers — the
+//! own RNG streams (the engine's discipline), so which worker, batch, or
+//! dispatch order a task sees can never change its numbers — the
 //! bitwise-determinism contract of the serve engine survives scheduling.
 
 pub mod dispatch;
 pub mod estimator;
-pub mod pool;
 pub mod tenant;
 pub mod tier;
 
 pub use dispatch::{DispatchQueue, QueueMetrics, TaskMeta};
 pub use estimator::ServiceEstimator;
-pub use pool::ReplicaPool;
 pub use tenant::{QuotaConfig, QuotaDecision, QuotaTable, TenantPolicy};
 pub use tier::{RouterConfig, Tier, TierRouter};

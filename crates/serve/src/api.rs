@@ -195,7 +195,8 @@ pub enum ServeError {
     /// too few tokens for the request's work (member-steps).
     QuotaExceeded { tenant: String },
     /// The request is malformed for the engine's model (shape mismatch,
-    /// zero members/steps, forcing table too short, …).
+    /// non-finite state or observation, zero members/steps, forcing table
+    /// too short, …).
     BadRequest(String),
 }
 
@@ -230,9 +231,6 @@ pub struct ServeConfig {
     /// Worker threads on the fast (distilled) tier. Only used by engines
     /// started with a student; ignored otherwise.
     pub fast_workers: usize,
-    /// Bitwise-identical model replicas per tier pool (workers are pinned
-    /// round-robin). 1 shares a single instance, the pre-replica behavior.
-    pub replicas: usize,
     /// Admission-control bound on outstanding (admitted, unfinished)
     /// requests; submissions beyond it fail fast with
     /// [`ServeError::QueueFull`].
@@ -267,7 +265,6 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: 2,
             fast_workers: 2,
-            replicas: 1,
             queue_capacity: 64,
             max_batch: 8,
             max_wait: Duration::from_millis(2),

@@ -1,5 +1,5 @@
-//! The serving engine: admission control, two-tier scheduling, worker
-//! pools, request lifecycle, and the ops surface.
+//! The serving engine: admission control, two-tier scheduling, per-tier
+//! workers, request lifecycle, and the ops surface.
 //!
 //! ## Lifecycle of a request
 //!
@@ -36,13 +36,14 @@
 //! ## Determinism
 //!
 //! Member `m` of a request draws from the private stream
-//! `Rng::seed_from(seed).stream(m+1)` — the same discipline as
-//! [`Forecaster::ensemble`] — and a batched step evaluates each task with
-//! its own RNG. Quality-tier responses are therefore bitwise identical to a
-//! direct `ensemble` call, fast-tier responses to a direct
+//! [`member_rng`]`(seed, m)` — the one [`Forecaster::ensemble`] uses — and
+//! a batched step evaluates each task with its own RNG through the very
+//! functions a direct caller would use (`forecast_step`, `nowcast_step`,
+//! `nowcast_step_fast`). Quality-tier responses are therefore bitwise
+//! identical to a direct `ensemble` call, fast-tier responses to a direct
 //! `ConsistencyStudent::ensemble` call, both invariant under worker count,
-//! replica count, batch composition, scheduling order, and cache hits. The
-//! scheduler moves *time*, never *numbers*.
+//! batch composition, scheduling order, and cache hits. The scheduler moves
+//! *time*, never *numbers*.
 //!
 //! [`Forecaster::ensemble`]: aeris_core::Forecaster::ensemble
 
@@ -52,16 +53,14 @@ use crate::api::{
 };
 use crate::cache::{content_hash, CacheKey, CacheStats, RolloutCache};
 use crate::report::{ServeReport, ServeSloReport, TenantCounts, TierCounts};
-use aeris_assim::{relax_toward_observations, GuidanceSchedule, ObsGuidance, ObservationSet};
-use aeris_core::{ConsistencyStudent, EnsembleForecast, Forecaster, GuidedStepJob, StepJob};
-use aeris_diffusion::Guidance;
+use aeris_assim::{nowcast_step, nowcast_step_fast, GuidanceSchedule, ObservationSet};
+use aeris_core::{member_rng, step_batch, ConsistencyStudent, EnsembleForecast, Forecaster};
 use aeris_obs::{
     CacheStatus, MetricSeries, SloConfig, SloState, SloTracker, SloVerdict, SpanCategory,
-    StatusReport, TenantStatus, TierStatus, Tracer,
+    SpanGuard, StatusReport, TenantStatus, TierStatus, Tracer,
 };
 use aeris_sched::{
-    DispatchQueue, QueueMetrics, QuotaTable, ReplicaPool, ServiceEstimator, TaskMeta, Tier,
-    TierRouter,
+    DispatchQueue, QueueMetrics, QuotaTable, ServiceEstimator, TaskMeta, Tier, TierRouter,
 };
 use aeris_swipe::EventLog;
 use aeris_tensor::{Rng, Tensor};
@@ -498,8 +497,8 @@ impl SloBook {
 /// Everything the workers and the submitting threads share.
 struct EngineShared {
     forecaster: Arc<Forecaster>,
-    quality: ReplicaPool<Forecaster>,
-    fast: Option<ReplicaPool<ConsistencyStudent>>,
+    /// The distilled fast-tier model; `None` on quality-only engines.
+    student: Option<Arc<ConsistencyStudent>>,
     /// One dispatch queue per tier, indexed by [`Tier::index`].
     queues: [DispatchQueue<MemberTask>; 2],
     router: TierRouter,
@@ -653,18 +652,46 @@ impl EngineShared {
     }
 }
 
-/// The model a worker evaluates batches on: its pinned replica of the
-/// tier's pool.
-enum WorkerModel {
-    Quality(Arc<Forecaster>),
-    Fast(Arc<ConsistencyStudent>),
+/// The model a tier's workers step member tasks on.
+enum TierModel<'a> {
+    Quality(&'a Forecaster),
+    Fast(&'a ConsistencyStudent),
 }
 
-fn worker_loop(shared: Arc<EngineShared>, tier: Tier, slot: usize, actor: usize) {
+impl TierModel<'_> {
+    /// Advance `task` by one step on its own RNG. Forecast tasks take the
+    /// model's plain step; nowcast tasks take the tier's assimilation step —
+    /// sampler guidance on the quality tier, and on the fast tier (where the
+    /// student has no solver iterations to guide) one post-hoc bounded
+    /// relaxation toward the observations.
+    fn step(&self, task: &mut MemberTask, forcings: &Tensor) -> Tensor {
+        let (x, rng) = (&task.x, &mut task.rng);
+        match (self, &task.req.nowcast) {
+            (TierModel::Quality(fc), None) => fc.forecast_step(x, forcings, rng),
+            (TierModel::Quality(fc), Some(n)) => {
+                nowcast_step(fc, x, forcings, &n.obs, n.schedule, rng)
+            }
+            (TierModel::Fast(student), None) => student.forecast_step(x, forcings, rng),
+            (TierModel::Fast(student), Some(n)) => {
+                nowcast_step_fast(student, x, forcings, &n.obs, n.schedule, rng)
+            }
+        }
+    }
+
+    /// The `Forward` span label of this tier's batched step.
+    fn span_label(&self) -> &'static str {
+        match self {
+            TierModel::Quality(_) => "forecast_step_batch",
+            TierModel::Fast(_) => "fast_step_batch",
+        }
+    }
+}
+
+fn worker_loop(shared: Arc<EngineShared>, tier: Tier, actor: usize) {
     let model = match tier {
-        Tier::Quality => WorkerModel::Quality(shared.quality.pinned(slot)),
-        Tier::Fast => WorkerModel::Fast(
-            shared.fast.as_ref().expect("fast worker without a fast pool").pinned(slot),
+        Tier::Quality => TierModel::Quality(&shared.forecaster),
+        Tier::Fast => TierModel::Fast(
+            shared.student.as_deref().expect("fast worker without a student"),
         ),
     };
     let tokens = shared.forecaster.model.cfg.tokens();
@@ -738,67 +765,19 @@ fn worker_loop(shared: Arc<EngineShared>, tier: Tier, slot: usize, actor: usize)
         );
 
         // One batched model evaluation for the whole (shape-compatible)
-        // batch; every job advances on its own private RNG. On the quality
-        // tier, nowcast tasks carry an owned per-job guidance hook; on the
-        // fast tier the student has no solver iterations to guide, so
-        // nowcast outputs get one post-hoc bounded relaxation toward the
-        // observations instead.
+        // batch; every task advances on its own private RNG.
         let forcings: Vec<Tensor> =
             live.iter().map(|t| t.req.forcings.at(tokens, t.next_step)).collect();
         let t0 = Instant::now();
-        let outs = match &model {
-            WorkerModel::Quality(fc) => {
-                let mut guidances: Vec<Option<ObsGuidance>> = live
-                    .iter()
-                    .map(|t| {
-                        t.req.nowcast.as_ref().map(|spec| {
-                            ObsGuidance::new(
-                                Arc::clone(&spec.obs),
-                                Arc::clone(&t.x),
-                                &fc.res_stats,
-                                spec.schedule,
-                                fc.sampler.cfg.n_steps,
-                            )
-                        })
-                    })
-                    .collect();
-                let _fwd = shared
-                    .tracer
-                    .span(SpanCategory::Forward, actor)
-                    .label("forecast_step_batch")
-                    .micro(live.len() as u64);
-                let mut jobs: Vec<GuidedStepJob<'_>> = live
-                    .iter_mut()
-                    .zip(&forcings)
-                    .zip(&mut guidances)
-                    .map(|((t, f), g)| GuidedStepJob {
-                        x_prev: t.x.as_ref(),
-                        forcings: f,
-                        rng: &mut t.rng,
-                        guidance: g.as_mut().map(|og| og as &mut (dyn Guidance + Send)),
-                    })
-                    .collect();
-                fc.forecast_step_batch_guided(&mut jobs)
-            }
-            WorkerModel::Fast(student) => {
-                let _fwd = shared
-                    .tracer
-                    .span(SpanCategory::Forward, actor)
-                    .label("fast_step_batch")
-                    .micro(live.len() as u64);
-                let mut jobs: Vec<StepJob<'_>> = live
-                    .iter_mut()
-                    .zip(&forcings)
-                    .map(|(t, f)| StepJob { x_prev: t.x.as_ref(), forcings: f, rng: &mut t.rng })
-                    .collect();
-                let mut outs = student.forecast_step_batch(&mut jobs);
-                for (task, out) in live.iter().zip(outs.iter_mut()) {
-                    if let Some(spec) = &task.req.nowcast {
-                        relax_toward_observations(out, &spec.obs, spec.schedule.weight(0, 1));
-                    }
-                }
-                outs
-            }
+        let outs = {
+            let _fwd = shared
+                .tracer
+                .span(SpanCategory::Forward, actor)
+                .label(model.span_label())
+                .micro(live.len() as u64);
+            let mut jobs: Vec<(&mut MemberTask, &Tensor)> =
+                live.iter_mut().zip(&forcings).collect();
+            step_batch(&mut jobs, |(task, f)| model.step(task, f))
         };
         // Feed the router's and the doom check's service model with the
         // amortized (batching included) cost of one member-step as served.
@@ -885,22 +864,10 @@ impl ServeEngine {
         cfg: ServeConfig,
         tracer: Tracer,
     ) -> ServeEngine {
-        let replicas = cfg.replicas.max(1);
-        let quality = {
-            let mut pool = vec![Arc::clone(&forecaster)];
-            pool.extend((1..replicas).map(|_| Arc::new(forecaster.replicate())));
-            ReplicaPool::from_shared(pool)
-        };
-        let fast = student.map(|s| {
-            let mut pool = vec![Arc::clone(&s)];
-            pool.extend((1..replicas).map(|_| Arc::new(s.replicate())));
-            ReplicaPool::from_shared(pool)
-        });
         let n_quality = cfg.workers.max(1);
-        let n_fast = if fast.is_some() { cfg.fast_workers.max(1) } else { 0 };
+        let n_fast = if student.is_some() { cfg.fast_workers.max(1) } else { 0 };
         let shared = Arc::new(EngineShared {
-            quality,
-            fast,
+            student,
             queues: [DispatchQueue::new(), DispatchQueue::new()],
             router: TierRouter::new(cfg.router),
             estimator: ServiceEstimator::new(),
@@ -939,7 +906,7 @@ impl ServeEngine {
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("aeris-serve-q{w}"))
-                    .spawn(move || worker_loop(shared, Tier::Quality, w, w))
+                    .spawn(move || worker_loop(shared, Tier::Quality, w))
                     .expect("spawn serve worker"),
             );
         }
@@ -948,7 +915,7 @@ impl ServeEngine {
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("aeris-serve-f{w}"))
-                    .spawn(move || worker_loop(shared, Tier::Fast, w, n_quality + w))
+                    .spawn(move || worker_loop(shared, Tier::Fast, n_quality + w))
                     .expect("spawn serve worker"),
             );
         }
@@ -963,18 +930,13 @@ impl ServeEngine {
 
     /// Whether this engine has a distilled fast tier.
     pub fn has_fast_tier(&self) -> bool {
-        self.shared.fast.is_some()
+        self.shared.student.is_some()
     }
 
     /// The per-tier service-time estimator (measured seconds per
     /// member-step; `None` per tier until warm).
     pub fn estimator(&self) -> &ServiceEstimator {
         &self.shared.estimator
-    }
-
-    /// The tenant name a request bills to.
-    fn tenant_of(&self, explicit: &Option<Arc<str>>) -> Arc<str> {
-        explicit.clone().unwrap_or_else(|| Arc::clone(&self.shared.default_tenant))
     }
 
     /// Token-bucket admission for `cost` member-steps; a deny is recorded
@@ -1002,7 +964,7 @@ impl ServeEngine {
         deadline: Option<Duration>,
         chain_units: u64,
     ) -> Result<Tier, ServeError> {
-        let fast_available = self.shared.fast.is_some();
+        let fast_available = self.shared.student.is_some();
         if explicit == Some(Tier::Fast) && !fast_available {
             return Err(ServeError::BadRequest(
                 "fast tier requested but the engine has no distilled student".into(),
@@ -1017,44 +979,56 @@ impl ServeEngine {
         ))
     }
 
-    /// [`ServeEngine::route`] plus accounting: a routing failure after the
-    /// quota check counts as a rejection on the tenant's ledger (so
-    /// `submitted == admitted + quota_denied + rejected` always balances).
+    /// The admission prologue both request kinds share: shutdown gate,
+    /// validation, tenant ledger, quota (`steps × n_members` member-steps),
+    /// routing, and the outstanding-slot bound. Returns the fresh request
+    /// id, its tier and tenant, and the open `Admission` span. A routing
+    /// failure after the quota check counts as a rejection on the tenant's
+    /// ledger (so `submitted == admitted + quota_denied + rejected` always
+    /// balances).
     fn admit(
         &self,
-        tenant: &Arc<str>,
+        validate: impl FnOnce() -> Result<(), ServeError>,
+        tenant: &Option<Arc<str>>,
         explicit: Option<Tier>,
         deadline: Option<Duration>,
-        chain_units: u64,
-    ) -> Result<Tier, ServeError> {
-        self.route(explicit, deadline, chain_units).inspect_err(|_| {
-            self.shared.bump_tenant(tenant, |t| t.rejected += 1);
-        })
+        steps: usize,
+        n_members: usize,
+    ) -> Result<(u64, Tier, Arc<str>, SpanGuard), ServeError> {
+        let shared = &self.shared;
+        if !shared.accepting.load(Ordering::Acquire) {
+            shared.events.record(CLIENT_ACTOR, ServeEvent::RejectedShutdown);
+            return Err(ServeError::Shutdown);
+        }
+        validate()?;
+        let tenant = tenant.clone().unwrap_or_else(|| Arc::clone(&shared.default_tenant));
+        shared.bump_tenant(&tenant, |t| t.submitted += 1);
+        self.check_quota(&tenant, (steps * n_members) as f64)?;
+        let tier = self.route(explicit, deadline, steps as u64).inspect_err(|_| {
+            shared.bump_tenant(&tenant, |t| t.rejected += 1);
+        })?;
+        let adm = shared.tracer.span(SpanCategory::Admission, CLIENT_ACTOR);
+        let id = self.acquire_slot(&tenant, tier)?;
+        Ok((id, tier, tenant, adm.step(id)))
     }
 
     /// Validate, admit, route, and enqueue a forecast request. Returns a
     /// [`Ticket`] the client blocks on; every admission failure is a typed
     /// error.
     pub fn submit(&self, request: ForecastRequest) -> Result<Ticket, ServeError> {
-        let shared = &self.shared;
-        if !shared.accepting.load(Ordering::Acquire) {
-            shared.events.record(CLIENT_ACTOR, ServeEvent::RejectedShutdown);
-            return Err(ServeError::Shutdown);
-        }
-        self.validate(&request)?;
-        let tenant = self.tenant_of(&request.tenant);
-        shared.bump_tenant(&tenant, |t| t.submitted += 1);
-        self.check_quota(&tenant, (request.steps * request.n_members) as f64)?;
-        let tier = self.admit(&tenant, request.tier, request.deadline, request.steps as u64)?;
-        let adm = shared.tracer.span(SpanCategory::Admission, CLIENT_ACTOR);
-        let id = self.acquire_slot(&tenant, tier)?;
-        let _adm = adm.step(id);
-        let req = Arc::new(RequestState::new(id, &request, tier, tenant));
-        shared.events.record(
+        let (id, tier, tenant, _adm) = self.admit(
+            || self.validate(&request),
+            &request.tenant,
+            request.tier,
+            request.deadline,
+            request.steps,
+            request.n_members,
+        )?;
+        let req = RequestState::new(id, &request, tier, tenant);
+        self.shared.events.record(
             CLIENT_ACTOR,
             ServeEvent::Admitted { req: id, members: request.n_members, steps: request.steps },
         );
-        shared.events.record(CLIENT_ACTOR, ServeEvent::Routed { req: id, tier });
         self.enqueue_members(req)
     }
 
@@ -1067,21 +1041,16 @@ impl ServeEngine {
     /// forecasts and the rollout cache answers exact replays (keyed on the
     /// observation digest, guidance schedule, and tier).
     pub fn submit_nowcast(&self, request: NowcastRequest) -> Result<Ticket, ServeError> {
-        let shared = &self.shared;
-        if !shared.accepting.load(Ordering::Acquire) {
-            shared.events.record(CLIENT_ACTOR, ServeEvent::RejectedShutdown);
-            return Err(ServeError::Shutdown);
-        }
-        self.validate_nowcast(&request)?;
-        let tenant = self.tenant_of(&request.tenant);
-        shared.bump_tenant(&tenant, |t| t.submitted += 1);
-        self.check_quota(&tenant, request.n_members as f64)?;
-        let tier = self.admit(&tenant, request.tier, request.deadline, 1)?;
-        let adm = shared.tracer.span(SpanCategory::Admission, CLIENT_ACTOR);
-        let id = self.acquire_slot(&tenant, tier)?;
-        let _adm = adm.step(id);
-        let req = Arc::new(RequestState::new_nowcast(id, &request, tier, tenant));
-        shared.events.record(
+        let (id, tier, tenant, _adm) = self.admit(
+            || self.validate_nowcast(&request),
+            &request.tenant,
+            request.tier,
+            request.deadline,
+            1,
+            request.n_members,
+        )?;
+        let req = RequestState::new_nowcast(id, &request, tier, tenant);
+        self.shared.events.record(
             CLIENT_ACTOR,
             ServeEvent::AdmittedNowcast {
                 req: id,
@@ -1089,7 +1058,6 @@ impl ServeEngine {
                 n_obs: request.observations.n_present(),
             },
         );
-        shared.events.record(CLIENT_ACTOR, ServeEvent::Routed { req: id, tier });
         self.enqueue_members(req)
     }
 
@@ -1117,9 +1085,11 @@ impl ServeEngine {
     }
 
     /// The admitted-request tail shared by both request kinds.
-    fn enqueue_members(&self, req: Arc<RequestState>) -> Result<Ticket, ServeError> {
+    fn enqueue_members(&self, req: RequestState) -> Result<Ticket, ServeError> {
         let shared = &self.shared;
+        let req = Arc::new(req);
         let id = req.id;
+        shared.events.record(CLIENT_ACTOR, ServeEvent::Routed { req: id, tier: req.tier });
         // Per member: reuse the longest contiguous cached prefix, then
         // enqueue the remainder (fully-cached members finish right here).
         let mut tasks = Vec::new();
@@ -1129,7 +1099,7 @@ impl ServeEngine {
                 member: m,
                 next_step: 0,
                 x: Arc::clone(&req.init),
-                rng: Rng::seed_from(req.seed).stream(m as u64 + 1),
+                rng: member_rng(req.seed, m),
                 states: Vec::with_capacity(req.steps),
                 cache_hits: 0,
             };
@@ -1195,18 +1165,28 @@ impl ServeEngine {
     }
 
     fn validate(&self, r: &ForecastRequest) -> Result<(), ServeError> {
-        let cfg = &self.shared.forecaster.model.cfg;
         if r.steps == 0 || r.n_members == 0 {
             return Err(ServeError::BadRequest("steps and n_members must be ≥ 1".into()));
         }
+        self.validate_state("init", &r.init)?;
+        self.validate_forcings(&r.forcings, r.steps)
+    }
+
+    /// A request's input state must match the model grid and be finite — a
+    /// NaN/Inf would otherwise be sampled, cached and returned as success.
+    fn validate_state(&self, what: &str, x: &Tensor) -> Result<(), ServeError> {
+        let cfg = &self.shared.forecaster.model.cfg;
         let want = [cfg.tokens(), cfg.channels];
-        if r.init.shape() != want {
+        if x.shape() != want {
             return Err(ServeError::BadRequest(format!(
-                "init shape {:?} != model state shape {want:?}",
-                r.init.shape()
+                "{what} shape {:?} != model state shape {want:?}",
+                x.shape()
             )));
         }
-        self.validate_forcings(&r.forcings, r.steps)
+        if !x.all_finite() {
+            return Err(ServeError::BadRequest(format!("{what} contains non-finite values")));
+        }
+        Ok(())
     }
 
     fn validate_forcings(&self, forcings: &Forcings, steps: usize) -> Result<(), ServeError> {
@@ -1240,13 +1220,7 @@ impl ServeEngine {
         if r.n_members == 0 {
             return Err(ServeError::BadRequest("n_members must be ≥ 1".into()));
         }
-        let want = [cfg.tokens(), cfg.channels];
-        if r.background.shape() != want {
-            return Err(ServeError::BadRequest(format!(
-                "background shape {:?} != model state shape {want:?}",
-                r.background.shape()
-            )));
-        }
+        self.validate_state("background", &r.background)?;
         let obs = &r.observations;
         if obs.tokens != cfg.tokens() || obs.channels != cfg.channels {
             return Err(ServeError::BadRequest(format!(
@@ -1285,6 +1259,12 @@ impl ServeEngine {
             return Err(ServeError::BadRequest(format!(
                 "observation site ({}, {}) outside the {}x{} grid",
                 bad.token, bad.channel, obs.tokens, obs.channels
+            )));
+        }
+        if let Some(i) = (0..n).find(|&i| obs.mask[i] && !obs.values[i].is_finite()) {
+            return Err(ServeError::BadRequest(format!(
+                "observation {i} is present but not finite ({})",
+                obs.values[i]
             )));
         }
         // Guided sampling runs the solver; reject a malformed schedule here
@@ -1435,17 +1415,16 @@ impl ServeEngine {
     }
 
     /// One point-in-time introspection snapshot: queue depths, wait/lag
-    /// quantiles, service estimates, replica/worker sizing, per-tenant
+    /// quantiles, service estimates, worker sizing, per-tenant
     /// ledgers and token balances, cache effectiveness, live SLO states,
     /// and the tracer's counters. Render it with `Display` for the text
     /// dashboard, or push it into the Prometheus path with
     /// [`StatusReport::export_gauges`].
     pub fn status(&self) -> StatusReport {
         let shared = &self.shared;
-        let replicas = shared.cfg.replicas.max(1);
         let mut tiers = Vec::new();
         for tier in [Tier::Quality, Tier::Fast] {
-            if tier == Tier::Fast && shared.fast.is_none() {
+            if tier == Tier::Fast && shared.student.is_none() {
                 continue;
             }
             let i = tier.index();
@@ -1458,7 +1437,6 @@ impl ServeEngine {
                 wfq_lag: lag.summary(),
                 est_ms_per_unit: shared.estimator.per_unit(tier).map(|s| s * 1e3),
                 est_samples: shared.estimator.samples(tier),
-                replicas,
                 workers: match tier {
                     Tier::Quality => shared.cfg.workers.max(1),
                     Tier::Fast => shared.cfg.fast_workers.max(1),

@@ -83,23 +83,56 @@ fn identical_requests_reuse_the_cache_bitwise() {
 fn fast_tier_matches_direct_student_ensemble_bitwise() {
     let fc = tiny_forecaster();
     let student = tiny_student(&fc);
-    // Two engines with different worker/replica counts must produce the
-    // same bits: scheduling and replication move time, not numbers.
+    // Engines with different worker counts and batch bounds must produce
+    // the same bits, for forecasts and for one nowcast per tier riding in
+    // the same batches: scheduling moves time, not numbers.
     let mut req = request(42, 3, 2);
     req.tier = Some(Tier::Fast);
     let direct = student.ensemble(&req.init, &|_k| Tensor::zeros(&[128, 3]), 3, 2, 42);
-    for (workers, replicas) in [(1usize, 1usize), (3, 2)] {
+    let sched = GuidanceSchedule::Constant(0.4);
+    let mut fast_now = nowcast_request(43, sched);
+    fast_now.tier = Some(Tier::Fast);
+    let quality_now = nowcast_request(44, sched);
+    let forc = Tensor::zeros(&[128, 3]);
+    let direct_now = |r: &NowcastRequest, m: usize| {
+        let bg = Arc::new(r.background.clone());
+        match r.tier {
+            Some(Tier::Fast) => aeris_assim::nowcast_member_fast(
+                &student, &bg, &forc, &r.observations, sched, r.seed, m,
+            ),
+            _ => aeris_assim::nowcast_member(&fc, &bg, &forc, &r.observations, sched, r.seed, m),
+        }
+    };
+    for (workers, max_batch) in [(1usize, 1usize), (3, 2), (2, 8)] {
         let engine = ServeEngine::start_two_tier(
             Arc::clone(&fc),
             Arc::clone(&student),
-            ServeConfig { fast_workers: workers, replicas, ..ServeConfig::default() },
+            ServeConfig { workers, fast_workers: workers, max_batch, ..ServeConfig::default() },
         );
-        let resp = engine.submit(req.clone()).expect("admitted").wait().expect("served");
+        // Build the whole backlog before any worker pulls, so batches mix
+        // forecast and nowcast member-steps up to `max_batch`.
+        engine.hold_dispatch();
+        let forecast = engine.submit(req.clone()).expect("admitted");
+        let nowcasts = [&fast_now, &quality_now]
+            .map(|r| (r, engine.submit_nowcast(r.clone()).expect("admitted")));
+        engine.release_dispatch();
+        let resp = forecast.wait().expect("served");
         assert_eq!(resp.tier, Tier::Fast);
         assert_eq!(
             resp.forecast.members, direct,
-            "fast tier ≠ direct student ensemble ({workers} workers, {replicas} replicas)"
+            "fast tier ≠ direct student ensemble ({workers} workers, max_batch {max_batch})"
         );
+        for (r, ticket) in nowcasts {
+            let resp = ticket.wait().expect("served");
+            for (m, member) in resp.forecast.members.iter().enumerate() {
+                assert_eq!(
+                    member[0],
+                    direct_now(r, m),
+                    "{:?} nowcast member {m} ≠ direct call ({workers} workers, max_batch {max_batch})",
+                    resp.tier
+                );
+            }
+        }
     }
 }
 
@@ -241,6 +274,16 @@ fn malformed_requests_fail_typed() {
     let mut bad_channels = request(1, 1, 1);
     bad_channels.forcings = Forcings::Zeros { channels: 5 };
     assert!(matches!(engine.submit(bad_channels), Err(ServeError::BadRequest(_))));
+    for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let mut non_finite = request(1, 1, 1);
+        non_finite.init.data_mut()[7] = poison;
+        assert!(matches!(engine.submit(non_finite), Err(ServeError::BadRequest(_))));
+    }
+    // Nothing malformed was admitted, cached, or counted against a tenant.
+    assert_eq!(engine.cache_stats().entries, 0);
+    let report = engine.shutdown();
+    report.verify_accounting().expect("conservation");
+    assert_eq!(report.tenant("public").submitted, 0);
 }
 
 #[test]
@@ -415,6 +458,26 @@ fn malformed_nowcasts_fail_typed() {
     let mut zero_members = nowcast_request(1, sched);
     zero_members.n_members = 0;
     assert!(matches!(engine.submit_nowcast(zero_members), Err(ServeError::BadRequest(_))));
+    let mut nan_background = nowcast_request(1, sched);
+    nan_background.background.data_mut()[3] = f32::NAN;
+    assert!(matches!(engine.submit_nowcast(nan_background), Err(ServeError::BadRequest(_))));
+    let mut inf_obs = nowcast_request(1, sched);
+    let mut obs = (*inf_obs.observations).clone();
+    let present = obs.mask.iter().position(|&p| p).expect("a present observation");
+    obs.values[present] = f32::INFINITY;
+    inf_obs.observations = Arc::new(obs);
+    assert!(matches!(engine.submit_nowcast(inf_obs), Err(ServeError::BadRequest(_))));
+    // A non-finite value under the missing-data mask is never read: admitted.
+    let mut masked_nan = nowcast_request(1, sched);
+    let mut obs = (*masked_nan.observations).clone();
+    obs.mask[present] = false;
+    obs.values[present] = f32::NAN;
+    masked_nan.observations = Arc::new(obs);
+    let resp = engine.submit_nowcast(masked_nan).expect("admitted").wait().expect("served");
+    assert!(resp.forecast.members.iter().all(|m| m[0].all_finite()));
+    let report = engine.shutdown();
+    report.verify_accounting().expect("conservation");
+    assert_eq!((report.tenant("public").submitted, report.completed), (1, 1));
 }
 
 #[test]
@@ -464,6 +527,9 @@ fn slo_verdicts_flip_deterministically_and_surface_in_the_report() {
         engine.submit(request(200 + i, 1, 1)).expect("admitted").wait().expect("served");
         assert_eq!(engine.slo_state(Tier::Quality).unwrap().verdict, SloVerdict::Ok);
     }
+    // `wait` can return a beat before the worker records the outcome;
+    // drain so all 8 good observations precede the first bad one.
+    engine.drain();
     // Zero-deadline submissions shed synchronously at admission (fresh
     // seeds keep them out of the cache), each one a bad outcome observed
     // on the client thread — so the flip points are exact:

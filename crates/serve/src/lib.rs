@@ -17,9 +17,10 @@
 //! - **Tenants.** Optional per-tenant token-bucket quotas gate admission;
 //!   tenant weights bias the fair queue; the final report breaks counters
 //!   out per tenant and per tier.
-//! - **Replicas and caching.** Each tier runs a worker pool over N model
-//!   replicas, all sharing one content-addressed LRU rollout cache
-//!   (fast- and quality-tier entries live in disjoint namespaces).
+//! - **Workers and caching.** Each tier's workers share the tier's one
+//!   immutable model, and all of them share one content-addressed LRU
+//!   rollout cache (fast- and quality-tier entries live in disjoint
+//!   namespaces).
 //!
 //! ```no_run
 //! use aeris_serve::{ForecastRequest, Forcings, ServeConfig, ServeEngine, Tier};
@@ -57,7 +58,7 @@
 //! Served forecasts are **bitwise identical** to a direct
 //! [`Forecaster::ensemble`] (quality tier) or `ConsistencyStudent::ensemble`
 //! (fast tier) call with the same inputs, regardless of worker count,
-//! replica count, batch composition, scheduling order, or cache hits — see
+//! batch composition, scheduling order, or cache hits — see
 //! the module docs of [`engine`] for the determinism argument.
 //!
 //! [`Forecaster`]: aeris_core::Forecaster

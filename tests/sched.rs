@@ -8,8 +8,8 @@
 //! - QoS: under a mixed load, tight-deadline nowcasts are routed to the
 //!   distilled fast tier and every one of them completes inside its
 //!   deadline while the quality tier grinds through full-sampler forecasts;
-//! - determinism: the fast tier returns the same bits whatever the worker
-//!   and replica counts, so scheduling policy never leaks into forecasts.
+//! - determinism: both tiers return the same bits whatever the worker count
+//!   and batch bound, so scheduling policy never leaks into forecasts.
 
 use aeris::core::{AerisConfig, AerisModel, ConsistencyStudent, Forecaster};
 use aeris::diffusion::{SamplerConfig, TrigFlow, TrigFlowSampler};
@@ -186,9 +186,10 @@ fn tight_deadline_nowcasts_meet_qos_on_the_fast_tier() {
     assert!(report.metrics.queue_wait_ms.count() >= 8);
 }
 
-/// Scheduling policy must never leak into forecast numbers: the fast tier
-/// returns bitwise-identical ensembles whatever the worker/replica counts,
-/// and they equal a direct student ensemble call.
+/// Scheduling policy must never leak into forecast numbers: whatever the
+/// worker count and batch bound, a fast-tier forecast equals a direct
+/// student ensemble call, and one nowcast per tier riding in the same
+/// backlog equals its direct `nowcast_member[_fast]` call.
 #[test]
 fn fast_tier_bits_are_invariant_under_scheduling_configuration() {
     let fc = tiny_forecaster();
@@ -196,18 +197,58 @@ fn fast_tier_bits_are_invariant_under_scheduling_configuration() {
     let mut req = request(77, 3, None);
     req.n_members = 2;
     req.tier = Some(Tier::Fast);
-    let direct = student.ensemble(&req.init, &|_k| Tensor::zeros(&[128, 3]), 3, 2, 77);
-    for (fast_workers, replicas) in [(1usize, 1usize), (2, 1), (4, 3)] {
+    let forc = Tensor::zeros(&[128, 3]);
+    let direct = student.ensemble(&req.init, &|_k| forc.clone(), 3, 2, 77);
+    let schedule = aeris::assim::GuidanceSchedule::Constant(0.3);
+    let op = aeris::assim::ObsOperator::stations(&Grid::new(8, 16), 32, &[0, 1], &[0.5; 4], 9);
+    let nowcast = |tier: Tier| NowcastRequest {
+        background: Tensor::randn(&[128, 4], &mut Rng::seed_from(0xA15)),
+        forcings: Forcings::Zeros { channels: 3 },
+        observations: Arc::new(op.observe(&req.init, 0.1, 0x0B5)),
+        schedule,
+        n_members: 2,
+        seed: 78,
+        deadline: None,
+        tenant: None,
+        tier: Some(tier),
+    };
+    for (workers, max_batch) in [(1usize, 1usize), (2, 3), (4, 8)] {
         let engine = ServeEngine::start_two_tier(
             Arc::clone(&fc),
             Arc::clone(&student),
-            ServeConfig { fast_workers, replicas, ..ServeConfig::default() },
+            ServeConfig { workers, fast_workers: workers, max_batch, ..ServeConfig::default() },
         );
-        let resp = engine.submit(req.clone()).expect("admitted").wait().expect("served");
+        // Hold dispatch so the backlog (and therefore batch composition) is
+        // complete before any worker pulls.
+        engine.hold_dispatch();
+        let forecast = engine.submit(req.clone()).expect("admitted");
+        let nowcasts = [Tier::Fast, Tier::Quality]
+            .map(|tier| (nowcast(tier), engine.submit_nowcast(nowcast(tier)).expect("admitted")));
+        engine.release_dispatch();
+        let resp = forecast.wait().expect("served");
         assert_eq!(resp.tier, Tier::Fast);
         assert_eq!(
             resp.forecast.members, direct,
-            "fast tier diverged at {fast_workers} workers / {replicas} replicas"
+            "fast tier diverged at {workers} workers / max_batch {max_batch}"
         );
+        for (r, ticket) in nowcasts {
+            let resp = ticket.wait().expect("served");
+            let bg = Arc::new(r.background.clone());
+            for (m, member) in resp.forecast.members.iter().enumerate() {
+                let expect = match resp.tier {
+                    Tier::Fast => aeris::assim::nowcast_member_fast(
+                        &student, &bg, &forc, &r.observations, schedule, r.seed, m,
+                    ),
+                    Tier::Quality => aeris::assim::nowcast_member(
+                        &fc, &bg, &forc, &r.observations, schedule, r.seed, m,
+                    ),
+                };
+                assert_eq!(
+                    member[0], expect,
+                    "{:?} nowcast member {m} diverged at {workers} workers / max_batch {max_batch}",
+                    resp.tier
+                );
+            }
+        }
     }
 }
