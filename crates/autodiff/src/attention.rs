@@ -4,15 +4,50 @@
 //! per-head column slices, RoPE, scores, softmax, weighted sum, concats), so
 //! the tape grows as O(windows · heads) per block and every node's backward
 //! allocates intermediate tensors. [`Tape::window_attention`] replaces that
-//! chain with **one** node: three projection GEMMs, a window-parallel
-//! attention kernel with per-worker scratch reused across windows, the output
-//! GEMM, and an analytic backward.
+//! chain with **one** node: one `[tokens, dim] × [dim, 3·dim]` projection GEMM
+//! over the per-call concatenation `Wq | Wk | Wv` (A is packed once, not three
+//! times), a window-parallel attention core with per-worker scratch reused
+//! across windows, the output GEMM, and an analytic backward.
+//!
+//! # Head-major core
+//!
+//! Per window the scratch loader rotates Q and K once (RoPE) and stores the
+//! rotated keys a second time **transposed**, `K̃ᵀ: [dim, window_len]`. Every
+//! inner product of the core is then one routine — [`small_matmul`],
+//! `C[i][l] = Σ_t A[i][t] · B[t][l]` with `t` ascending and one register
+//! accumulator per output element:
+//!
+//! - the score rows of a head are `Q̃_h · K̃ᵀ_h`: each accumulates over the
+//!   head dimension with the *keys* as the unit-stride lane, instead of
+//!   `window_len` strided dot products of length `head_dim`;
+//! - `P · V_h` accumulates each output row over the keys in a `[head_dim]`
+//!   register block written once.
+//!
+//! The core walks a window head by head: `Scratch::prob_rows` fills the
+//! head's whole `[window_len, window_len]` probability matrix phase by phase
+//! (all score rows, then scale, then max / exp / normalize), so each phase is
+//! one short loop over unit-stride scratch and the serial chains of one row
+//! (its max, its exp-sum) overlap with its neighbours' instead of stalling
+//! the next op.
+//!
+//! Each output element still sums the same products in the same order as the
+//! row-major core it replaced (kept as the test oracle), and nothing here
+//! contracts a multiply-add, so the forward is bitwise unchanged. The one
+//! reordering is the row max, taken lane-split: `max` is exact, so the order
+//! can only change which of `±0` comes back, and `exp(p − m)` does not
+//! depend on that.
+//!
+//! # Recompute contract
+//!
+//! The backward does not store probabilities: it re-runs the one scratch
+//! loader and the one `Scratch::prob_rows` the forward ran, so the recomputed
+//! probabilities are bitwise the ones the forward used, at any thread count.
 //!
 //! # Determinism
 //!
 //! The window loops (forward and backward) write only the disjoint rows of
 //! their own window — the rayon shim hands each closure a disjoint chunk — and
-//! every cross-window reduction (`dWq = Xᵀ dQ`, …) is a plain GEMM with a
+//! every cross-window reduction (`dW_qkv = Xᵀ dQKV`, …) is a plain GEMM with a
 //! fixed per-element accumulation order. No partial sums depend on the worker
 //! count, so losses and gradients are bitwise identical at any thread count.
 //!
@@ -25,10 +60,14 @@
 //! - `dP = dO Vᵀ`, and through softmax `dS_ij = P_ij (dP_ij − Σ_j P_ij dP_ij)`
 //! - `dQ̃ = s·dS K̃`, `dK̃ = s·dSᵀ Q̃`, un-rotated with `R⁻¹ = R(−θ)`
 //!
-//! followed by the shared projection gradients `dX = Σ dZ Wᵀ`, `dW = Xᵀ dZ`.
+//! All four products run through [`small_matmul`] on per-window transposes
+//! (`dK̃ᵀ = Q̃ᵀ dS` and `dVᵀ = dOᵀ P` with the keys as the lane); `dK̃` and `dV`
+//! are transposed back once per window into the combined `dQ | dK | dV`
+//! buffer, which feeds the two shared projection GEMMs
+//! `dX = dQKV · W_qkvᵀ` and `dW_qkv = Xᵀ · dQKV` (split by columns).
 
 use crate::tape::{Tape, Var};
-use aeris_tensor::{matmul, matmul_nt, matmul_tn, Tensor};
+use aeris_tensor::{matmul, matmul_nt, matmul_tn, sweeps, Tensor};
 use rayon::prelude::*;
 
 /// Static geometry of a fused windowed-attention call: how the token matrix
@@ -70,275 +109,317 @@ impl WindowAttnPlan {
     pub fn dim(&self) -> usize {
         self.n_heads * self.head_dim
     }
+
+    /// `1/√head_dim`, the score scale.
+    fn scale(&self) -> f32 {
+        1.0 / (self.head_dim as f32).sqrt()
+    }
+}
+
+/// A strided row-major matrix view: element `(r, c)` is `data[r·stride + c]`.
+#[derive(Clone, Copy)]
+struct Mat<'a> {
+    data: &'a [f32],
+    stride: usize,
 }
 
 /// Per-worker scratch, allocated once per thread and reused for every window
-/// that thread processes (`for_each_init`).
+/// that thread processes (`for_each_init`). `[dim, window_len]` buffers hold
+/// a window's rows transposed, so a head is `head_dim` consecutive rows with
+/// the window's tokens as the unit-stride lane. The backward-only buffers
+/// stay empty in the forward.
 struct Scratch {
     /// Rotated queries for the current window, `[window_len, dim]` row-major.
     qr: Vec<f32>,
-    /// Rotated keys, same layout.
+    /// Rotated keys, same layout (the backward's `dQ̃ = dS K̃` reads rows).
     kr: Vec<f32>,
-    /// Gradient w.r.t. rotated keys (backward only).
-    dkr: Vec<f32>,
-    /// One row of attention scores / probabilities, `[window_len]`.
-    prow: Vec<f32>,
-    /// Gradient of one probability row (backward only).
-    dprow: Vec<f32>,
-    /// One head-sized temporary, `[head_dim]`.
-    hrow: Vec<f32>,
+    /// Rotated keys transposed, `[dim, window_len]`: the score rows' operand.
+    kt: Vec<f32>,
+    /// Attention probabilities of the current head,
+    /// `[window_len, window_len]` (query-major).
+    probs: Vec<f32>,
+    /// Backward only: `Q̃`, `V` and `dO` of the window, transposed.
+    qt: Vec<f32>,
+    vt: Vec<f32>,
+    dot: Vec<f32>,
+    /// Backward only: `dK̃` and `dV` of the window, transposed.
+    dkt: Vec<f32>,
+    dvt: Vec<f32>,
+    /// Backward only: `dP`, then `dS`, of the current head, shaped like `probs`.
+    ds: Vec<f32>,
+    /// Backward only: `dQ̃` of the current head, `[window_len, head_dim]`.
+    dq: Vec<f32>,
+    /// Backward only: one token row, `[dim]`.
+    row: Vec<f32>,
 }
 
 impl Scratch {
-    fn new(plan: &WindowAttnPlan) -> Self {
-        let wd = plan.window_len * plan.dim();
+    fn new(plan: &WindowAttnPlan, backward: bool) -> Self {
+        let (wlen, dim) = (plan.window_len, plan.dim());
+        let bwd = |n: usize| vec![0.0; if backward { n } else { 0 }];
         Scratch {
-            qr: vec![0.0; wd],
-            kr: vec![0.0; wd],
-            dkr: vec![0.0; wd],
-            prow: vec![0.0; plan.window_len],
-            dprow: vec![0.0; plan.window_len],
-            hrow: vec![0.0; plan.head_dim],
+            qr: vec![0.0; wlen * dim],
+            kr: vec![0.0; wlen * dim],
+            kt: vec![0.0; wlen * dim],
+            probs: vec![0.0; wlen * wlen],
+            qt: bwd(wlen * dim),
+            vt: bwd(wlen * dim),
+            dot: bwd(wlen * dim),
+            dkt: bwd(wlen * dim),
+            dvt: bwd(wlen * dim),
+            ds: bwd(wlen * wlen),
+            dq: bwd(wlen * plan.head_dim),
+            row: bwd(dim),
+        }
+    }
+
+    /// The one scratch loader, shared by forward and backward: rotate the Q
+    /// and K rows of the window starting at token `r0` of `qkv`
+    /// (`[tokens, 3·dim]`, `Q | K | V` side by side) into `qr` / `kr`, and
+    /// store `kr` transposed into `kt`.
+    fn load_window(&mut self, qkv: &[f32], r0: usize, plan: &WindowAttnPlan) {
+        let (wlen, dim, head_dim) = (plan.window_len, plan.dim(), plan.head_dim);
+        let pairs = head_dim / 2;
+        let (cos, sin) = (plan.cos.data(), plan.sin.data());
+        for i in 0..wlen {
+            let (cr, sr) = (&cos[i * pairs..(i + 1) * pairs], &sin[i * pairs..(i + 1) * pairs]);
+            let src = &qkv[(r0 + i) * 3 * dim..(r0 + i + 1) * 3 * dim];
+            rope_row(&src[..dim], &mut self.qr[i * dim..(i + 1) * dim], cr, sr, head_dim);
+            rope_row(&src[dim..2 * dim], &mut self.kr[i * dim..(i + 1) * dim], cr, sr, head_dim);
+        }
+        transpose_into(Mat { data: &self.kr, stride: dim }, &mut self.kt, wlen, dim);
+    }
+
+    /// The softmax probabilities of head `h` of the loaded window: row `i` of
+    /// `probs` (`[window_len, window_len]`) is `softmax_j(Q̃_i · K̃_j · scale)`.
+    /// Matches the unfused op *structure* (full dot product, then ×scale;
+    /// max / exp / ×(1/z) softmax, the exp-sum in key order), and is the only
+    /// definition of the probabilities: the backward recomputes through this
+    /// same function, so its rows are bitwise the forward's at any thread
+    /// count. The unfused tape path runs through the packed SIMD GEMM (FMA
+    /// contraction on AVX2 hosts) and a lane-split softmax sum, so
+    /// fused-vs-unfused agreement is within FMA / lane-order rounding
+    /// (≤ 1e-5 under test), not bitwise.
+    fn prob_rows(&mut self, h: usize, plan: &WindowAttnPlan) {
+        let (wlen, dim, head_dim) = (plan.window_len, plan.dim(), plan.head_dim);
+        let base = h * head_dim;
+        let q_h = Mat { data: &self.qr[base..], stride: dim };
+        let kt_h = Mat { data: &self.kt[base * wlen..], stride: wlen };
+        small_matmul(q_h, kt_h, &mut self.probs, wlen, (wlen, head_dim, wlen));
+        sweeps::scale(&mut self.probs, plan.scale());
+        for prow in self.probs.chunks_exact_mut(wlen) {
+            let m = sweeps::max(prow);
+            let mut z = 0.0f32;
+            for p in prow.iter_mut() {
+                let e = (*p - m).exp();
+                *p = e;
+                z += e;
+            }
+            sweeps::scale(prow, 1.0 / z);
+        }
+    }
+}
+
+/// `dst[c][r] = src[r][c]` for a `[rows, cols]` source, into a dense
+/// `[cols, rows]` destination.
+fn transpose_into(src: Mat, dst: &mut [f32], rows: usize, cols: usize) {
+    for r in 0..rows {
+        for (c, &v) in src.data[r * src.stride..r * src.stride + cols].iter().enumerate() {
+            dst[c * rows + r] = v;
         }
     }
 }
 
 /// Rotate every head segment of one token row by the table row `(cos, sin)`.
-fn rope_row(src: &[f32], dst: &mut [f32], cos: &[f32], sin: &[f32], n_heads: usize, head_dim: usize) {
-    for h in 0..n_heads {
-        let base = h * head_dim;
-        for (p, (&c, &s)) in cos.iter().zip(sin).enumerate() {
-            let (x0, x1) = (src[base + 2 * p], src[base + 2 * p + 1]);
-            dst[base + 2 * p] = x0 * c - x1 * s;
-            dst[base + 2 * p + 1] = x0 * s + x1 * c;
+fn rope_row(src: &[f32], dst: &mut [f32], cos: &[f32], sin: &[f32], head_dim: usize) {
+    for (src_h, dst_h) in src.chunks_exact(head_dim).zip(dst.chunks_exact_mut(head_dim)) {
+        let pairs = src_h.chunks_exact(2).zip(dst_h.chunks_exact_mut(2));
+        for ((x, y), (&c, &s)) in pairs.zip(cos.iter().zip(sin)) {
+            y[0] = x[0] * c - x[1] * s;
+            y[1] = x[0] * s + x[1] * c;
         }
     }
 }
 
 /// Inverse rotation (by `−θ`): transforms gradients in rotated space back.
-fn rope_row_inv(src: &[f32], dst: &mut [f32], cos: &[f32], sin: &[f32], n_heads: usize, head_dim: usize) {
-    for h in 0..n_heads {
-        let base = h * head_dim;
-        for (p, (&c, &s)) in cos.iter().zip(sin).enumerate() {
-            let (g0, g1) = (src[base + 2 * p], src[base + 2 * p + 1]);
-            dst[base + 2 * p] = g0 * c + g1 * s;
-            dst[base + 2 * p + 1] = -g0 * s + g1 * c;
+fn rope_row_inv(src: &[f32], dst: &mut [f32], cos: &[f32], sin: &[f32], head_dim: usize) {
+    for (src_h, dst_h) in src.chunks_exact(head_dim).zip(dst.chunks_exact_mut(head_dim)) {
+        let pairs = src_h.chunks_exact(2).zip(dst_h.chunks_exact_mut(2));
+        for ((g, y), (&c, &s)) in pairs.zip(cos.iter().zip(sin)) {
+            y[0] = g[0] * c + g[1] * s;
+            y[1] = -g[0] * s + g[1] * c;
         }
     }
 }
 
-/// Recompute the softmax probability row for query `i`, head `base..`, of the
-/// current window into `prow`. Matches the unfused op *structure* (full dot
-/// product, then ×scale; max / exp / ×(1/z) softmax) with a fixed k-ascending
-/// accumulation order, so the row is bitwise identical between the forward
-/// and backward recompute at any thread count. The unfused tape path now runs
-/// through the packed SIMD GEMM (FMA contraction on AVX2 hosts) and a
-/// lane-split softmax sum, so fused-vs-unfused agreement is within FMA /
-/// lane-order rounding (≤ 1e-5 under test), not bitwise.
-#[allow(clippy::too_many_arguments)]
-fn prob_row(
-    qr: &[f32],
-    kr: &[f32],
-    prow: &mut [f32],
-    i: usize,
-    base: usize,
-    dim: usize,
-    head_dim: usize,
-    scale: f32,
-) {
-    let q_i = &qr[i * dim + base..i * dim + base + head_dim];
-    for (j, p) in prow.iter_mut().enumerate() {
-        let k_j = &kr[j * dim + base..j * dim + base + head_dim];
-        let mut acc = 0.0f32;
-        for (&qc, &kc) in q_i.iter().zip(k_j) {
-            acc += qc * kc;
+/// One `N`-lane column block of [`small_matmul`], for every row of `C`: the
+/// accumulators live in registers across the whole `t` loop and are stored
+/// once.
+#[inline(always)]
+fn matmul_lanes<const N: usize>(a: Mat, b: Mat, c: &mut [f32], c_stride: usize, n: usize, k: usize, l0: usize) {
+    for i in 0..n {
+        let a_i = &a.data[i * a.stride..i * a.stride + k];
+        let mut acc = [0.0f32; N];
+        for (t, &at) in a_i.iter().enumerate() {
+            let b_t = &b.data[t * b.stride + l0..t * b.stride + l0 + N];
+            for l in 0..N {
+                acc[l] += at * b_t[l];
+            }
         }
-        *p = acc * scale;
-    }
-    let m = prow.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let mut z = 0.0f32;
-    for p in prow.iter_mut() {
-        let e = (*p - m).exp();
-        *p = e;
-        z += e;
-    }
-    let inv = 1.0 / z;
-    for p in prow.iter_mut() {
-        *p *= inv;
+        c[i * c_stride + l0..i * c_stride + l0 + N].copy_from_slice(&acc);
     }
 }
 
-/// Forward: `Y = attn(X) Wo`. Returns `(y, q, k, v, o)` with the projections
-/// and the pre-output-projection context `O` saved for the backward pass.
-fn forward(
-    x: &Tensor,
-    wq: &Tensor,
-    wk: &Tensor,
-    wv: &Tensor,
-    wo: &Tensor,
-    plan: &WindowAttnPlan,
-) -> (Tensor, Tensor, Tensor, Tensor, Tensor) {
+/// `C[i][l] = Σ_t A[i][t] · B[t][l]` for `A: [n, k]`, `B: [k, m]`,
+/// `C: [n, m]`, summed from `0.0` with `t` ascending and one accumulator per
+/// output element — every inner product of the attention core (`Q̃·K̃ᵀ`
+/// over `K̃ᵀ` rows, `P·V`, `dO·Vᵀ`, `dS·K̃`, …) in its unit-stride form, at
+/// the sizes of one window head, where packing for the GEMM core would cost
+/// more than the product. Lane blocking (16/8/4/1 columns) only decides which
+/// register holds an accumulator, never what it sums, and no zero operand is
+/// skipped (`0 · NaN` must stay NaN).
+fn small_matmul(a: Mat, b: Mat, c: &mut [f32], c_stride: usize, (n, k, m): (usize, usize, usize)) {
+    let mut l0 = 0;
+    while l0 < m {
+        l0 += match m - l0 {
+            16.. => {
+                matmul_lanes::<16>(a, b, c, c_stride, n, k, l0);
+                16
+            }
+            8.. => {
+                matmul_lanes::<8>(a, b, c, c_stride, n, k, l0);
+                8
+            }
+            4.. => {
+                matmul_lanes::<4>(a, b, c, c_stride, n, k, l0);
+                4
+            }
+            _ => {
+                matmul_lanes::<1>(a, b, c, c_stride, n, k, l0);
+                1
+            }
+        };
+    }
+}
+
+/// The head-major attention core: `O = softmax(R(Q) R(K)ᵀ · s) V` per window
+/// and head, from the fused projection `qkv: [tokens, 3·dim]`.
+fn attention_core(qkv: &Tensor, plan: &WindowAttnPlan) -> Tensor {
     let (tokens, dim) = (plan.tokens(), plan.dim());
-    assert_eq!(x.shape(), &[tokens, dim], "window_attention input shape");
-    for w in [wq, wk, wv, wo] {
-        assert_eq!(w.shape(), &[dim, dim], "window_attention weight shape");
-    }
     let (wlen, n_heads, head_dim) = (plan.window_len, plan.n_heads, plan.head_dim);
-    let scale = 1.0 / (head_dim as f32).sqrt();
-    let pairs = head_dim / 2;
-
-    let q = matmul(x, wq);
-    let k = matmul(x, wk);
-    let v = matmul(x, wv);
-
+    let qkv_data = qkv.data();
     let mut o = Tensor::zeros(&[tokens, dim]);
-    let (q_data, k_data, v_data) = (q.data(), k.data(), v.data());
-    let (cos, sin) = (plan.cos.data(), plan.sin.data());
     o.data_mut().par_chunks_mut(wlen * dim).enumerate().for_each_init(
-        || Scratch::new(plan),
+        || Scratch::new(plan, false),
         |scr, (w, o_win)| {
             let r0 = w * wlen;
-            for i in 0..wlen {
-                let (cr, sr) = (&cos[i * pairs..(i + 1) * pairs], &sin[i * pairs..(i + 1) * pairs]);
-                let row = (r0 + i) * dim;
-                rope_row(&q_data[row..row + dim], &mut scr.qr[i * dim..(i + 1) * dim], cr, sr, n_heads, head_dim);
-                rope_row(&k_data[row..row + dim], &mut scr.kr[i * dim..(i + 1) * dim], cr, sr, n_heads, head_dim);
-            }
+            scr.load_window(qkv_data, r0, plan);
             for h in 0..n_heads {
                 let base = h * head_dim;
-                for i in 0..wlen {
-                    prob_row(&scr.qr, &scr.kr, &mut scr.prow, i, base, dim, head_dim, scale);
-                    let out = &mut o_win[i * dim + base..i * dim + base + head_dim];
-                    // No zero-skip on pw: skipping `0 · v` would suppress
-                    // NaN/Inf propagation from V and put a data-dependent
-                    // branch in the hot loop.
-                    for (j, &pw) in scr.prow.iter().enumerate() {
-                        let v_j = &v_data[(r0 + j) * dim + base..(r0 + j) * dim + base + head_dim];
-                        for (oc, &vc) in out.iter_mut().zip(v_j) {
-                            *oc += pw * vc;
-                        }
-                    }
-                }
+                scr.prob_rows(h, plan);
+                let p = Mat { data: &scr.probs, stride: wlen };
+                let v_h = Mat { data: &qkv_data[r0 * 3 * dim + 2 * dim + base..], stride: 3 * dim };
+                small_matmul(p, v_h, &mut o_win[base..], dim, (wlen, wlen, head_dim));
             }
         },
     );
+    o
+}
 
+/// Forward: `Y = attn(X) Wo`. Returns `(y, qkv, o)` with the fused
+/// projection and the pre-output-projection context `O` saved for the
+/// backward pass.
+fn forward(x: &Tensor, w_qkv: &Tensor, wo: &Tensor, plan: &WindowAttnPlan) -> (Tensor, Tensor, Tensor) {
+    let qkv = matmul(x, w_qkv);
+    let o = attention_core(&qkv, plan);
     let y = matmul(&o, wo);
-    (y, q, k, v, o)
+    (y, qkv, o)
 }
 
 /// Analytic backward. Window-parallel like the forward; each window writes
 /// only its own rows of the combined `[tokens, 3·dim]` gradient buffer
 /// (`dQ | dK | dV` side by side), and all cross-window reductions happen in
 /// the final deterministic GEMMs.
-#[allow(clippy::too_many_arguments)]
 fn backward(
     dy: &Tensor,
     x: &Tensor,
-    wq: &Tensor,
-    wk: &Tensor,
-    wv: &Tensor,
+    w_qkv: &Tensor,
     wo: &Tensor,
-    q: &Tensor,
-    k: &Tensor,
-    v: &Tensor,
+    qkv: &Tensor,
     o: &Tensor,
     plan: &WindowAttnPlan,
 ) -> Vec<Tensor> {
     let (tokens, dim) = (plan.tokens(), plan.dim());
     let (wlen, n_heads, head_dim) = (plan.window_len, plan.n_heads, plan.head_dim);
-    let scale = 1.0 / (head_dim as f32).sqrt();
+    let scale = plan.scale();
     let pairs = head_dim / 2;
 
     let dwo = matmul_tn(o, dy);
     let d_o = matmul_nt(dy, wo);
 
     let mut dqkv = Tensor::zeros(&[tokens, 3 * dim]);
-    let (q_data, k_data, v_data) = (q.data(), k.data(), v.data());
-    let do_data = d_o.data();
+    let (qkv_data, do_data) = (qkv.data(), d_o.data());
     let (cos, sin) = (plan.cos.data(), plan.sin.data());
     dqkv.data_mut().par_chunks_mut(wlen * 3 * dim).enumerate().for_each_init(
-        || Scratch::new(plan),
+        || Scratch::new(plan, true),
         |scr, (w, dwin)| {
             let r0 = w * wlen;
-            for i in 0..wlen {
-                let (cr, sr) = (&cos[i * pairs..(i + 1) * pairs], &sin[i * pairs..(i + 1) * pairs]);
-                let row = (r0 + i) * dim;
-                rope_row(&q_data[row..row + dim], &mut scr.qr[i * dim..(i + 1) * dim], cr, sr, n_heads, head_dim);
-                rope_row(&k_data[row..row + dim], &mut scr.kr[i * dim..(i + 1) * dim], cr, sr, n_heads, head_dim);
-            }
-            scr.dkr.fill(0.0);
+            scr.load_window(qkv_data, r0, plan);
+            transpose_into(Mat { data: &scr.qr, stride: dim }, &mut scr.qt, wlen, dim);
+            transpose_into(Mat { data: &qkv_data[r0 * 3 * dim + 2 * dim..], stride: 3 * dim }, &mut scr.vt, wlen, dim);
+            transpose_into(Mat { data: &do_data[r0 * dim..], stride: dim }, &mut scr.dot, wlen, dim);
             for h in 0..n_heads {
                 let base = h * head_dim;
-                for i in 0..wlen {
-                    prob_row(&scr.qr, &scr.kr, &mut scr.prow, i, base, dim, head_dim, scale);
-                    let do_i = &do_data[(r0 + i) * dim + base..(r0 + i) * dim + base + head_dim];
-                    // dP_ij = <dO_i, V_j>, then softmax backward to dS (reusing
-                    // the dprow buffer) with the ×scale of the score op folded in.
-                    for (j, dp) in scr.dprow.iter_mut().enumerate() {
-                        let v_j = &v_data[(r0 + j) * dim + base..(r0 + j) * dim + base + head_dim];
-                        let mut acc = 0.0f32;
-                        for (&gc, &vc) in do_i.iter().zip(v_j) {
-                            acc += gc * vc;
-                        }
-                        *dp = acc;
-                    }
-                    let dot: f32 = scr.prow.iter().zip(&scr.dprow).map(|(&p, &g)| p * g).sum();
-                    for (ds, &p) in scr.dprow.iter_mut().zip(&scr.prow) {
+                scr.prob_rows(h, plan);
+                // dP = dO Vᵀ, then softmax backward to dS in place, with the
+                // ×scale of the score op folded in.
+                let do_h = Mat { data: &do_data[r0 * dim + base..], stride: dim };
+                let vt_h = Mat { data: &scr.vt[base * wlen..], stride: wlen };
+                small_matmul(do_h, vt_h, &mut scr.ds, wlen, (wlen, head_dim, wlen));
+                for (prow, ds_row) in scr.probs.chunks_exact(wlen).zip(scr.ds.chunks_exact_mut(wlen)) {
+                    let dot: f32 = prow.iter().zip(ds_row.iter()).map(|(&p, &g)| p * g).sum();
+                    for (ds, &p) in ds_row.iter_mut().zip(prow) {
                         *ds = p * (*ds - dot) * scale;
                     }
-                    // dQ̃_i = Σ_j dS_ij K̃_j ; dK̃_j += dS_ij Q̃_i ; dV_j += P_ij dO_i.
-                    scr.hrow.fill(0.0);
-                    let q_i = scr.qr[i * dim + base..i * dim + base + head_dim].to_vec();
-                    for (j, (&ds, &pw)) in scr.dprow.iter().zip(&scr.prow).enumerate() {
-                        let k_j = &scr.kr[j * dim + base..j * dim + base + head_dim];
-                        for (hc, &kc) in scr.hrow.iter_mut().zip(k_j) {
-                            *hc += ds * kc;
-                        }
-                        let dk_j = &mut scr.dkr[j * dim + base..j * dim + base + head_dim];
-                        for (dc, &qc) in dk_j.iter_mut().zip(&q_i) {
-                            *dc += ds * qc;
-                        }
-                        let dv_j = &mut dwin[j * 3 * dim + 2 * dim + base..j * 3 * dim + 2 * dim + base + head_dim];
-                        for (dc, &gc) in dv_j.iter_mut().zip(do_i) {
-                            *dc += pw * gc;
-                        }
-                    }
-                    // Un-rotate dQ̃_i into the dQ section of the window buffer.
+                }
+                let (p, ds) = (Mat { data: &scr.probs, stride: wlen }, Mat { data: &scr.ds, stride: wlen });
+                // dQ̃ = dS K̃, un-rotated into the dQ section of the window buffer.
+                let kr_h = Mat { data: &scr.kr[base..], stride: dim };
+                small_matmul(ds, kr_h, &mut scr.dq, head_dim, (wlen, wlen, head_dim));
+                for (i, dq_rot) in scr.dq.chunks_exact(head_dim).enumerate() {
                     let (cr, sr) = (&cos[i * pairs..(i + 1) * pairs], &sin[i * pairs..(i + 1) * pairs]);
                     let dq_i = &mut dwin[i * 3 * dim + base..i * 3 * dim + base + head_dim];
-                    for (p, (&c, &s)) in cr.iter().zip(sr).enumerate() {
-                        let (g0, g1) = (scr.hrow[2 * p], scr.hrow[2 * p + 1]);
-                        dq_i[2 * p] = g0 * c + g1 * s;
-                        dq_i[2 * p + 1] = -g0 * s + g1 * c;
-                    }
+                    rope_row_inv(dq_rot, dq_i, cr, sr, head_dim);
                 }
+                // dK̃ᵀ = Q̃ᵀ dS and dVᵀ = dOᵀ P, keys as the lane.
+                let qt_h = Mat { data: &scr.qt[base * wlen..], stride: wlen };
+                let dot_h = Mat { data: &scr.dot[base * wlen..], stride: wlen };
+                small_matmul(qt_h, ds, &mut scr.dkt[base * wlen..], wlen, (head_dim, wlen, wlen));
+                small_matmul(dot_h, p, &mut scr.dvt[base * wlen..], wlen, (head_dim, wlen, wlen));
             }
-            // Un-rotate the accumulated dK̃ rows into the dK section.
+            // Transpose dK̃ (un-rotated on the way) and dV back into token rows.
             for j in 0..wlen {
+                let d_j = &mut dwin[j * 3 * dim + dim..(j + 1) * 3 * dim];
+                let (dk_j, dv_j) = d_j.split_at_mut(dim);
+                for c in 0..dim {
+                    scr.row[c] = scr.dkt[c * wlen + j];
+                    dv_j[c] = scr.dvt[c * wlen + j];
+                }
                 let (cr, sr) = (&cos[j * pairs..(j + 1) * pairs], &sin[j * pairs..(j + 1) * pairs]);
-                rope_row_inv(
-                    &scr.dkr[j * dim..(j + 1) * dim],
-                    &mut dwin[j * 3 * dim + dim..j * 3 * dim + 2 * dim],
-                    cr,
-                    sr,
-                    n_heads,
-                    head_dim,
-                );
+                rope_row_inv(&scr.row, dk_j, cr, sr, head_dim);
             }
         },
     );
 
-    let dq = dqkv.slice_cols(0, dim);
-    let dk = dqkv.slice_cols(dim, 2 * dim);
-    let dv = dqkv.slice_cols(2 * dim, 3 * dim);
-    let mut dx = matmul_nt(&dq, wq);
-    dx.add_assign(&matmul_nt(&dk, wk));
-    dx.add_assign(&matmul_nt(&dv, wv));
-    let dwq = matmul_tn(x, &dq);
-    let dwk = matmul_tn(x, &dk);
-    let dwv = matmul_tn(x, &dv);
-    vec![dx, dwq, dwk, dwv, dwo]
+    let dx = matmul_nt(&dqkv, w_qkv);
+    let dw_qkv = matmul_tn(x, &dqkv);
+    vec![
+        dx,
+        dw_qkv.slice_cols(0, dim),
+        dw_qkv.slice_cols(dim, 2 * dim),
+        dw_qkv.slice_cols(2 * dim, 3 * dim),
+        dwo,
+    ]
 }
 
 impl Tape {
@@ -359,33 +440,20 @@ impl Tape {
         wo: Var,
         plan: &WindowAttnPlan,
     ) -> Var {
-        let (y, q, k, v, o) = forward(
-            self.value(x),
-            self.value(wq),
-            self.value(wk),
-            self.value(wv),
-            self.value(wo),
-            plan,
-        );
+        let (tokens, dim) = (plan.tokens(), plan.dim());
+        assert_eq!(self.value(x).shape(), &[tokens, dim], "window_attention input shape");
+        for w in [wq, wk, wv, wo] {
+            assert_eq!(self.value(w).shape(), &[dim, dim], "window_attention weight shape");
+        }
+        let w_qkv = Tensor::concat_cols(&[self.value(wq), self.value(wk), self.value(wv)]);
+        let (y, qkv, o) = forward(self.value(x), &w_qkv, self.value(wo), plan);
         let plan = plan.clone();
-        let (px, pwq, pwk, pwv, pwo) = (x.0, wq.0, wk.0, wv.0, wo.0);
+        let (px, pwo) = (x.0, wo.0);
         self.push(
             y,
-            vec![px, pwq, pwk, pwv, pwo],
+            vec![px, wq.0, wk.0, wv.0, pwo],
             Some(Box::new(move |d, nodes| {
-                backward(
-                    &d,
-                    nodes[px].value(),
-                    nodes[pwq].value(),
-                    nodes[pwk].value(),
-                    nodes[pwv].value(),
-                    nodes[pwo].value(),
-                    &q,
-                    &k,
-                    &v,
-                    &o,
-                    &plan,
-                )
+                backward(&d, nodes[px].value(), &w_qkv, nodes[pwo].value(), &qkv, &o, &plan)
             })),
             true,
         )
@@ -451,6 +519,108 @@ mod tests {
         let x = Tensor::randn(&[plan.tokens(), plan.dim()], &mut rng);
         let w = random_weights(plan.dim(), &mut rng);
         (x, w)
+    }
+
+    /// The row-major forward this op ran before the head-major core: three
+    /// projection GEMMs, then per window / head / query `window_len` strided
+    /// dot products of length `head_dim` and a `P·V` row accumulated in
+    /// memory. Kept as the oracle the head-major forward must equal bitwise.
+    fn row_major_forward(x: &Tensor, w: &[Tensor; 4], plan: &WindowAttnPlan) -> Tensor {
+        let (tokens, dim) = (plan.tokens(), plan.dim());
+        let (wlen, n_heads, head_dim) = (plan.window_len, plan.n_heads, plan.head_dim);
+        let scale = 1.0 / (head_dim as f32).sqrt();
+        let pairs = head_dim / 2;
+        let (q, k, v) = (matmul(x, &w[0]), matmul(x, &w[1]), matmul(x, &w[2]));
+        let (q_data, k_data, v_data) = (q.data(), k.data(), v.data());
+        let (cos, sin) = (plan.cos.data(), plan.sin.data());
+        let mut o = Tensor::zeros(&[tokens, dim]);
+        let (mut qr, mut kr) = (vec![0.0f32; wlen * dim], vec![0.0f32; wlen * dim]);
+        let mut prow = vec![0.0f32; wlen];
+        for (win, o_win) in o.data_mut().chunks_mut(wlen * dim).enumerate() {
+            let r0 = win * wlen;
+            for i in 0..wlen {
+                let (cr, sr) = (&cos[i * pairs..(i + 1) * pairs], &sin[i * pairs..(i + 1) * pairs]);
+                let row = (r0 + i) * dim;
+                rope_row(&q_data[row..row + dim], &mut qr[i * dim..(i + 1) * dim], cr, sr, head_dim);
+                rope_row(&k_data[row..row + dim], &mut kr[i * dim..(i + 1) * dim], cr, sr, head_dim);
+            }
+            for h in 0..n_heads {
+                let base = h * head_dim;
+                for i in 0..wlen {
+                    let q_i = &qr[i * dim + base..i * dim + base + head_dim];
+                    for (j, p) in prow.iter_mut().enumerate() {
+                        let k_j = &kr[j * dim + base..j * dim + base + head_dim];
+                        let mut acc = 0.0f32;
+                        for (&qc, &kc) in q_i.iter().zip(k_j) {
+                            acc += qc * kc;
+                        }
+                        *p = acc * scale;
+                    }
+                    let m = prow.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                    let mut z = 0.0f32;
+                    for p in prow.iter_mut() {
+                        let e = (*p - m).exp();
+                        *p = e;
+                        z += e;
+                    }
+                    let inv = 1.0 / z;
+                    for p in prow.iter_mut() {
+                        *p *= inv;
+                    }
+                    let out = &mut o_win[i * dim + base..i * dim + base + head_dim];
+                    for (j, &pw) in prow.iter().enumerate() {
+                        let v_j = &v_data[(r0 + j) * dim + base..(r0 + j) * dim + base + head_dim];
+                        for (oc, &vc) in out.iter_mut().zip(v_j) {
+                            *oc += pw * vc;
+                        }
+                    }
+                }
+            }
+        }
+        matmul(&o, &w[3])
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// One fused QKV GEMM + the head-major core produce the very bits the
+    /// three-GEMM row-major forward did: toy48's geometry, a 64-token window
+    /// with 16-wide heads, and a shape where every lane block is a tail.
+    #[test]
+    fn head_major_forward_equals_row_major_oracle_bitwise() {
+        for (seed, (n_windows, wlen, n_heads, head_dim)) in
+            [(32, 16, 4, 12), (2, 64, 4, 16), (3, 6, 2, 4)].into_iter().enumerate()
+        {
+            let plan = test_plan(n_windows, wlen, n_heads, head_dim);
+            let (x, w) = setup(&plan, 40 + seed as u64);
+            let w_qkv = Tensor::concat_cols(&[&w[0], &w[1], &w[2]]);
+            let (y, _, _) = forward(&x, &w_qkv, &w[3], &plan);
+            assert_eq!(
+                bits(&y),
+                bits(&row_major_forward(&x, &w, &plan)),
+                "forward bits moved at {:?}",
+                (n_windows, wlen, n_heads, head_dim)
+            );
+        }
+    }
+
+    /// No zero-skip in the core: a probability that underflows to exactly 0
+    /// still multiplies its V row, so an Inf there reaches the output as NaN.
+    #[test]
+    fn zero_probability_still_propagates_non_finite_values() {
+        let plan = test_plan(1, 4, 1, 4);
+        let dim = plan.dim();
+        let mut qkv = Tensor::zeros(&[4, 3 * dim]);
+        // Query 0 and key 0 align at position 0 (identity rotation) with a
+        // score far above the others, so every other probability of row 0
+        // underflows to 0.
+        qkv.row_mut(0)[0] = 60.0;
+        qkv.row_mut(0)[dim] = 60.0;
+        qkv.row_mut(3)[2 * dim] = f32::INFINITY;
+        let o = attention_core(&qkv, &plan);
+        assert!(o.at(&[0, 0]).is_nan(), "0 · inf must stay NaN, got {}", o.at(&[0, 0]));
+        assert!(o.row(0)[1..].iter().all(|v| *v == 0.0));
     }
 
     /// Fused forward, loss, and all five gradients vs. the unfused op chain.

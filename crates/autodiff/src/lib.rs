@@ -9,7 +9,9 @@
 //! needs: matmul (plus the `A·Bᵀ` variant used for attention scores), row-wise
 //! softmax / RMSNorm, SiLU, elementwise arithmetic, column/row split-concat
 //! (heads, SwiGLU), row gathers (window partition / shift / rolls), RoPE
-//! rotations, and row-broadcast affine modulation (AdaLN).
+//! rotations, and row-broadcast affine modulation (AdaLN) — plus the fused
+//! forms the model actually records: windowed attention (`attention`) and the
+//! block's norm-modulate / SwiGLU / gated-residual chains (`fused`).
 //!
 //! Every op's backward is verified against central finite differences in the
 //! `grad` test module and property tests.
@@ -20,6 +22,7 @@
 #![allow(clippy::needless_range_loop)]
 
 mod attention;
+mod fused;
 mod tape;
 
 pub use attention::WindowAttnPlan;

@@ -471,7 +471,7 @@ impl Tape {
         assert_eq!(bv.shape(), &[dim]);
         let mut value = Tensor::zeros(xv.shape());
         for r in 0..rows {
-            let xr = xv.row(r).to_vec();
+            let xr = xv.row(r);
             let out = value.row_mut(r);
             for j in 0..dim {
                 out[j] = xr[j] * sv.data()[j] + bv.data()[j];
@@ -674,7 +674,7 @@ impl Tape {
 }
 
 #[inline]
-fn sigmoid(x: f32) -> f32 {
+pub(crate) fn sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + (-x).exp())
 }
 

@@ -45,15 +45,13 @@ impl SwinBlock {
         cond: Var,
         geo: &BlockGeometry,
     ) -> Var {
+        // AdaLN's scale enters as (1 + s) inside the modulated norm, so the
+        // zero-initialized head is identity.
         let [shift1, scale1, gate1, shift2, scale2, gate2] =
             self.adaln.forward(tape, binding, store, cond);
-        // scale enters as (1 + s) so the zero-initialized head is identity.
-        let scale1p = tape.add_scalar(scale1, 1.0);
-        let scale2p = tape.add_scalar(scale2, 1.0);
 
         // ---- attention branch ----
-        let h = self.norm1.forward(tape, binding, store, x);
-        let h = tape.affine_rows(h, scale1p, shift1);
+        let h = self.norm1.forward_modulated(tape, binding, store, x, scale1, shift1);
         // Window partition (with cyclic roll when shifted), per-window
         // attention, merge back.
         let perm = if self.shifted { &geo.shifted_perm } else { &geo.direct_perm };
@@ -63,15 +61,12 @@ impl SwinBlock {
             self.attn
                 .forward_all_windows(tape, binding, store, windowed, &geo.rope, geo.grid.count());
         let h = tape.gather_rows(merged, inv);
-        let h = tape.mul_rows(h, gate1);
-        let x = tape.add(x, h);
+        let x = tape.gated_residual(x, h, gate1);
 
         // ---- MLP branch ----
-        let h = self.norm2.forward(tape, binding, store, x);
-        let h = tape.affine_rows(h, scale2p, shift2);
+        let h = self.norm2.forward_modulated(tape, binding, store, x, scale2, shift2);
         let h = self.mlp.forward(tape, binding, store, h);
-        let h = tape.mul_rows(h, gate2);
-        tape.add(x, h)
+        tape.gated_residual(x, h, gate2)
     }
 
     /// Scalar parameter count.
@@ -284,6 +279,46 @@ mod tests {
         let m = AerisModel::new(cfg);
         let shifts: Vec<bool> = m.blocks.iter().map(|b| b.shifted).collect();
         assert_eq!(shifts, vec![false, true, false, true]);
+    }
+
+    /// The fused block, as an exact count instead of a noisy millisecond:
+    /// one forward of the toy48-sized model (constants copied from
+    /// `benchmark/src/fixture.rs`) with every parameter bound records at most
+    /// 161 nodes and retains at most 1,653,284 activation elements. The
+    /// unfused chains recorded 9 more nodes and 10 × 24,576 + 96 more
+    /// elements per block (197 / 2,636,708 for the four blocks), so
+    /// un-fusing any one of them fails this.
+    #[test]
+    fn toy48_forward_stays_within_the_fused_tape_budget() {
+        let m = AerisModel::new(AerisConfig {
+            grid_h: 16,
+            grid_w: 32,
+            channels: 20,
+            forcing_channels: 3,
+            dim: 48,
+            n_heads: 4,
+            ffn: 96,
+            n_layers: 2,
+            blocks_per_layer: 2,
+            window: (4, 4),
+            time_feat_dim: 32,
+            cond_dim: 48,
+            pos_amp: 0.1,
+            seed: 0,
+        });
+        let mut tape = Tape::new();
+        let mut binding = Binding::new(&m.store);
+        let iv = tape.constant(Tensor::zeros(&[m.cfg.tokens(), m.cfg.input_channels()]));
+        let out = m.forward(&mut tape, &mut binding, iv, 0.5);
+        assert_eq!(tape.value(out).shape(), &[512, 20]);
+        let (nodes, elems) = (tape.len(), tape.activation_elems());
+        // Every parameter is already a leaf: binding them all adds nothing.
+        for (id, _, _) in m.store.iter() {
+            binding.var(&mut tape, &m.store, id);
+        }
+        assert_eq!(tape.len(), nodes, "forward left a parameter unbound");
+        assert!(nodes <= 161, "tape grew to {nodes} nodes");
+        assert!(elems <= 1_653_284, "tape retains {elems} elements");
     }
 
     /// Gradients flow to every parameter tensor of the model.

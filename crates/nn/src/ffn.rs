@@ -8,7 +8,8 @@ use aeris_tensor::Rng;
 /// `y = W_down( SiLU(W_gate x) ⊙ (W_up x) )`.
 ///
 /// The gate and up projections are fused into a single `[dim, 2*ffn]` matmul
-/// and split, matching how production kernels lay this out.
+/// whose two halves `Tape::swiglu` reads in place, matching how production
+/// kernels lay this out.
 #[derive(Clone, Copy, Debug)]
 pub struct SwiGlu {
     pub w_in: Linear,  // [dim, 2*ffn] fused gate|up
@@ -28,10 +29,7 @@ impl SwiGlu {
     /// Forward: `[rows, dim] → [rows, dim]`.
     pub fn forward(&self, tape: &mut Tape, binding: &mut Binding, store: &ParamStore, x: Var) -> Var {
         let gu = self.w_in.forward(tape, binding, store, x);
-        let gate = tape.slice_cols(gu, 0, self.ffn);
-        let up = tape.slice_cols(gu, self.ffn, 2 * self.ffn);
-        let act = tape.silu(gate);
-        let hidden = tape.mul(act, up);
+        let hidden = tape.swiglu(gu);
         self.w_down.forward(tape, binding, store, hidden)
     }
 

@@ -25,6 +25,22 @@ impl RmsNorm {
         tape.rmsnorm_rows(x, g, self.eps)
     }
 
+    /// Pre-norm followed by AdaLN modulation, `norm(x) ⊙ (1 + scale) + shift`
+    /// with `scale`, `shift: [dim]`, as one tape node — how every Swin block
+    /// branch (core and SWiPe alike) enters its attention / MLP.
+    pub fn forward_modulated(
+        &self,
+        tape: &mut Tape,
+        binding: &mut Binding,
+        store: &ParamStore,
+        x: Var,
+        scale: Var,
+        shift: Var,
+    ) -> Var {
+        let g = binding.var(tape, store, self.gamma);
+        tape.modulated_rmsnorm(x, g, scale, shift, self.eps)
+    }
+
     /// Scalar parameter count.
     pub fn num_params(&self) -> usize {
         self.dim

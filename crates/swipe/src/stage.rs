@@ -328,12 +328,9 @@ impl StageModel {
         let cond = tc.embed(&mut tape, &mut binding, store, t);
         let mods = adaln.forward(&mut tape, &mut binding, store, cond);
         let [shift1, scale1, gate1, shift2, scale2, gate2] = mods;
-        let scale1p = tape.add_scalar(scale1, 1.0);
-        let scale2p = tape.add_scalar(scale2, 1.0);
 
         // ---- attention branch ----
-        let h = norm1.forward(&mut tape, &mut binding, store, x_in);
-        let h = tape.affine_rows(h, scale1p, shift1);
+        let h = norm1.forward_modulated(&mut tape, &mut binding, store, x_in, scale1, shift1);
         let q = wq.forward(&mut tape, &mut binding, store, h);
         let k = wk.forward(&mut tape, &mut binding, store, h);
         let v = wv.forward(&mut tape, &mut binding, store, h);
@@ -430,15 +427,12 @@ impl StageModel {
         // the full feature dim for my rows.
         let attn_full = tape.concat_cols(&attn_vars); // [rows, dim]
         let h2 = wo.forward(&mut tape, &mut binding, store, attn_full);
-        let h2 = tape.mul_rows(h2, gate1);
-        let x_mid = tape.add(x_in, h2);
+        let x_mid = tape.gated_residual(x_in, h2, gate1);
 
         // ---- MLP branch ----
-        let h3 = norm2.forward(&mut tape, &mut binding, store, x_mid);
-        let h3 = tape.affine_rows(h3, scale2p, shift2);
+        let h3 = norm2.forward_modulated(&mut tape, &mut binding, store, x_mid, scale2, shift2);
         let h3 = mlp.forward(&mut tape, &mut binding, store, h3);
-        let h3 = tape.mul_rows(h3, gate2);
-        let out = tape.add(x_mid, h3);
+        let out = tape.gated_residual(x_mid, h3, gate2);
 
         Ok(StageRun {
             tape,

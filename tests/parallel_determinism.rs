@@ -1,6 +1,10 @@
 //! Determinism of the parallel backend: losses and gradients must be bitwise
 //! identical no matter how many worker threads execute the kernels, and the
 //! fused windowed-attention op must agree with the unfused per-window path.
+//! The model-level checks run `AerisModel::forward`, i.e. the fused block ops
+//! (`modulated_rmsnorm`, `swiglu`, `gated_residual`) and the head-major
+//! `window_attention` with its single QKV GEMM, forward and backward — pinned
+//! by a node count so a silent fall-back to the unfused chains cannot pass.
 //!
 //! The thread count is varied two ways: in-process via
 //! `rayon::set_thread_override` (the test hook the shim exposes) and through
@@ -12,6 +16,9 @@ use aeris::core::{AerisConfig, AerisModel};
 use aeris::nn::{Binding, RopeTable, WindowAttention};
 use aeris::tensor::{Rng, Tensor};
 use proptest::prelude::*;
+
+/// Nodes one `test_tiny` forward records (input constant included).
+const FUSED_TINY_FORWARD_NODES: usize = 89;
 
 /// Forward + backward of the tiny model on seeded data; returns the loss and
 /// every parameter gradient as exact bit patterns.
@@ -30,6 +37,11 @@ fn model_loss_and_grad_bits(seed: u64) -> (u64, Vec<Vec<u32>>) {
     let mut binding = Binding::new(&model.store);
     let iv = tape.constant(input);
     let out = model.forward(&mut tape, &mut binding, iv, 0.8);
+    // `test_tiny` has two blocks; with the fused block ops (`modulated_rmsnorm`,
+    // `swiglu`, `gated_residual`, one `window_attention`) its forward records
+    // exactly this many nodes. A fall-back to the unfused chains (+9 nodes per
+    // block) would leave the bitwise check below green but fail here.
+    assert_eq!(tape.len(), FUSED_TINY_FORWARD_NODES, "forward no longer records the fused block ops");
     let loss = tape.weighted_mse(out, &target, &weights);
     let loss_bits = (tape.value(loss).data()[0] as f64).to_bits();
     let mut grads = tape.backward(loss);
