@@ -9,6 +9,13 @@
 //! times), a window-parallel attention core with per-worker scratch reused
 //! across windows, the output GEMM, and an analytic backward.
 //!
+//! There is one attention core — `attention_core` forward,
+//! `attention_core_backward` backward, each the only copy of its window loop
+//! — and two ops that record it: `window_attention` with the projection GEMMs
+//! around it (the single-rank block), and [`Tape::window_attention_core`]
+//! without them (SWiPe's block stage, whose Ulysses all-to-alls sit between
+//! the projections and the core, over the rank's local heads).
+//!
 //! # Head-major core
 //!
 //! Per window the scratch loader rotates Q and K once (RoPE) and stores the
@@ -326,36 +333,14 @@ fn attention_core(qkv: &Tensor, plan: &WindowAttnPlan) -> Tensor {
     o
 }
 
-/// Forward: `Y = attn(X) Wo`. Returns `(y, qkv, o)` with the fused
-/// projection and the pre-output-projection context `O` saved for the
-/// backward pass.
-fn forward(x: &Tensor, w_qkv: &Tensor, wo: &Tensor, plan: &WindowAttnPlan) -> (Tensor, Tensor, Tensor) {
-    let qkv = matmul(x, w_qkv);
-    let o = attention_core(&qkv, plan);
-    let y = matmul(&o, wo);
-    (y, qkv, o)
-}
-
-/// Analytic backward. Window-parallel like the forward; each window writes
-/// only its own rows of the combined `[tokens, 3·dim]` gradient buffer
-/// (`dQ | dK | dV` side by side), and all cross-window reductions happen in
-/// the final deterministic GEMMs.
-fn backward(
-    dy: &Tensor,
-    x: &Tensor,
-    w_qkv: &Tensor,
-    wo: &Tensor,
-    qkv: &Tensor,
-    o: &Tensor,
-    plan: &WindowAttnPlan,
-) -> Vec<Tensor> {
+/// Analytic backward of [`attention_core`]: `dQ | dK | dV` side by side,
+/// `[tokens, 3·dim]`, from `dO`. Window-parallel like the forward; each window
+/// writes only its own rows of the combined buffer.
+fn attention_core_backward(d_o: &Tensor, qkv: &Tensor, plan: &WindowAttnPlan) -> Tensor {
     let (tokens, dim) = (plan.tokens(), plan.dim());
     let (wlen, n_heads, head_dim) = (plan.window_len, plan.n_heads, plan.head_dim);
     let scale = plan.scale();
     let pairs = head_dim / 2;
-
-    let dwo = matmul_tn(o, dy);
-    let d_o = matmul_nt(dy, wo);
 
     let mut dqkv = Tensor::zeros(&[tokens, 3 * dim]);
     let (qkv_data, do_data) = (qkv.data(), d_o.data());
@@ -410,7 +395,33 @@ fn backward(
             }
         },
     );
+    dqkv
+}
 
+/// Forward: `Y = attn(X) Wo`. Returns `(y, qkv, o)` with the fused
+/// projection and the pre-output-projection context `O` saved for the
+/// backward pass.
+fn forward(x: &Tensor, w_qkv: &Tensor, wo: &Tensor, plan: &WindowAttnPlan) -> (Tensor, Tensor, Tensor) {
+    let qkv = matmul(x, w_qkv);
+    let o = attention_core(&qkv, plan);
+    let y = matmul(&o, wo);
+    (y, qkv, o)
+}
+
+/// Analytic backward of [`forward`]: the core's window loop between the
+/// projection GEMMs, where all cross-window reductions happen.
+fn backward(
+    dy: &Tensor,
+    x: &Tensor,
+    w_qkv: &Tensor,
+    wo: &Tensor,
+    qkv: &Tensor,
+    o: &Tensor,
+    plan: &WindowAttnPlan,
+) -> Vec<Tensor> {
+    let dim = plan.dim();
+    let dwo = matmul_tn(o, dy);
+    let dqkv = attention_core_backward(&matmul_nt(dy, wo), qkv, plan);
     let dx = matmul_nt(&dqkv, w_qkv);
     let dw_qkv = matmul_tn(x, &dqkv);
     vec![
@@ -454,6 +465,34 @@ impl Tape {
             vec![px, wq.0, wk.0, wv.0, pwo],
             Some(Box::new(move |d, nodes| {
                 backward(&d, nodes[px].value(), &w_qkv, nodes[pwo].value(), &qkv, &o, &plan)
+            })),
+            true,
+        )
+    }
+
+    /// The attention core of [`Tape::window_attention`] on its own, for
+    /// callers that place the projections elsewhere (SWiPe's block stage
+    /// exchanges head blocks between them): `qkv` is the window-major
+    /// `[n_windows · window_len, 3 · dim]` matrix `Q | K | V` with
+    /// `dim = plan.dim()`, the result the `[n_windows · window_len, dim]`
+    /// context `O`. **One** node; only `O` is retained, and the backward reads
+    /// `qkv` from its parent. The same two functions `window_attention` runs
+    /// between its GEMMs, so `matmul(core(matmul(x, Wq|Wk|Wv)), Wo)` equals it
+    /// bitwise in value and gradients.
+    pub fn window_attention_core(&mut self, qkv: Var, plan: &WindowAttnPlan) -> Var {
+        assert_eq!(
+            self.value(qkv).shape(),
+            &[plan.tokens(), 3 * plan.dim()],
+            "window_attention_core input shape"
+        );
+        let o = attention_core(self.value(qkv), plan);
+        let plan = plan.clone();
+        let pqkv = qkv.0;
+        self.push(
+            o,
+            vec![pqkv],
+            Some(Box::new(move |d, nodes| {
+                vec![attention_core_backward(&d, nodes[pqkv].value(), &plan)]
             })),
             true,
         )
@@ -621,6 +660,96 @@ mod tests {
         let o = attention_core(&qkv, &plan);
         assert!(o.at(&[0, 0]).is_nan(), "0 · inf must stay NaN, got {}", o.at(&[0, 0]));
         assert!(o.row(0)[1..].iter().all(|v| *v == 0.0));
+        // The tape op records that very core.
+        let mut tape = Tape::new();
+        let qv = tape.leaf(qkv);
+        let ov = tape.window_attention_core(qv, &plan);
+        assert_eq!(bits(tape.value(ov)), bits(&o));
+    }
+
+    /// The core op with the projections as plain tape GEMMs around it:
+    /// `matmul(core(matmul(x, Wq|Wk|Wv)), Wo)`. Returns the output and the
+    /// `[x, Wq|Wk|Wv, Wo]` leaves.
+    fn core_between_gemms(tape: &mut Tape, x: &Tensor, w: &[Tensor; 4], plan: &WindowAttnPlan) -> (Var, [Var; 3]) {
+        let xv = tape.leaf(x.clone());
+        let w_qkv = tape.leaf(Tensor::concat_cols(&[&w[0], &w[1], &w[2]]));
+        let wo = tape.leaf(w[3].clone());
+        let qkv = tape.matmul(xv, w_qkv);
+        let o = tape.window_attention_core(qkv, plan);
+        (tape.matmul(o, wo), [xv, w_qkv, wo])
+    }
+
+    /// Bits of `y`, then of `d(Σ y²)/d leaf` for every leaf.
+    fn value_and_grad_bits(mut tape: Tape, y: Var, leaves: &[Var]) -> Vec<Vec<u32>> {
+        let sq = tape.mul(y, y);
+        let loss = tape.sum(sq);
+        let mut out = vec![bits(tape.value(y))];
+        let mut grads = tape.backward(loss);
+        out.extend(leaves.iter().map(|&v| bits(&grads.take(v).expect("grad"))));
+        out
+    }
+
+    /// The core op between two tape GEMMs is `window_attention` bit for bit —
+    /// value, `dX`, `dWq | dWk | dWv` and `dWo` — on the shapes the row-major
+    /// oracle covers.
+    #[test]
+    fn core_between_projection_gemms_equals_window_attention_bitwise() {
+        for (seed, (n_windows, wlen, n_heads, head_dim)) in
+            [(32, 16, 4, 12), (2, 64, 4, 16), (3, 6, 2, 4)].into_iter().enumerate()
+        {
+            let plan = test_plan(n_windows, wlen, n_heads, head_dim);
+            let (x, w) = setup(&plan, 50 + seed as u64);
+
+            let mut tape = Tape::new();
+            let xv = tape.leaf(x.clone());
+            let wv: Vec<Var> = w.iter().map(|t| tape.leaf(t.clone())).collect();
+            let y = tape.window_attention(xv, wv[0], wv[1], wv[2], wv[3], &plan);
+            let fused = value_and_grad_bits(tape, y, &[xv, wv[0], wv[1], wv[2], wv[3]]);
+
+            let mut tape = Tape::new();
+            let (y, leaves) = core_between_gemms(&mut tape, &x, &w, &plan);
+            let split = value_and_grad_bits(tape, y, &leaves);
+
+            let shape = (n_windows, wlen, n_heads, head_dim);
+            assert_eq!(fused[0], split[0], "value bits differ at {shape:?}");
+            assert_eq!(fused[1], split[1], "dX bits differ at {shape:?}");
+            assert_eq!(fused[5], split[3], "dWo bits differ at {shape:?}");
+            // Column block j of d(Wq|Wk|Wv) is dWq / dWk / dWv.
+            let dim = plan.dim();
+            for (r, row) in split[2].chunks_exact(3 * dim).enumerate() {
+                for j in 0..3 {
+                    assert_eq!(
+                        &row[j * dim..(j + 1) * dim],
+                        &fused[2 + j][r * dim..(r + 1) * dim],
+                        "dW block {j} row {r} differs at {shape:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Gradcheck of the core op against central finite differences w.r.t.
+    /// `qkv` (every Q, K and V entry, RoPE and softmax included).
+    #[test]
+    fn gradcheck_core_wrt_qkv() {
+        let plan = test_plan(2, 4, 2, 4);
+        let mut rng = Rng::seed_from(25);
+        let qkv = Tensor::randn(&[plan.tokens(), 3 * plan.dim()], &mut rng);
+        let loss_of = |qkv_t: &Tensor| -> (Tape, Var, Var) {
+            let mut tape = Tape::new();
+            let qv = tape.leaf(qkv_t.clone());
+            let o = tape.window_attention_core(qv, &plan);
+            let sq = tape.mul(o, o);
+            let l = tape.sum(sq);
+            (tape, qv, l)
+        };
+        let (mut tape, qv, l) = loss_of(&qkv);
+        let analytic = tape.backward(l).take(qv).unwrap();
+        let mut f = |qkv_t: &Tensor| {
+            let (tape, _, l) = loss_of(qkv_t);
+            tape.value(l).data()[0] as f64
+        };
+        assert_grad_close(&analytic, &numeric_grad(&mut f, &qkv, 1e-3), 3e-2);
     }
 
     /// Fused forward, loss, and all five gradients vs. the unfused op chain.
@@ -709,6 +838,12 @@ mod tests {
         let before = tape.len();
         let _ = tape.window_attention(xv, wv[0], wv[1], wv[2], wv[3], &plan);
         assert_eq!(tape.len() - before, 1);
+        // The core op: one node, retaining its `[tokens, dim]` output only.
+        let qkv = tape.leaf(Tensor::zeros(&[plan.tokens(), 3 * plan.dim()]));
+        let (nodes, elems) = (tape.len(), tape.activation_elems());
+        let _ = tape.window_attention_core(qkv, &plan);
+        assert_eq!(tape.len() - nodes, 1);
+        assert_eq!(tape.activation_elems() - elems, plan.tokens() * plan.dim());
     }
 
     /// Loss and every gradient must be bitwise identical across pool widths.
@@ -716,25 +851,26 @@ mod tests {
     fn bitwise_identical_across_thread_counts() {
         let plan = test_plan(6, 4, 2, 4);
         let (x, w) = setup(&plan, 24);
-        let run = |threads: usize| -> Vec<Vec<u32>> {
+        let run = |threads: usize, core_op: bool| -> Vec<Vec<u32>> {
             rayon::set_thread_override(Some(threads));
             let mut tape = Tape::new();
-            let xv = tape.leaf(x.clone());
-            let wv: Vec<Var> = w.iter().map(|t| tape.leaf(t.clone())).collect();
-            let y = tape.window_attention(xv, wv[0], wv[1], wv[2], wv[3], &plan);
-            let sq = tape.mul(y, y);
-            let loss = tape.sum(sq);
-            let mut out = vec![tape.value(loss).data().iter().map(|v| v.to_bits()).collect()];
-            let mut grads = tape.backward(loss);
-            for v in std::iter::once(xv).chain(wv) {
-                out.push(grads.take(v).unwrap().data().iter().map(|g| g.to_bits()).collect());
-            }
+            let out = if core_op {
+                let (y, leaves) = core_between_gemms(&mut tape, &x, &w, &plan);
+                value_and_grad_bits(tape, y, &leaves)
+            } else {
+                let xv = tape.leaf(x.clone());
+                let wv: Vec<Var> = w.iter().map(|t| tape.leaf(t.clone())).collect();
+                let y = tape.window_attention(xv, wv[0], wv[1], wv[2], wv[3], &plan);
+                value_and_grad_bits(tape, y, &[xv, wv[0], wv[1], wv[2], wv[3]])
+            };
             rayon::set_thread_override(None);
             out
         };
-        let base = run(1);
-        for t in [2, 3, 8] {
-            assert_eq!(base, run(t), "not bitwise stable at {t} threads");
+        for core_op in [false, true] {
+            let base = run(1, core_op);
+            for t in [2, 3, 8] {
+                assert_eq!(base, run(t, core_op), "not bitwise stable at {t} threads (core op: {core_op})");
+            }
         }
     }
 }

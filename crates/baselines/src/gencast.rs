@@ -79,13 +79,7 @@ impl GenCastAnalog {
             let loss = tape.weighted_mse(out, &target, &w);
             total += tape.value(loss).data()[0] as f64;
             let mut grads = tape.backward(loss);
-            for (slot, g) in acc.iter_mut().zip(binding.collect_grads(&mut grads)) {
-                match (slot.as_mut(), g) {
-                    (Some(a), Some(g)) => a.add_assign(&g),
-                    (None, Some(g)) => *slot = Some(g),
-                    _ => {}
-                }
-            }
+            binding.accumulate_grads(&mut grads, &mut acc);
         }
         let inv = 1.0 / batch.len() as f32;
         for g in acc.iter_mut().flatten() {

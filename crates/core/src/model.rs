@@ -34,9 +34,39 @@ impl SwinBlock {
         }
     }
 
+    /// The one block body, with the attention sub-layer supplied by the
+    /// caller: `attention` maps the modulated-norm output (`[rows, dim]`) to
+    /// the attention output for the same rows. [`SwinBlock::forward`] passes
+    /// the single-rank windowed attention; SWiPe's block stage passes the
+    /// same attention with its Ulysses exchanges in between, whose failure is
+    /// the `E` that comes back.
+    pub fn forward_with<E>(
+        &self,
+        tape: &mut Tape,
+        binding: &mut Binding,
+        store: &ParamStore,
+        x: Var,
+        cond: Var,
+        attention: impl FnOnce(&mut Tape, &mut Binding, Var) -> Result<Var, E>,
+    ) -> Result<Var, E> {
+        // AdaLN's scale enters as (1 + s) inside the modulated norm, so the
+        // zero-initialized head is identity.
+        let [shift1, scale1, gate1, shift2, scale2, gate2] =
+            self.adaln.forward(tape, binding, store, cond);
+
+        // ---- attention branch ----
+        let h = self.norm1.forward_modulated(tape, binding, store, x, scale1, shift1);
+        let h = attention(tape, binding, h)?;
+        let x = tape.gated_residual(x, h, gate1);
+
+        // ---- MLP branch ----
+        let h = self.norm2.forward_modulated(tape, binding, store, x, scale2, shift2);
+        let h = self.mlp.forward(tape, binding, store, h);
+        Ok(tape.gated_residual(x, h, gate2))
+    }
+
     /// Forward one block over the full `[tokens, dim]` token matrix.
-    #[allow(clippy::too_many_arguments)]
-    fn forward(
+    pub fn forward(
         &self,
         tape: &mut Tape,
         binding: &mut Binding,
@@ -45,28 +75,23 @@ impl SwinBlock {
         cond: Var,
         geo: &BlockGeometry,
     ) -> Var {
-        // AdaLN's scale enters as (1 + s) inside the modulated norm, so the
-        // zero-initialized head is identity.
-        let [shift1, scale1, gate1, shift2, scale2, gate2] =
-            self.adaln.forward(tape, binding, store, cond);
-
-        // ---- attention branch ----
-        let h = self.norm1.forward_modulated(tape, binding, store, x, scale1, shift1);
         // Window partition (with cyclic roll when shifted), per-window
         // attention, merge back.
         let perm = if self.shifted { &geo.shifted_perm } else { &geo.direct_perm };
         let inv = if self.shifted { &geo.shifted_inv } else { &geo.direct_inv };
-        let windowed = tape.gather_rows(h, perm);
-        let merged =
-            self.attn
-                .forward_all_windows(tape, binding, store, windowed, &geo.rope, geo.grid.count());
-        let h = tape.gather_rows(merged, inv);
-        let x = tape.gated_residual(x, h, gate1);
-
-        // ---- MLP branch ----
-        let h = self.norm2.forward_modulated(tape, binding, store, x, scale2, shift2);
-        let h = self.mlp.forward(tape, binding, store, h);
-        tape.gated_residual(x, h, gate2)
+        let Ok(out) = self.forward_with(tape, binding, store, x, cond, |tape, binding, h| {
+            let windowed = tape.gather_rows(h, perm);
+            let merged = self.attn.forward_all_windows(
+                tape,
+                binding,
+                store,
+                windowed,
+                &geo.rope,
+                geo.grid.count(),
+            );
+            Ok::<_, std::convert::Infallible>(tape.gather_rows(merged, inv))
+        });
+        out
     }
 
     /// Scalar parameter count.

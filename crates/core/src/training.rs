@@ -94,15 +94,17 @@ impl Trainer {
         self.images_seen
     }
 
-    /// Single-sample loss + gradient contribution. The diffusion time `t` is
-    /// provided by the caller so that model-parallel replicas can share it
-    /// (§VI-B's shared-seed discipline); `z` is drawn from the local stream.
+    /// Single-sample loss; the sample's gradient contribution is added into
+    /// `acc`. The diffusion time `t` is provided by the caller so that
+    /// model-parallel replicas can share it (§VI-B's shared-seed discipline);
+    /// `z` is drawn from the local stream.
     fn sample_grads(
         &mut self,
         model: &AerisModel,
         sample: &TrainSample,
         t: f32,
-    ) -> (f64, Vec<Option<Tensor>>) {
+        acc: &mut [Option<Tensor>],
+    ) -> f64 {
         let z = Tensor::randn(sample.residual.shape(), &mut self.rng);
         let x_t = self.tf.interpolate(&sample.residual, &z, t);
         let v_target = self.tf.velocity_target(&sample.residual, &z, t);
@@ -114,7 +116,8 @@ impl Trainer {
         let loss = tape.weighted_mse(out, &v_target, &self.weights);
         let loss_val = tape.value(loss).data()[0] as f64;
         let mut grads = tape.backward(loss);
-        (loss_val, binding.collect_grads(&mut grads))
+        binding.accumulate_grads(&mut grads, acc);
+        loss_val
     }
 
     /// One optimizer step over a mini-batch (gradients averaged). Returns the
@@ -125,15 +128,7 @@ impl Trainer {
         let mut total_loss = 0.0;
         for sample in batch {
             let t = self.tf.sample_t(&mut self.rng);
-            let (loss, grads) = self.sample_grads(model, sample, t);
-            total_loss += loss;
-            for (slot, g) in acc.iter_mut().zip(grads) {
-                match (slot.as_mut(), g) {
-                    (Some(a), Some(g)) => a.add_assign(&g),
-                    (None, Some(g)) => *slot = Some(g),
-                    _ => {}
-                }
-            }
+            total_loss += self.sample_grads(model, sample, t, &mut acc);
         }
         let inv = 1.0 / batch.len() as f32;
         for slot in acc.iter_mut().flatten() {
@@ -229,7 +224,8 @@ impl Trainer {
                 forcings: pair1.forcings.clone(),
             };
             let t = self.tf.sample_t(&mut self.rng);
-            let (loss, grads) = self.sample_grads(model, &sample, t);
+            let mut grads: Vec<Option<Tensor>> = vec![None; model.store.len()];
+            let loss = self.sample_grads(model, &sample, t, &mut grads);
             let lr = self.cfg.schedule.lr_at(self.images_seen);
             self.opt.step(&mut model.store, &grads, lr);
             self.images_seen += 1;

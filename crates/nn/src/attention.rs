@@ -37,7 +37,10 @@ impl WindowAttention {
         }
     }
 
-    /// Forward for one window: `x: [s, dim] → [s, dim]`, `s = rope.seq_len()`.
+    /// Forward for one window: `x: [s, dim] → [s, dim]`, `s = rope.seq_len()`,
+    /// as a chain of primitive tape ops. No model path records this: it is
+    /// the oracle the fused ops are tested against (here and in
+    /// `tests/parallel_determinism.rs`).
     pub fn forward(
         &self,
         tape: &mut Tape,

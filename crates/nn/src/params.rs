@@ -145,6 +145,20 @@ impl Binding {
             .map(|slot| slot.and_then(|v| grads.take(v)))
             .collect()
     }
+
+    /// Add every bound parameter's gradient into `into` (store order, one
+    /// slot per parameter): the first contribution moves in, later ones add.
+    /// For summing over samples, microbatches or `backward_from` passes.
+    pub fn accumulate_grads(&self, grads: &mut Grads, into: &mut [Option<Tensor>]) {
+        assert_eq!(into.len(), self.vars.len(), "one gradient slot per parameter");
+        for (slot, var) in into.iter_mut().zip(&self.vars) {
+            match (slot.as_mut(), var.and_then(|v| grads.take(v))) {
+                (Some(acc), Some(g)) => acc.add_assign(&g),
+                (None, Some(g)) => *slot = Some(g),
+                _ => {}
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -191,6 +205,25 @@ mod tests {
         let collected = binding.collect_grads(&mut grads);
         assert_eq!(collected.len(), 1);
         assert!((collected[0].as_ref().unwrap().data()[0] - 7.0).abs() < 1e-5);
+    }
+
+    #[test]
+    fn accumulate_grads_moves_first_then_adds_and_skips_unbound() {
+        let mut store = ParamStore::new();
+        let w = store.register("w", Tensor::from_slice(&[2.0]));
+        let _unused = store.register("u", Tensor::from_slice(&[1.0]));
+        let mut acc: Vec<Option<Tensor>> = vec![None; store.len()];
+        for _ in 0..2 {
+            let mut tape = Tape::new();
+            let mut binding = Binding::new(&store);
+            let v = binding.var(&mut tape, &store, w);
+            let sq = tape.mul(v, v);
+            let loss = tape.sum(sq);
+            let mut grads = tape.backward(loss);
+            binding.accumulate_grads(&mut grads, &mut acc);
+        }
+        assert_eq!(acc[0].as_ref().unwrap().data(), &[8.0]); // 2 · 2w
+        assert!(acc[1].is_none());
     }
 
     #[test]

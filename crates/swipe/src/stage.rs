@@ -7,19 +7,30 @@
 //! single-rank [`aeris_core::AerisModel`] so distributed results can be
 //! compared against it exactly.
 //!
-//! Within a block, the forward pass crosses two Ulysses all-to-alls (heads
-//! scatter / gather); the tape records the shipped activation vars, and the
-//! backward runs as three `backward_from` passes with the transposed
-//! exchanges in between.
+//! A block stage is a distribution of the reference block, not a copy of it:
+//! it runs [`SwinBlock::forward_with`] — the one block body — and supplies the
+//! attention as a closure: `Wq`/`Wk`/`Wv`, the Ulysses all-to-all (heads
+//! scatter), one gather of the peers' chunks into window-major `Q | K | V`,
+//! [`Tape::window_attention_core`] — the one attention core — over the rank's
+//! local heads, the inverse gather, the second all-to-all (heads gather) and
+//! `Wo`. The tape has a fixed number of nodes whatever the number of windows
+//! a rank holds.
+//!
+//! The tape records the shipped activation vars, and the backward runs as
+//! three `backward_from` passes with the transposed exchanges in between.
 
 use crate::comm::{CommError, Communicator};
 use crate::layout::ActLayout;
-use aeris_autodiff::{Grads, Tape, Var};
+use aeris_autodiff::{Grads, Tape, Var, WindowAttnPlan};
+use aeris_core::model::SwinBlock;
 use aeris_core::AerisModel;
 use aeris_nn::timecond::AdaLnHead;
-use aeris_nn::{Binding, Linear, ParamStore, RmsNorm, RopeTable, SwiGlu, TimeConditioner};
+use aeris_nn::window::invert_perm;
+use aeris_nn::{
+    Binding, Linear, ParamId, ParamStore, RmsNorm, RopeTable, SwiGlu, TimeConditioner,
+    WindowAttention,
+};
 use aeris_tensor::Tensor;
-use std::collections::HashMap;
 
 /// What a stage computes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -32,42 +43,55 @@ pub enum StageKind {
     Head,
 }
 
+/// The layers of one stage kind; their parameter ids index the stage's store.
+// One value per rank thread, built once: the block variant's size is no cost.
+#[allow(clippy::large_enum_variant)]
+enum StageLayers {
+    Input {
+        embed: Linear,
+    },
+    Block {
+        /// The shared time conditioner, replicated into every block stage.
+        time_cond: TimeConditioner,
+        block: SwinBlock,
+        /// This rank's windows over its local heads (`n_heads / sp`).
+        plan: WindowAttnPlan,
+        /// Row `w·wlen + i·chunk + r` of the window-major `Q | K | V` is row
+        /// `i·rows + w·chunk + r` of the SP peers' chunks stacked in group
+        /// order (peer `i` holds rows `[i·chunk, (i+1)·chunk)` of each window).
+        to_windows: Vec<usize>,
+        /// The inverse: window-major attention rows back to peer-major.
+        to_peers: Vec<usize>,
+    },
+    Head {
+        out_norm: RmsNorm,
+        decode: Linear,
+    },
+}
+
 /// Learnable state of one stage (parameters replicated across DP×WP×SP).
 pub struct StageModel {
-    pub kind: StageKind,
     pub store: ParamStore,
-    embed: Option<Linear>,
-    time_cond: Option<TimeConditioner>,
-    norm1: Option<RmsNorm>,
-    wq: Option<Linear>,
-    wk: Option<Linear>,
-    wv: Option<Linear>,
-    wo: Option<Linear>,
-    norm2: Option<RmsNorm>,
-    mlp: Option<SwiGlu>,
-    adaln: Option<AdaLnHead>,
-    out_norm: Option<RmsNorm>,
-    decode: Option<Linear>,
-    /// Whether this block uses shifted windows.
-    pub shifted: bool,
-    dim: usize,
-    n_heads: usize,
-    head_dim: usize,
+    layers: StageLayers,
 }
 
 /// Why a stage could not be built from a reference model.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum StageError {
-    /// The reference model has no parameter with this name — the stage
-    /// partitioning and the model architecture are out of sync.
-    MissingParam(String),
+    /// The distributed runtime holds one Swin block per pipeline stage.
+    BlocksPerLayer(usize),
+    /// Ulysses attention gives each SP peer whole heads.
+    HeadsNotDivisible { n_heads: usize, sp: usize },
 }
 
 impl std::fmt::Display for StageError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            StageError::MissingParam(name) => {
-                write!(f, "reference model lacks parameter {name}")
+            StageError::BlocksPerLayer(n) => {
+                write!(f, "reference model has {n} blocks per Swin layer; the runtime requires 1")
+            }
+            StageError::HeadsNotDivisible { n_heads, sp } => {
+                write!(f, "{n_heads} attention heads do not divide over sp={sp}")
             }
         }
     }
@@ -75,124 +99,94 @@ impl std::fmt::Display for StageError {
 
 impl std::error::Error for StageError {}
 
-fn copy_param(
-    map: &HashMap<String, Tensor>,
-    store: &mut ParamStore,
-    name: &str,
-) -> Result<aeris_nn::ParamId, StageError> {
-    let v = map.get(name).ok_or_else(|| StageError::MissingParam(name.to_string()))?.clone();
-    Ok(store.register(name.to_string(), v))
+/// Re-registers reference parameters, under their reference names, in a
+/// stage's own store.
+struct ParamCopier<'a> {
+    from: &'a ParamStore,
+    to: ParamStore,
 }
 
-fn copy_linear(
-    map: &HashMap<String, Tensor>,
-    store: &mut ParamStore,
-    lin: &Linear,
-    name: &str,
-) -> Result<Linear, StageError> {
-    let w = copy_param(map, store, &format!("{name}.w"))?;
-    let b = match lin.b {
-        Some(_) => Some(copy_param(map, store, &format!("{name}.b"))?),
-        None => None,
-    };
-    Ok(Linear { w, b, in_dim: lin.in_dim, out_dim: lin.out_dim })
-}
+impl ParamCopier<'_> {
+    fn param(&mut self, id: ParamId) -> ParamId {
+        self.to.register(self.from.name(id), self.from.get(id).clone())
+    }
 
-/// `name` is the layer base name; the reference registers the gain under
-/// `{name}.gamma`.
-fn copy_rms(
-    map: &HashMap<String, Tensor>,
-    store: &mut ParamStore,
-    norm: &RmsNorm,
-    name: &str,
-) -> Result<RmsNorm, StageError> {
-    let gamma = copy_param(map, store, &format!("{name}.gamma"))?;
-    Ok(RmsNorm { gamma, dim: norm.dim, eps: norm.eps })
+    fn linear(&mut self, lin: &Linear) -> Linear {
+        Linear { w: self.param(lin.w), b: lin.b.map(|b| self.param(b)), ..*lin }
+    }
+
+    fn rms(&mut self, norm: &RmsNorm) -> RmsNorm {
+        RmsNorm { gamma: self.param(norm.gamma), ..*norm }
+    }
 }
 
 impl StageModel {
     /// Build a stage by copying the relevant parameters from a reference
-    /// model. The reference must use `blocks_per_layer == 1` (one block per
-    /// stage, the configuration the distributed runtime supports). A
-    /// reference whose parameter set does not match the expected stage
-    /// partitioning yields [`StageError::MissingParam`].
-    pub fn from_reference(model: &AerisModel, kind: StageKind) -> Result<Self, StageError> {
-        assert_eq!(
-            model.cfg.blocks_per_layer, 1,
-            "distributed runtime requires one block per Swin layer"
-        );
-        let map: HashMap<String, Tensor> =
-            model.store.iter().map(|(_, n, v)| (n.to_string(), v.clone())).collect();
-        let mut store = ParamStore::new();
-        let mut sm = StageModel {
-            kind,
-            store: ParamStore::new(),
-            embed: None,
-            time_cond: None,
-            norm1: None,
-            wq: None,
-            wk: None,
-            wv: None,
-            wo: None,
-            norm2: None,
-            mlp: None,
-            adaln: None,
-            out_norm: None,
-            decode: None,
-            shifted: false,
-            dim: model.cfg.dim,
-            n_heads: model.cfg.n_heads,
-            head_dim: model.cfg.head_dim(),
-        };
-        match kind {
-            StageKind::Input => {
-                sm.embed = Some(copy_linear(&map, &mut store, &model.embed, "embed")?);
-            }
+    /// model, for a rank whose activations follow `layout`. The run's
+    /// configuration is checked here, once, for every stage kind: the
+    /// reference must use `blocks_per_layer == 1` (one block per stage) and
+    /// its heads must divide over `layout.sp`.
+    pub fn from_reference(
+        model: &AerisModel,
+        kind: StageKind,
+        layout: &ActLayout,
+    ) -> Result<Self, StageError> {
+        let cfg = &model.cfg;
+        if cfg.blocks_per_layer != 1 {
+            return Err(StageError::BlocksPerLayer(cfg.blocks_per_layer));
+        }
+        let sp = layout.sp;
+        if !cfg.n_heads.is_multiple_of(sp) {
+            return Err(StageError::HeadsNotDivisible { n_heads: cfg.n_heads, sp });
+        }
+        let mut c = ParamCopier { from: &model.store, to: ParamStore::new() };
+        let layers = match kind {
+            StageKind::Input => StageLayers::Input { embed: c.linear(&model.embed) },
             StageKind::Block(b) => {
                 let blk = &model.blocks[b];
-                // Shared time conditioner replicated into every block stage.
-                let proj = copy_linear(&map, &mut store, &model.time_cond.proj, "time.proj")?;
-                sm.time_cond = Some(TimeConditioner {
-                    proj,
-                    feat_dim: model.time_cond.feat_dim,
-                    cond_dim: model.time_cond.cond_dim,
-                });
-                let p = format!("block{b}");
-                sm.norm1 = Some(copy_rms(&map, &mut store, &blk.norm1, &format!("{p}.norm1"))?);
-                sm.wq = Some(copy_linear(&map, &mut store, &blk.attn.wq, &format!("{p}.attn.wq"))?);
-                sm.wk = Some(copy_linear(&map, &mut store, &blk.attn.wk, &format!("{p}.attn.wk"))?);
-                sm.wv = Some(copy_linear(&map, &mut store, &blk.attn.wv, &format!("{p}.attn.wv"))?);
-                sm.wo = Some(copy_linear(&map, &mut store, &blk.attn.wo, &format!("{p}.attn.wo"))?);
-                sm.norm2 = Some(copy_rms(&map, &mut store, &blk.norm2, &format!("{p}.norm2"))?);
-                sm.mlp = Some(SwiGlu {
-                    w_in: copy_linear(&map, &mut store, &blk.mlp.w_in, &format!("{p}.mlp.w_in"))?,
-                    w_down: copy_linear(
-                        &map,
-                        &mut store,
-                        &blk.mlp.w_down,
-                        &format!("{p}.mlp.w_down"),
-                    )?,
-                    dim: blk.mlp.dim,
-                    ffn: blk.mlp.ffn,
-                });
-                sm.adaln = Some(AdaLnHead {
-                    head: copy_linear(&map, &mut store, &blk.adaln.head, &format!("{p}.adaln"))?,
-                    dim: blk.adaln.dim,
-                });
-                sm.shifted = blk.shifted;
+                let time_cond =
+                    TimeConditioner { proj: c.linear(&model.time_cond.proj), ..model.time_cond };
+                let block = SwinBlock {
+                    norm1: c.rms(&blk.norm1),
+                    attn: WindowAttention {
+                        wq: c.linear(&blk.attn.wq),
+                        wk: c.linear(&blk.attn.wk),
+                        wv: c.linear(&blk.attn.wv),
+                        wo: c.linear(&blk.attn.wo),
+                        ..blk.attn
+                    },
+                    norm2: c.rms(&blk.norm2),
+                    mlp: SwiGlu {
+                        w_in: c.linear(&blk.mlp.w_in),
+                        w_down: c.linear(&blk.mlp.w_down),
+                        ..blk.mlp
+                    },
+                    adaln: AdaLnHead { head: c.linear(&blk.adaln.head), ..blk.adaln },
+                    shifted: blk.shifted,
+                };
+                let rope = RopeTable::new(cfg.window.0, cfg.window.1, cfg.head_dim(), 0, 0);
+                let (nw, chunk) = (layout.windows_per_rank(), layout.chunk_rows());
+                let plan = WindowAttnPlan::new(
+                    nw,
+                    layout.grid.window_len(),
+                    cfg.n_heads / sp,
+                    cfg.head_dim(),
+                    rope.cos,
+                    rope.sin,
+                );
+                let to_windows: Vec<usize> = (0..nw)
+                    .flat_map(|w| (0..sp).map(move |i| (i * nw + w) * chunk))
+                    .flat_map(|r0| r0..r0 + chunk)
+                    .collect();
+                let to_peers = invert_perm(&to_windows);
+                StageLayers::Block { time_cond, block, plan, to_windows, to_peers }
             }
-            StageKind::Head => {
-                sm.out_norm = Some(copy_rms(&map, &mut store, &model.out_norm, "out_norm")?);
-                sm.decode = Some(copy_linear(&map, &mut store, &model.decode, "decode")?);
-            }
-        }
-        sm.store = store;
-        Ok(sm)
-    }
-
-    /// Names of this stage's parameters (reference-model names).
-    pub fn param_names(&self) -> Vec<String> {
-        self.store.iter().map(|(_, n, _)| n.to_string()).collect()
+            StageKind::Head => StageLayers::Head {
+                out_norm: c.rms(&model.out_norm),
+                decode: c.linear(&model.decode),
+            },
+        };
+        Ok(StageModel { store: c.to, layers })
     }
 
     /// Ids of the globally replicated (time-conditioner) parameters.
@@ -246,11 +240,35 @@ impl StageRun {
     }
 }
 
+/// One Ulysses all-to-all of tape values: ships `sent[j]` to peer `j` of
+/// `sp_group` and returns, per peer, the leaf holding what that peer sent
+/// (`None` at the self slot `me`, whose chunk never leaves the tape).
+fn alltoall_vars(
+    tape: &mut Tape,
+    comm: &mut Communicator,
+    sp_group: &[usize],
+    me: usize,
+    sent: &[Var],
+) -> Result<Vec<Option<Var>>, CommError> {
+    let chunks = sent
+        .iter()
+        .enumerate()
+        .map(|(j, &v)| if j == me { Tensor::zeros(&[0]) } else { tape.value(v).clone() })
+        .collect();
+    let received = comm.alltoall(sp_group, chunks)?;
+    Ok(received.into_iter().enumerate().map(|(i, t)| (i != me).then(|| tape.leaf(t))).collect())
+}
+
+/// What each peer's slot reads: the received leaf, or the rank's own chunk.
+fn peer_vars(sent: &[Var], recv: &[Option<Var>]) -> Vec<Var> {
+    sent.iter().zip(recv).map(|(&own, leaf)| leaf.unwrap_or(own)).collect()
+}
+
 impl StageModel {
     /// Input-stage forward: `input` is the assembled, PE-augmented
     /// `[rows, in_channels]` matrix for this rank's tokens.
     pub fn forward_input(&self, input: Tensor) -> StageRun {
-        let embed = self.embed.as_ref().expect("not an input stage");
+        let StageLayers::Input { embed } = &self.layers else { panic!("not an input stage") };
         let mut tape = Tape::new();
         let mut binding = Binding::new(&self.store);
         let iv = tape.constant(input);
@@ -268,8 +286,9 @@ impl StageModel {
         weight_rows: &Tensor,
         global_tokens: usize,
     ) -> StageRun {
-        let out_norm = self.out_norm.as_ref().expect("not a head stage");
-        let decode = self.decode.as_ref().unwrap();
+        let StageLayers::Head { out_norm, decode } = &self.layers else {
+            panic!("not a head stage")
+        };
         let rows = x_in_val.shape()[0];
         let mut tape = Tape::new();
         let mut binding = Binding::new(&self.store);
@@ -284,155 +303,61 @@ impl StageModel {
         run
     }
 
-    /// Block-stage forward with distributed (Ulysses) attention.
+    /// Block-stage forward: the reference model's block body
+    /// ([`SwinBlock::forward_with`]) around distributed (Ulysses) attention.
     ///
     /// `x_in_val`: `[rows, dim]` for this rank's windows/chunk under the
     /// block's layout; `t`: the shared diffusion time of this microbatch;
-    /// `sp_group`: world ranks of this rank's SP group (self included);
-    /// `rope`: table for one window.
+    /// `sp_group`: world ranks of this rank's SP group (self included).
     pub fn forward_block(
         &self,
         x_in_val: Tensor,
         t: f32,
-        layout: &ActLayout,
-        rope: &RopeTable,
         comm: &mut Communicator,
         sp_group: &[usize],
     ) -> Result<StageRun, CommError> {
-        let (norm1, norm2) = (self.norm1.as_ref().expect("not a block"), self.norm2.as_ref().unwrap());
-        let (wq, wk, wv, wo) = (
-            self.wq.as_ref().unwrap(),
-            self.wk.as_ref().unwrap(),
-            self.wv.as_ref().unwrap(),
-            self.wo.as_ref().unwrap(),
-        );
-        let mlp = self.mlp.as_ref().unwrap();
-        let adaln = self.adaln.as_ref().unwrap();
-        let tc = self.time_cond.as_ref().unwrap();
+        let StageLayers::Block { time_cond, block, plan, to_windows, to_peers } = &self.layers
+        else {
+            panic!("not a block stage")
+        };
         let store = &self.store;
-
         let sp = sp_group.len();
         let me = sp_group.iter().position(|&r| r == comm.rank()).expect("rank in sp group");
         let rows = x_in_val.shape()[0];
-        let nw = layout.windows_per_rank();
-        let cr = layout.chunk_rows();
-        assert_eq!(rows, nw * cr);
-        assert_eq!(self.n_heads % sp, 0, "heads must divide over SP");
-        let cols = self.dim / sp; // feature columns per peer (local head block)
-        let wlen = layout.grid.window_len();
+        assert_eq!(rows * sp, to_windows.len(), "block input rows vs. the stage's layout");
+        let cols = plan.dim(); // feature columns per peer (local head block)
 
         let mut tape = Tape::new();
         let mut binding = Binding::new(store);
         let x_in = tape.leaf(x_in_val);
-
-        let cond = tc.embed(&mut tape, &mut binding, store, t);
-        let mods = adaln.forward(&mut tape, &mut binding, store, cond);
-        let [shift1, scale1, gate1, shift2, scale2, gate2] = mods;
-
-        // ---- attention branch ----
-        let h = norm1.forward_modulated(&mut tape, &mut binding, store, x_in, scale1, shift1);
-        let q = wq.forward(&mut tape, &mut binding, store, h);
-        let k = wk.forward(&mut tape, &mut binding, store, h);
-        let v = wv.forward(&mut tape, &mut binding, store, h);
-
-        // Ship [q|k|v] column-blocks to each peer: one [3*rows, dim/sp]
-        // tensor per peer (the Ulysses scatter; window chunks are batched
-        // into a single message, as in the paper's merged communication).
-        let mut qkv_sent = Vec::with_capacity(sp);
-        for j in 0..sp {
-            let (c0, c1) = (j * cols, (j + 1) * cols);
-            let qj = tape.slice_cols(q, c0, c1);
-            let kj = tape.slice_cols(k, c0, c1);
-            let vj = tape.slice_cols(v, c0, c1);
-            qkv_sent.push(tape.concat_rows(&[qj, kj, vj]));
-        }
-        let chunks: Vec<Tensor> = qkv_sent.iter().map(|&var| tape.value(var).clone()).collect();
-        let received = comm.alltoall(sp_group, chunks)?;
-        let mut qkv_recv: Vec<Option<Var>> = Vec::with_capacity(sp);
-        let mut qkv_vars: Vec<Var> = Vec::with_capacity(sp);
-        for (i, tens) in received.into_iter().enumerate() {
-            if i == me {
-                qkv_recv.push(None);
-                qkv_vars.push(qkv_sent[me]);
-            } else {
-                let leaf = tape.leaf(tens);
-                qkv_recv.push(Some(leaf));
-                qkv_vars.push(leaf);
-            }
-        }
-
-        // Per window: assemble the full [wlen, cols] Q/K/V for my head
-        // block from all peers' chunks, run attention per local head.
-        let heads_local = self.n_heads / sp;
-        let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let mut attn_windows = Vec::with_capacity(nw);
-        for w in 0..nw {
-            let mut qs = Vec::with_capacity(sp);
-            let mut ks = Vec::with_capacity(sp);
-            let mut vs = Vec::with_capacity(sp);
-            for &src in &qkv_vars {
-                // Peer tensor layout: rows [0,rows)=q, [rows,2rows)=k, …
-                let base_q: Vec<usize> = (w * cr..(w + 1) * cr).collect();
-                let base_k: Vec<usize> = (rows + w * cr..rows + (w + 1) * cr).collect();
-                let base_v: Vec<usize> = (2 * rows + w * cr..2 * rows + (w + 1) * cr).collect();
-                qs.push(tape.gather_rows(src, &base_q));
-                ks.push(tape.gather_rows(src, &base_k));
-                vs.push(tape.gather_rows(src, &base_v));
-            }
-            let qw = tape.concat_rows(&qs); // [wlen, cols]
-            let kw = tape.concat_rows(&ks);
-            let vw = tape.concat_rows(&vs);
-            debug_assert_eq!(tape.value(qw).shape(), &[wlen, cols]);
-            let mut head_outs = Vec::with_capacity(heads_local);
-            for hl in 0..heads_local {
-                let (c0, c1) = (hl * self.head_dim, (hl + 1) * self.head_dim);
-                let qh = tape.slice_cols(qw, c0, c1);
-                let kh = tape.slice_cols(kw, c0, c1);
-                let vh = tape.slice_cols(vw, c0, c1);
-                let qh = tape.rope_rows(qh, &rope.cos, &rope.sin);
-                let kh = tape.rope_rows(kh, &rope.cos, &rope.sin);
-                let scores = tape.matmul_nt(qh, kh);
-                let scores = tape.scale(scores, scale);
-                let probs = tape.softmax_rows(scores);
-                head_outs.push(tape.matmul(probs, vh));
-            }
-            attn_windows.push(tape.concat_cols(&head_outs)); // [wlen, cols]
-        }
-
-        // Redistribute: peer j takes rows [j*cr, (j+1)*cr) of each window.
-        let mut attn_sent = Vec::with_capacity(sp);
-        for j in 0..sp {
-            let idx: Vec<usize> = (j * cr..(j + 1) * cr).collect();
-            let mut gathered = Vec::with_capacity(nw);
-            for w in 0..nw {
-                gathered.push(tape.gather_rows(attn_windows[w], &idx));
-            }
-            attn_sent.push(tape.concat_rows(&gathered)); // [rows, cols]
-        }
-        let chunks: Vec<Tensor> = attn_sent.iter().map(|&var| tape.value(var).clone()).collect();
-        let received = comm.alltoall(sp_group, chunks)?;
-        let mut attn_recv: Vec<Option<Var>> = Vec::with_capacity(sp);
-        let mut attn_vars: Vec<Var> = Vec::with_capacity(sp);
-        for (i, tens) in received.into_iter().enumerate() {
-            if i == me {
-                attn_recv.push(None);
-                attn_vars.push(attn_sent[me]);
-            } else {
-                let leaf = tape.leaf(tens);
-                attn_recv.push(Some(leaf));
-                attn_vars.push(leaf);
-            }
-        }
-        // Peer i computed head block i: concat columns in SP order restores
-        // the full feature dim for my rows.
-        let attn_full = tape.concat_cols(&attn_vars); // [rows, dim]
-        let h2 = wo.forward(&mut tape, &mut binding, store, attn_full);
-        let x_mid = tape.gated_residual(x_in, h2, gate1);
-
-        // ---- MLP branch ----
-        let h3 = norm2.forward_modulated(&mut tape, &mut binding, store, x_mid, scale2, shift2);
-        let h3 = mlp.forward(&mut tape, &mut binding, store, h3);
-        let out = tape.gated_residual(x_mid, h3, gate2);
+        let cond = time_cond.embed(&mut tape, &mut binding, store, t);
+        let (mut qkv_sent, mut qkv_recv, mut attn_sent, mut attn_recv) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        let out = block.forward_with(&mut tape, &mut binding, store, x_in, cond, |tape, binding, h| {
+            let [q, k, v] =
+                [block.attn.wq, block.attn.wk, block.attn.wv].map(|w| w.forward(tape, binding, store, h));
+            // Ulysses scatter: peer j gets head block j of my rows as one
+            // [rows, 3·cols] `Q | K | V` message (window chunks batched into
+            // a single message, as in the paper's merged communication).
+            qkv_sent = (0..sp)
+                .map(|j| {
+                    let parts = [q, k, v].map(|p| tape.slice_cols(p, j * cols, (j + 1) * cols));
+                    tape.concat_cols(&parts)
+                })
+                .collect();
+            qkv_recv = alltoall_vars(tape, comm, sp_group, me, &qkv_sent)?;
+            let stacked = tape.concat_rows(&peer_vars(&qkv_sent, &qkv_recv));
+            let windowed = tape.gather_rows(stacked, to_windows);
+            let o = tape.window_attention_core(windowed, plan);
+            // Ulysses gather: peer j takes back its rows of every window.
+            let by_peer = tape.gather_rows(o, to_peers);
+            attn_sent = (0..sp).map(|j| tape.slice_rows(by_peer, j * rows, (j + 1) * rows)).collect();
+            attn_recv = alltoall_vars(tape, comm, sp_group, me, &attn_sent)?;
+            // Peer i computed head block i: concat columns in SP order
+            // restores the full feature dim for my rows.
+            let attn_full = tape.concat_cols(&peer_vars(&attn_sent, &attn_recv));
+            Ok(block.attn.wo.forward(tape, binding, store, attn_full))
+        })?;
 
         Ok(StageRun {
             tape,
@@ -459,24 +384,14 @@ impl StageModel {
         param_grads: &mut [Option<Tensor>],
     ) -> Result<Tensor, CommError> {
         let sp = sp_group.len();
-        let me = sp_group.iter().position(|&r| r == comm.rank()).unwrap();
-        let x_in = run.x_in.unwrap();
+        let me = sp_group.iter().position(|&r| r == comm.rank()).expect("rank in sp group");
+        let x_in = run.x_in.expect("block stages have an input leaf");
         let mut x_in_grad = Tensor::zeros(run.tape.value(x_in).shape());
-
-        let accumulate = |grads: &mut Grads,
-                              run_binding: &Binding,
-                              x_in_grad: &mut Tensor,
-                              param_grads: &mut [Option<Tensor>]| {
+        let mut accumulate = |grads: &mut Grads| {
             if let Some(g) = grads.take(x_in) {
                 x_in_grad.add_assign(&g);
             }
-            for (slot, g) in param_grads.iter_mut().zip(run_binding.collect_grads(grads)) {
-                match (slot.as_mut(), g) {
-                    (Some(a), Some(g)) => a.add_assign(&g),
-                    (None, Some(g)) => *slot = Some(g),
-                    _ => {}
-                }
-            }
+            run.binding.accumulate_grads(grads, param_grads);
         };
 
         // Pass 1: from the block output.
@@ -498,7 +413,7 @@ impl StageModel {
                 *slot = pass1.take(leaf);
             }
         }
-        accumulate(&mut pass1, &run.binding, &mut x_in_grad, param_grads);
+        accumulate(&mut pass1);
         let attn_sent_grads = comm.alltoall(sp_group, attn_chunks)?;
 
         // Pass 2: seed grads of my attention outputs shipped to peers.
@@ -522,7 +437,7 @@ impl StageModel {
             };
             qkv_chunks.push(g);
         }
-        accumulate(&mut pass2, &run.binding, &mut x_in_grad, param_grads);
+        accumulate(&mut pass2);
         let qkv_sent_grads = comm.alltoall(sp_group, qkv_chunks)?;
 
         // Pass 3: seed grads of my QKV chunks shipped to peers.
@@ -531,34 +446,128 @@ impl StageModel {
             .map(|i| (run.qkv_sent[i], qkv_sent_grads[i].clone()))
             .collect();
         let mut pass3 = run.tape.backward_from(&seeds);
-        accumulate(&mut pass3, &run.binding, &mut x_in_grad, param_grads);
+        accumulate(&mut pass3);
         Ok(x_in_grad)
     }
 
     /// Input-stage backward.
     pub fn backward_input(&self, mut run: StageRun, g_out: Tensor, param_grads: &mut [Option<Tensor>]) {
         let mut grads = run.tape.backward_from(&[(run.out, g_out)]);
-        for (slot, g) in param_grads.iter_mut().zip(run.binding.collect_grads(&mut grads)) {
-            match (slot.as_mut(), g) {
-                (Some(a), Some(g)) => a.add_assign(&g),
-                (None, Some(g)) => *slot = Some(g),
-                _ => {}
-            }
-        }
+        run.binding.accumulate_grads(&mut grads, param_grads);
     }
 
     /// Head-stage backward: returns grad w.r.t. the head input rows.
     pub fn backward_head(&self, mut run: StageRun, param_grads: &mut [Option<Tensor>]) -> Tensor {
         let mut grads = run.tape.backward(run.out);
-        let x_in = run.x_in.unwrap();
+        let x_in = run.x_in.expect("head stages have an input leaf");
         let g = grads.take(x_in).expect("head input grad");
-        for (slot, pg) in param_grads.iter_mut().zip(run.binding.collect_grads(&mut grads)) {
-            match (slot.as_mut(), pg) {
-                (Some(a), Some(pg)) => a.add_assign(&pg),
-                (None, Some(pg)) => *slot = Some(pg),
-                _ => {}
+        run.binding.accumulate_grads(&mut grads, param_grads);
+        g
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::comm::World;
+    use crate::data::gather;
+    use aeris_core::AerisConfig;
+    use aeris_nn::window::WindowGrid;
+    use aeris_tensor::Rng;
+
+    /// A two-block reference on a `grid_h × grid_w` grid of 4×4 windows, with
+    /// the zero-initialized AdaLN heads nudged so the blocks are not
+    /// identities.
+    fn reference(grid_h: usize, grid_w: usize) -> AerisModel {
+        let mut m = AerisModel::new(AerisConfig { grid_h, grid_w, ..AerisConfig::test_tiny() });
+        let mut rng = Rng::seed_from(9);
+        for head in m.blocks.iter().map(|b| b.adaln.head).collect::<Vec<_>>() {
+            for id in [head.w, head.b.expect("adaln bias")] {
+                let nudge = Tensor::randn(m.store.get(id).shape(), &mut rng).scale(0.05);
+                m.store.get_mut(id).add_assign(&nudge);
             }
         }
-        g
+        m
+    }
+
+    fn layout(m: &AerisModel, block: usize, sp: usize) -> ActLayout {
+        let c = &m.cfg;
+        let grid = WindowGrid::new(c.grid_h, c.grid_w, c.window.0, c.window.1);
+        ActLayout::new(grid, m.blocks[block].shifted, 1, 1, sp)
+    }
+
+    /// Forward block 0 on every rank of one SP group (wp = 1×1) over random
+    /// rows; returns each rank's tape length.
+    fn block_tape_lens(m: &AerisModel, sp: usize) -> Vec<usize> {
+        let layout = layout(m, 0, sp);
+        let world = World::new(sp);
+        let group: Vec<usize> = (0..sp).collect();
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..sp)
+                .map(|rank| {
+                    let (mut comm, layout, group) = (world.communicator(rank), &layout, &group);
+                    s.spawn(move || {
+                        let stage = StageModel::from_reference(m, StageKind::Block(0), layout).unwrap();
+                        let mut rng = Rng::seed_from(rank as u64);
+                        let x = Tensor::randn(&[layout.rows_per_rank(), m.cfg.dim], &mut rng);
+                        stage.forward_block(x, 0.4, &mut comm, group).unwrap().tape.len()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+    }
+
+    /// The block stage records a fixed number of nodes whatever the number of
+    /// windows a rank holds: 54 at sp = 1 (the attention closure's share is
+    /// three projections, one `Q | K | V` chunk of 3 slices + 1 concat, stack,
+    /// gather, core, gather, slice, concat and Wo) and 7 more at sp = 2 (one
+    /// more chunk, its attention slice, and the two received leaves). A
+    /// fall-back to per-window nodes grows with the window count and fails
+    /// this.
+    #[test]
+    fn block_tape_length_is_independent_of_windows_per_rank() {
+        for (sp, nodes) in [(1, 54), (2, 61)] {
+            for (grid_h, grid_w) in [(4, 8), (8, 16)] {
+                let m = reference(grid_h, grid_w);
+                assert_eq!(
+                    block_tape_lens(&m, sp),
+                    vec![nodes; sp],
+                    "sp={sp}, {} windows per rank",
+                    m.geo.grid.count()
+                );
+            }
+        }
+    }
+
+    /// At sp = 1, wp = 1×1 the stage is the reference block on window-major
+    /// rows: separate Wq/Wk/Wv GEMMs, the core op and the Wo GEMM against the
+    /// reference's one fused node, bit for bit, unshifted and shifted.
+    #[test]
+    fn single_rank_block_stage_equals_reference_block_bitwise() {
+        let m = reference(8, 16);
+        let t = 0.7;
+        let x = Tensor::randn(&[m.cfg.tokens(), m.cfg.dim], &mut Rng::seed_from(3));
+        for b in 0..m.blocks.len() {
+            let mut tape = Tape::new();
+            let mut binding = Binding::new(&m.store);
+            let xv = tape.leaf(x.clone());
+            let cond = m.time_cond.embed(&mut tape, &mut binding, &m.store, t);
+            let out = m.blocks[b].forward(&mut tape, &mut binding, &m.store, xv, cond, &m.geo);
+
+            let layout = layout(&m, b, 1);
+            let tokens = layout.tokens_of(0, 0, 0);
+            let stage = StageModel::from_reference(&m, StageKind::Block(b), &layout).unwrap();
+            let mut comm = World::new(1).communicator(0);
+            let run = stage.forward_block(gather(&x, &tokens), t, &mut comm, &[0]).unwrap();
+
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(run.tape.value(run.out)),
+                bits(&gather(tape.value(out), &tokens)),
+                "block {b} (shifted: {})",
+                m.blocks[b].shifted
+            );
+        }
     }
 }

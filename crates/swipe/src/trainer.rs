@@ -44,7 +44,7 @@ use aeris_core::AerisModel;
 use aeris_diffusion::TrigFlow;
 use aeris_nn::checkpoint::{entry_u64, load_entries, save_entries, u64_entry};
 use aeris_nn::window::WindowGrid;
-use aeris_nn::{AdamW, AdamWConfig, ParamId, RopeTable};
+use aeris_nn::{AdamW, AdamWConfig, ParamId};
 use aeris_obs::{SpanCategory, Tracer};
 use aeris_tensor::{Rng, Tensor};
 use parking_lot::Mutex;
@@ -158,7 +158,8 @@ impl std::fmt::Display for CheckpointError {
 pub enum SwipeError {
     /// A communication operation failed (timeout, dead peer, own crash).
     Comm(CommError),
-    /// Stage construction failed (reference/stage parameter mismatch).
+    /// Stage construction failed (the reference model's shape does not fit
+    /// the runtime or the SP degree).
     Stage(StageError),
     /// The pipeline schedule could not be built.
     Schedule(ScheduleError),
@@ -305,13 +306,7 @@ pub fn reference_grads(
             let loss = tape.weighted_mse(out, &v_target, weights);
             total_loss += tape.value(loss).data()[0] as f64;
             let mut grads = tape.backward(loss);
-            for (slot, g) in acc.iter_mut().zip(binding.collect_grads(&mut grads)) {
-                match (slot.as_mut(), g) {
-                    (Some(a), Some(g)) => a.add_assign(&g),
-                    (None, Some(g)) => *slot = Some(g),
-                    _ => {}
-                }
-            }
+            binding.accumulate_grads(&mut grads, &mut acc);
             count += 1;
         }
     }
@@ -534,8 +529,6 @@ fn run_rank(
         s if s == topo.pp - 1 => StageKind::Head,
         s => StageKind::Block(s - 1),
     };
-    let stage_model = StageModel::from_reference(reference, kind)?;
-
     // Layouts: stage 0 uses block 0's layout; block b its own; head uses the
     // last block's.
     let block_layout = |b: usize| {
@@ -562,7 +555,7 @@ fn run_rank(
         StageKind::Head => Some(block_layout(n_blocks - 1)),
     };
 
-    let rope = RopeTable::new(mcfg.window.0, mcfg.window.1, mcfg.head_dim(), 0, 0);
+    let stage_model = StageModel::from_reference(reference, kind, &my_layout)?;
     let sp_group = topo.sp_group(coords);
     let my_tokens = my_layout.tokens_of(coords.wp_row, coords.wp_col, coords.sp);
     let my_pos: Tensor = {
@@ -785,9 +778,7 @@ fn run_rank(
                             };
                             let run = {
                                 let _fwd = comm.trace_span(SpanCategory::Forward);
-                                stage_model.forward_block(
-                                    x_in, t, &my_layout, &rope, &mut comm, &sp_group,
-                                )?
+                                stage_model.forward_block(x_in, t, &mut comm, &sp_group)?
                             };
                             send_relayout(
                                 &mut comm, &topo, coords, &my_layout,

@@ -11,7 +11,7 @@ use aeris_diffusion::loss_weights;
 use aeris_earthsim::Grid;
 use aeris_swipe::{
     CheckpointConfig, CommConfig, CommError, DistributedTrainer, FaultEvent, FaultPlan,
-    SwipeConfig, SwipeError, SwipeTopology, World,
+    StageError, SwipeConfig, SwipeError, SwipeTopology, World,
 };
 use aeris_tensor::{Rng, Tensor};
 use std::time::{Duration, Instant};
@@ -231,6 +231,29 @@ fn mid_step_crash_fails_fast_with_typed_error() {
         .events
         .iter()
         .any(|r| matches!(r.event, FaultEvent::RankCrashedMidStep { rank: 1, .. })));
+}
+
+/// A head count the SP degree does not divide is a typed configuration error
+/// from stage construction on every rank — not a panic inside a rank thread
+/// that aborts the run and leaves its peers sleeping to the comm deadline.
+#[test]
+fn sp_not_dividing_heads_is_a_typed_stage_error() {
+    let cfg = tiny_cfg(); // 2 heads, 16-token windows
+    let samples = random_samples(4, cfg.tokens(), cfg.channels);
+    let source = aeris_swipe::data::InMemorySource { samples };
+    let weights = weights_for(&cfg);
+    let topo = SwipeTopology::new(1, 4, 1, 1, 4);
+    let sched = schedule(1, 1, 1, 4);
+    let reference = AerisModel::new(cfg);
+
+    let failure = expect_failure(
+        DistributedTrainer::train(&reference, &SwipeConfig::new(topo), &source, &sched, &weights),
+        "sp=4 over 2 heads must be rejected",
+    );
+    assert_eq!(
+        failure.error,
+        SwipeError::Stage(StageError::HeadsNotDivisible { n_heads: 2, sp: 4 })
+    );
 }
 
 /// The acceptance scenario: run A trains uninterrupted with checkpoints; run
