@@ -454,6 +454,27 @@ mod tests {
         assert_eq!(obs, back);
         assert_eq!(obs.digest(), back.digest());
 
+        // Corrupt streams return, never panic: whatever still decodes is a
+        // self-consistent set, a short stream is an error, and bytes after
+        // the declared entries are ignored.
+        for i in 0..buf.len() {
+            assert!(ObservationSet::read_from(&mut &buf[..i]).is_err(), "cut at {i}");
+            let mut flipped = buf.clone();
+            flipped[i] ^= 1 << (i % 8);
+            if let Ok(set) = ObservationSet::read_from(&mut &flipped[..]) {
+                let n = set.n_obs();
+                assert_eq!((set.values.len(), set.mask.len()), (n, n), "flip at {i}");
+                assert_eq!(set.noise_std.len(), set.channels, "flip at {i}");
+                assert!(
+                    set.sites.iter().all(|s| s.token < set.tokens && s.channel < set.channels),
+                    "flip at {i}"
+                );
+            }
+        }
+        let mut longer = buf.clone();
+        longer.extend_from_slice(b"trailing garbage");
+        assert_eq!(ObservationSet::read_from(&mut &longer[..]).unwrap(), obs);
+
         // File round trip too.
         let path = std::env::temp_dir().join(format!("aeris_obs_{}.ckpt", std::process::id()));
         obs.save(&path).unwrap();

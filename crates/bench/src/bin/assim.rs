@@ -1,22 +1,16 @@
-//! Data-assimilation benchmark: what does observation guidance cost, and
-//! what does it buy?
+//! Data-assimilation experiment: what does observation guidance buy?
 //!
-//! Two measurements, emitted to `BENCH_assim.json`:
-//!
-//! 1. **Guided-step overhead** — ms per `forecast_step` with guidance off
-//!    (plain sampler path) vs on (sparse nudge + exponential-integrator
-//!    step), at several observation densities. The nudge touches only
-//!    observed sites, so overhead should stay small and grow mildly with
-//!    density.
-//! 2. **RMSE vs density** — the `aeris_evaluation::analysis_quality` sweep:
-//!    guided vs unguided ensemble-mean analysis RMSE as the station network
-//!    densifies, at a fixed noise level.
+//! The `aeris_evaluation::analysis_quality` sweep: guided vs unguided
+//! ensemble-mean analysis RMSE as the station network densifies, at a fixed
+//! noise level. What guidance *costs* is a `benchmark/` metric
+//! (`assim.guided_step_ms`, `assim.guidance_overhead_share`), not measured
+//! here.
 //!
 //! ```bash
 //! cargo run --release -p aeris-bench --bin assim
 //! ```
 
-use aeris_assim::{nowcast_member, GuidanceSchedule, ObsOperator};
+use aeris_assim::GuidanceSchedule;
 use aeris_bench::{header, toy_model_config, toy_vars};
 use aeris_core::{AerisModel, Forecaster};
 use aeris_diffusion::{SamplerConfig, TrigFlow, TrigFlowSampler};
@@ -24,7 +18,6 @@ use aeris_earthsim::{Grid, NormStats};
 use aeris_evaluation::{analysis_quality, AssimEvalConfig};
 use aeris_tensor::{Rng, Tensor};
 use std::sync::Arc;
-use std::time::Instant;
 
 fn forecaster() -> Forecaster {
     let cfg = toy_model_config(&toy_vars());
@@ -41,23 +34,8 @@ fn forecaster() -> Forecaster {
     }
 }
 
-/// Median seconds per call of `f` over `reps` timed calls (one warmup).
-fn time_median(reps: usize, mut f: impl FnMut()) -> f64 {
-    f();
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    times[times.len() / 2]
-}
-
 fn main() {
     let full = std::env::var("AERIS_FULL").map(|v| v == "1").unwrap_or(false);
-    let reps = if full { 15 } else { 7 };
     let fc = forecaster();
     let cfg = &fc.model.cfg;
     let (tokens, channels) = (cfg.tokens(), cfg.channels);
@@ -67,37 +45,6 @@ fn main() {
     let truth = background.add(&Tensor::randn(&[tokens, channels], &mut rng).scale(0.5));
     let forc = Tensor::zeros(&[tokens, 3]);
 
-    // 1. guided-step overhead vs observation density.
-    header("Guided-step overhead vs observation density");
-    println!("{:<16}{:>12}{:>12}{:>12}", "stations", "plain ms", "guided ms", "overhead");
-    let noise = 0.5f32;
-    let base_op = ObsOperator::stations(&grid, 8, &[0, 1], &vec![noise; channels], 5);
-    let base_obs = Arc::new(base_op.observe(&truth, 0.0, 6));
-    let plain_ms = time_median(reps, || {
-        let a = nowcast_member(
-            &fc, &background, &forc, &base_obs, GuidanceSchedule::off(), 9, 0,
-        );
-        std::hint::black_box(&a);
-    }) * 1e3;
-    let mut overhead_rows = Vec::new();
-    for n_stations in [8usize, 32, tokens / 2, tokens] {
-        let op = ObsOperator::stations(&grid, n_stations, &[0, 1], &vec![noise; channels], 5);
-        let obs = Arc::new(op.observe(&truth, 0.0, 6));
-        let guided_ms = time_median(reps, || {
-            let a = nowcast_member(
-                &fc, &background, &forc, &obs, GuidanceSchedule::Constant(0.05), 9, 0,
-            );
-            std::hint::black_box(&a);
-        }) * 1e3;
-        let pct = (guided_ms - plain_ms) / plain_ms * 100.0;
-        println!("{n_stations:<16}{plain_ms:>12.3}{guided_ms:>12.3}{pct:>+11.2}%");
-        overhead_rows.push(format!(
-            "{{\"stations\": {n_stations}, \"plain_ms\": {plain_ms:.4}, \
-             \"guided_ms\": {guided_ms:.4}, \"overhead_pct\": {pct:.3}}}"
-        ));
-    }
-
-    // 2. analysis RMSE vs density (fixed noise).
     header("Analysis RMSE vs observation density");
     let sweep = AssimEvalConfig {
         densities: vec![8, 32, tokens / 2, tokens],
@@ -112,7 +59,6 @@ fn main() {
         "{:<16}{:>14}{:>14}{:>12}",
         "stations", "guided RMSE", "unguided RMSE", "ratio"
     );
-    let mut rmse_rows = Vec::new();
     for p in &pts {
         println!(
             "{:<16}{:>14.4}{:>14.4}{:>12.3}",
@@ -121,23 +67,5 @@ fn main() {
             p.unguided_rmse,
             p.skill_ratio()
         );
-        rmse_rows.push(format!(
-            "{{\"stations\": {}, \"noise_std\": {:.3}, \"guided_rmse\": {:.5}, \
-             \"unguided_rmse\": {:.5}, \"guided_spread\": {:.5}, \"unguided_spread\": {:.5}}}",
-            p.n_stations,
-            p.noise_std,
-            p.guided_rmse,
-            p.unguided_rmse,
-            p.guided_spread,
-            p.unguided_spread
-        ));
     }
-
-    let out = format!(
-        "{{\n  \"guided_step_overhead\": [\n    {}\n  ],\n  \"rmse_vs_density\": [\n    {}\n  ]\n}}\n",
-        overhead_rows.join(",\n    "),
-        rmse_rows.join(",\n    "),
-    );
-    std::fs::write("BENCH_assim.json", &out).expect("write BENCH_assim.json");
-    println!("wrote BENCH_assim.json");
 }

@@ -4,6 +4,10 @@
 //! Every binary honors `AERIS_FULL=1` for a longer, higher-fidelity run;
 //! the default "quick" settings finish in minutes on a laptop while
 //! preserving the qualitative shapes (who wins, where crossovers fall).
+//!
+//! These binaries report science (skill, scaling shapes, modeled
+//! throughput), not wall-clock timings: every measured latency or
+//! throughput lives in `benchmark/` under the names `BENCHMARK.json` lists.
 
 // Numerical kernels here frequently walk several arrays with one shared
 // index; explicit indexed loops are clearer than zipped iterator chains in
@@ -109,15 +113,6 @@ pub fn train_aeris(ds: &Dataset, scale: &RunScale, seed: u64) -> Forecaster {
             SamplerConfig { n_steps: scale.sampler_steps, churn: 0.1, second_order: true },
         ),
     }
-}
-
-/// Format a row of floats for the report tables.
-pub fn fmt_row(label: &str, values: &[f64], width: usize, prec: usize) -> String {
-    let mut s = format!("{label:<16}");
-    for v in values {
-        s.push_str(&format!("{v:>width$.prec$}"));
-    }
-    s
 }
 
 /// Print a section header.

@@ -53,39 +53,59 @@ pub fn write_params(store: &ParamStore, writer: &mut dyn Write) -> std::io::Resu
     write_entries(&entries, writer)
 }
 
-/// Read a checkpoint into `(name, tensor)` pairs.
-pub fn read_params(reader: &mut dyn Read) -> std::io::Result<Vec<(String, Tensor)>> {
-    let mut buf4 = [0u8; 4];
-    reader.read_exact(&mut buf4)?;
-    if u32::from_le_bytes(buf4) != MAGIC {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "not an AERIS checkpoint",
-        ));
+fn invalid(msg: &'static str) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
+}
+
+fn read_u32(reader: &mut dyn Read) -> std::io::Result<u32> {
+    let mut b = [0u8; 4];
+    reader.read_exact(&mut b)?;
+    Ok(u32::from_le_bytes(b))
+}
+
+/// Read exactly `len` bytes. The buffer grows only as bytes arrive, so a
+/// corrupt length field can never reserve more than the input backs.
+fn read_bytes(reader: &mut dyn Read, len: usize) -> std::io::Result<Vec<u8>> {
+    let mut buf = Vec::new();
+    reader.take(len as u64).read_to_end(&mut buf)?;
+    if buf.len() != len {
+        return Err(std::io::ErrorKind::UnexpectedEof.into());
     }
-    reader.read_exact(&mut buf4)?;
-    let n = u32::from_le_bytes(buf4) as usize;
-    let mut out = Vec::with_capacity(n);
+    Ok(buf)
+}
+
+/// Read `count` little-endian 4-byte words, decoded by `decode`.
+fn read_words<T>(
+    reader: &mut dyn Read,
+    count: usize,
+    decode: fn([u8; 4]) -> T,
+) -> std::io::Result<Vec<T>> {
+    let n_bytes = count.checked_mul(4).ok_or_else(|| invalid("length field overflows"))?;
+    let bytes = read_bytes(reader, n_bytes)?;
+    Ok(bytes.chunks_exact(4).map(|w| decode([w[0], w[1], w[2], w[3]])).collect())
+}
+
+/// Read a checkpoint into `(name, tensor)` pairs. Every count and length in
+/// the stream is untrusted: a corrupt or truncated input is an
+/// `InvalidData` / `UnexpectedEof` error, never a panic or an allocation
+/// sized by the corrupt field.
+pub fn read_params(reader: &mut dyn Read) -> std::io::Result<Vec<(String, Tensor)>> {
+    if read_u32(reader)? != MAGIC {
+        return Err(invalid("not an AERIS checkpoint"));
+    }
+    let n = read_u32(reader)?;
+    let mut out = Vec::new();
     for _ in 0..n {
-        reader.read_exact(&mut buf4)?;
-        let name_len = u32::from_le_bytes(buf4) as usize;
-        let mut name_bytes = vec![0u8; name_len];
-        reader.read_exact(&mut name_bytes)?;
-        let name = String::from_utf8(name_bytes)
+        let name_len = read_u32(reader)? as usize;
+        let name = String::from_utf8(read_bytes(reader, name_len)?)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        reader.read_exact(&mut buf4)?;
-        let ndim = u32::from_le_bytes(buf4) as usize;
-        let mut shape = Vec::with_capacity(ndim);
-        for _ in 0..ndim {
-            reader.read_exact(&mut buf4)?;
-            shape.push(u32::from_le_bytes(buf4) as usize);
-        }
-        let len: usize = shape.iter().product();
-        let mut data = Vec::with_capacity(len);
-        for _ in 0..len {
-            reader.read_exact(&mut buf4)?;
-            data.push(f32::from_le_bytes(buf4));
-        }
+        let ndim = read_u32(reader)? as usize;
+        let shape = read_words(reader, ndim, |w| u32::from_le_bytes(w) as usize)?;
+        let len = shape
+            .iter()
+            .try_fold(1usize, |acc, &d| acc.checked_mul(d))
+            .ok_or_else(|| invalid("tensor element count overflows"))?;
+        let data = read_words(reader, len, f32::from_le_bytes)?;
         out.push((name, Tensor::from_vec(&shape, data)));
     }
     Ok(out)
@@ -162,10 +182,7 @@ pub fn u64_entry(name: &str, value: u64) -> (String, Tensor) {
 /// Decode a tensor written by [`u64_entry`].
 pub fn entry_u64(t: &Tensor) -> std::io::Result<u64> {
     if t.len() != 2 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "u64 metadata entry must have 2 elements",
-        ));
+        return Err(invalid("u64 metadata entry must have 2 elements"));
     }
     let lo = t.data()[0].to_bits() as u64;
     let hi = t.data()[1].to_bits() as u64;
@@ -228,6 +245,72 @@ mod tests {
     fn bad_magic_rejected() {
         let buf = [0u8; 16];
         assert!(read_params(&mut &buf[..]).is_err());
+    }
+
+    /// Parse untrusted bytes: an error is one of the two documented kinds,
+    /// and whatever parses re-serialises to exactly the bytes it consumed.
+    fn parse_untrusted(input: &[u8]) -> Option<Vec<(String, Tensor)>> {
+        match read_params(&mut &input[..]) {
+            Ok(entries) => {
+                let mut again = Vec::new();
+                write_entries(&entries, &mut again).unwrap();
+                assert!(input.starts_with(&again), "parsed entries are not what the input holds");
+                Some(entries)
+            }
+            Err(e) => {
+                use std::io::ErrorKind::{InvalidData, UnexpectedEof};
+                assert!(matches!(e.kind(), InvalidData | UnexpectedEof), "untyped error {e:?}");
+                None
+            }
+        }
+    }
+
+    #[test]
+    fn short_files_and_huge_counts_are_errors_not_allocations() {
+        // Every count is up front, so a short valid file never parses.
+        let mut valid = Vec::new();
+        write_params(&store(), &mut valid).unwrap();
+        for cut in 0..valid.len() {
+            let err = read_params(&mut &valid[..cut]).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "cut at {cut}");
+        }
+        let words = |ws: &[u32]| ws.iter().flat_map(|w| w.to_le_bytes()).collect::<Vec<u8>>();
+        // Entry count u32::MAX backed by nothing.
+        assert!(parse_untrusted(&words(&[MAGIC, u32::MAX])).is_none());
+        // One entry named "w" (0x77) whose three dims are each u32::MAX.
+        let mut buf = words(&[MAGIC, 1, 1]);
+        buf.push(b'w');
+        buf.extend(words(&[3, u32::MAX, u32::MAX, u32::MAX]));
+        let err = read_params(&mut &buf[..]).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    }
+
+    proptest::proptest! {
+        /// Corrupt input returns — no panic, no abort — through every
+        /// mutation: one flipped byte, then truncation at every offset of
+        /// the flipped buffer, then trailing garbage.
+        #[test]
+        fn corrupt_input_is_an_error_or_a_faithful_parse(
+            flip_at in 0usize..10_000,
+            flip_mask in 1u8..255,
+            garbage in proptest::collection::vec(0u8..255, 9),
+        ) {
+            let mut valid = Vec::new();
+            write_params(&store(), &mut valid).unwrap();
+            let intact = read_params(&mut &valid[..]).unwrap();
+
+            let mut flipped = valid.clone();
+            flipped[flip_at % valid.len()] ^= flip_mask;
+            parse_untrusted(&flipped);
+            for cut in 0..flipped.len() {
+                parse_untrusted(&flipped[..cut]);
+            }
+
+            // The reader stops after the declared entries.
+            let mut longer = valid.clone();
+            longer.extend(&garbage);
+            proptest::prop_assert_eq!(parse_untrusted(&longer), Some(intact));
+        }
     }
 
     #[test]

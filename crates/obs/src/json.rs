@@ -1,11 +1,11 @@
 //! A dependency-free JSON parser for the repo's own machine-readable
-//! artifacts (Chrome traces, `BENCH_*.json`).
+//! artifacts (Chrome-trace exports).
 //!
 //! The build environment is offline, so there is no serde; this is full JSON
 //! *syntax* with a deliberately small value model (all numbers are `f64`,
-//! objects preserve key order as a `Vec`). It exists to let exporters and
-//! benches be *validated by tests* — `chrome::validate_chrome_trace` and the
-//! tier-1 bench-schema test both parse real artifacts through it.
+//! objects preserve key order as a `Vec`). It exists to let exporters be
+//! *validated by tests* — `chrome::validate_chrome_trace` parses real
+//! exports through it.
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -155,42 +155,40 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut s = String::new();
         loop {
-            let b = *self
-                .bytes
-                .get(self.pos)
-                .ok_or_else(|| "unterminated string".to_string())?;
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(s),
-                b'\\' => {
-                    let esc = *self
+            // Raw run up to the next quote or escape, decoded as UTF-8.
+            let start = self.pos;
+            while !matches!(self.bytes.get(self.pos), None | Some(b'"' | b'\\')) {
+                self.pos += 1;
+            }
+            let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                .map_err(|e| format!("invalid UTF-8 in string at offset {start}: {e}"))?;
+            s.push_str(run);
+            if self.bytes.get(self.pos).ok_or("unterminated string")? == &b'"' {
+                self.pos += 1;
+                return Ok(s);
+            }
+            let esc = *self.bytes.get(self.pos + 1).ok_or("unterminated escape")?;
+            self.pos += 2;
+            match esc {
+                b'"' => s.push('"'),
+                b'\\' => s.push('\\'),
+                b'/' => s.push('/'),
+                b'n' => s.push('\n'),
+                b't' => s.push('\t'),
+                b'r' => s.push('\r'),
+                b'b' => s.push('\u{8}'),
+                b'f' => s.push('\u{c}'),
+                b'u' => {
+                    let hex = self
                         .bytes
-                        .get(self.pos)
-                        .ok_or_else(|| "unterminated escape".to_string())?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => s.push('"'),
-                        b'\\' => s.push('\\'),
-                        b'/' => s.push('/'),
-                        b'n' => s.push('\n'),
-                        b't' => s.push('\t'),
-                        b'r' => s.push('\r'),
-                        b'b' => s.push('\u{8}'),
-                        b'f' => s.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| "bad \\u escape".to_string())?;
-                            self.pos += 4;
-                            s.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        }
-                        other => return Err(format!("bad escape '\\{}'", other as char)),
-                    }
+                        .get(self.pos..self.pos + 4)
+                        .and_then(|h| std::str::from_utf8(h).ok())
+                        .and_then(|h| u32::from_str_radix(h, 16).ok())
+                        .ok_or("bad \\u escape")?;
+                    self.pos += 4;
+                    s.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
                 }
-                _ => s.push(b as char),
+                other => return Err(format!("bad escape '\\{}'", other as char)),
             }
         }
     }
@@ -245,13 +243,16 @@ mod tests {
 
     #[test]
     fn parses_values_and_paths() {
-        let doc = r#"{"a": {"b": [1, 2.5, -3e1]}, "s": "x\ny", "t": true, "n": null}"#;
+        let doc = r#"{"a": {"b": [1, 2.5, -3e1]}, "s": "x\ny", "t": true, "n": null,
+            "é": "x é→\u00e9"}"#;
         let v = parse(doc).unwrap();
         assert_eq!(v.at(&["a", "b"]).unwrap().as_array().unwrap().len(), 3);
         assert_eq!(v.at(&["a", "b"]).unwrap().as_array().unwrap()[2].as_f64(), Some(-30.0));
         assert_eq!(v.get("s").unwrap().as_str(), Some("x\ny"));
         assert_eq!(v.get("t").unwrap().as_bool(), Some(true));
         assert_eq!(v.get("n"), Some(&JsonValue::Null));
+        assert_eq!(v.get("é").unwrap().as_str(), Some("x é→é"), "strings decode as UTF-8");
+        assert_eq!(parse("\"é\""), Ok(JsonValue::String("é".into())));
         assert!(v.get("missing").is_none());
         assert!(v.at(&["a", "missing", "b"]).is_none());
     }

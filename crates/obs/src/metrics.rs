@@ -14,54 +14,16 @@
 //!   exact; interior percentiles are deterministic estimates within
 //!   [`MAX_QUANTILE_REL_ERROR`](crate::histogram::MAX_QUANTILE_REL_ERROR)
 //!   (3.125%) of the exact nearest-rank answer;
-//! - memory no longer grows with sample count.
-//!
-//! Tests that need the *raw* samples opt into a bounded reservoir with
-//! [`MetricSeries::with_reservoir`]: the last `capacity` samples are kept in
-//! record order and returned by [`MetricSeries::snapshot`]. The default
-//! series keeps no raw samples and `snapshot()` returns an empty vector.
+//! - memory no longer grows with sample count: no raw samples are kept.
 
 use crate::histogram::Histogram;
-use parking_lot::Mutex;
 use std::sync::Arc;
-
-/// Bounded ring of raw samples in record order (the exact-sample escape
-/// hatch; opt-in via [`MetricSeries::with_reservoir`]).
-struct Reservoir {
-    cap: usize,
-    values: Vec<f64>,
-    /// Index of the oldest retained sample once the ring has wrapped.
-    start: usize,
-}
-
-impl Reservoir {
-    fn push(&mut self, value: f64) {
-        if self.values.len() < self.cap {
-            self.values.push(value);
-        } else {
-            self.values[self.start] = value;
-            self.start = (self.start + 1) % self.cap;
-        }
-    }
-
-    fn snapshot(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.values.len());
-        out.extend_from_slice(&self.values[self.start..]);
-        out.extend_from_slice(&self.values[..self.start]);
-        out
-    }
-}
-
-struct SeriesInner {
-    hist: Histogram,
-    reservoir: Option<Mutex<Reservoir>>,
-}
 
 /// A thread-shared series of scalar metric samples. Cloning shares the
 /// underlying series.
 #[derive(Clone)]
 pub struct MetricSeries {
-    inner: Arc<SeriesInner>,
+    hist: Arc<Histogram>,
 }
 
 impl Default for MetricSeries {
@@ -93,69 +55,46 @@ impl std::fmt::Display for MetricSummary {
 }
 
 impl MetricSeries {
-    /// Histogram-only series: bounded memory, lock-free record, no raw
-    /// samples retained.
+    /// An empty series: bounded memory, lock-free record, no raw samples
+    /// retained.
     pub fn new() -> Self {
-        MetricSeries { inner: Arc::new(SeriesInner { hist: Histogram::new(), reservoir: None }) }
+        MetricSeries { hist: Arc::new(Histogram::new()) }
     }
 
-    /// A series that additionally retains the last `capacity` raw samples in
-    /// record order (returned by [`MetricSeries::snapshot`]) — the bounded
-    /// escape hatch for exact-sample tests. Distribution queries still run
-    /// off the histogram.
-    pub fn with_reservoir(capacity: usize) -> Self {
-        MetricSeries {
-            inner: Arc::new(SeriesInner {
-                hist: Histogram::new(),
-                reservoir: Some(Mutex::new(Reservoir {
-                    cap: capacity.max(1),
-                    values: Vec::new(),
-                    start: 0,
-                })),
-            }),
-        }
-    }
-
-    /// Append one sample. Lock-free on the default series; non-finite
-    /// samples are ignored.
+    /// Append one sample. Lock-free; non-finite samples are ignored.
     pub fn record(&self, value: f64) {
-        self.inner.hist.record(value);
-        if let Some(r) = &self.inner.reservoir {
-            if value.is_finite() {
-                r.lock().push(value);
-            }
-        }
+        self.hist.record(value);
     }
 
     /// The shared histogram backing this series (bucket iteration for the
     /// Prometheus exporter, cross-series merging).
     pub fn histogram(&self) -> &Histogram {
-        &self.inner.hist
+        &self.hist
     }
 
     /// Exact number of samples recorded.
     pub fn count(&self) -> usize {
-        self.inner.hist.count() as usize
+        self.hist.count() as usize
     }
 
     /// Exact sum of all samples.
     pub fn sum(&self) -> f64 {
-        self.inner.hist.sum()
+        self.hist.sum()
     }
 
     /// Exact arithmetic mean, or `None` with no samples.
     pub fn mean(&self) -> Option<f64> {
-        self.inner.hist.mean()
+        self.hist.mean()
     }
 
     /// Exact smallest sample, or `None` with no samples.
     pub fn min(&self) -> Option<f64> {
-        self.inner.hist.min()
+        self.hist.min()
     }
 
     /// Exact largest sample, or `None` with no samples.
     pub fn max(&self) -> Option<f64> {
-        self.inner.hist.max()
+        self.hist.max()
     }
 
     /// The `p`-th percentile (0 ≤ p ≤ 100), or `None` with no samples.
@@ -163,13 +102,13 @@ impl MetricSeries {
     /// histogram estimates within the documented relative-error bound of
     /// the nearest-rank answer.
     pub fn percentile(&self, p: f64) -> Option<f64> {
-        self.inner.hist.percentile(p)
+        self.hist.percentile(p)
     }
 
     /// count/mean/p50/p95/p99/max in one histogram merge pass, or `None`
     /// with no samples.
     pub fn summary(&self) -> Option<MetricSummary> {
-        let qs = self.inner.hist.percentiles(&[50.0, 95.0, 99.0])?;
+        let qs = self.hist.percentiles(&[50.0, 95.0, 99.0])?;
         Some(MetricSummary {
             count: self.count(),
             mean: self.mean().unwrap_or(0.0),
@@ -178,16 +117,6 @@ impl MetricSeries {
             p99: qs[2],
             max: self.max().unwrap_or(0.0),
         })
-    }
-
-    /// The retained raw samples in record order: the last
-    /// `capacity` samples for a [`MetricSeries::with_reservoir`] series,
-    /// empty for the default histogram-only series.
-    pub fn snapshot(&self) -> Vec<f64> {
-        match &self.inner.reservoir {
-            Some(r) => r.lock().snapshot(),
-            None => Vec::new(),
-        }
     }
 }
 
@@ -221,30 +150,11 @@ mod tests {
     }
 
     #[test]
-    fn reservoir_keeps_record_order_and_is_bounded() {
-        let m = MetricSeries::with_reservoir(3);
-        m.record(10.0);
-        assert_eq!(m.percentile(50.0).unwrap(), 10.0, "single sample is exact");
-        m.record(1.0);
-        m.record(2.0);
-        assert_eq!(m.percentile(0.0).unwrap(), 1.0);
-        assert_eq!(m.percentile(100.0).unwrap(), 10.0);
-        // Record order is preserved in the reservoir.
-        assert_eq!(m.snapshot(), vec![10.0, 1.0, 2.0]);
-        // The ring keeps only the last `capacity` samples...
-        m.record(7.0);
-        assert_eq!(m.snapshot(), vec![1.0, 2.0, 7.0]);
-        // ...while the histogram still counts everything.
-        assert_eq!(m.count(), 4);
-    }
-
-    #[test]
     fn default_series_retains_no_raw_samples() {
         let m = MetricSeries::new();
         for v in 0..1000 {
             m.record(v as f64);
         }
-        assert!(m.snapshot().is_empty());
         assert_eq!(m.count(), 1000);
     }
 

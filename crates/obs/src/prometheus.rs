@@ -93,7 +93,10 @@ pub fn parse_text(text: &str) -> Result<Vec<PromSample>, String> {
         let err = |what: &str| format!("{what}: {line:?}");
         let (name_part, rest) = match line.find('{') {
             Some(brace) => {
-                let close = line.rfind('}').ok_or_else(|| err("unterminated label set"))?;
+                let close = line
+                    .rfind('}')
+                    .filter(|&close| close > brace)
+                    .ok_or_else(|| err("unterminated label set"))?;
                 (&line[..brace], Some((&line[brace + 1..close], &line[close + 1..])))
             }
             None => (line.split_whitespace().next().unwrap_or(""), None),
@@ -350,6 +353,8 @@ mod tests {
     fn parser_rejects_malformed_lines() {
         assert!(parse_text("aeris_x{unterminated 1").is_err());
         assert!(parse_text("aeris_x{k=\"v} 1").is_err());
+        // A '}' before the '{' closes nothing.
+        assert!(parse_text("aeris}x{k=\"v").is_err());
         assert!(parse_text("aeris_x notanumber").is_err());
         // +Inf/-Inf are accepted as values.
         assert_eq!(parse_text("x +Inf").unwrap()[0].value, f64::INFINITY);

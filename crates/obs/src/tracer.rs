@@ -4,8 +4,8 @@
 //! Design constraints, in priority order:
 //!
 //! 1. **Disabled is free.** Every span site costs exactly one relaxed atomic
-//!    load when tracing is off (`BENCH_obs.json` and the tier-1 overhead test
-//!    keep this honest at < 2% of a training step).
+//!    load when tracing is off (`obs.span_disabled_ns` in `benchmark/` and
+//!    the tier-1 overhead test keep this honest at < 2% of a training step).
 //! 2. **Deterministic assertions.** Wall-clock timestamps are monotonic but
 //!    not reproducible, so every span also carries *logical* coordinates: a
 //!    global begin/end sequence number plus optional step/microbatch tags.
@@ -543,5 +543,38 @@ mod tests {
             let _g = t.span(SpanCategory::Forward, 0);
         }
         assert_eq!(t.span_count(), 1);
+    }
+
+    proptest::proptest! {
+        /// The parsers of both exports are total: a flipped byte and a cut
+        /// at any offset yield `Ok` or a typed `Err`, never a panic.
+        #[test]
+        fn corrupt_exports_parse_or_fail_without_panicking(
+            flip_at in 0usize..100_000,
+            flip_mask in 1u8..255,
+            cut_at in 0usize..100_000,
+        ) {
+            let t = Tracer::enabled();
+            {
+                let _f = t.span(SpanCategory::Forward, 0).step(3).micro(1);
+                let _a = t.span(SpanCategory::AllToAll, 1).label("ulysses");
+            }
+            t.incr("cache hits", 5);
+            t.set_gauge("queue depth", 2.5);
+            t.series("latency_ms").record(4.0);
+            let (chrome, prom) = (t.chrome_trace(), t.prometheus_text());
+            crate::chrome::validate_chrome_trace(&chrome).expect("intact export is valid");
+            crate::prometheus::parse_text(&prom).expect("intact exposition parses");
+
+            let corrupt = |doc: String| {
+                let mut bytes = doc.into_bytes();
+                let at = flip_at % bytes.len();
+                bytes[at] ^= flip_mask;
+                bytes.truncate(bytes.len() - cut_at % bytes.len());
+                String::from_utf8_lossy(&bytes).into_owned()
+            };
+            let _ = crate::json::parse(&corrupt(chrome));
+            let _ = crate::prometheus::parse_text(&corrupt(prom));
+        }
     }
 }

@@ -928,11 +928,6 @@ impl ServeEngine {
         &self.shared.tracer
     }
 
-    /// Whether this engine has a distilled fast tier.
-    pub fn has_fast_tier(&self) -> bool {
-        self.shared.student.is_some()
-    }
-
     /// The per-tier service-time estimator (measured seconds per
     /// member-step; `None` per tier until warm).
     pub fn estimator(&self) -> &ServiceEstimator {
@@ -1373,34 +1368,9 @@ impl ServeEngine {
         &self.shared.events
     }
 
-    /// The operational metric series (shared handles).
-    pub fn metrics(&self) -> &ServeMetrics {
-        &self.shared.metrics
-    }
-
     /// Rollout-cache accounting.
     pub fn cache_stats(&self) -> CacheStats {
         self.shared.cache.stats()
-    }
-
-    /// Pending member-step tasks across both tiers' dispatch queues.
-    pub fn queue_depth(&self) -> usize {
-        self.shared.total_queue_depth()
-    }
-
-    /// Requests served to completion so far.
-    pub fn completed(&self) -> u64 {
-        self.shared.completed.load(Ordering::Relaxed)
-    }
-
-    /// Nowcast requests served to completion so far.
-    pub fn nowcasts(&self) -> u64 {
-        self.shared.nowcasts.load(Ordering::Relaxed)
-    }
-
-    /// Requests shed for deadline reasons so far.
-    pub fn shed(&self) -> u64 {
-        self.shared.shed.load(Ordering::Relaxed)
     }
 
     /// Requests admitted but not yet terminal.
