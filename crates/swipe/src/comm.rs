@@ -348,15 +348,6 @@ impl World {
         TrafficReport { per_rank }
     }
 
-    /// Reset traffic counters.
-    pub fn reset_traffic(&self) {
-        for counters in &self.inner.sent {
-            for c in counters {
-                c.store(0, Ordering::Relaxed);
-            }
-        }
-    }
-
     fn account(&self, rank: usize, class: CommClass, bytes: u64) {
         let i = CLASSES.iter().position(|&c| c == class).unwrap();
         self.inner.sent[rank][i].fetch_add(bytes, Ordering::Relaxed);
@@ -621,6 +612,46 @@ impl Communicator {
         Ok(())
     }
 
+    /// Post one message to every other member of `group`, in group order:
+    /// member `j` is sent `payload(j)` under `tag(j)`, accounted to `class`.
+    fn post(
+        &self,
+        group: &[usize],
+        me: usize,
+        class: CommClass,
+        tag: impl Fn(usize) -> u64,
+        mut payload: impl FnMut(usize) -> Tensor,
+    ) {
+        for (j, &dst) in group.iter().enumerate() {
+            if j == me {
+                continue;
+            }
+            let payload = vec![payload(j)];
+            self.world.account(self.rank, class, Self::payload_bytes(&payload));
+            self.world.put(self.rank, dst, tag(j), class, payload);
+        }
+    }
+
+    /// Take one message from every other member of `group`, in group order,
+    /// handing member `j`'s tensor (awaited under `tag(j)`) to `sink`. No
+    /// retransmit timer: collectives fail fast on loss.
+    fn collect(
+        &self,
+        group: &[usize],
+        me: usize,
+        tag: impl Fn(usize) -> u64,
+        mut sink: impl FnMut(usize, Tensor),
+    ) -> Result<(), CommError> {
+        for (j, &src) in group.iter().enumerate() {
+            if j == me {
+                continue;
+            }
+            let mut p = self.world.take(src, self.rank, tag(j), false)?;
+            sink(j, p.pop().expect("a collective message carries one tensor"));
+        }
+        Ok(())
+    }
+
     /// All-to-all within `group`: `chunks[j]` goes to group member `j`;
     /// returns the chunks received from each member (self-chunk passes
     /// through untouched and un-accounted, as on a real interconnect).
@@ -634,27 +665,13 @@ impl Communicator {
         assert_eq!(chunks.len(), group.len());
         let tag_base = self.next_group_tag(group);
         let me = group.iter().position(|&r| r == self.rank).expect("rank not in group");
-        // Post sends.
-        for (j, &dst) in group.iter().enumerate() {
-            if j == me {
-                continue;
-            }
-            let payload = vec![std::mem::replace(&mut chunks[j], Tensor::zeros(&[0]))];
-            self.world.account(self.rank, CommClass::AllToAll, Self::payload_bytes(&payload));
-            self.world.put(self.rank, dst, tag_base | j as u64, CommClass::AllToAll, payload);
-        }
-        // Collect receives.
-        let mut out = Vec::with_capacity(group.len());
-        for (j, &src) in group.iter().enumerate() {
-            if j == me {
-                out.push(std::mem::replace(&mut chunks[me], Tensor::zeros(&[0])));
-            } else {
-                let mut p = self.world.take(src, self.rank, tag_base | me as u64, false)?;
-                assert_eq!(p.len(), 1);
-                out.push(p.pop().unwrap());
-            }
-        }
-        Ok(out)
+        // Each chunk leaves its slot on the way out and the slot takes what
+        // that member sent back; slot `me` is never touched.
+        self.post(group, me, CommClass::AllToAll, |j| tag_base | j as u64, |j| {
+            std::mem::replace(&mut chunks[j], Tensor::zeros(&[0]))
+        });
+        self.collect(group, me, |_| tag_base | me as u64, |j, t| chunks[j] = t)?;
+        Ok(chunks)
     }
 
     /// Allgather within `group`: returns every member's tensor, in group
@@ -669,23 +686,10 @@ impl Communicator {
         self.op_hook()?;
         let tag_base = self.next_group_tag(group);
         let me = group.iter().position(|&r| r == self.rank).expect("rank not in group");
-        for (j, &dst) in group.iter().enumerate() {
-            if j == me {
-                continue;
-            }
-            let payload = vec![value.clone()];
-            self.world.account(self.rank, class, Self::payload_bytes(&payload));
-            self.world.put(self.rank, dst, tag_base | me as u64, class, payload);
-        }
-        let mut out = Vec::with_capacity(group.len());
-        for (j, &src) in group.iter().enumerate() {
-            if j == me {
-                out.push(value.clone());
-            } else {
-                let mut p = self.world.take(src, self.rank, tag_base | j as u64, false)?;
-                out.push(p.pop().unwrap());
-            }
-        }
+        self.post(group, me, class, |_| tag_base | me as u64, |_| value.clone());
+        let mut out = vec![Tensor::zeros(&[0]); group.len()];
+        self.collect(group, me, |j| tag_base | j as u64, |j, t| out[j] = t)?;
+        out[me] = value;
         Ok(out)
     }
 
@@ -704,62 +708,27 @@ impl Communicator {
         let tag_base = self.next_group_tag(group);
         let me = group.iter().position(|&r| r == self.rank).expect("rank not in group");
         let len = value.len();
-        let chunk_bounds = |j: usize| {
-            let lo = len * j / n;
-            let hi = len * (j + 1) / n;
-            (lo, hi)
-        };
+        let chunk = |j: usize| len * j / n..len * (j + 1) / n;
         // Reduce-scatter: send my slice of chunk j to its owner j.
-        for (j, &dst) in group.iter().enumerate() {
-            if j == me {
-                continue;
-            }
-            let (lo, hi) = chunk_bounds(j);
-            let payload = vec![Tensor::from_slice(&value.data()[lo..hi])];
-            self.world.account(self.rank, CommClass::AllReduce, Self::payload_bytes(&payload));
-            self.world.put(self.rank, dst, tag_base | j as u64, CommClass::AllReduce, payload);
-        }
-        let (mlo, mhi) = chunk_bounds(me);
-        let mut mine: Vec<f32> = value.data()[mlo..mhi].to_vec();
-        // Deterministic accumulation: add contributions in group order.
-        let mut contributions: Vec<Option<Tensor>> = vec![None; n];
-        for (j, &src) in group.iter().enumerate() {
-            if j == me {
-                continue;
-            }
-            let mut p = self.world.take(src, self.rank, tag_base | me as u64, false)?;
-            contributions[j] = Some(p.pop().unwrap());
-        }
-        for (j, c) in contributions.iter().enumerate() {
-            if j == me {
-                continue;
-            }
-            let c = c.as_ref().unwrap();
+        self.post(group, me, CommClass::AllReduce, |j| tag_base | j as u64, |j| {
+            Tensor::from_slice(&value.data()[chunk(j)])
+        });
+        // Deterministic accumulation: contributions arrive in group order.
+        let mut mine: Vec<f32> = value.data()[chunk(me)].to_vec();
+        self.collect(group, me, |_| tag_base | me as u64, |_, c| {
             for (m, &v) in mine.iter_mut().zip(c.data()) {
                 *m += v;
             }
-        }
+        })?;
         // Allgather the reduced chunks.
         let reduced = Tensor::from_slice(&mine);
         let tag2 = self.next_group_tag(group);
-        for (j, &dst) in group.iter().enumerate() {
-            if j == me {
-                continue;
-            }
-            let payload = vec![reduced.clone()];
-            self.world.account(self.rank, CommClass::AllReduce, Self::payload_bytes(&payload));
-            self.world.put(self.rank, dst, tag2 | me as u64, CommClass::AllReduce, payload);
-        }
+        self.post(group, me, CommClass::AllReduce, |_| tag2 | me as u64, |_| reduced.clone());
         let mut out = vec![0.0f32; len];
-        out[mlo..mhi].copy_from_slice(&mine);
-        for (j, &src) in group.iter().enumerate() {
-            if j == me {
-                continue;
-            }
-            let p = self.world.take(src, self.rank, tag2 | j as u64, false)?;
-            let (lo, hi) = chunk_bounds(j);
-            out[lo..hi].copy_from_slice(p[0].data());
-        }
+        out[chunk(me)].copy_from_slice(&mine);
+        self.collect(group, me, |j| tag2 | j as u64, |j, c| {
+            out[chunk(j)].copy_from_slice(c.data());
+        })?;
         Ok(Tensor::from_vec(value.shape(), out))
     }
 
@@ -776,14 +745,7 @@ impl Communicator {
         let me = group.iter().position(|&r| r == self.rank).expect("rank not in group");
         if me == root_ix {
             let v = value.expect("root must provide a value");
-            for (j, &dst) in group.iter().enumerate() {
-                if j == me {
-                    continue;
-                }
-                let payload = vec![v.clone()];
-                self.world.account(self.rank, CommClass::AllGather, Self::payload_bytes(&payload));
-                self.world.put(self.rank, dst, tag_base | j as u64, CommClass::AllGather, payload);
-            }
+            self.post(group, me, CommClass::AllGather, |j| tag_base | j as u64, |_| v.clone());
             Ok(v)
         } else {
             assert!(value.is_none(), "non-root must not provide a value");
@@ -899,8 +861,6 @@ mod tests {
         assert_eq!(t.rank_total(0, CommClass::P2p), 40);
         assert_eq!(t.rank_total(1, CommClass::P2p), 0);
         assert_eq!(t.total(CommClass::AllToAll), 0);
-        world.reset_traffic();
-        assert_eq!(world.traffic().total(CommClass::P2p), 0);
     }
 
     #[test]

@@ -158,18 +158,6 @@ pub fn gather(src: &Tensor, rows: &[usize]) -> Tensor {
     out
 }
 
-/// Scatter-add rows into `dst[rows[i]] += src[i]`.
-pub fn scatter_add(dst: &mut Tensor, rows: &[usize], src: &Tensor) {
-    assert_eq!(src.shape()[0], rows.len());
-    let c = dst.shape()[1];
-    assert_eq!(src.shape()[1], c);
-    for (i, &r) in rows.iter().enumerate() {
-        for (d, &s) in dst.row_mut(r).iter_mut().zip(src.row(i)) {
-            *d += s;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,11 +215,9 @@ mod tests {
         let src = Tensor::randn(&[10, 3], &mut rng);
         let rows = vec![2, 7, 4];
         let g = gather(&src, &rows);
-        let mut acc = Tensor::zeros(&[10, 3]);
-        scatter_add(&mut acc, &rows, &g);
-        for &r in &rows {
-            assert_eq!(acc.row(r), src.row(r));
+        assert_eq!(g.shape(), &[3, 3]);
+        for (i, &r) in rows.iter().enumerate() {
+            assert_eq!(g.row(i), src.row(r));
         }
-        assert_eq!(acc.row(0), &[0.0, 0.0, 0.0]);
     }
 }

@@ -103,11 +103,9 @@ impl ActLayout {
         let chunk = self.chunk_rows();
         let sp = j / chunk;
         let row_in_chunk = j % chunk;
-        let w_ix = self
-            .windows_of(ra, rb)
-            .iter()
-            .position(|&w| w == (wr, wc))
-            .expect("owned window");
+        // Round-robin placement: the owner holds every `wp_a`-th window row
+        // and every `wp_b`-th column, row-major (the order of `windows_of`).
+        let w_ix = (wr / self.wp_a) * (self.grid.cols() / self.wp_b) + wc / self.wp_b;
         (ra, rb, sp, w_ix * chunk + row_in_chunk)
     }
 

@@ -139,16 +139,6 @@ impl SwipeTopology {
         out
     }
 
-    /// The rank in the next pipeline stage with the same (dp, wp, sp).
-    pub fn next_stage(&self, c: RankCoords) -> Option<RankCoords> {
-        (c.stage + 1 < self.pp).then(|| RankCoords { stage: c.stage + 1, ..c })
-    }
-
-    /// The rank in the previous pipeline stage.
-    pub fn prev_stage(&self, c: RankCoords) -> Option<RankCoords> {
-        (c.stage > 0).then(|| RankCoords { stage: c.stage - 1, ..c })
-    }
-
     /// The subset of `ranks` whose data-parallel replica is still live.
     /// Graceful degradation: a crashed rank takes its whole replica down, so
     /// every collective group shrinks to the ranks of surviving replicas
@@ -213,18 +203,6 @@ mod tests {
         for &r in &g {
             assert_eq!(t.coords_of(r).stage, 1);
         }
-    }
-
-    #[test]
-    fn stage_neighbors() {
-        let t = SwipeTopology::new(1, 3, 1, 1, 1);
-        let c0 = t.coords_of(0);
-        assert_eq!(c0.stage, 0);
-        assert!(t.prev_stage(c0).is_none());
-        let c1 = t.next_stage(c0).unwrap();
-        assert_eq!(c1.stage, 1);
-        let c2 = t.next_stage(c1).unwrap();
-        assert!(t.next_stage(c2).is_none());
     }
 
     #[test]

@@ -9,9 +9,10 @@
 use aeris_core::{AerisConfig, AerisModel, TrainSample};
 use aeris_diffusion::loss_weights;
 use aeris_earthsim::Grid;
+use aeris_nn::checkpoint::{load_entries, save_entries};
 use aeris_swipe::{
-    CheckpointConfig, CommConfig, CommError, DistributedTrainer, FaultEvent, FaultPlan,
-    StageError, SwipeConfig, SwipeError, SwipeTopology, World,
+    CheckpointConfig, CheckpointError, CommConfig, CommError, DistributedTrainer, FaultEvent,
+    FaultPlan, StageError, SwipeConfig, SwipeError, SwipeTopology, World,
 };
 use aeris_tensor::{Rng, Tensor};
 use std::time::{Duration, Instant};
@@ -351,7 +352,9 @@ fn checkpoint_restart_after_crash_matches_uninterrupted_run_bitwise() {
 }
 
 /// Resume validation: a checkpoint from a different topology or seed is a
-/// typed checkpoint error, not silent corruption.
+/// typed checkpoint error, not silent corruption — and so is a well-formed
+/// checkpoint with any one entry missing or mis-shaped. The one entry that is
+/// written and never read (`meta/world`) may change freely; nothing panics.
 #[test]
 fn resume_rejects_mismatched_checkpoint() {
     let cfg = tiny_cfg();
@@ -384,6 +387,57 @@ fn resume_rejects_mismatched_checkpoint() {
         "expected a checkpoint error, got {}",
         failure.error
     );
+
+    // Entry-level mutations of the same checkpoint, resumed into one more
+    // step than it holds so that a faithful resume has something to compute.
+    let ckpt = tmp.join("step_000001.ckpt");
+    let entries = load_entries(&ckpt).expect("readable checkpoint");
+    let sched = schedule(2, 1, 1, 2);
+    let resume = |path: &std::path::Path| {
+        let cfg = SwipeConfig {
+            n_steps: 2,
+            resume_from: Some(path.to_path_buf()),
+            ..SwipeConfig::new(topo)
+        };
+        DistributedTrainer::train(&reference, &cfg, &source, &sched, &weights)
+    };
+    let faithful = resume(&ckpt).expect("unmutated resume");
+    let mutated = tmp.join("mutated.ckpt");
+    for (i, (name, tensor)) in entries.iter().enumerate() {
+        for grown in [false, true] {
+            let mut m = entries.clone();
+            if grown {
+                m[i].1 = Tensor::zeros(&[tensor.len() + 1]);
+            } else {
+                m.remove(i);
+            }
+            save_entries(&m, &mutated).expect("write mutated checkpoint");
+            let what = format!("{name} {}", if grown { "grown by one" } else { "removed" });
+            let meta = name.starts_with("meta/");
+            match resume(&mutated) {
+                Ok(report) => {
+                    assert_eq!(name, "meta/world", "{what}: resumed as if nothing happened");
+                    assert_eq!(bits(&report.losses), bits(&faithful.losses), "{what}");
+                    for (param, v) in &faithful.final_params {
+                        assert_eq!(v.data(), report.final_params[param].data(), "{what}: {param}");
+                    }
+                }
+                Err(failure) => {
+                    let typed = match &failure.error {
+                        SwipeError::Checkpoint(CheckpointError::MissingEntry(key)) => {
+                            !grown && key == name
+                        }
+                        SwipeError::Checkpoint(CheckpointError::ShapeMismatch { name: key }) => {
+                            grown && !meta && key == name
+                        }
+                        SwipeError::Checkpoint(CheckpointError::Io(_)) => grown && meta,
+                        _ => false,
+                    };
+                    assert!(typed && name != "meta/world", "{what}: got {}", failure.error);
+                }
+            }
+        }
+    }
     std::fs::remove_dir_all(&tmp).ok();
 }
 
