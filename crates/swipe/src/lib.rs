@@ -33,6 +33,7 @@ pub mod data;
 pub mod events;
 pub mod fault;
 pub mod layout;
+mod rank;
 pub mod recovery;
 pub mod schedule;
 pub mod stage;
