@@ -200,12 +200,15 @@ impl Scratch {
     /// The softmax probabilities of head `h` of the loaded window: row `i` of
     /// `probs` (`[window_len, window_len]`) is `softmax_j(Q̃_i · K̃_j · scale)`.
     /// Matches the unfused op *structure* (full dot product, then ×scale;
-    /// max / exp / ×(1/z) softmax, the exp-sum in key order), and is the only
-    /// definition of the probabilities: the backward recomputes through this
-    /// same function, so its rows are bitwise the forward's at any thread
-    /// count. The unfused tape path runs through the packed SIMD GEMM (FMA
-    /// contraction on AVX2 hosts) and a lane-split softmax sum, so
-    /// fused-vs-unfused agreement is within FMA / lane-order rounding
+    /// max / exp / ×(1/z) softmax, the exp-sum in key order), phase by phase
+    /// over the head's whole `[window_len, window_len]` scratch: every row's
+    /// max subtracted, then one [`sweeps::exp`] over all of it, then the row
+    /// sums. It is the only definition of the probabilities: the backward
+    /// recomputes through this same function, so its rows are bitwise the
+    /// forward's at any thread count (`sweeps::exp` gives an element the same
+    /// bits wherever it sits). The unfused tape path runs through the packed
+    /// SIMD GEMM (FMA contraction on AVX2 hosts) and a lane-split softmax
+    /// sum, so fused-vs-unfused agreement is within FMA / lane-order rounding
     /// (≤ 1e-5 under test), not bitwise.
     fn prob_rows(&mut self, h: usize, plan: &WindowAttnPlan) {
         let (wlen, dim, head_dim) = (plan.window_len, plan.dim(), plan.head_dim);
@@ -216,10 +219,14 @@ impl Scratch {
         sweeps::scale(&mut self.probs, plan.scale());
         for prow in self.probs.chunks_exact_mut(wlen) {
             let m = sweeps::max(prow);
-            let mut z = 0.0f32;
             for p in prow.iter_mut() {
-                let e = (*p - m).exp();
-                *p = e;
+                *p -= m;
+            }
+        }
+        sweeps::exp(&mut self.probs);
+        for prow in self.probs.chunks_exact_mut(wlen) {
+            let mut z = 0.0f32;
+            for &e in prow.iter() {
                 z += e;
             }
             sweeps::scale(prow, 1.0 / z);
@@ -598,9 +605,10 @@ mod tests {
                     let m = prow.iter().copied().fold(f32::NEG_INFINITY, f32::max);
                     let mut z = 0.0f32;
                     for p in prow.iter_mut() {
-                        let e = (*p - m).exp();
-                        *p = e;
-                        z += e;
+                        let mut e = [*p - m];
+                        sweeps::exp(&mut e);
+                        *p = e[0];
+                        z += e[0];
                     }
                     let inv = 1.0 / z;
                     for p in prow.iter_mut() {
@@ -641,6 +649,32 @@ mod tests {
                 "forward bits moved at {:?}",
                 (n_windows, wlen, n_heads, head_dim)
             );
+        }
+    }
+
+    /// On the oracle's shapes every row of `Scratch::prob_rows` is a
+    /// probability vector: no entry above 1 (the row max is `exp(0) = 1`
+    /// before the division) and a sum of 1 within `window_len · ε`.
+    #[test]
+    fn prob_rows_are_normalized() {
+        for (seed, (n_windows, wlen, n_heads, head_dim)) in
+            [(32, 16, 4, 12), (2, 64, 4, 16), (3, 6, 2, 4)].into_iter().enumerate()
+        {
+            let plan = test_plan(n_windows, wlen, n_heads, head_dim);
+            let (x, w) = setup(&plan, 60 + seed as u64);
+            let qkv = matmul(&x, &Tensor::concat_cols(&[&w[0], &w[1], &w[2]]));
+            let mut scr = Scratch::new(&plan, false);
+            for win in 0..n_windows {
+                scr.load_window(qkv.data(), win * wlen, &plan);
+                for h in 0..n_heads {
+                    scr.prob_rows(h, &plan);
+                    for prow in scr.probs.chunks_exact(wlen) {
+                        assert!(prow.iter().all(|p| (0.0..=1.0).contains(p)), "probability outside [0, 1]");
+                        let sum: f32 = prow.iter().sum();
+                        assert!((sum - 1.0).abs() <= wlen as f32 * f32::EPSILON, "row sums to {sum}");
+                    }
+                }
+            }
         }
     }
 

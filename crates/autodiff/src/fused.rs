@@ -25,7 +25,7 @@
 //! - `gated_residual`: `y = x + h·gate`. Then `dx = d`, `dh = d·gate`,
 //!   `dgate = Σ_rows d·h`.
 
-use crate::tape::{sigmoid, Tape, Var};
+use crate::tape::{Tape, Var};
 use aeris_tensor::{sweeps, Tensor};
 
 impl Tape {
@@ -101,9 +101,7 @@ impl Tape {
         let mut value = Tensor::zeros(&[rows, f]);
         for (gur, out) in gv.data().chunks_exact(two_f).zip(value.data_mut().chunks_exact_mut(f)) {
             let (gate, up) = gur.split_at(f);
-            for j in 0..f {
-                out[j] = gate[j] * sigmoid(gate[j]) * up[j];
-            }
+            sweeps::silu_gate(out, gate, up);
         }
         let pgu = gu.0;
         self.push(
@@ -116,8 +114,10 @@ impl Tape {
                 for ((gur, dr), dgur) in rows.zip(dgu.data_mut().chunks_exact_mut(two_f)) {
                     let (gate, up) = gur.split_at(f);
                     let (dgate, dup) = dgur.split_at_mut(f);
+                    // σ(gate) is recomputed into the dgate row it becomes.
+                    sweeps::sigmoid(dgate, gate);
                     for j in 0..f {
-                        let (g, s) = (gate[j], sigmoid(gate[j]));
+                        let (g, s) = (gate[j], dgate[j]);
                         dgate[j] = dr[j] * up[j] * (s * (1.0 + g * (1.0 - s)));
                         dup[j] = dr[j] * (g * s);
                     }
@@ -347,6 +347,34 @@ mod tests {
             assert!(tape.value(y).data()[0].is_nan(), "modulated_rmsnorm dropped {bad}");
             assert!(tape.value(y).row(1).iter().all(|v| *v == 0.0));
         }
+
+        // swiglu at the ends of the `exp` kernel's range: gates where σ is
+        // exactly 0 or 1, where `exp` flushes to 0 or overflows, and ±∞.
+        let swiglu = |gate: f32, up: f32| -> (f32, Tensor) {
+            let mut tape = Tape::new();
+            let gu = tape.leaf(Tensor::from_vec(&[1, 2], vec![gate, up]));
+            let y = tape.swiglu(gu);
+            let value = tape.value(y).data()[0];
+            (value, tape.backward(y).take(gu).expect("swiglu grad"))
+        };
+        let up = 1.5f32;
+        for gate in [80.0f32, -80.0, 104.0, -104.0, 1e30, -1e30] {
+            let (y, dgu) = swiglu(gate, up);
+            assert!(dgu.data().iter().all(|d| d.is_finite()), "gate {gate}: gradient {:?}", dgu.data());
+            // σ(g) is 0 = 1 / (1 + ∞) from −104 down and 1 = 1 / (1 + 0) from
+            // 104 up — what the expression gives with a correctly rounded f32
+            // `exp` too; between, the f64 value.
+            let want = match gate {
+                ..=-104.0 => -0.0 * up,
+                104.0.. => gate * up,
+                _ => (gate as f64 / (1.0 + (-gate as f64).exp()) * up as f64) as f32,
+            };
+            assert!((y - want).abs() <= 1e-6 * want.abs(), "gate {gate}: {y} vs {want}");
+            assert_eq!(y.is_sign_negative(), want.is_sign_negative(), "gate {gate}: {y} vs {want}");
+        }
+        assert!(swiglu(f32::NEG_INFINITY, up).0.is_nan(), "−∞ · σ(−∞) is −∞ · 0");
+        assert_eq!(swiglu(f32::INFINITY, up).0, f32::INFINITY);
+        assert_eq!(swiglu(f32::INFINITY, -up).0, f32::NEG_INFINITY);
     }
 
     /// One node each, and only the output retained.

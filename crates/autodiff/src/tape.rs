@@ -171,19 +171,27 @@ impl Tape {
         )
     }
 
-    /// SiLU activation `x · σ(x)`.
+    /// SiLU activation `x · σ(x)`, σ being [`sweeps::sigmoid`].
     pub fn silu(&mut self, a: Var) -> Var {
-        let value = self.value(a).map(|x| x * sigmoid(x));
+        let x = self.value(a);
+        let mut value = Tensor::zeros(x.shape());
+        sweeps::sigmoid(value.data_mut(), x.data());
+        for (y, &x) in value.data_mut().iter_mut().zip(x.data()) {
+            *y *= x;
+        }
         let pa = a.0;
         self.push(
             value,
             vec![pa],
             Some(Box::new(move |d, nodes| {
                 let x = nodes[pa].value();
-                vec![d.zip_map(x, |g, x| {
-                    let s = sigmoid(x);
-                    g * (s * (1.0 + x * (1.0 - s)))
-                })]
+                let mut dx = Tensor::zeros(x.shape());
+                sweeps::sigmoid(dx.data_mut(), x.data());
+                for ((o, &x), &g) in dx.data_mut().iter_mut().zip(x.data()).zip(d.data()) {
+                    let s = *o;
+                    *o = g * (s * (1.0 + x * (1.0 - s)));
+                }
+                vec![dx]
             })),
             true,
         )
@@ -671,11 +679,6 @@ impl Tape {
         }
         Grads { grads }
     }
-}
-
-#[inline]
-pub(crate) fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
 }
 
 #[cfg(test)]

@@ -281,11 +281,13 @@ pub(crate) fn fnv_init() -> u64 {
     0xcbf2_9ce4_8422_2325
 }
 
+pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
 #[inline]
 pub(crate) fn fnv_u64(h: &mut u64, v: u64) {
     for b in v.to_le_bytes() {
         *h ^= b as u64;
-        *h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        *h = h.wrapping_mul(FNV_PRIME);
     }
 }
 

@@ -19,9 +19,15 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::api::{fnv_init, fnv_u64};
+use crate::api::{fnv_init, fnv_u64, FNV_PRIME};
 
-/// Content hash of a tensor (shape + every f32 bit pattern, FNV-1a).
+/// Content hash of a tensor: the shape, then every f32 bit pattern (so `±0.0`
+/// and NaN payloads count), FNV-1a style. The data goes in one 32-bit word
+/// per xor-multiply step, not byte by byte — a submit hashes a whole state on
+/// the request's clock — and since a multiply only carries upward, the high
+/// half is folded into the low at the end. Each step is a bijection of `h`,
+/// so changing one element always changes the hash. In-memory key only:
+/// nothing stores or prints the value.
 pub fn content_hash(t: &Tensor) -> u64 {
     let mut h = fnv_init();
     fnv_u64(&mut h, t.ndim() as u64);
@@ -29,9 +35,9 @@ pub fn content_hash(t: &Tensor) -> u64 {
         fnv_u64(&mut h, d as u64);
     }
     for &v in t.data() {
-        fnv_u64(&mut h, v.to_bits() as u64);
+        h = (h ^ v.to_bits() as u64).wrapping_mul(FNV_PRIME);
     }
-    h
+    h ^ (h >> 32)
 }
 
 /// Identity of one cached member-step.
@@ -215,6 +221,28 @@ mod tests {
         assert_ne!(content_hash(&a), content_hash(&b), "shape must enter the hash");
         assert_ne!(content_hash(&a), content_hash(&c), "values must enter the hash");
         assert_eq!(content_hash(&a), content_hash(&a.clone()));
+
+        // One 40 KB state: any single flipped bit, a swap of two unequal
+        // elements, and the sign of a zero each change the hash.
+        let mut rng = Rng::seed_from(7);
+        let mut state = Tensor::randn(&[1024, 10], &mut rng);
+        state.data_mut()[77] = 0.0;
+        let h = content_hash(&state);
+        let with = |i: usize, v: f32| {
+            let mut t = state.clone();
+            t.data_mut()[i] = v;
+            content_hash(&t)
+        };
+        for i in [0, 5000, 10_239] {
+            for bit in 0..32 {
+                assert_ne!(with(i, f32::from_bits(state.data()[i].to_bits() ^ 1 << bit)), h, "bit {bit} of {i}");
+            }
+        }
+        let mut swapped = state.clone();
+        swapped.data_mut().swap(3, 9000);
+        assert_ne!(state.data()[3], state.data()[9000]);
+        assert_ne!(content_hash(&swapped), h, "element order must enter the hash");
+        assert_ne!(with(77, -0.0), h, "0.0 and -0.0 hash by bit pattern");
     }
 
     #[test]

@@ -75,9 +75,12 @@ impl Scalar for u16 {
     }
 }
 
-/// True once the CPU is known to support the AVX2+FMA micro-kernel build.
+/// True once the CPU is known to support AVX2+FMA: the workspace's one
+/// runtime feature detector and the switch of both dispatched kernels — the
+/// FMA micro-kernel build here and the AVX2 build of the `exp` sweeps in
+/// [`crate::sweeps`] (which widens lanes only and never fuses).
 #[cfg(target_arch = "x86_64")]
-fn fma_available() -> bool {
+pub(crate) fn fma_available() -> bool {
     use std::sync::atomic::{AtomicU8, Ordering};
     static STATE: AtomicU8 = AtomicU8::new(0); // 0 unknown, 1 yes, 2 no
     match STATE.load(Ordering::Relaxed) {

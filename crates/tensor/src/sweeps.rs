@@ -1,22 +1,41 @@
 //! Explicitly unrolled, unit-stride sweep kernels for the elementwise /
 //! softmax / un-standardize hot loops.
 //!
-//! Every function here walks contiguous slices in fixed-width chunks
-//! (`W = 8` lanes) with a scalar tail, the shape the autovectorizer lifts to
-//! SIMD on any target. Two rules keep the crate's determinism contract:
+//! Every function here walks contiguous slices in a shape the autovectorizer
+//! lifts to SIMD: fixed-width chunks (`W = 8` lanes) with a scalar tail, or a
+//! plain zip where no lane state is carried. *Which* SIMD depends on how the
+//! function was built. The workspace compiles for baseline x86-64 (no
+//! `-C target-cpu`, no `.cargo/config.toml`), so everything in this file
+//! except the `exp` family is 4-lane SSE2, an 8-wide chunk being two
+//! registers. The `exp` family ([`exp`], [`sigmoid`], [`silu_gate`], and
+//! [`exp_shift_sum`] through `exp`) is the workspace's second
+//! runtime-dispatched kernel after `gemm::compute_block`: one
+//! `#[inline(always)]` body instantiated twice, a portable build and a
+//! `#[target_feature(enable = "avx2")]` build (8 lanes to a register), picked
+//! by the same machine-global `gemm::fma_available`.
 //!
-//! - **Maps** (axpy, scale, scale-shift, …) have no cross-element dependency;
-//!   element `i` is computed from inputs `i` only, so lane width is
-//!   unobservable in the result.
+//! Three rules keep the crate's determinism contract:
+//!
+//! - **Maps** (axpy, scale, scale-shift, exp, …) have no cross-element
+//!   dependency; element `i` is computed from inputs `i` only, so lane width
+//!   is unobservable in the result.
 //! - **Reductions** (lane sums, max) accumulate into `W` independent lanes
 //!   and combine them in one fixed order at the end. The order is different
 //!   from a serial left fold but is *the same* order on every run, every
 //!   thread count, and every input length — results stay bitwise reproducible.
+//! - **Dispatch may widen lanes; only the GEMM may contract a multiply-add.**
+//!   The `exp` lane function is IEEE `+ − × ÷`, compares and integer bit
+//!   operations, nothing else — no `mul_add`, no libm — so its portable and
+//!   AVX2 builds return the same bits for every input, and a host without
+//!   AVX2 computes what a host with it does. (FMA inside the polynomial
+//!   measured 0.33–0.38 against 0.49–0.55 ns per element, ≈ 1 % of a model
+//!   evaluation: not worth a result that depends on the CPU.)
 //!
 //! These are slice-level primitives; `ops.rs`, `forecast.rs`, the autodiff
 //! tape, and the optimizer call them on their own buffers.
 
-/// Lane width for unrolled sweeps. 8 × f32 = one AVX2 register.
+/// Lane width for unrolled sweeps: 8 × f32 is one AVX2 register, two SSE2
+/// registers in the baseline build.
 pub const W: usize = 8;
 
 /// `y[i] += alpha * x[i]`.
@@ -163,25 +182,155 @@ pub fn max(x: &[f32]) -> f32 {
     m
 }
 
-/// Softmax numerator sweep: `dst[i] = exp(src[i] - shift)`, returning the sum
-/// of all numerators. The sum accumulates into `W` lanes combined in a fixed
-/// order (tail first, then lanes 0..W), identical across runs.
+// `exp(x) = 2ⁿ · e^r` with `n = round(x · log₂e)` and `r = x − n·ln 2`. `ln 2`
+// is subtracted in two parts (Cody–Waite): `LN2_HI` = 0.693359375 has nine
+// significant bits, so `n · LN2_HI` and the first subtraction are exact for
+// `|n| ≤ 128`.
+const LN2_HI: f32 = 355.0 / 512.0;
+const LN2_LO: f32 = -2.121_944_4e-4;
+/// `1.5 · 2²³`: adding it rounds to the nearest integer and leaves that
+/// integer, in two's complement, in the low mantissa bits of the sum.
+const ROUND: f32 = 12_582_912.0;
+/// Smallest input whose exponential is a normal f32: the least f32 that is
+/// `≥ ln 2⁻¹²⁶`. Below it [`exp_lane`] returns exactly 0.
+const EXP_LO: f32 = -87.336_54;
+/// `ln f32::MAX`: above it the exponential overflows and [`exp_lane`] returns
+/// `+∞` (`n = 128` already does from `88.376_27` up; see [`exp`]).
+const EXP_HI: f32 = 88.722_84;
+
+/// The one `exp` of the model, for one lane (Cephes `expf`: degree-5
+/// polynomial for `e^r` on `|r| ≤ ½ ln 2`, exponent inserted as bits). Every
+/// operation is a single correctly rounded IEEE operation or an integer one,
+/// in the order written: the result is a function of `x` alone on every
+/// target, at every lane width.
+#[inline(always)]
+fn exp_lane(x: f32) -> f32 {
+    let t = x * std::f32::consts::LOG2_E + ROUND;
+    let n = t - ROUND;
+    let r = x - n * LN2_HI - n * LN2_LO;
+    let mut p = 1.987_569_1e-4_f32;
+    p = p * r + 1.398_199_9e-3;
+    p = p * r + 8.333_452e-3;
+    p = p * r + 4.166_579_6e-2;
+    p = p * r + 1.666_666_6e-1;
+    p = p * r + 0.5;
+    let y = p * (r * r) + r + 1.0;
+    // 2ⁿ: the low nine bits of `t` are `n mod 512`, so the shift drops the
+    // rest and the add biases the exponent field — 1 at n = −126, 255 (+∞) at
+    // n = 128. Outside [EXP_LO, EXP_HI] these bits are meaningless, and so is
+    // `y`; the selects below discard both.
+    let scale = f32::from_bits((t.to_bits() << 23).wrapping_add(0x3F80_0000));
+    if x < EXP_LO {
+        0.0
+    } else if x > EXP_HI {
+        f32::INFINITY
+    } else {
+        y * scale // NaN arrives here: both compares are false and `y` is NaN
+    }
+}
+
+/// `σ(x) = 1 / (1 + exp(−x))` for one lane, over [`exp_lane`].
+#[inline(always)]
+fn sigmoid_lane(x: f32) -> f32 {
+    1.0 / (1.0 + exp_lane(-x))
+}
+
+/// A sweep built twice from one body, as `gemm::compute_block` is: a
+/// portable instantiation (`$body`, which is also what a test calls to get
+/// the portable build) and an AVX2 one (`$avx2`), behind the entry point
+/// `$name` that picks by `gemm::fma_available`. The body may only do what
+/// [`exp_lane`] does — no `mul_add` — so the pick cannot change a bit.
+macro_rules! dispatched {
+    ($(#[$doc:meta])* $name:ident, $body:ident, $avx2:ident, ($($arg:ident: $ty:ty),*) $code:block) => {
+        #[inline(always)]
+        fn $body($($arg: $ty),*) $code
+
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx2")]
+        unsafe fn $avx2($($arg: $ty),*) {
+            $body($($arg),*)
+        }
+
+        $(#[$doc])*
+        pub fn $name($($arg: $ty),*) {
+            #[cfg(target_arch = "x86_64")]
+            if crate::gemm::fma_available() {
+                // SAFETY: fma_available() checked avx2 support at runtime.
+                unsafe { $avx2($($arg),*) };
+                return;
+            }
+            $body($($arg),*)
+        }
+    };
+}
+
+dispatched!(
+    /// `x[i] = exp(x[i])` — every exponential of the model (softmax
+    /// numerators, SiLU gates) is this polynomial, not libm. Deterministic by
+    /// construction: an element's result depends on its value alone, not on
+    /// its position, the slice length, the build that ran (portable or
+    /// AVX2) or the thread count.
+    ///
+    /// Within 2 ulp of the correctly rounded value on `[−87.3, 88.3]` (1 ulp
+    /// measured over every f32 of that range). `exp(±0) = 1` exactly,
+    /// `exp(NaN)` is NaN, `exp(−∞) = 0`, `exp(+∞) = +∞`. Unlike libm it
+    /// never returns a subnormal: the result is exactly 0 for every
+    /// `x < −87.336_54`, where the true value drops below the smallest
+    /// normal. It is `+∞` for every `x ≥ 88.376_27`, where the reduction
+    /// reaches `n = 128`: that is 0.35 short of the true overflow point
+    /// `ln f32::MAX = 88.722_84`, and the last finite result is
+    /// `exp(88.376_26) ≈ 2.406e38`. No finite input gives NaN.
+    exp, exp_body, exp_avx2, (x: &mut [f32]) {
+        for v in x.iter_mut() {
+            *v = exp_lane(*v);
+        }
+    }
+);
+
+dispatched!(
+    /// Logistic sweep `dst[i] = 1 / (1 + exp(−src[i]))` with the [`exp`] of
+    /// this module: `σ(0) = 0.5` exactly, exactly 0 from `−88.376_27` down
+    /// (`1 / ∞`), never outside `[0, 1]`.
+    sigmoid, sigmoid_body, sigmoid_avx2, (dst: &mut [f32], src: &[f32]) {
+        assert_eq!(dst.len(), src.len(), "sigmoid length mismatch");
+        for (d, &s) in dst.iter_mut().zip(src) {
+            *d = sigmoid_lane(s);
+        }
+    }
+);
+
+dispatched!(
+    /// SwiGLU gate sweep `dst[i] = gate[i] · σ(gate[i]) · up[i]`, associated
+    /// `(gate · σ) · up` with the σ of [`sigmoid`] — SiLU, then the product
+    /// with `up`, as one pass.
+    silu_gate, silu_gate_body, silu_gate_avx2, (dst: &mut [f32], gate: &[f32], up: &[f32]) {
+        assert_eq!(dst.len(), gate.len(), "silu_gate length mismatch");
+        assert_eq!(dst.len(), up.len(), "silu_gate length mismatch");
+        for ((d, &g), &u) in dst.iter_mut().zip(gate).zip(up) {
+            *d = g * sigmoid_lane(g) * u;
+        }
+    }
+);
+
+/// Softmax numerator sweep: `dst[i] = exp(src[i] - shift)` through [`exp`],
+/// returning the sum of all numerators. The sum accumulates into `W` lanes
+/// combined in a fixed order (tail first, then lanes 0..W), identical across
+/// runs.
 pub fn exp_shift_sum(dst: &mut [f32], src: &[f32], shift: f32) -> f32 {
     assert_eq!(dst.len(), src.len(), "exp_shift_sum length mismatch");
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d = s - shift;
+    }
+    exp(dst);
     let mut lanes = [0.0f32; W];
-    let mut dc = dst.chunks_exact_mut(W);
-    let mut sc = src.chunks_exact(W);
-    for (dw, sw) in (&mut dc).zip(&mut sc) {
+    let mut dc = dst.chunks_exact(W);
+    for dw in &mut dc {
         for i in 0..W {
-            let e = (sw[i] - shift).exp();
-            dw[i] = e;
-            lanes[i] += e;
+            lanes[i] += dw[i];
         }
     }
     let mut z = 0.0f32;
-    for (d, &s) in dc.into_remainder().iter_mut().zip(sc.remainder()) {
-        let e = (s - shift).exp();
-        *d = e;
+    for &e in dc.remainder() {
         z += e;
     }
     for l in lanes {
@@ -262,6 +411,7 @@ pub fn sum_sq(x: &[f32]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn seq(n: usize) -> Vec<f32> {
         (0..n).map(|i| (i as f32 * 0.37).sin()).collect()
@@ -319,10 +469,192 @@ mod tests {
         let mut dst = vec![0.0; 37];
         let z = exp_shift_sum(&mut dst, &x, shift);
         for i in 0..37 {
-            assert_eq!(dst[i], (x[i] - shift).exp());
+            assert_eq!(dst[i].to_bits(), exp1(x[i] - shift).to_bits());
         }
         let z64: f64 = x.iter().map(|&v| ((v - shift) as f64).exp()).sum();
         assert!((z as f64 - z64).abs() < 1e-4 * z64);
+    }
+
+    /// [`exp`] of one element, as a length-1 slice.
+    fn exp1(x: f32) -> f32 {
+        let mut v = [x];
+        exp(&mut v);
+        v[0]
+    }
+
+    /// First input of the `n = 128` sliver: `+∞` from here up.
+    const EXP_INF_FROM: f32 = 88.376_27;
+
+    /// The whole contract of [`exp`] for one non-NaN input: exactly 0 below
+    /// `EXP_LO`, exactly `+∞` from `EXP_INF_FROM`, within 2 ulp of the
+    /// correctly rounded value between.
+    fn assert_exp_contract(x: f32) {
+        let y = exp1(x);
+        if x < EXP_LO {
+            assert_eq!(y.to_bits(), 0, "exp({x:e}) = {y:e}, expected +0");
+        } else if x >= EXP_INF_FROM {
+            assert_eq!(y, f32::INFINITY, "exp({x:e}) = {y:e}, expected +inf");
+        } else {
+            let want = (x as f64).exp() as f32;
+            let ulps = y.to_bits().abs_diff(want.to_bits());
+            assert!(ulps <= 2, "exp({x:e}) = {y:e}, correctly rounded {want:e}: {ulps} ulp");
+        }
+    }
+
+    /// Inputs that mix ordinary values with every special and both range ends.
+    fn awkward(n: usize) -> Vec<f32> {
+        let specials = [
+            0.0,
+            -0.0,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            EXP_LO,
+            -87.4,
+            -104.0,
+            88.3,
+            EXP_INF_FROM,
+            EXP_HI,
+            1e30,
+            -1e30,
+            f32::MIN_POSITIVE,
+        ];
+        (0..n)
+            .map(|i| if i % 3 == 1 { specials[i / 3 % specials.len()] } else { (i as f32 * 0.37).sin() * 30.0 })
+            .collect()
+    }
+
+    /// Bit patterns, with every NaN as the one canonical NaN: IEEE leaves
+    /// the sign and payload a NaN result inherits to the instruction's
+    /// operand order, so "NaN" is all the kernel promises there.
+    fn bits(x: &[f32]) -> Vec<u32> {
+        x.iter().map(|v| if v.is_nan() { f32::NAN.to_bits() } else { v.to_bits() }).collect()
+    }
+
+    proptest! {
+        #[test]
+        fn exp_is_within_two_ulp_of_correctly_rounded(xs in proptest::collection::vec(-87.3f32..88.3, 64)) {
+            for x in xs {
+                assert_exp_contract(x);
+            }
+        }
+    }
+
+    #[test]
+    fn exp_dense_sweep_is_within_two_ulp() {
+        let n = 400_000;
+        for i in 0..=n {
+            assert_exp_contract(-87.3 + (88.3 + 87.3) * (i as f32 / n as f32));
+        }
+    }
+
+    #[test]
+    fn exp_specials_and_range_ends_are_exact() {
+        assert!(exp1(f32::NAN).is_nan());
+        assert_eq!(exp1(f32::INFINITY), f32::INFINITY);
+        assert_eq!(exp1(f32::NEG_INFINITY).to_bits(), 0);
+        assert_eq!(exp1(0.0).to_bits(), 1.0f32.to_bits());
+        assert_eq!(exp1(-0.0).to_bits(), 1.0f32.to_bits());
+
+        // The lower end: the last normal result, then exactly 0 (libm would
+        // return subnormals down to −103.97).
+        assert!(exp1(EXP_LO) >= f32::MIN_POSITIVE);
+        assert_eq!(exp1(f32::from_bits(EXP_LO.to_bits() + 1)).to_bits(), 0);
+        for i in 1..2000 {
+            let x = -87.4 - 0.05 * i as f32;
+            assert_eq!(exp1(x).to_bits(), 0, "exp({x}) must flush to 0");
+        }
+        // The upper end, pinned: n = 128 makes the sliver [88.376_27,
+        // 88.722_84] overflow early; the float before it is still accurate.
+        assert_eq!(EXP_INF_FROM.to_bits(), 88.376_26_f32.to_bits() + 1);
+        assert_exp_contract(88.376_26);
+        for i in 0..2000 {
+            let x = 88.73 + 0.05 * i as f32;
+            assert_eq!(exp1(x), f32::INFINITY, "exp({x}) must overflow to +inf");
+        }
+
+        // Monotone non-decreasing float by float across every threshold.
+        for edge in [EXP_LO, EXP_INF_FROM, EXP_HI] {
+            let start = if edge < 0.0 { edge.to_bits() + 2000 } else { edge.to_bits() - 2000 };
+            let mut prev = exp1(f32::from_bits(start));
+            for step in 1..=4000 {
+                let b = if edge < 0.0 { start - step } else { start + step };
+                let y = exp1(f32::from_bits(b));
+                assert!(y >= prev, "exp not monotone at {:e}: {prev:e} then {y:e}", f32::from_bits(b));
+                prev = y;
+            }
+        }
+
+        // The f32 line at every exponent of both signs (subnormals, ±MAX
+        // included): the contract holds, so no finite input gives NaN or a
+        // garbage exponent.
+        for exponent in 0..255u32 {
+            for mantissa in [0, 1, 0x2A_AAAA, 0x40_0000, 0x7F_FFFF] {
+                for sign in [0, 1u32 << 31] {
+                    assert_exp_contract(f32::from_bits(sign | exponent << 23 | mantissa));
+                }
+            }
+        }
+    }
+
+    /// Vector body ≡ scalar tail: a sub-slice at any offset and length gives,
+    /// bit for bit, what each element gives alone.
+    #[test]
+    fn exp_result_is_independent_of_position_and_length() {
+        let base = awkward(80);
+        let alone = bits(&base.iter().map(|&x| exp1(x)).collect::<Vec<_>>());
+        for len in 0..=40 {
+            for off in 0..=base.len() - len {
+                let mut sub = base[off..off + len].to_vec();
+                exp(&mut sub);
+                assert_eq!(bits(&sub), alone[off..off + len], "len {len} at offset {off}");
+            }
+        }
+    }
+
+    /// Portable ≡ AVX2: the `*_body` functions called from here are the
+    /// portable instantiation, the entry points dispatch to the AVX2 one when
+    /// the host has it. On a host without AVX2 both sides are the portable
+    /// build and this degenerates to a self-comparison.
+    #[test]
+    fn portable_and_dispatched_builds_agree_bitwise() {
+        for n in [0, 1, 7, 8, 9, 31, 33, 64, 67, 257] {
+            let x = awkward(n);
+            let up: Vec<f32> = x.iter().rev().map(|v| v * 0.5 + 0.25).collect();
+
+            let (mut d, mut p) = (x.clone(), x.clone());
+            exp(&mut d);
+            exp_body(&mut p);
+            assert_eq!(bits(&d), bits(&p), "exp, n = {n}");
+
+            sigmoid(&mut d, &x);
+            sigmoid_body(&mut p, &x);
+            assert_eq!(bits(&d), bits(&p), "sigmoid, n = {n}");
+
+            silu_gate(&mut d, &x, &up);
+            silu_gate_body(&mut p, &x, &up);
+            assert_eq!(bits(&d), bits(&p), "silu_gate, n = {n}");
+        }
+    }
+
+    /// `sigmoid` is `1 / (1 + exp(−x))` over this module's `exp`, and
+    /// `silu_gate` is `(g · σ(g)) · u` over that `sigmoid`, bit for bit.
+    #[test]
+    fn sigmoid_and_silu_gate_are_the_composition_they_document() {
+        let g = awkward(67);
+        let u: Vec<f32> = g.iter().rev().map(|v| v * 0.5 + 0.25).collect();
+        let mut s = vec![0.0; g.len()];
+        sigmoid(&mut s, &g);
+        let mut y = vec![0.0; g.len()];
+        silu_gate(&mut y, &g, &u);
+        let s_ref: Vec<f32> = g.iter().map(|&g| 1.0 / (1.0 + exp1(-g))).collect();
+        let y_ref: Vec<f32> = (0..g.len()).map(|i| g[i] * s_ref[i] * u[i]).collect();
+        assert_eq!(bits(&s), bits(&s_ref));
+        assert_eq!(bits(&y), bits(&y_ref));
+        for (s, g) in s.iter().zip(&g) {
+            assert!(if g.is_nan() { s.is_nan() } else { (0.0..=1.0).contains(s) }, "sigmoid({g}) = {s}");
+        }
+        assert_eq!(s[g.iter().position(|&v| v == 0.0).expect("awkward has a zero")], 0.5);
     }
 
     #[test]
