@@ -215,6 +215,50 @@ impl ObservationSet {
         self.mask.iter().filter(|&&m| m).count()
     }
 
+    /// The one statement of a well-formed set, checked wherever a set
+    /// crosses a trust boundary ([`Self::read_from`], serve admission): a
+    /// non-degenerate grid, one value and one mask bit per site, one
+    /// strictly positive (and not NaN) error std per channel — guidance
+    /// divides by its square —, every site inside the grid, and every
+    /// *present* value finite (a masked-out value is never read).
+    pub fn validate(&self) -> Result<(), String> {
+        let (tokens, channels, n) = (self.tokens, self.channels, self.sites.len());
+        if tokens == 0 || channels == 0 {
+            return Err(format!("degenerate grid {tokens}x{channels}"));
+        }
+        if self.values.len() != n || self.mask.len() != n {
+            return Err(format!(
+                "inconsistent observation lengths: {n} sites, {} values, {} mask bits",
+                self.values.len(),
+                self.mask.len()
+            ));
+        }
+        if self.noise_std.len() != channels {
+            return Err(format!(
+                "noise_std has {} entries for {channels} channels",
+                self.noise_std.len()
+            ));
+        }
+        if let Some((ch, s)) =
+            self.noise_std.iter().enumerate().find(|(_, &s)| s <= 0.0 || s.is_nan())
+        {
+            return Err(format!("noise_std[{ch}] = {s} must be strictly positive"));
+        }
+        if let Some(bad) = self.sites.iter().find(|s| s.token >= tokens || s.channel >= channels) {
+            return Err(format!(
+                "observation site ({}, {}) outside the {tokens}x{channels} grid",
+                bad.token, bad.channel
+            ));
+        }
+        if let Some(i) = (0..n).find(|&i| self.mask[i] && !self.values[i].is_finite()) {
+            return Err(format!(
+                "observation {i} is present but not finite ({})",
+                self.values[i]
+            ));
+        }
+        Ok(())
+    }
+
     /// The operator this set was observed through (geometry + error model).
     pub fn operator(&self) -> ObsOperator {
         ObsOperator {
@@ -272,8 +316,9 @@ impl ObservationSet {
         aeris_nn::checkpoint::write_entries(&entries, writer)
     }
 
-    /// Deserialize (inverse of [`Self::write_to`]); malformed input surfaces
-    /// as `InvalidData`, never a panic.
+    /// Deserialize (inverse of [`Self::write_to`]). Malformed input — a
+    /// stream that does not decode, or a set that fails [`Self::validate`] —
+    /// surfaces as `InvalidData`, never a panic.
     pub fn read_from(reader: &mut dyn Read) -> std::io::Result<Self> {
         let entries = aeris_nn::checkpoint::read_params(reader)?;
         let bad = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
@@ -288,51 +333,27 @@ impl ObservationSet {
         if shape.len() != 2 {
             return Err(bad("obs/shape must have 2 elements".into()));
         }
-        let tokens = shape.data()[0] as usize;
-        let channels = shape.data()[1] as usize;
-        if tokens == 0 || channels == 0 {
-            return Err(bad(format!("degenerate grid {tokens}x{channels}")));
+        let (tok, ch) = (get("obs/token")?, get("obs/channel")?);
+        if tok.len() != ch.len() {
+            return Err(bad(format!("{} site tokens for {} site channels", tok.len(), ch.len())));
         }
-        let tok = get("obs/token")?;
-        let ch = get("obs/channel")?;
-        let values = get("obs/value")?;
-        let noise_std = get("obs/noise_std")?;
-        let mask = get("obs/mask")?;
-        let n = tok.len();
-        if ch.len() != n || values.len() != n || mask.len() != n {
-            return Err(bad(format!(
-                "inconsistent observation lengths: {n}/{}/{}/{}",
-                ch.len(),
-                values.len(),
-                mask.len()
-            )));
-        }
-        if noise_std.len() != channels {
-            return Err(bad(format!(
-                "noise_std has {} entries for {channels} channels",
-                noise_std.len()
-            )));
-        }
-        let mut sites = Vec::with_capacity(n);
-        for i in 0..n {
-            let t = tok.data()[i];
-            let c = ch.data()[i];
-            if t < 0.0 || t >= tokens as f32 || t.fract() != 0.0 {
-                return Err(bad(format!("site {i}: token {t} outside grid of {tokens}")));
-            }
-            if c < 0.0 || c >= channels as f32 || c.fract() != 0.0 {
-                return Err(bad(format!("site {i}: channel {c} outside {channels} channels")));
-            }
-            sites.push(ObsSite { token: t as usize, channel: c as usize });
-        }
-        Ok(ObservationSet {
+        // Indices travel as exact small f32s; a value the (saturating) cast
+        // does not round-trip — negative, fractional, NaN, huge — is not one.
+        let index = |v: f32| Some(v as usize).filter(|&ix| ix as f32 == v);
+        let sites: Option<Vec<ObsSite>> = (tok.data().iter().zip(ch.data()))
+            .map(|(&t, &c)| Some(ObsSite { token: index(t)?, channel: index(c)? }))
+            .collect();
+        let sites = sites.ok_or_else(|| bad("a site token or channel is not a grid index".into()))?;
+        let set = ObservationSet {
             sites,
-            values: values.data().to_vec(),
-            noise_std: noise_std.data().to_vec(),
-            mask: mask.data().iter().map(|&m| m != 0.0).collect(),
-            tokens,
-            channels,
-        })
+            values: get("obs/value")?.data().to_vec(),
+            noise_std: get("obs/noise_std")?.data().to_vec(),
+            mask: get("obs/mask")?.data().iter().map(|&m| m != 0.0).collect(),
+            tokens: shape.data()[0] as usize,
+            channels: shape.data()[1] as usize,
+        };
+        set.validate().map_err(bad)?;
+        Ok(set)
     }
 
     /// Save to a file in the checkpoint format.
@@ -469,6 +490,7 @@ mod tests {
                     set.sites.iter().all(|s| s.token < set.tokens && s.channel < set.channels),
                     "flip at {i}"
                 );
+                assert_eq!(set.validate(), Ok(()), "flip at {i}");
             }
         }
         let mut longer = buf.clone();
@@ -514,5 +536,27 @@ mod tests {
         let mut buf2 = Vec::new();
         bad.write_to(&mut buf2).unwrap();
         assert!(ObservationSet::read_from(&mut &buf2[..]).is_err());
+        // So is everything else `validate` states: an error std guidance
+        // cannot divide by, and a present value that is not a number.
+        let reread = |set: &ObservationSet| {
+            let mut bytes = Vec::new();
+            set.write_to(&mut bytes).unwrap();
+            ObservationSet::read_from(&mut &bytes[..])
+        };
+        for poison in [0.0, -0.5, f32::NAN] {
+            let mut bad = obs.clone();
+            bad.noise_std[1] = poison;
+            let err = reread(&bad).expect_err("unusable noise_std must not load");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "noise_std {poison}");
+        }
+        for poison in [f32::NAN, f32::INFINITY] {
+            let mut bad = obs.clone();
+            bad.values[2] = poison;
+            let err = reread(&bad).expect_err("a present non-finite value must not load");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "value {poison}");
+            // Under the missing-data mask the same value is never read.
+            bad.mask[2] = false;
+            assert!(reread(&bad).is_ok(), "masked value {poison}");
+        }
     }
 }

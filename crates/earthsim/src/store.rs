@@ -29,10 +29,30 @@ pub struct StoreLayout {
 }
 
 impl StoreLayout {
-    /// Validate divisibility and compute chunk counts.
+    /// A usable layout (see `snapshot_bytes`); panics on one that is not — a
+    /// programming error. Files go through [`ChunkedStore::open`], which
+    /// returns the same failure as `InvalidData`.
     pub fn new(nlat: usize, nlon: usize, channels: usize, wh: usize, ww: usize) -> Self {
-        assert!(nlat.is_multiple_of(wh) && nlon.is_multiple_of(ww), "windows must tile the grid");
-        StoreLayout { nlat, nlon, channels, wh, ww }
+        let layout = StoreLayout { nlat, nlon, channels, wh, ww };
+        layout.snapshot_bytes().unwrap_or_else(|why| panic!("{why}"));
+        layout
+    }
+
+    /// The one statement of a usable layout — no zero dimension, windows
+    /// that tile the grid, sizes that fit `usize` — returning the bytes of
+    /// one snapshot (`chunks_per_step() * chunk_bytes()`).
+    fn snapshot_bytes(&self) -> Result<usize, String> {
+        let StoreLayout { nlat, nlon, channels, wh, ww } = *self;
+        if [nlat, nlon, channels, wh, ww].contains(&0) {
+            return Err(format!("zero dimension in {self:?}"));
+        }
+        if !nlat.is_multiple_of(wh) || !nlon.is_multiple_of(ww) {
+            return Err(format!("windows must tile the grid: {self:?}"));
+        }
+        [nlon, channels, 4]
+            .iter()
+            .try_fold(nlat, |bytes, &d| bytes.checked_mul(d))
+            .ok_or_else(|| format!("snapshot size overflows: {self:?}"))
     }
 
     /// Window rows × cols.
@@ -84,21 +104,28 @@ impl ChunkedStore {
         Ok(ChunkedStore { layout, n_times: 0, backend: Backend::File(file), bytes_read: AtomicU64::new(0) })
     }
 
-    /// Open an existing file-backed store.
+    /// Open an existing file-backed store. A header that is not a store's —
+    /// wrong magic, an unusable layout, more snapshots than the file holds —
+    /// is `InvalidData` (a short one `UnexpectedEof`), never a panic.
     pub fn open(path: &Path) -> std::io::Result<Self> {
+        let bad = |why: String| std::io::Error::new(std::io::ErrorKind::InvalidData, why);
         let mut file = OpenOptions::new().read(true).write(true).open(path)?;
-        let mut header = vec![0u8; Self::HEADER_BYTES];
+        let mut header = [0u8; Self::HEADER_BYTES];
         file.read_exact(&mut header)?;
         let mut buf = &header[..];
-        let magic = buf.get_u32_le();
-        assert_eq!(magic, MAGIC, "not an AERIS chunked store");
-        let nlat = buf.get_u32_le() as usize;
-        let nlon = buf.get_u32_le() as usize;
-        let channels = buf.get_u32_le() as usize;
-        let wh = buf.get_u32_le() as usize;
-        let ww = buf.get_u32_le() as usize;
-        let n_times = buf.get_u32_le() as usize;
-        let layout = StoreLayout::new(nlat, nlon, channels, wh, ww);
+        if buf.get_u32_le() != MAGIC {
+            return Err(bad("not an AERIS chunked store".into()));
+        }
+        let [nlat, nlon, channels, wh, ww, n_times] = [(); 6].map(|()| buf.get_u32_le() as usize);
+        let layout = StoreLayout { nlat, nlon, channels, wh, ww };
+        let snapshot = layout.snapshot_bytes().map_err(bad)?;
+        let have = file.metadata()?.len();
+        let need = snapshot.checked_mul(n_times).and_then(|b| b.checked_add(Self::HEADER_BYTES));
+        if need.is_none_or(|need| need as u64 > have) {
+            return Err(bad(format!(
+                "header claims {n_times} snapshots of {snapshot} bytes, file holds {have} bytes"
+            )));
+        }
         Ok(ChunkedStore { layout, n_times, backend: Backend::File(file), bytes_read: AtomicU64::new(0) })
     }
 
@@ -319,6 +346,53 @@ mod tests {
         assert_eq!(store.layout(), layout());
         assert!(store.read_snapshot(1).unwrap().max_abs_diff(&snapshot(6)) < 1e-7);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn open_rejects_corrupt_headers_with_typed_errors() {
+        use std::io::ErrorKind::{InvalidData, UnexpectedEof};
+        let dir = std::env::temp_dir().join(format!("aeris_store_corrupt_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("store.ast");
+        {
+            let mut store = ChunkedStore::create(&path, layout()).unwrap();
+            store.append_snapshot(&snapshot(7)).unwrap();
+            store.append_snapshot(&snapshot(8)).unwrap();
+        }
+        let intact = std::fs::read(&path).unwrap();
+        // Whatever `open` accepts must then read without panicking (a panic
+        // fails the test); what it refuses, it refuses with a typed error.
+        let probe = |bytes: &[u8], what: String| {
+            std::fs::write(&path, bytes).unwrap();
+            match ChunkedStore::open(&path) {
+                Ok(store) => {
+                    for t in 0..store.n_times() {
+                        let _ = store.read_snapshot(t);
+                    }
+                    true
+                }
+                Err(e) => {
+                    assert!(matches!(e.kind(), InvalidData | UnexpectedEof), "{what}: {e:?}");
+                    false
+                }
+            }
+        };
+        assert!(probe(&intact, "intact".into()));
+        // Every truncation loses part of the header or of a snapshot.
+        for len in 0..intact.len() {
+            assert!(!probe(&intact[..len], format!("cut at {len}")), "cut at {len} opened");
+        }
+        // Every single-bit flip of the header: the magic, a dimension that no
+        // longer tiles / is zero / outgrows the file, or a snapshot count.
+        let mut survivors = 0;
+        for bit in 0..ChunkedStore::HEADER_BYTES * 8 {
+            let mut flipped = intact.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            survivors += probe(&flipped, format!("flip of bit {bit}")) as usize;
+        }
+        // Fewer channels or snapshots than written still fit the file.
+        assert!(survivors > 0 && survivors < 16, "{survivors} flipped headers opened");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
