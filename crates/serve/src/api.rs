@@ -57,12 +57,7 @@ impl Forcings {
     /// with the same numbers share cache entries even when built separately.
     pub fn content_key(&self) -> u64 {
         match self {
-            Forcings::Zeros { channels } => {
-                let mut h = fnv_init();
-                fnv_u64(&mut h, 0x5A5A_0001);
-                fnv_u64(&mut h, *channels as u64);
-                h
-            }
+            Forcings::Zeros { channels } => fnv_pair(0x5A5A_0001, *channels as u64),
             Forcings::Table(t) => {
                 let mut h = fnv_init();
                 fnv_u64(&mut h, 0x5A5A_0002);
@@ -289,6 +284,14 @@ pub(crate) fn fnv_u64(h: &mut u64, v: u64) {
         *h ^= b as u64;
         *h = h.wrapping_mul(FNV_PRIME);
     }
+}
+
+/// FNV-1a over two words (how the engine folds a cache key's aux word).
+pub(crate) fn fnv_pair(a: u64, b: u64) -> u64 {
+    let mut h = fnv_init();
+    fnv_u64(&mut h, a);
+    fnv_u64(&mut h, b);
+    h
 }
 
 #[cfg(test)]

@@ -3,19 +3,20 @@
 //!
 //! ## Lifecycle of a request
 //!
-//! 1. **Quota** ([`ServeEngine::submit`]): if the engine has per-tenant
-//!    quotas, the tenant's token bucket must cover the request's work
-//!    (member-steps), else [`ServeError::QuotaExceeded`] — the one check a
-//!    tenant cannot scheduling-game its way around.
-//! 2. **Admission**: the request is validated against the engine's model
-//!    config, then admitted iff fewer than `queue_capacity` requests are
-//!    outstanding (else [`ServeError::QueueFull`] — fail fast, never queue
-//!    unboundedly).
-//! 3. **Routing**: the [`TierRouter`] classifies the request onto the
+//! 1. **Validation and quota** ([`ServeEngine::submit`] /
+//!    [`ServeEngine::submit_nowcast`]): the request is checked against the
+//!    engine's model config; then, if the engine has per-tenant quotas, the
+//!    tenant's token bucket must cover the request's work (member-steps),
+//!    else [`ServeError::QuotaExceeded`] — the one check a tenant cannot
+//!    scheduling-game its way around.
+//! 2. **Routing**: the [`TierRouter`] classifies the request onto the
 //!    **quality** tier (full sampler) or the **fast** tier (distilled
 //!    one-step student), explicitly or from deadline slack against the
 //!    measured quality-tier service time. Engines without a student serve
 //!    everything on quality.
+//! 3. **Admission**: admitted iff fewer than `queue_capacity` requests are
+//!    outstanding (else [`ServeError::QueueFull`] — fail fast, never queue
+//!    unboundedly).
 //! 4. **Prefix reuse**: each ensemble member consults the rollout cache for
 //!    the longest contiguous prefix of its trajectory (state + RNG snapshot
 //!    per step). Fully-cached members complete at admission without touching
@@ -33,10 +34,33 @@
 //!    [`Ticket`]; per-request latency, tier provenance, and cache
 //!    accounting ride along.
 //!
+//! ## Structure
+//!
+//! Four private values each say one thing once:
+//!
+//! - `Intake`, the one request normal form: a `ForecastRequest` or a
+//!   `NowcastRequest` is moved into it, and one `admit` runs steps 1–4 for
+//!   both kinds.
+//! - `Lane`, what a tier owns: its queue, counters (`Lane::counts`), SLO
+//!   tracker, workers, the model they step on and its four metric series —
+//!   `[Lane; 2]` by [`Tier::index`]. A worker runs its lane's loop, *cull →
+//!   step → retire* (step 5).
+//! - The tenant table: one map whose entry is the public [`TenantCounts`]
+//!   ledger plus the tenant's SLO tracker.
+//! - `resolve`, the one terminal transition (step 6), total over a private
+//!   `Outcome`: the only place a result is set, counted on every ledger,
+//!   judged against the objective and logged, and its slot released.
+//!
+//! This file keeps the types and the engine's lifecycle (launch, drain,
+//! shutdown, drop); `engine/admission.rs` holds `Intake`, validation and
+//! `admit`, `engine/worker.rs` the lane loop and `resolve`, and
+//! `engine/status.rs` the live snapshot and the final report, both read off
+//! `Lane::counts` and the tenant table.
+//!
 //! ## Determinism
 //!
 //! Member `m` of a request draws from the private stream
-//! [`member_rng`]`(seed, m)` — the one [`Forecaster::ensemble`] uses — and
+//! [`aeris_core::member_rng`]`(seed, m)` — the one [`Forecaster::ensemble`] uses — and
 //! a batched step evaluates each task with its own RNG through the very
 //! functions a direct caller would use (`forecast_step`, `nowcast_step`,
 //! `nowcast_step_fast`). Quality-tier responses are therefore bitwise
@@ -48,16 +72,15 @@
 //! [`Forecaster::ensemble`]: aeris_core::Forecaster::ensemble
 
 use crate::api::{
-    fnv_init, fnv_u64, ForecastRequest, ForecastResponse, Forcings, NowcastRequest, ServeConfig,
-    ServeError,
+    fnv_pair, ForecastRequest, ForecastResponse, Forcings, NowcastRequest, ServeConfig, ServeError,
 };
-use crate::cache::{content_hash, CacheKey, CacheStats, RolloutCache};
+use crate::cache::{content_hash, CacheKey, RolloutCache};
 use crate::report::{ServeReport, ServeSloReport, TenantCounts, TierCounts};
 use aeris_assim::{nowcast_step, nowcast_step_fast, GuidanceSchedule, ObservationSet};
 use aeris_core::{member_rng, step_batch, ConsistencyStudent, EnsembleForecast, Forecaster};
 use aeris_obs::{
-    CacheStatus, MetricSeries, SloConfig, SloState, SloTracker, SloVerdict, SpanCategory,
-    SpanGuard, StatusReport, TenantStatus, TierStatus, Tracer,
+    CacheStatus, MetricSeries, SloState, SloTracker, SloVerdict, SpanCategory, StatusReport,
+    TenantStatus, TierStatus, Tracer,
 };
 use aeris_sched::{
     DispatchQueue, QueueMetrics, QuotaTable, ServiceEstimator, TaskMeta, Tier, TierRouter,
@@ -164,40 +187,6 @@ impl ServeMetrics {
             fast_wfq_lag: tracer.series("serve_fast_wfq_lag"),
         }
     }
-
-    /// The queue-wait series for one tier.
-    fn queue_wait_series(&self, tier: Tier) -> &MetricSeries {
-        match tier {
-            Tier::Quality => &self.queue_wait_ms,
-            Tier::Fast => &self.fast_queue_wait_ms,
-        }
-    }
-
-    /// The WFQ-lag series for one tier.
-    fn wfq_lag_series(&self, tier: Tier) -> &MetricSeries {
-        match tier {
-            Tier::Quality => &self.wfq_lag,
-            Tier::Fast => &self.fast_wfq_lag,
-        }
-    }
-
-    /// The instrumentation handles handed to one tier's dispatch queue.
-    fn queue_metrics(&self, tier: Tier) -> QueueMetrics {
-        QueueMetrics {
-            wait_ms: self.queue_wait_series(tier).clone(),
-            virtual_lag: self.wfq_lag_series(tier).clone(),
-        }
-    }
-
-    /// The request-latency series for one (tier, is-nowcast) traffic class.
-    fn latency_series(&self, tier: Tier, nowcast: bool) -> &MetricSeries {
-        match (tier, nowcast) {
-            (Tier::Quality, false) => &self.latency_ms,
-            (Tier::Quality, true) => &self.nowcast_latency_ms,
-            (Tier::Fast, false) => &self.fast_latency_ms,
-            (Tier::Fast, true) => &self.fast_nowcast_latency_ms,
-        }
-    }
 }
 
 /// Terminal-state marker plus per-request result assembly.
@@ -206,13 +195,12 @@ struct DoneState {
     members: Vec<Option<Vec<Arc<Tensor>>>>,
     /// Members still in flight.
     remaining: usize,
-    /// Member-steps served from cache.
+    /// Member-steps served from cache (the rest were evaluated by the model).
     cache_hits: usize,
-    /// Member-steps evaluated by the model.
-    computed_steps: usize,
-    /// Submission-to-terminal latency (set at completion/failure).
+    /// Submission-to-terminal latency (stamped by the terminal transition).
     latency: Duration,
-    /// Terminal result; `None` while in flight. Set exactly once.
+    /// Terminal result; `None` while in flight. Set exactly once, by
+    /// `EngineShared::resolve`.
     result: Option<Result<(), ServeError>>,
 }
 
@@ -254,103 +242,7 @@ pub(crate) struct RequestState {
 }
 
 impl RequestState {
-    #[allow(clippy::too_many_arguments)]
-    fn with_core(
-        id: u64,
-        init: Tensor,
-        forcings: Forcings,
-        steps: usize,
-        n_members: usize,
-        seed: u64,
-        deadline: Option<Duration>,
-        tier: Tier,
-        tenant: Arc<str>,
-    ) -> Self {
-        let submitted = Instant::now();
-        RequestState {
-            id,
-            init_hash: content_hash(&init),
-            init: Arc::new(init),
-            forcings_key: forcings.content_key(),
-            forcings,
-            steps,
-            n_members,
-            seed,
-            tier,
-            tenant,
-            nowcast: None,
-            aux: 0,
-            submitted,
-            deadline: deadline.map(|d| submitted + d),
-            done: Mutex::new(DoneState {
-                members: vec![None; n_members],
-                remaining: n_members,
-                cache_hits: 0,
-                computed_steps: 0,
-                latency: Duration::ZERO,
-                result: None,
-            }),
-            done_cv: Condvar::new(),
-        }
-    }
-
-    /// Namespace the cache key by tier: fast-tier trajectories are different
-    /// numbers from quality ones and must never alias.
-    fn apply_tier_aux(&mut self) {
-        if self.tier == Tier::Fast {
-            let mut h = fnv_init();
-            fnv_u64(&mut h, self.aux);
-            fnv_u64(&mut h, FAST_AUX);
-            self.aux = h;
-        }
-    }
-
-    fn new(id: u64, req: &ForecastRequest, tier: Tier, tenant: Arc<str>) -> Self {
-        let mut state = RequestState::with_core(
-            id,
-            req.init.clone(),
-            req.forcings.clone(),
-            req.steps,
-            req.n_members,
-            req.seed,
-            req.deadline,
-            tier,
-            tenant,
-        );
-        state.apply_tier_aux();
-        state
-    }
-
-    fn new_nowcast(id: u64, req: &NowcastRequest, tier: Tier, tenant: Arc<str>) -> Self {
-        let mut state = RequestState::with_core(
-            id,
-            req.background.clone(),
-            req.forcings.clone(),
-            1,
-            req.n_members,
-            req.seed,
-            req.deadline,
-            tier,
-            tenant,
-        );
-        // An off schedule is a bitwise 1-step forecast (on either tier), so
-        // it keeps the plain aux and shares cache entries with one; active
-        // guidance gets its own content-addressed namespace.
-        if !req.schedule.is_off() {
-            let mut h = fnv_init();
-            fnv_u64(&mut h, req.observations.digest());
-            fnv_u64(&mut h, req.schedule.digest());
-            state.aux = h;
-        }
-        state.apply_tier_aux();
-        state.nowcast = Some(NowcastSpec {
-            obs: Arc::clone(&req.observations),
-            schedule: req.schedule,
-        });
-        state
-    }
-
-    /// Whether the request already resolved (completed or failed).
+    /// Whether the request already resolved (completed or shed).
     fn terminal(&self) -> bool {
         self.done.lock().result.is_some()
     }
@@ -387,30 +279,19 @@ impl Ticket {
     }
 
     fn assemble(&self, done: &DoneState) -> Result<ForecastResponse, ServeError> {
-        match done.result.clone().expect("caller checked terminal state") {
-            Err(e) => Err(e),
-            Ok(()) => {
-                let members: Vec<Vec<Tensor>> = done
-                    .members
-                    .iter()
-                    .map(|m| {
-                        m.as_ref()
-                            .expect("all members present on success")
-                            .iter()
-                            .map(|s| (**s).clone())
-                            .collect()
-                    })
-                    .collect();
-                Ok(ForecastResponse {
-                    id: self.req.id,
-                    forecast: EnsembleForecast { members },
-                    cache_hits: done.cache_hits,
-                    computed_steps: done.computed_steps,
-                    latency: done.latency,
-                    tier: self.req.tier,
-                })
-            }
-        }
+        done.result.clone().expect("caller checked terminal state")?;
+        let owned = |m: &Option<Vec<Arc<Tensor>>>| -> Vec<Tensor> {
+            let states = m.as_ref().expect("all members present on success");
+            states.iter().map(|s| (**s).clone()).collect()
+        };
+        Ok(ForecastResponse {
+            id: self.req.id,
+            forecast: EnsembleForecast { members: done.members.iter().map(owned).collect() },
+            cache_hits: done.cache_hits,
+            computed_steps: self.req.steps * self.req.n_members - done.cache_hits,
+            latency: done.latency,
+            tier: self.req.tier,
+        })
     }
 
     /// Block until the request resolves, then assemble the response.
@@ -443,64 +324,107 @@ impl Ticket {
     }
 }
 
-#[derive(Default)]
-struct TenantCounters {
-    /// Requests that passed validation and named this tenant.
-    submitted: u64,
-    /// Requests that passed quota + routing + admission control.
-    admitted: u64,
-    /// Admitted requests rejected post-quota (bad route or queue full).
-    rejected: u64,
-    completed: u64,
-    shed: u64,
-    quota_denied: u64,
+/// The model a lane's workers step member tasks on.
+enum TierModel {
+    Quality(Arc<Forecaster>),
+    Fast(Arc<ConsistencyStudent>),
 }
 
-/// Per-tier and per-tenant objective trackers (present iff
-/// [`ServeConfig::slo`] is set). Tier trackers are fixed at launch; tenant
-/// trackers materialize on each tenant's first observed outcome.
-struct SloBook {
-    cfg: SloConfig,
-    /// Indexed by [`Tier::index`].
-    tiers: [SloTracker; 2],
-    tenants: Mutex<HashMap<Arc<str>, SloTracker>>,
+/// Everything one serving tier owns, stated once: its dispatch queue, its
+/// request counters, its objective tracker, its workers and the model they
+/// step on, and its clones of the tier's four [`ServeMetrics`] series.
+/// The engine holds `[Lane; 2]` indexed by [`Tier::index`].
+struct Lane {
+    tier: Tier,
+    queue: DispatchQueue<MemberTask>,
+    /// `None` only for the fast lane of a quality-only engine, which has no
+    /// workers and is never routed to.
+    model: Option<TierModel>,
+    /// Worker threads dispatching for the lane (0 iff it has no model).
+    workers: usize,
+    admitted: AtomicU64,
+    completed: AtomicU64,
+    shed: AtomicU64,
+    nowcasts: AtomicU64,
+    /// The tier's objective tracker, present iff [`ServeConfig::slo`] is set.
+    slo: Option<SloTracker>,
+    /// Forecast / nowcast request latency of this tier, milliseconds.
+    latency_ms: MetricSeries,
+    nowcast_latency_ms: MetricSeries,
+    /// The tier's queue-wait and WFQ-lag series, recorded by the queue itself
+    /// (lock-free histogram records; negligible next to a model evaluation).
+    wait: QueueMetrics,
 }
 
-impl SloBook {
-    fn new(cfg: SloConfig) -> Self {
-        SloBook {
-            tiers: [SloTracker::new(cfg.clone()), SloTracker::new(cfg.clone())],
-            tenants: Mutex::new(HashMap::new()),
-            cfg,
+impl Lane {
+    /// The one place a tier is mapped to its model, its worker knob and its
+    /// series; everything after reads them off the lane.
+    fn new(
+        tier: Tier,
+        forecaster: &Arc<Forecaster>,
+        student: Option<&Arc<ConsistencyStudent>>,
+        cfg: &ServeConfig,
+        m: &ServeMetrics,
+    ) -> Lane {
+        let (model, workers, [latency_ms, nowcast_latency_ms], [wait_ms, lag]) = match tier {
+            Tier::Fast => (
+                student.cloned().map(TierModel::Fast),
+                cfg.fast_workers,
+                [&m.fast_latency_ms, &m.fast_nowcast_latency_ms],
+                [&m.fast_queue_wait_ms, &m.fast_wfq_lag],
+            ),
+            Tier::Quality => (
+                Some(TierModel::Quality(Arc::clone(forecaster))),
+                cfg.workers,
+                [&m.latency_ms, &m.nowcast_latency_ms],
+                [&m.queue_wait_ms, &m.wfq_lag],
+            ),
+        };
+        let wait = QueueMetrics { wait_ms: wait_ms.clone(), virtual_lag: lag.clone() };
+        let queue = DispatchQueue::new();
+        queue.instrument(wait.clone());
+        Lane {
+            tier,
+            queue,
+            workers: if model.is_some() { workers.max(1) } else { 0 },
+            model,
+            admitted: AtomicU64::new(0),
+            completed: AtomicU64::new(0),
+            shed: AtomicU64::new(0),
+            nowcasts: AtomicU64::new(0),
+            slo: cfg.slo.clone().map(SloTracker::new),
+            latency_ms: latency_ms.clone(),
+            nowcast_latency_ms: nowcast_latency_ms.clone(),
+            wait,
         }
     }
 
-    /// Record one request outcome on its tier's and its tenant's tracker.
-    fn observe(&self, tier: Tier, tenant: &Arc<str>, good: bool) {
-        self.tiers[tier.index()].observe(good);
-        self.tenants
-            .lock()
-            .entry(Arc::clone(tenant))
-            .or_insert_with(|| SloTracker::new(self.cfg.clone()))
-            .observe(good);
+    /// The tier's slice of the request ledger.
+    fn counts(&self) -> TierCounts {
+        TierCounts {
+            admitted: self.admitted.load(Ordering::Relaxed),
+            completed: self.completed.load(Ordering::Relaxed),
+            shed: self.shed.load(Ordering::Relaxed),
+            nowcasts: self.nowcasts.load(Ordering::Relaxed),
+        }
     }
+}
 
-    /// Final per-tenant states, sorted by tenant name.
-    fn tenant_states(&self) -> Vec<(String, SloState)> {
-        let mut out: Vec<(String, SloState)> =
-            self.tenants.lock().iter().map(|(n, t)| (n.to_string(), t.state())).collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
-    }
+/// One tenant's row of the engine's single tenant table.
+#[derive(Default)]
+struct TenantEntry {
+    /// The public ledger itself; reports copy it out whole.
+    counts: TenantCounts,
+    /// Materializes on the tenant's first terminal outcome (and only when
+    /// [`ServeConfig::slo`] is set).
+    slo: Option<SloTracker>,
 }
 
 /// Everything the workers and the submitting threads share.
 struct EngineShared {
     forecaster: Arc<Forecaster>,
-    /// The distilled fast-tier model; `None` on quality-only engines.
-    student: Option<Arc<ConsistencyStudent>>,
-    /// One dispatch queue per tier, indexed by [`Tier::index`].
-    queues: [DispatchQueue<MemberTask>; 2],
+    /// One lane per tier, indexed by [`Tier::index`].
+    lanes: [Lane; 2],
     router: TierRouter,
     estimator: ServiceEstimator,
     quotas: Option<QuotaTable>,
@@ -510,24 +434,65 @@ struct EngineShared {
     events: EventLog<ServeEvent>,
     metrics: ServeMetrics,
     tracer: Tracer,
+    /// Batch-compatibility key of every task ([`TaskMeta::shape`]): admission
+    /// guarantees one state shape per engine, so it is hashed once at launch.
+    shape_key: u64,
     accepting: AtomicBool,
     outstanding: Mutex<usize>,
     drained: Condvar,
     next_id: AtomicU64,
+    // Global outcome counters: what `ServeReport::verify_accounting`
+    // cross-checks the per-lane and per-tenant sums against.
     completed: AtomicU64,
     nowcasts: AtomicU64,
     shed: AtomicU64,
     quota_denied: AtomicU64,
-    tier_admitted: [AtomicU64; 2],
-    tier_completed: [AtomicU64; 2],
-    tier_shed: [AtomicU64; 2],
-    tier_nowcasts: [AtomicU64; 2],
-    tenants: Mutex<HashMap<Arc<str>, TenantCounters>>,
-    /// SLO trackers, present iff [`ServeConfig::slo`] is configured.
-    slo: Option<SloBook>,
+    /// The one tenant table: ledger + objective tracker per tenant.
+    tenants: Mutex<HashMap<Arc<str>, TenantEntry>>,
 }
 
 impl EngineShared {
+    fn new(
+        forecaster: Arc<Forecaster>,
+        student: Option<Arc<ConsistencyStudent>>,
+        cfg: ServeConfig,
+        tracer: Tracer,
+    ) -> EngineShared {
+        let metrics = ServeMetrics::registered(&tracer);
+        let lanes =
+            Tier::ALL.map(|tier| Lane::new(tier, &forecaster, student.as_ref(), &cfg, &metrics));
+        let model_cfg = &forecaster.model.cfg;
+        EngineShared {
+            lanes,
+            router: TierRouter::new(cfg.router),
+            estimator: ServiceEstimator::new(),
+            quotas: cfg.quota.clone().map(QuotaTable::new),
+            default_tenant: Arc::from("public"),
+            cache: RolloutCache::new(cfg.cache_bytes),
+            events: EventLog::new(),
+            metrics,
+            tracer,
+            shape_key: fnv_pair(model_cfg.tokens() as u64, model_cfg.channels as u64),
+            accepting: AtomicBool::new(true),
+            outstanding: Mutex::new(0),
+            drained: Condvar::new(),
+            next_id: AtomicU64::new(0),
+            completed: AtomicU64::new(0),
+            nowcasts: AtomicU64::new(0),
+            shed: AtomicU64::new(0),
+            quota_denied: AtomicU64::new(0),
+            tenants: Mutex::new(HashMap::new()),
+            forecaster,
+            cfg,
+        }
+    }
+
+    fn lane(&self, tier: Tier) -> &Lane {
+        let lane = &self.lanes[tier.index()];
+        debug_assert_eq!(lane.tier, tier, "lanes are indexed by Tier::index");
+        lane
+    }
+
     fn release_outstanding(&self) {
         let mut g = self.outstanding.lock();
         *g -= 1;
@@ -536,104 +501,24 @@ impl EngineShared {
         }
     }
 
-    fn tenant_weight(&self, tenant: &str) -> f64 {
-        self.quotas.as_ref().map_or(1.0, |q| q.weight(tenant))
-    }
-
-    /// Scheduling metadata for a member task: the deadline (EDF class), the
-    /// tenant + WFQ weight, the member's *remaining* chain length as cost,
-    /// and the state shape as the batch-compatibility key.
-    fn task_meta(&self, task: &MemberTask) -> TaskMeta {
+    /// A member task paired with its scheduling metadata: the deadline (EDF
+    /// class), the tenant + WFQ weight, the member's *remaining* chain length
+    /// as cost, and the engine's state shape as the batch-compatibility key.
+    fn with_meta(&self, task: MemberTask) -> (MemberTask, TaskMeta) {
         let req = &task.req;
-        let shape = task.x.shape();
-        let mut sh = fnv_init();
-        for &d in shape {
-            fnv_u64(&mut sh, d as u64);
-        }
-        TaskMeta {
+        let meta = TaskMeta {
             deadline: req.deadline,
             tenant: Arc::clone(&req.tenant),
-            weight: self.tenant_weight(&req.tenant),
+            weight: self.quotas.as_ref().map_or(1.0, |q| q.weight(&req.tenant)),
             cost: (req.steps - task.next_step) as f64,
-            shape: sh,
-        }
-    }
-
-    fn bump_tenant(&self, tenant: &Arc<str>, f: impl FnOnce(&mut TenantCounters)) {
-        let mut tenants = self.tenants.lock();
-        f(tenants.entry(Arc::clone(tenant)).or_default());
-    }
-
-    /// Resolve a request as failed (first terminal transition wins).
-    fn fail_request(&self, req: &Arc<RequestState>, err: ServeError, actor: usize) {
-        {
-            let mut done = req.done.lock();
-            if done.result.is_some() {
-                return;
-            }
-            done.latency = req.submitted.elapsed();
-            done.result = Some(Err(err.clone()));
-            req.done_cv.notify_all();
-        }
-        if let ServeError::DeadlineExceeded { req: id } = err {
-            self.shed.fetch_add(1, Ordering::Relaxed);
-            self.tier_shed[req.tier.index()].fetch_add(1, Ordering::Relaxed);
-            self.bump_tenant(&req.tenant, |t| t.shed += 1);
-            if let Some(slo) = &self.slo {
-                slo.observe(req.tier, &req.tenant, false);
-            }
-            self.events.record(actor, ServeEvent::DeadlineExceeded { req: id });
-        }
-        self.release_outstanding();
-    }
-
-    /// Deliver a finished member; the last one completes the request.
-    fn finish_member(&self, task: MemberTask, actor: usize) {
-        let req = task.req;
-        let computed = req.steps - task.cache_hits;
-        let finished = {
-            let mut done = req.done.lock();
-            if done.result.is_some() {
-                return; // request already failed; drop the member quietly
-            }
-            done.members[task.member] = Some(task.states);
-            done.remaining -= 1;
-            done.cache_hits += task.cache_hits;
-            done.computed_steps += computed;
-            if done.remaining == 0 {
-                done.latency = req.submitted.elapsed();
-                done.result = Some(Ok(()));
-                req.done_cv.notify_all();
-                Some((done.latency, done.cache_hits, done.computed_steps))
-            } else {
-                None
-            }
+            shape: self.shape_key,
         };
-        if let Some((latency, cache_hits, computed_steps)) = finished {
-            self.completed.fetch_add(1, Ordering::Relaxed);
-            self.tier_completed[req.tier.index()].fetch_add(1, Ordering::Relaxed);
-            self.bump_tenant(&req.tenant, |t| t.completed += 1);
-            if req.nowcast.is_some() {
-                self.nowcasts.fetch_add(1, Ordering::Relaxed);
-                self.tier_nowcasts[req.tier.index()].fetch_add(1, Ordering::Relaxed);
-            }
-            self.metrics
-                .latency_series(req.tier, req.nowcast.is_some())
-                .record(latency.as_secs_f64() * 1e3);
-            if let Some(slo) = &self.slo {
-                slo.observe(req.tier, &req.tenant, latency.as_secs_f64() * 1e3 <= slo.cfg.latency_ms);
-            }
-            self.events.record(
-                actor,
-                ServeEvent::Completed {
-                    req: req.id,
-                    latency_ms: latency.as_millis() as u64,
-                    cache_hits,
-                    computed_steps,
-                },
-            );
-            self.release_outstanding();
-        }
+        (task, meta)
+    }
+
+    fn bump_tenant(&self, tenant: &Arc<str>, f: impl FnOnce(&mut TenantCounts)) {
+        let mut tenants = self.tenants.lock();
+        f(&mut tenants.entry(Arc::clone(tenant)).or_default().counts);
     }
 
     fn cache_key(&self, req: &RequestState, member: usize, step: usize) -> CacheKey {
@@ -644,160 +529,6 @@ impl EngineShared {
             member: member as u64,
             step: step as u32,
             aux: req.aux,
-        }
-    }
-
-    fn total_queue_depth(&self) -> usize {
-        self.queues.iter().map(|q| q.depth()).sum()
-    }
-}
-
-/// The model a tier's workers step member tasks on.
-enum TierModel<'a> {
-    Quality(&'a Forecaster),
-    Fast(&'a ConsistencyStudent),
-}
-
-impl TierModel<'_> {
-    /// Advance `task` by one step on its own RNG. Forecast tasks take the
-    /// model's plain step; nowcast tasks take the tier's assimilation step —
-    /// sampler guidance on the quality tier, and on the fast tier (where the
-    /// student has no solver iterations to guide) one post-hoc bounded
-    /// relaxation toward the observations.
-    fn step(&self, task: &mut MemberTask, forcings: &Tensor) -> Tensor {
-        let (x, rng) = (&task.x, &mut task.rng);
-        match (self, &task.req.nowcast) {
-            (TierModel::Quality(fc), None) => fc.forecast_step(x, forcings, rng),
-            (TierModel::Quality(fc), Some(n)) => {
-                nowcast_step(fc, x, forcings, &n.obs, n.schedule, rng)
-            }
-            (TierModel::Fast(student), None) => student.forecast_step(x, forcings, rng),
-            (TierModel::Fast(student), Some(n)) => {
-                nowcast_step_fast(student, x, forcings, &n.obs, n.schedule, rng)
-            }
-        }
-    }
-
-    /// The `Forward` span label of this tier's batched step.
-    fn span_label(&self) -> &'static str {
-        match self {
-            TierModel::Quality(_) => "forecast_step_batch",
-            TierModel::Fast(_) => "fast_step_batch",
-        }
-    }
-}
-
-fn worker_loop(shared: Arc<EngineShared>, tier: Tier, actor: usize) {
-    let model = match tier {
-        Tier::Quality => TierModel::Quality(&shared.forecaster),
-        Tier::Fast => TierModel::Fast(
-            shared.student.as_deref().expect("fast worker without a student"),
-        ),
-    };
-    let tokens = shared.forecaster.model.cfg.tokens();
-    let queue = &shared.queues[tier.index()];
-    loop {
-        // The assembly span covers the blocking wait for work: its duration
-        // is the dispatcher's gather window plus any idle time, which is
-        // exactly the "why is the worker not forecasting" question.
-        let batch = {
-            let _asm =
-                shared.tracer.span(SpanCategory::BatchAssembly, actor).label(tier.name());
-            match queue.next_batch(shared.cfg.max_batch, shared.cfg.max_wait) {
-                Some(b) => b,
-                None => break,
-            }
-        };
-        shared.metrics.queue_depth.record(shared.total_queue_depth() as f64);
-        // Shed tasks of already-resolved requests, expire deadlines, and —
-        // once the tier's service-time estimate is warm — shed *doomed*
-        // requests whose remaining chain is projected past the deadline:
-        // better to fail them now than to burn model evaluations on work
-        // that cannot arrive in time.
-        let now = Instant::now();
-        let per_unit = shared.estimator.per_unit(tier);
-        // Error-budget-aware shedding: the hotter the tier's burn rate, the
-        // more pessimistically the doom check projects remaining service
-        // time, so borderline requests are shed earlier and the freed
-        // capacity protects the work that can still meet its deadline.
-        // Time-only policy — it moves *which* requests get shed, never the
-        // numbers of the ones that complete.
-        let doom_safety = shared.slo.as_ref().map_or(1.0, |slo| {
-            match slo.tiers[tier.index()].verdict() {
-                SloVerdict::Ok => 1.0,
-                SloVerdict::Warn => 1.1,
-                SloVerdict::Page => 1.25,
-            }
-        });
-        let mut live: Vec<MemberTask> = Vec::with_capacity(batch.len());
-        for task in batch {
-            if task.req.terminal() {
-                continue;
-            }
-            if let Some(dl) = task.req.deadline {
-                let doomed = now >= dl
-                    || per_unit.is_some_and(|per| {
-                        let remaining = (task.req.steps - task.next_step) as f64;
-                        now + Duration::from_secs_f64(per * remaining * doom_safety) > dl
-                    });
-                if doomed {
-                    let id = task.req.id;
-                    shared.fail_request(
-                        &task.req,
-                        ServeError::DeadlineExceeded { req: id },
-                        actor,
-                    );
-                    continue;
-                }
-            }
-            live.push(task);
-        }
-        if live.is_empty() {
-            continue;
-        }
-        shared.metrics.batch_size.record(live.len() as f64);
-        let mut req_ids: Vec<u64> = live.iter().map(|t| t.req.id).collect();
-        req_ids.sort_unstable();
-        req_ids.dedup();
-        shared.events.record(
-            actor,
-            ServeEvent::BatchExecuted { size: live.len(), requests: req_ids.len(), tier },
-        );
-
-        // One batched model evaluation for the whole (shape-compatible)
-        // batch; every task advances on its own private RNG.
-        let forcings: Vec<Tensor> =
-            live.iter().map(|t| t.req.forcings.at(tokens, t.next_step)).collect();
-        let t0 = Instant::now();
-        let outs = {
-            let _fwd = shared
-                .tracer
-                .span(SpanCategory::Forward, actor)
-                .label(model.span_label())
-                .micro(live.len() as u64);
-            let mut jobs: Vec<(&mut MemberTask, &Tensor)> =
-                live.iter_mut().zip(&forcings).collect();
-            step_batch(&mut jobs, |(task, f)| model.step(task, f))
-        };
-        // Feed the router's and the doom check's service model with the
-        // amortized (batching included) cost of one member-step as served.
-        shared.estimator.observe(tier, t0.elapsed().as_secs_f64() / live.len() as f64);
-        for (mut task, next) in live.into_iter().zip(outs) {
-            let next = Arc::new(next);
-            task.next_step += 1;
-            shared.cache.insert(
-                shared.cache_key(&task.req, task.member, task.next_step),
-                Arc::clone(&next),
-                task.rng.snapshot(),
-            );
-            task.states.push(Arc::clone(&next));
-            task.x = next;
-            if task.next_step == task.req.steps {
-                shared.finish_member(task, actor);
-            } else {
-                let meta = shared.task_meta(&task);
-                queue.push(task, meta);
-            }
         }
     }
 }
@@ -864,68 +595,22 @@ impl ServeEngine {
         cfg: ServeConfig,
         tracer: Tracer,
     ) -> ServeEngine {
-        let n_quality = cfg.workers.max(1);
-        let n_fast = if student.is_some() { cfg.fast_workers.max(1) } else { 0 };
-        let shared = Arc::new(EngineShared {
-            student,
-            queues: [DispatchQueue::new(), DispatchQueue::new()],
-            router: TierRouter::new(cfg.router),
-            estimator: ServiceEstimator::new(),
-            quotas: cfg.quota.clone().map(QuotaTable::new),
-            default_tenant: Arc::from("public"),
-            cache: RolloutCache::new(cfg.cache_bytes),
-            events: EventLog::new(),
-            metrics: ServeMetrics::registered(&tracer),
-            tracer,
-            accepting: AtomicBool::new(true),
-            outstanding: Mutex::new(0),
-            drained: Condvar::new(),
-            next_id: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            nowcasts: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            quota_denied: AtomicU64::new(0),
-            tier_admitted: [AtomicU64::new(0), AtomicU64::new(0)],
-            tier_completed: [AtomicU64::new(0), AtomicU64::new(0)],
-            tier_shed: [AtomicU64::new(0), AtomicU64::new(0)],
-            tier_nowcasts: [AtomicU64::new(0), AtomicU64::new(0)],
-            tenants: Mutex::new(HashMap::new()),
-            slo: cfg.slo.clone().map(SloBook::new),
-            forecaster,
-            cfg,
-        });
-        // The queues report their own wait/lag distributions through the
-        // engine's metric series (lock-free histogram records; negligible
-        // next to a model evaluation).
-        for tier in [Tier::Quality, Tier::Fast] {
-            shared.queues[tier.index()].instrument(shared.metrics.queue_metrics(tier));
-        }
-        let mut workers = Vec::with_capacity(n_quality + n_fast);
-        for w in 0..n_quality {
-            let shared = Arc::clone(&shared);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("aeris-serve-q{w}"))
-                    .spawn(move || worker_loop(shared, Tier::Quality, w))
-                    .expect("spawn serve worker"),
-            );
-        }
-        for w in 0..n_fast {
-            let shared = Arc::clone(&shared);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("aeris-serve-f{w}"))
-                    .spawn(move || worker_loop(shared, Tier::Fast, n_quality + w))
-                    .expect("spawn serve worker"),
-            );
+        let shared = Arc::new(EngineShared::new(forecaster, student, cfg, tracer));
+        // Actor ids are pool indices, quality workers first (the fast
+        // lane's follow), so walk the tiers in reverse display order.
+        let mut workers = Vec::new();
+        for tier in Tier::ALL.into_iter().rev() {
+            for w in 0..shared.lane(tier).workers {
+                let (shared, actor) = (Arc::clone(&shared), workers.len());
+                workers.push(
+                    std::thread::Builder::new()
+                        .name(format!("aeris-serve-{}{w}", &tier.name()[..1]))
+                        .spawn(move || shared.lane(tier).run(&shared, actor))
+                        .expect("spawn serve worker"),
+                );
+            }
         }
         ServeEngine { shared, workers }
-    }
-
-    /// The tracer the engine records through (disabled no-op tracer unless
-    /// started via a `*_traced` constructor).
-    pub fn tracer(&self) -> &Tracer {
-        &self.shared.tracer
     }
 
     /// The per-tier service-time estimator (measured seconds per
@@ -934,101 +619,169 @@ impl ServeEngine {
         &self.shared.estimator
     }
 
-    /// Token-bucket admission for `cost` member-steps; a deny is recorded
-    /// and surfaced as [`ServeError::QuotaExceeded`].
-    fn check_quota(&self, tenant: &Arc<str>, cost: f64) -> Result<(), ServeError> {
-        let Some(quotas) = &self.shared.quotas else {
-            return Ok(());
-        };
-        if quotas.admit(tenant, cost).admitted() {
-            return Ok(());
-        }
-        self.shared.quota_denied.fetch_add(1, Ordering::Relaxed);
-        self.shared.bump_tenant(tenant, |t| t.quota_denied += 1);
-        self.shared
-            .events
-            .record(CLIENT_ACTOR, ServeEvent::RejectedQuota { tenant: tenant.to_string() });
-        Err(ServeError::QuotaExceeded { tenant: tenant.to_string() })
+    /// The serving event log (shared handle).
+    pub fn events(&self) -> &EventLog<ServeEvent> {
+        &self.shared.events
     }
 
-    /// Route a request onto a tier; an explicit fast request on a
-    /// quality-only engine is a typed error.
-    fn route(
-        &self,
-        explicit: Option<Tier>,
-        deadline: Option<Duration>,
-        chain_units: u64,
-    ) -> Result<Tier, ServeError> {
-        let fast_available = self.shared.student.is_some();
-        if explicit == Some(Tier::Fast) && !fast_available {
-            return Err(ServeError::BadRequest(
-                "fast tier requested but the engine has no distilled student".into(),
-            ));
+    /// Stop admitting new requests (they fail with [`ServeError::Shutdown`]);
+    /// already-admitted work keeps running.
+    pub fn stop_accepting(&self) {
+        self.shared.accepting.store(false, Ordering::Release);
+    }
+
+    /// Gate dispatch on both tiers: workers stop pulling work (submissions
+    /// are still accepted and queue up) until [`ServeEngine::release_dispatch`].
+    /// Lets tests build a deterministic backlog; also usable as a
+    /// maintenance pause.
+    pub fn hold_dispatch(&self) {
+        for lane in &self.shared.lanes {
+            lane.queue.hold();
         }
-        Ok(self.shared.router.route(
-            explicit,
+    }
+
+    /// Re-open dispatch after [`ServeEngine::hold_dispatch`].
+    pub fn release_dispatch(&self) {
+        for lane in &self.shared.lanes {
+            lane.queue.release();
+        }
+    }
+
+    /// Block until every admitted request has resolved.
+    pub fn drain(&self) {
+        let mut g = self.shared.outstanding.lock();
+        while *g > 0 {
+            self.shared.drained.wait(&mut g);
+        }
+    }
+
+    /// Graceful shutdown: stop admissions, drain all in-flight requests,
+    /// stop the workers, and return the final ops report.
+    pub fn shutdown(mut self) -> ServeReport {
+        self.stop_accepting();
+        // A held queue cannot drain; close() also clears any hold.
+        self.release_dispatch();
+        self.drain();
+        for lane in &self.shared.lanes {
+            lane.queue.close();
+        }
+        for w in self.workers.drain(..) {
+            w.join().expect("serve worker panicked");
+        }
+        let completed = self.shared.completed.load(Ordering::Relaxed);
+        self.shared.events.record(CLIENT_ACTOR, ServeEvent::Drained { completed });
+        self.shared.report()
+    }
+}
+
+impl Drop for ServeEngine {
+    /// Dropping without [`ServeEngine::shutdown`] still finishes admitted
+    /// work (workers drain the pools before exiting), so no ticket is ever
+    /// left hanging.
+    fn drop(&mut self) {
+        self.shared.accepting.store(false, Ordering::Release);
+        for lane in &self.shared.lanes {
+            lane.queue.close();
+        }
+        for w in self.workers.drain(..) {
+            let _ = w.join();
+        }
+    }
+}
+
+/// The one request normal form. A [`ForecastRequest`] or [`NowcastRequest`]
+/// is *moved* into it (nothing is cloned); from here on the engine knows one
+/// kind of request: a nowcast is a 1-step rollout carrying a [`NowcastSpec`].
+struct Intake {
+    init: Tensor,
+    forcings: Forcings,
+    steps: usize,
+    n_members: usize,
+    seed: u64,
+    deadline: Option<Duration>,
+    tenant: Option<Arc<str>>,
+    /// The explicitly requested tier, if any.
+    tier: Option<Tier>,
+    nowcast: Option<NowcastSpec>,
+}
+
+impl From<ForecastRequest> for Intake {
+    fn from(r: ForecastRequest) -> Intake {
+        let ForecastRequest { init, forcings, steps, n_members, seed, deadline, tenant, tier } = r;
+        Intake { init, forcings, steps, n_members, seed, deadline, tenant, tier, nowcast: None }
+    }
+}
+
+impl From<NowcastRequest> for Intake {
+    fn from(r: NowcastRequest) -> Intake {
+        let NowcastRequest {
+            background: init,
+            forcings,
+            observations: obs,
+            schedule,
+            n_members,
+            seed,
             deadline,
-            chain_units,
-            fast_available,
-            &self.shared.estimator,
-        ))
+            tenant,
+            tier,
+        } = r;
+        let nowcast = Some(NowcastSpec { obs, schedule });
+        Intake { init, forcings, steps: 1, n_members, seed, deadline, tenant, tier, nowcast }
     }
+}
 
-    /// The admission prologue both request kinds share: shutdown gate,
-    /// validation, tenant ledger, quota (`steps × n_members` member-steps),
-    /// routing, and the outstanding-slot bound. Returns the fresh request
-    /// id, its tier and tenant, and the open `Admission` span. A routing
-    /// failure after the quota check counts as a rejection on the tenant's
-    /// ledger (so `submitted == admitted + quota_denied + rejected` always
-    /// balances).
-    fn admit(
-        &self,
-        validate: impl FnOnce() -> Result<(), ServeError>,
-        tenant: &Option<Arc<str>>,
-        explicit: Option<Tier>,
-        deadline: Option<Duration>,
-        steps: usize,
-        n_members: usize,
-    ) -> Result<(u64, Tier, Arc<str>, SpanGuard), ServeError> {
-        let shared = &self.shared;
-        if !shared.accepting.load(Ordering::Acquire) {
-            shared.events.record(CLIENT_ACTOR, ServeEvent::RejectedShutdown);
-            return Err(ServeError::Shutdown);
+impl RequestState {
+    /// The state of an admitted request; `intake` is consumed (its `init`
+    /// tensor moves into the shared `Arc`, never cloned).
+    fn new(id: u64, intake: Intake, tier: Tier, tenant: Arc<str>) -> Self {
+        let submitted = Instant::now();
+        // An off schedule is a bitwise 1-step forecast (on either tier), so
+        // it keeps the plain aux and shares cache entries with one; active
+        // guidance gets its own content-addressed namespace.
+        let guided = intake
+            .nowcast
+            .as_ref()
+            .filter(|n| !n.schedule.is_off())
+            .map_or(0, |n| fnv_pair(n.obs.digest(), n.schedule.digest()));
+        RequestState {
+            id,
+            init_hash: content_hash(&intake.init),
+            init: Arc::new(intake.init),
+            forcings_key: intake.forcings.content_key(),
+            forcings: intake.forcings,
+            steps: intake.steps,
+            n_members: intake.n_members,
+            seed: intake.seed,
+            tier,
+            tenant,
+            nowcast: intake.nowcast,
+            // Fast-tier trajectories are different numbers from quality ones
+            // and must never alias: namespace the key by tier.
+            aux: if tier == Tier::Fast { fnv_pair(guided, FAST_AUX) } else { guided },
+            submitted,
+            deadline: intake.deadline.map(|d| submitted + d),
+            done: Mutex::new(DoneState {
+                members: vec![None; intake.n_members],
+                remaining: intake.n_members,
+                cache_hits: 0,
+                latency: Duration::ZERO,
+                result: None,
+            }),
+            done_cv: Condvar::new(),
         }
-        validate()?;
-        let tenant = tenant.clone().unwrap_or_else(|| Arc::clone(&shared.default_tenant));
-        shared.bump_tenant(&tenant, |t| t.submitted += 1);
-        self.check_quota(&tenant, (steps * n_members) as f64)?;
-        let tier = self.route(explicit, deadline, steps as u64).inspect_err(|_| {
-            shared.bump_tenant(&tenant, |t| t.rejected += 1);
-        })?;
-        let adm = shared.tracer.span(SpanCategory::Admission, CLIENT_ACTOR);
-        let id = self.acquire_slot(&tenant, tier)?;
-        Ok((id, tier, tenant, adm.step(id)))
     }
+}
 
+impl ServeEngine {
     /// Validate, admit, route, and enqueue a forecast request. Returns a
     /// [`Ticket`] the client blocks on; every admission failure is a typed
     /// error.
     pub fn submit(&self, request: ForecastRequest) -> Result<Ticket, ServeError> {
-        let (id, tier, tenant, _adm) = self.admit(
-            || self.validate(&request),
-            &request.tenant,
-            request.tier,
-            request.deadline,
-            request.steps,
-            request.n_members,
-        )?;
-        let req = RequestState::new(id, &request, tier, tenant);
-        self.shared.events.record(
-            CLIENT_ACTOR,
-            ServeEvent::Admitted { req: id, members: request.n_members, steps: request.steps },
-        );
-        self.enqueue_members(req)
+        self.admit(request.into())
     }
 
     /// Validate, admit, route, and enqueue a nowcast (assimilation) request.
-    /// The returned [`Ticket`] resolves to a 1-step [`ForecastResponse`]
+    /// The returned [`Ticket`] resolves to a 1-step `ForecastResponse`
     /// whose `members[m][0]` is member `m`'s analysis state — bitwise
     /// identical to `aeris_assim::nowcast_member` (quality tier) or
     /// `aeris_assim::nowcast_member_fast` (fast tier) with the same inputs.
@@ -1036,98 +789,97 @@ impl ServeEngine {
     /// forecasts and the rollout cache answers exact replays (keyed on the
     /// observation digest, guidance schedule, and tier).
     pub fn submit_nowcast(&self, request: NowcastRequest) -> Result<Ticket, ServeError> {
-        let (id, tier, tenant, _adm) = self.admit(
-            || self.validate_nowcast(&request),
-            &request.tenant,
-            request.tier,
-            request.deadline,
-            1,
-            request.n_members,
-        )?;
-        let req = RequestState::new_nowcast(id, &request, tier, tenant);
-        self.shared.events.record(
-            CLIENT_ACTOR,
-            ServeEvent::AdmittedNowcast {
-                req: id,
-                members: request.n_members,
-                n_obs: request.observations.n_present(),
-            },
-        );
+        self.admit(request.into())
+    }
+
+    /// The one way in, for both request kinds: shutdown gate, validation,
+    /// tenant ledger, quota (`steps × n_members` member-steps), routing, the
+    /// outstanding-slot bound (fail-fast, never queue unboundedly), then the
+    /// request state, its admission events and its members. A routing or
+    /// slot refusal after the quota check counts as a rejection on the
+    /// tenant's ledger, so `submitted == admitted + quota_denied + rejected`
+    /// always balances.
+    fn admit(&self, intake: Intake) -> Result<Ticket, ServeError> {
+        let shared = &self.shared;
+        if !shared.accepting.load(Ordering::Acquire) {
+            shared.events.record(CLIENT_ACTOR, ServeEvent::RejectedShutdown);
+            return Err(ServeError::Shutdown);
+        }
+        self.validate(&intake)?;
+        let tenant = intake.tenant.clone().unwrap_or_else(|| Arc::clone(&shared.default_tenant));
+        shared.bump_tenant(&tenant, |t| t.submitted += 1);
+        self.check_quota(&tenant, (intake.steps * intake.n_members) as f64)?;
+        let tier = self
+            .route(&intake)
+            .inspect_err(|_| shared.bump_tenant(&tenant, |t| t.rejected += 1))?;
+        let adm = shared.tracer.span(SpanCategory::Admission, CLIENT_ACTOR);
+        {
+            let capacity = shared.cfg.queue_capacity;
+            let mut outstanding = shared.outstanding.lock();
+            if *outstanding >= capacity {
+                shared.events.record(CLIENT_ACTOR, ServeEvent::RejectedQueueFull { capacity });
+                shared.bump_tenant(&tenant, |t| t.rejected += 1);
+                return Err(ServeError::QueueFull { capacity });
+            }
+            *outstanding += 1;
+        }
+        // From here the request owns one outstanding slot, released by
+        // `resolve` and nowhere else.
+        shared.lane(tier).admitted.fetch_add(1, Ordering::Relaxed);
+        shared.bump_tenant(&tenant, |t| t.admitted += 1);
+        let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
+        let _adm = adm.step(id);
+        let req = Arc::new(RequestState::new(id, intake, tier, tenant));
+        let members = req.n_members;
+        let admitted = match &req.nowcast {
+            None => ServeEvent::Admitted { req: id, members, steps: req.steps },
+            Some(n) => ServeEvent::AdmittedNowcast { req: id, members, n_obs: n.obs.n_present() },
+        };
+        shared.events.record(CLIENT_ACTOR, admitted);
+        shared.events.record(CLIENT_ACTOR, ServeEvent::Routed { req: id, tier });
         self.enqueue_members(req)
     }
 
-    /// Admission control: bounded outstanding requests, fail-fast. On
-    /// success the caller owns one outstanding slot and a fresh request id,
-    /// and the request is counted admitted on its tier's and tenant's
-    /// ledgers; a refusal counts as a tenant rejection.
-    fn acquire_slot(&self, tenant: &Arc<str>, tier: Tier) -> Result<u64, ServeError> {
+    /// Token-bucket admission for `cost` member-steps; a deny is recorded
+    /// and surfaced as [`ServeError::QuotaExceeded`].
+    fn check_quota(&self, tenant: &Arc<str>, cost: f64) -> Result<(), ServeError> {
         let shared = &self.shared;
-        {
-            let mut g = shared.outstanding.lock();
-            if *g >= shared.cfg.queue_capacity {
-                shared.events.record(
-                    CLIENT_ACTOR,
-                    ServeEvent::RejectedQueueFull { capacity: shared.cfg.queue_capacity },
-                );
-                shared.bump_tenant(tenant, |t| t.rejected += 1);
-                return Err(ServeError::QueueFull { capacity: shared.cfg.queue_capacity });
-            }
-            *g += 1;
+        if shared.quotas.as_ref().is_none_or(|q| q.admit(tenant, cost).admitted()) {
+            return Ok(());
         }
-        shared.tier_admitted[tier.index()].fetch_add(1, Ordering::Relaxed);
-        shared.bump_tenant(tenant, |t| t.admitted += 1);
-        Ok(shared.next_id.fetch_add(1, Ordering::Relaxed))
+        shared.quota_denied.fetch_add(1, Ordering::Relaxed);
+        shared.bump_tenant(tenant, |t| t.quota_denied += 1);
+        let tenant = tenant.to_string();
+        shared.events.record(CLIENT_ACTOR, ServeEvent::RejectedQuota { tenant: tenant.clone() });
+        Err(ServeError::QuotaExceeded { tenant })
     }
 
-    /// The admitted-request tail shared by both request kinds.
-    fn enqueue_members(&self, req: RequestState) -> Result<Ticket, ServeError> {
+    /// Route a request onto a tier; an explicit fast request on a
+    /// quality-only engine is a typed error.
+    fn route(&self, intake: &Intake) -> Result<Tier, ServeError> {
+        let fast_available = self.shared.lane(Tier::Fast).model.is_some();
+        if intake.tier == Some(Tier::Fast) && !fast_available {
+            return Err(ServeError::BadRequest(
+                "fast tier requested but the engine has no distilled student".into(),
+            ));
+        }
+        Ok(self.shared.router.route(
+            intake.tier,
+            intake.deadline,
+            intake.steps as u64,
+            fast_available,
+            &self.shared.estimator,
+        ))
+    }
+
+    /// The admitted-request tail: per member, reuse the longest cached
+    /// prefix (fully-cached members finish right here), then shed or
+    /// enqueue the remainder.
+    fn enqueue_members(&self, req: Arc<RequestState>) -> Result<Ticket, ServeError> {
         let shared = &self.shared;
-        let req = Arc::new(req);
-        let id = req.id;
-        shared.events.record(CLIENT_ACTOR, ServeEvent::Routed { req: id, tier: req.tier });
-        // Per member: reuse the longest contiguous cached prefix, then
-        // enqueue the remainder (fully-cached members finish right here).
         let mut tasks = Vec::new();
         for m in 0..req.n_members {
-            let mut task = MemberTask {
-                req: Arc::clone(&req),
-                member: m,
-                next_step: 0,
-                x: Arc::clone(&req.init),
-                rng: member_rng(req.seed, m),
-                states: Vec::with_capacity(req.steps),
-                cache_hits: 0,
-            };
-            {
-                let _lookup = shared
-                    .tracer
-                    .span(SpanCategory::CacheLookup, CLIENT_ACTOR)
-                    .step(id)
-                    .micro(m as u64);
-                while task.next_step < req.steps {
-                    let key = shared.cache_key(&req, m, task.next_step + 1);
-                    match shared.cache.get(&key) {
-                        Some(hit) => {
-                            task.rng = Rng::restore(hit.rng);
-                            task.x = Arc::clone(&hit.state);
-                            task.states.push(hit.state);
-                            task.next_step += 1;
-                            task.cache_hits += 1;
-                        }
-                        None => break,
-                    }
-                }
-            }
-            shared.tracer.incr("serve_cache_hits", task.cache_hits as u64);
-            if task.next_step < req.steps {
-                shared.tracer.incr("serve_cache_misses", 1);
-            }
-            if task.cache_hits > 0 {
-                shared.events.record(
-                    CLIENT_ACTOR,
-                    ServeEvent::PrefixReused { req: id, member: m, steps: task.cache_hits },
-                );
-            }
+            let task = shared.resume_member(&req, m);
             if task.next_step == req.steps {
                 shared.finish_member(task, CLIENT_ACTOR);
             } else {
@@ -1138,32 +890,45 @@ impl ServeEngine {
         // that leaves less headroom than the batcher's gather window, cannot
         // be met — fail now instead of queuing doomed work. Fully-cached
         // requests never reach this check (no tasks remain).
-        if !tasks.is_empty() {
-            if let Some(dl) = req.deadline {
-                let now = Instant::now();
-                if now >= dl || dl - now < shared.cfg.max_wait {
-                    shared.fail_request(&req, ServeError::DeadlineExceeded { req: id }, CLIENT_ACTOR);
-                    return Err(ServeError::DeadlineExceeded { req: id });
-                }
-            }
+        let unmeetable = |dl: Instant| {
+            let now = Instant::now();
+            now >= dl || dl - now < shared.cfg.max_wait
+        };
+        if !tasks.is_empty() && req.deadline.is_some_and(unmeetable) {
+            shared.resolve(&req, Outcome::Shed, CLIENT_ACTOR);
+            return Err(ServeError::DeadlineExceeded { req: req.id });
         }
-        let queue = &shared.queues[req.tier.index()];
-        let metas: Vec<(MemberTask, TaskMeta)> = tasks
-            .into_iter()
-            .map(|t| {
-                let meta = shared.task_meta(&t);
-                (t, meta)
-            })
-            .collect();
-        queue.push_many(metas);
+        let tasks: Vec<_> = tasks.into_iter().map(|t| shared.with_meta(t)).collect();
+        shared.lane(req.tier).queue.push_many(tasks);
         Ok(Ticket { req })
     }
 
-    fn validate(&self, r: &ForecastRequest) -> Result<(), ServeError> {
+    /// Everything a client can get wrong, checked before anything is
+    /// counted: sizes, the input state, a nowcast's observation set and the
+    /// sampler it will be guided through, the forcings.
+    fn validate(&self, r: &Intake) -> Result<(), ServeError> {
+        let fc = &self.shared.forecaster;
+        let cfg = &fc.model.cfg;
         if r.steps == 0 || r.n_members == 0 {
             return Err(ServeError::BadRequest("steps and n_members must be ≥ 1".into()));
         }
-        self.validate_state("init", &r.init)?;
+        self.validate_state(if r.nowcast.is_some() { "background" } else { "init" }, &r.init)?;
+        if let Some(NowcastSpec { obs, .. }) = &r.nowcast {
+            obs.validate().map_err(ServeError::BadRequest)?;
+            let (tokens, channels) = (cfg.tokens(), cfg.channels);
+            if (obs.tokens, obs.channels) != (tokens, channels) {
+                return Err(ServeError::BadRequest(format!(
+                    "observation geometry {}x{} != model grid {tokens}x{channels}",
+                    obs.tokens, obs.channels
+                )));
+            }
+            // Guided sampling runs the solver: a malformed schedule is a
+            // typed admission error here, not a panic on a worker.
+            fc.sampler
+                .cfg
+                .validate(&fc.sampler.tf)
+                .map_err(|e| ServeError::BadRequest(format!("sampler config: {e}")))?;
+        }
         self.validate_forcings(&r.forcings, r.steps)
     }
 
@@ -1208,182 +973,357 @@ impl ServeEngine {
         }
         Ok(())
     }
+}
 
-    fn validate_nowcast(&self, r: &NowcastRequest) -> Result<(), ServeError> {
-        let fc = &self.shared.forecaster;
-        let cfg = &fc.model.cfg;
-        if r.n_members == 0 {
-            return Err(ServeError::BadRequest("n_members must be ≥ 1".into()));
-        }
-        self.validate_state("background", &r.background)?;
-        let obs = &r.observations;
-        if obs.tokens != cfg.tokens() || obs.channels != cfg.channels {
-            return Err(ServeError::BadRequest(format!(
-                "observation geometry {}x{} != model grid {}x{}",
-                obs.tokens,
-                obs.channels,
-                cfg.tokens(),
-                cfg.channels
-            )));
-        }
-        let n = obs.sites.len();
-        if obs.values.len() != n || obs.mask.len() != n {
-            return Err(ServeError::BadRequest(format!(
-                "inconsistent observation lengths: {n} sites, {} values, {} mask bits",
-                obs.values.len(),
-                obs.mask.len()
-            )));
-        }
-        if obs.noise_std.len() != obs.channels {
-            return Err(ServeError::BadRequest(format!(
-                "noise_std has {} entries for {} channels",
-                obs.noise_std.len(),
-                obs.channels
-            )));
-        }
-        if let Some((ch, &s)) =
-            obs.noise_std.iter().enumerate().find(|(_, &s)| s <= 0.0 || s.is_nan())
+impl EngineShared {
+    /// Member `m` of `req`, advanced through the longest contiguous cached
+    /// prefix of its trajectory (state + RNG snapshot per step).
+    fn resume_member(&self, req: &Arc<RequestState>, m: usize) -> MemberTask {
+        let mut task = MemberTask {
+            req: Arc::clone(req),
+            member: m,
+            next_step: 0,
+            x: Arc::clone(&req.init),
+            rng: member_rng(req.seed, m),
+            states: Vec::with_capacity(req.steps),
+            cache_hits: 0,
+        };
         {
-            return Err(ServeError::BadRequest(format!(
-                "noise_std[{ch}] = {s} must be strictly positive"
-            )));
+            let lookup = self.tracer.span(SpanCategory::CacheLookup, CLIENT_ACTOR);
+            let _lookup = lookup.step(req.id).micro(m as u64);
+            while task.next_step < req.steps {
+                let key = self.cache_key(req, m, task.next_step + 1);
+                let Some(hit) = self.cache.get(&key) else { break };
+                task.rng = Rng::restore(hit.rng);
+                task.x = Arc::clone(&hit.state);
+                task.states.push(hit.state);
+                task.next_step += 1;
+                task.cache_hits += 1;
+            }
         }
-        if let Some(bad) =
-            obs.sites.iter().find(|s| s.token >= obs.tokens || s.channel >= obs.channels)
+        self.tracer.incr("serve_cache_hits", task.cache_hits as u64);
+        if task.next_step < req.steps {
+            self.tracer.incr("serve_cache_misses", 1);
+        }
+        if task.cache_hits > 0 {
+            self.events.record(
+                CLIENT_ACTOR,
+                ServeEvent::PrefixReused { req: req.id, member: m, steps: task.cache_hits },
+            );
+        }
+        task
+    }
+}
+
+/// How an admitted request ends. [`EngineShared::resolve`] is total over
+/// it: a new way to end is one variant here, one counter on [`Lane`] and one
+/// field of `TenantCounts`.
+#[derive(Clone, Copy)]
+enum Outcome {
+    /// Every member finished; the latency is judged against the objective.
+    Completed,
+    /// Shed for deadline reasons (at admission or at dispatch); always a bad
+    /// outcome for the objective.
+    Shed,
+}
+
+impl EngineShared {
+    /// The one terminal transition (first call per request wins): set the
+    /// ticket's result, stamp the latency, wake the client, count the
+    /// outcome on the global, lane and tenant ledgers, record the latency
+    /// series, feed the lane's and the tenant's SLO trackers, log the
+    /// event, and release the request's outstanding slot.
+    fn resolve(&self, req: &RequestState, outcome: Outcome, actor: usize) {
+        let (latency, cache_hits) = {
+            let mut done = req.done.lock();
+            if done.result.is_some() {
+                return;
+            }
+            done.latency = req.submitted.elapsed();
+            done.result = Some(match outcome {
+                Outcome::Completed => Ok(()),
+                Outcome::Shed => Err(ServeError::DeadlineExceeded { req: req.id }),
+            });
+            req.done_cv.notify_all();
+            (done.latency, done.cache_hits)
+        };
+        let latency_ms = latency.as_secs_f64() * 1e3;
+        let lane = self.lane(req.tier);
+        let (global, in_lane, event) = match outcome {
+            Outcome::Completed => {
+                let series = if req.nowcast.is_some() {
+                    self.nowcasts.fetch_add(1, Ordering::Relaxed);
+                    lane.nowcasts.fetch_add(1, Ordering::Relaxed);
+                    &lane.nowcast_latency_ms
+                } else {
+                    &lane.latency_ms
+                };
+                series.record(latency_ms);
+                let event = ServeEvent::Completed {
+                    req: req.id,
+                    latency_ms: latency.as_millis() as u64,
+                    cache_hits,
+                    computed_steps: req.steps * req.n_members - cache_hits,
+                };
+                (&self.completed, &lane.completed, event)
+            }
+            Outcome::Shed => (&self.shed, &lane.shed, ServeEvent::DeadlineExceeded { req: req.id }),
+        };
+        global.fetch_add(1, Ordering::Relaxed);
+        in_lane.fetch_add(1, Ordering::Relaxed);
+        let judge = |slo: &SloTracker| match outcome {
+            Outcome::Completed => slo.observe_latency(latency_ms),
+            Outcome::Shed => slo.observe(false),
+        };
+        if let Some(slo) = &lane.slo {
+            judge(slo);
+        }
         {
-            return Err(ServeError::BadRequest(format!(
-                "observation site ({}, {}) outside the {}x{} grid",
-                bad.token, bad.channel, obs.tokens, obs.channels
-            )));
+            let mut tenants = self.tenants.lock();
+            let entry = tenants.entry(Arc::clone(&req.tenant)).or_default();
+            match outcome {
+                Outcome::Completed => entry.counts.completed += 1,
+                Outcome::Shed => entry.counts.shed += 1,
+            }
+            if let Some(cfg) = &self.cfg.slo {
+                judge(entry.slo.get_or_insert_with(|| SloTracker::new(cfg.clone())));
+            }
         }
-        if let Some(i) = (0..n).find(|&i| obs.mask[i] && !obs.values[i].is_finite()) {
-            return Err(ServeError::BadRequest(format!(
-                "observation {i} is present but not finite ({})",
-                obs.values[i]
-            )));
-        }
-        // Guided sampling runs the solver; reject a malformed schedule here
-        // as a typed admission error instead of panicking on a worker.
-        fc.sampler
-            .cfg
-            .validate(&fc.sampler.tf)
-            .map_err(|e| ServeError::BadRequest(format!("sampler config: {e}")))?;
-        self.validate_forcings(&r.forcings, 1)
+        self.events.record(actor, event);
+        self.release_outstanding();
     }
 
-    /// Stop admitting new requests (they fail with [`ServeError::Shutdown`]);
-    /// already-admitted work keeps running.
-    pub fn stop_accepting(&self) {
-        self.shared.accepting.store(false, Ordering::Release);
-    }
-
-    /// Gate dispatch on both tiers: workers stop pulling work (submissions
-    /// are still accepted and queue up) until [`ServeEngine::release_dispatch`].
-    /// Lets tests build a deterministic backlog; also usable as a
-    /// maintenance pause.
-    pub fn hold_dispatch(&self) {
-        for q in &self.shared.queues {
-            q.hold();
+    /// Deliver a finished member; the last one completes the request.
+    fn finish_member(&self, task: MemberTask, actor: usize) {
+        let req = task.req;
+        let last = {
+            let mut done = req.done.lock();
+            if done.result.is_some() {
+                return; // request already shed; drop the member quietly
+            }
+            done.members[task.member] = Some(task.states);
+            done.remaining -= 1;
+            done.cache_hits += task.cache_hits;
+            done.remaining == 0
+        };
+        if last {
+            self.resolve(&req, Outcome::Completed, actor);
         }
     }
+}
 
-    /// Re-open dispatch after [`ServeEngine::hold_dispatch`].
-    pub fn release_dispatch(&self) {
-        for q in &self.shared.queues {
-            q.release();
+impl TierModel {
+    /// Advance `task` by one step on its own RNG. Forecast tasks take the
+    /// model's plain step; nowcast tasks take the tier's assimilation step —
+    /// sampler guidance on the quality tier, and on the fast tier (where the
+    /// student has no solver iterations to guide) one post-hoc bounded
+    /// relaxation toward the observations.
+    fn step(&self, task: &mut MemberTask, forcings: &Tensor) -> Tensor {
+        let (x, rng) = (&task.x, &mut task.rng);
+        match (self, &task.req.nowcast) {
+            (TierModel::Quality(fc), None) => fc.forecast_step(x, forcings, rng),
+            (TierModel::Quality(fc), Some(n)) => {
+                nowcast_step(fc, x, forcings, &n.obs, n.schedule, rng)
+            }
+            (TierModel::Fast(student), None) => student.forecast_step(x, forcings, rng),
+            (TierModel::Fast(student), Some(n)) => {
+                nowcast_step_fast(student, x, forcings, &n.obs, n.schedule, rng)
+            }
         }
     }
 
-    /// Block until every admitted request has resolved.
-    pub fn drain(&self) {
-        let mut g = self.shared.outstanding.lock();
-        while *g > 0 {
-            self.shared.drained.wait(&mut g);
+    /// The `Forward` span label of this tier's batched step.
+    fn span_label(&self) -> &'static str {
+        match self {
+            TierModel::Quality(_) => "forecast_step_batch",
+            TierModel::Fast(_) => "fast_step_batch",
+        }
+    }
+}
+
+impl Lane {
+    /// A worker's life: pull a batch in priority order, then *cull* it,
+    /// *step* what is left, and *retire* the results — until the queue
+    /// closes and runs dry.
+    fn run(&self, shared: &EngineShared, actor: usize) {
+        let Some(model) = &self.model else { return };
+        loop {
+            // The assembly span covers the blocking wait for work: its
+            // duration is the dispatcher's gather window plus any idle time,
+            // which is exactly the "why is the worker not forecasting"
+            // question.
+            let next = {
+                let _asm =
+                    shared.tracer.span(SpanCategory::BatchAssembly, actor).label(self.tier.name());
+                self.queue.next_batch(shared.cfg.max_batch, shared.cfg.max_wait)
+            };
+            let Some(batch) = next else { break };
+            let depth: usize = shared.lanes.iter().map(|l| l.queue.depth()).sum();
+            shared.metrics.queue_depth.record(depth as f64);
+            let mut live = self.cull(shared, batch, actor);
+            if live.is_empty() {
+                continue;
+            }
+            let outs = self.step(shared, model, &mut live, actor);
+            self.retire(shared, live, outs, actor);
         }
     }
 
-    /// Graceful shutdown: stop admissions, drain all in-flight requests,
-    /// stop the workers, and return the final ops report.
-    pub fn shutdown(mut self) -> ServeReport {
-        self.stop_accepting();
-        // A held queue cannot drain; close() also clears any hold.
-        for q in &self.shared.queues {
-            q.release();
-        }
-        self.drain();
-        for q in &self.shared.queues {
-            q.close();
-        }
-        for w in self.workers.drain(..) {
-            w.join().expect("serve worker panicked");
-        }
-        let shared = &self.shared;
-        let completed = shared.completed.load(Ordering::Relaxed);
-        shared.events.record(CLIENT_ACTOR, ServeEvent::Drained { completed });
-        let tiers = [Tier::Fast, Tier::Quality].map(|t| TierCounts {
-            admitted: shared.tier_admitted[t.index()].load(Ordering::Relaxed),
-            completed: shared.tier_completed[t.index()].load(Ordering::Relaxed),
-            shed: shared.tier_shed[t.index()].load(Ordering::Relaxed),
-            nowcasts: shared.tier_nowcasts[t.index()].load(Ordering::Relaxed),
+    /// Phase 1 — cull: drop tasks of already-resolved requests, expire
+    /// deadlines, and — once the tier's service-time estimate is warm — shed
+    /// *doomed* requests whose remaining chain is projected past the
+    /// deadline: better to fail them now than to burn model evaluations on
+    /// work that cannot arrive in time.
+    fn cull(&self, shared: &EngineShared, batch: Vec<MemberTask>, actor: usize) -> Vec<MemberTask> {
+        let now = Instant::now();
+        let per_unit = shared.estimator.per_unit(self.tier);
+        // Error-budget-aware shedding: the hotter the tier's burn rate, the
+        // more pessimistically the doom check projects remaining service
+        // time, so borderline requests are shed earlier and the freed
+        // capacity protects the work that can still meet its deadline.
+        // Time-only policy — it moves *which* requests get shed, never the
+        // numbers of the ones that complete.
+        let doom_safety = self.slo.as_ref().map_or(1.0, |slo| match slo.verdict() {
+            SloVerdict::Ok => 1.0,
+            SloVerdict::Warn => 1.1,
+            SloVerdict::Page => 1.25,
         });
-        let mut tenants: Vec<(String, TenantCounts)> = shared
+        let mut live = Vec::with_capacity(batch.len());
+        for task in batch {
+            if task.req.terminal() {
+                continue;
+            }
+            let doomed = task.req.deadline.is_some_and(|dl| {
+                now >= dl
+                    || per_unit.is_some_and(|per| {
+                        let remaining = (task.req.steps - task.next_step) as f64;
+                        now + Duration::from_secs_f64(per * remaining * doom_safety) > dl
+                    })
+            });
+            if doomed {
+                shared.resolve(&task.req, Outcome::Shed, actor);
+            } else {
+                live.push(task);
+            }
+        }
+        live
+    }
+
+    /// Phase 2 — step: one batched model evaluation for the whole
+    /// (shape-compatible) batch; every task advances on its own private RNG.
+    /// Returns each task's next state, in batch order.
+    fn step(
+        &self,
+        shared: &EngineShared,
+        model: &TierModel,
+        live: &mut [MemberTask],
+        actor: usize,
+    ) -> Vec<Tensor> {
+        shared.metrics.batch_size.record(live.len() as f64);
+        let mut req_ids: Vec<u64> = live.iter().map(|t| t.req.id).collect();
+        req_ids.sort_unstable();
+        req_ids.dedup();
+        let (size, requests) = (live.len(), req_ids.len());
+        shared.events.record(actor, ServeEvent::BatchExecuted { size, requests, tier: self.tier });
+        let tokens = shared.forecaster.model.cfg.tokens();
+        let forcings: Vec<Tensor> =
+            live.iter().map(|t| t.req.forcings.at(tokens, t.next_step)).collect();
+        let t0 = Instant::now();
+        let outs = {
+            let fwd = shared.tracer.span(SpanCategory::Forward, actor).label(model.span_label());
+            let _fwd = fwd.micro(live.len() as u64);
+            let mut jobs: Vec<(&mut MemberTask, &Tensor)> =
+                live.iter_mut().zip(&forcings).collect();
+            step_batch(&mut jobs, |(task, f)| model.step(task, f))
+        };
+        // Feed the router's and the doom check's service model with the
+        // amortized (batching included) cost of one member-step as served.
+        shared.estimator.observe(self.tier, t0.elapsed().as_secs_f64() / live.len() as f64);
+        outs
+    }
+
+    /// Phase 3 — retire: cache each new state with its RNG snapshot, then
+    /// finish the member or requeue it for its next step.
+    fn retire(&self, shared: &EngineShared, live: Vec<MemberTask>, out: Vec<Tensor>, actor: usize) {
+        for (mut task, next) in live.into_iter().zip(out) {
+            let next = Arc::new(next);
+            task.next_step += 1;
+            shared.cache.insert(
+                shared.cache_key(&task.req, task.member, task.next_step),
+                Arc::clone(&next),
+                task.rng.snapshot(),
+            );
+            task.states.push(Arc::clone(&next));
+            task.x = next;
+            if task.next_step == task.req.steps {
+                shared.finish_member(task, actor);
+            } else {
+                let (task, meta) = shared.with_meta(task);
+                self.queue.push(task, meta);
+            }
+        }
+    }
+}
+
+impl EngineShared {
+    /// Every tenant's ledger and live SLO state, sorted by name: the one
+    /// walk of the tenant table that both the live snapshot and the final
+    /// report read.
+    fn tenant_rows(&self) -> Vec<(String, TenantCounts, Option<SloState>)> {
+        let mut rows: Vec<_> = self
             .tenants
             .lock()
             .iter()
-            .map(|(name, c)| {
-                (
-                    name.to_string(),
-                    TenantCounts {
-                        submitted: c.submitted,
-                        admitted: c.admitted,
-                        rejected: c.rejected,
-                        completed: c.completed,
-                        shed: c.shed,
-                        quota_denied: c.quota_denied,
-                    },
-                )
-            })
+            .map(|(name, e)| (name.to_string(), e.counts, e.slo.as_ref().map(SloTracker::state)))
             .collect();
-        tenants.sort_by(|a, b| a.0.cmp(&b.0));
-        let slo = shared.slo.as_ref().map(|book| ServeSloReport {
-            tiers: [Tier::Fast, Tier::Quality].map(|t| book.tiers[t.index()].state()),
-            tenants: book.tenant_states(),
+        rows.sort_by(|a, b| a.0.cmp(&b.0));
+        rows
+    }
+
+    /// The final ops report of a drained engine.
+    fn report(&self) -> ServeReport {
+        let rows = self.tenant_rows();
+        let slo = self.cfg.slo.as_ref().map(|_| ServeSloReport {
+            tiers: Tier::ALL
+                .map(|t| self.lane(t).slo.as_ref().map_or_else(SloState::empty, SloTracker::state)),
+            tenants: rows.iter().filter_map(|(n, _, s)| s.map(|s| (n.clone(), s))).collect(),
         });
         ServeReport {
-            completed,
-            nowcasts: shared.nowcasts.load(Ordering::Relaxed),
-            shed: shared.shed.load(Ordering::Relaxed),
-            quota_denied: shared.quota_denied.load(Ordering::Relaxed),
-            tiers,
-            tenants,
-            events: shared.events.snapshot(),
-            metrics: shared.metrics.clone(),
-            cache: shared.cache.stats(),
+            completed: self.completed.load(Ordering::Relaxed),
+            nowcasts: self.nowcasts.load(Ordering::Relaxed),
+            shed: self.shed.load(Ordering::Relaxed),
+            quota_denied: self.quota_denied.load(Ordering::Relaxed),
+            tiers: Tier::ALL.map(|t| self.lane(t).counts()),
+            tenants: rows.into_iter().map(|(name, counts, _)| (name, counts)).collect(),
+            events: self.events.snapshot(),
+            metrics: self.metrics.clone(),
+            cache: self.cache.stats(),
             slo,
         }
     }
+}
 
-    /// The serving event log (shared handle).
-    pub fn events(&self) -> &EventLog<ServeEvent> {
-        &self.shared.events
+impl Lane {
+    /// The lane's row of the live snapshot.
+    fn status(&self, estimator: &ServiceEstimator) -> TierStatus {
+        let counts = self.counts();
+        TierStatus {
+            name: self.tier.name().to_string(),
+            queue_depth: self.queue.depth(),
+            queue_wait_ms: self.wait.wait_ms.summary(),
+            wfq_lag: self.wait.virtual_lag.summary(),
+            est_ms_per_unit: estimator.per_unit(self.tier).map(|s| s * 1e3),
+            est_samples: estimator.samples(self.tier),
+            workers: self.workers,
+            admitted: counts.admitted,
+            completed: counts.completed,
+            shed: counts.shed,
+            slo: self.slo.as_ref().map(SloTracker::state),
+        }
     }
+}
 
-    /// Rollout-cache accounting.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.shared.cache.stats()
-    }
-
-    /// Requests admitted but not yet terminal.
-    pub fn in_flight(&self) -> usize {
-        *self.shared.outstanding.lock()
-    }
-
-    /// Live SLO state of one tier (`None` unless [`ServeConfig::slo`] is
-    /// configured).
-    pub fn slo_state(&self, tier: Tier) -> Option<SloState> {
-        self.shared.slo.as_ref().map(|b| b.tiers[tier.index()].state())
-    }
-
+impl ServeEngine {
     /// One point-in-time introspection snapshot: queue depths, wait/lag
     /// quantiles, service estimates, worker sizing, per-tenant
     /// ledgers and token balances, cache effectiveness, live SLO states,
@@ -1392,55 +1332,26 @@ impl ServeEngine {
     /// [`StatusReport::export_gauges`].
     pub fn status(&self) -> StatusReport {
         let shared = &self.shared;
-        let mut tiers = Vec::new();
-        for tier in [Tier::Quality, Tier::Fast] {
-            if tier == Tier::Fast && shared.student.is_none() {
-                continue;
-            }
-            let i = tier.index();
-            let wait = shared.metrics.queue_wait_series(tier);
-            let lag = shared.metrics.wfq_lag_series(tier);
-            tiers.push(TierStatus {
-                name: tier.name().to_string(),
-                queue_depth: shared.queues[i].depth(),
-                queue_wait_ms: wait.summary(),
-                wfq_lag: lag.summary(),
-                est_ms_per_unit: shared.estimator.per_unit(tier).map(|s| s * 1e3),
-                est_samples: shared.estimator.samples(tier),
-                workers: match tier {
-                    Tier::Quality => shared.cfg.workers.max(1),
-                    Tier::Fast => shared.cfg.fast_workers.max(1),
-                },
-                admitted: shared.tier_admitted[i].load(Ordering::Relaxed),
-                completed: shared.tier_completed[i].load(Ordering::Relaxed),
-                shed: shared.tier_shed[i].load(Ordering::Relaxed),
-                slo: shared.slo.as_ref().map(|b| b.tiers[i].state()),
-            });
-        }
-        let balances: HashMap<String, f64> = shared
-            .quotas
-            .as_ref()
-            .map(|q| q.balances().into_iter().collect())
-            .unwrap_or_default();
-        let mut tenants: Vec<TenantStatus> = shared
-            .tenants
-            .lock()
-            .iter()
-            .map(|(name, c)| TenantStatus {
-                name: name.to_string(),
-                quota_tokens: balances.get(&**name).copied(),
+        // Display order is quality first; a lane without workers (the fast
+        // lane of a quality-only engine) is not shown.
+        let lanes = Tier::ALL.into_iter().rev().map(|t| shared.lane(t)).filter(|l| l.workers > 0);
+        let tiers = lanes.map(|lane| lane.status(&shared.estimator)).collect();
+        let balances: HashMap<String, f64> =
+            shared.quotas.iter().flat_map(|q| q.balances()).collect();
+        let tenants = shared
+            .tenant_rows()
+            .into_iter()
+            .map(|(name, c, slo)| TenantStatus {
+                quota_tokens: balances.get(&name).copied(),
+                name,
                 submitted: c.submitted,
                 completed: c.completed,
                 shed: c.shed,
                 quota_denied: c.quota_denied,
                 rejected: c.rejected,
-                slo: shared
-                    .slo
-                    .as_ref()
-                    .and_then(|b| b.tenants.lock().get(name).map(|t| t.state())),
+                slo,
             })
             .collect();
-        tenants.sort_by(|a, b| a.name.cmp(&b.name));
         let cs = shared.cache.stats();
         StatusReport {
             tiers,
@@ -1456,21 +1367,6 @@ impl ServeEngine {
             }),
             in_flight: *shared.outstanding.lock() as u64,
             counters: shared.tracer.counters(),
-        }
-    }
-}
-
-impl Drop for ServeEngine {
-    /// Dropping without [`ServeEngine::shutdown`] still finishes admitted
-    /// work (workers drain the pools before exiting), so no ticket is ever
-    /// left hanging.
-    fn drop(&mut self) {
-        self.shared.accepting.store(false, Ordering::Release);
-        for q in &self.shared.queues {
-            q.close();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
         }
     }
 }

@@ -1,5 +1,6 @@
 use super::*;
 use aeris_core::AerisConfig;
+use aeris_obs::SloConfig;
 use aeris_diffusion::{SamplerConfig, TrigFlow, TrigFlowSampler};
 use aeris_earthsim::NormStats;
 
@@ -75,7 +76,7 @@ fn identical_requests_reuse_the_cache_bitwise() {
         assert_eq!(&longer.forecast.members[m][..4], &member[..], "prefix diverged");
     }
     assert!(engine.events().any(|e| matches!(e, ServeEvent::PrefixReused { .. })));
-    let stats = engine.cache_stats();
+    let stats = engine.status().cache.expect("cache always reported");
     assert!(stats.hits >= 8, "cache hits {stats:?}");
 }
 
@@ -280,7 +281,7 @@ fn malformed_requests_fail_typed() {
         assert!(matches!(engine.submit(non_finite), Err(ServeError::BadRequest(_))));
     }
     // Nothing malformed was admitted, cached, or counted against a tenant.
-    assert_eq!(engine.cache_stats().entries, 0);
+    assert_eq!(engine.status().cache.expect("cache always reported").entries, 0);
     let report = engine.shutdown();
     report.verify_accounting().expect("conservation");
     assert_eq!(report.tenant("public").submitted, 0);
@@ -525,7 +526,7 @@ fn slo_verdicts_flip_deterministically_and_surface_in_the_report() {
     // 8 synchronous good completions fill the long window: Ok.
     for i in 0..8u64 {
         engine.submit(request(200 + i, 1, 1)).expect("admitted").wait().expect("served");
-        assert_eq!(engine.slo_state(Tier::Quality).unwrap().verdict, SloVerdict::Ok);
+        assert_eq!(engine.status().tiers[0].slo.unwrap().verdict, SloVerdict::Ok);
     }
     // `wait` can return a beat before the worker records the outcome;
     // drain so all 8 good observations precede the first bad one.
@@ -542,7 +543,7 @@ fn slo_verdicts_flip_deterministically_and_surface_in_the_report() {
             engine.submit(doomed),
             Err(ServeError::DeadlineExceeded { .. })
         ));
-        let state = engine.slo_state(Tier::Quality).unwrap();
+        let state = engine.status().tiers[0].slo.unwrap();
         let expect = if k >= 8 {
             SloVerdict::Page
         } else if k >= 4 {
@@ -586,10 +587,9 @@ fn accounting_balances_across_every_rejection_path() {
             queue_capacity: 1,
             quota: Some(QuotaConfig {
                 default: TenantPolicy { weight: 1.0, rate: 1e-9, burst: 4.0 },
-                overrides: vec![(
-                    Arc::from("vip"),
-                    TenantPolicy { weight: 1.0, rate: 0.0, burst: 0.0 },
-                )],
+                overrides: ["vip", "vip-now"]
+                    .map(|t| (Arc::from(t), TenantPolicy { weight: 1.0, rate: 0.0, burst: 0.0 }))
+                    .to_vec(),
             }),
             ..ServeConfig::default()
         },
@@ -624,8 +624,37 @@ fn accounting_balances_across_every_rejection_path() {
     assert!(matches!(engine.submit(overflow), Err(ServeError::QueueFull { .. })));
     engine.release_dispatch();
     held.wait().expect("served after release");
+    engine.drain();
+    // The same five outcomes again as nowcasts, billed to fresh tenants: one
+    // admission path means the ledgers cannot tell the two kinds apart.
+    let nowcast = |seed: u64, tenant: &str| {
+        let mut r = nowcast_request(seed, GuidanceSchedule::Constant(0.3));
+        r.tenant = Some(Arc::from(tenant));
+        r
+    };
+    let mut ok = nowcast(180, "acme-now");
+    ok.n_members = 4; // 1 step × 4 members drains the 4-token bucket
+    engine.submit_nowcast(ok).expect("admitted").wait().expect("served");
+    engine.drain();
+    let denied = nowcast(181, "acme-now");
+    assert!(matches!(engine.submit_nowcast(denied), Err(ServeError::QuotaExceeded { .. })));
+    let mut doomed = nowcast(182, "vip-now");
+    doomed.deadline = Some(Duration::ZERO);
+    assert!(matches!(engine.submit_nowcast(doomed), Err(ServeError::DeadlineExceeded { .. })));
+    let mut no_student = nowcast(183, "vip-now");
+    no_student.tier = Some(Tier::Fast);
+    assert!(matches!(engine.submit_nowcast(no_student), Err(ServeError::BadRequest(_))));
+    engine.hold_dispatch();
+    let held = engine.submit_nowcast(nowcast(184, "holder-now")).expect("admitted");
+    let overflow = nowcast(185, "vip-now");
+    assert!(matches!(engine.submit_nowcast(overflow), Err(ServeError::QueueFull { .. })));
+    engine.release_dispatch();
+    held.wait().expect("served after release");
     let report = engine.shutdown();
     report.verify_accounting().expect("conservation");
+    assert_eq!(report.tenant("acme-now"), report.tenant("acme"), "nowcast ≠ forecast ledger");
+    assert_eq!(report.tenant("vip-now"), report.tenant("vip"), "nowcast ≠ forecast ledger");
+    assert_eq!(report.nowcasts, 2);
     let acme = report.tenant("acme");
     assert_eq!((acme.submitted, acme.admitted, acme.quota_denied), (2, 1, 1));
     let vip = report.tenant("vip");
@@ -647,7 +676,7 @@ fn status_snapshot_reflects_live_engine_state() {
     // `wait` can return a beat before the worker releases the
     // outstanding slot; drain blocks on the slot count itself.
     engine.drain();
-    assert_eq!(engine.in_flight(), 0);
+    assert_eq!(engine.status().in_flight, 0);
     let status = engine.status();
     assert_eq!(status.in_flight, 0);
     assert_eq!(status.tiers.len(), 1, "quality-only engine");
@@ -665,4 +694,87 @@ fn status_snapshot_reflects_live_engine_state() {
     // The dashboard renders and mentions the tier and tenant.
     let text = status.to_string();
     assert!(text.contains("tier quality") && text.contains("tenant public"), "{text}");
+}
+
+#[test]
+fn status_and_report_read_the_same_ledger() {
+    use aeris_sched::{QuotaConfig, TenantPolicy};
+    let fc = tiny_forecaster();
+    let student = tiny_student(&fc);
+    let engine = ServeEngine::start_two_tier(
+        fc,
+        student,
+        ServeConfig {
+            slo: Some(test_slo()),
+            quota: Some(QuotaConfig {
+                default: TenantPolicy { weight: 1.0, rate: 0.0, burst: 0.0 },
+                overrides: vec![(
+                    Arc::from("capped"),
+                    TenantPolicy { weight: 1.0, rate: 1e-9, burst: 2.0 },
+                )],
+            }),
+            ..ServeConfig::default()
+        },
+    );
+    // A mixed load: forecasts and nowcasts on both tiers for three tenants,
+    // one shed at admission and one quota denial.
+    let sched = GuidanceSchedule::Constant(0.3);
+    let mut tickets = Vec::new();
+    for (i, tier) in [Tier::Quality, Tier::Fast, Tier::Fast].into_iter().enumerate() {
+        let mut f = request(400 + i as u64, 2, 2);
+        f.tier = Some(tier);
+        f.tenant = Some(Arc::from("ops"));
+        tickets.push(engine.submit(f).expect("admitted"));
+        let mut n = nowcast_request(410 + i as u64, sched);
+        n.tier = Some(tier);
+        tickets.push(engine.submit_nowcast(n).expect("admitted"));
+    }
+    let mut doomed = request(420, 2, 1);
+    doomed.deadline = Some(Duration::ZERO);
+    doomed.tier = Some(Tier::Quality);
+    assert!(matches!(engine.submit(doomed), Err(ServeError::DeadlineExceeded { .. })));
+    let mut capped = nowcast_request(421, sched); // 2 member-steps: the whole bucket
+    capped.tenant = Some(Arc::from("capped"));
+    tickets.push(engine.submit_nowcast(capped.clone()).expect("admitted"));
+    assert!(matches!(engine.submit_nowcast(capped), Err(ServeError::QuotaExceeded { .. })));
+    for t in &tickets {
+        t.wait().expect("served");
+    }
+    // `wait` returns a beat before the outcome is counted; drain does not.
+    engine.drain();
+    let status = engine.status();
+    let report = engine.shutdown();
+    report.verify_accounting().expect("conservation");
+    let slo = report.slo.as_ref().expect("objective configured");
+
+    assert_eq!(status.tiers.len(), 2);
+    for tier in Tier::ALL {
+        let live = status.tiers.iter().find(|t| t.name == tier.name()).expect("tier shown");
+        let fin = report.tier(tier);
+        assert_eq!(
+            (live.admitted, live.completed, live.shed),
+            (fin.admitted, fin.completed, fin.shed),
+            "{} counters",
+            tier.name()
+        );
+        assert_eq!(live.slo.as_ref(), Some(slo.tier(tier)), "{} slo", tier.name());
+        assert!(fin.completed >= 2 && fin.nowcasts >= 1, "{}: {fin:?}", tier.name());
+    }
+    assert_eq!(report.tier(Tier::Quality).shed, 1);
+
+    let names: Vec<&str> = status.tenants.iter().map(|t| t.name.as_str()).collect();
+    assert_eq!(names, ["capped", "ops", "public"]);
+    assert_eq!(names, report.tenants.iter().map(|(n, _)| n.as_str()).collect::<Vec<_>>());
+    for live in &status.tenants {
+        let fin = report.tenant(&live.name);
+        assert_eq!(
+            (live.submitted, live.completed, live.shed, live.quota_denied, live.rejected),
+            (fin.submitted, fin.completed, fin.shed, fin.quota_denied, fin.rejected),
+            "tenant {}",
+            live.name
+        );
+        assert_eq!(live.slo.as_ref(), slo.tenant(&live.name), "tenant {} slo", live.name);
+    }
+    assert_eq!(report.tenant("capped").quota_denied, 1);
+    assert_eq!(report.tenant("public").shed, 1);
 }

@@ -40,7 +40,7 @@ pub struct TenantCounts {
 }
 
 /// Final SLO snapshot of a drained engine (present iff
-/// [`ServeConfig::slo`] was configured).
+/// [`ServeConfig::slo`](crate::api::ServeConfig::slo) was configured).
 #[derive(Clone, Debug)]
 pub struct ServeSloReport {
     /// Per-tier final state, indexed by [`Tier::index`].
@@ -110,7 +110,7 @@ impl ServeReport {
     /// per tenant, `completed + shed == admitted` per tier. Returns the
     /// first violated identity.
     pub fn verify_accounting(&self) -> Result<(), String> {
-        for (tier, c) in [Tier::Fast, Tier::Quality].map(|t| (t, self.tier(t))) {
+        for (tier, c) in Tier::ALL.map(|t| (t, self.tier(t))) {
             if c.completed + c.shed != c.admitted {
                 return Err(format!(
                     "tier {}: completed {} + shed {} != admitted {}",

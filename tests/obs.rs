@@ -389,19 +389,19 @@ fn serve_engine_slo_flips_deterministically_and_status_exports() {
         if i == 0 {
             assert_eq!(resp.forecast.members, direct.members, "SLO wiring moved bits");
         }
-        assert_eq!(engine.slo_state(Tier::Quality).unwrap().verdict, SloVerdict::Ok);
+        assert_eq!(engine.status().tiers[0].slo.unwrap().verdict, SloVerdict::Ok);
     }
     // `wait()` wakes a beat before the worker records the SLO observation;
     // drain blocks on the slot release that happens after it, so all 8 good
     // outcomes are in the windows before the bad stream starts.
     engine.drain();
-    assert_eq!(engine.slo_state(Tier::Quality).unwrap().good_total, 8);
+    assert_eq!(engine.status().tiers[0].slo.unwrap().good_total, 8);
     // Zero-deadline submissions on fresh seeds shed synchronously at
     // admission — a deterministic bad-outcome stream.
     for k in 1..=8u64 {
         let r = engine.submit(request(600 + k, Some(Duration::ZERO)));
         assert!(matches!(r, Err(ServeError::DeadlineExceeded { .. })));
-        let state = engine.slo_state(Tier::Quality).unwrap();
+        let state = engine.status().tiers[0].slo.unwrap();
         let expect = if k >= 8 {
             SloVerdict::Page
         } else if k >= 4 {
