@@ -71,17 +71,12 @@
 //!
 //! [`Forecaster::ensemble`]: aeris_core::Forecaster::ensemble
 
-use crate::api::{
-    fnv_pair, ForecastRequest, ForecastResponse, Forcings, NowcastRequest, ServeConfig, ServeError,
-};
-use crate::cache::{content_hash, CacheKey, RolloutCache};
-use crate::report::{ServeReport, ServeSloReport, TenantCounts, TierCounts};
-use aeris_assim::{nowcast_step, nowcast_step_fast, GuidanceSchedule, ObservationSet};
-use aeris_core::{member_rng, step_batch, ConsistencyStudent, EnsembleForecast, Forecaster};
-use aeris_obs::{
-    CacheStatus, MetricSeries, SloState, SloTracker, SloVerdict, SpanCategory, StatusReport,
-    TenantStatus, TierStatus, Tracer,
-};
+use crate::api::{fnv_pair, ForecastResponse, Forcings, ServeConfig, ServeError};
+use crate::cache::{CacheKey, RolloutCache};
+use crate::report::{ServeReport, TenantCounts, TierCounts};
+use aeris_assim::{GuidanceSchedule, ObservationSet};
+use aeris_core::{ConsistencyStudent, EnsembleForecast, Forecaster};
+use aeris_obs::{MetricSeries, SloTracker, Tracer};
 use aeris_sched::{
     DispatchQueue, QueueMetrics, QuotaTable, ServiceEstimator, TaskMeta, Tier, TierRouter,
 };
@@ -689,687 +684,9 @@ impl Drop for ServeEngine {
     }
 }
 
-/// The one request normal form. A [`ForecastRequest`] or [`NowcastRequest`]
-/// is *moved* into it (nothing is cloned); from here on the engine knows one
-/// kind of request: a nowcast is a 1-step rollout carrying a [`NowcastSpec`].
-struct Intake {
-    init: Tensor,
-    forcings: Forcings,
-    steps: usize,
-    n_members: usize,
-    seed: u64,
-    deadline: Option<Duration>,
-    tenant: Option<Arc<str>>,
-    /// The explicitly requested tier, if any.
-    tier: Option<Tier>,
-    nowcast: Option<NowcastSpec>,
-}
-
-impl From<ForecastRequest> for Intake {
-    fn from(r: ForecastRequest) -> Intake {
-        let ForecastRequest { init, forcings, steps, n_members, seed, deadline, tenant, tier } = r;
-        Intake { init, forcings, steps, n_members, seed, deadline, tenant, tier, nowcast: None }
-    }
-}
-
-impl From<NowcastRequest> for Intake {
-    fn from(r: NowcastRequest) -> Intake {
-        let NowcastRequest {
-            background: init,
-            forcings,
-            observations: obs,
-            schedule,
-            n_members,
-            seed,
-            deadline,
-            tenant,
-            tier,
-        } = r;
-        let nowcast = Some(NowcastSpec { obs, schedule });
-        Intake { init, forcings, steps: 1, n_members, seed, deadline, tenant, tier, nowcast }
-    }
-}
-
-impl RequestState {
-    /// The state of an admitted request; `intake` is consumed (its `init`
-    /// tensor moves into the shared `Arc`, never cloned).
-    fn new(id: u64, intake: Intake, tier: Tier, tenant: Arc<str>) -> Self {
-        let submitted = Instant::now();
-        // An off schedule is a bitwise 1-step forecast (on either tier), so
-        // it keeps the plain aux and shares cache entries with one; active
-        // guidance gets its own content-addressed namespace.
-        let guided = intake
-            .nowcast
-            .as_ref()
-            .filter(|n| !n.schedule.is_off())
-            .map_or(0, |n| fnv_pair(n.obs.digest(), n.schedule.digest()));
-        RequestState {
-            id,
-            init_hash: content_hash(&intake.init),
-            init: Arc::new(intake.init),
-            forcings_key: intake.forcings.content_key(),
-            forcings: intake.forcings,
-            steps: intake.steps,
-            n_members: intake.n_members,
-            seed: intake.seed,
-            tier,
-            tenant,
-            nowcast: intake.nowcast,
-            // Fast-tier trajectories are different numbers from quality ones
-            // and must never alias: namespace the key by tier.
-            aux: if tier == Tier::Fast { fnv_pair(guided, FAST_AUX) } else { guided },
-            submitted,
-            deadline: intake.deadline.map(|d| submitted + d),
-            done: Mutex::new(DoneState {
-                members: vec![None; intake.n_members],
-                remaining: intake.n_members,
-                cache_hits: 0,
-                latency: Duration::ZERO,
-                result: None,
-            }),
-            done_cv: Condvar::new(),
-        }
-    }
-}
-
-impl ServeEngine {
-    /// Validate, admit, route, and enqueue a forecast request. Returns a
-    /// [`Ticket`] the client blocks on; every admission failure is a typed
-    /// error.
-    pub fn submit(&self, request: ForecastRequest) -> Result<Ticket, ServeError> {
-        self.admit(request.into())
-    }
-
-    /// Validate, admit, route, and enqueue a nowcast (assimilation) request.
-    /// The returned [`Ticket`] resolves to a 1-step `ForecastResponse`
-    /// whose `members[m][0]` is member `m`'s analysis state — bitwise
-    /// identical to `aeris_assim::nowcast_member` (quality tier) or
-    /// `aeris_assim::nowcast_member_fast` (fast tier) with the same inputs.
-    /// Nowcast member-steps run through the same dispatch queues as
-    /// forecasts and the rollout cache answers exact replays (keyed on the
-    /// observation digest, guidance schedule, and tier).
-    pub fn submit_nowcast(&self, request: NowcastRequest) -> Result<Ticket, ServeError> {
-        self.admit(request.into())
-    }
-
-    /// The one way in, for both request kinds: shutdown gate, validation,
-    /// tenant ledger, quota (`steps × n_members` member-steps), routing, the
-    /// outstanding-slot bound (fail-fast, never queue unboundedly), then the
-    /// request state, its admission events and its members. A routing or
-    /// slot refusal after the quota check counts as a rejection on the
-    /// tenant's ledger, so `submitted == admitted + quota_denied + rejected`
-    /// always balances.
-    fn admit(&self, intake: Intake) -> Result<Ticket, ServeError> {
-        let shared = &self.shared;
-        if !shared.accepting.load(Ordering::Acquire) {
-            shared.events.record(CLIENT_ACTOR, ServeEvent::RejectedShutdown);
-            return Err(ServeError::Shutdown);
-        }
-        self.validate(&intake)?;
-        let tenant = intake.tenant.clone().unwrap_or_else(|| Arc::clone(&shared.default_tenant));
-        shared.bump_tenant(&tenant, |t| t.submitted += 1);
-        self.check_quota(&tenant, (intake.steps * intake.n_members) as f64)?;
-        let tier = self
-            .route(&intake)
-            .inspect_err(|_| shared.bump_tenant(&tenant, |t| t.rejected += 1))?;
-        let adm = shared.tracer.span(SpanCategory::Admission, CLIENT_ACTOR);
-        {
-            let capacity = shared.cfg.queue_capacity;
-            let mut outstanding = shared.outstanding.lock();
-            if *outstanding >= capacity {
-                shared.events.record(CLIENT_ACTOR, ServeEvent::RejectedQueueFull { capacity });
-                shared.bump_tenant(&tenant, |t| t.rejected += 1);
-                return Err(ServeError::QueueFull { capacity });
-            }
-            *outstanding += 1;
-        }
-        // From here the request owns one outstanding slot, released by
-        // `resolve` and nowhere else.
-        shared.lane(tier).admitted.fetch_add(1, Ordering::Relaxed);
-        shared.bump_tenant(&tenant, |t| t.admitted += 1);
-        let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
-        let _adm = adm.step(id);
-        let req = Arc::new(RequestState::new(id, intake, tier, tenant));
-        let members = req.n_members;
-        let admitted = match &req.nowcast {
-            None => ServeEvent::Admitted { req: id, members, steps: req.steps },
-            Some(n) => ServeEvent::AdmittedNowcast { req: id, members, n_obs: n.obs.n_present() },
-        };
-        shared.events.record(CLIENT_ACTOR, admitted);
-        shared.events.record(CLIENT_ACTOR, ServeEvent::Routed { req: id, tier });
-        self.enqueue_members(req)
-    }
-
-    /// Token-bucket admission for `cost` member-steps; a deny is recorded
-    /// and surfaced as [`ServeError::QuotaExceeded`].
-    fn check_quota(&self, tenant: &Arc<str>, cost: f64) -> Result<(), ServeError> {
-        let shared = &self.shared;
-        if shared.quotas.as_ref().is_none_or(|q| q.admit(tenant, cost).admitted()) {
-            return Ok(());
-        }
-        shared.quota_denied.fetch_add(1, Ordering::Relaxed);
-        shared.bump_tenant(tenant, |t| t.quota_denied += 1);
-        let tenant = tenant.to_string();
-        shared.events.record(CLIENT_ACTOR, ServeEvent::RejectedQuota { tenant: tenant.clone() });
-        Err(ServeError::QuotaExceeded { tenant })
-    }
-
-    /// Route a request onto a tier; an explicit fast request on a
-    /// quality-only engine is a typed error.
-    fn route(&self, intake: &Intake) -> Result<Tier, ServeError> {
-        let fast_available = self.shared.lane(Tier::Fast).model.is_some();
-        if intake.tier == Some(Tier::Fast) && !fast_available {
-            return Err(ServeError::BadRequest(
-                "fast tier requested but the engine has no distilled student".into(),
-            ));
-        }
-        Ok(self.shared.router.route(
-            intake.tier,
-            intake.deadline,
-            intake.steps as u64,
-            fast_available,
-            &self.shared.estimator,
-        ))
-    }
-
-    /// The admitted-request tail: per member, reuse the longest cached
-    /// prefix (fully-cached members finish right here), then shed or
-    /// enqueue the remainder.
-    fn enqueue_members(&self, req: Arc<RequestState>) -> Result<Ticket, ServeError> {
-        let shared = &self.shared;
-        let mut tasks = Vec::new();
-        for m in 0..req.n_members {
-            let task = shared.resume_member(&req, m);
-            if task.next_step == req.steps {
-                shared.finish_member(task, CLIENT_ACTOR);
-            } else {
-                tasks.push(task);
-            }
-        }
-        // Admission-time shedding: a deadline that has already passed, or
-        // that leaves less headroom than the batcher's gather window, cannot
-        // be met — fail now instead of queuing doomed work. Fully-cached
-        // requests never reach this check (no tasks remain).
-        let unmeetable = |dl: Instant| {
-            let now = Instant::now();
-            now >= dl || dl - now < shared.cfg.max_wait
-        };
-        if !tasks.is_empty() && req.deadline.is_some_and(unmeetable) {
-            shared.resolve(&req, Outcome::Shed, CLIENT_ACTOR);
-            return Err(ServeError::DeadlineExceeded { req: req.id });
-        }
-        let tasks: Vec<_> = tasks.into_iter().map(|t| shared.with_meta(t)).collect();
-        shared.lane(req.tier).queue.push_many(tasks);
-        Ok(Ticket { req })
-    }
-
-    /// Everything a client can get wrong, checked before anything is
-    /// counted: sizes, the input state, a nowcast's observation set and the
-    /// sampler it will be guided through, the forcings.
-    fn validate(&self, r: &Intake) -> Result<(), ServeError> {
-        let fc = &self.shared.forecaster;
-        let cfg = &fc.model.cfg;
-        if r.steps == 0 || r.n_members == 0 {
-            return Err(ServeError::BadRequest("steps and n_members must be ≥ 1".into()));
-        }
-        self.validate_state(if r.nowcast.is_some() { "background" } else { "init" }, &r.init)?;
-        if let Some(NowcastSpec { obs, .. }) = &r.nowcast {
-            obs.validate().map_err(ServeError::BadRequest)?;
-            let (tokens, channels) = (cfg.tokens(), cfg.channels);
-            if (obs.tokens, obs.channels) != (tokens, channels) {
-                return Err(ServeError::BadRequest(format!(
-                    "observation geometry {}x{} != model grid {tokens}x{channels}",
-                    obs.tokens, obs.channels
-                )));
-            }
-            // Guided sampling runs the solver: a malformed schedule is a
-            // typed admission error here, not a panic on a worker.
-            fc.sampler
-                .cfg
-                .validate(&fc.sampler.tf)
-                .map_err(|e| ServeError::BadRequest(format!("sampler config: {e}")))?;
-        }
-        self.validate_forcings(&r.forcings, r.steps)
-    }
-
-    /// A request's input state must match the model grid and be finite — a
-    /// NaN/Inf would otherwise be sampled, cached and returned as success.
-    fn validate_state(&self, what: &str, x: &Tensor) -> Result<(), ServeError> {
-        let cfg = &self.shared.forecaster.model.cfg;
-        let want = [cfg.tokens(), cfg.channels];
-        if x.shape() != want {
-            return Err(ServeError::BadRequest(format!(
-                "{what} shape {:?} != model state shape {want:?}",
-                x.shape()
-            )));
-        }
-        if !x.all_finite() {
-            return Err(ServeError::BadRequest(format!("{what} contains non-finite values")));
-        }
-        Ok(())
-    }
-
-    fn validate_forcings(&self, forcings: &Forcings, steps: usize) -> Result<(), ServeError> {
-        let cfg = &self.shared.forecaster.model.cfg;
-        if !forcings.covers(steps) {
-            return Err(ServeError::BadRequest(format!(
-                "forcing table does not cover {steps} steps"
-            )));
-        }
-        if let Forcings::Table(t) = forcings {
-            let want = [cfg.tokens(), cfg.forcing_channels];
-            if let Some(bad) = t.iter().take(steps).find(|f| f.shape() != want) {
-                return Err(ServeError::BadRequest(format!(
-                    "forcing tensor shape {:?} != {want:?}",
-                    bad.shape()
-                )));
-            }
-        } else if forcings.channels() != Some(cfg.forcing_channels) {
-            return Err(ServeError::BadRequest(format!(
-                "forcing channels {:?} != model forcing_channels {}",
-                forcings.channels(),
-                cfg.forcing_channels
-            )));
-        }
-        Ok(())
-    }
-}
-
-impl EngineShared {
-    /// Member `m` of `req`, advanced through the longest contiguous cached
-    /// prefix of its trajectory (state + RNG snapshot per step).
-    fn resume_member(&self, req: &Arc<RequestState>, m: usize) -> MemberTask {
-        let mut task = MemberTask {
-            req: Arc::clone(req),
-            member: m,
-            next_step: 0,
-            x: Arc::clone(&req.init),
-            rng: member_rng(req.seed, m),
-            states: Vec::with_capacity(req.steps),
-            cache_hits: 0,
-        };
-        {
-            let lookup = self.tracer.span(SpanCategory::CacheLookup, CLIENT_ACTOR);
-            let _lookup = lookup.step(req.id).micro(m as u64);
-            while task.next_step < req.steps {
-                let key = self.cache_key(req, m, task.next_step + 1);
-                let Some(hit) = self.cache.get(&key) else { break };
-                task.rng = Rng::restore(hit.rng);
-                task.x = Arc::clone(&hit.state);
-                task.states.push(hit.state);
-                task.next_step += 1;
-                task.cache_hits += 1;
-            }
-        }
-        self.tracer.incr("serve_cache_hits", task.cache_hits as u64);
-        if task.next_step < req.steps {
-            self.tracer.incr("serve_cache_misses", 1);
-        }
-        if task.cache_hits > 0 {
-            self.events.record(
-                CLIENT_ACTOR,
-                ServeEvent::PrefixReused { req: req.id, member: m, steps: task.cache_hits },
-            );
-        }
-        task
-    }
-}
-
-/// How an admitted request ends. [`EngineShared::resolve`] is total over
-/// it: a new way to end is one variant here, one counter on [`Lane`] and one
-/// field of `TenantCounts`.
-#[derive(Clone, Copy)]
-enum Outcome {
-    /// Every member finished; the latency is judged against the objective.
-    Completed,
-    /// Shed for deadline reasons (at admission or at dispatch); always a bad
-    /// outcome for the objective.
-    Shed,
-}
-
-impl EngineShared {
-    /// The one terminal transition (first call per request wins): set the
-    /// ticket's result, stamp the latency, wake the client, count the
-    /// outcome on the global, lane and tenant ledgers, record the latency
-    /// series, feed the lane's and the tenant's SLO trackers, log the
-    /// event, and release the request's outstanding slot.
-    fn resolve(&self, req: &RequestState, outcome: Outcome, actor: usize) {
-        let (latency, cache_hits) = {
-            let mut done = req.done.lock();
-            if done.result.is_some() {
-                return;
-            }
-            done.latency = req.submitted.elapsed();
-            done.result = Some(match outcome {
-                Outcome::Completed => Ok(()),
-                Outcome::Shed => Err(ServeError::DeadlineExceeded { req: req.id }),
-            });
-            req.done_cv.notify_all();
-            (done.latency, done.cache_hits)
-        };
-        let latency_ms = latency.as_secs_f64() * 1e3;
-        let lane = self.lane(req.tier);
-        let (global, in_lane, event) = match outcome {
-            Outcome::Completed => {
-                let series = if req.nowcast.is_some() {
-                    self.nowcasts.fetch_add(1, Ordering::Relaxed);
-                    lane.nowcasts.fetch_add(1, Ordering::Relaxed);
-                    &lane.nowcast_latency_ms
-                } else {
-                    &lane.latency_ms
-                };
-                series.record(latency_ms);
-                let event = ServeEvent::Completed {
-                    req: req.id,
-                    latency_ms: latency.as_millis() as u64,
-                    cache_hits,
-                    computed_steps: req.steps * req.n_members - cache_hits,
-                };
-                (&self.completed, &lane.completed, event)
-            }
-            Outcome::Shed => (&self.shed, &lane.shed, ServeEvent::DeadlineExceeded { req: req.id }),
-        };
-        global.fetch_add(1, Ordering::Relaxed);
-        in_lane.fetch_add(1, Ordering::Relaxed);
-        let judge = |slo: &SloTracker| match outcome {
-            Outcome::Completed => slo.observe_latency(latency_ms),
-            Outcome::Shed => slo.observe(false),
-        };
-        if let Some(slo) = &lane.slo {
-            judge(slo);
-        }
-        {
-            let mut tenants = self.tenants.lock();
-            let entry = tenants.entry(Arc::clone(&req.tenant)).or_default();
-            match outcome {
-                Outcome::Completed => entry.counts.completed += 1,
-                Outcome::Shed => entry.counts.shed += 1,
-            }
-            if let Some(cfg) = &self.cfg.slo {
-                judge(entry.slo.get_or_insert_with(|| SloTracker::new(cfg.clone())));
-            }
-        }
-        self.events.record(actor, event);
-        self.release_outstanding();
-    }
-
-    /// Deliver a finished member; the last one completes the request.
-    fn finish_member(&self, task: MemberTask, actor: usize) {
-        let req = task.req;
-        let last = {
-            let mut done = req.done.lock();
-            if done.result.is_some() {
-                return; // request already shed; drop the member quietly
-            }
-            done.members[task.member] = Some(task.states);
-            done.remaining -= 1;
-            done.cache_hits += task.cache_hits;
-            done.remaining == 0
-        };
-        if last {
-            self.resolve(&req, Outcome::Completed, actor);
-        }
-    }
-}
-
-impl TierModel {
-    /// Advance `task` by one step on its own RNG. Forecast tasks take the
-    /// model's plain step; nowcast tasks take the tier's assimilation step —
-    /// sampler guidance on the quality tier, and on the fast tier (where the
-    /// student has no solver iterations to guide) one post-hoc bounded
-    /// relaxation toward the observations.
-    fn step(&self, task: &mut MemberTask, forcings: &Tensor) -> Tensor {
-        let (x, rng) = (&task.x, &mut task.rng);
-        match (self, &task.req.nowcast) {
-            (TierModel::Quality(fc), None) => fc.forecast_step(x, forcings, rng),
-            (TierModel::Quality(fc), Some(n)) => {
-                nowcast_step(fc, x, forcings, &n.obs, n.schedule, rng)
-            }
-            (TierModel::Fast(student), None) => student.forecast_step(x, forcings, rng),
-            (TierModel::Fast(student), Some(n)) => {
-                nowcast_step_fast(student, x, forcings, &n.obs, n.schedule, rng)
-            }
-        }
-    }
-
-    /// The `Forward` span label of this tier's batched step.
-    fn span_label(&self) -> &'static str {
-        match self {
-            TierModel::Quality(_) => "forecast_step_batch",
-            TierModel::Fast(_) => "fast_step_batch",
-        }
-    }
-}
-
-impl Lane {
-    /// A worker's life: pull a batch in priority order, then *cull* it,
-    /// *step* what is left, and *retire* the results — until the queue
-    /// closes and runs dry.
-    fn run(&self, shared: &EngineShared, actor: usize) {
-        let Some(model) = &self.model else { return };
-        loop {
-            // The assembly span covers the blocking wait for work: its
-            // duration is the dispatcher's gather window plus any idle time,
-            // which is exactly the "why is the worker not forecasting"
-            // question.
-            let next = {
-                let _asm =
-                    shared.tracer.span(SpanCategory::BatchAssembly, actor).label(self.tier.name());
-                self.queue.next_batch(shared.cfg.max_batch, shared.cfg.max_wait)
-            };
-            let Some(batch) = next else { break };
-            let depth: usize = shared.lanes.iter().map(|l| l.queue.depth()).sum();
-            shared.metrics.queue_depth.record(depth as f64);
-            let mut live = self.cull(shared, batch, actor);
-            if live.is_empty() {
-                continue;
-            }
-            let outs = self.step(shared, model, &mut live, actor);
-            self.retire(shared, live, outs, actor);
-        }
-    }
-
-    /// Phase 1 — cull: drop tasks of already-resolved requests, expire
-    /// deadlines, and — once the tier's service-time estimate is warm — shed
-    /// *doomed* requests whose remaining chain is projected past the
-    /// deadline: better to fail them now than to burn model evaluations on
-    /// work that cannot arrive in time.
-    fn cull(&self, shared: &EngineShared, batch: Vec<MemberTask>, actor: usize) -> Vec<MemberTask> {
-        let now = Instant::now();
-        let per_unit = shared.estimator.per_unit(self.tier);
-        // Error-budget-aware shedding: the hotter the tier's burn rate, the
-        // more pessimistically the doom check projects remaining service
-        // time, so borderline requests are shed earlier and the freed
-        // capacity protects the work that can still meet its deadline.
-        // Time-only policy — it moves *which* requests get shed, never the
-        // numbers of the ones that complete.
-        let doom_safety = self.slo.as_ref().map_or(1.0, |slo| match slo.verdict() {
-            SloVerdict::Ok => 1.0,
-            SloVerdict::Warn => 1.1,
-            SloVerdict::Page => 1.25,
-        });
-        let mut live = Vec::with_capacity(batch.len());
-        for task in batch {
-            if task.req.terminal() {
-                continue;
-            }
-            let doomed = task.req.deadline.is_some_and(|dl| {
-                now >= dl
-                    || per_unit.is_some_and(|per| {
-                        let remaining = (task.req.steps - task.next_step) as f64;
-                        now + Duration::from_secs_f64(per * remaining * doom_safety) > dl
-                    })
-            });
-            if doomed {
-                shared.resolve(&task.req, Outcome::Shed, actor);
-            } else {
-                live.push(task);
-            }
-        }
-        live
-    }
-
-    /// Phase 2 — step: one batched model evaluation for the whole
-    /// (shape-compatible) batch; every task advances on its own private RNG.
-    /// Returns each task's next state, in batch order.
-    fn step(
-        &self,
-        shared: &EngineShared,
-        model: &TierModel,
-        live: &mut [MemberTask],
-        actor: usize,
-    ) -> Vec<Tensor> {
-        shared.metrics.batch_size.record(live.len() as f64);
-        let mut req_ids: Vec<u64> = live.iter().map(|t| t.req.id).collect();
-        req_ids.sort_unstable();
-        req_ids.dedup();
-        let (size, requests) = (live.len(), req_ids.len());
-        shared.events.record(actor, ServeEvent::BatchExecuted { size, requests, tier: self.tier });
-        let tokens = shared.forecaster.model.cfg.tokens();
-        let forcings: Vec<Tensor> =
-            live.iter().map(|t| t.req.forcings.at(tokens, t.next_step)).collect();
-        let t0 = Instant::now();
-        let outs = {
-            let fwd = shared.tracer.span(SpanCategory::Forward, actor).label(model.span_label());
-            let _fwd = fwd.micro(live.len() as u64);
-            let mut jobs: Vec<(&mut MemberTask, &Tensor)> =
-                live.iter_mut().zip(&forcings).collect();
-            step_batch(&mut jobs, |(task, f)| model.step(task, f))
-        };
-        // Feed the router's and the doom check's service model with the
-        // amortized (batching included) cost of one member-step as served.
-        shared.estimator.observe(self.tier, t0.elapsed().as_secs_f64() / live.len() as f64);
-        outs
-    }
-
-    /// Phase 3 — retire: cache each new state with its RNG snapshot, then
-    /// finish the member or requeue it for its next step.
-    fn retire(&self, shared: &EngineShared, live: Vec<MemberTask>, out: Vec<Tensor>, actor: usize) {
-        for (mut task, next) in live.into_iter().zip(out) {
-            let next = Arc::new(next);
-            task.next_step += 1;
-            shared.cache.insert(
-                shared.cache_key(&task.req, task.member, task.next_step),
-                Arc::clone(&next),
-                task.rng.snapshot(),
-            );
-            task.states.push(Arc::clone(&next));
-            task.x = next;
-            if task.next_step == task.req.steps {
-                shared.finish_member(task, actor);
-            } else {
-                let (task, meta) = shared.with_meta(task);
-                self.queue.push(task, meta);
-            }
-        }
-    }
-}
-
-impl EngineShared {
-    /// Every tenant's ledger and live SLO state, sorted by name: the one
-    /// walk of the tenant table that both the live snapshot and the final
-    /// report read.
-    fn tenant_rows(&self) -> Vec<(String, TenantCounts, Option<SloState>)> {
-        let mut rows: Vec<_> = self
-            .tenants
-            .lock()
-            .iter()
-            .map(|(name, e)| (name.to_string(), e.counts, e.slo.as_ref().map(SloTracker::state)))
-            .collect();
-        rows.sort_by(|a, b| a.0.cmp(&b.0));
-        rows
-    }
-
-    /// The final ops report of a drained engine.
-    fn report(&self) -> ServeReport {
-        let rows = self.tenant_rows();
-        let slo = self.cfg.slo.as_ref().map(|_| ServeSloReport {
-            tiers: Tier::ALL
-                .map(|t| self.lane(t).slo.as_ref().map_or_else(SloState::empty, SloTracker::state)),
-            tenants: rows.iter().filter_map(|(n, _, s)| s.map(|s| (n.clone(), s))).collect(),
-        });
-        ServeReport {
-            completed: self.completed.load(Ordering::Relaxed),
-            nowcasts: self.nowcasts.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            quota_denied: self.quota_denied.load(Ordering::Relaxed),
-            tiers: Tier::ALL.map(|t| self.lane(t).counts()),
-            tenants: rows.into_iter().map(|(name, counts, _)| (name, counts)).collect(),
-            events: self.events.snapshot(),
-            metrics: self.metrics.clone(),
-            cache: self.cache.stats(),
-            slo,
-        }
-    }
-}
-
-impl Lane {
-    /// The lane's row of the live snapshot.
-    fn status(&self, estimator: &ServiceEstimator) -> TierStatus {
-        let counts = self.counts();
-        TierStatus {
-            name: self.tier.name().to_string(),
-            queue_depth: self.queue.depth(),
-            queue_wait_ms: self.wait.wait_ms.summary(),
-            wfq_lag: self.wait.virtual_lag.summary(),
-            est_ms_per_unit: estimator.per_unit(self.tier).map(|s| s * 1e3),
-            est_samples: estimator.samples(self.tier),
-            workers: self.workers,
-            admitted: counts.admitted,
-            completed: counts.completed,
-            shed: counts.shed,
-            slo: self.slo.as_ref().map(SloTracker::state),
-        }
-    }
-}
-
-impl ServeEngine {
-    /// One point-in-time introspection snapshot: queue depths, wait/lag
-    /// quantiles, service estimates, worker sizing, per-tenant
-    /// ledgers and token balances, cache effectiveness, live SLO states,
-    /// and the tracer's counters. Render it with `Display` for the text
-    /// dashboard, or push it into the Prometheus path with
-    /// [`StatusReport::export_gauges`].
-    pub fn status(&self) -> StatusReport {
-        let shared = &self.shared;
-        // Display order is quality first; a lane without workers (the fast
-        // lane of a quality-only engine) is not shown.
-        let lanes = Tier::ALL.into_iter().rev().map(|t| shared.lane(t)).filter(|l| l.workers > 0);
-        let tiers = lanes.map(|lane| lane.status(&shared.estimator)).collect();
-        let balances: HashMap<String, f64> =
-            shared.quotas.iter().flat_map(|q| q.balances()).collect();
-        let tenants = shared
-            .tenant_rows()
-            .into_iter()
-            .map(|(name, c, slo)| TenantStatus {
-                quota_tokens: balances.get(&name).copied(),
-                name,
-                submitted: c.submitted,
-                completed: c.completed,
-                shed: c.shed,
-                quota_denied: c.quota_denied,
-                rejected: c.rejected,
-                slo,
-            })
-            .collect();
-        let cs = shared.cache.stats();
-        StatusReport {
-            tiers,
-            tenants,
-            cache: Some(CacheStatus {
-                hits: cs.hits,
-                misses: cs.misses,
-                hit_rate: cs.hit_rate(),
-                bytes: cs.bytes as u64,
-                budget_bytes: shared.cfg.cache_bytes as u64,
-                entries: cs.entries as u64,
-                evictions: cs.evictions,
-            }),
-            in_flight: *shared.outstanding.lock() as u64,
-            counters: shared.tracer.counters(),
-        }
-    }
-}
+mod admission;
+mod status;
+mod worker;
 
 #[cfg(test)]
 mod tests;

@@ -1,6 +1,7 @@
 use super::*;
+use crate::api::{ForecastRequest, NowcastRequest};
 use aeris_core::AerisConfig;
-use aeris_obs::SloConfig;
+use aeris_obs::{SloConfig, SloVerdict};
 use aeris_diffusion::{SamplerConfig, TrigFlow, TrigFlowSampler};
 use aeris_earthsim::NormStats;
 
