@@ -10,9 +10,9 @@
 
 use crate::guidance::{GuidanceSchedule, ObsGuidance};
 use crate::operator::ObservationSet;
+use aeris_core::forecast::ensemble;
 use aeris_core::{member_rng, ConsistencyStudent, Forecaster};
 use aeris_tensor::{Rng, Tensor};
-use rayon::prelude::*;
 use std::sync::Arc;
 
 /// An ensemble of analysis states, one per member, in physical units.
@@ -129,8 +129,9 @@ pub fn nowcast_member_fast(
     nowcast_step_fast(student, background, forcings, obs, schedule, &mut member_rng(seed, member))
 }
 
-/// A full analysis ensemble (members parallelized with rayon; results are
-/// member-seed pure, so thread count never changes the numbers).
+/// A full analysis ensemble: [`nowcast_step`] once per member through
+/// [`aeris_core::forecast::ensemble`] (results are member-seed pure, so
+/// thread count never changes the numbers).
 pub fn nowcast_ensemble(
     fc: &Forecaster,
     background: &Arc<Tensor>,
@@ -140,10 +141,9 @@ pub fn nowcast_ensemble(
     n_members: usize,
     seed: u64,
 ) -> NowcastEnsemble {
-    let members: Vec<Tensor> = (0..n_members)
-        .into_par_iter()
-        .map(|m| nowcast_member(fc, background, forcings, obs, schedule, seed, m))
-        .collect();
+    let members = ensemble(n_members, seed, |_, rng| {
+        nowcast_step(fc, background, forcings, obs, schedule, rng)
+    });
     NowcastEnsemble { members }
 }
 

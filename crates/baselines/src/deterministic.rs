@@ -3,11 +3,11 @@
 //! weighted MSE. Section IV-A of the paper: such models deliver competitive
 //! medium-range skill but blur at long leads and have no ensemble spread.
 
-use aeris_autodiff::Tape;
+use aeris_core::forecast::{add_residual, rollout};
 use aeris_core::{AerisModel, TrainSample};
 use aeris_earthsim::NormStats;
-use aeris_nn::{AdamW, AdamWConfig, Binding};
-use aeris_tensor::{Rng, Tensor};
+use aeris_nn::{batch_mean, AdamW, AdamWConfig};
+use aeris_tensor::Tensor;
 
 /// A deterministic residual-regression forecaster on the AERIS backbone.
 /// The diffusion-conditioning slot (`x_t`) is fed zeros at `t = 0`.
@@ -37,22 +37,13 @@ impl DeterministicForecaster {
         let mut total = 0.0f64;
         let zeros = Tensor::zeros(&[self.model.cfg.tokens(), self.model.cfg.channels]);
         for s in batch {
-            let input = self.model.assemble_input(&zeros, &s.x_prev, &s.forcings);
-            let mut tape = Tape::new();
-            let mut binding = Binding::new(&self.model.store);
-            let iv = tape.constant(input);
-            let out = self.model.forward(&mut tape, &mut binding, iv, 0.0);
-            let loss = tape.weighted_mse(out, &s.residual, weights);
-            total += tape.value(loss).data()[0] as f64;
-            let mut grads = tape.backward(loss);
-            binding.accumulate_grads(&mut grads, &mut acc);
+            total += self.model.loss_grads(
+                &zeros, &s.x_prev, &s.forcings, 0.0, &s.residual, weights, &mut acc,
+            );
         }
-        let inv = 1.0 / batch.len() as f32;
-        for g in acc.iter_mut().flatten() {
-            g.scale_inplace(inv);
-        }
+        let loss = batch_mean(&mut acc, total, batch.len());
         opt.step(&mut self.model.store, &acc, lr);
-        total / batch.len() as f64
+        loss
     }
 
     /// Train for `epochs` shuffled passes.
@@ -66,17 +57,9 @@ impl DeterministicForecaster {
         seed: u64,
     ) -> Vec<f64> {
         let mut opt = AdamW::new(&self.model.store, AdamWConfig::default());
-        let mut rng = Rng::seed_from(seed);
-        let mut order: Vec<usize> = (0..samples.len()).collect();
-        let mut losses = Vec::new();
-        for _ in 0..epochs {
-            rng.shuffle(&mut order);
-            for chunk in order.chunks(batch.max(1)) {
-                let b: Vec<&TrainSample> = chunk.iter().map(|&i| &samples[i]).collect();
-                losses.push(self.train_step(&mut opt, &b, weights, lr));
-            }
-        }
-        losses
+        crate::fit_epochs(samples, batch, epochs, seed, |b, _| {
+            self.train_step(&mut opt, b, weights, lr)
+        })
     }
 
     /// One deterministic forecast step in physical units.
@@ -84,25 +67,12 @@ impl DeterministicForecaster {
         let prev_std = self.stats.standardize(x_prev);
         let zeros = Tensor::zeros(prev_std.shape());
         let pred = self.model.velocity(&zeros, &prev_std, forcings, 0.0);
-        let mut next = x_prev.clone();
-        for r in 0..pred.shape()[0] {
-            let row = next.row_mut(r);
-            for j in 0..pred.shape()[1] {
-                row[j] += pred.at(&[r, j]) * self.res_stats.std[j] + self.res_stats.mean[j];
-            }
-        }
-        next
+        add_residual(x_prev, &pred, &self.res_stats)
     }
 
     /// Deterministic autoregressive rollout.
     pub fn rollout(&self, x0: &Tensor, forcings: &dyn Fn(usize) -> Tensor, steps: usize) -> Vec<Tensor> {
-        let mut states = Vec::with_capacity(steps);
-        let mut x = x0.clone();
-        for k in 0..steps {
-            x = self.forecast_step(&x, &forcings(k));
-            states.push(x.clone());
-        }
-        states
+        rollout(x0, forcings, steps, |x, f| self.forecast_step(x, f))
     }
 }
 
@@ -112,6 +82,7 @@ mod tests {
     use aeris_core::AerisConfig;
     use aeris_diffusion::loss_weights;
     use aeris_earthsim::Grid;
+    use aeris_tensor::Rng;
 
     fn setup() -> (DeterministicForecaster, Vec<TrainSample>, Tensor) {
         let cfg = AerisConfig::test_tiny();
@@ -141,6 +112,28 @@ mod tests {
         let head = losses[0];
         let tail = *losses.last().unwrap();
         assert!(tail < head * 0.8, "no learning: {head:.4} -> {tail:.4}");
+    }
+
+    /// The training trajectory as a contract: these per-step losses were
+    /// captured while `train_step` still built its own tape.
+    #[test]
+    fn fit_loss_history_is_pinned_bitwise() {
+        let (mut f, samples, weights) = setup();
+        let losses = f.fit(&samples, &weights, 4, 2, 3e-3, 1);
+        let bits: Vec<u64> = losses.iter().map(|l| l.to_bits()).collect();
+        let pinned: [u64; 4] =
+            [0x3fd0bb4300000000, 0x3fccbe0b90000000, 0x3fcdda7a98000000, 0x3fc66d0530000000];
+        assert_eq!(bits, pinned, "got {bits:#x?}");
+    }
+
+    /// An empty batch used to return `0/0` as its loss and step the
+    /// optimizer on nothing.
+    #[test]
+    #[should_panic(expected = "batch mean over an empty batch")]
+    fn train_step_rejects_an_empty_batch() {
+        let (mut f, _, weights) = setup();
+        let mut opt = AdamW::new(&f.model.store, AdamWConfig::default());
+        f.train_step(&mut opt, &[], &weights, 3e-3);
     }
 
     #[test]

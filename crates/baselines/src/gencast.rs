@@ -3,13 +3,12 @@
 //! with the stochastic Heun solver — the diffusion recipe GenCast uses,
 //! contrasted against AERIS's TrigFlow in the ablation benches.
 
-use aeris_autodiff::Tape;
-use aeris_core::{member_rng, AerisModel, TrainSample};
+use aeris_core::forecast::{add_residual, ensemble, rollout};
+use aeris_core::{AerisModel, TrainSample};
 use aeris_diffusion::{EdmConfig, EdmSampler};
 use aeris_earthsim::NormStats;
-use aeris_nn::{AdamW, AdamWConfig, Binding};
+use aeris_nn::{batch_mean, AdamW, AdamWConfig};
 use aeris_tensor::{Rng, Tensor};
-use rayon::prelude::*;
 
 /// EDM-parameterized diffusion forecaster on the AERIS backbone.
 pub struct GenCastAnalog {
@@ -71,22 +70,19 @@ impl GenCastAnalog {
             let target = s.residual.zip_map(&x_sigma, |x0, xs| (x0 - c_skip * xs) / c_out);
             let lw = self.edm.loss_weight(sigma) * c_out * c_out;
             let w = weights.scale(lw);
-            let input = self.model.assemble_input(&x_sigma.scale(c_in), &s.x_prev, &s.forcings);
-            let mut tape = Tape::new();
-            let mut binding = Binding::new(&self.model.store);
-            let iv = tape.constant(input);
-            let out = self.model.forward(&mut tape, &mut binding, iv, self.t_of_sigma(sigma));
-            let loss = tape.weighted_mse(out, &target, &w);
-            total += tape.value(loss).data()[0] as f64;
-            let mut grads = tape.backward(loss);
-            binding.accumulate_grads(&mut grads, &mut acc);
+            total += self.model.loss_grads(
+                &x_sigma.scale(c_in),
+                &s.x_prev,
+                &s.forcings,
+                self.t_of_sigma(sigma),
+                &target,
+                &w,
+                &mut acc,
+            );
         }
-        let inv = 1.0 / batch.len() as f32;
-        for g in acc.iter_mut().flatten() {
-            g.scale_inplace(inv);
-        }
+        let loss = batch_mean(&mut acc, total, batch.len());
         opt.step(&mut self.model.store, &acc, lr);
-        total / batch.len() as f64
+        loss
     }
 
     /// Train for shuffled epochs.
@@ -100,17 +96,9 @@ impl GenCastAnalog {
         seed: u64,
     ) -> Vec<f64> {
         let mut opt = AdamW::new(&self.model.store, AdamWConfig::default());
-        let mut rng = Rng::seed_from(seed);
-        let mut order: Vec<usize> = (0..samples.len()).collect();
-        let mut losses = Vec::new();
-        for _ in 0..epochs {
-            rng.shuffle(&mut order);
-            for chunk in order.chunks(batch.max(1)) {
-                let b: Vec<&TrainSample> = chunk.iter().map(|&i| &samples[i]).collect();
-                losses.push(self.train_step(&mut opt, &b, weights, lr, &mut rng));
-            }
-        }
-        losses
+        crate::fit_epochs(samples, batch, epochs, seed, |b, rng| {
+            self.train_step(&mut opt, b, weights, lr, rng)
+        })
     }
 
     /// One stochastic forecast step (sample a residual with the Heun EDM
@@ -122,14 +110,7 @@ impl GenCastAnalog {
         let mut denoise =
             |x: &Tensor, sigma: f32| self.denoise(x, &prev_std, forcings, sigma);
         let residual_std = sampler.sample(&shape, &mut denoise, rng);
-        let mut next = x_prev.clone();
-        for r in 0..shape[0] {
-            let row = next.row_mut(r);
-            for j in 0..shape[1] {
-                row[j] += residual_std.at(&[r, j]) * self.res_stats.std[j] + self.res_stats.mean[j];
-            }
-        }
-        next
+        add_residual(x_prev, &residual_std, &self.res_stats)
     }
 
     /// Autoregressive rollout.
@@ -140,16 +121,11 @@ impl GenCastAnalog {
         steps: usize,
         rng: &mut Rng,
     ) -> Vec<Tensor> {
-        let mut states = Vec::with_capacity(steps);
-        let mut x = x0.clone();
-        for k in 0..steps {
-            x = self.forecast_step(&x, &forcings(k), rng);
-            states.push(x.clone());
-        }
-        states
+        rollout(x0, forcings, steps, |x, f| self.forecast_step(x, f, rng))
     }
 
-    /// Ensemble of rollouts (rayon-parallel over members).
+    /// Ensemble of rollouts (parallel over members, each on its own
+    /// [`aeris_core::member_rng`] stream).
     pub fn ensemble(
         &self,
         x0: &Tensor,
@@ -158,13 +134,7 @@ impl GenCastAnalog {
         n_members: usize,
         base_seed: u64,
     ) -> Vec<Vec<Tensor>> {
-        (0..n_members)
-            .into_par_iter()
-            .map(|m| {
-                let mut rng = member_rng(base_seed, m);
-                self.rollout(x0, &forcings, steps, &mut rng)
-            })
-            .collect()
+        ensemble(n_members, base_seed, |_, rng| self.rollout(x0, &forcings, steps, rng))
     }
 }
 
@@ -216,6 +186,18 @@ mod tests {
         assert!(losses.iter().all(|l| l.is_finite()));
         let after = eval(&g);
         assert!(after < before * 0.97, "no learning: {before:.4} -> {after:.4}");
+    }
+
+    /// The training trajectory as a contract: these per-step losses were
+    /// captured while `train_step` still built its own tape.
+    #[test]
+    fn fit_loss_history_is_pinned_bitwise() {
+        let (mut g, samples, weights) = setup();
+        let losses = g.fit(&samples, &weights, 4, 2, 3e-3, 2);
+        let bits: Vec<u64> = losses.iter().map(|l| l.to_bits()).collect();
+        let pinned: [u64; 4] =
+            [0x3fe2b96e6e000000, 0x3fed598e60000000, 0x3fe7da81a8000000, 0x3feb7bb070000000];
+        assert_eq!(bits, pinned, "got {bits:#x?}");
     }
 
     #[test]

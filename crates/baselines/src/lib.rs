@@ -23,3 +23,30 @@ pub use deterministic::DeterministicForecaster;
 pub use gencast::GenCastAnalog;
 pub use numerical::numerical_ensemble;
 pub use simple::{climatology_forecast, persistence_forecast};
+
+use aeris_core::TrainSample;
+use aeris_tensor::Rng;
+
+/// The shuffled-epoch loop both learned baselines train with: `epochs`
+/// passes over `samples` in chunks of `batch`, reshuffled each pass from a
+/// stream seeded `seed`; `step` runs one optimizer step (it may draw from
+/// the same stream) and returns that step's loss.
+pub(crate) fn fit_epochs(
+    samples: &[TrainSample],
+    batch: usize,
+    epochs: usize,
+    seed: u64,
+    mut step: impl FnMut(&[&TrainSample], &mut Rng) -> f64,
+) -> Vec<f64> {
+    let mut rng = Rng::seed_from(seed);
+    let mut order: Vec<usize> = (0..samples.len()).collect();
+    let mut losses = Vec::new();
+    for _ in 0..epochs {
+        rng.shuffle(&mut order);
+        for chunk in order.chunks(batch.max(1)) {
+            let b: Vec<&TrainSample> = chunk.iter().map(|&i| &samples[i]).collect();
+            losses.push(step(&b, &mut rng));
+        }
+    }
+    losses
+}

@@ -7,10 +7,9 @@
 //! is perfect by construction, and only initial-condition and stochastic
 //! uncertainty limit its skill.
 
-use aeris_core::member_rng;
+use aeris_core::forecast::ensemble;
 use aeris_earthsim::{ToyAtmosphere, VariableSet};
 use aeris_tensor::Tensor;
-use rayon::prelude::*;
 
 /// Run an `n_members` numerical ensemble from the given simulator state for
 /// `steps` outputs. Member `m` perturbs the initial condition with amplitude
@@ -24,21 +23,17 @@ pub fn numerical_ensemble(
     pert_amp: f32,
     base_seed: u64,
 ) -> Vec<Vec<Tensor>> {
-    (0..n_members)
-        .into_par_iter()
-        .map(|m| {
-            let mut sim = init.clone();
-            let mut rng = member_rng(base_seed, m);
-            sim.perturb(pert_amp, &mut rng);
-            sim.reseed_stochastic(base_seed ^ (m as u64).wrapping_mul(0x9E3779B97F4A7C15));
-            let mut out = Vec::with_capacity(steps);
-            for _ in 0..steps {
-                sim.step();
-                out.push(sim.render(vars));
-            }
-            out
-        })
-        .collect()
+    ensemble(n_members, base_seed, |m, rng| {
+        let mut sim = init.clone();
+        sim.perturb(pert_amp, rng);
+        sim.reseed_stochastic(base_seed ^ (m as u64).wrapping_mul(0x9E3779B97F4A7C15));
+        let mut out = Vec::with_capacity(steps);
+        for _ in 0..steps {
+            sim.step();
+            out.push(sim.render(vars));
+        }
+        out
+    })
 }
 
 #[cfg(test)]

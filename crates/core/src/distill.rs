@@ -14,10 +14,9 @@
 use crate::forecast::{self, Forecaster};
 use crate::model::AerisModel;
 use crate::training::TrainSample;
-use aeris_autodiff::Tape;
 use aeris_diffusion::TrigFlow;
 use aeris_earthsim::NormStats;
-use aeris_nn::{AdamW, AdamWConfig, Binding, Ema};
+use aeris_nn::{AdamW, AdamWConfig, Ema};
 use aeris_tensor::{Rng, Tensor};
 
 /// Configuration for consistency distillation.
@@ -55,7 +54,9 @@ impl ConsistencyStudent {
         weights: &Tensor,
         cfg: DistillConfig,
     ) -> ConsistencyStudent {
-        assert!(!samples.is_empty());
+        assert!(!samples.is_empty(), "distillation needs at least one sample");
+        assert!(cfg.n_times >= 2, "distillation needs n_times >= 2 (an adjacent time pair)");
+        assert!(cfg.steps >= 1, "distillation needs steps >= 1");
         let tf = teacher.sampler.tf;
         // Student starts as a copy of the teacher.
         let mut student = teacher.replicate().model;
@@ -108,17 +109,11 @@ impl ConsistencyStudent {
             // (cos(t)·x_hi − f_target)/sin(t).
             let (c, s) = (t_hi.cos(), t_hi.sin());
             let v_target = x_hi.zip_map(&f_target, |x, f| (c * x - f) / s);
-            let input = student.assemble_input(&x_hi, &sample.x_prev, &sample.forcings);
-            let mut tape = Tape::new();
-            let mut binding = Binding::new(&student.store);
-            let iv = tape.constant(input);
-            let out = student.forward(&mut tape, &mut binding, iv, t_hi);
             // The sin² factor converts velocity-space error back to
             // consistency (denoised-space) error.
             let w = weights.scale(s * s);
-            let loss = tape.weighted_mse(out, &v_target, &w);
-            let mut grads = tape.backward(loss);
-            let g = binding.collect_grads(&mut grads);
+            let mut g: Vec<Option<Tensor>> = vec![None; student.store.len()];
+            student.loss_grads(&x_hi, &sample.x_prev, &sample.forcings, t_hi, &v_target, &w, &mut g);
             opt.step(&mut student.store, &g, cfg.lr);
             target_ema.update(&student.store, 1.0);
         }
@@ -180,7 +175,7 @@ impl ConsistencyStudent {
         n_members: usize,
         base_seed: u64,
     ) -> Vec<Vec<Tensor>> {
-        forecast::ensemble(n_members, base_seed, |rng| self.rollout(x0, &forcings, steps, rng))
+        forecast::ensemble(n_members, base_seed, |_, rng| self.rollout(x0, &forcings, steps, rng))
     }
 }
 
@@ -254,15 +249,57 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The distillation trajectory as a contract: an FNV-1a fold of every
+    /// student parameter's bits after six updates (captured before the
+    /// student update became a caller of `AerisModel::loss_grads`).
+    #[test]
+    fn distilled_parameters_are_pinned_bitwise() {
+        let (teacher, samples, weights) = make_teacher_and_samples();
+        let cfg = DistillConfig { steps: 6, n_times: 6, ..Default::default() };
+        let student = ConsistencyStudent::distill(&teacher, &samples, &weights, cfg);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for (_, _, v) in student.model.store.iter() {
+            for x in v.data() {
+                h = (h ^ x.to_bits() as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(h, 0x831f_ac55_26b0_25d4, "got {h:#x}");
+    }
+
     #[test]
     fn student_initialization_matches_teacher() {
         let (teacher, samples, weights) = make_teacher_and_samples();
-        // Zero distillation steps → student == teacher weights.
-        let cfg = DistillConfig { steps: 0, ..Default::default() };
+        // One update at learning rate zero → student == teacher weights.
+        let cfg = DistillConfig { steps: 1, lr: 0.0, ..Default::default() };
         let student = ConsistencyStudent::distill(&teacher, &samples, &weights, cfg);
         for (id, _, v) in teacher.model.store.iter() {
             assert_eq!(student.model.store.get(id), v);
         }
+    }
+
+    /// `n_times == 1` used to divide 0 by 0 into a NaN time grid and train a
+    /// NaN student without a word; `n_times == 0` died later in `below(0)`.
+    #[test]
+    #[should_panic(expected = "distillation needs n_times >= 2")]
+    fn distill_rejects_a_single_point_time_grid() {
+        let (teacher, samples, weights) = make_teacher_and_samples();
+        let cfg = DistillConfig { n_times: 1, steps: 1, ..Default::default() };
+        ConsistencyStudent::distill(&teacher, &samples, &weights, cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "distillation needs steps >= 1")]
+    fn distill_rejects_zero_steps() {
+        let (teacher, samples, weights) = make_teacher_and_samples();
+        let cfg = DistillConfig { steps: 0, ..Default::default() };
+        ConsistencyStudent::distill(&teacher, &samples, &weights, cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "distillation needs at least one sample")]
+    fn distill_rejects_an_empty_sample_set() {
+        let (teacher, _, weights) = make_teacher_and_samples();
+        ConsistencyStudent::distill(&teacher, &[], &weights, DistillConfig::default());
     }
 
     /// The point of distillation: a forecast step is one network evaluation

@@ -106,8 +106,10 @@ pub(crate) fn load_checkpoint(
 }
 
 /// `x_prev` plus the un-standardized residual: one unrolled unit-stride
-/// sweep per row (no per-element multi-index lookups).
-pub(crate) fn add_residual(
+/// sweep per row (no per-element multi-index lookups). Every forecast step
+/// in the workspace — AERIS, the student, the baselines, rollout
+/// fine-tuning — ends here.
+pub fn add_residual(
     x_prev: &Tensor,
     residual_std: &Tensor,
     res_stats: &NormStats,
@@ -122,7 +124,7 @@ pub(crate) fn add_residual(
 
 /// The autoregressive loop: apply `step(x, forcings(k))` for `steps` steps,
 /// feeding each output back as the next input.
-pub(crate) fn rollout(
+pub fn rollout(
     x0: &Tensor,
     forcings: &dyn Fn(usize) -> Tensor,
     steps: usize,
@@ -145,16 +147,17 @@ pub fn member_rng(seed: u64, member: usize) -> Rng {
     Rng::seed_from(seed).stream(member as u64 + 1)
 }
 
-/// Run `member` once per ensemble member (rayon-parallel), each on its own
-/// [`member_rng`] stream.
-pub(crate) fn ensemble(
+/// Run `member(m, rng)` once per ensemble member (rayon-parallel), each on
+/// its own [`member_rng`] stream; `out[m]` is member `m`'s result whatever
+/// the pool width.
+pub fn ensemble<T: Send>(
     n_members: usize,
     base_seed: u64,
-    member: impl Fn(&mut Rng) -> Vec<Tensor> + Sync,
-) -> Vec<Vec<Tensor>> {
+    member: impl Fn(usize, &mut Rng) -> T + Sync,
+) -> Vec<T> {
     (0..n_members)
         .into_par_iter()
-        .map(|m| member(&mut member_rng(base_seed, m)))
+        .map(|m| member(m, &mut member_rng(base_seed, m)))
         .collect()
 }
 
@@ -282,7 +285,7 @@ impl Forecaster {
         base_seed: u64,
     ) -> EnsembleForecast {
         let members =
-            ensemble(n_members, base_seed, |rng| self.rollout(x0, &forcings, steps, rng));
+            ensemble(n_members, base_seed, |_, rng| self.rollout(x0, &forcings, steps, rng));
         EnsembleForecast { members }
     }
 }

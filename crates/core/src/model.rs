@@ -218,6 +218,36 @@ impl AerisModel {
         let out = self.forward(&mut tape, &mut binding, iv, t);
         tape.value(out).clone()
     }
+
+    /// The recording sibling of [`AerisModel::velocity`]: the same
+    /// evaluation, scored against `target` with the `weights`-weighted MSE
+    /// and differentiated. The loss comes back; every parameter's gradient
+    /// is added into `acc` (one slot per parameter in store order, `None`
+    /// until first touched), so a batch is one call per sample followed by
+    /// [`aeris_nn::batch_mean`]. No randomness is drawn here: callers keep
+    /// their own `t` / noise streams.
+    #[allow(clippy::too_many_arguments)]
+    pub fn loss_grads(
+        &self,
+        x_t: &Tensor,
+        x_prev: &Tensor,
+        forcings: &Tensor,
+        t: f32,
+        target: &Tensor,
+        weights: &Tensor,
+        acc: &mut [Option<Tensor>],
+    ) -> f64 {
+        let input = self.assemble_input(x_t, x_prev, forcings);
+        let mut tape = Tape::new();
+        let mut binding = Binding::new(&self.store);
+        let iv = tape.constant(input);
+        let out = self.forward(&mut tape, &mut binding, iv, t);
+        let loss = tape.weighted_mse(out, target, weights);
+        let loss_val = tape.value(loss).data()[0] as f64;
+        let mut grads = tape.backward(loss);
+        binding.accumulate_grads(&mut grads, acc);
+        loss_val
+    }
 }
 
 #[cfg(test)]
@@ -375,5 +405,46 @@ mod tests {
             .map(|(_, n, _)| n)
             .collect();
         assert!(missing.is_empty(), "params without grads: {missing:?}");
+    }
+
+    /// `loss_grads` is the hand-built chain (`forward` + `weighted_mse` +
+    /// `backward` + `collect_grads`), bit for bit on the loss and on every
+    /// gradient, summed over two samples.
+    #[test]
+    fn loss_grads_is_the_hand_built_chain_bitwise() {
+        let mut m = tiny();
+        let mut rng = Rng::seed_from(6);
+        let dw = Tensor::randn(&[16, 4], &mut rng).scale(0.1);
+        m.store.get_mut(m.decode.w).add_assign(&dw);
+        let w = Tensor::rand_uniform(&[128, 4], 0.5, 1.5, &mut rng);
+
+        let mut acc: Vec<Option<Tensor>> = vec![None; m.store.len()];
+        let mut by_hand: Vec<Option<Tensor>> = vec![None; m.store.len()];
+        for t in [0.8f32, 0.3] {
+            let x_t = Tensor::randn(&[128, 4], &mut rng);
+            let x_prev = Tensor::randn(&[128, 4], &mut rng);
+            let f = Tensor::randn(&[128, 3], &mut rng);
+            let target = Tensor::randn(&[128, 4], &mut rng);
+            let got = m.loss_grads(&x_t, &x_prev, &f, t, &target, &w, &mut acc);
+
+            let mut tape = Tape::new();
+            let mut binding = Binding::new(&m.store);
+            let iv = tape.constant(m.assemble_input(&x_t, &x_prev, &f));
+            let out = m.forward(&mut tape, &mut binding, iv, t);
+            let loss = tape.weighted_mse(out, &target, &w);
+            assert_eq!(got.to_bits(), (tape.value(loss).data()[0] as f64).to_bits());
+            let mut grads = tape.backward(loss);
+            for (sum, g) in by_hand.iter_mut().zip(binding.collect_grads(&mut grads)) {
+                match (sum.as_mut(), g) {
+                    (Some(sum), Some(g)) => sum.add_assign(&g),
+                    (None, g) => *sum = g,
+                    (Some(_), None) => {}
+                }
+            }
+        }
+        for ((id, name, _), (a, b)) in m.store.iter().zip(acc.iter().zip(&by_hand)) {
+            let (a, b) = (a.as_ref().expect("bound"), b.as_ref().expect("bound"));
+            assert_eq!(a.data(), b.data(), "gradient of {name} ({id:?}) differs");
+        }
     }
 }

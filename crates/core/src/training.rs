@@ -1,12 +1,12 @@
 //! Training loop: TrigFlow objective over residual targets with the
 //! physically weighted loss, AdamW, the paper's LR schedule, and EMA.
 
+use crate::forecast::add_residual;
 use crate::model::AerisModel;
-use aeris_autodiff::Tape;
 use aeris_diffusion::{loss_weights, TrigFlow};
 use aeris_earthsim::{Dataset, Grid};
 use aeris_nn::checkpoint::{entry_u64, load_entries, save_entries, u64_entry};
-use aeris_nn::{AdamW, AdamWConfig, Binding, Ema, LrSchedule, ParamId};
+use aeris_nn::{batch_mean, AdamW, AdamWConfig, Ema, LrSchedule, ParamId};
 use aeris_tensor::{Rng, RngSnapshot, Tensor};
 use std::collections::HashMap;
 use std::io;
@@ -94,51 +94,26 @@ impl Trainer {
         self.images_seen
     }
 
-    /// Single-sample loss; the sample's gradient contribution is added into
-    /// `acc`. The diffusion time `t` is provided by the caller so that
-    /// model-parallel replicas can share it (§VI-B's shared-seed discipline);
-    /// `z` is drawn from the local stream.
-    fn sample_grads(
-        &mut self,
-        model: &AerisModel,
-        sample: &TrainSample,
-        t: f32,
-        acc: &mut [Option<Tensor>],
-    ) -> f64 {
-        let z = Tensor::randn(sample.residual.shape(), &mut self.rng);
-        let x_t = self.tf.interpolate(&sample.residual, &z, t);
-        let v_target = self.tf.velocity_target(&sample.residual, &z, t);
-        let input = model.assemble_input(&x_t, &sample.x_prev, &sample.forcings);
-        let mut tape = Tape::new();
-        let mut binding = Binding::new(&model.store);
-        let iv = tape.constant(input);
-        let out = model.forward(&mut tape, &mut binding, iv, t);
-        let loss = tape.weighted_mse(out, &v_target, &self.weights);
-        let loss_val = tape.value(loss).data()[0] as f64;
-        let mut grads = tape.backward(loss);
-        binding.accumulate_grads(&mut grads, acc);
-        loss_val
-    }
-
     /// One optimizer step over a mini-batch (gradients averaged). Returns the
     /// mean loss.
     pub fn train_step(&mut self, model: &mut AerisModel, batch: &[&TrainSample]) -> f64 {
-        assert!(!batch.is_empty());
         let mut acc: Vec<Option<Tensor>> = vec![None; model.store.len()];
         let mut total_loss = 0.0;
         for sample in batch {
             let t = self.tf.sample_t(&mut self.rng);
-            total_loss += self.sample_grads(model, sample, t, &mut acc);
+            let z = Tensor::randn(sample.residual.shape(), &mut self.rng);
+            let x_t = self.tf.interpolate(&sample.residual, &z, t);
+            let v_target = self.tf.velocity_target(&sample.residual, &z, t);
+            let (x_prev, forcings) = (&sample.x_prev, &sample.forcings);
+            total_loss +=
+                model.loss_grads(&x_t, x_prev, forcings, t, &v_target, &self.weights, &mut acc);
         }
-        let inv = 1.0 / batch.len() as f32;
-        for slot in acc.iter_mut().flatten() {
-            slot.scale_inplace(inv);
-        }
+        let loss = batch_mean(&mut acc, total_loss, batch.len());
         let lr = self.cfg.schedule.lr_at(self.images_seen);
         self.opt.step(&mut model.store, &acc, lr);
         self.images_seen += batch.len() as u64;
         self.ema.update(&model.store, batch.len() as f64);
-        total_loss / batch.len() as f64
+        loss
     }
 
     /// Train over shuffled epochs of `samples` until `total_images` are seen.
@@ -168,7 +143,6 @@ impl Trainer {
         }
         losses
     }
-
 
     /// Multi-step (rollout) fine-tuning (§VII-C, after SWIFT [87] and the
     /// design-space study [88]): instead of teacher-forced one-step targets,
@@ -207,13 +181,7 @@ impl Trainer {
             let velocity =
                 |x_t: &Tensor, t: f32| model.velocity(x_t, &prev_std, &forc0, t);
             let res_std = sampler.sample(&shape, &mut |x, t| velocity(x, t), &mut self.rng);
-            let mut x_hat = pair0.prev.clone();
-            for r in 0..shape[0] {
-                let row = x_hat.row_mut(r);
-                for j in 0..shape[1] {
-                    row[j] += res_std.at(&[r, j]) * ds.res_stats.std[j] + ds.res_stats.mean[j];
-                }
-            }
+            let x_hat = add_residual(&pair0.prev, &res_std, &ds.res_stats);
 
             // Step 2 (with grad): diffusion loss for x_{i+1} conditioned on
             // the self-generated x̂_i instead of the true x_i.
@@ -223,14 +191,7 @@ impl Trainer {
                 residual: ds.res_stats.standardize(&pair1.next.sub(&x_hat)),
                 forcings: pair1.forcings.clone(),
             };
-            let t = self.tf.sample_t(&mut self.rng);
-            let mut grads: Vec<Option<Tensor>> = vec![None; model.store.len()];
-            let loss = self.sample_grads(model, &sample, t, &mut grads);
-            let lr = self.cfg.schedule.lr_at(self.images_seen);
-            self.opt.step(&mut model.store, &grads, lr);
-            self.images_seen += 1;
-            self.ema.update(&model.store, 1.0);
-            losses.push(loss);
+            losses.push(self.train_step(model, &[&sample]));
         }
         losses
     }
@@ -459,6 +420,37 @@ mod tests {
         for (id, name, v) in ema_a.store.iter() {
             assert_eq!(v.data(), ema_c.store.get(id).data(), "EMA {name} diverged");
         }
+    }
+
+    /// The training trajectory as a contract: `fit` on the tiny model with
+    /// fixed seeds reproduces these per-step losses bit for bit (captured
+    /// while `train_step` still built its own tape).
+    #[test]
+    fn fit_loss_history_is_pinned_bitwise() {
+        let cfg = AerisConfig::test_tiny();
+        let mut rng = Rng::seed_from(21);
+        let samples: Vec<TrainSample> = (0..5)
+            .map(|_| TrainSample {
+                x_prev: Tensor::randn(&[cfg.tokens(), cfg.channels], &mut rng),
+                residual: Tensor::randn(&[cfg.tokens(), cfg.channels], &mut rng).scale(0.4),
+                forcings: Tensor::randn(&[cfg.tokens(), cfg.forcing_channels], &mut rng),
+            })
+            .collect();
+        let grid = Grid::new(cfg.grid_h, cfg.grid_w);
+        let kappa = vec![1.0; cfg.channels];
+        let mut model = AerisModel::new(cfg);
+        let mut trainer = Trainer::new(&model, grid, &kappa, TrainerConfig::paper_scaled(100, 2));
+        let losses = trainer.fit(&mut model, &samples, 12);
+        let bits: Vec<u64> = losses.iter().map(|l| l.to_bits()).collect();
+        let pinned: [u64; 6] = [
+            0x3fd38ff0e0000000,
+            0x3fe2559084000000,
+            0x3fde38a578000000,
+            0x3fc9b144c0000000,
+            0x3fc544dd80000000,
+            0x3fdf379628000000,
+        ];
+        assert_eq!(bits, pinned, "got {bits:#x?}");
     }
 
     #[test]

@@ -33,11 +33,6 @@ impl TrigFlow {
         (sigma / self.sigma_d).atan()
     }
 
-    /// Noise scale for a diffusion time: `σ = σ_d · tan(t)`.
-    pub fn sigma_of_t(&self, t: f32) -> f32 {
-        self.sigma_d * t.tan()
-    }
-
     /// Draw a diffusion time from the training prior:
     /// `τ = (1−u)·ln σ_min + u·ln σ_max`, `u ~ U(0,1)`, `t = arctan(e^τ/σ_d)`.
     pub fn sample_t(&self, rng: &mut Rng) -> f32 {
@@ -104,7 +99,7 @@ mod tests {
         for &sigma in &[0.2f32, 1.0, 10.0, 500.0] {
             let t = tf.t_of_sigma(sigma);
             assert!((0.0..std::f32::consts::FRAC_PI_2).contains(&t));
-            assert!((tf.sigma_of_t(t) - sigma).abs() / sigma < 1e-4);
+            assert!((tf.sigma_d * t.tan() - sigma).abs() / sigma < 1e-4);
         }
     }
 

@@ -176,11 +176,6 @@ impl Dataset {
         self.states.len().saturating_sub(1)
     }
 
-    /// Number of recorded states.
-    pub fn len_states(&self) -> usize {
-        self.states.len()
-    }
-
     /// The `i`-th state (physical units).
     pub fn state(&self, i: usize) -> &Tensor {
         &self.states[i]
@@ -227,7 +222,6 @@ mod tests {
     #[test]
     fn generation_counts_and_splits() {
         let ds = tiny();
-        assert_eq!(ds.len_states(), 41);
         assert_eq!(ds.len_pairs(), 40);
         let (tr, va, te) = ds.split_ranges();
         assert_eq!(tr.len(), 28);

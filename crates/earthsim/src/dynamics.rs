@@ -542,16 +542,6 @@ impl ToyAtmosphere {
     pub fn zeta(&self) -> &[f32] {
         &self.zeta
     }
-
-    /// Direct read access to the SST anomaly (tests/diagnostics).
-    pub fn sst_anomaly(&self) -> &[f32] {
-        &self.sst_anom
-    }
-
-    /// Direct read access to the temperature anomaly tracer.
-    pub fn t_anomaly(&self) -> &[f32] {
-        &self.t_anom
-    }
 }
 
 /// Forcing channels for an arbitrary valid time (used by forecast rollouts,

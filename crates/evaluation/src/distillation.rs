@@ -46,14 +46,6 @@ pub struct DistillPoint {
     pub student_spread: f64,
 }
 
-impl DistillPoint {
-    /// Student-over-teacher spread ratio (≈ 1 when the student preserves
-    /// the teacher's ensemble dispersion, → 0 on spread collapse).
-    pub fn spread_ratio(&self) -> f64 {
-        self.student_spread / self.teacher_spread.max(1e-30)
-    }
-}
-
 /// Run the lead-time sweep: one [`DistillPoint`] per step of the horizon.
 ///
 /// Both ensembles are rolled once (each member seeded identically across
@@ -151,7 +143,6 @@ mod tests {
             assert_eq!(p.lead, k + 1);
             assert!(p.gap_rmse.is_finite() && p.gap_rmse >= 0.0);
             assert!(p.teacher_spread.is_finite() && p.student_spread.is_finite());
-            assert!(p.spread_ratio().is_finite());
         }
         // The student is a *different* sampler over the same weights, so at
         // some lead the gap must be nonzero — a zero curve means the sweep

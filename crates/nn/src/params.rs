@@ -161,6 +161,18 @@ impl Binding {
     }
 }
 
+/// Turn the loss and gradient sums that [`Binding::accumulate_grads`] built
+/// over `n` samples into the batch mean: every gradient is scaled by `1/n`
+/// in place and the mean loss comes back.
+pub fn batch_mean(acc: &mut [Option<Tensor>], total_loss: f64, n: usize) -> f64 {
+    assert!(n > 0, "batch mean over an empty batch");
+    let inv = 1.0 / n as f32;
+    for g in acc.iter_mut().flatten() {
+        g.scale_inplace(inv);
+    }
+    total_loss / n as f64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,6 +236,20 @@ mod tests {
         }
         assert_eq!(acc[0].as_ref().unwrap().data(), &[8.0]); // 2 · 2w
         assert!(acc[1].is_none());
+    }
+
+    #[test]
+    fn batch_mean_scales_every_bound_gradient_and_the_loss() {
+        let mut acc = vec![Some(Tensor::from_slice(&[8.0, 2.0])), None];
+        assert_eq!(batch_mean(&mut acc, 3.0, 4), 0.75);
+        assert_eq!(acc[0].as_ref().unwrap().data(), &[2.0, 0.5]);
+        assert!(acc[1].is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "batch mean over an empty batch")]
+    fn batch_mean_rejects_an_empty_batch() {
+        batch_mean(&mut [], 0.0, 0);
     }
 
     #[test]

@@ -236,25 +236,6 @@ impl Histogram {
         out
     }
 
-    /// Fold another histogram's counts into this one (cross-thread /
-    /// cross-process aggregation). Counts land in shard 0; sum/min/max merge
-    /// exactly.
-    pub fn merge_from(&self, other: &Histogram) {
-        let theirs = other.merged();
-        for (mine, n) in self.shards[0].counts.iter().zip(theirs) {
-            if n > 0 {
-                mine.fetch_add(n, Relaxed);
-            }
-        }
-        atomic_f64_add(&self.shards[0].sum_bits, other.sum());
-        if let Some(v) = other.min() {
-            atomic_f64_update(&self.min_bits, v, |v, cur| v < cur);
-        }
-        if let Some(v) = other.max() {
-            atomic_f64_update(&self.max_bits, v, |v, cur| v > cur);
-        }
-    }
-
     /// Nearest-rank percentile estimate (0 ≤ p ≤ 100), or `None` when empty.
     /// Within [`MAX_QUANTILE_REL_ERROR`] of the exact sorted-sample answer
     /// for values inside the tracked range; `p ≤ 0` / `p ≥ 100` return the
@@ -411,23 +392,6 @@ mod tests {
             prev_cum = cum;
         }
         assert_eq!(buckets.last().unwrap().1, 100);
-    }
-
-    #[test]
-    fn merge_from_combines_counts_and_extremes() {
-        let (a, b) = (Histogram::new(), Histogram::new());
-        for v in [1.0, 2.0] {
-            a.record(v);
-        }
-        for v in [10.0, 20.0] {
-            b.record(v);
-        }
-        a.merge_from(&b);
-        assert_eq!(a.count(), 4);
-        assert_eq!(a.sum(), 33.0);
-        assert_eq!(a.min(), Some(1.0));
-        assert_eq!(a.max(), Some(20.0));
-        assert_eq!(a.percentile(100.0), Some(20.0));
     }
 
     #[test]

@@ -50,7 +50,7 @@ use crate::topology::SwipeTopology;
 use aeris_core::AerisModel;
 use aeris_diffusion::TrigFlow;
 use aeris_nn::checkpoint::{entry_u64, load_entries};
-use aeris_nn::{AdamWConfig, ParamId};
+use aeris_nn::{batch_mean, AdamWConfig, ParamId};
 use aeris_obs::Tracer;
 use aeris_tensor::{Rng, Tensor};
 use parking_lot::Mutex;
@@ -304,27 +304,17 @@ pub fn reference_grads(
             let z = noise_rows(seed, sample, &tokens, model.cfg.channels);
             let x_t = tf.interpolate(&x0, &z, t);
             let v_target = tf.velocity_target(&x0, &z, t);
-            let input = model.assemble_input(&x_t, &prev, &forc);
-            let mut tape = aeris_autodiff::Tape::new();
-            let mut binding = aeris_nn::Binding::new(&model.store);
-            let iv = tape.constant(input);
-            let out = model.forward(&mut tape, &mut binding, iv, t);
-            let loss = tape.weighted_mse(out, &v_target, weights);
-            total_loss += tape.value(loss).data()[0] as f64;
-            let mut grads = tape.backward(loss);
-            binding.accumulate_grads(&mut grads, &mut acc);
+            total_loss += model.loss_grads(&x_t, &prev, &forc, t, &v_target, weights, &mut acc);
             count += 1;
         }
     }
-    let inv = 1.0 / count as f32;
-    let mut by_name = HashMap::new();
-    for (i, slot) in acc.into_iter().enumerate() {
-        if let Some(mut g) = slot {
-            g.scale_inplace(inv);
-            by_name.insert(model.store.name(ParamId(i)).to_string(), g);
-        }
-    }
-    (total_loss / count as f64, by_name)
+    let loss = batch_mean(&mut acc, total_loss, count);
+    let by_name = acc
+        .into_iter()
+        .enumerate()
+        .filter_map(|(i, g)| Some((model.store.name(ParamId(i)).to_string(), g?)))
+        .collect();
+    (loss, by_name)
 }
 
 

@@ -94,11 +94,6 @@ impl Bf16Tensor {
         &self.data
     }
 
-    /// Storage footprint in bytes (what the halved-bandwidth claim is about).
-    pub fn storage_bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<u16>()
-    }
-
     /// Widen every element back to an f32 [`Tensor`] (exact).
     pub fn widen(&self) -> Tensor {
         Tensor::from_vec(&self.shape, self.data.iter().map(|&b| bf16_to_f32(b)).collect())
@@ -122,12 +117,6 @@ impl Tensor {
     /// Round into bf16 storage (a real `u16` buffer, half the bytes).
     pub fn to_bf16(&self) -> Bf16Tensor {
         Bf16Tensor::from_f32(self)
-    }
-
-    /// Round every element to bf16 precision and widen back: the pure
-    /// rounding effect, without the storage change.
-    pub fn bf16_round_trip(&self) -> Tensor {
-        self.map(round_bf16)
     }
 }
 
@@ -188,13 +177,13 @@ mod tests {
         let mut rng = Rng::seed_from(9);
         let t = Tensor::randn(&[8, 8], &mut rng);
         let b = t.to_bf16();
-        assert_eq!(b.storage_bytes(), t.len() * 2);
+        assert_eq!(std::mem::size_of_val(b.bits()), t.len() * 2);
         assert_eq!(b.shape(), t.shape());
         // widen() is exact on stored bits: a second round trip is identity.
         let w = b.widen();
         assert_eq!(w.to_bf16().bits(), b.bits());
         // And widen() agrees with the pure rounding map.
-        assert_eq!(w.data(), t.bf16_round_trip().data());
+        assert_eq!(w.data(), t.map(round_bf16).data());
     }
 
     #[test]

@@ -172,17 +172,6 @@ impl Tensor {
         Tensor::from_vec(self.shape(), out)
     }
 
-    /// Row means of a 2-D tensor (returns `[rows]`).
-    pub fn row_means(&self) -> Tensor {
-        assert_eq!(self.ndim(), 2);
-        let (rows, cols) = (self.shape()[0], self.shape()[1]);
-        let mut out = Vec::with_capacity(rows);
-        for r in 0..rows {
-            out.push((pairwise_sum(self.row(r)) / cols as f64) as f32);
-        }
-        Tensor::from_vec(&[rows], out)
-    }
-
     /// Index of the maximum element.
     pub fn argmax(&self) -> usize {
         let mut best = 0;
@@ -272,12 +261,10 @@ mod tests {
     }
 
     #[test]
-    fn dot_and_row_means() {
+    fn dot_product() {
         let a = Tensor::from_slice(&[1., 2., 3.]);
         let b = Tensor::from_slice(&[4., 5., 6.]);
         assert_eq!(a.dot(&b), 32.0);
-        let m = Tensor::from_vec(&[2, 2], vec![1., 3., 5., 7.]).row_means();
-        assert_eq!(m.data(), &[2., 6.]);
     }
 
     #[test]

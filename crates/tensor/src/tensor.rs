@@ -97,11 +97,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consume the tensor and return its buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Reshape in place to a new shape with the same element count.
     pub fn reshape(mut self, shape: &[usize]) -> Self {
         let n: usize = shape.iter().product();

@@ -13,9 +13,10 @@ use aeris::core::{AerisConfig, AerisModel, TrainSample};
 use aeris::diffusion::loss_weights;
 use aeris::earthsim::Grid;
 use aeris::nn::{AdamW, AdamWConfig, ParamId};
-use aeris::obs::{mfu_report, MessageLaw, MfuInputs, Tracer};
+use aeris::obs::{mfu_report, MessageLaw, MfuInputs, SpanCategory, Tracer};
 use aeris::perfmodel::{predict, train_flops_per_sample, AerisPerfConfig, EffModel, MachineSpec};
 use aeris::swipe::data::InMemorySource;
+use aeris::swipe::schedule::bubble_fraction;
 use aeris::swipe::trainer::reference_grads;
 use aeris::swipe::{DistributedTrainer, SwipeConfig, SwipeTopology};
 use aeris::tensor::{Rng, Tensor};
@@ -167,6 +168,18 @@ fn main() {
         predicted: Some(predicted),
     });
     println!("\n{mfu}");
+
+    // Is it the schedule or the scheduler? Each step's measured bubble share
+    // (seconds ranks spent blocked on a pipeline neighbour, over ranks × wall)
+    // beside the share the 1F1B schedule itself implies.
+    let ideal = bubble_fraction(topo.pp, swipe_cfg.gas);
+    for s in &mfu.steps {
+        let measured = s.seconds(SpanCategory::Bubble) / (topo.world_size() as f64 * s.wall_s);
+        println!(
+            "step {}: bubble share measured {measured:.3} | 1F1B closed form (pp={}, gas={}) {ideal:.3}",
+            s.step, topo.pp, swipe_cfg.gas
+        );
+    }
 
     // AERIS_TRACE=<path>: dump the full span timeline as Chrome-trace JSON
     // (load it in Perfetto or chrome://tracing to see the 1F1B schedule).

@@ -1,0 +1,58 @@
+#!/usr/bin/env bash
+# Surface scan (plain grep/awk). Prints, for the non-test code of the workspace:
+#   (i)  every `Tape::new()` and every `weighted_mse(` call site outside
+#        `#[cfg(test)]` items, `tests/` and `benchmark/` — the places a tape is
+#        built around the model (ROADMAP items 4 and 6 re-point exactly these);
+#   (ii) every `pub fn` under crates/*/src whose name occurs nowhere else in
+#        non-test code (crates, examples, src, benchmark/src) — dead surface or
+#        test vocabulary (ROADMAP item 7).
+# Crude on purpose: names are matched as words, so two functions sharing a name
+# hide each other, and a name used only in a doc comment counts as unused.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+# FILE:LINE:TEXT for every line that is neither a comment nor inside a
+# `#[cfg(test)]` item (a `mod tests { … }` block or a one-line `mod tests;`).
+strip_tests() {
+    awk '
+        FNR == 1 { skip = 0; pending = 0; depth = 0 }
+        !skip && /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1; pending = 1; depth = 0; next }
+        skip {
+            line = $0
+            opens = gsub(/\{/, "{", line)
+            closes = gsub(/\}/, "}", line)
+            if (pending && opens == 0 && line ~ /;[[:space:]]*$/) { skip = 0; next }
+            if (opens > 0) pending = 0
+            depth += opens - closes
+            if (!pending && depth <= 0) skip = 0
+            next
+        }
+        /^[[:space:]]*\/\// { next }
+        { print FILENAME ":" FNR ":" $0 }
+    ' "$@"
+}
+
+sources() { find "$@" -name '*.rs' ! -name 'tests.rs' ! -path '*/tests/*' | sort; }
+
+echo "== (i) tapes built and losses scored outside test code =="
+strip_tests $(sources crates/*/src examples src) \
+    | grep -E 'Tape::new\(\)|weighted_mse\(' \
+    | grep -v 'fn weighted_mse' || true
+
+echo
+echo "== (ii) pub fns named nowhere else in non-test code =="
+strip_tests $(sources crates/*/src examples src benchmark/src) | awk '
+    {
+        text = $0
+        sub(/^[^:]*:[0-9]+:/, "", text)
+        if ($0 ~ /^crates\// && match(text, /pub (const |unsafe )?fn [A-Za-z_][A-Za-z0-9_]*/)) {
+            name = substr(text, RSTART, RLENGTH)
+            sub(/.* /, "", name)
+            split($0, parts, ":")
+            defined[name] = parts[1] ":" parts[2]
+        }
+        n = split(text, words, /[^A-Za-z0-9_]+/)
+        for (i = 1; i <= n; i++) if (words[i] != "") seen[words[i]]++
+    }
+    END { for (name in defined) if (seen[name] == 1) print defined[name] ": " name }
+' | sort

@@ -8,17 +8,19 @@
 //! - zero-weight guidance reproduces the plain `forecast_step` trajectory
 //!   bitwise, for both solver orders;
 //! - the observation operator and its adjoint satisfy ⟨Hx, y⟩ = ⟨x, Hᵀy⟩;
-//! - observation sampling and analysis ensembles are bitwise identical at
-//!   1 and 8 worker threads;
+//! - observation sampling and every ensemble fan-out (analysis, GenCast
+//!   analog, numerical) equal the direct per-member calls bitwise at 1 and 8
+//!   worker threads;
 //! - a `NowcastRequest` served through `aeris-serve` matches a direct
 //!   `nowcast_member` call bitwise, and replaying it hits the rollout cache.
 
 use aeris::assim::{
-    nowcast_ensemble, nowcast_member, GuidanceSchedule, ObsOperator,
+    nowcast_ensemble, nowcast_member, nowcast_step, GuidanceSchedule, ObsOperator,
 };
-use aeris::core::{AerisConfig, AerisModel, Forecaster};
+use aeris::baselines::{numerical_ensemble, GenCastAnalog};
+use aeris::core::{member_rng, AerisConfig, AerisModel, Forecaster};
 use aeris::diffusion::{SamplerConfig, TrigFlow, TrigFlowSampler};
-use aeris::earthsim::{Grid, NormStats};
+use aeris::earthsim::{Grid, NormStats, ToyAtmosphere, ToyParams, VariableSet};
 use aeris::evaluation::{analysis_quality, AssimEvalConfig};
 use aeris::serve::{Forcings, NowcastRequest, ServeConfig, ServeEngine};
 use aeris::tensor::{Rng, Tensor};
@@ -108,37 +110,63 @@ fn zero_weight_guidance_reproduces_forecast_step_bitwise() {
     }
 }
 
-/// Observation sampling and full analysis ensembles must not depend on the
-/// worker-pool width: member seeds are derived, never pooled.
+/// Observation sampling and every ensemble fan-out — analysis, GenCast
+/// analog, numerical — must not depend on the worker-pool width: member `m`
+/// is the same call made directly on `member_rng(seed, m)`, at 1 and 8
+/// threads.
 #[test]
 fn observations_and_analyses_are_bitwise_identical_across_thread_counts() {
     let fc = forecaster(true);
     let grid = Grid::new(8, 16);
     let (background, truth) = scene(303);
     let forc = Tensor::zeros(&[128, 3]);
-    let run = || {
+    let forc_at = |_k: usize| Tensor::zeros(&[128, 3]);
+    let sched = GuidanceSchedule::Constant(0.03);
+    let observe = || {
         let op = ObsOperator::satellite_track(&grid, 96, 3, 70.0, &[0, 1], &[0.5; 4], 21);
-        let obs = Arc::new(op.observe(&truth, 0.15, 22));
-        let ens = nowcast_ensemble(
-            &fc,
-            &background,
-            &forc,
-            &obs,
-            GuidanceSchedule::Constant(0.03),
-            3,
-            55,
-        );
-        (obs, ens)
+        Arc::new(op.observe(&truth, 0.15, 22))
     };
-    rayon::set_thread_override(Some(1));
-    let (obs_narrow, ens_narrow) = run();
-    rayon::set_thread_override(Some(8));
-    let (obs_wide, ens_wide) = run();
-    rayon::set_thread_override(None);
-    assert_eq!(*obs_narrow, *obs_wide, "observation sampling must be thread-count pure");
-    assert_eq!(ens_narrow.members.len(), ens_wide.members.len());
-    for (a, b) in ens_narrow.members.iter().zip(&ens_wide.members) {
-        assert_eq!(a.data(), b.data(), "analysis members diverged across thread counts");
+    let stats = NormStats { mean: vec![0.0; 4], std: vec![1.0; 4] };
+    let gencast = GenCastAnalog {
+        n_sample_steps: 3,
+        ..GenCastAnalog::new(AerisModel::new(AerisConfig::test_tiny()), stats.clone(), stats)
+    };
+    let mut sim = ToyAtmosphere::new(ToyParams { nlat: 8, nlon: 16, seed: 5, ..Default::default() });
+    sim.spinup(5);
+    let vars = VariableSet::default_toy();
+
+    // The pool-free references: one direct call per member.
+    let obs = observe();
+    let direct_analyses: Vec<Tensor> = (0..3)
+        .map(|m| nowcast_step(&fc, &background, &forc, &obs, sched, &mut member_rng(55, m)))
+        .collect();
+    let direct_gencast: Vec<Vec<Tensor>> =
+        (0..3).map(|m| gencast.rollout(&background, &forc_at, 2, &mut member_rng(56, m))).collect();
+    let direct_numerical: Vec<Vec<Tensor>> = (0..3usize)
+        .map(|m| {
+            let mut member = sim.clone();
+            member.perturb(0.5, &mut member_rng(57, m));
+            member.reseed_stochastic(57 ^ (m as u64).wrapping_mul(0x9E3779B97F4A7C15));
+            (0..2)
+                .map(|_| {
+                    member.step();
+                    member.render(&vars)
+                })
+                .collect()
+        })
+        .collect();
+
+    for width in [1, 8] {
+        rayon::set_thread_override(Some(width));
+        let obs_at_width = observe();
+        let analyses = nowcast_ensemble(&fc, &background, &forc, &obs_at_width, sched, 3, 55);
+        let gencast_members = gencast.ensemble(&background, &forc_at, 2, 3, 56);
+        let numerical_members = numerical_ensemble(&sim, &vars, 2, 3, 0.5, 57);
+        rayon::set_thread_override(None);
+        assert_eq!(*obs_at_width, *obs, "observation sampling must be thread-count pure");
+        assert_eq!(analyses.members, direct_analyses, "analysis members at {width} threads");
+        assert_eq!(gencast_members, direct_gencast, "GenCast members at {width} threads");
+        assert_eq!(numerical_members, direct_numerical, "numerical members at {width} threads");
     }
 }
 
