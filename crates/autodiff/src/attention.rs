@@ -6,8 +6,8 @@
 //! allocates intermediate tensors. [`Tape::window_attention`] replaces that
 //! chain with **one** node: one `[tokens, dim] × [dim, 3·dim]` projection GEMM
 //! over the per-call concatenation `Wq | Wk | Wv` (A is packed once, not three
-//! times), a window-parallel attention core with per-worker scratch reused
-//! across windows, the output GEMM, and an analytic backward.
+//! times), an attention core with one scratch reused across windows, the
+//! output GEMM, and an analytic backward.
 //!
 //! There is one attention core — `attention_core` forward,
 //! `attention_core_backward` backward, each the only copy of its window loop
@@ -48,15 +48,7 @@
 //!
 //! The backward does not store probabilities: it re-runs the one scratch
 //! loader and the one `Scratch::prob_rows` the forward ran, so the recomputed
-//! probabilities are bitwise the ones the forward used, at any thread count.
-//!
-//! # Determinism
-//!
-//! The window loops (forward and backward) write only the disjoint rows of
-//! their own window — the rayon shim hands each closure a disjoint chunk — and
-//! every cross-window reduction (`dW_qkv = Xᵀ dQKV`, …) is a plain GEMM with a
-//! fixed per-element accumulation order. No partial sums depend on the worker
-//! count, so losses and gradients are bitwise identical at any thread count.
+//! probabilities are bitwise the ones the forward used.
 //!
 //! # Backward derivation
 //!
@@ -75,7 +67,6 @@
 
 use crate::tape::{Tape, Var};
 use aeris_tensor::{matmul, matmul_nt, matmul_tn, sweeps, Tensor};
-use rayon::prelude::*;
 
 /// Static geometry of a fused windowed-attention call: how the token matrix
 /// splits into windows, the head layout, and the (shared) RoPE tables.
@@ -130,11 +121,10 @@ struct Mat<'a> {
     stride: usize,
 }
 
-/// Per-worker scratch, allocated once per thread and reused for every window
-/// that thread processes (`for_each_init`). `[dim, window_len]` buffers hold
-/// a window's rows transposed, so a head is `head_dim` consecutive rows with
-/// the window's tokens as the unit-stride lane. The backward-only buffers
-/// stay empty in the forward.
+/// The scratch of one core call, allocated once and reused for every window.
+/// `[dim, window_len]` buffers hold a window's rows transposed, so a head is
+/// `head_dim` consecutive rows with the window's tokens as the unit-stride
+/// lane. The backward-only buffers stay empty in the forward.
 struct Scratch {
     /// Rotated queries for the current window, `[window_len, dim]` row-major.
     qr: Vec<f32>,
@@ -205,10 +195,10 @@ impl Scratch {
     /// max subtracted, then one [`sweeps::exp`] over all of it, then the row
     /// sums. It is the only definition of the probabilities: the backward
     /// recomputes through this same function, so its rows are bitwise the
-    /// forward's at any thread count (`sweeps::exp` gives an element the same
-    /// bits wherever it sits). The unfused tape path runs through the packed
-    /// SIMD GEMM (FMA contraction on AVX2 hosts) and a lane-split softmax
-    /// sum, so fused-vs-unfused agreement is within FMA / lane-order rounding
+    /// forward's (`sweeps::exp` gives an element the same bits wherever it
+    /// sits). The unfused tape path runs through the packed SIMD GEMM (FMA
+    /// contraction on AVX2 hosts) and a lane-split softmax sum, so
+    /// fused-vs-unfused agreement is within FMA / lane-order rounding
     /// (≤ 1e-5 under test), not bitwise.
     fn prob_rows(&mut self, h: usize, plan: &WindowAttnPlan) {
         let (wlen, dim, head_dim) = (plan.window_len, plan.dim(), plan.head_dim);
@@ -323,26 +313,24 @@ fn attention_core(qkv: &Tensor, plan: &WindowAttnPlan) -> Tensor {
     let (wlen, n_heads, head_dim) = (plan.window_len, plan.n_heads, plan.head_dim);
     let qkv_data = qkv.data();
     let mut o = Tensor::zeros(&[tokens, dim]);
-    o.data_mut().par_chunks_mut(wlen * dim).enumerate().for_each_init(
-        || Scratch::new(plan, false),
-        |scr, (w, o_win)| {
-            let r0 = w * wlen;
-            scr.load_window(qkv_data, r0, plan);
-            for h in 0..n_heads {
-                let base = h * head_dim;
-                scr.prob_rows(h, plan);
-                let p = Mat { data: &scr.probs, stride: wlen };
-                let v_h = Mat { data: &qkv_data[r0 * 3 * dim + 2 * dim + base..], stride: 3 * dim };
-                small_matmul(p, v_h, &mut o_win[base..], dim, (wlen, wlen, head_dim));
-            }
-        },
-    );
+    let mut scr = Scratch::new(plan, false);
+    for (w, o_win) in o.data_mut().chunks_mut(wlen * dim).enumerate() {
+        let r0 = w * wlen;
+        scr.load_window(qkv_data, r0, plan);
+        for h in 0..n_heads {
+            let base = h * head_dim;
+            scr.prob_rows(h, plan);
+            let p = Mat { data: &scr.probs, stride: wlen };
+            let v_h = Mat { data: &qkv_data[r0 * 3 * dim + 2 * dim + base..], stride: 3 * dim };
+            small_matmul(p, v_h, &mut o_win[base..], dim, (wlen, wlen, head_dim));
+        }
+    }
     o
 }
 
 /// Analytic backward of [`attention_core`]: `dQ | dK | dV` side by side,
-/// `[tokens, 3·dim]`, from `dO`. Window-parallel like the forward; each window
-/// writes only its own rows of the combined buffer.
+/// `[tokens, 3·dim]`, from `dO`. Each window writes only its own rows of the
+/// combined buffer.
 fn attention_core_backward(d_o: &Tensor, qkv: &Tensor, plan: &WindowAttnPlan) -> Tensor {
     let (tokens, dim) = (plan.tokens(), plan.dim());
     let (wlen, n_heads, head_dim) = (plan.window_len, plan.n_heads, plan.head_dim);
@@ -352,56 +340,54 @@ fn attention_core_backward(d_o: &Tensor, qkv: &Tensor, plan: &WindowAttnPlan) ->
     let mut dqkv = Tensor::zeros(&[tokens, 3 * dim]);
     let (qkv_data, do_data) = (qkv.data(), d_o.data());
     let (cos, sin) = (plan.cos.data(), plan.sin.data());
-    dqkv.data_mut().par_chunks_mut(wlen * 3 * dim).enumerate().for_each_init(
-        || Scratch::new(plan, true),
-        |scr, (w, dwin)| {
-            let r0 = w * wlen;
-            scr.load_window(qkv_data, r0, plan);
-            transpose_into(Mat { data: &scr.qr, stride: dim }, &mut scr.qt, wlen, dim);
-            transpose_into(Mat { data: &qkv_data[r0 * 3 * dim + 2 * dim..], stride: 3 * dim }, &mut scr.vt, wlen, dim);
-            transpose_into(Mat { data: &do_data[r0 * dim..], stride: dim }, &mut scr.dot, wlen, dim);
-            for h in 0..n_heads {
-                let base = h * head_dim;
-                scr.prob_rows(h, plan);
-                // dP = dO Vᵀ, then softmax backward to dS in place, with the
-                // ×scale of the score op folded in.
-                let do_h = Mat { data: &do_data[r0 * dim + base..], stride: dim };
-                let vt_h = Mat { data: &scr.vt[base * wlen..], stride: wlen };
-                small_matmul(do_h, vt_h, &mut scr.ds, wlen, (wlen, head_dim, wlen));
-                for (prow, ds_row) in scr.probs.chunks_exact(wlen).zip(scr.ds.chunks_exact_mut(wlen)) {
-                    let dot: f32 = prow.iter().zip(ds_row.iter()).map(|(&p, &g)| p * g).sum();
-                    for (ds, &p) in ds_row.iter_mut().zip(prow) {
-                        *ds = p * (*ds - dot) * scale;
-                    }
+    let mut scr = Scratch::new(plan, true);
+    for (w, dwin) in dqkv.data_mut().chunks_mut(wlen * 3 * dim).enumerate() {
+        let r0 = w * wlen;
+        scr.load_window(qkv_data, r0, plan);
+        transpose_into(Mat { data: &scr.qr, stride: dim }, &mut scr.qt, wlen, dim);
+        transpose_into(Mat { data: &qkv_data[r0 * 3 * dim + 2 * dim..], stride: 3 * dim }, &mut scr.vt, wlen, dim);
+        transpose_into(Mat { data: &do_data[r0 * dim..], stride: dim }, &mut scr.dot, wlen, dim);
+        for h in 0..n_heads {
+            let base = h * head_dim;
+            scr.prob_rows(h, plan);
+            // dP = dO Vᵀ, then softmax backward to dS in place, with the
+            // ×scale of the score op folded in.
+            let do_h = Mat { data: &do_data[r0 * dim + base..], stride: dim };
+            let vt_h = Mat { data: &scr.vt[base * wlen..], stride: wlen };
+            small_matmul(do_h, vt_h, &mut scr.ds, wlen, (wlen, head_dim, wlen));
+            for (prow, ds_row) in scr.probs.chunks_exact(wlen).zip(scr.ds.chunks_exact_mut(wlen)) {
+                let dot: f32 = prow.iter().zip(ds_row.iter()).map(|(&p, &g)| p * g).sum();
+                for (ds, &p) in ds_row.iter_mut().zip(prow) {
+                    *ds = p * (*ds - dot) * scale;
                 }
-                let (p, ds) = (Mat { data: &scr.probs, stride: wlen }, Mat { data: &scr.ds, stride: wlen });
-                // dQ̃ = dS K̃, un-rotated into the dQ section of the window buffer.
-                let kr_h = Mat { data: &scr.kr[base..], stride: dim };
-                small_matmul(ds, kr_h, &mut scr.dq, head_dim, (wlen, wlen, head_dim));
-                for (i, dq_rot) in scr.dq.chunks_exact(head_dim).enumerate() {
-                    let (cr, sr) = (&cos[i * pairs..(i + 1) * pairs], &sin[i * pairs..(i + 1) * pairs]);
-                    let dq_i = &mut dwin[i * 3 * dim + base..i * 3 * dim + base + head_dim];
-                    rope_row_inv(dq_rot, dq_i, cr, sr, head_dim);
-                }
-                // dK̃ᵀ = Q̃ᵀ dS and dVᵀ = dOᵀ P, keys as the lane.
-                let qt_h = Mat { data: &scr.qt[base * wlen..], stride: wlen };
-                let dot_h = Mat { data: &scr.dot[base * wlen..], stride: wlen };
-                small_matmul(qt_h, ds, &mut scr.dkt[base * wlen..], wlen, (head_dim, wlen, wlen));
-                small_matmul(dot_h, p, &mut scr.dvt[base * wlen..], wlen, (head_dim, wlen, wlen));
             }
-            // Transpose dK̃ (un-rotated on the way) and dV back into token rows.
-            for j in 0..wlen {
-                let d_j = &mut dwin[j * 3 * dim + dim..(j + 1) * 3 * dim];
-                let (dk_j, dv_j) = d_j.split_at_mut(dim);
-                for c in 0..dim {
-                    scr.row[c] = scr.dkt[c * wlen + j];
-                    dv_j[c] = scr.dvt[c * wlen + j];
-                }
-                let (cr, sr) = (&cos[j * pairs..(j + 1) * pairs], &sin[j * pairs..(j + 1) * pairs]);
-                rope_row_inv(&scr.row, dk_j, cr, sr, head_dim);
+            let (p, ds) = (Mat { data: &scr.probs, stride: wlen }, Mat { data: &scr.ds, stride: wlen });
+            // dQ̃ = dS K̃, un-rotated into the dQ section of the window buffer.
+            let kr_h = Mat { data: &scr.kr[base..], stride: dim };
+            small_matmul(ds, kr_h, &mut scr.dq, head_dim, (wlen, wlen, head_dim));
+            for (i, dq_rot) in scr.dq.chunks_exact(head_dim).enumerate() {
+                let (cr, sr) = (&cos[i * pairs..(i + 1) * pairs], &sin[i * pairs..(i + 1) * pairs]);
+                let dq_i = &mut dwin[i * 3 * dim + base..i * 3 * dim + base + head_dim];
+                rope_row_inv(dq_rot, dq_i, cr, sr, head_dim);
             }
-        },
-    );
+            // dK̃ᵀ = Q̃ᵀ dS and dVᵀ = dOᵀ P, keys as the lane.
+            let qt_h = Mat { data: &scr.qt[base * wlen..], stride: wlen };
+            let dot_h = Mat { data: &scr.dot[base * wlen..], stride: wlen };
+            small_matmul(qt_h, ds, &mut scr.dkt[base * wlen..], wlen, (head_dim, wlen, wlen));
+            small_matmul(dot_h, p, &mut scr.dvt[base * wlen..], wlen, (head_dim, wlen, wlen));
+        }
+        // Transpose dK̃ (un-rotated on the way) and dV back into token rows.
+        for j in 0..wlen {
+            let d_j = &mut dwin[j * 3 * dim + dim..(j + 1) * 3 * dim];
+            let (dk_j, dv_j) = d_j.split_at_mut(dim);
+            for c in 0..dim {
+                scr.row[c] = scr.dkt[c * wlen + j];
+                dv_j[c] = scr.dvt[c * wlen + j];
+            }
+            let (cr, sr) = (&cos[j * pairs..(j + 1) * pairs], &sin[j * pairs..(j + 1) * pairs]);
+            rope_row_inv(&scr.row, dk_j, cr, sr, head_dim);
+        }
+    }
     dqkv
 }
 
@@ -878,33 +864,5 @@ mod tests {
         let _ = tape.window_attention_core(qkv, &plan);
         assert_eq!(tape.len() - nodes, 1);
         assert_eq!(tape.activation_elems() - elems, plan.tokens() * plan.dim());
-    }
-
-    /// Loss and every gradient must be bitwise identical across pool widths.
-    #[test]
-    fn bitwise_identical_across_thread_counts() {
-        let plan = test_plan(6, 4, 2, 4);
-        let (x, w) = setup(&plan, 24);
-        let run = |threads: usize, core_op: bool| -> Vec<Vec<u32>> {
-            rayon::set_thread_override(Some(threads));
-            let mut tape = Tape::new();
-            let out = if core_op {
-                let (y, leaves) = core_between_gemms(&mut tape, &x, &w, &plan);
-                value_and_grad_bits(tape, y, &leaves)
-            } else {
-                let xv = tape.leaf(x.clone());
-                let wv: Vec<Var> = w.iter().map(|t| tape.leaf(t.clone())).collect();
-                let y = tape.window_attention(xv, wv[0], wv[1], wv[2], wv[3], &plan);
-                value_and_grad_bits(tape, y, &[xv, wv[0], wv[1], wv[2], wv[3]])
-            };
-            rayon::set_thread_override(None);
-            out
-        };
-        for core_op in [false, true] {
-            let base = run(1, core_op);
-            for t in [2, 3, 8] {
-                assert_eq!(base, run(t, core_op), "not bitwise stable at {t} threads (core op: {core_op})");
-            }
-        }
     }
 }

@@ -147,9 +147,12 @@ pub fn member_rng(seed: u64, member: usize) -> Rng {
     Rng::seed_from(seed).stream(member as u64 + 1)
 }
 
-/// Run `member(m, rng)` once per ensemble member (rayon-parallel), each on
-/// its own [`member_rng`] stream; `out[m]` is member `m`'s result whatever
-/// the pool width.
+/// Run `member(m, rng)` once per ensemble member, each on its own
+/// [`member_rng`] stream. One of the workspace's two pool fan-outs (the other
+/// is [`step_batch`]): members run on up to `AERIS_THREADS` scoped threads,
+/// and `out[m]` is member `m`'s result, bitwise, whatever that width — a
+/// member reads shared immutable state and its own stream only, and the pool
+/// writes each result to its own slot.
 pub fn ensemble<T: Send>(
     n_members: usize,
     base_seed: u64,
@@ -161,12 +164,13 @@ pub fn ensemble<T: Send>(
         .collect()
 }
 
-/// Advance several independent jobs by one step each, in parallel;
-/// `out[i]` is `step(&mut jobs[i])`. A job owns everything its step mutates
-/// (its RNG, any guidance state), so a job's result is a pure function of
-/// that job alone — batch order and composition can never change the
-/// numbers, which is what lets the serving engine coalesce requests freely
-/// while staying bitwise deterministic.
+/// Advance several independent jobs by one step each, in parallel (the
+/// pool's other fan-out, next to [`ensemble`]); `out[i]` is
+/// `step(&mut jobs[i])` at any pool width. A job owns everything its step
+/// mutates (its RNG, any guidance state), so a job's result is a pure
+/// function of that job alone — batch order and composition can never change
+/// the numbers, which is what lets the serving engine coalesce requests
+/// freely while staying bitwise deterministic.
 pub fn step_batch<J: Send>(jobs: &mut [J], step: impl Fn(&mut J) -> Tensor + Sync) -> Vec<Tensor> {
     jobs.iter_mut().into_par_iter().map(step).collect()
 }
@@ -274,7 +278,7 @@ impl Forecaster {
         rollout(x0, forcings, steps, |x, f| self.forecast_step(x, f, rng))
     }
 
-    /// Generate an ensemble of rollouts (members parallelized with rayon).
+    /// Generate an ensemble of rollouts (members fan out through [`ensemble`]).
     /// Member `m` draws from [`member_rng`]`(base_seed, m)`.
     pub fn ensemble(
         &self,

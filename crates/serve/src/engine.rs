@@ -303,7 +303,10 @@ impl Ticket {
     /// cancelled; it keeps running, and the ticket can be waited again (a
     /// later `wait`/`wait_for` can still succeed).
     pub fn wait_for(&self, timeout: Duration) -> Result<ForecastResponse, ServeError> {
-        let give_up = Instant::now() + timeout;
+        // A bound beyond `Instant`'s range is no bound.
+        let Some(give_up) = Instant::now().checked_add(timeout) else {
+            return self.wait();
+        };
         let mut done = self.req.done.lock();
         while done.result.is_none() {
             let now = Instant::now();

@@ -87,7 +87,10 @@ impl RequestState {
             // and must never alias: namespace the key by tier.
             aux: if tier == Tier::Fast { fnv_pair(guided, FAST_AUX) } else { guided },
             submitted,
-            deadline: intake.deadline.map(|d| submitted + d),
+            // This runs after `admit` took the outstanding slot, so it must
+            // not panic (`Instant + Duration` does on overflow): a deadline
+            // beyond `Instant`'s range is no deadline.
+            deadline: intake.deadline.and_then(|d| submitted.checked_add(d)),
             done: Mutex::new(DoneState {
                 members: vec![None; intake.n_members],
                 remaining: intake.n_members,

@@ -13,7 +13,7 @@
 //!    micro-panel `t` holds rows `t·MR .. t·MR+MR` laid out `[k, MR]`, so the
 //!    micro-kernel reads one contiguous `MR`-chunk of A and one contiguous
 //!    `NR`-chunk of B per `k` step. `matmul_tn`'s transposed A packs here the
-//!    same way (extending the A-panel packing its parallel path already used).
+//!    same way.
 //! 3. **Micro-kernel**: an `MR × NR` register tile accumulated over the full
 //!    `k` extent with an explicitly unrolled multiply-add over unit-stride
 //!    slices. The loop body is shape-independent and branch-free (no
@@ -31,28 +31,21 @@
 //!
 //! Every output element is produced by exactly one micro-kernel accumulator
 //! that sums `A[i,kk]·B[kk,j]` for `kk = 0, 1, …, k−1` in ascending order —
-//! the block decomposition changes *which rows a worker computes*, never the
-//! per-element order of floating-point operations. Parallelism is over
-//! disjoint row blocks of C (fixed [`MC`]-row chunks, independent of the
-//! worker count), so results are bitwise identical at any thread count.
+//! the block decomposition changes the order rows are visited in, never the
+//! per-element order of floating-point operations. The driver runs on the
+//! calling thread (threads live above the kernels, see DESIGN.md "Where
+//! threads live"), so a product's bits depend on its operands alone.
 //! Remainder tiles reuse the same kernel against zero-padded panel lanes;
 //! padded lanes feed accumulators that are never written back, so edges follow
 //! the identical accumulation order too.
-
-use rayon::prelude::*;
 
 /// Register-tile rows per micro-panel.
 pub const MR: usize = 4;
 /// Register-tile columns per B panel (two 8-lane AVX2 vectors).
 pub const NR: usize = 16;
-/// Rows of C per parallel block (a multiple of `MR`; sized so a packed A
-/// block of `MC·k` f32 stays L2-resident for the model's `k` range).
+/// Rows of C per row block (a multiple of `MR`; sized so a packed A block of
+/// `MC·k` f32 stays L2-resident for the model's `k` range).
 pub const MC: usize = 32;
-
-/// Above this many multiply-adds, the row-block loop fans out over the rayon
-/// pool; below it, the same loops run on the calling thread (identical
-/// numbers either way — the threshold is purely a fork-join economy).
-pub const PAR_THRESHOLD: usize = 64 * 64 * 64;
 
 /// A GEMM operand element: anything that widens to f32. Arithmetic is always
 /// f32; implementors only define the storage format.
@@ -285,33 +278,15 @@ pub fn gemm<TA: Scalar, TB: Scalar>(
 
     let panels = n.div_ceil(NR);
     let mut bpack = vec![0.0f32; panels * k * NR];
-    let parallel = m * n * k >= PAR_THRESHOLD;
-
-    if parallel {
-        bpack
-            .par_chunks_mut(k * NR)
-            .enumerate()
-            .for_each(|(p, dst)| pack_b_panel(b, k, n, b_trans, p, dst));
-        c.par_chunks_mut(MC * n).enumerate().for_each_init(
-            || vec![0.0f32; MC * k],
-            |apack, (blk, c_block)| {
-                let i0 = blk * MC;
-                let rows = c_block.len() / n;
-                pack_a_block(a, m, k, a_trans, i0, rows, apack);
-                compute_block(apack, &bpack, k, n, rows, c_block);
-            },
-        );
-    } else {
-        for (p, dst) in bpack.chunks_mut(k * NR).enumerate() {
-            pack_b_panel(b, k, n, b_trans, p, dst);
-        }
-        let mut apack = vec![0.0f32; MC.min(m.div_ceil(MR) * MR) * k];
-        for (blk, c_block) in c.chunks_mut(MC * n).enumerate() {
-            let i0 = blk * MC;
-            let rows = c_block.len() / n;
-            pack_a_block(a, m, k, a_trans, i0, rows, &mut apack);
-            compute_block(&apack, &bpack, k, n, rows, c_block);
-        }
+    for (p, dst) in bpack.chunks_mut(k * NR).enumerate() {
+        pack_b_panel(b, k, n, b_trans, p, dst);
+    }
+    let mut apack = vec![0.0f32; MC.min(m.div_ceil(MR) * MR) * k];
+    for (blk, c_block) in c.chunks_mut(MC * n).enumerate() {
+        let i0 = blk * MC;
+        let rows = c_block.len() / n;
+        pack_a_block(a, m, k, a_trans, i0, rows, &mut apack);
+        compute_block(&apack, &bpack, k, n, rows, c_block);
     }
 }
 

@@ -7,9 +7,8 @@
 //!   elementwise / reduction / linear-algebra operations,
 //! - [`gemm`]: the shared packed, cache-blocked, register-tiled GEMM core all
 //!   three matmul layouts (and the bf16 paths) lower to,
-//! - [`matmul()`] / [`matmul_nt()`] / [`matmul_tn()`]: rayon-parallel entry
-//!   points over that core, plus [`matmul_bf16()`]-family twins that read
-//!   bf16 operands,
+//! - [`matmul()`] / [`matmul_nt()`] / [`matmul_tn()`]: entry points over
+//!   that core, plus [`matmul_bf16()`]-family twins that read bf16 operands,
 //! - [`sweeps`]: unrolled unit-stride sweep kernels for the elementwise /
 //!   softmax / un-standardize hot loops,
 //! - [`rng::Rng`]: a deterministic SplitMix64-based random number generator
@@ -21,9 +20,9 @@
 //! Design notes (per the HPC guides): tensors are always contiguous and owned,
 //! hot loops avoid allocation by writing into preallocated outputs where it
 //! matters, and reductions that feed tests use pairwise summation so results
-//! are stable across run-to-run and chunking changes. Every kernel keeps a
-//! fixed per-element accumulation order, so results are bitwise identical at
-//! any thread count (see `gemm` module docs for the argument).
+//! are stable across run-to-run and chunking changes. Every kernel runs on
+//! the calling thread and keeps a fixed per-element accumulation order (see
+//! the `gemm` module docs).
 
 // Numerical kernels here frequently walk several arrays with one shared
 // index; explicit indexed loops are clearer than zipped iterator chains in

@@ -9,8 +9,7 @@
 //! propagation: `0·NaN` must stay NaN).
 //!
 //! See the [`crate::gemm`] module docs for the blocking scheme and the
-//! determinism argument (fixed per-element accumulation order, bitwise
-//! identical at any thread count).
+//! determinism argument (fixed per-element accumulation order).
 
 use crate::bf16::Bf16Tensor;
 use crate::gemm::gemm;
@@ -240,24 +239,12 @@ mod tests {
     }
 
     #[test]
-    fn tn_parallel_path_matches_and_is_thread_count_stable() {
-        // 90·80·70 multiply-adds exceeds PAR_THRESHOLD, so this exercises the
-        // packed row-block path.
+    fn tn_matches_naive_across_several_row_blocks() {
+        // 80 output rows span three `MC` row blocks, the last one partial.
         let mut rng = Rng::seed_from(6);
         let a = Tensor::randn(&[90, 80], &mut rng);
         let b = Tensor::randn(&[90, 70], &mut rng);
         assert!(matmul_tn(&a, &b).max_abs_diff(&naive(&a.t(), &b)) < 1e-3);
-        rayon::set_thread_override(Some(1));
-        let reference = matmul_tn(&a, &b);
-        for t in [2, 3, 8] {
-            rayon::set_thread_override(Some(t));
-            let out = matmul_tn(&a, &b);
-            assert!(
-                out.data().iter().zip(reference.data()).all(|(x, y)| x.to_bits() == y.to_bits()),
-                "matmul_tn not bitwise stable at {t} threads"
-            );
-        }
-        rayon::set_thread_override(None);
     }
 
     #[test]

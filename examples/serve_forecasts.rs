@@ -1,7 +1,8 @@
 //! Forecast serving: stand up the `aeris-serve` engine over a trained
 //! forecaster and drive it with concurrent clients — repeated initial
 //! conditions (cache reuse), mixed ensemble sizes (micro-batching), and a
-//! tight latency deadline (load shedding) — then print the ops report.
+//! tight latency deadline (load shedding) — then print the live status as a
+//! Prometheus scrape (`aeris_status_*` gauges) and the ops report.
 //!
 //! ```bash
 //! cargo run --release --example serve_forecasts
@@ -11,6 +12,7 @@ use aeris::core::{prepare_samples, AerisConfig, AerisModel, Forecaster, Trainer,
 use aeris::diffusion::{SamplerConfig, TrigFlow, TrigFlowSampler};
 use aeris::earthsim::{Dataset, Scenario, ToyParams, VariableSet};
 use aeris::nn::LrSchedule;
+use aeris::obs::Tracer;
 use aeris::serve::{ForecastRequest, Forcings, ServeConfig, ServeEngine, ServeError};
 use std::sync::Arc;
 use std::time::Duration;
@@ -61,8 +63,10 @@ fn main() {
     });
 
     // Serve it: 2 workers, micro-batches of up to 8 member-steps, 16 MiB
-    // rollout cache.
-    let engine = Arc::new(ServeEngine::start(
+    // rollout cache. The tracer stays disabled (no spans); it is the
+    // registry the engine's counters, series and status gauges export through.
+    let tracer = Tracer::default();
+    let engine = Arc::new(ServeEngine::start_traced(
         forecaster,
         ServeConfig {
             workers: 2,
@@ -70,6 +74,7 @@ fn main() {
             cache_bytes: 16 << 20,
             ..ServeConfig::default()
         },
+        tracer.clone(),
     ));
 
     // Three concurrent tenants over two forecast cycles (initial conditions).
@@ -152,6 +157,16 @@ fn main() {
         }
         Ok(ticket) => println!("unexpected: doomed request {} was admitted", ticket.id()),
         Err(other) => println!("unexpected admission failure: {other:?}"),
+    }
+
+    // What a scrape of the live engine reads: the status snapshot pushed into
+    // the tracer's gauge registry, rendered next to the engine's counters and
+    // series (only the gauge lines are printed here; the series are long).
+    engine.drain();
+    engine.status().export_gauges(&tracer);
+    println!("\nmetrics scrape, status gauges:");
+    for line in tracer.prometheus_text().lines().filter(|l| l.starts_with("aeris_status_")) {
+        println!("  {line}");
     }
 
     // Graceful drain + ops report.

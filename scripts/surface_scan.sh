@@ -5,7 +5,13 @@
 #        built around the model (ROADMAP items 4 and 6 re-point exactly these);
 #   (ii) every `pub fn` under crates/*/src whose name occurs nowhere else in
 #        non-test code (crates, examples, src, benchmark/src) — dead surface or
-#        test vocabulary (ROADMAP item 7).
+#        test vocabulary (ROADMAP item 7);
+#   (iii) every `par_chunks` / `par_iter` / `into_par_iter` under crates/*/src —
+#        the pool's parallel regions. Expected: the two coarse fan-outs in
+#        crates/core/src/forecast.rs (`ensemble`, `step_batch`) and nothing
+#        else; a hit inside a kernel is intra-op parallelism coming back
+#        (measured at 0.4–0.6x and deleted in PR 23, DESIGN.md "Where threads
+#        live").
 # Crude on purpose: names are matched as words, so two functions sharing a name
 # hide each other, and a name used only in a doc comment counts as unused.
 set -euo pipefail
@@ -56,3 +62,7 @@ strip_tests $(sources crates/*/src examples src benchmark/src) | awk '
     }
     END { for (name in defined) if (seen[name] == 1) print defined[name] ": " name }
 ' | sort
+
+echo
+echo "== (iii) parallel regions outside test code =="
+strip_tests $(sources crates/*/src) | grep -E 'par_chunks|par_iter' || true

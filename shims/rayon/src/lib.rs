@@ -1,32 +1,24 @@
-//! Offline stand-in for the `rayon` crate, backed by a real thread pool.
+//! Offline stand-in for the `rayon` crate.
 //!
 //! The build environment has no network access and no vendored registry, so
-//! the real rayon cannot be fetched. This shim provides the adapter surface
-//! the workspace uses — `par_chunks_mut`, `par_chunks`, `into_par_iter` with
-//! `enumerate`/`map`/`for_each`/`for_each_init`/`collect` — executed on a
-//! chunk-splitting pool built on [`std::thread::scope`], the same
-//! rank-as-thread idiom `aeris-swipe` uses for its distributed ranks.
+//! the real rayon cannot be fetched. This shim provides the one adapter chain
+//! the workspace uses — `into_par_iter().map(..).collect()` — executed on
+//! [`std::thread::scope`], the same rank-as-thread idiom `aeris-swipe` uses
+//! for its distributed ranks. Its callers are the workspace's two coarse
+//! fan-outs, `aeris_core::forecast::{ensemble, step_batch}`: an item is a
+//! whole rollout or sampler step, never a slice of a kernel (DESIGN.md "Where
+//! threads live" has the measurement that removed the finer layer).
 //!
-//! # Pool design
-//!
-//! There are no long-lived worker threads. Every parallel region splits its
-//! work items into at most [`current_num_threads`] *contiguous* blocks and
-//! spawns one scoped thread per block (the first block runs on the calling
-//! thread). Scoped threads join before the region returns, so closures may
-//! borrow stack data freely and panics propagate to the caller — exactly the
-//! ownership story of the surrounding rank-as-thread code.
+//! There are no long-lived worker threads. A parallel region splits its items
+//! into at most [`current_num_threads`] *contiguous* blocks and spawns one
+//! scoped thread per block. Scoped threads join before the region returns, so
+//! closures may borrow stack data freely and panics propagate to the caller.
 //!
 //! # Determinism
 //!
 //! Results are bitwise identical for every worker count, by construction:
-//!
-//! - mutable work (`par_chunks_mut`) hands each closure a *disjoint* output
-//!   chunk, and which thread runs a chunk never changes what is computed for
-//!   it;
-//! - mapped work (`into_par_iter().map(..).collect()`) writes each item's
-//!   result into its own preallocated slot, preserving input order;
-//! - no reduction is performed by the pool itself — reductions in
-//!   `aeris-tensor` keep a fixed accumulation order inside each chunk.
+//! each item's result is written into its own preallocated slot, preserving
+//! input order, and the pool performs no reduction.
 //!
 //! # Worker count
 //!
@@ -39,7 +31,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 pub mod prelude {
-    pub use crate::{IntoParallelIterator, ParallelSlice, ParallelSliceMut};
+    pub use crate::IntoParallelIterator;
 }
 
 /// Process-wide worker-count override; 0 means "no override".
@@ -69,192 +61,6 @@ pub fn current_num_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-/// Run `f` over `0..n` split into at most [`current_num_threads`] contiguous
-/// ranges, one scoped thread per range (the first range runs on the calling
-/// thread). The ranges partition `0..n`, so disjoint-index work needs no
-/// synchronization; splitting is deterministic given `n` alone.
-pub fn for_each_span<F: Fn(std::ops::Range<usize>) + Sync>(n: usize, f: F) {
-    if n == 0 {
-        return;
-    }
-    let t = current_num_threads().min(n);
-    if t <= 1 {
-        f(0..n);
-        return;
-    }
-    let per = n.div_ceil(t);
-    std::thread::scope(|s| {
-        let f = &f;
-        let mut lo = per;
-        while lo < n {
-            let hi = (lo + per).min(n);
-            s.spawn(move || f(lo..hi));
-            lo = hi;
-        }
-        f(0..per.min(n));
-    });
-}
-
-// ---------------------------------------------------------------------------
-// par_chunks_mut
-// ---------------------------------------------------------------------------
-
-/// Rayon's `par_chunks_mut` on slices.
-pub trait ParallelSliceMut<T: Send> {
-    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunksMut<'_, T>;
-}
-
-impl<T: Send> ParallelSliceMut<T> for [T] {
-    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunksMut<'_, T> {
-        assert!(chunk_size > 0, "chunk size must be positive");
-        ParChunksMut { slice: self, chunk: chunk_size }
-    }
-}
-
-/// Parallel iterator over disjoint mutable chunks of a slice.
-pub struct ParChunksMut<'a, T> {
-    slice: &'a mut [T],
-    chunk: usize,
-}
-
-impl<'a, T: Send> ParChunksMut<'a, T> {
-    /// Pair every chunk with its index (chunks stay in slice order).
-    pub fn enumerate(self) -> ParChunksMutEnum<'a, T> {
-        ParChunksMutEnum { slice: self.slice, chunk: self.chunk }
-    }
-
-    /// Run `f` on every chunk in parallel.
-    pub fn for_each<F: Fn(&mut [T]) + Sync>(self, f: F) {
-        self.enumerate().for_each(|(_, c)| f(c));
-    }
-}
-
-/// Enumerated variant of [`ParChunksMut`].
-pub struct ParChunksMutEnum<'a, T> {
-    slice: &'a mut [T],
-    chunk: usize,
-}
-
-impl<T: Send> ParChunksMutEnum<'_, T> {
-    /// Run `f` on every `(index, chunk)` pair in parallel.
-    pub fn for_each<F: Fn((usize, &mut [T])) + Sync>(self, f: F) {
-        self.for_each_init(|| (), |(), item| f(item));
-    }
-
-    /// Like `for_each`, but each worker thread builds one scratch state with
-    /// `init` and reuses it across every chunk it processes — the idiom for
-    /// preallocated kernel scratch (rayon's `for_each_init`).
-    pub fn for_each_init<S, I, F>(self, init: I, f: F)
-    where
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, (usize, &mut [T])) + Sync,
-    {
-        let chunk = self.chunk;
-        let len = self.slice.len();
-        if len == 0 {
-            return;
-        }
-        let n_chunks = len.div_ceil(chunk);
-        let t = current_num_threads().min(n_chunks);
-        if t <= 1 {
-            let mut state = init();
-            for (i, c) in self.slice.chunks_mut(chunk).enumerate() {
-                f(&mut state, (i, c));
-            }
-            return;
-        }
-        let per = n_chunks.div_ceil(t);
-        std::thread::scope(|s| {
-            let (init, f) = (&init, &f);
-            let mut rest = self.slice;
-            let mut first = 0usize;
-            let mut main_block: Option<&mut [T]> = None;
-            while first < n_chunks {
-                let take = per.min(n_chunks - first);
-                let elems = (take * chunk).min(rest.len());
-                let (head, tail) = std::mem::take(&mut rest).split_at_mut(elems);
-                rest = tail;
-                if first == 0 {
-                    main_block = Some(head);
-                } else {
-                    s.spawn(move || {
-                        let mut state = init();
-                        for (j, c) in head.chunks_mut(chunk).enumerate() {
-                            f(&mut state, (first + j, c));
-                        }
-                    });
-                }
-                first += take;
-            }
-            if let Some(block) = main_block {
-                let mut state = init();
-                for (j, c) in block.chunks_mut(chunk).enumerate() {
-                    f(&mut state, (j, c));
-                }
-            }
-        });
-    }
-}
-
-// ---------------------------------------------------------------------------
-// par_chunks (shared)
-// ---------------------------------------------------------------------------
-
-/// Rayon's `par_chunks` on slices.
-pub trait ParallelSlice<T: Sync> {
-    fn par_chunks(&self, chunk_size: usize) -> ParChunks<'_, T>;
-}
-
-impl<T: Sync> ParallelSlice<T> for [T] {
-    fn par_chunks(&self, chunk_size: usize) -> ParChunks<'_, T> {
-        assert!(chunk_size > 0, "chunk size must be positive");
-        ParChunks { slice: self, chunk: chunk_size }
-    }
-}
-
-/// Parallel iterator over shared chunks of a slice.
-pub struct ParChunks<'a, T> {
-    slice: &'a [T],
-    chunk: usize,
-}
-
-impl<'a, T: Sync> ParChunks<'a, T> {
-    /// Pair every chunk with its index.
-    pub fn enumerate(self) -> ParChunksEnum<'a, T> {
-        ParChunksEnum { slice: self.slice, chunk: self.chunk }
-    }
-
-    /// Run `f` on every chunk in parallel.
-    pub fn for_each<F: Fn(&[T]) + Sync>(self, f: F) {
-        self.enumerate().for_each(|(_, c)| f(c));
-    }
-}
-
-/// Enumerated variant of [`ParChunks`].
-pub struct ParChunksEnum<'a, T> {
-    slice: &'a [T],
-    chunk: usize,
-}
-
-impl<T: Sync> ParChunksEnum<'_, T> {
-    /// Run `f` on every `(index, chunk)` pair in parallel.
-    pub fn for_each<F: Fn((usize, &[T])) + Sync>(self, f: F) {
-        let (slice, chunk) = (self.slice, self.chunk);
-        let n_chunks = slice.len().div_ceil(chunk);
-        for_each_span(n_chunks, |range| {
-            for i in range {
-                let lo = i * chunk;
-                let hi = (lo + chunk).min(slice.len());
-                f((i, &slice[lo..hi]));
-            }
-        });
-    }
-}
-
-// ---------------------------------------------------------------------------
-// into_par_iter
-// ---------------------------------------------------------------------------
-
 /// Rayon's `into_par_iter` / `par_iter` entry point.
 pub trait IntoParallelIterator: IntoIterator + Sized
 where
@@ -273,19 +79,9 @@ pub struct ParIter<T: Send> {
 }
 
 impl<T: Send> ParIter<T> {
-    /// Lazy parallel map; executed by `collect` / `for_each`.
+    /// Lazy parallel map; executed by `collect`.
     pub fn map<R: Send, F: Fn(T) -> R + Sync>(self, f: F) -> ParMap<T, F> {
         ParMap { items: self.items, f }
-    }
-
-    /// Pair every item with its index.
-    pub fn enumerate(self) -> ParIter<(usize, T)> {
-        ParIter { items: self.items.into_iter().enumerate().collect() }
-    }
-
-    /// Run `f` on every item in parallel.
-    pub fn for_each<F: Fn(T) + Sync>(self, f: F) {
-        par_map_vec(self.items, &|item| f(item));
     }
 }
 
@@ -299,14 +95,6 @@ impl<T: Send, R: Send, F: Fn(T) -> R + Sync> ParMap<T, F> {
     /// Execute the map in parallel, preserving input order.
     pub fn collect<C: From<Vec<R>>>(self) -> C {
         C::from(par_map_vec(self.items, &self.f))
-    }
-
-    /// Execute the map in parallel, discarding results.
-    pub fn for_each_discard(self) {
-        let f = self.f;
-        par_map_vec(self.items, &|item| {
-            f(item);
-        });
     }
 }
 
@@ -345,71 +133,31 @@ fn par_map_vec<T: Send, R: Send>(items: Vec<T>, f: &(impl Fn(T) -> R + Sync)) ->
 mod tests {
     use super::prelude::*;
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn chunks_and_ranges_behave_like_std() {
-        let mut v = vec![0u32; 8];
-        v.par_chunks_mut(2).enumerate().for_each(|(i, c)| c.fill(i as u32));
-        assert_eq!(v, [0, 0, 1, 1, 2, 2, 3, 3]);
-        let squares: Vec<usize> = (0..5usize).into_par_iter().map(|x| x * x).collect();
-        assert_eq!(squares, [0, 1, 4, 9, 16]);
+        // Seven items over three workers: blocks of 3, 3 and 1.
+        set_thread_override(Some(3));
+        let squares: Vec<usize> = (0..7usize).into_par_iter().map(|x| x * x).collect();
+        let mut v = vec![1u32; 7];
+        let old: Vec<u32> = v.iter_mut().into_par_iter().map(|x| std::mem::replace(x, 2)).collect();
+        set_thread_override(None);
+        assert_eq!(squares, [0, 1, 4, 9, 16, 25, 36]);
+        assert_eq!((old, v), (vec![1; 7], vec![2; 7]));
     }
 
     #[test]
     fn results_are_identical_across_thread_counts() {
-        let run = |threads: usize| -> (Vec<f32>, Vec<usize>) {
+        let run = |threads: usize| -> Vec<u32> {
             set_thread_override(Some(threads));
-            let mut v: Vec<f32> = (0..1000).map(|i| i as f32 * 0.25).collect();
-            v.par_chunks_mut(7).enumerate().for_each(|(i, c)| {
-                for x in c.iter_mut() {
-                    *x = x.sin() + i as f32;
-                }
-            });
-            let mapped: Vec<usize> = (0..257usize).into_par_iter().map(|x| x.wrapping_mul(x)).collect();
+            let mapped = (0..257usize).into_par_iter().map(|x| (x as f32 * 0.25).sin().to_bits()).collect();
             set_thread_override(None);
-            (v, mapped)
+            mapped
         };
-        let (v1, m1) = run(1);
-        for t in [2, 3, 8] {
-            let (vt, mt) = run(t);
-            assert!(v1.iter().zip(&vt).all(|(a, b)| a.to_bits() == b.to_bits()));
-            assert_eq!(m1, mt);
+        let base = run(1);
+        for t in [2, 3, 8, 300] {
+            assert_eq!(base, run(t), "{t} threads");
         }
-    }
-
-    #[test]
-    fn for_each_init_reuses_state_per_worker() {
-        set_thread_override(Some(3));
-        let inits = AtomicUsize::new(0);
-        let mut v = vec![0usize; 64];
-        v.par_chunks_mut(4).enumerate().for_each_init(
-            || inits.fetch_add(1, Ordering::SeqCst),
-            |_state, (i, c)| c.fill(i),
-        );
-        set_thread_override(None);
-        // One init per worker, never one per chunk.
-        assert!(inits.load(Ordering::SeqCst) <= 3);
-        for (i, c) in v.chunks(4).enumerate() {
-            assert!(c.iter().all(|&x| x == i));
-        }
-    }
-
-    #[test]
-    fn shared_chunks_and_spans_cover_everything() {
-        set_thread_override(Some(4));
-        let v: Vec<usize> = (0..103).collect();
-        let sum = AtomicUsize::new(0);
-        v.par_chunks(10).for_each(|c| {
-            sum.fetch_add(c.iter().sum::<usize>(), Ordering::SeqCst);
-        });
-        assert_eq!(sum.load(Ordering::SeqCst), 103 * 102 / 2);
-        let hits = AtomicUsize::new(0);
-        for_each_span(17, |r| {
-            hits.fetch_add(r.len(), Ordering::SeqCst);
-        });
-        set_thread_override(None);
-        assert_eq!(hits.load(Ordering::SeqCst), 17);
     }
 
     #[test]

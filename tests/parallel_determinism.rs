@@ -1,18 +1,24 @@
-//! Determinism of the parallel backend: losses and gradients must be bitwise
-//! identical no matter how many worker threads execute the kernels, and the
-//! fused windowed-attention op must agree with the unfused per-window path.
-//! The model-level checks run `AerisModel::forward`, i.e. the fused block ops
-//! (`modulated_rmsnorm`, `swiglu`, `gated_residual`) and the head-major
-//! `window_attention` with its single QKV GEMM, forward and backward — pinned
-//! by a node count so a silent fall-back to the unfused chains cannot pass.
+//! Determinism where threads remain, and the fused-op pins.
 //!
-//! The thread count is varied two ways: in-process via
-//! `rayon::set_thread_override` (the test hook the shim exposes) and through
-//! the `AERIS_THREADS` environment override that production runs use — the
-//! shim re-reads it at every parallel region.
+//! Kernels (the packed GEMM, the window loops of the attention core) run on
+//! the calling thread, so their bits depend on their operands alone and there
+//! is no worker count to vary. The pool fans out over ensemble members and
+//! serve-batch jobs only (`core::forecast::{ensemble, step_batch}`); this file
+//! checks the member fan-out through the `AERIS_THREADS` environment override
+//! production runs use (the shim re-reads it at every parallel region), next
+//! to `core::forecast`'s `step_batch` test and the 1-vs-8 fan-outs in
+//! `tests/assim.rs`, which vary the width via `rayon::set_thread_override`.
+//!
+//! Also here: the fused windowed-attention op must agree with the unfused
+//! per-window path, and `AerisModel::forward` must record the fused block ops
+//! (`modulated_rmsnorm`, `swiglu`, `gated_residual`, one `window_attention`
+//! with its single QKV GEMM) — pinned by a node count so a silent fall-back
+//! to the unfused chains cannot pass.
 
 use aeris::autodiff::Tape;
-use aeris::core::{AerisConfig, AerisModel};
+use aeris::core::{AerisConfig, AerisModel, Forecaster};
+use aeris::diffusion::{SamplerConfig, TrigFlow, TrigFlowSampler};
+use aeris::earthsim::NormStats;
 use aeris::nn::{Binding, RopeTable, WindowAttention};
 use aeris::tensor::{Rng, Tensor};
 use proptest::prelude::*;
@@ -20,54 +26,24 @@ use proptest::prelude::*;
 /// Nodes one `test_tiny` forward records (input constant included).
 const FUSED_TINY_FORWARD_NODES: usize = 89;
 
-/// Forward + backward of the tiny model on seeded data; returns the loss and
-/// every parameter gradient as exact bit patterns.
-fn model_loss_and_grad_bits(seed: u64) -> (u64, Vec<Vec<u32>>) {
+/// `test_tiny` has two blocks; with the fused block ops its forward records
+/// exactly [`FUSED_TINY_FORWARD_NODES`] nodes. A fall-back to the unfused
+/// chains (+9 nodes per block) would leave every numeric check green but fail
+/// here.
+#[test]
+fn tiny_forward_records_the_fused_block_ops() {
     let model = AerisModel::new(AerisConfig::test_tiny());
-    let mut rng = Rng::seed_from(seed);
+    let mut rng = Rng::seed_from(7);
     let tokens = model.cfg.tokens();
     let x_t = Tensor::randn(&[tokens, model.cfg.channels], &mut rng);
     let x_prev = Tensor::randn(&[tokens, model.cfg.channels], &mut rng);
     let forcings = Tensor::randn(&[tokens, model.cfg.forcing_channels], &mut rng);
-    let target = Tensor::randn(&[tokens, model.cfg.channels], &mut rng);
-    let weights = Tensor::ones(&[tokens, model.cfg.channels]);
 
-    let input = model.assemble_input(&x_t, &x_prev, &forcings);
     let mut tape = Tape::new();
     let mut binding = Binding::new(&model.store);
-    let iv = tape.constant(input);
-    let out = model.forward(&mut tape, &mut binding, iv, 0.8);
-    // `test_tiny` has two blocks; with the fused block ops (`modulated_rmsnorm`,
-    // `swiglu`, `gated_residual`, one `window_attention`) its forward records
-    // exactly this many nodes. A fall-back to the unfused chains (+9 nodes per
-    // block) would leave the bitwise check below green but fail here.
+    let iv = tape.constant(model.assemble_input(&x_t, &x_prev, &forcings));
+    model.forward(&mut tape, &mut binding, iv, 0.8);
     assert_eq!(tape.len(), FUSED_TINY_FORWARD_NODES, "forward no longer records the fused block ops");
-    let loss = tape.weighted_mse(out, &target, &weights);
-    let loss_bits = (tape.value(loss).data()[0] as f64).to_bits();
-    let mut grads = tape.backward(loss);
-    let grad_bits = binding
-        .collect_grads(&mut grads)
-        .into_iter()
-        .map(|g| g.map(|t| t.data().iter().map(|v| v.to_bits()).collect()).unwrap_or_default())
-        .collect();
-    (loss_bits, grad_bits)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    /// Full-model loss and every parameter gradient are bitwise identical
-    /// whether the pool runs 1 worker or 8.
-    #[test]
-    fn model_grads_bitwise_identical_across_thread_counts(seed in 0u64..1000) {
-        rayon::set_thread_override(Some(1));
-        let narrow = model_loss_and_grad_bits(seed);
-        rayon::set_thread_override(Some(8));
-        let wide = model_loss_and_grad_bits(seed);
-        rayon::set_thread_override(None);
-        prop_assert_eq!(narrow.0, wide.0, "loss bits diverged");
-        prop_assert_eq!(narrow.1, wide.1, "gradient bits diverged");
-    }
 }
 
 proptest! {
@@ -117,58 +93,36 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// The packed GEMM core parallelizes over fixed disjoint row blocks of C,
-    /// so every layout variant — f32 and bf16 storage alike — must produce
-    /// bitwise identical output at 1 worker and 8, including on shapes that
-    /// are not multiples of the register tile or row blocking.
-    #[test]
-    fn gemm_bitwise_identical_across_thread_counts(
-        m in 1usize..70,
-        n in 1usize..70,
-        k in 1usize..70,
-        seed in 0u64..1000,
-    ) {
-        use aeris::tensor::{matmul, matmul_bf16, matmul_nt, matmul_nt_bf16, matmul_tn, matmul_tn_bf16};
-        let mut rng = Rng::seed_from(seed);
-        let a = Tensor::randn(&[m, k], &mut rng);
-        let b = Tensor::randn(&[k, n], &mut rng);
-        let (ah, bh) = (a.to_bf16(), b.to_bf16());
-
-        let run = |threads: usize| -> Vec<Vec<u32>> {
-            rayon::set_thread_override(Some(threads));
-            let outs = [
-                matmul(&a, &b),
-                matmul_tn(&a.t(), &b),
-                matmul_nt(&a, &b.t()),
-                matmul_bf16(&ah, &bh),
-                matmul_tn_bf16(&ah.transpose_2d(), &bh),
-                matmul_nt_bf16(&ah, &bh.transpose_2d()),
-            ];
-            rayon::set_thread_override(None);
-            outs.iter()
-                .map(|t| t.data().iter().map(|v| v.to_bits()).collect())
-                .collect()
-        };
-
-        prop_assert_eq!(run(1), run(8), "GEMM bits diverged at ({},{},{})", m, n, k);
-    }
-}
-
 /// The `AERIS_THREADS` env override (read at every parallel region) changes
-/// only wall-clock, never bits. Serial narrow/wide runs within one process.
+/// only wall-clock, never bits: every state of every member of
+/// `Forecaster::ensemble` is the same at 1 worker and at 8.
 #[test]
 fn aeris_threads_env_does_not_change_results() {
+    let cfg = AerisConfig::test_tiny();
+    let (tokens, channels, forcing_channels) = (cfg.tokens(), cfg.channels, cfg.forcing_channels);
+    let stats = NormStats { mean: vec![0.0; channels], std: vec![1.0; channels] };
+    let forecaster = Forecaster {
+        model: AerisModel::new(cfg),
+        res_stats: stats.clone(),
+        stats,
+        sampler: TrigFlowSampler::new(
+            TrigFlow::default(),
+            SamplerConfig { n_steps: 3, churn: 0.1, second_order: true },
+        ),
+    };
+    let x0 = Tensor::randn(&[tokens, channels], &mut Rng::seed_from(7));
+    let forc = |_k: usize| Tensor::zeros(&[tokens, forcing_channels]);
     // Determinism is thread-count independence: concurrently running tests
     // that see this env flip mid-run still compute identical results, which is
     // exactly the property under test.
-    std::env::set_var("AERIS_THREADS", "1");
-    let narrow = model_loss_and_grad_bits(7);
-    std::env::set_var("AERIS_THREADS", "8");
-    let wide = model_loss_and_grad_bits(7);
-    std::env::remove_var("AERIS_THREADS");
-    assert_eq!(narrow.0, wide.0, "loss bits diverged between AERIS_THREADS=1 and 8");
-    assert_eq!(narrow.1, wide.1, "gradient bits diverged between AERIS_THREADS=1 and 8");
+    let run = |threads: &str| -> Vec<Vec<Vec<u32>>> {
+        std::env::set_var("AERIS_THREADS", threads);
+        let ens = forecaster.ensemble(&x0, &forc, 2, 5, 11);
+        std::env::remove_var("AERIS_THREADS");
+        let bits = |state: &Tensor| state.data().iter().map(|v| v.to_bits()).collect();
+        ens.members.iter().map(|member| member.iter().map(bits).collect()).collect()
+    };
+    let (narrow, wide) = (run("1"), run("8"));
+    assert_eq!((narrow.len(), narrow[0].len()), (5, 2));
+    assert_eq!(narrow, wide, "member states diverged between AERIS_THREADS=1 and 8");
 }

@@ -211,3 +211,23 @@ fn single_worker_batches_across_requests() {
     );
     report.verify_accounting().expect("request accounting must balance");
 }
+
+#[test]
+fn a_deadline_beyond_instants_range_is_no_deadline() {
+    // `Instant + Duration::MAX` overflows, and admission stamps the deadline
+    // after the request has taken its outstanding slot: a panic there would
+    // wedge `shutdown()` for good. Cache off, so both responses are computed.
+    let engine = ServeEngine::start(tiny_forecaster(), ServeConfig { cache_bytes: 0, ..ServeConfig::default() });
+    let plain = engine.submit(request(3, None)).expect("admitted").wait().expect("served");
+    let ticket = engine.submit(request(3, Some(Duration::MAX))).expect("admitted");
+    let unbounded = ticket.wait_for(Duration::MAX).expect("an unbounded wait returns the response");
+    assert_eq!(plain.computed_steps, STEPS * MEMBERS);
+    assert_eq!(unbounded.computed_steps, STEPS * MEMBERS);
+    let bits = |members: &[Vec<Tensor>]| -> Vec<u32> {
+        members.iter().flatten().flat_map(|s| s.data().iter().map(|v| v.to_bits())).collect()
+    };
+    assert_eq!(bits(&unbounded.forecast.members), bits(&plain.forecast.members));
+    let report = engine.shutdown();
+    assert_eq!((report.completed, report.shed), (2, 0));
+    report.verify_accounting().expect("request accounting must balance");
+}
