@@ -20,6 +20,8 @@
 //!   background state toward an observation set, with the same member seed
 //!   discipline as `Forecaster::ensemble`.
 
+#![forbid(unsafe_code)]
+
 // Numerical kernels here frequently walk several arrays with one shared
 // index; explicit indexed loops are clearer than zipped iterator chains in
 // that style, so the pedantic range-loop lint is disabled crate-wide.

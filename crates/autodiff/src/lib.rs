@@ -16,6 +16,8 @@
 //! Every op's backward is verified against central finite differences in the
 //! `grad` test module and property tests.
 
+#![forbid(unsafe_code)]
+
 // Numerical kernels here frequently walk several arrays with one shared
 // index; explicit indexed loops are clearer than zipped iterator chains in
 // that style, so the pedantic range-loop lint is disabled crate-wide.

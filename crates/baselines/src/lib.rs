@@ -9,6 +9,8 @@
 //! - [`numerical`]: the IFS ENS analog — the toy dynamical core integrated
 //!   from perturbed initial conditions with per-member stochastic physics.
 
+#![forbid(unsafe_code)]
+
 // Numerical kernels here frequently walk several arrays with one shared
 // index; explicit indexed loops are clearer than zipped iterator chains in
 // that style, so the pedantic range-loop lint is disabled crate-wide.

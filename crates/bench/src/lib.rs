@@ -9,6 +9,8 @@
 //! throughput), not wall-clock timings: every measured latency or
 //! throughput lives in `benchmark/` under the names `BENCHMARK.json` lists.
 
+#![forbid(unsafe_code)]
+
 // Numerical kernels here frequently walk several arrays with one shared
 // index; explicit indexed loops are clearer than zipped iterator chains in
 // that style, so the pedantic range-loop lint is disabled crate-wide.

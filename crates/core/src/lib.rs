@@ -13,6 +13,8 @@
 //! standardized units, and is conditioned on the previous state and the
 //! forcings by channel-wise concatenation (§VI-B).
 
+#![forbid(unsafe_code)]
+
 // Numerical kernels here frequently walk several arrays with one shared
 // index; explicit indexed loops are clearer than zipped iterator chains in
 // that style, so the pedantic range-loop lint is disabled crate-wide.

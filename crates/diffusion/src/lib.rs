@@ -10,6 +10,8 @@
 //!   used by the GenCast-analog baseline.
 //! - [`weights`]: the latitude- and pressure-weighted loss mask of Eq. 2.
 
+#![forbid(unsafe_code)]
+
 // Numerical kernels here frequently walk several arrays with one shared
 // index; explicit indexed loops are clearer than zipped iterator chains in
 // that style, so the pedantic range-loop lint is disabled crate-wide.

@@ -13,6 +13,8 @@
 //! - [`store`]: a chunked binary store supporting per-window slicing (the
 //!   HDF5-slicing analog used by SWiPe's distributed data loading).
 
+#![forbid(unsafe_code)]
+
 // Numerical kernels here frequently walk several arrays with one shared
 // index; explicit indexed loops are clearer than zipped iterator chains in
 // that style, so the pedantic range-loop lint is disabled crate-wide.

@@ -13,6 +13,8 @@
 //! - [`cyclone`]: MSLP-minimum tracker, track and intensity errors,
 //! - [`heatwave`]: point time-series extraction and exceedance diagnostics.
 
+#![forbid(unsafe_code)]
+
 // Numerical kernels here frequently walk several arrays with one shared
 // index; explicit indexed loops are clearer than zipped iterator chains in
 // that style, so the pedantic range-loop lint is disabled crate-wide.

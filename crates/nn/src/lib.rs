@@ -10,6 +10,8 @@
 //! paper keeps parameters in FP32 while compute runs in BF16); each forward
 //! pass binds them onto an [`aeris_autodiff::Tape`] through a [`Binding`].
 
+#![forbid(unsafe_code)]
+
 // Numerical kernels here frequently walk several arrays with one shared
 // index; explicit indexed loops are clearer than zipped iterator chains in
 // that style, so the pedantic range-loop lint is disabled crate-wide.

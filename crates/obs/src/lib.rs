@@ -27,6 +27,8 @@
 //!   [`MfuReport`], including the exact M = b·s·h/SP/WP byte-law check
 //!   against the runtime's traffic counters.
 
+#![forbid(unsafe_code)]
+
 pub mod chrome;
 pub mod histogram;
 pub mod json;

@@ -11,6 +11,8 @@
 //! [`throughput::EffModel`]) and then asked to reproduce every published
 //! number; `EXPERIMENTS.md` records model-vs-paper for each.
 
+#![forbid(unsafe_code)]
+
 pub mod configs;
 pub mod flops;
 pub mod machine;

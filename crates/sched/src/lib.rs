@@ -28,6 +28,8 @@
 //! dispatch order a task sees can never change its numbers — the
 //! bitwise-determinism contract of the serve engine survives scheduling.
 
+#![forbid(unsafe_code)]
+
 pub mod dispatch;
 pub mod estimator;
 pub mod tenant;

@@ -65,6 +65,8 @@
 //! [`ConsistencyStudent`]: aeris_core::ConsistencyStudent
 //! [`Forecaster::ensemble`]: aeris_core::Forecaster::ensemble
 
+#![forbid(unsafe_code)]
+
 pub mod api;
 pub mod cache;
 pub mod engine;

@@ -23,6 +23,8 @@
 //!   timeouts/retry and trainer-level checkpoint-restart + DP-degradation
 //!   they make the runtime survive or cleanly report injected failures.
 
+#![forbid(unsafe_code)]
+
 // Numerical kernels here frequently walk several arrays with one shared
 // index; explicit indexed loops are clearer than zipped iterator chains in
 // that style, so the pedantic range-loop lint is disabled crate-wide.

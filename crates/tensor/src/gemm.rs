@@ -9,23 +9,27 @@
 //!    (`matmul_nt`'s `B: [n, k]`) is transposed *during* the pack, so the
 //!    compute stage never sees a strided operand — this is what removes
 //!    `matmul_nt`'s one-strided-dot-per-element behaviour.
-//! 2. **Pack A** per row block of [`MC`] rows into interleaved micro-panels:
-//!    micro-panel `t` holds rows `t·MR .. t·MR+MR` laid out `[k, MR]`, so the
-//!    micro-kernel reads one contiguous `MR`-chunk of A and one contiguous
-//!    `NR`-chunk of B per `k` step. `matmul_tn`'s transposed A packs here the
-//!    same way.
+//! 2. **Pack A only when transposed.** A row-major `A: [m, k]` (`matmul`,
+//!    `matmul_nt`) is read where it lies: a register tile broadcasts
+//!    `A[i, kk]` straight from row `i`, so no copy of A is made. `matmul_tn`'s
+//!    `A: [k, m]` is packed per row block of [`MC`] rows into `[k, MR]`
+//!    micro-panels. Both reach the kernels as one A view (`AView`)
+//!    `(base, row_stride, k_stride)`: `(k, 1)` in place, `(1, MR)` packed.
 //! 3. **Micro-kernel**: an `MR × NR` register tile accumulated over the full
-//!    `k` extent with an explicitly unrolled multiply-add over unit-stride
-//!    slices. The loop body is shape-independent and branch-free (no
-//!    data-dependent skips), so the autovectorizer lifts the `NR`-wide inner
-//!    loop to SIMD; on x86-64 with AVX2+FMA available at runtime, a
-//!    `#[target_feature]`-compiled instantiation uses fused multiply-adds.
+//!    `k` extent, one multiply-add per `k` step in ascending `k`. Three
+//!    builds, picked once per process by [`Kernel::detected`]: a portable
+//!    one (4 × 16, plain `a*b + c`, autovectorized), the same body under
+//!    `#[target_feature(enable = "avx2,fma")]` (`mul_add` is one vfmadd), and
+//!    an AVX-512 one written with `std::arch` intrinsics — 8 rows × two
+//!    adjacent B panels, 16 zmm accumulators, one `_mm512_fmadd_ps` each per
+//!    `k` step (a lone last panel runs the same tile one panel wide).
 //!
-//! bf16 operands (`u16` bit patterns) are widened to f32 **during packing**,
-//! so the memory traffic against the large source matrices is halved while
-//! every arithmetic operation — multiplies and the accumulator — stays f32.
-//! This is the paper's "BF16 compute with FP32 accumulation" policy (§V-A)
-//! realized in software.
+//! bf16 operands (`u16` bit patterns) are widened to f32 on the way into the
+//! arithmetic — B and a transposed A while packing, a row-major A at the
+//! broadcast — so the memory traffic against the large source matrices is
+//! halved while every multiply and the accumulator stay f32. This is the
+//! paper's "BF16 compute with FP32 accumulation" policy (§V-A) realized in
+//! software.
 //!
 //! # Determinism
 //!
@@ -35,16 +39,30 @@
 //! per-element order of floating-point operations. The driver runs on the
 //! calling thread (threads live above the kernels, see DESIGN.md "Where
 //! threads live"), so a product's bits depend on its operands alone.
-//! Remainder tiles reuse the same kernel against zero-padded panel lanes;
-//! padded lanes feed accumulators that are never written back, so edges follow
-//! the identical accumulation order too.
+//! Remainder tiles reuse the same kernel: B lanes past `n` are zero-padded
+//! and tile rows past `m` re-read the last live row; both feed accumulators
+//! that are never written back, so edges follow the identical accumulation
+//! order too.
+//!
+//! The two FMA kernels round identically (one fused multiply-add per element
+//! per `k` step, whatever the register width), so AVX-512 adds no bit class:
+//! a host's results are those of the FMA class or of the non-FMA (portable)
+//! class, and [`kernel_name`] says which arithmetic ran.
 
-/// Register-tile rows per micro-panel.
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::{
+    _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_mask_storeu_ps, _mm512_set1_ps,
+    _mm512_setzero_ps,
+};
+
+/// Register-tile rows of the portable and AVX2+FMA kernels.
 pub const MR: usize = 4;
-/// Register-tile columns per B panel (two 8-lane AVX2 vectors).
+/// Register-tile rows of the AVX-512 kernel.
+pub const MR_AVX512: usize = 8;
+/// Register-tile columns per B panel (two 8-lane AVX2 vectors, one zmm).
 pub const NR: usize = 16;
-/// Rows of C per row block (a multiple of `MR`; sized so a packed A block of
-/// `MC·k` f32 stays L2-resident for the model's `k` range).
+/// Rows of C per row block (a multiple of both tile heights; sized so the A
+/// rows of a block stay cache-resident while every B panel passes over them).
 pub const MC: usize = 32;
 
 /// A GEMM operand element: anything that widens to f32. Arithmetic is always
@@ -68,24 +86,72 @@ impl Scalar for u16 {
     }
 }
 
-/// True once the CPU is known to support AVX2+FMA: the workspace's one
-/// runtime feature detector and the switch of both dispatched kernels — the
-/// FMA micro-kernel build here and the AVX2 build of the `exp` sweeps in
-/// [`crate::sweeps`] (which widens lanes only and never fuses).
-#[cfg(target_arch = "x86_64")]
-pub(crate) fn fma_available() -> bool {
-    use std::sync::atomic::{AtomicU8, Ordering};
-    static STATE: AtomicU8 = AtomicU8::new(0); // 0 unknown, 1 yes, 2 no
-    match STATE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let yes = std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma");
-            STATE.store(if yes { 1 } else { 2 }, Ordering::Relaxed);
-            yes
+/// The micro-kernel builds, ordered by what the CPU must support: each one
+/// runs wherever a later one does.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Kernel {
+    /// 4 × 16 tile, separate multiply and add, baseline x86-64 (or any other
+    /// target): the non-FMA bit class.
+    Portable,
+    /// The same 4 × 16 body built with AVX2 and fused multiply-add.
+    Avx2Fma,
+    /// 8 × 32 tile of `avx512f` intrinsics; bit for bit what `Avx2Fma` returns.
+    Avx512,
+}
+
+impl Kernel {
+    /// Every kernel, in support order (what the parity tests iterate).
+    pub const ALL: [Kernel; 3] = [Kernel::Portable, Kernel::Avx2Fma, Kernel::Avx512];
+
+    /// The widest kernel this CPU supports: the workspace's one runtime
+    /// feature detector, read once per process. The choice is machine-global,
+    /// so it can never differ between threads or between runs on one host. It
+    /// switches the GEMM micro-kernel here and, through `Kernel::has_avx2`,
+    /// the AVX2 build of the `exp` sweeps in [`crate::sweeps`] (which widens
+    /// lanes only and never fuses).
+    pub fn detected() -> Kernel {
+        static DETECTED: std::sync::OnceLock<Kernel> = std::sync::OnceLock::new();
+        *DETECTED.get_or_init(|| {
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
+                return if std::arch::is_x86_feature_detected!("avx512f") {
+                    Kernel::Avx512
+                } else {
+                    Kernel::Avx2Fma
+                };
+            }
+            Kernel::Portable
+        })
+    }
+
+    /// `"portable" | "avx2+fma" | "avx512f"`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Kernel::Portable => "portable",
+            Kernel::Avx2Fma => "avx2+fma",
+            Kernel::Avx512 => "avx512f",
         }
     }
+
+    /// True when this kernel's CPU has AVX2.
+    pub(crate) fn has_avx2(self) -> bool {
+        self >= Kernel::Avx2Fma
+    }
+
+    /// Rows of this kernel's register tile.
+    fn mr(self) -> usize {
+        match self {
+            Kernel::Avx512 => MR_AVX512,
+            _ => MR,
+        }
+    }
+}
+
+/// Name of the kernel every GEMM of this process runs. A served digest or a
+/// checkpoint is comparable across hosts only within one FMA class:
+/// `"avx2+fma"` and `"avx512f"` produce the same bits, `"portable"` others.
+pub fn kernel_name() -> &'static str {
+    Kernel::detected().name()
 }
 
 /// Pack panel `p` of B (columns `p·NR .. p·NR+NR`) into `dst: [k, NR]`,
@@ -121,64 +187,63 @@ fn pack_b_panel<T: Scalar>(b: &[T], k: usize, n: usize, trans: bool, p: usize, d
     }
 }
 
-/// Pack rows `i0 .. i0+rows` of A into interleaved `[k, MR]` micro-panels,
-/// widening to f32 and zero-padding rows past the block.
-///
-/// `a` is `[m, k]` row-major when `trans` is false, `[k, m]` row-major when
-/// true (the `matmul_tn` layout, read as its transpose).
-fn pack_a_block<T: Scalar>(
-    a: &[T],
-    m: usize,
-    k: usize,
-    trans: bool,
-    i0: usize,
-    rows: usize,
-    dst: &mut [f32],
-) {
-    let tiles = rows.div_ceil(MR);
-    debug_assert!(dst.len() >= tiles * MR * k);
-    for t in 0..tiles {
-        let r0 = t * MR;
-        let live = MR.min(rows - r0);
-        let panel = &mut dst[t * MR * k..(t + 1) * MR * k];
-        if !trans {
-            for i in 0..live {
-                let src = &a[(i0 + r0 + i) * k..(i0 + r0 + i) * k + k];
-                for (kk, &s) in src.iter().enumerate() {
-                    panel[kk * MR + i] = s.widen();
-                }
-            }
-            if live < MR {
-                for kk in 0..k {
-                    panel[kk * MR + live..kk * MR + MR].fill(0.0);
-                }
-            }
-        } else {
-            // A is [k, m]: each k-row contributes MR consecutive elements.
-            for kk in 0..k {
-                let src = &a[kk * m + i0 + r0..kk * m + i0 + r0 + live];
-                let out = &mut panel[kk * MR..kk * MR + MR];
-                for (o, &s) in out.iter_mut().zip(src) {
-                    *o = s.widen();
-                }
-                out[live..].fill(0.0);
+/// Pack rows `i0 .. i0+rows` of Aᵀ — `a` is `[k, m]` row-major, the
+/// `matmul_tn` layout — into `[k, mr]` micro-panels, widening to f32. Each
+/// `k`-row of `a` contributes `mr` consecutive elements. Panel lanes past the
+/// block's last row keep stale values: [`AView::tile`] never reads them.
+fn pack_a_block<T: Scalar>(a: &[T], m: usize, k: usize, i0: usize, rows: usize, mr: usize, dst: &mut [f32]) {
+    for t in 0..rows.div_ceil(mr) {
+        let r0 = t * mr;
+        let live = mr.min(rows - r0);
+        let panel = &mut dst[t * mr * k..(t + 1) * mr * k];
+        for kk in 0..k {
+            let src = &a[kk * m + i0 + r0..kk * m + i0 + r0 + live];
+            for (o, &s) in panel[kk * mr..kk * mr + live].iter_mut().zip(src) {
+                *o = s.widen();
             }
         }
     }
 }
 
-/// The register-tile micro-kernel: accumulate `MR × NR` outputs over the full
-/// `k` extent. `ap` is one `[k, MR]` micro-panel, `bp` one `[k, NR]` B panel.
+/// Where the kernels find the A operand of one row block: with `R` the
+/// kernel's tile height, element `(i, kk)` of register tile `t` is
+/// `a[base + t·R·k + i·row_stride + kk·k_stride]`. Row-major A read in place
+/// is `(row_stride, k_stride) = (k, 1)`; the `[k, R]` micro-panels
+/// [`pack_a_block`] writes are `(1, R)`.
+#[derive(Clone, Copy)]
+struct AView<'a, T> {
+    a: &'a [T],
+    base: usize,
+    row_stride: usize,
+    k_stride: usize,
+}
+
+impl<'a, T> AView<'a, T> {
+    /// The `R` rows of tile `t`, each a bounds-checked subslice running from
+    /// the row's first element to its last (`kk = k−1`). Rows past `live`
+    /// repeat the last live row, so an edge tile runs the interior's loop;
+    /// their accumulators are never written back.
+    #[inline(always)]
+    fn tile<const R: usize>(&self, t: usize, k: usize, live: usize) -> [&'a [T]; R] {
+        std::array::from_fn(|i| {
+            let first = self.base + t * R * k + i.min(live - 1) * self.row_stride;
+            &self.a[first..first + (k - 1) * self.k_stride + 1]
+        })
+    }
+}
+
+/// The portable register tile: accumulate `MR × NR` outputs over the full `k`
+/// extent. `rows` is one [`AView::tile`], `bp` one `[k, NR]` B panel.
 ///
 /// `FMA` selects fused multiply-add: `true` only inside the
 /// `#[target_feature(enable = "avx2,fma")]` instantiation, where `mul_add`
 /// compiles to a single vfmadd; elsewhere it would fall back to a libm call.
 #[inline(always)]
-fn micro_kernel<const FMA: bool>(k: usize, ap: &[f32], bp: &[f32]) -> [[f32; NR]; MR] {
+fn micro_kernel<const FMA: bool, TA: Scalar>(rows: [&[TA]; MR], k_stride: usize, bp: &[f32]) -> [[f32; NR]; MR] {
     let mut acc = [[0.0f32; NR]; MR];
-    for (a, b) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)).take(k) {
+    for (kk, b) in bp.chunks_exact(NR).enumerate() {
         for i in 0..MR {
-            let aik = a[i];
+            let aik = rows[i][kk * k_stride].widen();
             for j in 0..NR {
                 if FMA {
                     acc[i][j] = aik.mul_add(b[j], acc[i][j]);
@@ -191,30 +256,17 @@ fn micro_kernel<const FMA: bool>(k: usize, ap: &[f32], bp: &[f32]) -> [[f32; NR]
     acc
 }
 
-/// Compute one row block of C from its packed A block and the shared packed
-/// B panels. `c_block` is `[rows, n]`, fully overwritten.
+/// Compute one row block of C from its A rows and the shared packed B
+/// panels. `c_block` is `[rows, n]`, fully overwritten.
 #[inline(always)]
-fn compute_block_body<const FMA: bool>(
-    apack: &[f32],
-    bpack: &[f32],
-    k: usize,
-    n: usize,
-    rows: usize,
-    c_block: &mut [f32],
-) {
-    let tiles = rows.div_ceil(MR);
-    let panels = n.div_ceil(NR);
-    for p in 0..panels {
-        let bp = &bpack[p * k * NR..(p + 1) * k * NR];
+fn compute_block_body<const FMA: bool, TA: Scalar>(a: AView<TA>, bpack: &[f32], k: usize, n: usize, c_block: &mut [f32]) {
+    for (p, bp) in bpack.chunks_exact(k * NR).enumerate() {
         let j0 = p * NR;
         let w = NR.min(n - j0);
-        for t in 0..tiles {
-            let ap = &apack[t * MR * k..(t + 1) * MR * k];
-            let acc = micro_kernel::<FMA>(k, ap, bp);
-            let live = MR.min(rows - t * MR);
-            for (i, acc_row) in acc.iter().enumerate().take(live) {
-                let row = t * MR + i;
-                c_block[row * n + j0..row * n + j0 + w].copy_from_slice(&acc_row[..w]);
+        for (t, c_rows) in c_block.chunks_mut(MR * n).enumerate() {
+            let acc = micro_kernel::<FMA, TA>(a.tile(t, k, c_rows.len() / n), a.k_stride, bp);
+            for (out_row, acc_row) in c_rows.chunks_exact_mut(n).zip(&acc) {
+                out_row[j0..j0 + w].copy_from_slice(&acc_row[..w]);
             }
         }
     }
@@ -222,32 +274,93 @@ fn compute_block_body<const FMA: bool>(
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn compute_block_avx2(
-    apack: &[f32],
-    bpack: &[f32],
-    k: usize,
-    n: usize,
-    rows: usize,
-    c_block: &mut [f32],
-) {
-    compute_block_body::<true>(apack, bpack, k, n, rows, c_block);
+fn compute_block_avx2<TA: Scalar>(a: AView<TA>, bpack: &[f32], k: usize, n: usize, c_block: &mut [f32]) {
+    compute_block_body::<true, TA>(a, bpack, k, n, c_block);
 }
 
-/// Runtime-dispatched block compute: AVX2+FMA build when the CPU has it,
-/// portable build otherwise. The choice is machine-global, so it can never
-/// differ between threads or between runs on the same host.
+/// The AVX-512 register tile: `MR_AVX512` rows × `P` adjacent B panels
+/// (`bp: [P, k, NR]`), `8·P` zmm accumulators over the full `k` extent — per
+/// `k` step `P` panel loads, eight broadcasts of `A[i, kk]` and `8·P` fused
+/// multiply-adds, element for element the `mul_add` sequence of the AVX2+FMA
+/// build. Writes the tile's live rows into `c_rows` (`[live, n]`, the C rows
+/// of this tile) at columns `j0 ..`, clipped to `n`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
 #[inline]
-fn compute_block(apack: &[f32], bpack: &[f32], k: usize, n: usize, rows: usize, c_block: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if fma_available() {
-        // SAFETY: fma_available() checked avx2+fma support at runtime.
-        unsafe { compute_block_avx2(apack, bpack, k, n, rows, c_block) };
-        return;
+fn tile_avx512<const P: usize, TA: Scalar>(
+    rows: [&[TA]; MR_AVX512],
+    k_stride: usize,
+    bp: &[f32],
+    c_rows: &mut [f32],
+    n: usize,
+    j0: usize,
+) {
+    let k = bp.len() / (P * NR);
+    let mut acc = [[_mm512_setzero_ps(); P]; MR_AVX512];
+    for kk in 0..k {
+        let mut b = [_mm512_setzero_ps(); P];
+        for q in 0..P {
+            let lanes = &bp[(q * k + kk) * NR..(q * k + kk + 1) * NR];
+            // SAFETY: `lanes` is a bounds-checked subslice of exactly NR = 16
+            // f32, the 64 bytes an unaligned 512-bit load reads.
+            b[q] = unsafe { _mm512_loadu_ps(lanes.as_ptr()) };
+        }
+        for i in 0..MR_AVX512 {
+            let aik = _mm512_set1_ps(rows[i][kk * k_stride].widen());
+            for q in 0..P {
+                acc[i][q] = _mm512_fmadd_ps(aik, b[q], acc[i][q]);
+            }
+        }
     }
-    compute_block_body::<false>(apack, bpack, k, n, rows, c_block);
+    for (out_row, acc_row) in c_rows.chunks_exact_mut(n).zip(&acc) {
+        for q in 0..P {
+            let j = j0 + q * NR;
+            let out = &mut out_row[j..n.min(j + NR)];
+            let mask = ((1u32 << out.len()) - 1) as u16;
+            // SAFETY: `out` is a bounds-checked subslice of 1..=16 f32 and
+            // `mask` enables exactly lanes `0..out.len()`; a masked store
+            // does not touch memory of the lanes it leaves out.
+            unsafe { _mm512_mask_storeu_ps(out.as_mut_ptr(), mask, acc_row[q]) };
+        }
+    }
 }
 
-/// `C = op(A) · op(B)` through the packed core.
+/// [`compute_block_body`] for the AVX-512 tile: B panels are taken two at a
+/// time, an odd last one alone.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn compute_block_avx512<TA: Scalar>(a: AView<TA>, bpack: &[f32], k: usize, n: usize, c_block: &mut [f32]) {
+    const R: usize = MR_AVX512;
+    for (pair, bp) in bpack.chunks(2 * k * NR).enumerate() {
+        let j0 = pair * 2 * NR;
+        for (t, c_rows) in c_block.chunks_mut(R * n).enumerate() {
+            let tile = a.tile(t, k, c_rows.len() / n);
+            if bp.len() == 2 * k * NR {
+                tile_avx512::<2, TA>(tile, a.k_stride, bp, c_rows, n, j0);
+            } else {
+                tile_avx512::<1, TA>(tile, a.k_stride, bp, c_rows, n, j0);
+            }
+        }
+    }
+}
+
+/// Run `kernel`'s block compute. The caller has checked that the CPU
+/// supports `kernel` ([`gemm_on`] asserts it).
+#[inline]
+fn compute_block<TA: Scalar>(kernel: Kernel, a: AView<TA>, bpack: &[f32], k: usize, n: usize, c_block: &mut [f32]) {
+    match kernel {
+        // SAFETY (both arms): `kernel <= Kernel::detected()`, asserted by
+        // `gemm_on`, so the CPU has the features the callee is built with.
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx512 => unsafe { compute_block_avx512(a, bpack, k, n, c_block) },
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx2Fma => unsafe { compute_block_avx2(a, bpack, k, n, c_block) },
+        _ => compute_block_body::<false, TA>(a, bpack, k, n, c_block),
+    }
+}
+
+/// `C = op(A) · op(B)` through the packed core, on the kernel this CPU
+/// supports best.
 ///
 /// - `a` is `[m, k]` row-major, or `[k, m]` when `a_trans` (read as Aᵀ);
 /// - `b` is `[k, n]` row-major, or `[n, k]` when `b_trans` (read as Bᵀ);
@@ -265,6 +378,25 @@ pub fn gemm<TA: Scalar, TB: Scalar>(
     b_trans: bool,
     c: &mut [f32],
 ) {
+    gemm_on(Kernel::detected(), m, n, k, a, a_trans, b, b_trans, c);
+}
+
+/// [`gemm`] on a kernel given as a value, for the kernel-parity tests.
+/// Panics when this CPU does not support `kernel`.
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_on<TA: Scalar, TB: Scalar>(
+    kernel: Kernel,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[TA],
+    a_trans: bool,
+    b: &[TB],
+    b_trans: bool,
+    c: &mut [f32],
+) {
+    assert!(kernel <= Kernel::detected(), "this CPU does not support the {} kernel", kernel.name());
     assert_eq!(a.len(), m * k, "A buffer length");
     assert_eq!(b.len(), k * n, "B buffer length");
     assert_eq!(c.len(), m * n, "C buffer length");
@@ -281,12 +413,18 @@ pub fn gemm<TA: Scalar, TB: Scalar>(
     for (p, dst) in bpack.chunks_mut(k * NR).enumerate() {
         pack_b_panel(b, k, n, b_trans, p, dst);
     }
-    let mut apack = vec![0.0f32; MC.min(m.div_ceil(MR) * MR) * k];
+    let mr = kernel.mr();
+    let mut apack = vec![0.0f32; if a_trans { MC.min(m.div_ceil(mr) * mr) * k } else { 0 }];
     for (blk, c_block) in c.chunks_mut(MC * n).enumerate() {
         let i0 = blk * MC;
-        let rows = c_block.len() / n;
-        pack_a_block(a, m, k, a_trans, i0, rows, &mut apack);
-        compute_block(&apack, &bpack, k, n, rows, c_block);
+        if a_trans {
+            pack_a_block(a, m, k, i0, c_block.len() / n, mr, &mut apack);
+            let view = AView { a: &apack[..], base: 0, row_stride: 1, k_stride: mr };
+            compute_block(kernel, view, &bpack, k, n, c_block);
+        } else {
+            let view = AView { a, base: i0 * k, row_stride: k, k_stride: 1 };
+            compute_block(kernel, view, &bpack, k, n, c_block);
+        }
     }
 }
 

@@ -6,7 +6,8 @@
 //! - [`Tensor`]: a contiguous, row-major, dynamically shaped f32 array with
 //!   elementwise / reduction / linear-algebra operations,
 //! - [`gemm`]: the shared packed, cache-blocked, register-tiled GEMM core all
-//!   three matmul layouts (and the bf16 paths) lower to,
+//!   three matmul layouts (and the bf16 paths) lower to, on the widest of
+//!   three micro-kernels the CPU supports ([`gemm::kernel_name`]),
 //! - [`matmul()`] / [`matmul_nt()`] / [`matmul_tn()`]: entry points over
 //!   that core, plus [`matmul_bf16()`]-family twins that read bf16 operands,
 //! - [`sweeps`]: unrolled unit-stride sweep kernels for the elementwise /
@@ -14,7 +15,7 @@
 //! - [`rng::Rng`]: a deterministic SplitMix64-based random number generator
 //!   with Gaussian sampling and seed-derived independent streams,
 //! - [`Bf16Tensor`]: real bfloat16 storage (u16 buffers, half the bytes),
-//!   widened to f32 in registers inside the GEMM packing paths — the paper's
+//!   widened to f32 in registers on the way into the GEMM — the paper's
 //!   BF16-compute / FP32-accumulate mixed-precision policy.
 //!
 //! Design notes (per the HPC guides): tensors are always contiguous and owned,
@@ -28,6 +29,9 @@
 // index; explicit indexed loops are clearer than zipped iterator chains in
 // that style, so the pedantic range-loop lint is disabled crate-wide.
 #![allow(clippy::needless_range_loop)]
+// The workspace's only `unsafe` lives in this crate (`gemm`'s feature-gated
+// kernels and their intrinsic loads / stores, `sweeps`' one dispatch macro).
+#![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod bf16;
 pub mod fft;

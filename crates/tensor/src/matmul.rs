@@ -2,11 +2,11 @@
 //! f32 and bf16-storage variants, all lowered to the one packed,
 //! cache-blocked micro-kernel in [`crate::gemm`].
 //!
-//! Layout is handled entirely in the packing stage, so every variant runs the
-//! identical branch-free inner loop — in particular `matmul_nt` no longer
-//! computes one strided dot product per output element, and no variant skips
-//! zero multiplicands (a data-dependent branch that also suppressed NaN/Inf
-//! propagation: `0·NaN` must stay NaN).
+//! Layout is handled by the B pack and the A view handed to the kernel, so
+//! every variant runs the identical branch-free inner loop — in particular
+//! `matmul_nt` no longer computes one strided dot product per output element,
+//! and no variant skips zero multiplicands (a data-dependent branch that also
+//! suppressed NaN/Inf propagation: `0·NaN` must stay NaN).
 //!
 //! See the [`crate::gemm`] module docs for the blocking scheme and the
 //! determinism argument (fixed per-element accumulation order).
@@ -60,9 +60,10 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
     c
 }
 
-/// `C = A @ B` on bf16-stored operands: `A: [m, k]`, `B: [k, n]`. Panels are
-/// widened to f32 during packing (half the source bandwidth of the f32 path)
-/// and all arithmetic accumulates in f32. Output is a full-precision tensor.
+/// `C = A @ B` on bf16-stored operands: `A: [m, k]`, `B: [k, n]`. Operands
+/// are widened to f32 on the way in (half the source bandwidth of the f32
+/// path) and all arithmetic accumulates in f32. Output is a full-precision
+/// tensor.
 pub fn matmul_bf16(a: &Bf16Tensor, b: &Bf16Tensor) -> Tensor {
     assert_eq!(a.ndim(), 2, "matmul_bf16 lhs must be 2-D");
     assert_eq!(b.ndim(), 2, "matmul_bf16 rhs must be 2-D");

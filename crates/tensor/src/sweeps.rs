@@ -12,7 +12,8 @@
 //! runtime-dispatched kernel after `gemm::compute_block`: one
 //! `#[inline(always)]` body instantiated twice, a portable build and a
 //! `#[target_feature(enable = "avx2")]` build (8 lanes to a register), picked
-//! by the same machine-global `gemm::fma_available`.
+//! by the same machine-global `gemm::Kernel::detected` (its `has_avx2`; the
+//! sweeps have no 512-bit build).
 //!
 //! Three rules keep the crate's determinism contract:
 //!
@@ -27,9 +28,12 @@
 //!   The `exp` lane function is IEEE `+ − × ÷`, compares and integer bit
 //!   operations, nothing else — no `mul_add`, no libm — so its portable and
 //!   AVX2 builds return the same bits for every input, and a host without
-//!   AVX2 computes what a host with it does. (FMA inside the polynomial
-//!   measured 0.33–0.38 against 0.49–0.55 ns per element, ≈ 1 % of a model
-//!   evaluation: not worth a result that depends on the CPU.)
+//!   AVX2 computes what a host with it does. The rule covers all three GEMM
+//!   builds: portable, AVX2+FMA and AVX-512 are the only code in the
+//!   workspace whose bits depend on the CPU, and only by FMA or not. (FMA
+//!   inside the polynomial measured 0.33–0.38 against 0.49–0.55 ns per
+//!   element, ≈ 1 % of a model evaluation: not worth a result that depends
+//!   on the CPU.)
 //!
 //! These are slice-level primitives; `ops.rs`, `forecast.rs`, the autodiff
 //! tape, and the optimizer call them on their own buffers.
@@ -238,7 +242,7 @@ fn sigmoid_lane(x: f32) -> f32 {
 /// A sweep built twice from one body, as `gemm::compute_block` is: a
 /// portable instantiation (`$body`, which is also what a test calls to get
 /// the portable build) and an AVX2 one (`$avx2`), behind the entry point
-/// `$name` that picks by `gemm::fma_available`. The body may only do what
+/// `$name` that picks by `gemm::Kernel::detected`. The body may only do what
 /// [`exp_lane`] does — no `mul_add` — so the pick cannot change a bit.
 macro_rules! dispatched {
     ($(#[$doc:meta])* $name:ident, $body:ident, $avx2:ident, ($($arg:ident: $ty:ty),*) $code:block) => {
@@ -247,15 +251,16 @@ macro_rules! dispatched {
 
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx2")]
-        unsafe fn $avx2($($arg: $ty),*) {
+        fn $avx2($($arg: $ty),*) {
             $body($($arg),*)
         }
 
         $(#[$doc])*
         pub fn $name($($arg: $ty),*) {
             #[cfg(target_arch = "x86_64")]
-            if crate::gemm::fma_available() {
-                // SAFETY: fma_available() checked avx2 support at runtime.
+            if crate::gemm::Kernel::detected().has_avx2() {
+                // SAFETY: the detected kernel implies avx2 support, checked
+                // at runtime.
                 unsafe { $avx2($($arg),*) };
                 return;
             }

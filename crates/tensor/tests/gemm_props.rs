@@ -6,7 +6,13 @@
 //! shapes drawn from `1..50` hit all of them: most draws are not multiples of
 //! MR=4, NR=16, or the MC row blocking, so the remainder lanes are exercised
 //! constantly rather than only at hand-picked sizes.
+//!
+//! The kernel-parity tests at the end run each micro-kernel build the host
+//! supports (portable, AVX2+FMA, AVX-512) through `gemm_on`, which takes the
+//! kernel as a value: the dispatching entry points above only ever reach the
+//! widest one.
 
+use aeris_tensor::gemm::{gemm_on, Kernel, Scalar};
 use aeris_tensor::{
     matmul, matmul_bf16, matmul_nt, matmul_nt_bf16, matmul_tn, matmul_tn_bf16, Rng, Tensor,
     BF16_EPS,
@@ -108,5 +114,108 @@ proptest! {
         let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(bits(&c), bits(&c_tn), "bf16 tn differs at ({},{},{})", m, n, k);
         prop_assert_eq!(bits(&c), bits(&c_nt), "bf16 nt differs at ({},{},{})", m, n, k);
+    }
+}
+
+/// The kernels this CPU can run — portable always — with one printed note per
+/// kernel it cannot.
+fn supported_kernels() -> Vec<Kernel> {
+    static NOTE: std::sync::Once = std::sync::Once::new();
+    NOTE.call_once(|| {
+        for kernel in Kernel::ALL.into_iter().filter(|&kernel| kernel > Kernel::detected()) {
+            eprintln!("gemm_props: skipping the {} kernel, this CPU does not support it", kernel.name());
+        }
+    });
+    Kernel::ALL.into_iter().filter(|&kernel| kernel <= Kernel::detected()).collect()
+}
+
+/// The three layouts of `A[m,k] · B[k,n]` on one kernel — `[NN, TN, NT]` —
+/// given A, Aᵀ, B, Bᵀ in one storage format.
+fn layouts_on<T: Scalar>(kernel: Kernel, (m, n, k): (usize, usize, usize), [a, at, b, bt]: [&[T]; 4]) -> [Tensor; 3] {
+    [(a, false, b, false), (at, true, b, false), (a, false, bt, true)].map(|(a, a_trans, b, b_trans)| {
+        let mut c = Tensor::full(&[m, n], f32::NAN);
+        gemm_on(kernel, m, n, k, a, a_trans, b, b_trans, c.data_mut());
+        c
+    })
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|x| x.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Kernel parity on shared operands: every kernel the host supports runs
+    /// all six variants over edge shapes (`m` mostly not a multiple of the
+    /// 4- or 8-row tile, `n` of the 16- or 32-column one, `k` short, odd and
+    /// longer than any model shape). Within a kernel the layouts are bitwise
+    /// equal; the two FMA kernels are bitwise equal to each other; the
+    /// portable one — which no other test reaches on an FMA host — stays
+    /// inside the f64-reference tolerance.
+    #[test]
+    fn kernels_agree_on_all_six_variants(
+        m in 1usize..70,
+        n in 1usize..70,
+        ki in 0usize..5,
+        seed in 0u64..1_000_000,
+    ) {
+        let k = [1, 7, 48, 96, 130][ki];
+        let mut rng = Rng::seed_from(seed ^ 0x512);
+        let a = Tensor::randn(&[m, k], &mut rng);
+        let b = Tensor::randn(&[k, n], &mut rng);
+        let (at, bt) = (a.t(), b.t());
+        let (ah, bh) = (a.to_bf16(), b.to_bf16());
+        let (aht, bht) = (ah.transpose_2d(), bh.transpose_2d());
+        let want = reference(&a, &b);
+        let want_bf16 = reference(&ah.widen(), &bh.widen());
+        let tol = 16.0 * f32::EPSILON as f64 * (k as f64).sqrt();
+
+        let mut fma = Vec::new();
+        for kernel in supported_kernels() {
+            let [nn, tn, nt] = layouts_on(kernel, (m, n, k), [a.data(), at.data(), b.data(), bt.data()]);
+            let [hnn, htn, hnt] = layouts_on(kernel, (m, n, k), [ah.bits(), aht.bits(), bh.bits(), bht.bits()]);
+            let name = kernel.name();
+            prop_assert_eq!(bits(&nn), bits(&tn), "{} f32 tn differs at ({},{},{})", name, m, n, k);
+            prop_assert_eq!(bits(&nn), bits(&nt), "{} f32 nt differs at ({},{},{})", name, m, n, k);
+            prop_assert_eq!(bits(&hnn), bits(&htn), "{} bf16 tn differs at ({},{},{})", name, m, n, k);
+            prop_assert_eq!(bits(&hnn), bits(&hnt), "{} bf16 nt differs at ({},{},{})", name, m, n, k);
+            prop_assert!(scaled_max_err(&nn, &want) <= tol,
+                "{name} f32 err {} > {tol} at ({m},{n},{k})", scaled_max_err(&nn, &want));
+            prop_assert!(scaled_max_err(&hnn, &want_bf16) <= tol,
+                "{name} bf16 err {} > {tol} at ({m},{n},{k})", scaled_max_err(&hnn, &want_bf16));
+            if kernel != Kernel::Portable {
+                fma.push((name, bits(&nn), bits(&hnn)));
+            }
+        }
+        for pair in fma.windows(2) {
+            let ((x, x32, x16), (y, y32, y16)) = (&pair[0], &pair[1]);
+            prop_assert_eq!(x32, y32, "{} and {} f32 differ at ({},{},{})", x, y, m, n, k);
+            prop_assert_eq!(x16, y16, "{} and {} bf16 differ at ({},{},{})", x, y, m, n, k);
+        }
+    }
+}
+
+/// On every supported kernel and layout: `k = 0` overwrites C with zeros, and
+/// a zero row of A against NaN / Inf in B still yields NaN (`0·NaN`, `0·∞`) —
+/// no kernel skips zero multiplicands, edge rows included.
+#[test]
+fn every_kernel_zero_fills_at_k_0_and_propagates_nan_through_zero_rows() {
+    for kernel in supported_kernels() {
+        let empty: [&[f32]; 4] = [&[], &[], &[], &[]];
+        for c in layouts_on(kernel, (9, 17, 0), empty) {
+            assert!(bits(&c).iter().all(|&x| x == 0), "{}: k = 0 must give +0.0", kernel.name());
+        }
+        // A: [9, 2], row 8 (a lone edge row of either tile) all zero.
+        let (m, n, k) = (9, 2, 2);
+        let mut a = Tensor::ones(&[m, k]);
+        a.data_mut()[16..].fill(0.0);
+        let b = Tensor::from_vec(&[k, n], vec![1.0, f32::NAN, f32::INFINITY, 4.0]);
+        let (at, bt) = (a.t(), b.t());
+        for c in layouts_on(kernel, (m, n, k), [a.data(), at.data(), b.data(), bt.data()]) {
+            let c = c.data();
+            assert!(c[16].is_nan() && c[17].is_nan(), "{}: zero row gave {:?}", kernel.name(), &c[16..]);
+            assert_eq!(c[0], f32::INFINITY, "{}: row of ones, column [1, inf]", kernel.name());
+        }
     }
 }

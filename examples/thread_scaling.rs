@@ -66,7 +66,11 @@ fn main() {
         sampler: TrigFlowSampler::new(TrigFlow::default(), sampler),
     };
 
-    println!("cores {}", std::thread::available_parallelism().map_or(1, |n| n.get()));
+    println!(
+        "cores {}, GEMM kernel {}",
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+        aeris::tensor::gemm::kernel_name()
+    );
     println!("round  pool  train_step(batch 2) ms  velocity ms  ensemble(4 x 1) ms");
     for round in 0..rounds {
         for pool in [1, 2] {

@@ -11,7 +11,13 @@
 #        crates/core/src/forecast.rs (`ensemble`, `step_batch`) and nothing
 #        else; a hit inside a kernel is intra-op parallelism coming back
 #        (measured at 0.4–0.6x and deleted in PR 23, DESIGN.md "Where threads
-#        live").
+#        live");
+#   (iv) every `unsafe` / `target_feature` / `is_x86_feature_detected` site in
+#        the non-test code of crates, shims, examples and src. Expected: lines
+#        of crates/tensor/src/gemm.rs (the three kernel builds, the AVX-512
+#        tile's load and masked store, the one detector) and the one
+#        `dispatched!` macro of crates/tensor/src/sweeps.rs; every other crate
+#        root says `#![forbid(unsafe_code)]` (not listed).
 # Crude on purpose: names are matched as words, so two functions sharing a name
 # hide each other, and a name used only in a doc comment counts as unused.
 set -euo pipefail
@@ -66,3 +72,9 @@ strip_tests $(sources crates/*/src examples src benchmark/src) | awk '
 echo
 echo "== (iii) parallel regions outside test code =="
 strip_tests $(sources crates/*/src) | grep -E 'par_chunks|par_iter' || true
+
+echo
+echo "== (iv) unsafe, target_feature and CPU-detection sites outside test code =="
+strip_tests $(sources crates/*/src shims/*/src examples src) \
+    | grep -E 'unsafe|target_feature|is_x86_feature_detected' \
+    | grep -vE 'forbid\(unsafe_code\)|deny\(unsafe_op_in_unsafe_fn\)' || true

@@ -3,6 +3,8 @@
 //! `Vec<u8>`. Reads advance the slice in place (as `impl Buf for &[u8]`
 //! does in the real crate); writes append.
 
+#![forbid(unsafe_code)]
+
 /// Sequential little-endian reads that advance the underlying slice.
 pub trait Buf {
     fn remaining(&self) -> usize;

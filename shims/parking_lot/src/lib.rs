@@ -7,6 +7,8 @@
 //! survive, not a reason to cascade panics through every peer holding the
 //! mailbox lock.
 
+#![forbid(unsafe_code)]
+
 use std::sync::TryLockError;
 use std::time::Duration;
 

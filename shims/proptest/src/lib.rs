@@ -10,6 +10,8 @@
 //! file. No shrinking: the failing case prints its index, and re-running
 //! deterministically regenerates the same values.
 
+#![forbid(unsafe_code)]
+
 pub mod strategy {
     use crate::test_runner::TestRng;
 

@@ -28,6 +28,8 @@
 //! takes precedence over both — tests and benches use it to compare thread
 //! counts within one process without touching the environment.
 
+#![forbid(unsafe_code)]
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 pub mod prelude {

@@ -19,6 +19,8 @@
 //! let v = tf.velocity_target(&x0, &z, t);
 //! assert!(tf.denoise(&xt, &v, t).max_abs_diff(&x0) < 1e-5);
 //! ```
+
+#![forbid(unsafe_code)]
 pub use aeris_assim as assim;
 pub use aeris_autodiff as autodiff;
 pub use aeris_baselines as baselines;
