@@ -94,7 +94,7 @@ impl SwinBlock {
         out
     }
 
-    /// Scalar parameter count.
+    /// Number of scalar parameters.
     pub fn num_params(&self) -> usize {
         self.norm1.num_params()
             + self.attn.num_params()

@@ -13,8 +13,8 @@ use crate::trigflow::TrigFlow;
 use aeris_tensor::{Rng, Tensor};
 
 /// Typed sampler-configuration error. Returned by [`SamplerConfig::validate`]
-/// and [`TrigFlowSampler::try_new`] so malformed schedules are rejected at
-/// construction (or request admission) instead of panicking mid-rollout.
+/// so malformed schedules are rejected at request admission instead of
+/// panicking mid-rollout.
 #[derive(Clone, Debug, PartialEq)]
 pub enum SamplerError {
     /// `n_steps == 0`: the σ schedule would be empty.
@@ -129,13 +129,6 @@ impl TrigFlowSampler {
     /// Construct with a parameterization and config.
     pub fn new(tf: TrigFlow, cfg: SamplerConfig) -> Self {
         TrigFlowSampler { tf, cfg }
-    }
-
-    /// Validating constructor: rejects configs whose time grid would be
-    /// empty or non-monotone instead of panicking inside [`Self::schedule`].
-    pub fn try_new(tf: TrigFlow, cfg: SamplerConfig) -> Result<Self, SamplerError> {
-        cfg.validate(&tf)?;
-        Ok(TrigFlowSampler { tf, cfg })
     }
 
     /// The time grid: σ log-uniform from σ_max down to σ_min (matching the
@@ -391,7 +384,6 @@ mod tests {
     fn validate_rejects_malformed_schedules() {
         let ok = SamplerConfig::default();
         assert_eq!(ok.validate(&TrigFlow::default()), Ok(()));
-        assert!(TrigFlowSampler::try_new(TrigFlow::default(), ok).is_ok());
 
         let empty = SamplerConfig { n_steps: 0, ..ok };
         assert_eq!(empty.validate(&TrigFlow::default()), Err(SamplerError::EmptySchedule));
@@ -414,7 +406,6 @@ mod tests {
                 matches!(bad.validate(&TrigFlow::default()), Err(SamplerError::BadChurn { .. })),
                 "churn {churn} accepted"
             );
-            assert!(TrigFlowSampler::try_new(TrigFlow::default(), bad).is_err());
         }
 
         // Errors format without panicking and carry the offending values.

@@ -103,7 +103,7 @@ impl WindowAttention {
         tape.window_attention(windowed, wq, wk, wv, wo, &plan)
     }
 
-    /// Scalar parameter count (4·dim² for the projections).
+    /// Number of scalar parameters (4·dim² for the projections).
     pub fn num_params(&self) -> usize {
         self.wq.num_params() + self.wk.num_params() + self.wv.num_params() + self.wo.num_params()
     }

@@ -33,7 +33,7 @@ impl SwiGlu {
         self.w_down.forward(tape, binding, store, hidden)
     }
 
-    /// Scalar parameter count.
+    /// Number of scalar parameters.
     pub fn num_params(&self) -> usize {
         self.w_in.num_params() + self.w_down.num_params()
     }

@@ -6,9 +6,9 @@
 //! diffusion time, a 2D sinusoidal positional encoding added to the input
 //! pixels, and the Swin window partition / cyclic-shift machinery.
 //!
-//! Parameters live in a [`ParamStore`] (FP32 master copies, exactly as the
-//! paper keeps parameters in FP32 while compute runs in BF16); each forward
-//! pass binds them onto an [`aeris_autodiff::Tape`] through a [`Binding`].
+//! Parameters live in a [`ParamStore`] as FP32 master copies, as in the paper
+//! (whose compute then runs in BF16; here it stays f32); each forward pass
+//! binds them onto an [`aeris_autodiff::Tape`] through a [`Binding`].
 
 #![forbid(unsafe_code)]
 

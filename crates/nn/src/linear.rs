@@ -55,7 +55,7 @@ impl Linear {
         }
     }
 
-    /// Scalar parameter count.
+    /// Number of scalar parameters.
     pub fn num_params(&self) -> usize {
         self.in_dim * self.out_dim + if self.b.is_some() { self.out_dim } else { 0 }
     }

@@ -41,7 +41,7 @@ impl RmsNorm {
         tape.modulated_rmsnorm(x, g, scale, shift, self.eps)
     }
 
-    /// Scalar parameter count.
+    /// Number of scalar parameters.
     pub fn num_params(&self) -> usize {
         self.dim
     }

@@ -51,7 +51,7 @@ impl TimeConditioner {
         tape.silu(h)
     }
 
-    /// Scalar parameter count.
+    /// Number of scalar parameters.
     pub fn num_params(&self) -> usize {
         self.proj.num_params()
     }
@@ -93,7 +93,7 @@ impl AdaLnHead {
         [out[0], out[1], out[2], out[3], out[4], out[5]]
     }
 
-    /// Scalar parameter count.
+    /// Number of scalar parameters.
     pub fn num_params(&self) -> usize {
         self.head.num_params()
     }

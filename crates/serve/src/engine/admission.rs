@@ -243,6 +243,17 @@ impl ServeEngine {
         if r.steps == 0 || r.n_members == 0 {
             return Err(ServeError::BadRequest("steps and n_members must be ≥ 1".into()));
         }
+        // The response holds `steps × n_members` model states: a size whose
+        // byte count overflows could never be allocated (and its member-step
+        // count would overflow the quota cost), so it is a client error.
+        let state_bytes = cfg.tokens() * cfg.channels * std::mem::size_of::<f32>();
+        let response_bytes = r.steps.checked_mul(r.n_members).and_then(|s| s.checked_mul(state_bytes));
+        if response_bytes.is_none_or(|b| b > isize::MAX as usize) {
+            return Err(ServeError::BadRequest(format!(
+                "{} steps × {} members overflows the response size",
+                r.steps, r.n_members
+            )));
+        }
         self.validate_state(if r.nowcast.is_some() { "background" } else { "init" }, &r.init)?;
         if let Some(NowcastSpec { obs, .. }) = &r.nowcast {
             obs.validate().map_err(ServeError::BadRequest)?;
@@ -316,7 +327,7 @@ impl EngineShared {
             next_step: 0,
             x: Arc::clone(&req.init),
             rng: member_rng(req.seed, m),
-            states: Vec::with_capacity(req.steps),
+            states: Vec::new(),
             cache_hits: 0,
         };
         {

@@ -616,6 +616,14 @@ fn accounting_balances_across_every_rejection_path() {
     no_student.tenant = Some(Arc::from("vip"));
     no_student.tier = Some(Tier::Fast);
     assert!(matches!(engine.submit(no_student), Err(ServeError::BadRequest(_))));
+    // ...rejected on a response size that overflows, before anything is
+    // counted...
+    for n_members in [1, 2] {
+        let mut huge = request(86, 1, n_members);
+        huge.steps = usize::MAX;
+        huge.tenant = Some(Arc::from("vip"));
+        assert!(matches!(engine.submit(huge), Err(ServeError::BadRequest(_))));
+    }
     // ...and rejected on a full queue (hold dispatch so a request pins
     // the single outstanding slot).
     engine.hold_dispatch();
@@ -645,6 +653,9 @@ fn accounting_balances_across_every_rejection_path() {
     let mut no_student = nowcast(183, "vip-now");
     no_student.tier = Some(Tier::Fast);
     assert!(matches!(engine.submit_nowcast(no_student), Err(ServeError::BadRequest(_))));
+    let mut huge = nowcast(186, "vip-now");
+    huge.n_members = usize::MAX;
+    assert!(matches!(engine.submit_nowcast(huge), Err(ServeError::BadRequest(_))));
     engine.hold_dispatch();
     let held = engine.submit_nowcast(nowcast(184, "holder-now")).expect("admitted");
     let overflow = nowcast(185, "vip-now");

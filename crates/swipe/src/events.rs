@@ -1,18 +1,11 @@
-//! Structured event and metrics logging shared by the distributed runtimes.
+//! Structured event logging shared by the distributed runtimes.
 //!
 //! Originally this module held the fault log of the SWiPe trainer; the
 //! machinery (an append-only, thread-shared log of typed records, each tagged
 //! with the actor that observed it) is equally what an inference server needs
-//! for its ops surface, so the log is generic over the event type:
-//!
-//! - [`EventLog<E>`] — the shared log. SWiPe instantiates it at the default
-//!   `E = FaultEvent`; `aeris-serve` instantiates it with its own event enum.
-//! - [`MetricSeries`] — re-exported from `aeris-obs` (where it moved when the
-//!   observability subsystem grew its own crate) so existing
-//!   `swipe::events::MetricSeries` users keep compiling; new code should take
-//!   it from `aeris_obs` directly, typically via [`Tracer::series`].
-//!
-//! [`Tracer::series`]: aeris_obs::Tracer::series
+//! for its ops surface, so the log, [`EventLog<E>`], is generic over the
+//! event type: SWiPe instantiates it at the default `E = FaultEvent`;
+//! `aeris-serve` instantiates it with its own event enum.
 //!
 //! Every injected fault, recovery action, and reconfiguration decision of the
 //! trainer is recorded here so that tests (and operators) can assert not just
@@ -134,8 +127,6 @@ impl<E: Clone> EventLog<E> {
     }
 }
 
-pub use aeris_obs::{MetricSeries, MetricSummary};
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,30 +162,5 @@ mod tests {
         assert_eq!(log.len(), 1);
         assert!(log.any(|e| matches!(e, Custom::Tick(7))));
         assert_eq!(log.snapshot()[0].rank, 3);
-    }
-
-    #[test]
-    fn metric_series_distribution_queries() {
-        let m = MetricSeries::new();
-        assert!(m.mean().is_none() && m.percentile(50.0).is_none() && m.max().is_none());
-        for v in [5.0, 1.0, 9.0, 3.0] {
-            m.record(v);
-        }
-        assert_eq!(m.count(), 4);
-        assert!((m.mean().unwrap() - 4.5).abs() < 1e-12);
-        assert_eq!(m.max().unwrap(), 9.0);
-        assert_eq!(m.percentile(0.0).unwrap(), 1.0);
-        assert_eq!(m.percentile(100.0).unwrap(), 9.0);
-        // Nearest-rank median of [1,3,5,9] is 5; the histogram-backed
-        // series answers within its documented relative-error bound.
-        let med = m.percentile(50.0).unwrap();
-        assert!(
-            (med - 5.0).abs() <= 5.0 * aeris_obs::histogram::MAX_QUANTILE_REL_ERROR,
-            "median {med}"
-        );
-        // Shared across clones.
-        let m2 = m.clone();
-        m2.record(2.0);
-        assert_eq!(m.count(), 5);
     }
 }

@@ -43,7 +43,7 @@ pub mod topology;
 pub mod trainer;
 
 pub use comm::{CommClass, CommConfig, CommError, Communicator, TrafficReport, World};
-pub use events::{EventLog, EventRecord, FaultEvent, MetricSeries};
+pub use events::{EventLog, EventRecord, FaultEvent};
 pub use fault::{FaultPlan, MessageFault};
 pub use layout::ActLayout;
 pub use recovery::{supervise, RecoveryConfig, RecoveryError, RecoveryOutcome};

@@ -1,7 +1,7 @@
 //! The packed, cache-blocked GEMM core shared by every layout variant.
 //!
-//! All six public GEMM entry points (`matmul`/`matmul_nt`/`matmul_tn`, f32 and
-//! bf16) lower to one driver, [`gemm`], that follows the classic three-stage
+//! The three public GEMM entry points (`matmul`/`matmul_nt`/`matmul_tn`) lower
+//! to one f32 driver, [`gemm`], that follows the classic three-stage
 //! BLIS/GotoBLAS structure scaled down to this workspace's shapes:
 //!
 //! 1. **Pack B** once into column panels of [`NR`] columns, each stored as a
@@ -24,12 +24,8 @@
 //!    adjacent B panels, 16 zmm accumulators, one `_mm512_fmadd_ps` each per
 //!    `k` step (a lone last panel runs the same tile one panel wide).
 //!
-//! bf16 operands (`u16` bit patterns) are widened to f32 on the way into the
-//! arithmetic — B and a transposed A while packing, a row-major A at the
-//! broadcast — so the memory traffic against the large source matrices is
-//! halved while every multiply and the accumulator stay f32. This is the
-//! paper's "BF16 compute with FP32 accumulation" policy (§V-A) realized in
-//! software.
+//! Operands, packs and accumulators are all f32: at these cache-resident
+//! sizes bf16 operands measured 1.2–1.5× slower (DESIGN.md "Deviations").
 //!
 //! # Determinism
 //!
@@ -64,27 +60,6 @@ pub const NR: usize = 16;
 /// Rows of C per row block (a multiple of both tile heights; sized so the A
 /// rows of a block stay cache-resident while every B panel passes over them).
 pub const MC: usize = 32;
-
-/// A GEMM operand element: anything that widens to f32. Arithmetic is always
-/// f32; implementors only define the storage format.
-pub trait Scalar: Copy + Send + Sync {
-    fn widen(self) -> f32;
-}
-
-impl Scalar for f32 {
-    #[inline(always)]
-    fn widen(self) -> f32 {
-        self
-    }
-}
-
-/// bf16 stored as its raw bit pattern: the top 16 bits of the f32 it rounds.
-impl Scalar for u16 {
-    #[inline(always)]
-    fn widen(self) -> f32 {
-        f32::from_bits((self as u32) << 16)
-    }
-}
 
 /// The micro-kernel builds, ordered by what the CPU must support: each one
 /// runs wherever a later one does.
@@ -155,21 +130,18 @@ pub fn kernel_name() -> &'static str {
 }
 
 /// Pack panel `p` of B (columns `p·NR .. p·NR+NR`) into `dst: [k, NR]`,
-/// widening to f32 and zero-padding columns past `n`.
+/// zero-padding columns past `n`.
 ///
 /// `b` is `[k, n]` row-major when `trans` is false, `[n, k]` row-major when
 /// true (the `matmul_nt` layout, read as its transpose).
-fn pack_b_panel<T: Scalar>(b: &[T], k: usize, n: usize, trans: bool, p: usize, dst: &mut [f32]) {
+fn pack_b_panel(b: &[f32], k: usize, n: usize, trans: bool, p: usize, dst: &mut [f32]) {
     debug_assert_eq!(dst.len(), k * NR);
     let j0 = p * NR;
     let w = NR.min(n - j0);
     if !trans {
         for kk in 0..k {
-            let src = &b[kk * n + j0..kk * n + j0 + w];
             let out = &mut dst[kk * NR..kk * NR + NR];
-            for (o, &s) in out.iter_mut().zip(src) {
-                *o = s.widen();
-            }
+            out[..w].copy_from_slice(&b[kk * n + j0..kk * n + j0 + w]);
             out[w..].fill(0.0);
         }
     } else {
@@ -181,26 +153,24 @@ fn pack_b_panel<T: Scalar>(b: &[T], k: usize, n: usize, trans: bool, p: usize, d
         for j in 0..w {
             let src = &b[(j0 + j) * k..(j0 + j) * k + k];
             for (kk, &s) in src.iter().enumerate() {
-                dst[kk * NR + j] = s.widen();
+                dst[kk * NR + j] = s;
             }
         }
     }
 }
 
 /// Pack rows `i0 .. i0+rows` of Aᵀ — `a` is `[k, m]` row-major, the
-/// `matmul_tn` layout — into `[k, mr]` micro-panels, widening to f32. Each
-/// `k`-row of `a` contributes `mr` consecutive elements. Panel lanes past the
+/// `matmul_tn` layout — into `[k, mr]` micro-panels. Each `k`-row of `a`
+/// contributes `mr` consecutive elements. Panel lanes past the
 /// block's last row keep stale values: [`AView::tile`] never reads them.
-fn pack_a_block<T: Scalar>(a: &[T], m: usize, k: usize, i0: usize, rows: usize, mr: usize, dst: &mut [f32]) {
+fn pack_a_block(a: &[f32], m: usize, k: usize, i0: usize, rows: usize, mr: usize, dst: &mut [f32]) {
     for t in 0..rows.div_ceil(mr) {
         let r0 = t * mr;
         let live = mr.min(rows - r0);
         let panel = &mut dst[t * mr * k..(t + 1) * mr * k];
         for kk in 0..k {
             let src = &a[kk * m + i0 + r0..kk * m + i0 + r0 + live];
-            for (o, &s) in panel[kk * mr..kk * mr + live].iter_mut().zip(src) {
-                *o = s.widen();
-            }
+            panel[kk * mr..kk * mr + live].copy_from_slice(src);
         }
     }
 }
@@ -211,20 +181,20 @@ fn pack_a_block<T: Scalar>(a: &[T], m: usize, k: usize, i0: usize, rows: usize, 
 /// is `(row_stride, k_stride) = (k, 1)`; the `[k, R]` micro-panels
 /// [`pack_a_block`] writes are `(1, R)`.
 #[derive(Clone, Copy)]
-struct AView<'a, T> {
-    a: &'a [T],
+struct AView<'a> {
+    a: &'a [f32],
     base: usize,
     row_stride: usize,
     k_stride: usize,
 }
 
-impl<'a, T> AView<'a, T> {
+impl<'a> AView<'a> {
     /// The `R` rows of tile `t`, each a bounds-checked subslice running from
     /// the row's first element to its last (`kk = k−1`). Rows past `live`
     /// repeat the last live row, so an edge tile runs the interior's loop;
     /// their accumulators are never written back.
     #[inline(always)]
-    fn tile<const R: usize>(&self, t: usize, k: usize, live: usize) -> [&'a [T]; R] {
+    fn tile<const R: usize>(&self, t: usize, k: usize, live: usize) -> [&'a [f32]; R] {
         std::array::from_fn(|i| {
             let first = self.base + t * R * k + i.min(live - 1) * self.row_stride;
             &self.a[first..first + (k - 1) * self.k_stride + 1]
@@ -239,11 +209,11 @@ impl<'a, T> AView<'a, T> {
 /// `#[target_feature(enable = "avx2,fma")]` instantiation, where `mul_add`
 /// compiles to a single vfmadd; elsewhere it would fall back to a libm call.
 #[inline(always)]
-fn micro_kernel<const FMA: bool, TA: Scalar>(rows: [&[TA]; MR], k_stride: usize, bp: &[f32]) -> [[f32; NR]; MR] {
+fn micro_kernel<const FMA: bool>(rows: [&[f32]; MR], k_stride: usize, bp: &[f32]) -> [[f32; NR]; MR] {
     let mut acc = [[0.0f32; NR]; MR];
     for (kk, b) in bp.chunks_exact(NR).enumerate() {
         for i in 0..MR {
-            let aik = rows[i][kk * k_stride].widen();
+            let aik = rows[i][kk * k_stride];
             for j in 0..NR {
                 if FMA {
                     acc[i][j] = aik.mul_add(b[j], acc[i][j]);
@@ -259,12 +229,12 @@ fn micro_kernel<const FMA: bool, TA: Scalar>(rows: [&[TA]; MR], k_stride: usize,
 /// Compute one row block of C from its A rows and the shared packed B
 /// panels. `c_block` is `[rows, n]`, fully overwritten.
 #[inline(always)]
-fn compute_block_body<const FMA: bool, TA: Scalar>(a: AView<TA>, bpack: &[f32], k: usize, n: usize, c_block: &mut [f32]) {
+fn compute_block_body<const FMA: bool>(a: AView, bpack: &[f32], k: usize, n: usize, c_block: &mut [f32]) {
     for (p, bp) in bpack.chunks_exact(k * NR).enumerate() {
         let j0 = p * NR;
         let w = NR.min(n - j0);
         for (t, c_rows) in c_block.chunks_mut(MR * n).enumerate() {
-            let acc = micro_kernel::<FMA, TA>(a.tile(t, k, c_rows.len() / n), a.k_stride, bp);
+            let acc = micro_kernel::<FMA>(a.tile(t, k, c_rows.len() / n), a.k_stride, bp);
             for (out_row, acc_row) in c_rows.chunks_exact_mut(n).zip(&acc) {
                 out_row[j0..j0 + w].copy_from_slice(&acc_row[..w]);
             }
@@ -274,8 +244,8 @@ fn compute_block_body<const FMA: bool, TA: Scalar>(a: AView<TA>, bpack: &[f32], 
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-fn compute_block_avx2<TA: Scalar>(a: AView<TA>, bpack: &[f32], k: usize, n: usize, c_block: &mut [f32]) {
-    compute_block_body::<true, TA>(a, bpack, k, n, c_block);
+fn compute_block_avx2(a: AView, bpack: &[f32], k: usize, n: usize, c_block: &mut [f32]) {
+    compute_block_body::<true>(a, bpack, k, n, c_block);
 }
 
 /// The AVX-512 register tile: `MR_AVX512` rows × `P` adjacent B panels
@@ -287,8 +257,8 @@ fn compute_block_avx2<TA: Scalar>(a: AView<TA>, bpack: &[f32], k: usize, n: usiz
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[inline]
-fn tile_avx512<const P: usize, TA: Scalar>(
-    rows: [&[TA]; MR_AVX512],
+fn tile_avx512<const P: usize>(
+    rows: [&[f32]; MR_AVX512],
     k_stride: usize,
     bp: &[f32],
     c_rows: &mut [f32],
@@ -306,7 +276,7 @@ fn tile_avx512<const P: usize, TA: Scalar>(
             b[q] = unsafe { _mm512_loadu_ps(lanes.as_ptr()) };
         }
         for i in 0..MR_AVX512 {
-            let aik = _mm512_set1_ps(rows[i][kk * k_stride].widen());
+            let aik = _mm512_set1_ps(rows[i][kk * k_stride]);
             for q in 0..P {
                 acc[i][q] = _mm512_fmadd_ps(aik, b[q], acc[i][q]);
             }
@@ -329,16 +299,16 @@ fn tile_avx512<const P: usize, TA: Scalar>(
 /// time, an odd last one alone.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-fn compute_block_avx512<TA: Scalar>(a: AView<TA>, bpack: &[f32], k: usize, n: usize, c_block: &mut [f32]) {
+fn compute_block_avx512(a: AView, bpack: &[f32], k: usize, n: usize, c_block: &mut [f32]) {
     const R: usize = MR_AVX512;
     for (pair, bp) in bpack.chunks(2 * k * NR).enumerate() {
         let j0 = pair * 2 * NR;
         for (t, c_rows) in c_block.chunks_mut(R * n).enumerate() {
             let tile = a.tile(t, k, c_rows.len() / n);
             if bp.len() == 2 * k * NR {
-                tile_avx512::<2, TA>(tile, a.k_stride, bp, c_rows, n, j0);
+                tile_avx512::<2>(tile, a.k_stride, bp, c_rows, n, j0);
             } else {
-                tile_avx512::<1, TA>(tile, a.k_stride, bp, c_rows, n, j0);
+                tile_avx512::<1>(tile, a.k_stride, bp, c_rows, n, j0);
             }
         }
     }
@@ -347,7 +317,7 @@ fn compute_block_avx512<TA: Scalar>(a: AView<TA>, bpack: &[f32], k: usize, n: us
 /// Run `kernel`'s block compute. The caller has checked that the CPU
 /// supports `kernel` ([`gemm_on`] asserts it).
 #[inline]
-fn compute_block<TA: Scalar>(kernel: Kernel, a: AView<TA>, bpack: &[f32], k: usize, n: usize, c_block: &mut [f32]) {
+fn compute_block(kernel: Kernel, a: AView, bpack: &[f32], k: usize, n: usize, c_block: &mut [f32]) {
     match kernel {
         // SAFETY (both arms): `kernel <= Kernel::detected()`, asserted by
         // `gemm_on`, so the CPU has the features the callee is built with.
@@ -355,7 +325,7 @@ fn compute_block<TA: Scalar>(kernel: Kernel, a: AView<TA>, bpack: &[f32], k: usi
         Kernel::Avx512 => unsafe { compute_block_avx512(a, bpack, k, n, c_block) },
         #[cfg(target_arch = "x86_64")]
         Kernel::Avx2Fma => unsafe { compute_block_avx2(a, bpack, k, n, c_block) },
-        _ => compute_block_body::<false, TA>(a, bpack, k, n, c_block),
+        _ => compute_block_body::<false>(a, bpack, k, n, c_block),
     }
 }
 
@@ -365,16 +335,14 @@ fn compute_block<TA: Scalar>(kernel: Kernel, a: AView<TA>, bpack: &[f32], k: usi
 /// - `a` is `[m, k]` row-major, or `[k, m]` when `a_trans` (read as Aᵀ);
 /// - `b` is `[k, n]` row-major, or `[n, k]` when `b_trans` (read as Bᵀ);
 /// - `c` is `[m, n]` row-major and fully overwritten.
-///
-/// Operand storage may mix f32 and bf16 freely; all arithmetic is f32.
 #[allow(clippy::too_many_arguments)]
-pub fn gemm<TA: Scalar, TB: Scalar>(
+pub fn gemm(
     m: usize,
     n: usize,
     k: usize,
-    a: &[TA],
+    a: &[f32],
     a_trans: bool,
-    b: &[TB],
+    b: &[f32],
     b_trans: bool,
     c: &mut [f32],
 ) {
@@ -385,14 +353,14 @@ pub fn gemm<TA: Scalar, TB: Scalar>(
 /// Panics when this CPU does not support `kernel`.
 #[doc(hidden)]
 #[allow(clippy::too_many_arguments)]
-pub fn gemm_on<TA: Scalar, TB: Scalar>(
+pub fn gemm_on(
     kernel: Kernel,
     m: usize,
     n: usize,
     k: usize,
-    a: &[TA],
+    a: &[f32],
     a_trans: bool,
-    b: &[TB],
+    b: &[f32],
     b_trans: bool,
     c: &mut [f32],
 ) {
@@ -417,14 +385,13 @@ pub fn gemm_on<TA: Scalar, TB: Scalar>(
     let mut apack = vec![0.0f32; if a_trans { MC.min(m.div_ceil(mr) * mr) * k } else { 0 }];
     for (blk, c_block) in c.chunks_mut(MC * n).enumerate() {
         let i0 = blk * MC;
-        if a_trans {
+        let view = if a_trans {
             pack_a_block(a, m, k, i0, c_block.len() / n, mr, &mut apack);
-            let view = AView { a: &apack[..], base: 0, row_stride: 1, k_stride: mr };
-            compute_block(kernel, view, &bpack, k, n, c_block);
+            AView { a: &apack, base: 0, row_stride: 1, k_stride: mr }
         } else {
-            let view = AView { a, base: i0 * k, row_stride: k, k_stride: 1 };
-            compute_block(kernel, view, &bpack, k, n, c_block);
-        }
+            AView { a, base: i0 * k, row_stride: k, k_stride: 1 }
+        };
+        compute_block(kernel, view, &bpack, k, n, c_block);
     }
 }
 
@@ -475,7 +442,7 @@ mod tests {
     #[test]
     fn zero_k_gives_zero_output() {
         let mut c = vec![7.0f32; 6];
-        gemm::<f32, f32>(2, 3, 0, &[], false, &[], false, &mut c);
+        gemm(2, 3, 0, &[], false, &[], false, &mut c);
         assert!(c.iter().all(|&x| x == 0.0));
     }
 }

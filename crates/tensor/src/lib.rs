@@ -5,18 +5,15 @@
 //!
 //! - [`Tensor`]: a contiguous, row-major, dynamically shaped f32 array with
 //!   elementwise / reduction / linear-algebra operations,
-//! - [`gemm`]: the shared packed, cache-blocked, register-tiled GEMM core all
-//!   three matmul layouts (and the bf16 paths) lower to, on the widest of
-//!   three micro-kernels the CPU supports ([`gemm::kernel_name`]),
+//! - [`gemm`]: the shared packed, cache-blocked, register-tiled f32 GEMM
+//!   core all three matmul layouts lower to, on the widest of three
+//!   micro-kernels the CPU supports ([`gemm::kernel_name`]),
 //! - [`matmul()`] / [`matmul_nt()`] / [`matmul_tn()`]: entry points over
-//!   that core, plus [`matmul_bf16()`]-family twins that read bf16 operands,
+//!   that core,
 //! - [`sweeps`]: unrolled unit-stride sweep kernels for the elementwise /
 //!   softmax / un-standardize hot loops,
 //! - [`rng::Rng`]: a deterministic SplitMix64-based random number generator
-//!   with Gaussian sampling and seed-derived independent streams,
-//! - [`Bf16Tensor`]: real bfloat16 storage (u16 buffers, half the bytes),
-//!   widened to f32 in registers on the way into the GEMM — the paper's
-//!   BF16-compute / FP32-accumulate mixed-precision policy.
+//!   with Gaussian sampling and seed-derived independent streams.
 //!
 //! Design notes (per the HPC guides): tensors are always contiguous and owned,
 //! hot loops avoid allocation by writing into preallocated outputs where it
@@ -33,7 +30,6 @@
 // kernels and their intrinsic loads / stores, `sweeps`' one dispatch macro).
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod bf16;
 pub mod fft;
 pub mod gemm;
 pub mod matmul;
@@ -42,9 +38,7 @@ pub mod rng;
 pub mod sweeps;
 pub mod tensor;
 
-pub use bf16::{Bf16Tensor, BF16_EPS};
 pub use matmul::{matmul, matmul_into, matmul_tn, matmul_nt};
-pub use matmul::{matmul_bf16, matmul_tn_bf16, matmul_nt_bf16};
 pub use rng::{Rng, RngSnapshot};
 pub use tensor::Tensor;
 

@@ -1,6 +1,6 @@
-//! The GEMM family: `matmul` (NN), `matmul_nt` (NBᵀ), `matmul_tn` (AᵀB), in
-//! f32 and bf16-storage variants, all lowered to the one packed,
-//! cache-blocked micro-kernel in [`crate::gemm`].
+//! The GEMM family: `matmul` (NN), `matmul_nt` (NBᵀ), `matmul_tn` (AᵀB), all
+//! lowered to the one packed, cache-blocked f32 micro-kernel in
+//! [`crate::gemm`].
 //!
 //! Layout is handled by the B pack and the A view handed to the kernel, so
 //! every variant runs the identical branch-free inner loop — in particular
@@ -11,7 +11,6 @@
 //! See the [`crate::gemm`] module docs for the blocking scheme and the
 //! determinism argument (fixed per-element accumulation order).
 
-use crate::bf16::Bf16Tensor;
 use crate::gemm::gemm;
 use crate::Tensor;
 
@@ -57,45 +56,6 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(k, k2, "inner dimension mismatch in matmul_nt");
     let mut c = Tensor::zeros(&[m, n]);
     gemm(m, n, k, a.data(), false, b.data(), true, c.data_mut());
-    c
-}
-
-/// `C = A @ B` on bf16-stored operands: `A: [m, k]`, `B: [k, n]`. Operands
-/// are widened to f32 on the way in (half the source bandwidth of the f32
-/// path) and all arithmetic accumulates in f32. Output is a full-precision
-/// tensor.
-pub fn matmul_bf16(a: &Bf16Tensor, b: &Bf16Tensor) -> Tensor {
-    assert_eq!(a.ndim(), 2, "matmul_bf16 lhs must be 2-D");
-    assert_eq!(b.ndim(), 2, "matmul_bf16 rhs must be 2-D");
-    let (m, k) = (a.shape()[0], a.shape()[1]);
-    let (k2, n) = (b.shape()[0], b.shape()[1]);
-    assert_eq!(k, k2, "inner dimension mismatch: {k} vs {k2}");
-    let mut c = Tensor::zeros(&[m, n]);
-    gemm(m, n, k, a.bits(), false, b.bits(), false, c.data_mut());
-    c
-}
-
-/// `C = A^T @ B` on bf16-stored operands: `A: [k, m]`, `B: [k, n]`.
-pub fn matmul_tn_bf16(a: &Bf16Tensor, b: &Bf16Tensor) -> Tensor {
-    assert_eq!(a.ndim(), 2);
-    assert_eq!(b.ndim(), 2);
-    let (k, m) = (a.shape()[0], a.shape()[1]);
-    let (k2, n) = (b.shape()[0], b.shape()[1]);
-    assert_eq!(k, k2, "inner dimension mismatch in matmul_tn_bf16");
-    let mut c = Tensor::zeros(&[m, n]);
-    gemm(m, n, k, a.bits(), true, b.bits(), false, c.data_mut());
-    c
-}
-
-/// `C = A @ B^T` on bf16-stored operands: `A: [m, k]`, `B: [n, k]`.
-pub fn matmul_nt_bf16(a: &Bf16Tensor, b: &Bf16Tensor) -> Tensor {
-    assert_eq!(a.ndim(), 2);
-    assert_eq!(b.ndim(), 2);
-    let (m, k) = (a.shape()[0], a.shape()[1]);
-    let (n, k2) = (b.shape()[0], b.shape()[1]);
-    assert_eq!(k, k2, "inner dimension mismatch in matmul_nt_bf16");
-    let mut c = Tensor::zeros(&[m, n]);
-    gemm(m, n, k, a.bits(), false, b.bits(), true, c.data_mut());
     c
 }
 
@@ -205,37 +165,6 @@ mod tests {
                 c.data()
             );
             assert!(!c.all_finite());
-        }
-    }
-
-    #[test]
-    fn bf16_variants_match_f32_within_bf16_eps() {
-        use crate::bf16::BF16_EPS;
-        let mut rng = Rng::seed_from(5);
-        for &(m, n, k) in &[(13, 11, 9), (70, 90, 80)] {
-            let a = Tensor::randn(&[m, k], &mut rng);
-            let b = Tensor::randn(&[k, n], &mut rng);
-            // Reference: f32 GEMM over the *rounded* operands — isolates the
-            // storage rounding from the kernel.
-            let ar = a.to_bf16();
-            let br = b.to_bf16();
-            let reference = matmul(&ar.widen(), &br.widen());
-            let c_nn = matmul_bf16(&ar, &br);
-            assert_eq!(c_nn.data(), reference.data(), "bf16 NN must equal widen-then-f32-GEMM");
-            // And the end-to-end deviation from the unrounded f32 path obeys
-            // the k-term accumulation bound ~ 2·k·BF16_EPS on unit-scale data.
-            let full = matmul(&a, &b);
-            let bound = 2.0 * k as f32 * BF16_EPS * (k as f32).sqrt().max(1.0);
-            assert!(
-                c_nn.max_abs_diff(&full) <= bound,
-                "bf16 GEMM deviates {} > bound {bound} at {m}x{n}x{k}",
-                c_nn.max_abs_diff(&full)
-            );
-            // Transposed-source variants agree bitwise with NN on rounded data.
-            let c_tn = matmul_tn_bf16(&ar.transpose_2d(), &br);
-            let c_nt = matmul_nt_bf16(&ar, &br.transpose_2d());
-            assert_eq!(c_nn.data(), c_tn.data());
-            assert_eq!(c_nn.data(), c_nt.data());
         }
     }
 

@@ -76,7 +76,7 @@ impl Tensor {
         sweeps::axpy(self.data_mut(), alpha, other.data());
     }
 
-    /// Scalar multiple as a new tensor.
+    /// Multiply by a scalar, as a new tensor.
     pub fn scale(&self, alpha: f32) -> Tensor {
         let mut out = self.clone();
         sweeps::scale(out.data_mut(), alpha);

@@ -1,5 +1,5 @@
-//! Property tests for the packed GEMM core: every layout variant, f32 and
-//! bf16, against an f64 naive reference over odd, non-block-multiple shapes.
+//! Property tests for the packed GEMM core: every layout variant against an
+//! f64 naive reference over odd, non-block-multiple shapes.
 //!
 //! The packed kernel has three distinct code regions — full MR×NR interior
 //! tiles, partial edge tiles (zero-padded pack lanes), and the k loop — and
@@ -12,11 +12,8 @@
 //! kernel as a value: the dispatching entry points above only ever reach the
 //! widest one.
 
-use aeris_tensor::gemm::{gemm_on, Kernel, Scalar};
-use aeris_tensor::{
-    matmul, matmul_bf16, matmul_nt, matmul_nt_bf16, matmul_tn, matmul_tn_bf16, Rng, Tensor,
-    BF16_EPS,
-};
+use aeris_tensor::gemm::{gemm_on, Kernel};
+use aeris_tensor::{matmul, matmul_nt, matmul_tn, Rng, Tensor};
 use proptest::prelude::*;
 
 /// f64 naive `A[m,k] · B[k,n]`, k-ascending like the packed kernel.
@@ -78,43 +75,6 @@ proptest! {
         prop_assert_eq!(bits(&c), bits(&c_tn), "tn differs at ({},{},{})", m, n, k);
         prop_assert_eq!(bits(&c), bits(&c_nt), "nt differs at ({},{},{})", m, n, k);
     }
-
-    /// bf16 storage paths: agreement with the f64 reference computed over the
-    /// *rounded* operands is pure f32-accumulation error; agreement with the
-    /// unrounded reference is bounded by the documented BF16_EPS envelope.
-    #[test]
-    fn bf16_variants_match_f64_reference(
-        m in 1usize..40,
-        n in 1usize..40,
-        k in 1usize..40,
-        seed in 0u64..1_000_000,
-    ) {
-        let mut rng = Rng::seed_from(seed ^ 0xbf16);
-        let a = Tensor::randn(&[m, k], &mut rng);
-        let b = Tensor::randn(&[k, n], &mut rng);
-        let (ah, bh) = (a.to_bf16(), b.to_bf16());
-
-        // Reference over the operands the kernel actually sees.
-        let want = reference(&ah.widen(), &bh.widen());
-        let c = matmul_bf16(&ah, &bh);
-        let tol = 16.0 * f32::EPSILON as f64 * (k as f64).sqrt();
-        prop_assert!(scaled_max_err(&c, &want) <= tol,
-            "bf16 accumulation err {} > {tol} at ({m},{n},{k})", scaled_max_err(&c, &want));
-
-        // Against the unrounded reference, error is dominated by the two
-        // input roundings: 2·BF16_EPS per product, ~sqrt(k) cancellation.
-        let full = reference(&a, &b);
-        let bound = 2.0 * BF16_EPS as f64 * (k as f64).sqrt() + tol;
-        prop_assert!(scaled_max_err(&c, &full) <= bound,
-            "bf16 vs unrounded err {} > {bound} at ({m},{n},{k})", scaled_max_err(&c, &full));
-
-        // Layout variants again bitwise equal.
-        let c_tn = matmul_tn_bf16(&ah.transpose_2d(), &bh);
-        let c_nt = matmul_nt_bf16(&ah, &bh.transpose_2d());
-        let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        prop_assert_eq!(bits(&c), bits(&c_tn), "bf16 tn differs at ({},{},{})", m, n, k);
-        prop_assert_eq!(bits(&c), bits(&c_nt), "bf16 nt differs at ({},{},{})", m, n, k);
-    }
 }
 
 /// The kernels this CPU can run — portable always — with one printed note per
@@ -130,8 +90,8 @@ fn supported_kernels() -> Vec<Kernel> {
 }
 
 /// The three layouts of `A[m,k] · B[k,n]` on one kernel — `[NN, TN, NT]` —
-/// given A, Aᵀ, B, Bᵀ in one storage format.
-fn layouts_on<T: Scalar>(kernel: Kernel, (m, n, k): (usize, usize, usize), [a, at, b, bt]: [&[T]; 4]) -> [Tensor; 3] {
+/// given A, Aᵀ, B, Bᵀ.
+fn layouts_on(kernel: Kernel, (m, n, k): (usize, usize, usize), [a, at, b, bt]: [&[f32]; 4]) -> [Tensor; 3] {
     [(a, false, b, false), (at, true, b, false), (a, false, bt, true)].map(|(a, a_trans, b, b_trans)| {
         let mut c = Tensor::full(&[m, n], f32::NAN);
         gemm_on(kernel, m, n, k, a, a_trans, b, b_trans, c.data_mut());
@@ -147,14 +107,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Kernel parity on shared operands: every kernel the host supports runs
-    /// all six variants over edge shapes (`m` mostly not a multiple of the
+    /// all three layouts over edge shapes (`m` mostly not a multiple of the
     /// 4- or 8-row tile, `n` of the 16- or 32-column one, `k` short, odd and
     /// longer than any model shape). Within a kernel the layouts are bitwise
     /// equal; the two FMA kernels are bitwise equal to each other; the
     /// portable one — which no other test reaches on an FMA host — stays
     /// inside the f64-reference tolerance.
     #[test]
-    fn kernels_agree_on_all_six_variants(
+    fn kernels_agree_on_all_three_layouts(
         m in 1usize..70,
         n in 1usize..70,
         ki in 0usize..5,
@@ -165,33 +125,24 @@ proptest! {
         let a = Tensor::randn(&[m, k], &mut rng);
         let b = Tensor::randn(&[k, n], &mut rng);
         let (at, bt) = (a.t(), b.t());
-        let (ah, bh) = (a.to_bf16(), b.to_bf16());
-        let (aht, bht) = (ah.transpose_2d(), bh.transpose_2d());
         let want = reference(&a, &b);
-        let want_bf16 = reference(&ah.widen(), &bh.widen());
         let tol = 16.0 * f32::EPSILON as f64 * (k as f64).sqrt();
 
         let mut fma = Vec::new();
         for kernel in supported_kernels() {
             let [nn, tn, nt] = layouts_on(kernel, (m, n, k), [a.data(), at.data(), b.data(), bt.data()]);
-            let [hnn, htn, hnt] = layouts_on(kernel, (m, n, k), [ah.bits(), aht.bits(), bh.bits(), bht.bits()]);
             let name = kernel.name();
             prop_assert_eq!(bits(&nn), bits(&tn), "{} f32 tn differs at ({},{},{})", name, m, n, k);
             prop_assert_eq!(bits(&nn), bits(&nt), "{} f32 nt differs at ({},{},{})", name, m, n, k);
-            prop_assert_eq!(bits(&hnn), bits(&htn), "{} bf16 tn differs at ({},{},{})", name, m, n, k);
-            prop_assert_eq!(bits(&hnn), bits(&hnt), "{} bf16 nt differs at ({},{},{})", name, m, n, k);
             prop_assert!(scaled_max_err(&nn, &want) <= tol,
                 "{name} f32 err {} > {tol} at ({m},{n},{k})", scaled_max_err(&nn, &want));
-            prop_assert!(scaled_max_err(&hnn, &want_bf16) <= tol,
-                "{name} bf16 err {} > {tol} at ({m},{n},{k})", scaled_max_err(&hnn, &want_bf16));
             if kernel != Kernel::Portable {
-                fma.push((name, bits(&nn), bits(&hnn)));
+                fma.push((name, bits(&nn)));
             }
         }
         for pair in fma.windows(2) {
-            let ((x, x32, x16), (y, y32, y16)) = (&pair[0], &pair[1]);
+            let ((x, x32), (y, y32)) = (&pair[0], &pair[1]);
             prop_assert_eq!(x32, y32, "{} and {} f32 differ at ({},{},{})", x, y, m, n, k);
-            prop_assert_eq!(x16, y16, "{} and {} bf16 differ at ({},{},{})", x, y, m, n, k);
         }
     }
 }

@@ -184,10 +184,15 @@ proptest! {
         let forc = Tensor::randn(&[128, 3], &mut rng);
         let full = model.velocity(&x_t, &prev, &forc, 0.6);
 
+        // Round each weight to bf16 precision, nearest-even (finite inputs).
+        let bf16_round = |x: f32| {
+            let bits = x.to_bits();
+            f32::from_bits(bits.wrapping_add(0x7FFF + ((bits >> 16) & 1)) & 0xFFFF_0000)
+        };
         let mut bf16_model = AerisModel::new(cfg);
         for i in 0..model.store.len() {
             let id = aeris::nn::ParamId(i);
-            *bf16_model.store.get_mut(id) = model.store.get(id).to_bf16().widen();
+            *bf16_model.store.get_mut(id) = model.store.get(id).map(bf16_round);
         }
         let rounded = bf16_model.velocity(&x_t, &prev, &forc, 0.6);
         let scale = full.abs_max().max(1e-3);
