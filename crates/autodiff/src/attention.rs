@@ -6,49 +6,34 @@
 //! allocates intermediate tensors. [`Tape::window_attention`] replaces that
 //! chain with **one** node: one `[tokens, dim] × [dim, 3·dim]` projection GEMM
 //! over the per-call concatenation `Wq | Wk | Wv` (A is packed once, not three
-//! times), an attention core with one scratch reused across windows, the
-//! output GEMM, and an analytic backward.
+//! times), the attention core, the output GEMM, and an analytic backward.
 //!
-//! There is one attention core — `attention_core` forward,
-//! `attention_core_backward` backward, each the only copy of its window loop
-//! — and two ops that record it: `window_attention` with the projection GEMMs
-//! around it (the single-rank block), and [`Tape::window_attention_core`]
+//! There is one attention core — `aeris_tensor::attention::window_core`
+//! forward, `window_core_backward` backward, each the only copy of its window
+//! loop — and two ops that record it: `window_attention` with the projection
+//! GEMMs around it (the single-rank block), and [`Tape::window_attention_core`]
 //! without them (SWiPe's block stage, whose Ulysses all-to-alls sit between
 //! the projections and the core, over the rank's local heads).
 //!
-//! # Head-major core
+//! # Query-lane core
 //!
-//! Per window the scratch loader rotates Q and K once (RoPE) and stores the
-//! rotated keys a second time **transposed**, `K̃ᵀ: [dim, window_len]`. Every
-//! inner product of the core is then one routine — [`small_matmul`],
-//! `C[i][l] = Σ_t A[i][t] · B[t][l]` with `t` ascending and one register
-//! accumulator per output element:
-//!
-//! - the score rows of a head are `Q̃_h · K̃ᵀ_h`: each accumulates over the
-//!   head dimension with the *keys* as the unit-stride lane, instead of
-//!   `window_len` strided dot products of length `head_dim`;
-//! - `P · V_h` accumulates each output row over the keys in a `[head_dim]`
-//!   register block written once.
-//!
-//! The core walks a window head by head: `Scratch::prob_rows` fills the
-//! head's whole `[window_len, window_len]` probability matrix phase by phase
-//! (all score rows, then scale, then max / exp / normalize), so each phase is
-//! one short loop over unit-stride scratch and the serial chains of one row
-//! (its max, its exp-sum) overlap with its neighbours' instead of stalling
-//! the next op.
-//!
-//! Each output element still sums the same products in the same order as the
-//! row-major core it replaced (kept as the test oracle), and nothing here
-//! contracts a multiply-add, so the forward is bitwise unchanged. The one
-//! reordering is the row max, taken lane-split: `max` is exact, so the order
-//! can only change which of `±0` comes back, and `exp(p − m)` does not
-//! depend on that.
+//! The core's numerics live in `aeris-tensor`, beside the GEMM: its AVX2
+//! build is reached through the crate's one runtime dispatch, which needs
+//! `unsafe`, and this crate is `#![forbid(unsafe_code)]`. It takes a window's
+//! queries 16 at a time as the SIMD lanes and stores each probability tile
+//! key-major, `Pᵀ[key][query]`, so a query's max, exp-sum and normalisation
+//! run lane-wise down the key rows and `O` accumulates one head-dim column at
+//! a time with the queries as lanes (layout, padding and the bit argument in
+//! that module's docs). Each output element sums the same products in the
+//! same order as the cores it replaced, kept here as test oracles: the
+//! row-major forward and the head-major backward, both held equal bitwise by
+//! proptests over window lengths 1–40, which cover tail tiles and 2–3 tiles.
 //!
 //! # Recompute contract
 //!
-//! The backward does not store probabilities: it re-runs the one scratch
-//! loader and the one `Scratch::prob_rows` the forward ran, so the recomputed
-//! probabilities are bitwise the ones the forward used.
+//! The backward does not store probabilities: it re-runs the one loader and
+//! the one probability tile the forward ran, so the recomputed probabilities
+//! are bitwise the ones the forward used.
 //!
 //! # Backward derivation
 //!
@@ -59,344 +44,23 @@
 //! - `dP = dO Vᵀ`, and through softmax `dS_ij = P_ij (dP_ij − Σ_j P_ij dP_ij)`
 //! - `dQ̃ = s·dS K̃`, `dK̃ = s·dSᵀ Q̃`, un-rotated with `R⁻¹ = R(−θ)`
 //!
-//! All four products run through [`small_matmul`] on per-window transposes
-//! (`dK̃ᵀ = Q̃ᵀ dS` and `dVᵀ = dOᵀ P` with the keys as the lane); `dK̃` and `dV`
-//! are transposed back once per window into the combined `dQ | dK | dV`
-//! buffer, which feeds the two shared projection GEMMs
+//! `dP` and `dQ̃` are computed per query tile with the queries as lanes;
+//! `dK̃` and `dV` sum over the queries, so they run with the keys as lanes and
+//! accumulate across the window's query tiles in query order. The core
+//! writes `dQ | dK | dV` into each window's rows of one combined
+//! `[tokens, 3·dim]` buffer, which feeds the two shared projection GEMMs
 //! `dX = dQKV · W_qkvᵀ` and `dW_qkv = Xᵀ · dQKV` (split by columns).
 
 use crate::tape::{Tape, Var};
-use aeris_tensor::{matmul, matmul_nt, matmul_tn, sweeps, Tensor};
-
-/// Static geometry of a fused windowed-attention call: how the token matrix
-/// splits into windows, the head layout, and the (shared) RoPE tables.
-#[derive(Clone, Debug)]
-pub struct WindowAttnPlan {
-    pub n_windows: usize,
-    pub window_len: usize,
-    pub n_heads: usize,
-    pub head_dim: usize,
-    /// `[window_len, head_dim/2]` cosine table, shared by all windows & heads.
-    pub cos: Tensor,
-    /// `[window_len, head_dim/2]` sine table.
-    pub sin: Tensor,
-}
-
-impl WindowAttnPlan {
-    /// Build a plan; validates the table shapes against the geometry.
-    pub fn new(
-        n_windows: usize,
-        window_len: usize,
-        n_heads: usize,
-        head_dim: usize,
-        cos: Tensor,
-        sin: Tensor,
-    ) -> Self {
-        assert_eq!(head_dim % 2, 0, "RoPE needs an even head_dim");
-        assert_eq!(cos.shape(), &[window_len, head_dim / 2]);
-        assert_eq!(sin.shape(), &[window_len, head_dim / 2]);
-        WindowAttnPlan { n_windows, window_len, n_heads, head_dim, cos, sin }
-    }
-
-    /// Total token count covered (`n_windows · window_len`).
-    pub fn tokens(&self) -> usize {
-        self.n_windows * self.window_len
-    }
-
-    /// Model dimension (`n_heads · head_dim`).
-    pub fn dim(&self) -> usize {
-        self.n_heads * self.head_dim
-    }
-
-    /// `1/√head_dim`, the score scale.
-    fn scale(&self) -> f32 {
-        1.0 / (self.head_dim as f32).sqrt()
-    }
-}
-
-/// A strided row-major matrix view: element `(r, c)` is `data[r·stride + c]`.
-#[derive(Clone, Copy)]
-struct Mat<'a> {
-    data: &'a [f32],
-    stride: usize,
-}
-
-/// The scratch of one core call, allocated once and reused for every window.
-/// `[dim, window_len]` buffers hold a window's rows transposed, so a head is
-/// `head_dim` consecutive rows with the window's tokens as the unit-stride
-/// lane. The backward-only buffers stay empty in the forward.
-struct Scratch {
-    /// Rotated queries for the current window, `[window_len, dim]` row-major.
-    qr: Vec<f32>,
-    /// Rotated keys, same layout (the backward's `dQ̃ = dS K̃` reads rows).
-    kr: Vec<f32>,
-    /// Rotated keys transposed, `[dim, window_len]`: the score rows' operand.
-    kt: Vec<f32>,
-    /// Attention probabilities of the current head,
-    /// `[window_len, window_len]` (query-major).
-    probs: Vec<f32>,
-    /// Backward only: `Q̃`, `V` and `dO` of the window, transposed.
-    qt: Vec<f32>,
-    vt: Vec<f32>,
-    dot: Vec<f32>,
-    /// Backward only: `dK̃` and `dV` of the window, transposed.
-    dkt: Vec<f32>,
-    dvt: Vec<f32>,
-    /// Backward only: `dP`, then `dS`, of the current head, shaped like `probs`.
-    ds: Vec<f32>,
-    /// Backward only: `dQ̃` of the current head, `[window_len, head_dim]`.
-    dq: Vec<f32>,
-    /// Backward only: one token row, `[dim]`.
-    row: Vec<f32>,
-}
-
-impl Scratch {
-    fn new(plan: &WindowAttnPlan, backward: bool) -> Self {
-        let (wlen, dim) = (plan.window_len, plan.dim());
-        let bwd = |n: usize| vec![0.0; if backward { n } else { 0 }];
-        Scratch {
-            qr: vec![0.0; wlen * dim],
-            kr: vec![0.0; wlen * dim],
-            kt: vec![0.0; wlen * dim],
-            probs: vec![0.0; wlen * wlen],
-            qt: bwd(wlen * dim),
-            vt: bwd(wlen * dim),
-            dot: bwd(wlen * dim),
-            dkt: bwd(wlen * dim),
-            dvt: bwd(wlen * dim),
-            ds: bwd(wlen * wlen),
-            dq: bwd(wlen * plan.head_dim),
-            row: bwd(dim),
-        }
-    }
-
-    /// The one scratch loader, shared by forward and backward: rotate the Q
-    /// and K rows of the window starting at token `r0` of `qkv`
-    /// (`[tokens, 3·dim]`, `Q | K | V` side by side) into `qr` / `kr`, and
-    /// store `kr` transposed into `kt`.
-    fn load_window(&mut self, qkv: &[f32], r0: usize, plan: &WindowAttnPlan) {
-        let (wlen, dim, head_dim) = (plan.window_len, plan.dim(), plan.head_dim);
-        let pairs = head_dim / 2;
-        let (cos, sin) = (plan.cos.data(), plan.sin.data());
-        for i in 0..wlen {
-            let (cr, sr) = (&cos[i * pairs..(i + 1) * pairs], &sin[i * pairs..(i + 1) * pairs]);
-            let src = &qkv[(r0 + i) * 3 * dim..(r0 + i + 1) * 3 * dim];
-            rope_row(&src[..dim], &mut self.qr[i * dim..(i + 1) * dim], cr, sr, head_dim);
-            rope_row(&src[dim..2 * dim], &mut self.kr[i * dim..(i + 1) * dim], cr, sr, head_dim);
-        }
-        transpose_into(Mat { data: &self.kr, stride: dim }, &mut self.kt, wlen, dim);
-    }
-
-    /// The softmax probabilities of head `h` of the loaded window: row `i` of
-    /// `probs` (`[window_len, window_len]`) is `softmax_j(Q̃_i · K̃_j · scale)`.
-    /// Matches the unfused op *structure* (full dot product, then ×scale;
-    /// max / exp / ×(1/z) softmax, the exp-sum in key order), phase by phase
-    /// over the head's whole `[window_len, window_len]` scratch: every row's
-    /// max subtracted, then one [`sweeps::exp`] over all of it, then the row
-    /// sums. It is the only definition of the probabilities: the backward
-    /// recomputes through this same function, so its rows are bitwise the
-    /// forward's (`sweeps::exp` gives an element the same bits wherever it
-    /// sits). The unfused tape path runs through the packed SIMD GEMM (FMA
-    /// contraction on AVX2 hosts) and a lane-split softmax sum, so
-    /// fused-vs-unfused agreement is within FMA / lane-order rounding
-    /// (≤ 1e-5 under test), not bitwise.
-    fn prob_rows(&mut self, h: usize, plan: &WindowAttnPlan) {
-        let (wlen, dim, head_dim) = (plan.window_len, plan.dim(), plan.head_dim);
-        let base = h * head_dim;
-        let q_h = Mat { data: &self.qr[base..], stride: dim };
-        let kt_h = Mat { data: &self.kt[base * wlen..], stride: wlen };
-        small_matmul(q_h, kt_h, &mut self.probs, wlen, (wlen, head_dim, wlen));
-        sweeps::scale(&mut self.probs, plan.scale());
-        for prow in self.probs.chunks_exact_mut(wlen) {
-            let m = sweeps::max(prow);
-            for p in prow.iter_mut() {
-                *p -= m;
-            }
-        }
-        sweeps::exp(&mut self.probs);
-        for prow in self.probs.chunks_exact_mut(wlen) {
-            let mut z = 0.0f32;
-            for &e in prow.iter() {
-                z += e;
-            }
-            sweeps::scale(prow, 1.0 / z);
-        }
-    }
-}
-
-/// `dst[c][r] = src[r][c]` for a `[rows, cols]` source, into a dense
-/// `[cols, rows]` destination.
-fn transpose_into(src: Mat, dst: &mut [f32], rows: usize, cols: usize) {
-    for r in 0..rows {
-        for (c, &v) in src.data[r * src.stride..r * src.stride + cols].iter().enumerate() {
-            dst[c * rows + r] = v;
-        }
-    }
-}
-
-/// Rotate every head segment of one token row by the table row `(cos, sin)`.
-fn rope_row(src: &[f32], dst: &mut [f32], cos: &[f32], sin: &[f32], head_dim: usize) {
-    for (src_h, dst_h) in src.chunks_exact(head_dim).zip(dst.chunks_exact_mut(head_dim)) {
-        let pairs = src_h.chunks_exact(2).zip(dst_h.chunks_exact_mut(2));
-        for ((x, y), (&c, &s)) in pairs.zip(cos.iter().zip(sin)) {
-            y[0] = x[0] * c - x[1] * s;
-            y[1] = x[0] * s + x[1] * c;
-        }
-    }
-}
-
-/// Inverse rotation (by `−θ`): transforms gradients in rotated space back.
-fn rope_row_inv(src: &[f32], dst: &mut [f32], cos: &[f32], sin: &[f32], head_dim: usize) {
-    for (src_h, dst_h) in src.chunks_exact(head_dim).zip(dst.chunks_exact_mut(head_dim)) {
-        let pairs = src_h.chunks_exact(2).zip(dst_h.chunks_exact_mut(2));
-        for ((g, y), (&c, &s)) in pairs.zip(cos.iter().zip(sin)) {
-            y[0] = g[0] * c + g[1] * s;
-            y[1] = -g[0] * s + g[1] * c;
-        }
-    }
-}
-
-/// One `N`-lane column block of [`small_matmul`], for every row of `C`: the
-/// accumulators live in registers across the whole `t` loop and are stored
-/// once.
-#[inline(always)]
-fn matmul_lanes<const N: usize>(a: Mat, b: Mat, c: &mut [f32], c_stride: usize, n: usize, k: usize, l0: usize) {
-    for i in 0..n {
-        let a_i = &a.data[i * a.stride..i * a.stride + k];
-        let mut acc = [0.0f32; N];
-        for (t, &at) in a_i.iter().enumerate() {
-            let b_t = &b.data[t * b.stride + l0..t * b.stride + l0 + N];
-            for l in 0..N {
-                acc[l] += at * b_t[l];
-            }
-        }
-        c[i * c_stride + l0..i * c_stride + l0 + N].copy_from_slice(&acc);
-    }
-}
-
-/// `C[i][l] = Σ_t A[i][t] · B[t][l]` for `A: [n, k]`, `B: [k, m]`,
-/// `C: [n, m]`, summed from `0.0` with `t` ascending and one accumulator per
-/// output element — every inner product of the attention core (`Q̃·K̃ᵀ`
-/// over `K̃ᵀ` rows, `P·V`, `dO·Vᵀ`, `dS·K̃`, …) in its unit-stride form, at
-/// the sizes of one window head, where packing for the GEMM core would cost
-/// more than the product. Lane blocking (16/8/4/1 columns) only decides which
-/// register holds an accumulator, never what it sums, and no zero operand is
-/// skipped (`0 · NaN` must stay NaN).
-fn small_matmul(a: Mat, b: Mat, c: &mut [f32], c_stride: usize, (n, k, m): (usize, usize, usize)) {
-    let mut l0 = 0;
-    while l0 < m {
-        l0 += match m - l0 {
-            16.. => {
-                matmul_lanes::<16>(a, b, c, c_stride, n, k, l0);
-                16
-            }
-            8.. => {
-                matmul_lanes::<8>(a, b, c, c_stride, n, k, l0);
-                8
-            }
-            4.. => {
-                matmul_lanes::<4>(a, b, c, c_stride, n, k, l0);
-                4
-            }
-            _ => {
-                matmul_lanes::<1>(a, b, c, c_stride, n, k, l0);
-                1
-            }
-        };
-    }
-}
-
-/// The head-major attention core: `O = softmax(R(Q) R(K)ᵀ · s) V` per window
-/// and head, from the fused projection `qkv: [tokens, 3·dim]`.
-fn attention_core(qkv: &Tensor, plan: &WindowAttnPlan) -> Tensor {
-    let (tokens, dim) = (plan.tokens(), plan.dim());
-    let (wlen, n_heads, head_dim) = (plan.window_len, plan.n_heads, plan.head_dim);
-    let qkv_data = qkv.data();
-    let mut o = Tensor::zeros(&[tokens, dim]);
-    let mut scr = Scratch::new(plan, false);
-    for (w, o_win) in o.data_mut().chunks_mut(wlen * dim).enumerate() {
-        let r0 = w * wlen;
-        scr.load_window(qkv_data, r0, plan);
-        for h in 0..n_heads {
-            let base = h * head_dim;
-            scr.prob_rows(h, plan);
-            let p = Mat { data: &scr.probs, stride: wlen };
-            let v_h = Mat { data: &qkv_data[r0 * 3 * dim + 2 * dim + base..], stride: 3 * dim };
-            small_matmul(p, v_h, &mut o_win[base..], dim, (wlen, wlen, head_dim));
-        }
-    }
-    o
-}
-
-/// Analytic backward of [`attention_core`]: `dQ | dK | dV` side by side,
-/// `[tokens, 3·dim]`, from `dO`. Each window writes only its own rows of the
-/// combined buffer.
-fn attention_core_backward(d_o: &Tensor, qkv: &Tensor, plan: &WindowAttnPlan) -> Tensor {
-    let (tokens, dim) = (plan.tokens(), plan.dim());
-    let (wlen, n_heads, head_dim) = (plan.window_len, plan.n_heads, plan.head_dim);
-    let scale = plan.scale();
-    let pairs = head_dim / 2;
-
-    let mut dqkv = Tensor::zeros(&[tokens, 3 * dim]);
-    let (qkv_data, do_data) = (qkv.data(), d_o.data());
-    let (cos, sin) = (plan.cos.data(), plan.sin.data());
-    let mut scr = Scratch::new(plan, true);
-    for (w, dwin) in dqkv.data_mut().chunks_mut(wlen * 3 * dim).enumerate() {
-        let r0 = w * wlen;
-        scr.load_window(qkv_data, r0, plan);
-        transpose_into(Mat { data: &scr.qr, stride: dim }, &mut scr.qt, wlen, dim);
-        transpose_into(Mat { data: &qkv_data[r0 * 3 * dim + 2 * dim..], stride: 3 * dim }, &mut scr.vt, wlen, dim);
-        transpose_into(Mat { data: &do_data[r0 * dim..], stride: dim }, &mut scr.dot, wlen, dim);
-        for h in 0..n_heads {
-            let base = h * head_dim;
-            scr.prob_rows(h, plan);
-            // dP = dO Vᵀ, then softmax backward to dS in place, with the
-            // ×scale of the score op folded in.
-            let do_h = Mat { data: &do_data[r0 * dim + base..], stride: dim };
-            let vt_h = Mat { data: &scr.vt[base * wlen..], stride: wlen };
-            small_matmul(do_h, vt_h, &mut scr.ds, wlen, (wlen, head_dim, wlen));
-            for (prow, ds_row) in scr.probs.chunks_exact(wlen).zip(scr.ds.chunks_exact_mut(wlen)) {
-                let dot: f32 = prow.iter().zip(ds_row.iter()).map(|(&p, &g)| p * g).sum();
-                for (ds, &p) in ds_row.iter_mut().zip(prow) {
-                    *ds = p * (*ds - dot) * scale;
-                }
-            }
-            let (p, ds) = (Mat { data: &scr.probs, stride: wlen }, Mat { data: &scr.ds, stride: wlen });
-            // dQ̃ = dS K̃, un-rotated into the dQ section of the window buffer.
-            let kr_h = Mat { data: &scr.kr[base..], stride: dim };
-            small_matmul(ds, kr_h, &mut scr.dq, head_dim, (wlen, wlen, head_dim));
-            for (i, dq_rot) in scr.dq.chunks_exact(head_dim).enumerate() {
-                let (cr, sr) = (&cos[i * pairs..(i + 1) * pairs], &sin[i * pairs..(i + 1) * pairs]);
-                let dq_i = &mut dwin[i * 3 * dim + base..i * 3 * dim + base + head_dim];
-                rope_row_inv(dq_rot, dq_i, cr, sr, head_dim);
-            }
-            // dK̃ᵀ = Q̃ᵀ dS and dVᵀ = dOᵀ P, keys as the lane.
-            let qt_h = Mat { data: &scr.qt[base * wlen..], stride: wlen };
-            let dot_h = Mat { data: &scr.dot[base * wlen..], stride: wlen };
-            small_matmul(qt_h, ds, &mut scr.dkt[base * wlen..], wlen, (head_dim, wlen, wlen));
-            small_matmul(dot_h, p, &mut scr.dvt[base * wlen..], wlen, (head_dim, wlen, wlen));
-        }
-        // Transpose dK̃ (un-rotated on the way) and dV back into token rows.
-        for j in 0..wlen {
-            let d_j = &mut dwin[j * 3 * dim + dim..(j + 1) * 3 * dim];
-            let (dk_j, dv_j) = d_j.split_at_mut(dim);
-            for c in 0..dim {
-                scr.row[c] = scr.dkt[c * wlen + j];
-                dv_j[c] = scr.dvt[c * wlen + j];
-            }
-            let (cr, sr) = (&cos[j * pairs..(j + 1) * pairs], &sin[j * pairs..(j + 1) * pairs]);
-            rope_row_inv(&scr.row, dk_j, cr, sr, head_dim);
-        }
-    }
-    dqkv
-}
+use aeris_tensor::attention::{window_core, window_core_backward, WindowAttnPlan};
+use aeris_tensor::{matmul, matmul_nt, matmul_tn, Tensor};
 
 /// Forward: `Y = attn(X) Wo`. Returns `(y, qkv, o)` with the fused
 /// projection and the pre-output-projection context `O` saved for the
 /// backward pass.
 fn forward(x: &Tensor, w_qkv: &Tensor, wo: &Tensor, plan: &WindowAttnPlan) -> (Tensor, Tensor, Tensor) {
     let qkv = matmul(x, w_qkv);
-    let o = attention_core(&qkv, plan);
+    let o = window_core(&qkv, plan);
     let y = matmul(&o, wo);
     (y, qkv, o)
 }
@@ -414,7 +78,7 @@ fn backward(
 ) -> Vec<Tensor> {
     let dim = plan.dim();
     let dwo = matmul_tn(o, dy);
-    let dqkv = attention_core_backward(&matmul_nt(dy, wo), qkv, plan);
+    let dqkv = window_core_backward(&matmul_nt(dy, wo), qkv, plan);
     let dx = matmul_nt(&dqkv, w_qkv);
     let dw_qkv = matmul_tn(x, &dqkv);
     vec![
@@ -478,14 +142,14 @@ impl Tape {
             &[plan.tokens(), 3 * plan.dim()],
             "window_attention_core input shape"
         );
-        let o = attention_core(self.value(qkv), plan);
+        let o = window_core(self.value(qkv), plan);
         let plan = plan.clone();
         let pqkv = qkv.0;
         self.push(
             o,
             vec![pqkv],
             Some(Box::new(move |d, nodes| {
-                vec![attention_core_backward(&d, nodes[pqkv].value(), &plan)]
+                vec![window_core_backward(&d, nodes[pqkv].value(), &plan)]
             })),
             true,
         )
@@ -496,7 +160,8 @@ impl Tape {
 mod tests {
     use super::*;
     use crate::{assert_grad_close, numeric_grad};
-    use aeris_tensor::Rng;
+    use aeris_tensor::{sweeps, Rng};
+    use proptest::prelude::*;
 
     fn test_plan(n_windows: usize, wlen: usize, n_heads: usize, head_dim: usize) -> WindowAttnPlan {
         let pairs = head_dim / 2;
@@ -553,10 +218,11 @@ mod tests {
         (x, w)
     }
 
-    /// The row-major forward this op ran before the head-major core: three
-    /// projection GEMMs, then per window / head / query `window_len` strided
-    /// dot products of length `head_dim` and a `P·V` row accumulated in
-    /// memory. Kept as the oracle the head-major forward must equal bitwise.
+    /// The row-major forward this op ran before the head-major and
+    /// query-lane cores: three projection GEMMs, then per window / head /
+    /// query `window_len` strided dot products of length `head_dim` and a
+    /// `P·V` row accumulated in memory. Kept as the oracle the core's forward
+    /// must equal bitwise.
     fn row_major_forward(x: &Tensor, w: &[Tensor; 4], plan: &WindowAttnPlan) -> Tensor {
         let (tokens, dim) = (plan.tokens(), plan.dim());
         let (wlen, n_heads, head_dim) = (plan.window_len, plan.n_heads, plan.head_dim);
@@ -613,13 +279,272 @@ mod tests {
         matmul(&o, &w[3])
     }
 
+    // The head-major core's backward as it was before the query-lane core —
+    // its scratch, loader, probability rows and `small_matmul`, unchanged —
+    // kept as the oracle the query-lane backward must equal bitwise.
+
+    /// A strided row-major matrix view: element `(r, c)` is `data[r·stride + c]`.
+    #[derive(Clone, Copy)]
+    struct Mat<'a> {
+        data: &'a [f32],
+        stride: usize,
+    }
+
+    /// The scratch of one core call, allocated once and reused for every window.
+    /// `[dim, window_len]` buffers hold a window's rows transposed, so a head is
+    /// `head_dim` consecutive rows with the window's tokens as the unit-stride
+    /// lane. The backward-only buffers stay empty in the forward.
+    struct Scratch {
+        /// Rotated queries for the current window, `[window_len, dim]` row-major.
+        qr: Vec<f32>,
+        /// Rotated keys, same layout (the backward's `dQ̃ = dS K̃` reads rows).
+        kr: Vec<f32>,
+        /// Rotated keys transposed, `[dim, window_len]`: the score rows' operand.
+        kt: Vec<f32>,
+        /// Attention probabilities of the current head,
+        /// `[window_len, window_len]` (query-major).
+        probs: Vec<f32>,
+        /// Backward only: `Q̃`, `V` and `dO` of the window, transposed.
+        qt: Vec<f32>,
+        vt: Vec<f32>,
+        dot: Vec<f32>,
+        /// Backward only: `dK̃` and `dV` of the window, transposed.
+        dkt: Vec<f32>,
+        dvt: Vec<f32>,
+        /// Backward only: `dP`, then `dS`, of the current head, shaped like `probs`.
+        ds: Vec<f32>,
+        /// Backward only: `dQ̃` of the current head, `[window_len, head_dim]`.
+        dq: Vec<f32>,
+        /// Backward only: one token row, `[dim]`.
+        row: Vec<f32>,
+    }
+
+    impl Scratch {
+        fn new(plan: &WindowAttnPlan, backward: bool) -> Self {
+            let (wlen, dim) = (plan.window_len, plan.dim());
+            let bwd = |n: usize| vec![0.0; if backward { n } else { 0 }];
+            Scratch {
+                qr: vec![0.0; wlen * dim],
+                kr: vec![0.0; wlen * dim],
+                kt: vec![0.0; wlen * dim],
+                probs: vec![0.0; wlen * wlen],
+                qt: bwd(wlen * dim),
+                vt: bwd(wlen * dim),
+                dot: bwd(wlen * dim),
+                dkt: bwd(wlen * dim),
+                dvt: bwd(wlen * dim),
+                ds: bwd(wlen * wlen),
+                dq: bwd(wlen * plan.head_dim),
+                row: bwd(dim),
+            }
+        }
+
+        /// The one scratch loader, shared by forward and backward: rotate the Q
+        /// and K rows of the window starting at token `r0` of `qkv`
+        /// (`[tokens, 3·dim]`, `Q | K | V` side by side) into `qr` / `kr`, and
+        /// store `kr` transposed into `kt`.
+        fn load_window(&mut self, qkv: &[f32], r0: usize, plan: &WindowAttnPlan) {
+            let (wlen, dim, head_dim) = (plan.window_len, plan.dim(), plan.head_dim);
+            let pairs = head_dim / 2;
+            let (cos, sin) = (plan.cos.data(), plan.sin.data());
+            for i in 0..wlen {
+                let (cr, sr) = (&cos[i * pairs..(i + 1) * pairs], &sin[i * pairs..(i + 1) * pairs]);
+                let src = &qkv[(r0 + i) * 3 * dim..(r0 + i + 1) * 3 * dim];
+                rope_row(&src[..dim], &mut self.qr[i * dim..(i + 1) * dim], cr, sr, head_dim);
+                rope_row(&src[dim..2 * dim], &mut self.kr[i * dim..(i + 1) * dim], cr, sr, head_dim);
+            }
+            transpose_into(Mat { data: &self.kr, stride: dim }, &mut self.kt, wlen, dim);
+        }
+
+        /// The softmax probabilities of head `h` of the loaded window: row `i` of
+        /// `probs` (`[window_len, window_len]`) is `softmax_j(Q̃_i · K̃_j · scale)`.
+        /// Matches the unfused op *structure* (full dot product, then ×scale;
+        /// max / exp / ×(1/z) softmax, the exp-sum in key order), phase by phase
+        /// over the head's whole `[window_len, window_len]` scratch: every row's
+        /// max subtracted, then one [`sweeps::exp`] over all of it, then the row
+        /// sums. It is the only definition of the probabilities: the backward
+        /// recomputes through this same function, so its rows are bitwise the
+        /// forward's (`sweeps::exp` gives an element the same bits wherever it
+        /// sits). The unfused tape path runs through the packed SIMD GEMM (FMA
+        /// contraction on AVX2 hosts) and a lane-split softmax sum, so
+        /// fused-vs-unfused agreement is within FMA / lane-order rounding
+        /// (≤ 1e-5 under test), not bitwise.
+        fn prob_rows(&mut self, h: usize, plan: &WindowAttnPlan) {
+            let (wlen, dim, head_dim) = (plan.window_len, plan.dim(), plan.head_dim);
+            let base = h * head_dim;
+            let q_h = Mat { data: &self.qr[base..], stride: dim };
+            let kt_h = Mat { data: &self.kt[base * wlen..], stride: wlen };
+            small_matmul(q_h, kt_h, &mut self.probs, wlen, (wlen, head_dim, wlen));
+            sweeps::scale(&mut self.probs, plan.scale());
+            for prow in self.probs.chunks_exact_mut(wlen) {
+                let m = sweeps::max(prow);
+                for p in prow.iter_mut() {
+                    *p -= m;
+                }
+            }
+            sweeps::exp(&mut self.probs);
+            for prow in self.probs.chunks_exact_mut(wlen) {
+                let mut z = 0.0f32;
+                for &e in prow.iter() {
+                    z += e;
+                }
+                sweeps::scale(prow, 1.0 / z);
+            }
+        }
+    }
+
+    /// `dst[c][r] = src[r][c]` for a `[rows, cols]` source, into a dense
+    /// `[cols, rows]` destination.
+    fn transpose_into(src: Mat, dst: &mut [f32], rows: usize, cols: usize) {
+        for r in 0..rows {
+            for (c, &v) in src.data[r * src.stride..r * src.stride + cols].iter().enumerate() {
+                dst[c * rows + r] = v;
+            }
+        }
+    }
+
+    /// Rotate every head segment of one token row by the table row `(cos, sin)`.
+    fn rope_row(src: &[f32], dst: &mut [f32], cos: &[f32], sin: &[f32], head_dim: usize) {
+        for (src_h, dst_h) in src.chunks_exact(head_dim).zip(dst.chunks_exact_mut(head_dim)) {
+            let pairs = src_h.chunks_exact(2).zip(dst_h.chunks_exact_mut(2));
+            for ((x, y), (&c, &s)) in pairs.zip(cos.iter().zip(sin)) {
+                y[0] = x[0] * c - x[1] * s;
+                y[1] = x[0] * s + x[1] * c;
+            }
+        }
+    }
+
+    /// Inverse rotation (by `−θ`): transforms gradients in rotated space back.
+    fn rope_row_inv(src: &[f32], dst: &mut [f32], cos: &[f32], sin: &[f32], head_dim: usize) {
+        for (src_h, dst_h) in src.chunks_exact(head_dim).zip(dst.chunks_exact_mut(head_dim)) {
+            let pairs = src_h.chunks_exact(2).zip(dst_h.chunks_exact_mut(2));
+            for ((g, y), (&c, &s)) in pairs.zip(cos.iter().zip(sin)) {
+                y[0] = g[0] * c + g[1] * s;
+                y[1] = -g[0] * s + g[1] * c;
+            }
+        }
+    }
+
+    /// One `N`-lane column block of [`small_matmul`], for every row of `C`: the
+    /// accumulators live in registers across the whole `t` loop and are stored
+    /// once.
+    #[inline(always)]
+    fn matmul_lanes<const N: usize>(a: Mat, b: Mat, c: &mut [f32], c_stride: usize, n: usize, k: usize, l0: usize) {
+        for i in 0..n {
+            let a_i = &a.data[i * a.stride..i * a.stride + k];
+            let mut acc = [0.0f32; N];
+            for (t, &at) in a_i.iter().enumerate() {
+                let b_t = &b.data[t * b.stride + l0..t * b.stride + l0 + N];
+                for l in 0..N {
+                    acc[l] += at * b_t[l];
+                }
+            }
+            c[i * c_stride + l0..i * c_stride + l0 + N].copy_from_slice(&acc);
+        }
+    }
+
+    /// `C[i][l] = Σ_t A[i][t] · B[t][l]` for `A: [n, k]`, `B: [k, m]`,
+    /// `C: [n, m]`, summed from `0.0` with `t` ascending and one accumulator per
+    /// output element — every inner product of the attention core (`Q̃·K̃ᵀ`
+    /// over `K̃ᵀ` rows, `P·V`, `dO·Vᵀ`, `dS·K̃`, …) in its unit-stride form, at
+    /// the sizes of one window head, where packing for the GEMM core would cost
+    /// more than the product. Lane blocking (16/8/4/1 columns) only decides which
+    /// register holds an accumulator, never what it sums, and no zero operand is
+    /// skipped (`0 · NaN` must stay NaN).
+    fn small_matmul(a: Mat, b: Mat, c: &mut [f32], c_stride: usize, (n, k, m): (usize, usize, usize)) {
+        let mut l0 = 0;
+        while l0 < m {
+            l0 += match m - l0 {
+                16.. => {
+                    matmul_lanes::<16>(a, b, c, c_stride, n, k, l0);
+                    16
+                }
+                8.. => {
+                    matmul_lanes::<8>(a, b, c, c_stride, n, k, l0);
+                    8
+                }
+                4.. => {
+                    matmul_lanes::<4>(a, b, c, c_stride, n, k, l0);
+                    4
+                }
+                _ => {
+                    matmul_lanes::<1>(a, b, c, c_stride, n, k, l0);
+                    1
+                }
+            };
+        }
+    }
+
+    /// Analytic backward of the head-major core: `dQ | dK | dV` side by side,
+    /// `[tokens, 3·dim]`, from `dO`. Each window writes only its own rows of the
+    /// combined buffer.
+    fn attention_core_backward(d_o: &Tensor, qkv: &Tensor, plan: &WindowAttnPlan) -> Tensor {
+        let (tokens, dim) = (plan.tokens(), plan.dim());
+        let (wlen, n_heads, head_dim) = (plan.window_len, plan.n_heads, plan.head_dim);
+        let scale = plan.scale();
+        let pairs = head_dim / 2;
+
+        let mut dqkv = Tensor::zeros(&[tokens, 3 * dim]);
+        let (qkv_data, do_data) = (qkv.data(), d_o.data());
+        let (cos, sin) = (plan.cos.data(), plan.sin.data());
+        let mut scr = Scratch::new(plan, true);
+        for (w, dwin) in dqkv.data_mut().chunks_mut(wlen * 3 * dim).enumerate() {
+            let r0 = w * wlen;
+            scr.load_window(qkv_data, r0, plan);
+            transpose_into(Mat { data: &scr.qr, stride: dim }, &mut scr.qt, wlen, dim);
+            transpose_into(Mat { data: &qkv_data[r0 * 3 * dim + 2 * dim..], stride: 3 * dim }, &mut scr.vt, wlen, dim);
+            transpose_into(Mat { data: &do_data[r0 * dim..], stride: dim }, &mut scr.dot, wlen, dim);
+            for h in 0..n_heads {
+                let base = h * head_dim;
+                scr.prob_rows(h, plan);
+                // dP = dO Vᵀ, then softmax backward to dS in place, with the
+                // ×scale of the score op folded in.
+                let do_h = Mat { data: &do_data[r0 * dim + base..], stride: dim };
+                let vt_h = Mat { data: &scr.vt[base * wlen..], stride: wlen };
+                small_matmul(do_h, vt_h, &mut scr.ds, wlen, (wlen, head_dim, wlen));
+                for (prow, ds_row) in scr.probs.chunks_exact(wlen).zip(scr.ds.chunks_exact_mut(wlen)) {
+                    let dot: f32 = prow.iter().zip(ds_row.iter()).map(|(&p, &g)| p * g).sum();
+                    for (ds, &p) in ds_row.iter_mut().zip(prow) {
+                        *ds = p * (*ds - dot) * scale;
+                    }
+                }
+                let (p, ds) = (Mat { data: &scr.probs, stride: wlen }, Mat { data: &scr.ds, stride: wlen });
+                // dQ̃ = dS K̃, un-rotated into the dQ section of the window buffer.
+                let kr_h = Mat { data: &scr.kr[base..], stride: dim };
+                small_matmul(ds, kr_h, &mut scr.dq, head_dim, (wlen, wlen, head_dim));
+                for (i, dq_rot) in scr.dq.chunks_exact(head_dim).enumerate() {
+                    let (cr, sr) = (&cos[i * pairs..(i + 1) * pairs], &sin[i * pairs..(i + 1) * pairs]);
+                    let dq_i = &mut dwin[i * 3 * dim + base..i * 3 * dim + base + head_dim];
+                    rope_row_inv(dq_rot, dq_i, cr, sr, head_dim);
+                }
+                // dK̃ᵀ = Q̃ᵀ dS and dVᵀ = dOᵀ P, keys as the lane.
+                let qt_h = Mat { data: &scr.qt[base * wlen..], stride: wlen };
+                let dot_h = Mat { data: &scr.dot[base * wlen..], stride: wlen };
+                small_matmul(qt_h, ds, &mut scr.dkt[base * wlen..], wlen, (head_dim, wlen, wlen));
+                small_matmul(dot_h, p, &mut scr.dvt[base * wlen..], wlen, (head_dim, wlen, wlen));
+            }
+            // Transpose dK̃ (un-rotated on the way) and dV back into token rows.
+            for j in 0..wlen {
+                let d_j = &mut dwin[j * 3 * dim + dim..(j + 1) * 3 * dim];
+                let (dk_j, dv_j) = d_j.split_at_mut(dim);
+                for c in 0..dim {
+                    scr.row[c] = scr.dkt[c * wlen + j];
+                    dv_j[c] = scr.dvt[c * wlen + j];
+                }
+                let (cr, sr) = (&cos[j * pairs..(j + 1) * pairs], &sin[j * pairs..(j + 1) * pairs]);
+                rope_row_inv(&scr.row, dk_j, cr, sr, head_dim);
+            }
+        }
+        dqkv
+    }
+
     fn bits(t: &Tensor) -> Vec<u32> {
         t.data().iter().map(|v| v.to_bits()).collect()
     }
 
-    /// One fused QKV GEMM + the head-major core produce the very bits the
+    /// One fused QKV GEMM + the attention core produce the very bits the
     /// three-GEMM row-major forward did: toy48's geometry, a 64-token window
-    /// with 16-wide heads, and a shape where every lane block is a tail.
+    /// with 16-wide heads, and a window shorter than one 16-query tile.
     #[test]
     fn head_major_forward_equals_row_major_oracle_bitwise() {
         for (seed, (n_windows, wlen, n_heads, head_dim)) in
@@ -638,32 +563,6 @@ mod tests {
         }
     }
 
-    /// On the oracle's shapes every row of `Scratch::prob_rows` is a
-    /// probability vector: no entry above 1 (the row max is `exp(0) = 1`
-    /// before the division) and a sum of 1 within `window_len · ε`.
-    #[test]
-    fn prob_rows_are_normalized() {
-        for (seed, (n_windows, wlen, n_heads, head_dim)) in
-            [(32, 16, 4, 12), (2, 64, 4, 16), (3, 6, 2, 4)].into_iter().enumerate()
-        {
-            let plan = test_plan(n_windows, wlen, n_heads, head_dim);
-            let (x, w) = setup(&plan, 60 + seed as u64);
-            let qkv = matmul(&x, &Tensor::concat_cols(&[&w[0], &w[1], &w[2]]));
-            let mut scr = Scratch::new(&plan, false);
-            for win in 0..n_windows {
-                scr.load_window(qkv.data(), win * wlen, &plan);
-                for h in 0..n_heads {
-                    scr.prob_rows(h, &plan);
-                    for prow in scr.probs.chunks_exact(wlen) {
-                        assert!(prow.iter().all(|p| (0.0..=1.0).contains(p)), "probability outside [0, 1]");
-                        let sum: f32 = prow.iter().sum();
-                        assert!((sum - 1.0).abs() <= wlen as f32 * f32::EPSILON, "row sums to {sum}");
-                    }
-                }
-            }
-        }
-    }
-
     /// No zero-skip in the core: a probability that underflows to exactly 0
     /// still multiplies its V row, so an Inf there reaches the output as NaN.
     #[test]
@@ -677,7 +576,7 @@ mod tests {
         qkv.row_mut(0)[0] = 60.0;
         qkv.row_mut(0)[dim] = 60.0;
         qkv.row_mut(3)[2 * dim] = f32::INFINITY;
-        let o = attention_core(&qkv, &plan);
+        let o = window_core(&qkv, &plan);
         assert!(o.at(&[0, 0]).is_nan(), "0 · inf must stay NaN, got {}", o.at(&[0, 0]));
         assert!(o.row(0)[1..].iter().all(|v| *v == 0.0));
         // The tape op records that very core.
@@ -685,6 +584,75 @@ mod tests {
         let qv = tape.leaf(qkv);
         let ov = tape.window_attention_core(qv, &plan);
         assert_eq!(bits(tape.value(ov)), bits(&o));
+    }
+
+    /// The same at `window_len` 17: the Inf sits in the one key of the second
+    /// key chunk and query 16 is the one live lane of a tail tile, whose
+    /// uniform row reads that Inf at probability 1/17.
+    #[test]
+    fn zero_probability_still_propagates_non_finite_values_in_a_tail_tile() {
+        let plan = test_plan(1, 17, 1, 4);
+        let dim = plan.dim();
+        let mut qkv = Tensor::zeros(&[17, 3 * dim]);
+        qkv.row_mut(0)[0] = 60.0;
+        qkv.row_mut(0)[dim] = 60.0;
+        qkv.row_mut(16)[2 * dim] = f32::INFINITY;
+        let o = window_core(&qkv, &plan);
+        assert!(o.at(&[0, 0]).is_nan(), "0 · inf must stay NaN, got {}", o.at(&[0, 0]));
+        assert!(o.row(0)[1..].iter().all(|v| *v == 0.0));
+        assert_eq!(o.at(&[16, 0]), f32::INFINITY, "tail-tile query must see the Inf");
+        let mut tape = Tape::new();
+        let qv = tape.leaf(qkv);
+        let ov = tape.window_attention_core(qv, &plan);
+        assert_eq!(bits(tape.value(ov)), bits(&o));
+    }
+
+    /// `head_dim` drawn from the values the model and the tests use.
+    const HEAD_DIMS: [usize; 5] = [2, 4, 8, 12, 16];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The fused QKV GEMM + query-lane core equal the row-major oracle
+        /// bitwise, over window lengths that are a tail tile alone, one or
+        /// more full tiles, and 2–3 tiles with a tail.
+        #[test]
+        fn query_lane_forward_equals_row_major_oracle_bitwise(
+            wlen in 1usize..41,
+            hd in 0usize..5,
+            n_heads in 1usize..5,
+            n_windows in 1usize..4,
+            seed in 0u64..1000,
+        ) {
+            let plan = test_plan(n_windows, wlen, n_heads, HEAD_DIMS[hd]);
+            let (x, w) = setup(&plan, seed);
+            let w_qkv = Tensor::concat_cols(&[&w[0], &w[1], &w[2]]);
+            let (y, _, _) = forward(&x, &w_qkv, &w[3], &plan);
+            let shape = (n_windows, wlen, n_heads, HEAD_DIMS[hd]);
+            prop_assert_eq!(bits(&y), bits(&row_major_forward(&x, &w, &plan)), "forward bits moved at {:?}", shape);
+        }
+
+        /// `dQ | dK | dV` of the query-lane core equal the head-major
+        /// backward's bitwise on the same geometries.
+        #[test]
+        fn query_lane_backward_equals_head_major_oracle_bitwise(
+            wlen in 1usize..41,
+            hd in 0usize..5,
+            n_heads in 1usize..5,
+            n_windows in 1usize..4,
+            seed in 0u64..1000,
+        ) {
+            let plan = test_plan(n_windows, wlen, n_heads, HEAD_DIMS[hd]);
+            let mut rng = Rng::seed_from(seed);
+            let qkv = Tensor::randn(&[plan.tokens(), 3 * plan.dim()], &mut rng);
+            let d_o = Tensor::randn(&[plan.tokens(), plan.dim()], &mut rng);
+            prop_assert_eq!(
+                bits(&window_core_backward(&d_o, &qkv, &plan)),
+                bits(&attention_core_backward(&d_o, &qkv, &plan)),
+                "dQKV bits moved at {:?}",
+                (n_windows, wlen, n_heads, HEAD_DIMS[hd])
+            );
+        }
     }
 
     /// The core op with the projections as plain tape GEMMs around it:

@@ -27,7 +27,7 @@ mod attention;
 mod fused;
 mod tape;
 
-pub use attention::WindowAttnPlan;
+pub use aeris_tensor::attention::WindowAttnPlan;
 pub use tape::{Grads, Tape, Var};
 
 use aeris_tensor::Tensor;

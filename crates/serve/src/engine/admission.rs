@@ -306,6 +306,13 @@ impl ServeEngine {
                     bad.shape()
                 )));
             }
+            // The same reason as `validate_state`: a NaN/Inf forcing would be
+            // sampled, cached and returned as success.
+            if let Some(k) = t.iter().take(steps).position(|f| !f.all_finite()) {
+                return Err(ServeError::BadRequest(format!(
+                    "forcing table entry {k} contains non-finite values"
+                )));
+            }
         } else if forcings.channels() != Some(cfg.forcing_channels) {
             return Err(ServeError::BadRequest(format!(
                 "forcing channels {:?} != model forcing_channels {}",

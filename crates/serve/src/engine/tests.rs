@@ -624,6 +624,19 @@ fn accounting_balances_across_every_rejection_path() {
         huge.tenant = Some(Arc::from("vip"));
         assert!(matches!(engine.submit(huge), Err(ServeError::BadRequest(_))));
     }
+    // ...rejected on a NaN / ±∞ in a forcing table entry it would read,
+    // again before anything is counted...
+    let poisoned = |k: usize, v: f32| {
+        let mut table = vec![Tensor::zeros(&[128, 3]); 2];
+        table[k].data_mut()[5] = v;
+        Forcings::Table(Arc::new(table))
+    };
+    for (k, v) in [(1, f32::NAN), (0, f32::INFINITY), (1, f32::NEG_INFINITY)] {
+        let mut bad = request(87, 2, 1);
+        bad.forcings = poisoned(k, v);
+        bad.tenant = Some(Arc::from("vip"));
+        assert!(matches!(engine.submit(bad), Err(ServeError::BadRequest(_))), "forcing {v} at {k}");
+    }
     // ...and rejected on a full queue (hold dispatch so a request pins
     // the single outstanding slot).
     engine.hold_dispatch();
@@ -656,6 +669,11 @@ fn accounting_balances_across_every_rejection_path() {
     let mut huge = nowcast(186, "vip-now");
     huge.n_members = usize::MAX;
     assert!(matches!(engine.submit_nowcast(huge), Err(ServeError::BadRequest(_))));
+    for v in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let mut bad = nowcast(187, "vip-now");
+        bad.forcings = poisoned(0, v);
+        assert!(matches!(engine.submit_nowcast(bad), Err(ServeError::BadRequest(_))), "forcing {v}");
+    }
     engine.hold_dispatch();
     let held = engine.submit_nowcast(nowcast(184, "holder-now")).expect("admitted");
     let overflow = nowcast(185, "vip-now");

@@ -12,6 +12,9 @@
 //!   that core,
 //! - [`sweeps`]: unrolled unit-stride sweep kernels for the elementwise /
 //!   softmax / un-standardize hot loops,
+//! - [`attention`]: the numeric core of windowed multi-head attention with
+//!   RoPE, forward and backward, in 16-query tiles (what `aeris-autodiff`'s
+//!   window-attention ops run between their projection GEMMs),
 //! - [`rng::Rng`]: a deterministic SplitMix64-based random number generator
 //!   with Gaussian sampling and seed-derived independent streams.
 //!
@@ -30,6 +33,7 @@
 // kernels and their intrinsic loads / stores, `sweeps`' one dispatch macro).
 #![deny(unsafe_op_in_unsafe_fn)]
 
+pub mod attention;
 pub mod fft;
 pub mod gemm;
 pub mod matmul;

@@ -8,12 +8,14 @@
 //! `-C target-cpu`, no `.cargo/config.toml`), so everything in this file
 //! except the `exp` family is 4-lane SSE2, an 8-wide chunk being two
 //! registers. The `exp` family ([`exp`], [`sigmoid`], [`silu_gate`], and
-//! [`exp_shift_sum`] through `exp`) is the workspace's second
-//! runtime-dispatched kernel after `gemm::compute_block`: one
-//! `#[inline(always)]` body instantiated twice, a portable build and a
-//! `#[target_feature(enable = "avx2")]` build (8 lanes to a register), picked
-//! by the same machine-global `gemm::Kernel::detected` (its `has_avx2`; the
-//! sweeps have no 512-bit build).
+//! [`exp_shift_sum`] through `exp`) is runtime-dispatched through this
+//! file's `dispatched!` macro, the crate's one dispatch mechanism besides
+//! `gemm::compute_block` (the window-attention core of [`crate::attention`]
+//! is its other user): one `#[inline(always)]` body instantiated twice, a
+//! portable build and a `#[target_feature(enable = "avx2")]` build (8 lanes
+//! to a register), picked by the same machine-global
+//! `gemm::Kernel::detected` (its `has_avx2`; the sweeps have no 512-bit
+//! build).
 //!
 //! Three rules keep the crate's determinism contract:
 //!
@@ -208,7 +210,7 @@ const EXP_HI: f32 = 88.722_84;
 /// in the order written: the result is a function of `x` alone on every
 /// target, at every lane width.
 #[inline(always)]
-fn exp_lane(x: f32) -> f32 {
+pub(crate) fn exp_lane(x: f32) -> f32 {
     let t = x * std::f32::consts::LOG2_E + ROUND;
     let n = t - ROUND;
     let r = x - n * LN2_HI - n * LN2_LO;
@@ -239,13 +241,16 @@ fn sigmoid_lane(x: f32) -> f32 {
     1.0 / (1.0 + exp_lane(-x))
 }
 
-/// A sweep built twice from one body, as `gemm::compute_block` is: a
+/// A loop built twice from one body, as `gemm::compute_block` is: a
 /// portable instantiation (`$body`, which is also what a test calls to get
 /// the portable build) and an AVX2 one (`$avx2`), behind the entry point
 /// `$name` that picks by `gemm::Kernel::detected`. The body may only do what
-/// [`exp_lane`] does — no `mul_add` — so the pick cannot change a bit.
+/// [`exp_lane`] does — no `mul_add` — so the pick cannot change a bit, and
+/// everything it calls must be `#[inline(always)]` to be built twice too.
+/// The crate's one dispatch mechanism below the GEMM: the `exp` family here
+/// and the window-attention core ([`crate::attention`]) are its instances.
 macro_rules! dispatched {
-    ($(#[$doc:meta])* $name:ident, $body:ident, $avx2:ident, ($($arg:ident: $ty:ty),*) $code:block) => {
+    ($(#[$doc:meta])* $vis:vis fn $name:ident, $body:ident, $avx2:ident, ($($arg:ident: $ty:ty),*) $code:block) => {
         #[inline(always)]
         fn $body($($arg: $ty),*) $code
 
@@ -256,7 +261,7 @@ macro_rules! dispatched {
         }
 
         $(#[$doc])*
-        pub fn $name($($arg: $ty),*) {
+        $vis fn $name($($arg: $ty),*) {
             #[cfg(target_arch = "x86_64")]
             if crate::gemm::Kernel::detected().has_avx2() {
                 // SAFETY: the detected kernel implies avx2 support, checked
@@ -268,6 +273,7 @@ macro_rules! dispatched {
         }
     };
 }
+pub(crate) use dispatched;
 
 dispatched!(
     /// `x[i] = exp(x[i])` — every exponential of the model (softmax
@@ -285,7 +291,7 @@ dispatched!(
     /// reaches `n = 128`: that is 0.35 short of the true overflow point
     /// `ln f32::MAX = 88.722_84`, and the last finite result is
     /// `exp(88.376_26) ≈ 2.406e38`. No finite input gives NaN.
-    exp, exp_body, exp_avx2, (x: &mut [f32]) {
+    pub fn exp, exp_body, exp_avx2, (x: &mut [f32]) {
         for v in x.iter_mut() {
             *v = exp_lane(*v);
         }
@@ -296,7 +302,7 @@ dispatched!(
     /// Logistic sweep `dst[i] = 1 / (1 + exp(−src[i]))` with the [`exp`] of
     /// this module: `σ(0) = 0.5` exactly, exactly 0 from `−88.376_27` down
     /// (`1 / ∞`), never outside `[0, 1]`.
-    sigmoid, sigmoid_body, sigmoid_avx2, (dst: &mut [f32], src: &[f32]) {
+    pub fn sigmoid, sigmoid_body, sigmoid_avx2, (dst: &mut [f32], src: &[f32]) {
         assert_eq!(dst.len(), src.len(), "sigmoid length mismatch");
         for (d, &s) in dst.iter_mut().zip(src) {
             *d = sigmoid_lane(s);
@@ -308,7 +314,7 @@ dispatched!(
     /// SwiGLU gate sweep `dst[i] = gate[i] · σ(gate[i]) · up[i]`, associated
     /// `(gate · σ) · up` with the σ of [`sigmoid`] — SiLU, then the product
     /// with `up`, as one pass.
-    silu_gate, silu_gate_body, silu_gate_avx2, (dst: &mut [f32], gate: &[f32], up: &[f32]) {
+    pub fn silu_gate, silu_gate_body, silu_gate_avx2, (dst: &mut [f32], gate: &[f32], up: &[f32]) {
         assert_eq!(dst.len(), gate.len(), "silu_gate length mismatch");
         assert_eq!(dst.len(), up.len(), "silu_gate length mismatch");
         for ((d, &g), &u) in dst.iter_mut().zip(gate).zip(up) {

@@ -13,11 +13,15 @@
 #        (measured at 0.4–0.6x and deleted in PR 23, DESIGN.md "Where threads
 #        live");
 #   (iv) every `unsafe` / `target_feature` / `is_x86_feature_detected` site in
-#        the non-test code of crates, shims, examples and src. Expected: lines
-#        of crates/tensor/src/gemm.rs (the three kernel builds, the AVX-512
-#        tile's load and masked store, the one detector) and the one
-#        `dispatched!` macro of crates/tensor/src/sweeps.rs; every other crate
-#        root says `#![forbid(unsafe_code)]` (not listed).
+#        the non-test code of crates, shims, examples and src, and every
+#        `dispatched!(` loop that macro builds twice. Expected: lines of
+#        crates/tensor/src/gemm.rs (the three kernel builds, the AVX-512
+#        tile's load and masked store, the one detector), the one
+#        `dispatched!` macro of crates/tensor/src/sweeps.rs and its five
+#        invocations — `exp`, `sigmoid`, `silu_gate` in sweeps.rs, the
+#        window-attention core's forward and backward loops in
+#        crates/tensor/src/attention.rs; every other crate root (aeris-autodiff
+#        included) says `#![forbid(unsafe_code)]` (not listed).
 # Crude on purpose: names are matched as words, so two functions sharing a name
 # hide each other, and a name used only in a doc comment counts as unused.
 set -euo pipefail
@@ -74,7 +78,7 @@ echo "== (iii) parallel regions outside test code =="
 strip_tests $(sources crates/*/src) | grep -E 'par_chunks|par_iter' || true
 
 echo
-echo "== (iv) unsafe, target_feature and CPU-detection sites outside test code =="
+echo "== (iv) unsafe, target_feature, CPU-detection and dispatch sites outside test code =="
 strip_tests $(sources crates/*/src shims/*/src examples src) \
-    | grep -E 'unsafe|target_feature|is_x86_feature_detected' \
+    | grep -E 'unsafe|target_feature|is_x86_feature_detected|dispatched!\(' \
     | grep -vE 'forbid\(unsafe_code\)|deny\(unsafe_op_in_unsafe_fn\)' || true
