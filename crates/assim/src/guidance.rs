@@ -57,6 +57,22 @@ impl GuidanceSchedule {
         }
     }
 
+    /// Every step's weight is finite: `Constant(w)` with `w` finite, a `Ramp`
+    /// with `start`, `end` and `end − start` finite. Checked at serve
+    /// admission: a NaN weight is not [`Self::is_off`], so it would scale every
+    /// observed site's nudge to a non-finite state.
+    pub fn validate(&self) -> Result<(), String> {
+        let finite = match *self {
+            GuidanceSchedule::Constant(w) => w.is_finite(),
+            GuidanceSchedule::Ramp { start, end } => [start, end, end - start].iter().all(|w| w.is_finite()),
+        };
+        if finite {
+            Ok(())
+        } else {
+            Err(format!("guidance schedule {self:?} has a non-finite weight"))
+        }
+    }
+
     /// Content digest (variant tag + parameter bits), a cache-key component.
     pub fn digest(&self) -> u64 {
         match *self {
@@ -173,6 +189,28 @@ mod tests {
         assert_eq!(r.weight(0, 1), 1.0, "single step uses the end weight");
         assert!(!r.is_off());
         assert!(GuidanceSchedule::Ramp { start: 0.0, end: 0.0 }.is_off());
+    }
+
+    #[test]
+    fn validate_accepts_exactly_the_finite_schedules() {
+        for ok in [
+            GuidanceSchedule::off(),
+            GuidanceSchedule::Constant(-2.5),
+            GuidanceSchedule::Ramp { start: 0.0, end: 1.0 },
+            GuidanceSchedule::Ramp { start: f32::MAX, end: 0.0 },
+        ] {
+            assert_eq!(ok.validate(), Ok(()), "{ok:?}");
+        }
+        for bad in [
+            GuidanceSchedule::Constant(f32::NAN),
+            GuidanceSchedule::Constant(f32::NEG_INFINITY),
+            GuidanceSchedule::Ramp { start: 0.0, end: f32::INFINITY },
+            GuidanceSchedule::Ramp { start: f32::NAN, end: 0.0 },
+            // Both ends finite, but the ramp's span overflows.
+            GuidanceSchedule::Ramp { start: -f32::MAX, end: f32::MAX },
+        ] {
+            assert!(bad.validate().is_err(), "{bad:?} must be rejected");
+        }
     }
 
     #[test]

@@ -235,8 +235,9 @@ impl ServeEngine {
     }
 
     /// Everything a client can get wrong, checked before anything is
-    /// counted: sizes, the input state, a nowcast's observation set and the
-    /// sampler it will be guided through, the forcings.
+    /// counted: sizes, the input state, a nowcast's observation set, its
+    /// guidance schedule and the sampler it will be guided through, the
+    /// forcings.
     fn validate(&self, r: &Intake) -> Result<(), ServeError> {
         let fc = &self.shared.forecaster;
         let cfg = &fc.model.cfg;
@@ -255,8 +256,9 @@ impl ServeEngine {
             )));
         }
         self.validate_state(if r.nowcast.is_some() { "background" } else { "init" }, &r.init)?;
-        if let Some(NowcastSpec { obs, .. }) = &r.nowcast {
+        if let Some(NowcastSpec { obs, schedule }) = &r.nowcast {
             obs.validate().map_err(ServeError::BadRequest)?;
+            schedule.validate().map_err(ServeError::BadRequest)?;
             let (tokens, channels) = (cfg.tokens(), cfg.channels);
             if (obs.tokens, obs.channels) != (tokens, channels) {
                 return Err(ServeError::BadRequest(format!(

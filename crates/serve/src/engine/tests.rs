@@ -674,6 +674,20 @@ fn accounting_balances_across_every_rejection_path() {
         bad.forcings = poisoned(0, v);
         assert!(matches!(engine.submit_nowcast(bad), Err(ServeError::BadRequest(_))), "forcing {v}");
     }
+    // A non-finite guidance weight is a nowcast-only validation error, counted
+    // nowhere like the ones above, on the quality tier and on an explicit
+    // fast one (which would otherwise be a counted routing rejection).
+    let non_finite = [
+        GuidanceSchedule::Constant(f32::NAN),
+        GuidanceSchedule::Ramp { start: 0.0, end: f32::INFINITY },
+    ];
+    for (schedule, tier) in non_finite.into_iter().flat_map(|s| [(s, None), (s, Some(Tier::Fast))]) {
+        let mut bad = nowcast_request(188, schedule);
+        bad.tenant = Some(Arc::from("vip-now"));
+        bad.tier = tier;
+        let rejected = matches!(engine.submit_nowcast(bad), Err(ServeError::BadRequest(_)));
+        assert!(rejected, "{schedule:?} on {tier:?}");
+    }
     engine.hold_dispatch();
     let held = engine.submit_nowcast(nowcast(184, "holder-now")).expect("admitted");
     let overflow = nowcast(185, "vip-now");

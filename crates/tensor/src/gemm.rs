@@ -1,20 +1,25 @@
-//! The packed, cache-blocked GEMM core shared by every layout variant.
+//! The cache-blocked GEMM core shared by every layout variant, reading its
+//! operands where they lie.
 //!
 //! The three public GEMM entry points (`matmul`/`matmul_nt`/`matmul_tn`) lower
-//! to one f32 driver, [`gemm`], that follows the classic three-stage
-//! BLIS/GotoBLAS structure scaled down to this workspace's shapes:
+//! to one f32 driver, [`gemm`]: row blocks of [`MC`] rows of C, column panels
+//! of [`NR`] lanes, register tiles — the BLIS/GotoBLAS loop nest scaled down
+//! to this workspace's shapes, without its copies where they buy nothing:
 //!
-//! 1. **Pack B** once into column panels of [`NR`] columns, each stored as a
-//!    contiguous `[k, NR]` strip (zero-padded tail panel). A transposed source
-//!    (`matmul_nt`'s `B: [n, k]`) is transposed *during* the pack, so the
-//!    compute stage never sees a strided operand — this is what removes
-//!    `matmul_nt`'s one-strided-dot-per-element behaviour.
-//! 2. **Pack A only when transposed.** A row-major `A: [m, k]` (`matmul`,
-//!    `matmul_nt`) is read where it lies: a register tile broadcasts
-//!    `A[i, kk]` straight from row `i`, so no copy of A is made. `matmul_tn`'s
-//!    `A: [k, m]` is packed per row block of [`MC`] rows into `[k, MR]`
-//!    micro-panels. Both reach the kernels as one A view (`AView`)
-//!    `(base, row_stride, k_stride)`: `(k, 1)` in place, `(1, MR)` packed.
+//! 1. **A is never packed.** The kernels see A through one view (`AView`):
+//!    element `(i, kk)` of register tile `t` is
+//!    `a[base + (t·R + i)·row_stride + kk·k_stride]`. A row-major `A: [m, k]`
+//!    (`matmul`, `matmul_nt`) is `(k, 1)`; `matmul_tn`'s `A: [k, m]` is
+//!    `(1, m)`, so a tile's `R` broadcasts at step `kk` are `R` adjacent
+//!    floats of row `kk`.
+//! 2. **B is copied only when transposed or partial.** The kernels see B's
+//!    column panels of [`NR`] lanes through one view (`BView`). A full panel
+//!    `p` of a row-major `B: [k, n]` is read in place: lane `j` of k-row `kk`
+//!    is `b[kk·n + p·NR + j]`. `pack_b_panel` copies into contiguous
+//!    `[k, NR]` strips in exactly two cases: every panel of a transposed B
+//!    (`matmul_nt`'s `B: [n, k]`, transposed during the copy so a kernel never
+//!    loads a strided B lane), and the zero-padded last panel of a row-major B
+//!    whose `n` is not a multiple of `NR`.
 //! 3. **Micro-kernel**: an `MR × NR` register tile accumulated over the full
 //!    `k` extent, one multiply-add per `k` step in ascending `k`. Three
 //!    builds, picked once per process by [`Kernel::detected`]: a portable
@@ -24,8 +29,11 @@
 //!    adjacent B panels, 16 zmm accumulators, one `_mm512_fmadd_ps` each per
 //!    `k` step (a lone last panel runs the same tile one panel wide).
 //!
-//! Operands, packs and accumulators are all f32: at these cache-resident
-//! sizes bf16 operands measured 1.2–1.5× slower (DESIGN.md "Deviations").
+//! At these cache-resident shapes the copies were the cost, not a source of
+//! L1 reuse: dropping them made the `k = 512` weight-gradient GEMMs
+//! 1.5–2.0× faster (DESIGN.md "Tensor backend"; `examples/gemm_shapes.rs`
+//! times every model shape). Operands and accumulators are all f32: bf16
+//! operands measured 1.2–1.5× slower (DESIGN.md "Deviations").
 //!
 //! # Determinism
 //!
@@ -112,14 +120,6 @@ impl Kernel {
     pub(crate) fn has_avx2(self) -> bool {
         self >= Kernel::Avx2Fma
     }
-
-    /// Rows of this kernel's register tile.
-    fn mr(self) -> usize {
-        match self {
-            Kernel::Avx512 => MR_AVX512,
-            _ => MR,
-        }
-    }
 }
 
 /// Name of the kernel every GEMM of this process runs. A served digest or a
@@ -129,8 +129,9 @@ pub fn kernel_name() -> &'static str {
     Kernel::detected().name()
 }
 
-/// Pack panel `p` of B (columns `p·NR .. p·NR+NR`) into `dst: [k, NR]`,
-/// zero-padding columns past `n`.
+/// Copy panel `p` of B (columns `p·NR .. p·NR+NR`) into `dst: [k, NR]`,
+/// which arrives zeroed, so columns past `n` stay zero. Only a transposed B's
+/// panels and a row-major B's partial last panel are copied.
 ///
 /// `b` is `[k, n]` row-major when `trans` is false, `[n, k]` row-major when
 /// true (the `matmul_nt` layout, read as its transpose).
@@ -139,17 +140,12 @@ fn pack_b_panel(b: &[f32], k: usize, n: usize, trans: bool, p: usize, dst: &mut 
     let j0 = p * NR;
     let w = NR.min(n - j0);
     if !trans {
-        for kk in 0..k {
-            let out = &mut dst[kk * NR..kk * NR + NR];
-            out[..w].copy_from_slice(&b[kk * n + j0..kk * n + j0 + w]);
-            out[w..].fill(0.0);
+        for (kk, out) in dst.chunks_exact_mut(NR).enumerate() {
+            out[..w].copy_from_slice(&b[kk * n + j0..][..w]);
         }
     } else {
         // Read each source row (a column of Bᵀ) at unit stride; the strided
         // writes land in the small in-cache destination panel.
-        if w < NR {
-            dst.fill(0.0);
-        }
         for j in 0..w {
             let src = &b[(j0 + j) * k..(j0 + j) * k + k];
             for (kk, &s) in src.iter().enumerate() {
@@ -159,27 +155,10 @@ fn pack_b_panel(b: &[f32], k: usize, n: usize, trans: bool, p: usize, dst: &mut 
     }
 }
 
-/// Pack rows `i0 .. i0+rows` of Aᵀ — `a` is `[k, m]` row-major, the
-/// `matmul_tn` layout — into `[k, mr]` micro-panels. Each `k`-row of `a`
-/// contributes `mr` consecutive elements. Panel lanes past the
-/// block's last row keep stale values: [`AView::tile`] never reads them.
-fn pack_a_block(a: &[f32], m: usize, k: usize, i0: usize, rows: usize, mr: usize, dst: &mut [f32]) {
-    for t in 0..rows.div_ceil(mr) {
-        let r0 = t * mr;
-        let live = mr.min(rows - r0);
-        let panel = &mut dst[t * mr * k..(t + 1) * mr * k];
-        for kk in 0..k {
-            let src = &a[kk * m + i0 + r0..kk * m + i0 + r0 + live];
-            panel[kk * mr..kk * mr + live].copy_from_slice(src);
-        }
-    }
-}
-
-/// Where the kernels find the A operand of one row block: with `R` the
-/// kernel's tile height, element `(i, kk)` of register tile `t` is
-/// `a[base + t·R·k + i·row_stride + kk·k_stride]`. Row-major A read in place
-/// is `(row_stride, k_stride) = (k, 1)`; the `[k, R]` micro-panels
-/// [`pack_a_block`] writes are `(1, R)`.
+/// Where the kernels find the A operand of one row block, read in place: with
+/// `R` the kernel's tile height, element `(i, kk)` of register tile `t` is
+/// `a[base + (t·R + i)·row_stride + kk·k_stride]`. Row-major `A: [m, k]` is
+/// `(row_stride, k_stride) = (k, 1)`; `matmul_tn`'s `A: [k, m]` is `(1, m)`.
 #[derive(Clone, Copy)]
 struct AView<'a> {
     a: &'a [f32],
@@ -196,29 +175,57 @@ impl<'a> AView<'a> {
     #[inline(always)]
     fn tile<const R: usize>(&self, t: usize, k: usize, live: usize) -> [&'a [f32]; R] {
         std::array::from_fn(|i| {
-            let first = self.base + t * R * k + i.min(live - 1) * self.row_stride;
+            let first = self.base + (t * R + i.min(live - 1)) * self.row_stride;
             &self.a[first..first + (k - 1) * self.k_stride + 1]
         })
     }
 }
 
-/// The portable register tile: accumulate `MR × NR` outputs over the full `k`
-/// extent. `rows` is one [`AView::tile`], `bp` one `[k, NR]` B panel.
+/// Where the kernels find B's `n.div_ceil(NR)` column panels of [`NR`] lanes.
+/// Panels `p < in_place` are read in place from row-major `b: [k, n]`: lane
+/// `j` of k-row `kk` is `b[kk·n + p·NR + j]`. The rest are `[k, NR]` strips
+/// [`pack_b_panel`] wrote into `packed`, from panel `in_place` on.
+#[derive(Clone, Copy)]
+struct BView<'a> {
+    b: &'a [f32],
+    n: usize,
+    in_place: usize,
+    packed: &'a [f32],
+}
+
+impl<'a> BView<'a> {
+    /// Panel `p` as one bounds-checked subslice running from lane 0 of
+    /// k-row 0 to the last lane of k-row `k−1`, with its k-row stride.
+    #[inline(always)]
+    fn panel(&self, p: usize, k: usize) -> (&'a [f32], usize) {
+        if p < self.in_place {
+            (&self.b[p * NR..p * NR + (k - 1) * self.n + NR], self.n)
+        } else {
+            (&self.packed[(p - self.in_place) * k * NR..][..k * NR], NR)
+        }
+    }
+}
+
+/// The portable register tile: the `MR × NR` outputs of tile `t` (`live` rows)
+/// against panel `p`, accumulated over the full `k` extent.
 ///
 /// `FMA` selects fused multiply-add: `true` only inside the
 /// `#[target_feature(enable = "avx2,fma")]` instantiation, where `mul_add`
 /// compiles to a single vfmadd; elsewhere it would fall back to a libm call.
 #[inline(always)]
-fn micro_kernel<const FMA: bool>(rows: [&[f32]; MR], k_stride: usize, bp: &[f32]) -> [[f32; NR]; MR] {
+fn micro_kernel<const FMA: bool>(a: AView, t: usize, live: usize, b: BView, p: usize, k: usize) -> [[f32; NR]; MR] {
+    let rows = a.tile::<MR>(t, k, live);
+    let (panel, b_stride) = b.panel(p, k);
     let mut acc = [[0.0f32; NR]; MR];
-    for (kk, b) in bp.chunks_exact(NR).enumerate() {
+    for kk in 0..k {
+        let lanes = &panel[kk * b_stride..][..NR];
         for i in 0..MR {
-            let aik = rows[i][kk * k_stride];
+            let aik = rows[i][kk * a.k_stride];
             for j in 0..NR {
                 if FMA {
-                    acc[i][j] = aik.mul_add(b[j], acc[i][j]);
+                    acc[i][j] = aik.mul_add(lanes[j], acc[i][j]);
                 } else {
-                    acc[i][j] += aik * b[j];
+                    acc[i][j] += aik * lanes[j];
                 }
             }
         }
@@ -226,15 +233,17 @@ fn micro_kernel<const FMA: bool>(rows: [&[f32]; MR], k_stride: usize, bp: &[f32]
     acc
 }
 
-/// Compute one row block of C from its A rows and the shared packed B
-/// panels. `c_block` is `[rows, n]`, fully overwritten.
+/// Compute one row block of C, `c_block: [rows, n]`, fully overwritten.
 #[inline(always)]
-fn compute_block_body<const FMA: bool>(a: AView, bpack: &[f32], k: usize, n: usize, c_block: &mut [f32]) {
-    for (p, bp) in bpack.chunks_exact(k * NR).enumerate() {
+fn compute_block_body<const FMA: bool>(a: AView, b: BView, k: usize, c_block: &mut [f32]) {
+    let n = b.n;
+    for p in 0..n.div_ceil(NR) {
         let j0 = p * NR;
         let w = NR.min(n - j0);
         for (t, c_rows) in c_block.chunks_mut(MR * n).enumerate() {
-            let acc = micro_kernel::<FMA>(a.tile(t, k, c_rows.len() / n), a.k_stride, bp);
+            // The tile hands its accumulators back by value: with the write-back
+            // inside it, they leave the vector registers and the k loop goes scalar.
+            let acc = micro_kernel::<FMA>(a, t, c_rows.len() / n, b, p, k);
             for (out_row, acc_row) in c_rows.chunks_exact_mut(n).zip(&acc) {
                 out_row[j0..j0 + w].copy_from_slice(&acc_row[..w]);
             }
@@ -244,48 +253,43 @@ fn compute_block_body<const FMA: bool>(a: AView, bpack: &[f32], k: usize, n: usi
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-fn compute_block_avx2(a: AView, bpack: &[f32], k: usize, n: usize, c_block: &mut [f32]) {
-    compute_block_body::<true>(a, bpack, k, n, c_block);
+fn compute_block_avx2(a: AView, b: BView, k: usize, c_block: &mut [f32]) {
+    compute_block_body::<true>(a, b, k, c_block);
 }
 
-/// The AVX-512 register tile: `MR_AVX512` rows × `P` adjacent B panels
-/// (`bp: [P, k, NR]`), `8·P` zmm accumulators over the full `k` extent — per
-/// `k` step `P` panel loads, eight broadcasts of `A[i, kk]` and `8·P` fused
+/// The AVX-512 register tile: `MR_AVX512` rows of tile `t` × the `P` panels
+/// `p ..` of `b`, `8·P` zmm accumulators over the full `k` extent — per `k`
+/// step `P` panel loads, eight broadcasts of `A[i, kk]` and `8·P` fused
 /// multiply-adds, element for element the `mul_add` sequence of the AVX2+FMA
-/// build. Writes the tile's live rows into `c_rows` (`[live, n]`, the C rows
-/// of this tile) at columns `j0 ..`, clipped to `n`.
+/// build. Writes the tile's live rows into `c_rows` (`[live, n]`) at the
+/// panels' columns, clipped to `n`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[inline]
-fn tile_avx512<const P: usize>(
-    rows: [&[f32]; MR_AVX512],
-    k_stride: usize,
-    bp: &[f32],
-    c_rows: &mut [f32],
-    n: usize,
-    j0: usize,
-) {
-    let k = bp.len() / (P * NR);
+fn tile_avx512<const P: usize>(a: AView, t: usize, b: BView, p: usize, k: usize, c_rows: &mut [f32]) {
+    let rows = a.tile::<MR_AVX512>(t, k, c_rows.len() / b.n);
+    let panels: [(&[f32], usize); P] = std::array::from_fn(|q| b.panel(p + q, k));
     let mut acc = [[_mm512_setzero_ps(); P]; MR_AVX512];
     for kk in 0..k {
-        let mut b = [_mm512_setzero_ps(); P];
+        let mut bv = [_mm512_setzero_ps(); P];
         for q in 0..P {
-            let lanes = &bp[(q * k + kk) * NR..(q * k + kk + 1) * NR];
-            // SAFETY: `lanes` is a bounds-checked subslice of exactly NR = 16
-            // f32, the 64 bytes an unaligned 512-bit load reads.
-            b[q] = unsafe { _mm512_loadu_ps(lanes.as_ptr()) };
+            let (panel, b_stride) = panels[q];
+            // SAFETY: `panel` is a bounds-checked subslice of `(k−1)·b_stride
+            // + NR` f32 and `kk < k`, so the NR = 16 f32 (64 bytes) an
+            // unaligned 512-bit load reads from `kk·b_stride` lie inside it.
+            bv[q] = unsafe { _mm512_loadu_ps(panel.as_ptr().add(kk * b_stride)) };
         }
         for i in 0..MR_AVX512 {
-            let aik = _mm512_set1_ps(rows[i][kk * k_stride]);
+            let aik = _mm512_set1_ps(rows[i][kk * a.k_stride]);
             for q in 0..P {
-                acc[i][q] = _mm512_fmadd_ps(aik, b[q], acc[i][q]);
+                acc[i][q] = _mm512_fmadd_ps(aik, bv[q], acc[i][q]);
             }
         }
     }
-    for (out_row, acc_row) in c_rows.chunks_exact_mut(n).zip(&acc) {
+    for (out_row, acc_row) in c_rows.chunks_exact_mut(b.n).zip(&acc) {
         for q in 0..P {
-            let j = j0 + q * NR;
-            let out = &mut out_row[j..n.min(j + NR)];
+            let j = (p + q) * NR;
+            let out = &mut out_row[j..b.n.min(j + NR)];
             let mask = ((1u32 << out.len()) - 1) as u16;
             // SAFETY: `out` is a bounds-checked subslice of 1..=16 f32 and
             // `mask` enables exactly lanes `0..out.len()`; a masked store
@@ -299,16 +303,14 @@ fn tile_avx512<const P: usize>(
 /// time, an odd last one alone.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-fn compute_block_avx512(a: AView, bpack: &[f32], k: usize, n: usize, c_block: &mut [f32]) {
-    const R: usize = MR_AVX512;
-    for (pair, bp) in bpack.chunks(2 * k * NR).enumerate() {
-        let j0 = pair * 2 * NR;
-        for (t, c_rows) in c_block.chunks_mut(R * n).enumerate() {
-            let tile = a.tile(t, k, c_rows.len() / n);
-            if bp.len() == 2 * k * NR {
-                tile_avx512::<2>(tile, a.k_stride, bp, c_rows, n, j0);
+fn compute_block_avx512(a: AView, b: BView, k: usize, c_block: &mut [f32]) {
+    let panels = b.n.div_ceil(NR);
+    for p in (0..panels).step_by(2) {
+        for (t, c_rows) in c_block.chunks_mut(MR_AVX512 * b.n).enumerate() {
+            if p + 1 < panels {
+                tile_avx512::<2>(a, t, b, p, k, c_rows);
             } else {
-                tile_avx512::<1>(tile, a.k_stride, bp, c_rows, n, j0);
+                tile_avx512::<1>(a, t, b, p, k, c_rows);
             }
         }
     }
@@ -317,19 +319,19 @@ fn compute_block_avx512(a: AView, bpack: &[f32], k: usize, n: usize, c_block: &m
 /// Run `kernel`'s block compute. The caller has checked that the CPU
 /// supports `kernel` ([`gemm_on`] asserts it).
 #[inline]
-fn compute_block(kernel: Kernel, a: AView, bpack: &[f32], k: usize, n: usize, c_block: &mut [f32]) {
+fn compute_block(kernel: Kernel, a: AView, b: BView, k: usize, c_block: &mut [f32]) {
     match kernel {
         // SAFETY (both arms): `kernel <= Kernel::detected()`, asserted by
         // `gemm_on`, so the CPU has the features the callee is built with.
         #[cfg(target_arch = "x86_64")]
-        Kernel::Avx512 => unsafe { compute_block_avx512(a, bpack, k, n, c_block) },
+        Kernel::Avx512 => unsafe { compute_block_avx512(a, b, k, c_block) },
         #[cfg(target_arch = "x86_64")]
-        Kernel::Avx2Fma => unsafe { compute_block_avx2(a, bpack, k, n, c_block) },
-        _ => compute_block_body::<false>(a, bpack, k, n, c_block),
+        Kernel::Avx2Fma => unsafe { compute_block_avx2(a, b, k, c_block) },
+        _ => compute_block_body::<false>(a, b, k, c_block),
     }
 }
 
-/// `C = op(A) · op(B)` through the packed core, on the kernel this CPU
+/// `C = op(A) · op(B)` through the blocked core, on the kernel this CPU
 /// supports best.
 ///
 /// - `a` is `[m, k]` row-major, or `[k, m]` when `a_trans` (read as Aᵀ);
@@ -376,22 +378,19 @@ pub fn gemm_on(
         return;
     }
 
-    let panels = n.div_ceil(NR);
-    let mut bpack = vec![0.0f32; panels * k * NR];
-    for (p, dst) in bpack.chunks_mut(k * NR).enumerate() {
-        pack_b_panel(b, k, n, b_trans, p, dst);
+    let in_place = if b_trans { 0 } else { n / NR };
+    let mut packed = vec![0.0f32; (n.div_ceil(NR) - in_place) * k * NR];
+    for (p, dst) in packed.chunks_exact_mut(k * NR).enumerate() {
+        pack_b_panel(b, k, n, b_trans, in_place + p, dst);
     }
-    let mr = kernel.mr();
-    let mut apack = vec![0.0f32; if a_trans { MC.min(m.div_ceil(mr) * mr) * k } else { 0 }];
+    let b = BView { b, n, in_place, packed: &packed };
     for (blk, c_block) in c.chunks_mut(MC * n).enumerate() {
-        let i0 = blk * MC;
-        let view = if a_trans {
-            pack_a_block(a, m, k, i0, c_block.len() / n, mr, &mut apack);
-            AView { a: &apack, base: 0, row_stride: 1, k_stride: mr }
+        let a = if a_trans {
+            AView { a, base: blk * MC, row_stride: 1, k_stride: m }
         } else {
-            AView { a, base: i0 * k, row_stride: k, k_stride: 1 }
+            AView { a, base: blk * MC * k, row_stride: k, k_stride: 1 }
         };
-        compute_block(kernel, view, &bpack, k, n, c_block);
+        compute_block(kernel, a, b, k, c_block);
     }
 }
 

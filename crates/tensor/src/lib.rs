@@ -5,8 +5,9 @@
 //!
 //! - [`Tensor`]: a contiguous, row-major, dynamically shaped f32 array with
 //!   elementwise / reduction / linear-algebra operations,
-//! - [`gemm`]: the shared packed, cache-blocked, register-tiled f32 GEMM
-//!   core all three matmul layouts lower to, on the widest of three
+//! - [`gemm`]: the shared cache-blocked, register-tiled f32 GEMM core all
+//!   three matmul layouts lower to, reading its operands in place (only a
+//!   transposed or partial B panel is copied), on the widest of three
 //!   micro-kernels the CPU supports ([`gemm::kernel_name`]),
 //! - [`matmul()`] / [`matmul_nt()`] / [`matmul_tn()`]: entry points over
 //!   that core,

@@ -1,9 +1,9 @@
 //! The GEMM family: `matmul` (NN), `matmul_nt` (NBᵀ), `matmul_tn` (AᵀB), all
-//! lowered to the one packed, cache-blocked f32 micro-kernel in
-//! [`crate::gemm`].
+//! lowered to the one cache-blocked f32 micro-kernel in [`crate::gemm`].
 //!
-//! Layout is handled by the B pack and the A view handed to the kernel, so
-//! every variant runs the identical branch-free inner loop — in particular
+//! Layout is handled by the A and B views handed to the kernel (both read in
+//! place, except a transposed B, which is packed), so every variant runs the
+//! identical branch-free inner loop — in particular
 //! `matmul_nt` no longer computes one strided dot product per output element,
 //! and no variant skips zero multiplicands (a data-dependent branch that also
 //! suppressed NaN/Inf propagation: `0·NaN` must stay NaN).

@@ -1,11 +1,11 @@
-//! Property tests for the packed GEMM core: every layout variant against an
-//! f64 naive reference over odd, non-block-multiple shapes.
+//! Property tests for the GEMM core: every layout variant against an f64
+//! naive reference over odd, non-block-multiple shapes.
 //!
-//! The packed kernel has three distinct code regions — full MR×NR interior
-//! tiles, partial edge tiles (zero-padded pack lanes), and the k loop — and
-//! shapes drawn from `1..50` hit all of them: most draws are not multiples of
-//! MR=4, NR=16, or the MC row blocking, so the remainder lanes are exercised
-//! constantly rather than only at hand-picked sizes.
+//! The kernel has three distinct code regions — full MR×NR interior tiles,
+//! partial edge tiles (a zero-padded packed last panel, re-read last rows),
+//! and the k loop — and shapes drawn from `1..50` hit all of them: most draws
+//! are not multiples of MR=4, NR=16, or the MC row blocking, so the remainder
+//! lanes are exercised constantly rather than only at hand-picked sizes.
 //!
 //! The kernel-parity tests at the end run each micro-kernel build the host
 //! supports (portable, AVX2+FMA, AVX-512) through `gemm_on`, which takes the
@@ -16,7 +16,7 @@ use aeris_tensor::gemm::{gemm_on, Kernel};
 use aeris_tensor::{matmul, matmul_nt, matmul_tn, Rng, Tensor};
 use proptest::prelude::*;
 
-/// f64 naive `A[m,k] · B[k,n]`, k-ascending like the packed kernel.
+/// f64 naive `A[m,k] · B[k,n]`, k-ascending like the kernel.
 fn reference(a: &Tensor, b: &Tensor) -> Vec<f64> {
     let (m, k) = (a.shape()[0], a.shape()[1]);
     let n = b.shape()[1];
@@ -70,7 +70,7 @@ proptest! {
         prop_assert!(scaled_max_err(&c, &want) <= tol,
             "matmul err {} > {tol} at ({m},{n},{k})", scaled_max_err(&c, &want));
 
-        // Layout variants share the packed kernel: bitwise equal.
+        // Layout variants share the kernel: bitwise equal.
         let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(bits(&c), bits(&c_tn), "tn differs at ({},{},{})", m, n, k);
         prop_assert_eq!(bits(&c), bits(&c_nt), "nt differs at ({},{},{})", m, n, k);
@@ -108,19 +108,20 @@ proptest! {
 
     /// Kernel parity on shared operands: every kernel the host supports runs
     /// all three layouts over edge shapes (`m` mostly not a multiple of the
-    /// 4- or 8-row tile, `n` of the 16- or 32-column one, `k` short, odd and
-    /// longer than any model shape). Within a kernel the layouts are bitwise
-    /// equal; the two FMA kernels are bitwise equal to each other; the
+    /// 4- or 8-row tile, `n` of the 16- or 32-column one, `k` short, odd,
+    /// and up to the 512 tokens the model's weight gradients sum over).
+    /// Within a kernel the layouts are bitwise equal; the two FMA kernels are
+    /// bitwise equal to each other; the
     /// portable one — which no other test reaches on an FMA host — stays
     /// inside the f64-reference tolerance.
     #[test]
     fn kernels_agree_on_all_three_layouts(
         m in 1usize..70,
         n in 1usize..70,
-        ki in 0usize..5,
+        ki in 0usize..6,
         seed in 0u64..1_000_000,
     ) {
-        let k = [1, 7, 48, 96, 130][ki];
+        let k = [1, 7, 48, 96, 130, 512][ki];
         let mut rng = Rng::seed_from(seed ^ 0x512);
         let a = Tensor::randn(&[m, k], &mut rng);
         let b = Tensor::randn(&[k, n], &mut rng);
@@ -143,6 +144,30 @@ proptest! {
         for pair in fma.windows(2) {
             let ((x, x32), (y, y32)) = (&pair[0], &pair[1]);
             prop_assert_eq!(x32, y32, "{} and {} f32 differ at ({},{},{})", x, y, m, n, k);
+        }
+    }
+}
+
+/// The six weight-gradient GEMMs of a `toy48` training step, `dW = Xᵀ·dY`
+/// over 512 tokens (QKV, attention out, SwiGLU up / down, embed, decode):
+/// on every supported kernel, the transposed-A layout (`matmul_tn`'s, A read
+/// in place) equals the NN layout on the materialised transpose, bitwise.
+/// `n = 20` (decode) covers a B whose last panel is partial. Every buffer is
+/// exactly `m·k` / `k·n` long, so a read past an operand's end panics.
+#[test]
+fn weight_gradient_shapes_match_nn_on_the_transpose_bitwise() {
+    let mut rng = Rng::seed_from(2025);
+    for (m, n, k) in [(48, 144, 512), (48, 48, 512), (48, 192, 512), (96, 48, 512), (43, 48, 512), (48, 20, 512)] {
+        let x = Tensor::randn(&[k, m], &mut rng);
+        let dy = Tensor::randn(&[k, n], &mut rng);
+        let xt = x.t();
+        for kernel in supported_kernels() {
+            let [tn, nn] = [(x.data(), true), (xt.data(), false)].map(|(a, a_trans)| {
+                let mut c = Tensor::full(&[m, n], f32::NAN);
+                gemm_on(kernel, m, n, k, a, a_trans, dy.data(), false, c.data_mut());
+                c
+            });
+            assert_eq!(bits(&tn), bits(&nn), "{} tn differs at ({m},{n},{k})", kernel.name());
         }
     }
 }

@@ -1,0 +1,60 @@
+//! Every GEMM shape of one `toy48` training step, timed alone: the six
+//! projections (QKV, attention out, SwiGLU up / down, embed, decode) in their
+//! three layouts — NN forward `X·W`, NT input gradient `dY·Wᵀ`, TN weight
+//! gradient `Xᵀ·dY` — over the 512 tokens of one sample. Prints the minimum
+//! single-call wall time and its GFLOP/s per shape, the table DESIGN.md
+//! "Tensor backend" quotes, with the micro-kernel that ran.
+//!
+//! ```bash
+//! cargo run --release --example gemm_shapes [calls]
+//! ```
+
+use aeris::tensor::gemm::kernel_name;
+use aeris::tensor::{matmul, matmul_nt, matmul_tn, Rng, Tensor};
+use std::hint::black_box;
+use std::time::Instant;
+
+/// Tokens per sample of `toy48` (a 16 × 32 grid).
+const TOKENS: usize = 512;
+
+/// `(name, in, out)` of every projection `W: [in, out]`.
+const PROJECTIONS: [(&str, usize, usize); 6] = [
+    ("qkv", 48, 144),
+    ("attn out", 48, 48),
+    ("swiglu up", 48, 192),
+    ("swiglu down", 96, 48),
+    ("embed", 43, 48),
+    ("decode", 48, 20),
+];
+
+/// Minimum wall time of one call of `f` over `calls` calls, in µs.
+fn min_us<R>(calls: usize, mut f: impl FnMut() -> R) -> f64 {
+    (0..calls)
+        .map(|_| {
+            let t0 = Instant::now();
+            black_box(f());
+            t0.elapsed().as_secs_f64() * 1e6
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+fn main() {
+    let calls: usize = std::env::args().nth(1).map_or(1500, |a| a.parse().expect("calls: a count"));
+    println!("GEMM kernel: {}; minimum of {calls} calls per shape", kernel_name());
+    println!("{:<6} {:<12} {:>13} {:>9} {:>8}", "layout", "projection", "(m, n, k)", "µs", "GFLOP/s");
+    let mut rng = Rng::seed_from(2025);
+    for layout in ["NN", "NT", "TN"] {
+        for (name, d_in, d_out) in PROJECTIONS {
+            let x = Tensor::randn(&[TOKENS, d_in], &mut rng);
+            let w = Tensor::randn(&[d_in, d_out], &mut rng);
+            let dy = Tensor::randn(&[TOKENS, d_out], &mut rng);
+            let ((m, n, k), us) = match layout {
+                "NN" => ((TOKENS, d_out, d_in), min_us(calls, || matmul(&x, &w))),
+                "NT" => ((TOKENS, d_in, d_out), min_us(calls, || matmul_nt(&dy, &w))),
+                _ => ((d_in, d_out, TOKENS), min_us(calls, || matmul_tn(&x, &dy))),
+            };
+            let gflops = 2.0 * (m * n * k) as f64 / us / 1e3;
+            println!("{layout:<6} {name:<12} {:>13} {us:>9.1} {gflops:>8.1}", format!("({m}, {n}, {k})"));
+        }
+    }
+}
