@@ -365,10 +365,11 @@ mod tests {
         /// sums. It is the only definition of the probabilities: the backward
         /// recomputes through this same function, so its rows are bitwise the
         /// forward's (`sweeps::exp` gives an element the same bits wherever it
-        /// sits). The unfused tape path runs through the packed SIMD GEMM (FMA
-        /// contraction on AVX2 hosts) and a lane-split softmax sum, so
-        /// fused-vs-unfused agreement is within FMA / lane-order rounding
-        /// (≤ 1e-5 under test), not bitwise.
+        /// sits). The unfused tape path runs through the GEMM, which fuses each
+        /// multiply-add where this core rounds the product first, and a
+        /// lane-split softmax sum: a different operation order, so
+        /// fused-vs-unfused agreement is within rounding (≤ 1e-5 under test),
+        /// not bitwise — on every host alike.
         fn prob_rows(&mut self, h: usize, plan: &WindowAttnPlan) {
             let (wlen, dim, head_dim) = (plan.window_len, plan.dim(), plan.head_dim);
             let base = h * head_dim;

@@ -39,28 +39,34 @@ fn stats_corrupt(detail: String) -> std::io::Error {
 }
 
 /// Parse one `NormStats` block (`u32` channel count, then `2n` little-endian
-/// f32 values) from `bytes` starting at `*off`, advancing the offset.
-/// Truncated or absurd inputs surface as [`std::io::ErrorKind::InvalidData`]
-/// instead of a panic.
-fn read_stats(bytes: &[u8], off: &mut usize) -> std::io::Result<NormStats> {
+/// f32 values) of a `channels`-channel model from `bytes` starting at `*off`,
+/// advancing the offset. Truncated input and statistics that do not fit the
+/// model (another channel count, a non-finite mean, a std that is not finite
+/// and positive, which [`NormStats::compute`] never yields) surface as
+/// [`std::io::ErrorKind::InvalidData`] instead of a later panic.
+fn read_stats(bytes: &[u8], off: &mut usize, channels: usize) -> std::io::Result<NormStats> {
     let header = bytes
         .get(*off..*off + 4)
         .ok_or_else(|| stats_corrupt(format!("truncated header at byte {}", *off)))?;
     let n = u32::from_le_bytes(header.try_into().unwrap()) as usize;
     *off += 4;
+    if n != channels {
+        return Err(stats_corrupt(format!("{n} channels, the model has {channels}")));
+    }
     let need = 2 * n * 4;
     let body = bytes.get(*off..*off + need).ok_or_else(|| {
-        stats_corrupt(format!(
-            "statistics block claims {n} channels ({need} bytes) but only {} remain",
-            bytes.len().saturating_sub(*off)
-        ))
+        stats_corrupt(format!("truncated block: {need} bytes needed, {} remain", bytes.len() - *off))
     })?;
     *off += need;
     let mut vals = Vec::with_capacity(2 * n);
     for chunk in body.chunks_exact(4) {
         vals.push(f32::from_le_bytes(chunk.try_into().unwrap()));
     }
-    Ok(NormStats { mean: vals[..n].to_vec(), std: vals[n..].to_vec() })
+    let (mean, std) = (vals[..n].to_vec(), vals[n..].to_vec());
+    if !mean.iter().all(|m| m.is_finite()) || !std.iter().all(|&s| s.is_finite() && s > 0.0) {
+        return Err(stats_corrupt("a non-finite mean, or a std not finite and positive".into()));
+    }
+    Ok(NormStats { mean, std })
 }
 
 /// Write a model checkpoint: `<path>` gets the weights, `<path>.stats` the
@@ -90,12 +96,13 @@ pub(crate) fn load_checkpoint(
     cfg: crate::config::AerisConfig,
     path: &std::path::Path,
 ) -> std::io::Result<(AerisModel, NormStats, NormStats)> {
+    let channels = cfg.channels;
     let mut model = AerisModel::new(cfg);
     aeris_nn::load_params(&mut model.store, path)?;
     let bytes = std::fs::read(path.with_extension("stats"))?;
     let mut off = 0usize;
-    let stats = read_stats(&bytes, &mut off)?;
-    let res_stats = read_stats(&bytes, &mut off)?;
+    let stats = read_stats(&bytes, &mut off, channels)?;
+    let res_stats = read_stats(&bytes, &mut off, channels)?;
     if off != bytes.len() {
         return Err(stats_corrupt(format!(
             "{} trailing bytes after statistics",
@@ -462,6 +469,34 @@ mod tests {
         let err = Forecaster::load(AerisConfig::test_tiny(), f.sampler, &path)
             .err().expect("trailing bytes must fail");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+
+        // Well-formed files whose statistics do not fit the model: a
+        // self-consistent 3-channel file for the 4-channel model, a zero std,
+        // a NaN mean. Each used to load and then panic or go non-finite.
+        let channels = AerisConfig::test_tiny().channels;
+        let encode = |mean: &[f32], std: &[f32]| -> Vec<u8> {
+            let mut out = Vec::new();
+            for _ in 0..2 {
+                out.extend_from_slice(&(mean.len() as u32).to_le_bytes());
+                for v in mean.iter().chain(std) {
+                    out.extend_from_slice(&v.to_le_bytes());
+                }
+            }
+            out
+        };
+        let ones = vec![1.0f32; channels];
+        let mut nan_mean = vec![0.0f32; channels];
+        nan_mean[1] = f32::NAN;
+        for (what, bytes) in [
+            ("wrong channel count", encode(&[0.0; 3], &[1.0; 3])),
+            ("zero std", encode(&vec![0.0; channels], &vec![0.0; channels])),
+            ("NaN mean", encode(&nan_mean, &ones)),
+        ] {
+            std::fs::write(&stats_path, &bytes).unwrap();
+            let err = Forecaster::load(AerisConfig::test_tiny(), f.sampler, &path)
+                .err().unwrap_or_else(|| panic!("{what} must fail"));
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}");
+        }
 
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -2,9 +2,10 @@
 //! operands where they lie.
 //!
 //! The three public GEMM entry points (`matmul`/`matmul_nt`/`matmul_tn`) lower
-//! to one f32 driver, [`gemm`]: row blocks of [`MC`] rows of C, column panels
-//! of [`NR`] lanes, register tiles — the BLIS/GotoBLAS loop nest scaled down
-//! to this workspace's shapes, without its copies where they buy nothing:
+//! to one f32 driver, [`gemm`]: row blocks of `MC` = 32 rows of C, column
+//! panels of `NR` = 16 lanes, register tiles — the BLIS/GotoBLAS loop nest
+//! scaled down to this workspace's shapes, without its copies where they buy
+//! nothing:
 //!
 //! 1. **A is never packed.** The kernels see A through one view (`AView`):
 //!    element `(i, kk)` of register tile `t` is
@@ -13,7 +14,7 @@
 //!    `(1, m)`, so a tile's `R` broadcasts at step `kk` are `R` adjacent
 //!    floats of row `kk`.
 //! 2. **B is copied only when transposed or partial.** The kernels see B's
-//!    column panels of [`NR`] lanes through one view (`BView`). A full panel
+//!    column panels of `NR` lanes through one view (`BView`). A full panel
 //!    `p` of a row-major `B: [k, n]` is read in place: lane `j` of k-row `kk`
 //!    is `b[kk·n + p·NR + j]`. `pack_b_panel` copies into contiguous
 //!    `[k, NR]` strips in exactly two cases: every panel of a transposed B
@@ -21,9 +22,9 @@
 //!    loads a strided B lane), and the zero-padded last panel of a row-major B
 //!    whose `n` is not a multiple of `NR`.
 //! 3. **Micro-kernel**: an `MR × NR` register tile accumulated over the full
-//!    `k` extent, one multiply-add per `k` step in ascending `k`. Three
+//!    `k` extent, one fused multiply-add per `k` step in ascending `k`. Three
 //!    builds, picked once per process by [`Kernel::detected`]: a portable
-//!    one (4 × 16, plain `a*b + c`, autovectorized), the same body under
+//!    one (4 × 16, `f32::mul_add`, autovectorized), the same body under
 //!    `#[target_feature(enable = "avx2,fma")]` (`mul_add` is one vfmadd), and
 //!    an AVX-512 one written with `std::arch` intrinsics — 8 rows × two
 //!    adjacent B panels, 16 zmm accumulators, one `_mm512_fmadd_ps` each per
@@ -48,10 +49,9 @@
 //! that are never written back, so edges follow the identical accumulation
 //! order too.
 //!
-//! The two FMA kernels round identically (one fused multiply-add per element
-//! per `k` step, whatever the register width), so AVX-512 adds no bit class:
-//! a host's results are those of the FMA class or of the non-FMA (portable)
-//! class, and [`kernel_name`] says which arithmetic ran.
+//! Every kernel issues one fused multiply-add per element per `k` step, so
+//! there is one bit class: all three return the same bits on every shape,
+//! layout and host, and [`kernel_name`] reports a speed choice only.
 
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::{
@@ -60,25 +60,25 @@ use std::arch::x86_64::{
 };
 
 /// Register-tile rows of the portable and AVX2+FMA kernels.
-pub const MR: usize = 4;
+const MR: usize = 4;
 /// Register-tile rows of the AVX-512 kernel.
-pub const MR_AVX512: usize = 8;
+const MR_AVX512: usize = 8;
 /// Register-tile columns per B panel (two 8-lane AVX2 vectors, one zmm).
-pub const NR: usize = 16;
+const NR: usize = 16;
 /// Rows of C per row block (a multiple of both tile heights; sized so the A
 /// rows of a block stay cache-resident while every B panel passes over them).
-pub const MC: usize = 32;
+const MC: usize = 32;
 
 /// The micro-kernel builds, ordered by what the CPU must support: each one
 /// runs wherever a later one does.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Kernel {
-    /// 4 × 16 tile, separate multiply and add, baseline x86-64 (or any other
-    /// target): the non-FMA bit class.
+    /// The 4 × 16 body for any target: the only build off x86 and on CPUs
+    /// without AVX2+FMA (on x86-64 its `mul_add` is a libm `fmaf` call: slow).
     Portable,
     /// The same 4 × 16 body built with AVX2 and fused multiply-add.
     Avx2Fma,
-    /// 8 × 32 tile of `avx512f` intrinsics; bit for bit what `Avx2Fma` returns.
+    /// 8 × 32 tile of `avx512f` intrinsics; bit for bit what the others return.
     Avx512,
 }
 
@@ -122,9 +122,8 @@ impl Kernel {
     }
 }
 
-/// Name of the kernel every GEMM of this process runs. A served digest or a
-/// checkpoint is comparable across hosts only within one FMA class:
-/// `"avx2+fma"` and `"avx512f"` produce the same bits, `"portable"` others.
+/// Name of the kernel every GEMM of this process runs: a speed choice only,
+/// since every kernel computes the same bits.
 pub fn kernel_name() -> &'static str {
     Kernel::detected().name()
 }
@@ -206,14 +205,10 @@ impl<'a> BView<'a> {
     }
 }
 
-/// The portable register tile: the `MR × NR` outputs of tile `t` (`live` rows)
-/// against panel `p`, accumulated over the full `k` extent.
-///
-/// `FMA` selects fused multiply-add: `true` only inside the
-/// `#[target_feature(enable = "avx2,fma")]` instantiation, where `mul_add`
-/// compiles to a single vfmadd; elsewhere it would fall back to a libm call.
+/// The portable and AVX2+FMA register tile: the `MR × NR` outputs of tile
+/// `t` (`live` rows) against panel `p`, accumulated over the full `k` extent.
 #[inline(always)]
-fn micro_kernel<const FMA: bool>(a: AView, t: usize, live: usize, b: BView, p: usize, k: usize) -> [[f32; NR]; MR] {
+fn micro_kernel(a: AView, t: usize, live: usize, b: BView, p: usize, k: usize) -> [[f32; NR]; MR] {
     let rows = a.tile::<MR>(t, k, live);
     let (panel, b_stride) = b.panel(p, k);
     let mut acc = [[0.0f32; NR]; MR];
@@ -222,11 +217,7 @@ fn micro_kernel<const FMA: bool>(a: AView, t: usize, live: usize, b: BView, p: u
         for i in 0..MR {
             let aik = rows[i][kk * a.k_stride];
             for j in 0..NR {
-                if FMA {
-                    acc[i][j] = aik.mul_add(lanes[j], acc[i][j]);
-                } else {
-                    acc[i][j] += aik * lanes[j];
-                }
+                acc[i][j] = aik.mul_add(lanes[j], acc[i][j]);
             }
         }
     }
@@ -235,7 +226,7 @@ fn micro_kernel<const FMA: bool>(a: AView, t: usize, live: usize, b: BView, p: u
 
 /// Compute one row block of C, `c_block: [rows, n]`, fully overwritten.
 #[inline(always)]
-fn compute_block_body<const FMA: bool>(a: AView, b: BView, k: usize, c_block: &mut [f32]) {
+fn compute_block_body(a: AView, b: BView, k: usize, c_block: &mut [f32]) {
     let n = b.n;
     for p in 0..n.div_ceil(NR) {
         let j0 = p * NR;
@@ -243,7 +234,7 @@ fn compute_block_body<const FMA: bool>(a: AView, b: BView, k: usize, c_block: &m
         for (t, c_rows) in c_block.chunks_mut(MR * n).enumerate() {
             // The tile hands its accumulators back by value: with the write-back
             // inside it, they leave the vector registers and the k loop goes scalar.
-            let acc = micro_kernel::<FMA>(a, t, c_rows.len() / n, b, p, k);
+            let acc = micro_kernel(a, t, c_rows.len() / n, b, p, k);
             for (out_row, acc_row) in c_rows.chunks_exact_mut(n).zip(&acc) {
                 out_row[j0..j0 + w].copy_from_slice(&acc_row[..w]);
             }
@@ -254,14 +245,14 @@ fn compute_block_body<const FMA: bool>(a: AView, b: BView, k: usize, c_block: &m
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 fn compute_block_avx2(a: AView, b: BView, k: usize, c_block: &mut [f32]) {
-    compute_block_body::<true>(a, b, k, c_block);
+    compute_block_body(a, b, k, c_block);
 }
 
 /// The AVX-512 register tile: `MR_AVX512` rows of tile `t` × the `P` panels
 /// `p ..` of `b`, `8·P` zmm accumulators over the full `k` extent — per `k`
 /// step `P` panel loads, eight broadcasts of `A[i, kk]` and `8·P` fused
-/// multiply-adds, element for element the `mul_add` sequence of the AVX2+FMA
-/// build. Writes the tile's live rows into `c_rows` (`[live, n]`) at the
+/// multiply-adds, element for element the `mul_add` sequence of the 4 × 16
+/// body. Writes the tile's live rows into `c_rows` (`[live, n]`) at the
 /// panels' columns, clipped to `n`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
@@ -327,7 +318,7 @@ fn compute_block(kernel: Kernel, a: AView, b: BView, k: usize, c_block: &mut [f3
         Kernel::Avx512 => unsafe { compute_block_avx512(a, b, k, c_block) },
         #[cfg(target_arch = "x86_64")]
         Kernel::Avx2Fma => unsafe { compute_block_avx2(a, b, k, c_block) },
-        _ => compute_block_body::<false>(a, b, k, c_block),
+        _ => compute_block_body(a, b, k, c_block),
     }
 }
 

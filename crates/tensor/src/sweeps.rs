@@ -30,12 +30,10 @@
 //!   The `exp` lane function is IEEE `+ − × ÷`, compares and integer bit
 //!   operations, nothing else — no `mul_add`, no libm — so its portable and
 //!   AVX2 builds return the same bits for every input, and a host without
-//!   AVX2 computes what a host with it does. The rule covers all three GEMM
-//!   builds: portable, AVX2+FMA and AVX-512 are the only code in the
-//!   workspace whose bits depend on the CPU, and only by FMA or not. (FMA
-//!   inside the polynomial measured 0.33–0.38 against 0.49–0.55 ns per
-//!   element, ≈ 1 % of a model evaluation: not worth a result that depends
-//!   on the CPU.)
+//!   AVX2 computes what a host with it does. The GEMM's three builds all
+//!   fuse, so they too agree bit for bit. (FMA inside the polynomial
+//!   measured 0.33–0.38 against 0.49–0.55 ns per element, ≈ 1 % of a model
+//!   evaluation: not worth moving every digest.)
 //!
 //! These are slice-level primitives; `ops.rs`, `forecast.rs`, the autodiff
 //! tape, and the optimizer call them on their own buffers.

@@ -10,7 +10,9 @@
 //! The kernel-parity tests at the end run each micro-kernel build the host
 //! supports (portable, AVX2+FMA, AVX-512) through `gemm_on`, which takes the
 //! kernel as a value: the dispatching entry points above only ever reach the
-//! widest one.
+//! widest one. Every kernel fuses its multiply-adds, so all of them must
+//! return the same bits — on this host, and (through one pinned digest) on
+//! every other.
 
 use aeris_tensor::gemm::{gemm_on, Kernel};
 use aeris_tensor::{matmul, matmul_nt, matmul_tn, Rng, Tensor};
@@ -110,10 +112,10 @@ proptest! {
     /// all three layouts over edge shapes (`m` mostly not a multiple of the
     /// 4- or 8-row tile, `n` of the 16- or 32-column one, `k` short, odd,
     /// and up to the 512 tokens the model's weight gradients sum over).
-    /// Within a kernel the layouts are bitwise equal; the two FMA kernels are
-    /// bitwise equal to each other; the
-    /// portable one — which no other test reaches on an FMA host — stays
-    /// inside the f64-reference tolerance.
+    /// Within a kernel the layouts are bitwise equal, every kernel stays
+    /// inside the f64-reference tolerance, and all supported kernels are
+    /// bitwise equal to each other (the portable one is reached by no other
+    /// test on an AVX2+FMA host).
     #[test]
     fn kernels_agree_on_all_three_layouts(
         m in 1usize..70,
@@ -129,7 +131,7 @@ proptest! {
         let want = reference(&a, &b);
         let tol = 16.0 * f32::EPSILON as f64 * (k as f64).sqrt();
 
-        let mut fma = Vec::new();
+        let mut outputs = Vec::new();
         for kernel in supported_kernels() {
             let [nn, tn, nt] = layouts_on(kernel, (m, n, k), [a.data(), at.data(), b.data(), bt.data()]);
             let name = kernel.name();
@@ -137,11 +139,9 @@ proptest! {
             prop_assert_eq!(bits(&nn), bits(&nt), "{} f32 nt differs at ({},{},{})", name, m, n, k);
             prop_assert!(scaled_max_err(&nn, &want) <= tol,
                 "{name} f32 err {} > {tol} at ({m},{n},{k})", scaled_max_err(&nn, &want));
-            if kernel != Kernel::Portable {
-                fma.push((name, bits(&nn)));
-            }
+            outputs.push((name, bits(&nn)));
         }
-        for pair in fma.windows(2) {
+        for pair in outputs.windows(2) {
             let ((x, x32), (y, y32)) = (&pair[0], &pair[1]);
             prop_assert_eq!(x32, y32, "{} and {} f32 differ at ({},{},{})", x, y, m, n, k);
         }
@@ -169,6 +169,45 @@ fn weight_gradient_shapes_match_nn_on_the_transpose_bitwise() {
             });
             assert_eq!(bits(&tn), bits(&nn), "{} tn differs at ({m},{n},{k})", kernel.name());
         }
+    }
+}
+
+/// FNV-1a over the output bits of the 18 toy48 GEMMs below, captured on the
+/// `avx512f` kernel.
+const TOY48_GEMM_DIGEST: u64 = 0x07ea_e00b_5cc4_deac;
+
+/// Every GEMM shape of one `toy48` training step — the six projections
+/// `[in, out]` (QKV, attention out, SwiGLU up / down, embed, decode) as NN
+/// forward `X·W`, NT input gradient `dY·Wᵀ` and TN weight gradient `Xᵀ·dY`
+/// over 512 tokens, operands drawn as `examples/gemm_shapes.rs` draws them —
+/// hashes to one pinned digest on every supported kernel. On a host that
+/// runs only the portable kernel, this is the test that compares its bits
+/// with every other host's.
+#[test]
+fn toy48_gemms_hash_to_one_pinned_digest_on_every_kernel() {
+    const TOKENS: usize = 512;
+    let projections = [(48, 144), (48, 48), (48, 192), (96, 48), (43, 48), (48, 20)];
+    for kernel in supported_kernels() {
+        let mut rng = Rng::seed_from(2025);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for layout in ["NN", "NT", "TN"] {
+            for (d_in, d_out) in projections {
+                let x = Tensor::randn(&[TOKENS, d_in], &mut rng);
+                let w = Tensor::randn(&[d_in, d_out], &mut rng);
+                let dy = Tensor::randn(&[TOKENS, d_out], &mut rng);
+                let (m, n, k, a, a_trans, b, b_trans) = match layout {
+                    "NN" => (TOKENS, d_out, d_in, &x, false, &w, false),
+                    "NT" => (TOKENS, d_in, d_out, &dy, false, &w, true),
+                    _ => (d_in, d_out, TOKENS, &x, true, &dy, false),
+                };
+                let mut c = vec![f32::NAN; m * n];
+                gemm_on(kernel, m, n, k, a.data(), a_trans, b.data(), b_trans, &mut c);
+                for x in c {
+                    h = (h ^ x.to_bits() as u64).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!(h, TOY48_GEMM_DIGEST, "{} kernel: got {h:#x}", kernel.name());
     }
 }
 

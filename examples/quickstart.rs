@@ -12,8 +12,8 @@ use aeris::evaluation::{crps, ensemble_mean, rmse};
 use aeris::nn::LrSchedule;
 
 fn main() {
-    // Which arithmetic produced the bits: digests and checkpoints compare
-    // across hosts only within one FMA class (avx2+fma ≡ avx512f ≠ portable).
+    // Which GEMM build ran: a speed choice only, every kernel computes the
+    // same bits, so digests and checkpoints compare across hosts.
     println!("GEMM kernel: {}", aeris::tensor::gemm::kernel_name());
     // 1. A toy global atmosphere stands in for ERA5 (see DESIGN.md): generate
     //    a 6-hourly trajectory with train/val/test splits.

@@ -18,8 +18,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 fn main() {
-    // Which arithmetic produced the bits: digests and checkpoints compare
-    // across hosts only within one FMA class (avx2+fma ≡ avx512f ≠ portable).
+    // Which GEMM build ran: a speed choice only, every kernel computes the
+    // same bits, so digests and checkpoints compare across hosts.
     println!("GEMM kernel: {}", aeris::tensor::gemm::kernel_name());
     // Small trained forecaster (same recipe as the quickstart, fewer images).
     let vars = VariableSet::with_levels(&[850]);

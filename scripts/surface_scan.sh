@@ -21,7 +21,12 @@
 #        invocations — `exp`, `sigmoid`, `silu_gate` in sweeps.rs, the
 #        window-attention core's forward and backward loops in
 #        crates/tensor/src/attention.rs; every other crate root (aeris-autodiff
-#        included) says `#![forbid(unsafe_code)]` (not listed).
+#        included) says `#![forbid(unsafe_code)]` (not listed);
+#   (v)  every `mul_add(` / `_fmadd_*(` call in the same non-test code — the
+#        only places a multiply-add may be contracted. Expected: exactly the
+#        two tile lines of crates/tensor/src/gemm.rs (the 4 × 16 body's
+#        `mul_add`, the AVX-512 tile's `_mm512_fmadd_ps`); a hit anywhere else
+#        is a result that depends on how the compiler or the CPU fuses.
 # Crude on purpose: names are matched as words, so two functions sharing a name
 # hide each other, and a name used only in a doc comment counts as unused.
 set -euo pipefail
@@ -82,3 +87,8 @@ echo "== (iv) unsafe, target_feature, CPU-detection and dispatch sites outside t
 strip_tests $(sources crates/*/src shims/*/src examples src) \
     | grep -E 'unsafe|target_feature|is_x86_feature_detected|dispatched!\(' \
     | grep -vE 'forbid\(unsafe_code\)|deny\(unsafe_op_in_unsafe_fn\)' || true
+
+echo
+echo "== (v) contracted multiply-adds outside test code =="
+strip_tests $(sources crates/*/src shims/*/src examples src) \
+    | grep -E 'mul_add\(|_fmadd_[a-z0-9_]*\(' || true
