@@ -1,12 +1,20 @@
 //! Thread-rank communicator with byte-accurate traffic accounting and
 //! fault-tolerant delivery.
 //!
-//! Message passing uses a shared mailbox keyed by `(src, dst, tag)`; tags are
-//! derived from per-(pair/group) operation counters so that, as on a real
-//! interconnect, matching is by order within a channel and collectives cannot
-//! cross-talk. Collectives are deterministic: reductions combine contributions
-//! in group-rank order regardless of arrival order, so distributed runs are
-//! bitwise reproducible for a fixed topology.
+//! Message passing uses one mailbox per receiving rank, keyed by `(src, tag)`;
+//! tags are derived from per-(pair/group) operation counters so that, as on a
+//! real interconnect, matching is by order within a channel and collectives
+//! cannot cross-talk. Collectives are deterministic: reductions combine
+//! contributions in group-rank order regardless of arrival order, so
+//! distributed runs are bitwise reproducible for a fixed topology.
+//!
+//! Each mailbox has its own lock and condvar, and only its owner waits on it:
+//! a send wakes only its receiver, and a death wakes every mailbox. A single
+//! world-wide mailbox woke every blocked rank on every message. On the
+//! benchmark's `train_swipe` (16 ranks, 632 communication operations per
+//! step, 2 cores) that cost ≈ 1.9 M voluntary context switches and 11.5 s of
+//! system CPU per 20-s run, against ≈ 0.45 M and 4.3 s with a mailbox per
+//! receiver.
 //!
 //! Fault tolerance (robustness layer):
 //! - every blocking wait carries a deadline ([`CommConfig::deadline`]); an
@@ -113,14 +121,20 @@ struct Envelope {
     suppressed: u32,
 }
 
+/// One receiving rank's buffered messages; the receiver is the index of
+/// its [`Mailbox`], so keys name only the sender.
 #[derive(Default)]
 struct MailboxState {
-    slots: HashMap<(usize, usize, u64), Envelope>,
-    /// Per directed channel: how many messages have been posted (the fault
-    /// plan addresses messages by this index).
-    posted: HashMap<(usize, usize), u64>,
+    slots: HashMap<(usize, u64), Envelope>,
+    /// Per sender: how many messages it has posted to this rank (the fault
+    /// plan addresses messages by this per-channel index).
+    posted: HashMap<usize, u64>,
 }
 
+/// A receiving rank's mailbox. Only its owner's thread waits on `cond`, so
+/// a put wakes exactly the receiver it addresses. Puts use `notify_all`: with
+/// one waiter it wakes the same single thread `notify_one` would, and it
+/// stays correct if a second communicator for the same rank ever waits too.
 #[derive(Default)]
 struct Mailbox {
     state: Mutex<MailboxState>,
@@ -129,7 +143,8 @@ struct Mailbox {
 
 struct WorldInner {
     n: usize,
-    mailbox: Mailbox,
+    /// One mailbox per receiving rank, indexed by `dst`.
+    mailboxes: Vec<Mailbox>,
     /// bytes sent per (rank, class).
     sent: Vec<[AtomicU64; 5]>,
     config: CommConfig,
@@ -235,11 +250,6 @@ impl World {
         World::with_config(n, CommConfig::default(), None)
     }
 
-    /// Create a world with a fault plan and default timeouts.
-    pub fn with_faults(n: usize, plan: FaultPlan) -> Self {
-        World::with_config(n, CommConfig::default(), Some(plan))
-    }
-
     /// Create a world with explicit timeout policy and an optional fault
     /// plan (tracing disabled: every span site costs one atomic load).
     pub fn with_config(n: usize, config: CommConfig, plan: Option<FaultPlan>) -> Self {
@@ -260,7 +270,7 @@ impl World {
         World {
             inner: Arc::new(WorldInner {
                 n,
-                mailbox: Mailbox::default(),
+                mailboxes: (0..n).map(|_| Mailbox::default()).collect(),
                 sent,
                 config,
                 plan,
@@ -297,12 +307,15 @@ impl World {
         self.inner.ops.iter().map(|c| c.load(Ordering::Relaxed)).collect()
     }
 
-    /// Mark `rank` dead and wake all waiters so they can observe the death
-    /// instead of sleeping out their full deadline.
+    /// Mark `rank` dead and wake every mailbox's waiter so it can observe
+    /// the death instead of sleeping out its backoff or deadline (any rank
+    /// may be waiting on the dead one).
     pub fn mark_dead(&self, rank: usize) {
         self.inner.dead[rank].store(true, Ordering::SeqCst);
-        let _guard = self.inner.mailbox.state.lock();
-        self.inner.mailbox.cond.notify_all();
+        for mailbox in &self.inner.mailboxes {
+            let _guard = mailbox.state.lock();
+            mailbox.cond.notify_all();
+        }
     }
 
     /// Whether `rank` has died.
@@ -354,9 +367,10 @@ impl World {
     }
 
     fn put(&self, src: usize, dst: usize, tag: u64, class: CommClass, payload: Vec<Tensor>) {
+        let mailbox = &self.inner.mailboxes[dst];
         let fault = {
-            let mut st = self.inner.mailbox.state.lock();
-            let seq = st.posted.entry((src, dst)).or_insert(0);
+            let mut st = mailbox.state.lock();
+            let seq = st.posted.entry(src).or_insert(0);
             let nth = *seq;
             *seq += 1;
             // Fast path: no plan installed → plain insert under one lock.
@@ -368,7 +382,7 @@ impl World {
                         Some(MessageFault::Drop { times }) => times,
                         _ => 0,
                     };
-                    let prev = st.slots.insert((src, dst, tag), Envelope { payload, suppressed });
+                    let prev = st.slots.insert((src, tag), Envelope { payload, suppressed });
                     assert!(prev.is_none(), "duplicate message ({src}->{dst}, tag {tag})");
                     drop(st);
                     if suppressed > 0 {
@@ -376,7 +390,7 @@ impl World {
                             .events
                             .record(src, FaultEvent::InjectedDrop { src, dst, remaining: suppressed });
                     }
-                    self.inner.mailbox.cond.notify_all();
+                    mailbox.cond.notify_all();
                     return;
                 }
             }
@@ -389,11 +403,11 @@ impl World {
             self.inner.events.record(src, FaultEvent::InjectedDelay { src, dst, class, millis });
             std::thread::sleep(Duration::from_millis(millis));
         }
-        let mut st = self.inner.mailbox.state.lock();
-        let prev = st.slots.insert((src, dst, tag), Envelope { payload, suppressed: 0 });
+        let mut st = mailbox.state.lock();
+        let prev = st.slots.insert((src, tag), Envelope { payload, suppressed: 0 });
         assert!(prev.is_none(), "duplicate message ({src}->{dst}, tag {tag})");
         drop(st);
-        self.inner.mailbox.cond.notify_all();
+        mailbox.cond.notify_all();
     }
 
     /// Blocking mailbox wait with deadline. `retry_p2p` enables the
@@ -408,12 +422,15 @@ impl World {
     ) -> Result<Vec<Tensor>, CommError> {
         let config = &self.inner.config;
         let start = Instant::now();
-        let deadline = start + config.deadline;
+        // `None` (a deadline past the clock's range, e.g. `Duration::MAX`):
+        // no timeout; the wait ends on a put, a death or the retransmit timer.
+        let deadline = start.checked_add(config.deadline);
         let mut backoff = config.retry_backoff;
         let mut last_retry = start;
         let mut attempt = 0u32;
-        let key = (src, dst, tag);
-        let mut st = self.inner.mailbox.state.lock();
+        let key = (src, tag);
+        let mailbox = &self.inner.mailboxes[dst];
+        let mut st = mailbox.state.lock();
         loop {
             let deliverable = matches!(st.slots.get(&key), Some(env) if env.suppressed == 0);
             if deliverable {
@@ -425,7 +442,7 @@ impl World {
                 return Err(CommError::PeerDead { rank: dst, peer: src });
             }
             let now = Instant::now();
-            if now >= deadline {
+            if deadline.is_some_and(|d| now >= d) {
                 let waited_ms = config.deadline.as_millis() as u64;
                 self.inner
                     .events
@@ -451,8 +468,8 @@ impl World {
                 last_retry = now;
                 backoff = (backoff * 2).min(config.max_backoff);
             }
-            let wait = backoff.min(deadline - now);
-            let _ = self.inner.mailbox.cond.wait_for(&mut st, wait);
+            let wait = deadline.map_or(backoff, |d| backoff.min(d - now));
+            let _ = mailbox.cond.wait_for(&mut st, wait);
         }
     }
 }
@@ -909,7 +926,7 @@ mod tests {
     #[test]
     fn dropped_p2p_message_recovered_by_retransmit() {
         let plan = FaultPlan::new().drop_message(0, 1, 0, 2);
-        let world = World::with_faults(2, plan);
+        let world = World::with_config(2, CommConfig::default(), Some(plan));
         thread::scope(|s| {
             let mut c0 = world.communicator(0);
             let mut c1 = world.communicator(1);
@@ -927,6 +944,74 @@ mod tests {
                 .count_matching(|e| matches!(e, FaultEvent::RetransmitRequest { .. })),
             2
         );
+    }
+
+    #[test]
+    fn recv_with_an_unbounded_deadline_delivers() {
+        let unbounded = CommConfig { deadline: Duration::MAX, ..CommConfig::default() };
+        let world = World::with_config(2, unbounded, None);
+        thread::scope(|s| {
+            let mut c0 = world.communicator(0);
+            let mut c1 = world.communicator(1);
+            // Already in the mailbox when the receive starts.
+            c0.send(1, CommClass::P2p, vec![Tensor::from_slice(&[1.0])]).unwrap();
+            s.spawn(move || {
+                thread::sleep(Duration::from_millis(20));
+                c0.send(1, CommClass::P2p, vec![Tensor::from_slice(&[2.0])]).unwrap();
+            });
+            assert_eq!(c1.recv(0).unwrap()[0].data(), &[1.0]);
+            // Arrives while the receive waits.
+            assert_eq!(c1.recv(0).unwrap()[0].data(), &[2.0]);
+        });
+    }
+
+    /// Waits whose poll interval is a minute: only a notification reaching
+    /// the waiter's own mailbox can end them within a second (a missed one
+    /// ends in a `Timeout` at the 5-s deadline). The tests' 20-ms sleeps let
+    /// the waiter block first; they pass either way.
+    fn notify_only_world() -> World {
+        let minute = Duration::from_secs(60);
+        let deadline = Duration::from_secs(5);
+        World::with_config(2, CommConfig { deadline, retry_backoff: minute, max_backoff: minute }, None)
+    }
+
+    #[test]
+    fn a_send_wakes_its_blocked_receiver() {
+        let world = notify_only_world();
+        thread::scope(|s| {
+            let mut c0 = world.communicator(0);
+            let mut c1 = world.communicator(1);
+            s.spawn(move || {
+                thread::sleep(Duration::from_millis(20));
+                c0.send(1, CommClass::P2p, vec![Tensor::from_slice(&[1.0])]).unwrap();
+                thread::sleep(Duration::from_millis(20));
+                c0.allgather(&[0, 1], CommClass::AllGather, Tensor::from_slice(&[2.0])).unwrap();
+            });
+            let start = Instant::now();
+            assert_eq!(c1.recv(0).unwrap()[0].data(), &[1.0]);
+            assert!(start.elapsed() < Duration::from_secs(1), "recv missed its wake-up");
+            let start = Instant::now();
+            let parts =
+                c1.allgather(&[0, 1], CommClass::AllGather, Tensor::from_slice(&[3.0])).unwrap();
+            assert_eq!(parts[0].data(), &[2.0]);
+            assert!(start.elapsed() < Duration::from_secs(1), "allgather missed its wake-up");
+        });
+    }
+
+    #[test]
+    fn a_death_wakes_a_receiver_blocked_on_the_dead_rank() {
+        let world = notify_only_world();
+        thread::scope(|s| {
+            let mut c1 = world.communicator(1);
+            let w = &world;
+            s.spawn(move || {
+                thread::sleep(Duration::from_millis(20));
+                w.mark_dead(0);
+            });
+            let start = Instant::now();
+            assert_eq!(c1.recv(0).unwrap_err(), CommError::PeerDead { rank: 1, peer: 0 });
+            assert!(start.elapsed() < Duration::from_secs(1), "death missed its wake-up");
+        });
     }
 
     #[test]

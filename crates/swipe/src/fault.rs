@@ -53,9 +53,8 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// An empty plan (no faults). `World::with_faults(.., FaultPlan::new())`
-    /// exercises every hook with zero injected behavior — the configuration
-    /// the fault-hook overhead benchmark measures.
+    /// An empty plan (no faults): installed in a world, every hook runs and
+    /// injects nothing.
     pub fn new() -> Self {
         FaultPlan::default()
     }

@@ -1,10 +1,11 @@
 //! SWiPe: Sequence-Window-Pipeline parallelism (§V-A of the paper),
 //! reproduced as a thread-rank distributed runtime.
 //!
-//! Ranks are OS threads; collectives run over shared mailboxes with
-//! byte-accurate traffic accounting, so the paper's communication claims
-//! (message size `M = b·s·h/SP/WP`, unchanged gradient-allreduce volume,
-//! 1/WP activation memory and I/O) are *measured*, not asserted.
+//! Ranks are OS threads; collectives run over one mailbox per receiving rank
+//! (a send wakes only its receiver) with byte-accurate traffic accounting,
+//! so the paper's communication claims (message size `M = b·s·h/SP/WP`,
+//! unchanged gradient-allreduce volume, 1/WP activation memory and I/O) are
+//! *measured*, not asserted.
 //!
 //! Components:
 //! - [`comm`]: world/communicator with send/recv, all-to-all, allreduce,

@@ -526,3 +526,45 @@ impl DistributedTrainer {
         })
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::data::InMemorySource;
+    use aeris_core::{AerisConfig, TrainSample};
+    use std::time::Duration;
+
+    /// A `Duration::MAX` deadline means "never time out", not an `Instant`
+    /// overflow in every rank's first blocking receive: the run completes
+    /// with the default configuration's losses, bit for bit.
+    #[test]
+    fn an_unbounded_deadline_trains_like_the_default() {
+        let reference = AerisModel::new(AerisConfig::test_tiny());
+        let cfg = &reference.cfg;
+        let mut rng = Rng::seed_from(3);
+        let samples = (0..4)
+            .map(|_| TrainSample {
+                x_prev: Tensor::randn(&[cfg.tokens(), cfg.channels], &mut rng),
+                residual: Tensor::randn(&[cfg.tokens(), cfg.channels], &mut rng).scale(0.3),
+                forcings: Tensor::randn(&[cfg.tokens(), cfg.forcing_channels], &mut rng),
+            })
+            .collect();
+        let source = InMemorySource { samples };
+        let grid = aeris_earthsim::Grid::new(cfg.grid_h, cfg.grid_w);
+        let weights =
+            aeris_diffusion::loss_weights(&grid.token_lat_weights(), &vec![1.0; cfg.channels]);
+        let schedule = vec![vec![vec![0, 1]], vec![vec![2, 3]]];
+        let topo = SwipeTopology::new(1, 4, 1, 1, 2);
+        let base = SwipeConfig { gas: 2, n_steps: 2, ..SwipeConfig::new(topo) };
+        let unbounded = SwipeConfig {
+            comm: CommConfig { deadline: Duration::MAX, ..CommConfig::default() },
+            ..base.clone()
+        };
+        let run = |cfg: &SwipeConfig| {
+            let report = DistributedTrainer::train(&reference, cfg, &source, &schedule, &weights)
+                .expect("fault-free run");
+            report.losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>()
+        };
+        assert_eq!(run(&unbounded), run(&base));
+    }
+}

@@ -72,8 +72,19 @@ fn main() {
 
     let reference = AerisModel::new(cfg.clone());
     println!("running distributed SWiPe training (2 steps, GAS=2)…");
+    let cpu_before = process_cpu_ticks();
     let report = DistributedTrainer::train(&reference, &swipe_cfg, &source, &schedule, &weights).expect("fault-free run");
     println!("  losses: {:?}", report.losses);
+    // How much of the run the kernel spent waking ranks: a send that wakes
+    // only its receiver keeps the system share low.
+    if let (Some((u0, s0)), Some((u1, s1))) = (cpu_before, process_cpu_ticks()) {
+        let (user, sys) = (u1 - u0, s1 - s0);
+        println!(
+            "  system CPU per distributed step: {:.0} ms ({:.0} % of the run's CPU time)",
+            sys as f64 * 10.0 / swipe_cfg.n_steps as f64,
+            100.0 * sys as f64 / (user + sys).max(1) as f64
+        );
+    }
 
     // The same two steps on a single rank with identical noise realizations.
     println!("running single-rank reference…");
@@ -187,4 +198,16 @@ fn main() {
         std::fs::write(&path, tracer.chrome_trace()).expect("write trace");
         println!("wrote {} spans to {path}", spans.len());
     }
+}
+
+/// `(user, system)` CPU time of the whole process in clock ticks (10 ms:
+/// `USER_HZ` is 100 on x86-64 and aarch64 Linux), fields 14–15 of
+/// `/proc/self/stat`. Unlike the per-thread counters of `/proc/self/status`,
+/// these include threads that have exited, as every rank thread has once
+/// `train` returns. `None` where the file is unreadable.
+fn process_cpu_ticks() -> Option<(u64, u64)> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // The command name (field 2) may hold spaces: count fields from its `)`.
+    let mut fields = stat.rsplit_once(')')?.1.split_whitespace().skip(11);
+    Some((fields.next()?.parse().ok()?, fields.next()?.parse().ok()?))
 }

@@ -251,7 +251,7 @@ proptest! {
         n in 2usize..5,
         len in 1usize..48,
     ) {
-        use aeris::swipe::{FaultPlan, World};
+        use aeris::swipe::{CommConfig, FaultPlan, World};
         let run = |world: World| {
             let group: Vec<usize> = (0..n).collect();
             let results = std::sync::Mutex::new(vec![None; n]);
@@ -277,7 +277,7 @@ proptest! {
         // cases), aimed at the first messages of random channels.
         let plan = FaultPlan::chaos_delays(seed, n, 4, 6, 3);
         let clean = run(World::new(n));
-        let delayed = run(World::with_faults(n, plan));
+        let delayed = run(World::with_config(n, CommConfig::default(), Some(plan)));
         for (c, d) in clean.iter().zip(&delayed) {
             prop_assert_eq!(c.as_ref().unwrap(), d.as_ref().unwrap());
         }
