@@ -13,6 +13,12 @@
 //! forms the model actually records: windowed attention (`attention`) and the
 //! block's norm-modulate / SwiGLU / gated-residual chains (`fused`).
 //!
+//! The tape has one reverse loop, [`Tape::sweep`]. [`Tape::backward`] and
+//! [`Tape::backward_from`] seed cotangents and sweep the whole tape; a
+//! distributed pipeline stage sweeps in parts instead, seeding the cotangents
+//! other ranks send back between them ([`Tape::grads`], [`Tape::seed`]), so
+//! each node's backward still runs once.
+//!
 //! Every op's backward is verified against central finite differences in the
 //! `grad` test module and property tests.
 

@@ -148,7 +148,7 @@ impl Binding {
 
     /// Add every bound parameter's gradient into `into` (store order, one
     /// slot per parameter): the first contribution moves in, later ones add.
-    /// For summing over samples, microbatches or `backward_from` passes.
+    /// For summing over samples or microbatches.
     pub fn accumulate_grads(&self, grads: &mut Grads, into: &mut [Option<Tensor>]) {
         assert_eq!(into.len(), self.vars.len(), "one gradient slot per parameter");
         for (slot, var) in into.iter_mut().zip(&self.vars) {

@@ -16,12 +16,13 @@
 //! `Wo`. The tape has a fixed number of nodes whatever the number of windows
 //! a rank holds.
 //!
-//! The tape records the shipped activation vars, and the backward runs as
-//! three `backward_from` passes with the transposed exchanges in between.
+//! The tape records the shipped activation vars. The backward is one reverse
+//! sweep of that tape that stops twice, at the vars each all-to-all shipped,
+//! to run the transposed exchange and seed the cotangents it returns.
 
 use crate::comm::{CommError, Communicator};
 use crate::layout::ActLayout;
-use aeris_autodiff::{Grads, Tape, Var, WindowAttnPlan};
+use aeris_autodiff::{Tape, Var, WindowAttnPlan};
 use aeris_core::model::SwinBlock;
 use aeris_core::AerisModel;
 use aeris_nn::timecond::AdaLnHead;
@@ -372,82 +373,44 @@ impl StageModel {
         })
     }
 
-    /// Block backward: three `backward_from` passes with transposed
-    /// all-to-alls. Returns the gradient w.r.t. the block input and
-    /// accumulates parameter gradients into `param_grads`.
+    /// Block backward: the forward's transpose, as one reverse sweep with two
+    /// stops. The sweep halts at the vars shipped through each all-to-all
+    /// (the attention outputs, then the `Q | K | V` chunks), the gradients of
+    /// the leaves received there travel back through the same exchange, and
+    /// what arrives seeds the shipped vars before the sweep resumes. Every
+    /// node's backward runs once. Returns the gradient w.r.t. the block input
+    /// and accumulates parameter gradients into `param_grads`.
     pub fn backward_block(
         &self,
-        mut run: StageRun,
+        run: StageRun,
         g_out: Tensor,
         comm: &mut Communicator,
         sp_group: &[usize],
         param_grads: &mut [Option<Tensor>],
     ) -> Result<Tensor, CommError> {
-        let sp = sp_group.len();
         let me = sp_group.iter().position(|&r| r == comm.rank()).expect("rank in sp group");
+        let tape = &run.tape;
+        let mut grads = tape.grads();
+        tape.seed(&mut grads, run.out, g_out);
+        for (sent, recv) in [(&run.attn_sent, &run.attn_recv), (&run.qkv_sent, &run.qkv_recv)] {
+            tape.sweep(&mut grads, sent);
+            let chunks = recv
+                .iter()
+                .map(|leaf| match *leaf {
+                    Some(v) => grads.take(v).unwrap_or_else(|| Tensor::zeros(tape.value(v).shape())),
+                    None => Tensor::zeros(&[0]),
+                })
+                .collect();
+            let returned = comm.alltoall(sp_group, chunks)?;
+            for (i, g) in returned.into_iter().enumerate().filter(|&(i, _)| i != me) {
+                tape.seed(&mut grads, sent[i], g);
+            }
+        }
+        tape.sweep(&mut grads, &[]);
         let x_in = run.x_in.expect("block stages have an input leaf");
-        let mut x_in_grad = Tensor::zeros(run.tape.value(x_in).shape());
-        let mut accumulate = |grads: &mut Grads| {
-            if let Some(g) = grads.take(x_in) {
-                x_in_grad.add_assign(&g);
-            }
-            run.binding.accumulate_grads(grads, param_grads);
-        };
-
-        // Pass 1: from the block output.
-        let mut pass1 = run.tape.backward_from(&[(run.out, g_out)]);
-        // Grads for attention outputs computed by peers → alltoall back.
-        let mut attn_chunks = Vec::with_capacity(sp);
-        let mut pass1_qkv: Vec<Option<Tensor>> = vec![None; sp];
-        for j in 0..sp {
-            let g = match run.attn_recv[j] {
-                Some(leaf) => pass1
-                    .take(leaf)
-                    .unwrap_or_else(|| Tensor::zeros(run.tape.value(leaf).shape())),
-                None => Tensor::zeros(&[0]),
-            };
-            attn_chunks.push(g);
-        }
-        for (j, slot) in pass1_qkv.iter_mut().enumerate() {
-            if let Some(leaf) = run.qkv_recv[j] {
-                *slot = pass1.take(leaf);
-            }
-        }
-        accumulate(&mut pass1);
-        let attn_sent_grads = comm.alltoall(sp_group, attn_chunks)?;
-
-        // Pass 2: seed grads of my attention outputs shipped to peers.
-        let seeds: Vec<(Var, Tensor)> = (0..sp)
-            .filter(|&i| i != me)
-            .map(|i| (run.attn_sent[i], attn_sent_grads[i].clone()))
-            .collect();
-        let mut pass2 = run.tape.backward_from(&seeds);
-        let mut qkv_chunks = Vec::with_capacity(sp);
-        for j in 0..sp {
-            let g = match run.qkv_recv[j] {
-                Some(leaf) => {
-                    let shape = run.tape.value(leaf).shape().to_vec();
-                    let mut g = pass1_qkv[j].take().unwrap_or_else(|| Tensor::zeros(&shape));
-                    if let Some(g2) = pass2.take(leaf) {
-                        g.add_assign(&g2);
-                    }
-                    g
-                }
-                None => Tensor::zeros(&[0]),
-            };
-            qkv_chunks.push(g);
-        }
-        accumulate(&mut pass2);
-        let qkv_sent_grads = comm.alltoall(sp_group, qkv_chunks)?;
-
-        // Pass 3: seed grads of my QKV chunks shipped to peers.
-        let seeds: Vec<(Var, Tensor)> = (0..sp)
-            .filter(|&i| i != me)
-            .map(|i| (run.qkv_sent[i], qkv_sent_grads[i].clone()))
-            .collect();
-        let mut pass3 = run.tape.backward_from(&seeds);
-        accumulate(&mut pass3);
-        Ok(x_in_grad)
+        let g_in = grads.take(x_in).expect("block input grad");
+        run.binding.accumulate_grads(&mut grads, param_grads);
+        Ok(g_in)
     }
 
     /// Input-stage backward.

@@ -173,6 +173,8 @@ pub enum SwipeError {
     Checkpoint(CheckpointError),
     /// Every data-parallel replica was lost to planned crashes.
     AllReplicasLost { step: usize },
+    /// `schedule[step][dp]` names a sample the source does not hold.
+    SampleOutOfRange { step: usize, dp: usize, sample: usize, len: usize },
 }
 
 impl std::fmt::Display for SwipeError {
@@ -185,6 +187,11 @@ impl std::fmt::Display for SwipeError {
             SwipeError::AllReplicasLost { step } => {
                 write!(f, "all data-parallel replicas lost by step {step}")
             }
+            SwipeError::SampleOutOfRange { step, dp, sample, len } => write!(
+                f,
+                "step {step}, replica dp={dp}: sample {sample} is out of range for a source \
+                 of {len} samples"
+            ),
         }
     }
 }
@@ -434,6 +441,20 @@ pub(crate) struct Run<'a> {
     pub(crate) max_act: AtomicUsize,
 }
 
+/// Marks its rank dead if dropped during a panic.
+struct DeadOnUnwind<'a> {
+    world: &'a World,
+    rank: usize,
+}
+
+impl Drop for DeadOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.world.mark_dead(self.rank);
+        }
+    }
+}
+
 /// The distributed trainer entry point.
 pub struct DistributedTrainer;
 
@@ -443,10 +464,13 @@ impl DistributedTrainer {
     /// [dp]` lists the GAS sample indices each data-parallel replica consumes
     /// at that step.
     ///
-    /// Fails with a typed [`TrainFailure`] — carrying the fault log — if a
-    /// rank dies mid-step or a communication deadline expires; completes with
-    /// a degraded (DP-shrunk) run when crashes are planned at step
-    /// boundaries.
+    /// Fails with a typed [`TrainFailure`] — carrying the fault log — if the
+    /// schedule names a sample `source` does not hold (checked before any
+    /// rank spawns), a rank dies mid-step or a communication deadline
+    /// expires; completes with a degraded (DP-shrunk) run when crashes are
+    /// planned at step boundaries. A panicking rank is marked dead as it
+    /// unwinds, so its peers fail fast and the panic propagates without
+    /// waiting out the comm deadline.
     pub fn train(
         reference: &AerisModel,
         cfg: &SwipeConfig,
@@ -474,6 +498,14 @@ impl DistributedTrainer {
             events: world.events().snapshot(),
         };
 
+        for (step, replicas) in schedule.iter().enumerate() {
+            for (dp, micro) in replicas.iter().enumerate() {
+                if let Some(&sample) = micro.iter().find(|&&s| s >= source.len()) {
+                    let error = SwipeError::SampleOutOfRange { step, dp, sample, len: source.len() };
+                    return Err(fail(error, &world));
+                }
+            }
+        }
         let resume = match &cfg.resume_from {
             Some(path) => match load_resume_state(reference, cfg, path) {
                 Ok(r) => Some(r),
@@ -501,10 +533,11 @@ impl DistributedTrainer {
                 let comm = world.communicator(rank);
                 let (world, run, errors) = (&world, &run, &errors);
                 scope.spawn(move || {
+                    // A failed or panicking rank can no longer feed its peers:
+                    // mark it dead so their waits collapse into fast PeerDead
+                    // errors instead of sleeping out the full deadline.
+                    let _unwinding = DeadOnUnwind { world, rank };
                     if let Err(e) = Rank::new(comm, run).and_then(|mut r| r.train()) {
-                        // A failed rank can no longer feed its peers: mark it
-                        // dead so their waits collapse into fast PeerDead
-                        // errors instead of sleeping out the full deadline.
                         world.mark_dead(rank);
                         errors.lock().push(e);
                     }
@@ -532,13 +565,10 @@ mod tests {
     use super::*;
     use crate::data::InMemorySource;
     use aeris_core::{AerisConfig, TrainSample};
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
-    /// A `Duration::MAX` deadline means "never time out", not an `Instant`
-    /// overflow in every rank's first blocking receive: the run completes
-    /// with the default configuration's losses, bit for bit.
-    #[test]
-    fn an_unbounded_deadline_trains_like_the_default() {
+    /// A tiny reference model, four random samples and the loss weights.
+    fn tiny_run() -> (AerisModel, InMemorySource, Tensor) {
         let reference = AerisModel::new(AerisConfig::test_tiny());
         let cfg = &reference.cfg;
         let mut rng = Rng::seed_from(3);
@@ -549,13 +579,24 @@ mod tests {
                 forcings: Tensor::randn(&[cfg.tokens(), cfg.forcing_channels], &mut rng),
             })
             .collect();
-        let source = InMemorySource { samples };
         let grid = aeris_earthsim::Grid::new(cfg.grid_h, cfg.grid_w);
         let weights =
             aeris_diffusion::loss_weights(&grid.token_lat_weights(), &vec![1.0; cfg.channels]);
+        (reference, InMemorySource { samples }, weights)
+    }
+
+    fn two_step_config() -> SwipeConfig {
+        SwipeConfig { gas: 2, n_steps: 2, ..SwipeConfig::new(SwipeTopology::new(1, 4, 1, 1, 2)) }
+    }
+
+    /// A `Duration::MAX` deadline means "never time out", not an `Instant`
+    /// overflow in every rank's first blocking receive: the run completes
+    /// with the default configuration's losses, bit for bit.
+    #[test]
+    fn an_unbounded_deadline_trains_like_the_default() {
+        let (reference, source, weights) = tiny_run();
         let schedule = vec![vec![vec![0, 1]], vec![vec![2, 3]]];
-        let topo = SwipeTopology::new(1, 4, 1, 1, 2);
-        let base = SwipeConfig { gas: 2, n_steps: 2, ..SwipeConfig::new(topo) };
+        let base = two_step_config();
         let unbounded = SwipeConfig {
             comm: CommConfig { deadline: Duration::MAX, ..CommConfig::default() },
             ..base.clone()
@@ -566,5 +607,66 @@ mod tests {
             report.losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>()
         };
         assert_eq!(run(&unbounded), run(&base));
+    }
+
+    /// Serves `inner`'s samples but panics on one, as a loader would on a
+    /// corrupt record.
+    struct PanicsOn {
+        inner: InMemorySource,
+        bad: usize,
+    }
+
+    impl WindowSource for PanicsOn {
+        fn channels(&self) -> usize {
+            self.inner.channels()
+        }
+
+        fn forcing_channels(&self) -> usize {
+            self.inner.forcing_channels()
+        }
+
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+
+        fn load_rows(&self, ix: usize, field: Field, tokens: &[usize]) -> Tensor {
+            assert_ne!(ix, self.bad, "sample {ix} is unreadable");
+            self.inner.load_rows(ix, field, tokens)
+        }
+    }
+
+    /// The ranks that load the bad sample panic in step 1. Marked dead as
+    /// they unwind, they end their peers' waits at once: the panic reaches
+    /// the caller in well under the 30-s comm deadline it would otherwise
+    /// take.
+    #[test]
+    fn a_panicking_rank_does_not_stall_its_peers() {
+        let (reference, inner, weights) = tiny_run();
+        let source = PanicsOn { inner, bad: 2 };
+        let schedule = vec![vec![vec![0, 1]], vec![vec![2, 3]]];
+        let cfg = SwipeConfig {
+            comm: CommConfig { deadline: Duration::from_secs(30), ..CommConfig::default() },
+            ..two_step_config()
+        };
+        let start = Instant::now();
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            DistributedTrainer::train(&reference, &cfg, &source, &schedule, &weights)
+        }));
+        let elapsed = start.elapsed();
+        assert!(outcome.is_err(), "the rank's panic reaches the caller");
+        assert!(elapsed < Duration::from_secs(5), "took {elapsed:?}");
+    }
+
+    /// A schedule naming a sample past the source's end is refused before
+    /// any rank spawns, with the step, replica, sample and source length.
+    #[test]
+    fn an_out_of_range_sample_is_a_typed_error() {
+        let (reference, source, weights) = tiny_run();
+        let schedule = vec![vec![vec![0, 1]], vec![vec![4, 3]]];
+        let failure = DistributedTrainer::train(&reference, &two_step_config(), &source, &schedule, &weights)
+            .err()
+            .expect("sample 4 of 4 is out of range");
+        assert_eq!(failure.error, SwipeError::SampleOutOfRange { step: 1, dp: 0, sample: 4, len: 4 });
+        assert!(failure.events.is_empty());
     }
 }

@@ -331,3 +331,59 @@ fn equivalence_holds_on_2d_window_grid() {
         );
     }
 }
+
+/// The distributed gradients themselves, not AdamW's reaction to them: the
+/// tests above compare parameters after AdamW steps, whose first update is
+/// almost `lr·sign(g)` and so hides even a gradient that is wrong by 100 %.
+///
+/// With `weight_decay` 0 the first AdamW step moves each parameter by exactly
+/// `lr·g / (|g| + eps)` (the bias corrections cancel), so `d = (p0 − p1)/lr`
+/// recovers `g = eps·d / (1 − |d|)`. `eps` ≫ |g| keeps that map near-linear,
+/// and `lr` = 1000·eps makes the update large next to `p0`, so the f32
+/// subtraction loses little. The recovered gradients of one step at sp = 2
+/// match [`reference_grads`] per tensor, relative to the tensor's abs max.
+/// Measured worst case: 5e-7 (dp 1) and 7e-7 (dp 2), under the three-pass
+/// backward and the one-sweep backward alike; dropping the cotangents that
+/// either all-to-all returns to the block backward reads ≈ 0.9.
+#[test]
+fn distributed_gradients_equal_reference_grads() {
+    let cfg = tiny_cfg();
+    let source = InMemorySource { samples: random_samples(8, cfg.tokens(), cfg.channels) };
+    let weights = weights_for(&cfg);
+    // Nudge the zero-initialized AdaLN heads and decoder: otherwise every
+    // block is an identity and no gradient reaches the attention.
+    let mut reference = AerisModel::new(cfg.clone());
+    let mut rng = Rng::seed_from(9);
+    let heads = reference.blocks.iter().map(|b| b.adaln.head).chain([reference.decode]);
+    for id in heads.flat_map(|lin| [lin.w, lin.b.expect("bias")]).collect::<Vec<_>>() {
+        let nudge = Tensor::randn(reference.store.get(id).shape(), &mut rng).scale(0.05);
+        reference.store.get_mut(id).add_assign(&nudge);
+    }
+    let (eps, lr) = (1.0f32, 1000.0f32);
+    let adamw = AdamWConfig { eps, weight_decay: 0.0, ..AdamWConfig::default() };
+
+    for dp in [1, 2] {
+        let topo = SwipeTopology::new(dp, 4, 1, 2, 2);
+        let swipe_cfg = SwipeConfig { gas: 2, n_steps: 1, lr, seed: 31, adamw, ..SwipeConfig::new(topo) };
+        let sched = schedule(1, dp, 2, 8);
+        let report = DistributedTrainer::train(&reference, &swipe_cfg, &source, &sched, &weights)
+            .expect("fault-free run");
+        let (_, want) = reference_grads(&reference, &source, &sched[0], &weights, 31, 0);
+
+        let mut worst = (0.0f32, String::new());
+        for (_, name, p0) in reference.store.iter() {
+            let got = p0.zip_map(&report.final_params[name], |a, b| {
+                let d = (a - b) / lr;
+                eps * d / (1.0 - d.abs())
+            });
+            let g = &want[name];
+            let err = got.max_abs_diff(g) / g.abs_max().max(f32::MIN_POSITIVE);
+            if err >= worst.0 {
+                worst = (err, name.to_string());
+            }
+        }
+        eprintln!("dp={dp}: worst gradient deviation {:.2e} ({})", worst.0, worst.1);
+        let (err, name) = worst;
+        assert!(err < 1e-4, "dp={dp}: gradient of {name} deviates by {err:.2e} of its abs max");
+    }
+}

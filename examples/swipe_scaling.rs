@@ -75,13 +75,17 @@ fn main() {
     let cpu_before = process_cpu_ticks();
     let report = DistributedTrainer::train(&reference, &swipe_cfg, &source, &schedule, &weights).expect("fault-free run");
     println!("  losses: {:?}", report.losses);
-    // How much of the run the kernel spent waking ranks: a send that wakes
-    // only its receiver keeps the system share low.
+    // The ranks' own work (user CPU: a block-stage backward that runs each
+    // tape node once keeps it low) and how much of the run the kernel spent
+    // waking ranks (system CPU: a send that wakes only its receiver keeps
+    // that share low).
     if let (Some((u0, s0)), Some((u1, s1))) = (cpu_before, process_cpu_ticks()) {
         let (user, sys) = (u1 - u0, s1 - s0);
+        let per_step = |ticks: u64| ticks as f64 * 10.0 / swipe_cfg.n_steps as f64;
+        println!("  user CPU per distributed step: {:.0} ms", per_step(user));
         println!(
             "  system CPU per distributed step: {:.0} ms ({:.0} % of the run's CPU time)",
-            sys as f64 * 10.0 / swipe_cfg.n_steps as f64,
+            per_step(sys),
             100.0 * sys as f64 / (user + sys).max(1) as f64
         );
     }
