@@ -291,15 +291,15 @@ impl ObservationSet {
         h
     }
 
-    /// Serialize in the checkpoint entry format. Integer fields (site
-    /// indices, shape, mask) are stored as exact small f32s; values and
-    /// noise stds are f32 already, so the round trip is bitwise.
-    pub fn write_to(&self, writer: &mut dyn Write) -> std::io::Result<()> {
+    /// The set as checkpoint entries. Integer fields (site indices, shape,
+    /// mask) are stored as exact small f32s; values and noise stds are f32
+    /// already, so the round trip is bitwise.
+    fn entries(&self) -> Vec<(String, Tensor)> {
         let tok_f: Vec<f32> = self.sites.iter().map(|s| s.token as f32).collect();
         let ch_f: Vec<f32> = self.sites.iter().map(|s| s.channel as f32).collect();
         let mask_f: Vec<f32> = self.mask.iter().map(|&m| m as u32 as f32).collect();
         let n = self.n_obs();
-        let entries = vec![
+        vec![
             (
                 "obs/shape".to_string(),
                 Tensor::from_slice(&[self.tokens as f32, self.channels as f32]),
@@ -312,28 +312,23 @@ impl ObservationSet {
                 Tensor::from_vec(&[self.channels], self.noise_std.clone()),
             ),
             ("obs/mask".to_string(), Tensor::from_vec(&[n], mask_f)),
-        ];
-        aeris_nn::checkpoint::write_entries(&entries, writer)
+        ]
+    }
+
+    /// Serialize in the checkpoint entry format.
+    pub fn write_to(&self, writer: &mut dyn Write) -> std::io::Result<()> {
+        aeris_nn::checkpoint::write_entries(&self.entries(), writer)
     }
 
     /// Deserialize (inverse of [`Self::write_to`]). Malformed input — a
-    /// stream that does not decode, or a set that fails [`Self::validate`] —
-    /// surfaces as `InvalidData`, never a panic.
+    /// stream that does not decode, a missing or mis-shaped entry, or a set
+    /// that fails [`Self::validate`] — surfaces as `InvalidData`, never a
+    /// panic.
     pub fn read_from(reader: &mut dyn Read) -> std::io::Result<Self> {
-        let entries = aeris_nn::checkpoint::read_params(reader)?;
+        let mut entries = aeris_nn::checkpoint::Entries::read(reader)?;
         let bad = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
-        let get = |name: &str| -> std::io::Result<&Tensor> {
-            entries
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, t)| t)
-                .ok_or_else(|| bad(format!("observation set missing entry {name}")))
-        };
-        let shape = get("obs/shape")?;
-        if shape.len() != 2 {
-            return Err(bad("obs/shape must have 2 elements".into()));
-        }
-        let (tok, ch) = (get("obs/token")?, get("obs/channel")?);
+        let shape = entries.take_shaped("obs/shape", &[2])?;
+        let (tok, ch) = (entries.take("obs/token")?, entries.take("obs/channel")?);
         if tok.len() != ch.len() {
             return Err(bad(format!("{} site tokens for {} site channels", tok.len(), ch.len())));
         }
@@ -346,9 +341,9 @@ impl ObservationSet {
         let sites = sites.ok_or_else(|| bad("a site token or channel is not a grid index".into()))?;
         let set = ObservationSet {
             sites,
-            values: get("obs/value")?.data().to_vec(),
-            noise_std: get("obs/noise_std")?.data().to_vec(),
-            mask: get("obs/mask")?.data().iter().map(|&m| m != 0.0).collect(),
+            values: entries.take("obs/value")?.data().to_vec(),
+            noise_std: entries.take("obs/noise_std")?.data().to_vec(),
+            mask: entries.take("obs/mask")?.data().iter().map(|&m| m != 0.0).collect(),
             tokens: shape.data()[0] as usize,
             channels: shape.data()[1] as usize,
         };
@@ -358,8 +353,7 @@ impl ObservationSet {
 
     /// Save to a file in the checkpoint format.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-        self.write_to(&mut f)
+        aeris_nn::save_entries(&self.entries(), path)
     }
 
     /// Load from a file written by [`Self::save`].

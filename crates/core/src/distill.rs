@@ -136,16 +136,16 @@ impl ConsistencyStudent {
         forecast::add_residual(x_prev, &residual_std, &self.res_stats)
     }
 
-    /// Save the student checkpoint: `<path>` gets the weights, `<path>.stats`
-    /// the two normalization blocks (same layout as [`Forecaster::save`], so
-    /// the formats stay mutually inspectable).
+    /// Save the student to one checkpoint file: the weights plus the two
+    /// normalization statistics, in the layout of [`Forecaster::save`].
     pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
         forecast::save_checkpoint(&self.model, &self.stats, &self.res_stats, path)
     }
 
     /// Load a student checkpoint saved by [`ConsistencyStudent::save`] into
-    /// a student built from the same config. This is how a serving engine
-    /// picks up a distilled fast path produced by a training run.
+    /// a student built from the same config, with the validation of
+    /// [`Forecaster::load`]. This is how a serving engine picks up a
+    /// distilled fast path produced by a training run.
     pub fn load(
         cfg: crate::config::AerisConfig,
         tf: TrigFlow,

@@ -30,85 +30,52 @@ pub struct EnsembleForecast {
     pub members: Vec<Vec<Tensor>>,
 }
 
-/// Typed corrupt-statistics error for [`load_checkpoint`].
-fn stats_corrupt(detail: String) -> std::io::Error {
-    std::io::Error::new(
-        std::io::ErrorKind::InvalidData,
-        format!("corrupt .stats file: {detail}"),
-    )
-}
-
-/// Parse one `NormStats` block (`u32` channel count, then `2n` little-endian
-/// f32 values) of a `channels`-channel model from `bytes` starting at `*off`,
-/// advancing the offset. Truncated input and statistics that do not fit the
-/// model (another channel count, a non-finite mean, a std that is not finite
-/// and positive, which [`NormStats::compute`] never yields) surface as
-/// [`std::io::ErrorKind::InvalidData`] instead of a later panic.
-fn read_stats(bytes: &[u8], off: &mut usize, channels: usize) -> std::io::Result<NormStats> {
-    let header = bytes
-        .get(*off..*off + 4)
-        .ok_or_else(|| stats_corrupt(format!("truncated header at byte {}", *off)))?;
-    let n = u32::from_le_bytes(header.try_into().unwrap()) as usize;
-    *off += 4;
-    if n != channels {
-        return Err(stats_corrupt(format!("{n} channels, the model has {channels}")));
-    }
-    let need = 2 * n * 4;
-    let body = bytes.get(*off..*off + need).ok_or_else(|| {
-        stats_corrupt(format!("truncated block: {need} bytes needed, {} remain", bytes.len() - *off))
-    })?;
-    *off += need;
-    let mut vals = Vec::with_capacity(2 * n);
-    for chunk in body.chunks_exact(4) {
-        vals.push(f32::from_le_bytes(chunk.try_into().unwrap()));
-    }
-    let (mean, std) = (vals[..n].to_vec(), vals[n..].to_vec());
-    if !mean.iter().all(|m| m.is_finite()) || !std.iter().all(|&s| s.is_finite() && s > 0.0) {
-        return Err(stats_corrupt("a non-finite mean, or a std not finite and positive".into()));
-    }
-    Ok(NormStats { mean, std })
-}
-
-/// Write a model checkpoint: `<path>` gets the weights, `<path>.stats` the
-/// two normalization blocks. The one on-disk layout behind
-/// [`Forecaster::save`] and `ConsistencyStudent::save`.
+/// Write a model checkpoint: one entry-list file holding the parameters
+/// under their own names plus `stats/mean`, `stats/std`, `res_stats/mean` and
+/// `res_stats/std`. The one on-disk layout behind [`Forecaster::save`] and
+/// `ConsistencyStudent::save`.
 pub(crate) fn save_checkpoint(
     model: &AerisModel,
     stats: &NormStats,
     res_stats: &NormStats,
     path: &std::path::Path,
 ) -> std::io::Result<()> {
-    aeris_nn::save_params(&model.store, path)?;
-    let mut f = std::io::BufWriter::new(std::fs::File::create(path.with_extension("stats"))?);
-    use std::io::Write;
-    for stats in [stats, res_stats] {
-        f.write_all(&(stats.mean.len() as u32).to_le_bytes())?;
-        for &v in stats.mean.iter().chain(&stats.std) {
-            f.write_all(&v.to_le_bytes())?;
-        }
+    let mut entries: Vec<(String, Tensor)> =
+        model.store.iter().map(|(_, n, v)| (n.to_string(), v.clone())).collect();
+    for (key, s) in [("stats", stats), ("res_stats", res_stats)] {
+        entries.push((format!("{key}/mean"), Tensor::from_slice(&s.mean)));
+        entries.push((format!("{key}/std"), Tensor::from_slice(&s.std)));
     }
-    Ok(())
+    aeris_nn::save_entries(&entries, path)
 }
 
 /// Read a checkpoint written by [`save_checkpoint`] into a model built from
-/// `cfg`, returning `(model, stats, res_stats)`.
+/// `cfg`, returning `(model, stats, res_stats)`. Every parameter must be
+/// present in its shape, and both statistics must fit the model — shape
+/// `[channels]`, every mean finite, every std finite and positive (what
+/// [`NormStats::compute`] yields) — or the load is `InvalidData` instead of a
+/// later panic or a non-finite forecast.
 pub(crate) fn load_checkpoint(
     cfg: crate::config::AerisConfig,
     path: &std::path::Path,
 ) -> std::io::Result<(AerisModel, NormStats, NormStats)> {
     let channels = cfg.channels;
     let mut model = AerisModel::new(cfg);
-    aeris_nn::load_params(&mut model.store, path)?;
-    let bytes = std::fs::read(path.with_extension("stats"))?;
-    let mut off = 0usize;
-    let stats = read_stats(&bytes, &mut off, channels)?;
-    let res_stats = read_stats(&bytes, &mut off, channels)?;
-    if off != bytes.len() {
-        return Err(stats_corrupt(format!(
-            "{} trailing bytes after statistics",
-            bytes.len() - off
-        )));
-    }
+    let mut entries = aeris_nn::checkpoint::Entries::load(path)?;
+    let params = entries.take_params("", &model.store)?;
+    let mut norm_stats = |key: &str| -> std::io::Result<NormStats> {
+        let mean = entries.take_shaped(&format!("{key}/mean"), &[channels])?.data().to_vec();
+        let std = entries.take_shaped(&format!("{key}/std"), &[channels])?.data().to_vec();
+        if !mean.iter().all(|m| m.is_finite()) || !std.iter().all(|&s| s.is_finite() && s > 0.0) {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("{key}: a non-finite mean, or a std not finite and positive"),
+            ));
+        }
+        Ok(NormStats { mean, std })
+    };
+    let (stats, res_stats) = (norm_stats("stats")?, norm_stats("res_stats")?);
+    model.store.restore(&params);
     Ok((model, stats, res_stats))
 }
 
@@ -217,14 +184,17 @@ impl EnsembleForecast {
 }
 
 impl Forecaster {
-    /// Save the model weights and normalization statistics next to each
-    /// other: `<path>` gets the weights, `<path>.stats` the statistics.
+    /// Save the model weights and both normalization statistics to one
+    /// checkpoint file: the parameters under their own names plus
+    /// `stats/{mean,std}` and `res_stats/{mean,std}`.
     pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
         save_checkpoint(&self.model, &self.stats, &self.res_stats, path)
     }
 
-    /// Load weights + statistics saved by [`Forecaster::save`] into a
-    /// forecaster built from the same config.
+    /// Load the file saved by [`Forecaster::save`] into a forecaster built
+    /// from the same config. A file that does not fit the model (a missing or
+    /// mis-shaped parameter, statistics of another channel count, a
+    /// non-finite mean, a std not finite and positive) is `InvalidData`.
     pub fn load(
         cfg: crate::config::AerisConfig,
         sampler: TrigFlowSampler,
@@ -445,54 +415,31 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("fc.params");
         f.save(&path).unwrap();
-        let stats_path = path.with_extension("stats");
-        let good = std::fs::read(&stats_path).unwrap();
+        let good = aeris_nn::load_entries(&path).unwrap();
 
-        // Truncated mid-block: a proper error, not a panic.
-        std::fs::write(&stats_path, &good[..good.len() / 2]).unwrap();
-        let err = Forecaster::load(AerisConfig::test_tiny(), f.sampler, &path)
-            .err().expect("truncated stats must fail");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-
-        // Absurd channel count in the header.
-        let mut huge = good.clone();
-        huge[..4].copy_from_slice(&u32::MAX.to_le_bytes());
-        std::fs::write(&stats_path, &huge).unwrap();
-        let err = Forecaster::load(AerisConfig::test_tiny(), f.sampler, &path)
-            .err().expect("absurd header must fail");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-
-        // Trailing garbage after both blocks.
-        let mut long = good.clone();
-        long.extend_from_slice(&[0u8; 3]);
-        std::fs::write(&stats_path, &long).unwrap();
-        let err = Forecaster::load(AerisConfig::test_tiny(), f.sampler, &path)
-            .err().expect("trailing bytes must fail");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-
-        // Well-formed files whose statistics do not fit the model: a
-        // self-consistent 3-channel file for the 4-channel model, a zero std,
-        // a NaN mean. Each used to load and then panic or go non-finite.
+        // Well-formed files whose statistics do not fit the model: each used
+        // to load and then panic or go non-finite at the first step. (Byte-
+        // level corruption is the entry decoder's: see its
+        // `corrupt_input_is_an_error_or_a_faithful_parse`.)
         let channels = AerisConfig::test_tiny().channels;
-        let encode = |mean: &[f32], std: &[f32]| -> Vec<u8> {
-            let mut out = Vec::new();
-            for _ in 0..2 {
-                out.extend_from_slice(&(mean.len() as u32).to_le_bytes());
-                for v in mean.iter().chain(std) {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-            }
-            out
-        };
-        let ones = vec![1.0f32; channels];
         let mut nan_mean = vec![0.0f32; channels];
         nan_mean[1] = f32::NAN;
-        for (what, bytes) in [
-            ("wrong channel count", encode(&[0.0; 3], &[1.0; 3])),
-            ("zero std", encode(&vec![0.0; channels], &vec![0.0; channels])),
-            ("NaN mean", encode(&nan_mean, &ones)),
-        ] {
-            std::fs::write(&stats_path, &bytes).unwrap();
+        let cases: [(&str, &str, Option<Tensor>); 4] = [
+            ("wrong channel count", "stats/mean", Some(Tensor::zeros(&[3]))),
+            ("zero std", "res_stats/std", Some(Tensor::zeros(&[channels]))),
+            ("NaN mean", "stats/mean", Some(Tensor::from_slice(&nan_mean))),
+            ("missing entry", "res_stats/std", None),
+        ];
+        for (what, key, value) in cases {
+            let mut entries = good.clone();
+            let at = entries.iter().position(|(k, _)| k == key).unwrap();
+            match value {
+                Some(v) => entries[at].1 = v,
+                None => {
+                    entries.remove(at);
+                }
+            }
+            aeris_nn::save_entries(&entries, &path).unwrap();
             let err = Forecaster::load(AerisConfig::test_tiny(), f.sampler, &path)
                 .err().unwrap_or_else(|| panic!("{what} must fail"));
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}");

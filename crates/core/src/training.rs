@@ -5,10 +5,9 @@ use crate::forecast::add_residual;
 use crate::model::AerisModel;
 use aeris_diffusion::{loss_weights, TrigFlow};
 use aeris_earthsim::{Dataset, Grid};
-use aeris_nn::checkpoint::{entry_u64, load_entries, save_entries, u64_entry};
-use aeris_nn::{batch_mean, AdamW, AdamWConfig, Ema, LrSchedule, ParamId};
+use aeris_nn::checkpoint::{entry_u64, save_entries, u64_entry, Entries};
+use aeris_nn::{batch_mean, AdamW, AdamWConfig, Ema, LrSchedule};
 use aeris_tensor::{Rng, RngSnapshot, Tensor};
-use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 
@@ -223,39 +222,30 @@ impl Trainer {
     }
 
     /// Restore state written by [`Trainer::save_checkpoint`] into this
-    /// trainer and `model`. The model architecture (parameter names and
-    /// shapes) must match the checkpointed one.
+    /// trainer and `model`. Every `param/`, `opt.m/`, `opt.v/` and `ema/`
+    /// entry must be present in its parameter's shape and the metadata
+    /// well-formed, or the load is `InvalidData` and neither the model nor
+    /// the trainer has changed: everything is validated before anything is
+    /// committed.
     pub fn load_checkpoint(&mut self, model: &mut AerisModel, path: &Path) -> io::Result<()> {
-        let map: HashMap<String, Tensor> = load_entries(path)?.into_iter().collect();
-        let get = |key: String| -> io::Result<&Tensor> {
-            map.get(&key).ok_or_else(|| {
-                io::Error::new(io::ErrorKind::InvalidData, format!("checkpoint missing {key}"))
-            })
-        };
-        let ids: Vec<(ParamId, String)> =
-            model.store.iter().map(|(id, n, _)| (id, n.to_string())).collect();
-        let mut shadow = Vec::with_capacity(ids.len());
-        for (i, (id, name)) in ids.iter().enumerate() {
-            let p = get(format!("param/{name}"))?;
-            if p.shape() != model.store.get(*id).shape() {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("checkpoint shape mismatch for parameter {name}"),
-                ));
-            }
-            *model.store.get_mut(*id) = p.clone();
-            let m = get(format!("opt.m/{name}"))?.clone();
-            let s = get(format!("opt.v/{name}"))?.clone();
-            let state = self.opt.state_mut(i);
-            *state.0 = m;
-            *state.1 = s;
-            shadow.push(get(format!("ema/{name}"))?.clone());
+        let mut entries = Entries::load(path)?;
+        let params = entries.take_params("param/", &model.store)?;
+        let m = entries.take_params("opt.m/", &model.store)?;
+        let v = entries.take_params("opt.v/", &model.store)?;
+        let shadow = entries.take_params("ema/", &model.store)?;
+        let images_seen = entry_u64(&entries.take("meta/images_seen")?)?;
+        let adamw_steps = entry_u64(&entries.take("meta/adamw_steps")?)?;
+        let state = entry_u64(&entries.take("meta/rng_state")?)?;
+        let gauss = entries.take_shaped("meta/rng_gauss", &[2])?;
+
+        model.store.restore(&params);
+        for (i, (m, v)) in m.into_iter().zip(v).enumerate() {
+            let (sm, sv) = self.opt.state_mut(i);
+            (*sm, *sv) = (m, v);
         }
         self.ema.restore_shadow(shadow);
-        self.images_seen = entry_u64(get("meta/images_seen".to_string())?)?;
-        self.opt.set_steps(entry_u64(get("meta/adamw_steps".to_string())?)?);
-        let state = entry_u64(get("meta/rng_state".to_string())?)?;
-        let gauss = get("meta/rng_gauss".to_string())?;
+        self.images_seen = images_seen;
+        self.opt.set_steps(adamw_steps);
         let gauss_cache = (gauss.data()[0] != 0.0).then(|| gauss.data()[1]);
         self.rng = Rng::restore(RngSnapshot { state, gauss_cache });
         Ok(())
@@ -420,6 +410,64 @@ mod tests {
         for (id, name, v) in ema_a.store.iter() {
             assert_eq!(v.data(), ema_c.store.get(id).data(), "EMA {name} diverged");
         }
+    }
+
+    #[test]
+    fn load_checkpoint_rejects_corrupt_entries_and_leaves_state_untouched() {
+        let (ds, vars) = tiny_dataset();
+        let samples = prepare_samples(&ds, 0..4);
+        let cfg = TrainerConfig::paper_scaled(1000, 2);
+        let dir = std::env::temp_dir().join(format!("aeris_ckpt_corrupt_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("trainer.ckpt");
+        let mut model = tiny_model(vars.len());
+        let mut tr = Trainer::new(&model, ds.grid, &vars.kappa(), cfg);
+        tr.train_step(&mut model, &[&samples[0], &samples[1]]);
+        tr.save_checkpoint(&model, &path).unwrap();
+        let good = aeris_nn::load_entries(&path).unwrap();
+        // One step past the checkpoint, so a partial restore would show.
+        tr.train_step(&mut model, &[&samples[2], &samples[3]]);
+
+        // Every parameter, moment and EMA value as a bit pattern.
+        let state = |tr: &Trainer, model: &AerisModel| {
+            let moments = (0..model.store.len()).flat_map(|i| {
+                let (m, v) = tr.opt.state(i);
+                [m, v]
+            });
+            let params = model.store.iter().map(|(_, _, v)| v);
+            let tensors = params.chain(moments).chain(tr.ema.shadow());
+            let bits: Vec<Vec<u32>> =
+                tensors.map(|t| t.data().iter().map(|v| v.to_bits()).collect()).collect();
+            (bits, tr.images_seen, tr.rng.snapshot())
+        };
+        let before = state(&tr, &model);
+        let grown = |t: &Tensor| Tensor::zeros(&[t.len() + 1]);
+        let last_ema = good.iter().rposition(|(k, _)| k.starts_with("ema/")).unwrap();
+        let first = |prefix: &str| good.iter().position(|(k, _)| k.starts_with(prefix)).unwrap();
+        let cases: [(&str, usize, Option<Tensor>); 4] = [
+            ("1-element meta/rng_gauss", first("meta/rng_gauss"), Some(Tensor::from_slice(&[1.0]))),
+            ("mis-shaped ema/*", first("ema/"), Some(grown(&good[first("ema/")].1))),
+            ("mis-shaped opt.m/*", first("opt.m/"), Some(grown(&good[first("opt.m/")].1))),
+            ("missing last ema/*", last_ema, None),
+        ];
+        for (what, at, value) in cases {
+            let mut entries = good.clone();
+            match value {
+                Some(v) => entries[at].1 = v,
+                None => {
+                    entries.remove(at);
+                }
+            }
+            save_entries(&entries, &path).unwrap();
+            let err = tr.load_checkpoint(&mut model, &path).expect_err(what);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}");
+            assert!(state(&tr, &model) == before, "{what}: state changed by a rejected load");
+        }
+        // The intact file still restores, and that does change the state.
+        save_entries(&good, &path).unwrap();
+        tr.load_checkpoint(&mut model, &path).unwrap();
+        assert!(state(&tr, &model) != before);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// The training trajectory as a contract: `fit` on the tiny model with

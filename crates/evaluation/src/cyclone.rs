@@ -33,6 +33,52 @@ pub fn great_circle_km(lat1: f32, lon1: f32, lat2: f32, lon2: f32) -> f32 {
     6371.0 * c.acos()
 }
 
+/// One fix on state `s`: the MSLP minimum within `search_km` of `center`,
+/// with the maximum 10 m wind within ±2 cells of it. `ix` holds the
+/// `(mslp, u10, v10)` channel indices.
+fn fix(
+    s: &Tensor,
+    grid: Grid,
+    ix: (usize, usize, usize),
+    (lat, lon): (f32, f32),
+    search_km: f32,
+) -> TrackPoint {
+    let (mslp_ix, u10, v10) = ix;
+    let mut best: Option<(f32, usize)> = None;
+    for t in 0..grid.tokens() {
+        let (r, c) = grid.coords(t);
+        if great_circle_km(lat, lon, grid.lat_deg(r), grid.lon_deg(c)) > search_km {
+            continue;
+        }
+        let p = s.at(&[t, mslp_ix]);
+        if best.is_none_or(|(bp, _)| p < bp) {
+            best = Some((p, t));
+        }
+    }
+    let (pmin, tmin) = best.expect("search radius contains no grid cells");
+    let (r, c) = grid.coords(tmin);
+    let mut max_wind = 0.0f32;
+    for dr in -2i32..=2 {
+        for dc in -2i32..=2 {
+            let rr = r as i32 + dr;
+            if rr < 0 || rr >= grid.nlat as i32 {
+                continue;
+            }
+            let cc = ((c as i32 + dc).rem_euclid(grid.nlon as i32)) as usize;
+            let i = grid.index(rr as usize, cc);
+            let w = s.at(&[i, u10]).hypot(s.at(&[i, v10]));
+            max_wind = max_wind.max(w);
+        }
+    }
+    TrackPoint { lat: grid.lat_deg(r), lon: grid.lon_deg(c), mslp: pmin, max_wind }
+}
+
+/// The `(mslp, u10, v10)` channel indices a tracker reads.
+fn channels(vars: &VariableSet) -> (usize, usize, usize) {
+    let ix = |name: &str| vars.index_of(name).unwrap_or_else(|| panic!("needs {name}"));
+    (ix("mslp"), ix("u10"), ix("v10"))
+}
+
 /// Track a cyclone through a state sequence, starting the search at
 /// `(lat0, lon0)` and following the MSLP minimum within `search_km` of the
 /// previous fix each step.
@@ -44,46 +90,17 @@ pub fn track_cyclone(
     lon0: f32,
     search_km: f32,
 ) -> CycloneTrack {
-    let mslp_ix = vars.index_of("mslp").expect("needs mslp");
-    let u10 = vars.index_of("u10").expect("needs u10");
-    let v10 = vars.index_of("v10").expect("needs v10");
-    let mut track = CycloneTrack::default();
-    let (mut lat, mut lon) = (lat0, lon0);
-    for s in states {
-        // Find the MSLP minimum within the search radius.
-        let mut best: Option<(f32, usize)> = None;
-        for t in 0..grid.tokens() {
-            let (r, c) = grid.coords(t);
-            let (tl, tn) = (grid.lat_deg(r), grid.lon_deg(c));
-            if great_circle_km(lat, lon, tl, tn) > search_km {
-                continue;
-            }
-            let p = s.at(&[t, mslp_ix]);
-            if best.is_none_or(|(bp, _)| p < bp) {
-                best = Some((p, t));
-            }
-        }
-        let (pmin, tmin) = best.expect("search radius contains no grid cells");
-        let (r, c) = grid.coords(tmin);
-        lat = grid.lat_deg(r);
-        lon = grid.lon_deg(c);
-        // Max wind within ~2 cells of the center.
-        let mut max_wind = 0.0f32;
-        for dr in -2i32..=2 {
-            for dc in -2i32..=2 {
-                let rr = r as i32 + dr;
-                if rr < 0 || rr >= grid.nlat as i32 {
-                    continue;
-                }
-                let cc = ((c as i32 + dc).rem_euclid(grid.nlon as i32)) as usize;
-                let i = grid.index(rr as usize, cc);
-                let w = s.at(&[i, u10]).hypot(s.at(&[i, v10]));
-                max_wind = max_wind.max(w);
-            }
-        }
-        track.points.push(TrackPoint { lat, lon, mslp: pmin, max_wind });
-    }
-    track
+    let ix = channels(vars);
+    let mut center = (lat0, lon0);
+    let points = states
+        .iter()
+        .map(|s| {
+            let p = fix(s, grid, ix, center, search_km);
+            center = (p.lat, p.lon);
+            p
+        })
+        .collect();
+    CycloneTrack { points }
 }
 
 /// Guided tracking (matched-low verification, as used operationally): at
@@ -98,45 +115,9 @@ pub fn track_cyclone_guided(
     search_km: f32,
 ) -> CycloneTrack {
     assert!(states.len() <= guide.len(), "guide must cover every step");
-    let mslp_ix = vars.index_of("mslp").expect("needs mslp");
-    let u10 = vars.index_of("u10").expect("needs u10");
-    let v10 = vars.index_of("v10").expect("needs v10");
-    let mut track = CycloneTrack::default();
-    for (s, &(glat, glon)) in states.iter().zip(guide) {
-        let mut best: Option<(f32, usize)> = None;
-        for t in 0..grid.tokens() {
-            let (r, c) = grid.coords(t);
-            if great_circle_km(glat, glon, grid.lat_deg(r), grid.lon_deg(c)) > search_km {
-                continue;
-            }
-            let p = s.at(&[t, mslp_ix]);
-            if best.is_none_or(|(bp, _)| p < bp) {
-                best = Some((p, t));
-            }
-        }
-        let (pmin, tmin) = best.expect("guide position has no grid cells in range");
-        let (r, c) = grid.coords(tmin);
-        let mut max_wind = 0.0f32;
-        for dr in -2i32..=2 {
-            for dc in -2i32..=2 {
-                let rr = r as i32 + dr;
-                if rr < 0 || rr >= grid.nlat as i32 {
-                    continue;
-                }
-                let cc = ((c as i32 + dc).rem_euclid(grid.nlon as i32)) as usize;
-                let i = grid.index(rr as usize, cc);
-                let w = s.at(&[i, u10]).hypot(s.at(&[i, v10]));
-                max_wind = max_wind.max(w);
-            }
-        }
-        track.points.push(TrackPoint {
-            lat: grid.lat_deg(r),
-            lon: grid.lon_deg(c),
-            mslp: pmin,
-            max_wind,
-        });
-    }
-    track
+    let ix = channels(vars);
+    let points = states.iter().zip(guide).map(|(s, &g)| fix(s, grid, ix, g, search_km)).collect();
+    CycloneTrack { points }
 }
 
 impl CycloneTrack {
@@ -216,6 +197,35 @@ mod tests {
         // The guided fix must be the nearby weak low, not the deep remote one.
         assert!((guided.points[0].lat - 15.0).abs() < 10.0);
         assert!((guided.points[0].lon - 200.0).abs() < 15.0);
+    }
+
+    #[test]
+    fn guided_on_the_previous_fixes_is_the_unguided_track() {
+        let grid = Grid::new(32, 64);
+        let vars = VariableSet::default_toy();
+        let u10 = vars.index_of("u10").unwrap();
+        let states: Vec<Tensor> = (0..5)
+            .map(|k| {
+                let mut s =
+                    synthetic_state(grid, &vars, 15.0 + 2.0 * k as f32, 300.0 - 3.0 * k as f32);
+                for t in 0..grid.tokens() {
+                    *s.at_mut(&[t, u10]) = (t as f32 * 0.37 + k as f32).sin() * 20.0;
+                }
+                s
+            })
+            .collect();
+        let unguided = track_cyclone(&states, grid, &vars, 15.0, 300.0, 1500.0);
+        assert!(unguided.points.iter().all(|p| p.max_wind > 0.0));
+        let guide: Vec<(f32, f32)> = std::iter::once((15.0, 300.0))
+            .chain(unguided.points.iter().map(|p| (p.lat, p.lon)))
+            .take(states.len())
+            .collect();
+        let guided = track_cyclone_guided(&states, grid, &vars, &guide, 1500.0);
+        let bits = |t: &CycloneTrack| -> Vec<[u32; 4]> {
+            let point = |p: &TrackPoint| [p.lat, p.lon, p.mslp, p.max_wind].map(f32::to_bits);
+            t.points.iter().map(point).collect()
+        };
+        assert_eq!(bits(&guided), bits(&unguided));
     }
 
     #[test]

@@ -1,18 +1,30 @@
-//! Parameter checkpointing: a minimal self-describing binary format for
-//! [`ParamStore`] contents (name → shape → f32 data), so trained models can
-//! be saved and restored without a serialization framework.
+//! Checkpointing: the workspace's one on-disk format for tensors — a
+//! self-describing list of named f32 tensors (name → shape → data) — and the
+//! one keyed reader over it, so trained models, trainer state and
+//! observation sets are saved and restored without a serialization
+//! framework.
+//!
+//! Every consumer reads through [`Entries`]: it decodes a whole file, then
+//! takes entries by key ([`Entries::take`]), in a required shape
+//! ([`Entries::take_shaped`]), or as a whole parameter set
+//! ([`Entries::take_params`]). A missing or mis-shaped entry is a typed
+//! [`EntryError`] (`InvalidData` as an [`std::io::Error`]). The reader never
+//! touches a model, so a loader takes everything it needs first and commits
+//! only once every entry has passed: a corrupt checkpoint is an error, never
+//! a half-restore.
 
 use crate::params::ParamStore;
 use aeris_tensor::Tensor;
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::path::Path;
 
 const MAGIC: u32 = 0xAE51_C4B1;
 
-/// Serialize arbitrary named tensors to `writer` in the checkpoint format.
-/// This is the general entry point: trainer checkpoints reuse it with
-/// prefixed names (`param/…`, `opt.m/…`, `meta/…`) to pack parameters,
-/// optimizer moments, and run metadata into one self-describing file.
+/// Serialize named tensors to `writer` in the checkpoint format: the one
+/// encoder. Trainer checkpoints use prefixed names (`param/…`, `opt.m/…`,
+/// `meta/…`) to pack parameters, optimizer moments and run metadata into one
+/// file; a saved model is its parameters plus `stats/…` entries.
 pub fn write_entries(
     entries: &[(String, Tensor)],
     writer: &mut dyn Write,
@@ -34,23 +46,19 @@ pub fn write_entries(
     Ok(())
 }
 
-/// Save named tensors to a file (see [`write_entries`]).
+/// Save named tensors to a file (see [`write_entries`]). The buffer is
+/// flushed explicitly, so a failed write (a full disk) is an error here
+/// rather than lost in the writer's drop.
 pub fn save_entries(entries: &[(String, Tensor)], path: &Path) -> std::io::Result<()> {
     let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-    write_entries(entries, &mut f)
+    write_entries(entries, &mut f)?;
+    f.flush()
 }
 
-/// Load named tensors from a file (inverse of [`save_entries`]).
+/// Load named tensors from a file, in file order (inverse of
+/// [`save_entries`]). Readers look entries up through [`Entries::load`].
 pub fn load_entries(path: &Path) -> std::io::Result<Vec<(String, Tensor)>> {
-    let mut f = std::io::BufReader::new(std::fs::File::open(path)?);
-    read_params(&mut f)
-}
-
-/// Serialize every parameter of `store` to `writer`.
-pub fn write_params(store: &ParamStore, writer: &mut dyn Write) -> std::io::Result<()> {
-    let entries: Vec<(String, Tensor)> =
-        store.iter().map(|(_, n, v)| (n.to_string(), v.clone())).collect();
-    write_entries(&entries, writer)
+    decode(&mut std::io::BufReader::new(std::fs::File::open(path)?))
 }
 
 fn invalid(msg: &'static str) -> std::io::Error {
@@ -85,11 +93,12 @@ fn read_words<T>(
     Ok(bytes.chunks_exact(4).map(|w| decode([w[0], w[1], w[2], w[3]])).collect())
 }
 
-/// Read a checkpoint into `(name, tensor)` pairs. Every count and length in
-/// the stream is untrusted: a corrupt or truncated input is an
-/// `InvalidData` / `UnexpectedEof` error, never a panic or an allocation
-/// sized by the corrupt field.
-pub fn read_params(reader: &mut dyn Read) -> std::io::Result<Vec<(String, Tensor)>> {
+/// The one decoder: a checkpoint stream into `(name, tensor)` pairs. Every
+/// count and length in the stream is untrusted: a corrupt or truncated input
+/// is an `InvalidData` / `UnexpectedEof` error, never a panic or an
+/// allocation sized by the corrupt field. Bytes after the declared entries
+/// are not read.
+fn decode(reader: &mut dyn Read) -> std::io::Result<Vec<(String, Tensor)>> {
     if read_u32(reader)? != MAGIC {
         return Err(invalid("not an AERIS checkpoint"));
     }
@@ -111,37 +120,91 @@ pub fn read_params(reader: &mut dyn Read) -> std::io::Result<Vec<(String, Tensor
     Ok(out)
 }
 
-/// Save a store to a file.
-pub fn save_params(store: &ParamStore, path: &Path) -> std::io::Result<()> {
-    let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-    write_params(store, &mut f)
+/// Why a decoded checkpoint does not hold what a reader needs. Both variants
+/// name the full key; as an [`std::io::Error`] either is `InvalidData`.
+#[derive(Clone, Debug, PartialEq)]
+pub enum EntryError {
+    /// No entry under this key.
+    Missing(String),
+    /// The entry exists in another shape than the reader requires.
+    Shape(String),
 }
 
-/// Load a checkpoint into an existing store (layouts must match: every
-/// parameter present with the same name and shape).
-pub fn load_params(store: &mut ParamStore, path: &Path) -> std::io::Result<()> {
-    let mut f = std::io::BufReader::new(std::fs::File::open(path)?);
-    let pairs = read_params(&mut f)?;
-    let by_name: std::collections::HashMap<String, Tensor> = pairs.into_iter().collect();
-    let ids: Vec<(crate::params::ParamId, String, Vec<usize>)> = store
-        .iter()
-        .map(|(id, n, v)| (id, n.to_string(), v.shape().to_vec()))
-        .collect();
-    for (id, name, shape) in ids {
-        let t = by_name.get(&name).ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("checkpoint missing parameter {name}"),
-            )
-        })?;
-        if t.shape() != shape.as_slice() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("shape mismatch for {name}: {:?} vs {:?}", t.shape(), shape),
-            ));
+impl std::fmt::Display for EntryError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            EntryError::Missing(key) => write!(f, "checkpoint missing entry {key}"),
+            EntryError::Shape(key) => write!(f, "checkpoint entry {key} has the wrong shape"),
         }
-        *store.get_mut(id) = t.clone();
     }
+}
+
+impl std::error::Error for EntryError {}
+
+impl From<EntryError> for std::io::Error {
+    fn from(e: EntryError) -> Self {
+        std::io::Error::new(std::io::ErrorKind::InvalidData, e)
+    }
+}
+
+/// A decoded checkpoint, keyed by entry name: the one reader behind every
+/// loader. Taking an entry moves it out, so a loader owns what it restores
+/// without a copy; nothing here mutates a model.
+pub struct Entries(HashMap<String, Tensor>);
+
+impl Entries {
+    /// Decode a checkpoint stream.
+    pub fn read(reader: &mut dyn Read) -> std::io::Result<Entries> {
+        Ok(Entries(decode(reader)?.into_iter().collect()))
+    }
+
+    /// Decode a checkpoint file.
+    pub fn load(path: &Path) -> std::io::Result<Entries> {
+        Ok(Entries(load_entries(path)?.into_iter().collect()))
+    }
+
+    /// The entry under `key`.
+    pub fn take(&mut self, key: &str) -> Result<Tensor, EntryError> {
+        self.0.remove(key).ok_or_else(|| EntryError::Missing(key.to_string()))
+    }
+
+    /// The entry under `key`, which must have exactly `shape`.
+    pub fn take_shaped(&mut self, key: &str, shape: &[usize]) -> Result<Tensor, EntryError> {
+        let t = self.take(key)?;
+        if t.shape() != shape {
+            return Err(EntryError::Shape(key.to_string()));
+        }
+        Ok(t)
+    }
+
+    /// One tensor per parameter of `store`, in store order: the entry
+    /// `{prefix}{name}` in the parameter's shape. The store is only read;
+    /// the caller commits the set (`ParamStore::restore`) once everything
+    /// else it needs has passed too.
+    pub fn take_params(
+        &mut self,
+        prefix: &str,
+        store: &ParamStore,
+    ) -> Result<Vec<Tensor>, EntryError> {
+        store
+            .iter()
+            .map(|(_, name, v)| self.take_shaped(&format!("{prefix}{name}"), v.shape()))
+            .collect()
+    }
+}
+
+/// Save every parameter of `store` to a file, under its own name.
+pub fn save_params(store: &ParamStore, path: &Path) -> std::io::Result<()> {
+    let entries: Vec<(String, Tensor)> =
+        store.iter().map(|(_, n, v)| (n.to_string(), v.clone())).collect();
+    save_entries(&entries, path)
+}
+
+/// Load a checkpoint into an existing store: every parameter must be present
+/// under its name in its shape, or the store is left untouched.
+pub fn load_params(store: &mut ParamStore, path: &Path) -> std::io::Result<()> {
+    let values = Entries::load(path)?.take_params("", store)?;
+    store.restore(&values);
     Ok(())
 }
 
@@ -203,12 +266,21 @@ mod tests {
         s
     }
 
+    /// `store`'s parameters in the checkpoint format, as `save_params`
+    /// writes them.
+    fn encoded(store: &ParamStore) -> Vec<u8> {
+        let entries: Vec<(String, Tensor)> =
+            store.iter().map(|(_, n, v)| (n.to_string(), v.clone())).collect();
+        let mut buf = Vec::new();
+        write_entries(&entries, &mut buf).unwrap();
+        buf
+    }
+
     #[test]
     fn roundtrip_in_memory() {
         let src = store();
-        let mut buf = Vec::new();
-        write_params(&src, &mut buf).unwrap();
-        let pairs = read_params(&mut &buf[..]).unwrap();
+        let buf = encoded(&src);
+        let pairs = decode(&mut &buf[..]).unwrap();
         assert_eq!(pairs.len(), 3);
         assert_eq!(pairs[0].0, "layer.w");
         assert_eq!(&pairs[0].1, src.get(crate::params::ParamId(0)));
@@ -237,20 +309,59 @@ mod tests {
         bad.register("layer.w", Tensor::zeros(&[2, 2]));
         bad.register("layer.b", Tensor::zeros(&[4]));
         bad.register("gamma", Tensor::zeros(&[7]));
-        assert!(load_params(&mut bad, &path).is_err());
+        let before = bad.snapshot();
+        let err = load_params(&mut bad, &path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(bad.snapshot(), before, "a rejected load must leave the store untouched");
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn the_reader_types_missing_and_mis_shaped_entries() {
+        let mut entries = Entries::read(&mut &encoded(&store())[..]).unwrap();
+        assert_eq!(entries.take_shaped("gamma", &[7]).unwrap().shape(), &[7]);
+        assert_eq!(entries.take("gamma"), Err(EntryError::Missing("gamma".into())), "taken once");
+        assert_eq!(entries.take_shaped("layer.b", &[5]), Err(EntryError::Shape("layer.b".into())));
+        let err: std::io::Error = EntryError::Missing("x".into()).into();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+
+        // A parameter set under a prefix: every name and shape is checked,
+        // and the first entry that fails is named by its full key.
+        let src = store();
+        let prefixed: Vec<(String, Tensor)> =
+            src.iter().map(|(_, n, v)| (format!("p/{n}"), v.clone())).collect();
+        let mut buf = Vec::new();
+        write_entries(&prefixed, &mut buf).unwrap();
+        let values = Entries::read(&mut &buf[..]).unwrap().take_params("p/", &src).unwrap();
+        assert_eq!(values, src.snapshot());
+        let unprefixed = Entries::read(&mut &buf[..]).unwrap().take_params("", &src);
+        assert_eq!(unprefixed, Err(EntryError::Missing("layer.w".into())));
+        let mut grown = prefixed.clone();
+        grown[2].1 = Tensor::zeros(&[8]);
+        buf.clear();
+        write_entries(&grown, &mut buf).unwrap();
+        let err = Entries::read(&mut &buf[..]).unwrap().take_params("p/", &src);
+        assert_eq!(err, Err(EntryError::Shape("p/gamma".into())));
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_save_to_a_full_disk_is_an_error() {
+        // Small enough to sit in the write buffer until the final flush.
+        let entries = vec![("w".to_string(), Tensor::from_slice(&[1.0, 2.0]))];
+        assert!(save_entries(&entries, Path::new("/dev/full")).is_err());
     }
 
     #[test]
     fn bad_magic_rejected() {
         let buf = [0u8; 16];
-        assert!(read_params(&mut &buf[..]).is_err());
+        assert!(decode(&mut &buf[..]).is_err());
     }
 
     /// Parse untrusted bytes: an error is one of the two documented kinds,
     /// and whatever parses re-serialises to exactly the bytes it consumed.
     fn parse_untrusted(input: &[u8]) -> Option<Vec<(String, Tensor)>> {
-        match read_params(&mut &input[..]) {
+        match decode(&mut &input[..]) {
             Ok(entries) => {
                 let mut again = Vec::new();
                 write_entries(&entries, &mut again).unwrap();
@@ -268,10 +379,9 @@ mod tests {
     #[test]
     fn short_files_and_huge_counts_are_errors_not_allocations() {
         // Every count is up front, so a short valid file never parses.
-        let mut valid = Vec::new();
-        write_params(&store(), &mut valid).unwrap();
+        let valid = encoded(&store());
         for cut in 0..valid.len() {
-            let err = read_params(&mut &valid[..cut]).unwrap_err();
+            let err = decode(&mut &valid[..cut]).unwrap_err();
             assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "cut at {cut}");
         }
         let words = |ws: &[u32]| ws.iter().flat_map(|w| w.to_le_bytes()).collect::<Vec<u8>>();
@@ -281,7 +391,7 @@ mod tests {
         let mut buf = words(&[MAGIC, 1, 1]);
         buf.push(b'w');
         buf.extend(words(&[3, u32::MAX, u32::MAX, u32::MAX]));
-        let err = read_params(&mut &buf[..]).unwrap_err();
+        let err = decode(&mut &buf[..]).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 
@@ -295,9 +405,8 @@ mod tests {
             flip_mask in 1u8..255,
             garbage in proptest::collection::vec(0u8..255, 9),
         ) {
-            let mut valid = Vec::new();
-            write_params(&store(), &mut valid).unwrap();
-            let intact = read_params(&mut &valid[..]).unwrap();
+            let valid = encoded(&store());
+            let intact = decode(&mut &valid[..]).unwrap();
 
             let mut flipped = valid.clone();
             flipped[flip_at % valid.len()] ^= flip_mask;

@@ -49,7 +49,7 @@ use crate::stage::StageError;
 use crate::topology::SwipeTopology;
 use aeris_core::AerisModel;
 use aeris_diffusion::TrigFlow;
-use aeris_nn::checkpoint::{entry_u64, load_entries};
+use aeris_nn::checkpoint::{entry_u64, Entries, EntryError};
 use aeris_nn::{batch_mean, AdamWConfig, ParamId};
 use aeris_obs::Tracer;
 use aeris_tensor::{Rng, Tensor};
@@ -201,6 +201,16 @@ impl std::error::Error for SwipeError {}
 impl From<CheckpointError> for SwipeError {
     fn from(e: CheckpointError) -> Self {
         SwipeError::Checkpoint(e)
+    }
+}
+
+/// The checkpoint reader's two lookup failures, under this crate's names.
+impl From<EntryError> for SwipeError {
+    fn from(e: EntryError) -> Self {
+        SwipeError::Checkpoint(match e {
+            EntryError::Missing(key) => CheckpointError::MissingEntry(key),
+            EntryError::Shape(name) => CheckpointError::ShapeMismatch { name },
+        })
     }
 }
 
@@ -360,15 +370,8 @@ fn load_resume_state(
     cfg: &SwipeConfig,
     path: &Path,
 ) -> Result<ResumeState, SwipeError> {
-    let entries = load_entries(path).map_err(ckpt_io)?;
-    let mut map: HashMap<String, Tensor> = entries.into_iter().collect();
-    let get_u64 = |key: &str| -> Result<u64, SwipeError> {
-        entry_u64(
-            map.get(key)
-                .ok_or_else(|| CheckpointError::MissingEntry(key.to_string()))?,
-        )
-        .map_err(ckpt_io)
-    };
+    let mut entries = Entries::load(path).map_err(ckpt_io)?;
+    let mut get_u64 = |key: &str| entry_u64(&entries.take(key)?).map_err(ckpt_io);
     let start_step = get_u64("meta/step")? as usize;
     let adamw_steps = get_u64("meta/adamw_steps")?;
     let ckpt_topo = SwipeTopology {
@@ -389,35 +392,19 @@ fn load_resume_state(
         return Err(CheckpointError::SeedMismatch { checkpoint: saved_seed, run: cfg.seed }.into());
     }
     let mut model = AerisModel::new(reference.cfg.clone());
-    let ids: Vec<(ParamId, String)> =
-        model.store.iter().map(|(id, n, _)| (id, n.to_string())).collect();
-    let mut moments = HashMap::with_capacity(ids.len());
-    for (id, name) in ids {
-        let shape = model.store.get(id).shape().to_vec();
-        let mut entry = |prefix: &str| {
-            let key = format!("{prefix}/{name}");
-            match map.remove(&key) {
-                Some(saved) if saved.shape() == shape => Ok(saved),
-                Some(_) => Err(CheckpointError::ShapeMismatch { name: key }),
-                None => Err(CheckpointError::MissingEntry(key)),
-            }
-        };
-        let (param, m, v) = (entry("param")?, entry("opt.m")?, entry("opt.v")?);
-        *model.store.get_mut(id) = param;
-        moments.insert(name, (m, v));
-    }
+    let params = entries.take_params("param/", &model.store)?;
+    let m = entries.take_params("opt.m/", &model.store)?;
+    let v = entries.take_params("opt.v/", &model.store)?;
+    model.store.restore(&params);
+    let names = model.store.iter().map(|(_, name, _)| name.to_string());
+    let moments = names.zip(m.into_iter().zip(v)).collect();
     Ok(ResumeState { start_step, adamw_steps, model, moments })
 }
 
 /// Read just the resume step (`meta/step`) of a checkpoint file.
 pub fn checkpoint_step(path: &Path) -> Result<usize, SwipeError> {
-    let entries = load_entries(path).map_err(ckpt_io)?;
-    let t = entries
-        .iter()
-        .find(|(k, _)| k == "meta/step")
-        .map(|(_, t)| t)
-        .ok_or_else(|| CheckpointError::MissingEntry("meta/step".to_string()))?;
-    Ok(entry_u64(t).map_err(ckpt_io)? as usize)
+    let step = Entries::load(path).map_err(ckpt_io)?.take("meta/step")?;
+    Ok(entry_u64(&step).map_err(ckpt_io)? as usize)
 }
 
 /// What every rank thread of one [`DistributedTrainer::train`] call shares:

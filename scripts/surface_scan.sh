@@ -26,7 +26,13 @@
 #        only places a multiply-add may be contracted. Expected: exactly the
 #        two tile lines of crates/tensor/src/gemm.rs (the 4 × 16 body's
 #        `mul_add`, the AVX-512 tile's `_mm512_fmadd_ps`); a hit anywhere else
-#        is a result that depends on how the compiler or the CPU fuses.
+#        is a result that depends on how the compiler or the CPU fuses;
+#   (vi) every `from_le_bytes(` / `get_*_le(` byte-decoding site in the
+#        non-test code of crates/*/src, examples and src — the workspace's
+#        byte-format parsers. Expected: lines of crates/nn/src/checkpoint.rs
+#        (the one checkpoint decoder) and crates/earthsim/src/store.rs (the
+#        chunked store, its own seekable format); anything else is a second
+#        hand-rolled format that the checkpoint entry list should carry.
 # Crude on purpose: names are matched as words, so two functions sharing a name
 # hide each other, and a name used only in a doc comment counts as unused.
 set -euo pipefail
@@ -92,3 +98,8 @@ echo
 echo "== (v) contracted multiply-adds outside test code =="
 strip_tests $(sources crates/*/src shims/*/src examples src) \
     | grep -E 'mul_add\(|_fmadd_[a-z0-9_]*\(' || true
+
+echo
+echo "== (vi) byte-decoding sites outside test code =="
+strip_tests $(sources crates/*/src examples src) \
+    | grep -E 'from_le_bytes\(|get_[a-z0-9_]*_le\(' || true

@@ -165,5 +165,4 @@ fn forecaster_save_load_roundtrip_preserves_forecasts() {
     let b = restored.forecast_step(ds.state(0), &forc, &mut r2);
     assert_eq!(a, b, "restored forecaster must reproduce forecasts exactly");
     std::fs::remove_file(&path).ok();
-    std::fs::remove_file(path.with_extension("stats")).ok();
 }
