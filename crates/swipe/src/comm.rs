@@ -8,21 +8,26 @@
 //! contributions in group-rank order regardless of arrival order, so
 //! distributed runs are bitwise reproducible for a fixed topology.
 //!
-//! Each mailbox has its own lock and condvar, and only its owner waits on it:
-//! a send wakes only its receiver, and a death wakes every mailbox. A single
-//! world-wide mailbox woke every blocked rank on every message. On the
-//! benchmark's `train_swipe` (16 ranks, 632 communication operations per
-//! step, 2 cores) that cost ≈ 1.9 M voluntary context switches and 11.5 s of
-//! system CPU per 20-s run, against ≈ 0.45 M and 4.3 s with a mailbox per
-//! receiver.
+//! Each mailbox has its own lock and condvar, and only its owner waits on it.
+//! A wait records the `(src, tag)` key it is blocked on, and a send notifies
+//! only when it lands that key: a rank wakes for the message it waits on, not
+//! for another sender's. A death wakes every mailbox. A single world-wide
+//! mailbox woke every blocked rank on every message. On the benchmark's
+//! `train_swipe` (16 ranks, 2 cores) that cost ≈ 1.9 M voluntary context
+//! switches and 11.5 s of system CPU per 20-s run, against ≈ 0.45 M and 4.3 s
+//! with a mailbox per receiver that every put notified, and ≈ 0.14 M and
+//! 3.5 s once puts notify only the awaited key and the trainer runs one
+//! collective per group where it ran one per parameter.
 //!
 //! Fault tolerance (robustness layer):
 //! - every blocking wait carries a deadline ([`CommConfig::deadline`]); an
 //!   expired deadline surfaces as [`CommError::Timeout`] instead of hanging,
 //! - point-to-point receives run a retransmit timer with exponential backoff
-//!   that recovers messages suppressed by an injected drop fault; collectives
-//!   fail fast (a lost collective contribution is a rank-level failure, so a
-//!   retry storm would only delay the inevitable error),
+//!   that recovers messages suppressed by an injected drop fault; the timer
+//!   runs only while the awaited message sits suppressed, so no wait polls;
+//!   collectives never retransmit and fail fast (a lost collective
+//!   contribution is a rank-level failure, so a retry storm would only delay
+//!   the inevitable error),
 //! - a [`FaultPlan`] injects delays, drops, and crashes deterministically;
 //!   every hook is a no-op costing one branch when no plan is installed,
 //! - dead ranks are tracked; waiting on a rank that died without having sent
@@ -129,12 +134,17 @@ struct MailboxState {
     /// Per sender: how many messages it has posted to this rank (the fault
     /// plan addresses messages by this per-channel index).
     posted: HashMap<usize, u64>,
+    /// The `(src, tag)` keys this rank is blocked on right now.
+    awaited: Vec<(usize, u64)>,
 }
 
-/// A receiving rank's mailbox. Only its owner's thread waits on `cond`, so
-/// a put wakes exactly the receiver it addresses. Puts use `notify_all`: with
-/// one waiter it wakes the same single thread `notify_one` would, and it
-/// stays correct if a second communicator for the same rank ever waits too.
+/// A receiving rank's mailbox. Only its owner's thread waits on `cond`, and
+/// only for the keys in `awaited`: a put notifies when it lands one of them,
+/// so a rank wakes for the message it waits on and sleeps through the rest.
+/// `mark_dead` notifies every mailbox whatever it awaits. Notifies use
+/// `notify_all`: with one waiter it wakes the same single thread
+/// `notify_one` would, and it stays correct if a second communicator for the
+/// same rank ever waits too.
 #[derive(Default)]
 struct Mailbox {
     state: Mutex<MailboxState>,
@@ -384,13 +394,18 @@ impl World {
                     };
                     let prev = st.slots.insert((src, tag), Envelope { payload, suppressed });
                     assert!(prev.is_none(), "duplicate message ({src}->{dst}, tag {tag})");
+                    let awaited = st.awaited.contains(&(src, tag));
                     drop(st);
                     if suppressed > 0 {
                         self.inner
                             .events
                             .record(src, FaultEvent::InjectedDrop { src, dst, remaining: suppressed });
                     }
-                    mailbox.cond.notify_all();
+                    // A suppressed envelope wakes its waiter too: the wait
+                    // arms its retransmit timer once it sees one.
+                    if awaited {
+                        mailbox.cond.notify_all();
+                    }
                     return;
                 }
             }
@@ -406,13 +421,18 @@ impl World {
         let mut st = mailbox.state.lock();
         let prev = st.slots.insert((src, tag), Envelope { payload, suppressed: 0 });
         assert!(prev.is_none(), "duplicate message ({src}->{dst}, tag {tag})");
+        let awaited = st.awaited.contains(&(src, tag));
         drop(st);
-        mailbox.cond.notify_all();
+        if awaited {
+            mailbox.cond.notify_all();
+        }
     }
 
     /// Blocking mailbox wait with deadline. `retry_p2p` enables the
     /// retransmit timer that recovers drop-suppressed messages; collectives
-    /// pass `false` and fail fast on loss.
+    /// pass `false` and fail fast on loss. The timer is armed only while the
+    /// awaited key holds a suppressed envelope; otherwise the wait sleeps
+    /// until a put lands its key, a rank dies or the deadline passes.
     fn take(
         &self,
         src: usize,
@@ -426,15 +446,16 @@ impl World {
         // no timeout; the wait ends on a put, a death or the retransmit timer.
         let deadline = start.checked_add(config.deadline);
         let mut backoff = config.retry_backoff;
-        let mut last_retry = start;
+        // When the retransmit timer fires next; `None` while disarmed.
+        let mut retry_at: Option<Instant> = None;
         let mut attempt = 0u32;
         let key = (src, tag);
         let mailbox = &self.inner.mailboxes[dst];
         let mut st = mailbox.state.lock();
         loop {
-            let deliverable = matches!(st.slots.get(&key), Some(env) if env.suppressed == 0);
-            if deliverable {
-                return Ok(st.slots.remove(&key).unwrap().payload);
+            let suppressed = st.slots.get(&key).map(|env| env.suppressed);
+            if suppressed == Some(0) {
+                return Ok(st.slots.remove(&key).expect("a deliverable envelope").payload);
             }
             // Not (yet) deliverable. A dead sender can neither send nor
             // retransmit, so give up immediately.
@@ -449,27 +470,35 @@ impl World {
                     .record(dst, FaultEvent::CommTimeout { rank: dst, peer: src, waited_ms });
                 return Err(CommError::Timeout { rank: dst, peer: src, waited_ms });
             }
-            // Retransmit timer: if a suppressed message has sat through a
+            // Retransmit timer: once a suppressed message has sat through a
             // full backoff interval, request a retransmit (recover one
             // suppression) and escalate the interval.
-            if retry_p2p && now.duration_since(last_retry) >= backoff {
-                if let Some(env) = st.slots.get_mut(&key) {
-                    if env.suppressed > 0 {
-                        env.suppressed -= 1;
+            if retry_p2p && suppressed.is_some() {
+                match retry_at {
+                    // `None` past the clock's range: the timer never fires.
+                    None => retry_at = now.checked_add(backoff),
+                    Some(at) if now >= at => {
+                        st.slots.get_mut(&key).expect("a suppressed envelope").suppressed -= 1;
                         attempt += 1;
                         self.inner
                             .events
                             .record(dst, FaultEvent::RetransmitRequest { src, dst, attempt });
-                        last_retry = now;
-                        backoff = (backoff * 2).min(config.max_backoff);
+                        backoff = backoff.saturating_mul(2).min(config.max_backoff);
+                        retry_at = None;
                         continue;
                     }
+                    Some(_) => {}
                 }
-                last_retry = now;
-                backoff = (backoff * 2).min(config.max_backoff);
             }
-            let wait = deadline.map_or(backoff, |d| backoff.min(d - now));
-            let _ = mailbox.cond.wait_for(&mut st, wait);
+            st.awaited.push(key);
+            match [deadline, retry_at].into_iter().flatten().min() {
+                Some(until) => {
+                    let _ = mailbox.cond.wait_for(&mut st, until.saturating_duration_since(now));
+                }
+                None => mailbox.cond.wait(&mut st),
+            }
+            let mine = st.awaited.iter().position(|&k| k == key).expect("wait key registered");
+            st.awaited.swap_remove(mine);
         }
     }
 }
@@ -637,34 +666,33 @@ impl Communicator {
         me: usize,
         class: CommClass,
         tag: impl Fn(usize) -> u64,
-        mut payload: impl FnMut(usize) -> Tensor,
+        mut payload: impl FnMut(usize) -> Vec<Tensor>,
     ) {
         for (j, &dst) in group.iter().enumerate() {
             if j == me {
                 continue;
             }
-            let payload = vec![payload(j)];
+            let payload = payload(j);
             self.world.account(self.rank, class, Self::payload_bytes(&payload));
             self.world.put(self.rank, dst, tag(j), class, payload);
         }
     }
 
     /// Take one message from every other member of `group`, in group order,
-    /// handing member `j`'s tensor (awaited under `tag(j)`) to `sink`. No
+    /// handing member `j`'s tensors (awaited under `tag(j)`) to `sink`. No
     /// retransmit timer: collectives fail fast on loss.
     fn collect(
         &self,
         group: &[usize],
         me: usize,
         tag: impl Fn(usize) -> u64,
-        mut sink: impl FnMut(usize, Tensor),
+        mut sink: impl FnMut(usize, Vec<Tensor>),
     ) -> Result<(), CommError> {
         for (j, &src) in group.iter().enumerate() {
             if j == me {
                 continue;
             }
-            let mut p = self.world.take(src, self.rank, tag(j), false)?;
-            sink(j, p.pop().expect("a collective message carries one tensor"));
+            sink(j, self.world.take(src, self.rank, tag(j), false)?);
         }
         Ok(())
     }
@@ -685,9 +713,9 @@ impl Communicator {
         // Each chunk leaves its slot on the way out and the slot takes what
         // that member sent back; slot `me` is never touched.
         self.post(group, me, CommClass::AllToAll, |j| tag_base | j as u64, |j| {
-            std::mem::replace(&mut chunks[j], Tensor::zeros(&[0]))
+            vec![std::mem::replace(&mut chunks[j], Tensor::zeros(&[0]))]
         });
-        self.collect(group, me, |_| tag_base | me as u64, |j, t| chunks[j] = t)?;
+        self.collect(group, me, |_| tag_base | me as u64, |j, mut p| chunks[j] = one(&mut p))?;
         Ok(chunks)
     }
 
@@ -703,73 +731,102 @@ impl Communicator {
         self.op_hook()?;
         let tag_base = self.next_group_tag(group);
         let me = group.iter().position(|&r| r == self.rank).expect("rank not in group");
-        self.post(group, me, class, |_| tag_base | me as u64, |_| value.clone());
+        self.post(group, me, class, |_| tag_base | me as u64, |_| vec![value.clone()]);
         let mut out = vec![Tensor::zeros(&[0]); group.len()];
-        self.collect(group, me, |j| tag_base | j as u64, |j, t| out[j] = t)?;
+        self.collect(group, me, |j| tag_base | j as u64, |j, mut p| out[j] = one(&mut p))?;
         out[me] = value;
         Ok(out)
     }
 
-    /// Sum-allreduce within `group`, implemented as reduce-scatter +
-    /// allgather so per-rank traffic is ≈ 2×data regardless of group size
-    /// (the bandwidth-optimal ring volume — this is what makes the paper's
-    /// "gradient-allreduce volume is unchanged by WP" claim measurable).
-    /// Deterministic: every chunk is reduced in group order by its owner.
+    /// Sum-allreduce of one tensor within `group`: the one-tensor case of
+    /// [`Communicator::allreduce_sum_many`].
     pub fn allreduce_sum(&mut self, group: &[usize], value: &Tensor) -> Result<Tensor, CommError> {
+        let mut out = self.allreduce_sum_many(group, std::slice::from_ref(value))?;
+        Ok(one(&mut out))
+    }
+
+    /// Sum-allreduce of every tensor of `values` within `group`, in one
+    /// reduce-scatter + allgather round, so per-rank traffic is ≈ 2×data
+    /// regardless of group size (the bandwidth-optimal ring volume — this is
+    /// what makes the paper's "gradient-allreduce volume is unchanged by WP"
+    /// claim measurable). Member `j` owns chunk `j` of every tensor; one
+    /// message to it carries this member's slice of each, and its reply
+    /// carries each reduced chunk. Deterministic: every chunk is reduced in
+    /// group order by its owner, so each element, and the bytes accounted,
+    /// are those of one [`Communicator::allreduce_sum`] per tensor.
+    pub fn allreduce_sum_many(
+        &mut self,
+        group: &[usize],
+        values: &[Tensor],
+    ) -> Result<Vec<Tensor>, CommError> {
         let _span = self.trace_span(SpanCategory::AllReduce);
         self.op_hook()?;
         let n = group.len();
         if n == 1 {
-            return Ok(value.clone());
+            return Ok(values.to_vec());
         }
         let tag_base = self.next_group_tag(group);
         let me = group.iter().position(|&r| r == self.rank).expect("rank not in group");
-        let len = value.len();
-        let chunk = |j: usize| len * j / n..len * (j + 1) / n;
-        // Reduce-scatter: send my slice of chunk j to its owner j.
+        let chunk = |len: usize, j: usize| len * j / n..len * (j + 1) / n;
+        // Reduce-scatter: send my slice of chunk j of every tensor to its owner j.
         self.post(group, me, CommClass::AllReduce, |j| tag_base | j as u64, |j| {
-            Tensor::from_slice(&value.data()[chunk(j)])
+            values.iter().map(|v| Tensor::from_slice(&v.data()[chunk(v.len(), j)])).collect()
         });
         // Deterministic accumulation: contributions arrive in group order.
-        let mut mine: Vec<f32> = value.data()[chunk(me)].to_vec();
-        self.collect(group, me, |_| tag_base | me as u64, |_, c| {
-            for (m, &v) in mine.iter_mut().zip(c.data()) {
-                *m += v;
+        let mut mine: Vec<Vec<f32>> =
+            values.iter().map(|v| v.data()[chunk(v.len(), me)].to_vec()).collect();
+        self.collect(group, me, |_| tag_base | me as u64, |_, parts| {
+            for (m, part) in mine.iter_mut().zip(&parts) {
+                for (m, &v) in m.iter_mut().zip(part.data()) {
+                    *m += v;
+                }
             }
         })?;
         // Allgather the reduced chunks.
-        let reduced = Tensor::from_slice(&mine);
+        let reduced: Vec<Tensor> = mine.iter().map(|m| Tensor::from_slice(m)).collect();
         let tag2 = self.next_group_tag(group);
         self.post(group, me, CommClass::AllReduce, |_| tag2 | me as u64, |_| reduced.clone());
-        let mut out = vec![0.0f32; len];
-        out[chunk(me)].copy_from_slice(&mine);
-        self.collect(group, me, |j| tag2 | j as u64, |j, c| {
-            out[chunk(j)].copy_from_slice(c.data());
-        })?;
-        Ok(Tensor::from_vec(value.shape(), out))
+        let mut out: Vec<Vec<f32>> = values.iter().map(|v| vec![0.0f32; v.len()]).collect();
+        let mut place = |j: usize, parts: &[Tensor]| {
+            for (o, part) in out.iter_mut().zip(parts) {
+                let range = chunk(o.len(), j);
+                o[range].copy_from_slice(part.data());
+            }
+        };
+        place(me, &reduced);
+        self.collect(group, me, |j| tag2 | j as u64, |j, parts| place(j, &parts))?;
+        Ok(out.into_iter().zip(values).map(|(o, v)| Tensor::from_vec(v.shape(), o)).collect())
     }
 
-    /// Broadcast from `group[root_ix]` to the group.
-    pub fn broadcast(
+    /// ZeRO-1 owner broadcast within `group`: slot `i` belongs to the member
+    /// at position `owners[i]`, and every member returns every slot's value,
+    /// in slot order. `owned` holds this member's own slots, in slot order;
+    /// it goes to each peer in one message. Values and accounted bytes are
+    /// those of one root broadcast per slot.
+    pub fn broadcast_owned(
         &mut self,
         group: &[usize],
-        root_ix: usize,
-        value: Option<Tensor>,
-    ) -> Result<Tensor, CommError> {
+        owners: &[usize],
+        owned: Vec<Tensor>,
+    ) -> Result<Vec<Tensor>, CommError> {
         let _span = self.trace_span(SpanCategory::Broadcast);
         self.op_hook()?;
         let tag_base = self.next_group_tag(group);
         let me = group.iter().position(|&r| r == self.rank).expect("rank not in group");
-        if me == root_ix {
-            let v = value.expect("root must provide a value");
-            self.post(group, me, CommClass::AllGather, |j| tag_base | j as u64, |_| v.clone());
-            Ok(v)
-        } else {
-            assert!(value.is_none(), "non-root must not provide a value");
-            let mut p = self.world.take(group[root_ix], self.rank, tag_base | me as u64, false)?;
-            Ok(p.pop().unwrap())
-        }
+        let mine = owners.iter().filter(|&&o| o == me).count();
+        assert_eq!(owned.len(), mine, "rank {}: owned values do not match `owners`", self.rank);
+        self.post(group, me, CommClass::AllGather, |_| tag_base | me as u64, |_| owned.clone());
+        let mut from: Vec<std::vec::IntoIter<Tensor>> = vec![Vec::new().into_iter(); group.len()];
+        from[me] = owned.into_iter();
+        self.collect(group, me, |j| tag_base | j as u64, |j, parts| from[j] = parts.into_iter())?;
+        let slot = |&owner: &usize| from[owner].next().expect("an owner sends every slot it owns");
+        Ok(owners.iter().map(slot).collect())
     }
+}
+
+/// The one tensor of a single-tensor message.
+fn one(payload: &mut Vec<Tensor>) -> Tensor {
+    payload.pop().expect("a single-tensor message carries one tensor")
 }
 
 #[cfg(test)]
@@ -778,19 +835,24 @@ mod tests {
     use aeris_tensor::Rng;
     use std::thread;
 
-    fn run_ranks<F>(n: usize, f: F) -> Vec<TrafficReport>
+    /// Runs `f` on every rank of a fresh `n`-rank world; returns each rank's
+    /// result, in rank order, and the world's traffic.
+    fn run_ranks<T: Send, F>(n: usize, f: F) -> (Vec<T>, TrafficReport)
     where
-        F: Fn(Communicator) + Sync,
+        F: Fn(Communicator) -> T + Sync,
     {
         let world = World::new(n);
-        thread::scope(|s| {
-            for r in 0..n {
-                let comm = world.communicator(r);
-                let f = &f;
-                s.spawn(move || f(comm));
-            }
+        let out = thread::scope(|s| {
+            let handles: Vec<_> = (0..n)
+                .map(|r| {
+                    let comm = world.communicator(r);
+                    let f = &f;
+                    s.spawn(move || f(comm))
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        vec![world.traffic()]
+        (out, world.traffic())
     }
 
     #[test]
@@ -841,10 +903,89 @@ mod tests {
     fn broadcast_distributes_root_value() {
         let group: Vec<usize> = (0..3).collect();
         run_ranks(3, |mut c| {
-            let v = if c.rank() == 1 { Some(Tensor::from_slice(&[7.0, 8.0])) } else { None };
-            let out = c.broadcast(&group, 1, v).unwrap();
-            assert_eq!(out.data(), &[7.0, 8.0]);
+            let owned = if c.rank() == 1 { vec![Tensor::from_slice(&[7.0, 8.0])] } else { vec![] };
+            let out = c.broadcast_owned(&group, &[1], owned).unwrap();
+            assert_eq!(out.len(), 1);
+            assert_eq!(out[0].data(), &[7.0, 8.0]);
         });
+    }
+
+    /// One root broadcast per slot, spelled with point-to-point messages in
+    /// the class the owner broadcast accounts to: the owner of slot `i` sends
+    /// it to every other member, and the others take it in slot order.
+    fn root_broadcasts(
+        c: &mut Communicator,
+        group: &[usize],
+        owners: &[usize],
+        mut values: Vec<Tensor>,
+    ) -> Vec<Tensor> {
+        let me = group.iter().position(|&r| r == c.rank()).unwrap();
+        for (i, &owner) in owners.iter().enumerate() {
+            if owner == me {
+                for &dst in group.iter().filter(|&&dst| dst != group[me]) {
+                    c.send(dst, CommClass::AllGather, vec![values[i].clone()]).unwrap();
+                }
+            } else {
+                values[i] = c.recv(group[owner]).unwrap().pop().unwrap();
+            }
+        }
+        values
+    }
+
+    /// Shape and bit pattern of each tensor: equal bits, not equal values
+    /// (`-0.0 == 0.0`).
+    fn bits(tensors: &[Tensor]) -> Vec<(Vec<usize>, Vec<u32>)> {
+        let pattern = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect();
+        tensors.iter().map(|t| (t.shape().to_vec(), pattern(t))).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// One bucketed reduction equals one reduction per tensor, and one
+        /// owner broadcast one root broadcast per slot: bit for bit on every
+        /// rank, byte for byte in the traffic report. Lengths include 0 and
+        /// lengths below the group size (members whose chunk is empty).
+        #[test]
+        fn bucketed_collectives_keep_bits_and_bytes(
+            n in 1usize..6,
+            k in 0usize..5,
+            lens in proptest::collection::vec(0usize..9, 4),
+            owner_draws in proptest::collection::vec(0usize..5, 4),
+            seed in 0u64..1000,
+        ) {
+            let group: Vec<usize> = (0..n).collect();
+            let values = |rank: usize| -> Vec<Tensor> {
+                let mut rng = Rng::seed_from(seed * 8 + rank as u64);
+                lens[..k].iter().map(|&len| Tensor::randn(&[len], &mut rng)).collect()
+            };
+            let (many, many_traffic) =
+                run_ranks(n, |mut c| c.allreduce_sum_many(&group, &values(c.rank())).unwrap());
+            let (each, each_traffic) = run_ranks(n, |mut c| {
+                let mine = values(c.rank());
+                mine.iter().map(|v| c.allreduce_sum(&group, v).unwrap()).collect::<Vec<_>>()
+            });
+            for (a, b) in many.iter().zip(&each) {
+                proptest::prop_assert_eq!(bits(a), bits(b));
+            }
+            proptest::prop_assert_eq!(many_traffic, each_traffic);
+
+            let owners: Vec<usize> = owner_draws[..k].iter().map(|&o| o % n).collect();
+            let (owned, owned_traffic) = run_ranks(n, |mut c| {
+                let me = c.rank();
+                let mine = values(me).into_iter().zip(&owners).filter(|(_, &o)| o == me);
+                c.broadcast_owned(&group, &owners, mine.map(|(v, _)| v).collect()).unwrap()
+            });
+            let (rooted, rooted_traffic) =
+                run_ranks(n, |mut c| {
+                    let mine = values(c.rank());
+                    root_broadcasts(&mut c, &group, &owners, mine)
+                });
+            for (a, b) in owned.iter().zip(&rooted) {
+                proptest::prop_assert_eq!(bits(a), bits(b));
+            }
+            proptest::prop_assert_eq!(owned_traffic, rooted_traffic);
+        }
     }
 
     #[test]
@@ -965,19 +1106,20 @@ mod tests {
         });
     }
 
-    /// Waits whose poll interval is a minute: only a notification reaching
-    /// the waiter's own mailbox can end them within a second (a missed one
-    /// ends in a `Timeout` at the 5-s deadline). The tests' 20-ms sleeps let
-    /// the waiter block first; they pass either way.
-    fn notify_only_world() -> World {
+    /// Waits whose retransmit interval is a minute: only a notification
+    /// reaching the waiter's own mailbox can end them within a second (a
+    /// missed one ends in a `Timeout` at the 5-s deadline). The tests' 20-ms
+    /// sleeps let the waiter block first; they pass either way.
+    fn notify_only_world(n: usize) -> World {
         let minute = Duration::from_secs(60);
         let deadline = Duration::from_secs(5);
-        World::with_config(2, CommConfig { deadline, retry_backoff: minute, max_backoff: minute }, None)
+        let config = CommConfig { deadline, retry_backoff: minute, max_backoff: minute };
+        World::with_config(n, config, None)
     }
 
     #[test]
     fn a_send_wakes_its_blocked_receiver() {
-        let world = notify_only_world();
+        let world = notify_only_world(2);
         thread::scope(|s| {
             let mut c0 = world.communicator(0);
             let mut c1 = world.communicator(1);
@@ -998,9 +1140,66 @@ mod tests {
         });
     }
 
+    /// Returns once `dst`'s owner is blocked waiting on a message from `src`.
+    fn until_blocked_on(world: &World, dst: usize, src: usize) {
+        while !world.inner.mailboxes[dst].state.lock().awaited.iter().any(|&(s, _)| s == src) {
+            thread::yield_now();
+        }
+    }
+
+    /// A put notifies only a waiter blocked on its key: another sender's
+    /// message landing first neither wakes the receiver nor hides the one
+    /// it waits on.
+    #[test]
+    fn a_receiver_blocked_on_one_peer_gets_its_message_after_another_peers() {
+        let world = notify_only_world(3);
+        thread::scope(|s| {
+            let mut c0 = world.communicator(0);
+            let mut c1 = world.communicator(1);
+            let mut c2 = world.communicator(2);
+            let w = &world;
+            s.spawn(move || {
+                until_blocked_on(w, 2, 0);
+                c1.send(2, CommClass::P2p, vec![Tensor::from_slice(&[2.0])]).unwrap();
+                c0.send(2, CommClass::P2p, vec![Tensor::from_slice(&[1.0])]).unwrap();
+            });
+            let start = Instant::now();
+            assert_eq!(c2.recv(0).unwrap()[0].data(), &[1.0]);
+            assert!(start.elapsed() < Duration::from_secs(1), "recv missed its wake-up");
+            assert_eq!(c2.recv(1).unwrap()[0].data(), &[2.0]);
+        });
+    }
+
+    /// A wait arms its retransmit timer only once its key holds a suppressed
+    /// envelope. Here the drop-suppressed message lands after the receiver
+    /// blocked: its put must wake the receiver to arm the timer, or the
+    /// receive would sleep to its 5-s deadline.
+    #[test]
+    fn a_drop_that_lands_after_its_receiver_blocked_is_retransmitted() {
+        let plan = FaultPlan::new().drop_message(0, 1, 0, 2);
+        let config = CommConfig { deadline: Duration::from_secs(5), ..CommConfig::default() };
+        let world = World::with_config(2, config, Some(plan));
+        thread::scope(|s| {
+            let mut c0 = world.communicator(0);
+            let mut c1 = world.communicator(1);
+            let w = &world;
+            s.spawn(move || {
+                until_blocked_on(w, 1, 0);
+                c0.send(1, CommClass::P2p, vec![Tensor::from_slice(&[9.0])]).unwrap();
+            });
+            let start = Instant::now();
+            assert_eq!(c1.recv(0).unwrap()[0].data(), &[9.0]);
+            let elapsed = start.elapsed();
+            assert!(elapsed < Duration::from_secs(1), "the suppressed arrival armed no timer");
+        });
+        let retransmits =
+            world.events().count_matching(|e| matches!(e, FaultEvent::RetransmitRequest { .. }));
+        assert_eq!(retransmits, 2);
+    }
+
     #[test]
     fn a_death_wakes_a_receiver_blocked_on_the_dead_rank() {
-        let world = notify_only_world();
+        let world = notify_only_world(2);
         thread::scope(|s| {
             let mut c1 = world.communicator(1);
             let w = &world;

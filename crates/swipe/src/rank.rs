@@ -106,8 +106,8 @@ fn layout_of(reference: &AerisModel, topo: &SwipeTopology, stage: usize) -> ActL
 /// re-shard a rejoining one positionally.
 ///
 /// Parameter `i` belongs to the `i % len`-th member of its group; the
-/// optimizer step, the parameter broadcast, checkpoint save and both
-/// re-shard directions all read the rule from here.
+/// optimizer step, the owner broadcast, checkpoint save and both re-shard
+/// directions all read the rule from here.
 struct Shards {
     rank: usize,
     /// `shared[i]`: parameter `i` is one of the time-conditioner parameters
@@ -143,6 +143,13 @@ impl Shards {
     /// Whether this rank holds parameter `i`'s moments.
     fn owns(&self, i: usize) -> bool {
         self.group(i)[self.owner_ix(i)] == self.rank
+    }
+
+    /// The parameters, in store order, that shard over the shared group
+    /// (`shared`) or over the stage group: one bucket per group, reduced and
+    /// broadcast by one collective each.
+    fn bucket(&self, shared: bool) -> Vec<usize> {
+        (0..self.shared.len()).filter(|&i| self.shared[i] == shared).collect()
     }
 }
 
@@ -288,7 +295,7 @@ impl<'a> Rank<'a> {
     }
 
     /// The step loop: membership → park or rejoin → microbatches → gradient
-    /// reduction and optimizer → loss → checkpoint.
+    /// and loss reduction, optimizer → checkpoint.
     pub(crate) fn train(&mut self) -> Result<(), SwipeError> {
         let (run, cfg) = (self.run, self.run.cfg);
         let (me, my_dp) = (self.comm.rank(), self.coords.dp);
@@ -340,16 +347,7 @@ impl<'a> Rank<'a> {
             self.rejoin(&members, outage.take(), step)?;
 
             let (grads, my_loss) = self.microbatches(step)?;
-            self.reduce_and_update(&members, grads)?;
-
-            // ---- loss reporting: sum local head losses over live ranks ----
-            let loss_sum = self
-                .comm
-                .allreduce_sum(&members.all_live, &Tensor::from_slice(&[my_loss as f32]))?
-                .data()[0] as f64;
-            if me == members.all_live[0] {
-                run.losses.lock()[step] = loss_sum / (live_dp * cfg.gas) as f64;
-            }
+            self.reduce_and_update(&members, grads, my_loss, step)?;
 
             // ---- coordinated checkpoint ----
             let due = cfg
@@ -562,45 +560,85 @@ impl<'a> Rank<'a> {
         Ok((grads, my_loss))
     }
 
-    /// Reduce the step's gradients across the live replicas and apply the
-    /// sharded optimizer.
+    /// Reduce the step's gradients across the live replicas, apply the
+    /// sharded optimizer and, on the head stage, report the step's loss.
+    ///
+    /// Each group takes one bucketed reduction and one owner broadcast. The
+    /// head stage's bucket ends with its summed local losses: a 1-element
+    /// tensor is owned, and summed in group order, by the group's last
+    /// member. Those are the additions, in order, of a sum over every live
+    /// rank (the last live rank is a head rank, and the others add 0), so
+    /// the loss is the same at any topology.
     fn reduce_and_update(
         &mut self,
         members: &Membership,
         mut grads: Vec<Option<Tensor>>,
+        my_loss: f64,
+        step: usize,
     ) -> Result<(), SwipeError> {
         let cfg = self.run.cfg;
-        let n = self.model.store.len();
         // ---- gradient reduction (rescaled to the surviving global batch) ----
         self.comm.set_trace_micro(None);
         let stage_live = cfg.topo.filter_live(&self.grad_group, &members.dead_dps);
         let shared_live = cfg.topo.filter_live(&self.shared_grad_group, &members.dead_dps);
-        let gbs = (members.live_dp() * cfg.gas) as f32;
-        for i in 0..n {
-            let local = grads[i]
-                .take()
-                .unwrap_or_else(|| Tensor::zeros(self.model.store.get(ParamId(i)).shape()));
-            let group = if self.shards.shared[i] { &shared_live } else { &stage_live };
-            let mut reduced = self.comm.allreduce_sum(group, &local)?;
+        let gbs = members.live_dp() * cfg.gas;
+        for shared in [false, true] {
+            let ixs = self.shards.bucket(shared);
+            let mut bucket: Vec<Tensor> = ixs
+                .iter()
+                .map(|&i| {
+                    let zeros = || Tensor::zeros(self.model.store.get(ParamId(i)).shape());
+                    grads[i].take().unwrap_or_else(zeros)
+                })
+                .collect();
+            let with_loss = !shared && self.kind == StageKind::Head;
+            if with_loss {
+                bucket.push(Tensor::from_slice(&[my_loss as f32]));
+            }
+            if bucket.is_empty() {
+                continue;
+            }
+            let group = if shared { &shared_live } else { &stage_live };
+            let mut reduced = self.comm.allreduce_sum_many(group, &bucket)?;
+            if with_loss {
+                let loss_sum = reduced.pop().expect("the loss ends the bucket").data()[0] as f64;
+                if self.comm.rank() == group[0] {
+                    self.run.losses.lock()[step] = loss_sum / gbs as f64;
+                }
+            }
             // Only the owner steps the parameter, so only it keeps the mean.
-            grads[i] = self.shards.owns(i).then(|| {
-                reduced.scale_inplace(1.0 / gbs);
-                reduced
-            });
+            for (&i, mut g) in ixs.iter().zip(reduced) {
+                grads[i] = self.shards.owns(i).then(|| {
+                    g.scale_inplace(1.0 / gbs as f32);
+                    g
+                });
+            }
         }
 
         // ---- ZeRO-1 sharded optimizer (hybrid, within-replica) ----
         // Each parameter's within-replica owner updates it with AdamW state,
-        // then broadcasts the fresh value inside the replica. Owner groups
-        // never shrink (live replicas are always whole), and every replica's
-        // owners compute bitwise-identical updates from the shared reduced
-        // gradient.
+        // then every owner sends the parameters it owns to the rest of the
+        // replica's group in one message. Owner groups never shrink (live
+        // replicas are always whole), and every replica's owners compute
+        // bitwise-identical updates from the shared reduced gradient.
         let _opt_span = self.comm.trace_span(SpanCategory::OptimizerStep);
         self.opt.step(&mut self.model.store, &grads, cfg.lr);
-        for i in 0..n {
-            let value = self.shards.owns(i).then(|| self.model.store.get(ParamId(i)).clone());
-            let fresh = self.comm.broadcast(self.shards.group(i), self.shards.owner_ix(i), value)?;
-            *self.model.store.get_mut(ParamId(i)) = fresh;
+        for shared in [false, true] {
+            let ixs = self.shards.bucket(shared);
+            if ixs.is_empty() {
+                continue;
+            }
+            let owners: Vec<usize> = ixs.iter().map(|&i| self.shards.owner_ix(i)).collect();
+            let owned = ixs
+                .iter()
+                .filter(|&&i| self.shards.owns(i))
+                .map(|&i| self.model.store.get(ParamId(i)).clone())
+                .collect();
+            let group = if shared { &self.shards.shared_group } else { &self.shards.stage_group };
+            let fresh = self.comm.broadcast_owned(group, &owners, owned)?;
+            for (&i, value) in ixs.iter().zip(fresh) {
+                *self.model.store.get_mut(ParamId(i)) = value;
+            }
         }
         Ok(())
     }

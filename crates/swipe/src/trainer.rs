@@ -3,7 +3,8 @@
 //! Each rank runs the 1F1B schedule over its stage, with window/sequence
 //! parallel activations inside each block, shared-seed diffusion times across
 //! model-parallel ranks (§VI-B), gradient reduction over DP×WP×SP, and a
-//! ZeRO-1-style sharded optimizer (owner-updates + parameter broadcast).
+//! ZeRO-1-style sharded optimizer (owner-updates + owner broadcast): one
+//! bucketed reduction and one owner broadcast per group per step.
 //!
 //! One [`DistributedTrainer::train`] call is a `Run` — what every rank thread
 //! shares — and one `Rank` value per thread. `Rank::new` resolves, once,
@@ -175,6 +176,15 @@ pub enum SwipeError {
     AllReplicasLost { step: usize },
     /// `schedule[step][dp]` names a sample the source does not hold.
     SampleOutOfRange { step: usize, dp: usize, sample: usize, len: usize },
+    /// The topology's pipeline is not one stage per Swin block plus the
+    /// input and head stages.
+    StageCount { pp: usize, blocks: usize },
+    /// The schedule does not have one entry per training step.
+    ScheduleSteps { steps: usize, n_steps: usize },
+    /// `schedule[step]` does not list one sample set per replica.
+    ScheduleReplicas { step: usize, replicas: usize, dp: usize },
+    /// `schedule[step][dp]` does not list `gas` samples.
+    ScheduleSamples { step: usize, dp: usize, samples: usize, gas: usize },
 }
 
 impl std::fmt::Display for SwipeError {
@@ -191,6 +201,21 @@ impl std::fmt::Display for SwipeError {
                 f,
                 "step {step}, replica dp={dp}: sample {sample} is out of range for a source \
                  of {len} samples"
+            ),
+            SwipeError::StageCount { pp, blocks } => write!(
+                f,
+                "{pp} pipeline stages for {blocks} Swin blocks: the pipeline needs blocks + 2 \
+                 stages (separate input and head stages)"
+            ),
+            SwipeError::ScheduleSteps { steps, n_steps } => {
+                write!(f, "the schedule lists {steps} steps for a run of {n_steps}")
+            }
+            SwipeError::ScheduleReplicas { step, replicas, dp } => {
+                write!(f, "step {step} lists {replicas} replicas' samples for dp={dp}")
+            }
+            SwipeError::ScheduleSamples { step, dp, samples, gas } => write!(
+                f,
+                "step {step}, replica dp={dp}: {samples} samples for gas={gas} microbatches"
             ),
         }
     }
@@ -428,6 +453,40 @@ pub(crate) struct Run<'a> {
     pub(crate) max_act: AtomicUsize,
 }
 
+/// Check a [`DistributedTrainer::train`] call's shape before any rank
+/// spawns: a pipeline of blocks + 2 stages, and a schedule of `n_steps`
+/// steps × `dp` replicas × `gas` samples, each held by `source`.
+fn validate_call(
+    reference: &AerisModel,
+    cfg: &SwipeConfig,
+    source: &dyn WindowSource,
+    schedule: &[Vec<Vec<usize>>],
+) -> Result<(), SwipeError> {
+    let (topo, blocks) = (cfg.topo, reference.cfg.total_blocks());
+    if topo.pp != blocks + 2 {
+        return Err(SwipeError::StageCount { pp: topo.pp, blocks });
+    }
+    if schedule.len() != cfg.n_steps {
+        return Err(SwipeError::ScheduleSteps { steps: schedule.len(), n_steps: cfg.n_steps });
+    }
+    for (step, replicas) in schedule.iter().enumerate() {
+        if replicas.len() != topo.dp {
+            let replicas = replicas.len();
+            return Err(SwipeError::ScheduleReplicas { step, replicas, dp: topo.dp });
+        }
+        for (dp, micro) in replicas.iter().enumerate() {
+            if micro.len() != cfg.gas {
+                let samples = micro.len();
+                return Err(SwipeError::ScheduleSamples { step, dp, samples, gas: cfg.gas });
+            }
+            if let Some(&sample) = micro.iter().find(|&&s| s >= source.len()) {
+                return Err(SwipeError::SampleOutOfRange { step, dp, sample, len: source.len() });
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Marks its rank dead if dropped during a panic.
 struct DeadOnUnwind<'a> {
     world: &'a World,
@@ -452,12 +511,13 @@ impl DistributedTrainer {
     /// at that step.
     ///
     /// Fails with a typed [`TrainFailure`] — carrying the fault log — if the
-    /// schedule names a sample `source` does not hold (checked before any
-    /// rank spawns), a rank dies mid-step or a communication deadline
-    /// expires; completes with a degraded (DP-shrunk) run when crashes are
-    /// planned at step boundaries. A panicking rank is marked dead as it
-    /// unwinds, so its peers fail fast and the panic propagates without
-    /// waiting out the comm deadline.
+    /// call is malformed (a pipeline that is not blocks + 2 stages, a
+    /// schedule that is not `n_steps` × `dp` × `gas` samples `source` holds;
+    /// checked before any rank spawns, with an empty log), a rank dies
+    /// mid-step or a communication deadline expires; completes with a
+    /// degraded (DP-shrunk) run when crashes are planned at step boundaries.
+    /// A panicking rank is marked dead as it unwinds, so its peers fail fast
+    /// and the panic propagates without waiting out the comm deadline.
     pub fn train(
         reference: &AerisModel,
         cfg: &SwipeConfig,
@@ -465,34 +525,15 @@ impl DistributedTrainer {
         schedule: &[Vec<Vec<usize>>],
         weights: &Tensor,
     ) -> Result<TrainReport, TrainFailure> {
+        validate_call(reference, cfg, source, schedule)
+            .map_err(|error| TrainFailure { error, events: Vec::new() })?;
         let topo = cfg.topo;
-        assert_eq!(
-            topo.pp,
-            reference.cfg.n_layers * reference.cfg.blocks_per_layer + 2,
-            "pipeline stages must equal blocks + 2 (separated I/O/embedding stages)"
-        );
-        assert_eq!(schedule.len(), cfg.n_steps);
-        for s in schedule {
-            assert_eq!(s.len(), topo.dp);
-            for micro in s {
-                assert_eq!(micro.len(), cfg.gas);
-            }
-        }
         let world =
             World::with_tracer(topo.world_size(), cfg.comm, cfg.faults.clone(), cfg.tracer.clone());
         let fail = |error: SwipeError, world: &World| TrainFailure {
             error,
             events: world.events().snapshot(),
         };
-
-        for (step, replicas) in schedule.iter().enumerate() {
-            for (dp, micro) in replicas.iter().enumerate() {
-                if let Some(&sample) = micro.iter().find(|&&s| s >= source.len()) {
-                    let error = SwipeError::SampleOutOfRange { step, dp, sample, len: source.len() };
-                    return Err(fail(error, &world));
-                }
-            }
-        }
         let resume = match &cfg.resume_from {
             Some(path) => match load_resume_state(reference, cfg, path) {
                 Ok(r) => Some(r),
@@ -655,5 +696,37 @@ mod tests {
             .expect("sample 4 of 4 is out of range");
         assert_eq!(failure.error, SwipeError::SampleOutOfRange { step: 1, dp: 0, sample: 4, len: 4 });
         assert!(failure.events.is_empty());
+    }
+
+    /// Every malformed call shape is a typed error before any rank spawns:
+    /// a pipeline that is not blocks + 2 stages, a schedule with the wrong
+    /// number of steps, of replicas in a step, or of samples in a replica.
+    #[test]
+    fn a_malformed_call_is_a_typed_error() {
+        let (reference, source, weights) = tiny_run();
+        let base = two_step_config();
+        let good = vec![vec![vec![0, 1]], vec![vec![2, 3]]];
+        let five_stages = SwipeConfig { topo: SwipeTopology::new(1, 5, 1, 1, 2), ..base.clone() };
+        let cases = [
+            (&five_stages, good.clone(), SwipeError::StageCount { pp: 5, blocks: 2 }),
+            (&base, vec![vec![vec![0, 1]]], SwipeError::ScheduleSteps { steps: 1, n_steps: 2 }),
+            (
+                &base,
+                vec![vec![vec![0, 1]], vec![vec![2, 3], vec![0, 1]]],
+                SwipeError::ScheduleReplicas { step: 1, replicas: 2, dp: 1 },
+            ),
+            (
+                &base,
+                vec![vec![vec![0, 1, 2]], vec![vec![2, 3]]],
+                SwipeError::ScheduleSamples { step: 0, dp: 0, samples: 3, gas: 2 },
+            ),
+        ];
+        for (cfg, schedule, expected) in cases {
+            let failure = DistributedTrainer::train(&reference, cfg, &source, &schedule, &weights)
+                .err()
+                .unwrap_or_else(|| panic!("{expected} must be refused"));
+            assert_eq!(failure.error, expected);
+            assert!(failure.events.is_empty());
+        }
     }
 }

@@ -73,12 +73,13 @@ fn main() {
     let reference = AerisModel::new(cfg.clone());
     println!("running distributed SWiPe training (2 steps, GAS=2)…");
     let cpu_before = process_cpu_ticks();
+    let switches_before = process_voluntary_switches();
     let report = DistributedTrainer::train(&reference, &swipe_cfg, &source, &schedule, &weights).expect("fault-free run");
     println!("  losses: {:?}", report.losses);
     // The ranks' own work (user CPU: a block-stage backward that runs each
     // tape node once keeps it low) and how much of the run the kernel spent
-    // waking ranks (system CPU: a send that wakes only its receiver keeps
-    // that share low).
+    // waking ranks (system CPU and voluntary context switches: a send that
+    // wakes only the receiver waiting on it keeps both low).
     if let (Some((u0, s0)), Some((u1, s1))) = (cpu_before, process_cpu_ticks()) {
         let (user, sys) = (u1 - u0, s1 - s0);
         let per_step = |ticks: u64| ticks as f64 * 10.0 / swipe_cfg.n_steps as f64;
@@ -87,6 +88,12 @@ fn main() {
             "  system CPU per distributed step: {:.0} ms ({:.0} % of the run's CPU time)",
             per_step(sys),
             100.0 * sys as f64 / (user + sys).max(1) as f64
+        );
+    }
+    if let (Some(before), Some(after)) = (switches_before, process_voluntary_switches()) {
+        println!(
+            "  voluntary context switches per distributed step: {:.0}",
+            (after - before) as f64 / swipe_cfg.n_steps as f64
         );
     }
 
@@ -214,4 +221,33 @@ fn process_cpu_ticks() -> Option<(u64, u64)> {
     // The command name (field 2) may hold spaces: count fields from its `)`.
     let mut fields = stat.rsplit_once(')')?.1.split_whitespace().skip(11);
     Some((fields.next()?.parse().ok()?, fields.next()?.parse().ok()?))
+}
+
+/// Voluntary context switches of the whole process, exited threads included:
+/// `ru_nvcsw` of `getrusage(RUSAGE_SELF)`. `/proc/self/status` counts the
+/// calling thread's switches only, and every rank thread has exited once
+/// `train` returns. `None` where the call fails, and off Linux.
+#[cfg(target_os = "linux")]
+fn process_voluntary_switches() -> Option<u64> {
+    /// `struct rusage` on 64-bit Linux: two `timeval`s, then 14 `long`
+    /// counters, of which `ru_nvcsw` is the 13th.
+    #[repr(C)]
+    struct Rusage {
+        times: [i64; 4],
+        counters: [i64; 14],
+    }
+    extern "C" {
+        fn getrusage(who: i32, usage: *mut Rusage) -> i32;
+    }
+    const RUSAGE_SELF: i32 = 0;
+    let mut usage = Rusage { times: [0; 4], counters: [0; 14] };
+    // SAFETY: `usage` is a live, writable value of the C layout `getrusage`
+    // fills in, and the call keeps no pointer to it.
+    let rc = unsafe { getrusage(RUSAGE_SELF, &mut usage) };
+    (rc == 0).then(|| usage.counters[12] as u64)
+}
+
+#[cfg(not(target_os = "linux"))]
+fn process_voluntary_switches() -> Option<u64> {
+    None
 }

@@ -20,8 +20,11 @@
 #        `dispatched!` macro of crates/tensor/src/sweeps.rs and its five
 #        invocations — `exp`, `sigmoid`, `silu_gate` in sweeps.rs, the
 #        window-attention core's forward and backward loops in
-#        crates/tensor/src/attention.rs; every other crate root (aeris-autodiff
-#        included) says `#![forbid(unsafe_code)]` (not listed);
+#        crates/tensor/src/attention.rs — and the one foreign call of
+#        examples/swipe_scaling.rs (`getrusage`: the process's voluntary
+#        context switches, exited rank threads included, which no /proc file
+#        holds); every other crate root (aeris-autodiff included) says
+#        `#![forbid(unsafe_code)]` (not listed);
 #   (v)  every `mul_add(` / `_fmadd_*(` call in the same non-test code — the
 #        only places a multiply-add may be contracted. Expected: exactly the
 #        two tile lines of crates/tensor/src/gemm.rs (the 4 × 16 body's
