@@ -191,6 +191,11 @@ impl AerisModel {
 
     /// Forward pass on a tape: input `[tokens, input_channels]`, diffusion
     /// time `t` → predicted velocity `[tokens, channels]`.
+    ///
+    /// On a direct tape ([`Tape::direct`]) each block's nodes, its input
+    /// included, are released when the block ends, so at most one block's
+    /// activations are alive; a recording tape keeps them all for the
+    /// backward.
     pub fn forward(
         &self,
         tape: &mut Tape,
@@ -202,17 +207,27 @@ impl AerisModel {
         let cond = self.time_cond.embed(tape, binding, store, t);
         let mut x = self.embed.forward(tape, binding, store, input);
         for block in &self.blocks {
+            // The block's input is the last node so far (the embedding, then
+            // the previous block's kept output); nothing after the block
+            // reads it.
+            let since = x.index();
+            debug_assert_eq!(since + 1, tape.len(), "block input is not the last node");
             x = block.forward(tape, binding, store, x, cond, &self.geo);
+            x = binding.release(tape, since, x);
         }
         let x = self.out_norm.forward(tape, binding, store, x);
         self.decode.forward(tape, binding, store, x)
     }
 
     /// Inference-only velocity evaluation `σ_d F_θ(x/σ_d, t)` (σ_d = 1 on
-    /// standardized data): builds a throwaway tape.
+    /// standardized data) on a direct tape: nothing is recorded for a
+    /// backward, at most one Swin block's activations are alive at a time,
+    /// and their buffers are reused block after block through the calling
+    /// thread's free list (`aeris_tensor::recycle`). Bitwise equal to
+    /// [`AerisModel::forward`] on a recording tape.
     pub fn velocity(&self, x_t: &Tensor, x_prev: &Tensor, forcings: &Tensor, t: f32) -> Tensor {
         let input = self.assemble_input(x_t, x_prev, forcings);
-        let mut tape = Tape::new();
+        let mut tape = Tape::direct();
         let mut binding = Binding::new(&self.store);
         let iv = tape.constant(input);
         let out = self.forward(&mut tape, &mut binding, iv, t);
@@ -256,6 +271,114 @@ mod tests {
 
     fn tiny() -> AerisModel {
         AerisModel::new(AerisConfig::test_tiny())
+    }
+
+    /// The toy48-sized model (constants copied from
+    /// `benchmark/src/fixture.rs`): four blocks, unshifted and shifted.
+    fn toy48() -> AerisConfig {
+        AerisConfig {
+            grid_h: 16,
+            grid_w: 32,
+            channels: 20,
+            forcing_channels: 3,
+            dim: 48,
+            n_heads: 4,
+            ffn: 96,
+            n_layers: 2,
+            blocks_per_layer: 2,
+            window: (4, 4),
+            time_feat_dim: 32,
+            cond_dim: 48,
+            pos_amp: 0.1,
+            seed: 0,
+        }
+    }
+
+    /// `cfg`'s model with every parameter moved off its initialization (the
+    /// zero-initialized decoder and AdaLN heads would make every block an
+    /// identity and every output 0), and one random input triple.
+    fn nudged(cfg: AerisConfig, seed: u64) -> (AerisModel, [Tensor; 3]) {
+        let mut m = AerisModel::new(cfg);
+        let mut rng = Rng::seed_from(seed);
+        let ids: Vec<_> = m.store.iter().map(|(id, _, _)| id).collect();
+        for id in ids {
+            let shape = m.store.get(id).shape().to_vec();
+            m.store.get_mut(id).add_assign(&Tensor::randn(&shape, &mut rng).scale(0.05));
+        }
+        let (tokens, c) = (m.cfg.tokens(), m.cfg.channels);
+        let x_t = Tensor::randn(&[tokens, c], &mut rng);
+        let x_prev = Tensor::randn(&[tokens, c], &mut rng);
+        let f = Tensor::randn(&[tokens, m.cfg.forcing_channels], &mut rng);
+        (m, [x_t, x_prev, f])
+    }
+
+    /// Shape and bit pattern: equal bits, not equal values (`-0.0 == 0.0`).
+    fn bits(t: &Tensor) -> (Vec<usize>, Vec<u32>) {
+        (t.shape().to_vec(), t.data().iter().map(|v| v.to_bits()).collect())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
+
+        /// `velocity` (a direct tape, each block released as it ends, buffers
+        /// recycled on this thread) is the recording forward bit for bit, on
+        /// `test_tiny` and on the toy48 shape, and again on a second call
+        /// that allocates from the recycled buffers.
+        #[test]
+        fn velocity_equals_the_recording_forward_bitwise(
+            seed in 0u64..1_000_000,
+            t in 0.0f32..1.6,
+            toy in proptest::bool::ANY,
+        ) {
+            let cfg = if toy { toy48() } else { AerisConfig::test_tiny() };
+            let (m, [x_t, x_prev, f]) = nudged(cfg, seed);
+            let mut tape = Tape::new();
+            let mut binding = Binding::new(&m.store);
+            let iv = tape.constant(m.assemble_input(&x_t, &x_prev, &f));
+            let out = m.forward(&mut tape, &mut binding, iv, t);
+            let recorded = bits(tape.value(out));
+            proptest::prop_assert!(tape.value(out).abs_max() > 0.0, "a zero output proves nothing");
+            proptest::prop_assert_eq!(bits(&m.velocity(&x_t, &x_prev, &f, t)), recorded.clone());
+            proptest::prop_assert_eq!(bits(&m.velocity(&x_t, &x_prev, &f, t)), recorded);
+        }
+    }
+
+    /// On a recording tape the per-block release is a no-op: the toy48
+    /// forward records exactly the 161 nodes and 1,653,284 activation
+    /// elements of the benchmark's exact counters, and the gradients equal a
+    /// forward whose blocks were run without any release, bit for bit.
+    #[test]
+    fn a_recording_release_keeps_every_node_and_gradient() {
+        let (m, [x_t, x_prev, f]) = nudged(toy48(), 7);
+        let target = Tensor::zeros(&[m.cfg.tokens(), m.cfg.channels]);
+        let w = Tensor::ones(target.shape());
+        let input = m.assemble_input(&x_t, &x_prev, &f);
+        let run = |release: bool| {
+            let mut tape = Tape::new();
+            let mut binding = Binding::new(&m.store);
+            let iv = tape.constant(input.clone());
+            let out = if release {
+                m.forward(&mut tape, &mut binding, iv, 0.5)
+            } else {
+                let store = &m.store;
+                let cond = m.time_cond.embed(&mut tape, &mut binding, store, 0.5);
+                let mut x = m.embed.forward(&mut tape, &mut binding, store, iv);
+                for block in &m.blocks {
+                    x = block.forward(&mut tape, &mut binding, store, x, cond, &m.geo);
+                }
+                let x = m.out_norm.forward(&mut tape, &mut binding, store, x);
+                m.decode.forward(&mut tape, &mut binding, store, x)
+            };
+            let counts = (tape.len(), tape.activation_elems());
+            let loss = tape.weighted_mse(out, &target, &w);
+            let mut grads = tape.backward(loss);
+            let grads: Vec<_> =
+                binding.collect_grads(&mut grads).iter().map(|g| bits(g.as_ref().expect("bound"))).collect();
+            (counts, grads)
+        };
+        let (counts, grads) = run(true);
+        assert_eq!(counts, (161, 1_653_284));
+        assert_eq!((counts, grads), run(false));
     }
 
     #[test]
@@ -345,22 +468,7 @@ mod tests {
     /// un-fusing any one of them fails this.
     #[test]
     fn toy48_forward_stays_within_the_fused_tape_budget() {
-        let m = AerisModel::new(AerisConfig {
-            grid_h: 16,
-            grid_w: 32,
-            channels: 20,
-            forcing_channels: 3,
-            dim: 48,
-            n_heads: 4,
-            ffn: 96,
-            n_layers: 2,
-            blocks_per_layer: 2,
-            window: (4, 4),
-            time_feat_dim: 32,
-            cond_dim: 48,
-            pos_amp: 0.1,
-            seed: 0,
-        });
+        let m = AerisModel::new(toy48());
         let mut tape = Tape::new();
         let mut binding = Binding::new(&m.store);
         let iv = tape.constant(Tensor::zeros(&[m.cfg.tokens(), m.cfg.input_channels()]));

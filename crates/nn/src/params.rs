@@ -137,6 +137,22 @@ impl Binding {
         v
     }
 
+    /// [`Tape::release`] with the bookkeeping of this binding: on a direct
+    /// tape, the parameters bound at or after position `since` forget their
+    /// dropped leaves, so binding one again records a fresh leaf of its
+    /// stored value. On a recording tape, nothing changes.
+    pub fn release(&mut self, tape: &mut Tape, since: usize, keep: Var) -> Var {
+        if tape.is_recording() {
+            return keep;
+        }
+        for slot in &mut self.vars {
+            if slot.is_some_and(|v| v.index() >= since) {
+                *slot = None;
+            }
+        }
+        tape.release(since, keep)
+    }
+
     /// Collect gradients for every bound parameter after `tape.backward`.
     /// Unused parameters get `None`.
     pub fn collect_grads(&self, grads: &mut Grads) -> Vec<Option<Tensor>> {
@@ -217,6 +233,35 @@ mod tests {
         let collected = binding.collect_grads(&mut grads);
         assert_eq!(collected.len(), 1);
         assert!((collected[0].as_ref().unwrap().data()[0] - 7.0).abs() < 1e-5);
+    }
+
+    /// A parameter first bound inside a released stretch of a direct tape
+    /// gets a fresh leaf when bound again afterwards, holding its stored
+    /// value; the released position now holds the kept output instead.
+    #[test]
+    fn a_parameter_rebound_after_a_direct_release_reads_its_stored_value() {
+        let mut store = ParamStore::new();
+        let w = store.register("w", Tensor::from_slice(&[2.0, 3.0]));
+        let mut tape = Tape::direct();
+        let mut binding = Binding::new(&store);
+        let x = tape.constant(Tensor::from_slice(&[10.0, 20.0]));
+        let since = x.index();
+        let wv = binding.var(&mut tape, &store, w);
+        let y = tape.mul(x, wv);
+        let y = binding.release(&mut tape, since, y);
+        assert_eq!(tape.value(y).data(), &[20.0, 60.0]);
+        let again = binding.var(&mut tape, &store, w);
+        assert_ne!(again, y);
+        assert_eq!(tape.value(again), store.get(w));
+
+        // On a recording tape the binding keeps its leaf.
+        let mut tape = Tape::new();
+        let mut binding = Binding::new(&store);
+        let x = tape.constant(Tensor::from_slice(&[10.0, 20.0]));
+        let wv = binding.var(&mut tape, &store, w);
+        let y = tape.mul(x, wv);
+        assert_eq!(binding.release(&mut tape, x.index(), y), y);
+        assert_eq!(binding.var(&mut tape, &store, w), wv);
     }
 
     #[test]

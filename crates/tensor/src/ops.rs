@@ -4,7 +4,7 @@
 //! the layers in `aeris-nn` broadcast explicitly where the architecture needs
 //! it, which keeps shape errors loud).
 
-use crate::{pairwise_sum, sweeps, Tensor};
+use crate::{pairwise_sum, recycle, sweeps, Tensor};
 
 impl Tensor {
     /// Elementwise map into a new tensor.
@@ -35,7 +35,7 @@ impl Tensor {
     /// Elementwise addition (unrolled sweep).
     pub fn add(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.shape(), other.shape(), "shape mismatch in add");
-        let mut out = vec![0.0f32; self.len()];
+        let mut out = recycle::filled(self.len(), 0.0);
         sweeps::add_into(&mut out, self.data(), other.data());
         Tensor::from_vec(self.shape(), out)
     }
@@ -43,7 +43,7 @@ impl Tensor {
     /// Elementwise subtraction (unrolled sweep).
     pub fn sub(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.shape(), other.shape(), "shape mismatch in sub");
-        let mut out = vec![0.0f32; self.len()];
+        let mut out = recycle::filled(self.len(), 0.0);
         sweeps::sub_into(&mut out, self.data(), other.data());
         Tensor::from_vec(self.shape(), out)
     }
@@ -51,7 +51,7 @@ impl Tensor {
     /// Elementwise (Hadamard) product (unrolled sweep).
     pub fn mul(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.shape(), other.shape(), "shape mismatch in mul");
-        let mut out = vec![0.0f32; self.len()];
+        let mut out = recycle::filled(self.len(), 0.0);
         sweeps::mul_into(&mut out, self.data(), other.data());
         Tensor::from_vec(self.shape(), out)
     }
@@ -59,7 +59,7 @@ impl Tensor {
     /// Elementwise division (unrolled sweep).
     pub fn div(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.shape(), other.shape(), "shape mismatch in div");
-        let mut out = vec![0.0f32; self.len()];
+        let mut out = recycle::filled(self.len(), 0.0);
         sweeps::div_into(&mut out, self.data(), other.data());
         Tensor::from_vec(self.shape(), out)
     }
@@ -161,7 +161,7 @@ impl Tensor {
     pub fn softmax_rows(&self) -> Tensor {
         assert_eq!(self.ndim(), 2, "softmax_rows requires a 2-D tensor");
         let (rows, cols) = (self.shape()[0], self.shape()[1]);
-        let mut out = vec![0.0f32; rows * cols];
+        let mut out = recycle::filled(rows * cols, 0.0);
         for r in 0..rows {
             let row = self.row(r);
             let m = sweeps::max(row);

@@ -1,27 +1,42 @@
 //! The [`Tensor`] type: an owned, contiguous, row-major f32 array.
 
+use crate::recycle;
 use crate::rng::Rng;
 
 /// A dense, row-major, contiguous f32 tensor with a dynamic shape.
 ///
 /// Invariant: `data.len() == shape.iter().product()`.
-#[derive(Clone, Debug, PartialEq)]
+///
+/// Dropping a large tensor hands its buffer to the thread's free list when
+/// the thread has opted in ([`crate::recycle`]); allocating one takes from it.
+#[derive(Debug, PartialEq)]
 pub struct Tensor {
     shape: Vec<usize>,
     data: Vec<f32>,
 }
 
+impl Clone for Tensor {
+    fn clone(&self) -> Self {
+        Tensor { shape: self.shape.clone(), data: recycle::copied(&self.data) }
+    }
+}
+
+impl Drop for Tensor {
+    fn drop(&mut self) {
+        recycle::give(std::mem::take(&mut self.data));
+    }
+}
+
 impl Tensor {
     /// Create a tensor of zeros with the given shape.
     pub fn zeros(shape: &[usize]) -> Self {
-        let n: usize = shape.iter().product();
-        Tensor { shape: shape.to_vec(), data: vec![0.0; n] }
+        Self::full(shape, 0.0)
     }
 
     /// Create a tensor filled with `value`.
     pub fn full(shape: &[usize], value: f32) -> Self {
         let n: usize = shape.iter().product();
-        Tensor { shape: shape.to_vec(), data: vec![value; n] }
+        Tensor { shape: shape.to_vec(), data: recycle::filled(n, value) }
     }
 
     /// Create a tensor of ones.
@@ -150,7 +165,7 @@ impl Tensor {
     pub fn t(&self) -> Tensor {
         assert_eq!(self.ndim(), 2, "t() requires a 2-D tensor");
         let (m, n) = (self.shape[0], self.shape[1]);
-        let mut out = vec![0.0f32; m * n];
+        let mut out = recycle::filled(m * n, 0.0);
         for i in 0..m {
             for j in 0..n {
                 out[j * m + i] = self.data[i * n + j];
@@ -179,7 +194,7 @@ impl Tensor {
         assert!(!parts.is_empty());
         let rows = parts[0].shape[0];
         let total_cols: usize = parts.iter().map(|p| p.shape[1]).sum();
-        let mut data = vec![0.0f32; rows * total_cols];
+        let mut data = recycle::filled(rows * total_cols, 0.0);
         for r in 0..rows {
             let mut c0 = 0;
             for p in parts {
@@ -211,7 +226,7 @@ impl Tensor {
         assert_eq!(self.ndim(), 2);
         let (rows, cols) = (self.shape[0], self.shape[1]);
         assert!(r0 <= r1 && r1 <= rows);
-        Tensor { shape: vec![r1 - r0, cols], data: self.data[r0 * cols..r1 * cols].to_vec() }
+        Tensor { shape: vec![r1 - r0, cols], data: recycle::copied(&self.data[r0 * cols..r1 * cols]) }
     }
 
     /// Maximum absolute difference to another tensor of the same shape.

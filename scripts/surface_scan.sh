@@ -1,8 +1,15 @@
 #!/usr/bin/env bash
 # Surface scan (plain grep/awk). Prints, for the non-test code of the workspace:
-#   (i)  every `Tape::new()` and every `weighted_mse(` call site outside
-#        `#[cfg(test)]` items, `tests/` and `benchmark/` — the places a tape is
-#        built around the model (ROADMAP items 4 and 6 re-point exactly these);
+#   (i)  every `Tape::direct()` / `Tape::new()` and every `weighted_mse(` call
+#        site outside `#[cfg(test)]` items, `tests/` and `benchmark/` — the
+#        places a tape is built around the model, direct (forward only) and
+#        recording. Expected: one direct tape, `AerisModel::velocity` in
+#        crates/core/src/model.rs, through which every inference path runs;
+#        recording tapes in `AerisModel::loss_grads` (model.rs, with its
+#        `weighted_mse(`) and the three SWiPe block-stage sites of
+#        crates/swipe/src/stage.rs (one with its `weighted_mse(`). A recording
+#        tape anywhere else is an inference path keeping a backward it never
+#        runs, or a re-spelled `loss_grads`;
 #   (ii) every `pub fn` under crates/*/src whose name occurs nowhere else in
 #        non-test code (crates, examples, src, benchmark/src) — dead surface or
 #        test vocabulary (ROADMAP item 7);
@@ -65,6 +72,9 @@ strip_tests() {
 sources() { find "$@" -name '*.rs' ! -name 'tests.rs' ! -path '*/tests/*' | sort; }
 
 echo "== (i) tapes built and losses scored outside test code =="
+echo "-- direct (forward only) --"
+strip_tests $(sources crates/*/src examples src) | grep -E 'Tape::direct\(\)' || true
+echo "-- recording --"
 strip_tests $(sources crates/*/src examples src) \
     | grep -E 'Tape::new\(\)|weighted_mse\(' \
     | grep -v 'fn weighted_mse' || true

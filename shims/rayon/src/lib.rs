@@ -135,9 +135,19 @@ fn par_map_vec<T: Send, R: Send>(items: Vec<T>, f: &(impl Fn(T) -> R + Sync)) ->
 mod tests {
     use super::prelude::*;
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// `OVERRIDE` is process-wide and the test harness runs tests on
+    /// parallel threads: every test that sets it holds this lock, so none
+    /// reads a width another test set.
+    fn hold_override() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     #[test]
     fn chunks_and_ranges_behave_like_std() {
+        let _override = hold_override();
         // Seven items over three workers: blocks of 3, 3 and 1.
         set_thread_override(Some(3));
         let squares: Vec<usize> = (0..7usize).into_par_iter().map(|x| x * x).collect();
@@ -150,6 +160,7 @@ mod tests {
 
     #[test]
     fn results_are_identical_across_thread_counts() {
+        let _override = hold_override();
         let run = |threads: usize| -> Vec<u32> {
             set_thread_override(Some(threads));
             let mapped = (0..257usize).into_par_iter().map(|x| (x as f32 * 0.25).sin().to_bits()).collect();
@@ -164,6 +175,7 @@ mod tests {
 
     #[test]
     fn override_beats_env() {
+        let _override = hold_override();
         set_thread_override(Some(5));
         assert_eq!(current_num_threads(), 5);
         set_thread_override(None);
