@@ -13,6 +13,7 @@ use aeris_tensor::{Rng, Tensor};
 /// One transformer block: pre-RMSNorm → AdaLN modulate → window attention →
 /// gated residual; pre-RMSNorm → AdaLN modulate → SwiGLU → gated residual.
 /// `shifted` blocks roll the token grid by half a window first (§V-B).
+#[derive(Clone)]
 pub struct SwinBlock {
     pub norm1: RmsNorm,
     pub attn: WindowAttention,
@@ -105,6 +106,7 @@ impl SwinBlock {
 }
 
 /// Precomputed geometry shared by all blocks.
+#[derive(Clone)]
 pub struct BlockGeometry {
     pub grid: WindowGrid,
     pub rope: RopeTable,
@@ -133,6 +135,7 @@ impl BlockGeometry {
 }
 
 /// The full AERIS network with its parameter store.
+#[derive(Clone)]
 pub struct AerisModel {
     pub cfg: AerisConfig,
     pub store: ParamStore,

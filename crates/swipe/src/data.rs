@@ -10,6 +10,7 @@
 use aeris_core::TrainSample;
 use aeris_earthsim::store::ChunkedStore;
 use aeris_tensor::Tensor;
+use std::collections::HashMap;
 
 /// Which field of a training sample to read.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -57,12 +58,54 @@ impl WindowSource for InMemorySource {
     }
 
     fn load_rows(&self, ix: usize, field: Field, tokens: &[usize]) -> Tensor {
-        let src = match field {
-            Field::Prev => &self.samples[ix].x_prev,
-            Field::Residual => &self.samples[ix].residual,
-            Field::Forcing => &self.samples[ix].forcings,
-        };
-        gather(src, tokens)
+        gather(field.of(&self.samples[ix]), tokens)
+    }
+}
+
+impl Field {
+    /// This field of `sample`.
+    fn of(self, sample: &TrainSample) -> &Tensor {
+        match self {
+            Field::Prev => &sample.x_prev,
+            Field::Residual => &sample.residual,
+            Field::Forcing => &sample.forcings,
+        }
+    }
+}
+
+/// Every row of the samples one `DistributedTrainer::train` call schedules,
+/// read from the caller's [`WindowSource`] on the calling thread. The ranks
+/// read their rows from here: they run on parked threads that outlive the
+/// call, so they cannot borrow the caller's source. A source's row is a
+/// function of (sample, field, token), so a row gathered from the snapshot
+/// is the row the source would have returned.
+pub(crate) struct Snapshot {
+    samples: HashMap<usize, TrainSample>,
+}
+
+impl Snapshot {
+    /// Read all `tokens` rows of every field of each sample in `samples`.
+    pub(crate) fn read(
+        source: &dyn WindowSource,
+        samples: impl IntoIterator<Item = usize>,
+        tokens: usize,
+    ) -> Self {
+        let all: Vec<usize> = (0..tokens).collect();
+        let mut rows = HashMap::new();
+        for ix in samples {
+            rows.entry(ix).or_insert_with(|| TrainSample {
+                x_prev: source.load_rows(ix, Field::Prev, &all),
+                residual: source.load_rows(ix, Field::Residual, &all),
+                forcings: source.load_rows(ix, Field::Forcing, &all),
+            });
+        }
+        Snapshot { samples: rows }
+    }
+
+    /// Rows `tokens` of `field` for sample `ix`, as
+    /// [`WindowSource::load_rows`] returns them.
+    pub(crate) fn load_rows(&self, ix: usize, field: Field, tokens: &[usize]) -> Tensor {
+        gather(field.of(&self.samples[&ix]), tokens)
     }
 }
 

@@ -1,9 +1,9 @@
 //! SWiPe: Sequence-Window-Pipeline parallelism (§V-A of the paper),
 //! reproduced as a thread-rank distributed runtime.
 //!
-//! Ranks are OS threads; collectives run over one mailbox per receiving rank
-//! (a send wakes only its receiver) with byte-accurate traffic accounting,
-//! so the paper's communication claims (message size `M = b·s·h/SP/WP`,
+//! Ranks are OS threads, parked between calls; collectives run over one
+//! mailbox per receiving rank (a send wakes only its receiver) with
+//! byte-accurate traffic accounting, so the paper's communication claims (message size `M = b·s·h/SP/WP`,
 //! unchanged gradient-allreduce volume, 1/WP activation memory and I/O) are
 //! *measured*, not asserted.
 //!
@@ -36,6 +36,7 @@ pub mod data;
 pub mod events;
 pub mod fault;
 pub mod layout;
+mod parked;
 mod rank;
 pub mod recovery;
 pub mod schedule;

@@ -1,5 +1,5 @@
-//! One rank of a distributed SWiPe run ([`crate::trainer`] spawns one per
-//! thread): the per-rank step loop and the state it runs over — relayout
+//! One rank of a distributed SWiPe run ([`crate::trainer`] runs one per
+//! parked thread): the per-rank step loop and the state it runs over — relayout
 //! links, ZeRO-1 ownership, per-step replica membership, checkpoint save and
 //! the elastic rejoin.
 
@@ -211,7 +211,7 @@ impl Membership {
 /// built once by [`Rank::new`], plus the state [`Rank::train`] evolves — the
 /// stage's parameters and this rank's optimizer shard.
 pub(crate) struct Rank<'a> {
-    run: &'a Run<'a>,
+    run: &'a Run,
     comm: Communicator,
     coords: RankCoords,
     kind: StageKind,
@@ -242,8 +242,8 @@ pub(crate) struct Rank<'a> {
 
 impl<'a> Rank<'a> {
     /// Shard `run` onto the rank behind `comm`.
-    pub(crate) fn new(comm: Communicator, run: &'a Run<'a>) -> Result<Self, SwipeError> {
-        let (cfg, reference) = (run.cfg, run.reference);
+    pub(crate) fn new(comm: Communicator, run: &'a Run) -> Result<Self, SwipeError> {
+        let (cfg, reference) = (&run.cfg, &run.reference);
         let topo = cfg.topo;
         let coords = topo.coords_of(comm.rank());
         let kind = match coords.stage {
@@ -258,7 +258,7 @@ impl<'a> Rank<'a> {
         // checkpoint holds every parameter's moments (`load_resume_state`
         // checked presence and shape); loading them everywhere is harmless —
         // non-owners never read their moment slots.
-        if let Some(saved) = run.resume {
+        if let Some(saved) = &run.resume {
             for i in 0..model.store.len() {
                 let (m, v) = &saved.moments[model.store.name(ParamId(i))];
                 let (m_slot, v_slot) = opt.state_mut(i);
@@ -287,7 +287,7 @@ impl<'a> Rank<'a> {
             sp_group: topo.sp_group(coords),
             grad_group: topo.grad_group(coords),
             shared_grad_group: topo.block_stage_ranks(),
-            weight_rows: gather(run.weights, &tokens),
+            weight_rows: gather(&run.weights, &tokens),
             tokens,
             pos,
             comm,
@@ -297,7 +297,7 @@ impl<'a> Rank<'a> {
     /// The step loop: membership → park or rejoin → microbatches → gradient
     /// and loss reduction, optimizer → checkpoint.
     pub(crate) fn train(&mut self) -> Result<(), SwipeError> {
-        let (run, cfg) = (self.run, self.run.cfg);
+        let (run, cfg) = (self.run, &self.run.cfg);
         let (me, my_dp) = (self.comm.rank(), self.coords.dp);
         let mut prev_live_dp = cfg.topo.dp;
         // Elastic state: `Some(guard)` while this rank is parked waiting out a
@@ -576,7 +576,7 @@ impl<'a> Rank<'a> {
         my_loss: f64,
         step: usize,
     ) -> Result<(), SwipeError> {
-        let cfg = self.run.cfg;
+        let cfg = &self.run.cfg;
         // ---- gradient reduction (rescaled to the surviving global batch) ----
         self.comm.set_trace_micro(None);
         let stage_live = cfg.topo.filter_live(&self.grad_group, &members.dead_dps);
@@ -658,7 +658,7 @@ impl<'a> Rank<'a> {
         ck: &CheckpointConfig,
         step: usize,
     ) -> Result<(), SwipeError> {
-        let (run, cfg) = (self.run, self.run.cfg);
+        let (run, cfg) = (self.run, &self.run.cfg);
         let (topo, me) = (cfg.topo, self.comm.rank());
         let covers_params = self.speaks_for_stage(members);
         let covers_moments = self.coords.dp == members.canonical_dp();

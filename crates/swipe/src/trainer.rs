@@ -6,12 +6,20 @@
 //! ZeRO-1-style sharded optimizer (owner-updates + owner broadcast): one
 //! bucketed reduction and one owner broadcast per group per step.
 //!
-//! One [`DistributedTrainer::train`] call is a `Run` — what every rank thread
-//! shares — and one `Rank` value per thread. `Rank::new` resolves, once,
-//! everything that is a function of (rank, run) alone: the stage shard, the
-//! optimizer slice, the relayout `Link` to each neighbouring stage, ZeRO-1
-//! ownership (`Shards`), the groups and this rank's data rows; `Rank::train`
-//! is the step loop over that state.
+//! One [`DistributedTrainer::train`] call is an `Arc`'d `Run` — what every
+//! rank shares — and one `Rank` value per rank. The `Run` owns the call's
+//! inputs: the configuration, the schedule, the loss weights, a copy of the
+//! reference model, and a snapshot of the scheduled samples' rows, which the
+//! caller reads from its [`WindowSource`] on the calling thread. Each rank's
+//! job then runs on a parked thread of the process (`parked`): rank threads
+//! outlive the call, so a later call spawns none, and nothing a rank holds
+//! may borrow from the caller. `Rank::new` resolves, once, everything that
+//! is a function of (rank, run) alone: the stage shard, the optimizer slice,
+//! the relayout `Link` to each neighbouring stage, ZeRO-1 ownership
+//! (`Shards`), the groups and this rank's data rows; `Rank::train` is the
+//! step loop over that state. The `World`, its mailboxes and fault plan, the
+//! `Run` and the `Rank`s are per call: a parked thread carries no state from
+//! one call to the next that decides a bit.
 //!
 //! [`reference_grads`] computes the *same* objective on a single rank with
 //! the same noise realizations, enabling the distributed ≡ single-rank
@@ -41,9 +49,10 @@
 //!   checkpointed step on.
 
 use crate::comm::{CommConfig, CommError, TrafficReport, World};
-use crate::data::{Field, WindowSource};
+use crate::data::{Field, Snapshot, WindowSource};
 use crate::events::EventRecord;
 use crate::fault::FaultPlan;
+use crate::parked::{self, Job};
 use crate::rank::Rank;
 use crate::schedule::ScheduleError;
 use crate::stage::StageError;
@@ -51,6 +60,7 @@ use crate::topology::SwipeTopology;
 use aeris_core::AerisModel;
 use aeris_diffusion::TrigFlow;
 use aeris_nn::checkpoint::{entry_u64, Entries, EntryError};
+use aeris_nn::window::WindowGrid;
 use aeris_nn::{batch_mean, AdamWConfig, ParamId};
 use aeris_obs::Tracer;
 use aeris_tensor::{Rng, Tensor};
@@ -58,6 +68,7 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Coordinated checkpointing policy.
 #[derive(Clone, Debug)]
@@ -172,6 +183,13 @@ pub enum SwipeError {
     Schedule(ScheduleError),
     /// Checkpoint I/O or validation failed.
     Checkpoint(CheckpointError),
+    /// A degree of the topology is 0.
+    ZeroDegree { topo: SwipeTopology },
+    /// The WP grid does not tile the model's window grid: `wp_a` must divide
+    /// its `rows` of windows and `wp_b` its `cols`.
+    WindowsNotDivisible { rows: usize, cols: usize, wp_a: usize, wp_b: usize },
+    /// `sp` does not divide the `window_len` tokens of a window.
+    WindowLenNotDivisible { window_len: usize, sp: usize },
     /// Every data-parallel replica was lost to planned crashes.
     AllReplicasLost { step: usize },
     /// `schedule[step][dp]` names a sample the source does not hold.
@@ -194,6 +212,19 @@ impl std::fmt::Display for SwipeError {
             SwipeError::Stage(e) => write!(f, "stage construction failure: {e}"),
             SwipeError::Schedule(e) => write!(f, "schedule failure: {e}"),
             SwipeError::Checkpoint(e) => write!(f, "checkpoint failure: {e}"),
+            SwipeError::ZeroDegree { topo: t } => write!(
+                f,
+                "topology dp={} pp={} wp={}x{} sp={} has a zero degree: every degree must be \
+                 at least 1",
+                t.dp, t.pp, t.wp_a, t.wp_b, t.sp
+            ),
+            SwipeError::WindowsNotDivisible { rows, cols, wp_a, wp_b } => write!(
+                f,
+                "a {rows}x{cols} grid of windows does not divide over a {wp_a}x{wp_b} WP grid"
+            ),
+            SwipeError::WindowLenNotDivisible { window_len, sp } => {
+                write!(f, "{window_len}-token windows do not divide over sp={sp}")
+            }
             SwipeError::AllReplicasLost { step } => {
                 write!(f, "all data-parallel replicas lost by step {step}")
             }
@@ -360,14 +391,12 @@ pub fn reference_grads(
 }
 
 
-/// State recovered from a checkpoint file before ranks spawn.
+/// Optimizer state recovered from a checkpoint file before the ranks start.
 pub(crate) struct ResumeState {
     /// First step the resumed run executes.
     start_step: usize,
     /// AdamW step counter at the checkpoint.
     pub(crate) adamw_steps: u64,
-    /// Reference model with checkpointed parameters.
-    model: AerisModel,
     /// Every parameter's `(opt.m, opt.v)` moments, by reference name.
     pub(crate) moments: HashMap<String, (Tensor, Tensor)>,
 }
@@ -376,7 +405,8 @@ pub(crate) fn ckpt_io(msg: impl std::fmt::Display) -> SwipeError {
     SwipeError::Checkpoint(CheckpointError::Io(msg.to_string()))
 }
 
-/// Load and validate a checkpoint written by `Rank::save_checkpoint`.
+/// Load and validate a checkpoint written by `Rank::save_checkpoint`: the
+/// reference model with the checkpointed parameters, and the optimizer state.
 ///
 /// Restore is world-size independent across the data-parallel axis: the file
 /// holds the full (replicated) parameter set and the full moment tensor of
@@ -385,7 +415,7 @@ pub(crate) fn ckpt_io(msg: impl std::fmt::Display) -> SwipeError {
 /// shapes the stage shards themselves, and the seed, which drives the noise
 /// stream, are required to match.
 ///
-/// Validation ends here, before any rank spawns: every model parameter must
+/// Validation ends here, before any rank starts: every model parameter must
 /// bring its `param/`, `opt.m/` and `opt.v/` entries, each in the parameter's
 /// shape. Ranks then rehydrate infallibly, and a checkpoint that lost
 /// optimizer state is a typed error instead of a run whose moments silently
@@ -394,7 +424,7 @@ fn load_resume_state(
     reference: &AerisModel,
     cfg: &SwipeConfig,
     path: &Path,
-) -> Result<ResumeState, SwipeError> {
+) -> Result<(AerisModel, ResumeState), SwipeError> {
     let mut entries = Entries::load(path).map_err(ckpt_io)?;
     let mut get_u64 = |key: &str| entry_u64(&entries.take(key)?).map_err(ckpt_io);
     let start_step = get_u64("meta/step")? as usize;
@@ -423,7 +453,7 @@ fn load_resume_state(
     model.store.restore(&params);
     let names = model.store.iter().map(|(_, name, _)| name.to_string());
     let moments = names.zip(m.into_iter().zip(v)).collect();
-    Ok(ResumeState { start_step, adamw_steps, model, moments })
+    Ok((model, ResumeState { start_step, adamw_steps, moments }))
 }
 
 /// Read just the resume step (`meta/step`) of a checkpoint file.
@@ -432,29 +462,37 @@ pub fn checkpoint_step(path: &Path) -> Result<usize, SwipeError> {
     Ok(entry_u64(&step).map_err(ckpt_io)? as usize)
 }
 
-/// What every rank thread of one [`DistributedTrainer::train`] call shares:
-/// the run's inputs by reference, and the slots ranks report results into.
-pub(crate) struct Run<'a> {
-    pub(crate) cfg: &'a SwipeConfig,
-    /// The model the ranks shard: the caller's, or the checkpoint's on resume.
-    pub(crate) reference: &'a AerisModel,
-    pub(crate) source: &'a (dyn WindowSource + Sync),
-    pub(crate) schedule: &'a [Vec<Vec<usize>>],
-    pub(crate) weights: &'a Tensor,
+/// What every rank of one [`DistributedTrainer::train`] call shares: the
+/// call's inputs, owned, and the slots ranks report results into. The ranks
+/// run on parked threads that outlive the call, so they hold the `Run` by
+/// `Arc` and borrow nothing of the caller's.
+pub(crate) struct Run {
+    pub(crate) cfg: SwipeConfig,
+    /// The model the ranks shard: a copy of the caller's, or the
+    /// checkpoint's on resume.
+    pub(crate) reference: AerisModel,
+    /// The rows of every sample the executed steps schedule.
+    pub(crate) source: Snapshot,
+    pub(crate) schedule: Vec<Vec<Vec<usize>>>,
+    pub(crate) weights: Tensor,
     /// First step this run executes (> 0 when resumed).
     pub(crate) start_step: usize,
     /// The checkpointed optimizer state, when resuming.
-    pub(crate) resume: Option<&'a ResumeState>,
+    pub(crate) resume: Option<ResumeState>,
     /// Global objective per step, written by the lowest live rank.
     pub(crate) losses: Mutex<Vec<f64>>,
     pub(crate) final_params: Mutex<HashMap<String, Tensor>>,
     /// Staging area of the coordinated checkpoint save.
     pub(crate) ckpt_buf: Mutex<HashMap<String, Tensor>>,
     pub(crate) max_act: AtomicUsize,
+    /// Each failed rank's error, in the order they failed.
+    errors: Mutex<Vec<SwipeError>>,
 }
 
 /// Check a [`DistributedTrainer::train`] call's shape before any rank
-/// spawns: a pipeline of blocks + 2 stages, and a schedule of `n_steps`
+/// starts: a topology of nonzero degrees that tiles the model (a pipeline
+/// of blocks + 2 stages, a WP grid dividing the window grid, an SP degree
+/// dividing a window's tokens and the heads), and a schedule of `n_steps`
 /// steps × `dp` replicas × `gas` samples, each held by `source`.
 fn validate_call(
     reference: &AerisModel,
@@ -462,9 +500,25 @@ fn validate_call(
     source: &dyn WindowSource,
     schedule: &[Vec<Vec<usize>>],
 ) -> Result<(), SwipeError> {
-    let (topo, blocks) = (cfg.topo, reference.cfg.total_blocks());
+    let (topo, model) = (cfg.topo, &reference.cfg);
+    if [topo.dp, topo.pp, topo.wp_a, topo.wp_b, topo.sp].contains(&0) {
+        return Err(SwipeError::ZeroDegree { topo });
+    }
+    let blocks = model.total_blocks();
     if topo.pp != blocks + 2 {
         return Err(SwipeError::StageCount { pp: topo.pp, blocks });
+    }
+    let grid = WindowGrid::new(model.grid_h, model.grid_w, model.window.0, model.window.1);
+    let (rows, cols) = (grid.rows(), grid.cols());
+    if !rows.is_multiple_of(topo.wp_a) || !cols.is_multiple_of(topo.wp_b) {
+        return Err(SwipeError::WindowsNotDivisible { rows, cols, wp_a: topo.wp_a, wp_b: topo.wp_b });
+    }
+    if !grid.window_len().is_multiple_of(topo.sp) {
+        let window_len = grid.window_len();
+        return Err(SwipeError::WindowLenNotDivisible { window_len, sp: topo.sp });
+    }
+    if !model.n_heads.is_multiple_of(topo.sp) {
+        return Err(StageError::HeadsNotDivisible { n_heads: model.n_heads, sp: topo.sp }.into());
     }
     if schedule.len() != cfg.n_steps {
         return Err(SwipeError::ScheduleSteps { steps: schedule.len(), n_steps: cfg.n_steps });
@@ -488,12 +542,12 @@ fn validate_call(
 }
 
 /// Marks its rank dead if dropped during a panic.
-struct DeadOnUnwind<'a> {
-    world: &'a World,
+struct DeadOnUnwind {
+    world: World,
     rank: usize,
 }
 
-impl Drop for DeadOnUnwind<'_> {
+impl Drop for DeadOnUnwind {
     fn drop(&mut self) {
         if std::thread::panicking() {
             self.world.mark_dead(self.rank);
@@ -511,13 +565,18 @@ impl DistributedTrainer {
     /// at that step.
     ///
     /// Fails with a typed [`TrainFailure`] — carrying the fault log — if the
-    /// call is malformed (a pipeline that is not blocks + 2 stages, a
-    /// schedule that is not `n_steps` × `dp` × `gas` samples `source` holds;
-    /// checked before any rank spawns, with an empty log), a rank dies
-    /// mid-step or a communication deadline expires; completes with a
-    /// degraded (DP-shrunk) run when crashes are planned at step boundaries.
-    /// A panicking rank is marked dead as it unwinds, so its peers fail fast
-    /// and the panic propagates without waiting out the comm deadline.
+    /// call is malformed (a topology with a zero degree or one that does not
+    /// tile the model, a schedule that is not `n_steps` × `dp` × `gas`
+    /// samples `source` holds; checked before any rank starts, with an empty
+    /// log), a rank dies mid-step or a communication deadline expires;
+    /// completes with a degraded (DP-shrunk) run when crashes are planned at
+    /// step boundaries. A panicking rank is marked dead as it unwinds, so its
+    /// peers fail fast, and the panic reaches the caller once every rank has
+    /// returned, without waiting out the comm deadline.
+    ///
+    /// `source` is read here, on the calling thread: every row the executed
+    /// steps schedule, once. The ranks run on the process's parked rank
+    /// threads, and a call spawns a thread only when none is idle.
     pub fn train(
         reference: &AerisModel,
         cfg: &SwipeConfig,
@@ -534,54 +593,66 @@ impl DistributedTrainer {
             error,
             events: world.events().snapshot(),
         };
-        let resume = match &cfg.resume_from {
+        let (reference, resume) = match &cfg.resume_from {
             Some(path) => match load_resume_state(reference, cfg, path) {
-                Ok(r) => Some(r),
+                Ok((model, state)) => (model, Some(state)),
                 Err(e) => return Err(fail(e, &world)),
             },
-            None => None,
+            None => (reference.clone(), None),
         };
-        let run = Run {
-            cfg,
-            reference: resume.as_ref().map_or(reference, |r| &r.model),
-            source,
-            schedule,
-            weights,
-            start_step: resume.as_ref().map_or(0, |r| r.start_step),
-            resume: resume.as_ref(),
+        let start_step = resume.as_ref().map_or(0, |r| r.start_step);
+        let scheduled = schedule.iter().skip(start_step).flatten().flatten().copied();
+        let run = Arc::new(Run {
+            cfg: cfg.clone(),
+            source: Snapshot::read(source, scheduled, reference.cfg.tokens()),
+            reference,
+            schedule: schedule.to_vec(),
+            weights: weights.clone(),
+            start_step,
+            resume,
             losses: Mutex::new(vec![0.0; cfg.n_steps]),
             final_params: Mutex::new(HashMap::new()),
             ckpt_buf: Mutex::new(HashMap::new()),
             max_act: AtomicUsize::new(0),
-        };
-        let errors: Mutex<Vec<SwipeError>> = Mutex::new(Vec::new());
+            errors: Mutex::new(Vec::new()),
+        });
 
-        std::thread::scope(|scope| {
-            for rank in 0..topo.world_size() {
-                let comm = world.communicator(rank);
-                let (world, run, errors) = (&world, &run, &errors);
-                scope.spawn(move || {
+        let jobs = (0..topo.world_size())
+            .map(|rank| {
+                let (comm, world, run) = (world.communicator(rank), world.clone(), run.clone());
+                Box::new(move || {
                     // A failed or panicking rank can no longer feed its peers:
                     // mark it dead so their waits collapse into fast PeerDead
                     // errors instead of sleeping out the full deadline.
-                    let _unwinding = DeadOnUnwind { world, rank };
-                    if let Err(e) = Rank::new(comm, run).and_then(|mut r| r.train()) {
-                        world.mark_dead(rank);
-                        errors.lock().push(e);
+                    let guard = DeadOnUnwind { world, rank };
+                    if let Err(e) = Rank::new(comm, &run).and_then(|mut r| r.train()) {
+                        guard.world.mark_dead(rank);
+                        run.errors.lock().push(e);
                     }
-                });
-            }
-        });
+                }) as Job
+            })
+            .collect();
+        parked::run_all(jobs);
 
-        if let Some(e) = errors.into_inner().into_iter().next() {
+        // Each job dropped its handle before reporting back.
+        let run = Arc::into_inner(run).expect("every rank has let go of the run");
+        if let Some(e) = run.errors.into_inner().into_iter().next() {
             return Err(fail(e, &world));
         }
         Ok(TrainReport {
             losses: run.losses.into_inner(),
-            start_step: run.start_step,
+            start_step,
             traffic: world.traffic(),
             max_activation_elems: run.max_act.load(Ordering::Relaxed),
-            final_params: run.final_params.into_inner(),
+            // Copied on the calling thread: the ranks' copies sit in the
+            // heaps of threads that later calls reuse, and a report the
+            // caller keeps would pin them there.
+            final_params: run
+                .final_params
+                .into_inner()
+                .iter()
+                .map(|(name, value)| (name.clone(), value.clone()))
+                .collect(),
             events: world.events().snapshot(),
             comm_ops: world.op_counts(),
         })
@@ -685,6 +756,90 @@ mod tests {
         assert!(elapsed < Duration::from_secs(5), "took {elapsed:?}");
     }
 
+    /// Serves `inner`'s samples, but sample `bad`'s residual rows one channel
+    /// too wide: the snapshot takes them, and the ranks that use them panic
+    /// on the shape.
+    struct TooWide {
+        inner: InMemorySource,
+        bad: usize,
+    }
+
+    impl WindowSource for TooWide {
+        fn channels(&self) -> usize {
+            self.inner.channels()
+        }
+
+        fn forcing_channels(&self) -> usize {
+            self.inner.forcing_channels()
+        }
+
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+
+        fn load_rows(&self, ix: usize, field: Field, tokens: &[usize]) -> Tensor {
+            if (ix, field) == (self.bad, Field::Residual) {
+                return Tensor::zeros(&[tokens.len(), self.channels() + 1]);
+            }
+            self.inner.load_rows(ix, field, tokens)
+        }
+    }
+
+    /// What a call returned, bit for bit.
+    #[derive(Debug, PartialEq)]
+    struct Bits {
+        losses: Vec<u64>,
+        traffic: TrafficReport,
+        comm_ops: Vec<u64>,
+        params: Vec<(String, Vec<u32>)>,
+    }
+
+    fn bits(report: &TrainReport) -> Bits {
+        let mut params: Vec<(String, Vec<u32>)> = report
+            .final_params
+            .iter()
+            .map(|(name, v)| (name.clone(), v.data().iter().map(|x| x.to_bits()).collect()))
+            .collect();
+        params.sort();
+        Bits {
+            losses: report.losses.iter().map(|l| l.to_bits()).collect(),
+            traffic: report.traffic.clone(),
+            comm_ops: report.comm_ops.clone(),
+            params,
+        }
+    }
+
+    /// A panic does not poison the parked rank threads. After the source's
+    /// panic on the calling thread (`PanicsOn`, read into the snapshot) and
+    /// the ranks' panics on their parked threads (`TooWide`: marked dead as
+    /// they unwind, they end their peers' waits at once) reach the caller,
+    /// the next fault-free call returns what the call before them did, bit
+    /// for bit.
+    #[test]
+    fn a_panicked_rank_does_not_poison_the_parked_ranks() {
+        let (reference, source, weights) = tiny_run();
+        let schedule = vec![vec![vec![0, 1]], vec![vec![2, 3]]];
+        let cfg = SwipeConfig {
+            comm: CommConfig { deadline: Duration::from_secs(30), ..CommConfig::default() },
+            ..two_step_config()
+        };
+        let call = |source: &(dyn WindowSource + Sync)| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                DistributedTrainer::train(&reference, &cfg, source, &schedule, &weights)
+            }))
+        };
+        let fault_free = |source| bits(&call(source).expect("no panic").expect("fault-free run"));
+        let before = fault_free(&source);
+        let panics_on = PanicsOn { inner: tiny_run().1, bad: 2 };
+        assert!(call(&panics_on).is_err(), "the source's panic reaches the caller");
+        let start = Instant::now();
+        let too_wide = TooWide { inner: tiny_run().1, bad: 2 };
+        assert!(call(&too_wide).is_err(), "the ranks' panic reaches the caller");
+        let elapsed = start.elapsed();
+        assert!(elapsed < Duration::from_secs(5), "took {elapsed:?}");
+        assert_eq!(fault_free(&source), before);
+    }
+
     /// A schedule naming a sample past the source's end is refused before
     /// any rank spawns, with the step, replica, sample and source length.
     #[test]
@@ -698,17 +853,36 @@ mod tests {
         assert!(failure.events.is_empty());
     }
 
-    /// Every malformed call shape is a typed error before any rank spawns:
-    /// a pipeline that is not blocks + 2 stages, a schedule with the wrong
+    /// Every malformed call shape is a typed error before any rank starts:
+    /// a topology with a zero degree, a pipeline that is not blocks + 2
+    /// stages, a WP grid that does not tile the 2 × 4 windows, an SP degree
+    /// that does not divide a window's 16 tokens, a schedule with the wrong
     /// number of steps, of replicas in a step, or of samples in a replica.
     #[test]
     fn a_malformed_call_is_a_typed_error() {
         let (reference, source, weights) = tiny_run();
         let base = two_step_config();
         let good = vec![vec![vec![0, 1]], vec![vec![2, 3]]];
-        let five_stages = SwipeConfig { topo: SwipeTopology::new(1, 5, 1, 1, 2), ..base.clone() };
+        let with_topo = |topo| SwipeConfig { topo, ..base.clone() };
+        let five_stages = with_topo(SwipeTopology::new(1, 5, 1, 1, 2));
+        let no_replicas = with_topo(SwipeTopology { dp: 0, ..base.topo });
+        let three_wp_rows = with_topo(SwipeTopology::new(1, 4, 3, 1, 2));
+        let three_wp_cols = with_topo(SwipeTopology::new(1, 4, 1, 3, 2));
+        let sp_three = with_topo(SwipeTopology::new(1, 4, 1, 1, 3));
         let cases = [
+            (&no_replicas, vec![vec![], vec![]], SwipeError::ZeroDegree { topo: no_replicas.topo }),
             (&five_stages, good.clone(), SwipeError::StageCount { pp: 5, blocks: 2 }),
+            (
+                &three_wp_rows,
+                good.clone(),
+                SwipeError::WindowsNotDivisible { rows: 2, cols: 4, wp_a: 3, wp_b: 1 },
+            ),
+            (
+                &three_wp_cols,
+                good.clone(),
+                SwipeError::WindowsNotDivisible { rows: 2, cols: 4, wp_a: 1, wp_b: 3 },
+            ),
+            (&sp_three, good.clone(), SwipeError::WindowLenNotDivisible { window_len: 16, sp: 3 }),
             (&base, vec![vec![vec![0, 1]]], SwipeError::ScheduleSteps { steps: 1, n_steps: 2 }),
             (
                 &base,

@@ -72,28 +72,43 @@ fn main() {
 
     let reference = AerisModel::new(cfg.clone());
     println!("running distributed SWiPe training (2 steps, GAS=2)…");
-    let cpu_before = process_cpu_ticks();
-    let switches_before = process_voluntary_switches();
-    let report = DistributedTrainer::train(&reference, &swipe_cfg, &source, &schedule, &weights).expect("fault-free run");
+    let train = |cfg: &SwipeConfig| {
+        let before = process_usage();
+        let report =
+            DistributedTrainer::train(&reference, cfg, &source, &schedule, &weights).expect("fault-free run");
+        let used = before.zip(process_usage()).map(|(b, a)| a.since(&b));
+        (report, used)
+    };
+    let (report, cold) = train(&swipe_cfg);
     println!("  losses: {:?}", report.losses);
     // The ranks' own work (user CPU: a block-stage backward that runs each
     // tape node once keeps it low) and how much of the run the kernel spent
     // waking ranks (system CPU and voluntary context switches: a send that
     // wakes only the receiver waiting on it keeps both low).
-    if let (Some((u0, s0)), Some((u1, s1))) = (cpu_before, process_cpu_ticks()) {
-        let (user, sys) = (u1 - u0, s1 - s0);
-        let per_step = |ticks: u64| ticks as f64 * 10.0 / swipe_cfg.n_steps as f64;
-        println!("  user CPU per distributed step: {:.0} ms", per_step(user));
+    let steps = swipe_cfg.n_steps as f64;
+    if let Some(cold) = &cold {
+        println!("  user CPU per distributed step: {:.0} ms", cold.user_ms / steps);
         println!(
             "  system CPU per distributed step: {:.0} ms ({:.0} % of the run's CPU time)",
-            per_step(sys),
-            100.0 * sys as f64 / (user + sys).max(1) as f64
+            cold.system_ms / steps,
+            100.0 * cold.system_ms / (cold.user_ms + cold.system_ms).max(1e-9)
         );
-    }
-    if let (Some(before), Some(after)) = (switches_before, process_voluntary_switches()) {
         println!(
             "  voluntary context switches per distributed step: {:.0}",
-            (after - before) as f64 / swipe_cfg.n_steps as f64
+            cold.voluntary_switches as f64 / steps
+        );
+    }
+    // The same call again, on the rank threads the first call left parked
+    // (traced into a tracer of its own: the step report below reads the
+    // first call's spans). It spawns no thread, and each rank thread's stack
+    // and malloc arena are already faulted in.
+    let (warm, warm_used) = train(&SwipeConfig { tracer: Tracer::enabled(), ..swipe_cfg.clone() });
+    assert_eq!(warm.losses, report.losses, "a warm call repeats the first call's losses");
+    if let (Some(cold), Some(warm)) = (&cold, &warm_used) {
+        println!(
+            "  warm call (parked rank threads): system CPU per call {:.0} ms, minor faults per \
+             call {} (first call: {:.0} ms, {})",
+            warm.system_ms, warm.minor_faults, cold.system_ms, cold.minor_faults
         );
     }
 
@@ -211,26 +226,35 @@ fn main() {
     }
 }
 
-/// `(user, system)` CPU time of the whole process in clock ticks (10 ms:
-/// `USER_HZ` is 100 on x86-64 and aarch64 Linux), fields 14–15 of
-/// `/proc/self/stat`. Unlike the per-thread counters of `/proc/self/status`,
-/// these include threads that have exited, as every rank thread has once
-/// `train` returns. `None` where the file is unreadable.
-fn process_cpu_ticks() -> Option<(u64, u64)> {
-    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
-    // The command name (field 2) may hold spaces: count fields from its `)`.
-    let mut fields = stat.rsplit_once(')')?.1.split_whitespace().skip(11);
-    Some((fields.next()?.parse().ok()?, fields.next()?.parse().ok()?))
+/// What the whole process has used, exited threads included: the
+/// `getrusage(RUSAGE_SELF)` counters. `/proc/self/status` counts the calling
+/// thread only.
+struct Usage {
+    user_ms: f64,
+    system_ms: f64,
+    minor_faults: u64,
+    voluntary_switches: u64,
 }
 
-/// Voluntary context switches of the whole process, exited threads included:
-/// `ru_nvcsw` of `getrusage(RUSAGE_SELF)`. `/proc/self/status` counts the
-/// calling thread's switches only, and every rank thread has exited once
-/// `train` returns. `None` where the call fails, and off Linux.
+impl Usage {
+    /// What was used between `before` and `self`.
+    fn since(&self, before: &Usage) -> Usage {
+        Usage {
+            user_ms: self.user_ms - before.user_ms,
+            system_ms: self.system_ms - before.system_ms,
+            minor_faults: self.minor_faults - before.minor_faults,
+            voluntary_switches: self.voluntary_switches - before.voluntary_switches,
+        }
+    }
+}
+
+/// The process's [`Usage`] so far. `None` where `getrusage` fails, and off
+/// Linux.
 #[cfg(target_os = "linux")]
-fn process_voluntary_switches() -> Option<u64> {
-    /// `struct rusage` on 64-bit Linux: two `timeval`s, then 14 `long`
-    /// counters, of which `ru_nvcsw` is the 13th.
+fn process_usage() -> Option<Usage> {
+    /// `struct rusage` on 64-bit Linux: the user and system `timeval`s
+    /// (seconds, microseconds), then 14 `long` counters, of which
+    /// `ru_minflt` is the 5th and `ru_nvcsw` the 13th.
     #[repr(C)]
     struct Rusage {
         times: [i64; 4],
@@ -244,10 +268,16 @@ fn process_voluntary_switches() -> Option<u64> {
     // SAFETY: `usage` is a live, writable value of the C layout `getrusage`
     // fills in, and the call keeps no pointer to it.
     let rc = unsafe { getrusage(RUSAGE_SELF, &mut usage) };
-    (rc == 0).then(|| usage.counters[12] as u64)
+    let ms = |sec: i64, usec: i64| sec as f64 * 1e3 + usec as f64 / 1e3;
+    (rc == 0).then(|| Usage {
+        user_ms: ms(usage.times[0], usage.times[1]),
+        system_ms: ms(usage.times[2], usage.times[3]),
+        minor_faults: usage.counters[4] as u64,
+        voluntary_switches: usage.counters[12] as u64,
+    })
 }
 
 #[cfg(not(target_os = "linux"))]
-fn process_voluntary_switches() -> Option<u64> {
+fn process_usage() -> Option<Usage> {
     None
 }

@@ -28,9 +28,9 @@
 #        invocations — `exp`, `sigmoid`, `silu_gate` in sweeps.rs, the
 #        window-attention core's forward and backward loops in
 #        crates/tensor/src/attention.rs — and the one foreign call of
-#        examples/swipe_scaling.rs (`getrusage`: the process's voluntary
-#        context switches, exited rank threads included, which no /proc file
-#        holds); every other crate root (aeris-autodiff included) says
+#        examples/swipe_scaling.rs (`getrusage`: the process's CPU times,
+#        minor faults and voluntary context switches, exited threads
+#        included; no /proc file holds the switches); every other crate root (aeris-autodiff included) says
 #        `#![forbid(unsafe_code)]` (not listed);
 #   (v)  every `mul_add(` / `_fmadd_*(` call in the same non-test code — the
 #        only places a multiply-add may be contracted. Expected: exactly the
@@ -42,7 +42,14 @@
 #        byte-format parsers. Expected: lines of crates/nn/src/checkpoint.rs
 #        (the one checkpoint decoder) and crates/earthsim/src/store.rs (the
 #        chunked store, its own seekable format); anything else is a second
-#        hand-rolled format that the checkpoint entry list should carry.
+#        hand-rolled format that the checkpoint entry list should carry;
+#   (vii) every `thread::spawn` / `thread::scope` / `thread::Builder` site in
+#        the non-test code of crates, shims, examples and src — the places a
+#        thread is made. Expected: the serve lane workers of
+#        crates/serve/src/engine.rs, the rayon shim's fan-out scope, the
+#        one spawn of a parked rank thread in crates/swipe/src/parked.rs and
+#        the three tenant clients of examples/serve_forecasts.rs; any other
+#        site makes a thread per operation.
 # Crude on purpose: names are matched as words, so two functions sharing a name
 # hide each other, and a name used only in a doc comment counts as unused.
 set -euo pipefail
@@ -116,3 +123,8 @@ echo
 echo "== (vi) byte-decoding sites outside test code =="
 strip_tests $(sources crates/*/src examples src) \
     | grep -E 'from_le_bytes\(|get_[a-z0-9_]*_le\(' || true
+
+echo
+echo "== (vii) thread-making sites outside test code =="
+strip_tests $(sources crates/*/src shims/*/src examples src) \
+    | grep -E 'thread::(spawn|scope|Builder)' || true

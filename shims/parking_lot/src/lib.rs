@@ -19,7 +19,7 @@ pub struct Mutex<T: ?Sized> {
 }
 
 impl<T> Mutex<T> {
-    pub fn new(value: T) -> Self {
+    pub const fn new(value: T) -> Self {
         Mutex { inner: std::sync::Mutex::new(value) }
     }
 
