@@ -11,8 +11,6 @@
 
 use aeris_earthsim::Grid;
 use aeris_tensor::{Rng, Tensor};
-use std::io::{Read, Write};
-use std::path::Path;
 
 /// FNV-1a over a stream of u64 words (same constants as the serve cache).
 fn fnv_init() -> u64 {
@@ -188,8 +186,7 @@ fn validate_channels(channels_obs: &[usize], noise_std: &[f32], channels: usize)
 
 /// A concrete set of observations: the operator geometry plus observed
 /// values and the availability mask. This is the payload a `NowcastRequest`
-/// carries, so it serializes through the same self-describing checkpoint
-/// byte format as model weights.
+/// carries.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ObservationSet {
     pub sites: Vec<ObsSite>,
@@ -215,8 +212,8 @@ impl ObservationSet {
         self.mask.iter().filter(|&&m| m).count()
     }
 
-    /// The one statement of a well-formed set, checked wherever a set
-    /// crosses a trust boundary ([`Self::read_from`], serve admission): a
+    /// The one statement of a well-formed set, checked where a set crosses a
+    /// trust boundary (serve admission): a
     /// non-degenerate grid, one value and one mask bit per site, one
     /// strictly positive (and not NaN) error std per channel — guidance
     /// divides by its square —, every site inside the grid, and every
@@ -289,77 +286,6 @@ impl ObservationSet {
             h = fnv_u64(h, m as u64);
         }
         h
-    }
-
-    /// The set as checkpoint entries. Integer fields (site indices, shape,
-    /// mask) are stored as exact small f32s; values and noise stds are f32
-    /// already, so the round trip is bitwise.
-    fn entries(&self) -> Vec<(String, Tensor)> {
-        let tok_f: Vec<f32> = self.sites.iter().map(|s| s.token as f32).collect();
-        let ch_f: Vec<f32> = self.sites.iter().map(|s| s.channel as f32).collect();
-        let mask_f: Vec<f32> = self.mask.iter().map(|&m| m as u32 as f32).collect();
-        let n = self.n_obs();
-        vec![
-            (
-                "obs/shape".to_string(),
-                Tensor::from_slice(&[self.tokens as f32, self.channels as f32]),
-            ),
-            ("obs/token".to_string(), Tensor::from_vec(&[n], tok_f)),
-            ("obs/channel".to_string(), Tensor::from_vec(&[n], ch_f)),
-            ("obs/value".to_string(), Tensor::from_vec(&[n], self.values.clone())),
-            (
-                "obs/noise_std".to_string(),
-                Tensor::from_vec(&[self.channels], self.noise_std.clone()),
-            ),
-            ("obs/mask".to_string(), Tensor::from_vec(&[n], mask_f)),
-        ]
-    }
-
-    /// Serialize in the checkpoint entry format.
-    pub fn write_to(&self, writer: &mut dyn Write) -> std::io::Result<()> {
-        aeris_nn::checkpoint::write_entries(&self.entries(), writer)
-    }
-
-    /// Deserialize (inverse of [`Self::write_to`]). Malformed input — a
-    /// stream that does not decode, a missing or mis-shaped entry, or a set
-    /// that fails [`Self::validate`] — surfaces as `InvalidData`, never a
-    /// panic.
-    pub fn read_from(reader: &mut dyn Read) -> std::io::Result<Self> {
-        let mut entries = aeris_nn::checkpoint::Entries::read(reader)?;
-        let bad = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
-        let shape = entries.take_shaped("obs/shape", &[2])?;
-        let (tok, ch) = (entries.take("obs/token")?, entries.take("obs/channel")?);
-        if tok.len() != ch.len() {
-            return Err(bad(format!("{} site tokens for {} site channels", tok.len(), ch.len())));
-        }
-        // Indices travel as exact small f32s; a value the (saturating) cast
-        // does not round-trip — negative, fractional, NaN, huge — is not one.
-        let index = |v: f32| Some(v as usize).filter(|&ix| ix as f32 == v);
-        let sites: Option<Vec<ObsSite>> = (tok.data().iter().zip(ch.data()))
-            .map(|(&t, &c)| Some(ObsSite { token: index(t)?, channel: index(c)? }))
-            .collect();
-        let sites = sites.ok_or_else(|| bad("a site token or channel is not a grid index".into()))?;
-        let set = ObservationSet {
-            sites,
-            values: entries.take("obs/value")?.data().to_vec(),
-            noise_std: entries.take("obs/noise_std")?.data().to_vec(),
-            mask: entries.take("obs/mask")?.data().iter().map(|&m| m != 0.0).collect(),
-            tokens: shape.data()[0] as usize,
-            channels: shape.data()[1] as usize,
-        };
-        set.validate().map_err(bad)?;
-        Ok(set)
-    }
-
-    /// Save to a file in the checkpoint format.
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        aeris_nn::save_entries(&self.entries(), path)
-    }
-
-    /// Load from a file written by [`Self::save`].
-    pub fn load(path: &Path) -> std::io::Result<Self> {
-        let mut f = std::io::BufReader::new(std::fs::File::open(path)?);
-        Self::read_from(&mut f)
     }
 }
 
@@ -458,47 +384,6 @@ mod tests {
     }
 
     #[test]
-    fn observation_set_roundtrips_bitwise_through_checkpoint_format() {
-        let op = operator();
-        let mut rng = Rng::seed_from(6);
-        let truth = Tensor::randn(&[op.tokens, op.channels], &mut rng);
-        let obs = op.observe(&truth, 0.2, 13);
-        let mut buf = Vec::new();
-        obs.write_to(&mut buf).unwrap();
-        let back = ObservationSet::read_from(&mut &buf[..]).unwrap();
-        assert_eq!(obs, back);
-        assert_eq!(obs.digest(), back.digest());
-
-        // Corrupt streams return, never panic: whatever still decodes is a
-        // self-consistent set, a short stream is an error, and bytes after
-        // the declared entries are ignored.
-        for i in 0..buf.len() {
-            assert!(ObservationSet::read_from(&mut &buf[..i]).is_err(), "cut at {i}");
-            let mut flipped = buf.clone();
-            flipped[i] ^= 1 << (i % 8);
-            if let Ok(set) = ObservationSet::read_from(&mut &flipped[..]) {
-                let n = set.n_obs();
-                assert_eq!((set.values.len(), set.mask.len()), (n, n), "flip at {i}");
-                assert_eq!(set.noise_std.len(), set.channels, "flip at {i}");
-                assert!(
-                    set.sites.iter().all(|s| s.token < set.tokens && s.channel < set.channels),
-                    "flip at {i}"
-                );
-                assert_eq!(set.validate(), Ok(()), "flip at {i}");
-            }
-        }
-        let mut longer = buf.clone();
-        longer.extend_from_slice(b"trailing garbage");
-        assert_eq!(ObservationSet::read_from(&mut &longer[..]).unwrap(), obs);
-
-        // File round trip too.
-        let path = std::env::temp_dir().join(format!("aeris_obs_{}.ckpt", std::process::id()));
-        obs.save(&path).unwrap();
-        assert_eq!(ObservationSet::load(&path).unwrap(), obs);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn digest_tracks_content() {
         let op = operator();
         let mut rng = Rng::seed_from(8);
@@ -514,43 +399,41 @@ mod tests {
     }
 
     #[test]
-    fn read_rejects_malformed_sets() {
+    fn validate_rejects_malformed_sets() {
         let op = operator();
         let truth = Tensor::zeros(&[op.tokens, op.channels]);
         let obs = op.observe(&truth, 0.0, 1);
-        let mut buf = Vec::new();
-        obs.write_to(&mut buf).unwrap();
-        // Truncation fails cleanly.
-        assert!(ObservationSet::read_from(&mut &buf[..buf.len() / 2]).is_err());
-        // A non-checkpoint stream fails cleanly.
-        assert!(ObservationSet::read_from(&mut &[0u8; 32][..]).is_err());
-        // An out-of-range site index is rejected on read.
+        assert_eq!(obs.validate(), Ok(()));
+        let rejected = |bad: ObservationSet, what: &str| {
+            assert!(bad.validate().is_err(), "{what} must not validate");
+        };
+        rejected(ObservationSet { tokens: 0, ..obs.clone() }, "a degenerate grid");
+        let mut bad = obs.clone();
+        bad.values.pop();
+        rejected(bad, "a missing value");
+        let mut bad = obs.clone();
+        bad.mask.push(true);
+        rejected(bad, "an extra mask bit");
+        let mut bad = obs.clone();
+        bad.noise_std.pop();
+        rejected(bad, "a missing error std");
         let mut bad = obs.clone();
         bad.sites[0].token = bad.tokens + 5;
-        let mut buf2 = Vec::new();
-        bad.write_to(&mut buf2).unwrap();
-        assert!(ObservationSet::read_from(&mut &buf2[..]).is_err());
-        // So is everything else `validate` states: an error std guidance
-        // cannot divide by, and a present value that is not a number.
-        let reread = |set: &ObservationSet| {
-            let mut bytes = Vec::new();
-            set.write_to(&mut bytes).unwrap();
-            ObservationSet::read_from(&mut &bytes[..])
-        };
+        rejected(bad, "an out-of-range site");
+        // An error std guidance cannot divide by, and a present value that
+        // is not a number.
         for poison in [0.0, -0.5, f32::NAN] {
             let mut bad = obs.clone();
             bad.noise_std[1] = poison;
-            let err = reread(&bad).expect_err("unusable noise_std must not load");
-            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "noise_std {poison}");
+            rejected(bad, &format!("noise_std {poison}"));
         }
         for poison in [f32::NAN, f32::INFINITY] {
             let mut bad = obs.clone();
             bad.values[2] = poison;
-            let err = reread(&bad).expect_err("a present non-finite value must not load");
-            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "value {poison}");
+            rejected(bad.clone(), &format!("value {poison}"));
             // Under the missing-data mask the same value is never read.
             bad.mask[2] = false;
-            assert!(reread(&bad).is_ok(), "masked value {poison}");
+            assert_eq!(bad.validate(), Ok(()), "masked value {poison}");
         }
     }
 }

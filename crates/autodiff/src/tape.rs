@@ -181,20 +181,6 @@ impl Tape {
         )
     }
 
-    /// `a - b` (same shape).
-    pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let value = self.value(a).sub(self.value(b));
-        self.push(
-            value,
-            vec![a.0, b.0],
-            Some(Box::new(|d, _| {
-                let db = d.scale(-1.0);
-                vec![d, db]
-            })),
-            true,
-        )
-    }
-
     /// Hadamard product `a ⊙ b` (same shape).
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
         let value = self.value(a).mul(self.value(b));
@@ -221,12 +207,6 @@ impl Tape {
             })),
             true,
         )
-    }
-
-    /// `a + c` for a scalar constant `c`.
-    pub fn add_scalar(&mut self, a: Var, c: f32) -> Var {
-        let value = self.value(a).add_scalar(c);
-        self.push(value, vec![a.0], Some(Box::new(|d, _| vec![d])), true)
     }
 
     /// Reshape (same element count); backward reshapes the gradient back.
@@ -537,86 +517,6 @@ impl Tape {
         )
     }
 
-    /// Row-broadcast affine: `y = x ⊙ scale + shift` with `x: [rows, dim]`,
-    /// `scale, shift: [dim]`. This is the AdaLN modulation primitive.
-    pub fn affine_rows(&mut self, x: Var, scale: Var, shift: Var) -> Var {
-        let xv = self.value(x);
-        let sv = self.value(scale);
-        let bv = self.value(shift);
-        assert_eq!(xv.ndim(), 2);
-        let (rows, dim) = (xv.shape()[0], xv.shape()[1]);
-        assert_eq!(sv.shape(), &[dim]);
-        assert_eq!(bv.shape(), &[dim]);
-        let mut value = Tensor::zeros(xv.shape());
-        for r in 0..rows {
-            let xr = xv.row(r);
-            let out = value.row_mut(r);
-            for j in 0..dim {
-                out[j] = xr[j] * sv.data()[j] + bv.data()[j];
-            }
-        }
-        let (px, ps) = (x.0, scale.0);
-        self.push(
-            value,
-            vec![px, ps, shift.0],
-            Some(Box::new(move |d, nodes| {
-                let xv = nodes[px].value();
-                let sv = nodes[ps].value();
-                let mut dx = Tensor::zeros(xv.shape());
-                let mut dscale = Tensor::zeros(sv.shape());
-                let mut dshift = Tensor::zeros(sv.shape());
-                for r in 0..rows {
-                    let dr = &d.data()[r * dim..(r + 1) * dim];
-                    let xr = xv.row(r);
-                    let dxr = dx.row_mut(r);
-                    for j in 0..dim {
-                        dxr[j] = dr[j] * sv.data()[j];
-                        dscale.data_mut()[j] += dr[j] * xr[j];
-                        dshift.data_mut()[j] += dr[j];
-                    }
-                }
-                vec![dx, dscale, dshift]
-            })),
-            true,
-        )
-    }
-
-    /// Row-broadcast product `y = x ⊙ vec` (AdaLN gating).
-    pub fn mul_rows(&mut self, x: Var, vec: Var) -> Var {
-        let xv = self.value(x);
-        let vv = self.value(vec);
-        let (rows, dim) = (xv.shape()[0], xv.shape()[1]);
-        assert_eq!(vv.shape(), &[dim]);
-        let mut value = Tensor::zeros(xv.shape());
-        for r in 0..rows {
-            for (o, (&xi, &vi)) in value.row_mut(r).iter_mut().zip(xv.row(r).iter().zip(vv.data())) {
-                *o = xi * vi;
-            }
-        }
-        let (px, pv) = (x.0, vec.0);
-        self.push(
-            value,
-            vec![px, pv],
-            Some(Box::new(move |d, nodes| {
-                let xv = nodes[px].value();
-                let vv = nodes[pv].value();
-                let mut dx = Tensor::zeros(xv.shape());
-                let mut dv = Tensor::zeros(vv.shape());
-                for r in 0..rows {
-                    let dr = &d.data()[r * dim..(r + 1) * dim];
-                    let xr = xv.row(r);
-                    let dxr = dx.row_mut(r);
-                    for j in 0..dim {
-                        dxr[j] = dr[j] * vv.data()[j];
-                        dv.data_mut()[j] += dr[j] * xr[j];
-                    }
-                }
-                vec![dx, dv]
-            })),
-            true,
-        )
-    }
-
     /// Row-broadcast addition `y = x + vec` (bias).
     pub fn add_rows(&mut self, x: Var, vec: Var) -> Var {
         let xv = self.value(x);
@@ -658,13 +558,6 @@ impl Tape {
             Some(Box::new(move |d, _| vec![Tensor::full(&shape, d.data()[0])])),
             true,
         )
-    }
-
-    /// Mean of all elements → shape `[1]`.
-    pub fn mean(&mut self, a: Var) -> Var {
-        let n = self.value(a).len() as f32;
-        let s = self.sum(a);
-        self.scale(s, 1.0 / n)
     }
 
     /// Weighted squared-error loss against constant target with constant
@@ -787,6 +680,119 @@ impl Tape {
             }
         }
         grads.unswept = grads.unswept.min(stop);
+    }
+}
+
+/// Ops only this crate's tests build: primitives the gradchecks compose,
+/// and the unfused AdaLN chain the fused ops are checked against
+/// (`fused.rs` tests).
+#[cfg(test)]
+impl Tape {
+    /// `a - b` (same shape).
+    pub(crate) fn sub(&mut self, a: Var, b: Var) -> Var {
+        let value = self.value(a).sub(self.value(b));
+        self.push(
+            value,
+            vec![a.0, b.0],
+            Some(Box::new(|d, _| {
+                let db = d.scale(-1.0);
+                vec![d, db]
+            })),
+            true,
+        )
+    }
+
+    /// `a + c` for a scalar constant `c`.
+    pub(crate) fn add_scalar(&mut self, a: Var, c: f32) -> Var {
+        let value = self.value(a).add_scalar(c);
+        self.push(value, vec![a.0], Some(Box::new(|d, _| vec![d])), true)
+    }
+
+    /// Mean of all elements → shape `[1]`.
+    pub(crate) fn mean(&mut self, a: Var) -> Var {
+        let n = self.value(a).len() as f32;
+        let s = self.sum(a);
+        self.scale(s, 1.0 / n)
+    }
+
+    /// Row-broadcast affine: `y = x ⊙ scale + shift` with `x: [rows, dim]`,
+    /// `scale, shift: [dim]`. This is the AdaLN modulation primitive.
+    pub(crate) fn affine_rows(&mut self, x: Var, scale: Var, shift: Var) -> Var {
+        let xv = self.value(x);
+        let sv = self.value(scale);
+        let bv = self.value(shift);
+        assert_eq!(xv.ndim(), 2);
+        let (rows, dim) = (xv.shape()[0], xv.shape()[1]);
+        assert_eq!(sv.shape(), &[dim]);
+        assert_eq!(bv.shape(), &[dim]);
+        let mut value = Tensor::zeros(xv.shape());
+        for r in 0..rows {
+            let xr = xv.row(r);
+            let out = value.row_mut(r);
+            for j in 0..dim {
+                out[j] = xr[j] * sv.data()[j] + bv.data()[j];
+            }
+        }
+        let (px, ps) = (x.0, scale.0);
+        self.push(
+            value,
+            vec![px, ps, shift.0],
+            Some(Box::new(move |d, nodes| {
+                let xv = nodes[px].value();
+                let sv = nodes[ps].value();
+                let mut dx = Tensor::zeros(xv.shape());
+                let mut dscale = Tensor::zeros(sv.shape());
+                let mut dshift = Tensor::zeros(sv.shape());
+                for r in 0..rows {
+                    let dr = &d.data()[r * dim..(r + 1) * dim];
+                    let xr = xv.row(r);
+                    let dxr = dx.row_mut(r);
+                    for j in 0..dim {
+                        dxr[j] = dr[j] * sv.data()[j];
+                        dscale.data_mut()[j] += dr[j] * xr[j];
+                        dshift.data_mut()[j] += dr[j];
+                    }
+                }
+                vec![dx, dscale, dshift]
+            })),
+            true,
+        )
+    }
+
+    /// Row-broadcast product `y = x ⊙ vec` (AdaLN gating).
+    pub(crate) fn mul_rows(&mut self, x: Var, vec: Var) -> Var {
+        let xv = self.value(x);
+        let vv = self.value(vec);
+        let (rows, dim) = (xv.shape()[0], xv.shape()[1]);
+        assert_eq!(vv.shape(), &[dim]);
+        let mut value = Tensor::zeros(xv.shape());
+        for r in 0..rows {
+            for (o, (&xi, &vi)) in value.row_mut(r).iter_mut().zip(xv.row(r).iter().zip(vv.data())) {
+                *o = xi * vi;
+            }
+        }
+        let (px, pv) = (x.0, vec.0);
+        self.push(
+            value,
+            vec![px, pv],
+            Some(Box::new(move |d, nodes| {
+                let xv = nodes[px].value();
+                let vv = nodes[pv].value();
+                let mut dx = Tensor::zeros(xv.shape());
+                let mut dv = Tensor::zeros(vv.shape());
+                for r in 0..rows {
+                    let dr = &d.data()[r * dim..(r + 1) * dim];
+                    let xr = xv.row(r);
+                    let dxr = dx.row_mut(r);
+                    for j in 0..dim {
+                        dxr[j] = dr[j] * vv.data()[j];
+                        dv.data_mut()[j] += dr[j] * xr[j];
+                    }
+                }
+                vec![dx, dv]
+            })),
+            true,
+        )
     }
 }
 

@@ -1,6 +1,7 @@
 //! Baseline forecast systems for the AERIS evaluation (§VII-B).
 //!
-//! - [`simple`]: persistence and climatology (the WeatherBench floor),
+//! - `simple` (test-only until a figure runs them): persistence and
+//!   climatology (the WeatherBench floor),
 //! - [`deterministic`]: a GraphCast-class deterministic model — the same
 //!   Swin backbone trained with weighted MSE; exhibits the blurring and
 //!   zero-spread ensembles that motivate diffusion,
@@ -19,12 +20,12 @@
 pub mod deterministic;
 pub mod gencast;
 pub mod numerical;
-pub mod simple;
+#[cfg(test)]
+mod simple;
 
 pub use deterministic::DeterministicForecaster;
 pub use gencast::GenCastAnalog;
 pub use numerical::numerical_ensemble;
-pub use simple::{climatology_forecast, persistence_forecast};
 
 use aeris_core::TrainSample;
 use aeris_tensor::Rng;

@@ -1,7 +1,7 @@
 //! Demonstrates Fig. 2 quantitatively: the SWiPe communication pattern.
 //! Runs the thread-rank runtime at several WP degrees and prints measured
 //! per-rank traffic by class, validating M = b·s·h/SP/WP and the invariant
-//! gradient-allreduce volume, plus activation memory and sliced I/O.
+//! gradient-allreduce volume, plus activation memory and input I/O.
 
 use aeris_core::{AerisConfig, AerisModel, TrainSample};
 use aeris_diffusion::loss_weights;
@@ -42,7 +42,7 @@ fn main() {
     println!("SWiPe measured traffic (1 step, GAS=2, PP=4, SP=2), per block-stage rank:");
     println!(
         "{:>4}{:>8}{:>14}{:>12}{:>14}{:>12}{:>16}",
-        "WP", "ranks", "alltoall(B)", "p2p(B)", "allreduce(B)", "act(elems)", "input I/O(B)"
+        "WP", "ranks", "alltoall(B)", "p2p(B)", "allreduce(B)", "act(elems)", "I/O/stage0(B)"
     );
     for wp_b in [1usize, 2, 4] {
         let topo = SwipeTopology::new(1, 4, 1, wp_b, 2);
@@ -62,6 +62,7 @@ fn main() {
         let reference = AerisModel::new(cfg.clone());
         let report = DistributedTrainer::train(&reference, &swipe_cfg, &source, &sched, &weights).expect("fault-free run");
         let block_rank = topo.rank_of(RankCoords { dp: 0, stage: 1, wp_row: 0, wp_col: 0, sp: 0 });
+        let stage0_ranks: usize = (0..topo.dp).map(|dp| topo.stage_ranks(dp, 0).len()).sum();
         println!(
             "{:>4}{:>8}{:>14}{:>12}{:>14}{:>12}{:>16}",
             wp_b,
@@ -70,10 +71,13 @@ fn main() {
             report.traffic.rank_total(block_rank, CommClass::P2p),
             report.traffic.rank_total(block_rank, CommClass::AllReduce),
             report.max_activation_elems,
-            source.prev.bytes_read() / (wp_b as u64 * 2), // per stage-0 rank
+            source.prev.bytes_read() / stage0_ranks as u64,
         );
     }
+    println!("\nI/O/stage0: the x_prev bytes read from the chunked store (each");
+    println!("scheduled sample once, by the caller) divided by the stage-0 ranks");
+    println!("that consume them — an average share, not a per-rank measurement.");
     println!("\nExpected (paper §V-A): alltoall and p2p per rank fall as 1/WP;");
-    println!("gradient allreduce volume is unchanged; activation memory and");
-    println!("per-rank sliced input I/O fall as 1/WP.");
+    println!("gradient allreduce volume is unchanged; activation memory and the");
+    println!("input I/O share per stage-0 rank fall as 1/WP.");
 }

@@ -59,28 +59,6 @@ impl AerisConfig {
         }
     }
 
-    /// The default experiment config used by the benchmark harness: 32×64
-    /// grid, 25 channels, ~0.9M parameters — the 1.3B config scaled to toy
-    /// resolution with identical structure.
-    pub fn toy_default(channels: usize) -> Self {
-        AerisConfig {
-            grid_h: 32,
-            grid_w: 64,
-            channels,
-            forcing_channels: 3,
-            dim: 64,
-            n_heads: 4,
-            ffn: 128,
-            n_layers: 3,
-            blocks_per_layer: 2,
-            window: (8, 8),
-            time_feat_dim: 32,
-            cond_dim: 64,
-            pos_amp: 0.1,
-            seed: 0,
-        }
-    }
-
     /// Total input channels after conditioning concat `[x_t, x_{i-1}, x_f]`.
     pub fn input_channels(&self) -> usize {
         2 * self.channels + self.forcing_channels
@@ -116,9 +94,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tiny_and_default_validate() {
+    fn tiny_validates() {
         AerisConfig::test_tiny().validate();
-        AerisConfig::toy_default(25).validate();
     }
 
     #[test]

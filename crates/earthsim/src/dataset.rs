@@ -74,20 +74,6 @@ impl NormStats {
         }
         out
     }
-
-    /// Standardize a residual (difference of two states): only the scale
-    /// applies, the mean cancels.
-    pub fn standardize_residual(&self, dx: &Tensor) -> Tensor {
-        let c = dx.shape()[1];
-        let mut out = dx.clone();
-        for r in 0..dx.shape()[0] {
-            let row = out.row_mut(r);
-            for j in 0..c {
-                row[j] /= self.std[j];
-            }
-        }
-        out
-    }
 }
 
 /// One training sample: consecutive standardized-unit states plus forcings.
@@ -219,6 +205,20 @@ mod tests {
         Dataset::generate(params, &VariableSet::default_toy(), 40, 10, 0.7, 0.15)
     }
 
+    /// Standardize a residual (difference of two states): only the scale
+    /// applies, the mean cancels.
+    fn standardize_residual(stats: &NormStats, dx: &Tensor) -> Tensor {
+        let c = dx.shape()[1];
+        let mut out = dx.clone();
+        for r in 0..dx.shape()[0] {
+            let row = out.row_mut(r);
+            for j in 0..c {
+                row[j] /= stats.std[j];
+            }
+        }
+        out
+    }
+
     #[test]
     fn generation_counts_and_splits() {
         let ds = tiny();
@@ -267,7 +267,7 @@ mod tests {
     fn residual_standardization_uses_scale_only() {
         let ds = tiny();
         let dx = ds.state(4).sub(ds.state(3));
-        let r = ds.stats.standardize_residual(&dx);
+        let r = standardize_residual(&ds.stats, &dx);
         // r * std == dx
         for row in 0..4 {
             for j in 0..ds.vars.len() {
@@ -310,7 +310,7 @@ mod tests {
         assert!(d.abs_max() > 1e-3, "no evolution");
         // The standardized residual should be small compared to the field
         // variance — the basis for residual prediction in the paper.
-        let rstd = ds.stats.standardize_residual(&d);
+        let rstd = standardize_residual(&ds.stats, &d);
         let full = ds.stats.standardize(&p.next);
         assert!(rstd.norm() < full.norm(), "residual not smaller than state");
     }

@@ -15,7 +15,7 @@
 
 use crate::climate::Climate;
 use crate::events::{gaussian_bump, CycloneState, Scenario};
-use crate::grid::{Grid, NINO34};
+use crate::grid::Grid;
 use crate::ocean::{enso_pattern, Enso};
 use crate::spectral::Spectral;
 use crate::variables::{Channel, SurfaceVar, UpperVar, VariableSet};
@@ -435,11 +435,6 @@ impl ToyAtmosphere {
         &self.cyclones
     }
 
-    /// Niño 3.4 index: area-mean SST anomaly over the Niño 3.4 box (K).
-    pub fn nino34_index(&self) -> f32 {
-        self.grid.region_mean(&self.sst_anom, &NINO34)
-    }
-
     /// ENSO oscillator state (diagnostics).
     pub fn enso(&self) -> &Enso {
         &self.enso
@@ -843,7 +838,8 @@ mod tests {
         for _ in 0..60 {
             sim.step();
         }
-        let idx = sim.nino34_index();
+        // Niño 3.4 index: area-mean SST anomaly over the Niño 3.4 box (K).
+        let idx = sim.grid.region_mean(&sim.sst_anom, &crate::grid::NINO34);
         let te = sim.enso().index();
         assert!((idx - te).abs() < 1.0, "nino34 {idx} vs te {te}");
         assert!(idx.abs() > 0.2, "warm event not visible in SST");

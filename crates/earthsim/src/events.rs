@@ -113,16 +113,6 @@ impl Scenario {
     pub fn quiet() -> Self {
         Scenario::default()
     }
-
-    /// The paper's case-study period: a Laura-like cyclone and a European
-    /// heatwave within a 90-day window, under a decaying warm ENSO.
-    pub fn case_studies_2020(start_offset_hours: f64) -> Self {
-        Scenario {
-            cyclones: vec![CycloneSeed::laura_like(start_offset_hours + 30.0 * 24.0)],
-            heatwaves: vec![HeatwaveSeed::europe_like(start_offset_hours + 20.0 * 24.0)],
-            enso_init: Some((0.9, 1.1)),
-        }
-    }
 }
 
 /// Gaussian bump of radius `radius_m` centered at continuous grid coordinates
@@ -155,6 +145,16 @@ pub fn gaussian_bump(grid: Grid, row0: f32, col0: f32, radius_m: f32) -> Vec<f32
 mod tests {
     use super::*;
 
+    /// The paper's case-study period: a Laura-like cyclone and a European
+    /// heatwave within a 90-day window, under a decaying warm ENSO.
+    fn case_studies_2020(start_offset_hours: f64) -> Scenario {
+        Scenario {
+            cyclones: vec![CycloneSeed::laura_like(start_offset_hours + 30.0 * 24.0)],
+            heatwaves: vec![HeatwaveSeed::europe_like(start_offset_hours + 20.0 * 24.0)],
+            enso_init: Some((0.9, 1.1)),
+        }
+    }
+
     #[test]
     fn bump_peaks_at_center_and_wraps_zonally() {
         let g = Grid::new(16, 32);
@@ -168,7 +168,7 @@ mod tests {
 
     #[test]
     fn scenario_case_studies_has_events() {
-        let s = Scenario::case_studies_2020(0.0);
+        let s = case_studies_2020(0.0);
         assert_eq!(s.cyclones.len(), 1);
         assert_eq!(s.heatwaves.len(), 1);
         assert!(s.enso_init.is_some());

@@ -10,7 +10,7 @@
 //! - [`ocean`]: ENSO recharge oscillator with a spring barrier,
 //! - [`events`]: seeded tropical cyclones and blocking heatwaves,
 //! - [`dataset`]: trajectory sampling, normalization statistics, loaders,
-//! - [`store`]: a chunked binary store supporting per-window slicing (the
+//! - [`store`]: a chunked in-memory store supporting per-window slicing (the
 //!   HDF5-slicing analog used by SWiPe's distributed data loading).
 
 #![forbid(unsafe_code)]

@@ -100,11 +100,6 @@ impl VariableSet {
         VariableSet { channels, levels: levels.to_vec() }
     }
 
-    /// The paper's full 70-channel configuration (13 levels).
-    pub fn paper_full() -> Self {
-        Self::with_levels(&PAPER_LEVELS)
-    }
-
     /// Number of channels.
     pub fn len(&self) -> usize {
         self.channels.len()
@@ -170,7 +165,7 @@ mod tests {
 
     #[test]
     fn paper_full_has_70_channels() {
-        let vs = VariableSet::paper_full();
+        let vs = VariableSet::with_levels(&PAPER_LEVELS);
         assert_eq!(vs.len(), 5 + 5 * 13);
     }
 

@@ -5,8 +5,9 @@
 //!   spread/skill ratio, anomaly correlation,
 //! - [`assimilation`]: analysis RMSE/spread vs observation density and noise
 //!   (guided nowcasts vs the unguided baseline),
-//! - [`distillation`]: student-vs-teacher gap RMSE and spread over lead time
-//!   (what the serving fast tier trades for its latency),
+//! - `distillation` (test-only until a figure runs it): student-vs-teacher
+//!   gap RMSE and spread over lead time (what the serving fast tier trades
+//!   for its latency),
 //! - [`spectra`]: zonal power spectra and spectral ratios (blur detection),
 //! - [`hovmoller`]: equatorial Hovmöller diagrams and pattern correlation,
 //! - [`nino`]: Niño 3.4 index series,
@@ -22,7 +23,8 @@
 
 pub mod assimilation;
 pub mod cyclone;
-pub mod distillation;
+#[cfg(test)]
+mod distillation;
 pub mod heatwave;
 pub mod hovmoller;
 pub mod metrics;
@@ -31,9 +33,8 @@ pub mod spectra;
 
 pub use assimilation::{analysis_quality, AssimEvalConfig, AssimPoint};
 pub use cyclone::{track_cyclone, track_cyclone_guided, CycloneTrack, TrackPoint};
-pub use distillation::{distillation_gap, DistillEvalConfig, DistillPoint};
 pub use heatwave::point_series;
 pub use hovmoller::{hovmoller as hovmoller_diagram, pattern_correlation};
-pub use metrics::{acc, crps, ensemble_mean, rank_histogram, rank_histogram_flatness, rmse, spread, ssr};
+pub use metrics::{acc, crps, ensemble_mean, rmse, spread, ssr};
 pub use nino::nino34_series;
 pub use spectra::{spectral_ratio, zonal_spectrum};

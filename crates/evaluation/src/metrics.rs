@@ -117,44 +117,44 @@ pub fn acc(pred: &Tensor, truth: &Tensor, clim: &Tensor, lat_w: &[f32], ch: usiz
     num / (pp.sqrt() * tt.sqrt()).max(1e-30)
 }
 
-/// Rank histogram (Talagrand diagram) for channel `ch`: counts where the
-/// truth falls within the sorted ensemble at each grid point, pooled over
-/// tokens. A flat histogram indicates a calibrated ensemble; a U-shape
-/// indicates under-dispersion (the paper's SSR < 1 regime); a dome indicates
-/// over-dispersion. Returns `members.len() + 1` bins.
-pub fn rank_histogram(members: &[&Tensor], truth: &Tensor, ch: usize) -> Vec<usize> {
-    let m = members.len();
-    assert!(m >= 1);
-    let tokens = truth.shape()[0];
-    let mut bins = vec![0usize; m + 1];
-    for t in 0..tokens {
-        let y = truth.at(&[t, ch]);
-        let rank = members.iter().filter(|mem| mem.at(&[t, ch]) < y).count();
-        bins[rank] += 1;
-    }
-    bins
-}
-
-/// χ²-style flatness score of a rank histogram (0 = perfectly flat).
-pub fn rank_histogram_flatness(bins: &[usize]) -> f64 {
-    let total: usize = bins.iter().sum();
-    if total == 0 {
-        return 0.0;
-    }
-    let expected = total as f64 / bins.len() as f64;
-    bins.iter()
-        .map(|&b| {
-            let d = b as f64 - expected;
-            d * d / expected
-        })
-        .sum::<f64>()
-        / bins.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use aeris_tensor::Rng;
+
+    /// Rank histogram (Talagrand diagram) for channel `ch`: counts where the
+    /// truth falls within the sorted ensemble at each grid point, pooled over
+    /// tokens. A flat histogram indicates a calibrated ensemble; a U-shape
+    /// indicates under-dispersion (the paper's SSR < 1 regime); a dome indicates
+    /// over-dispersion. Returns `members.len() + 1` bins.
+    fn rank_histogram(members: &[&Tensor], truth: &Tensor, ch: usize) -> Vec<usize> {
+        let m = members.len();
+        assert!(m >= 1);
+        let tokens = truth.shape()[0];
+        let mut bins = vec![0usize; m + 1];
+        for t in 0..tokens {
+            let y = truth.at(&[t, ch]);
+            let rank = members.iter().filter(|mem| mem.at(&[t, ch]) < y).count();
+            bins[rank] += 1;
+        }
+        bins
+    }
+
+    /// χ²-style flatness score of a rank histogram (0 = perfectly flat).
+    fn rank_histogram_flatness(bins: &[usize]) -> f64 {
+        let total: usize = bins.iter().sum();
+        if total == 0 {
+            return 0.0;
+        }
+        let expected = total as f64 / bins.len() as f64;
+        bins.iter()
+            .map(|&b| {
+                let d = b as f64 - expected;
+                d * d / expected
+            })
+            .sum::<f64>()
+            / bins.len() as f64
+    }
 
     fn uniform_w(n: usize) -> Vec<f32> {
         vec![1.0; n]

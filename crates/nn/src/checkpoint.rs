@@ -1,8 +1,7 @@
 //! Checkpointing: the workspace's one on-disk format for tensors — a
 //! self-describing list of named f32 tensors (name → shape → data) — and the
-//! one keyed reader over it, so trained models, trainer state and
-//! observation sets are saved and restored without a serialization
-//! framework.
+//! one keyed reader over it, so trained models and trainer state are saved
+//! and restored without a serialization framework.
 //!
 //! Every consumer reads through [`Entries`]: it decodes a whole file, then
 //! takes entries by key ([`Entries::take`]), in a required shape
@@ -153,11 +152,6 @@ impl From<EntryError> for std::io::Error {
 pub struct Entries(HashMap<String, Tensor>);
 
 impl Entries {
-    /// Decode a checkpoint stream.
-    pub fn read(reader: &mut dyn Read) -> std::io::Result<Entries> {
-        Ok(Entries(decode(reader)?.into_iter().collect()))
-    }
-
     /// Decode a checkpoint file.
     pub fn load(path: &Path) -> std::io::Result<Entries> {
         Ok(Entries(load_entries(path)?.into_iter().collect()))
@@ -193,40 +187,31 @@ impl Entries {
     }
 }
 
-/// Save every parameter of `store` to a file, under its own name.
-pub fn save_params(store: &ParamStore, path: &Path) -> std::io::Result<()> {
-    let entries: Vec<(String, Tensor)> =
-        store.iter().map(|(_, n, v)| (n.to_string(), v.clone())).collect();
-    save_entries(&entries, path)
-}
-
-/// Load a checkpoint into an existing store: every parameter must be present
-/// under its name in its shape, or the store is left untouched.
-pub fn load_params(store: &mut ParamStore, path: &Path) -> std::io::Result<()> {
-    let values = Entries::load(path)?.take_params("", store)?;
-    store.restore(&values);
-    Ok(())
-}
-
-/// The most recent coordinated checkpoint in `dir`: the lexicographically
-/// greatest `step_*.ckpt` file (step numbers are zero-padded, so name order
-/// is step order). `Ok(None)` when the directory is missing or holds no
-/// checkpoints — a recovery supervisor then restarts from scratch.
+/// The most recent coordinated checkpoint in `dir`: the `step_N.ckpt` file
+/// with the largest step number N. Names are written `step_{:06}` — a
+/// minimum width, so name order is not step order past 999,999 — and a name
+/// whose N is not all digits is skipped. `Ok(None)` when the directory is
+/// missing or holds no checkpoints — a recovery supervisor then restarts
+/// from scratch.
 pub fn latest_checkpoint(dir: &Path) -> std::io::Result<Option<std::path::PathBuf>> {
     let entries = match std::fs::read_dir(dir) {
         Ok(e) => e,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e),
     };
-    let mut best: Option<(String, std::path::PathBuf)> = None;
+    let mut best: Option<(u64, std::path::PathBuf)> = None;
     for entry in entries {
         let entry = entry?;
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if !(name.starts_with("step_") && name.ends_with(".ckpt")) {
-            continue;
-        }
-        if best.as_ref().is_none_or(|(b, _)| name > *b) {
-            best = Some((name, entry.path()));
+        let name = entry.file_name();
+        let step = name
+            .to_str()
+            .and_then(|n| n.strip_prefix("step_")?.strip_suffix(".ckpt"))
+            .filter(|digits| digits.bytes().all(|b| b.is_ascii_digit()))
+            .and_then(|digits| digits.parse::<u64>().ok());
+        let Some(step) = step else { continue };
+        let path = entry.path();
+        if best.as_ref().is_none_or(|b| (step, &path) > (b.0, &b.1)) {
+            best = Some((step, path));
         }
     }
     Ok(best.map(|(_, p)| p))
@@ -253,6 +238,14 @@ pub fn entry_u64(t: &Tensor) -> std::io::Result<u64> {
 }
 
 #[cfg(test)]
+impl Entries {
+    /// Decode a checkpoint stream.
+    fn read(reader: &mut dyn Read) -> std::io::Result<Entries> {
+        Ok(Entries(decode(reader)?.into_iter().collect()))
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use aeris_tensor::Rng;
@@ -264,6 +257,21 @@ mod tests {
         s.register("layer.b", Tensor::randn(&[4], &mut rng));
         s.register("gamma", Tensor::randn(&[7], &mut rng));
         s
+    }
+
+    /// Save every parameter of `store` to a file, under its own name.
+    fn save_params(store: &ParamStore, path: &Path) -> std::io::Result<()> {
+        let entries: Vec<(String, Tensor)> =
+            store.iter().map(|(_, n, v)| (n.to_string(), v.clone())).collect();
+        save_entries(&entries, path)
+    }
+
+    /// Load a checkpoint into an existing store: every parameter must be
+    /// present under its name in its shape, or the store is left untouched.
+    fn load_params(store: &mut ParamStore, path: &Path) -> std::io::Result<()> {
+        let values = Entries::load(path)?.take_params("", store)?;
+        store.restore(&values);
+        Ok(())
     }
 
     /// `store`'s parameters in the checkpoint format, as `save_params`
@@ -292,7 +300,7 @@ mod tests {
         let path = std::env::temp_dir().join("aeris_ckpt_test.bin");
         save_params(&src, &path).unwrap();
         let mut dst = store();
-        dst.get_mut(crate::params::ParamId(0)).map_inplace(|_| 0.0);
+        dst.get_mut(crate::params::ParamId(0)).data_mut().fill(0.0);
         load_params(&mut dst, &path).unwrap();
         for (id, _, v) in src.iter() {
             assert_eq!(dst.get(id), v);
@@ -434,6 +442,13 @@ mod tests {
         }
         let best = latest_checkpoint(&dir).unwrap().unwrap();
         assert_eq!(best.file_name().unwrap(), "step_000010.ckpt");
+        // Past six digits the zero-padded names no longer sort by step, and
+        // a name whose step is not a number is not a checkpoint.
+        for name in ["step_999999.ckpt", "step_1000000.ckpt", "step_x.ckpt"] {
+            std::fs::write(dir.join(name), b"x").unwrap();
+        }
+        let best = latest_checkpoint(&dir).unwrap().unwrap();
+        assert_eq!(best.file_name().unwrap(), "step_1000000.ckpt");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -30,7 +30,7 @@ pub mod timecond;
 pub mod window;
 
 pub use attention::WindowAttention;
-pub use checkpoint::{load_entries, load_params, save_entries, save_params};
+pub use checkpoint::{load_entries, save_entries};
 pub use ffn::SwiGlu;
 pub use linear::Linear;
 pub use norm::RmsNorm;

@@ -73,7 +73,7 @@ mod tests {
         let lin = Linear::new(&mut store, "l", 4, 3, &mut rng);
         assert_eq!(lin.num_params(), 15);
         // Force known values: W = 0, b = [1,2,3] => y = b broadcast.
-        store.get_mut(lin.w).map_inplace(|_| 0.0);
+        store.get_mut(lin.w).data_mut().fill(0.0);
         *store.get_mut(lin.b.unwrap()) = Tensor::from_slice(&[1.0, 2.0, 3.0]);
         let mut tape = Tape::new();
         let mut binding = Binding::new(&store);

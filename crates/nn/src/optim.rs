@@ -303,7 +303,7 @@ mod tests {
         let _w = store.register("w", Tensor::randn(&[4], &mut rng));
         let ema = Ema::new(&store, 10.0);
         let mut infer = store.clone();
-        infer.get_mut(crate::params::ParamId(0)).map_inplace(|_| 0.0);
+        infer.get_mut(crate::params::ParamId(0)).data_mut().fill(0.0);
         ema.apply_to(&mut infer);
         assert_eq!(infer.get(crate::params::ParamId(0)), store.get(crate::params::ParamId(0)));
     }

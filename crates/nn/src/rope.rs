@@ -58,9 +58,10 @@ impl RopeTable {
     }
 }
 
-/// Rotate a raw (non-tape) `[s, head_dim]` matrix by the table — used by
-/// inference-only fast paths and tests.
-pub fn apply_rope(x: &Tensor, table: &RopeTable) -> Tensor {
+/// Rotate a raw (non-tape) `[s, head_dim]` matrix by the table: the tests'
+/// oracle for the tape's rope op.
+#[cfg(test)]
+pub(crate) fn apply_rope(x: &Tensor, table: &RopeTable) -> Tensor {
     let (s, d) = (x.shape()[0], x.shape()[1]);
     assert_eq!(s, table.seq_len());
     assert_eq!(d, table.head_dim);

@@ -83,11 +83,6 @@ impl WindowGrid {
         out
     }
 
-    /// Inverse of [`WindowGrid::partition_perm`].
-    pub fn unpartition_perm(&self) -> Vec<usize> {
-        invert_perm(&self.partition_perm())
-    }
-
     /// Gather permutation for a cyclic roll: output token at `(r, c)` comes
     /// from input token at `((r + sh) mod H, (c + sw) mod W)` — i.e. the image
     /// content moves up-left by `(sh, sw)`, matching `torch.roll(x, (-sh,-sw))`
@@ -102,11 +97,6 @@ impl WindowGrid {
             }
         }
         out
-    }
-
-    /// Inverse roll (moves content back down-right by `(sh, sw)`).
-    pub fn unroll_perm(&self, sh: usize, sw: usize) -> Vec<usize> {
-        self.roll_perm(self.h - sh % self.h, self.w - sw % self.w)
     }
 
     /// The standard Swin shift: half a window in each direction.
@@ -178,7 +168,7 @@ mod tests {
         let mut sorted = p.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..48).collect::<Vec<_>>());
-        let inv = g.unpartition_perm();
+        let inv = invert_perm(&p);
         for i in 0..p.len() {
             assert_eq!(inv[p[i]], i);
         }
@@ -199,7 +189,8 @@ mod tests {
         let g = WindowGrid::new(6, 8, 2, 4);
         let (sh, sw) = g.half_shift();
         let roll = g.roll_perm(sh, sw);
-        let unroll = g.unroll_perm(sh, sw);
+        // Rolling back by the complement of the shift undoes the roll.
+        let unroll = g.roll_perm(g.h - sh, g.w - sw);
         for i in 0..g.tokens() {
             assert_eq!(roll[unroll[i]], i);
             assert_eq!(unroll[roll[i]], i);

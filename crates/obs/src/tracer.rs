@@ -207,11 +207,6 @@ impl Tracer {
         self.inner.enabled.load(Ordering::Relaxed)
     }
 
-    /// Toggle recording at runtime (shared across all clones).
-    pub fn set_enabled(&self, on: bool) {
-        self.inner.enabled.store(on, Ordering::Relaxed);
-    }
-
     /// Open a span. The span closes (and is recorded) when the returned
     /// guard drops; tag it with [`SpanGuard::step`] / [`SpanGuard::micro`].
     ///
@@ -437,6 +432,14 @@ pub fn verify_balanced(spans: &[SpanRecord]) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+impl Tracer {
+    /// Toggle recording at runtime (shared across all clones).
+    fn set_enabled(&self, on: bool) {
+        self.inner.enabled.store(on, Ordering::Relaxed);
+    }
 }
 
 #[cfg(test)]

@@ -15,8 +15,8 @@ use std::time::Duration;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Tier {
     /// One-step distilled (`ConsistencyStudent`) path: order-of-magnitude
-    /// cheaper per forecast step, a quantified quality cost
-    /// (`evaluation::distillation_gap`).
+    /// cheaper per forecast step, a quantified quality cost (the
+    /// distillation-gap sweep of `aeris-evaluation`'s tests).
     Fast,
     /// Full multi-step sampler: bitwise identical to a direct
     /// `Forecaster::ensemble` call.

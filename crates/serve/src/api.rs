@@ -164,8 +164,8 @@ pub struct ForecastResponse {
     /// Result provenance: which serving tier produced this response. A
     /// [`Tier::Quality`] response is bitwise identical to a direct ensemble
     /// call; a [`Tier::Fast`] one came from the distilled one-step student
-    /// (bitwise reproducible, but a different — cheaper — distribution; see
-    /// `aeris_evaluation::distillation_gap` for the quantified difference).
+    /// (bitwise reproducible, but a different — cheaper — distribution; the
+    /// distillation-gap sweep of `aeris-evaluation`'s tests quantifies it).
     pub tier: Tier,
 }
 

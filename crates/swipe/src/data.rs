@@ -25,16 +25,8 @@ pub enum Field {
 
 /// Row-sliced sample access.
 pub trait WindowSource: Sync {
-    /// Prognostic channels.
-    fn channels(&self) -> usize;
-    /// Forcing channels.
-    fn forcing_channels(&self) -> usize;
     /// Number of samples.
-    fn len(&self) -> usize;
-    /// True if no samples.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
+    fn n_samples(&self) -> usize;
     /// Rows `tokens` of `field` for sample `ix` → `[tokens.len(), ch]`.
     fn load_rows(&self, ix: usize, field: Field, tokens: &[usize]) -> Tensor;
 }
@@ -45,15 +37,7 @@ pub struct InMemorySource {
 }
 
 impl WindowSource for InMemorySource {
-    fn channels(&self) -> usize {
-        self.samples[0].residual.shape()[1]
-    }
-
-    fn forcing_channels(&self) -> usize {
-        self.samples[0].forcings.shape()[1]
-    }
-
-    fn len(&self) -> usize {
+    fn n_samples(&self) -> usize {
         self.samples.len()
     }
 
@@ -119,46 +103,25 @@ pub struct StoreBackedSource {
 }
 
 impl StoreBackedSource {
-    /// Build the stores from in-memory samples (in-memory backend; the
-    /// counting semantics are identical to the file backend).
+    /// Build the stores from in-memory samples.
     pub fn from_samples(samples: &[TrainSample], wh: usize, ww: usize, nlat: usize, nlon: usize) -> Self {
         use aeris_earthsim::store::StoreLayout;
         let c = samples[0].residual.shape()[1];
         let f = samples[0].forcings.shape()[1];
-        let mut prev = ChunkedStore::in_memory(StoreLayout::new(nlat, nlon, c, wh, ww));
-        let mut residual = ChunkedStore::in_memory(StoreLayout::new(nlat, nlon, c, wh, ww));
-        let mut forcing = ChunkedStore::in_memory(StoreLayout::new(nlat, nlon, f, wh, ww));
+        let mut prev = ChunkedStore::new(StoreLayout::new(nlat, nlon, c, wh, ww));
+        let mut residual = ChunkedStore::new(StoreLayout::new(nlat, nlon, c, wh, ww));
+        let mut forcing = ChunkedStore::new(StoreLayout::new(nlat, nlon, f, wh, ww));
         for s in samples {
-            prev.append_snapshot(&s.x_prev).unwrap();
-            residual.append_snapshot(&s.residual).unwrap();
-            forcing.append_snapshot(&s.forcings).unwrap();
+            prev.append_snapshot(&s.x_prev);
+            residual.append_snapshot(&s.residual);
+            forcing.append_snapshot(&s.forcings);
         }
         StoreBackedSource { prev, residual, forcing }
-    }
-
-    /// Total bytes read across the three stores.
-    pub fn bytes_read(&self) -> u64 {
-        self.prev.bytes_read() + self.residual.bytes_read() + self.forcing.bytes_read()
-    }
-
-    /// Reset I/O counters.
-    pub fn reset_bytes_read(&self) {
-        self.prev.reset_bytes_read();
-        self.residual.reset_bytes_read();
-        self.forcing.reset_bytes_read();
     }
 }
 
 impl WindowSource for StoreBackedSource {
-    fn channels(&self) -> usize {
-        self.residual.layout().channels
-    }
-
-    fn forcing_channels(&self) -> usize {
-        self.forcing.layout().channels
-    }
-
-    fn len(&self) -> usize {
+    fn n_samples(&self) -> usize {
         self.residual.n_times()
     }
 
@@ -171,21 +134,17 @@ impl WindowSource for StoreBackedSource {
         let l = store.layout();
         // Identify the set of store chunks covering the tokens; read each
         // exactly once.
-        let mut chunk_cache: Vec<((usize, usize), Tensor)> = Vec::new();
+        let mut chunks: Vec<((usize, usize), Tensor)> = Vec::new();
         let mut out = Tensor::zeros(&[tokens.len(), l.channels]);
         for (row, &tok) in tokens.iter().enumerate() {
             let (gr, gc) = (tok / l.nlon, tok % l.nlon);
             let key = (gr / l.wh, gc / l.ww);
-            let chunk = match chunk_cache.iter().find(|(k, _)| *k == key) {
-                Some((_, t)) => t.clone(),
-                None => {
-                    let t = store.read_window(ix, key.0, key.1).unwrap();
-                    chunk_cache.push((key, t.clone()));
-                    t
-                }
-            };
+            let at = chunks.iter().position(|(k, _)| *k == key).unwrap_or_else(|| {
+                chunks.push((key, store.read_window(ix, key.0, key.1)));
+                chunks.len() - 1
+            });
             let local = (gr % l.wh) * l.ww + (gc % l.ww);
-            out.row_mut(row).copy_from_slice(chunk.row(local));
+            out.row_mut(row).copy_from_slice(chunks[at].1.row(local));
         }
         out
     }
@@ -235,9 +194,11 @@ mod tests {
         let store = StoreBackedSource::from_samples(&s, 4, 4, 8, 16);
         let tokens: Vec<usize> = vec![5, 64, 120, 33, 34];
         for field in [Field::Prev, Field::Residual, Field::Forcing] {
+            let bits = |t: Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             let a = mem.load_rows(2, field, &tokens);
             let b = store.load_rows(2, field, &tokens);
-            assert!(a.max_abs_diff(&b) < 1e-7);
+            assert_eq!(a.shape(), b.shape());
+            assert_eq!(bits(a), bits(b), "{field:?}");
         }
     }
 
@@ -245,7 +206,6 @@ mod tests {
     fn store_backed_reads_only_touched_chunks() {
         let s = samples(1);
         let store = StoreBackedSource::from_samples(&s, 4, 4, 8, 16);
-        store.reset_bytes_read();
         // Tokens within one 4x4 window: exactly one chunk per store read.
         let tokens: Vec<usize> = vec![0, 1, 16, 17];
         let _ = store.load_rows(0, Field::Prev, &tokens);

@@ -49,7 +49,7 @@ pub use events::{EventLog, EventRecord, FaultEvent};
 pub use fault::{FaultPlan, MessageFault};
 pub use layout::ActLayout;
 pub use recovery::{supervise, RecoveryConfig, RecoveryError, RecoveryOutcome};
-pub use schedule::{one_f_one_b, try_one_f_one_b, Action, ScheduleError};
+pub use schedule::{one_f_one_b, Action, ScheduleError};
 pub use stage::StageError;
 pub use topology::{RankCoords, SwipeTopology};
 pub use trainer::{

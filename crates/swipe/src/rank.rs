@@ -7,7 +7,7 @@ use crate::comm::{CommClass, CommError, Communicator};
 use crate::data::{gather, Field};
 use crate::events::FaultEvent;
 use crate::layout::ActLayout;
-use crate::schedule::{try_one_f_one_b, Action};
+use crate::schedule::{one_f_one_b, Action};
 use crate::stage::{StageKind, StageModel, StageRun};
 use crate::topology::{RankCoords, SwipeTopology};
 use crate::trainer::{ckpt_io, noise_rows, shared_t, CheckpointConfig, Run, SwipeConfig, SwipeError};
@@ -266,7 +266,7 @@ impl<'a> Rank<'a> {
             }
             opt.set_steps(saved.adamw_steps);
         }
-        let actions = try_one_f_one_b(coords.stage, topo.pp, cfg.gas)?;
+        let actions = one_f_one_b(coords.stage, topo.pp, cfg.gas)?;
         let (up, down) = Link::pair(&topo, coords, |stage| layout_of(reference, &topo, stage));
         let tokens = layout.tokens_of(coords.wp_row, coords.wp_col, coords.sp);
         let mut pos = Tensor::zeros(&[tokens.len()]);

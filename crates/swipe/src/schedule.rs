@@ -37,16 +37,9 @@ impl std::fmt::Display for ScheduleError {
 
 impl std::error::Error for ScheduleError {}
 
-/// The 1F1B action list for `stage` of `pp` stages with `gas` microbatches.
-/// Panics on invalid arguments; [`try_one_f_one_b`] is the non-panicking
-/// variant the distributed trainer uses.
-pub fn one_f_one_b(stage: usize, pp: usize, gas: usize) -> Vec<Action> {
-    try_one_f_one_b(stage, pp, gas).unwrap()
-}
-
-/// The 1F1B action list, with invalid configurations reported as typed
-/// errors instead of panics.
-pub fn try_one_f_one_b(stage: usize, pp: usize, gas: usize) -> Result<Vec<Action>, ScheduleError> {
+/// The 1F1B action list for `stage` of `pp` stages with `gas` microbatches,
+/// with invalid configurations reported as typed errors.
+pub fn one_f_one_b(stage: usize, pp: usize, gas: usize) -> Result<Vec<Action>, ScheduleError> {
     if stage >= pp {
         return Err(ScheduleError::StageOutOfRange { stage, pp });
     }
@@ -88,7 +81,7 @@ mod tests {
     #[test]
     fn every_microbatch_forward_then_backward_once() {
         for stage in 0..4 {
-            let acts = one_f_one_b(stage, 4, 6);
+            let acts = one_f_one_b(stage, 4, 6).unwrap();
             let mut fwd_seen = [false; 6];
             let mut bwd_seen = [false; 6];
             for a in &acts {
@@ -115,7 +108,7 @@ mod tests {
         // pp − stage in-flight microbatches, not gas.
         let (pp, gas) = (4, 16);
         for stage in 0..pp {
-            let acts = one_f_one_b(stage, pp, gas);
+            let acts = one_f_one_b(stage, pp, gas).unwrap();
             let mut in_flight = 0usize;
             let mut max_in_flight = 0;
             for a in &acts {
@@ -134,7 +127,7 @@ mod tests {
 
     #[test]
     fn last_stage_strictly_alternates() {
-        let acts = one_f_one_b(3, 4, 5);
+        let acts = one_f_one_b(3, 4, 5).unwrap();
         assert_eq!(acts[0], Action::Forward(0));
         assert_eq!(acts[1], Action::Backward(0));
         assert_eq!(acts[2], Action::Forward(1));
@@ -142,17 +135,17 @@ mod tests {
 
     #[test]
     fn small_gas_degenerates_gracefully() {
-        let acts = one_f_one_b(0, 4, 1);
+        let acts = one_f_one_b(0, 4, 1).unwrap();
         assert_eq!(acts, vec![Action::Forward(0), Action::Backward(0)]);
     }
 
     #[test]
     fn invalid_configurations_are_typed_errors() {
         assert_eq!(
-            try_one_f_one_b(4, 4, 2),
+            one_f_one_b(4, 4, 2),
             Err(ScheduleError::StageOutOfRange { stage: 4, pp: 4 })
         );
-        assert_eq!(try_one_f_one_b(0, 4, 0), Err(ScheduleError::NoMicrobatches));
+        assert_eq!(one_f_one_b(0, 4, 0), Err(ScheduleError::NoMicrobatches));
         assert!(!format!("{}", ScheduleError::NoMicrobatches).is_empty());
     }
 

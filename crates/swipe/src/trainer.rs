@@ -533,8 +533,8 @@ fn validate_call(
                 let samples = micro.len();
                 return Err(SwipeError::ScheduleSamples { step, dp, samples, gas: cfg.gas });
             }
-            if let Some(&sample) = micro.iter().find(|&&s| s >= source.len()) {
-                return Err(SwipeError::SampleOutOfRange { step, dp, sample, len: source.len() });
+            if let Some(&sample) = micro.iter().find(|&&s| s >= source.n_samples()) {
+                return Err(SwipeError::SampleOutOfRange { step, dp, sample, len: source.n_samples() });
             }
         }
     }
@@ -716,16 +716,8 @@ mod tests {
     }
 
     impl WindowSource for PanicsOn {
-        fn channels(&self) -> usize {
-            self.inner.channels()
-        }
-
-        fn forcing_channels(&self) -> usize {
-            self.inner.forcing_channels()
-        }
-
-        fn len(&self) -> usize {
-            self.inner.len()
+        fn n_samples(&self) -> usize {
+            self.inner.n_samples()
         }
 
         fn load_rows(&self, ix: usize, field: Field, tokens: &[usize]) -> Tensor {
@@ -765,21 +757,14 @@ mod tests {
     }
 
     impl WindowSource for TooWide {
-        fn channels(&self) -> usize {
-            self.inner.channels()
-        }
-
-        fn forcing_channels(&self) -> usize {
-            self.inner.forcing_channels()
-        }
-
-        fn len(&self) -> usize {
-            self.inner.len()
+        fn n_samples(&self) -> usize {
+            self.inner.n_samples()
         }
 
         fn load_rows(&self, ix: usize, field: Field, tokens: &[usize]) -> Tensor {
             if (ix, field) == (self.bad, Field::Residual) {
-                return Tensor::zeros(&[tokens.len(), self.channels() + 1]);
+                let width = self.inner.samples[ix].residual.shape()[1] + 1;
+                return Tensor::zeros(&[tokens.len(), width]);
             }
             self.inner.load_rows(ix, field, tokens)
         }

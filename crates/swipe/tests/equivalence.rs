@@ -235,9 +235,10 @@ fn windowed_io_scales_inversely_with_wp() {
     let weights = weights_for(&cfg);
 
     let run = |wp_b: usize| {
-        let source = StoreBackedSource::from_samples(
+        let store = StoreBackedSource::from_samples(
             &samples, cfg.window.0, cfg.window.1, cfg.grid_h, cfg.grid_w,
         );
+        let memory = InMemorySource { samples: samples.clone() };
         let topo = SwipeTopology::new(1, 4, 1, wp_b, 1);
         let swipe_cfg = SwipeConfig {
             topo,
@@ -250,15 +251,26 @@ fn windowed_io_scales_inversely_with_wp() {
         };
         let sched = schedule(1, 1, 2, 4);
         let reference = AerisModel::new(cfg.clone());
-        let _ = DistributedTrainer::train(&reference, &swipe_cfg, &source, &sched, &weights).expect("fault-free run");
-        source.prev.bytes_read()
+        let from_store = DistributedTrainer::train(&reference, &swipe_cfg, &store, &sched, &weights)
+            .expect("fault-free run");
+        let from_memory = DistributedTrainer::train(&reference, &swipe_cfg, &memory, &sched, &weights)
+            .expect("fault-free run");
+        // The chunked store is a slicing of the same samples: the run over it
+        // is the run over the in-memory samples, bit for bit.
+        let bits = |losses: &[f64]| losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&from_store.losses), bits(&from_memory.losses), "wp_b {wp_b}: losses");
+        let param_bits = |p: &Tensor| p.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(from_store.final_params.len(), from_memory.final_params.len());
+        for (name, p) in &from_store.final_params {
+            let q = &from_memory.final_params[name];
+            assert_eq!(param_bits(p), param_bits(q), "wp_b {wp_b}: {name}");
+        }
+        store.prev.bytes_read()
     };
 
-    // The input stage reads chunk-aligned (unshifted) windows: each sample's
-    // tokens are read exactly once regardless of WP, so total input-stage I/O
-    // is constant and per-rank I/O falls as 1/WP. (The loss stage sits after
-    // a *shifted* block, whose windows straddle store chunks — its reads
-    // overlap across ranks, a real halo cost we do not assert on.)
+    // The caller reads every row of each scheduled sample once, whatever
+    // the WP, so the total input I/O is constant and its share per
+    // input-stage rank falls as 1/WP.
     let prev_1 = run(1);
     let prev_2 = run(2);
     assert_eq!(prev_1, prev_2, "input-stage sliced I/O must be independent of WP");

@@ -13,13 +13,6 @@ impl Tensor {
         Tensor::from_vec(self.shape(), data)
     }
 
-    /// Elementwise map in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in self.data_mut() {
-            *x = f(*x);
-        }
-    }
-
     /// Elementwise combination of two same-shaped tensors.
     pub fn zip_map(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
         assert_eq!(self.shape(), other.shape(), "shape mismatch in zip_map");
@@ -171,19 +164,6 @@ impl Tensor {
         }
         Tensor::from_vec(self.shape(), out)
     }
-
-    /// Index of the maximum element.
-    pub fn argmax(&self) -> usize {
-        let mut best = 0;
-        let mut bv = f32::NEG_INFINITY;
-        for (i, &x) in self.data().iter().enumerate() {
-            if x > bv {
-                bv = x;
-                best = i;
-            }
-        }
-        best
-    }
 }
 
 #[cfg(test)]
@@ -221,6 +201,17 @@ mod tests {
         assert_eq!(a.data(), &[4., 5.5]);
     }
 
+    /// Index of the first maximum element.
+    fn argmax(x: &[f32]) -> usize {
+        let mut best = 0;
+        for (i, &v) in x.iter().enumerate() {
+            if v > x[best] {
+                best = i;
+            }
+        }
+        best
+    }
+
     #[test]
     fn reductions() {
         let t = Tensor::from_slice(&[1., 2., 3., 4.]);
@@ -231,7 +222,7 @@ mod tests {
         assert_eq!(t.max(), 4.0);
         assert_eq!(t.abs_max(), 4.0);
         assert!((t.norm() - 30f64.sqrt()).abs() < 1e-6);
-        assert_eq!(t.argmax(), 3);
+        assert_eq!(argmax(t.data()), 3);
     }
 
     #[test]
@@ -247,8 +238,7 @@ mod tests {
         }
         // Softmax is monotone: argmax preserved per-row.
         for r in 0..5 {
-            let am_in = Tensor::from_slice(t.row(r)).argmax();
-            let am_out = Tensor::from_slice(s.row(r)).argmax();
+            let (am_in, am_out) = (argmax(t.row(r)), argmax(s.row(r)));
             assert_eq!(am_in, am_out);
         }
     }

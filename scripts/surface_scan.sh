@@ -10,9 +10,14 @@
 #        crates/swipe/src/stage.rs (one with its `weighted_mse(`). A recording
 #        tape anywhere else is an inference path keeping a backward it never
 #        runs, or a re-spelled `loss_grads`;
-#   (ii) every `pub fn` under crates/*/src whose name occurs nowhere else in
-#        non-test code (crates, examples, src, benchmark/src) — dead surface or
-#        test vocabulary (ROADMAP item 7);
+#   (ii) every `pub fn` under crates/*/src whose name occurs nowhere but in
+#        `fn` definitions in non-test code (crates, examples, src) or anywhere
+#        in benchmark/src,
+#        whose test modules count as callers; a `pub use` re-export is not a
+#        use. Each name it prints must have a stated reason in KEPT below
+#        (test vocabulary other crates' tests import, or an open ROADMAP
+#        decision); anything else is dead surface to delete or to move under
+#        `#[cfg(test)]`;
 #   (iii) every `par_chunks` / `par_iter` / `into_par_iter` under crates/*/src —
 #        the pool's parallel regions. Expected: the two coarse fan-outs in
 #        crates/core/src/forecast.rs (`ensemble`, `step_batch`) and nothing
@@ -40,8 +45,7 @@
 #   (vi) every `from_le_bytes(` / `get_*_le(` byte-decoding site in the
 #        non-test code of crates/*/src, examples and src — the workspace's
 #        byte-format parsers. Expected: lines of crates/nn/src/checkpoint.rs
-#        (the one checkpoint decoder) and crates/earthsim/src/store.rs (the
-#        chunked store, its own seekable format); anything else is a second
+#        (the one checkpoint decoder) only; anything else is a second
 #        hand-rolled format that the checkpoint entry list should carry;
 #   (vii) every `thread::spawn` / `thread::scope` / `thread::Builder` site in
 #        the non-test code of crates, shims, examples and src — the places a
@@ -50,10 +54,38 @@
 #        one spawn of a parked rank thread in crates/swipe/src/parked.rs and
 #        the three tenant clients of examples/serve_forecasts.rs; any other
 #        site makes a thread per operation.
-# Crude on purpose: names are matched as words, so two functions sharing a name
-# hide each other, and a name used only in a doc comment counts as unused.
+# Crude on purpose: names are matched as words, so a used fn hides an unused
+# one of the same name, and a name used only in a doc comment counts as unused.
+#
+# `--check` makes the scan a gate: it exits non-zero when (ii) prints a name
+# that KEPT does not list (or KEPT lists a name (ii) no longer prints), or
+# when (vi) prints a decoder outside crates/nn/src/checkpoint.rs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+check=0
+case "${1:-}" in
+    --check) check=1 ;;
+    "") ;;
+    *) echo "usage: $0 [--check]" >&2; exit 2 ;;
+esac
+
+# The pub fns (ii) may print, one `name<TAB>reason` a line.
+KEPT="\
+adjoint	test vocabulary: the <Hx,y> = <x,H^T y> proptest of tests/assim.rs
+numeric_grad	test vocabulary: the finite-difference oracle of nn's gradchecks
+assert_grad_close	test vocabulary: the gradcheck comparison nn's tests import
+rand_uniform	test vocabulary: the positive-scale inputs of autodiff and core tests
+variance	test vocabulary: the spread checks of diffusion's sampler tests
+default_toy	test vocabulary: the 25-channel set other crates' tests build
+parse_text	test vocabulary: tests/obs.rs parses the Prometheus exporter's output
+verify_balanced	test vocabulary: span nesting in tests/obs.rs and swipe's chaos suite
+drop_message	test vocabulary: FaultPlan builder of swipe's chaos suite and tests/obs.rs
+crash_rank_after_ops	test vocabulary: FaultPlan builder of swipe's chaos suite
+chaos_delays	test vocabulary: FaultPlan builder of swipe's chaos suite and tests/properties.rs
+chaos_restarts	test vocabulary: FaultPlan builder of swipe's recovery suite
+finetune_rollout	ROADMAP item 7 gives it a verdict (measure in fig7_seasonal or delete)
+save	Forecaster / ConsistencyStudent: model files only tests write; ROADMAP item 11 decides"
 
 # FILE:LINE:TEXT for every line that is neither a comment nor inside a
 # `#[cfg(test)]` item (a `mod tests { … }` block or a one-line `mod tests;`).
@@ -76,7 +108,31 @@ strip_tests() {
     ' "$@"
 }
 
-sources() { find "$@" -name '*.rs' ! -name 'tests.rs' ! -path '*/tests/*' | sort; }
+# The files of modules declared `#[cfg(test)] mod name;` (test-only modules).
+test_module_files() {
+    find "$@" -name '*.rs' -exec awk '
+        prev ~ /^[[:space:]]*#\[cfg\(test\)\]/ && $0 ~ /^[[:space:]]*(pub(\([a-z]+\))? )?mod [a-z_0-9]+;/ {
+            name = $0
+            sub(/.*mod /, "", name)
+            sub(/;.*/, "", name)
+            dir = FILENAME
+            sub(/[^\/]*$/, "", dir)
+            base = FILENAME
+            sub(/.*\//, "", base)
+            if (base != "lib.rs" && base != "main.rs" && base != "mod.rs") {
+                sub(/\.rs$/, "", base)
+                dir = dir base "/"
+            }
+            print dir name ".rs"
+        }
+        { prev = $0 }
+    ' {} +
+}
+
+sources() {
+    find "$@" -name '*.rs' ! -name 'tests.rs' ! -path '*/tests/*' | sort \
+        | grep -vxF -f <(test_module_files "$@"; echo /dev/null)
+}
 
 echo "== (i) tapes built and losses scored outside test code =="
 echo "-- direct (forward only) --"
@@ -88,21 +144,51 @@ strip_tests $(sources crates/*/src examples src) \
 
 echo
 echo "== (ii) pub fns named nowhere else in non-test code =="
-strip_tests $(sources crates/*/src examples src benchmark/src) | awk '
+unused=$(
     {
-        text = $0
-        sub(/^[^:]*:[0-9]+:/, "", text)
-        if ($0 ~ /^crates\// && match(text, /pub (const |unsafe )?fn [A-Za-z_][A-Za-z0-9_]*/)) {
-            name = substr(text, RSTART, RLENGTH)
-            sub(/.* /, "", name)
-            split($0, parts, ":")
-            defined[name] = parts[1] ":" parts[2]
+        strip_tests $(sources crates/*/src examples src)
+        # benchmark/src's test modules count as callers: no stripping there.
+        awk '/^[[:space:]]*\/\// { next } { print FILENAME ":" FNR ":" $0 }' $(find benchmark/src -name '*.rs' | sort)
+    } | awk '
+        {
+            text = $0
+            sub(/^[^:]*:[0-9]+:/, "", text)
+            if (match(text, /fn [A-Za-z_][A-Za-z0-9_]*/)) {
+                name = substr(text, RSTART + 3, RLENGTH - 3)
+                defs[name]++
+                if ($0 ~ /^crates\// && text ~ /pub (const |unsafe )?fn /) {
+                    split($0, parts, ":")
+                    defined[name] = defined[name] (defined[name] == "" ? "" : ",") parts[1] ":" parts[2]
+                }
+            }
+            # A re-export names an item without using it.
+            if (text ~ /^[[:space:]]*pub use /) in_use = 1
+            if (in_use) { if (text ~ /;/) in_use = 0; next }
+            n = split(text, words, /[^A-Za-z0-9_]+/)
+            for (i = 1; i <= n; i++) if (words[i] != "") seen[words[i]]++
         }
-        n = split(text, words, /[^A-Za-z0-9_]+/)
-        for (i = 1; i <= n; i++) if (words[i] != "") seen[words[i]]++
-    }
-    END { for (name in defined) if (seen[name] == 1) print defined[name] ": " name }
-' | sort
+        # Used nowhere but in its definitions (same-named fns count together).
+        END { for (name in defined) if (seen[name] == defs[name]) print defined[name] ": " name }
+    ' | sort
+)
+ii_failed=0
+while IFS= read -r line; do
+    [ -n "$line" ] || continue
+    name=${line##* }
+    reason=$(printf '%s\n' "$KEPT" | awk -F '\t' -v n="$name" '$1 == n { print $2 }')
+    if [ -n "$reason" ]; then
+        echo "$line — $reason"
+    else
+        echo "$line — NO REASON: delete it, move it under #[cfg(test)], or state why in KEPT"
+        ii_failed=1
+    fi
+done <<< "$unused"
+while IFS=$'\t' read -r name _; do
+    if ! printf '%s\n' "$unused" | grep -q ": $name\$"; then
+        echo "KEPT lists $name, which (ii) no longer prints: drop it from KEPT"
+        ii_failed=1
+    fi
+done <<< "$KEPT"
 
 echo
 echo "== (iii) parallel regions outside test code =="
@@ -121,10 +207,25 @@ strip_tests $(sources crates/*/src shims/*/src examples src) \
 
 echo
 echo "== (vi) byte-decoding sites outside test code =="
-strip_tests $(sources crates/*/src examples src) \
-    | grep -E 'from_le_bytes\(|get_[a-z0-9_]*_le\(' || true
+decoders=$(strip_tests $(sources crates/*/src examples src) \
+    | grep -E 'from_le_bytes\(|get_[a-z0-9_]*_le\(' || true)
+[ -z "$decoders" ] || echo "$decoders"
+vi_failed=0
+if printf '%s\n' "$decoders" | grep -v '^$' | grep -qv '^crates/nn/src/checkpoint\.rs:'; then
+    vi_failed=1
+fi
 
 echo
 echo "== (vii) thread-making sites outside test code =="
 strip_tests $(sources crates/*/src shims/*/src examples src) \
     | grep -E 'thread::(spawn|scope|Builder)' || true
+
+if [ "$check" = 1 ]; then
+    echo
+    if [ "$ii_failed" = 1 ] || [ "$vi_failed" = 1 ]; then
+        [ "$ii_failed" = 0 ] || echo "check FAILED: (ii) prints a name without a reason in KEPT, or KEPT is stale" >&2
+        [ "$vi_failed" = 0 ] || echo "check FAILED: (vi) prints a decoder outside crates/nn/src/checkpoint.rs" >&2
+        exit 1
+    fi
+    echo "check passed: every (ii) name has a reason; (vi) is the checkpoint decoder only"
+fi

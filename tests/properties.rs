@@ -88,7 +88,7 @@ proptest! {
         }
         let (sh, sw) = grid.half_shift();
         let roll = grid.roll_perm(sh, sw);
-        let unroll = grid.unroll_perm(sh, sw);
+        let unroll = grid.roll_perm(wh * mh - sh, wwid * mw - sw);
         for i in 0..roll.len() {
             prop_assert_eq!(roll[unroll[i]], i);
         }
