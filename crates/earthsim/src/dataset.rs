@@ -167,11 +167,6 @@ impl Dataset {
         &self.states[i]
     }
 
-    /// The `i`-th forcing tensor.
-    pub fn forcing(&self, i: usize) -> &Tensor {
-        &self.forcings[i]
-    }
-
     /// Time (hours) of state `i`.
     pub fn time(&self, i: usize) -> f64 {
         self.times[i]

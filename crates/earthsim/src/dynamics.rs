@@ -533,10 +533,6 @@ impl ToyAtmosphere {
         forcings_at(&self.clim, self.time_days())
     }
 
-    /// Direct read access to the vorticity field (tests/diagnostics).
-    pub fn zeta(&self) -> &[f32] {
-        &self.zeta
-    }
 }
 
 /// Forcing channels for an arbitrary valid time (used by forecast rollouts,

@@ -70,7 +70,6 @@ impl Channel {
 #[derive(Clone, Debug)]
 pub struct VariableSet {
     channels: Vec<Channel>,
-    levels: Vec<u32>,
 }
 
 /// The paper's 13 ERA5 pressure levels (hPa).
@@ -97,7 +96,7 @@ impl VariableSet {
                 channels.push(Channel::Upper(v, lev));
             }
         }
-        VariableSet { channels, levels: levels.to_vec() }
+        VariableSet { channels }
     }
 
     /// Number of channels.
@@ -113,11 +112,6 @@ impl VariableSet {
     /// Ordered channels.
     pub fn channels(&self) -> &[Channel] {
         &self.channels
-    }
-
-    /// Pressure levels in use.
-    pub fn levels(&self) -> &[u32] {
-        &self.levels
     }
 
     /// Index of a channel by name (`z500` etc.), if present.

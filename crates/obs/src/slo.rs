@@ -190,10 +190,6 @@ impl SloTracker {
         }
     }
 
-    pub fn config(&self) -> &SloConfig {
-        &self.inner.cfg
-    }
-
     /// Record one outcome directly (`true` = within objective).
     pub fn observe(&self, good: bool) {
         let mut r = self.inner.ring.lock();
