@@ -1,7 +1,7 @@
 //! Regenerates Fig. 5a: medium-range ensemble skill — latitude-weighted
 //! ensemble-mean RMSE, CRPS, and spread/skill ratio for key variables, for
 //! AERIS vs the GenCast analog, the IFS-ENS analog (perfect-model numerical
-//! ensemble), the deterministic baseline, and persistence/climatology.
+//! ensemble), the deterministic baseline, and persistence.
 //!
 //! Expected shape (paper): AERIS ≤ IFS ENS on RMSE/CRPS, competitive with
 //! GenCast; SSR < 1 (under-dispersive) for the diffusion models.
