@@ -12,7 +12,12 @@
 //! a multiply-add, so the fused forward is bitwise the chain's (property
 //! tested below). The backward recomputes the intermediates the chain would
 //! have stored (the normalized row, `silu(gate)`) from the op's inputs — the
-//! same arithmetic, so the recomputed values are the stored ones.
+//! same arithmetic, so the recomputed values are the stored ones. Each
+//! backward is one row sweep of [`aeris_tensor::sweeps`]
+//! (`modulated_rmsnorm_backward`, `swiglu_backward`,
+//! `gated_residual_backward`), built portable and AVX2 and picked at run
+//! time like the `exp` family: the same expressions either way, so the same
+//! bits.
 //!
 //! **Backward.** With `d` the upstream gradient:
 //!
@@ -63,24 +68,9 @@ impl Tape {
                 let xv = nodes[px].value();
                 let (g, s1) = (&nodes[pg].value().data()[..dim], &scale1.data()[..dim]);
                 let mut dx = Tensor::zeros(xv.shape());
-                let (mut dg, mut dscale, mut dshift) = (vec![0.0f32; dim], vec![0.0f32; dim], vec![0.0f32; dim]);
-                let rows = xv.data().chunks_exact(dim).zip(d.data().chunks_exact(dim));
-                for (((xr, dr), dxr), &ir) in rows.zip(dx.data_mut().chunks_exact_mut(dim)).zip(&inv_rms) {
-                    // dn = d·(1+scale) goes through the dx row on its way to
-                    // the RMSNorm backward, which needs the whole row first.
-                    for j in 0..dim {
-                        dxr[j] = dr[j] * s1[j];
-                        dscale[j] += dr[j] * (xr[j] * ir * g[j]);
-                        dshift[j] += dr[j];
-                    }
-                    let s = sweeps::dot3(g, dxr, xr); // Σ γ_j dn_j x_j
-                    let coef = s * ir * ir * ir / dim as f32;
-                    for j in 0..dim {
-                        let dn = dxr[j];
-                        dxr[j] = g[j] * dn * ir - xr[j] * coef;
-                        dg[j] += dn * xr[j] * ir;
-                    }
-                }
+                let [mut dg, mut dscale, mut dshift] = [(); 3].map(|_| vec![0.0f32; dim]);
+                let dvecs = [&mut dg[..], &mut dscale[..], &mut dshift[..]];
+                sweeps::modulated_rmsnorm_backward(dx.data_mut(), dvecs, xv.data(), d.data(), g, s1, &inv_rms);
                 let [dg, dscale, dshift] = [dg, dscale, dshift].map(|v| Tensor::from_vec(&[dim], v));
                 vec![dx, dg, dscale, dshift]
             })),
@@ -108,20 +98,8 @@ impl Tape {
             value,
             vec![pgu],
             Some(Box::new(move |d, nodes| {
-                let gv = nodes[pgu].value();
                 let mut dgu = Tensor::zeros(&[rows, two_f]);
-                let rows = gv.data().chunks_exact(two_f).zip(d.data().chunks_exact(f));
-                for ((gur, dr), dgur) in rows.zip(dgu.data_mut().chunks_exact_mut(two_f)) {
-                    let (gate, up) = gur.split_at(f);
-                    let (dgate, dup) = dgur.split_at_mut(f);
-                    // σ(gate) is recomputed into the dgate row it becomes.
-                    sweeps::sigmoid(dgate, gate);
-                    for j in 0..f {
-                        let (g, s) = (gate[j], dgate[j]);
-                        dgate[j] = dr[j] * up[j] * (s * (1.0 + g * (1.0 - s)));
-                        dup[j] = dr[j] * (g * s);
-                    }
-                }
+                sweeps::swiglu_backward(dgu.data_mut(), nodes[pgu].value().data(), d.data(), f);
                 vec![dgu]
             })),
             true,
@@ -150,16 +128,10 @@ impl Tape {
             vec![x.0, ph, pgate],
             Some(Box::new(move |d, nodes| {
                 let hv = nodes[ph].value();
-                let g = &nodes[pgate].value().data()[..dim];
                 let mut dh = Tensor::zeros(hv.shape());
                 let mut dgate = vec![0.0f32; dim];
-                let rows = d.data().chunks_exact(dim).zip(hv.data().chunks_exact(dim));
-                for ((dr, hr), dhr) in rows.zip(dh.data_mut().chunks_exact_mut(dim)) {
-                    for j in 0..dim {
-                        dhr[j] = dr[j] * g[j];
-                        dgate[j] += dr[j] * hr[j];
-                    }
-                }
+                let gate = &nodes[pgate].value().data()[..dim];
+                sweeps::gated_residual_backward(dh.data_mut(), &mut dgate, d.data(), hv.data(), gate);
                 vec![d, dh, Tensor::from_vec(&[dim], dgate)]
             })),
             true,

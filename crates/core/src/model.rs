@@ -384,6 +384,27 @@ mod tests {
         assert_eq!((counts, grads), run(false));
     }
 
+    /// The toy48 backward as a contract: one `loss_grads` on a nudged model
+    /// hashes, loss and every parameter gradient in store order, to one
+    /// pinned FNV-1a digest (captured before the fused ops' backwards moved
+    /// into `tensor::sweeps` and the AVX-512 tile grew a third panel).
+    #[test]
+    fn toy48_loss_grads_are_pinned_bitwise() {
+        let (m, [x_t, x_prev, f]) = nudged(toy48(), 11);
+        let mut rng = Rng::seed_from(12);
+        let target = Tensor::randn(&[m.cfg.tokens(), m.cfg.channels], &mut rng);
+        let w = Tensor::rand_uniform(target.shape(), 0.5, 1.5, &mut rng);
+        let mut acc: Vec<Option<Tensor>> = vec![None; m.store.len()];
+        let loss = m.loss_grads(&x_t, &x_prev, &f, 0.7, &target, &w, &mut acc);
+        let mut h = (0xcbf2_9ce4_8422_2325u64 ^ loss.to_bits()).wrapping_mul(0x0000_0100_0000_01b3);
+        for g in &acc {
+            for x in g.as_ref().expect("every parameter is bound").data() {
+                h = (h ^ x.to_bits() as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(h, 0x877d_b9ab_8775_ab0e, "got {h:#x}");
+    }
+
     #[test]
     fn forward_shapes_and_finiteness() {
         let m = tiny();

@@ -26,9 +26,11 @@
 //!    builds, picked once per process by [`Kernel::detected`]: a portable
 //!    one (4 × 16, `f32::mul_add`, autovectorized), the same body under
 //!    `#[target_feature(enable = "avx2,fma")]` (`mul_add` is one vfmadd), and
-//!    an AVX-512 one written with `std::arch` intrinsics — 8 rows × two
-//!    adjacent B panels, 16 zmm accumulators, one `_mm512_fmadd_ps` each per
-//!    `k` step (a lone last panel runs the same tile one panel wide).
+//!    an AVX-512 one written with `std::arch` intrinsics — 8 rows × up to
+//!    three adjacent B panels, 24 zmm accumulators, one `_mm512_fmadd_ps`
+//!    each per `k` step. Panels go three at a time; four left run as 2 + 2
+//!    and one or two left as one narrower tile, so every toy48 width (48,
+//!    96, 144, 192, 288 lanes) runs three-panel tiles only.
 //!
 //! At these cache-resident shapes the copies were the cost, not a source of
 //! L1 reuse: dropping them made the `k = 512` weight-gradient GEMMs
@@ -78,7 +80,8 @@ pub enum Kernel {
     Portable,
     /// The same 4 × 16 body built with AVX2 and fused multiply-add.
     Avx2Fma,
-    /// 8 × 32 tile of `avx512f` intrinsics; bit for bit what the others return.
+    /// 8 × 48 tile (8 × 32 or 8 × 16 at a remainder) of `avx512f`
+    /// intrinsics; bit for bit what the others return.
     Avx512,
 }
 
@@ -90,8 +93,8 @@ impl Kernel {
     /// feature detector, read once per process. The choice is machine-global,
     /// so it can never differ between threads or between runs on one host. It
     /// switches the GEMM micro-kernel here and, through `Kernel::has_avx2`,
-    /// the AVX2 build of the `exp` sweeps in [`crate::sweeps`] (which widens
-    /// lanes only and never fuses).
+    /// the AVX2 build of every `dispatched!` loop of [`crate::sweeps`] and
+    /// [`crate::attention`] (which widens lanes only and never fuses).
     pub fn detected() -> Kernel {
         static DETECTED: std::sync::OnceLock<Kernel> = std::sync::OnceLock::new();
         *DETECTED.get_or_init(|| {
@@ -290,20 +293,36 @@ fn tile_avx512<const P: usize>(a: AView, t: usize, b: BView, p: usize, k: usize,
     }
 }
 
-/// [`compute_block_body`] for the AVX-512 tile: B panels are taken two at a
-/// time, an odd last one alone.
+/// How many B panels the AVX-512 tile takes at once when `left` panels
+/// remain: three while at least three do, except that four run as 2 + 2 and
+/// a remainder of one or two as one tile, so only a one-panel B runs the
+/// one-panel tile and every multiple of 48 lanes runs three-panel tiles only.
+#[cfg(target_arch = "x86_64")]
+fn avx512_group(left: usize) -> usize {
+    match left {
+        4 => 2,
+        1..=3 => left,
+        _ => 3,
+    }
+}
+
+/// [`compute_block_body`] for the AVX-512 tile: B panels are taken in the
+/// groups of [`avx512_group`], each swept over every row tile of the block.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 fn compute_block_avx512(a: AView, b: BView, k: usize, c_block: &mut [f32]) {
     let panels = b.n.div_ceil(NR);
-    for p in (0..panels).step_by(2) {
+    let mut p = 0;
+    while p < panels {
+        let group = avx512_group(panels - p);
         for (t, c_rows) in c_block.chunks_mut(MR_AVX512 * b.n).enumerate() {
-            if p + 1 < panels {
-                tile_avx512::<2>(a, t, b, p, k, c_rows);
-            } else {
-                tile_avx512::<1>(a, t, b, p, k, c_rows);
+            match group {
+                3 => tile_avx512::<3>(a, t, b, p, k, c_rows),
+                2 => tile_avx512::<2>(a, t, b, p, k, c_rows),
+                _ => tile_avx512::<1>(a, t, b, p, k, c_rows),
             }
         }
+        p += group;
     }
 }
 
@@ -425,6 +444,28 @@ mod tests {
             let r = naive(m, n, k, &a_nn, false, &b_nn, false);
             for (x, y) in c.iter().zip(&r) {
                 assert!((x - y).abs() < 1e-3, "NN mismatch at {m}x{n}x{k}: {x} vs {y}");
+            }
+        }
+    }
+
+    /// The AVX-512 panel groups cover every panel once, are 1–3 panels wide,
+    /// run a one-panel tile only when B is one panel wide, and run three at
+    /// a time wherever the panels divide by three (every toy48 width).
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx512_groups_cover_every_panel_without_a_lone_panel() {
+        for panels in 1..=40 {
+            let mut groups = Vec::new();
+            let mut p = 0;
+            while p < panels {
+                groups.push(avx512_group(panels - p));
+                p += groups.last().unwrap();
+            }
+            assert_eq!(p, panels);
+            assert!(groups.iter().all(|g| (1..=3).contains(g)), "{panels}: {groups:?}");
+            assert_eq!(groups.contains(&1), panels == 1, "{panels}: {groups:?}");
+            if panels % 3 == 0 {
+                assert!(groups.iter().all(|&g| g == 3), "{panels}: {groups:?}");
             }
         }
     }

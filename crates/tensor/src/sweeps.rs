@@ -6,12 +6,15 @@
 //! plain zip where no lane state is carried. *Which* SIMD depends on how the
 //! function was built. The workspace compiles for baseline x86-64 (no
 //! `-C target-cpu`, no `.cargo/config.toml`), so everything in this file
-//! except the `exp` family is 4-lane SSE2, an 8-wide chunk being two
-//! registers. The `exp` family ([`exp`], [`sigmoid`], [`silu_gate`], and
-//! [`exp_shift_sum`] through `exp`) is runtime-dispatched through this
-//! file's `dispatched!` macro, the crate's one dispatch mechanism besides
-//! `gemm::compute_block` (the window-attention core of [`crate::attention`]
-//! is its other user): one `#[inline(always)]` body instantiated twice, a
+//! except the `exp` family and the fused-op backwards is 4-lane SSE2, an
+//! 8-wide chunk being two registers. The `exp` family ([`exp`], [`sigmoid`],
+//! [`silu_gate`], and [`exp_shift_sum`] through `exp`) and the backwards of
+//! the Swin block's three fused tape ops ([`swiglu_backward`],
+//! [`modulated_rmsnorm_backward`], [`gated_residual_backward`]) are
+//! runtime-dispatched through this file's `dispatched!` macro, the crate's
+//! one dispatch mechanism besides `gemm::compute_block` (the
+//! window-attention core of [`crate::attention`] is its other user): one
+//! `#[inline(always)]` body instantiated twice, a
 //! portable build and a `#[target_feature(enable = "avx2")]` build (8 lanes
 //! to a register), picked by the same machine-global
 //! `gemm::Kernel::detected` (its `has_avx2`; the sweeps have no 512-bit
@@ -245,8 +248,9 @@ fn sigmoid_lane(x: f32) -> f32 {
 /// `$name` that picks by `gemm::Kernel::detected`. The body may only do what
 /// [`exp_lane`] does — no `mul_add` — so the pick cannot change a bit, and
 /// everything it calls must be `#[inline(always)]` to be built twice too.
-/// The crate's one dispatch mechanism below the GEMM: the `exp` family here
-/// and the window-attention core ([`crate::attention`]) are its instances.
+/// The crate's one dispatch mechanism below the GEMM: the `exp` family and
+/// the fused-op backwards here and the window-attention core
+/// ([`crate::attention`]) are its instances.
 macro_rules! dispatched {
     ($(#[$doc:meta])* $vis:vis fn $name:ident, $body:ident, $avx2:ident, ($($arg:ident: $ty:ty),*) $code:block) => {
         #[inline(always)]
@@ -321,6 +325,85 @@ dispatched!(
     }
 );
 
+dispatched!(
+    /// SwiGLU backward over `rows` rows: with `gu: [rows, 2f]` the forward's
+    /// `gate | up` input and `d: [rows, f]` the upstream gradient, writes
+    /// `dgu: [rows, 2f]` as `dgate = d · up · (σ · (1 + g · (1 − σ)))` and
+    /// `dup = d · (g · σ)`, `σ = σ(g)` of [`sigmoid`] computed in the same
+    /// pass. `f` is `d`'s row width.
+    pub fn swiglu_backward, swiglu_backward_body, swiglu_backward_avx2,
+    (dgu: &mut [f32], gu: &[f32], d: &[f32], f: usize) {
+        assert!(f > 0 && d.len().is_multiple_of(f), "swiglu_backward row width");
+        assert_eq!(gu.len(), 2 * d.len(), "swiglu_backward input length");
+        assert_eq!(dgu.len(), gu.len(), "swiglu_backward output length");
+        let rows = gu.chunks_exact(2 * f).zip(d.chunks_exact(f));
+        for ((gur, dr), dgur) in rows.zip(dgu.chunks_exact_mut(2 * f)) {
+            let (gate, up) = gur.split_at(f);
+            let (dgate, dup) = dgur.split_at_mut(f);
+            let lanes = gate.iter().zip(up).zip(dr).zip(dgate.iter_mut().zip(dup));
+            for (((&g, &u), &dv), (dg, du)) in lanes {
+                let s = sigmoid_lane(g);
+                *dg = dv * u * (s * (1.0 + g * (1.0 - s)));
+                *du = dv * (g * s);
+            }
+        }
+    }
+);
+
+dispatched!(
+    /// Backward of the modulated RMSNorm `y = (x·r·γ)·s1 + shift` over rows
+    /// of `dim = g.len()`, with `r = inv_rms[row]` and `s1 = 1 + scale`:
+    /// writes `dx` and accumulates, row by row in ascending order,
+    /// `[dγ, dscale, dshift]` += `[dn·x·r, d·(x·r·γ), d]` with `dn = d·s1`.
+    /// `dx = γ·dn·r − x·(Σ γ·dn·x)·r³/dim`, the sum by [`dot3`]; `dn` passes
+    /// through the `dx` row on its way.
+    pub fn modulated_rmsnorm_backward, modulated_rmsnorm_backward_body, modulated_rmsnorm_backward_avx2,
+    (dx: &mut [f32], dvecs: [&mut [f32]; 3], x: &[f32], d: &[f32], g: &[f32], s1: &[f32], inv_rms: &[f32]) {
+        let dim = g.len();
+        let [dg, dscale, dshift] = dvecs;
+        let (dg, dscale, dshift, s1) = (&mut dg[..dim], &mut dscale[..dim], &mut dshift[..dim], &s1[..dim]);
+        assert_eq!(x.len(), inv_rms.len() * dim, "modulated_rmsnorm_backward input length");
+        assert_eq!(d.len(), x.len(), "modulated_rmsnorm_backward gradient length");
+        assert_eq!(dx.len(), x.len(), "modulated_rmsnorm_backward output length");
+        let rows = x.chunks_exact(dim).zip(d.chunks_exact(dim));
+        for (((xr, dr), dxr), &ir) in rows.zip(dx.chunks_exact_mut(dim)).zip(inv_rms) {
+            for j in 0..dim {
+                dxr[j] = dr[j] * s1[j];
+                dscale[j] += dr[j] * (xr[j] * ir * g[j]);
+                dshift[j] += dr[j];
+            }
+            let s = dot3(g, dxr, xr); // Σ γ_j dn_j x_j
+            let coef = s * ir * ir * ir / dim as f32;
+            for j in 0..dim {
+                let dn = dxr[j];
+                dxr[j] = g[j] * dn * ir - xr[j] * coef;
+                dg[j] += dn * xr[j] * ir;
+            }
+        }
+    }
+);
+
+dispatched!(
+    /// Backward of the gated residual `y = x + h ⊙ gate` over rows of
+    /// `dim = gate.len()`: writes `dh = d · gate` and accumulates, row by row
+    /// in ascending order, `dgate += d · h`.
+    pub fn gated_residual_backward, gated_residual_backward_body, gated_residual_backward_avx2,
+    (dh: &mut [f32], dgate: &mut [f32], d: &[f32], h: &[f32], gate: &[f32]) {
+        let dim = gate.len();
+        let dgate = &mut dgate[..dim];
+        assert_eq!(h.len(), d.len(), "gated_residual_backward input length");
+        assert_eq!(dh.len(), d.len(), "gated_residual_backward output length");
+        assert!(d.len().is_multiple_of(dim), "gated_residual_backward row width");
+        let rows = d.chunks_exact(dim).zip(h.chunks_exact(dim));
+        for ((dr, hr), dhr) in rows.zip(dh.chunks_exact_mut(dim)) {
+            for j in 0..dim {
+                dhr[j] = dr[j] * gate[j];
+                dgate[j] += dr[j] * hr[j];
+            }
+        }
+    }
+);
+
 /// Softmax numerator sweep: `dst[i] = exp(src[i] - shift)` through [`exp`],
 /// returning the sum of all numerators. The sum accumulates into `W` lanes
 /// combined in a fixed order (tail first, then lanes 0..W), identical across
@@ -371,6 +454,9 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 
 /// Triple-product reduction `Σ a[i]·b[i]·c[i]` (RMSNorm backward's
 /// `Σ γ·d·x`), lane-split with the same fixed combine order as [`dot`].
+/// Inlined into its callers so [`modulated_rmsnorm_backward`]'s AVX2 build
+/// runs it at that width too.
+#[inline(always)]
 pub fn dot3(a: &[f32], b: &[f32], c: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dot3 length mismatch");
     assert_eq!(a.len(), c.len(), "dot3 length mismatch");
@@ -643,6 +729,77 @@ mod tests {
             silu_gate(&mut d, &x, &up);
             silu_gate_body(&mut p, &x, &up);
             assert_eq!(bits(&d), bits(&p), "silu_gate, n = {n}");
+        }
+    }
+
+    /// Widths that are never a multiple of the 8-lane sweep width.
+    fn odd_width(d: usize) -> usize {
+        if d.is_multiple_of(8) { d + 1 } else { d }
+    }
+
+    /// The gates the backward sweeps must carry through: where `exp` flushes
+    /// to 0 or overflows, far outside its range, infinite and NaN.
+    const GATES: [f32; 9] = [80.0, -80.0, 104.0, -104.0, 1e30, -1e30, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+
+    /// `n` normal draws with every `GATES` value planted at a seeded offset.
+    fn gated(n: usize, rng: &mut crate::Rng) -> Vec<f32> {
+        let mut v: Vec<f32> = (0..n).map(|_| rng.normal() * 3.0).collect();
+        let at = rng.below(n);
+        for (i, &g) in GATES.iter().enumerate() {
+            v[(at + 7 * i) % n] = g;
+        }
+        v
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Portable ≡ AVX2 for the SwiGLU backward (see
+        /// `portable_and_dispatched_builds_agree_bitwise`).
+        #[test]
+        fn swiglu_backward_builds_agree_bitwise(rows in 1usize..41, d in 1usize..60, seed in 0u64..1000) {
+            let (f, mut rng) = (odd_width(d), crate::Rng::seed_from(seed));
+            let gu = gated(rows * 2 * f, &mut rng);
+            let dy = gated(rows * f, &mut rng);
+            let (mut got, mut want) = (vec![0.0; gu.len()], vec![0.0; gu.len()]);
+            swiglu_backward(&mut got, &gu, &dy, f);
+            swiglu_backward_body(&mut want, &gu, &dy, f);
+            prop_assert_eq!(bits(&got), bits(&want));
+        }
+
+        /// Portable ≡ AVX2 for the modulated-RMSNorm backward, the three
+        /// row-accumulated vectors included.
+        #[test]
+        fn modulated_rmsnorm_backward_builds_agree_bitwise(rows in 1usize..41, d in 1usize..60, seed in 0u64..1000) {
+            let (dim, mut rng) = (odd_width(d), crate::Rng::seed_from(seed));
+            let x = gated(rows * dim, &mut rng);
+            let dy = gated(rows * dim, &mut rng);
+            let (g, s1) = (gated(dim, &mut rng), gated(dim, &mut rng));
+            let inv_rms: Vec<f32> = x.chunks_exact(dim).map(|r| 1.0 / (sum_sq(r) / dim as f32 + 1e-6).sqrt()).collect();
+            let run = |portable: bool| {
+                let mut dx = vec![0.0; x.len()];
+                let [mut a, mut b, mut c] = [(); 3].map(|_| vec![0.0; dim]);
+                let dvecs = [&mut a[..], &mut b[..], &mut c[..]];
+                if portable {
+                    modulated_rmsnorm_backward_body(&mut dx, dvecs, &x, &dy, &g, &s1, &inv_rms);
+                } else {
+                    modulated_rmsnorm_backward(&mut dx, dvecs, &x, &dy, &g, &s1, &inv_rms);
+                }
+                [dx, a, b, c].map(|v| bits(&v))
+            };
+            prop_assert_eq!(run(false), run(true));
+        }
+
+        /// Portable ≡ AVX2 for the gated-residual backward.
+        #[test]
+        fn gated_residual_backward_builds_agree_bitwise(rows in 1usize..41, d in 1usize..60, seed in 0u64..1000) {
+            let (dim, mut rng) = (odd_width(d), crate::Rng::seed_from(seed));
+            let (dy, h, gate) = (gated(rows * dim, &mut rng), gated(rows * dim, &mut rng), gated(dim, &mut rng));
+            let (mut dh, mut dgate) = (vec![0.0; dy.len()], vec![0.0; dim]);
+            let (mut dh_p, mut dgate_p) = (vec![0.0; dy.len()], vec![0.0; dim]);
+            gated_residual_backward(&mut dh, &mut dgate, &dy, &h, &gate);
+            gated_residual_backward_body(&mut dh_p, &mut dgate_p, &dy, &h, &gate);
+            prop_assert_eq!((bits(&dh), bits(&dgate)), (bits(&dh_p), bits(&dgate_p)));
         }
     }
 

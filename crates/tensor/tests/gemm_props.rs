@@ -110,8 +110,10 @@ proptest! {
 
     /// Kernel parity on shared operands: every kernel the host supports runs
     /// all three layouts over edge shapes (`m` mostly not a multiple of the
-    /// 4- or 8-row tile, `n` of the 16- or 32-column one, `k` short, odd,
-    /// and up to the 512 tokens the model's weight gradients sum over).
+    /// 4- or 8-row tile, `n` of the 16-column panel, with every AVX-512
+    /// panel schedule up to seven panels drawn — 3, 2 + 2, 3 + 2, 3 + 3,
+    /// 3 + 2 + 2 —, `k` short, odd, and up to the 512 tokens the model's
+    /// weight gradients sum over).
     /// Within a kernel the layouts are bitwise equal, every kernel stays
     /// inside the f64-reference tolerance, and all supported kernels are
     /// bitwise equal to each other (the portable one is reached by no other
@@ -119,7 +121,7 @@ proptest! {
     #[test]
     fn kernels_agree_on_all_three_layouts(
         m in 1usize..70,
-        n in 1usize..70,
+        n in 1usize..100,
         ki in 0usize..6,
         seed in 0u64..1_000_000,
     ) {
@@ -208,6 +210,40 @@ fn toy48_gemms_hash_to_one_pinned_digest_on_every_kernel() {
             }
         }
         assert_eq!(h, TOY48_GEMM_DIGEST, "{} kernel: got {h:#x}", kernel.name());
+    }
+}
+
+/// FNV-1a over the output bits of the shapes below, captured on the
+/// `avx512f` kernel.
+const HEAD_AND_256_GEMM_DIGEST: u64 = 0x9f17_cc3b_d880_019a;
+
+/// The GEMMs `toy48_gemms_hash_to_one_pinned_digest_on_every_kernel` leaves
+/// out — the AdaLN head of a block (`cond: [1, 48]` times `W: [48, 288]` as
+/// NN forward, NT input gradient `[1, 288]·Wᵀ` and TN weight gradient
+/// `condᵀ·dY` with k = 1) — and the square 256³ of
+/// `tensor.gemm_256_gflops`: one pinned digest on every supported kernel.
+#[test]
+fn head_and_square_gemms_hash_to_one_pinned_digest_on_every_kernel() {
+    // (m, n, k, a_trans, b_trans)
+    let shapes = [
+        (1, 288, 48, false, false),
+        (1, 48, 288, false, true),
+        (48, 288, 1, true, false),
+        (256, 256, 256, false, false),
+    ];
+    for kernel in supported_kernels() {
+        let mut rng = Rng::seed_from(2026);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for (m, n, k, a_trans, b_trans) in shapes {
+            let a = Tensor::randn(&[m * k], &mut rng);
+            let b = Tensor::randn(&[k * n], &mut rng);
+            let mut c = vec![f32::NAN; m * n];
+            gemm_on(kernel, m, n, k, a.data(), a_trans, b.data(), b_trans, &mut c);
+            for x in c {
+                h = (h ^ x.to_bits() as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(h, HEAD_AND_256_GEMM_DIGEST, "{} kernel: got {h:#x}", kernel.name());
     }
 }
 

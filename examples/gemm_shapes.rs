@@ -1,8 +1,11 @@
 //! Every GEMM shape of one `toy48` training step, timed alone: the six
-//! projections (QKV, attention out, SwiGLU up / down, embed, decode) in their
-//! three layouts — NN forward `X·W`, NT input gradient `dY·Wᵀ`, TN weight
-//! gradient `Xᵀ·dY` — over the 512 tokens of one sample. Prints the minimum
-//! single-call wall time and its GFLOP/s per shape, the table DESIGN.md
+//! token projections (QKV, attention out, SwiGLU up / down, embed, decode)
+//! over the 512 tokens of one sample, and the two one-row projections of the
+//! conditioning vector (the time conditioner `[32, 48]` and a block's AdaLN
+//! head `[48, 288]`), each in its three layouts — NN forward `X·W`, NT input
+//! gradient `dY·Wᵀ`, TN weight gradient `Xᵀ·dY` (k = 1 for the one-row
+//! projections). Prints the minimum single-call wall time and its GFLOP/s
+//! per shape and the summed minimum per layout, the table DESIGN.md
 //! "Tensor backend" quotes, with the micro-kernel that ran.
 //!
 //! ```bash
@@ -17,14 +20,17 @@ use std::time::Instant;
 /// Tokens per sample of `toy48` (a 16 × 32 grid).
 const TOKENS: usize = 512;
 
-/// `(name, in, out)` of every projection `W: [in, out]`.
-const PROJECTIONS: [(&str, usize, usize); 6] = [
-    ("qkv", 48, 144),
-    ("attn out", 48, 48),
-    ("swiglu up", 48, 192),
-    ("swiglu down", 96, 48),
-    ("embed", 43, 48),
-    ("decode", 48, 20),
+/// `(name, rows, in, out)` of every projection `X: [rows, in]` times
+/// `W: [in, out]`.
+const PROJECTIONS: [(&str, usize, usize, usize); 8] = [
+    ("qkv", TOKENS, 48, 144),
+    ("attn out", TOKENS, 48, 48),
+    ("swiglu up", TOKENS, 48, 192),
+    ("swiglu down", TOKENS, 96, 48),
+    ("embed", TOKENS, 43, 48),
+    ("decode", TOKENS, 48, 20),
+    ("time cond", 1, 32, 48),
+    ("adaln head", 1, 48, 288),
 ];
 
 /// Minimum wall time of one call of `f` over `calls` calls, in µs.
@@ -43,18 +49,26 @@ fn main() {
     println!("GEMM kernel: {}; minimum of {calls} calls per shape", kernel_name());
     println!("{:<6} {:<12} {:>13} {:>9} {:>8}", "layout", "projection", "(m, n, k)", "µs", "GFLOP/s");
     let mut rng = Rng::seed_from(2025);
+    let mut totals = Vec::new();
     for layout in ["NN", "NT", "TN"] {
-        for (name, d_in, d_out) in PROJECTIONS {
-            let x = Tensor::randn(&[TOKENS, d_in], &mut rng);
+        let mut total = 0.0;
+        for (name, rows, d_in, d_out) in PROJECTIONS {
+            let x = Tensor::randn(&[rows, d_in], &mut rng);
             let w = Tensor::randn(&[d_in, d_out], &mut rng);
-            let dy = Tensor::randn(&[TOKENS, d_out], &mut rng);
+            let dy = Tensor::randn(&[rows, d_out], &mut rng);
             let ((m, n, k), us) = match layout {
-                "NN" => ((TOKENS, d_out, d_in), min_us(calls, || matmul(&x, &w))),
-                "NT" => ((TOKENS, d_in, d_out), min_us(calls, || matmul_nt(&dy, &w))),
-                _ => ((d_in, d_out, TOKENS), min_us(calls, || matmul_tn(&x, &dy))),
+                "NN" => ((rows, d_out, d_in), min_us(calls, || matmul(&x, &w))),
+                "NT" => ((rows, d_in, d_out), min_us(calls, || matmul_nt(&dy, &w))),
+                _ => ((d_in, d_out, rows), min_us(calls, || matmul_tn(&x, &dy))),
             };
+            total += us;
             let gflops = 2.0 * (m * n * k) as f64 / us / 1e3;
             println!("{layout:<6} {name:<12} {:>13} {us:>9.1} {gflops:>8.1}", format!("({m}, {n}, {k})"));
         }
+        totals.push((layout, total));
     }
+    for (layout, total) in &totals {
+        println!("{layout:<6} {:<26} {total:>9.1}", "total");
+    }
+    println!("{:<6} {:<26} {:>9.1}", "all", "total", totals.iter().map(|(_, t)| t).sum::<f64>());
 }

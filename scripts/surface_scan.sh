@@ -29,9 +29,11 @@
 #        `dispatched!(` loop that macro builds twice. Expected: lines of
 #        crates/tensor/src/gemm.rs (the three kernel builds, the AVX-512
 #        tile's load and masked store, the one detector), the one
-#        `dispatched!` macro of crates/tensor/src/sweeps.rs and its five
-#        invocations — `exp`, `sigmoid`, `silu_gate` in sweeps.rs, the
-#        window-attention core's forward and backward loops in
+#        `dispatched!` macro of crates/tensor/src/sweeps.rs and its eight
+#        invocations (DISPATCHED below) — `exp`, `sigmoid`, `silu_gate` and
+#        the backwards of the three fused block ops (`swiglu_backward`,
+#        `modulated_rmsnorm_backward`, `gated_residual_backward`) in
+#        sweeps.rs, the window-attention core's forward and backward loops in
 #        crates/tensor/src/attention.rs — and the one foreign call of
 #        examples/swipe_scaling.rs (`getrusage`: the process's CPU times,
 #        minor faults and voluntary context switches, exited threads
@@ -58,8 +60,12 @@
 # one of the same name, and a name used only in a doc comment counts as unused.
 #
 # `--check` makes the scan a gate: it exits non-zero when (ii) prints a name
-# that KEPT does not list (or KEPT lists a name (ii) no longer prints), or
-# when (vi) prints a decoder outside crates/nn/src/checkpoint.rs.
+# that KEPT does not list (or KEPT lists a name (ii) no longer prints), when
+# (iv) prints a site outside crates/tensor/src/gemm.rs, the `dispatched!`
+# macro body and the `getrusage` call, or a `dispatched!(` invocation that
+# DISPATCHED does not list (or DISPATCHED lists one that is gone), when (v)
+# prints anything but the GEMM's two tile lines, or when (vi) prints a
+# decoder outside crates/nn/src/checkpoint.rs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -86,6 +92,18 @@ chaos_delays	test vocabulary: FaultPlan builder of swipe's chaos suite and tests
 chaos_restarts	test vocabulary: FaultPlan builder of swipe's recovery suite
 finetune_rollout	ROADMAP item 7 gives it a verdict (measure in fig7_seasonal or delete)
 save	Forecaster / ConsistencyStudent: model files only tests write; ROADMAP item 11 decides"
+
+# The loops `dispatched!` builds twice (portable and AVX2), one
+# `file<TAB>name` a line; (iv) fails on an invocation missing here.
+DISPATCHED="\
+crates/tensor/src/attention.rs	backward_windows
+crates/tensor/src/attention.rs	forward_windows
+crates/tensor/src/sweeps.rs	exp
+crates/tensor/src/sweeps.rs	gated_residual_backward
+crates/tensor/src/sweeps.rs	modulated_rmsnorm_backward
+crates/tensor/src/sweeps.rs	sigmoid
+crates/tensor/src/sweeps.rs	silu_gate
+crates/tensor/src/sweeps.rs	swiglu_backward"
 
 # FILE:LINE:TEXT for every line that is neither a comment nor inside a
 # `#[cfg(test)]` item (a `mod tests { … }` block or a one-line `mod tests;`).
@@ -196,14 +214,63 @@ strip_tests $(sources crates/*/src) | grep -E 'par_chunks|par_iter' || true
 
 echo
 echo "== (iv) unsafe, target_feature, CPU-detection and dispatch sites outside test code =="
-strip_tests $(sources crates/*/src shims/*/src examples src) \
+sites=$(strip_tests $(sources crates/*/src shims/*/src examples src) \
     | grep -E 'unsafe|target_feature|is_x86_feature_detected|dispatched!\(' \
-    | grep -vE 'forbid\(unsafe_code\)|deny\(unsafe_op_in_unsafe_fn\)' || true
+    | grep -vE 'forbid\(unsafe_code\)|deny\(unsafe_op_in_unsafe_fn\)' || true)
+[ -z "$sites" ] || echo "$sites"
+# The `macro_rules! dispatched` body: first and last line.
+macro=$(awk '/^macro_rules! dispatched/ { s = FNR } s && FNR > s && /^}/ { print s, FNR; exit }' crates/tensor/src/sweeps.rs)
+iv_failed=0
+stray=$(printf '%s\n' "$sites" | awk -F: -v macro="$macro" '
+    BEGIN { split(macro, m, " ") }
+    $0 == "" { next }
+    $1 == "crates/tensor/src/gemm.rs" { next }
+    $1 == "crates/tensor/src/sweeps.rs" && $2 >= m[1] && $2 <= m[2] { next }
+    $1 == "examples/swipe_scaling.rs" && /getrusage\(/ { next }
+    /dispatched!\(/ { next }
+    { print }
+')
+if [ -n "$stray" ]; then
+    echo "-- outside gemm.rs, the dispatched! macro and the getrusage call --"
+    echo "$stray"
+    iv_failed=1
+fi
+# `file<TAB>name` of every `dispatched!(` invocation (the name is the first
+# `fn` line after it), against DISPATCHED, both ways.
+invocations=$(strip_tests $(sources crates/*/src shims/*/src examples src) | awk '
+    {
+        file = $0; sub(/:.*/, "", file)
+        text = $0; sub(/^[^:]*:[0-9]+:/, "", text)
+        if (text ~ /dispatched!\(/) { pending[file] = 1; next }
+        if (pending[file] && match(text, /fn [a-z_0-9]+,/)) {
+            print file "\t" substr(text, RSTART + 3, RLENGTH - 4)
+            pending[file] = 0
+        }
+    }' | sort)
+while IFS= read -r line; do
+    [ -n "$line" ] || continue
+    if ! printf '%s\n' "$DISPATCHED" | grep -qxF "$line"; then
+        echo "dispatched!( invocation not in DISPATCHED: $line"
+        iv_failed=1
+    fi
+done <<< "$invocations"
+while IFS= read -r line; do
+    if ! printf '%s\n' "$invocations" | grep -qxF "$line"; then
+        echo "DISPATCHED lists $line, which is no longer a dispatched!( invocation: drop it"
+        iv_failed=1
+    fi
+done <<< "$DISPATCHED"
 
 echo
 echo "== (v) contracted multiply-adds outside test code =="
-strip_tests $(sources crates/*/src shims/*/src examples src) \
-    | grep -E 'mul_add\(|_fmadd_[a-z0-9_]*\(' || true
+fmas=$(strip_tests $(sources crates/*/src shims/*/src examples src) \
+    | grep -E 'mul_add\(|_fmadd_[a-z0-9_]*\(' || true)
+[ -z "$fmas" ] || echo "$fmas"
+v_failed=0
+if [ "$(printf '%s\n' "$fmas" | grep -c '^crates/tensor/src/gemm\.rs:')" != 2 ] \
+    || printf '%s\n' "$fmas" | grep -v '^$' | grep -qv '^crates/tensor/src/gemm\.rs:'; then
+    v_failed=1
+fi
 
 echo
 echo "== (vi) byte-decoding sites outside test code =="
@@ -222,10 +289,12 @@ strip_tests $(sources crates/*/src shims/*/src examples src) \
 
 if [ "$check" = 1 ]; then
     echo
-    if [ "$ii_failed" = 1 ] || [ "$vi_failed" = 1 ]; then
+    if [ "$ii_failed" = 1 ] || [ "$iv_failed" = 1 ] || [ "$v_failed" = 1 ] || [ "$vi_failed" = 1 ]; then
         [ "$ii_failed" = 0 ] || echo "check FAILED: (ii) prints a name without a reason in KEPT, or KEPT is stale" >&2
+        [ "$iv_failed" = 0 ] || echo "check FAILED: (iv) prints a site outside gemm.rs, the dispatched! macro and getrusage, or a dispatched!( invocation DISPATCHED does not list (or DISPATCHED is stale)" >&2
+        [ "$v_failed" = 0 ] || echo "check FAILED: (v) prints a multiply-add other than the GEMM's two tile lines" >&2
         [ "$vi_failed" = 0 ] || echo "check FAILED: (vi) prints a decoder outside crates/nn/src/checkpoint.rs" >&2
         exit 1
     fi
-    echo "check passed: every (ii) name has a reason; (vi) is the checkpoint decoder only"
+    echo "check passed: every (ii) name has a reason; (iv) only gemm.rs, the dispatched! macro, the DISPATCHED loops and getrusage; (v) only the GEMM's two tile lines; (vi) is the checkpoint decoder only"
 fi
