@@ -10,20 +10,7 @@
 //! the longitude precesses, the polar-orbiter analog).
 
 use aeris_earthsim::Grid;
-use aeris_tensor::{Rng, Tensor};
-
-/// FNV-1a over a stream of u64 words (same constants as the serve cache).
-fn fnv_init() -> u64 {
-    0xcbf2_9ce4_8422_2325
-}
-
-fn fnv_u64(mut h: u64, v: u64) -> u64 {
-    for byte in v.to_le_bytes() {
-        h ^= byte as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+use aeris_tensor::{fnv_u64, Rng, Tensor, FNV_INIT};
 
 /// One observed scalar: channel `channel` of grid cell `token`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -270,20 +257,20 @@ impl ObservationSet {
     /// rollout-cache key component for nowcasts. Any bit of any observed
     /// value changes the digest.
     pub fn digest(&self) -> u64 {
-        let mut h = fnv_init();
-        h = fnv_u64(h, self.tokens as u64);
-        h = fnv_u64(h, self.channels as u64);
+        let mut h = FNV_INIT;
+        fnv_u64(&mut h, self.tokens as u64);
+        fnv_u64(&mut h, self.channels as u64);
         for s in &self.sites {
-            h = fnv_u64(h, ((s.token as u64) << 32) | s.channel as u64);
+            fnv_u64(&mut h, ((s.token as u64) << 32) | s.channel as u64);
         }
         for &v in &self.values {
-            h = fnv_u64(h, v.to_bits() as u64);
+            fnv_u64(&mut h, v.to_bits() as u64);
         }
         for &s in &self.noise_std {
-            h = fnv_u64(h, s.to_bits() as u64);
+            fnv_u64(&mut h, s.to_bits() as u64);
         }
         for &m in &self.mask {
-            h = fnv_u64(h, m as u64);
+            fnv_u64(&mut h, m as u64);
         }
         h
     }

@@ -1,14 +1,16 @@
 //! Demonstrates Fig. 2 quantitatively: the SWiPe communication pattern.
 //! Runs the thread-rank runtime at several WP degrees and prints measured
 //! per-rank traffic by class, validating M = b·s·h/SP/WP and the invariant
-//! gradient-allreduce volume, plus activation memory and input I/O.
+//! gradient-allreduce volume, plus activation memory and the input rows each
+//! stage-0 rank gathers.
 
 use aeris_core::{AerisConfig, AerisModel, TrainSample};
 use aeris_diffusion::loss_weights;
 use aeris_earthsim::Grid;
+use aeris_nn::window::WindowGrid;
 use aeris_nn::AdamWConfig;
-use aeris_swipe::data::StoreBackedSource;
-use aeris_swipe::{CommClass, DistributedTrainer, RankCoords, SwipeConfig, SwipeTopology};
+use aeris_swipe::data::InMemorySource;
+use aeris_swipe::{ActLayout, CommClass, DistributedTrainer, RankCoords, SwipeConfig, SwipeTopology};
 use aeris_tensor::{Rng, Tensor};
 
 fn main() {
@@ -36,13 +38,14 @@ fn main() {
             forcings: Tensor::randn(&[cfg.tokens(), 3], &mut rng),
         })
         .collect();
+    let source = InMemorySource { samples };
     let grid = Grid::new(cfg.grid_h, cfg.grid_w);
     let weights = loss_weights(&grid.token_lat_weights(), &vec![1.0; cfg.channels]);
 
     println!("SWiPe measured traffic (1 step, GAS=2, PP=4, SP=2), per block-stage rank:");
     println!(
-        "{:>4}{:>8}{:>14}{:>12}{:>14}{:>12}{:>16}",
-        "WP", "ranks", "alltoall(B)", "p2p(B)", "allreduce(B)", "act(elems)", "I/O/stage0(B)"
+        "{:>4}{:>8}{:>14}{:>12}{:>14}{:>12}{:>18}",
+        "WP", "ranks", "alltoall(B)", "p2p(B)", "allreduce(B)", "act(elems)", "x_prev/stage0(B)"
     );
     for wp_b in [1usize, 2, 4] {
         let topo = SwipeTopology::new(1, 4, 1, wp_b, 2);
@@ -56,28 +59,26 @@ fn main() {
             ..SwipeConfig::new(topo)
         };
         let sched = vec![vec![vec![0usize, 1]]];
-        let source = StoreBackedSource::from_samples(
-            &samples, cfg.window.0, cfg.window.1, cfg.grid_h, cfg.grid_w,
-        );
         let reference = AerisModel::new(cfg.clone());
         let report = DistributedTrainer::train(&reference, &swipe_cfg, &source, &sched, &weights).expect("fault-free run");
         let block_rank = topo.rank_of(RankCoords { dp: 0, stage: 1, wp_row: 0, wp_col: 0, sp: 0 });
-        let stage0_ranks: usize = (0..topo.dp).map(|dp| topo.stage_ranks(dp, 0).len()).sum();
+        let windows = WindowGrid::new(cfg.grid_h, cfg.grid_w, cfg.window.0, cfg.window.1);
+        let rows = ActLayout::new(windows, false, topo.wp_a, topo.wp_b, topo.sp).rows_per_rank();
+        let scheduled = sched.iter().flatten().flatten().count();
         println!(
-            "{:>4}{:>8}{:>14}{:>12}{:>14}{:>12}{:>16}",
+            "{:>4}{:>8}{:>14}{:>12}{:>14}{:>12}{:>18}",
             wp_b,
             topo.world_size(),
             report.traffic.rank_total(block_rank, CommClass::AllToAll),
             report.traffic.rank_total(block_rank, CommClass::P2p),
             report.traffic.rank_total(block_rank, CommClass::AllReduce),
             report.max_activation_elems,
-            source.prev.bytes_read() / stage0_ranks as u64,
+            scheduled * rows * cfg.channels * std::mem::size_of::<f32>(),
         );
     }
-    println!("\nI/O/stage0: the x_prev bytes read from the chunked store (each");
-    println!("scheduled sample once, by the caller) divided by the stage-0 ranks");
-    println!("that consume them — an average share, not a per-rank measurement.");
+    println!("\nx_prev/stage0: the x_prev bytes each stage-0 rank gathers, its own");
+    println!("token rows of every scheduled sample (f32).");
     println!("\nExpected (paper §V-A): alltoall and p2p per rank fall as 1/WP;");
     println!("gradient allreduce volume is unchanged; activation memory and the");
-    println!("input I/O share per stage-0 rank fall as 1/WP.");
+    println!("input rows per stage-0 rank fall as 1/WP.");
 }

@@ -9,9 +9,7 @@
 //! - [`dynamics`]: the forced-dissipative toy atmosphere (+ slab ocean),
 //! - [`ocean`]: ENSO recharge oscillator with a spring barrier,
 //! - [`events`]: seeded tropical cyclones and blocking heatwaves,
-//! - [`dataset`]: trajectory sampling, normalization statistics, loaders,
-//! - [`store`]: a chunked in-memory store supporting per-window slicing (the
-//!   HDF5-slicing analog used by SWiPe's distributed data loading).
+//! - [`dataset`]: trajectory sampling, normalization statistics, loaders.
 
 #![forbid(unsafe_code)]
 
@@ -27,7 +25,6 @@ pub mod events;
 pub mod grid;
 pub mod ocean;
 pub mod spectral;
-pub mod store;
 pub mod variables;
 
 pub use climate::Climate;
@@ -36,5 +33,4 @@ pub use dynamics::{forcings_at, render_climatology, ToyAtmosphere, ToyParams};
 pub use events::{CycloneSeed, HeatwaveSeed, Scenario};
 pub use grid::{Grid, Region, EQUATORIAL_BAND, NINO34};
 pub use ocean::Enso;
-pub use store::ChunkedStore;
 pub use variables::{Channel, SurfaceVar, UpperVar, VariableSet, PAPER_LEVELS};

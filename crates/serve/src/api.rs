@@ -10,7 +10,7 @@ use aeris_assim::{GuidanceSchedule, ObservationSet};
 use aeris_core::EnsembleForecast;
 use aeris_obs::SloConfig;
 use aeris_sched::{QuotaConfig, RouterConfig, Tier};
-use aeris_tensor::Tensor;
+use aeris_tensor::{fnv_u64, Tensor, FNV_INIT};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -59,7 +59,7 @@ impl Forcings {
         match self {
             Forcings::Zeros { channels } => fnv_pair(0x5A5A_0001, *channels as u64),
             Forcings::Table(t) => {
-                let mut h = fnv_init();
+                let mut h = FNV_INIT;
                 fnv_u64(&mut h, 0x5A5A_0002);
                 for f in t.iter() {
                     fnv_u64(&mut h, crate::cache::content_hash(f));
@@ -271,24 +271,9 @@ impl Default for ServeConfig {
     }
 }
 
-#[inline]
-pub(crate) fn fnv_init() -> u64 {
-    0xcbf2_9ce4_8422_2325
-}
-
-pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-#[inline]
-pub(crate) fn fnv_u64(h: &mut u64, v: u64) {
-    for b in v.to_le_bytes() {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(FNV_PRIME);
-    }
-}
-
 /// FNV-1a over two words (how the engine folds a cache key's aux word).
 pub(crate) fn fnv_pair(a: u64, b: u64) -> u64 {
-    let mut h = fnv_init();
+    let mut h = FNV_INIT;
     fnv_u64(&mut h, a);
     fnv_u64(&mut h, b);
     h

@@ -19,7 +19,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::api::{fnv_init, fnv_u64, FNV_PRIME};
+use aeris_tensor::{fnv_u64, FNV_INIT, FNV_PRIME};
 
 /// Content hash of a tensor: the shape, then every f32 bit pattern (so `±0.0`
 /// and NaN payloads count), FNV-1a style. The data goes in one 32-bit word
@@ -29,7 +29,7 @@ use crate::api::{fnv_init, fnv_u64, FNV_PRIME};
 /// so changing one element always changes the hash. In-memory key only:
 /// nothing stores or prints the value.
 pub fn content_hash(t: &Tensor) -> u64 {
-    let mut h = fnv_init();
+    let mut h = FNV_INIT;
     fnv_u64(&mut h, t.ndim() as u64);
     for &d in t.shape() {
         fnv_u64(&mut h, d as u64);

@@ -203,6 +203,10 @@ mod tests {
         assert_eq!(l.rows_per_rank(), 128 / 8);
         assert_eq!(l.windows_per_rank(), 2);
         assert_eq!(l.chunk_rows(), 8);
+        // Each rank's share of the rows halves as wp_b doubles: the 1/WP
+        // input rows a stage-0 rank gathers (fig2_swipe_comm's last column).
+        let rows = [1, 2, 4].map(|wp_b| ActLayout::new(grid(), false, 1, wp_b, 2).rows_per_rank());
+        assert_eq!(rows, [64, 32, 16]);
     }
 
     /// Relayout routing moves every token to exactly the right place — a full

@@ -4,8 +4,10 @@
 //! Ranks are OS threads, parked between calls; collectives run over one
 //! mailbox per receiving rank (a send wakes only its receiver) with
 //! byte-accurate traffic accounting, so the paper's communication claims (message size `M = b·s·h/SP/WP`,
-//! unchanged gradient-allreduce volume, 1/WP activation memory and I/O) are
-//! *measured*, not asserted.
+//! unchanged gradient-allreduce volume, 1/WP activation memory) are
+//! *measured*, not asserted. Ranks take their data rows from the caller's
+//! in-memory samples ([`data`]); the paper's per-node HDF5 reads are not
+//! reproduced.
 //!
 //! Components:
 //! - [`comm`]: world/communicator with send/recv, all-to-all, allreduce,

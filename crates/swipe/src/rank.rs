@@ -4,7 +4,7 @@
 //! the elastic rejoin.
 
 use crate::comm::{CommClass, CommError, Communicator};
-use crate::data::{gather, Field};
+use crate::data::gather;
 use crate::events::FaultEvent;
 use crate::layout::ActLayout;
 use crate::schedule::{one_f_one_b, Action};
@@ -497,9 +497,10 @@ impl<'a> Rank<'a> {
                     let fwd = self.comm.trace_span(SpanCategory::Forward);
                     let stage_run = match (self.kind, x_in) {
                         (StageKind::Input, _) => {
-                            let x0 = run.source.load_rows(sample, Field::Residual, &self.tokens);
-                            let prev = run.source.load_rows(sample, Field::Prev, &self.tokens);
-                            let forc = run.source.load_rows(sample, Field::Forcing, &self.tokens);
+                            let s = &run.samples[&sample];
+                            let x0 = gather(&s.residual, &self.tokens);
+                            let prev = gather(&s.x_prev, &self.tokens);
+                            let forc = gather(&s.forcings, &self.tokens);
                             let z = noise_rows(seed, sample, &self.tokens, channels);
                             let x_t = tf.interpolate(&x0, &z, t);
                             let cat = Tensor::concat_cols(&[&x_t, &prev, &forc]);
@@ -510,7 +511,7 @@ impl<'a> Rank<'a> {
                             self.model.forward_block(x_in, t, &mut self.comm, &self.sp_group)?
                         }
                         (StageKind::Head, Some(x_in)) => {
-                            let x0 = run.source.load_rows(sample, Field::Residual, &self.tokens);
+                            let x0 = gather(&run.samples[&sample].residual, &self.tokens);
                             let z = noise_rows(seed, sample, &self.tokens, channels);
                             let v_target = tf.velocity_target(&x0, &z, t);
                             let global_tokens = run.reference.cfg.tokens();

@@ -27,7 +27,7 @@
 //!
 //! [`FaultPlan::without_fired`]: crate::fault::FaultPlan::without_fired
 
-use crate::data::WindowSource;
+use crate::data::InMemorySource;
 use crate::events::{EventRecord, FaultEvent};
 use crate::trainer::{
     checkpoint_step, CheckpointConfig, DistributedTrainer, SwipeConfig, SwipeError, TrainFailure,
@@ -110,7 +110,7 @@ pub struct RecoveryOutcome {
 pub fn supervise(
     reference: &AerisModel,
     cfg: &SwipeConfig,
-    source: &(dyn WindowSource + Sync),
+    source: &InMemorySource,
     schedule: &[Vec<Vec<usize>>],
     weights: &Tensor,
     rcfg: &RecoveryConfig,

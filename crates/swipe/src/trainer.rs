@@ -9,8 +9,8 @@
 //! One [`DistributedTrainer::train`] call is an `Arc`'d `Run` — what every
 //! rank shares — and one `Rank` value per rank. The `Run` owns the call's
 //! inputs: the configuration, the schedule, the loss weights, a copy of the
-//! reference model, and a snapshot of the scheduled samples' rows, which the
-//! caller reads from its [`WindowSource`] on the calling thread. Each rank's
+//! reference model, and a copy of each sample the schedule names, made on
+//! the calling thread from the caller's [`InMemorySource`]. Each rank's
 //! job then runs on a parked thread of the process (`parked`): rank threads
 //! outlive the call, so a later call spawns none, and nothing a rank holds
 //! may borrow from the caller. `Rank::new` resolves, once, everything that
@@ -49,7 +49,7 @@
 //!   checkpointed step on.
 
 use crate::comm::{CommConfig, CommError, TrafficReport, World};
-use crate::data::{Field, Snapshot, WindowSource};
+use crate::data::InMemorySource;
 use crate::events::EventRecord;
 use crate::fault::FaultPlan;
 use crate::parked::{self, Job};
@@ -57,7 +57,7 @@ use crate::rank::Rank;
 use crate::schedule::ScheduleError;
 use crate::stage::StageError;
 use crate::topology::SwipeTopology;
-use aeris_core::AerisModel;
+use aeris_core::{AerisModel, TrainSample};
 use aeris_diffusion::TrigFlow;
 use aeris_nn::checkpoint::{entry_u64, Entries, EntryError};
 use aeris_nn::window::WindowGrid;
@@ -357,7 +357,7 @@ pub fn noise_rows(seed: u64, sample: usize, tokens: &[usize], channels: usize) -
 /// (mean loss, per-parameter-name gradients).
 pub fn reference_grads(
     model: &AerisModel,
-    source: &dyn WindowSource,
+    source: &InMemorySource,
     step_schedule: &[Vec<usize>],
     weights: &Tensor,
     seed: u64,
@@ -371,13 +371,12 @@ pub fn reference_grads(
     for (dp, micro) in step_schedule.iter().enumerate() {
         for (m, &sample) in micro.iter().enumerate() {
             let t = shared_t(&tf, seed, step, dp, m);
-            let x0 = source.load_rows(sample, Field::Residual, &tokens);
-            let prev = source.load_rows(sample, Field::Prev, &tokens);
-            let forc = source.load_rows(sample, Field::Forcing, &tokens);
+            let s = &source.samples[sample];
             let z = noise_rows(seed, sample, &tokens, model.cfg.channels);
-            let x_t = tf.interpolate(&x0, &z, t);
-            let v_target = tf.velocity_target(&x0, &z, t);
-            total_loss += model.loss_grads(&x_t, &prev, &forc, t, &v_target, weights, &mut acc);
+            let x_t = tf.interpolate(&s.residual, &z, t);
+            let v_target = tf.velocity_target(&s.residual, &z, t);
+            total_loss +=
+                model.loss_grads(&x_t, &s.x_prev, &s.forcings, t, &v_target, weights, &mut acc);
             count += 1;
         }
     }
@@ -471,8 +470,8 @@ pub(crate) struct Run {
     /// The model the ranks shard: a copy of the caller's, or the
     /// checkpoint's on resume.
     pub(crate) reference: AerisModel,
-    /// The rows of every sample the executed steps schedule.
-    pub(crate) source: Snapshot,
+    /// A copy of every sample the executed steps schedule, by index.
+    pub(crate) samples: HashMap<usize, TrainSample>,
     pub(crate) schedule: Vec<Vec<Vec<usize>>>,
     pub(crate) weights: Tensor,
     /// First step this run executes (> 0 when resumed).
@@ -497,7 +496,7 @@ pub(crate) struct Run {
 fn validate_call(
     reference: &AerisModel,
     cfg: &SwipeConfig,
-    source: &dyn WindowSource,
+    source: &InMemorySource,
     schedule: &[Vec<Vec<usize>>],
 ) -> Result<(), SwipeError> {
     let (topo, model) = (cfg.topo, &reference.cfg);
@@ -523,6 +522,7 @@ fn validate_call(
     if schedule.len() != cfg.n_steps {
         return Err(SwipeError::ScheduleSteps { steps: schedule.len(), n_steps: cfg.n_steps });
     }
+    let len = source.samples.len();
     for (step, replicas) in schedule.iter().enumerate() {
         if replicas.len() != topo.dp {
             let replicas = replicas.len();
@@ -533,8 +533,8 @@ fn validate_call(
                 let samples = micro.len();
                 return Err(SwipeError::ScheduleSamples { step, dp, samples, gas: cfg.gas });
             }
-            if let Some(&sample) = micro.iter().find(|&&s| s >= source.n_samples()) {
-                return Err(SwipeError::SampleOutOfRange { step, dp, sample, len: source.n_samples() });
+            if let Some(&sample) = micro.iter().find(|&&s| s >= len) {
+                return Err(SwipeError::SampleOutOfRange { step, dp, sample, len });
             }
         }
     }
@@ -574,13 +574,13 @@ impl DistributedTrainer {
     /// peers fail fast, and the panic reaches the caller once every rank has
     /// returned, without waiting out the comm deadline.
     ///
-    /// `source` is read here, on the calling thread: every row the executed
-    /// steps schedule, once. The ranks run on the process's parked rank
+    /// Each sample the executed steps schedule is copied here, on the
+    /// calling thread, once. The ranks run on the process's parked rank
     /// threads, and a call spawns a thread only when none is idle.
     pub fn train(
         reference: &AerisModel,
         cfg: &SwipeConfig,
-        source: &(dyn WindowSource + Sync),
+        source: &InMemorySource,
         schedule: &[Vec<Vec<usize>>],
         weights: &Tensor,
     ) -> Result<TrainReport, TrainFailure> {
@@ -601,10 +601,13 @@ impl DistributedTrainer {
             None => (reference.clone(), None),
         };
         let start_step = resume.as_ref().map_or(0, |r| r.start_step);
-        let scheduled = schedule.iter().skip(start_step).flatten().flatten().copied();
+        let mut samples = HashMap::new();
+        for &ix in schedule.iter().skip(start_step).flatten().flatten() {
+            samples.entry(ix).or_insert_with(|| source.samples[ix].clone());
+        }
         let run = Arc::new(Run {
             cfg: cfg.clone(),
-            source: Snapshot::read(source, scheduled, reference.cfg.tokens()),
+            samples,
             reference,
             schedule: schedule.to_vec(),
             weights: weights.clone(),
@@ -662,8 +665,7 @@ impl DistributedTrainer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::data::InMemorySource;
-    use aeris_core::{AerisConfig, TrainSample};
+    use aeris_core::AerisConfig;
     use std::time::{Duration, Instant};
 
     /// A tiny reference model, four random samples and the loss weights.
@@ -708,32 +710,25 @@ mod tests {
         assert_eq!(run(&unbounded), run(&base));
     }
 
-    /// Serves `inner`'s samples but panics on one, as a loader would on a
-    /// corrupt record.
-    struct PanicsOn {
-        inner: InMemorySource,
-        bad: usize,
+    /// `tiny_run`'s samples, but sample `bad`'s residual one channel too
+    /// wide, as a loader might return a corrupt record: the ranks that use it
+    /// panic on the shape.
+    fn too_wide(bad: usize) -> InMemorySource {
+        let mut source = tiny_run().1;
+        let residual = &mut source.samples[bad].residual;
+        let (tokens, width) = (residual.shape()[0], residual.shape()[1]);
+        *residual = Tensor::zeros(&[tokens, width + 1]);
+        source
     }
 
-    impl WindowSource for PanicsOn {
-        fn n_samples(&self) -> usize {
-            self.inner.n_samples()
-        }
-
-        fn load_rows(&self, ix: usize, field: Field, tokens: &[usize]) -> Tensor {
-            assert_ne!(ix, self.bad, "sample {ix} is unreadable");
-            self.inner.load_rows(ix, field, tokens)
-        }
-    }
-
-    /// The ranks that load the bad sample panic in step 1. Marked dead as
+    /// The ranks that use the bad sample panic in step 1. Marked dead as
     /// they unwind, they end their peers' waits at once: the panic reaches
     /// the caller in well under the 30-s comm deadline it would otherwise
     /// take.
     #[test]
     fn a_panicking_rank_does_not_stall_its_peers() {
-        let (reference, inner, weights) = tiny_run();
-        let source = PanicsOn { inner, bad: 2 };
+        let (reference, _, weights) = tiny_run();
+        let source = too_wide(2);
         let schedule = vec![vec![vec![0, 1]], vec![vec![2, 3]]];
         let cfg = SwipeConfig {
             comm: CommConfig { deadline: Duration::from_secs(30), ..CommConfig::default() },
@@ -746,28 +741,6 @@ mod tests {
         let elapsed = start.elapsed();
         assert!(outcome.is_err(), "the rank's panic reaches the caller");
         assert!(elapsed < Duration::from_secs(5), "took {elapsed:?}");
-    }
-
-    /// Serves `inner`'s samples, but sample `bad`'s residual rows one channel
-    /// too wide: the snapshot takes them, and the ranks that use them panic
-    /// on the shape.
-    struct TooWide {
-        inner: InMemorySource,
-        bad: usize,
-    }
-
-    impl WindowSource for TooWide {
-        fn n_samples(&self) -> usize {
-            self.inner.n_samples()
-        }
-
-        fn load_rows(&self, ix: usize, field: Field, tokens: &[usize]) -> Tensor {
-            if (ix, field) == (self.bad, Field::Residual) {
-                let width = self.inner.samples[ix].residual.shape()[1] + 1;
-                return Tensor::zeros(&[tokens.len(), width]);
-            }
-            self.inner.load_rows(ix, field, tokens)
-        }
     }
 
     /// What a call returned, bit for bit.
@@ -794,12 +767,11 @@ mod tests {
         }
     }
 
-    /// A panic does not poison the parked rank threads. After the source's
-    /// panic on the calling thread (`PanicsOn`, read into the snapshot) and
-    /// the ranks' panics on their parked threads (`TooWide`: marked dead as
-    /// they unwind, they end their peers' waits at once) reach the caller,
-    /// the next fault-free call returns what the call before them did, bit
-    /// for bit.
+    /// A panic does not poison the parked rank threads. After the ranks'
+    /// panics on their parked threads (`too_wide`: marked dead as they
+    /// unwind, they end their peers' waits at once) reach the caller, the
+    /// next fault-free call returns what the call before them did, bit for
+    /// bit.
     #[test]
     fn a_panicked_rank_does_not_poison_the_parked_ranks() {
         let (reference, source, weights) = tiny_run();
@@ -808,18 +780,15 @@ mod tests {
             comm: CommConfig { deadline: Duration::from_secs(30), ..CommConfig::default() },
             ..two_step_config()
         };
-        let call = |source: &(dyn WindowSource + Sync)| {
+        let call = |source: &InMemorySource| {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 DistributedTrainer::train(&reference, &cfg, source, &schedule, &weights)
             }))
         };
         let fault_free = |source| bits(&call(source).expect("no panic").expect("fault-free run"));
         let before = fault_free(&source);
-        let panics_on = PanicsOn { inner: tiny_run().1, bad: 2 };
-        assert!(call(&panics_on).is_err(), "the source's panic reaches the caller");
         let start = Instant::now();
-        let too_wide = TooWide { inner: tiny_run().1, bad: 2 };
-        assert!(call(&too_wide).is_err(), "the ranks' panic reaches the caller");
+        assert!(call(&too_wide(2)).is_err(), "the ranks' panic reaches the caller");
         let elapsed = start.elapsed();
         assert!(elapsed < Duration::from_secs(5), "took {elapsed:?}");
         assert_eq!(fault_free(&source), before);

@@ -71,6 +71,23 @@ pub fn close(a: f32, b: f32, tol: f32) -> bool {
     diff <= tol || diff <= tol * a.abs().max(b.abs())
 }
 
+/// The 64-bit FNV-1a offset basis: the state a digest starts from.
+pub const FNV_INIT: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// The 64-bit FNV-1a prime.
+pub const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// Fold one word into the FNV-1a state `h`, byte by byte in little-endian
+/// order: the workspace's one word hasher (the serve cache keys and
+/// `ObservationSet::digest`).
+#[inline]
+pub fn fnv_u64(h: &mut u64, v: u64) {
+    for b in v.to_le_bytes() {
+        *h ^= b as u64;
+        *h = h.wrapping_mul(FNV_PRIME);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
