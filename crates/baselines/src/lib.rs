@@ -1,7 +1,5 @@
 //! Baseline forecast systems for the AERIS evaluation (§VII-B).
 //!
-//! - `simple` (test-only until a figure runs them): persistence and
-//!   climatology (the WeatherBench floor),
 //! - [`deterministic`]: a GraphCast-class deterministic model — the same
 //!   Swin backbone trained with weighted MSE; exhibits the blurring and
 //!   zero-spread ensembles that motivate diffusion,
@@ -20,8 +18,6 @@
 pub mod deterministic;
 pub mod gencast;
 pub mod numerical;
-#[cfg(test)]
-mod simple;
 
 pub use deterministic::DeterministicForecaster;
 pub use gencast::GenCastAnalog;

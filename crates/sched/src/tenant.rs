@@ -139,8 +139,10 @@ impl QuotaTable {
             bucket.tokens -= cost;
             QuotaDecision::Admit
         } else {
-            let deficit = cost - bucket.tokens;
-            QuotaDecision::Deny { retry_after: Duration::from_secs_f64(deficit / policy.rate) }
+            // A rate so small that the wait overflows `Duration` saturates.
+            let wait = (cost - bucket.tokens) / policy.rate;
+            let retry_after = Duration::try_from_secs_f64(wait).unwrap_or(Duration::MAX);
+            QuotaDecision::Deny { retry_after }
         }
     }
 }
@@ -182,6 +184,15 @@ mod tests {
         }
         // One second later the refill covers it.
         assert!(q.admit_at(&t, 10.0, t0 + Duration::from_secs(1)).admitted());
+    }
+
+    #[test]
+    fn a_tiny_rate_saturates_retry_after() {
+        let q = limited(1e-300, 4.0);
+        let t: Arc<str> = Arc::from("a");
+        let t0 = Instant::now();
+        assert!(q.admit_at(&t, 4.0, t0).admitted());
+        assert_eq!(q.admit_at(&t, 4.0, t0), QuotaDecision::Deny { retry_after: Duration::MAX });
     }
 
     #[test]

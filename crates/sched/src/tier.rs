@@ -106,8 +106,11 @@ impl TierRouter {
         if slack <= self.cfg.slack_floor {
             return Tier::Fast;
         }
+        // In f64 seconds, so any `safety` compares without panicking: a
+        // negative or NaN one never routes fast, a huge one routes fast.
+        let safety = self.cfg.safety;
         match estimator.estimate(Tier::Quality, chain_units) {
-            Some(est) if slack < est.mul_f64(self.cfg.safety) => Tier::Fast,
+            Some(est) if slack.as_secs_f64() < est.as_secs_f64() * safety => Tier::Fast,
             _ => Tier::Quality,
         }
     }
@@ -160,5 +163,20 @@ mod tests {
         // 4-step chain ⇒ est 400 ms, safety 2 ⇒ threshold 800 ms.
         assert_eq!(r.route(None, Some(Duration::from_millis(500)), 4, true, &est), Tier::Fast);
         assert_eq!(r.route(None, Some(Duration::from_millis(900)), 4, true, &est), Tier::Quality);
+    }
+
+    #[test]
+    fn any_safety_factor_routes_without_panicking() {
+        let est = ServiceEstimator::new();
+        for _ in 0..8 {
+            est.observe(Tier::Quality, 0.1);
+        }
+        let slack = Some(Duration::from_millis(500));
+        for (safety, tier) in
+            [(-1.0, Tier::Quality), (f64::NAN, Tier::Quality), (1e300, Tier::Fast)]
+        {
+            let r = TierRouter::new(RouterConfig { slack_floor: Duration::ZERO, safety });
+            assert_eq!(r.route(None, slack, 4, true, &est), tier, "safety {safety}");
+        }
     }
 }

@@ -48,14 +48,16 @@
 //! - The tenant table: one map whose entry is the public [`TenantCounts`]
 //!   ledger plus the tenant's SLO tracker.
 //! - `resolve`, the one terminal transition (step 6), total over a private
-//!   `Outcome`: the only place a result is set, counted on every ledger,
-//!   judged against the objective and logged, and its slot released.
+//!   `Outcome`: the only place a result is set, counted once on its lane
+//!   and once on its tenant's ledger, judged against the objective, and its
+//!   slot released.
 //!
 //! This file keeps the types and the engine's lifecycle (launch, drain,
 //! shutdown, drop); `engine/admission.rs` holds `Intake`, validation and
 //! `admit`, `engine/worker.rs` the lane loop and `resolve`, and
 //! `engine/status.rs` the live snapshot and the final report, both read off
-//! `Lane::counts` and the tenant table.
+//! `Lane::counts` and the tenant table — the engine keeps no other outcome
+//! counter, so the report's totals are sums of those two ledgers.
 //!
 //! ## Determinism
 //!
@@ -80,7 +82,6 @@ use aeris_obs::{MetricSeries, SloTracker, Tracer};
 use aeris_sched::{
     DispatchQueue, QueueMetrics, QuotaTable, ServiceEstimator, TaskMeta, Tier, TierRouter,
 };
-use aeris_swipe::EventLog;
 use aeris_tensor::{Rng, Tensor};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
@@ -88,7 +89,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Actor id used for events recorded on the submitting client's thread
+/// Actor id of tracer spans opened on the submitting client's thread
 /// (workers use their pool index; fast-tier workers follow the quality
 /// workers' indices).
 pub const CLIENT_ACTOR: usize = usize::MAX;
@@ -97,38 +98,6 @@ pub const CLIENT_ACTOR: usize = usize::MAX;
 /// trajectories are different numbers from the sampler's, so the two tiers
 /// must never alias cache entries.
 const FAST_AUX: u64 = 0xFA57_7153_AE51_0001;
-
-/// One serving-related occurrence, recorded through the reusable
-/// [`EventLog`] shared with the SWiPe runtime.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ServeEvent {
-    /// A request passed validation and admission control.
-    Admitted { req: u64, members: usize, steps: usize },
-    /// A nowcast (assimilation) request passed validation and admission
-    /// control; `n_obs` is the number of present observations it carries.
-    AdmittedNowcast { req: u64, members: usize, n_obs: usize },
-    /// The router assigned an admitted request to a serving tier.
-    Routed { req: u64, tier: Tier },
-    /// Admission control refused a request (queue at capacity).
-    RejectedQueueFull { capacity: usize },
-    /// Admission control refused a request (tenant token bucket empty).
-    RejectedQuota { tenant: String },
-    /// A request arrived after shutdown began.
-    RejectedShutdown,
-    /// One batched model evaluation: `size` member-steps spanning
-    /// `requests` distinct requests, on `tier`.
-    BatchExecuted { size: usize, requests: usize, tier: Tier },
-    /// A member reused a cached rollout prefix of `steps` steps.
-    PrefixReused { req: u64, member: usize, steps: usize },
-    /// A request was shed for deadline reasons: its budget expired, or the
-    /// service-time estimator projected its remaining chain past the
-    /// deadline at dispatch.
-    DeadlineExceeded { req: u64 },
-    /// A request completed successfully.
-    Completed { req: u64, latency_ms: u64, cache_hits: usize, computed_steps: usize },
-    /// The engine drained and stopped after serving `completed` requests.
-    Drained { completed: u64 },
-}
 
 /// The engine's operational metric series (shared handles; cloning is cheap).
 /// The series are registered with the engine's [`Tracer`], so
@@ -429,7 +398,6 @@ struct EngineShared {
     default_tenant: Arc<str>,
     cfg: ServeConfig,
     cache: RolloutCache,
-    events: EventLog<ServeEvent>,
     metrics: ServeMetrics,
     tracer: Tracer,
     /// Batch-compatibility key of every task ([`TaskMeta::shape`]): admission
@@ -439,12 +407,6 @@ struct EngineShared {
     outstanding: Mutex<usize>,
     drained: Condvar,
     next_id: AtomicU64,
-    // Global outcome counters: what `ServeReport::verify_accounting`
-    // cross-checks the per-lane and per-tenant sums against.
-    completed: AtomicU64,
-    nowcasts: AtomicU64,
-    shed: AtomicU64,
-    quota_denied: AtomicU64,
     /// The one tenant table: ledger + objective tracker per tenant.
     tenants: Mutex<HashMap<Arc<str>, TenantEntry>>,
 }
@@ -467,7 +429,6 @@ impl EngineShared {
             quotas: cfg.quota.clone().map(QuotaTable::new),
             default_tenant: Arc::from("public"),
             cache: RolloutCache::new(cfg.cache_bytes),
-            events: EventLog::new(),
             metrics,
             tracer,
             shape_key: fnv_pair(model_cfg.tokens() as u64, model_cfg.channels as u64),
@@ -475,10 +436,6 @@ impl EngineShared {
             outstanding: Mutex::new(0),
             drained: Condvar::new(),
             next_id: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            nowcasts: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            quota_denied: AtomicU64::new(0),
             tenants: Mutex::new(HashMap::new()),
             forecaster,
             cfg,
@@ -617,11 +574,6 @@ impl ServeEngine {
         &self.shared.estimator
     }
 
-    /// The serving event log (shared handle).
-    pub fn events(&self) -> &EventLog<ServeEvent> {
-        &self.shared.events
-    }
-
     /// Stop admitting new requests (they fail with [`ServeError::Shutdown`]);
     /// already-admitted work keeps running.
     pub fn stop_accepting(&self) {
@@ -666,8 +618,6 @@ impl ServeEngine {
         for w in self.workers.drain(..) {
             w.join().expect("serve worker panicked");
         }
-        let completed = self.shared.completed.load(Ordering::Relaxed);
-        self.shared.events.record(CLIENT_ACTOR, ServeEvent::Drained { completed });
         self.shared.report()
     }
 }

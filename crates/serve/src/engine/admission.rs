@@ -3,8 +3,8 @@
 
 use super::worker::Outcome;
 use super::{
-    DoneState, EngineShared, MemberTask, NowcastSpec, RequestState, ServeEngine, ServeEvent,
-    Ticket, CLIENT_ACTOR, FAST_AUX,
+    DoneState, EngineShared, MemberTask, NowcastSpec, RequestState, ServeEngine, Ticket,
+    CLIENT_ACTOR, FAST_AUX,
 };
 use crate::api::{fnv_pair, ForecastRequest, Forcings, NowcastRequest, ServeError};
 use crate::cache::content_hash;
@@ -126,14 +126,13 @@ impl ServeEngine {
     /// The one way in, for both request kinds: shutdown gate, validation,
     /// tenant ledger, quota (`steps × n_members` member-steps), routing, the
     /// outstanding-slot bound (fail-fast, never queue unboundedly), then the
-    /// request state, its admission events and its members. A routing or
+    /// request state and its members. A routing or
     /// slot refusal after the quota check counts as a rejection on the
     /// tenant's ledger, so `submitted == admitted + quota_denied + rejected`
     /// always balances.
     fn admit(&self, intake: Intake) -> Result<Ticket, ServeError> {
         let shared = &self.shared;
         if !shared.accepting.load(Ordering::Acquire) {
-            shared.events.record(CLIENT_ACTOR, ServeEvent::RejectedShutdown);
             return Err(ServeError::Shutdown);
         }
         self.validate(&intake)?;
@@ -148,7 +147,6 @@ impl ServeEngine {
             let capacity = shared.cfg.queue_capacity;
             let mut outstanding = shared.outstanding.lock();
             if *outstanding >= capacity {
-                shared.events.record(CLIENT_ACTOR, ServeEvent::RejectedQueueFull { capacity });
                 shared.bump_tenant(&tenant, |t| t.rejected += 1);
                 return Err(ServeError::QueueFull { capacity });
             }
@@ -160,29 +158,18 @@ impl ServeEngine {
         shared.bump_tenant(&tenant, |t| t.admitted += 1);
         let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
         let _adm = adm.step(id);
-        let req = Arc::new(RequestState::new(id, intake, tier, tenant));
-        let members = req.n_members;
-        let admitted = match &req.nowcast {
-            None => ServeEvent::Admitted { req: id, members, steps: req.steps },
-            Some(n) => ServeEvent::AdmittedNowcast { req: id, members, n_obs: n.obs.n_present() },
-        };
-        shared.events.record(CLIENT_ACTOR, admitted);
-        shared.events.record(CLIENT_ACTOR, ServeEvent::Routed { req: id, tier });
-        self.enqueue_members(req)
+        self.enqueue_members(Arc::new(RequestState::new(id, intake, tier, tenant)))
     }
 
-    /// Token-bucket admission for `cost` member-steps; a deny is recorded
-    /// and surfaced as [`ServeError::QuotaExceeded`].
+    /// Token-bucket admission for `cost` member-steps; a deny is counted on
+    /// the tenant's ledger and surfaced as [`ServeError::QuotaExceeded`].
     fn check_quota(&self, tenant: &Arc<str>, cost: f64) -> Result<(), ServeError> {
         let shared = &self.shared;
         if shared.quotas.as_ref().is_none_or(|q| q.admit(tenant, cost).admitted()) {
             return Ok(());
         }
-        shared.quota_denied.fetch_add(1, Ordering::Relaxed);
         shared.bump_tenant(tenant, |t| t.quota_denied += 1);
-        let tenant = tenant.to_string();
-        shared.events.record(CLIENT_ACTOR, ServeEvent::RejectedQuota { tenant: tenant.clone() });
-        Err(ServeError::QuotaExceeded { tenant })
+        Err(ServeError::QuotaExceeded { tenant: tenant.to_string() })
     }
 
     /// Route a request onto a tier; an explicit fast request on a
@@ -212,7 +199,7 @@ impl ServeEngine {
         for m in 0..req.n_members {
             let task = shared.resume_member(&req, m);
             if task.next_step == req.steps {
-                shared.finish_member(task, CLIENT_ACTOR);
+                shared.finish_member(task);
             } else {
                 tasks.push(task);
             }
@@ -226,7 +213,7 @@ impl ServeEngine {
             now >= dl || dl - now < shared.cfg.max_wait
         };
         if !tasks.is_empty() && req.deadline.is_some_and(unmeetable) {
-            shared.resolve(&req, Outcome::Shed, CLIENT_ACTOR);
+            shared.resolve(&req, Outcome::Shed);
             return Err(ServeError::DeadlineExceeded { req: req.id });
         }
         let tasks: Vec<_> = tasks.into_iter().map(|t| shared.with_meta(t)).collect();
@@ -355,12 +342,6 @@ impl EngineShared {
         self.tracer.incr("serve_cache_hits", task.cache_hits as u64);
         if task.next_step < req.steps {
             self.tracer.incr("serve_cache_misses", 1);
-        }
-        if task.cache_hits > 0 {
-            self.events.record(
-                CLIENT_ACTOR,
-                ServeEvent::PrefixReused { req: req.id, member: m, steps: task.cache_hits },
-            );
         }
         task
     }

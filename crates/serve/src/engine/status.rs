@@ -2,11 +2,10 @@
 //! assembled from `Lane::counts` and one walk of the tenant table.
 
 use super::{EngineShared, Lane, ServeEngine};
-use crate::report::{ServeReport, ServeSloReport, TenantCounts};
+use crate::report::{ServeReport, ServeSloReport, TenantCounts, TierCounts};
 use aeris_obs::{CacheStatus, SloState, SloTracker, StatusReport, TenantStatus, TierStatus};
 use aeris_sched::{ServiceEstimator, Tier};
 use std::collections::HashMap;
-use std::sync::atomic::Ordering;
 
 impl EngineShared {
     /// Every tenant's ledger and live SLO state, sorted by name: the one
@@ -23,7 +22,9 @@ impl EngineShared {
         rows
     }
 
-    /// The final ops report of a drained engine.
+    /// The final ops report of a drained engine. Its four totals are sums
+    /// of the two ledgers: outcomes of the lanes, quota denials (which never
+    /// reach a lane) of the tenants.
     pub(super) fn report(&self) -> ServeReport {
         let rows = self.tenant_rows();
         let slo = self.cfg.slo.as_ref().map(|_| ServeSloReport {
@@ -31,14 +32,15 @@ impl EngineShared {
                 .map(|t| self.lane(t).slo.as_ref().map_or_else(SloState::empty, SloTracker::state)),
             tenants: rows.iter().filter_map(|(n, _, s)| s.map(|s| (n.clone(), s))).collect(),
         });
+        let tiers = Tier::ALL.map(|t| self.lane(t).counts());
+        let sum = |f: fn(&TierCounts) -> u64| tiers.iter().map(f).sum();
         ServeReport {
-            completed: self.completed.load(Ordering::Relaxed),
-            nowcasts: self.nowcasts.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            quota_denied: self.quota_denied.load(Ordering::Relaxed),
-            tiers: Tier::ALL.map(|t| self.lane(t).counts()),
+            completed: sum(|t| t.completed),
+            nowcasts: sum(|t| t.nowcasts),
+            shed: sum(|t| t.shed),
+            quota_denied: rows.iter().map(|(_, c, _)| c.quota_denied).sum(),
+            tiers,
             tenants: rows.into_iter().map(|(name, counts, _)| (name, counts)).collect(),
-            events: self.events.snapshot(),
             metrics: self.metrics.clone(),
             cache: self.cache.stats(),
             slo,

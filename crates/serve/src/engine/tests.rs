@@ -76,7 +76,6 @@ fn identical_requests_reuse_the_cache_bitwise() {
     for (m, member) in first.forecast.members.iter().enumerate() {
         assert_eq!(&longer.forecast.members[m][..4], &member[..], "prefix diverged");
     }
-    assert!(engine.events().any(|e| matches!(e, ServeEvent::PrefixReused { .. })));
     let stats = engine.status().cache.expect("cache always reported");
     assert!(stats.hits >= 8, "cache hits {stats:?}");
 }
@@ -184,10 +183,6 @@ fn tight_slack_routes_fast_loose_routes_quality() {
     let report = engine.shutdown();
     assert_eq!(report.tier(Tier::Fast).completed, 1);
     assert_eq!(report.tier(Tier::Quality).completed, 1);
-    assert!(report.events.iter().any(|r| matches!(
-        r.event,
-        ServeEvent::Routed { tier: Tier::Fast, .. }
-    )));
 }
 
 #[test]
@@ -237,10 +232,6 @@ fn quotas_deny_over_budget_tenants_with_typed_errors() {
     assert_eq!(report.tenant("acme").quota_denied, 1);
     assert_eq!(report.tenant("acme").completed, 1);
     assert_eq!(report.tenant("vip").completed, 1);
-    assert!(report
-        .events
-        .iter()
-        .any(|r| matches!(&r.event, ServeEvent::RejectedQuota { tenant } if tenant == "acme")));
 }
 
 #[test]
@@ -251,7 +242,7 @@ fn zero_capacity_rejects_with_queue_full() {
     );
     let err = engine.submit(request(1, 1, 1)).err().expect("must reject");
     assert_eq!(err, ServeError::QueueFull { capacity: 0 });
-    assert!(engine.events().any(|e| matches!(e, ServeEvent::RejectedQueueFull { .. })));
+    assert_eq!(engine.shutdown().tenant("public").rejected, 1);
 }
 
 #[test]
@@ -295,7 +286,6 @@ fn zero_deadline_requests_are_shed_at_admission() {
     req.deadline = Some(Duration::ZERO);
     let err = engine.submit(req).err().expect("must shed at admission");
     assert!(matches!(err, ServeError::DeadlineExceeded { .. }), "{err:?}");
-    assert!(engine.events().any(|e| matches!(e, ServeEvent::DeadlineExceeded { .. })));
     // The engine still drains cleanly afterwards.
     let report = engine.shutdown();
     assert_eq!(report.completed, 0);
@@ -358,7 +348,6 @@ fn served_nowcast_matches_direct_guided_call_bitwise() {
         );
         assert_eq!(member[0], direct, "served nowcast member {m} ≠ direct guided call");
     }
-    assert!(engine.events().any(|e| matches!(e, ServeEvent::AdmittedNowcast { .. })));
     let report = engine.shutdown();
     assert_eq!(report.nowcasts, 1);
     assert_eq!(report.metrics.nowcast_latency_ms.count(), 1);
@@ -495,7 +484,6 @@ fn shutdown_drains_and_reports() {
     assert_eq!(report.completed, 3);
     assert_eq!(report.tier(Tier::Quality).completed, 3);
     assert_eq!(report.tenant("public").completed, 3);
-    assert!(report.events.iter().any(|r| matches!(r.event, ServeEvent::Drained { completed: 3 })));
     assert_eq!(report.metrics.latency_ms.count(), 3);
     assert!(report.metrics.batch_size.count() > 0);
     report.verify_accounting().expect("conservation");

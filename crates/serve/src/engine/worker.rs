@@ -1,7 +1,7 @@
 //! What runs after admission: the one terminal transition (`resolve`) and
 //! the lane's worker loop — cull, step, retire.
 
-use super::{EngineShared, Lane, MemberTask, RequestState, ServeEvent, TierModel};
+use super::{EngineShared, Lane, MemberTask, RequestState, TierModel};
 use crate::api::ServeError;
 use aeris_assim::{nowcast_step, nowcast_step_fast};
 use aeris_core::step_batch;
@@ -26,11 +26,11 @@ pub(super) enum Outcome {
 impl EngineShared {
     /// The one terminal transition (first call per request wins): set the
     /// ticket's result, stamp the latency, wake the client, count the
-    /// outcome on the global, lane and tenant ledgers, record the latency
-    /// series, feed the lane's and the tenant's SLO trackers, log the
-    /// event, and release the request's outstanding slot.
-    pub(super) fn resolve(&self, req: &RequestState, outcome: Outcome, actor: usize) {
-        let (latency, cache_hits) = {
+    /// outcome once on the lane and once on the tenant ledger, record the
+    /// latency series, feed the lane's and the tenant's SLO trackers, and
+    /// release the request's outstanding slot.
+    pub(super) fn resolve(&self, req: &RequestState, outcome: Outcome) {
+        let latency = {
             let mut done = req.done.lock();
             if done.result.is_some() {
                 return;
@@ -41,31 +41,23 @@ impl EngineShared {
                 Outcome::Shed => Err(ServeError::DeadlineExceeded { req: req.id }),
             });
             req.done_cv.notify_all();
-            (done.latency, done.cache_hits)
+            done.latency
         };
         let latency_ms = latency.as_secs_f64() * 1e3;
         let lane = self.lane(req.tier);
-        let (global, in_lane, event) = match outcome {
+        let in_lane = match outcome {
             Outcome::Completed => {
                 let series = if req.nowcast.is_some() {
-                    self.nowcasts.fetch_add(1, Ordering::Relaxed);
                     lane.nowcasts.fetch_add(1, Ordering::Relaxed);
                     &lane.nowcast_latency_ms
                 } else {
                     &lane.latency_ms
                 };
                 series.record(latency_ms);
-                let event = ServeEvent::Completed {
-                    req: req.id,
-                    latency_ms: latency.as_millis() as u64,
-                    cache_hits,
-                    computed_steps: req.steps * req.n_members - cache_hits,
-                };
-                (&self.completed, &lane.completed, event)
+                &lane.completed
             }
-            Outcome::Shed => (&self.shed, &lane.shed, ServeEvent::DeadlineExceeded { req: req.id }),
+            Outcome::Shed => &lane.shed,
         };
-        global.fetch_add(1, Ordering::Relaxed);
         in_lane.fetch_add(1, Ordering::Relaxed);
         let judge = |slo: &SloTracker| match outcome {
             Outcome::Completed => slo.observe_latency(latency_ms),
@@ -85,12 +77,11 @@ impl EngineShared {
                 judge(entry.slo.get_or_insert_with(|| SloTracker::new(cfg.clone())));
             }
         }
-        self.events.record(actor, event);
         self.release_outstanding();
     }
 
     /// Deliver a finished member; the last one completes the request.
-    pub(super) fn finish_member(&self, task: MemberTask, actor: usize) {
+    pub(super) fn finish_member(&self, task: MemberTask) {
         let req = task.req;
         let last = {
             let mut done = req.done.lock();
@@ -103,7 +94,7 @@ impl EngineShared {
             done.remaining == 0
         };
         if last {
-            self.resolve(&req, Outcome::Completed, actor);
+            self.resolve(&req, Outcome::Completed);
         }
     }
 }
@@ -156,12 +147,12 @@ impl Lane {
             let Some(batch) = next else { break };
             let depth: usize = shared.lanes.iter().map(|l| l.queue.depth()).sum();
             shared.metrics.queue_depth.record(depth as f64);
-            let mut live = self.cull(shared, batch, actor);
+            let mut live = self.cull(shared, batch);
             if live.is_empty() {
                 continue;
             }
             let outs = self.step(shared, model, &mut live, actor);
-            self.retire(shared, live, outs, actor);
+            self.retire(shared, live, outs);
         }
     }
 
@@ -170,7 +161,7 @@ impl Lane {
     /// *doomed* requests whose remaining chain is projected past the
     /// deadline: better to fail them now than to burn model evaluations on
     /// work that cannot arrive in time.
-    fn cull(&self, shared: &EngineShared, batch: Vec<MemberTask>, actor: usize) -> Vec<MemberTask> {
+    fn cull(&self, shared: &EngineShared, batch: Vec<MemberTask>) -> Vec<MemberTask> {
         let now = Instant::now();
         let per_unit = shared.estimator.per_unit(self.tier);
         // Error-budget-aware shedding: the hotter the tier's burn rate, the
@@ -197,7 +188,7 @@ impl Lane {
                     })
             });
             if doomed {
-                shared.resolve(&task.req, Outcome::Shed, actor);
+                shared.resolve(&task.req, Outcome::Shed);
             } else {
                 live.push(task);
             }
@@ -216,11 +207,6 @@ impl Lane {
         actor: usize,
     ) -> Vec<Tensor> {
         shared.metrics.batch_size.record(live.len() as f64);
-        let mut req_ids: Vec<u64> = live.iter().map(|t| t.req.id).collect();
-        req_ids.sort_unstable();
-        req_ids.dedup();
-        let (size, requests) = (live.len(), req_ids.len());
-        shared.events.record(actor, ServeEvent::BatchExecuted { size, requests, tier: self.tier });
         let tokens = shared.forecaster.model.cfg.tokens();
         let forcings: Vec<Tensor> =
             live.iter().map(|t| t.req.forcings.at(tokens, t.next_step)).collect();
@@ -240,7 +226,7 @@ impl Lane {
 
     /// Phase 3 — retire: cache each new state with its RNG snapshot, then
     /// finish the member or requeue it for its next step.
-    fn retire(&self, shared: &EngineShared, live: Vec<MemberTask>, out: Vec<Tensor>, actor: usize) {
+    fn retire(&self, shared: &EngineShared, live: Vec<MemberTask>, out: Vec<Tensor>) {
         for (mut task, next) in live.into_iter().zip(out) {
             let next = Arc::new(next);
             task.next_step += 1;
@@ -252,7 +238,7 @@ impl Lane {
             task.states.push(Arc::clone(&next));
             task.x = next;
             if task.next_step == task.req.steps {
-                shared.finish_member(task, actor);
+                shared.finish_member(task);
             } else {
                 let (task, meta) = shared.with_meta(task);
                 self.queue.push(task, meta);

@@ -16,7 +16,8 @@
 //!   longer meet their deadline instead of burning model evaluations.
 //! - **Tenants.** Optional per-tenant token-bucket quotas gate admission;
 //!   tenant weights bias the fair queue; the final report breaks counters
-//!   out per tenant and per tier.
+//!   out per tenant and per tier. Each outcome is counted once, on its
+//!   tier's and its tenant's ledger; the report's totals are their sums.
 //! - **Workers and caching.** Each tier's workers share the tier's one
 //!   immutable model, and all of them share one content-addressed LRU
 //!   rollout cache (fast- and quality-tier entries live in disjoint
@@ -78,5 +79,5 @@ pub use api::{
     ForecastRequest, ForecastResponse, Forcings, NowcastRequest, ServeConfig, ServeError,
 };
 pub use cache::{content_hash, CacheEntry, CacheKey, CacheStats, RolloutCache};
-pub use engine::{ServeEngine, ServeEvent, ServeMetrics, Ticket};
+pub use engine::{ServeEngine, ServeMetrics, Ticket};
 pub use report::{ServeReport, ServeSloReport, TenantCounts, TierCounts};

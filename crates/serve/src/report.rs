@@ -2,10 +2,9 @@
 //! states, and the request-conservation check.
 
 use crate::cache::CacheStats;
-use crate::engine::{ServeEvent, ServeMetrics};
+use crate::engine::ServeMetrics;
 use aeris_obs::SloState;
 use aeris_sched::Tier;
-use aeris_swipe::EventRecord;
 
 /// Per-tier slice of the final report.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -63,22 +62,21 @@ impl ServeSloReport {
 
 /// Post-shutdown report: everything the engine observed while serving.
 pub struct ServeReport {
-    /// Requests served to completion.
+    /// Requests served to completion (summed over [`ServeReport::tiers`]).
     pub completed: u64,
-    /// Of those, nowcast (assimilation) requests.
+    /// Of those, nowcast (assimilation) requests (summed over the tiers).
     pub nowcasts: u64,
     /// Requests shed for deadline reasons — at admission (budget already
     /// unmeetable), at dispatch (expired or projected past the deadline
-    /// while queued), in total.
+    /// while queued), in total (summed over the tiers).
     pub shed: u64,
-    /// Requests refused by per-tenant token buckets.
+    /// Requests refused by per-tenant token buckets (summed over
+    /// [`ServeReport::tenants`]).
     pub quota_denied: u64,
     /// Per-tier counters, indexed by [`Tier::index`].
     pub tiers: [TierCounts; 2],
     /// Per-tenant counters, sorted by tenant name.
     pub tenants: Vec<(String, TenantCounts)>,
-    /// The full serving event log.
-    pub events: Vec<EventRecord<ServeEvent>>,
     /// Latency / batch-size / queue-depth series.
     pub metrics: ServeMetrics,
     /// Final rollout-cache accounting.

@@ -284,7 +284,7 @@ impl World {
                 sent,
                 config,
                 plan,
-                events: EventLog::new(),
+                events: EventLog::default(),
                 tracer,
                 dead: (0..n).map(|_| AtomicBool::new(false)).collect(),
                 ops: (0..n).map(|_| AtomicU64::new(0)).collect(),

@@ -1,11 +1,5 @@
-//! Structured event logging shared by the distributed runtimes.
-//!
-//! Originally this module held the fault log of the SWiPe trainer; the
-//! machinery (an append-only, thread-shared log of typed records, each tagged
-//! with the actor that observed it) is equally what an inference server needs
-//! for its ops surface, so the log, [`EventLog<E>`], is generic over the
-//! event type: SWiPe instantiates it at the default `E = FaultEvent`;
-//! `aeris-serve` instantiates it with its own event enum.
+//! The fault log of the SWiPe trainer: an append-only, thread-shared log
+//! of [`FaultEvent`]s, each tagged with the rank that observed it.
 //!
 //! Every injected fault, recovery action, and reconfiguration decision of the
 //! trainer is recorded here so that tests (and operators) can assert not just
@@ -61,51 +55,32 @@ pub enum FaultEvent {
     RunResumed { attempt: usize, from_step: usize },
 }
 
-/// An event plus the actor (rank thread, serving worker, …) that
-/// observed/performed it.
+/// An event plus the rank thread that observed/performed it.
 #[derive(Clone, Debug, PartialEq)]
-pub struct EventRecord<E = FaultEvent> {
+pub struct EventRecord {
     pub rank: usize,
-    pub event: E,
+    pub event: FaultEvent,
 }
 
-/// Append-only, thread-shared event log, generic over the event type.
-pub struct EventLog<E = FaultEvent> {
-    entries: Arc<Mutex<Vec<EventRecord<E>>>>,
+/// Append-only, thread-shared fault log; clones share one log.
+#[derive(Clone, Default)]
+pub struct EventLog {
+    entries: Arc<Mutex<Vec<EventRecord>>>,
 }
 
-// Derived `Clone`/`Default` would demand `E: Clone`/`E: Default`; the log
-// itself only clones the `Arc` handle and starts empty, so implement both by
-// hand without bounds.
-impl<E> Clone for EventLog<E> {
-    fn clone(&self) -> Self {
-        EventLog { entries: Arc::clone(&self.entries) }
-    }
-}
-
-impl<E> Default for EventLog<E> {
-    fn default() -> Self {
-        EventLog { entries: Arc::new(Mutex::new(Vec::new())) }
-    }
-}
-
-impl<E> EventLog<E> {
-    pub fn new() -> Self {
-        EventLog::default()
-    }
-
-    /// Record an event observed by actor `rank`.
-    pub fn record(&self, rank: usize, event: E) {
+impl EventLog {
+    /// Record an event observed by `rank`.
+    pub fn record(&self, rank: usize, event: FaultEvent) {
         self.entries.lock().push(EventRecord { rank, event });
     }
 
     /// Number of recorded events matching a predicate.
-    pub fn count_matching(&self, pred: impl Fn(&E) -> bool) -> usize {
+    pub fn count_matching(&self, pred: impl Fn(&FaultEvent) -> bool) -> usize {
         self.entries.lock().iter().filter(|r| pred(&r.event)).count()
     }
 
     /// Whether any recorded event matches a predicate.
-    pub fn any(&self, pred: impl Fn(&E) -> bool) -> bool {
+    pub fn any(&self, pred: impl Fn(&FaultEvent) -> bool) -> bool {
         self.count_matching(pred) > 0
     }
 
@@ -118,11 +93,9 @@ impl<E> EventLog<E> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-}
 
-impl<E: Clone> EventLog<E> {
-    /// Copy out the log (ordering is by record time across all actors).
-    pub fn snapshot(&self) -> Vec<EventRecord<E>> {
+    /// Copy out the log (ordering is by record time across all ranks).
+    pub fn snapshot(&self) -> Vec<EventRecord> {
         self.entries.lock().clone()
     }
 }
@@ -133,7 +106,7 @@ mod tests {
 
     #[test]
     fn log_is_shared_across_clones_and_threads() {
-        let log = EventLog::new();
+        let log = EventLog::default();
         let log2 = log.clone();
         std::thread::scope(|s| {
             s.spawn(move || {
@@ -149,18 +122,5 @@ mod tests {
             log.count_matching(|e| matches!(e, FaultEvent::GroupRescaled { live_dp: 1, .. })),
             1
         );
-    }
-
-    #[test]
-    fn log_is_generic_over_event_type() {
-        #[derive(Clone, Debug, PartialEq)]
-        enum Custom {
-            Tick(u32),
-        }
-        let log: EventLog<Custom> = EventLog::new();
-        log.record(3, Custom::Tick(7));
-        assert_eq!(log.len(), 1);
-        assert!(log.any(|e| matches!(e, Custom::Tick(7))));
-        assert_eq!(log.snapshot()[0].rank, 3);
     }
 }

@@ -176,7 +176,10 @@ fn main() {
     let engine = Arc::try_unwrap(engine).unwrap_or_else(|_| panic!("clients done"));
     let report = engine.shutdown();
     println!("\nops report:");
-    println!("  requests completed   {}", report.completed);
+    println!(
+        "  outcomes             {} completed ({} nowcasts), {} shed, {} quota-denied",
+        report.completed, report.nowcasts, report.shed, report.quota_denied
+    );
     println!(
         "  latency p50 / p99    {:.1} / {:.1} ms",
         report.metrics.latency_ms.percentile(50.0).unwrap_or(f64::NAN),
@@ -194,5 +197,4 @@ fn main() {
         report.cache.entries,
         report.cache.bytes / 1024
     );
-    println!("  events logged        {}", report.events.len());
 }
