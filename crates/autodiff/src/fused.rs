@@ -50,7 +50,7 @@ impl Tape {
         // Every vector is cut to `[..dim]` once so the row loops index without
         // bounds checks and vectorize.
         let (g, s1, b) = (&gv.data()[..dim], &scale1.data()[..dim], &bv.data()[..dim]);
-        let mut value = Tensor::zeros(xv.shape());
+        let mut value = Tensor::for_overwrite(xv.shape());
         let mut inv_rms = Vec::with_capacity(rows);
         for (xr, out) in xv.data().chunks_exact(dim).zip(value.data_mut().chunks_exact_mut(dim)) {
             let ms = sweeps::sum_sq(xr) / dim as f32;
@@ -67,7 +67,7 @@ impl Tape {
             Some(Box::new(move |d, nodes| {
                 let xv = nodes[px].value();
                 let (g, s1) = (&nodes[pg].value().data()[..dim], &scale1.data()[..dim]);
-                let mut dx = Tensor::zeros(xv.shape());
+                let mut dx = Tensor::for_overwrite(xv.shape());
                 let [mut dg, mut dscale, mut dshift] = [(); 3].map(|_| vec![0.0f32; dim]);
                 let dvecs = [&mut dg[..], &mut dscale[..], &mut dshift[..]];
                 sweeps::modulated_rmsnorm_backward(dx.data_mut(), dvecs, xv.data(), d.data(), g, s1, &inv_rms);
@@ -88,7 +88,7 @@ impl Tape {
         let (rows, two_f) = (gv.shape()[0], gv.shape()[1]);
         assert!(two_f > 0 && two_f % 2 == 0, "swiglu input must be [rows, 2·ffn]");
         let f = two_f / 2;
-        let mut value = Tensor::zeros(&[rows, f]);
+        let mut value = Tensor::for_overwrite(&[rows, f]);
         for (gur, out) in gv.data().chunks_exact(two_f).zip(value.data_mut().chunks_exact_mut(f)) {
             let (gate, up) = gur.split_at(f);
             sweeps::silu_gate(out, gate, up);
@@ -98,7 +98,7 @@ impl Tape {
             value,
             vec![pgu],
             Some(Box::new(move |d, nodes| {
-                let mut dgu = Tensor::zeros(&[rows, two_f]);
+                let mut dgu = Tensor::for_overwrite(&[rows, two_f]);
                 sweeps::swiglu_backward(dgu.data_mut(), nodes[pgu].value().data(), d.data(), f);
                 vec![dgu]
             })),
@@ -115,7 +115,7 @@ impl Tape {
         let dim = xv.shape()[1];
         assert_eq!(gv.shape(), &[dim], "gated_residual gate shape");
         let g = &gv.data()[..dim];
-        let mut value = Tensor::zeros(xv.shape());
+        let mut value = Tensor::for_overwrite(xv.shape());
         let rows = xv.data().chunks_exact(dim).zip(hv.data().chunks_exact(dim));
         for ((xr, hr), out) in rows.zip(value.data_mut().chunks_exact_mut(dim)) {
             for j in 0..dim {
@@ -128,7 +128,7 @@ impl Tape {
             vec![x.0, ph, pgate],
             Some(Box::new(move |d, nodes| {
                 let hv = nodes[ph].value();
-                let mut dh = Tensor::zeros(hv.shape());
+                let mut dh = Tensor::for_overwrite(hv.shape());
                 let mut dgate = vec![0.0f32; dim];
                 let gate = &nodes[pgate].value().data()[..dim];
                 sweeps::gated_residual_backward(dh.data_mut(), &mut dgate, d.data(), hv.data(), gate);

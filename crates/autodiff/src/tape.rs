@@ -1,6 +1,7 @@
 //! The differentiation tape.
 
 use aeris_tensor::{matmul, matmul_nt, matmul_tn, recycle, sweeps, Tensor};
+use std::sync::Arc;
 
 /// Handle to a node on a [`Tape`]. Cheap to copy; only valid for the tape that
 /// created it.
@@ -21,8 +22,15 @@ impl Var {
 /// place instead of cloning it.
 pub(crate) type BackFn = Box<dyn Fn(Tensor, &[Node]) -> Vec<Tensor>>;
 
+/// A node's value: computed by an op and owned by the tape, or shared with
+/// its owner (a parameter store's tensor, bound by [`Tape::shared_leaf`]).
+enum Value {
+    Owned(Tensor),
+    Shared(Arc<Tensor>),
+}
+
 pub(crate) struct Node {
-    value: Tensor,
+    value: Value,
     parents: Vec<usize>,
     backward: Option<BackFn>,
     requires_grad: bool,
@@ -31,7 +39,10 @@ pub(crate) struct Node {
 impl Node {
     #[inline]
     pub(crate) fn value(&self) -> &Tensor {
-        &self.value
+        match &self.value {
+            Value::Owned(t) => t,
+            Value::Shared(t) => t,
+        }
     }
 }
 
@@ -59,8 +70,11 @@ impl Grads {
 /// A single-threaded reverse-mode AD tape.
 ///
 /// Build the forward computation with the op methods, then call
-/// [`Tape::backward`] on a scalar node. The tape owns all intermediate values;
-/// drop it to release activation memory.
+/// [`Tape::backward`] on a scalar node. The tape owns every value its ops
+/// compute, and drops them with itself to release activation memory; a leaf
+/// bound with [`Tape::shared_leaf`] shares its value with the parameter store
+/// instead of copying it, so a weight enters the graph by reference and its
+/// gradient is keyed by its leaf.
 ///
 /// A [`Tape::direct`] tape runs the same ops without recording: each node
 /// keeps its value but not its backward closure or parents, so whatever an
@@ -104,14 +118,19 @@ impl Tape {
         self.nodes.is_empty()
     }
 
-    /// Total activation memory held by the tape, in f32 elements.
+    /// Total activation memory held by the tape, in f32 elements, shared
+    /// leaves included.
     pub fn activation_elems(&self) -> usize {
-        self.nodes.iter().map(|n| n.value.len()).sum()
+        self.nodes.iter().map(|n| n.value().len()).sum()
     }
 
     /// Record a node. A direct tape keeps only the value: the backward
     /// closure, and what it captured, drop here.
     pub(crate) fn push(&mut self, value: Tensor, parents: Vec<usize>, backward: Option<BackFn>, rg: bool) -> Var {
+        self.push_value(Value::Owned(value), parents, backward, rg)
+    }
+
+    fn push_value(&mut self, value: Value, parents: Vec<usize>, backward: Option<BackFn>, rg: bool) -> Var {
         let node = if self.recording {
             Node { value, parents, backward, requires_grad: rg }
         } else {
@@ -124,10 +143,14 @@ impl Tape {
     /// End a finished stretch of a direct forward: drop every node recorded
     /// at or after position `since` except `keep`, which moves to `since`
     /// (when it was recorded there or later), and return `keep`'s var. The
-    /// bytes freed raise the calling thread's buffer-recycling bound to the
-    /// largest single release ([`recycle::hold_up_to`]), so the next stretch
-    /// allocates the same lengths from the thread's free list instead of
-    /// from malloc. Vars at or after `since` other than the returned one are
+    /// bytes of the stretch's values, shared leaves included, raise the
+    /// calling thread's buffer-recycling bound to the largest single release
+    /// ([`recycle::hold_up_to`]), so the next stretch allocates the same
+    /// lengths from the thread's free list instead of from malloc. A shared
+    /// leaf frees nothing, but the list must also hold what the stretch's
+    /// ops freed as they ran (attention's projection, its fused weight):
+    /// counting owned bytes only sent the SwiGLU buffers back to malloc at
+    /// every block. Vars at or after `since` other than the returned one are
     /// dangling afterwards.
     ///
     /// On a recording tape this does nothing and returns `keep`: the backward
@@ -139,13 +162,13 @@ impl Tape {
         let kept = (keep.0 >= since).then(|| self.nodes.swap_remove(keep.0).value);
         let freed: usize = self.nodes[since..]
             .iter()
-            .map(|n| std::mem::size_of_val(n.value.data()))
+            .map(|n| std::mem::size_of_val(n.value().data()))
             .filter(|&bytes| bytes >= recycle::MIN_BYTES)
             .sum();
         recycle::hold_up_to(freed);
         self.nodes.truncate(since);
         match kept {
-            Some(value) => self.push(value, Vec::new(), None, false),
+            Some(value) => self.push_value(value, Vec::new(), None, false),
             None => keep,
         }
     }
@@ -155,6 +178,12 @@ impl Tape {
         self.push(value, vec![], None, true)
     }
 
+    /// A differentiable leaf sharing `value` with its owner: no copy is made,
+    /// and the owner's tensor cannot change while the tape holds it.
+    pub fn shared_leaf(&mut self, value: Arc<Tensor>) -> Var {
+        self.push_value(Value::Shared(value), vec![], None, true)
+    }
+
     /// A non-differentiable constant; gradients are not accumulated for it.
     pub fn constant(&mut self, value: Tensor) -> Var {
         self.push(value, vec![], None, false)
@@ -162,7 +191,7 @@ impl Tape {
 
     /// The current value of a node.
     pub fn value(&self, v: Var) -> &Tensor {
-        &self.nodes[v.0].value
+        self.nodes[v.0].value()
     }
 
     // ---- elementwise ----
@@ -224,7 +253,7 @@ impl Tape {
     /// SiLU activation `x · σ(x)`, σ being [`sweeps::sigmoid`].
     pub fn silu(&mut self, a: Var) -> Var {
         let x = self.value(a);
-        let mut value = Tensor::zeros(x.shape());
+        let mut value = Tensor::for_overwrite(x.shape());
         sweeps::sigmoid(value.data_mut(), x.data());
         for (y, &x) in value.data_mut().iter_mut().zip(x.data()) {
             *y *= x;
@@ -235,7 +264,7 @@ impl Tape {
             vec![pa],
             Some(Box::new(move |d, nodes| {
                 let x = nodes[pa].value();
-                let mut dx = Tensor::zeros(x.shape());
+                let mut dx = Tensor::for_overwrite(x.shape());
                 sweeps::sigmoid(dx.data_mut(), x.data());
                 for ((o, &x), &g) in dx.data_mut().iter_mut().zip(x.data()).zip(d.data()) {
                     let s = *o;
@@ -292,7 +321,7 @@ impl Tape {
             vec![a.0],
             Some(Box::new(move |d, _| {
                 let (rows, cols) = (y.shape()[0], y.shape()[1]);
-                let mut dx = Tensor::zeros(y.shape());
+                let mut dx = Tensor::for_overwrite(y.shape());
                 for r in 0..rows {
                     let yr = y.row(r);
                     let dr = &d.data()[r * cols..(r + 1) * cols];
@@ -316,7 +345,7 @@ impl Tape {
         assert_eq!(xv.ndim(), 2);
         assert_eq!(gv.shape(), &[xv.shape()[1]]);
         let (rows, dim) = (xv.shape()[0], xv.shape()[1]);
-        let mut value = Tensor::zeros(xv.shape());
+        let mut value = Tensor::for_overwrite(xv.shape());
         let mut inv_rms = Vec::with_capacity(rows);
         for r in 0..rows {
             let xr = xv.row(r);
@@ -334,7 +363,7 @@ impl Tape {
             Some(Box::new(move |d, nodes| {
                 let xv = nodes[px].value();
                 let gv = nodes[pg].value();
-                let mut dx = Tensor::zeros(xv.shape());
+                let mut dx = Tensor::for_overwrite(xv.shape());
                 let mut dg = Tensor::zeros(gv.shape());
                 for r in 0..rows {
                     let xr = xv.row(r);
@@ -450,7 +479,7 @@ impl Tape {
         let av = self.value(a);
         assert_eq!(av.ndim(), 2);
         let (rows, cols) = (av.shape()[0], av.shape()[1]);
-        let mut value = Tensor::zeros(&[idx.len(), cols]);
+        let mut value = Tensor::for_overwrite(&[idx.len(), cols]);
         for (i, &src) in idx.iter().enumerate() {
             assert!(src < rows, "gather index {src} out of bounds ({rows})");
             value.row_mut(i).copy_from_slice(av.row(src));
@@ -483,7 +512,7 @@ impl Tape {
         assert_eq!(dim % 2, 0, "RoPE requires an even feature dimension");
         assert_eq!(cos.shape(), &[rows, dim / 2]);
         assert_eq!(sin.shape(), &[rows, dim / 2]);
-        let mut value = Tensor::zeros(av.shape());
+        let mut value = Tensor::for_overwrite(av.shape());
         for r in 0..rows {
             let xr = av.row(r);
             let out = value.row_mut(r);
@@ -500,7 +529,7 @@ impl Tape {
             vec![a.0],
             Some(Box::new(move |d, _| {
                 // Inverse rotation (by -θ) applied to the output gradient.
-                let mut dx = Tensor::zeros(d.shape());
+                let mut dx = Tensor::for_overwrite(d.shape());
                 for r in 0..rows {
                     let dr = &d.data()[r * dim..(r + 1) * dim];
                     let out = dx.row_mut(r);

@@ -204,14 +204,13 @@ impl Forecaster {
         Ok(Forecaster { model, stats, res_stats, sampler })
     }
 
-    /// Deep-copy the model: a bitwise-identical forecaster with its own
-    /// parameter storage (snapshot + restore of the store). Distillation
+    /// A bitwise-identical forecaster whose copy-on-write parameter store
+    /// shares every tensor with this one until either side is trained: a
+    /// parameter is copied only when one of them writes it. Distillation
     /// seeds the student from such a copy.
     pub fn replicate(&self) -> Forecaster {
-        let mut model = AerisModel::new(self.model.cfg.clone());
-        model.store.restore(&self.model.store.snapshot());
         Forecaster {
-            model,
+            model: self.model.clone(),
             stats: self.stats.clone(),
             res_stats: self.res_stats.clone(),
             sampler: self.sampler,
@@ -291,6 +290,41 @@ mod tests {
                 SamplerConfig { n_steps: 3, churn: 0.1, second_order: true },
             ),
         }
+    }
+
+    /// `replicate` shares every parameter buffer with the original, and
+    /// training the copy copies what it writes: the original keeps its bits.
+    #[test]
+    fn training_a_replicated_model_leaves_the_original_unchanged() {
+        use crate::training::{TrainSample, Trainer, TrainerConfig};
+        let f = tiny_forecaster();
+        let cfg = f.model.cfg.clone();
+        let mut rng = Rng::seed_from(5);
+        let samples: Vec<TrainSample> = (0..2)
+            .map(|_| TrainSample {
+                x_prev: Tensor::randn(&[cfg.tokens(), cfg.channels], &mut rng),
+                residual: Tensor::randn(&[cfg.tokens(), cfg.channels], &mut rng),
+                forcings: Tensor::randn(&[cfg.tokens(), cfg.forcing_channels], &mut rng),
+            })
+            .collect();
+        let bits = |m: &AerisModel| -> Vec<u32> {
+            m.store.iter().flat_map(|(_, _, v)| v.data().iter().map(|x| x.to_bits())).collect()
+        };
+        let ptrs = |m: &AerisModel| -> Vec<*const f32> {
+            m.store.iter().map(|(_, _, v)| v.data().as_ptr()).collect()
+        };
+        let before = bits(&f.model);
+        let mut copy = f.replicate().model;
+        assert_eq!(ptrs(&copy), ptrs(&f.model), "replicate copied a parameter");
+        let grid = aeris_earthsim::Grid::new(cfg.grid_h, cfg.grid_w);
+        let kappa = vec![1.0; cfg.channels];
+        let mut trainer = Trainer::new(&copy, grid, &kappa, TrainerConfig::paper_scaled(100, 2));
+        for _ in 0..2 {
+            // The first step runs at the warmup's learning rate 0.
+            trainer.train_step(&mut copy, &[&samples[0], &samples[1]]);
+        }
+        assert_eq!(bits(&f.model), before, "training the copy wrote the original");
+        assert_ne!(bits(&copy), before, "the copy did not train");
     }
 
     #[test]

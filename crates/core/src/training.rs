@@ -501,6 +501,29 @@ mod tests {
         assert_eq!(bits, pinned, "got {bits:#x?}");
     }
 
+    /// A train step binds every parameter by reference and drops its tapes
+    /// before AdamW runs, so the optimizer writes each store tensor in
+    /// place: no parameter buffer moves. A copy-on-write copy here would
+    /// change no bit, only cost a copy of every parameter per step.
+    #[test]
+    fn a_train_step_updates_every_parameter_in_its_own_buffer() {
+        let (ds, vars) = tiny_dataset();
+        let samples = prepare_samples(&ds, 0..2);
+        let mut model = tiny_model(vars.len());
+        let mut trainer =
+            Trainer::new(&model, ds.grid, &vars.kappa(), TrainerConfig::paper_scaled(100, 2));
+        let ptrs = |m: &AerisModel| -> Vec<*const f32> {
+            m.store.iter().map(|(_, _, v)| v.data().as_ptr()).collect()
+        };
+        let (before, at) = (model.store.snapshot(), ptrs(&model));
+        for _ in 0..2 {
+            // The first step runs at the warmup's learning rate 0.
+            trainer.train_step(&mut model, &[&samples[0], &samples[1]]);
+            assert_eq!(ptrs(&model), at, "a parameter buffer moved during the step");
+        }
+        assert!(model.store.iter().zip(&before).any(|((_, _, v), b)| v != b), "no parameter trained");
+    }
+
     #[test]
     fn images_seen_counts() {
         let (ds, vars) = tiny_dataset();

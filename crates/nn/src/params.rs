@@ -5,6 +5,15 @@
 //! can be (a) trained single-rank, (b) replicated across SWiPe model-parallel
 //! ranks, or (c) swapped for EMA shadow weights at inference, just by handing
 //! them a different store.
+//!
+//! The store is copy-on-write: each tensor sits behind an `Arc`, so a cloned
+//! store, and every tape a [`Binding`] binds a parameter onto, shares the
+//! buffer instead of copying it. [`ParamStore::get_mut`] copies a tensor only
+//! while something else still shares it; with no tape or clone alive, an
+//! optimizer step writes in place. [`ParamStore::snapshot`] and
+//! [`ParamStore::restore`] deep-copy.
+
+use std::sync::Arc;
 
 use aeris_autodiff::{Grads, Tape, Var};
 use aeris_tensor::{Rng, Tensor};
@@ -15,10 +24,11 @@ pub use aeris_autodiff::Grads as TapeGrads;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ParamId(pub usize);
 
-/// Owns parameter tensors (FP32 master weights) and their names.
+/// Owns parameter tensors (FP32 master weights) and their names; a clone
+/// shares every tensor until one side writes it.
 #[derive(Clone, Default)]
 pub struct ParamStore {
-    values: Vec<Tensor>,
+    values: Vec<Arc<Tensor>>,
     names: Vec<String>,
 }
 
@@ -30,7 +40,7 @@ impl ParamStore {
 
     /// Register a parameter tensor under `name`; returns its id.
     pub fn register(&mut self, name: impl Into<String>, value: Tensor) -> ParamId {
-        self.values.push(value);
+        self.values.push(Arc::new(value));
         self.names.push(name.into());
         ParamId(self.values.len() - 1)
     }
@@ -80,9 +90,10 @@ impl ParamStore {
         &self.values[id.0]
     }
 
-    /// Mutably borrow a parameter value (optimizer updates).
+    /// Mutably borrow a parameter value (optimizer updates): copied first
+    /// only when a tape or a cloned store still shares it.
     pub fn get_mut(&mut self, id: ParamId) -> &mut Tensor {
-        &mut self.values[id.0]
+        Arc::make_mut(&mut self.values[id.0])
     }
 
     /// The registered name of a parameter.
@@ -96,20 +107,22 @@ impl ParamStore {
             .iter()
             .zip(&self.names)
             .enumerate()
-            .map(|(i, (v, n))| (ParamId(i), n.as_str(), v))
+            .map(|(i, (v, n))| (ParamId(i), n.as_str(), &**v))
     }
 
     /// Deep-copy all values (EMA shadow, checkpointing).
     pub fn snapshot(&self) -> Vec<Tensor> {
-        self.values.clone()
+        self.values.iter().map(|v| Tensor::clone(v)).collect()
     }
 
-    /// Restore values from a snapshot taken on an identical store layout.
+    /// Restore values from a snapshot taken on an identical store layout:
+    /// each parameter gets a fresh copy, and whatever shared the old one
+    /// keeps it.
     pub fn restore(&mut self, snapshot: &[Tensor]) {
         assert_eq!(snapshot.len(), self.values.len());
         for (v, s) in self.values.iter_mut().zip(snapshot) {
             assert_eq!(v.shape(), s.shape());
-            *v = s.clone();
+            *v = Arc::new(s.clone());
         }
     }
 }
@@ -127,12 +140,14 @@ impl Binding {
         Binding { vars: vec![None; store.len()] }
     }
 
-    /// The tape leaf for parameter `id`, creating it on first use.
+    /// The tape leaf for parameter `id`, creating it on first use. The leaf
+    /// shares the store's tensor ([`Tape::shared_leaf`]) on a direct and a
+    /// recording tape alike: binding copies no parameter.
     pub fn var(&mut self, tape: &mut Tape, store: &ParamStore, id: ParamId) -> Var {
         if let Some(v) = self.vars[id.0] {
             return v;
         }
-        let v = tape.leaf(store.get(id).clone());
+        let v = tape.shared_leaf(Arc::clone(&store.values[id.0]));
         self.vars[id.0] = Some(v);
         v
     }
@@ -262,6 +277,36 @@ mod tests {
         let y = tape.mul(x, wv);
         assert_eq!(binding.release(&mut tape, x.index(), y), y);
         assert_eq!(binding.var(&mut tape, &store, w), wv);
+    }
+
+    /// On a direct and on a recording tape a bound parameter's value is the
+    /// store's own buffer, not a copy.
+    #[test]
+    fn a_bound_parameter_shares_the_store_buffer_on_both_tape_kinds() {
+        let mut store = ParamStore::new();
+        let w = store.register("w", Tensor::from_slice(&[2.0, 3.0]));
+        for mut tape in [Tape::direct(), Tape::new()] {
+            let mut binding = Binding::new(&store);
+            let v = binding.var(&mut tape, &store, w);
+            assert_eq!(tape.value(v).data().as_ptr(), store.get(w).data().as_ptr());
+        }
+    }
+
+    /// A write through `get_mut` copies a tensor still shared with a cloned
+    /// store, so the clone keeps its value; the unshared writer then writes
+    /// in place.
+    #[test]
+    fn get_mut_copies_only_a_shared_parameter() {
+        let mut store = ParamStore::new();
+        let w = store.register("w", Tensor::from_slice(&[1.0, 2.0]));
+        let clone = store.clone();
+        assert_eq!(clone.get(w).data().as_ptr(), store.get(w).data().as_ptr());
+        store.get_mut(w).data_mut()[0] = 5.0;
+        assert_eq!(clone.get(w).data(), &[1.0, 2.0]);
+        let at = store.get(w).data().as_ptr();
+        assert_ne!(at, clone.get(w).data().as_ptr());
+        store.get_mut(w).data_mut()[1] = 6.0;
+        assert_eq!((store.get(w).data(), store.get(w).data().as_ptr()), (&[5.0, 6.0][..], at));
     }
 
     #[test]

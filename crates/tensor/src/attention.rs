@@ -443,7 +443,7 @@ dispatched!(
 /// `qkv: [tokens, 3·dim]` (`Q | K | V` side by side).
 pub fn window_core(qkv: &Tensor, plan: &WindowAttnPlan) -> Tensor {
     assert_eq!(qkv.shape(), &[plan.tokens(), 3 * plan.dim()], "window_core input shape");
-    let mut o = Tensor::zeros(&[plan.tokens(), plan.dim()]);
+    let mut o = Tensor::for_overwrite(&[plan.tokens(), plan.dim()]);
     TILES.with_borrow_mut(|s| {
         s.prepare(plan, false);
         forward_windows(qkv.data(), plan, o.data_mut(), s);
@@ -460,7 +460,7 @@ pub fn window_core_backward(d_o: &Tensor, qkv: &Tensor, plan: &WindowAttnPlan) -
     let (tokens, dim) = (plan.tokens(), plan.dim());
     assert_eq!(qkv.shape(), &[tokens, 3 * dim], "window_core_backward input shape");
     assert_eq!(d_o.shape(), &[tokens, dim], "window_core_backward gradient shape");
-    let mut dqkv = Tensor::zeros(&[tokens, 3 * dim]);
+    let mut dqkv = Tensor::for_overwrite(&[tokens, 3 * dim]);
     TILES.with_borrow_mut(|s| {
         s.prepare(plan, true);
         backward_windows(d_o.data(), qkv.data(), plan, dqkv.data_mut(), s);

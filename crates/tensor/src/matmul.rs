@@ -16,7 +16,7 @@ use crate::Tensor;
 
 /// `C = A @ B` for `A: [m, k]`, `B: [k, n]`.
 pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
-    let mut c = Tensor::zeros(&[a.shape()[0], b.shape()[1]]);
+    let mut c = Tensor::for_overwrite(&[a.shape()[0], b.shape()[1]]);
     matmul_into(a, b, &mut c);
     c
 }
@@ -40,7 +40,7 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
     let (k, m) = (a.shape()[0], a.shape()[1]);
     let (k2, n) = (b.shape()[0], b.shape()[1]);
     assert_eq!(k, k2, "inner dimension mismatch in matmul_tn");
-    let mut c = Tensor::zeros(&[m, n]);
+    let mut c = Tensor::for_overwrite(&[m, n]);
     gemm(m, n, k, a.data(), true, b.data(), false, c.data_mut());
     c
 }
@@ -54,7 +54,7 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
     let (m, k) = (a.shape()[0], a.shape()[1]);
     let (n, k2) = (b.shape()[0], b.shape()[1]);
     assert_eq!(k, k2, "inner dimension mismatch in matmul_nt");
-    let mut c = Tensor::zeros(&[m, n]);
+    let mut c = Tensor::for_overwrite(&[m, n]);
     gemm(m, n, k, a.data(), false, b.data(), true, c.data_mut());
     c
 }

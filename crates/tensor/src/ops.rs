@@ -28,7 +28,7 @@ impl Tensor {
     /// Elementwise addition (unrolled sweep).
     pub fn add(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.shape(), other.shape(), "shape mismatch in add");
-        let mut out = recycle::filled(self.len(), 0.0);
+        let mut out = recycle::for_overwrite(self.len());
         sweeps::add_into(&mut out, self.data(), other.data());
         Tensor::from_vec(self.shape(), out)
     }
@@ -36,7 +36,7 @@ impl Tensor {
     /// Elementwise subtraction (unrolled sweep).
     pub fn sub(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.shape(), other.shape(), "shape mismatch in sub");
-        let mut out = recycle::filled(self.len(), 0.0);
+        let mut out = recycle::for_overwrite(self.len());
         sweeps::sub_into(&mut out, self.data(), other.data());
         Tensor::from_vec(self.shape(), out)
     }
@@ -44,7 +44,7 @@ impl Tensor {
     /// Elementwise (Hadamard) product (unrolled sweep).
     pub fn mul(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.shape(), other.shape(), "shape mismatch in mul");
-        let mut out = recycle::filled(self.len(), 0.0);
+        let mut out = recycle::for_overwrite(self.len());
         sweeps::mul_into(&mut out, self.data(), other.data());
         Tensor::from_vec(self.shape(), out)
     }
@@ -52,7 +52,7 @@ impl Tensor {
     /// Elementwise division (unrolled sweep).
     pub fn div(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.shape(), other.shape(), "shape mismatch in div");
-        let mut out = recycle::filled(self.len(), 0.0);
+        let mut out = recycle::for_overwrite(self.len());
         sweeps::div_into(&mut out, self.data(), other.data());
         Tensor::from_vec(self.shape(), out)
     }
@@ -154,7 +154,7 @@ impl Tensor {
     pub fn softmax_rows(&self) -> Tensor {
         assert_eq!(self.ndim(), 2, "softmax_rows requires a 2-D tensor");
         let (rows, cols) = (self.shape()[0], self.shape()[1]);
-        let mut out = recycle::filled(rows * cols, 0.0);
+        let mut out = recycle::for_overwrite(rows * cols);
         for r in 0..rows {
             let row = self.row(r);
             let m = sweeps::max(row);

@@ -7,11 +7,24 @@
 //! So on a thread that has opted in with [`hold_up_to`], a dropped
 //! [`Tensor`](crate::Tensor) buffer of at least [`MIN_BYTES`] goes to the
 //! thread's free list instead, keyed by its exact length, as long as the list
-//! stays within its bound. [`Tensor::zeros`](crate::Tensor::zeros),
-//! [`Tensor::full`](crate::Tensor::full), a tensor's `clone` and the
-//! zero-filled results of `tensor.rs` / `ops.rs` take from that list and
-//! overwrite all of what they take (zeros, the fill value, the copied
-//! elements), so every result keeps its bits.
+//! stays within its bound. The allocators below take from that list first,
+//! and which one a producer calls is the zeros / `for_overwrite` rule:
+//!
+//! - a result whose producer writes every element (a GEMM output, an
+//!   elementwise result, the attention core's output, a gather, a transpose)
+//!   comes from [`Tensor::for_overwrite`](crate::Tensor::for_overwrite): a
+//!   held buffer as it was left, or a fresh zeroed one, with no fill pass. A
+//!   build with `debug_assertions` (`cargo test` without `--release`) fills
+//!   it with NaN, so a producer that misses an element poisons its result
+//!   and the bitwise suites fail;
+//! - a buffer whose producer reads it before writing, an accumulator (a
+//!   scatter-add, a row sum), comes from
+//!   [`Tensor::zeros`](crate::Tensor::zeros) or
+//!   [`Tensor::full`](crate::Tensor::full), which overwrite all of what they
+//!   take with the fill value, as a tensor's `clone` does with the copied
+//!   elements.
+//!
+//! Either way every result keeps its bits.
 //!
 //! A thread that never opted in has a bound of 0 and caches nothing: the
 //! recording training threads free to malloc as before. The bound only grows,
@@ -90,6 +103,16 @@ pub(crate) fn filled(n: usize, value: f32) -> Vec<f32> {
     }
 }
 
+/// `n` elements the caller overwrites in full: a held buffer as it was left,
+/// or a zeroed one. With `debug_assertions` every element is NaN.
+pub(crate) fn for_overwrite(n: usize) -> Vec<f32> {
+    let mut buf = take(n).unwrap_or_else(|| vec![0.0; n]);
+    if cfg!(debug_assertions) {
+        buf.fill(f32::NAN);
+    }
+    buf
+}
+
 /// A copy of `src`, in a held buffer when there is one.
 pub(crate) fn copied(src: &[f32]) -> Vec<f32> {
     match take(src.len()) {
@@ -166,6 +189,33 @@ mod tests {
             assert_eq!(held, 2 * 4 * N, "held {held} of a {bound}-byte bound");
             drop(Tensor::zeros(&[MIN_BYTES / 4 - 1]));
             assert_eq!(held_and_bound().0, held);
+        })
+        .join()
+        .unwrap();
+    }
+
+    /// The write-once guard: in a test build (`debug_assertions`) a
+    /// `for_overwrite` buffer is all NaN, fresh and taken from the free list
+    /// alike, so a producer that misses an element leaves a NaN the bitwise
+    /// suites see. Without it the buffer comes back zeroed or as it was left.
+    #[test]
+    fn a_for_overwrite_buffer_is_all_nan_fresh_and_recycled() {
+        std::thread::spawn(|| {
+            let holds = |t: &Tensor, left: f32| {
+                let want = if cfg!(debug_assertions) { f32::NAN } else { left };
+                t.data().iter().all(|x| x.to_bits() == want.to_bits())
+            };
+            let fresh = Tensor::for_overwrite(&[N]);
+            assert!(holds(&fresh, 0.0), "a fresh buffer");
+            hold_up_to(4 * N);
+            let ptr = fresh.data().as_ptr();
+            drop(fresh);
+            drop(Tensor::full(&[N], 3.0));
+            let held = Tensor::for_overwrite(&[N / 2, 2]);
+            assert_eq!(held.data().as_ptr(), ptr, "the held buffer was not reused");
+            assert_eq!(held.shape(), &[N / 2, 2]);
+            assert!(holds(&held, 3.0), "a recycled buffer");
+            assert!(holds(&Tensor::for_overwrite(&[7]), 0.0), "a small buffer");
         })
         .join()
         .unwrap();

@@ -33,6 +33,14 @@ impl Tensor {
         Self::full(shape, 0.0)
     }
 
+    /// A tensor of `shape` for a producer that writes every element before
+    /// anything reads one: no fill pass ([`crate::recycle`] states the rule).
+    /// Its contents are unspecified; with `debug_assertions` they are NaN.
+    pub fn for_overwrite(shape: &[usize]) -> Self {
+        let n: usize = shape.iter().product();
+        Tensor { shape: shape.to_vec(), data: recycle::for_overwrite(n) }
+    }
+
     /// Create a tensor filled with `value`.
     pub fn full(shape: &[usize], value: f32) -> Self {
         let n: usize = shape.iter().product();
@@ -165,7 +173,7 @@ impl Tensor {
     pub fn t(&self) -> Tensor {
         assert_eq!(self.ndim(), 2, "t() requires a 2-D tensor");
         let (m, n) = (self.shape[0], self.shape[1]);
-        let mut out = recycle::filled(m * n, 0.0);
+        let mut out = recycle::for_overwrite(m * n);
         for i in 0..m {
             for j in 0..n {
                 out[j * m + i] = self.data[i * n + j];
@@ -194,7 +202,7 @@ impl Tensor {
         assert!(!parts.is_empty());
         let rows = parts[0].shape[0];
         let total_cols: usize = parts.iter().map(|p| p.shape[1]).sum();
-        let mut data = recycle::filled(rows * total_cols, 0.0);
+        let mut data = recycle::for_overwrite(rows * total_cols);
         for r in 0..rows {
             let mut c0 = 0;
             for p in parts {
