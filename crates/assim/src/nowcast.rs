@@ -20,22 +20,6 @@ pub struct NowcastEnsemble {
     pub members: Vec<Tensor>,
 }
 
-impl NowcastEnsemble {
-    pub fn n_members(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Ensemble-mean analysis, or `None` for an empty ensemble.
-    pub fn mean(&self) -> Option<Tensor> {
-        let first = self.members.first()?;
-        let mut acc = Tensor::zeros(first.shape());
-        for m in &self.members {
-            acc.add_assign(m);
-        }
-        Some(acc.scale(1.0 / self.members.len() as f32))
-    }
-}
-
 /// One guided analysis step on the caller's noise stream: a forecast step
 /// from `background` with [`ObsGuidance`] toward `obs` threaded through the
 /// sampler.
@@ -269,7 +253,7 @@ mod tests {
         let sched = GuidanceSchedule::Ramp { start: 0.0, end: 0.3 };
 
         let ens = nowcast_ensemble(&fc, &background, &forc, &obs, sched, 3, 77);
-        assert_eq!(ens.n_members(), 3);
+        assert_eq!(ens.members.len(), 3);
         for m in &ens.members {
             assert!(m.all_finite());
         }
@@ -277,7 +261,5 @@ mod tests {
         // Ensemble call reproduces the member call exactly.
         let direct = nowcast_member(&fc, &background, &forc, &obs, sched, 77, 2);
         assert_eq!(ens.members[2], direct);
-        assert_eq!(ens.mean().unwrap().shape(), &[128, 4]);
-        assert!(NowcastEnsemble { members: vec![] }.mean().is_none());
     }
 }

@@ -243,16 +243,6 @@ impl ObservationSet {
         Ok(())
     }
 
-    /// The operator this set was observed through (geometry + error model).
-    pub fn operator(&self) -> ObsOperator {
-        ObsOperator {
-            sites: self.sites.clone(),
-            noise_std: self.noise_std.clone(),
-            tokens: self.tokens,
-            channels: self.channels,
-        }
-    }
-
     /// Content digest over geometry, values, noise model, and mask — the
     /// rollout-cache key component for nowcasts. Any bit of any observed
     /// value changes the digest.

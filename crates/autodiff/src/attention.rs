@@ -5,8 +5,11 @@
 //! the tape grows as O(windows · heads) per block and every node's backward
 //! allocates intermediate tensors. [`Tape::window_attention`] replaces that
 //! chain with **one** node: one `[tokens, dim] × [dim, 3·dim]` projection GEMM
-//! over the per-call concatenation `Wq | Wk | Wv` (A is packed once, not three
-//! times), the attention core, the output GEMM, and an analytic backward.
+//! over the per-call concatenation `Wq | Wk | Wv`, the attention core, the
+//! output GEMM, and an analytic backward. The concatenation gives the core
+//! `Q | K | V` as the one row-major matrix it reads (the layout SWiPe's block
+//! stage hands it too), and makes the input gradient one
+//! `dQKV · (Wq | Wk | Wv)ᵀ` GEMM rather than three products and two sums.
 //!
 //! There is one attention core — `aeris_tensor::attention::window_core`
 //! forward, `window_core_backward` backward, each the only copy of its window

@@ -56,11 +56,6 @@ pub struct Grads {
 }
 
 impl Grads {
-    /// Gradient of the loss w.r.t. `var`, if it participated in the graph.
-    pub fn get(&self, var: Var) -> Option<&Tensor> {
-        self.grads.get(var.0).and_then(|g| g.as_ref())
-    }
-
     /// Move the gradient out (used by optimizers to avoid a clone).
     pub fn take(&mut self, var: Var) -> Option<Tensor> {
         self.grads.get_mut(var.0).and_then(|g| g.take())
@@ -709,6 +704,14 @@ impl Tape {
             }
         }
         grads.unswept = grads.unswept.min(stop);
+    }
+}
+
+#[cfg(test)]
+impl Grads {
+    /// Gradient of the loss w.r.t. `var`, if it participated in the graph.
+    pub(crate) fn get(&self, var: Var) -> Option<&Tensor> {
+        self.grads.get(var.0).and_then(|g| g.as_ref())
     }
 }
 

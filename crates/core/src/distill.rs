@@ -136,25 +136,6 @@ impl ConsistencyStudent {
         forecast::add_residual(x_prev, &residual_std, &self.res_stats)
     }
 
-    /// Save the student to one checkpoint file: the weights plus the two
-    /// normalization statistics, in the layout of [`Forecaster::save`].
-    pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
-        forecast::save_checkpoint(&self.model, &self.stats, &self.res_stats, path)
-    }
-
-    /// Load a student checkpoint saved by [`ConsistencyStudent::save`] into
-    /// a student built from the same config, with the validation of
-    /// [`Forecaster::load`]. This is how a serving engine picks up a
-    /// distilled fast path produced by a training run.
-    pub fn load(
-        cfg: crate::config::AerisConfig,
-        tf: TrigFlow,
-        path: &std::path::Path,
-    ) -> std::io::Result<ConsistencyStudent> {
-        let (model, stats, res_stats) = forecast::load_checkpoint(cfg, path)?;
-        Ok(ConsistencyStudent { model, stats, res_stats, tf })
-    }
-
     /// Single-step autoregressive rollout.
     pub fn rollout(
         &self,
@@ -229,24 +210,6 @@ mod tests {
         let forc = |_k: usize| Tensor::zeros(&[128, 3]);
         let ens = student.ensemble(&samples[0].x_prev, &forc, 2, 2, 5);
         assert!(ens[0][1].max_abs_diff(&ens[1][1]) > 1e-7);
-    }
-
-    #[test]
-    fn student_save_load_is_bitwise() {
-        let (teacher, samples, weights) = make_teacher_and_samples();
-        let cfg = DistillConfig { steps: 4, n_times: 6, ..Default::default() };
-        let student = ConsistencyStudent::distill(&teacher, &samples, &weights, cfg);
-        let dir = std::env::temp_dir().join(format!("aeris_student_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("student.params");
-        student.save(&path).unwrap();
-        let loaded =
-            ConsistencyStudent::load(AerisConfig::test_tiny(), student.tf, &path).unwrap();
-        let forc = |_k: usize| Tensor::zeros(&[128, 3]);
-        let a = student.ensemble(&samples[0].x_prev, &forc, 2, 2, 31);
-        let b = loaded.ensemble(&samples[0].x_prev, &forc, 2, 2, 31);
-        assert_eq!(a, b, "loaded student diverged from the original");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// The distillation trajectory as a contract: an FNV-1a fold of every

@@ -30,55 +30,6 @@ pub struct EnsembleForecast {
     pub members: Vec<Vec<Tensor>>,
 }
 
-/// Write a model checkpoint: one entry-list file holding the parameters
-/// under their own names plus `stats/mean`, `stats/std`, `res_stats/mean` and
-/// `res_stats/std`. The one on-disk layout behind [`Forecaster::save`] and
-/// `ConsistencyStudent::save`.
-pub(crate) fn save_checkpoint(
-    model: &AerisModel,
-    stats: &NormStats,
-    res_stats: &NormStats,
-    path: &std::path::Path,
-) -> std::io::Result<()> {
-    let mut entries: Vec<(String, Tensor)> =
-        model.store.iter().map(|(_, n, v)| (n.to_string(), v.clone())).collect();
-    for (key, s) in [("stats", stats), ("res_stats", res_stats)] {
-        entries.push((format!("{key}/mean"), Tensor::from_slice(&s.mean)));
-        entries.push((format!("{key}/std"), Tensor::from_slice(&s.std)));
-    }
-    aeris_nn::save_entries(&entries, path)
-}
-
-/// Read a checkpoint written by [`save_checkpoint`] into a model built from
-/// `cfg`, returning `(model, stats, res_stats)`. Every parameter must be
-/// present in its shape, and both statistics must fit the model — shape
-/// `[channels]`, every mean finite, every std finite and positive (what
-/// [`NormStats::compute`] yields) — or the load is `InvalidData` instead of a
-/// later panic or a non-finite forecast.
-pub(crate) fn load_checkpoint(
-    cfg: crate::config::AerisConfig,
-    path: &std::path::Path,
-) -> std::io::Result<(AerisModel, NormStats, NormStats)> {
-    let channels = cfg.channels;
-    let mut model = AerisModel::new(cfg);
-    let mut entries = aeris_nn::checkpoint::Entries::load(path)?;
-    let params = entries.take_params("", &model.store)?;
-    let mut norm_stats = |key: &str| -> std::io::Result<NormStats> {
-        let mean = entries.take_shaped(&format!("{key}/mean"), &[channels])?.data().to_vec();
-        let std = entries.take_shaped(&format!("{key}/std"), &[channels])?.data().to_vec();
-        if !mean.iter().all(|m| m.is_finite()) || !std.iter().all(|&s| s.is_finite() && s > 0.0) {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("{key}: a non-finite mean, or a std not finite and positive"),
-            ));
-        }
-        Ok(NormStats { mean, std })
-    };
-    let (stats, res_stats) = (norm_stats("stats")?, norm_stats("res_stats")?);
-    model.store.restore(&params);
-    Ok((model, stats, res_stats))
-}
-
 /// `x_prev` plus the un-standardized residual: one unrolled unit-stride
 /// sweep per row (no per-element multi-index lookups). Every forecast step
 /// in the workspace — AERIS, the student, the baselines, rollout
@@ -150,27 +101,9 @@ pub fn step_batch<J: Send>(jobs: &mut [J], step: impl Fn(&mut J) -> Tensor + Syn
 }
 
 impl EnsembleForecast {
-    /// Number of members.
-    pub fn n_members(&self) -> usize {
-        self.members.len()
-    }
-
     /// Number of forecast steps.
     pub fn n_steps(&self) -> usize {
         self.members.first().map_or(0, |m| m.len())
-    }
-
-    /// Ensemble mean at step `k`, or `None` for an empty ensemble or a step
-    /// beyond the rollout horizon.
-    pub fn mean(&self, k: usize) -> Option<Tensor> {
-        if self.members.is_empty() || k >= self.n_steps() {
-            return None;
-        }
-        let mut acc = Tensor::zeros(self.members[0][k].shape());
-        for m in &self.members {
-            acc.add_assign(&m[k]);
-        }
-        Some(acc.scale(1.0 / self.members.len() as f32))
     }
 
     /// All member states at step `k`, or `None` for an empty ensemble or a
@@ -184,26 +117,6 @@ impl EnsembleForecast {
 }
 
 impl Forecaster {
-    /// Save the model weights and both normalization statistics to one
-    /// checkpoint file: the parameters under their own names plus
-    /// `stats/{mean,std}` and `res_stats/{mean,std}`.
-    pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
-        save_checkpoint(&self.model, &self.stats, &self.res_stats, path)
-    }
-
-    /// Load the file saved by [`Forecaster::save`] into a forecaster built
-    /// from the same config. A file that does not fit the model (a missing or
-    /// mis-shaped parameter, statistics of another channel count, a
-    /// non-finite mean, a std not finite and positive) is `InvalidData`.
-    pub fn load(
-        cfg: crate::config::AerisConfig,
-        sampler: TrigFlowSampler,
-        path: &std::path::Path,
-    ) -> std::io::Result<Forecaster> {
-        let (model, stats, res_stats) = load_checkpoint(cfg, path)?;
-        Ok(Forecaster { model, stats, res_stats, sampler })
-    }
-
     /// A bitwise-identical forecaster whose copy-on-write parameter store
     /// shares every tensor with this one until either side is trained: a
     /// parameter is copied only when one of them writes it. Distillation
@@ -361,29 +274,26 @@ mod tests {
         let x0 = Tensor::randn(&[128, 4], &mut rng);
         let forc = |_k: usize| Tensor::zeros(&[128, 3]);
         let ens = f.ensemble(&x0, &forc, 2, 3, 99);
-        assert_eq!(ens.n_members(), 3);
+        assert_eq!(ens.members.len(), 3);
         assert_eq!(ens.n_steps(), 2);
         assert!(ens.members[0][0].max_abs_diff(&ens.members[1][0]) > 1e-6);
         // Deterministic reproduction with the same base seed.
         let ens2 = f.ensemble(&x0, &forc, 2, 3, 99);
         assert_eq!(ens.members[2][1], ens2.members[2][1]);
-        // Mean has the right shape.
-        assert_eq!(ens.mean(1).expect("step in range").shape(), &[128, 4]);
     }
 
     #[test]
     fn empty_or_out_of_range_accessors_return_none() {
         let empty = EnsembleForecast { members: vec![] };
-        assert!(empty.mean(0).is_none());
         assert!(empty.at_step(0).is_none());
+        assert_eq!(empty.n_steps(), 0);
         let f = tiny_forecaster();
         let mut rng = Rng::seed_from(4);
         let x0 = Tensor::randn(&[128, 4], &mut rng);
         let forc = |_k: usize| Tensor::zeros(&[128, 3]);
         let ens = f.ensemble(&x0, &forc, 2, 2, 5);
-        assert!(ens.mean(1).is_some());
-        assert!(ens.mean(2).is_none(), "step beyond horizon must be None");
-        assert!(ens.at_step(2).is_none());
+        assert_eq!(ens.at_step(1).map(|m| m.len()), Some(2));
+        assert!(ens.at_step(2).is_none(), "step beyond horizon must be None");
     }
 
     #[test]
@@ -414,71 +324,5 @@ mod tests {
                 assert_eq!(rng.snapshot(), seq.snapshot(), "job {i} RNG state");
             }
         }
-    }
-
-    #[test]
-    fn save_load_round_trip_is_bitwise() {
-        let f = tiny_forecaster();
-        let dir = std::env::temp_dir().join(format!("aeris_rt_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("fc.params");
-        f.save(&path).unwrap();
-        let g = Forecaster::load(AerisConfig::test_tiny(), f.sampler, &path).unwrap();
-        assert_eq!(f.stats.mean, g.stats.mean);
-        assert_eq!(f.stats.std, g.stats.std);
-        assert_eq!(f.res_stats.mean, g.res_stats.mean);
-        assert_eq!(f.res_stats.std, g.res_stats.std);
-        // Identical forecasts, bit for bit, before and after the round trip.
-        let mut rng = Rng::seed_from(9);
-        let x0 = Tensor::randn(&[128, 4], &mut rng);
-        let forc = |_k: usize| Tensor::zeros(&[128, 3]);
-        let a = f.ensemble(&x0, &forc, 2, 2, 41);
-        let b = g.ensemble(&x0, &forc, 2, 2, 41);
-        for (ma, mb) in a.members.iter().zip(&b.members) {
-            for (sa, sb) in ma.iter().zip(mb) {
-                assert_eq!(sa, sb, "round-tripped forecaster diverged");
-            }
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn load_rejects_corrupt_stats_files() {
-        let f = tiny_forecaster();
-        let dir = std::env::temp_dir().join(format!("aeris_corrupt_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("fc.params");
-        f.save(&path).unwrap();
-        let good = aeris_nn::load_entries(&path).unwrap();
-
-        // Well-formed files whose statistics do not fit the model: each used
-        // to load and then panic or go non-finite at the first step. (Byte-
-        // level corruption is the entry decoder's: see its
-        // `corrupt_input_is_an_error_or_a_faithful_parse`.)
-        let channels = AerisConfig::test_tiny().channels;
-        let mut nan_mean = vec![0.0f32; channels];
-        nan_mean[1] = f32::NAN;
-        let cases: [(&str, &str, Option<Tensor>); 4] = [
-            ("wrong channel count", "stats/mean", Some(Tensor::zeros(&[3]))),
-            ("zero std", "res_stats/std", Some(Tensor::zeros(&[channels]))),
-            ("NaN mean", "stats/mean", Some(Tensor::from_slice(&nan_mean))),
-            ("missing entry", "res_stats/std", None),
-        ];
-        for (what, key, value) in cases {
-            let mut entries = good.clone();
-            let at = entries.iter().position(|(k, _)| k == key).unwrap();
-            match value {
-                Some(v) => entries[at].1 = v,
-                None => {
-                    entries.remove(at);
-                }
-            }
-            aeris_nn::save_entries(&entries, &path).unwrap();
-            let err = Forecaster::load(AerisConfig::test_tiny(), f.sampler, &path)
-                .err().unwrap_or_else(|| panic!("{what} must fail"));
-            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}");
-        }
-
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -94,15 +94,6 @@ impl SwinBlock {
         });
         out
     }
-
-    /// Number of scalar parameters.
-    pub fn num_params(&self) -> usize {
-        self.norm1.num_params()
-            + self.attn.num_params()
-            + self.norm2.num_params()
-            + self.mlp.num_params()
-            + self.adaln.num_params()
-    }
 }
 
 /// Precomputed geometry shared by all blocks.
@@ -265,6 +256,18 @@ impl AerisModel {
         let mut grads = tape.backward(loss);
         binding.accumulate_grads(&mut grads, acc);
         loss_val
+    }
+}
+
+#[cfg(test)]
+impl SwinBlock {
+    /// Number of scalar parameters.
+    pub(crate) fn num_params(&self) -> usize {
+        self.norm1.num_params()
+            + self.attn.num_params()
+            + self.norm2.num_params()
+            + self.mlp.num_params()
+            + self.adaln.num_params()
     }
 }
 

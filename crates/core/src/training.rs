@@ -5,11 +5,8 @@ use crate::forecast::add_residual;
 use crate::model::AerisModel;
 use aeris_diffusion::{loss_weights, TrigFlow};
 use aeris_earthsim::{Dataset, Grid};
-use aeris_nn::checkpoint::{entry_u64, save_entries, u64_entry, Entries};
 use aeris_nn::{batch_mean, AdamW, AdamWConfig, Ema, LrSchedule};
-use aeris_tensor::{Rng, RngSnapshot, Tensor};
-use std::io;
-use std::path::Path;
+use aeris_tensor::{Rng, Tensor};
 
 /// One training sample in standardized units.
 #[derive(Clone, Debug)]
@@ -88,11 +85,6 @@ impl Trainer {
         }
     }
 
-    /// Images consumed so far.
-    pub fn images_seen(&self) -> u64 {
-        self.images_seen
-    }
-
     /// One optimizer step over a mini-batch (gradients averaged). Returns the
     /// mean loss.
     pub fn train_step(&mut self, model: &mut AerisModel, batch: &[&TrainSample]) -> f64 {
@@ -143,8 +135,8 @@ impl Trainer {
         losses
     }
 
-    /// Multi-step (rollout) fine-tuning (§VII-C, after SWIFT [87] and the
-    /// design-space study [88]): instead of teacher-forced one-step targets,
+    /// Multi-step (rollout) fine-tuning (§VII-C, after SWIFT \[87\] and the
+    /// design-space study \[88\]): instead of teacher-forced one-step targets,
     /// the model forecasts its *own* next state (one full sampler solve, no
     /// gradient) and is then trained on the diffusion objective conditioned
     /// on that self-generated state. This exposes training to the
@@ -195,67 +187,19 @@ impl Trainer {
         losses
     }
 
-    /// Serialize the complete training state — model parameters, AdamW
-    /// moments and step counter, EMA shadow, RNG stream, and the images-seen
-    /// counter — so that a restarted run continues bitwise-identically.
-    pub fn save_checkpoint(&self, model: &AerisModel, path: &Path) -> io::Result<()> {
-        let mut entries = Vec::new();
-        for (i, (_, name, v)) in model.store.iter().enumerate() {
-            entries.push((format!("param/{name}"), v.clone()));
-            let (m, s) = self.opt.state(i);
-            entries.push((format!("opt.m/{name}"), m.clone()));
-            entries.push((format!("opt.v/{name}"), s.clone()));
-            entries.push((format!("ema/{name}"), self.ema.shadow()[i].clone()));
-        }
-        entries.push(u64_entry("meta/images_seen", self.images_seen));
-        entries.push(u64_entry("meta/adamw_steps", self.opt.steps()));
-        let snap = self.rng.snapshot();
-        entries.push(u64_entry("meta/rng_state", snap.state));
-        // The Box–Muller cache is an f32 (or absent): a presence flag plus the
-        // value round-trips it exactly through the f32 tensor format.
-        let (flag, cached) = match snap.gauss_cache {
-            Some(g) => (1.0, g),
-            None => (0.0, 0.0),
-        };
-        entries.push(("meta/rng_gauss".to_string(), Tensor::from_slice(&[flag, cached])));
-        save_entries(&entries, path)
-    }
-
-    /// Restore state written by [`Trainer::save_checkpoint`] into this
-    /// trainer and `model`. Every `param/`, `opt.m/`, `opt.v/` and `ema/`
-    /// entry must be present in its parameter's shape and the metadata
-    /// well-formed, or the load is `InvalidData` and neither the model nor
-    /// the trainer has changed: everything is validated before anything is
-    /// committed.
-    pub fn load_checkpoint(&mut self, model: &mut AerisModel, path: &Path) -> io::Result<()> {
-        let mut entries = Entries::load(path)?;
-        let params = entries.take_params("param/", &model.store)?;
-        let m = entries.take_params("opt.m/", &model.store)?;
-        let v = entries.take_params("opt.v/", &model.store)?;
-        let shadow = entries.take_params("ema/", &model.store)?;
-        let images_seen = entry_u64(&entries.take("meta/images_seen")?)?;
-        let adamw_steps = entry_u64(&entries.take("meta/adamw_steps")?)?;
-        let state = entry_u64(&entries.take("meta/rng_state")?)?;
-        let gauss = entries.take_shaped("meta/rng_gauss", &[2])?;
-
-        model.store.restore(&params);
-        for (i, (m, v)) in m.into_iter().zip(v).enumerate() {
-            let (sm, sv) = self.opt.state_mut(i);
-            (*sm, *sv) = (m, v);
-        }
-        self.ema.restore_shadow(shadow);
-        self.images_seen = images_seen;
-        self.opt.set_steps(adamw_steps);
-        let gauss_cache = (gauss.data()[0] != 0.0).then(|| gauss.data()[1]);
-        self.rng = Rng::restore(RngSnapshot { state, gauss_cache });
-        Ok(())
-    }
-
     /// A model clone carrying the EMA weights (the inference model, §VI-B).
     pub fn ema_model(&self, model: &AerisModel) -> AerisModel {
         let mut m = AerisModel::new(model.cfg.clone());
         self.ema.apply_to(&mut m.store);
         m
+    }
+}
+
+#[cfg(test)]
+impl Trainer {
+    /// Images consumed so far.
+    pub(crate) fn images_seen(&self) -> u64 {
+        self.images_seen
     }
 }
 
@@ -347,127 +291,6 @@ mod tests {
         assert_eq!(losses.len(), 8);
         assert!(losses.iter().all(|l| l.is_finite()));
         assert_eq!(trainer.images_seen(), 28);
-    }
-
-    #[test]
-    fn checkpoint_restart_resumes_bitwise() {
-        let (ds, vars) = tiny_dataset();
-        let samples = prepare_samples(&ds, 0..6);
-        let cfg = TrainerConfig::paper_scaled(1000, 2);
-        let batches: Vec<Vec<&TrainSample>> =
-            (0..6).map(|s| vec![&samples[(2 * s) % 6], &samples[(2 * s + 1) % 6]]).collect();
-
-        // Uninterrupted run: 6 fixed-batch steps.
-        let mut model_a = tiny_model(vars.len());
-        let mut tr_a = Trainer::new(&model_a, ds.grid, &vars.kappa(), cfg);
-        let mut losses_a = Vec::new();
-        for b in &batches {
-            losses_a.push(tr_a.train_step(&mut model_a, b));
-        }
-
-        // Interrupted run: 3 steps, checkpoint, "crash", fresh trainer +
-        // model (different init), restore, 3 more steps.
-        let dir = std::env::temp_dir().join("aeris_ckpt_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trainer.ckpt");
-        let mut model_b = tiny_model(vars.len());
-        let mut tr_b = Trainer::new(&model_b, ds.grid, &vars.kappa(), cfg);
-        let mut losses_b = Vec::new();
-        for b in &batches[..3] {
-            losses_b.push(tr_b.train_step(&mut model_b, b));
-        }
-        tr_b.save_checkpoint(&model_b, &path).unwrap();
-        drop((tr_b, model_b));
-
-        let mut model_c = AerisModel::new(AerisConfig {
-            channels: vars.len(),
-            seed: 999, // decidedly not the checkpointed init
-            ..AerisConfig::test_tiny()
-        });
-        let mut tr_c = Trainer::new(&model_c, ds.grid, &vars.kappa(), cfg);
-        tr_c.load_checkpoint(&mut model_c, &path).unwrap();
-        assert_eq!(tr_c.images_seen(), 6);
-        for b in &batches[3..] {
-            losses_b.push(tr_c.train_step(&mut model_c, b));
-        }
-        std::fs::remove_file(&path).ok();
-
-        // Bitwise: the resumed trajectory is indistinguishable.
-        assert_eq!(
-            losses_a.iter().map(|l| l.to_bits()).collect::<Vec<_>>(),
-            losses_b.iter().map(|l| l.to_bits()).collect::<Vec<_>>(),
-            "resumed loss curve diverged from the uninterrupted run"
-        );
-        for (id, name, v) in model_a.store.iter() {
-            assert_eq!(
-                v.data(),
-                model_c.store.get(id).data(),
-                "parameter {name} diverged after resume"
-            );
-        }
-        let ema_a = tr_a.ema_model(&model_a);
-        let ema_c = tr_c.ema_model(&model_c);
-        for (id, name, v) in ema_a.store.iter() {
-            assert_eq!(v.data(), ema_c.store.get(id).data(), "EMA {name} diverged");
-        }
-    }
-
-    #[test]
-    fn load_checkpoint_rejects_corrupt_entries_and_leaves_state_untouched() {
-        let (ds, vars) = tiny_dataset();
-        let samples = prepare_samples(&ds, 0..4);
-        let cfg = TrainerConfig::paper_scaled(1000, 2);
-        let dir = std::env::temp_dir().join(format!("aeris_ckpt_corrupt_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trainer.ckpt");
-        let mut model = tiny_model(vars.len());
-        let mut tr = Trainer::new(&model, ds.grid, &vars.kappa(), cfg);
-        tr.train_step(&mut model, &[&samples[0], &samples[1]]);
-        tr.save_checkpoint(&model, &path).unwrap();
-        let good = aeris_nn::load_entries(&path).unwrap();
-        // One step past the checkpoint, so a partial restore would show.
-        tr.train_step(&mut model, &[&samples[2], &samples[3]]);
-
-        // Every parameter, moment and EMA value as a bit pattern.
-        let state = |tr: &Trainer, model: &AerisModel| {
-            let moments = (0..model.store.len()).flat_map(|i| {
-                let (m, v) = tr.opt.state(i);
-                [m, v]
-            });
-            let params = model.store.iter().map(|(_, _, v)| v);
-            let tensors = params.chain(moments).chain(tr.ema.shadow());
-            let bits: Vec<Vec<u32>> =
-                tensors.map(|t| t.data().iter().map(|v| v.to_bits()).collect()).collect();
-            (bits, tr.images_seen, tr.rng.snapshot())
-        };
-        let before = state(&tr, &model);
-        let grown = |t: &Tensor| Tensor::zeros(&[t.len() + 1]);
-        let last_ema = good.iter().rposition(|(k, _)| k.starts_with("ema/")).unwrap();
-        let first = |prefix: &str| good.iter().position(|(k, _)| k.starts_with(prefix)).unwrap();
-        let cases: [(&str, usize, Option<Tensor>); 4] = [
-            ("1-element meta/rng_gauss", first("meta/rng_gauss"), Some(Tensor::from_slice(&[1.0]))),
-            ("mis-shaped ema/*", first("ema/"), Some(grown(&good[first("ema/")].1))),
-            ("mis-shaped opt.m/*", first("opt.m/"), Some(grown(&good[first("opt.m/")].1))),
-            ("missing last ema/*", last_ema, None),
-        ];
-        for (what, at, value) in cases {
-            let mut entries = good.clone();
-            match value {
-                Some(v) => entries[at].1 = v,
-                None => {
-                    entries.remove(at);
-                }
-            }
-            save_entries(&entries, &path).unwrap();
-            let err = tr.load_checkpoint(&mut model, &path).expect_err(what);
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}");
-            assert!(state(&tr, &model) == before, "{what}: state changed by a rejected load");
-        }
-        // The intact file still restores, and that does change the state.
-        save_entries(&good, &path).unwrap();
-        tr.load_checkpoint(&mut model, &path).unwrap();
-        assert!(state(&tr, &model) != before);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// The training trajectory as a contract: `fit` on the tiny model with

@@ -213,11 +213,6 @@ impl ToyAtmosphere {
         self.grid
     }
 
-    /// The climate (climatology + forcing fields).
-    pub fn climate(&self) -> &Climate {
-        &self.clim
-    }
-
     /// Velocities (u_east, v_north) from the current vorticity.
     pub fn velocities(&self) -> (Vec<f32>, Vec<f32>) {
         let zs = self.spec.forward(&self.zeta);
@@ -435,11 +430,6 @@ impl ToyAtmosphere {
         &self.cyclones
     }
 
-    /// ENSO oscillator state (diagnostics).
-    pub fn enso(&self) -> &Enso {
-        &self.enso
-    }
-
     /// Add a small random perturbation to the dynamic state — the classic
     /// initial-condition perturbation used to build the numerical (IFS-ENS
     /// analog) ensemble. Perturbations live at synoptic scales so they do not
@@ -627,6 +617,19 @@ fn q_amp(level_hpa: u32) -> f32 {
         l if l >= 700 => 0.8,
         l if l >= 500 => 0.45,
         _ => 0.08,
+    }
+}
+
+#[cfg(test)]
+impl ToyAtmosphere {
+    /// The climate (climatology + forcing fields).
+    pub(crate) fn climate(&self) -> &Climate {
+        &self.clim
+    }
+
+    /// ENSO oscillator state (diagnostics).
+    pub(crate) fn enso(&self) -> &Enso {
+        &self.enso
     }
 }
 

@@ -76,7 +76,7 @@ impl WindowAttention {
     /// Fused forward over *all* windows at once: `windowed` is the
     /// window-partitioned `[n_windows · s, dim]` token matrix (window-major
     /// rows), `s = rope.seq_len()`. One tape node instead of ~10 per window;
-    /// the kernel parallelizes over windows with per-thread scratch. Matches
+    /// the core walks the windows in order on the calling thread. Matches
     /// [`WindowAttention::forward`] applied window by window.
     #[allow(clippy::too_many_arguments)]
     pub fn forward_all_windows(

@@ -1,11 +1,10 @@
 //! Checkpointing: the workspace's one on-disk format for tensors — a
 //! self-describing list of named f32 tensors (name → shape → data) — and the
-//! one keyed reader over it, so trained models and trainer state are saved
-//! and restored without a serialization framework.
+//! one keyed reader over it. SWiPe's coordinated `step_N.ckpt` files are
+//! written and read in this format without a serialization framework.
 //!
-//! Every consumer reads through [`Entries`]: it decodes a whole file, then
-//! takes entries by key ([`Entries::take`]), in a required shape
-//! ([`Entries::take_shaped`]), or as a whole parameter set
+//! The reader is [`Entries`]: it decodes a whole file, then takes entries by
+//! key ([`Entries::take`]) or as a whole parameter set
 //! ([`Entries::take_params`]). A missing or mis-shaped entry is a typed
 //! [`EntryError`] (`InvalidData` as an [`std::io::Error`]). The reader never
 //! touches a model, so a loader takes everything it needs first and commits
@@ -21,9 +20,9 @@ use std::path::Path;
 const MAGIC: u32 = 0xAE51_C4B1;
 
 /// Serialize named tensors to `writer` in the checkpoint format: the one
-/// encoder. Trainer checkpoints use prefixed names (`param/…`, `opt.m/…`,
-/// `meta/…`) to pack parameters, optimizer moments and run metadata into one
-/// file; a saved model is its parameters plus `stats/…` entries.
+/// encoder. A SWiPe step checkpoint uses prefixed names (`param/…`, `opt.m/…`,
+/// `opt.v/…`, `meta/…`) to pack parameters, optimizer moments and run
+/// metadata into one file.
 pub fn write_entries(
     entries: &[(String, Tensor)],
     writer: &mut dyn Write,
@@ -163,7 +162,7 @@ impl Entries {
     }
 
     /// The entry under `key`, which must have exactly `shape`.
-    pub fn take_shaped(&mut self, key: &str, shape: &[usize]) -> Result<Tensor, EntryError> {
+    fn take_shaped(&mut self, key: &str, shape: &[usize]) -> Result<Tensor, EntryError> {
         let t = self.take(key)?;
         if t.shape() != shape {
             return Err(EntryError::Shape(key.to_string()));
@@ -218,9 +217,9 @@ pub fn latest_checkpoint(dir: &Path) -> std::io::Result<Option<std::path::PathBu
 }
 
 /// Encode a `u64` as a 2-element tensor of f32 *bit patterns* (lo, hi 32
-/// bits). Stored bitwise, so round-trips are exact — used for step counters
-/// and RNG state in trainer checkpoints, which must survive serialization
-/// through the f32-only tensor format without loss.
+/// bits). Stored bitwise, so round-trips are exact — used for step counters,
+/// seeds and topology in step checkpoints and re-shard payloads, which must
+/// survive serialization through the f32-only tensor format without loss.
 pub fn u64_entry(name: &str, value: u64) -> (String, Tensor) {
     let lo = f32::from_bits(value as u32);
     let hi = f32::from_bits((value >> 32) as u32);

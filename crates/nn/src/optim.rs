@@ -205,21 +205,6 @@ impl Ema {
     pub fn apply_to(&self, store: &mut ParamStore) {
         store.restore(&self.shadow);
     }
-
-    /// Borrow the shadow weights.
-    pub fn shadow(&self) -> &[Tensor] {
-        &self.shadow
-    }
-
-    /// Overwrite the shadow weights (checkpoint-restart). Shapes must match
-    /// the existing shadow exactly.
-    pub fn restore_shadow(&mut self, shadow: Vec<Tensor>) {
-        assert_eq!(shadow.len(), self.shadow.len(), "EMA shadow count mismatch");
-        for (new, old) in shadow.iter().zip(&self.shadow) {
-            assert_eq!(new.shape(), old.shape(), "EMA shadow shape mismatch");
-        }
-        self.shadow = shadow;
-    }
 }
 
 #[cfg(test)]
@@ -290,10 +275,10 @@ mod tests {
         // Move the parameter to 1.0 and update for exactly one half-life.
         store.get_mut(w).data_mut()[0] = 1.0;
         ema.update(&store, 100.0);
-        assert!((ema.shadow()[0].data()[0] - 0.5).abs() < 1e-6);
+        assert!((ema.shadow[0].data()[0] - 0.5).abs() < 1e-6);
         // Another half-life pulls halfway to 1.0 again: 0.75.
         ema.update(&store, 100.0);
-        assert!((ema.shadow()[0].data()[0] - 0.75).abs() < 1e-6);
+        assert!((ema.shadow[0].data()[0] - 0.75).abs() < 1e-6);
     }
 
     #[test]

@@ -61,11 +61,6 @@ impl AerisPerfConfig {
     pub fn nodes_per_instance(&self) -> usize {
         self.wp() * self.pp
     }
-
-    /// Global batch size = DP × GAS (microbatch 1 per instance).
-    pub fn gbs(&self) -> usize {
-        self.dp * self.gas
-    }
 }
 
 /// ERA5 resolution: 720 × 1440 pixels at patch size 1×1.
@@ -168,6 +163,14 @@ pub fn config(name: &str) -> &'static AerisPerfConfig {
         .iter()
         .find(|c| c.name == name)
         .unwrap_or_else(|| panic!("unknown config {name}"))
+}
+
+#[cfg(test)]
+impl AerisPerfConfig {
+    /// Global batch size = DP × GAS (microbatch 1 per instance).
+    pub(crate) fn gbs(&self) -> usize {
+        self.dp * self.gas
+    }
 }
 
 #[cfg(test)]

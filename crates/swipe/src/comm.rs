@@ -525,11 +525,6 @@ impl Communicator {
         self.rank
     }
 
-    /// World size.
-    pub fn world_size(&self) -> usize {
-        self.world.size()
-    }
-
     /// The world this communicator belongs to.
     pub fn world(&self) -> &World {
         &self.world

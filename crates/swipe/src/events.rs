@@ -74,16 +74,6 @@ impl EventLog {
         self.entries.lock().push(EventRecord { rank, event });
     }
 
-    /// Number of recorded events matching a predicate.
-    pub fn count_matching(&self, pred: impl Fn(&FaultEvent) -> bool) -> usize {
-        self.entries.lock().iter().filter(|r| pred(&r.event)).count()
-    }
-
-    /// Whether any recorded event matches a predicate.
-    pub fn any(&self, pred: impl Fn(&FaultEvent) -> bool) -> bool {
-        self.count_matching(pred) > 0
-    }
-
     /// Total number of recorded events.
     pub fn len(&self) -> usize {
         self.entries.lock().len()
@@ -97,6 +87,19 @@ impl EventLog {
     /// Copy out the log (ordering is by record time across all ranks).
     pub fn snapshot(&self) -> Vec<EventRecord> {
         self.entries.lock().clone()
+    }
+}
+
+#[cfg(test)]
+impl EventLog {
+    /// Number of recorded events matching a predicate.
+    pub(crate) fn count_matching(&self, pred: impl Fn(&FaultEvent) -> bool) -> usize {
+        self.entries.lock().iter().filter(|r| pred(&r.event)).count()
+    }
+
+    /// Whether any recorded event matches a predicate.
+    pub(crate) fn any(&self, pred: impl Fn(&FaultEvent) -> bool) -> bool {
+        self.count_matching(pred) > 0
     }
 }
 

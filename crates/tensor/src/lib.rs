@@ -65,12 +65,6 @@ pub fn pairwise_sum(xs: &[f32]) -> f64 {
     go(xs)
 }
 
-/// Relative-or-absolute closeness test used across the workspace's tests.
-pub fn close(a: f32, b: f32, tol: f32) -> bool {
-    let diff = (a - b).abs();
-    diff <= tol || diff <= tol * a.abs().max(b.abs())
-}
-
 /// The 64-bit FNV-1a offset basis: the state a digest starts from.
 pub const FNV_INIT: u64 = 0xcbf2_9ce4_8422_2325;
 
@@ -91,6 +85,12 @@ pub fn fnv_u64(h: &mut u64, v: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Relative-or-absolute closeness test.
+    fn close(a: f32, b: f32, tol: f32) -> bool {
+        let diff = (a - b).abs();
+        diff <= tol || diff <= tol * a.abs().max(b.abs())
+    }
 
     #[test]
     fn pairwise_sum_matches_naive_on_small_input() {

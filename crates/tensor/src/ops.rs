@@ -49,14 +49,6 @@ impl Tensor {
         Tensor::from_vec(self.shape(), out)
     }
 
-    /// Elementwise division (unrolled sweep).
-    pub fn div(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.shape(), other.shape(), "shape mismatch in div");
-        let mut out = recycle::for_overwrite(self.len());
-        sweeps::div_into(&mut out, self.data(), other.data());
-        Tensor::from_vec(self.shape(), out)
-    }
-
     /// In-place `self += other`.
     pub fn add_assign(&mut self, other: &Tensor) {
         assert_eq!(self.shape(), other.shape(), "shape mismatch in add_assign");
@@ -145,11 +137,6 @@ impl Tensor {
         )
     }
 
-    /// Clamp every element to `[lo, hi]`.
-    pub fn clamp(&self, lo: f32, hi: f32) -> Tensor {
-        self.map(|x| x.clamp(lo, hi))
-    }
-
     /// Row-wise softmax of a 2-D tensor (numerically stable).
     pub fn softmax_rows(&self) -> Tensor {
         assert_eq!(self.ndim(), 2, "softmax_rows requires a 2-D tensor");
@@ -163,6 +150,22 @@ impl Tensor {
             sweeps::scale(dst, 1.0 / z);
         }
         Tensor::from_vec(self.shape(), out)
+    }
+}
+
+#[cfg(test)]
+impl Tensor {
+    /// Elementwise division (unrolled sweep).
+    pub(crate) fn div(&self, other: &Tensor) -> Tensor {
+        assert_eq!(self.shape(), other.shape(), "shape mismatch in div");
+        let mut out = recycle::for_overwrite(self.len());
+        sweeps::div_into(&mut out, self.data(), other.data());
+        Tensor::from_vec(self.shape(), out)
+    }
+
+    /// Clamp every element to `[lo, hi]`.
+    pub(crate) fn clamp(&self, lo: f32, hi: f32) -> Tensor {
+        self.map(|x| x.clamp(lo, hi))
     }
 }
 

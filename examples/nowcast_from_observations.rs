@@ -12,6 +12,7 @@ use aeris::assim::{nowcast_ensemble, GuidanceSchedule, ObsOperator};
 use aeris::core::{AerisConfig, AerisModel, Forecaster};
 use aeris::diffusion::{SamplerConfig, TrigFlow, TrigFlowSampler};
 use aeris::earthsim::{Grid, NormStats};
+use aeris::evaluation::ensemble_mean;
 use aeris::serve::{Forcings, NowcastRequest, ServeConfig, ServeEngine};
 use aeris::tensor::{Rng, Tensor};
 use std::sync::Arc;
@@ -60,7 +61,8 @@ fn main() {
     let guided = nowcast_ensemble(&fc, &background, &forcings, &obs, sched, 4, 42);
     let unguided =
         nowcast_ensemble(&fc, &background, &forcings, &obs, GuidanceSchedule::off(), 4, 42);
-    let rmse = |x: &Tensor| -> f64 {
+    let rmse = |members: &[Tensor]| -> f64 {
+        let x = ensemble_mean(&members.iter().collect::<Vec<_>>());
         let mut acc = 0.0f64;
         for (a, b) in x.data().iter().zip(truth.data()) {
             let d = (a - b) as f64;
@@ -70,8 +72,8 @@ fn main() {
     };
     println!(
         "analysis RMSE vs truth: guided {:.4}, unguided {:.4}",
-        rmse(&guided.mean().expect("members")),
-        rmse(&unguided.mean().expect("members"))
+        rmse(&guided.members),
+        rmse(&unguided.members)
     );
 
     // The same nowcast as a service: submit through the micro-batcher and

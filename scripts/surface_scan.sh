@@ -48,7 +48,14 @@
 #        non-test code of crates/*/src, examples and src — the workspace's
 #        byte-format parsers. Expected: lines of crates/nn/src/checkpoint.rs
 #        (the one checkpoint decoder) only; anything else is a second
-#        hand-rolled format that the checkpoint entry list should carry;
+#        hand-rolled format that the checkpoint entry list should carry.
+#        Then every call of the checkpoint file's writer and reader
+#        (`save_entries(`, `write_entries(`, `load_entries(`,
+#        `Entries::load(`) in the same code outside their own module
+#        crates/nn/src/checkpoint.rs. Expected: lines of crates/swipe/src
+#        only — SWiPe's step checkpoint (`Rank::save_checkpoint` writes it,
+#        `load_resume_state` reads it) is the one file the workspace writes
+#        or reads; a call anywhere else is a second file layout beside it;
 #   (vii) every `thread::spawn` / `thread::scope` / `thread::Builder` site in
 #        the non-test code of crates, shims, examples and src — the places a
 #        thread is made. Expected: the serve lane workers of
@@ -65,7 +72,8 @@
 # macro body and the `getrusage` call, or a `dispatched!(` invocation that
 # DISPATCHED does not list (or DISPATCHED lists one that is gone), when (v)
 # prints anything but the GEMM's two tile lines, or when (vi) prints a
-# decoder outside crates/nn/src/checkpoint.rs.
+# decoder outside crates/nn/src/checkpoint.rs or a checkpoint writer or
+# reader call outside crates/swipe/src.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -90,8 +98,7 @@ drop_message	test vocabulary: FaultPlan builder of swipe's chaos suite and tests
 crash_rank_after_ops	test vocabulary: FaultPlan builder of swipe's chaos suite
 chaos_delays	test vocabulary: FaultPlan builder of swipe's chaos suite and tests/properties.rs
 chaos_restarts	test vocabulary: FaultPlan builder of swipe's recovery suite
-finetune_rollout	ROADMAP item 7 gives it a verdict (measure in fig7_seasonal or delete)
-save	Forecaster / ConsistencyStudent: model files only tests write; ROADMAP item 11 decides"
+finetune_rollout	ROADMAP item 7 gives it a verdict (measure in fig7_seasonal or delete)"
 
 # The loops `dispatched!` builds twice (portable and AVX2), one
 # `file<TAB>name` a line; (iv) fails on an invocation missing here.
@@ -281,6 +288,14 @@ vi_failed=0
 if printf '%s\n' "$decoders" | grep -v '^$' | grep -qv '^crates/nn/src/checkpoint\.rs:'; then
     vi_failed=1
 fi
+echo "-- checkpoint file writers and readers --"
+ckpt_io=$(strip_tests $(sources crates/*/src examples src) \
+    | grep -v '^crates/nn/src/checkpoint\.rs:' \
+    | grep -E '(save_entries|write_entries|load_entries|Entries::load)\(' || true)
+[ -z "$ckpt_io" ] || echo "$ckpt_io"
+if printf '%s\n' "$ckpt_io" | grep -v '^$' | grep -qv '^crates/swipe/src/'; then
+    vi_failed=1
+fi
 
 echo
 echo "== (vii) thread-making sites outside test code =="
@@ -293,8 +308,8 @@ if [ "$check" = 1 ]; then
         [ "$ii_failed" = 0 ] || echo "check FAILED: (ii) prints a name without a reason in KEPT, or KEPT is stale" >&2
         [ "$iv_failed" = 0 ] || echo "check FAILED: (iv) prints a site outside gemm.rs, the dispatched! macro and getrusage, or a dispatched!( invocation DISPATCHED does not list (or DISPATCHED is stale)" >&2
         [ "$v_failed" = 0 ] || echo "check FAILED: (v) prints a multiply-add other than the GEMM's two tile lines" >&2
-        [ "$vi_failed" = 0 ] || echo "check FAILED: (vi) prints a decoder outside crates/nn/src/checkpoint.rs" >&2
+        [ "$vi_failed" = 0 ] || echo "check FAILED: (vi) prints a decoder outside crates/nn/src/checkpoint.rs, or a checkpoint writer or reader outside crates/swipe/src" >&2
         exit 1
     fi
-    echo "check passed: every (ii) name has a reason; (iv) only gemm.rs, the dispatched! macro, the DISPATCHED loops and getrusage; (v) only the GEMM's two tile lines; (vi) is the checkpoint decoder only"
+    echo "check passed: every (ii) name has a reason; (iv) only gemm.rs, the dispatched! macro, the DISPATCHED loops and getrusage; (v) only the GEMM's two tile lines; (vi) is the checkpoint decoder only, its writer and reader called from crates/swipe/src only"
 fi

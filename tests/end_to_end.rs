@@ -71,7 +71,7 @@ fn trained_ensemble_forecast_is_sane_and_scored() {
     let forc = move |k: usize| forcings_at(&clim, (t0 + 6.0 * k as f64) / 24.0);
     let steps = 8usize;
     let ens = forecaster.ensemble(ds.state(i0), &forc, steps, 4, 3);
-    assert_eq!(ens.n_members(), 4);
+    assert_eq!(ens.members.len(), 4);
     assert_eq!(ens.n_steps(), steps);
 
     let lat_w = ds.grid.token_lat_weights();
@@ -148,21 +148,4 @@ fn facade_reexports_every_crate() {
     let _ = aeris::swipe::SwipeTopology::new(1, 1, 1, 1, 1);
     let _ = aeris::autodiff::Tape::new();
     let _ = aeris::tensor::Tensor::zeros(&[1]);
-}
-
-#[test]
-fn forecaster_save_load_roundtrip_preserves_forecasts() {
-    let (ds, vars) = setup();
-    let forecaster = train(&ds, &vars, 60);
-    let path = std::env::temp_dir().join("aeris_e2e_ckpt.bin");
-    forecaster.save(&path).unwrap();
-    let restored =
-        Forecaster::load(forecaster.model.cfg.clone(), forecaster.sampler, &path).unwrap();
-    let mut r1 = aeris::tensor::Rng::seed_from(5);
-    let mut r2 = aeris::tensor::Rng::seed_from(5);
-    let forc = Tensor::zeros(&[128, 3]);
-    let a = forecaster.forecast_step(ds.state(0), &forc, &mut r1);
-    let b = restored.forecast_step(ds.state(0), &forc, &mut r2);
-    assert_eq!(a, b, "restored forecaster must reproduce forecasts exactly");
-    std::fs::remove_file(&path).ok();
 }
