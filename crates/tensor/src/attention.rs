@@ -71,6 +71,7 @@
 //! The backward stores nothing from the forward: it re-runs the one loader
 //! and the one probability tile, so its probabilities are the forward's bits.
 
+use crate::gemm::Kernel;
 use crate::sweeps::{dispatched, exp_lane};
 use crate::Tensor;
 
@@ -442,11 +443,23 @@ dispatched!(
 /// `[tokens, dim]`, from the window-major fused projection
 /// `qkv: [tokens, 3·dim]` (`Q | K | V` side by side).
 pub fn window_core(qkv: &Tensor, plan: &WindowAttnPlan) -> Tensor {
+    window_core_on(Kernel::detected(), qkv, plan)
+}
+
+/// [`window_core`] on the build of `kernel`, for the parity tests.
+/// Panics when this CPU does not support `kernel`.
+#[doc(hidden)]
+pub fn window_core_on(kernel: Kernel, qkv: &Tensor, plan: &WindowAttnPlan) -> Tensor {
+    assert!(kernel <= Kernel::detected(), "this CPU does not support the {} kernel", kernel.name());
     assert_eq!(qkv.shape(), &[plan.tokens(), 3 * plan.dim()], "window_core input shape");
     let mut o = Tensor::for_overwrite(&[plan.tokens(), plan.dim()]);
     TILES.with_borrow_mut(|s| {
         s.prepare(plan, false);
-        forward_windows(qkv.data(), plan, o.data_mut(), s);
+        if kernel == Kernel::Portable {
+            forward_body(qkv.data(), plan, o.data_mut(), s);
+        } else {
+            forward_windows(qkv.data(), plan, o.data_mut(), s);
+        }
     });
     o
 }
@@ -457,13 +470,25 @@ pub fn window_core(qkv: &Tensor, plan: &WindowAttnPlan) -> Tensor {
 /// `dS_ij = s · P_ij (dP_ij − Σ_j P_ij dP_ij)`, `dQ̃ = dS K̃`, `dK̃ = dSᵀ Q̃`,
 /// and `dQ`, `dK` un-rotated with `R⁻¹ = R(−θ)`.
 pub fn window_core_backward(d_o: &Tensor, qkv: &Tensor, plan: &WindowAttnPlan) -> Tensor {
+    window_core_backward_on(Kernel::detected(), d_o, qkv, plan)
+}
+
+/// [`window_core_backward`] on the build of `kernel`, for the parity tests.
+/// Panics when this CPU does not support `kernel`.
+#[doc(hidden)]
+pub fn window_core_backward_on(kernel: Kernel, d_o: &Tensor, qkv: &Tensor, plan: &WindowAttnPlan) -> Tensor {
+    assert!(kernel <= Kernel::detected(), "this CPU does not support the {} kernel", kernel.name());
     let (tokens, dim) = (plan.tokens(), plan.dim());
     assert_eq!(qkv.shape(), &[tokens, 3 * dim], "window_core_backward input shape");
     assert_eq!(d_o.shape(), &[tokens, dim], "window_core_backward gradient shape");
     let mut dqkv = Tensor::for_overwrite(&[tokens, 3 * dim]);
     TILES.with_borrow_mut(|s| {
         s.prepare(plan, true);
-        backward_windows(d_o.data(), qkv.data(), plan, dqkv.data_mut(), s);
+        if kernel == Kernel::Portable {
+            backward_body(d_o.data(), qkv.data(), plan, dqkv.data_mut(), s);
+        } else {
+            backward_windows(d_o.data(), qkv.data(), plan, dqkv.data_mut(), s);
+        }
     });
     dqkv
 }
@@ -487,6 +512,38 @@ mod tests {
 
     fn bits(x: &[f32]) -> Vec<u32> {
         x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The kernels this CPU supports, each a build of the core.
+    fn supported_kernels() -> impl Iterator<Item = Kernel> {
+        Kernel::ALL.into_iter().filter(|&k| k <= Kernel::detected())
+    }
+
+    /// FNV-1a over the output bits of forward and backward at the six
+    /// `GEOMETRIES` below, captured on the portable and AVX2 builds.
+    const WINDOW_CORE_DIGEST: u64 = 0xeb87_a1a3_82e8_80d0;
+
+    /// Forward `O` and backward `dQ | dK | dV` at every geometry of
+    /// `GEOMETRIES` hash to one pinned digest on every supported kernel: the
+    /// bits of the core are a function of its inputs alone, whichever build
+    /// runs and whichever host it runs on.
+    #[test]
+    fn core_outputs_hash_to_one_pinned_digest_on_every_kernel() {
+        for kernel in supported_kernels() {
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            for (seed, (n_windows, wlen, n_heads, head_dim)) in GEOMETRIES.into_iter().enumerate() {
+                let plan = plan(n_windows, wlen, n_heads, head_dim);
+                let mut rng = Rng::seed_from(80 + seed as u64);
+                let qkv = Tensor::randn(&[plan.tokens(), 3 * plan.dim()], &mut rng);
+                let d_o = Tensor::randn(&[plan.tokens(), plan.dim()], &mut rng);
+                let o = window_core_on(kernel, &qkv, &plan);
+                let dqkv = window_core_backward_on(kernel, &d_o, &qkv, &plan);
+                for x in o.data().iter().chain(dqkv.data()) {
+                    h = (h ^ x.to_bits() as u64).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+            assert_eq!(h, WINDOW_CORE_DIGEST, "{} kernel: got {h:#x}", kernel.name());
+        }
     }
 
     /// Portable ≡ AVX2, forward and backward: the `*_body` functions are the
