@@ -20,9 +20,10 @@
 //!
 //! # Query-lane core
 //!
-//! The core's numerics live in `aeris-tensor`, beside the GEMM: its AVX2
-//! build is reached through the crate's one runtime dispatch, which needs
-//! `unsafe`, and this crate is `#![forbid(unsafe_code)]`. It takes a window's
+//! The core's numerics live in `aeris-tensor`, beside the GEMM: its AVX2 and
+//! `avx512f` builds are reached through that crate's one runtime dispatch,
+//! which needs `unsafe`, and this crate is `#![forbid(unsafe_code)]`; every
+//! build returns the portable body's bits. It takes a window's
 //! queries 16 at a time as the SIMD lanes and stores each probability tile
 //! key-major, `Pᵀ[key][query]`, so a query's max, exp-sum and normalisation
 //! run lane-wise down the key rows and `O` accumulates one head-dim column at

@@ -59,12 +59,37 @@
 //! operand is the broadcast does not matter. The one reordering is the row
 //! max: `max` is exact, so the order can only change which of `±0` comes
 //! back, and `exp(p − m)` does not depend on that. No multiply–add is
-//! contracted, so the portable build and the AVX2 build ([`crate::sweeps`]'s
-//! `dispatched!`) return the same bits; the exponential is the lane function
-//! of [`crate::sweeps::exp`], which depends on its input alone. There is no
-//! 512-bit build: an `avx512f` instantiation of the forward measured the same
-//! as the AVX2 one at toy48's shape (90–91 against 91–92 µs a call) and slower
-//! at `(2, 64, 4, 16)` (100–101 against 81 µs).
+//! contracted, so every build returns the same bits; the exponential is the
+//! lane function of [`crate::sweeps::exp`], which depends on its input alone.
+//!
+//! # Builds
+//!
+//! [`crate::sweeps`]'s `dispatched!` runs one of three, by
+//! [`Kernel::detected`]: the portable body, the same body built for AVX2
+//! (which defines the bits above), and on an `avx512f` host a hand-written
+//! build in `std::arch` intrinsics with every 16-lane tile row in one zmm
+//! register. That build keeps the layout and the per-element order; what
+//! it changes is what the autovectorized body cannot hold in registers:
+//!
+//! - the loader transposes each 16-token × 16-column block of Q and K in
+//!   registers (a 16 × 16 shuffle transpose) and rotates it there, and the
+//!   write-outs (`O`, `dQ`, `dK`, `dV`) and the backward's `dO` load and two
+//!   query-major copies are the same transposes;
+//! - the score, `P·V` and backward products run in register blocks of 8,
+//!   4, 2 and 1 keys or head-dim columns (as the window length and
+//!   `head_dim` allow), each block that many independent accumulators,
+//!   every one summed in the order above with `_mm512_mul_ps` and
+//!   `_mm512_add_ps`, never fused;
+//! - the forward computes the next head's probability tile before the
+//!   current head's `P·V`, so the two dependency chains overlap.
+//!
+//! An `avx512f` instantiation of the portable body measured no faster than
+//! the AVX2 one (toy48 90–91 against 91–92 µs a call; 100–101 against 81 at
+//! `(2, 64, 4, 16)`): its `[f32; 16]` accumulators spill, as the GEMM's did.
+//! The intrinsic build reads, at toy48 on a 2-vCPU `avx512f` box, forward
+//! ≈ 53–54 against ≈ 93–95 µs and backward ≈ 118–120 against ≈ 226–230 µs
+//! (`examples/gemm_shapes.rs`). Every build is pinned to one digest and to
+//! the portable body bitwise by this module's tests.
 //!
 //! # Recompute contract
 //!
@@ -73,7 +98,17 @@
 
 use crate::gemm::Kernel;
 use crate::sweeps::{dispatched, exp_lane};
+#[cfg(target_arch = "x86_64")]
+use crate::sweeps::{EXP_LO, EXP_POLY, LN2_HI, LN2_LO, ROUND};
 use crate::Tensor;
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::{
+    __m512, _mm512_add_ps, _mm512_castpd_ps, _mm512_castps_pd, _mm512_cmp_ps_mask, _mm512_div_ps,
+    _mm512_load_ps, _mm512_mask_blend_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps,
+    _mm512_maskz_scalef_ps, _mm512_max_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
+    _mm512_shuffle_f32x4, _mm512_store_ps, _mm512_sub_ps, _mm512_unpackhi_pd, _mm512_unpackhi_ps,
+    _mm512_unpacklo_pd, _mm512_unpacklo_ps, _CMP_GE_OQ, _CMP_NLT_UQ,
+};
 
 /// Queries per tile: the lane count of every vector of the core (two AVX2
 /// registers, one 512-bit register).
@@ -211,7 +246,8 @@ struct Tiles {
     o: Vec<Lanes>,
     /// Backward only: `dO` of the window, laid out like `q`.
     d_o: Vec<Lanes>,
-    /// Backward only: `dPᵀ`, then `dSᵀ`, laid out like `p`.
+    /// Backward: `dPᵀ`, then `dSᵀ`, laid out like `p`. Forward, in the
+    /// `avx512f` build only: the next head's probability tile.
     ds: Vec<Lanes>,
     /// Backward only: `dQ̃ᵀ`, then `dQᵀ`, of one (query tile, head),
     /// `[head_dim]`.
@@ -253,7 +289,7 @@ impl Tiles {
             (&mut self.p, wlen),
             (&mut self.o, fwd * dim),
             (&mut self.d_o, bwd * tiles * dim),
-            (&mut self.ds, bwd * wlen),
+            (&mut self.ds, wlen),
             (&mut self.dq, bwd * plan.head_dim),
             (&mut self.p_rows, bwd * LANES * tiles),
             (&mut self.ds_rows, bwd * LANES * tiles),
@@ -326,7 +362,7 @@ impl Tiles {
 
 dispatched!(
     /// The forward window loop: `o: [tokens, dim]` from `qkv: [tokens, 3·dim]`.
-    fn forward_windows, forward_body, forward_avx2,
+    fn forward_windows, forward_body, forward_avx2, forward_avx512,
     (qkv: &[f32], plan: &WindowAttnPlan, o: &mut [f32], s: &mut Tiles) {
         let (wlen, dim, head_dim) = (plan.window_len, plan.dim(), plan.head_dim);
         for (win, o_win) in qkv.chunks_exact(wlen * 3 * dim).zip(o.chunks_exact_mut(wlen * dim)) {
@@ -354,7 +390,7 @@ dispatched!(
 dispatched!(
     /// The backward window loop: `dqkv: [tokens, 3·dim]` (`dQ | dK | dV`)
     /// from `d_o: [tokens, dim]`; each window writes only its own rows.
-    fn backward_windows, backward_body, backward_avx2,
+    fn backward_windows, backward_body, backward_avx2, backward_avx512,
     (d_o: &[f32], qkv: &[f32], plan: &WindowAttnPlan, dqkv: &mut [f32], s: &mut Tiles) {
         let (wlen, dim, head_dim, scale) = (plan.window_len, plan.dim(), plan.head_dim, plan.scale());
         let (chunks, pairs) = (wlen.div_ceil(LANES), head_dim / 2);
@@ -439,6 +475,497 @@ dispatched!(
     }
 );
 
+/// `(start, width)` runs covering `0..n`: widths of 8 while 8 remain, then
+/// one each of 4, 2 and 1 as needed — the register blocks of the `avx512f`
+/// build, over keys or head-dim columns.
+#[cfg(target_arch = "x86_64")]
+fn blocks(n: usize) -> impl Iterator<Item = (usize, usize)> {
+    let mut start = 0;
+    std::iter::from_fn(move || {
+        let width = [8, 4, 2, 1].into_iter().find(|&w| start + w <= n)?;
+        start += width;
+        Some((start - width, width))
+    })
+}
+
+/// `$body` with the const `$b` equal to `$w`, a width of [`blocks`]: one
+/// instantiation per width.
+#[cfg(target_arch = "x86_64")]
+macro_rules! at_width {
+    ($w:expr, $b:ident => $body:block) => {
+        match $w {
+            8 => {
+                const $b: usize = 8;
+                $body
+            }
+            4 => {
+                const $b: usize = 4;
+                $body
+            }
+            2 => {
+                const $b: usize = 2;
+                $body
+            }
+            _ => {
+                const $b: usize = 1;
+                $body
+            }
+        }
+    };
+}
+
+/// One tile row as a register.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn ld(x: &Lanes) -> __m512 {
+    // SAFETY: a `Lanes` is 16 f32 on a 64-byte boundary, one aligned load.
+    unsafe { _mm512_load_ps(x.0.as_ptr()) }
+}
+
+/// A register into one tile row.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn st(x: &mut Lanes, v: __m512) {
+    // SAFETY: as in `ld`, one aligned store of the row's 64 bytes.
+    unsafe { _mm512_store_ps(x.0.as_mut_ptr(), v) }
+}
+
+/// 16 × 16 register transpose: lane `j` of `out[i]` is lane `i` of `r[j]`.
+/// Interleaves 32-bit then 64-bit pairs within each 128-bit lane, then
+/// transposes the 4 × 4 grid of 128-bit lanes: data movement only.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn transpose16(r: [__m512; 16]) -> [__m512; 16] {
+    let mut t = [_mm512_setzero_ps(); 16];
+    for i in 0..8 {
+        t[2 * i] = _mm512_unpacklo_ps(r[2 * i], r[2 * i + 1]);
+        t[2 * i + 1] = _mm512_unpackhi_ps(r[2 * i], r[2 * i + 1]);
+    }
+    // `u[4i + m]`, 128-bit lane `k`: column `4k + m` of rows `4i .. 4i+4`.
+    let mut u = [_mm512_setzero_ps(); 16];
+    for i in 0..4 {
+        let [a, b, c, d] = [0, 1, 2, 3].map(|x| _mm512_castps_pd(t[4 * i + x]));
+        u[4 * i] = _mm512_castpd_ps(_mm512_unpacklo_pd(a, c));
+        u[4 * i + 1] = _mm512_castpd_ps(_mm512_unpackhi_pd(a, c));
+        u[4 * i + 2] = _mm512_castpd_ps(_mm512_unpacklo_pd(b, d));
+        u[4 * i + 3] = _mm512_castpd_ps(_mm512_unpackhi_pd(b, d));
+    }
+    let mut out = [_mm512_setzero_ps(); 16];
+    for m in 0..4 {
+        let (x0, x1) = (_mm512_shuffle_f32x4::<0x44>(u[m], u[4 + m]), _mm512_shuffle_f32x4::<0xee>(u[m], u[4 + m]));
+        let (y0, y1) = (_mm512_shuffle_f32x4::<0x44>(u[8 + m], u[12 + m]), _mm512_shuffle_f32x4::<0xee>(u[8 + m], u[12 + m]));
+        out[m] = _mm512_shuffle_f32x4::<0x88>(x0, y0);
+        out[4 + m] = _mm512_shuffle_f32x4::<0xdd>(x0, y0);
+        out[8 + m] = _mm512_shuffle_f32x4::<0x88>(x1, y1);
+        out[12 + m] = _mm512_shuffle_f32x4::<0xdd>(x1, y1);
+    }
+    out
+}
+
+/// Token rows `0..live` of `src` (row `l` is `src[l·stride..][..cols]`,
+/// `cols ≤ 16`) as 16 column registers, the row being the lane; rows past
+/// `live` and columns past `cols` read 0.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn columns(src: &[f32], stride: usize, live: usize, cols: usize) -> [__m512; 16] {
+    let mut rows = [_mm512_setzero_ps(); 16];
+    let mask = ((1u32 << cols) - 1) as u16;
+    for (l, row) in rows.iter_mut().enumerate().take(live) {
+        let src = &src[l * stride..][..cols];
+        // SAFETY: `src` is a bounds-checked subslice of `cols ≤ 16` f32 and
+        // `mask` enables exactly lanes `0..cols`; a masked load does not
+        // touch the memory of the lanes it leaves out.
+        *row = unsafe { _mm512_maskz_loadu_ps(mask, src.as_ptr()) };
+    }
+    transpose16(rows)
+}
+
+/// The inverse of [`columns`]: column registers `x` back into token rows
+/// `0..live` of `dst` (row `l` is `dst[l·stride..][..cols]`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn write_rows(x: &[__m512; 16], dst: &mut [f32], stride: usize, live: usize, cols: usize) {
+    let mask = ((1u32 << cols) - 1) as u16;
+    for (l, row) in transpose16(*x).into_iter().enumerate().take(live) {
+        let dst = &mut dst[l * stride..][..cols];
+        // SAFETY: `dst` is a bounds-checked subslice of `cols ≤ 16` f32 and
+        // `mask` enables exactly lanes `0..cols`.
+        unsafe { _mm512_mask_storeu_ps(dst.as_mut_ptr(), mask, row) };
+    }
+}
+
+/// [`rope_lanes`] on column registers: `x[c]` is model column `col0 + c`
+/// (`col0` even, `c < cols`), its pair's angles lanes of `cos` / `sin`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn rope_cols(x: &mut [__m512; 16], cols: usize, col0: usize, head_dim: usize, cos: &[Lanes], sin: &[Lanes]) {
+    for c in (0..cols).step_by(2) {
+        let p = (col0 + c) % head_dim / 2;
+        let (co, si, x0, x1) = (ld(&cos[p]), ld(&sin[p]), x[c], x[c + 1]);
+        x[c] = _mm512_sub_ps(_mm512_mul_ps(x0, co), _mm512_mul_ps(x1, si));
+        x[c + 1] = _mm512_add_ps(_mm512_mul_ps(x0, si), _mm512_mul_ps(x1, co));
+    }
+}
+
+/// [`rope_lanes_inv`] on column registers, laid out as for [`rope_cols`].
+/// `g1·c − g0·s` is `(−g0)·s + g1·c`: negation and multiplication commute
+/// exactly, and `a − b` is `a + (−b)`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn rope_inv_cols(x: &mut [__m512; 16], cols: usize, col0: usize, head_dim: usize, cos: &[Lanes], sin: &[Lanes]) {
+    for c in (0..cols).step_by(2) {
+        let p = (col0 + c) % head_dim / 2;
+        let (co, si, g0, g1) = (ld(&cos[p]), ld(&sin[p]), x[c], x[c + 1]);
+        x[c] = _mm512_add_ps(_mm512_mul_ps(g0, co), _mm512_mul_ps(g1, si));
+        x[c + 1] = _mm512_sub_ps(_mm512_mul_ps(g1, co), _mm512_mul_ps(g0, si));
+    }
+}
+
+/// [`exp_lane`] on 16 lanes, bit for bit: the same reduction and
+/// polynomial, operation for operation. Only `y · 2ⁿ` is spelled
+/// differently, as one `scalef`: for `n ≤ 127` the bit-built `2ⁿ` is exact,
+/// so both are the one rounding of the exact product; `n = 128` is where
+/// the bit-built `2ⁿ` is `+∞`, and so is every `x > EXP_HI` (`n ≥ 128`
+/// there too), so `n ≥ 128` selects `+∞`. `x < EXP_LO` selects 0; a NaN
+/// `x` passes the unordered range compare, fails the ordered `n` one, and
+/// comes back NaN from `scalef`, as `y` is NaN.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn exp_zmm(x: __m512) -> __m512 {
+    let splat = _mm512_set1_ps;
+    let t = _mm512_add_ps(_mm512_mul_ps(x, splat(std::f32::consts::LOG2_E)), splat(ROUND));
+    let n = _mm512_sub_ps(t, splat(ROUND));
+    let r = _mm512_sub_ps(_mm512_sub_ps(x, _mm512_mul_ps(n, splat(LN2_HI))), _mm512_mul_ps(n, splat(LN2_LO)));
+    let mut p = splat(EXP_POLY[0]);
+    for &c in &EXP_POLY[1..] {
+        p = _mm512_add_ps(_mm512_mul_ps(p, r), splat(c));
+    }
+    let y = _mm512_add_ps(_mm512_add_ps(_mm512_mul_ps(p, _mm512_mul_ps(r, r)), r), splat(1.0));
+    let in_range = _mm512_cmp_ps_mask::<_CMP_NLT_UQ>(x, splat(EXP_LO));
+    let e = _mm512_maskz_scalef_ps(in_range, y, n);
+    _mm512_mask_blend_ps(_mm512_cmp_ps_mask::<_CMP_GE_OQ>(n, splat(128.0)), e, splat(f32::INFINITY))
+}
+
+/// Scores of keys `j0 .. j0+B` against a head's rotated query tile
+/// `q: [head_dim]`, before the scale: `B` independent accumulators, each
+/// from 0 with the column ascending.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn score_block<const B: usize>(q: &[Lanes], k: &[Lanes], j0: usize, base: usize, dim: usize) -> [__m512; B] {
+    let n = q.len();
+    let mut k_rows: [&[Lanes]; B] = [&[]; B];
+    for (b, k_row) in k_rows.iter_mut().enumerate() {
+        *k_row = &k[(j0 + b) / LANES * dim + base..][..n];
+    }
+    let mut acc = [_mm512_setzero_ps(); B];
+    for c in 0..n {
+        let q_c = ld(&q[c]);
+        for b in 0..B {
+            let k_jc = _mm512_set1_ps(k_rows[b][c].0[(j0 + b) % LANES]);
+            acc[b] = _mm512_add_ps(acc[b], _mm512_mul_ps(k_jc, q_c));
+        }
+    }
+    acc
+}
+
+/// `Σ_j P[j] · V[j][col + b]` for `b < B` over the probability tile `p`,
+/// keys ascending, `V` read in place from the window's token rows (`row`
+/// apart).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn pv_block<const B: usize>(p: &[Lanes], win: &[f32], col: usize, row: usize) -> [__m512; B] {
+    let mut acc = [_mm512_setzero_ps(); B];
+    for (j, p_j) in p.iter().enumerate() {
+        let (p_j, v_j) = (ld(p_j), &win[j * row + col..][..B]);
+        for (acc, &v) in acc.iter_mut().zip(v_j) {
+            *acc = _mm512_add_ps(*acc, _mm512_mul_ps(_mm512_set1_ps(v), p_j));
+        }
+    }
+    acc
+}
+
+/// `dPᵀ` rows of keys `j0 .. j0+B`: `Σ_c V[j][col + c] · dOᵀ[c]` over the
+/// head's `dO` tile `g: [head_dim]`, from 0 with the column ascending.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn dp_block<const B: usize>(g: &[Lanes], win: &[f32], j0: usize, col: usize, row: usize) -> [__m512; B] {
+    let n = g.len();
+    let mut v_rows: [&[f32]; B] = [&[]; B];
+    for (b, v_row) in v_rows.iter_mut().enumerate() {
+        *v_row = &win[(j0 + b) * row + col..][..n];
+    }
+    let mut acc = [_mm512_setzero_ps(); B];
+    for c in 0..n {
+        let g_c = ld(&g[c]);
+        for b in 0..B {
+            acc[b] = _mm512_add_ps(acc[b], _mm512_mul_ps(_mm512_set1_ps(v_rows[b][c]), g_c));
+        }
+    }
+    acc
+}
+
+/// `dQ̃ᵀ` rows of columns `col .. col+B`: `Σ_j K̃[j][col + b] · dSᵀ[j]`,
+/// keys ascending.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn dq_block<const B: usize>(k: &[Lanes], ds: &[Lanes], col: usize, dim: usize) -> [__m512; B] {
+    let mut acc = [_mm512_setzero_ps(); B];
+    for (j, ds_j) in ds.iter().enumerate() {
+        let (ds_j, k_j) = (ld(ds_j), &k[j / LANES * dim + col..][..B]);
+        for (acc, k_jc) in acc.iter_mut().zip(k_j) {
+            *acc = _mm512_add_ps(*acc, _mm512_mul_ps(_mm512_set1_ps(k_jc.0[j % LANES]), ds_j));
+        }
+    }
+    acc
+}
+
+/// Add query tile `t`'s `live` queries, ascending, into the `dK̃` and `dV`
+/// accumulators of columns `col .. col+B` of every key chunk:
+/// `Q̃[i][c] · dS[i][·]` and `dO[i][c] · P[i][·]` over the query-major
+/// copies, keys as lanes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn dkv_block<const B: usize>(s: &mut Tiles, t: usize, col: usize, live: usize, dim: usize) {
+    let live = live.min(LANES);
+    let chunks = s.dk.len() / dim;
+    let (q, g) = (&s.q[t * dim + col..][..B], &s.d_o[t * dim + col..][..B]);
+    for h in 0..chunks {
+        let (dk, dv) = (&mut s.dk[h * dim + col..][..B], &mut s.dv[h * dim + col..][..B]);
+        let mut acc_k = [_mm512_setzero_ps(); B];
+        let mut acc_v = [_mm512_setzero_ps(); B];
+        for b in 0..B {
+            (acc_k[b], acc_v[b]) = (ld(&dk[b]), ld(&dv[b]));
+        }
+        for l in 0..live {
+            let (ds_l, p_l) = (ld(&s.ds_rows[l * chunks + h]), ld(&s.p_rows[l * chunks + h]));
+            for b in 0..B {
+                acc_k[b] = _mm512_add_ps(acc_k[b], _mm512_mul_ps(_mm512_set1_ps(q[b].0[l]), ds_l));
+                acc_v[b] = _mm512_add_ps(acc_v[b], _mm512_mul_ps(_mm512_set1_ps(g[b].0[l]), p_l));
+            }
+        }
+        for b in 0..B {
+            st(&mut dk[b], acc_k[b]);
+            st(&mut dv[b], acc_v[b]);
+        }
+    }
+}
+
+/// The `avx512f` build of [`Tiles::load`]: each 16-token × 16-column block
+/// of Q and K is transposed in registers and rotated there, then stored.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn load_zmm(s: &mut Tiles, win: &[f32], plan: &WindowAttnPlan) {
+    let (wlen, dim, head_dim) = (plan.window_len, plan.dim(), plan.head_dim);
+    let pairs = head_dim / 2;
+    for t in 0..wlen.div_ceil(LANES) {
+        let (live, rows) = (LANES.min(wlen - t * LANES), &win[t * LANES * 3 * dim..]);
+        let (cos, sin) = (&s.cos[t * pairs..][..pairs], &s.sin[t * pairs..][..pairs]);
+        for (dst, offset) in [(&mut s.q, 0), (&mut s.k, dim)] {
+            for col0 in (0..dim).step_by(LANES) {
+                let cols = LANES.min(dim - col0);
+                let mut x = columns(&rows[offset + col0..], 3 * dim, live, cols);
+                rope_cols(&mut x, cols, col0, head_dim, cos, sin);
+                for (d, x) in dst[t * dim + col0..][..cols].iter_mut().zip(x) {
+                    st(d, x);
+                }
+            }
+        }
+    }
+}
+
+/// The `avx512f` build of [`Tiles::probs`]: the same tile, bit for bit.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn probs_zmm(q: &[Lanes], k: &[Lanes], p: &mut [Lanes], t: usize, base: usize, plan: &WindowAttnPlan) {
+    let (dim, head_dim) = (plan.dim(), plan.head_dim);
+    let (q, scale) = (&q[t * dim + base..][..head_dim], _mm512_set1_ps(plan.scale()));
+    let mut m = _mm512_set1_ps(f32::NEG_INFINITY);
+    for (j0, width) in blocks(p.len()) {
+        at_width!(width, B => {
+            let scores = score_block::<B>(q, k, j0, base, dim);
+            for (p, score) in p[j0..j0 + B].iter_mut().zip(scores) {
+                let score = _mm512_mul_ps(score, scale);
+                // `max` returns its second operand when either is NaN, as
+                // `f32::max(m, score)` returns `m` for a NaN score.
+                m = _mm512_max_ps(score, m);
+                st(p, score);
+            }
+        });
+    }
+    let mut z = _mm512_setzero_ps();
+    for p in p.iter_mut() {
+        let e = exp_zmm(_mm512_sub_ps(ld(p), m));
+        z = _mm512_add_ps(z, e);
+        st(p, e);
+    }
+    let inv = _mm512_div_ps(_mm512_set1_ps(1.0), z);
+    for p in p.iter_mut() {
+        st(p, _mm512_mul_ps(ld(p), inv));
+    }
+}
+
+/// The `avx512f` build of `forward_windows`: each query tile's `O` is
+/// accumulated head by head in `B`-column register blocks over the keys,
+/// then transposed out into token rows.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn forward_avx512(qkv: &[f32], plan: &WindowAttnPlan, o: &mut [f32], s: &mut Tiles) {
+    let (wlen, dim, head_dim) = (plan.window_len, plan.dim(), plan.head_dim);
+    for (win, o_win) in qkv.chunks_exact(wlen * 3 * dim).zip(o.chunks_exact_mut(wlen * dim)) {
+        load_zmm(s, win, plan);
+        for t in 0..wlen.div_ceil(LANES) {
+            // One head's probabilities are computed ahead of the previous
+            // head's `P·V` (into `ds`, then swapped in), so the two chains
+            // overlap.
+            probs_zmm(&s.q, &s.k, &mut s.p, t, 0, plan);
+            for base in (0..dim).step_by(head_dim) {
+                if base + head_dim < dim {
+                    probs_zmm(&s.q, &s.k, &mut s.ds, t, base + head_dim, plan);
+                }
+                for (c0, width) in blocks(head_dim) {
+                    at_width!(width, B => {
+                        let o_c = pv_block::<B>(&s.p, win, 2 * dim + base + c0, 3 * dim);
+                        for (d, o_c) in s.o[base + c0..][..B].iter_mut().zip(o_c) {
+                            st(d, o_c);
+                        }
+                    });
+                }
+                std::mem::swap(&mut s.p, &mut s.ds);
+            }
+            let live = LANES.min(wlen - t * LANES);
+            for col0 in (0..dim).step_by(LANES) {
+                let cols = LANES.min(dim - col0);
+                let mut x = [_mm512_setzero_ps(); LANES];
+                for (x, o_c) in x.iter_mut().zip(&s.o[col0..col0 + cols]) {
+                    *x = ld(o_c);
+                }
+                write_rows(&x, &mut o_win[t * LANES * dim + col0..], dim, live, cols);
+            }
+        }
+    }
+}
+
+/// The `avx512f` build of `backward_windows`: the same four products in
+/// register blocks, the `dO` load, the two query-major copies and every
+/// write-out as register transposes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn backward_avx512(d_o: &[f32], qkv: &[f32], plan: &WindowAttnPlan, dqkv: &mut [f32], s: &mut Tiles) {
+    let (wlen, dim, head_dim, scale) = (plan.window_len, plan.dim(), plan.head_dim, plan.scale());
+    let (chunks, pairs) = (wlen.div_ceil(LANES), head_dim / 2);
+    let windows = qkv.chunks_exact(wlen * 3 * dim).zip(d_o.chunks_exact(wlen * dim));
+    for ((win, do_win), d_win) in windows.zip(dqkv.chunks_exact_mut(wlen * 3 * dim)) {
+        load_zmm(s, win, plan);
+        for t in 0..chunks {
+            let live = LANES.min(wlen - t * LANES);
+            for col0 in (0..dim).step_by(LANES) {
+                let cols = LANES.min(dim - col0);
+                let x = columns(&do_win[t * LANES * dim + col0..], dim, live, cols);
+                for (d, x) in s.d_o[t * dim + col0..][..cols].iter_mut().zip(x) {
+                    st(d, x);
+                }
+            }
+        }
+        s.dk.fill(Lanes::ZERO);
+        s.dv.fill(Lanes::ZERO);
+        for t in 0..chunks {
+            let live = LANES.min(wlen - t * LANES);
+            let tables = t * pairs..(t + 1) * pairs;
+            for base in (0..dim).step_by(head_dim) {
+                probs_zmm(&s.q, &s.k, &mut s.p, t, base, plan);
+                // dPᵀ = V dOᵀ with `Σ_j P·dP` from −0.0, keys ascending; then
+                // dSᵀ in place.
+                let g = &s.d_o[t * dim + base..][..head_dim];
+                let mut dot = _mm512_set1_ps(-0.0);
+                for (j0, width) in blocks(wlen) {
+                    at_width!(width, B => {
+                        let dp = dp_block::<B>(g, win, j0, 2 * dim + base, 3 * dim);
+                        for ((ds, p), dp) in s.ds[j0..j0 + B].iter_mut().zip(&s.p[j0..]).zip(dp) {
+                            dot = _mm512_add_ps(dot, _mm512_mul_ps(ld(p), dp));
+                            st(ds, dp);
+                        }
+                    });
+                }
+                let scale = _mm512_set1_ps(scale);
+                for (ds, p) in s.ds.iter_mut().zip(&s.p) {
+                    st(ds, _mm512_mul_ps(_mm512_mul_ps(ld(p), _mm512_sub_ps(ld(ds), dot)), scale));
+                }
+                // dQ̃ᵀ = K̃ᵀ dSᵀ, un-rotated and written into the dQ section.
+                for (c0, width) in blocks(head_dim) {
+                    at_width!(width, B => {
+                        let dq = dq_block::<B>(&s.k, &s.ds, base + c0, dim);
+                        for (d, dq) in s.dq[c0..c0 + B].iter_mut().zip(dq) {
+                            st(d, dq);
+                        }
+                    });
+                }
+                for col0 in (0..head_dim).step_by(LANES) {
+                    let cols = LANES.min(head_dim - col0);
+                    let mut x = [_mm512_setzero_ps(); LANES];
+                    for (x, dq) in x.iter_mut().zip(&s.dq[col0..col0 + cols]) {
+                        *x = ld(dq);
+                    }
+                    rope_inv_cols(&mut x, cols, col0, head_dim, &s.cos[tables.clone()], &s.sin[tables.clone()]);
+                    write_rows(&x, &mut d_win[t * LANES * 3 * dim + base + col0..], 3 * dim, live, cols);
+                }
+                // The query-major copies of P and dS, one transpose per key
+                // chunk (keys past `window_len` read 0), then dK̃ and dV.
+                for h in 0..chunks {
+                    let keys = LANES.min(wlen - h * LANES);
+                    for (tile, rows) in [(&s.p, &mut s.p_rows), (&s.ds, &mut s.ds_rows)] {
+                        let mut x = [_mm512_setzero_ps(); LANES];
+                        for (x, v) in x.iter_mut().zip(&tile[h * LANES..h * LANES + keys]) {
+                            *x = ld(v);
+                        }
+                        for (l, x) in transpose16(x).into_iter().enumerate() {
+                            st(&mut rows[l * chunks + h], x);
+                        }
+                    }
+                }
+                for (c0, width) in blocks(head_dim) {
+                    at_width!(width, B => {
+                        dkv_block::<B>(s, t, base + c0, live, dim);
+                    });
+                }
+            }
+        }
+        // dK (un-rotated) and dV back into token rows.
+        for h in 0..chunks {
+            let keys = LANES.min(wlen - h * LANES);
+            let (cos, sin) = (&s.cos[h * pairs..][..pairs], &s.sin[h * pairs..][..pairs]);
+            for col0 in (0..dim).step_by(LANES) {
+                let cols = LANES.min(dim - col0);
+                let rows = &mut d_win[h * LANES * 3 * dim..];
+                let mut x = [_mm512_setzero_ps(); LANES];
+                for (x, dk) in x.iter_mut().zip(&s.dk[h * dim + col0..][..cols]) {
+                    *x = ld(dk);
+                }
+                rope_inv_cols(&mut x, cols, col0, head_dim, cos, sin);
+                write_rows(&x, &mut rows[dim + col0..], 3 * dim, keys, cols);
+                for (x, dv) in x.iter_mut().zip(&s.dv[h * dim + col0..][..cols]) {
+                    *x = ld(dv);
+                }
+                write_rows(&x, &mut rows[2 * dim + col0..], 3 * dim, keys, cols);
+            }
+        }
+    }
+}
+
 /// The attention core: `O = softmax(R(Q) R(K)ᵀ · s) V` per window and head,
 /// `[tokens, dim]`, from the window-major fused projection
 /// `qkv: [tokens, 3·dim]` (`Q | K | V` side by side).
@@ -450,16 +977,11 @@ pub fn window_core(qkv: &Tensor, plan: &WindowAttnPlan) -> Tensor {
 /// Panics when this CPU does not support `kernel`.
 #[doc(hidden)]
 pub fn window_core_on(kernel: Kernel, qkv: &Tensor, plan: &WindowAttnPlan) -> Tensor {
-    assert!(kernel <= Kernel::detected(), "this CPU does not support the {} kernel", kernel.name());
     assert_eq!(qkv.shape(), &[plan.tokens(), 3 * plan.dim()], "window_core input shape");
     let mut o = Tensor::for_overwrite(&[plan.tokens(), plan.dim()]);
     TILES.with_borrow_mut(|s| {
         s.prepare(plan, false);
-        if kernel == Kernel::Portable {
-            forward_body(qkv.data(), plan, o.data_mut(), s);
-        } else {
-            forward_windows(qkv.data(), plan, o.data_mut(), s);
-        }
+        forward_windows(kernel, qkv.data(), plan, o.data_mut(), s);
     });
     o
 }
@@ -477,18 +999,13 @@ pub fn window_core_backward(d_o: &Tensor, qkv: &Tensor, plan: &WindowAttnPlan) -
 /// Panics when this CPU does not support `kernel`.
 #[doc(hidden)]
 pub fn window_core_backward_on(kernel: Kernel, d_o: &Tensor, qkv: &Tensor, plan: &WindowAttnPlan) -> Tensor {
-    assert!(kernel <= Kernel::detected(), "this CPU does not support the {} kernel", kernel.name());
     let (tokens, dim) = (plan.tokens(), plan.dim());
     assert_eq!(qkv.shape(), &[tokens, 3 * dim], "window_core_backward input shape");
     assert_eq!(d_o.shape(), &[tokens, dim], "window_core_backward gradient shape");
     let mut dqkv = Tensor::for_overwrite(&[tokens, 3 * dim]);
     TILES.with_borrow_mut(|s| {
         s.prepare(plan, true);
-        if kernel == Kernel::Portable {
-            backward_body(d_o.data(), qkv.data(), plan, dqkv.data_mut(), s);
-        } else {
-            backward_windows(d_o.data(), qkv.data(), plan, dqkv.data_mut(), s);
-        }
+        backward_windows(kernel, d_o.data(), qkv.data(), plan, dqkv.data_mut(), s);
     });
     dqkv
 }
@@ -546,28 +1063,86 @@ mod tests {
         }
     }
 
-    /// Portable ≡ AVX2, forward and backward: the `*_body` functions are the
-    /// portable build, the entry points dispatch to the AVX2 one when the
-    /// host has it (a self-comparison on a host without AVX2).
+    /// Every build ≡ the portable one, forward and backward: each arm the
+    /// host supports (portable, AVX2, `avx512f`) is called directly through
+    /// the kernel-keyed entry of `dispatched!` and compared bitwise with the
+    /// portable `*_body`. Beyond `GEOMETRIES`, the window lengths and head
+    /// dims cover every register-block width of the `avx512f` build (1, 2,
+    /// 4 and 8 keys or columns, several at once), a one-token window, and a
+    /// head wider than one 16-column transpose. Prints the arms that ran
+    /// (`--nocapture`).
     #[test]
     fn portable_and_dispatched_builds_agree_bitwise() {
-        for (seed, (n_windows, wlen, n_heads, head_dim)) in GEOMETRIES.into_iter().enumerate() {
+        let extra = [(2, 1, 2, 4), (1, 7, 2, 6), (1, 17, 3, 10), (1, 40, 1, 16), (2, 23, 2, 14), (1, 12, 2, 20)];
+        let arms: Vec<Kernel> = supported_kernels().collect();
+        println!("arms compared: {}", arms.iter().map(|k| k.name()).collect::<Vec<_>>().join(", "));
+        for (seed, (n_windows, wlen, n_heads, head_dim)) in GEOMETRIES.into_iter().chain(extra).enumerate() {
+            let geometry = (n_windows, wlen, n_heads, head_dim);
             let plan = plan(n_windows, wlen, n_heads, head_dim);
             let mut rng = Rng::seed_from(70 + seed as u64);
             let qkv = Tensor::randn(&[plan.tokens(), 3 * plan.dim()], &mut rng);
             let d_o = Tensor::randn(&[plan.tokens(), plan.dim()], &mut rng);
 
-            let mut o = vec![0.0; plan.tokens() * plan.dim()];
             let mut s = Tiles::default();
+            let mut o = vec![0.0; plan.tokens() * plan.dim()];
             s.prepare(&plan, false);
             forward_body(qkv.data(), &plan, &mut o, &mut s);
-            assert_eq!(bits(&o), bits(window_core(&qkv, &plan).data()), "forward at {:?}", (n_windows, wlen, n_heads, head_dim));
-
             let mut dqkv = vec![0.0; qkv.len()];
             s.prepare(&plan, true);
             backward_body(d_o.data(), qkv.data(), &plan, &mut dqkv, &mut s);
-            let dispatched = window_core_backward(&d_o, &qkv, &plan);
-            assert_eq!(bits(&dqkv), bits(dispatched.data()), "backward at {:?}", (n_windows, wlen, n_heads, head_dim));
+
+            for &kernel in &arms {
+                let mut arm = Tiles::default();
+                let mut o_arm = vec![f32::NAN; o.len()];
+                arm.prepare(&plan, false);
+                forward_windows(kernel, qkv.data(), &plan, &mut o_arm, &mut arm);
+                assert_eq!(bits(&o_arm), bits(&o), "{} forward at {geometry:?}", kernel.name());
+                let mut dqkv_arm = vec![f32::NAN; dqkv.len()];
+                arm.prepare(&plan, true);
+                backward_windows(kernel, d_o.data(), qkv.data(), &plan, &mut dqkv_arm, &mut arm);
+                assert_eq!(bits(&dqkv_arm), bits(&dqkv), "{} backward at {geometry:?}", kernel.name());
+            }
+        }
+    }
+
+    /// The `avx512f` exponential is [`exp_lane`] bit for bit: over every
+    /// 1021st f32 bit pattern below that of −100 (every positive value,
+    /// NaNs, the negatives down to −100) and the edges — both range ends and
+    /// their neighbours, where `n` reaches 128 (`88.376_27`), ±0, ±∞, the
+    /// extremes. Skipped (with a note) on a host without `avx512f`.
+    #[test]
+    fn exp_zmm_is_exp_lane_bitwise() {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if Kernel::detected() < Kernel::Avx512 {
+                println!("skipped: this CPU has no avx512f");
+                return;
+            }
+            #[target_feature(enable = "avx512f")]
+            fn exp_all(x: &[Lanes]) -> Vec<Lanes> {
+                x.iter()
+                    .map(|x| {
+                        let mut e = Lanes::ZERO;
+                        st(&mut e, exp_zmm(ld(x)));
+                        e
+                    })
+                    .collect()
+            }
+            let mut xs: Vec<f32> = Vec::new();
+            xs.extend((0..(-100.0f32).to_bits()).step_by(1021).map(f32::from_bits));
+            for edge in [crate::sweeps::EXP_LO, 88.376_27, 88.722_84] {
+                let b = edge.to_bits();
+                xs.extend((b - 3..=b + 3).map(f32::from_bits));
+            }
+            xs.extend([0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, f32::MAX, f32::MIN, 1e30, -1e30]);
+            let lanes: Vec<Lanes> =
+                xs.chunks(LANES).map(|c| Lanes(std::array::from_fn(|l| c.get(l).copied().unwrap_or(0.0)))).collect();
+            // SAFETY: `Kernel::detected()` is `Avx512`, so the CPU has avx512f.
+            let got = unsafe { exp_all(&lanes) };
+            for (x, e) in lanes.iter().zip(&got).flat_map(|(x, e)| x.0.iter().zip(e.0)) {
+                let want = exp_lane(*x);
+                assert!(want.to_bits() == e.to_bits() || (want.is_nan() && e.is_nan()), "exp({x:e}): {e:e} against {want:e}");
+            }
         }
     }
 

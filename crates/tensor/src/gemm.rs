@@ -92,9 +92,10 @@ impl Kernel {
     /// The widest kernel this CPU supports: the workspace's one runtime
     /// feature detector, read once per process. The choice is machine-global,
     /// so it can never differ between threads or between runs on one host. It
-    /// switches the GEMM micro-kernel here and, through `Kernel::has_avx2`,
-    /// the AVX2 build of every `dispatched!` loop of [`crate::sweeps`] and
-    /// [`crate::attention`] (which widens lanes only and never fuses).
+    /// switches the GEMM micro-kernel here, through `Kernel::has_avx2` the
+    /// AVX2 build of every `dispatched!` loop of [`crate::sweeps`], and the
+    /// build of [`crate::attention`]'s core (portable, AVX2 or `avx512f`);
+    /// those widen lanes only and never fuse.
     pub fn detected() -> Kernel {
         static DETECTED: std::sync::OnceLock<Kernel> = std::sync::OnceLock::new();
         *DETECTED.get_or_init(|| {

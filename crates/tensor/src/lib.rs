@@ -33,7 +33,9 @@
 // that style, so the pedantic range-loop lint is disabled crate-wide.
 #![allow(clippy::needless_range_loop)]
 // The workspace's only `unsafe` lives in this crate (`gemm`'s feature-gated
-// kernels and their intrinsic loads / stores, `sweeps`' one dispatch macro).
+// kernels and their intrinsic loads / stores, `sweeps`' one dispatch macro,
+// and the aligned / masked loads and stores of `attention`'s `avx512f`
+// build).
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod attention;

@@ -17,8 +17,9 @@
 //! `#[inline(always)]` body instantiated twice, a
 //! portable build and a `#[target_feature(enable = "avx2")]` build (8 lanes
 //! to a register), picked by the same machine-global
-//! `gemm::Kernel::detected` (its `has_avx2`; the sweeps have no 512-bit
-//! build).
+//! `gemm::Kernel::detected` (its `has_avx2`). The sweeps have no 512-bit
+//! build; the macro's opt-in third arm, a hand-written `avx512f` build, has
+//! one user, the window-attention core.
 //!
 //! Three rules keep the crate's determinism contract:
 //!
@@ -192,17 +193,20 @@ pub fn max(x: &[f32]) -> f32 {
 // is subtracted in two parts (Cody–Waite): `LN2_HI` = 0.693359375 has nine
 // significant bits, so `n · LN2_HI` and the first subtraction are exact for
 // `|n| ≤ 128`.
-const LN2_HI: f32 = 355.0 / 512.0;
-const LN2_LO: f32 = -2.121_944_4e-4;
+pub(crate) const LN2_HI: f32 = 355.0 / 512.0;
+pub(crate) const LN2_LO: f32 = -2.121_944_4e-4;
 /// `1.5 · 2²³`: adding it rounds to the nearest integer and leaves that
 /// integer, in two's complement, in the low mantissa bits of the sum.
-const ROUND: f32 = 12_582_912.0;
+pub(crate) const ROUND: f32 = 12_582_912.0;
 /// Smallest input whose exponential is a normal f32: the least f32 that is
 /// `≥ ln 2⁻¹²⁶`. Below it [`exp_lane`] returns exactly 0.
-const EXP_LO: f32 = -87.336_54;
+pub(crate) const EXP_LO: f32 = -87.336_54;
 /// `ln f32::MAX`: above it the exponential overflows and [`exp_lane`] returns
 /// `+∞` (`n = 128` already does from `88.376_27` up; see [`exp`]).
 const EXP_HI: f32 = 88.722_84;
+/// The Horner coefficients of `(e^r − 1 − r) / r²`, highest degree first.
+pub(crate) const EXP_POLY: [f32; 6] =
+    [1.987_569_1e-4, 1.398_199_9e-3, 8.333_452e-3, 4.166_579_6e-2, 1.666_666_6e-1, 0.5];
 
 /// The one `exp` of the model, for one lane (Cephes `expf`: degree-5
 /// polynomial for `e^r` on `|r| ≤ ½ ln 2`, exponent inserted as bits). Every
@@ -214,12 +218,10 @@ pub(crate) fn exp_lane(x: f32) -> f32 {
     let t = x * std::f32::consts::LOG2_E + ROUND;
     let n = t - ROUND;
     let r = x - n * LN2_HI - n * LN2_LO;
-    let mut p = 1.987_569_1e-4_f32;
-    p = p * r + 1.398_199_9e-3;
-    p = p * r + 8.333_452e-3;
-    p = p * r + 4.166_579_6e-2;
-    p = p * r + 1.666_666_6e-1;
-    p = p * r + 0.5;
+    let mut p = EXP_POLY[0];
+    for c in &EXP_POLY[1..] {
+        p = p * r + c;
+    }
     let y = p * (r * r) + r + 1.0;
     // 2ⁿ: the low nine bits of `t` are `n mod 512`, so the shift drops the
     // rest and the add biases the exponent field — 1 at n = −126, 255 (+∞) at
@@ -250,7 +252,39 @@ fn sigmoid_lane(x: f32) -> f32 {
 /// The crate's one dispatch mechanism below the GEMM: the `exp` family and
 /// the fused-op backwards here and the window-attention core
 /// ([`crate::attention`]) are its instances.
+///
+/// The opt-in third arm names a hand-written `avx512f` build (`$avx512`,
+/// a `#[target_feature(enable = "avx512f")]` fn of the same signature, bit
+/// for bit what `$body` returns) and makes the entry point take the
+/// `gemm::Kernel` to run as its first argument: `Avx512` runs `$avx512`,
+/// `Avx2Fma` the AVX2 build, `Portable` the body. The entry panics on a
+/// kernel this CPU does not support. Only the window-attention core uses it.
 macro_rules! dispatched {
+    ($(#[$doc:meta])* $vis:vis fn $name:ident, $body:ident, $avx2:ident, $avx512:ident, ($($arg:ident: $ty:ty),*) $code:block) => {
+        #[inline(always)]
+        fn $body($($arg: $ty),*) $code
+
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx2")]
+        fn $avx2($($arg: $ty),*) {
+            $body($($arg),*)
+        }
+
+        $(#[$doc])*
+        $vis fn $name(kernel: crate::gemm::Kernel, $($arg: $ty),*) {
+            use crate::gemm::Kernel;
+            assert!(kernel <= Kernel::detected(), "this CPU does not support the {} kernel", kernel.name());
+            #[cfg(target_arch = "x86_64")]
+            match kernel {
+                // SAFETY (both arms): `kernel <= Kernel::detected()`, asserted
+                // above, so the CPU has the features the callee is built with.
+                Kernel::Avx512 => return unsafe { $avx512($($arg),*) },
+                Kernel::Avx2Fma => return unsafe { $avx2($($arg),*) },
+                Kernel::Portable => {}
+            }
+            $body($($arg),*)
+        }
+    };
     ($(#[$doc:meta])* $vis:vis fn $name:ident, $body:ident, $avx2:ident, ($($arg:ident: $ty:ty),*) $code:block) => {
         #[inline(always)]
         fn $body($($arg: $ty),*) $code

@@ -6,12 +6,17 @@
 //! gradient `dY·Wᵀ`, TN weight gradient `Xᵀ·dY` (k = 1 for the one-row
 //! projections). Prints the minimum single-call wall time and its GFLOP/s
 //! per shape and the summed minimum per layout, the table DESIGN.md
-//! "Tensor backend" quotes, with the micro-kernel that ran.
+//! "Tensor backend" quotes, with the micro-kernel that ran. Two rows after
+//! the totals time the window-attention core that runs between a block's
+//! QKV and output projections, `window_core` and `window_core_backward` at
+//! toy48's geometry (32 windows of 16 tokens, 4 heads of 12), with the
+//! build that ran (the same kernel name).
 //!
 //! ```bash
 //! cargo run --release --example gemm_shapes [calls]
 //! ```
 
+use aeris::tensor::attention::{window_core, window_core_backward, WindowAttnPlan};
 use aeris::tensor::gemm::kernel_name;
 use aeris::tensor::{matmul, matmul_nt, matmul_tn, Rng, Tensor};
 use std::hint::black_box;
@@ -71,4 +76,20 @@ fn main() {
         println!("{layout:<6} {:<26} {total:>9.1}", "total");
     }
     println!("{:<6} {:<26} {:>9.1}", "all", "total", totals.iter().map(|(_, t)| t).sum::<f64>());
+
+    // toy48's window-attention geometry: 32 windows × 16 tokens, 4 heads × 12.
+    let (n_windows, wlen, n_heads, head_dim) = (32, 16, 4, 12);
+    let pairs = head_dim / 2;
+    let angles: Vec<f32> = (0..wlen * pairs).map(|i| 0.37 * i as f32).collect();
+    let cos = Tensor::from_vec(&[wlen, pairs], angles.iter().map(|a| a.cos()).collect());
+    let sin = Tensor::from_vec(&[wlen, pairs], angles.iter().map(|a| a.sin()).collect());
+    let plan = WindowAttnPlan::new(n_windows, wlen, n_heads, head_dim, cos, sin);
+    let qkv = Tensor::randn(&[plan.tokens(), 3 * plan.dim()], &mut rng);
+    let d_o = Tensor::randn(&[plan.tokens(), plan.dim()], &mut rng);
+    let shape = format!("({n_windows}, {wlen}, {n_heads}, {head_dim})");
+    println!("{:<22} {:>16} {:>9} {:>8}", "attention core", "(win, len, h, d)", "µs", "build");
+    let fwd = min_us(calls, || window_core(&qkv, &plan));
+    println!("{:<22} {shape:>16} {fwd:>9.1} {:>8}", "window_core", kernel_name());
+    let bwd = min_us(calls, || window_core_backward(&d_o, &qkv, &plan));
+    println!("{:<22} {shape:>16} {bwd:>9.1} {:>8}", "window_core_backward", kernel_name());
 }

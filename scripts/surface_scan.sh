@@ -26,7 +26,7 @@
 #        live");
 #   (iv) every `unsafe` / `target_feature` / `is_x86_feature_detected` site in
 #        the non-test code of crates, shims, examples and src, and every
-#        `dispatched!(` loop that macro builds twice. Expected: lines of
+#        `dispatched!(` loop that macro builds. Expected: lines of
 #        crates/tensor/src/gemm.rs (the three kernel builds, the AVX-512
 #        tile's load and masked store, the one detector), the one
 #        `dispatched!` macro of crates/tensor/src/sweeps.rs and its eight
@@ -34,16 +34,23 @@
 #        the backwards of the three fused block ops (`swiglu_backward`,
 #        `modulated_rmsnorm_backward`, `gated_residual_backward`) in
 #        sweeps.rs, the window-attention core's forward and backward loops in
-#        crates/tensor/src/attention.rs — and the one foreign call of
+#        crates/tensor/src/attention.rs — the `avx512f` build of that core,
+#        admitted fn by fn (INTRINSIC_FNS below: their
+#        `#[target_feature]` lines and the aligned / masked loads and stores),
+#        and the one foreign call of
 #        examples/swipe_scaling.rs (`getrusage`: the process's CPU times,
 #        minor faults and voluntary context switches, exited threads
 #        included; no /proc file holds the switches); every other crate root (aeris-autodiff included) says
 #        `#![forbid(unsafe_code)]` (not listed);
-#   (v)  every `mul_add(` / `_fmadd_*(` call in the same non-test code — the
-#        only places a multiply-add may be contracted. Expected: exactly the
+#   (v)  every contracted multiply-add call in the same non-test code —
+#        `mul_add(`, a libm `fma(` / `fmaf(`, and every x86 intrinsic of the
+#        `_fmadd_` / `_fmsub_` / `_fnmadd_` / `_fnmsub_` / `_fmaddsub_` /
+#        `_fmsubadd_` families — the only places a multiply-add may be
+#        contracted. Expected: exactly the
 #        two tile lines of crates/tensor/src/gemm.rs (the 4 × 16 body's
 #        `mul_add`, the AVX-512 tile's `_mm512_fmadd_ps`); a hit anywhere else
-#        is a result that depends on how the compiler or the CPU fuses;
+#        is a result that depends on how the compiler or the CPU fuses (a
+#        RoPE `x0·c − x1·s` written as one `_fmsub_` is such a hit);
 #   (vi) every `from_le_bytes(` / `get_*_le(` byte-decoding site in the
 #        non-test code of crates/*/src, examples and src — the workspace's
 #        byte-format parsers. Expected: lines of crates/nn/src/checkpoint.rs
@@ -69,8 +76,9 @@
 # `--check` makes the scan a gate: it exits non-zero when (ii) prints a name
 # that KEPT does not list (or KEPT lists a name (ii) no longer prints), when
 # (iv) prints a site outside crates/tensor/src/gemm.rs, the `dispatched!`
-# macro body and the `getrusage` call, or a `dispatched!(` invocation that
-# DISPATCHED does not list (or DISPATCHED lists one that is gone), when (v)
+# macro body, the INTRINSIC_FNS fns and the `getrusage` call, or a
+# `dispatched!(` invocation that DISPATCHED does not list (or DISPATCHED
+# lists one that is gone, or INTRINSIC_FNS a fn with no site), when (v)
 # prints anything but the GEMM's two tile lines, or when (vi) prints a
 # decoder outside crates/nn/src/checkpoint.rs or a checkpoint writer or
 # reader call outside crates/swipe/src.
@@ -112,6 +120,30 @@ crates/tensor/src/sweeps.rs	sigmoid
 crates/tensor/src/sweeps.rs	silu_gate
 crates/tensor/src/sweeps.rs	swiglu_backward"
 
+# The fns whose (iv) sites are admitted by name, one `file<TAB>fn` a line:
+# the `avx512f` build of the window-attention core (the third arm of
+# `dispatched!`), each a `#[target_feature(enable = "avx512f")]` fn; `ld`,
+# `st`, `columns` and `write_rows` also hold its aligned and masked loads
+# and stores. An (iv) site in any other fn of the file fails --check.
+INTRINSIC_FNS="\
+crates/tensor/src/attention.rs	backward_avx512
+crates/tensor/src/attention.rs	columns
+crates/tensor/src/attention.rs	dkv_block
+crates/tensor/src/attention.rs	dp_block
+crates/tensor/src/attention.rs	dq_block
+crates/tensor/src/attention.rs	exp_zmm
+crates/tensor/src/attention.rs	forward_avx512
+crates/tensor/src/attention.rs	ld
+crates/tensor/src/attention.rs	load_zmm
+crates/tensor/src/attention.rs	probs_zmm
+crates/tensor/src/attention.rs	pv_block
+crates/tensor/src/attention.rs	rope_cols
+crates/tensor/src/attention.rs	rope_inv_cols
+crates/tensor/src/attention.rs	score_block
+crates/tensor/src/attention.rs	st
+crates/tensor/src/attention.rs	transpose16
+crates/tensor/src/attention.rs	write_rows"
+
 # FILE:LINE:TEXT for every line that is neither a comment nor inside a
 # `#[cfg(test)]` item (a `mod tests { … }` block or a one-line `mod tests;`).
 strip_tests() {
@@ -152,6 +184,34 @@ test_module_files() {
         }
         { prev = $0 }
     ' {} +
+}
+
+# `FILE:LINE<TAB>fn` for every FILE:LINE:TEXT line read: the fn whose
+# attributes or body the line is (a run of `#[…]` lines right above a `fn`
+# line is that fn's), `-` outside every fn. Crude like the rest: braces are
+# counted as written, strings and all.
+fn_of_lines() {
+    awk '
+        {
+            file = $0; sub(/:.*/, "", file)
+            rest = substr($0, length(file) + 2)
+            line = rest; sub(/:.*/, "", line)
+            text = rest; sub(/^[0-9]+:/, "", text)
+            if (file != seen) { seen = file; fn = ""; depth = 0; n = 0 }
+            if (fn == "" && text ~ /^[[:space:]]*#\[/) { held[++n] = file ":" line; next }
+            if (fn == "" && match(text, /(^|[^A-Za-z0-9_])fn [A-Za-z_][A-Za-z0-9_]*/)) {
+                fn = substr(text, RSTART, RLENGTH); sub(/.*fn /, "", fn)
+                base = depth; opened = 0
+            }
+            for (i = 1; i <= n; i++) print held[i] "\t" (fn == "" ? "-" : fn)
+            n = 0
+            print file ":" line "\t" (fn == "" ? "-" : fn)
+            opens = gsub(/\{/, "{", text); closes = gsub(/\}/, "}", text)
+            depth += opens - closes
+            if (opens > 0) opened = 1
+            if (fn != "" && opened && depth <= base) fn = ""
+        }
+    '
 }
 
 sources() {
@@ -228,9 +288,23 @@ sites=$(strip_tests $(sources crates/*/src shims/*/src examples src) \
 # The `macro_rules! dispatched` body: first and last line.
 macro=$(awk '/^macro_rules! dispatched/ { s = FNR } s && FNR > s && /^}/ { print s, FNR; exit }' crates/tensor/src/sweeps.rs)
 iv_failed=0
-stray=$(printf '%s\n' "$sites" | awk -F: -v macro="$macro" '
-    BEGIN { split(macro, m, " ") }
+# `FILE:LINE<TAB>FILE<TAB>fn` of every (iv) site in the files INTRINSIC_FNS
+# names: the fn each site belongs to.
+site_fns=$(strip_tests $(printf '%s\n' "$INTRINSIC_FNS" | cut -f1 | sort -u) | fn_of_lines \
+    | awk -F '\t' -v sites="$sites" '
+        BEGIN { n = split(sites, s, "\n"); for (i = 1; i <= n; i++) { split(s[i], f, ":"); at[f[1] ":" f[2]] = 1 } }
+        $1 in at { file = $1; sub(/:.*/, "", file); print $1 "\t" file "\t" $2 }')
+# FILE:LINE of every (iv) site inside a fn INTRINSIC_FNS lists.
+admitted=$(printf '%s\n' "$site_fns" | awk -F '\t' -v list="$INTRINSIC_FNS" '
+        BEGIN { n = split(list, rows, "\n"); for (i = 1; i <= n; i++) ok[rows[i]] = 1 }
+        ($2 "\t" $3) in ok { print $1 }')
+stray=$(printf '%s\n' "$sites" | awk -F: -v macro="$macro" -v admitted="$admitted" '
+    BEGIN {
+        split(macro, m, " ")
+        n = split(admitted, a, "\n"); for (i = 1; i <= n; i++) ok[a[i]] = 1
+    }
     $0 == "" { next }
+    ($1 ":" $2) in ok { next }
     $1 == "crates/tensor/src/gemm.rs" { next }
     $1 == "crates/tensor/src/sweeps.rs" && $2 >= m[1] && $2 <= m[2] { next }
     $1 == "examples/swipe_scaling.rs" && /getrusage\(/ { next }
@@ -238,10 +312,17 @@ stray=$(printf '%s\n' "$sites" | awk -F: -v macro="$macro" '
     { print }
 ')
 if [ -n "$stray" ]; then
-    echo "-- outside gemm.rs, the dispatched! macro and the getrusage call --"
+    echo "-- outside gemm.rs, the dispatched! macro, the INTRINSIC_FNS fns and the getrusage call --"
     echo "$stray"
     iv_failed=1
 fi
+# Every INTRINSIC_FNS fn still holds an (iv) site.
+while IFS= read -r line; do
+    if ! printf '%s\n' "$site_fns" | cut -f2,3 | grep -qxF "$line"; then
+        echo "INTRINSIC_FNS lists $line, which holds no (iv) site: drop it"
+        iv_failed=1
+    fi
+done <<< "$INTRINSIC_FNS"
 # `file<TAB>name` of every `dispatched!(` invocation (the name is the first
 # `fn` line after it), against DISPATCHED, both ways.
 invocations=$(strip_tests $(sources crates/*/src shims/*/src examples src) | awk '
@@ -271,7 +352,7 @@ done <<< "$DISPATCHED"
 echo
 echo "== (v) contracted multiply-adds outside test code =="
 fmas=$(strip_tests $(sources crates/*/src shims/*/src examples src) \
-    | grep -E 'mul_add\(|_fmadd_[a-z0-9_]*\(' || true)
+    | grep -E 'mul_add\(|_fn?m(add|sub)[a-z0-9_]*\(|(^|[^a-z_0-9])fmaf?\(' || true)
 [ -z "$fmas" ] || echo "$fmas"
 v_failed=0
 if [ "$(printf '%s\n' "$fmas" | grep -c '^crates/tensor/src/gemm\.rs:')" != 2 ] \
@@ -306,10 +387,10 @@ if [ "$check" = 1 ]; then
     echo
     if [ "$ii_failed" = 1 ] || [ "$iv_failed" = 1 ] || [ "$v_failed" = 1 ] || [ "$vi_failed" = 1 ]; then
         [ "$ii_failed" = 0 ] || echo "check FAILED: (ii) prints a name without a reason in KEPT, or KEPT is stale" >&2
-        [ "$iv_failed" = 0 ] || echo "check FAILED: (iv) prints a site outside gemm.rs, the dispatched! macro and getrusage, or a dispatched!( invocation DISPATCHED does not list (or DISPATCHED is stale)" >&2
+        [ "$iv_failed" = 0 ] || echo "check FAILED: (iv) prints a site outside gemm.rs, the dispatched! macro, the INTRINSIC_FNS fns and getrusage, or a dispatched!( invocation DISPATCHED does not list (or DISPATCHED or INTRINSIC_FNS is stale)" >&2
         [ "$v_failed" = 0 ] || echo "check FAILED: (v) prints a multiply-add other than the GEMM's two tile lines" >&2
         [ "$vi_failed" = 0 ] || echo "check FAILED: (vi) prints a decoder outside crates/nn/src/checkpoint.rs, or a checkpoint writer or reader outside crates/swipe/src" >&2
         exit 1
     fi
-    echo "check passed: every (ii) name has a reason; (iv) only gemm.rs, the dispatched! macro, the DISPATCHED loops and getrusage; (v) only the GEMM's two tile lines; (vi) is the checkpoint decoder only, its writer and reader called from crates/swipe/src only"
+    echo "check passed: every (ii) name has a reason; (iv) only gemm.rs, the dispatched! macro, the DISPATCHED loops, the INTRINSIC_FNS fns and getrusage; (v) only the GEMM's two tile lines; (vi) is the checkpoint decoder only, its writer and reader called from crates/swipe/src only"
 fi
