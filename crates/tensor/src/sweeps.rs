@@ -260,7 +260,8 @@ fn sigmoid_lane(x: f32) -> f32 {
 /// `Avx2Fma` the AVX2 build, `Portable` the body. The entry panics on a
 /// kernel this CPU does not support. Only the window-attention core uses it.
 macro_rules! dispatched {
-    ($(#[$doc:meta])* $vis:vis fn $name:ident, $body:ident, $avx2:ident, $avx512:ident, ($($arg:ident: $ty:ty),*) $code:block) => {
+    // The two builds of the body, shared by both forms.
+    (@builds $body:ident, $avx2:ident, ($($arg:ident: $ty:ty),*) $code:block) => {
         #[inline(always)]
         fn $body($($arg: $ty),*) $code
 
@@ -269,6 +270,9 @@ macro_rules! dispatched {
         fn $avx2($($arg: $ty),*) {
             $body($($arg),*)
         }
+    };
+    ($(#[$doc:meta])* $vis:vis fn $name:ident, $body:ident, $avx2:ident, $avx512:ident, ($($arg:ident: $ty:ty),*) $code:block) => {
+        dispatched!(@builds $body, $avx2, ($($arg: $ty),*) $code);
 
         $(#[$doc])*
         $vis fn $name(kernel: crate::gemm::Kernel, $($arg: $ty),*) {
@@ -286,14 +290,7 @@ macro_rules! dispatched {
         }
     };
     ($(#[$doc:meta])* $vis:vis fn $name:ident, $body:ident, $avx2:ident, ($($arg:ident: $ty:ty),*) $code:block) => {
-        #[inline(always)]
-        fn $body($($arg: $ty),*) $code
-
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx2")]
-        fn $avx2($($arg: $ty),*) {
-            $body($($arg),*)
-        }
+        dispatched!(@builds $body, $avx2, ($($arg: $ty),*) $code);
 
         $(#[$doc])*
         $vis fn $name($($arg: $ty),*) {
