@@ -408,6 +408,23 @@ mod tests {
         assert_eq!(h, 0x877d_b9ab_8775_ab0e, "got {h:#x}");
     }
 
+    /// The served forward as a contract: a nudged toy48 `velocity` at `t`
+    /// near 0, mid-range and near π/2 hashes, every output in order, to one
+    /// pinned FNV-1a digest (captured from the taped forward, before
+    /// `velocity` ran its own block pass). The equality proptest above cannot
+    /// see a change to a row kernel both sequences share; this can.
+    #[test]
+    fn toy48_velocity_is_pinned_bitwise() {
+        let (m, [x_t, x_prev, f]) = nudged(toy48(), 13);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for t in [0.02f32, 0.8, 1.55] {
+            for x in m.velocity(&x_t, &x_prev, &f, t).data() {
+                h = (h ^ x.to_bits() as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(h, 0x5fa3_8a38_762d_a1df, "got {h:#x}");
+    }
+
     #[test]
     fn forward_shapes_and_finiteness() {
         let m = tiny();
