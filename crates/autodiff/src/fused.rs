@@ -10,7 +10,10 @@
 //! **Forward bits.** Every op evaluates, per element, exactly the expression
 //! its chain evaluates, in the same association order and without contracting
 //! a multiply-add, so the fused forward is bitwise the chain's (property
-//! tested below). The backward recomputes the intermediates the chain would
+//! tested below). Each forward is a row kernel of [`aeris_tensor::sweeps`]
+//! (`modulated_rmsnorm_row`, `swiglu`, `gated_residual`), the one definition
+//! the model's tape-free block pass (`AerisModel::velocity`) runs too. The
+//! backward recomputes the intermediates the chain would
 //! have stored (the normalized row, `silu(gate)`) from the op's inputs — the
 //! same arithmetic, so the recomputed values are the stored ones. Each
 //! backward is one row sweep of [`aeris_tensor::sweeps`]
@@ -42,24 +45,16 @@ impl Tape {
         let (xv, gv) = (self.value(x), self.value(gamma));
         let (sv, bv) = (self.value(scale), self.value(shift));
         assert_eq!(xv.ndim(), 2);
-        let (rows, dim) = (xv.shape()[0], xv.shape()[1]);
+        let dim = xv.shape()[1];
         for v in [gv, sv, bv] {
             assert_eq!(v.shape(), &[dim], "modulated_rmsnorm vector shape");
         }
         let scale1 = sv.add_scalar(1.0);
-        // Every vector is cut to `[..dim]` once so the row loops index without
-        // bounds checks and vectorize.
-        let (g, s1, b) = (&gv.data()[..dim], &scale1.data()[..dim], &bv.data()[..dim]);
         let mut value = Tensor::for_overwrite(xv.shape());
-        let mut inv_rms = Vec::with_capacity(rows);
-        for (xr, out) in xv.data().chunks_exact(dim).zip(value.data_mut().chunks_exact_mut(dim)) {
-            let ms = sweeps::sum_sq(xr) / dim as f32;
-            let ir = 1.0 / (ms + eps).sqrt();
-            inv_rms.push(ir);
-            for j in 0..dim {
-                out[j] = xr[j] * ir * g[j] * s1[j] + b[j];
-            }
-        }
+        let rows_out = xv.data().chunks_exact(dim).zip(value.data_mut().chunks_exact_mut(dim));
+        let inv_rms: Vec<f32> = rows_out
+            .map(|(xr, out)| sweeps::modulated_rmsnorm_row(out, xr, gv.data(), scale1.data(), bv.data(), eps))
+            .collect();
         let (px, pg) = (x.0, gamma.0);
         self.push(
             value,
@@ -89,10 +84,7 @@ impl Tape {
         assert!(two_f > 0 && two_f % 2 == 0, "swiglu input must be [rows, 2·ffn]");
         let f = two_f / 2;
         let mut value = Tensor::for_overwrite(&[rows, f]);
-        for (gur, out) in gv.data().chunks_exact(two_f).zip(value.data_mut().chunks_exact_mut(f)) {
-            let (gate, up) = gur.split_at(f);
-            sweeps::silu_gate(out, gate, up);
-        }
+        sweeps::swiglu(value.data_mut(), gv.data(), f);
         let pgu = gu.0;
         self.push(
             value,
@@ -114,14 +106,8 @@ impl Tape {
         assert_eq!(xv.shape(), hv.shape(), "gated_residual branch shape");
         let dim = xv.shape()[1];
         assert_eq!(gv.shape(), &[dim], "gated_residual gate shape");
-        let g = &gv.data()[..dim];
         let mut value = Tensor::for_overwrite(xv.shape());
-        let rows = xv.data().chunks_exact(dim).zip(hv.data().chunks_exact(dim));
-        for ((xr, hr), out) in rows.zip(value.data_mut().chunks_exact_mut(dim)) {
-            for j in 0..dim {
-                out[j] = xr[j] + hr[j] * g[j];
-            }
-        }
+        sweeps::gated_residual(value.data_mut(), xv.data(), hv.data(), gv.data());
         let (ph, pgate) = (h.0, gate.0);
         self.push(
             value,

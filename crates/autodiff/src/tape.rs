@@ -1,20 +1,12 @@
 //! The differentiation tape.
 
-use aeris_tensor::{matmul, matmul_nt, matmul_tn, recycle, sweeps, Tensor};
+use aeris_tensor::{matmul, matmul_nt, matmul_tn, sweeps, Tensor};
 use std::sync::Arc;
 
 /// Handle to a node on a [`Tape`]. Cheap to copy; only valid for the tape that
 /// created it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Var(pub(crate) usize);
-
-impl Var {
-    /// The node's position on its tape: the [`Tape::len`] at the moment it
-    /// was recorded, as [`Tape::release`] counts.
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
 
 /// Backward closure: receives the node's upstream gradient *by value* (the
 /// reverse sweep is done with it afterwards), so trivial ops — `add`,
@@ -44,6 +36,11 @@ impl Node {
             Value::Shared(t) => t,
         }
     }
+
+    /// False for a constant leaf: the sweep passes it no cotangent.
+    fn takes_grad(&self) -> bool {
+        self.requires_grad || self.backward.is_some()
+    }
 }
 
 /// Gradients produced by [`Tape::backward`], and the accumulator of a
@@ -70,37 +67,15 @@ impl Grads {
 /// bound with [`Tape::shared_leaf`] shares its value with the parameter store
 /// instead of copying it, so a weight enters the graph by reference and its
 /// gradient is keyed by its leaf.
-///
-/// A [`Tape::direct`] tape runs the same ops without recording: each node
-/// keeps its value but not its backward closure or parents, so whatever an
-/// op captured for its backward is freed as soon as the op returns, and
-/// [`Tape::release`] frees finished stretches of the forward. It is how
-/// inference runs; it has no backward.
+#[derive(Default)]
 pub struct Tape {
     nodes: Vec<Node>,
-    recording: bool,
-}
-
-impl Default for Tape {
-    fn default() -> Self {
-        Tape { nodes: Vec::new(), recording: true }
-    }
 }
 
 impl Tape {
-    /// A fresh, empty recording tape.
+    /// A fresh, empty tape.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A fresh, empty direct tape: the forward only.
-    pub fn direct() -> Self {
-        Tape { nodes: Vec::new(), recording: false }
-    }
-
-    /// True for a tape built with [`Tape::new`], which can run a backward.
-    pub fn is_recording(&self) -> bool {
-        self.recording
     }
 
     /// Number of nodes recorded so far.
@@ -119,53 +94,14 @@ impl Tape {
         self.nodes.iter().map(|n| n.value().len()).sum()
     }
 
-    /// Record a node. A direct tape keeps only the value: the backward
-    /// closure, and what it captured, drop here.
+    /// Record a node.
     pub(crate) fn push(&mut self, value: Tensor, parents: Vec<usize>, backward: Option<BackFn>, rg: bool) -> Var {
         self.push_value(Value::Owned(value), parents, backward, rg)
     }
 
     fn push_value(&mut self, value: Value, parents: Vec<usize>, backward: Option<BackFn>, rg: bool) -> Var {
-        let node = if self.recording {
-            Node { value, parents, backward, requires_grad: rg }
-        } else {
-            Node { value, parents: Vec::new(), backward: None, requires_grad: false }
-        };
-        self.nodes.push(node);
+        self.nodes.push(Node { value, parents, backward, requires_grad: rg });
         Var(self.nodes.len() - 1)
-    }
-
-    /// End a finished stretch of a direct forward: drop every node recorded
-    /// at or after position `since` except `keep`, which moves to `since`
-    /// (when it was recorded there or later), and return `keep`'s var. The
-    /// bytes of the stretch's values, shared leaves included, raise the
-    /// calling thread's buffer-recycling bound to the largest single release
-    /// ([`recycle::hold_up_to`]), so the next stretch allocates the same
-    /// lengths from the thread's free list instead of from malloc. A shared
-    /// leaf frees nothing, but the list must also hold what the stretch's
-    /// ops freed as they ran (attention's projection, its fused weight):
-    /// counting owned bytes only sent the SwiGLU buffers back to malloc at
-    /// every block. Vars at or after `since` other than the returned one are
-    /// dangling afterwards.
-    ///
-    /// On a recording tape this does nothing and returns `keep`: the backward
-    /// needs every node.
-    pub fn release(&mut self, since: usize, keep: Var) -> Var {
-        if self.recording || since >= self.nodes.len() {
-            return keep;
-        }
-        let kept = (keep.0 >= since).then(|| self.nodes.swap_remove(keep.0).value);
-        let freed: usize = self.nodes[since..]
-            .iter()
-            .map(|n| std::mem::size_of_val(n.value().data()))
-            .filter(|&bytes| bytes >= recycle::MIN_BYTES)
-            .sum();
-        recycle::hold_up_to(freed);
-        self.nodes.truncate(since);
-        match kept {
-            Some(value) => self.push_value(value, Vec::new(), None, false),
-            None => keep,
-        }
     }
 
     /// A differentiable leaf (parameter or input needing gradients).
@@ -249,10 +185,7 @@ impl Tape {
     pub fn silu(&mut self, a: Var) -> Var {
         let x = self.value(a);
         let mut value = Tensor::for_overwrite(x.shape());
-        sweeps::sigmoid(value.data_mut(), x.data());
-        for (y, &x) in value.data_mut().iter_mut().zip(x.data()) {
-            *y *= x;
-        }
+        sweeps::silu(value.data_mut(), x.data());
         let pa = a.0;
         self.push(
             value,
@@ -273,15 +206,18 @@ impl Tape {
 
     // ---- linear algebra ----
 
-    /// `A @ B` for 2-D `A: [m,k]`, `B: [k,n]`.
+    /// `A @ B` for 2-D `A: [m,k]`, `B: [k,n]`. A constant `A` (the model's
+    /// input, the time features) gets no `dC Bᵀ`: the sweep would drop it.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
         let value = matmul(self.value(a), self.value(b));
         let (pa, pb) = (a.0, b.0);
+        let a_grad = self.nodes[pa].takes_grad();
         self.push(
             value,
             vec![pa, pb],
             Some(Box::new(move |d, nodes| {
-                let da = matmul_nt(&d, nodes[pb].value()); // dC Bᵀ
+                // dC Bᵀ, or an empty stand-in the sweep skips.
+                let da = if a_grad { matmul_nt(&d, nodes[pb].value()) } else { Tensor::zeros(&[0]) };
                 let db = matmul_tn(nodes[pa].value(), &d); // Aᵀ dC
                 vec![da, db]
             })),
@@ -341,16 +277,8 @@ impl Tape {
         assert_eq!(gv.shape(), &[xv.shape()[1]]);
         let (rows, dim) = (xv.shape()[0], xv.shape()[1]);
         let mut value = Tensor::for_overwrite(xv.shape());
-        let mut inv_rms = Vec::with_capacity(rows);
-        for r in 0..rows {
-            let xr = xv.row(r);
-            let ms = sweeps::sum_sq(xr) / dim as f32;
-            let ir = 1.0 / (ms + eps).sqrt();
-            inv_rms.push(ir);
-            for (o, (&xi, &gi)) in value.row_mut(r).iter_mut().zip(xr.iter().zip(gv.data())) {
-                *o = xi * ir * gi;
-            }
-        }
+        let rows_out = xv.data().chunks_exact(dim).zip(value.data_mut().chunks_exact_mut(dim));
+        let inv_rms: Vec<f32> = rows_out.map(|(xr, out)| sweeps::rmsnorm_row(out, xr, gv.data(), eps)).collect();
         let (px, pg) = (x.0, gamma.0);
         self.push(
             value,
@@ -548,11 +476,7 @@ impl Tape {
         let (rows, dim) = (xv.shape()[0], xv.shape()[1]);
         assert_eq!(vv.shape(), &[dim]);
         let mut value = xv.clone();
-        for r in 0..rows {
-            for (o, &vi) in value.row_mut(r).iter_mut().zip(vv.data()) {
-                *o += vi;
-            }
-        }
+        sweeps::add_rows(value.data_mut(), vv.data());
         self.push(
             value,
             vec![x.0, vec.0],
@@ -647,7 +571,6 @@ impl Tape {
     /// has produced what that rank needs to compute it. Every node's backward
     /// still runs once.
     pub fn grads(&self) -> Grads {
-        assert!(self.recording, "a direct tape has no backward");
         Grads { grads: vec![None; self.nodes.len()], unswept: self.nodes.len() }
     }
 
@@ -691,7 +614,7 @@ impl Tape {
                 let parent_grads = back(dout, &self.nodes);
                 debug_assert_eq!(parent_grads.len(), node.parents.len());
                 for (&p, g) in node.parents.iter().zip(parent_grads) {
-                    if !self.nodes[p].requires_grad && self.nodes[p].backward.is_none() {
+                    if !self.nodes[p].takes_grad() {
                         continue; // constant leaf: skip accumulation
                     }
                     match &mut grads.grads[p] {
@@ -1305,91 +1228,6 @@ mod tests {
         tape.seed(&mut grads, loss, Tensor::ones(&[1]));
         tape.sweep(&mut grads, &[x]);
         tape.seed(&mut grads, a, Tensor::ones(&[1]));
-    }
-
-    /// The same chain on a recording tape, with `release` calls in between
-    /// or not: the releases change neither the node count nor a gradient
-    /// bit, and the direct tape computes the same values.
-    #[test]
-    fn release_is_a_no_op_on_a_recording_tape_and_values_match_direct() {
-        let mut rng = Rng::seed_from(11);
-        let x0 = Tensor::randn(&[64, 80], &mut rng);
-        let w0 = Tensor::randn(&[80, 80], &mut rng);
-        let chain = |tape: &mut Tape, release: bool| {
-            let w = tape.leaf(w0.clone());
-            let x = tape.leaf(x0.clone());
-            let mut h = x; // the last node: each stretch releases its input too
-            for _ in 0..3 {
-                let since = h.index();
-                let a = tape.matmul(h, w);
-                let b = tape.silu(a);
-                h = tape.add(b, h);
-                if release {
-                    h = tape.release(since, h);
-                }
-            }
-            (x, w, h)
-        };
-        let mut plain = Tape::new();
-        let (px, pw, ph) = chain(&mut plain, false);
-        let mut released = Tape::new();
-        let (rx, rw, rh) = chain(&mut released, true);
-        assert_eq!((released.len(), rh), (plain.len(), ph));
-        let mut direct = Tape::direct();
-        let (_, _, dh) = chain(&mut direct, true);
-        assert_eq!(bits(direct.value(dh)), bits(plain.value(ph)));
-        assert_eq!(direct.len(), 2, "w and the last output");
-
-        let seed = Tensor::ones(&[64, 80]);
-        let mut gp = plain.backward_from(&[(ph, seed.clone())]);
-        let mut gr = released.backward_from(&[(rh, seed)]);
-        for (p, r) in [(px, rx), (pw, rw)] {
-            assert_eq!(bits(&gp.take(p).unwrap()), bits(&gr.take(r).unwrap()));
-        }
-    }
-
-    /// A direct release keeps the vars recorded before `since` and moves the
-    /// kept value down to `since`; a kept var recorded before `since` stays
-    /// where it is. The freed bytes raise the thread's recycling bound, so
-    /// the next allocations of their lengths reuse them.
-    #[test]
-    fn a_direct_release_drops_the_stretch_and_keeps_one_value() {
-        std::thread::spawn(|| {
-            let mut tape = Tape::direct();
-            let c = tape.constant(Tensor::full(&[64, 64], 2.0));
-            let since = tape.len();
-            let a = tape.scale(c, 3.0);
-            let b = tape.add_scalar(a, 1.0);
-            let ab = tape.mul(b, b);
-            let freed = [a, ab].map(|v| tape.value(v).data().as_ptr());
-            let kept = tape.release(since, b);
-            assert_eq!((kept.index(), tape.len()), (since, since + 1));
-            assert_eq!(tape.value(kept).data()[0], 7.0);
-            assert_eq!(tape.value(c).data()[0], 2.0);
-            // The two 16 KiB buffers dropped went to this thread's free list.
-            let (x, y) = (Tensor::zeros(&[64, 64]), Tensor::zeros(&[32, 128]));
-            let mut reused = [x.data().as_ptr(), y.data().as_ptr()];
-            reused.sort();
-            let mut freed = freed;
-            freed.sort();
-            assert_eq!(reused, freed);
-            drop((x, y));
-
-            let _ = tape.scale(c, 0.5);
-            assert_eq!(tape.release(since + 1, c), c);
-            assert_eq!(tape.len(), since + 1);
-        })
-        .join()
-        .unwrap();
-    }
-
-    #[test]
-    #[should_panic(expected = "a direct tape has no backward")]
-    fn a_direct_tape_has_no_backward() {
-        let mut tape = Tape::direct();
-        let x = tape.leaf(Tensor::from_slice(&[1.0]));
-        let loss = tape.sum(x);
-        tape.backward(loss);
     }
 
     #[test]

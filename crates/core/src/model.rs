@@ -1,14 +1,71 @@
 //! The Swin diffusion transformer.
 
 use crate::config::AerisConfig;
-use aeris_autodiff::{Tape, Var};
-use aeris_nn::timecond::AdaLnHead;
+use aeris_autodiff::{Tape, Var, WindowAttnPlan};
+use aeris_nn::posenc;
+use aeris_nn::timecond::{timestep_features, AdaLnHead};
 use aeris_nn::window::WindowGrid;
 use aeris_nn::{
     pos_encoding_2d, Binding, Linear, ParamStore, RmsNorm, RopeTable, SwiGlu, TimeConditioner,
     WindowAttention,
 };
-use aeris_tensor::{Rng, Tensor};
+use aeris_tensor::attention::window_core_into;
+use aeris_tensor::gemm::{gemm, Kernel};
+use aeris_tensor::{sweeps, Rng, Tensor};
+use std::cell::RefCell;
+
+/// Whole windows per row block of [`AerisModel::velocity`]'s block pass:
+/// 4 × 16 tokens, 64 rows, at toy48.
+const WINDOWS_PER_PASS: usize = 4;
+
+/// The working buffers of [`AerisModel::velocity`], one set per thread like
+/// the attention core's scratch: the assembled `input`, the residual stream
+/// `x` and its post-attention value `mid` (`[tokens, dim]`, token order), and
+/// per row block, in window order, the normalized rows `h`, the projection
+/// `qkv`, the context `o`, a branch output `y`, the gate-up `gu` and its
+/// SwiGLU `hid`.
+#[derive(Default)]
+struct Scratch {
+    input: Vec<f32>,
+    x: Vec<f32>,
+    mid: Vec<f32>,
+    h: Vec<f32>,
+    qkv: Vec<f32>,
+    o: Vec<f32>,
+    y: Vec<f32>,
+    gu: Vec<f32>,
+    hid: Vec<f32>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
+impl Scratch {
+    /// Size every buffer for `cfg`. With `debug_assertions` every element is
+    /// NaN, so a row the pass misses poisons the result, as a
+    /// `Tensor::for_overwrite` buffer does.
+    fn prepare(&mut self, cfg: &AerisConfig) {
+        let (tokens, dim, ffn) = (cfg.tokens(), cfg.dim, cfg.ffn);
+        let rows = WINDOWS_PER_PASS * cfg.window.0 * cfg.window.1;
+        for (buf, n) in [
+            (&mut self.input, tokens * cfg.input_channels()),
+            (&mut self.x, tokens * dim),
+            (&mut self.mid, tokens * dim),
+            (&mut self.h, rows * dim),
+            (&mut self.qkv, rows * 3 * dim),
+            (&mut self.o, rows * dim),
+            (&mut self.y, rows * dim),
+            (&mut self.gu, rows * 2 * ffn),
+            (&mut self.hid, rows * ffn),
+        ] {
+            buf.resize(n, 0.0);
+            if cfg!(debug_assertions) {
+                buf.fill(f32::NAN);
+            }
+        }
+    }
+}
 
 /// One transformer block: pre-RMSNorm → AdaLN modulate → window attention →
 /// gated residual; pre-RMSNorm → AdaLN modulate → SwiGLU → gated residual.
@@ -94,6 +151,52 @@ impl SwinBlock {
         });
         out
     }
+
+    /// The block without a tape, in place on `s.x`: one pass over row blocks
+    /// of [`WINDOWS_PER_PASS`] whole windows (`plan` sized for one), each
+    /// running the modulated norm straight into window order, the QKV GEMM,
+    /// the attention core, the output projection, the gated residual back
+    /// through the partition permutation, the second norm, the SwiGLU and its
+    /// gated residual. Every element comes from the kernel and expression of
+    /// the op [`SwinBlock::forward_with`] records, so the bits are the same.
+    fn pass(&self, store: &ParamStore, cond: &[f32], geo: &BlockGeometry, plan: &mut WindowAttnPlan, s: &mut Scratch) {
+        let (dim, ffn, wlen) = (self.norm1.dim, self.mlp.ffn, plan.window_len);
+        let mut mods = vec![0.0; 6 * dim];
+        self.adaln.head.apply(store, cond, &mut mods);
+        let [shift1, scale1, gate1, shift2, scale2, gate2]: [&[f32]; 6] =
+            std::array::from_fn(|i| &mods[i * dim..(i + 1) * dim]);
+        // `1 + scale`, as the taped norm adds it.
+        let one_plus = |v: &[f32]| -> Vec<f32> { v.iter().map(|x| x + 1.0).collect() };
+        let (scale1, scale2) = (one_plus(scale1), one_plus(scale2));
+        let (g1, g2) = (store.get(self.norm1.gamma).data(), store.get(self.norm2.gamma).data());
+        let a = &self.attn;
+        let w_qkv = Tensor::concat_cols(&[store.get(a.wq.w), store.get(a.wk.w), store.get(a.wv.w)]);
+        let perm = if self.shifted { &geo.shifted_perm } else { &geo.direct_perm };
+        let at = |t: usize| t * dim..(t + 1) * dim;
+        let Scratch { x, mid, h, qkv, o, y, gu, hid, .. } = s;
+        for rows in perm.chunks(WINDOWS_PER_PASS * wlen) {
+            let n = rows.len();
+            plan.n_windows = n / wlen;
+            let (h, qkv, o, y) = (&mut h[..n * dim], &mut qkv[..n * 3 * dim], &mut o[..n * dim], &mut y[..n * dim]);
+            let (gu, hid) = (&mut gu[..n * 2 * ffn], &mut hid[..n * ffn]);
+            for (hr, &t) in h.chunks_exact_mut(dim).zip(rows) {
+                sweeps::modulated_rmsnorm_row(hr, &x[at(t)], g1, &scale1, shift1, self.norm1.eps);
+            }
+            gemm(n, 3 * dim, dim, h, false, w_qkv.data(), false, qkv);
+            window_core_into(Kernel::detected(), qkv, plan, o);
+            a.wo.apply(store, o, y);
+            for ((hr, yr), &t) in h.chunks_exact_mut(dim).zip(y.chunks_exact(dim)).zip(rows) {
+                sweeps::gated_residual(&mut mid[at(t)], &x[at(t)], yr, gate1);
+                sweeps::modulated_rmsnorm_row(hr, &mid[at(t)], g2, &scale2, shift2, self.norm2.eps);
+            }
+            self.mlp.w_in.apply(store, h, gu);
+            sweeps::swiglu(hid, gu, ffn);
+            self.mlp.w_down.apply(store, hid, y);
+            for (yr, &t) in y.chunks_exact(dim).zip(rows) {
+                sweeps::gated_residual(&mut x[at(t)], &mid[at(t)], yr, gate2);
+            }
+        }
+    }
 }
 
 /// Precomputed geometry shared by all blocks.
@@ -176,20 +279,20 @@ impl AerisModel {
     /// Assemble the conditioned input `[x_t, x_prev, forcings]` (+PE) in
     /// standardized units: all `[tokens, ·]`.
     pub fn assemble_input(&self, x_t: &Tensor, x_prev: &Tensor, forcings: &Tensor) -> Tensor {
+        posenc::assemble(&self.input_parts(x_t, x_prev, forcings), &self.pos_field)
+    }
+
+    /// The three input parts, checked against the config.
+    fn input_parts<'a>(&self, x_t: &'a Tensor, x_prev: &'a Tensor, forcings: &'a Tensor) -> [&'a Tensor; 3] {
         assert_eq!(x_t.shape(), &[self.cfg.tokens(), self.cfg.channels]);
         assert_eq!(x_prev.shape(), &[self.cfg.tokens(), self.cfg.channels]);
         assert_eq!(forcings.shape(), &[self.cfg.tokens(), self.cfg.forcing_channels]);
-        let cat = Tensor::concat_cols(&[x_t, x_prev, forcings]);
-        aeris_nn::posenc::add_pos_encoding(&cat, &self.pos_field)
+        [x_t, x_prev, forcings]
     }
 
     /// Forward pass on a tape: input `[tokens, input_channels]`, diffusion
-    /// time `t` → predicted velocity `[tokens, channels]`.
-    ///
-    /// On a direct tape ([`Tape::direct`]) each block's nodes, its input
-    /// included, are released when the block ends, so at most one block's
-    /// activations are alive; a recording tape keeps them all for the
-    /// backward.
+    /// time `t` → predicted velocity `[tokens, channels]`, every activation
+    /// kept for the backward.
     pub fn forward(
         &self,
         tape: &mut Tape,
@@ -201,31 +304,40 @@ impl AerisModel {
         let cond = self.time_cond.embed(tape, binding, store, t);
         let mut x = self.embed.forward(tape, binding, store, input);
         for block in &self.blocks {
-            // The block's input is the last node so far (the embedding, then
-            // the previous block's kept output); nothing after the block
-            // reads it.
-            let since = x.index();
-            debug_assert_eq!(since + 1, tape.len(), "block input is not the last node");
             x = block.forward(tape, binding, store, x, cond, &self.geo);
-            x = binding.release(tape, since, x);
         }
         let x = self.out_norm.forward(tape, binding, store, x);
         self.decode.forward(tape, binding, store, x)
     }
 
     /// Inference-only velocity evaluation `σ_d F_θ(x/σ_d, t)` (σ_d = 1 on
-    /// standardized data) on a direct tape: nothing is recorded for a
-    /// backward, at most one Swin block's activations are alive at a time,
-    /// and their buffers are reused block after block through the calling
-    /// thread's free list (`aeris_tensor::recycle`). Bitwise equal to
-    /// [`AerisModel::forward`] on a recording tape.
+    /// standardized data), without a tape: the time embedding, the embedding,
+    /// each block's `SwinBlock::pass` over the calling thread's scratch,
+    /// the output norm and the decoder, as plain calls of the kernels the
+    /// taped ops run. Bitwise equal to [`AerisModel::forward`].
     pub fn velocity(&self, x_t: &Tensor, x_prev: &Tensor, forcings: &Tensor, t: f32) -> Tensor {
-        let input = self.assemble_input(x_t, x_prev, forcings);
-        let mut tape = Tape::direct();
-        let mut binding = Binding::new(&self.store);
-        let iv = tape.constant(input);
-        let out = self.forward(&mut tape, &mut binding, iv, t);
-        tape.value(out).clone()
+        let (store, cfg) = (&self.store, &self.cfg);
+        let mut h = vec![0.0; cfg.cond_dim];
+        self.time_cond.proj.apply(store, timestep_features(t, cfg.time_feat_dim).data(), &mut h);
+        let mut cond = vec![0.0; cfg.cond_dim];
+        sweeps::silu(&mut cond, &h);
+        let (rope, heads, head_dim) = (&self.geo.rope, cfg.n_heads, cfg.head_dim());
+        let mut plan = WindowAttnPlan::new(0, rope.seq_len(), heads, head_dim, rope.cos.clone(), rope.sin.clone());
+        let mut out = Tensor::for_overwrite(&[cfg.tokens(), cfg.channels]);
+        SCRATCH.with_borrow_mut(|s| {
+            s.prepare(cfg);
+            posenc::assemble_into(&self.input_parts(x_t, x_prev, forcings), &self.pos_field, &mut s.input);
+            self.embed.apply(store, &s.input, &mut s.x);
+            for block in &self.blocks {
+                block.pass(store, &cond, &self.geo, &mut plan, s);
+            }
+            let gamma = store.get(self.out_norm.gamma).data();
+            for (o, x) in s.mid.chunks_exact_mut(cfg.dim).zip(s.x.chunks_exact(cfg.dim)) {
+                sweeps::rmsnorm_row(o, x, gamma, self.out_norm.eps);
+            }
+            self.decode.apply(store, &s.mid, out.data_mut());
+        });
+        out
     }
 
     /// The recording sibling of [`AerisModel::velocity`]: the same
@@ -326,17 +438,24 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
 
-        /// `velocity` (a direct tape, each block released as it ends, buffers
-        /// recycled on this thread) is the recording forward bit for bit, on
-        /// `test_tiny` and on the toy48 shape, and again on a second call
-        /// that allocates from the recycled buffers.
+        /// `velocity` (each block one pass over row blocks of whole windows,
+        /// without a tape) is the recording forward bit for bit, on
+        /// `test_tiny` (8 windows: full row blocks), on a 4 × 12 `test_tiny`
+        /// (3 windows, a partial last row block) and on the toy48 shape, each
+        /// with an unshifted and a shifted block, and again on a second call
+        /// over the warm scratch.
         #[test]
         fn velocity_equals_the_recording_forward_bitwise(
             seed in 0u64..1_000_000,
             t in 0.0f32..1.6,
-            toy in proptest::bool::ANY,
+            geometry in 0usize..3,
         ) {
-            let cfg = if toy { toy48() } else { AerisConfig::test_tiny() };
+            let tiny = AerisConfig::test_tiny();
+            let cfg = match geometry {
+                0 => tiny,
+                1 => AerisConfig { grid_h: 4, grid_w: 12, ..tiny },
+                _ => toy48(),
+            };
             let (m, [x_t, x_prev, f]) = nudged(cfg, seed);
             let mut tape = Tape::new();
             let mut binding = Binding::new(&m.store);
@@ -347,44 +466,6 @@ mod tests {
             proptest::prop_assert_eq!(bits(&m.velocity(&x_t, &x_prev, &f, t)), recorded.clone());
             proptest::prop_assert_eq!(bits(&m.velocity(&x_t, &x_prev, &f, t)), recorded);
         }
-    }
-
-    /// On a recording tape the per-block release is a no-op: the toy48
-    /// forward records exactly the 161 nodes and 1,653,284 activation
-    /// elements of the benchmark's exact counters, and the gradients equal a
-    /// forward whose blocks were run without any release, bit for bit.
-    #[test]
-    fn a_recording_release_keeps_every_node_and_gradient() {
-        let (m, [x_t, x_prev, f]) = nudged(toy48(), 7);
-        let target = Tensor::zeros(&[m.cfg.tokens(), m.cfg.channels]);
-        let w = Tensor::ones(target.shape());
-        let input = m.assemble_input(&x_t, &x_prev, &f);
-        let run = |release: bool| {
-            let mut tape = Tape::new();
-            let mut binding = Binding::new(&m.store);
-            let iv = tape.constant(input.clone());
-            let out = if release {
-                m.forward(&mut tape, &mut binding, iv, 0.5)
-            } else {
-                let store = &m.store;
-                let cond = m.time_cond.embed(&mut tape, &mut binding, store, 0.5);
-                let mut x = m.embed.forward(&mut tape, &mut binding, store, iv);
-                for block in &m.blocks {
-                    x = block.forward(&mut tape, &mut binding, store, x, cond, &m.geo);
-                }
-                let x = m.out_norm.forward(&mut tape, &mut binding, store, x);
-                m.decode.forward(&mut tape, &mut binding, store, x)
-            };
-            let counts = (tape.len(), tape.activation_elems());
-            let loss = tape.weighted_mse(out, &target, &w);
-            let mut grads = tape.backward(loss);
-            let grads: Vec<_> =
-                binding.collect_grads(&mut grads).iter().map(|g| bits(g.as_ref().expect("bound"))).collect();
-            (counts, grads)
-        };
-        let (counts, grads) = run(true);
-        assert_eq!(counts, (161, 1_653_284));
-        assert_eq!((counts, grads), run(false));
     }
 
     /// The toy48 backward as a contract: one `loss_grads` on a nudged model
@@ -505,8 +586,9 @@ mod tests {
 
     /// The fused block, as an exact count instead of a noisy millisecond:
     /// one forward of the toy48-sized model (constants copied from
-    /// `benchmark/src/fixture.rs`) with every parameter bound records at most
-    /// 161 nodes and retains at most 1,653,284 activation elements. The
+    /// `benchmark/src/fixture.rs`) with every parameter bound records exactly
+    /// the 161 nodes and 1,653,284 activation elements of the benchmark's
+    /// exact counters. The
     /// unfused chains recorded 9 more nodes and 10 × 24,576 + 96 more
     /// elements per block (197 / 2,636,708 for the four blocks), so
     /// un-fusing any one of them fails this.
@@ -524,8 +606,7 @@ mod tests {
             binding.var(&mut tape, &m.store, id);
         }
         assert_eq!(tape.len(), nodes, "forward left a parameter unbound");
-        assert!(nodes <= 161, "tape grew to {nodes} nodes");
-        assert!(elems <= 1_653_284, "tape retains {elems} elements");
+        assert_eq!((nodes, elems), (161, 1_653_284));
     }
 
     /// Gradients flow to every parameter tensor of the model.

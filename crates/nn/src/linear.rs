@@ -2,7 +2,7 @@
 
 use crate::params::{Binding, ParamId, ParamStore};
 use aeris_autodiff::{Tape, Var};
-use aeris_tensor::Rng;
+use aeris_tensor::{gemm::gemm, sweeps, Rng};
 
 /// `y = x W (+ b)` with `W: [in, out]`.
 #[derive(Clone, Copy, Debug)]
@@ -52,6 +52,17 @@ impl Linear {
                 tape.add_rows(y, bv)
             }
             None => y,
+        }
+    }
+
+    /// The same `x W (+ b)` without a tape, row-major `x: [rows, in]` into
+    /// every element of `out: [rows, out]`: the GEMM and the bias sweep that
+    /// [`Linear::forward`]'s two ops run, so its bits.
+    pub fn apply(&self, store: &ParamStore, x: &[f32], out: &mut [f32]) {
+        let w = store.get(self.w).data();
+        gemm(x.len() / self.in_dim, self.out_dim, self.in_dim, x, false, w, false, out);
+        if let Some(b) = self.b {
+            sweeps::add_rows(out, store.get(b).data());
         }
     }
 

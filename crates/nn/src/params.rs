@@ -141,8 +141,8 @@ impl Binding {
     }
 
     /// The tape leaf for parameter `id`, creating it on first use. The leaf
-    /// shares the store's tensor ([`Tape::shared_leaf`]) on a direct and a
-    /// recording tape alike: binding copies no parameter.
+    /// shares the store's tensor ([`Tape::shared_leaf`]): binding copies no
+    /// parameter.
     pub fn var(&mut self, tape: &mut Tape, store: &ParamStore, id: ParamId) -> Var {
         if let Some(v) = self.vars[id.0] {
             return v;
@@ -150,22 +150,6 @@ impl Binding {
         let v = tape.shared_leaf(Arc::clone(&store.values[id.0]));
         self.vars[id.0] = Some(v);
         v
-    }
-
-    /// [`Tape::release`] with the bookkeeping of this binding: on a direct
-    /// tape, the parameters bound at or after position `since` forget their
-    /// dropped leaves, so binding one again records a fresh leaf of its
-    /// stored value. On a recording tape, nothing changes.
-    pub fn release(&mut self, tape: &mut Tape, since: usize, keep: Var) -> Var {
-        if tape.is_recording() {
-            return keep;
-        }
-        for slot in &mut self.vars {
-            if slot.is_some_and(|v| v.index() >= since) {
-                *slot = None;
-            }
-        }
-        tape.release(since, keep)
     }
 
     /// Collect gradients for every bound parameter after `tape.backward`.
@@ -250,46 +234,15 @@ mod tests {
         assert!((collected[0].as_ref().unwrap().data()[0] - 7.0).abs() < 1e-5);
     }
 
-    /// A parameter first bound inside a released stretch of a direct tape
-    /// gets a fresh leaf when bound again afterwards, holding its stored
-    /// value; the released position now holds the kept output instead.
+    /// A bound parameter's value is the store's own buffer, not a copy.
     #[test]
-    fn a_parameter_rebound_after_a_direct_release_reads_its_stored_value() {
+    fn a_bound_parameter_shares_the_store_buffer() {
         let mut store = ParamStore::new();
         let w = store.register("w", Tensor::from_slice(&[2.0, 3.0]));
-        let mut tape = Tape::direct();
-        let mut binding = Binding::new(&store);
-        let x = tape.constant(Tensor::from_slice(&[10.0, 20.0]));
-        let since = x.index();
-        let wv = binding.var(&mut tape, &store, w);
-        let y = tape.mul(x, wv);
-        let y = binding.release(&mut tape, since, y);
-        assert_eq!(tape.value(y).data(), &[20.0, 60.0]);
-        let again = binding.var(&mut tape, &store, w);
-        assert_ne!(again, y);
-        assert_eq!(tape.value(again), store.get(w));
-
-        // On a recording tape the binding keeps its leaf.
         let mut tape = Tape::new();
         let mut binding = Binding::new(&store);
-        let x = tape.constant(Tensor::from_slice(&[10.0, 20.0]));
-        let wv = binding.var(&mut tape, &store, w);
-        let y = tape.mul(x, wv);
-        assert_eq!(binding.release(&mut tape, x.index(), y), y);
-        assert_eq!(binding.var(&mut tape, &store, w), wv);
-    }
-
-    /// On a direct and on a recording tape a bound parameter's value is the
-    /// store's own buffer, not a copy.
-    #[test]
-    fn a_bound_parameter_shares_the_store_buffer_on_both_tape_kinds() {
-        let mut store = ParamStore::new();
-        let w = store.register("w", Tensor::from_slice(&[2.0, 3.0]));
-        for mut tape in [Tape::direct(), Tape::new()] {
-            let mut binding = Binding::new(&store);
-            let v = binding.var(&mut tape, &store, w);
-            assert_eq!(tape.value(v).data().as_ptr(), store.get(w).data().as_ptr());
-        }
+        let v = binding.var(&mut tape, &store, w);
+        assert_eq!(tape.value(v).data().as_ptr(), store.get(w).data().as_ptr());
     }
 
     /// A write through `get_mut` copies a tensor still shared with a cloned

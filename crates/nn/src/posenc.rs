@@ -27,18 +27,25 @@ pub fn pos_encoding_2d(h: usize, w: usize, amp: f32) -> Tensor {
     out
 }
 
-/// Add the positional field to every channel of a `[h*w, channels]` matrix.
-pub fn add_pos_encoding(x: &Tensor, pe: &Tensor) -> Tensor {
-    assert_eq!(x.ndim(), 2);
-    assert_eq!(pe.shape(), &[x.shape()[0]]);
-    let mut out = x.clone();
-    let cols = x.shape()[1];
-    for r in 0..x.shape()[0] {
-        let p = pe.data()[r];
-        for v in &mut out.data_mut()[r * cols..(r + 1) * cols] {
-            *v += p;
+/// The model input: `parts` (`[h*w, ·]` each) side by side, the positional
+/// field added to every channel, written into every element of a row-major
+/// `[h*w, Σ widths]` slice.
+pub fn assemble_into(parts: &[&Tensor], pe: &Tensor, out: &mut [f32]) {
+    let width: usize = parts.iter().map(|p| p.shape()[1]).sum();
+    assert!(parts.iter().all(|p| p.shape()[0] == pe.len()), "a part is not [h*w, ·]");
+    assert_eq!(out.len(), pe.len() * width, "assembled input length");
+    for (r, (row, &p)) in out.chunks_exact_mut(width).zip(pe.data()).enumerate() {
+        for (o, &v) in row.iter_mut().zip(parts.iter().flat_map(|t| t.row(r))) {
+            *o = v + p;
         }
     }
+}
+
+/// [`assemble_into`] a new `[h*w, Σ widths]` tensor.
+pub fn assemble(parts: &[&Tensor], pe: &Tensor) -> Tensor {
+    let width = parts.iter().map(|p| p.shape()[1]).sum();
+    let mut out = Tensor::for_overwrite(&[pe.len(), width]);
+    assemble_into(parts, pe, out.data_mut());
     out
 }
 
@@ -59,14 +66,17 @@ mod tests {
         assert!(pe.max() - pe.min() > 1e-3);
     }
 
+    /// The field is added to every channel of every part, and the parts sit
+    /// side by side in order.
     #[test]
     fn add_broadcasts_over_channels() {
         let pe = pos_encoding_2d(2, 2, 1.0);
-        let x = Tensor::zeros(&[4, 3]);
-        let y = add_pos_encoding(&x, &pe);
+        let (a, b) = (Tensor::zeros(&[4, 3]), Tensor::ones(&[4, 2]));
+        let y = assemble(&[&a, &b], &pe);
+        assert_eq!(y.shape(), &[4, 5]);
         for r in 0..4 {
-            for c in 0..3 {
-                assert_eq!(y.at(&[r, c]), pe.data()[r]);
+            for c in 0..5 {
+                assert_eq!(y.at(&[r, c]), if c < 3 { 0.0 } else { 1.0 } + pe.data()[r]);
             }
         }
     }

@@ -503,8 +503,7 @@ impl<'a> Rank<'a> {
                             let forc = gather(&s.forcings, &self.tokens);
                             let z = noise_rows(seed, sample, &self.tokens, channels);
                             let x_t = tf.interpolate(&x0, &z, t);
-                            let cat = Tensor::concat_cols(&[&x_t, &prev, &forc]);
-                            let input = aeris_nn::posenc::add_pos_encoding(&cat, &self.pos);
+                            let input = aeris_nn::posenc::assemble(&[&x_t, &prev, &forc], &self.pos);
                             self.model.forward_input(input)
                         }
                         (StageKind::Block(_), Some(x_in)) => {

@@ -6,7 +6,8 @@
 //! `s = 1/√head_dim`); [`window_core_backward`] is its analytic backward,
 //! `dQ | dK | dV` from `dO`. The projection GEMMs and the tape live in
 //! `aeris-autodiff`, which calls these two functions and nothing else of the
-//! core.
+//! core; the model's tape-free block pass calls the forward on slices,
+//! [`window_core_into`], one row block of whole windows at a time.
 //!
 //! # Layout
 //!
@@ -979,11 +980,19 @@ pub fn window_core(qkv: &Tensor, plan: &WindowAttnPlan) -> Tensor {
 pub fn window_core_on(kernel: Kernel, qkv: &Tensor, plan: &WindowAttnPlan) -> Tensor {
     assert_eq!(qkv.shape(), &[plan.tokens(), 3 * plan.dim()], "window_core input shape");
     let mut o = Tensor::for_overwrite(&[plan.tokens(), plan.dim()]);
+    window_core_into(kernel, qkv.data(), plan, o.data_mut());
+    o
+}
+
+/// [`window_core_on`] on row-major slices: `qkv: [tokens, 3·dim]` in, every
+/// element of `o: [tokens, dim]` written.
+pub fn window_core_into(kernel: Kernel, qkv: &[f32], plan: &WindowAttnPlan, o: &mut [f32]) {
+    assert_eq!(qkv.len(), plan.tokens() * 3 * plan.dim(), "window_core input length");
+    assert_eq!(o.len(), plan.tokens() * plan.dim(), "window_core output length");
     TILES.with_borrow_mut(|s| {
         s.prepare(plan, false);
-        forward_windows(kernel, qkv.data(), plan, o.data_mut(), s);
+        forward_windows(kernel, qkv, plan, o, s);
     });
-    o
 }
 
 /// Analytic backward of [`window_core`]: `dQ | dK | dV` side by side,

@@ -16,8 +16,6 @@
 //! - [`attention`]: the numeric core of windowed multi-head attention with
 //!   RoPE, forward and backward, in 16-query tiles (what `aeris-autodiff`'s
 //!   window-attention ops run between their projection GEMMs),
-//! - [`recycle`]: the per-thread free list of large tensor buffers a direct
-//!   (tape-free) forward reuses block after block,
 //! - [`rng::Rng`]: a deterministic SplitMix64-based random number generator
 //!   with Gaussian sampling and seed-derived independent streams.
 //!
@@ -43,7 +41,6 @@ pub mod fft;
 pub mod gemm;
 pub mod matmul;
 pub mod ops;
-pub mod recycle;
 pub mod rng;
 pub mod sweeps;
 pub mod tensor;

@@ -4,7 +4,7 @@
 //! the layers in `aeris-nn` broadcast explicitly where the architecture needs
 //! it, which keeps shape errors loud).
 
-use crate::{pairwise_sum, recycle, sweeps, Tensor};
+use crate::{pairwise_sum, sweeps, Tensor};
 
 impl Tensor {
     /// Elementwise map into a new tensor.
@@ -28,25 +28,25 @@ impl Tensor {
     /// Elementwise addition (unrolled sweep).
     pub fn add(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.shape(), other.shape(), "shape mismatch in add");
-        let mut out = recycle::for_overwrite(self.len());
-        sweeps::add_into(&mut out, self.data(), other.data());
-        Tensor::from_vec(self.shape(), out)
+        let mut out = Tensor::for_overwrite(self.shape());
+        sweeps::add_into(out.data_mut(), self.data(), other.data());
+        out
     }
 
     /// Elementwise subtraction (unrolled sweep).
     pub fn sub(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.shape(), other.shape(), "shape mismatch in sub");
-        let mut out = recycle::for_overwrite(self.len());
-        sweeps::sub_into(&mut out, self.data(), other.data());
-        Tensor::from_vec(self.shape(), out)
+        let mut out = Tensor::for_overwrite(self.shape());
+        sweeps::sub_into(out.data_mut(), self.data(), other.data());
+        out
     }
 
     /// Elementwise (Hadamard) product (unrolled sweep).
     pub fn mul(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.shape(), other.shape(), "shape mismatch in mul");
-        let mut out = recycle::for_overwrite(self.len());
-        sweeps::mul_into(&mut out, self.data(), other.data());
-        Tensor::from_vec(self.shape(), out)
+        let mut out = Tensor::for_overwrite(self.shape());
+        sweeps::mul_into(out.data_mut(), self.data(), other.data());
+        out
     }
 
     /// In-place `self += other`.
@@ -140,16 +140,16 @@ impl Tensor {
     /// Row-wise softmax of a 2-D tensor (numerically stable).
     pub fn softmax_rows(&self) -> Tensor {
         assert_eq!(self.ndim(), 2, "softmax_rows requires a 2-D tensor");
-        let (rows, cols) = (self.shape()[0], self.shape()[1]);
-        let mut out = recycle::for_overwrite(rows * cols);
+        let rows = self.shape()[0];
+        let mut out = Tensor::for_overwrite(self.shape());
         for r in 0..rows {
             let row = self.row(r);
             let m = sweeps::max(row);
-            let dst = &mut out[r * cols..(r + 1) * cols];
+            let dst = out.row_mut(r);
             let z = sweeps::exp_shift_sum(dst, row, m);
             sweeps::scale(dst, 1.0 / z);
         }
-        Tensor::from_vec(self.shape(), out)
+        out
     }
 }
 
@@ -158,9 +158,9 @@ impl Tensor {
     /// Elementwise division (unrolled sweep).
     pub(crate) fn div(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.shape(), other.shape(), "shape mismatch in div");
-        let mut out = recycle::for_overwrite(self.len());
-        sweeps::div_into(&mut out, self.data(), other.data());
-        Tensor::from_vec(self.shape(), out)
+        let mut out = Tensor::for_overwrite(self.shape());
+        sweeps::div_into(out.data_mut(), self.data(), other.data());
+        out
     }
 
     /// Clamp every element to `[lo, hi]`.

@@ -40,7 +40,8 @@
 //!   evaluation: not worth moving every digest.)
 //!
 //! These are slice-level primitives; `ops.rs`, `forecast.rs`, the autodiff
-//! tape, and the optimizer call them on their own buffers.
+//! tape, the model's tape-free block pass and the optimizer call them on
+//! their own buffers.
 
 /// Lane width for unrolled sweeps: 8 × f32 is one AVX2 register, two SSE2
 /// registers in the baseline build.
@@ -531,6 +532,78 @@ pub fn sum_sq(x: &[f32]) -> f32 {
         s += l;
     }
     s
+}
+
+// The forward row kernels of the Swin block: the one definition of each
+// element's arithmetic, which the tape ops of `aeris-autodiff` and the model's
+// tape-free block pass both run.
+
+/// `1/√(mean(x²) + eps)` of one row, the sum by [`sum_sq`].
+fn inv_rms(x: &[f32], eps: f32) -> f32 {
+    1.0 / (sum_sq(x) / x.len() as f32 + eps).sqrt()
+}
+
+/// RMSNorm of one row `x` of `dim = g.len()`: `out = x · r · γ` with
+/// `r = 1/√(mean(x²) + eps)`; returns `r`.
+pub fn rmsnorm_row(out: &mut [f32], x: &[f32], g: &[f32], eps: f32) -> f32 {
+    assert_eq!(x.len(), g.len(), "rmsnorm_row width");
+    let ir = inv_rms(x, eps);
+    for ((o, &xi), &gi) in out[..g.len()].iter_mut().zip(x).zip(g) {
+        *o = xi * ir * gi;
+    }
+    ir
+}
+
+/// [`rmsnorm_row`] then the AdaLN modulation, `out = x · r · γ · s1 + shift`
+/// in that association order (`s1 = 1 + scale`); returns `r`.
+pub fn modulated_rmsnorm_row(out: &mut [f32], x: &[f32], g: &[f32], s1: &[f32], shift: &[f32], eps: f32) -> f32 {
+    let dim = g.len();
+    assert_eq!(x.len(), dim, "modulated_rmsnorm_row width");
+    let ir = inv_rms(x, eps);
+    // Every slice is cut to `[..dim]` once, so the loop indexes without
+    // bounds checks and vectorizes.
+    let (out, s1, b) = (&mut out[..dim], &s1[..dim], &shift[..dim]);
+    for j in 0..dim {
+        out[j] = x[j] * ir * g[j] * s1[j] + b[j];
+    }
+    ir
+}
+
+/// Gated residual over rows of `dim = gate.len()`: `out = x + h · gate`.
+pub fn gated_residual(out: &mut [f32], x: &[f32], h: &[f32], gate: &[f32]) {
+    assert!(x.len() == out.len() && h.len() == out.len(), "gated_residual length mismatch");
+    let rows = x.chunks_exact(gate.len()).zip(h.chunks_exact(gate.len()));
+    for ((xr, hr), o) in rows.zip(out.chunks_exact_mut(gate.len())) {
+        for j in 0..gate.len() {
+            o[j] = xr[j] + hr[j] * gate[j];
+        }
+    }
+}
+
+/// Row-broadcast sum over rows of `v.len()`: `x[r] += v` (a bias).
+pub fn add_rows(x: &mut [f32], v: &[f32]) {
+    assert!(x.len().is_multiple_of(v.len()), "add_rows row width");
+    for row in x.chunks_exact_mut(v.len()) {
+        add_assign(row, v);
+    }
+}
+
+/// SiLU `dst = σ(src) · src`, the σ of [`sigmoid`].
+pub fn silu(dst: &mut [f32], src: &[f32]) {
+    sigmoid(dst, src);
+    for (y, &x) in dst.iter_mut().zip(src) {
+        *y *= x;
+    }
+}
+
+/// SwiGLU over rows of `out: [rows, f]`: the [`silu_gate`] of each row of
+/// `gu: [rows, 2f]` (`gate | up`).
+pub fn swiglu(out: &mut [f32], gu: &[f32], f: usize) {
+    assert_eq!(gu.len(), 2 * out.len(), "swiglu input length");
+    for (gur, o) in gu.chunks_exact(2 * f).zip(out.chunks_exact_mut(f)) {
+        let (gate, up) = gur.split_at(f);
+        silu_gate(o, gate, up);
+    }
 }
 
 // `Tensor::div`'s sweep: only tests divide tensors.

@@ -1,30 +1,14 @@
 //! The [`Tensor`] type: an owned, contiguous, row-major f32 array.
 
-use crate::recycle;
 use crate::rng::Rng;
 
 /// A dense, row-major, contiguous f32 tensor with a dynamic shape.
 ///
 /// Invariant: `data.len() == shape.iter().product()`.
-///
-/// Dropping a large tensor hands its buffer to the thread's free list when
-/// the thread has opted in ([`crate::recycle`]); allocating one takes from it.
-#[derive(Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Tensor {
     shape: Vec<usize>,
     data: Vec<f32>,
-}
-
-impl Clone for Tensor {
-    fn clone(&self) -> Self {
-        Tensor { shape: self.shape.clone(), data: recycle::copied(&self.data) }
-    }
-}
-
-impl Drop for Tensor {
-    fn drop(&mut self) {
-        recycle::give(std::mem::take(&mut self.data));
-    }
 }
 
 impl Tensor {
@@ -34,17 +18,20 @@ impl Tensor {
     }
 
     /// A tensor of `shape` for a producer that writes every element before
-    /// anything reads one: no fill pass ([`crate::recycle`] states the rule).
-    /// Its contents are unspecified; with `debug_assertions` they are NaN.
+    /// anything reads one (a GEMM output, an elementwise result, a gather):
+    /// zeroed memory from the allocator, with no fill pass. A build with
+    /// `debug_assertions` (`cargo test` without `--release`) fills it with
+    /// NaN instead, so a producer that misses an element poisons its result
+    /// and the bitwise suites fail. An accumulator, which reads before it
+    /// writes, takes [`Tensor::zeros`].
     pub fn for_overwrite(shape: &[usize]) -> Self {
-        let n: usize = shape.iter().product();
-        Tensor { shape: shape.to_vec(), data: recycle::for_overwrite(n) }
+        Self::full(shape, if cfg!(debug_assertions) { f32::NAN } else { 0.0 })
     }
 
     /// Create a tensor filled with `value`.
     pub fn full(shape: &[usize], value: f32) -> Self {
         let n: usize = shape.iter().product();
-        Tensor { shape: shape.to_vec(), data: recycle::filled(n, value) }
+        Tensor { shape: shape.to_vec(), data: vec![value; n] }
     }
 
     /// Create a tensor of ones.
@@ -173,13 +160,13 @@ impl Tensor {
     pub fn t(&self) -> Tensor {
         assert_eq!(self.ndim(), 2, "t() requires a 2-D tensor");
         let (m, n) = (self.shape[0], self.shape[1]);
-        let mut out = recycle::for_overwrite(m * n);
+        let mut out = Tensor::for_overwrite(&[n, m]);
         for i in 0..m {
             for j in 0..n {
-                out[j * m + i] = self.data[i * n + j];
+                out.data[j * m + i] = self.data[i * n + j];
             }
         }
-        Tensor { shape: vec![n, m], data: out }
+        out
     }
 
     /// Concatenate 2-D tensors along rows (axis 0). All must share column count.
@@ -202,18 +189,18 @@ impl Tensor {
         assert!(!parts.is_empty());
         let rows = parts[0].shape[0];
         let total_cols: usize = parts.iter().map(|p| p.shape[1]).sum();
-        let mut data = recycle::for_overwrite(rows * total_cols);
+        let mut out = Tensor::for_overwrite(&[rows, total_cols]);
         for r in 0..rows {
             let mut c0 = 0;
             for p in parts {
                 assert_eq!(p.ndim(), 2);
                 assert_eq!(p.shape[0], rows, "row mismatch in concat_cols");
                 let w = p.shape[1];
-                data[r * total_cols + c0..r * total_cols + c0 + w].copy_from_slice(p.row(r));
+                out.row_mut(r)[c0..c0 + w].copy_from_slice(p.row(r));
                 c0 += w;
             }
         }
-        Tensor { shape: vec![rows, total_cols], data }
+        out
     }
 
     /// Extract columns `[c0, c1)` of a 2-D tensor.
@@ -234,7 +221,7 @@ impl Tensor {
         assert_eq!(self.ndim(), 2);
         let (rows, cols) = (self.shape[0], self.shape[1]);
         assert!(r0 <= r1 && r1 <= rows);
-        Tensor { shape: vec![r1 - r0, cols], data: recycle::copied(&self.data[r0 * cols..r1 * cols]) }
+        Tensor { shape: vec![r1 - r0, cols], data: self.data[r0 * cols..r1 * cols].to_vec() }
     }
 
     /// Maximum absolute difference to another tensor of the same shape.
@@ -302,6 +289,19 @@ mod tests {
         let r = Tensor::concat_rows(&[&a, &a]);
         assert_eq!(r.shape(), &[4, 2]);
         assert_eq!(r.slice_rows(2, 4), a);
+    }
+
+    /// The write-once guard: in a test build (`debug_assertions`) a
+    /// `for_overwrite` buffer is all NaN, so a producer that misses an
+    /// element leaves a NaN the bitwise suites see; without it, all zero.
+    #[test]
+    fn a_for_overwrite_buffer_is_all_nan_in_a_debug_build() {
+        let want = if cfg!(debug_assertions) { f32::NAN } else { 0.0 };
+        for shape in [&[7][..], &[4096, 8]] {
+            let t = Tensor::for_overwrite(shape);
+            assert_eq!(t.shape(), shape);
+            assert!(t.data().iter().all(|x| x.to_bits() == want.to_bits()), "{shape:?}");
+        }
     }
 
     #[test]

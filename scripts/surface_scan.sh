@@ -1,15 +1,13 @@
 #!/usr/bin/env bash
 # Surface scan (plain grep/awk). Prints, for the non-test code of the workspace:
-#   (i)  every `Tape::direct()` / `Tape::new()` and every `weighted_mse(` call
-#        site outside `#[cfg(test)]` items, `tests/` and `benchmark/` — the
-#        places a tape is built around the model, direct (forward only) and
-#        recording. Expected: one direct tape, `AerisModel::velocity` in
-#        crates/core/src/model.rs, through which every inference path runs;
-#        recording tapes in `AerisModel::loss_grads` (model.rs, with its
-#        `weighted_mse(`) and the three SWiPe block-stage sites of
-#        crates/swipe/src/stage.rs (one with its `weighted_mse(`). A recording
-#        tape anywhere else is an inference path keeping a backward it never
-#        runs, or a re-spelled `loss_grads`;
+#   (i)  every `Tape::new()` and every `weighted_mse(` call site outside
+#        `#[cfg(test)]` items, `tests/` and `benchmark/` — the places a tape
+#        is built around the model. Expected: `AerisModel::loss_grads`
+#        (crates/core/src/model.rs, with its `weighted_mse(`) and the three
+#        SWiPe block-stage sites of crates/swipe/src/stage.rs (one with its
+#        `weighted_mse(`). Inference builds no tape (`AerisModel::velocity`
+#        runs its own block pass), so a tape anywhere else is an inference
+#        path keeping a backward it never runs, or a re-spelled `loss_grads`;
 #   (ii) every `pub fn` under crates/*/src whose name occurs nowhere but in
 #        `fn` definitions in non-test code (crates, examples, src) or anywhere
 #        in benchmark/src,
@@ -220,9 +218,6 @@ sources() {
 }
 
 echo "== (i) tapes built and losses scored outside test code =="
-echo "-- direct (forward only) --"
-strip_tests $(sources crates/*/src examples src) | grep -E 'Tape::direct\(\)' || true
-echo "-- recording --"
 strip_tests $(sources crates/*/src examples src) \
     | grep -E 'Tape::new\(\)|weighted_mse\(' \
     | grep -v 'fn weighted_mse' || true
