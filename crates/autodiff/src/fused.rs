@@ -13,9 +13,9 @@
 //! tested below). Each forward is a row kernel of [`aeris_tensor::sweeps`]
 //! (`modulated_rmsnorm_row`, `swiglu`, `gated_residual`), the one definition
 //! the model's tape-free block pass (`AerisModel::velocity`) runs too. The
-//! backward recomputes the intermediates the chain would
-//! have stored (the normalized row, `silu(gate)`) from the op's inputs — the
-//! same arithmetic, so the recomputed values are the stored ones. Each
+//! backward recomputes the intermediates the chain would have stored (the
+//! normalized row, `silu(gate)`) from the op's inputs — the same arithmetic,
+//! so the recomputed values are the stored ones. Each
 //! backward is one row sweep of [`aeris_tensor::sweeps`]
 //! (`modulated_rmsnorm_backward`, `swiglu_backward`,
 //! `gated_residual_backward`), built portable and AVX2 and picked at run

@@ -35,8 +35,13 @@ pub fn assemble_into(parts: &[&Tensor], pe: &Tensor, out: &mut [f32]) {
     assert!(parts.iter().all(|p| p.shape()[0] == pe.len()), "a part is not [h*w, ·]");
     assert_eq!(out.len(), pe.len() * width, "assembled input length");
     for (r, (row, &p)) in out.chunks_exact_mut(width).zip(pe.data()).enumerate() {
-        for (o, &v) in row.iter_mut().zip(parts.iter().flat_map(|t| t.row(r))) {
-            *o = v + p;
+        let mut c0 = 0;
+        for part in parts {
+            let src = part.row(r);
+            for (o, &v) in row[c0..c0 + src.len()].iter_mut().zip(src) {
+                *o = v + p;
+            }
+            c0 += src.len();
         }
     }
 }
