@@ -46,8 +46,7 @@ impl Scratch {
     /// NaN, so a row the pass misses poisons the result, as a
     /// `Tensor::for_overwrite` buffer does.
     fn prepare(&mut self, cfg: &AerisConfig) {
-        let (tokens, dim, ffn) = (cfg.tokens(), cfg.dim, cfg.ffn);
-        let rows = WINDOWS_PER_PASS * cfg.window.0 * cfg.window.1;
+        let (tokens, dim, ffn, rows) = (cfg.tokens(), cfg.dim, cfg.ffn, WINDOWS_PER_PASS * cfg.window.0 * cfg.window.1);
         for (buf, n) in [
             (&mut self.input, tokens * cfg.input_channels()),
             (&mut self.x, tokens * dim),

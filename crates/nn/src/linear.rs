@@ -59,8 +59,7 @@ impl Linear {
     /// every element of `out: [rows, out]`: the GEMM and the bias sweep that
     /// [`Linear::forward`]'s two ops run, so its bits.
     pub fn apply(&self, store: &ParamStore, x: &[f32], out: &mut [f32]) {
-        let w = store.get(self.w).data();
-        gemm(x.len() / self.in_dim, self.out_dim, self.in_dim, x, false, w, false, out);
+        gemm(x.len() / self.in_dim, self.out_dim, self.in_dim, x, false, store.get(self.w).data(), false, out);
         if let Some(b) = self.b {
             sweeps::add_rows(out, store.get(b).data());
         }
