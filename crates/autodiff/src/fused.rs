@@ -51,10 +51,10 @@ impl Tape {
         }
         let scale1 = sv.add_scalar(1.0);
         let mut value = Tensor::for_overwrite(xv.shape());
-        let rows_out = xv.data().chunks_exact(dim).zip(value.data_mut().chunks_exact_mut(dim));
-        let inv_rms: Vec<f32> = rows_out
-            .map(|(xr, out)| sweeps::modulated_rmsnorm_row(out, xr, gv.data(), scale1.data(), bv.data(), eps))
-            .collect();
+        let rows: Vec<usize> = (0..xv.shape()[0]).collect();
+        let mut inv_rms = vec![0.0; rows.len()];
+        let mods = [gv.data(), scale1.data(), bv.data()];
+        sweeps::modulated_rmsnorm_rows(value.data_mut(), &mut inv_rms, xv.data(), &rows, mods, eps);
         let (px, pg) = (x.0, gamma.0);
         self.push(
             value,
@@ -107,7 +107,8 @@ impl Tape {
         let dim = xv.shape()[1];
         assert_eq!(gv.shape(), &[dim], "gated_residual gate shape");
         let mut value = Tensor::for_overwrite(xv.shape());
-        sweeps::gated_residual(value.data_mut(), xv.data(), hv.data(), gv.data());
+        let rows: Vec<usize> = (0..xv.shape()[0]).collect();
+        sweeps::gated_residual(value.data_mut(), xv.data(), hv.data(), &rows, gv.data());
         let (ph, pgate) = (h.0, gate.0);
         self.push(
             value,

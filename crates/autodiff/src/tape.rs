@@ -277,8 +277,8 @@ impl Tape {
         assert_eq!(gv.shape(), &[xv.shape()[1]]);
         let (rows, dim) = (xv.shape()[0], xv.shape()[1]);
         let mut value = Tensor::for_overwrite(xv.shape());
-        let rows_out = xv.data().chunks_exact(dim).zip(value.data_mut().chunks_exact_mut(dim));
-        let inv_rms: Vec<f32> = rows_out.map(|(xr, out)| sweeps::rmsnorm_row(out, xr, gv.data(), eps)).collect();
+        let mut inv_rms = vec![0.0; rows];
+        sweeps::rmsnorm_rows(value.data_mut(), &mut inv_rms, xv.data(), gv.data(), eps);
         let (px, pg) = (x.0, gamma.0);
         self.push(
             value,

@@ -35,6 +35,7 @@ struct Scratch {
     y: Vec<f32>,
     gu: Vec<f32>,
     hid: Vec<f32>,
+    inv_rms: Vec<f32>,
 }
 
 thread_local! {
@@ -57,6 +58,7 @@ impl Scratch {
             (&mut self.y, rows * dim),
             (&mut self.gu, rows * 2 * ffn),
             (&mut self.hid, rows * ffn),
+            (&mut self.inv_rms, tokens),
         ] {
             buf.resize(n, 0.0);
             if cfg!(debug_assertions) {
@@ -152,12 +154,14 @@ impl SwinBlock {
     }
 
     /// The block without a tape, in place on `s.x`: one pass over row blocks
-    /// of [`WINDOWS_PER_PASS`] whole windows (`plan` sized for one), each
-    /// running the modulated norm straight into window order, the QKV GEMM,
-    /// the attention core, the output projection, the gated residual back
-    /// through the partition permutation, the second norm, the SwiGLU and its
-    /// gated residual. Every element comes from the kernel and expression of
-    /// the op [`SwinBlock::forward_with`] records, so the bits are the same.
+    /// of [`WINDOWS_PER_PASS`] whole windows (`plan` sized for one). A row
+    /// block is four row-block kernels of `sweeps` between the GEMMs and the
+    /// attention core: the modulated norm gathered straight into window
+    /// order; the gated residual scattered back through the partition
+    /// permutation, fused with the second norm; the SwiGLU; its gated
+    /// residual, scattered. Every element comes from the kernel and
+    /// expression of the op [`SwinBlock::forward_with`] records, so the bits
+    /// are the same.
     fn pass(&self, store: &ParamStore, cond: &[f32], geo: &BlockGeometry, plan: &mut WindowAttnPlan, s: &mut Scratch) {
         let (dim, ffn, wlen) = (self.norm1.dim, self.mlp.ffn, plan.window_len);
         let mut mods = vec![0.0; 6 * dim];
@@ -171,29 +175,22 @@ impl SwinBlock {
         let a = &self.attn;
         let w_qkv = Tensor::concat_cols(&[store.get(a.wq.w), store.get(a.wk.w), store.get(a.wv.w)]);
         let perm = if self.shifted { &geo.shifted_perm } else { &geo.direct_perm };
-        let at = |t: usize| t * dim..(t + 1) * dim;
-        let Scratch { x, mid, h, qkv, o, y, gu, hid, .. } = s;
+        let (mods1, mods2) = ([g1, &scale1[..], shift1], [g2, &scale2[..], shift2]);
+        let Scratch { x, mid, h, qkv, o, y, gu, hid, inv_rms, .. } = s;
         for rows in perm.chunks(WINDOWS_PER_PASS * wlen) {
             let n = rows.len();
             plan.n_windows = n / wlen;
             let (h, qkv, o, y) = (&mut h[..n * dim], &mut qkv[..n * 3 * dim], &mut o[..n * dim], &mut y[..n * dim]);
-            let (gu, hid) = (&mut gu[..n * 2 * ffn], &mut hid[..n * ffn]);
-            for (hr, &t) in h.chunks_exact_mut(dim).zip(rows) {
-                sweeps::modulated_rmsnorm_row(hr, &x[at(t)], g1, &scale1, shift1, self.norm1.eps);
-            }
+            let (gu, hid, ir) = (&mut gu[..n * 2 * ffn], &mut hid[..n * ffn], &mut inv_rms[..n]);
+            sweeps::modulated_rmsnorm_rows(h, ir, x, rows, mods1, self.norm1.eps);
             gemm(n, 3 * dim, dim, h, false, w_qkv.data(), false, qkv);
             window_core_into(Kernel::detected(), qkv, plan, o);
             a.wo.apply(store, o, y);
-            for ((hr, yr), &t) in h.chunks_exact_mut(dim).zip(y.chunks_exact(dim)).zip(rows) {
-                sweeps::gated_residual(&mut mid[at(t)], &x[at(t)], yr, gate1);
-                sweeps::modulated_rmsnorm_row(hr, &mid[at(t)], g2, &scale2, shift2, self.norm2.eps);
-            }
+            sweeps::gated_residual_rmsnorm(mid, h, ir, x, y, rows, gate1, mods2, self.norm2.eps);
             self.mlp.w_in.apply(store, h, gu);
             sweeps::swiglu(hid, gu, ffn);
             self.mlp.w_down.apply(store, hid, y);
-            for (yr, &t) in y.chunks_exact(dim).zip(rows) {
-                sweeps::gated_residual(&mut x[at(t)], &mid[at(t)], yr, gate2);
-            }
+            sweeps::gated_residual(x, mid, y, rows, gate2);
         }
     }
 }
@@ -331,9 +328,7 @@ impl AerisModel {
                 block.pass(store, &cond, &self.geo, &mut plan, s);
             }
             let gamma = store.get(self.out_norm.gamma).data();
-            for (o, x) in s.mid.chunks_exact_mut(cfg.dim).zip(s.x.chunks_exact(cfg.dim)) {
-                sweeps::rmsnorm_row(o, x, gamma, self.out_norm.eps);
-            }
+            sweeps::rmsnorm_rows(&mut s.mid, &mut s.inv_rms, &s.x, gamma, self.out_norm.eps);
             self.decode.apply(store, &s.mid, out.data_mut());
         });
         out

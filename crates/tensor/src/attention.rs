@@ -89,7 +89,7 @@
 //! `(2, 64, 4, 16)`): its `[f32; 16]` accumulators spill, as the GEMM's did.
 //! The intrinsic build reads, at toy48 on a 2-vCPU `avx512f` box, forward
 //! ≈ 53–54 against ≈ 93–95 µs and backward ≈ 118–120 against ≈ 226–230 µs
-//! (`examples/gemm_shapes.rs`). Every build is pinned to one digest and to
+//! (`examples/layer_probe.rs`). Every build is pinned to one digest and to
 //! the portable body bitwise by this module's tests.
 //!
 //! # Recompute contract
@@ -363,7 +363,7 @@ impl Tiles {
 
 dispatched!(
     /// The forward window loop: `o: [tokens, dim]` from `qkv: [tokens, 3·dim]`.
-    fn forward_windows, forward_body, forward_avx2, forward_avx512,
+    fn forward_windows, avx512 = forward_avx512,
     (qkv: &[f32], plan: &WindowAttnPlan, o: &mut [f32], s: &mut Tiles) {
         let (wlen, dim, head_dim) = (plan.window_len, plan.dim(), plan.head_dim);
         for (win, o_win) in qkv.chunks_exact(wlen * 3 * dim).zip(o.chunks_exact_mut(wlen * dim)) {
@@ -391,7 +391,7 @@ dispatched!(
 dispatched!(
     /// The backward window loop: `dqkv: [tokens, 3·dim]` (`dQ | dK | dV`)
     /// from `d_o: [tokens, dim]`; each window writes only its own rows.
-    fn backward_windows, backward_body, backward_avx2, backward_avx512,
+    fn backward_windows, avx512 = backward_avx512,
     (d_o: &[f32], qkv: &[f32], plan: &WindowAttnPlan, dqkv: &mut [f32], s: &mut Tiles) {
         let (wlen, dim, head_dim, scale) = (plan.window_len, plan.dim(), plan.head_dim, plan.scale());
         let (chunks, pairs) = (wlen.div_ceil(LANES), head_dim / 2);
@@ -1075,11 +1075,11 @@ mod tests {
     /// Every build ≡ the portable one, forward and backward: each arm the
     /// host supports (portable, AVX2, `avx512f`) is called directly through
     /// the kernel-keyed entry of `dispatched!` and compared bitwise with the
-    /// portable `*_body`. Beyond `GEOMETRIES`, the window lengths and head
-    /// dims cover every register-block width of the `avx512f` build (1, 2,
-    /// 4 and 8 keys or columns, several at once), a one-token window, and a
-    /// head wider than one 16-column transpose. Prints the arms that ran
-    /// (`--nocapture`).
+    /// portable body (`Kernel::Portable`). Beyond `GEOMETRIES`, the window
+    /// lengths and head dims cover every register-block width of the
+    /// `avx512f` build (1, 2, 4 and 8 keys or columns, several at once), a
+    /// one-token window, and a head wider than one 16-column transpose.
+    /// Prints the arms that ran (`--nocapture`).
     #[test]
     fn portable_and_dispatched_builds_agree_bitwise() {
         let extra = [(2, 1, 2, 4), (1, 7, 2, 6), (1, 17, 3, 10), (1, 40, 1, 16), (2, 23, 2, 14), (1, 12, 2, 20)];
@@ -1095,10 +1095,10 @@ mod tests {
             let mut s = Tiles::default();
             let mut o = vec![0.0; plan.tokens() * plan.dim()];
             s.prepare(&plan, false);
-            forward_body(qkv.data(), &plan, &mut o, &mut s);
+            forward_windows(Kernel::Portable, qkv.data(), &plan, &mut o, &mut s);
             let mut dqkv = vec![0.0; qkv.len()];
             s.prepare(&plan, true);
-            backward_body(d_o.data(), qkv.data(), &plan, &mut dqkv, &mut s);
+            backward_windows(Kernel::Portable, d_o.data(), qkv.data(), &plan, &mut dqkv, &mut s);
 
             for &kernel in &arms {
                 let mut arm = Tiles::default();

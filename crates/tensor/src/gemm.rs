@@ -34,7 +34,7 @@
 //!
 //! At these cache-resident shapes the copies were the cost, not a source of
 //! L1 reuse: dropping them made the `k = 512` weight-gradient GEMMs
-//! 1.5–2.0× faster (DESIGN.md "Tensor backend"; `examples/gemm_shapes.rs`
+//! 1.5–2.0× faster (DESIGN.md "Tensor backend"; `examples/layer_probe.rs`
 //! times every model shape). Operands and accumulators are all f32: bf16
 //! operands measured 1.2–1.5× slower (DESIGN.md "Deviations").
 //!
@@ -92,10 +92,11 @@ impl Kernel {
     /// The widest kernel this CPU supports: the workspace's one runtime
     /// feature detector, read once per process. The choice is machine-global,
     /// so it can never differ between threads or between runs on one host. It
-    /// switches the GEMM micro-kernel here, through `Kernel::has_avx2` the
-    /// AVX2 build of every `dispatched!` loop of [`crate::sweeps`], and the
-    /// build of [`crate::attention`]'s core (portable, AVX2 or `avx512f`);
-    /// those widen lanes only and never fuse.
+    /// switches the GEMM micro-kernel here and the build of every
+    /// `dispatched!` loop — the sweeps of [`crate::sweeps`] and
+    /// [`crate::attention`]'s core: `Avx512` runs their `avx512f` build,
+    /// `Avx2Fma` their AVX2 one, `Portable` the body. Those builds widen lanes
+    /// only and never fuse.
     pub fn detected() -> Kernel {
         static DETECTED: std::sync::OnceLock<Kernel> = std::sync::OnceLock::new();
         *DETECTED.get_or_init(|| {
@@ -118,11 +119,6 @@ impl Kernel {
             Kernel::Avx2Fma => "avx2+fma",
             Kernel::Avx512 => "avx512f",
         }
-    }
-
-    /// True when this kernel's CPU has AVX2.
-    pub(crate) fn has_avx2(self) -> bool {
-        self >= Kernel::Avx2Fma
     }
 }
 

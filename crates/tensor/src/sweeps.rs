@@ -5,21 +5,22 @@
 //! lifts to SIMD: fixed-width chunks (`W = 8` lanes) with a scalar tail, or a
 //! plain zip where no lane state is carried. *Which* SIMD depends on how the
 //! function was built. The workspace compiles for baseline x86-64 (no
-//! `-C target-cpu`, no `.cargo/config.toml`), so everything in this file
-//! except the `exp` family and the fused-op backwards is 4-lane SSE2, an
-//! 8-wide chunk being two registers. The `exp` family ([`exp`], [`sigmoid`],
-//! [`silu_gate`], and [`exp_shift_sum`] through `exp`) and the backwards of
-//! the Swin block's three fused tape ops ([`swiglu_backward`],
-//! [`modulated_rmsnorm_backward`], [`gated_residual_backward`]) are
-//! runtime-dispatched through this file's `dispatched!` macro, the crate's
-//! one dispatch mechanism besides `gemm::compute_block` (the
-//! window-attention core of [`crate::attention`] is its other user): one
-//! `#[inline(always)]` body instantiated twice, a
-//! portable build and a `#[target_feature(enable = "avx2")]` build (8 lanes
-//! to a register), picked by the same machine-global
-//! `gemm::Kernel::detected` (its `has_avx2`). The sweeps have no 512-bit
-//! build; the macro's opt-in third arm, a hand-written `avx512f` build, has
-//! one user, the window-attention core.
+//! `-C target-cpu`, no `.cargo/config.toml`), so a plain fn here is 4-lane
+//! SSE2, an 8-wide chunk being two registers. Every loop the model runs per
+//! element is runtime-dispatched instead, through this file's `dispatched!`
+//! macro: the `exp` family ([`exp`], [`sigmoid`], [`silu`], [`swiglu`], and
+//! [`exp_shift_sum`] through `exp`), the Swin block's forward row-block
+//! kernels ([`modulated_rmsnorm_rows`], [`gated_residual_rmsnorm`],
+//! [`gated_residual`], [`rmsnorm_rows`], [`add_rows`]) and the backwards of
+//! its three fused tape ops ([`swiglu_backward`],
+//! [`modulated_rmsnorm_backward`], [`gated_residual_backward`]). The macro,
+//! the crate's one dispatch mechanism besides `gemm::compute_block` (the
+//! window-attention core of [`crate::attention`] is its other user), builds
+//! one `#[inline(always)]` body three times — portable, under
+//! `#[target_feature(enable = "avx2")]` (8 lanes to a register) and under
+//! `#[target_feature(enable = "avx512f")]` (16) — and picks by the same
+//! machine-global `gemm::Kernel::detected`, once per call: a row-block
+//! kernel takes a whole block of rows per call, not one row.
 //!
 //! Three rules keep the crate's determinism contract:
 //!
@@ -32,12 +33,13 @@
 //!   thread count, and every input length — results stay bitwise reproducible.
 //! - **Dispatch may widen lanes; only the GEMM may contract a multiply-add.**
 //!   The `exp` lane function is IEEE `+ − × ÷`, compares and integer bit
-//!   operations, nothing else — no `mul_add`, no libm — so its portable and
-//!   AVX2 builds return the same bits for every input, and a host without
-//!   AVX2 computes what a host with it does. The GEMM's three builds all
-//!   fuse, so they too agree bit for bit. (FMA inside the polynomial
-//!   measured 0.33–0.38 against 0.49–0.55 ns per element, ≈ 1 % of a model
-//!   evaluation: not worth moving every digest.)
+//!   operations, nothing else — no `mul_add`, no libm — so its three builds
+//!   return the same bits for every input, and a host without AVX2 computes
+//!   what an `avx512f` host does. (`avx512f` implies FMA, but rustc never
+//!   lets LLVM contract a multiply and an add it did not write as one.)
+//!   The GEMM's three builds all fuse, so they too agree bit for bit. (FMA
+//!   inside the polynomial measured 0.33–0.38 against 0.49–0.55 ns per
+//!   element, ≈ 1 % of a model evaluation: not worth moving every digest.)
 //!
 //! These are slice-level primitives; `ops.rs`, `forecast.rs`, the autodiff
 //! tape, the model's tape-free block pass and the optimizer call them on
@@ -75,7 +77,8 @@ pub fn scale(y: &mut [f32], alpha: f32) {
     }
 }
 
-/// `y[i] += x[i]`.
+/// `y[i] += x[i]`, inlined so that [`add_rows`] runs it at its width.
+#[inline(always)]
 pub fn add_assign(y: &mut [f32], x: &[f32]) {
     assert_eq!(y.len(), x.len(), "add_assign length mismatch");
     let mut yc = y.chunks_exact_mut(W);
@@ -244,65 +247,69 @@ fn sigmoid_lane(x: f32) -> f32 {
     1.0 / (1.0 + exp_lane(-x))
 }
 
-/// A loop built twice from one body, as `gemm::compute_block` is: a
-/// portable instantiation (`$body`, which is also what a test calls to get
-/// the portable build) and an AVX2 one (`$avx2`), behind the entry point
-/// `$name` that picks by `gemm::Kernel::detected`. The body may only do what
+/// A loop built three times from one body, as `gemm::compute_block` is:
+/// the `#[inline(always)]` body itself (the portable build) and the body
+/// under `#[target_feature(enable = "avx2")]` and under
+/// `#[target_feature(enable = "avx512f")]`. `fn $on` is the entry that takes
+/// the `gemm::Kernel` to run as its first argument — `Avx512` runs the
+/// 512-bit build, `Avx2Fma` the AVX2 one, `Portable` the body — and panics on
+/// a kernel this CPU does not support; `=> $name` adds the entry on
+/// `Kernel::detected`, the one the model calls. The body may only do what
 /// [`exp_lane`] does — no `mul_add` — so the pick cannot change a bit, and
-/// everything it calls must be `#[inline(always)]` to be built twice too.
-/// The crate's one dispatch mechanism below the GEMM: the `exp` family and
-/// the fused-op backwards here and the window-attention core
-/// ([`crate::attention`]) are its instances.
+/// everything it calls must be `#[inline(always)]` to be built three times
+/// too. The crate's one dispatch mechanism below the GEMM: the loops of this
+/// file and the window-attention core ([`crate::attention`]) are its
+/// instances.
 ///
-/// The opt-in third arm names a hand-written `avx512f` build (`$avx512`,
-/// a `#[target_feature(enable = "avx512f")]` fn of the same signature, bit
-/// for bit what `$body` returns) and makes the entry point take the
-/// `gemm::Kernel` to run as its first argument: `Avx512` runs `$avx512`,
-/// `Avx2Fma` the AVX2 build, `Portable` the body. The entry panics on a
-/// kernel this CPU does not support. Only the window-attention core uses it.
+/// `avx512 = $hand` names a hand-written `#[target_feature(enable =
+/// "avx512f")]` fn of the same signature, bit for bit what the body returns,
+/// to run as the 512-bit build instead. Only the window-attention core
+/// names one.
 macro_rules! dispatched {
-    // The two builds of the body, shared by both forms.
-    (@builds $body:ident, $avx2:ident, ($($arg:ident: $ty:ty),*) $code:block) => {
-        #[inline(always)]
-        fn $body($($arg: $ty),*) $code
-
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx2")]
-        fn $avx2($($arg: $ty),*) {
-            $body($($arg),*)
+    // The 512-bit build's callee: `$hand` when one is named, else the body.
+    (@pick [$f:ident $($body:ident)?]) => { $f };
+    (@detected [$($doc:tt)*] $vis:vis [] $on:ident ($($arg:ident: $ty:ty),*)) => {};
+    (@detected [$($doc:tt)*] $vis:vis [$name:ident] $on:ident ($($arg:ident: $ty:ty),*)) => {
+        $($doc)*
+        ///
+        #[doc = concat!("Runs the build of `Kernel::detected`: [`", stringify!($on), "`] on that kernel.")]
+        #[allow(clippy::too_many_arguments)]
+        $vis fn $name($($arg: $ty),*) {
+            $on(crate::gemm::Kernel::detected(), $($arg),*)
         }
     };
-    ($(#[$doc:meta])* $vis:vis fn $name:ident, $body:ident, $avx2:ident, $avx512:ident, ($($arg:ident: $ty:ty),*) $code:block) => {
-        dispatched!(@builds $body, $avx2, ($($arg: $ty),*) $code);
+    ($(#[$doc:meta])* $vis:vis fn $on:ident $(=> $name:ident)? $(, avx512 = $hand:ident)?,
+    ($($arg:ident: $ty:ty),*) $code:block) => {
+        dispatched!(@detected [$(#[$doc])*] $vis [$($name)?] $on ($($arg: $ty),*));
 
         $(#[$doc])*
-        $vis fn $name(kernel: crate::gemm::Kernel, $($arg: $ty),*) {
+        ///
+        /// `kernel` picks the build; panics when this CPU does not support it.
+        #[allow(clippy::too_many_arguments)]
+        $vis fn $on(kernel: crate::gemm::Kernel, $($arg: $ty),*) {
             use crate::gemm::Kernel;
+            #[inline(always)]
+            fn body($($arg: $ty),*) $code
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "avx2")]
+            fn avx2($($arg: $ty),*) {
+                body($($arg),*)
+            }
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "avx512f")]
+            fn avx512($($arg: $ty),*) {
+                dispatched!(@pick [$($hand)? body])($($arg),*)
+            }
             assert!(kernel <= Kernel::detected(), "this CPU does not support the {} kernel", kernel.name());
             #[cfg(target_arch = "x86_64")]
             match kernel {
                 // SAFETY (both arms): `kernel <= Kernel::detected()`, asserted
                 // above, so the CPU has the features the callee is built with.
-                Kernel::Avx512 => return unsafe { $avx512($($arg),*) },
-                Kernel::Avx2Fma => return unsafe { $avx2($($arg),*) },
+                Kernel::Avx512 => return unsafe { avx512($($arg),*) },
+                Kernel::Avx2Fma => return unsafe { avx2($($arg),*) },
                 Kernel::Portable => {}
             }
-            $body($($arg),*)
-        }
-    };
-    ($(#[$doc:meta])* $vis:vis fn $name:ident, $body:ident, $avx2:ident, ($($arg:ident: $ty:ty),*) $code:block) => {
-        dispatched!(@builds $body, $avx2, ($($arg: $ty),*) $code);
-
-        $(#[$doc])*
-        $vis fn $name($($arg: $ty),*) {
-            #[cfg(target_arch = "x86_64")]
-            if crate::gemm::Kernel::detected().has_avx2() {
-                // SAFETY: the detected kernel implies avx2 support, checked
-                // at runtime.
-                unsafe { $avx2($($arg),*) };
-                return;
-            }
-            $body($($arg),*)
+            body($($arg),*)
         }
     };
 }
@@ -312,8 +319,8 @@ dispatched!(
     /// `x[i] = exp(x[i])` — every exponential of the model (softmax
     /// numerators, SiLU gates) is this polynomial, not libm. Deterministic by
     /// construction: an element's result depends on its value alone, not on
-    /// its position, the slice length, the build that ran (portable or
-    /// AVX2) or the thread count.
+    /// its position, the slice length, the build that ran or the thread
+    /// count.
     ///
     /// Within 2 ulp of the correctly rounded value on `[−87.3, 88.3]` (1 ulp
     /// measured over every f32 of that range). `exp(±0) = 1` exactly,
@@ -324,7 +331,7 @@ dispatched!(
     /// reaches `n = 128`: that is 0.35 short of the true overflow point
     /// `ln f32::MAX = 88.722_84`, and the last finite result is
     /// `exp(88.376_26) ≈ 2.406e38`. No finite input gives NaN.
-    pub fn exp, exp_body, exp_avx2, (x: &mut [f32]) {
+    pub fn exp_on => exp, (x: &mut [f32]) {
         for v in x.iter_mut() {
             *v = exp_lane(*v);
         }
@@ -335,7 +342,7 @@ dispatched!(
     /// Logistic sweep `dst[i] = 1 / (1 + exp(−src[i]))` with the [`exp`] of
     /// this module: `σ(0) = 0.5` exactly, exactly 0 from `−88.376_27` down
     /// (`1 / ∞`), never outside `[0, 1]`.
-    pub fn sigmoid, sigmoid_body, sigmoid_avx2, (dst: &mut [f32], src: &[f32]) {
+    pub fn sigmoid_on => sigmoid, (dst: &mut [f32], src: &[f32]) {
         assert_eq!(dst.len(), src.len(), "sigmoid length mismatch");
         for (d, &s) in dst.iter_mut().zip(src) {
             *d = sigmoid_lane(s);
@@ -344,14 +351,25 @@ dispatched!(
 );
 
 dispatched!(
-    /// SwiGLU gate sweep `dst[i] = gate[i] · σ(gate[i]) · up[i]`, associated
-    /// `(gate · σ) · up` with the σ of [`sigmoid`] — SiLU, then the product
-    /// with `up`, as one pass.
-    pub fn silu_gate, silu_gate_body, silu_gate_avx2, (dst: &mut [f32], gate: &[f32], up: &[f32]) {
-        assert_eq!(dst.len(), gate.len(), "silu_gate length mismatch");
-        assert_eq!(dst.len(), up.len(), "silu_gate length mismatch");
-        for ((d, &g), &u) in dst.iter_mut().zip(gate).zip(up) {
-            *d = g * sigmoid_lane(g) * u;
+    /// SiLU `dst[i] = σ(src[i]) · src[i]`, the σ of [`sigmoid`].
+    pub fn silu_on => silu, (dst: &mut [f32], src: &[f32]) {
+        assert_eq!(dst.len(), src.len(), "silu length mismatch");
+        for (d, &s) in dst.iter_mut().zip(src) {
+            *d = sigmoid_lane(s) * s;
+        }
+    }
+);
+
+dispatched!(
+    /// SwiGLU over rows of `out: [rows, f]`: the `silu_gate` of each row of
+    /// `gu: [rows, 2f]` (`gate | up`), `out = (gate · σ(gate)) · up` with the
+    /// σ of [`sigmoid`]. Panics unless `out` is whole rows of `f`.
+    pub fn swiglu_on => swiglu, (out: &mut [f32], gu: &[f32], f: usize) {
+        assert!(f > 0 && out.len().is_multiple_of(f), "swiglu row width");
+        assert_eq!(gu.len(), 2 * out.len(), "swiglu input length");
+        for (gur, o) in gu.chunks_exact(2 * f).zip(out.chunks_exact_mut(f)) {
+            let (gate, up) = gur.split_at(f);
+            silu_gate(o, gate, up);
         }
     }
 );
@@ -362,7 +380,7 @@ dispatched!(
     /// `dgu: [rows, 2f]` as `dgate = d · up · (σ · (1 + g · (1 − σ)))` and
     /// `dup = d · (g · σ)`, `σ = σ(g)` of [`sigmoid`] computed in the same
     /// pass. `f` is `d`'s row width.
-    pub fn swiglu_backward, swiglu_backward_body, swiglu_backward_avx2,
+    pub fn swiglu_backward_on => swiglu_backward,
     (dgu: &mut [f32], gu: &[f32], d: &[f32], f: usize) {
         assert!(f > 0 && d.len().is_multiple_of(f), "swiglu_backward row width");
         assert_eq!(gu.len(), 2 * d.len(), "swiglu_backward input length");
@@ -388,7 +406,7 @@ dispatched!(
     /// `[dγ, dscale, dshift]` += `[dn·x·r, d·(x·r·γ), d]` with `dn = d·s1`.
     /// `dx = γ·dn·r − x·(Σ γ·dn·x)·r³/dim`, the sum by [`dot3`]; `dn` passes
     /// through the `dx` row on its way.
-    pub fn modulated_rmsnorm_backward, modulated_rmsnorm_backward_body, modulated_rmsnorm_backward_avx2,
+    pub fn modulated_rmsnorm_backward_on => modulated_rmsnorm_backward,
     (dx: &mut [f32], dvecs: [&mut [f32]; 3], x: &[f32], d: &[f32], g: &[f32], s1: &[f32], inv_rms: &[f32]) {
         let dim = g.len();
         let [dg, dscale, dshift] = dvecs;
@@ -418,7 +436,7 @@ dispatched!(
     /// Backward of the gated residual `y = x + h ⊙ gate` over rows of
     /// `dim = gate.len()`: writes `dh = d · gate` and accumulates, row by row
     /// in ascending order, `dgate += d · h`.
-    pub fn gated_residual_backward, gated_residual_backward_body, gated_residual_backward_avx2,
+    pub fn gated_residual_backward_on => gated_residual_backward,
     (dh: &mut [f32], dgate: &mut [f32], d: &[f32], h: &[f32], gate: &[f32]) {
         let dim = gate.len();
         let dgate = &mut dgate[..dim];
@@ -516,6 +534,9 @@ pub fn dot3(a: &[f32], b: &[f32], c: &[f32]) -> f32 {
 }
 
 /// Sum of squares into `W` lanes with fixed combine order (tail, then lanes).
+/// Inlined into its callers so the norms' dispatched builds run it at their
+/// width too.
+#[inline(always)]
 pub fn sum_sq(x: &[f32]) -> f32 {
     let mut lanes = [0.0f32; W];
     let mut xc = x.chunks_exact(W);
@@ -536,29 +557,34 @@ pub fn sum_sq(x: &[f32]) -> f32 {
 
 // The forward row kernels of the Swin block: the one definition of each
 // element's arithmetic, which the tape ops of `aeris-autodiff` and the model's
-// tape-free block pass both run.
+// tape-free block pass both run, a block of rows per call. A row-block kernel
+// reads or writes the token rows `rows[i]` of a `[tokens, dim]` stream for
+// row `i` of its block; a tape op's contiguous rows are the identity list.
 
 /// `1/√(mean(x²) + eps)` of one row, the sum by [`sum_sq`].
+#[inline(always)]
 fn inv_rms(x: &[f32], eps: f32) -> f32 {
     1.0 / (sum_sq(x) / x.len() as f32 + eps).sqrt()
 }
 
 /// RMSNorm of one row `x` of `dim = g.len()`: `out = x · r · γ` with
 /// `r = 1/√(mean(x²) + eps)`; returns `r`.
-pub fn rmsnorm_row(out: &mut [f32], x: &[f32], g: &[f32], eps: f32) -> f32 {
-    assert_eq!(x.len(), g.len(), "rmsnorm_row width");
+#[inline(always)]
+fn rmsnorm_row(out: &mut [f32], x: &[f32], g: &[f32], eps: f32) -> f32 {
     let ir = inv_rms(x, eps);
-    for ((o, &xi), &gi) in out[..g.len()].iter_mut().zip(x).zip(g) {
+    for ((o, &xi), &gi) in out.iter_mut().zip(x).zip(g) {
         *o = xi * ir * gi;
     }
     ir
 }
 
-/// [`rmsnorm_row`] then the AdaLN modulation, `out = x · r · γ · s1 + shift`
-/// in that association order (`s1 = 1 + scale`); returns `r`.
-pub fn modulated_rmsnorm_row(out: &mut [f32], x: &[f32], g: &[f32], s1: &[f32], shift: &[f32], eps: f32) -> f32 {
+/// [`rmsnorm_rows`]' row, then the AdaLN modulation: with
+/// `[γ, s1, shift] = mods` (`s1 = 1 + scale`), `out = x · r · γ · s1 + shift`
+/// in that association order; returns `r`.
+#[inline(always)]
+fn modulated_rmsnorm_row(out: &mut [f32], x: &[f32], [g, s1, shift]: [&[f32]; 3], eps: f32) -> f32 {
     let dim = g.len();
-    assert_eq!(x.len(), dim, "modulated_rmsnorm_row width");
+    assert_eq!(x.len(), dim, "modulated_rmsnorm row width");
     let ir = inv_rms(x, eps);
     // Every slice is cut to `[..dim]` once, so the loop indexes without
     // bounds checks and vectorizes.
@@ -569,42 +595,100 @@ pub fn modulated_rmsnorm_row(out: &mut [f32], x: &[f32], g: &[f32], s1: &[f32], 
     ir
 }
 
-/// Gated residual over rows of `dim = gate.len()`: `out = x + h · gate`.
-pub fn gated_residual(out: &mut [f32], x: &[f32], h: &[f32], gate: &[f32]) {
-    assert!(x.len() == out.len() && h.len() == out.len(), "gated_residual length mismatch");
-    let rows = x.chunks_exact(gate.len()).zip(h.chunks_exact(gate.len()));
-    for ((xr, hr), o) in rows.zip(out.chunks_exact_mut(gate.len())) {
-        for j in 0..gate.len() {
-            o[j] = xr[j] + hr[j] * gate[j];
+/// One row of the gated residual: `out = x + h · gate`.
+#[inline(always)]
+fn gated_residual_row(out: &mut [f32], x: &[f32], h: &[f32], gate: &[f32]) {
+    let dim = gate.len();
+    let (out, x, h) = (&mut out[..dim], &x[..dim], &h[..dim]);
+    for j in 0..dim {
+        out[j] = x[j] + h[j] * gate[j];
+    }
+}
+
+/// One row of SwiGLU: `dst = (gate · σ(gate)) · up`.
+#[inline(always)]
+fn silu_gate(dst: &mut [f32], gate: &[f32], up: &[f32]) {
+    for ((d, &g), &u) in dst.iter_mut().zip(gate).zip(up) {
+        *d = g * sigmoid_lane(g) * u;
+    }
+}
+
+dispatched!(
+    /// RMSNorm over rows of `dim = g.len()`: `out = x · r · γ` with
+    /// `r = 1/√(mean(x²) + eps)` of its row, written to `inv_rms[row]`.
+    /// Panics unless `x` and `out` are `inv_rms.len()` whole rows.
+    pub fn rmsnorm_rows_on => rmsnorm_rows, (out: &mut [f32], inv_rms: &mut [f32], x: &[f32], g: &[f32], eps: f32) {
+        let dim = g.len();
+        assert!(dim > 0 && x.len() == inv_rms.len() * dim, "rmsnorm_rows input length");
+        assert_eq!(out.len(), x.len(), "rmsnorm_rows output length");
+        for ((o, xr), ir) in out.chunks_exact_mut(dim).zip(x.chunks_exact(dim)).zip(inv_rms) {
+            *ir = rmsnorm_row(o, xr, g, eps);
         }
     }
-}
+);
 
-/// Row-broadcast sum over rows of `v.len()`: `x[r] += v` (a bias).
-pub fn add_rows(x: &mut [f32], v: &[f32]) {
-    assert!(x.len().is_multiple_of(v.len()), "add_rows row width");
-    for row in x.chunks_exact_mut(v.len()) {
-        add_assign(row, v);
+dispatched!(
+    /// The modulated RMSNorm of the token rows `rows` of `x`, gathered: with
+    /// `[γ, s1, shift] = mods` of `dim = γ.len()` (`s1 = 1 + scale`),
+    /// `out[i] = x[rows[i]] · r · γ · s1 + shift` in that association order,
+    /// `r = 1/√(mean(x[rows[i]]²) + eps)` written to `inv_rms[i]`. Panics
+    /// unless `x` is whole rows and `out` is `rows.len()` of them.
+    pub fn modulated_rmsnorm_rows_on => modulated_rmsnorm_rows,
+    (out: &mut [f32], inv_rms: &mut [f32], x: &[f32], rows: &[usize], mods: [&[f32]; 3], eps: f32) {
+        let dim = mods[0].len();
+        assert!(dim > 0 && x.len().is_multiple_of(dim), "modulated_rmsnorm_rows row width");
+        assert!(out.len() == rows.len() * dim && inv_rms.len() == rows.len(), "modulated_rmsnorm_rows output length");
+        for ((o, ir), &t) in out.chunks_exact_mut(dim).zip(inv_rms).zip(rows) {
+            *ir = modulated_rmsnorm_row(o, &x[t * dim..(t + 1) * dim], mods, eps);
+        }
     }
-}
+);
 
-/// SiLU `dst = σ(src) · src`, the σ of [`sigmoid`].
-pub fn silu(dst: &mut [f32], src: &[f32]) {
-    sigmoid(dst, src);
-    for (y, &x) in dst.iter_mut().zip(src) {
-        *y *= x;
+dispatched!(
+    /// Gated residual over rows of `dim = gate.len()`, scattered: row `i` of
+    /// `h` is added to token row `t = rows[i]`, `out[t] = x[t] + h[i] · gate`.
+    /// Panics unless `x` and `out` are whole rows and `h` is `rows.len()`
+    /// of them.
+    pub fn gated_residual_on => gated_residual, (out: &mut [f32], x: &[f32], h: &[f32], rows: &[usize], gate: &[f32]) {
+        let dim = gate.len();
+        assert!(dim > 0 && x.len() == out.len() && x.len().is_multiple_of(dim), "gated_residual row width");
+        assert_eq!(h.len(), rows.len() * dim, "gated_residual branch length");
+        for (hr, &t) in h.chunks_exact(dim).zip(rows) {
+            let at = t * dim..(t + 1) * dim;
+            gated_residual_row(&mut out[at.clone()], &x[at], hr, gate);
+        }
     }
-}
+);
 
-/// SwiGLU over rows of `out: [rows, f]`: the [`silu_gate`] of each row of
-/// `gu: [rows, 2f]` (`gate | up`).
-pub fn swiglu(out: &mut [f32], gu: &[f32], f: usize) {
-    assert_eq!(gu.len(), 2 * out.len(), "swiglu input length");
-    for (gur, o) in gu.chunks_exact(2 * f).zip(out.chunks_exact_mut(f)) {
-        let (gate, up) = gur.split_at(f);
-        silu_gate(o, gate, up);
+dispatched!(
+    /// [`gated_residual`] then [`modulated_rmsnorm_rows`] of its result, in
+    /// one pass over the rows: `mid[t] = x[t] + h[i] · gate` for
+    /// `t = rows[i]`, then `out[i]` the modulated norm of `mid[t]` and
+    /// `inv_rms[i]` its `r`. Panics unless `x` and `mid` are whole rows and
+    /// `h` and `out` are `rows.len()` of them.
+    pub fn gated_residual_rmsnorm_on => gated_residual_rmsnorm,
+    (mid: &mut [f32], out: &mut [f32], inv_rms: &mut [f32], x: &[f32], h: &[f32], rows: &[usize], gate: &[f32], mods: [&[f32]; 3], eps: f32) {
+        let dim = gate.len();
+        assert!(dim > 0 && x.len() == mid.len() && x.len().is_multiple_of(dim), "gated_residual_rmsnorm row width");
+        assert!(h.len() == rows.len() * dim && out.len() == h.len() && inv_rms.len() == rows.len(), "gated_residual_rmsnorm block length");
+        for (((o, ir), hr), &t) in out.chunks_exact_mut(dim).zip(inv_rms).zip(h.chunks_exact(dim)).zip(rows) {
+            let at = t * dim..(t + 1) * dim;
+            gated_residual_row(&mut mid[at.clone()], &x[at.clone()], hr, gate);
+            *ir = modulated_rmsnorm_row(o, &mid[at], mods, eps);
+        }
     }
-}
+);
+
+dispatched!(
+    /// Row-broadcast sum over rows of `v.len()`: `x[r] += v` (a bias).
+    /// Panics unless `x` is whole rows.
+    pub fn add_rows_on => add_rows, (x: &mut [f32], v: &[f32]) {
+        assert!(x.len().is_multiple_of(v.len()), "add_rows row width");
+        for row in x.chunks_exact_mut(v.len()) {
+            add_assign(row, v);
+        }
+    }
+);
 
 // `Tensor::div`'s sweep: only tests divide tensors.
 #[cfg(test)]
@@ -613,6 +697,7 @@ binary_into!(div_into, /);
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::Kernel;
     use proptest::prelude::*;
 
     fn seq(n: usize) -> Vec<f32> {
@@ -814,28 +899,49 @@ mod tests {
         }
     }
 
-    /// Portable ≡ AVX2: the `*_body` functions called from here are the
-    /// portable instantiation, the entry points dispatch to the AVX2 one when
-    /// the host has it. On a host without AVX2 both sides are the portable
-    /// build and this degenerates to a self-comparison.
+    /// The kernels this CPU supports, each a build of every dispatched loop.
+    fn supported_kernels() -> impl Iterator<Item = Kernel> {
+        Kernel::ALL.into_iter().filter(|&k| k <= Kernel::detected())
+    }
+
+    /// `run` on every build the host supports, each compared bitwise with
+    /// the portable one; returns the portable result.
+    fn every_build<T: PartialEq + std::fmt::Debug>(what: &str, run: impl Fn(Kernel) -> T) -> T {
+        let want = run(Kernel::Portable);
+        for kernel in supported_kernels() {
+            assert_eq!(run(kernel), want, "{what}: the {} build differs from the portable one", kernel.name());
+        }
+        want
+    }
+
+    /// Every build ≡ the portable one for the elementwise loops: each arm
+    /// the host supports (portable, AVX2, `avx512f`) is called through the
+    /// kernel-taking `*_on` entry. On a host without AVX2 this degenerates to
+    /// a self-comparison.
     #[test]
     fn portable_and_dispatched_builds_agree_bitwise() {
-        for n in [0, 1, 7, 8, 9, 31, 33, 64, 67, 257] {
+        for n in [0, 1, 7, 8, 9, 15, 16, 17, 31, 33, 64, 67, 257] {
             let x = awkward(n);
-            let up: Vec<f32> = x.iter().rev().map(|v| v * 0.5 + 0.25).collect();
-
-            let (mut d, mut p) = (x.clone(), x.clone());
-            exp(&mut d);
-            exp_body(&mut p);
-            assert_eq!(bits(&d), bits(&p), "exp, n = {n}");
-
-            sigmoid(&mut d, &x);
-            sigmoid_body(&mut p, &x);
-            assert_eq!(bits(&d), bits(&p), "sigmoid, n = {n}");
-
-            silu_gate(&mut d, &x, &up);
-            silu_gate_body(&mut p, &x, &up);
-            assert_eq!(bits(&d), bits(&p), "silu_gate, n = {n}");
+            let gu: Vec<f32> = x.iter().copied().chain(x.iter().rev().map(|v| v * 0.5 + 0.25)).collect();
+            let unary = |name, f: fn(Kernel, &mut [f32], &[f32])| {
+                every_build(&format!("{name}, n = {n}"), |k| {
+                    let mut d = vec![f32::NAN; n];
+                    f(k, &mut d, &x);
+                    bits(&d)
+                })
+            };
+            every_build(&format!("exp, n = {n}"), |k| {
+                let mut d = x.clone();
+                exp_on(k, &mut d);
+                bits(&d)
+            });
+            unary("sigmoid", sigmoid_on);
+            unary("silu", silu_on);
+            every_build(&format!("swiglu, n = {n}"), |k| {
+                let mut d = vec![f32::NAN; n];
+                swiglu_on(k, &mut d, &gu, n.max(1));
+                bits(&d)
+            });
         }
     }
 
@@ -858,24 +964,41 @@ mod tests {
         v
     }
 
+    /// The first `n` of a seeded permutation of `0..tokens`: a row block
+    /// that visits token rows out of order and, for `n < tokens`, only some.
+    fn row_list(tokens: usize, n: usize, rng: &mut crate::Rng) -> Vec<usize> {
+        let mut rows: Vec<usize> = (0..tokens).collect();
+        for i in (1..tokens).rev() {
+            rows.swap(i, rng.below(i + 1));
+        }
+        rows.truncate(n);
+        rows
+    }
+
+    /// `[γ, 1 + scale, shift]` of width `dim`, specials planted.
+    fn modulation(dim: usize, rng: &mut crate::Rng) -> [Vec<f32>; 3] {
+        [(); 3].map(|_| gated(dim, rng))
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// Portable ≡ AVX2 for the SwiGLU backward (see
+        /// Every build ≡ the portable one for the SwiGLU backward (see
         /// `portable_and_dispatched_builds_agree_bitwise`).
         #[test]
         fn swiglu_backward_builds_agree_bitwise(rows in 1usize..41, d in 1usize..60, seed in 0u64..1000) {
             let (f, mut rng) = (odd_width(d), crate::Rng::seed_from(seed));
             let gu = gated(rows * 2 * f, &mut rng);
             let dy = gated(rows * f, &mut rng);
-            let (mut got, mut want) = (vec![0.0; gu.len()], vec![0.0; gu.len()]);
-            swiglu_backward(&mut got, &gu, &dy, f);
-            swiglu_backward_body(&mut want, &gu, &dy, f);
-            prop_assert_eq!(bits(&got), bits(&want));
+            every_build("swiglu_backward", |k| {
+                let mut dgu = vec![f32::NAN; gu.len()];
+                swiglu_backward_on(k, &mut dgu, &gu, &dy, f);
+                bits(&dgu)
+            });
         }
 
-        /// Portable ≡ AVX2 for the modulated-RMSNorm backward, the three
-        /// row-accumulated vectors included.
+        /// Every build ≡ the portable one for the modulated-RMSNorm backward,
+        /// the three row-accumulated vectors included.
         #[test]
         fn modulated_rmsnorm_backward_builds_agree_bitwise(rows in 1usize..41, d in 1usize..60, seed in 0u64..1000) {
             let (dim, mut rng) = (odd_width(d), crate::Rng::seed_from(seed));
@@ -883,46 +1006,171 @@ mod tests {
             let dy = gated(rows * dim, &mut rng);
             let (g, s1) = (gated(dim, &mut rng), gated(dim, &mut rng));
             let inv_rms: Vec<f32> = x.chunks_exact(dim).map(|r| 1.0 / (sum_sq(r) / dim as f32 + 1e-6).sqrt()).collect();
-            let run = |portable: bool| {
-                let mut dx = vec![0.0; x.len()];
+            every_build("modulated_rmsnorm_backward", |k| {
+                let mut dx = vec![f32::NAN; x.len()];
                 let [mut a, mut b, mut c] = [(); 3].map(|_| vec![0.0; dim]);
                 let dvecs = [&mut a[..], &mut b[..], &mut c[..]];
-                if portable {
-                    modulated_rmsnorm_backward_body(&mut dx, dvecs, &x, &dy, &g, &s1, &inv_rms);
-                } else {
-                    modulated_rmsnorm_backward(&mut dx, dvecs, &x, &dy, &g, &s1, &inv_rms);
-                }
+                modulated_rmsnorm_backward_on(k, &mut dx, dvecs, &x, &dy, &g, &s1, &inv_rms);
                 [dx, a, b, c].map(|v| bits(&v))
-            };
-            prop_assert_eq!(run(false), run(true));
+            });
         }
 
-        /// Portable ≡ AVX2 for the gated-residual backward.
+        /// Every build ≡ the portable one for the gated-residual backward.
         #[test]
         fn gated_residual_backward_builds_agree_bitwise(rows in 1usize..41, d in 1usize..60, seed in 0u64..1000) {
             let (dim, mut rng) = (odd_width(d), crate::Rng::seed_from(seed));
             let (dy, h, gate) = (gated(rows * dim, &mut rng), gated(rows * dim, &mut rng), gated(dim, &mut rng));
-            let (mut dh, mut dgate) = (vec![0.0; dy.len()], vec![0.0; dim]);
-            let (mut dh_p, mut dgate_p) = (vec![0.0; dy.len()], vec![0.0; dim]);
-            gated_residual_backward(&mut dh, &mut dgate, &dy, &h, &gate);
-            gated_residual_backward_body(&mut dh_p, &mut dgate_p, &dy, &h, &gate);
-            prop_assert_eq!((bits(&dh), bits(&dgate)), (bits(&dh_p), bits(&dgate_p)));
+            every_build("gated_residual_backward", |k| {
+                let (mut dh, mut dgate) = (vec![f32::NAN; dy.len()], vec![0.0; dim]);
+                gated_residual_backward_on(k, &mut dh, &mut dgate, &dy, &h, &gate);
+                (bits(&dh), bits(&dgate))
+            });
+        }
+
+        /// Every build ≡ the portable one for the gathered modulated norm, on
+        /// a permuted, partial row list; and gathering through `rows` is the
+        /// identity list over the rows copied out first.
+        #[test]
+        fn modulated_rmsnorm_rows_builds_agree_bitwise(tokens in 1usize..41, n in 1usize..41, d in 1usize..60, seed in 0u64..1000) {
+            let (dim, mut rng) = (odd_width(d), crate::Rng::seed_from(seed));
+            let (x, rows) = (gated(tokens * dim, &mut rng), row_list(tokens, n.min(tokens), &mut rng));
+            let m = modulation(dim, &mut rng);
+            let run = |k, x: &[f32], rows: &[usize]| {
+                let (mut out, mut ir) = (vec![f32::NAN; rows.len() * dim], vec![f32::NAN; rows.len()]);
+                modulated_rmsnorm_rows_on(k, &mut out, &mut ir, x, rows, [&m[0], &m[1], &m[2]], 1e-6);
+                (bits(&out), bits(&ir))
+            };
+            let got = every_build("modulated_rmsnorm_rows", |k| run(k, &x, &rows));
+            let gathered: Vec<f32> = rows.iter().flat_map(|&t| x[t * dim..(t + 1) * dim].iter().copied()).collect();
+            let identity: Vec<usize> = (0..rows.len()).collect();
+            prop_assert_eq!(got, run(Kernel::Portable, &gathered, &identity));
+        }
+
+        /// Every build ≡ the portable one for the scattered gated residual,
+        /// on a permuted, partial row list: the rows it names are
+        /// `x + h · gate`, the others keep what `out` held.
+        #[test]
+        fn gated_residual_builds_agree_bitwise(tokens in 1usize..41, n in 1usize..41, d in 1usize..60, seed in 0u64..1000) {
+            let (dim, mut rng) = (odd_width(d), crate::Rng::seed_from(seed));
+            let (x, rows) = (gated(tokens * dim, &mut rng), row_list(tokens, n.min(tokens), &mut rng));
+            let (h, gate) = (gated(rows.len() * dim, &mut rng), gated(dim, &mut rng));
+            let got = every_build("gated_residual", |k| {
+                let mut out = vec![7.0; x.len()];
+                gated_residual_on(k, &mut out, &x, &h, &rows, &gate);
+                bits(&out)
+            });
+            for t in 0..tokens {
+                let want: Vec<f32> = match rows.iter().position(|&r| r == t) {
+                    Some(i) => (0..dim).map(|j| x[t * dim + j] + h[i * dim + j] * gate[j]).collect(),
+                    None => vec![7.0; dim],
+                };
+                prop_assert_eq!(&got[t * dim..(t + 1) * dim], &bits(&want)[..]);
+            }
+        }
+
+        /// Every build ≡ the portable one for the fused residual and norm, on
+        /// a permuted, partial row list, and the fused kernel is
+        /// [`gated_residual`] then [`modulated_rmsnorm_rows`] bit for bit.
+        #[test]
+        fn gated_residual_rmsnorm_builds_agree_bitwise(tokens in 1usize..41, n in 1usize..41, d in 1usize..60, seed in 0u64..1000) {
+            let (dim, mut rng) = (odd_width(d), crate::Rng::seed_from(seed));
+            let (x, rows) = (gated(tokens * dim, &mut rng), row_list(tokens, n.min(tokens), &mut rng));
+            let (h, gate, m) = (gated(rows.len() * dim, &mut rng), gated(dim, &mut rng), modulation(dim, &mut rng));
+            let mods = [&m[0][..], &m[1], &m[2]];
+            let got = every_build("gated_residual_rmsnorm", |k| {
+                let (mut mid, mut out, mut ir) = (vec![7.0; x.len()], vec![f32::NAN; h.len()], vec![f32::NAN; rows.len()]);
+                gated_residual_rmsnorm_on(k, &mut mid, &mut out, &mut ir, &x, &h, &rows, &gate, mods, 1e-6);
+                [mid, out, ir].map(|v| bits(&v))
+            });
+            let (mut mid, mut out, mut ir) = (vec![7.0; x.len()], vec![f32::NAN; h.len()], vec![f32::NAN; rows.len()]);
+            gated_residual(&mut mid, &x, &h, &rows, &gate);
+            modulated_rmsnorm_rows(&mut out, &mut ir, &mid, &rows, mods, 1e-6);
+            prop_assert_eq!(got, [mid, out, ir].map(|v| bits(&v)));
+        }
+
+        /// Every build ≡ the portable one for the plain row norm, the bias
+        /// sweep and SwiGLU over whole rows of odd widths.
+        #[test]
+        fn contiguous_row_kernels_builds_agree_bitwise(rows in 1usize..41, d in 1usize..60, seed in 0u64..1000) {
+            let (dim, mut rng) = (odd_width(d), crate::Rng::seed_from(seed));
+            let (x, g) = (gated(rows * dim, &mut rng), gated(dim, &mut rng));
+            let gu = gated(rows * 2 * dim, &mut rng);
+            every_build("rmsnorm_rows", |k| {
+                let (mut out, mut ir) = (vec![f32::NAN; x.len()], vec![f32::NAN; rows]);
+                rmsnorm_rows_on(k, &mut out, &mut ir, &x, &g, 1e-6);
+                (bits(&out), bits(&ir))
+            });
+            every_build("add_rows", |k| {
+                let mut y = x.clone();
+                add_rows_on(k, &mut y, &g);
+                bits(&y)
+            });
+            every_build("swiglu", |k| {
+                let mut out = vec![f32::NAN; x.len()];
+                swiglu_on(k, &mut out, &gu, dim);
+                bits(&out)
+            });
         }
     }
 
-    /// `sigmoid` is `1 / (1 + exp(−x))` over this module's `exp`, and
-    /// `silu_gate` is `(g · σ(g)) · u` over that `sigmoid`, bit for bit.
+    // A length that is not whole rows would leave the tail of `out`
+    // unwritten: every row-block entry refuses it.
+
+    #[test]
+    #[should_panic(expected = "gated_residual row width")]
+    fn gated_residual_rejects_a_partial_row() {
+        gated_residual(&mut [0.0; 5], &[0.0; 5], &[0.0; 2], &[0], &[1.0; 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "swiglu row width")]
+    fn swiglu_rejects_a_partial_row() {
+        swiglu(&mut [0.0; 3], &[0.0; 6], 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "modulated_rmsnorm_rows row width")]
+    fn modulated_rmsnorm_rows_rejects_a_partial_row() {
+        let v = [1.0; 2];
+        modulated_rmsnorm_rows(&mut [0.0; 2], &mut [0.0], &[1.0; 3], &[0], [&v, &v, &v], 1e-6);
+    }
+
+    #[test]
+    #[should_panic(expected = "gated_residual_rmsnorm row width")]
+    fn gated_residual_rmsnorm_rejects_a_partial_row() {
+        let v = [1.0; 2];
+        gated_residual_rmsnorm(&mut [0.0; 3], &mut [0.0; 2], &mut [0.0], &[1.0; 3], &[1.0; 2], &[0], &v, [&v, &v, &v], 1e-6);
+    }
+
+    #[test]
+    #[should_panic(expected = "rmsnorm_rows input length")]
+    fn rmsnorm_rows_rejects_a_partial_row() {
+        rmsnorm_rows(&mut [0.0; 3], &mut [0.0], &[1.0; 3], &[1.0; 2], 1e-6);
+    }
+
+    #[test]
+    #[should_panic(expected = "add_rows row width")]
+    fn add_rows_rejects_a_partial_row() {
+        add_rows(&mut [0.0; 3], &[1.0; 2]);
+    }
+
+    /// `sigmoid` is `1 / (1 + exp(−x))` over this module's `exp`, `silu` is
+    /// `σ(x) · x` and SwiGLU's `silu_gate` is `(g · σ(g)) · u` over that
+    /// `sigmoid`, bit for bit.
     #[test]
     fn sigmoid_and_silu_gate_are_the_composition_they_document() {
         let g = awkward(67);
         let u: Vec<f32> = g.iter().rev().map(|v| v * 0.5 + 0.25).collect();
         let mut s = vec![0.0; g.len()];
         sigmoid(&mut s, &g);
+        let mut silu_g = vec![0.0; g.len()];
+        silu(&mut silu_g, &g);
         let mut y = vec![0.0; g.len()];
-        silu_gate(&mut y, &g, &u);
+        swiglu(&mut y, &[&g[..], &u].concat(), g.len());
         let s_ref: Vec<f32> = g.iter().map(|&g| 1.0 / (1.0 + exp1(-g))).collect();
         let y_ref: Vec<f32> = (0..g.len()).map(|i| g[i] * s_ref[i] * u[i]).collect();
         assert_eq!(bits(&s), bits(&s_ref));
+        assert_eq!(bits(&silu_g), bits(&(0..g.len()).map(|i| s_ref[i] * g[i]).collect::<Vec<_>>()));
         assert_eq!(bits(&y), bits(&y_ref));
         for (s, g) in s.iter().zip(&g) {
             assert!(if g.is_nan() { s.is_nan() } else { (0.0..=1.0).contains(s) }, "sigmoid({g}) = {s}");

@@ -181,7 +181,7 @@ const TOY48_GEMM_DIGEST: u64 = 0x07ea_e00b_5cc4_deac;
 /// Every GEMM shape of one `toy48` training step — the six projections
 /// `[in, out]` (QKV, attention out, SwiGLU up / down, embed, decode) as NN
 /// forward `X·W`, NT input gradient `dY·Wᵀ` and TN weight gradient `Xᵀ·dY`
-/// over 512 tokens, operands drawn as `examples/gemm_shapes.rs` draws them —
+/// over 512 tokens, operands drawn as `examples/layer_probe.rs` draws them —
 /// hashes to one pinned digest on every supported kernel. On a host that
 /// runs only the portable kernel, this is the test that compares its bits
 /// with every other host's.

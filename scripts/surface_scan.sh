@@ -27,11 +27,15 @@
 #        `dispatched!(` loop that macro builds. Expected: lines of
 #        crates/tensor/src/gemm.rs (the three kernel builds, the AVX-512
 #        tile's load and masked store, the one detector), the one
-#        `dispatched!` macro of crates/tensor/src/sweeps.rs and its eight
-#        invocations (DISPATCHED below) — `exp`, `sigmoid`, `silu_gate` and
-#        the backwards of the three fused block ops (`swiglu_backward`,
-#        `modulated_rmsnorm_backward`, `gated_residual_backward`) in
-#        sweeps.rs, the window-attention core's forward and backward loops in
+#        `dispatched!` macro of crates/tensor/src/sweeps.rs and its fourteen
+#        invocations (DISPATCHED below) — in sweeps.rs the `exp` family
+#        (`exp`, `sigmoid`, `silu`, `swiglu`), the Swin block's forward
+#        row-block kernels (`rmsnorm_rows`, `modulated_rmsnorm_rows`,
+#        `gated_residual`, `gated_residual_rmsnorm`, `add_rows`) and the
+#        backwards of the three fused block ops (`swiglu_backward`,
+#        `modulated_rmsnorm_backward`, `gated_residual_backward`), each named
+#        by its kernel-taking `*_on` entry; the window-attention core's
+#        forward and backward loops in
 #        crates/tensor/src/attention.rs — the `avx512f` build of that core,
 #        admitted fn by fn (INTRINSIC_FNS below: their
 #        `#[target_feature]` lines and the aligned / masked loads and stores),
@@ -106,17 +110,24 @@ chaos_delays	test vocabulary: FaultPlan builder of swipe's chaos suite and tests
 chaos_restarts	test vocabulary: FaultPlan builder of swipe's recovery suite
 finetune_rollout	ROADMAP item 7 gives it a verdict (measure in fig7_seasonal or delete)"
 
-# The loops `dispatched!` builds twice (portable and AVX2), one
-# `file<TAB>name` a line; (iv) fails on an invocation missing here.
+# The loops `dispatched!` builds three times (portable, AVX2 and
+# `avx512f`), one `file<TAB>name` a line, the name the kernel-taking entry's;
+# (iv) fails on an invocation missing here.
 DISPATCHED="\
 crates/tensor/src/attention.rs	backward_windows
 crates/tensor/src/attention.rs	forward_windows
-crates/tensor/src/sweeps.rs	exp
-crates/tensor/src/sweeps.rs	gated_residual_backward
-crates/tensor/src/sweeps.rs	modulated_rmsnorm_backward
-crates/tensor/src/sweeps.rs	sigmoid
-crates/tensor/src/sweeps.rs	silu_gate
-crates/tensor/src/sweeps.rs	swiglu_backward"
+crates/tensor/src/sweeps.rs	add_rows_on
+crates/tensor/src/sweeps.rs	exp_on
+crates/tensor/src/sweeps.rs	gated_residual_backward_on
+crates/tensor/src/sweeps.rs	gated_residual_on
+crates/tensor/src/sweeps.rs	gated_residual_rmsnorm_on
+crates/tensor/src/sweeps.rs	modulated_rmsnorm_backward_on
+crates/tensor/src/sweeps.rs	modulated_rmsnorm_rows_on
+crates/tensor/src/sweeps.rs	rmsnorm_rows_on
+crates/tensor/src/sweeps.rs	sigmoid_on
+crates/tensor/src/sweeps.rs	silu_on
+crates/tensor/src/sweeps.rs	swiglu_backward_on
+crates/tensor/src/sweeps.rs	swiglu_on"
 
 # The fns whose (iv) sites are admitted by name, one `file<TAB>fn` a line:
 # the `avx512f` build of the window-attention core (the third arm of
@@ -319,14 +330,15 @@ while IFS= read -r line; do
     fi
 done <<< "$INTRINSIC_FNS"
 # `file<TAB>name` of every `dispatched!(` invocation (the name is the first
-# `fn` line after it), against DISPATCHED, both ways.
+# `fn NAME,` or `fn NAME =>` after it), against DISPATCHED, both ways.
 invocations=$(strip_tests $(sources crates/*/src shims/*/src examples src) | awk '
     {
         file = $0; sub(/:.*/, "", file)
         text = $0; sub(/^[^:]*:[0-9]+:/, "", text)
         if (text ~ /dispatched!\(/) { pending[file] = 1; next }
-        if (pending[file] && match(text, /fn [a-z_0-9]+,/)) {
-            print file "\t" substr(text, RSTART + 3, RLENGTH - 4)
+        if (pending[file] && match(text, /fn [a-z_0-9]+( =>|,)/)) {
+            name = substr(text, RSTART + 3, RLENGTH - 3); sub(/( =>|,)$/, "", name)
+            print file "\t" name
             pending[file] = 0
         }
     }' | sort)
