@@ -23,7 +23,8 @@ const WINDOWS_PER_PASS: usize = 4;
 /// `x` and its post-attention value `mid` (`[tokens, dim]`, token order), and
 /// per row block, in window order, the normalized rows `h`, the projection
 /// `qkv`, the context `o`, a branch output `y`, the gate-up `gu` and its
-/// SwiGLU `hid`.
+/// SwiGLU `hid`. `inv_rms` only receives the norms' `r`, which inference
+/// does not read.
 #[derive(Default)]
 struct Scratch {
     input: Vec<f32>,
@@ -155,10 +156,10 @@ impl SwinBlock {
 
     /// The block without a tape, in place on `s.x`: one pass over row blocks
     /// of [`WINDOWS_PER_PASS`] whole windows (`plan` sized for one). A row
-    /// block is four row-block kernels of `sweeps` between the GEMMs and the
+    /// block is five row-block kernels of `sweeps` between the GEMMs and the
     /// attention core: the modulated norm gathered straight into window
     /// order; the gated residual scattered back through the partition
-    /// permutation, fused with the second norm; the SwiGLU; its gated
+    /// permutation; the second norm, gathered; the SwiGLU; its gated
     /// residual, scattered. Every element comes from the kernel and
     /// expression of the op [`SwinBlock::forward_with`] records, so the bits
     /// are the same.
@@ -186,7 +187,8 @@ impl SwinBlock {
             gemm(n, 3 * dim, dim, h, false, w_qkv.data(), false, qkv);
             window_core_into(Kernel::detected(), qkv, plan, o);
             a.wo.apply(store, o, y);
-            sweeps::gated_residual_rmsnorm(mid, h, ir, x, y, rows, gate1, mods2, self.norm2.eps);
+            sweeps::gated_residual(mid, x, y, rows, gate1);
+            sweeps::modulated_rmsnorm_rows(h, ir, mid, rows, mods2, self.norm2.eps);
             self.mlp.w_in.apply(store, h, gu);
             sweeps::swiglu(hid, gu, ffn);
             self.mlp.w_down.apply(store, hid, y);

@@ -10,10 +10,10 @@
 //! element is runtime-dispatched instead, through this file's `dispatched!`
 //! macro: the `exp` family ([`exp`], [`sigmoid`], [`silu`], [`swiglu`], and
 //! [`exp_shift_sum`] through `exp`), the Swin block's forward row-block
-//! kernels ([`modulated_rmsnorm_rows`], [`gated_residual_rmsnorm`],
-//! [`gated_residual`], [`rmsnorm_rows`], [`add_rows`]) and the backwards of
-//! its three fused tape ops ([`swiglu_backward`],
-//! [`modulated_rmsnorm_backward`], [`gated_residual_backward`]). The macro,
+//! kernels ([`modulated_rmsnorm_rows`], [`gated_residual`],
+//! [`rmsnorm_rows`], [`add_rows`]) and the backwards of its three fused tape
+//! ops ([`swiglu_backward`], [`modulated_rmsnorm_backward`],
+//! [`gated_residual_backward`]). The macro,
 //! the crate's one dispatch mechanism besides `gemm::compute_block` (the
 //! window-attention core of [`crate::attention`] is its other user), builds
 //! one `#[inline(always)]` body three times — portable, under
@@ -661,25 +661,6 @@ dispatched!(
 );
 
 dispatched!(
-    /// [`gated_residual`] then [`modulated_rmsnorm_rows`] of its result, in
-    /// one pass over the rows: `mid[t] = x[t] + h[i] · gate` for
-    /// `t = rows[i]`, then `out[i]` the modulated norm of `mid[t]` and
-    /// `inv_rms[i]` its `r`. Panics unless `x` and `mid` are whole rows and
-    /// `h` and `out` are `rows.len()` of them.
-    pub fn gated_residual_rmsnorm_on => gated_residual_rmsnorm,
-    (mid: &mut [f32], out: &mut [f32], inv_rms: &mut [f32], x: &[f32], h: &[f32], rows: &[usize], gate: &[f32], mods: [&[f32]; 3], eps: f32) {
-        let dim = gate.len();
-        assert!(dim > 0 && x.len() == mid.len() && x.len().is_multiple_of(dim), "gated_residual_rmsnorm row width");
-        assert!(h.len() == rows.len() * dim && out.len() == h.len() && inv_rms.len() == rows.len(), "gated_residual_rmsnorm block length");
-        for (((o, ir), hr), &t) in out.chunks_exact_mut(dim).zip(inv_rms).zip(h.chunks_exact(dim)).zip(rows) {
-            let at = t * dim..(t + 1) * dim;
-            gated_residual_row(&mut mid[at.clone()], &x[at.clone()], hr, gate);
-            *ir = modulated_rmsnorm_row(o, &mid[at], mods, eps);
-        }
-    }
-);
-
-dispatched!(
     /// Row-broadcast sum over rows of `v.len()`: `x[r] += v` (a bias).
     /// Panics unless `x` is whole rows.
     pub fn add_rows_on => add_rows, (x: &mut [f32], v: &[f32]) {
@@ -1068,26 +1049,6 @@ mod tests {
             }
         }
 
-        /// Every build ≡ the portable one for the fused residual and norm, on
-        /// a permuted, partial row list, and the fused kernel is
-        /// [`gated_residual`] then [`modulated_rmsnorm_rows`] bit for bit.
-        #[test]
-        fn gated_residual_rmsnorm_builds_agree_bitwise(tokens in 1usize..41, n in 1usize..41, d in 1usize..60, seed in 0u64..1000) {
-            let (dim, mut rng) = (odd_width(d), crate::Rng::seed_from(seed));
-            let (x, rows) = (gated(tokens * dim, &mut rng), row_list(tokens, n.min(tokens), &mut rng));
-            let (h, gate, m) = (gated(rows.len() * dim, &mut rng), gated(dim, &mut rng), modulation(dim, &mut rng));
-            let mods = [&m[0][..], &m[1], &m[2]];
-            let got = every_build("gated_residual_rmsnorm", |k| {
-                let (mut mid, mut out, mut ir) = (vec![7.0; x.len()], vec![f32::NAN; h.len()], vec![f32::NAN; rows.len()]);
-                gated_residual_rmsnorm_on(k, &mut mid, &mut out, &mut ir, &x, &h, &rows, &gate, mods, 1e-6);
-                [mid, out, ir].map(|v| bits(&v))
-            });
-            let (mut mid, mut out, mut ir) = (vec![7.0; x.len()], vec![f32::NAN; h.len()], vec![f32::NAN; rows.len()]);
-            gated_residual(&mut mid, &x, &h, &rows, &gate);
-            modulated_rmsnorm_rows(&mut out, &mut ir, &mid, &rows, mods, 1e-6);
-            prop_assert_eq!(got, [mid, out, ir].map(|v| bits(&v)));
-        }
-
         /// Every build ≡ the portable one for the plain row norm, the bias
         /// sweep and SwiGLU over whole rows of odd widths.
         #[test]
@@ -1133,13 +1094,6 @@ mod tests {
     fn modulated_rmsnorm_rows_rejects_a_partial_row() {
         let v = [1.0; 2];
         modulated_rmsnorm_rows(&mut [0.0; 2], &mut [0.0], &[1.0; 3], &[0], [&v, &v, &v], 1e-6);
-    }
-
-    #[test]
-    #[should_panic(expected = "gated_residual_rmsnorm row width")]
-    fn gated_residual_rmsnorm_rejects_a_partial_row() {
-        let v = [1.0; 2];
-        gated_residual_rmsnorm(&mut [0.0; 3], &mut [0.0; 2], &mut [0.0], &[1.0; 3], &[1.0; 2], &[0], &v, [&v, &v, &v], 1e-6);
     }
 
     #[test]

@@ -178,9 +178,6 @@ fn main() {
     sweep("modulated_rmsnorm_rows", &dim_rows, &mut |k| {
         sweeps::modulated_rmsnorm_rows_on(k, &mut out, &mut ir, &x, &rows, mods, 1e-6)
     });
-    sweep("gated_residual_rmsnorm", &dim_rows, &mut |k| {
-        sweeps::gated_residual_rmsnorm_on(k, &mut mid, &mut out, &mut ir, &x, &h, &rows, &gate, mods, 1e-6)
-    });
     sweep("gated_residual", &dim_rows, &mut |k| sweeps::gated_residual_on(k, &mut mid, &x, &h, &rows, &gate));
     sweep("add_rows", &dim_rows, &mut |k| sweeps::add_rows_on(k, &mut mid, &g));
     sweep("modulated_rmsnorm_backward", &dim_rows, &mut |k| {

@@ -27,11 +27,11 @@
 #        `dispatched!(` loop that macro builds. Expected: lines of
 #        crates/tensor/src/gemm.rs (the three kernel builds, the AVX-512
 #        tile's load and masked store, the one detector), the one
-#        `dispatched!` macro of crates/tensor/src/sweeps.rs and its fourteen
+#        `dispatched!` macro of crates/tensor/src/sweeps.rs and its thirteen
 #        invocations (DISPATCHED below) — in sweeps.rs the `exp` family
 #        (`exp`, `sigmoid`, `silu`, `swiglu`), the Swin block's forward
 #        row-block kernels (`rmsnorm_rows`, `modulated_rmsnorm_rows`,
-#        `gated_residual`, `gated_residual_rmsnorm`, `add_rows`) and the
+#        `gated_residual`, `add_rows`) and the
 #        backwards of the three fused block ops (`swiglu_backward`,
 #        `modulated_rmsnorm_backward`, `gated_residual_backward`), each named
 #        by its kernel-taking `*_on` entry; the window-attention core's
@@ -120,7 +120,6 @@ crates/tensor/src/sweeps.rs	add_rows_on
 crates/tensor/src/sweeps.rs	exp_on
 crates/tensor/src/sweeps.rs	gated_residual_backward_on
 crates/tensor/src/sweeps.rs	gated_residual_on
-crates/tensor/src/sweeps.rs	gated_residual_rmsnorm_on
 crates/tensor/src/sweeps.rs	modulated_rmsnorm_backward_on
 crates/tensor/src/sweeps.rs	modulated_rmsnorm_rows_on
 crates/tensor/src/sweeps.rs	rmsnorm_rows_on
