@@ -205,6 +205,44 @@ mod tests {
                    got.iter().map(|f| f.to_bits()).collect::<Vec<_>>());
     }
 
+    /// A state whose next Box–Muller pair has a sine half (≈ 0.998225) that
+    /// an f64 result one ulp off libm's rounds to a different f32.
+    const HARD_STATE: u64 = 0x6d2b_5c72_24f3_ef5d;
+
+    /// The Gaussian stream as a contract: `Tensor::randn` at lengths that
+    /// start and end on either half of a pair, over several seeds with and
+    /// without a cached half in flight, plus [`HARD_STATE`], hashes, every
+    /// draw and every `snapshot()` after it, to one pinned FNV-1a digest
+    /// (captured from scalar libm Box–Muller, one `normal()` a draw).
+    #[test]
+    fn gaussian_draws_are_pinned_bitwise() {
+        use crate::{fnv_u64, Tensor, FNV_INIT};
+        let mut h = FNV_INIT;
+        let mut draw = |rng: &mut Rng, n: usize| {
+            for x in Tensor::randn(&[n], rng).data() {
+                fnv_u64(&mut h, x.to_bits() as u64);
+            }
+            let snap = rng.snapshot();
+            fnv_u64(&mut h, snap.state);
+            fnv_u64(&mut h, snap.gauss_cache.map_or(u64::MAX, |g| g.to_bits() as u64));
+        };
+        for seed in [0, 1, 2025, 0xdead_beef] {
+            for cached in [false, true] {
+                let mut rng = Rng::seed_from(seed);
+                if cached {
+                    let _ = rng.normal();
+                }
+                for n in [0, 1, 2, 3, 19, 20, 255, 256, 257, 10_240] {
+                    draw(&mut rng, n);
+                }
+            }
+        }
+        for gauss_cache in [None, Some(0.5)] {
+            draw(&mut Rng::restore(RngSnapshot { state: HARD_STATE, gauss_cache }), 16);
+        }
+        assert_eq!(h, 0xade6_74b4_a2f6_e3a5, "got {h:#x}");
+    }
+
     #[test]
     fn choose_indices_distinct() {
         let mut r = Rng::seed_from(5);
