@@ -212,7 +212,7 @@ impl TrigFlowSampler {
             // Churn: re-noise toward the previous (noisier) time.
             if self.cfg.churn > 0.0 && i > 0 {
                 let t_hat = (t + self.cfg.churn * (ts[i - 1] - t)).min(std::f32::consts::FRAC_PI_2);
-                *x = self.tf.churn(x, t, t_hat, rng);
+                self.tf.churn(x, t, t_hat, rng);
                 t = t_hat;
             }
             if self.cfg.second_order {

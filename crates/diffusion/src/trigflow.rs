@@ -70,22 +70,27 @@ impl TrigFlow {
         x_t.zip_map(v_hat, |x, v| c * x - s * v)
     }
 
-    /// Re-noise a sample from time `t` up to `t_hat ≥ t` (the trigonometric
-    /// Langevin-like churn). This is the exact forward renoising of the
-    /// spherical interpolant: scaling the signal by `cos t̂ / cos t` and
-    /// topping the noise back up to `sin t̂`,
+    /// Re-noise a sample in place from time `t` up to `t_hat ≥ t` (the
+    /// trigonometric Langevin-like churn). This is the exact forward
+    /// renoising of the spherical interpolant: scaling the signal by
+    /// `cos t̂ / cos t` and topping the noise back up to `sin t̂`,
     /// `x̂ = (cos t̂/cos t)·x_t + σ_d·√(sin² t̂ − (cos t̂/cos t)²·sin² t)·z`,
-    /// which maps the marginal at `t` exactly onto the marginal at `t̂`.
-    pub fn churn(&self, x_t: &Tensor, t: f32, t_hat: f32, rng: &mut Rng) -> Tensor {
+    /// which maps the marginal at `t` exactly onto the marginal at `t̂`. `z`
+    /// is drawn a stack block at a time by [`Rng::fill_normal`], one draw per
+    /// element in order.
+    pub fn churn(&self, x: &mut Tensor, t: f32, t_hat: f32, rng: &mut Rng) {
         assert!(t_hat >= t);
         let scale = t_hat.cos() / t.cos();
         let add = (t_hat.sin() * t_hat.sin() - scale * scale * t.sin() * t.sin()).max(0.0).sqrt();
         let sd = self.sigma_d;
-        let mut out = x_t.clone();
-        for v in out.data_mut() {
-            *v = scale * *v + add * sd * rng.normal();
+        let mut block = [0.0f32; 1024];
+        for xs in x.data_mut().chunks_mut(block.len()) {
+            let z = &mut block[..xs.len()];
+            rng.fill_normal(z);
+            for (v, &n) in xs.iter_mut().zip(z.iter()) {
+                *v = scale * *v + add * sd * n;
+            }
         }
-        out
     }
 }
 
@@ -178,10 +183,12 @@ mod tests {
         let mut rng = Rng::seed_from(6);
         let x = Tensor::randn(&[20_000], &mut rng);
         // Δ = 0: identity.
-        let same = tf.churn(&x, 0.4, 0.4, &mut rng);
+        let mut same = x.clone();
+        tf.churn(&mut same, 0.4, 0.4, &mut rng);
         assert_eq!(same, x);
         // Renoising keeps unit marginal variance.
-        let churned = tf.churn(&x, 0.4, 0.9, &mut rng);
+        let mut churned = x.clone();
+        tf.churn(&mut churned, 0.4, 0.9, &mut rng);
         assert!((churned.variance() - 1.0).abs() < 0.05);
     }
 }

@@ -343,11 +343,8 @@ pub fn shared_t(tf: &TrigFlow, seed: u64, step: usize, dp: usize, m: usize) -> f
 pub fn noise_rows(seed: u64, sample: usize, tokens: &[usize], channels: usize) -> Tensor {
     let base = Rng::seed_from(seed ^ 0x2077).stream(sample as u64);
     let mut out = Tensor::zeros(&[tokens.len(), channels]);
-    for (r, &tok) in tokens.iter().enumerate() {
-        let mut rng = base.stream(tok as u64 + 1);
-        for c in 0..channels {
-            *out.at_mut(&[r, c]) = rng.normal();
-        }
+    for (row, &tok) in out.data_mut().chunks_exact_mut(channels.max(1)).zip(tokens) {
+        base.stream(tok as u64 + 1).fill_normal(row);
     }
     out
 }

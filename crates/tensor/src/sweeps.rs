@@ -13,7 +13,9 @@
 //! kernels ([`modulated_rmsnorm_rows`], [`gated_residual`],
 //! [`rmsnorm_rows`], [`add_rows`]) and the backwards of its three fused tape
 //! ops ([`swiglu_backward`], [`modulated_rmsnorm_backward`],
-//! [`gated_residual_backward`]). The macro,
+//! [`gated_residual_backward`]), and the Gaussian draws' Box–Muller lanes
+//! ([`box_muller`], in f64: 4 lanes to an AVX2 register, 8 to an `avx512f`
+//! one). The macro,
 //! the crate's one dispatch mechanism besides `gemm::compute_block` (the
 //! window-attention core of [`crate::attention`] is its other user), builds
 //! one `#[inline(always)]` body three times — portable, under
@@ -40,10 +42,19 @@
 //!   The GEMM's three builds all fuse, so they too agree bit for bit. (FMA
 //!   inside the polynomial measured 0.33–0.38 against 0.49–0.55 ns per
 //!   element, ≈ 1 % of a model evaluation: not worth moving every digest.)
+//!   [`box_muller`] keeps the same rule in f64, with `sqrt` as one more IEEE
+//!   operation (correctly rounded, like `÷`): fdlibm's polynomials in place
+//!   of libm's `ln`, `sin` and `cos`, and integer bit operations in place of
+//!   a u64 → f64 convert. Its results are f64 within 2⁻⁴⁶ of libm's, not
+//!   libm's bits; the rounding test that turns them into `Rng::normal`'s
+//!   f32 bits, and the libm fallback where it fails, live in `rng.rs`,
+//!   outside the dispatched body.
 //!
 //! These are slice-level primitives; `ops.rs`, `forecast.rs`, the autodiff
 //! tape, the model's tape-free block pass and the optimizer call them on
 //! their own buffers.
+
+use crate::rng::{mix, GAMMA};
 
 /// Lane width for unrolled sweeps: 8 × f32 is one AVX2 register, two SSE2
 /// registers in the baseline build.
@@ -671,6 +682,136 @@ dispatched!(
     }
 );
 
+// Box–Muller in f64 lanes: the same `r = √(−2 ln u)`, `θ = 2π·v` and
+// `r·cos θ`, `r·sin θ` as `Rng::normal`'s libm path, with `ln`, `sin` and
+// `cos` as fdlibm's polynomials (Sun's `e_log.c`, `k_sin.c`, `k_cos.c`), so
+// every step is an IEEE `+ − × ÷`, a `sqrt`, a compare or an integer bit
+// operation. Within 2⁻⁴⁶ of libm's result, relative (≈ 2⁻⁵⁰·⁴ measured).
+
+/// `2⁵²`: the f64 whose mantissa field holds an integer `< 2⁵²` exactly.
+const TWO52: f64 = 4_503_599_627_370_496.0;
+/// The mantissa field of an f64.
+const MANTISSA: u64 = (1 << 52) - 1;
+/// `1.5 · 2⁵²`: adding it rounds to the nearest integer and leaves that
+/// integer in the low mantissa bits of the sum (the f64 [`ROUND`]).
+const ROUND64: f64 = 6_755_399_441_055_744.0;
+/// `ln 2` in two parts: `LN2_HI64` has 32 significant bits, so `k · LN2_HI64`
+/// is exact for the `|k| ≤ 53` a uniform draw reaches.
+const LN2_HI64: f64 = f64::from_bits(0x3FE6_2E42_FEE0_0000);
+const LN2_LO64: f64 = f64::from_bits(0x3DEA_39EF_3579_3C76);
+/// `ln(1 + f) = f − f²/2 + s·(f²/2 + R(s²))` with `s = f/(2 + f)`: the
+/// coefficients of `R(z) = z·(LG[0] + z·(LG[1] + …))`.
+const LG: [f64; 7] = [
+    6.666_666_666_666_735e-1,
+    3.999_999_999_940_942e-1,
+    2.857_142_874_366_239e-1,
+    2.222_219_843_214_978_4e-1,
+    1.818_357_216_161_805e-1,
+    1.531_383_769_920_937_3e-1,
+    1.479_819_860_511_658_6e-1,
+];
+/// `π/2` in three parts (Cody–Waite): the first two have 33 significant
+/// bits, so `k · PIO2[0]` and `k · PIO2[1]` are exact for `k ≤ 4`, and
+/// their sum with the third is `π/2` to ≈ 2⁻¹²².
+const PIO2: [f64; 3] =
+    [f64::from_bits(0x3FF9_21FB_5440_0000), f64::from_bits(0x3DD0_B461_1A60_0000), f64::from_bits(0x3BA3_198A_2E03_7073)];
+/// `sin x = x + x³·(S[0] + x²·(S[1] + …))` on `|x| ≤ π/4`.
+const SIN: [f64; 6] = [
+    -1.666_666_666_666_663_2e-1,
+    8.333_333_333_322_49e-3,
+    -1.984_126_982_985_795e-4,
+    2.755_731_370_707_006_8e-6,
+    -2.505_076_025_340_686_3e-8,
+    1.589_690_995_211_55e-10,
+];
+/// `cos x = 1 − x²/2 + x⁴·(COS[0] + x²·(COS[1] + …))` on `|x| ≤ π/4`.
+const COS: [f64; 6] = [
+    4.166_666_666_666_66e-2,
+    -1.388_888_888_887_411e-3,
+    2.480_158_728_947_673e-5,
+    -2.755_731_435_139_066_3e-7,
+    2.087_572_321_298_175e-9,
+    -1.135_964_755_778_819_5e-11,
+];
+
+/// `(w >> 11) · 2⁻⁵³`, `Rng::next_f64`'s uniform, exactly and without a
+/// u64 → f64 convert (plain `avx512f` has none): the 53-bit integer `x`
+/// is `2⁵² + (x mod 2⁵²)` when its top bit is set, which is the f64 with
+/// that mantissa field and the exponent of `2⁵²`; otherwise it is that
+/// f64 minus `2⁵²`.
+#[inline(always)]
+fn unit_lane(w: u64) -> f64 {
+    let x = w >> 11;
+    let m = f64::from_bits(TWO52.to_bits() | (x & MANTISSA));
+    (m - if x >> 52 == 0 { TWO52 } else { 0.0 }) * (0.5 / TWO52)
+}
+
+/// `ln u` for a normal, positive `u`: `u = 2ᵏ·m` with `m ∈ [√½, √2)`,
+/// `f = m − 1` exact, and fdlibm's `s = f/(2 + f)` series.
+#[inline(always)]
+fn ln_lane(u: f64) -> f64 {
+    let bits = u.to_bits();
+    let m = f64::from_bits((bits & MANTISSA) | 1f64.to_bits());
+    let big = m > std::f64::consts::SQRT_2;
+    let f = if big { 0.5 * m - 1.0 } else { m - 1.0 };
+    // The biased exponent field as an f64, exactly, as in `unit_lane`.
+    let e = f64::from_bits(TWO52.to_bits() | bits >> 52) - TWO52;
+    let k = e - if big { 1022.0 } else { 1023.0 };
+    let s = f / (2.0 + f);
+    let z = s * s;
+    let w = z * z;
+    let r = z * (LG[0] + w * (LG[2] + w * (LG[4] + w * LG[6]))) + w * (LG[1] + w * (LG[3] + w * LG[5]));
+    let hfsq = 0.5 * f * f;
+    k * LN2_HI64 - ((hfsq - (s * (hfsq + r) + k * LN2_LO64)) - f)
+}
+
+/// `(sin θ, cos θ)` for `0 ≤ θ < 2π`: `x = θ − k·π/2` by [`PIO2`] with
+/// `k = round(θ·2/π)`, the two polynomials on `x`, and the quadrant `k mod 4`
+/// picking and negating them.
+#[inline(always)]
+fn sin_cos_lane(theta: f64) -> (f64, f64) {
+    let t = theta * std::f64::consts::FRAC_2_PI + ROUND64;
+    let k = t - ROUND64;
+    let q = t.to_bits();
+    let x = ((theta - k * PIO2[0]) - k * PIO2[1]) - k * PIO2[2];
+    let z = x * x;
+    let w = z * z;
+    let rs = SIN[1] + z * (SIN[2] + z * SIN[3]) + z * w * (SIN[4] + z * SIN[5]);
+    let sin = x + z * x * (SIN[0] + z * rs);
+    let rc = z * (COS[0] + z * (COS[1] + z * COS[2])) + w * w * (COS[3] + z * (COS[4] + z * COS[5]));
+    let hz = 0.5 * z;
+    let one = 1.0 - hz;
+    let cos = one + (((1.0 - one) - hz) + z * rc);
+    let (a, b) = if q & 1 != 0 { (cos, sin) } else { (sin, cos) };
+    (if q & 2 != 0 { -a } else { a }, if q.wrapping_add(1) & 2 != 0 { -b } else { b })
+}
+
+dispatched!(
+    /// Box–Muller's lane math for the pairs that follow the SplitMix64
+    /// state `state`: pair `i` takes the `Rng::next_f64` uniforms `u`, `v`
+    /// of the words at `state + (2i + 1)·γ` and `state + (2i + 2)·γ` and
+    /// writes `rc[i] = r·cos θ` and `rs[i] = r·sin θ` in f64, with
+    /// `r = √(−2 ln u)` and `θ = 2π·v`. libm-free (fdlibm's `ln`, `sin` and
+    /// `cos` polynomials, an exact u64 → f64 split and a Cody–Waite
+    /// reduction of `θ`): every build returns the same bits, each within
+    /// 2⁻⁴⁶ of libm's, relative. A pair whose `u` `Rng::normal`
+    /// would reject (`u = 0`) is NaN. `Rng::fill_normal` rounds a pair to f32
+    /// where that rounding is settled within the error bound and takes
+    /// `normal`'s libm path where it is not.
+    pub fn box_muller_on => box_muller, (rc: &mut [f64], rs: &mut [f64], state: u64) {
+        assert_eq!(rc.len(), rs.len(), "box_muller length mismatch");
+        for (i, (c_out, s_out)) in rc.iter_mut().zip(rs.iter_mut()).enumerate() {
+            let at = state.wrapping_add(GAMMA.wrapping_mul(2 * i as u64));
+            let (uw, vw) = (mix(at.wrapping_add(GAMMA)), mix(at.wrapping_add(GAMMA.wrapping_mul(2))));
+            let r = (-2.0 * ln_lane(unit_lane(uw))).sqrt();
+            let r = if uw >> 11 == 0 { f64::NAN } else { r };
+            let (s, c) = sin_cos_lane(2.0 * std::f64::consts::PI * unit_lane(vw));
+            *c_out = r * c;
+            *s_out = r * s;
+        }
+    }
+);
+
 // `Tensor::div`'s sweep: only tests divide tensors.
 #[cfg(test)]
 binary_into!(div_into, /);
@@ -1072,6 +1213,71 @@ mod tests {
                 bits(&out)
             });
         }
+    }
+
+    proptest! {
+        /// Every build ≡ the portable one for Box–Muller's lane math, f64
+        /// bits, over any state and any number of pairs.
+        #[test]
+        fn box_muller_builds_agree_bitwise(state in 0u64..u64::MAX, n in 0usize..300) {
+            every_build("box_muller", |k| {
+                let (mut rc, mut rs) = (vec![f64::NAN; n], vec![f64::NAN; n]);
+                box_muller_on(k, &mut rc, &mut rs, state);
+                [rc, rs].map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+            });
+        }
+    }
+
+    /// The bound `Rng::fill_normal`'s rounding test rests on: each f64 of
+    /// [`box_muller`] is within 2⁻⁴⁶ of libm's, relative, at the ends of
+    /// the uniforms' range (`u` = 2⁻⁵³ and 1 − 2⁻⁵³), at every power of two
+    /// and both ends of `ln`'s `[√½, √2)` range, where `θ` nears a multiple
+    /// of π/2 (`v` near k/4, `cos` or `sin` near 0) or an odd multiple of
+    /// π/4 (the polynomials' range ends), and on dense grids of both.
+    #[test]
+    fn box_muller_is_within_its_error_budget_of_libm() {
+        use crate::rng::state_before;
+        // The word whose uniform is `x` (a multiple of 2⁻⁵³ in `[0, 1)`).
+        let word = |x: f64| ((x * TWO52 * 2.0) as u64) << 11;
+        // The eight words whose uniforms are the nearest positive ones to `u`.
+        let near = |u: f64| {
+            let x = (u * TWO52 * 2.0) as i64;
+            (-4..4).map(move |d| ((x + d).clamp(1, (1 << 53) - 1) as u64) << 11)
+        };
+        let mut us: Vec<u64> = vec![1 << 11, u64::MAX];
+        for j in 0..54 {
+            us.extend(near((-(j as f64)).exp2()));
+            us.extend(near(std::f64::consts::SQRT_2 * (-(j as f64) - 1.0).exp2()));
+        }
+        us.extend((1..4096).map(|i| word(i as f64 / 4096.0)));
+        let mut vs: Vec<u64> = (0..1 << 16).map(|i| word(i as f64 / 65536.0)).collect();
+        for eighth in 0..8u64 {
+            // `v` within 32 · 2⁻⁵³ of eighth/8, wrapping below 0 to near 1.
+            vs.extend((0..64).map(|d| ((eighth << 50) + d).wrapping_sub(32) & ((1 << 53) - 1)).map(|x| x << 11));
+        }
+        let libm = |uw: u64, vw: u64| {
+            let (u, v) = ((uw >> 11) as f64 / (TWO52 * 2.0), (vw >> 11) as f64 / (TWO52 * 2.0));
+            let r = (-2.0 * u.ln()).sqrt();
+            let (s, c) = (2.0 * std::f64::consts::PI * v).sin_cos();
+            [r * c, r * s]
+        };
+        let budget = (-46f64).exp2();
+        // Pair 0 after `state` draws its `u` from the next word and its `v`
+        // from the one after.
+        let states = us.iter().map(|&w| state_before(w)).chain(vs.iter().map(|&w| state_before(w).wrapping_sub(GAMMA)));
+        let mut worst = 0f64;
+        for state in states {
+            let (mut rc, mut rs) = ([0.0], [0.0]);
+            box_muller(&mut rc, &mut rs, state);
+            let at = state.wrapping_add(GAMMA);
+            let want = libm(mix(at), mix(at.wrapping_add(GAMMA)));
+            for (got, want) in [rc[0], rs[0]].into_iter().zip(want) {
+                let rel = if want == 0.0 { got.abs() } else { ((got - want) / want).abs() };
+                assert!(rel <= budget, "state {state:#x}: {got:e} against libm's {want:e}, relative error {rel:e}");
+                worst = worst.max(rel);
+            }
+        }
+        assert!(worst > 0.0, "the grids never reached a result libm rounds differently");
     }
 
     // A length that is not whole rows would leave the tail of `out`

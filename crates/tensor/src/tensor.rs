@@ -53,11 +53,8 @@ impl Tensor {
 
     /// Standard-normal random tensor.
     pub fn randn(shape: &[usize], rng: &mut Rng) -> Self {
-        let n: usize = shape.iter().product();
-        let mut data = Vec::with_capacity(n);
-        for _ in 0..n {
-            data.push(rng.normal());
-        }
+        let mut data = vec![0.0; shape.iter().product()];
+        rng.fill_normal(&mut data);
         Tensor { shape: shape.to_vec(), data }
     }
 

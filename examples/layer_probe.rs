@@ -17,11 +17,16 @@
 //!   and scatters through the window partition), on every build the CPU
 //!   supports. `exp` works in place, so its row includes copying its input
 //!   in.
+//! - **Gaussian draws.** One sample's `[512, 20]` state drawn by
+//!   `Rng::normal` one draw at a time (scalar libm Box–Muller), then by
+//!   `Rng::fill_normal` on every build the CPU supports.
 //! - **Model.** `AerisModel::velocity` (N / 4 calls), the step's closing
 //!   `forecast::add_residual` (a plain sweep, built for the baseline
-//!   target) and a quality-tier `Forecaster::forecast_step` (6 second-order
-//!   solver steps, 12 velocity evaluations; N / 20 calls) of the
-//!   benchmark's toy48 model.
+//!   target), one `TrigFlow::churn` of the state, a quality-tier
+//!   `Forecaster::forecast_step` (6 second-order solver steps, 12 velocity
+//!   evaluations, 5 churns; N / 20 calls) of the benchmark's toy48 model,
+//!   and the sampler's own time: the step's minimum minus 12 ×
+//!   `velocity`'s.
 //!
 //! ```bash
 //! cargo run --release --example layer_probe [calls]   # N, default 1500
@@ -44,6 +49,8 @@ const TOKENS: usize = 512;
 const DIM: usize = 48;
 /// toy48's SwiGLU hidden width.
 const FFN: usize = 96;
+/// toy48's state channels.
+const CHANNELS: usize = 20;
 
 /// `(name, rows, in, out)` of every projection `X: [rows, in]` times
 /// `W: [in, out]`.
@@ -187,6 +194,11 @@ fn main() {
     sweep("gated_residual_backward", &dim_rows, &mut |k| {
         sweeps::gated_residual_backward_on(k, &mut out, &mut dgate, &h, &x, &gate)
     });
+    // One sample's Gaussian state, one `normal()` a draw, then in lanes.
+    let mut z = vec![0.0; TOKENS * CHANNELS];
+    let (us, med) = min_median_us(calls, || z.iter_mut().for_each(|v| *v = rng.normal()));
+    println!("{:<26} {:>16} {us:>9.1} {med:>9.1} {:>8}", format!("normal × {}", z.len()), "", "scalar");
+    sweep("fill_normal", &format!("[{TOKENS}, {CHANNELS}]"), &mut |k| rng.fill_normal_on(k, &mut z));
 
     // The model: one velocity evaluation and one quality-tier forecast step.
     let model = toy48_model();
@@ -196,14 +208,19 @@ fn main() {
     let forcings = Tensor::randn(&[tokens, model.cfg.forcing_channels], &mut rng);
     println!("{:<26} {:>16} {:>9} {:>9} {:>8}", "model", "calls", "min µs", "med µs", "build");
     let n = calls / 4;
-    let (us, med) = min_median_us(n, || model.velocity(&x_t, &x_prev, &forcings, 0.7));
-    println!("{:<26} {n:>16} {us:>9.1} {med:>9.1} {:>8}", "velocity", kernel_name());
+    let velocity = min_median_us(n, || model.velocity(&x_t, &x_prev, &forcings, 0.7));
+    println!("{:<26} {n:>16} {:>9.1} {:>9.1} {:>8}", "velocity", velocity.0, velocity.1, kernel_name());
     let stats = NormStats { mean: vec![0.0; channels], std: vec![1.0; channels] };
     let (us, med) = min_median_us(calls, || add_residual(&x_prev, &x_t, &stats));
     println!("{:<26} {calls:>16} {us:>9.1} {med:>9.1} {:>8}", "add_residual", "plain");
+    let mut x_churn = x_t.clone();
+    let (us, med) = min_median_us(calls, || TrigFlow::default().churn(&mut x_churn, 0.4, 0.9, &mut rng));
+    println!("{:<26} {calls:>16} {us:>9.1} {med:>9.1} {:>8}", format!("churn [{tokens}, {channels}]"), kernel_name());
     let sampler = SamplerConfig { n_steps: 6, churn: 0.1, second_order: true };
     let fc = Forecaster { model, res_stats: stats.clone(), stats, sampler: TrigFlowSampler::new(TrigFlow::default(), sampler) };
     let n = (calls / 20).max(3);
     let (us, med) = min_median_us(n, || fc.forecast_step(&x_prev, &forcings, &mut rng));
     println!("{:<26} {n:>16} {us:>9.1} {med:>9.1} {:>8}", "forecast_step (12 evals)", kernel_name());
+    // Minima only: a difference of medians mixes two runs' noise.
+    println!("{:<26} {:>16} {:>9.1} {:>9} {:>8}", "sampler self", "step − 12 × vel", us - 12.0 * velocity.0, "-", kernel_name());
 }

@@ -27,13 +27,14 @@
 #        `dispatched!(` loop that macro builds. Expected: lines of
 #        crates/tensor/src/gemm.rs (the three kernel builds, the AVX-512
 #        tile's load and masked store, the one detector), the one
-#        `dispatched!` macro of crates/tensor/src/sweeps.rs and its thirteen
+#        `dispatched!` macro of crates/tensor/src/sweeps.rs and its fourteen
 #        invocations (DISPATCHED below) — in sweeps.rs the `exp` family
 #        (`exp`, `sigmoid`, `silu`, `swiglu`), the Swin block's forward
 #        row-block kernels (`rmsnorm_rows`, `modulated_rmsnorm_rows`,
-#        `gated_residual`, `add_rows`) and the
+#        `gated_residual`, `add_rows`), the
 #        backwards of the three fused block ops (`swiglu_backward`,
-#        `modulated_rmsnorm_backward`, `gated_residual_backward`), each named
+#        `modulated_rmsnorm_backward`, `gated_residual_backward`) and the
+#        f64 Box–Muller lanes of `Rng::fill_normal` (`box_muller`), each named
 #        by its kernel-taking `*_on` entry; the window-attention core's
 #        forward and backward loops in
 #        crates/tensor/src/attention.rs — the `avx512f` build of that core,
@@ -117,6 +118,7 @@ DISPATCHED="\
 crates/tensor/src/attention.rs	backward_windows
 crates/tensor/src/attention.rs	forward_windows
 crates/tensor/src/sweeps.rs	add_rows_on
+crates/tensor/src/sweeps.rs	box_muller_on
 crates/tensor/src/sweeps.rs	exp_on
 crates/tensor/src/sweeps.rs	gated_residual_backward_on
 crates/tensor/src/sweeps.rs	gated_residual_on
