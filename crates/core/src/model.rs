@@ -10,7 +10,8 @@ use aeris_nn::{
     WindowAttention,
 };
 use aeris_tensor::attention::window_core_into;
-use aeris_tensor::gemm::{gemm, Kernel};
+use aeris_tensor::dispatch::Kernel;
+use aeris_tensor::gemm::gemm;
 use aeris_tensor::{sweeps, Rng, Tensor};
 use std::cell::RefCell;
 

@@ -150,7 +150,9 @@ impl TrigFlowSampler {
 
     /// Draw the pure-noise initial state at `t = π/2` (scaled by σ_d).
     pub fn initial_noise(&self, shape: &[usize], rng: &mut Rng) -> Tensor {
-        Tensor::randn(shape, rng).scale(self.tf.sigma_d)
+        let mut x = Tensor::randn(shape, rng);
+        x.scale_inplace(self.tf.sigma_d);
+        x
     }
 
     /// Generate one sample. `velocity(x, t)` evaluates the trained network
@@ -161,12 +163,19 @@ impl TrigFlowSampler {
         velocity: &mut dyn FnMut(&Tensor, f32) -> Tensor,
         rng: &mut Rng,
     ) -> Tensor {
-        let mut x = self.initial_noise(shape, rng);
-        self.sample_from(&mut x, velocity, rng);
-        x
+        self.sample_guided(shape, velocity, rng, &mut NoGuidance)
     }
 
-    /// [`Self::sample`] with an observation-consistency [`Guidance`] term.
+    /// [`Self::sample`] with an observation-consistency [`Guidance`] term:
+    /// the one solver loop, from [`Self::initial_noise`] at
+    /// `schedule()[0]` (within 2e-3 rad of π/2 for the default
+    /// σ_max = 500). Each step forms the data-prediction estimate `D̂`, asks
+    /// `guidance` for a nudge toward the observations, and — only when a
+    /// nudge is present — continues the step from `D̂ + g` via the
+    /// data-prediction update. With no nudge the step is the unguided solver,
+    /// bit for bit: the first-order branch keeps the exact angular rotation
+    /// (`ode_step`), which rounds differently from the algebraically equal
+    /// `exp_step` form.
     pub fn sample_guided(
         &self,
         shape: &[usize],
@@ -175,36 +184,6 @@ impl TrigFlowSampler {
         guidance: &mut dyn Guidance,
     ) -> Tensor {
         let mut x = self.initial_noise(shape, rng);
-        self.sample_from_guided(&mut x, velocity, rng, guidance);
-        x
-    }
-
-    /// Run the solver in place starting from the provided `x` at `t = π/2`
-    /// (or at `schedule()[0]`, which is within 2e-3 rad of π/2 for the
-    /// default σ_max = 500).
-    pub fn sample_from(
-        &self,
-        x: &mut Tensor,
-        velocity: &mut dyn FnMut(&Tensor, f32) -> Tensor,
-        rng: &mut Rng,
-    ) {
-        self.sample_from_guided(x, velocity, rng, &mut NoGuidance);
-    }
-
-    /// The guided solver loop. Each step forms the data-prediction estimate
-    /// `D̂`, asks `guidance` for a nudge toward the observations, and — only
-    /// when a nudge is present — continues the step from `D̂ + g` via the
-    /// data-prediction update. With no nudge the step is the unguided solver,
-    /// bit for bit: the first-order branch keeps the exact angular rotation
-    /// (`ode_step`), which rounds differently from the algebraically equal
-    /// `exp_step` form.
-    pub fn sample_from_guided(
-        &self,
-        x: &mut Tensor,
-        velocity: &mut dyn FnMut(&Tensor, f32) -> Tensor,
-        rng: &mut Rng,
-        guidance: &mut dyn Guidance,
-    ) {
         let ts = self.schedule();
         for i in 0..ts.len() - 1 {
             let mut t = ts[i];
@@ -212,20 +191,21 @@ impl TrigFlowSampler {
             // Churn: re-noise toward the previous (noisier) time.
             if self.cfg.churn > 0.0 && i > 0 {
                 let t_hat = (t + self.cfg.churn * (ts[i - 1] - t)).min(std::f32::consts::FRAC_PI_2);
-                self.tf.churn(x, t, t_hat, rng);
+                self.tf.churn(&mut x, t, t_hat, rng);
                 t = t_hat;
             }
             if self.cfg.second_order {
-                *x = self.step_2s(x, t, t_next, velocity, i, guidance);
+                x = self.step_2s(&x, t, t_next, velocity, i, guidance);
             } else {
-                let v = velocity(x, t);
-                let d = self.tf.denoise(x, &v, t);
-                match guidance.nudge(&d, i, t) {
-                    Some(g) => *x = exp_step(x, &d.add(&g), t, t_next),
-                    None => *x = self.tf.ode_step(x, &v, t, t_next),
-                }
+                let v = velocity(&x, t);
+                let d = self.tf.denoise(&x, &v, t);
+                x = match guidance.nudge(&d, i, t) {
+                    Some(g) => exp_step(&x, &d.add(&g), t, t_next),
+                    None => self.tf.ode_step(&x, &v, t, t_next),
+                };
             }
         }
+        x
     }
 
     /// Exponential-integrator step in data-prediction form. In TrigFlow

@@ -292,11 +292,6 @@ impl World {
         }
     }
 
-    /// World size.
-    pub fn size(&self) -> usize {
-        self.inner.n
-    }
-
     /// The shared fault log.
     pub fn events(&self) -> &EventLog {
         &self.inner.events

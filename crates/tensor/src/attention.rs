@@ -65,11 +65,11 @@
 //!
 //! # Builds
 //!
-//! [`crate::sweeps`]'s `dispatched!` runs one of three, by
+//! [`crate::dispatch`]'s `dispatched!` runs one of three, by
 //! [`Kernel::detected`]: the portable body, the same body built for AVX2
-//! (which defines the bits above), and on an `avx512f` host a hand-written
-//! build in `std::arch` intrinsics with every 16-lane tile row in one zmm
-//! register. That build keeps the layout and the per-element order; what
+//! and FMA (which defines the bits above), and on an `avx512f` host a
+//! hand-written build in `std::arch` intrinsics with every 16-lane tile row
+//! in one zmm register. That build keeps the layout and the per-element order; what
 //! it changes is what the autovectorized body cannot hold in registers:
 //!
 //! - the loader transposes each 16-token × 16-column block of Q and K in
@@ -97,8 +97,8 @@
 //! The backward stores nothing from the forward: it re-runs the one loader
 //! and the one probability tile, so its probabilities are the forward's bits.
 
-use crate::gemm::Kernel;
-use crate::sweeps::{dispatched, exp_lane};
+use crate::dispatch::{dispatched, Kernel};
+use crate::sweeps::exp_lane;
 #[cfg(target_arch = "x86_64")]
 use crate::sweeps::{EXP_LO, EXP_POLY, LN2_HI, LN2_LO, ROUND};
 use crate::Tensor;
@@ -1040,11 +1040,6 @@ mod tests {
         x.iter().map(|v| v.to_bits()).collect()
     }
 
-    /// The kernels this CPU supports, each a build of the core.
-    fn supported_kernels() -> impl Iterator<Item = Kernel> {
-        Kernel::ALL.into_iter().filter(|&k| k <= Kernel::detected())
-    }
-
     /// FNV-1a over the output bits of forward and backward at the six
     /// `GEOMETRIES` below, captured on the portable and AVX2 builds.
     const WINDOW_CORE_DIGEST: u64 = 0xeb87_a1a3_82e8_80d0;
@@ -1055,7 +1050,7 @@ mod tests {
     /// runs and whichever host it runs on.
     #[test]
     fn core_outputs_hash_to_one_pinned_digest_on_every_kernel() {
-        for kernel in supported_kernels() {
+        for &kernel in Kernel::supported() {
             let mut h = 0xcbf2_9ce4_8422_2325u64;
             for (seed, (n_windows, wlen, n_heads, head_dim)) in GEOMETRIES.into_iter().enumerate() {
                 let plan = plan(n_windows, wlen, n_heads, head_dim);
@@ -1083,7 +1078,7 @@ mod tests {
     #[test]
     fn portable_and_dispatched_builds_agree_bitwise() {
         let extra = [(2, 1, 2, 4), (1, 7, 2, 6), (1, 17, 3, 10), (1, 40, 1, 16), (2, 23, 2, 14), (1, 12, 2, 20)];
-        let arms: Vec<Kernel> = supported_kernels().collect();
+        let arms = Kernel::supported();
         println!("arms compared: {}", arms.iter().map(|k| k.name()).collect::<Vec<_>>().join(", "));
         for (seed, (n_windows, wlen, n_heads, head_dim)) in GEOMETRIES.into_iter().chain(extra).enumerate() {
             let geometry = (n_windows, wlen, n_heads, head_dim);
@@ -1100,7 +1095,7 @@ mod tests {
             s.prepare(&plan, true);
             backward_windows(Kernel::Portable, d_o.data(), qkv.data(), &plan, &mut dqkv, &mut s);
 
-            for &kernel in &arms {
+            for &kernel in arms {
                 let mut arm = Tiles::default();
                 let mut o_arm = vec![f32::NAN; o.len()];
                 arm.prepare(&plan, false);

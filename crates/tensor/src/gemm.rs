@@ -22,15 +22,16 @@
 //!    loads a strided B lane), and the zero-padded last panel of a row-major B
 //!    whose `n` is not a multiple of `NR`.
 //! 3. **Micro-kernel**: an `MR × NR` register tile accumulated over the full
-//!    `k` extent, one fused multiply-add per `k` step in ascending `k`. Three
-//!    builds, picked once per process by [`Kernel::detected`]: a portable
-//!    one (4 × 16, `f32::mul_add`, autovectorized), the same body under
-//!    `#[target_feature(enable = "avx2,fma")]` (`mul_add` is one vfmadd), and
-//!    an AVX-512 one written with `std::arch` intrinsics — 8 rows × up to
-//!    three adjacent B panels, 24 zmm accumulators, one `_mm512_fmadd_ps`
-//!    each per `k` step. Panels go three at a time; four left run as 2 + 2
-//!    and one or two left as one narrower tile, so every toy48 width (48,
-//!    96, 144, 192, 288 lanes) runs three-panel tiles only.
+//!    `k` extent, one fused multiply-add per `k` step in ascending `k`. The
+//!    row-block loop is a `dispatched!` instance ([`crate::dispatch`]) with
+//!    three builds, picked once per process by [`Kernel::detected`]: the
+//!    portable body (4 × 16, `f32::mul_add`, autovectorized), the same body
+//!    under `#[target_feature(enable = "avx2,fma")]` (`mul_add` is one
+//!    vfmadd), and a hand-written `avx512f` build in `std::arch` intrinsics —
+//!    8 rows × up to three adjacent B panels, 24 zmm accumulators, one
+//!    `_mm512_fmadd_ps` each per `k` step. Panels go three at a time; four
+//!    left run as 2 + 2 and one or two left as one narrower tile, so every
+//!    toy48 width (48, 96, 144, 192, 288 lanes) runs three-panel tiles only.
 //!
 //! At these cache-resident shapes the copies were the cost, not a source of
 //! L1 reuse: dropping them made the `k = 512` weight-gradient GEMMs
@@ -53,8 +54,9 @@
 //!
 //! Every kernel issues one fused multiply-add per element per `k` step, so
 //! there is one bit class: all three return the same bits on every shape,
-//! layout and host, and [`kernel_name`] reports a speed choice only.
+//! layout and host, and [`Kernel::name`] reports a speed choice only.
 
+use crate::dispatch::{dispatched, Kernel};
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::{
     _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_mask_storeu_ps, _mm512_set1_ps,
@@ -70,63 +72,6 @@ const NR: usize = 16;
 /// Rows of C per row block (a multiple of both tile heights; sized so the A
 /// rows of a block stay cache-resident while every B panel passes over them).
 const MC: usize = 32;
-
-/// The micro-kernel builds, ordered by what the CPU must support: each one
-/// runs wherever a later one does.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Kernel {
-    /// The 4 × 16 body for any target: the only build off x86 and on CPUs
-    /// without AVX2+FMA (on x86-64 its `mul_add` is a libm `fmaf` call: slow).
-    Portable,
-    /// The same 4 × 16 body built with AVX2 and fused multiply-add.
-    Avx2Fma,
-    /// 8 × 48 tile (8 × 32 or 8 × 16 at a remainder) of `avx512f`
-    /// intrinsics; bit for bit what the others return.
-    Avx512,
-}
-
-impl Kernel {
-    /// Every kernel, in support order (what the parity tests iterate).
-    pub const ALL: [Kernel; 3] = [Kernel::Portable, Kernel::Avx2Fma, Kernel::Avx512];
-
-    /// The widest kernel this CPU supports: the workspace's one runtime
-    /// feature detector, read once per process. The choice is machine-global,
-    /// so it can never differ between threads or between runs on one host. It
-    /// switches the GEMM micro-kernel here and the build of every
-    /// `dispatched!` loop — the sweeps of [`crate::sweeps`] and
-    /// [`crate::attention`]'s core: `Avx512` runs their `avx512f` build,
-    /// `Avx2Fma` their AVX2 one, `Portable` the body. Those builds widen lanes
-    /// only and never fuse.
-    pub fn detected() -> Kernel {
-        static DETECTED: std::sync::OnceLock<Kernel> = std::sync::OnceLock::new();
-        *DETECTED.get_or_init(|| {
-            #[cfg(target_arch = "x86_64")]
-            if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
-                return if std::arch::is_x86_feature_detected!("avx512f") {
-                    Kernel::Avx512
-                } else {
-                    Kernel::Avx2Fma
-                };
-            }
-            Kernel::Portable
-        })
-    }
-
-    /// `"portable" | "avx2+fma" | "avx512f"`.
-    pub fn name(self) -> &'static str {
-        match self {
-            Kernel::Portable => "portable",
-            Kernel::Avx2Fma => "avx2+fma",
-            Kernel::Avx512 => "avx512f",
-        }
-    }
-}
-
-/// Name of the kernel every GEMM of this process runs: a speed choice only,
-/// since every kernel computes the same bits.
-pub fn kernel_name() -> &'static str {
-    Kernel::detected().name()
-}
 
 /// Copy panel `p` of B (columns `p·NR .. p·NR+NR`) into `dst: [k, NR]`,
 /// which arrives zeroed, so columns past `n` stay zero. Only a transposed B's
@@ -224,30 +169,6 @@ fn micro_kernel(a: AView, t: usize, live: usize, b: BView, p: usize, k: usize) -
     acc
 }
 
-/// Compute one row block of C, `c_block: [rows, n]`, fully overwritten.
-#[inline(always)]
-fn compute_block_body(a: AView, b: BView, k: usize, c_block: &mut [f32]) {
-    let n = b.n;
-    for p in 0..n.div_ceil(NR) {
-        let j0 = p * NR;
-        let w = NR.min(n - j0);
-        for (t, c_rows) in c_block.chunks_mut(MR * n).enumerate() {
-            // The tile hands its accumulators back by value: with the write-back
-            // inside it, they leave the vector registers and the k loop goes scalar.
-            let acc = micro_kernel(a, t, c_rows.len() / n, b, p, k);
-            for (out_row, acc_row) in c_rows.chunks_exact_mut(n).zip(&acc) {
-                out_row[j0..j0 + w].copy_from_slice(&acc_row[..w]);
-            }
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-fn compute_block_avx2(a: AView, b: BView, k: usize, c_block: &mut [f32]) {
-    compute_block_body(a, b, k, c_block);
-}
-
 /// The AVX-512 register tile: `MR_AVX512` rows of tile `t` × the `P` panels
 /// `p ..` of `b`, `8·P` zmm accumulators over the full `k` extent — per `k`
 /// step `P` panel loads, eight broadcasts of `A[i, kk]` and `8·P` fused
@@ -303,7 +224,7 @@ fn avx512_group(left: usize) -> usize {
     }
 }
 
-/// [`compute_block_body`] for the AVX-512 tile: B panels are taken in the
+/// `compute_block`'s AVX-512 build: B panels are taken in the
 /// groups of [`avx512_group`], each swept over every row tile of the block.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
@@ -323,20 +244,26 @@ fn compute_block_avx512(a: AView, b: BView, k: usize, c_block: &mut [f32]) {
     }
 }
 
-/// Run `kernel`'s block compute. The caller has checked that the CPU
-/// supports `kernel` ([`gemm_on`] asserts it).
-#[inline]
-fn compute_block(kernel: Kernel, a: AView, b: BView, k: usize, c_block: &mut [f32]) {
-    match kernel {
-        // SAFETY (both arms): `kernel <= Kernel::detected()`, asserted by
-        // `gemm_on`, so the CPU has the features the callee is built with.
-        #[cfg(target_arch = "x86_64")]
-        Kernel::Avx512 => unsafe { compute_block_avx512(a, b, k, c_block) },
-        #[cfg(target_arch = "x86_64")]
-        Kernel::Avx2Fma => unsafe { compute_block_avx2(a, b, k, c_block) },
-        _ => compute_block_body(a, b, k, c_block),
+dispatched!(
+    /// Compute one row block of C, `c_block: [rows, n]`, fully overwritten:
+    /// the 4 × 16 tile over every B panel, or the AVX-512 tiles of
+    /// `compute_block_avx512`.
+    fn compute_block, avx512 = compute_block_avx512, (a: AView, b: BView, k: usize, c_block: &mut [f32]) {
+        let n = b.n;
+        for p in 0..n.div_ceil(NR) {
+            let j0 = p * NR;
+            let w = NR.min(n - j0);
+            for (t, c_rows) in c_block.chunks_mut(MR * n).enumerate() {
+                // The tile hands its accumulators back by value: with the write-back
+                // inside it, they leave the vector registers and the k loop goes scalar.
+                let acc = micro_kernel(a, t, c_rows.len() / n, b, p, k);
+                for (out_row, acc_row) in c_rows.chunks_exact_mut(n).zip(&acc) {
+                    out_row[j0..j0 + w].copy_from_slice(&acc_row[..w]);
+                }
+            }
+        }
     }
-}
+);
 
 /// `C = op(A) · op(B)` through the blocked core, on the kernel this CPU
 /// supports best.
@@ -359,7 +286,8 @@ pub fn gemm(
 }
 
 /// [`gemm`] on a kernel given as a value, for the kernel-parity tests.
-/// Panics when this CPU does not support `kernel`.
+/// The dispatched `compute_block` panics when this CPU does not support
+/// `kernel`.
 #[doc(hidden)]
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_on(
@@ -373,7 +301,6 @@ pub fn gemm_on(
     b_trans: bool,
     c: &mut [f32],
 ) {
-    assert!(kernel <= Kernel::detected(), "this CPU does not support the {} kernel", kernel.name());
     assert_eq!(a.len(), m * k, "A buffer length");
     assert_eq!(b.len(), k * n, "B buffer length");
     assert_eq!(c.len(), m * n, "C buffer length");

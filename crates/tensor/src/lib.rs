@@ -8,9 +8,12 @@
 //! - [`gemm`]: the shared cache-blocked, register-tiled f32 GEMM core all
 //!   three matmul layouts lower to, reading its operands in place (only a
 //!   transposed or partial B panel is copied), on the widest of three
-//!   micro-kernels the CPU supports ([`gemm::kernel_name`]),
+//!   micro-kernels the CPU supports,
 //! - [`matmul()`] / [`matmul_nt()`] / [`matmul_tn()`]: entry points over
 //!   that core,
+//! - [`dispatch`]: which build of a hot loop runs — the one CPU detector
+//!   ([`dispatch::Kernel::detected`]) and the one macro that builds the
+//!   GEMM's row blocks, the attention core and the sweeps three times,
 //! - [`sweeps`]: unrolled unit-stride sweep kernels for the elementwise /
 //!   softmax / un-standardize hot loops,
 //! - [`attention`]: the numeric core of windowed multi-head attention with
@@ -30,13 +33,13 @@
 // index; explicit indexed loops are clearer than zipped iterator chains in
 // that style, so the pedantic range-loop lint is disabled crate-wide.
 #![allow(clippy::needless_range_loop)]
-// The workspace's only `unsafe` lives in this crate (`gemm`'s feature-gated
-// kernels and their intrinsic loads / stores, `sweeps`' one dispatch macro,
-// and the aligned / masked loads and stores of `attention`'s `avx512f`
-// build).
+// The workspace's only `unsafe` lives in this crate (`dispatch`'s one
+// dispatch macro, the intrinsic loads / stores of `gemm`'s AVX-512 tile, and
+// the aligned / masked loads and stores of `attention`'s `avx512f` build).
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod attention;
+pub mod dispatch;
 pub mod fft;
 pub mod gemm;
 pub mod matmul;

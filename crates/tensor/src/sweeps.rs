@@ -7,22 +7,22 @@
 //! function was built. The workspace compiles for baseline x86-64 (no
 //! `-C target-cpu`, no `.cargo/config.toml`), so a plain fn here is 4-lane
 //! SSE2, an 8-wide chunk being two registers. Every loop the model runs per
-//! element is runtime-dispatched instead, through this file's `dispatched!`
-//! macro: the `exp` family ([`exp`], [`sigmoid`], [`silu`], [`swiglu`], and
-//! [`exp_shift_sum`] through `exp`), the Swin block's forward row-block
-//! kernels ([`modulated_rmsnorm_rows`], [`gated_residual`],
-//! [`rmsnorm_rows`], [`add_rows`]) and the backwards of its three fused tape
-//! ops ([`swiglu_backward`], [`modulated_rmsnorm_backward`],
+//! element is runtime-dispatched instead, through the `dispatched!` macro
+//! of [`crate::dispatch`]: the `exp` family ([`exp`], [`sigmoid`],
+//! [`silu`], [`swiglu`], and [`exp_shift_sum`] through `exp`), the Swin
+//! block's forward row-block kernels ([`modulated_rmsnorm_rows`],
+//! [`gated_residual`], [`rmsnorm_rows`], [`add_rows`]) and the backwards of
+//! its three fused tape ops ([`swiglu_backward`], [`modulated_rmsnorm_backward`],
 //! [`gated_residual_backward`]), and the Gaussian draws' Box–Muller lanes
 //! ([`box_muller`], in f64: 4 lanes to an AVX2 register, 8 to an `avx512f`
-//! one). The macro,
-//! the crate's one dispatch mechanism besides `gemm::compute_block` (the
-//! window-attention core of [`crate::attention`] is its other user), builds
+//! one). The macro, the crate's one dispatch mechanism (the GEMM's row
+//! blocks and the window-attention core are its other instances), builds
 //! one `#[inline(always)]` body three times — portable, under
-//! `#[target_feature(enable = "avx2")]` (8 lanes to a register) and under
-//! `#[target_feature(enable = "avx512f")]` (16) — and picks by the same
-//! machine-global `gemm::Kernel::detected`, once per call: a row-block
-//! kernel takes a whole block of rows per call, not one row.
+//! `#[target_feature(enable = "avx2,fma")]` (8 lanes to a register) and
+//! under `#[target_feature(enable = "avx512f")]` (16) — and picks by the
+//! machine-global [`Kernel::detected`](crate::dispatch::Kernel::detected),
+//! once per call: a row-block kernel takes a whole block of rows per call,
+//! not one row.
 //!
 //! Three rules keep the crate's determinism contract:
 //!
@@ -37,8 +37,9 @@
 //!   The `exp` lane function is IEEE `+ − × ÷`, compares and integer bit
 //!   operations, nothing else — no `mul_add`, no libm — so its three builds
 //!   return the same bits for every input, and a host without AVX2 computes
-//!   what an `avx512f` host does. (`avx512f` implies FMA, but rustc never
-//!   lets LLVM contract a multiply and an add it did not write as one.)
+//!   what an `avx512f` host does. (Both vector builds have FMA — the AVX2
+//!   one enables it, `avx512f` implies it — but rustc never lets LLVM
+//!   contract a multiply and an add it did not write as one.)
 //!   The GEMM's three builds all fuse, so they too agree bit for bit. (FMA
 //!   inside the polynomial measured 0.33–0.38 against 0.49–0.55 ns per
 //!   element, ≈ 1 % of a model evaluation: not worth moving every digest.)
@@ -54,6 +55,7 @@
 //! tape, the model's tape-free block pass and the optimizer call them on
 //! their own buffers.
 
+use crate::dispatch::dispatched;
 use crate::rng::{mix, GAMMA};
 
 /// Lane width for unrolled sweeps: 8 × f32 is one AVX2 register, two SSE2
@@ -257,74 +259,6 @@ pub(crate) fn exp_lane(x: f32) -> f32 {
 fn sigmoid_lane(x: f32) -> f32 {
     1.0 / (1.0 + exp_lane(-x))
 }
-
-/// A loop built three times from one body, as `gemm::compute_block` is:
-/// the `#[inline(always)]` body itself (the portable build) and the body
-/// under `#[target_feature(enable = "avx2")]` and under
-/// `#[target_feature(enable = "avx512f")]`. `fn $on` is the entry that takes
-/// the `gemm::Kernel` to run as its first argument — `Avx512` runs the
-/// 512-bit build, `Avx2Fma` the AVX2 one, `Portable` the body — and panics on
-/// a kernel this CPU does not support; `=> $name` adds the entry on
-/// `Kernel::detected`, the one the model calls. The body may only do what
-/// [`exp_lane`] does — no `mul_add` — so the pick cannot change a bit, and
-/// everything it calls must be `#[inline(always)]` to be built three times
-/// too. The crate's one dispatch mechanism below the GEMM: the loops of this
-/// file and the window-attention core ([`crate::attention`]) are its
-/// instances.
-///
-/// `avx512 = $hand` names a hand-written `#[target_feature(enable =
-/// "avx512f")]` fn of the same signature, bit for bit what the body returns,
-/// to run as the 512-bit build instead. Only the window-attention core
-/// names one.
-macro_rules! dispatched {
-    // The 512-bit build's callee: `$hand` when one is named, else the body.
-    (@pick [$f:ident $($body:ident)?]) => { $f };
-    (@detected [$($doc:tt)*] $vis:vis [] $on:ident ($($arg:ident: $ty:ty),*)) => {};
-    (@detected [$($doc:tt)*] $vis:vis [$name:ident] $on:ident ($($arg:ident: $ty:ty),*)) => {
-        $($doc)*
-        ///
-        #[doc = concat!("Runs the build of `Kernel::detected`: [`", stringify!($on), "`] on that kernel.")]
-        #[allow(clippy::too_many_arguments)]
-        $vis fn $name($($arg: $ty),*) {
-            $on(crate::gemm::Kernel::detected(), $($arg),*)
-        }
-    };
-    ($(#[$doc:meta])* $vis:vis fn $on:ident $(=> $name:ident)? $(, avx512 = $hand:ident)?,
-    ($($arg:ident: $ty:ty),*) $code:block) => {
-        dispatched!(@detected [$(#[$doc])*] $vis [$($name)?] $on ($($arg: $ty),*));
-
-        $(#[$doc])*
-        ///
-        /// `kernel` picks the build; panics when this CPU does not support it.
-        #[allow(clippy::too_many_arguments)]
-        $vis fn $on(kernel: crate::gemm::Kernel, $($arg: $ty),*) {
-            use crate::gemm::Kernel;
-            #[inline(always)]
-            fn body($($arg: $ty),*) $code
-            #[cfg(target_arch = "x86_64")]
-            #[target_feature(enable = "avx2")]
-            fn avx2($($arg: $ty),*) {
-                body($($arg),*)
-            }
-            #[cfg(target_arch = "x86_64")]
-            #[target_feature(enable = "avx512f")]
-            fn avx512($($arg: $ty),*) {
-                dispatched!(@pick [$($hand)? body])($($arg),*)
-            }
-            assert!(kernel <= Kernel::detected(), "this CPU does not support the {} kernel", kernel.name());
-            #[cfg(target_arch = "x86_64")]
-            match kernel {
-                // SAFETY (both arms): `kernel <= Kernel::detected()`, asserted
-                // above, so the CPU has the features the callee is built with.
-                Kernel::Avx512 => return unsafe { avx512($($arg),*) },
-                Kernel::Avx2Fma => return unsafe { avx2($($arg),*) },
-                Kernel::Portable => {}
-            }
-            body($($arg),*)
-        }
-    };
-}
-pub(crate) use dispatched;
 
 dispatched!(
     /// `x[i] = exp(x[i])` — every exponential of the model (softmax
@@ -819,7 +753,7 @@ binary_into!(div_into, /);
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::Kernel;
+    use crate::dispatch::Kernel;
     use proptest::prelude::*;
 
     fn seq(n: usize) -> Vec<f32> {
@@ -1021,16 +955,11 @@ mod tests {
         }
     }
 
-    /// The kernels this CPU supports, each a build of every dispatched loop.
-    fn supported_kernels() -> impl Iterator<Item = Kernel> {
-        Kernel::ALL.into_iter().filter(|&k| k <= Kernel::detected())
-    }
-
     /// `run` on every build the host supports, each compared bitwise with
     /// the portable one; returns the portable result.
     fn every_build<T: PartialEq + std::fmt::Debug>(what: &str, run: impl Fn(Kernel) -> T) -> T {
         let want = run(Kernel::Portable);
-        for kernel in supported_kernels() {
+        for &kernel in Kernel::supported() {
             assert_eq!(run(kernel), want, "{what}: the {} build differs from the portable one", kernel.name());
         }
         want

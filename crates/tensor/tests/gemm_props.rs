@@ -14,7 +14,8 @@
 //! return the same bits — on this host, and (through one pinned digest) on
 //! every other.
 
-use aeris_tensor::gemm::{gemm_on, Kernel};
+use aeris_tensor::dispatch::Kernel;
+use aeris_tensor::gemm::gemm_on;
 use aeris_tensor::{matmul, matmul_nt, matmul_tn, Rng, Tensor};
 use proptest::prelude::*;
 
@@ -81,14 +82,15 @@ proptest! {
 
 /// The kernels this CPU can run — portable always — with one printed note per
 /// kernel it cannot.
-fn supported_kernels() -> Vec<Kernel> {
+fn supported_kernels() -> &'static [Kernel] {
     static NOTE: std::sync::Once = std::sync::Once::new();
+    let supported = Kernel::supported();
     NOTE.call_once(|| {
-        for kernel in Kernel::ALL.into_iter().filter(|&kernel| kernel > Kernel::detected()) {
+        for kernel in &Kernel::ALL[supported.len()..] {
             eprintln!("gemm_props: skipping the {} kernel, this CPU does not support it", kernel.name());
         }
     });
-    Kernel::ALL.into_iter().filter(|&kernel| kernel <= Kernel::detected()).collect()
+    supported
 }
 
 /// The three layouts of `A[m,k] · B[k,n]` on one kernel — `[NN, TN, NT]` —
@@ -134,7 +136,7 @@ proptest! {
         let tol = 16.0 * f32::EPSILON as f64 * (k as f64).sqrt();
 
         let mut outputs = Vec::new();
-        for kernel in supported_kernels() {
+        for &kernel in supported_kernels() {
             let [nn, tn, nt] = layouts_on(kernel, (m, n, k), [a.data(), at.data(), b.data(), bt.data()]);
             let name = kernel.name();
             prop_assert_eq!(bits(&nn), bits(&tn), "{} f32 tn differs at ({},{},{})", name, m, n, k);
@@ -163,7 +165,7 @@ fn weight_gradient_shapes_match_nn_on_the_transpose_bitwise() {
         let x = Tensor::randn(&[k, m], &mut rng);
         let dy = Tensor::randn(&[k, n], &mut rng);
         let xt = x.t();
-        for kernel in supported_kernels() {
+        for &kernel in supported_kernels() {
             let [tn, nn] = [(x.data(), true), (xt.data(), false)].map(|(a, a_trans)| {
                 let mut c = Tensor::full(&[m, n], f32::NAN);
                 gemm_on(kernel, m, n, k, a, a_trans, dy.data(), false, c.data_mut());
@@ -189,7 +191,7 @@ const TOY48_GEMM_DIGEST: u64 = 0x07ea_e00b_5cc4_deac;
 fn toy48_gemms_hash_to_one_pinned_digest_on_every_kernel() {
     const TOKENS: usize = 512;
     let projections = [(48, 144), (48, 48), (48, 192), (96, 48), (43, 48), (48, 20)];
-    for kernel in supported_kernels() {
+    for &kernel in supported_kernels() {
         let mut rng = Rng::seed_from(2025);
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for layout in ["NN", "NT", "TN"] {
@@ -231,7 +233,7 @@ fn head_and_square_gemms_hash_to_one_pinned_digest_on_every_kernel() {
         (48, 288, 1, true, false),
         (256, 256, 256, false, false),
     ];
-    for kernel in supported_kernels() {
+    for &kernel in supported_kernels() {
         let mut rng = Rng::seed_from(2026);
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for (m, n, k, a_trans, b_trans) in shapes {
@@ -252,7 +254,7 @@ fn head_and_square_gemms_hash_to_one_pinned_digest_on_every_kernel() {
 /// no kernel skips zero multiplicands, edge rows included.
 #[test]
 fn every_kernel_zero_fills_at_k_0_and_propagates_nan_through_zero_rows() {
-    for kernel in supported_kernels() {
+    for &kernel in supported_kernels() {
         let empty: [&[f32]; 4] = [&[], &[], &[], &[]];
         for c in layouts_on(kernel, (9, 17, 0), empty) {
             assert!(bits(&c).iter().all(|&x| x == 0), "{}: k = 0 must give +0.0", kernel.name());

@@ -7,8 +7,11 @@
 //!   conditioning vector (the time conditioner `[32, 48]` and a block's
 //!   AdaLN head `[48, 288]`), each in its three layouts — NN forward `X·W`,
 //!   NT input gradient `dY·Wᵀ`, TN weight gradient `Xᵀ·dY` (k = 1 for the
-//!   one-row projections) — with GFLOP/s at the minimum and the summed
-//!   minimum per layout, the table DESIGN.md "Tensor backend" quotes.
+//!   one-row projections) — through `gemm_on` on every build the CPU
+//!   supports (the portable one over N / 100 calls: on x86-64 its
+//!   `mul_add` is a libm `fmaf` call, ≈ 100× slower), with GFLOP/s at the
+//!   minimum and the summed minimum per layout and build, the table
+//!   DESIGN.md "Tensor backend" quotes.
 //! - **Attention core.** `window_core` and `window_core_backward` at toy48's
 //!   geometry (32 windows of 16 tokens, 4 heads of 12), on every build the
 //!   CPU supports.
@@ -28,6 +31,11 @@
 //!   and the sampler's own time: the step's minimum minus 12 ×
 //!   `velocity`'s.
 //!
+//! A row's level carries a ±25 % term from the binary's code layout: one
+//! change to an unrelated fn can move a row it does not touch by that much.
+//! So compare a changed row with an unchanged row of the same binary, not
+//! with the same row of another binary alone.
+//!
 //! ```bash
 //! cargo run --release --example layer_probe [calls]   # N, default 1500
 //! ```
@@ -38,8 +46,9 @@ use aeris::diffusion::{SamplerConfig, TrigFlow, TrigFlowSampler};
 use aeris::earthsim::NormStats;
 use aeris::nn::window::WindowGrid;
 use aeris::tensor::attention::{window_core_backward_on, window_core_on, WindowAttnPlan};
-use aeris::tensor::gemm::{kernel_name, Kernel};
-use aeris::tensor::{matmul, matmul_nt, matmul_tn, sweeps, Rng, Tensor};
+use aeris::tensor::dispatch::Kernel;
+use aeris::tensor::gemm::gemm_on;
+use aeris::tensor::{sweeps, Rng, Tensor};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -110,32 +119,41 @@ fn toy48_model() -> AerisModel {
 
 fn main() {
     let calls: usize = std::env::args().nth(1).map_or(1500, |a| a.parse().expect("calls: a count"));
-    let kernels: Vec<Kernel> = Kernel::ALL.into_iter().filter(|&k| k <= Kernel::detected()).collect();
-    println!("GEMM kernel: {}; minimum and median of {calls} calls per row", kernel_name());
-    println!("{:<6} {:<12} {:>13} {:>9} {:>9} {:>8}", "layout", "projection", "(m, n, k)", "min µs", "med µs", "GFLOP/s");
+    let (kernels, detected) = (Kernel::supported(), Kernel::detected().name());
+    println!("kernel: {detected}; minimum and median of {calls} calls per row");
+    println!("{:<6} {:<12} {:>13} {:>8} {:>9} {:>9} {:>8}", "layout", "projection", "(m, n, k)", "GFLOP/s", "min µs", "med µs", "build");
     let mut rng = Rng::seed_from(2025);
     let mut totals = Vec::new();
     for layout in ["NN", "NT", "TN"] {
-        let mut total = 0.0;
+        let mut total = vec![0.0; kernels.len()];
         for (name, rows, d_in, d_out) in PROJECTIONS {
             let x = Tensor::randn(&[rows, d_in], &mut rng);
             let w = Tensor::randn(&[d_in, d_out], &mut rng);
             let dy = Tensor::randn(&[rows, d_out], &mut rng);
-            let ((m, n, k), (us, med)) = match layout {
-                "NN" => ((rows, d_out, d_in), min_median_us(calls, || matmul(&x, &w))),
-                "NT" => ((rows, d_in, d_out), min_median_us(calls, || matmul_nt(&dy, &w))),
-                _ => ((d_in, d_out, rows), min_median_us(calls, || matmul_tn(&x, &dy))),
+            // (m, n, k), A and whether it is read transposed, B likewise.
+            let (mnk, a, a_t, b, b_t) = match layout {
+                "NN" => ((rows, d_out, d_in), &x, false, &w, false),
+                "NT" => ((rows, d_in, d_out), &dy, false, &w, true),
+                _ => ((d_in, d_out, rows), &x, true, &dy, false),
             };
-            total += us;
-            let gflops = 2.0 * (m * n * k) as f64 / us / 1e3;
-            println!("{layout:<6} {name:<12} {:>13} {us:>9.1} {med:>9.1} {gflops:>8.1}", format!("({m}, {n}, {k})"));
+            let (m, n, k) = mnk;
+            let mut c = vec![0.0; m * n];
+            for (&kernel, total) in kernels.iter().zip(&mut total) {
+                let reps = if kernel == Kernel::Portable { (calls / 100).max(3) } else { calls };
+                let (us, med) = min_median_us(reps, || gemm_on(kernel, m, n, k, a.data(), a_t, b.data(), b_t, &mut c));
+                *total += us;
+                let gflops = 2.0 * (m * n * k) as f64 / us / 1e3;
+                println!("{layout:<6} {name:<12} {:>13} {gflops:>8.1} {us:>9.1} {med:>9.1} {:>8}", format!("({m}, {n}, {k})"), kernel.name());
+            }
         }
         totals.push((layout, total));
     }
-    for (layout, total) in &totals {
-        println!("{layout:<6} {:<26} {total:>9.1}", "total");
+    for (i, kernel) in kernels.iter().enumerate() {
+        for (layout, total) in &totals {
+            println!("{layout:<6} {:<26} {:>9.1} {:>9} {:>8}", "total", total[i], "-", kernel.name());
+        }
+        println!("{:<6} {:<26} {:>9.1} {:>9} {:>8}", "all", "total", totals.iter().map(|(_, t)| t[i]).sum::<f64>(), "-", kernel.name());
     }
-    println!("{:<6} {:<26} {:>9.1}", "all", "total", totals.iter().map(|(_, t)| t).sum::<f64>());
 
     // toy48's window-attention geometry: 32 windows × 16 tokens, 4 heads × 12.
     let (n_windows, wlen, n_heads, head_dim) = (32, 16, 4, 12);
@@ -148,7 +166,7 @@ fn main() {
     let d_o = Tensor::randn(&[plan.tokens(), plan.dim()], &mut rng);
     let shape = format!("({n_windows}, {wlen}, {n_heads}, {head_dim})");
     println!("{:<26} {:>16} {:>9} {:>9} {:>8}", "attention core", "(win, len, h, d)", "min µs", "med µs", "build");
-    for &k in &kernels {
+    for &k in kernels {
         let (us, med) = min_median_us(calls, || window_core_on(k, &qkv, &plan));
         println!("{:<26} {shape:>16} {us:>9.1} {med:>9.1} {:>8}", "window_core", k.name());
         let (us, med) = min_median_us(calls, || window_core_backward_on(k, &d_o, &qkv, &plan));
@@ -168,7 +186,7 @@ fn main() {
     let (dim_rows, ffn_rows, gu_rows) = (format!("[{TOKENS}, {DIM}]"), format!("[{TOKENS}, {FFN}]"), format!("[{TOKENS}, {}]", 2 * FFN));
     println!("{:<26} {:>16} {:>9} {:>9} {:>8}", "sweep", "rows", "min µs", "med µs", "build");
     let sweep = |name: &str, shape: &str, f: &mut dyn FnMut(Kernel)| {
-        for &k in &kernels {
+        for &k in kernels {
             let (us, med) = min_median_us(calls, || f(k));
             println!("{name:<26} {shape:>16} {us:>9.1} {med:>9.1} {:>8}", k.name());
         }
@@ -209,18 +227,18 @@ fn main() {
     println!("{:<26} {:>16} {:>9} {:>9} {:>8}", "model", "calls", "min µs", "med µs", "build");
     let n = calls / 4;
     let velocity = min_median_us(n, || model.velocity(&x_t, &x_prev, &forcings, 0.7));
-    println!("{:<26} {n:>16} {:>9.1} {:>9.1} {:>8}", "velocity", velocity.0, velocity.1, kernel_name());
+    println!("{:<26} {n:>16} {:>9.1} {:>9.1} {:>8}", "velocity", velocity.0, velocity.1, detected);
     let stats = NormStats { mean: vec![0.0; channels], std: vec![1.0; channels] };
     let (us, med) = min_median_us(calls, || add_residual(&x_prev, &x_t, &stats));
     println!("{:<26} {calls:>16} {us:>9.1} {med:>9.1} {:>8}", "add_residual", "plain");
     let mut x_churn = x_t.clone();
     let (us, med) = min_median_us(calls, || TrigFlow::default().churn(&mut x_churn, 0.4, 0.9, &mut rng));
-    println!("{:<26} {calls:>16} {us:>9.1} {med:>9.1} {:>8}", format!("churn [{tokens}, {channels}]"), kernel_name());
+    println!("{:<26} {calls:>16} {us:>9.1} {med:>9.1} {:>8}", format!("churn [{tokens}, {channels}]"), detected);
     let sampler = SamplerConfig { n_steps: 6, churn: 0.1, second_order: true };
     let fc = Forecaster { model, res_stats: stats.clone(), stats, sampler: TrigFlowSampler::new(TrigFlow::default(), sampler) };
     let n = (calls / 20).max(3);
     let (us, med) = min_median_us(n, || fc.forecast_step(&x_prev, &forcings, &mut rng));
-    println!("{:<26} {n:>16} {us:>9.1} {med:>9.1} {:>8}", "forecast_step (12 evals)", kernel_name());
+    println!("{:<26} {n:>16} {us:>9.1} {med:>9.1} {:>8}", "forecast_step (12 evals)", detected);
     // Minima only: a difference of medians mixes two runs' noise.
-    println!("{:<26} {:>16} {:>9.1} {:>9} {:>8}", "sampler self", "step − 12 × vel", us - 12.0 * velocity.0, "-", kernel_name());
+    println!("{:<26} {:>16} {:>9.1} {:>9} {:>8}", "sampler self", "step − 12 × vel", us - 12.0 * velocity.0, "-", detected);
 }

@@ -14,7 +14,7 @@ use aeris::nn::LrSchedule;
 fn main() {
     // Which GEMM build ran: a speed choice only, every kernel computes the
     // same bits, so digests and checkpoints compare across hosts.
-    println!("GEMM kernel: {}", aeris::tensor::gemm::kernel_name());
+    println!("GEMM kernel: {}", aeris::tensor::dispatch::Kernel::detected().name());
     // 1. A toy global atmosphere stands in for ERA5 (see DESIGN.md): generate
     //    a 6-hourly trajectory with train/val/test splits.
     let vars = VariableSet::with_levels(&[850, 500]);

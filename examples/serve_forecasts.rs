@@ -20,7 +20,7 @@ use std::time::Duration;
 fn main() {
     // Which GEMM build ran: a speed choice only, every kernel computes the
     // same bits, so digests and checkpoints compare across hosts.
-    println!("GEMM kernel: {}", aeris::tensor::gemm::kernel_name());
+    println!("GEMM kernel: {}", aeris::tensor::dispatch::Kernel::detected().name());
     // Small trained forecaster (same recipe as the quickstart, fewer images).
     let vars = VariableSet::with_levels(&[850]);
     let params =

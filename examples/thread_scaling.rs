@@ -69,7 +69,7 @@ fn main() {
     println!(
         "cores {}, GEMM kernel {}",
         std::thread::available_parallelism().map_or(1, |n| n.get()),
-        aeris::tensor::gemm::kernel_name()
+        aeris::tensor::dispatch::Kernel::detected().name()
     );
     println!("round  pool  train_step(batch 2) ms  velocity ms  ensemble(4 x 1) ms");
     for round in 0..rounds {

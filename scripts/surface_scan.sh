@@ -24,11 +24,11 @@
 #        live");
 #   (iv) every `unsafe` / `target_feature` / `is_x86_feature_detected` site in
 #        the non-test code of crates, shims, examples and src, and every
-#        `dispatched!(` loop that macro builds. Expected: lines of
-#        crates/tensor/src/gemm.rs (the three kernel builds, the AVX-512
-#        tile's load and masked store, the one detector), the one
-#        `dispatched!` macro of crates/tensor/src/sweeps.rs and its fourteen
-#        invocations (DISPATCHED below) — in sweeps.rs the `exp` family
+#        `dispatched!(` loop that macro builds. Expected: the one detector
+#        (`Kernel::detected`) and the one `dispatched!` macro of
+#        crates/tensor/src/dispatch.rs, and the macro's fifteen invocations
+#        (DISPATCHED below) — the GEMM's row block (`compute_block`) in
+#        crates/tensor/src/gemm.rs, in sweeps.rs the `exp` family
 #        (`exp`, `sigmoid`, `silu`, `swiglu`), the Swin block's forward
 #        row-block kernels (`rmsnorm_rows`, `modulated_rmsnorm_rows`,
 #        `gated_residual`, `add_rows`), the
@@ -37,10 +37,10 @@
 #        f64 Box–Muller lanes of `Rng::fill_normal` (`box_muller`), each named
 #        by its kernel-taking `*_on` entry; the window-attention core's
 #        forward and backward loops in
-#        crates/tensor/src/attention.rs — the `avx512f` build of that core,
-#        admitted fn by fn (INTRINSIC_FNS below: their
-#        `#[target_feature]` lines and the aligned / masked loads and stores),
-#        and the one foreign call of
+#        crates/tensor/src/attention.rs — the hand-written `avx512f` builds
+#        of the GEMM and of that core, admitted fn by fn (INTRINSIC_FNS
+#        below: their `#[target_feature]` lines and the unaligned, aligned
+#        and masked loads and stores), and the one foreign call of
 #        examples/swipe_scaling.rs (`getrusage`: the process's CPU times,
 #        minor faults and voluntary context switches, exited threads
 #        included; no /proc file holds the switches); every other crate root (aeris-autodiff included) says
@@ -78,8 +78,9 @@
 #
 # `--check` makes the scan a gate: it exits non-zero when (ii) prints a name
 # that KEPT does not list (or KEPT lists a name (ii) no longer prints), when
-# (iv) prints a site outside crates/tensor/src/gemm.rs, the `dispatched!`
-# macro body, the INTRINSIC_FNS fns and the `getrusage` call, or a
+# (iv) prints a site outside the detector and the `dispatched!` macro body
+# of crates/tensor/src/dispatch.rs, the INTRINSIC_FNS fns and the
+# `getrusage` call, or a
 # `dispatched!(` invocation that DISPATCHED does not list (or DISPATCHED
 # lists one that is gone, or INTRINSIC_FNS a fn with no site), when (v)
 # prints anything but the GEMM's two tile lines, or when (vi) prints a
@@ -111,12 +112,13 @@ chaos_delays	test vocabulary: FaultPlan builder of swipe's chaos suite and tests
 chaos_restarts	test vocabulary: FaultPlan builder of swipe's recovery suite
 finetune_rollout	ROADMAP item 7 gives it a verdict (measure in fig7_seasonal or delete)"
 
-# The loops `dispatched!` builds three times (portable, AVX2 and
+# The loops `dispatched!` builds three times (portable, AVX2+FMA and
 # `avx512f`), one `file<TAB>name` a line, the name the kernel-taking entry's;
 # (iv) fails on an invocation missing here.
 DISPATCHED="\
 crates/tensor/src/attention.rs	backward_windows
 crates/tensor/src/attention.rs	forward_windows
+crates/tensor/src/gemm.rs	compute_block
 crates/tensor/src/sweeps.rs	add_rows_on
 crates/tensor/src/sweeps.rs	box_muller_on
 crates/tensor/src/sweeps.rs	exp_on
@@ -131,10 +133,12 @@ crates/tensor/src/sweeps.rs	swiglu_backward_on
 crates/tensor/src/sweeps.rs	swiglu_on"
 
 # The fns whose (iv) sites are admitted by name, one `file<TAB>fn` a line:
-# the `avx512f` build of the window-attention core (the third arm of
-# `dispatched!`), each a `#[target_feature(enable = "avx512f")]` fn; `ld`,
-# `st`, `columns` and `write_rows` also hold its aligned and masked loads
-# and stores. An (iv) site in any other fn of the file fails --check.
+# the hand-written `avx512f` builds (the `avx512 = …` of `dispatched!`) of
+# the GEMM's row block and of the window-attention core, each a
+# `#[target_feature(enable = "avx512f")]` fn; the GEMM tile also holds its
+# unaligned panel load and masked store, and `ld`, `st`, `columns` and
+# `write_rows` the core's aligned and masked loads and stores. An (iv) site
+# in any other fn of the file fails --check.
 INTRINSIC_FNS="\
 crates/tensor/src/attention.rs	backward_avx512
 crates/tensor/src/attention.rs	columns
@@ -152,7 +156,9 @@ crates/tensor/src/attention.rs	rope_inv_cols
 crates/tensor/src/attention.rs	score_block
 crates/tensor/src/attention.rs	st
 crates/tensor/src/attention.rs	transpose16
-crates/tensor/src/attention.rs	write_rows"
+crates/tensor/src/attention.rs	write_rows
+crates/tensor/src/gemm.rs	compute_block_avx512
+crates/tensor/src/gemm.rs	tile_avx512"
 
 # FILE:LINE:TEXT for every line that is neither a comment nor inside a
 # `#[cfg(test)]` item (a `mod tests { … }` block or a one-line `mod tests;`).
@@ -292,8 +298,11 @@ sites=$(strip_tests $(sources crates/*/src shims/*/src examples src) \
     | grep -E 'unsafe|target_feature|is_x86_feature_detected|dispatched!\(' \
     | grep -vE 'forbid\(unsafe_code\)|deny\(unsafe_op_in_unsafe_fn\)' || true)
 [ -z "$sites" ] || echo "$sites"
-# The `macro_rules! dispatched` body: first and last line.
-macro=$(awk '/^macro_rules! dispatched/ { s = FNR } s && FNR > s && /^}/ { print s, FNR; exit }' crates/tensor/src/sweeps.rs)
+# In crates/tensor/src/dispatch.rs, the first and last line of the
+# `macro_rules! dispatched` body and of the detector `Kernel::detected`.
+dispatch=crates/tensor/src/dispatch.rs
+macro=$(awk '/^macro_rules! dispatched/ { s = FNR } s && FNR > s && /^}/ { print s, FNR; exit }' "$dispatch")
+detector=$(awk '/^    pub fn detected\(\)/ { s = FNR } s && FNR > s && /^    }/ { print s, FNR; exit }' "$dispatch")
 iv_failed=0
 # `FILE:LINE<TAB>FILE<TAB>fn` of every (iv) site in the files INTRINSIC_FNS
 # names: the fn each site belongs to.
@@ -305,21 +314,22 @@ site_fns=$(strip_tests $(printf '%s\n' "$INTRINSIC_FNS" | cut -f1 | sort -u) | f
 admitted=$(printf '%s\n' "$site_fns" | awk -F '\t' -v list="$INTRINSIC_FNS" '
         BEGIN { n = split(list, rows, "\n"); for (i = 1; i <= n; i++) ok[rows[i]] = 1 }
         ($2 "\t" $3) in ok { print $1 }')
-stray=$(printf '%s\n' "$sites" | awk -F: -v macro="$macro" -v admitted="$admitted" '
+stray=$(printf '%s\n' "$sites" | awk -F: -v dispatch="$dispatch" -v macro="$macro" -v detector="$detector" \
+    -v admitted="$admitted" '
     BEGIN {
-        split(macro, m, " ")
+        split(macro, m, " "); split(detector, d, " ")
         n = split(admitted, a, "\n"); for (i = 1; i <= n; i++) ok[a[i]] = 1
     }
     $0 == "" { next }
     ($1 ":" $2) in ok { next }
-    $1 == "crates/tensor/src/gemm.rs" { next }
-    $1 == "crates/tensor/src/sweeps.rs" && $2 >= m[1] && $2 <= m[2] { next }
+    $1 == dispatch && $2 >= m[1] && $2 <= m[2] { next }
+    $1 == dispatch && $2 >= d[1] && $2 <= d[2] && /is_x86_feature_detected!\(/ { next }
     $1 == "examples/swipe_scaling.rs" && /getrusage\(/ { next }
     /dispatched!\(/ { next }
     { print }
 ')
 if [ -n "$stray" ]; then
-    echo "-- outside gemm.rs, the dispatched! macro, the INTRINSIC_FNS fns and the getrusage call --"
+    echo "-- outside the detector, the dispatched! macro, the INTRINSIC_FNS fns and the getrusage call --"
     echo "$stray"
     iv_failed=1
 fi
@@ -395,10 +405,10 @@ if [ "$check" = 1 ]; then
     echo
     if [ "$ii_failed" = 1 ] || [ "$iv_failed" = 1 ] || [ "$v_failed" = 1 ] || [ "$vi_failed" = 1 ]; then
         [ "$ii_failed" = 0 ] || echo "check FAILED: (ii) prints a name without a reason in KEPT, or KEPT is stale" >&2
-        [ "$iv_failed" = 0 ] || echo "check FAILED: (iv) prints a site outside gemm.rs, the dispatched! macro, the INTRINSIC_FNS fns and getrusage, or a dispatched!( invocation DISPATCHED does not list (or DISPATCHED or INTRINSIC_FNS is stale)" >&2
+        [ "$iv_failed" = 0 ] || echo "check FAILED: (iv) prints a site outside the detector, the dispatched! macro, the INTRINSIC_FNS fns and getrusage, or a dispatched!( invocation DISPATCHED does not list (or DISPATCHED or INTRINSIC_FNS is stale)" >&2
         [ "$v_failed" = 0 ] || echo "check FAILED: (v) prints a multiply-add other than the GEMM's two tile lines" >&2
         [ "$vi_failed" = 0 ] || echo "check FAILED: (vi) prints a decoder outside crates/nn/src/checkpoint.rs, or a checkpoint writer or reader outside crates/swipe/src" >&2
         exit 1
     fi
-    echo "check passed: every (ii) name has a reason; (iv) only gemm.rs, the dispatched! macro, the DISPATCHED loops, the INTRINSIC_FNS fns and getrusage; (v) only the GEMM's two tile lines; (vi) is the checkpoint decoder only, its writer and reader called from crates/swipe/src only"
+    echo "check passed: every (ii) name has a reason; (iv) only the detector, the dispatched! macro, the DISPATCHED loops, the INTRINSIC_FNS fns and getrusage; (v) only the GEMM's two tile lines; (vi) is the checkpoint decoder only, its writer and reader called from crates/swipe/src only"
 fi
