@@ -193,11 +193,7 @@ impl Tape {
             Some(Box::new(move |d, nodes| {
                 let x = nodes[pa].value();
                 let mut dx = Tensor::for_overwrite(x.shape());
-                sweeps::sigmoid(dx.data_mut(), x.data());
-                for ((o, &x), &g) in dx.data_mut().iter_mut().zip(x.data()).zip(d.data()) {
-                    let s = *o;
-                    *o = g * (s * (1.0 + x * (1.0 - s)));
-                }
+                sweeps::silu_backward(dx.data_mut(), x.data(), d.data());
                 vec![dx]
             })),
             true,
@@ -275,9 +271,8 @@ impl Tape {
         let gv = self.value(gamma);
         assert_eq!(xv.ndim(), 2);
         assert_eq!(gv.shape(), &[xv.shape()[1]]);
-        let (rows, dim) = (xv.shape()[0], xv.shape()[1]);
         let mut value = Tensor::for_overwrite(xv.shape());
-        let mut inv_rms = vec![0.0; rows];
+        let mut inv_rms = vec![0.0; xv.shape()[0]];
         sweeps::rmsnorm_rows(value.data_mut(), &mut inv_rms, xv.data(), gv.data(), eps);
         let (px, pg) = (x.0, gamma.0);
         self.push(
@@ -288,18 +283,7 @@ impl Tape {
                 let gv = nodes[pg].value();
                 let mut dx = Tensor::for_overwrite(xv.shape());
                 let mut dg = Tensor::zeros(gv.shape());
-                for r in 0..rows {
-                    let xr = xv.row(r);
-                    let dr = &d.data()[r * dim..(r + 1) * dim];
-                    let ir = inv_rms[r];
-                    let s = sweeps::dot3(gv.data(), dr, xr); // Σ γ_j d_j x_j
-                    let coef = s * ir * ir * ir / dim as f32;
-                    let dxr = dx.row_mut(r);
-                    for j in 0..dim {
-                        dxr[j] = gv.data()[j] * dr[j] * ir - xr[j] * coef;
-                        dg.data_mut()[j] += dr[j] * xr[j] * ir;
-                    }
-                }
+                sweeps::rmsnorm_rows_backward(dx.data_mut(), dg.data_mut(), xv.data(), d.data(), gv.data(), &inv_rms);
                 vec![dx, dg]
             })),
             true,
@@ -413,12 +397,7 @@ impl Tape {
             vec![a.0],
             Some(Box::new(move |d, _| {
                 let mut dx = Tensor::zeros(&[rows, cols]);
-                for (i, &src) in idx.iter().enumerate() {
-                    let dr = &d.data()[i * cols..(i + 1) * cols];
-                    for (o, &g) in dx.row_mut(src).iter_mut().zip(dr) {
-                        *o += g;
-                    }
-                }
+                sweeps::gather_rows_backward(dx.data_mut(), d.data(), &idx, cols);
                 vec![dx]
             })),
             true,
@@ -473,7 +452,7 @@ impl Tape {
     pub fn add_rows(&mut self, x: Var, vec: Var) -> Var {
         let xv = self.value(x);
         let vv = self.value(vec);
-        let (rows, dim) = (xv.shape()[0], xv.shape()[1]);
+        let dim = xv.shape()[1];
         assert_eq!(vv.shape(), &[dim]);
         let mut value = xv.clone();
         sweeps::add_rows(value.data_mut(), vv.data());
@@ -482,12 +461,7 @@ impl Tape {
             vec![x.0, vec.0],
             Some(Box::new(move |d, _| {
                 let mut dv = Tensor::zeros(&[dim]);
-                for r in 0..rows {
-                    let dr = &d.data()[r * dim..(r + 1) * dim];
-                    for (o, &g) in dv.data_mut().iter_mut().zip(dr) {
-                        *o += g;
-                    }
-                }
+                sweeps::add_rows_backward(dv.data_mut(), d.data());
                 vec![d, dv]
             })),
             true,
@@ -517,13 +491,7 @@ impl Tape {
         let pv = self.value(pred);
         assert_eq!(pv.shape(), target.shape());
         assert_eq!(pv.shape(), weights.shape());
-        let n = pv.len() as f32;
-        let mut acc = 0.0f64;
-        for ((&p, &t), &w) in pv.data().iter().zip(target.data()).zip(weights.data()) {
-            let d = p - t;
-            acc += (w * d * d) as f64;
-        }
-        let value = Tensor::from_slice(&[(acc / n as f64) as f32]);
+        let value = Tensor::from_slice(&[sweeps::weighted_mse_loss(pv.data(), target.data(), weights.data())]);
         let (target, weights) = (target.clone(), weights.clone());
         let p_ix = pred.0;
         self.push(
@@ -531,10 +499,8 @@ impl Tape {
             vec![p_ix],
             Some(Box::new(move |d, nodes| {
                 let pv = nodes[p_ix].value();
-                let g0 = d.data()[0] * 2.0 / n;
-                let grad = pv
-                    .zip_map(&target, |p, t| p - t)
-                    .zip_map(&weights, |diff, w| g0 * w * diff);
+                let mut grad = Tensor::for_overwrite(pv.shape());
+                sweeps::weighted_mse_backward(grad.data_mut(), pv.data(), target.data(), weights.data(), d.data()[0]);
                 vec![grad]
             })),
             true,

@@ -15,19 +15,27 @@ use aeris_tensor::gemm::gemm;
 use aeris_tensor::{sweeps, Rng, Tensor};
 use std::cell::RefCell;
 
-/// Whole windows per row block of [`AerisModel::velocity`]'s block pass:
-/// 4 × 16 tokens, 64 rows, at toy48.
+mod backward;
+
+/// Whole windows per row block of the tape-free block pass
+/// ([`SwinBlock::pass`]): 4 × 16 tokens, 64 rows, at toy48.
 const WINDOWS_PER_PASS: usize = 4;
 
-/// The working buffers of [`AerisModel::velocity`], one set per thread like
-/// the attention core's scratch: the assembled `input`, the residual stream
-/// `x` and its post-attention value `mid` (`[tokens, dim]`, token order), and
-/// per row block, in window order, the normalized rows `h`, the projection
-/// `qkv`, the context `o`, a branch output `y`, the gate-up `gu` and its
-/// SwiGLU `hid`. `inv_rms` only receives the norms' `r`, which inference
-/// does not read.
+/// The working buffers of the tape-free forward, one set per thread like
+/// the attention core's scratch: the attention plan, the time features
+/// `feats`, their projection `time` (before SiLU) and the conditioning
+/// vector `cond`, the assembled `input`, the residual
+/// stream `x` and its post-attention value `mid` (`[tokens, dim]`, token
+/// order), and per row block, in window order, the normalized rows `h`, the
+/// projection `qkv`, the context `o`, a branch output `y`, the gate-up `gu`
+/// and its SwiGLU `hid`. `inv_rms` receives the norms' `r`. After a forward,
+/// `x`, `mid` and `inv_rms` hold the output norm's input, output and `r`.
 #[derive(Default)]
 struct Scratch {
+    plan: Option<WindowAttnPlan>,
+    feats: Vec<f32>,
+    time: Vec<f32>,
+    cond: Vec<f32>,
     input: Vec<f32>,
     x: Vec<f32>,
     mid: Vec<f32>,
@@ -44,13 +52,26 @@ thread_local! {
     static SCRATCH: RefCell<Scratch> = RefCell::default();
 }
 
+/// Size every buffer of `bufs` to its length. With `debug_assertions` every
+/// element is NaN, so an element a pass misses poisons the result, as a
+/// `Tensor::for_overwrite` buffer does.
+fn size_buffers<const N: usize>(bufs: [(&mut Vec<f32>, usize); N]) {
+    for (buf, n) in bufs {
+        buf.resize(n, 0.0);
+        if cfg!(debug_assertions) {
+            buf.fill(f32::NAN);
+        }
+    }
+}
+
 impl Scratch {
-    /// Size every buffer for `cfg`. With `debug_assertions` every element is
-    /// NaN, so a row the pass misses poisons the result, as a
-    /// `Tensor::for_overwrite` buffer does.
+    /// Size every buffer for `cfg`.
     fn prepare(&mut self, cfg: &AerisConfig) {
         let (tokens, dim, ffn, rows) = (cfg.tokens(), cfg.dim, cfg.ffn, WINDOWS_PER_PASS * cfg.window.0 * cfg.window.1);
-        for (buf, n) in [
+        size_buffers([
+            (&mut self.feats, cfg.time_feat_dim),
+            (&mut self.time, cfg.cond_dim),
+            (&mut self.cond, cfg.cond_dim),
             (&mut self.input, tokens * cfg.input_channels()),
             (&mut self.x, tokens * dim),
             (&mut self.mid, tokens * dim),
@@ -61,13 +82,48 @@ impl Scratch {
             (&mut self.gu, rows * 2 * ffn),
             (&mut self.hid, rows * ffn),
             (&mut self.inv_rms, tokens),
-        ] {
-            buf.resize(n, 0.0);
-            if cfg!(debug_assertions) {
-                buf.fill(f32::NAN);
-            }
-        }
+        ]);
     }
+}
+
+/// What [`SwinBlock::pass`] keeps for a backward, in the layouts the tape
+/// keeps them in. `()` keeps nothing: `velocity`'s pass, whose calls
+/// compile to nothing.
+trait Saves {
+    /// The block input `x`, `[tokens, dim]` in token order, before the pass.
+    fn input(&mut self, _x: &[f32]) {}
+    /// Where the row block at row `r0` of the window order (`n` rows) puts
+    /// its attention branch's normed rows, `qkv` and context when they are
+    /// kept (window order, so the kernels write them in place); `None`:
+    /// the scratch.
+    fn window_rows(&mut self, _r0: usize, _n: usize) -> Option<[&mut [f32]; 3]> {
+        None
+    }
+    /// The row block after its attention branch: its token `rows` and
+    /// `[inv_rms, y]`, the norm's `r` and the branch output, one row per
+    /// entry of `rows`.
+    fn attention(&mut self, _rows: &[usize], _bufs: [&[f32]; 2]) {}
+    /// The same row block after its MLP branch: `[h, inv_rms, gu, hid, y]`,
+    /// the second norm's rows and `r`, the gate-up, the SwiGLU output and
+    /// the branch output.
+    fn mlp(&mut self, _rows: &[usize], _bufs: [&[f32]; 5]) {}
+    /// The pass is done: the post-attention stream `mid` (which may be
+    /// swapped out: the next pass, or the output norm, writes every row
+    /// before reading it) and the block's [`BlockConsts`].
+    fn done(&mut self, _mid: &mut Vec<f32>, _consts: BlockConsts) {}
+}
+
+impl Saves for () {}
+
+/// What a block pass derives from its parameters and `cond` before its row
+/// blocks: the six AdaLN vectors `[shift1, scale1, gate1, shift2, scale2,
+/// gate2]` (`[6·dim]`), `1 + scale` of each branch, as the taped norm adds
+/// it, and `Wq | Wk | Wv` side by side (`[dim, 3·dim]`), the matrix the
+/// taped attention multiplies by.
+struct BlockConsts {
+    mods: Vec<f32>,
+    scales: [Vec<f32>; 2],
+    w_qkv: Tensor,
 }
 
 /// One transformer block: pre-RMSNorm → AdaLN modulate → window attention →
@@ -138,8 +194,7 @@ impl SwinBlock {
     ) -> Var {
         // Window partition (with cyclic roll when shifted), per-window
         // attention, merge back.
-        let perm = if self.shifted { &geo.shifted_perm } else { &geo.direct_perm };
-        let inv = if self.shifted { &geo.shifted_inv } else { &geo.direct_inv };
+        let (perm, inv) = geo.partition(self.shifted);
         let Ok(out) = self.forward_with(tape, binding, store, x, cond, |tape, binding, h| {
             let windowed = tape.gather_rows(h, perm);
             let merged = self.attn.forward_all_windows(
@@ -155,46 +210,58 @@ impl SwinBlock {
         out
     }
 
-    /// The block without a tape, in place on `s.x`: one pass over row blocks
-    /// of [`WINDOWS_PER_PASS`] whole windows (`plan` sized for one). A row
-    /// block is five row-block kernels of `sweeps` between the GEMMs and the
-    /// attention core: the modulated norm gathered straight into window
-    /// order; the gated residual scattered back through the partition
-    /// permutation; the second norm, gathered; the SwiGLU; its gated
-    /// residual, scattered. Every element comes from the kernel and
-    /// expression of the op [`SwinBlock::forward_with`] records, so the bits
-    /// are the same.
-    fn pass(&self, store: &ParamStore, cond: &[f32], geo: &BlockGeometry, plan: &mut WindowAttnPlan, s: &mut Scratch) {
-        let (dim, ffn, wlen) = (self.norm1.dim, self.mlp.ffn, plan.window_len);
+    /// This block's [`BlockConsts`] for the conditioning vector `cond`.
+    fn consts(&self, store: &ParamStore, cond: &[f32]) -> BlockConsts {
+        let dim = self.norm1.dim;
         let mut mods = vec![0.0; 6 * dim];
         self.adaln.head.apply(store, cond, &mut mods);
-        let [shift1, scale1, gate1, shift2, scale2, gate2]: [&[f32]; 6] =
-            std::array::from_fn(|i| &mods[i * dim..(i + 1) * dim]);
-        // `1 + scale`, as the taped norm adds it.
-        let one_plus = |v: &[f32]| -> Vec<f32> { v.iter().map(|x| x + 1.0).collect() };
-        let (scale1, scale2) = (one_plus(scale1), one_plus(scale2));
-        let (g1, g2) = (store.get(self.norm1.gamma).data(), store.get(self.norm2.gamma).data());
+        let one_plus = |i: usize| -> Vec<f32> { mods[i * dim..(i + 1) * dim].iter().map(|x| x + 1.0).collect() };
+        let scales = [one_plus(1), one_plus(4)];
         let a = &self.attn;
         let w_qkv = Tensor::concat_cols(&[store.get(a.wq.w), store.get(a.wk.w), store.get(a.wv.w)]);
-        let perm = if self.shifted { &geo.shifted_perm } else { &geo.direct_perm };
+        BlockConsts { mods, scales, w_qkv }
+    }
+
+    /// The block without a tape, in place on `s.x`, conditioned on
+    /// `s.cond`: one pass over row blocks of [`WINDOWS_PER_PASS`] whole
+    /// windows (`plan` sized for one). A row block is five row-block kernels
+    /// of `sweeps` between the GEMMs and the attention core: the modulated
+    /// norm gathered straight into window order; the gated residual
+    /// scattered back through the partition permutation; the second norm,
+    /// gathered; the SwiGLU; its gated residual, scattered. Every element
+    /// comes from the kernel and expression of the op
+    /// [`SwinBlock::forward_with`] records, so the bits are the same.
+    /// `saves` keeps what the backward reads (`()`: nothing).
+    fn pass(&self, store: &ParamStore, geo: &BlockGeometry, plan: &mut WindowAttnPlan, s: &mut Scratch, saves: &mut impl Saves) {
+        let (dim, ffn, wlen) = (self.norm1.dim, self.mlp.ffn, plan.window_len);
+        let Scratch { cond, x, mid, h, qkv, o, y, gu, hid, inv_rms, .. } = s;
+        let consts = self.consts(store, cond);
+        let BlockConsts { mods, scales: [scale1, scale2], w_qkv } = &consts;
+        let [shift1, _, gate1, shift2, _, gate2]: [&[f32]; 6] = std::array::from_fn(|i| &mods[i * dim..(i + 1) * dim]);
+        let (g1, g2) = (store.get(self.norm1.gamma).data(), store.get(self.norm2.gamma).data());
+        let (perm, _) = geo.partition(self.shifted);
         let (mods1, mods2) = ([g1, &scale1[..], shift1], [g2, &scale2[..], shift2]);
-        let Scratch { x, mid, h, qkv, o, y, gu, hid, inv_rms, .. } = s;
-        for rows in perm.chunks(WINDOWS_PER_PASS * wlen) {
+        saves.input(x);
+        for (block, rows) in perm.chunks(WINDOWS_PER_PASS * wlen).enumerate() {
             let n = rows.len();
             plan.n_windows = n / wlen;
-            let (h, qkv, o, y) = (&mut h[..n * dim], &mut qkv[..n * 3 * dim], &mut o[..n * dim], &mut y[..n * dim]);
-            let (gu, hid, ir) = (&mut gu[..n * 2 * ffn], &mut hid[..n * ffn], &mut inv_rms[..n]);
-            sweeps::modulated_rmsnorm_rows(h, ir, x, rows, mods1, self.norm1.eps);
-            gemm(n, 3 * dim, dim, h, false, w_qkv.data(), false, qkv);
+            let (h, y, gu, hid, ir) = (&mut h[..n * dim], &mut y[..n * dim], &mut gu[..n * 2 * ffn], &mut hid[..n * ffn], &mut inv_rms[..n]);
+            let scratch = [&mut *h, &mut qkv[..n * 3 * dim], &mut o[..n * dim]];
+            let [h1, qkv, o] = saves.window_rows(block * WINDOWS_PER_PASS * wlen, n).unwrap_or(scratch);
+            sweeps::modulated_rmsnorm_rows(h1, ir, x, rows, mods1, self.norm1.eps);
+            gemm(n, 3 * dim, dim, h1, false, w_qkv.data(), false, qkv);
             window_core_into(Kernel::detected(), qkv, plan, o);
-            a.wo.apply(store, o, y);
+            self.attn.wo.apply(store, o, y);
             sweeps::gated_residual(mid, x, y, rows, gate1);
+            saves.attention(rows, [ir, y]);
             sweeps::modulated_rmsnorm_rows(h, ir, mid, rows, mods2, self.norm2.eps);
             self.mlp.w_in.apply(store, h, gu);
             sweeps::swiglu(hid, gu, ffn);
             self.mlp.w_down.apply(store, hid, y);
             sweeps::gated_residual(x, mid, y, rows, gate2);
+            saves.mlp(rows, [h, ir, gu, hid, y]);
         }
+        saves.done(mid, consts);
     }
 }
 
@@ -224,6 +291,12 @@ impl BlockGeometry {
         let shifted_perm: Vec<usize> = direct_perm.iter().map(|&p| roll[p]).collect();
         let shifted_inv = aeris_nn::window::invert_perm(&shifted_perm);
         BlockGeometry { grid, rope, direct_perm, direct_inv, shifted_perm, shifted_inv }
+    }
+
+    /// The window partition of a block, `(perm, inv)`: the gather of its
+    /// token rows into window order and its inverse.
+    fn partition(&self, shifted: bool) -> (&[usize], &[usize]) {
+        if shifted { (&self.shifted_perm, &self.shifted_inv) } else { (&self.direct_perm, &self.direct_inv) }
     }
 }
 
@@ -270,6 +343,16 @@ impl AerisModel {
         AerisModel { cfg, store, embed, blocks, out_norm, decode, time_cond, geo, pos_field }
     }
 
+    /// This model's attention plan: `kept` when it is one (a thread's
+    /// scratch keeps the last model's), else a new one.
+    fn plan(&self, kept: Option<WindowAttnPlan>) -> WindowAttnPlan {
+        let (rope, heads) = (&self.geo.rope, self.cfg.n_heads);
+        match kept {
+            Some(p) if p.n_heads == heads && p.cos == rope.cos && p.sin == rope.sin => p,
+            _ => WindowAttnPlan::new(0, rope.seq_len(), heads, self.cfg.head_dim(), rope.cos.clone(), rope.sin.clone()),
+        }
+    }
+
     /// Total scalar parameters.
     pub fn param_count(&self) -> usize {
         self.store.num_scalars()
@@ -310,61 +393,40 @@ impl AerisModel {
     }
 
     /// Inference-only velocity evaluation `σ_d F_θ(x/σ_d, t)` (σ_d = 1 on
-    /// standardized data), without a tape: the time embedding, the embedding,
-    /// each block's `SwinBlock::pass` over the calling thread's scratch,
-    /// the output norm and the decoder, as plain calls of the kernels the
-    /// taped ops run. Bitwise equal to [`AerisModel::forward`].
+    /// standardized data), without a tape: the time embedding, the
+    /// embedding, each block's pass over row blocks of whole windows, the
+    /// output norm and the decoder, on the calling thread's scratch.
+    /// Bitwise equal to [`AerisModel::forward`].
     pub fn velocity(&self, x_t: &Tensor, x_prev: &Tensor, forcings: &Tensor, t: f32) -> Tensor {
-        let (store, cfg) = (&self.store, &self.cfg);
-        let mut h = vec![0.0; cfg.cond_dim];
-        self.time_cond.proj.apply(store, timestep_features(t, cfg.time_feat_dim).data(), &mut h);
-        let mut cond = vec![0.0; cfg.cond_dim];
-        sweeps::silu(&mut cond, &h);
-        let (rope, heads, head_dim) = (&self.geo.rope, cfg.n_heads, cfg.head_dim());
-        let mut plan = WindowAttnPlan::new(0, rope.seq_len(), heads, head_dim, rope.cos.clone(), rope.sin.clone());
-        let mut out = Tensor::for_overwrite(&[cfg.tokens(), cfg.channels]);
+        let mut out = Tensor::for_overwrite(&[self.cfg.tokens(), self.cfg.channels]);
         SCRATCH.with_borrow_mut(|s| {
-            s.prepare(cfg);
-            posenc::assemble_into(&self.input_parts(x_t, x_prev, forcings), &self.pos_field, &mut s.input);
-            self.embed.apply(store, &s.input, &mut s.x);
-            for block in &self.blocks {
-                block.pass(store, &cond, &self.geo, &mut plan, s);
-            }
-            let gamma = store.get(self.out_norm.gamma).data();
-            sweeps::rmsnorm_rows(&mut s.mid, &mut s.inv_rms, &s.x, gamma, self.out_norm.eps);
-            self.decode.apply(store, &s.mid, out.data_mut());
+            // A `Vec<()>` holds no memory.
+            let mut nothing = vec![(); self.blocks.len()];
+            self.run(self.input_parts(x_t, x_prev, forcings), t, s, &mut nothing, out.data_mut());
         });
         out
     }
 
-    /// The recording sibling of [`AerisModel::velocity`]: the same
-    /// evaluation, scored against `target` with the `weights`-weighted MSE
-    /// and differentiated. The loss comes back; every parameter's gradient
-    /// is added into `acc` (one slot per parameter in store order, `None`
-    /// until first touched), so a batch is one call per sample followed by
-    /// [`aeris_nn::batch_mean`]. No randomness is drawn here: callers keep
-    /// their own `t` / noise streams.
-    #[allow(clippy::too_many_arguments)]
-    pub fn loss_grads(
-        &self,
-        x_t: &Tensor,
-        x_prev: &Tensor,
-        forcings: &Tensor,
-        t: f32,
-        target: &Tensor,
-        weights: &Tensor,
-        acc: &mut [Option<Tensor>],
-    ) -> f64 {
-        let input = self.assemble_input(x_t, x_prev, forcings);
-        let mut tape = Tape::new();
-        let mut binding = Binding::new(&self.store);
-        let iv = tape.constant(input);
-        let out = self.forward(&mut tape, &mut binding, iv, t);
-        let loss = tape.weighted_mse(out, target, weights);
-        let loss_val = tape.value(loss).data()[0] as f64;
-        let mut grads = tape.backward(loss);
-        binding.accumulate_grads(&mut grads, acc);
-        loss_val
+    /// The tape-free forward into `out` (`[tokens, channels]`): the time
+    /// embedding, the embedding, each block's [`SwinBlock::pass`] over `s`,
+    /// the output norm and the decoder, as plain calls of the kernels the
+    /// taped ops run. Block `b` keeps its saves in `saves[b]`.
+    fn run<S: Saves>(&self, parts: [&Tensor; 3], t: f32, s: &mut Scratch, saves: &mut [S], out: &mut [f32]) {
+        let (store, cfg) = (&self.store, &self.cfg);
+        s.prepare(cfg);
+        s.feats.copy_from_slice(timestep_features(t, cfg.time_feat_dim).data());
+        self.time_cond.proj.apply(store, &s.feats, &mut s.time);
+        sweeps::silu(&mut s.cond, &s.time);
+        let mut plan = self.plan(s.plan.take());
+        posenc::assemble_into(&parts, &self.pos_field, &mut s.input);
+        self.embed.apply(store, &s.input, &mut s.x);
+        for (block, saves) in self.blocks.iter().zip(saves) {
+            block.pass(store, &self.geo, &mut plan, s, saves);
+        }
+        s.plan = Some(plan);
+        let gamma = store.get(self.out_norm.gamma).data();
+        sweeps::rmsnorm_rows(&mut s.mid, &mut s.inv_rms, &s.x, gamma, self.out_norm.eps);
+        self.decode.apply(store, &s.mid, out);
     }
 }
 
@@ -445,15 +507,9 @@ mod tests {
         fn velocity_equals_the_recording_forward_bitwise(
             seed in 0u64..1_000_000,
             t in 0.0f32..1.6,
-            geometry in 0usize..3,
+            geometry_index in 0usize..3,
         ) {
-            let tiny = AerisConfig::test_tiny();
-            let cfg = match geometry {
-                0 => tiny,
-                1 => AerisConfig { grid_h: 4, grid_w: 12, ..tiny },
-                _ => toy48(),
-            };
-            let (m, [x_t, x_prev, f]) = nudged(cfg, seed);
+            let (m, [x_t, x_prev, f]) = nudged(geometry(geometry_index), seed);
             let mut tape = Tape::new();
             let mut binding = Binding::new(&m.store);
             let iv = tape.constant(m.assemble_input(&x_t, &x_prev, &f));
@@ -462,6 +518,58 @@ mod tests {
             proptest::prop_assert!(tape.value(out).abs_max() > 0.0, "a zero output proves nothing");
             proptest::prop_assert_eq!(bits(&m.velocity(&x_t, &x_prev, &f, t)), recorded.clone());
             proptest::prop_assert_eq!(bits(&m.velocity(&x_t, &x_prev, &f, t)), recorded);
+        }
+    }
+
+    /// `cfg` of `velocity_equals_the_recording_forward_bitwise`'s geometry:
+    /// `test_tiny` (8 windows: full row blocks), a 4 × 12 `test_tiny` (3
+    /// windows, a partial last row block) or toy48.
+    fn geometry(i: usize) -> AerisConfig {
+        let tiny = AerisConfig::test_tiny();
+        match i {
+            0 => tiny,
+            1 => AerisConfig { grid_h: 4, grid_w: 12, ..tiny },
+            _ => toy48(),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
+
+        /// `loss_grads` (the block pass with saves and the hand-written
+        /// backward) is the recording chain — `forward`, `weighted_mse`,
+        /// `backward`, `accumulate_grads` — bit for bit on the loss and on
+        /// every gradient, over the three geometries of the forward's
+        /// proptest, for two samples summed into one `acc`: the second call
+        /// runs on the warm arena and adds into filled slots.
+        #[test]
+        fn loss_grads_equals_the_recording_backward_bitwise(
+            seed in 0u64..1_000_000,
+            t in 0.0f32..1.6,
+            geometry_index in 0usize..3,
+        ) {
+            let (m, [x_t, x_prev, f]) = nudged(geometry(geometry_index), seed);
+            let mut rng = Rng::seed_from(seed ^ 0x5eed);
+            let shape = [m.cfg.tokens(), m.cfg.channels];
+            let w = Tensor::rand_uniform(&shape, 0.5, 1.5, &mut rng);
+            let (mut acc, mut recorded) = (vec![None; m.store.len()], vec![None; m.store.len()]);
+            for (t, x_t) in [(t, x_t.clone()), (1.6 - t, x_t.scale(-0.5))] {
+                let target = Tensor::randn(&shape, &mut rng);
+                let got = m.loss_grads(&x_t, &x_prev, &f, t, &target, &w, &mut acc);
+                let mut tape = Tape::new();
+                let mut binding = Binding::new(&m.store);
+                let iv = tape.constant(m.assemble_input(&x_t, &x_prev, &f));
+                let out = m.forward(&mut tape, &mut binding, iv, t);
+                let loss = tape.weighted_mse(out, &target, &w);
+                proptest::prop_assert_eq!(got.to_bits(), (tape.value(loss).data()[0] as f64).to_bits());
+                let mut grads = tape.backward(loss);
+                binding.accumulate_grads(&mut grads, &mut recorded);
+            }
+            for ((_, name, _), (a, b)) in m.store.iter().zip(acc.iter().zip(&recorded)) {
+                let (a, b) = (a.as_ref().expect("bound"), b.as_ref().expect("bound"));
+                proptest::prop_assert!(a.abs_max() > 0.0, "a zero gradient of {} proves nothing", name);
+                proptest::prop_assert_eq!(bits(a), bits(b), "gradient of {}", name);
+            }
         }
     }
 

@@ -1,0 +1,379 @@
+//! [`AerisModel::loss_grads`] without a tape: the forward is
+//! [`AerisModel::run`], each block's [`SwinBlock::pass`] keeping its saves,
+//! and the backward is the recording tape's reverse sweep written out by
+//! hand.
+//!
+//! **Bits.** The tape's backward of `forward` + `weighted_mse` is a fixed
+//! sequence of kernel calls; this is that sequence. Every call is the one
+//! the tape's closure makes, on a matrix of the same shape, layout and row
+//! order: the weight gradients are the tape's TN GEMMs over all rows, the
+//! input gradients its NT GEMMs, the bias, γ, scale, shift and gate row
+//! sums the same `sweeps` loops over the same rows, and the attention core's
+//! backward runs over all windows. Where a tape node has two consumers, the
+//! sweep moves the later consumer's cotangent in and adds the earlier one's;
+//! so `cond`'s gradient is `((g₃ + g₂) + g₁) + g₀` over the blocks' AdaLN
+//! heads. Where the tape scatters into zeros — the window partition's two
+//! gathers and the AdaLN head's six one-row gathers — a `−0.0` turns into
+//! `+0.0`, and so it does here, through the same `sweeps` fn. The loss and
+//! every gradient equal the tape's bit for bit
+//! (`loss_grads_equals_the_recording_backward_bitwise`).
+//!
+//! **Memory.** The saves and the backward's buffers live in one arena per
+//! thread, [`ARENA`], sized on the thread's first call: a warm call takes
+//! from the heap only what the block pass does (its modulation vectors and
+//! the `Wq | Wk | Wv` concatenation) and what the caller's empty gradient
+//! slots need.
+
+use super::{size_buffers, AerisModel, BlockConsts, Saves, Scratch, SwinBlock};
+use aeris_nn::{Linear, ParamId, ParamStore};
+use aeris_tensor::attention::{window_core_backward_into, WindowAttnPlan};
+use aeris_tensor::dispatch::Kernel;
+use aeris_tensor::gemm::gemm;
+use aeris_tensor::{sweeps, Tensor};
+use std::cell::RefCell;
+
+/// What one block's backward reads, kept by its pass in the layouts the
+/// tape keeps them in: window order inside attention, token order
+/// everywhere else.
+#[derive(Default)]
+struct BlockSaves {
+    /// The block input and the post-attention stream `mid`, `[tokens, dim]`.
+    x: Vec<f32>,
+    mid: Vec<f32>,
+    /// Window order: the first norm's rows, `qkv` and the context.
+    h1: Vec<f32>,
+    qkv: Vec<f32>,
+    o: Vec<f32>,
+    /// Token order: the attention branch's output, the second norm's rows,
+    /// the gate-up, the SwiGLU output and the MLP branch's output.
+    y1: Vec<f32>,
+    h2: Vec<f32>,
+    gu: Vec<f32>,
+    hid: Vec<f32>,
+    y2: Vec<f32>,
+    /// Token order: both norms' `r`.
+    ir1: Vec<f32>,
+    ir2: Vec<f32>,
+    consts: Option<BlockConsts>,
+}
+
+/// Row `i` of `src` (rows of `src.len() / rows.len()`) into row `rows[i]`
+/// of `dst`.
+fn scatter(dst: &mut [f32], src: &[f32], rows: &[usize]) {
+    let width = src.len() / rows.len();
+    if width == 1 {
+        rows.iter().zip(src).for_each(|(&t, &v)| dst[t] = v);
+        return;
+    }
+    for (row, &t) in src.chunks_exact(width).zip(rows) {
+        dst[t * width..(t + 1) * width].copy_from_slice(row);
+    }
+}
+
+impl Saves for BlockSaves {
+    fn input(&mut self, x: &[f32]) {
+        self.x.copy_from_slice(x);
+    }
+
+    fn window_rows(&mut self, r0: usize, n: usize) -> Option<[&mut [f32]; 3]> {
+        let dim = self.x.len() / self.ir1.len();
+        Some([&mut self.h1[r0 * dim..][..n * dim], &mut self.qkv[r0 * 3 * dim..][..n * 3 * dim], &mut self.o[r0 * dim..][..n * dim]])
+    }
+
+    fn attention(&mut self, rows: &[usize], [ir, y]: [&[f32]; 2]) {
+        scatter(&mut self.ir1, ir, rows);
+        scatter(&mut self.y1, y, rows);
+    }
+
+    fn mlp(&mut self, rows: &[usize], [h, ir, gu, hid, y]: [&[f32]; 5]) {
+        for (dst, src) in [(&mut self.h2, h), (&mut self.ir2, ir), (&mut self.gu, gu), (&mut self.hid, hid), (&mut self.y2, y)] {
+            scatter(dst, src, rows);
+        }
+    }
+
+    fn done(&mut self, mid: &mut Vec<f32>, consts: BlockConsts) {
+        std::mem::swap(&mut self.mid, mid);
+        self.consts = Some(consts);
+    }
+}
+
+/// The training forward's buffers, its saves and the backward's buffers.
+#[derive(Default)]
+struct Arena {
+    /// The forward's working buffers. After it they hold the time
+    /// projection, `cond`, the embedding's input, and the output norm's
+    /// input, output (the decoder's input) and `r`.
+    scratch: Scratch,
+    blocks: Vec<BlockSaves>,
+    /// The prediction and its gradient, `[tokens, channels]`.
+    out: Vec<f32>,
+    dout: Vec<f32>,
+    /// `[tokens, dim]`: the stream's gradient, a branch's (token order), a
+    /// norm's input gradient, and, in window order, the attention output's
+    /// gradient (then the attention input's) and the context's.
+    dx: Vec<f32>,
+    dh: Vec<f32>,
+    dn: Vec<f32>,
+    dwin: Vec<f32>,
+    d_o: Vec<f32>,
+    dqkv: Vec<f32>,
+    dhid: Vec<f32>,
+    dgu: Vec<f32>,
+    /// A parameter's gradient on its way into the caller's slot (the
+    /// largest parameter, or `[dim, 3·dim]`).
+    dw: Vec<f32>,
+    /// A block's six modulation gradients, `[shift1, scale1, gate1, shift2,
+    /// scale2, gate2]`, and their scatter-add into zeros.
+    dvecs: Vec<f32>,
+    dmods: Vec<f32>,
+    /// `cond`'s gradient, one block's part of it, and the time projection's.
+    dcond: Vec<f32>,
+    dcond_b: Vec<f32>,
+    dtime: Vec<f32>,
+}
+
+thread_local! {
+    static ARENA: RefCell<Arena> = RefCell::default();
+}
+
+impl Arena {
+    /// Size every buffer for `m` (a no-op after a thread's first call on
+    /// one config; the scratch is sized by the forward).
+    fn prepare(&mut self, m: &AerisModel) {
+        let cfg = &m.cfg;
+        let (tokens, dim, ffn) = (cfg.tokens(), cfg.dim, cfg.ffn);
+        self.blocks.resize_with(m.blocks.len(), BlockSaves::default);
+        for b in &mut self.blocks {
+            size_buffers([
+                (&mut b.x, tokens * dim),
+                (&mut b.mid, tokens * dim),
+                (&mut b.h1, tokens * dim),
+                (&mut b.qkv, tokens * 3 * dim),
+                (&mut b.o, tokens * dim),
+                (&mut b.y1, tokens * dim),
+                (&mut b.h2, tokens * dim),
+                (&mut b.gu, tokens * 2 * ffn),
+                (&mut b.hid, tokens * ffn),
+                (&mut b.y2, tokens * dim),
+                (&mut b.ir1, tokens),
+                (&mut b.ir2, tokens),
+            ]);
+        }
+        let widest = m.store.iter().map(|(_, _, p)| p.len()).max().unwrap_or(0).max(dim * 3 * dim);
+        size_buffers([
+            (&mut self.out, tokens * cfg.channels),
+            (&mut self.dout, tokens * cfg.channels),
+            (&mut self.dx, tokens * dim),
+            (&mut self.dh, tokens * dim),
+            (&mut self.dn, tokens * dim),
+            (&mut self.dwin, tokens * dim),
+            (&mut self.d_o, tokens * dim),
+            (&mut self.dqkv, tokens * 3 * dim),
+            (&mut self.dhid, tokens * ffn),
+            (&mut self.dgu, tokens * 2 * ffn),
+            (&mut self.dw, widest),
+            (&mut self.dvecs, 6 * dim),
+            (&mut self.dmods, 6 * dim),
+            (&mut self.dcond, cfg.cond_dim),
+            (&mut self.dcond_b, cfg.cond_dim),
+            (&mut self.dtime, cfg.cond_dim),
+        ]);
+    }
+}
+
+/// The caller's gradient slots, filled as `Binding::accumulate_grads`
+/// fills them: a parameter's first contribution moves in, later ones add.
+struct Slots<'a> {
+    store: &'a ParamStore,
+    acc: &'a mut [Option<Tensor>],
+}
+
+impl Slots<'_> {
+    /// Parameter `id`'s gradient, written whole by `f` into a slice of its
+    /// size: straight into a new tensor when the slot is empty, else into
+    /// `dw` and added.
+    fn put(&mut self, id: ParamId, dw: &mut [f32], f: impl FnOnce(&mut [f32])) {
+        match &mut self.acc[id.0] {
+            Some(sum) => {
+                let g = &mut dw[..sum.len()];
+                f(g);
+                sweeps::add_assign(sum.data_mut(), g);
+            }
+            slot @ None => {
+                let mut g = Tensor::for_overwrite(self.store.get(id).shape());
+                f(g.data_mut());
+                *slot = Some(g);
+            }
+        }
+    }
+
+    /// Columns `c0..c0 + n` of `g` (rows of `width`), `n` the width of
+    /// parameter `id`: what the tape's `slice_cols` hands on.
+    fn add_cols(&mut self, id: ParamId, g: &[f32], width: usize, c0: usize) {
+        let n = self.store.get(id).shape()[1];
+        let cols = g.chunks_exact(width).map(|row| &row[c0..c0 + n]);
+        match &mut self.acc[id.0] {
+            Some(sum) => sum.data_mut().chunks_exact_mut(n).zip(cols).for_each(|(s, c)| sweeps::add_assign(s, c)),
+            slot @ None => *slot = Some(Tensor::from_vec(self.store.get(id).shape(), cols.flatten().copied().collect())),
+        }
+    }
+
+    /// A linear layer's parameter gradients for the upstream gradient `d`
+    /// at input `x`: the bias's row sum of `d` (when it has a bias) and the
+    /// weight's `xᵀ·d`, the tape's TN GEMM.
+    fn linear(&mut self, lin: &Linear, x: &[f32], d: &[f32], dw: &mut [f32]) {
+        if let Some(b) = lin.b {
+            self.put(b, dw, |db| {
+                db.fill(0.0);
+                sweeps::add_rows_backward(db, d);
+            });
+        }
+        let rows = d.len() / lin.out_dim;
+        self.put(lin.w, dw, |g| gemm(lin.in_dim, lin.out_dim, rows, x, true, d, false, g));
+    }
+}
+
+/// A linear layer's input gradient `d·Wᵀ`, the tape's NT GEMM.
+fn input_grad(store: &ParamStore, lin: &Linear, d: &[f32], dx: &mut [f32]) {
+    gemm(d.len() / lin.out_dim, lin.in_dim, lin.out_dim, d, false, store.get(lin.w).data(), true, dx);
+}
+
+impl AerisModel {
+    /// The training sibling of [`AerisModel::velocity`]: the same
+    /// evaluation, scored against `target` with the `weights`-weighted MSE
+    /// and differentiated, without a tape. The loss comes back; every
+    /// parameter's gradient is added into `acc` (one slot per parameter in
+    /// store order, `None` until first touched), so a batch is one call per
+    /// sample followed by [`aeris_nn::batch_mean`]. No randomness is drawn
+    /// here: callers keep their own `t` / noise streams. Bitwise equal to
+    /// the recording chain: [`AerisModel::forward`], `Tape::weighted_mse`,
+    /// `Tape::backward` and `Binding::accumulate_grads`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn loss_grads(
+        &self,
+        x_t: &Tensor,
+        x_prev: &Tensor,
+        forcings: &Tensor,
+        t: f32,
+        target: &Tensor,
+        weights: &Tensor,
+        acc: &mut [Option<Tensor>],
+    ) -> f64 {
+        let shape = [self.cfg.tokens(), self.cfg.channels];
+        assert!(target.shape() == shape && weights.shape() == shape, "target and weights must be [tokens, channels]");
+        assert_eq!(acc.len(), self.store.len(), "one gradient slot per parameter");
+        let parts = self.input_parts(x_t, x_prev, forcings);
+        ARENA.with_borrow_mut(|a| {
+            a.prepare(self);
+            self.run(parts, t, &mut a.scratch, &mut a.blocks, &mut a.out);
+            let loss = sweeps::weighted_mse_loss(&a.out, target.data(), weights.data());
+            self.backward(a, target.data(), weights.data(), &mut Slots { store: &self.store, acc });
+            loss as f64
+        })
+    }
+
+    /// The reverse sweep of the recording chain over `a`'s saves, seeded
+    /// with 1 at the loss.
+    fn backward(&self, a: &mut Arena, target: &[f32], weights: &[f32], slots: &mut Slots) {
+        let store = &self.store;
+        let Arena { scratch: s, out, dout, dx, dn, dw, .. } = a;
+        sweeps::weighted_mse_backward(dout, out, target, weights, 1.0);
+        slots.linear(&self.decode, &s.mid, dout, dw);
+        input_grad(store, &self.decode, dout, dn);
+        slots.put(self.out_norm.gamma, dw, |dg| {
+            dg.fill(0.0);
+            sweeps::rmsnorm_rows_backward(dx, dg, &s.x, dn, store.get(self.out_norm.gamma).data(), &s.inv_rms);
+        });
+        let mut plan = a.scratch.plan.take().expect("the forward keeps its plan");
+        plan.n_windows = self.geo.grid.count();
+        for (b, block) in self.blocks.iter().enumerate().rev() {
+            block.backward(store, self.geo.partition(block.shifted), &plan, a, b, slots);
+            if b + 1 == self.blocks.len() {
+                a.dcond.copy_from_slice(&a.dcond_b);
+            } else {
+                sweeps::add_assign(&mut a.dcond, &a.dcond_b);
+            }
+        }
+        a.scratch.plan = Some(plan);
+        let Arena { scratch: s, dx, dw, dcond, dtime, .. } = a;
+        // The embedding's input is a constant: no input gradient.
+        slots.linear(&self.embed, &s.input, dx, dw);
+        sweeps::silu_backward(dtime, &s.time, dcond);
+        slots.linear(&self.time_cond.proj, &s.feats, dtime, dw);
+    }
+}
+
+impl SwinBlock {
+    /// Block `b`'s backward over `a.blocks[b]`: `a.dx` holds its output's
+    /// gradient and leaves with its input's, and `a.dcond_b` with its
+    /// AdaLN head's part of `cond`'s.
+    fn backward(
+        &self,
+        store: &ParamStore,
+        (perm, inv): (&[usize], &[usize]),
+        plan: &WindowAttnPlan,
+        a: &mut Arena,
+        b: usize,
+        slots: &mut Slots,
+    ) {
+        let (dim, ffn) = (self.norm1.dim, self.mlp.ffn);
+        let Arena { scratch: s, blocks, dx, dh, dn, dwin, d_o, dqkv, dhid, dgu, dw, dvecs, dmods, dcond_b, .. } = a;
+        let sv = &blocks[b];
+        let BlockConsts { mods, scales: [scale1, scale2], w_qkv } = sv.consts.as_ref().expect("the pass keeps its constants");
+        let gate = |i: usize| &mods[i * dim..(i + 1) * dim];
+        dvecs.fill(0.0);
+        let mut d = dvecs.chunks_exact_mut(dim);
+        let [dshift1, dscale1, dgate1, dshift2, dscale2, dgate2]: [&mut [f32]; 6] =
+            std::array::from_fn(|_| d.next().expect("six modulation vectors"));
+
+        // MLP branch: the gated residual (its `d` moves on to `mid`), the
+        // down projection, SwiGLU, the gate-up projection and the norm.
+        sweeps::gated_residual_backward(dh, dgate2, dx, &sv.y2, gate(5));
+        input_grad(store, &self.mlp.w_down, dh, dhid);
+        slots.linear(&self.mlp.w_down, &sv.hid, dh, dw);
+        sweeps::swiglu_backward(dgu, &sv.gu, dhid, ffn);
+        input_grad(store, &self.mlp.w_in, dgu, dh);
+        slots.linear(&self.mlp.w_in, &sv.h2, dgu, dw);
+        let g2 = store.get(self.norm2.gamma).data();
+        slots.put(self.norm2.gamma, dw, |dg| {
+            dg.fill(0.0);
+            sweeps::modulated_rmsnorm_backward(dn, [dg, dscale2, dshift2], &sv.mid, dh, g2, scale2, &sv.ir2);
+        });
+        sweeps::add_assign(dx, dn);
+
+        // Attention branch: the gated residual, the merge gather's
+        // scatter-add into zeros (window order), the output projection, the
+        // core, the fused projection and the partition gather's scatter-add.
+        sweeps::gated_residual_backward(dh, dgate1, dx, &sv.y1, gate(2));
+        dwin.fill(0.0);
+        sweeps::gather_rows_backward(dwin, dh, inv, dim);
+        slots.linear(&self.attn.wo, &sv.o, dwin, dw);
+        input_grad(store, &self.attn.wo, dwin, d_o);
+        window_core_backward_into(Kernel::detected(), d_o, &sv.qkv, plan, dqkv);
+        // The fused projection's NT and TN GEMMs; `dwin` takes the windowed
+        // input's gradient.
+        let tokens = perm.len();
+        gemm(tokens, dim, 3 * dim, dqkv, false, w_qkv.data(), true, dwin);
+        let dw_qkv = &mut dw[..dim * 3 * dim];
+        gemm(dim, 3 * dim, tokens, &sv.h1, true, dqkv, false, dw_qkv);
+        for (i, w) in [self.attn.wq.w, self.attn.wk.w, self.attn.wv.w].into_iter().enumerate() {
+            slots.add_cols(w, dw_qkv, 3 * dim, i * dim);
+        }
+        dh.fill(0.0);
+        sweeps::gather_rows_backward(dh, dwin, perm, dim);
+        let g1 = store.get(self.norm1.gamma).data();
+        slots.put(self.norm1.gamma, dw, |dg| {
+            dg.fill(0.0);
+            sweeps::modulated_rmsnorm_backward(dn, [dg, dscale1, dshift1], &sv.x, dh, g1, scale1, &sv.ir1);
+        });
+        sweeps::add_assign(dx, dn);
+
+        // The AdaLN head: its six one-row gathers scatter-add into zeros.
+        dmods.fill(0.0);
+        for (i, dv) in dvecs.chunks_exact(dim).enumerate() {
+            sweeps::gather_rows_backward(dmods, dv, &[i], dim);
+        }
+        slots.linear(&self.adaln.head, &s.cond, dmods, dw);
+        input_grad(store, &self.adaln.head, dmods, dcond_b);
+    }
+}

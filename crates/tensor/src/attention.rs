@@ -1012,11 +1012,22 @@ pub fn window_core_backward_on(kernel: Kernel, d_o: &Tensor, qkv: &Tensor, plan:
     assert_eq!(qkv.shape(), &[tokens, 3 * dim], "window_core_backward input shape");
     assert_eq!(d_o.shape(), &[tokens, dim], "window_core_backward gradient shape");
     let mut dqkv = Tensor::for_overwrite(&[tokens, 3 * dim]);
+    window_core_backward_into(kernel, d_o.data(), qkv.data(), plan, dqkv.data_mut());
+    dqkv
+}
+
+/// [`window_core_backward_on`] on row-major slices: `d_o: [tokens, dim]` and
+/// `qkv: [tokens, 3·dim]` in, every element of `dqkv: [tokens, 3·dim]`
+/// written.
+pub fn window_core_backward_into(kernel: Kernel, d_o: &[f32], qkv: &[f32], plan: &WindowAttnPlan, dqkv: &mut [f32]) {
+    let (tokens, dim) = (plan.tokens(), plan.dim());
+    assert_eq!(qkv.len(), tokens * 3 * dim, "window_core_backward input length");
+    assert_eq!(d_o.len(), tokens * dim, "window_core_backward gradient length");
+    assert_eq!(dqkv.len(), tokens * 3 * dim, "window_core_backward output length");
     TILES.with_borrow_mut(|s| {
         s.prepare(plan, true);
-        backward_windows(kernel, d_o.data(), qkv.data(), plan, dqkv.data_mut(), s);
+        backward_windows(kernel, d_o, qkv, plan, dqkv, s);
     });
-    dqkv
 }
 
 #[cfg(test)]

@@ -398,6 +398,83 @@ dispatched!(
     }
 );
 
+// The tape's other backward loops, one definition each: the tape ops of
+// `aeris-autodiff` and the model's training backward both call them. An
+// accumulator (`+=`) starts from whatever the caller put there; the tape
+// starts it from zeros.
+
+/// SiLU backward: `dx = d · (σ · (1 + x · (1 − σ)))`, `σ = σ(x)` of
+/// [`sigmoid`], written into `dx` first.
+pub fn silu_backward(dx: &mut [f32], x: &[f32], d: &[f32]) {
+    assert_eq!(d.len(), x.len(), "silu_backward gradient length");
+    sigmoid(dx, x);
+    for ((o, &x), &g) in dx.iter_mut().zip(x).zip(d) {
+        let s = *o;
+        *o = g * (s * (1.0 + x * (1.0 - s)));
+    }
+}
+
+/// Backward of [`rmsnorm_rows`] over rows of `dim = g.len()`, with
+/// `r = inv_rms[row]`: writes `dx = γ·d·r − x·(Σ γ·d·x)·r³/dim`, the sum by
+/// [`dot3`], and accumulates, row by row in ascending order, `dg += d·x·r`.
+pub fn rmsnorm_rows_backward(dx: &mut [f32], dg: &mut [f32], x: &[f32], d: &[f32], g: &[f32], inv_rms: &[f32]) {
+    let dim = g.len();
+    let dg = &mut dg[..dim];
+    assert_eq!(x.len(), inv_rms.len() * dim, "rmsnorm_rows_backward input length");
+    assert!(d.len() == x.len() && dx.len() == x.len(), "rmsnorm_rows_backward gradient length");
+    let rows = x.chunks_exact(dim).zip(d.chunks_exact(dim));
+    for (((xr, dr), dxr), &ir) in rows.zip(dx.chunks_exact_mut(dim)).zip(inv_rms) {
+        let s = dot3(g, dr, xr); // Σ γ_j d_j x_j
+        let coef = s * ir * ir * ir / dim as f32;
+        for j in 0..dim {
+            dxr[j] = g[j] * dr[j] * ir - xr[j] * coef;
+            dg[j] += dr[j] * xr[j] * ir;
+        }
+    }
+}
+
+/// Backward of [`add_rows`] for the broadcast vector: adds every row of
+/// `d` (rows of `dv.len()`) into `dv`, in ascending row order.
+pub fn add_rows_backward(dv: &mut [f32], d: &[f32]) {
+    assert!(!dv.is_empty() && d.len().is_multiple_of(dv.len()), "add_rows_backward row width");
+    for row in d.chunks_exact(dv.len()) {
+        add_assign(dv, row);
+    }
+}
+
+/// Backward of a row gather `y[i] = x[idx[i]]` over rows of `cols`: adds
+/// row `i` of `d` into row `idx[i]` of `dx`, in ascending `i`. Into zeros
+/// this turns a `−0.0` of `d` into `+0.0`.
+pub fn gather_rows_backward(dx: &mut [f32], d: &[f32], idx: &[usize], cols: usize) {
+    assert_eq!(d.len(), idx.len() * cols, "gather_rows_backward gradient length");
+    for (dr, &src) in d.chunks_exact(cols.max(1)).zip(idx) {
+        add_assign(&mut dx[src * cols..(src + 1) * cols], dr);
+    }
+}
+
+/// The weighted squared-error loss `Σ w·(p − t)² / n`, `n = pred.len()`:
+/// each term rounded in f32, summed in f64 in order.
+pub fn weighted_mse_loss(pred: &[f32], target: &[f32], weights: &[f32]) -> f32 {
+    assert!(pred.len() == target.len() && pred.len() == weights.len(), "weighted_mse_loss length mismatch");
+    let mut acc = 0.0f64;
+    for ((&p, &t), &w) in pred.iter().zip(target).zip(weights) {
+        let d = p - t;
+        acc += (w * d * d) as f64;
+    }
+    (acc / pred.len() as f32 as f64) as f32
+}
+
+/// Backward of [`weighted_mse_loss`] for an upstream gradient `d`:
+/// `grad = g0 · w · (p − t)` with `g0 = d · 2 / n`.
+pub fn weighted_mse_backward(grad: &mut [f32], pred: &[f32], target: &[f32], weights: &[f32], d: f32) {
+    assert!(pred.len() == target.len() && pred.len() == weights.len(), "weighted_mse_backward length mismatch");
+    assert_eq!(grad.len(), pred.len(), "weighted_mse_backward output length");
+    let g0 = d * 2.0 / pred.len() as f32;
+    for (((o, &p), &t), &w) in grad.iter_mut().zip(pred).zip(target).zip(weights) {
+        *o = g0 * w * (p - t);
+    }
+}
+
 /// Softmax numerator sweep: `dst[i] = exp(src[i] - shift)` through [`exp`],
 /// returning the sum of all numerators. The sum accumulates into `W` lanes
 /// combined in a fixed order (tail first, then lanes 0..W), identical across
@@ -1265,6 +1342,16 @@ mod tests {
             assert!(if g.is_nan() { s.is_nan() } else { (0.0..=1.0).contains(s) }, "sigmoid({g}) = {s}");
         }
         assert_eq!(s[g.iter().position(|&v| v == 0.0).expect("awkward has a zero")], 0.5);
+    }
+
+    /// A scatter-add into zeros turns `−0.0` into `+0.0`, as the tape's row
+    /// gather backward always has; the training backward runs this fn where
+    /// the tape gathers.
+    #[test]
+    fn gather_rows_backward_into_zeros_turns_negative_zero_positive() {
+        let mut dx = vec![0.0f32; 6];
+        gather_rows_backward(&mut dx, &[-0.0, 1.0, -2.0, -0.0], &[2, 0], 2);
+        assert_eq!(bits(&dx), bits(&[-2.0, 0.0, 0.0, 0.0, 0.0, 1.0]));
     }
 
     #[test]

@@ -1,35 +1,27 @@
 //! One toy48 layer at a time, each timed alone on the calling thread: the
 //! minimum and the median of one call over N calls.
 //!
-//! - **GEMMs.** Every GEMM shape of one `toy48` training step: the six token
-//!   projections (QKV, attention out, SwiGLU up / down, embed, decode) over
-//!   the 512 tokens of one sample, and the two one-row projections of the
-//!   conditioning vector (the time conditioner `[32, 48]` and a block's
-//!   AdaLN head `[48, 288]`), each in its three layouts — NN forward `X·W`,
-//!   NT input gradient `dY·Wᵀ`, TN weight gradient `Xᵀ·dY` (k = 1 for the
-//!   one-row projections) — through `gemm_on` on every build the CPU
-//!   supports (the portable one over N / 100 calls: on x86-64 its
-//!   `mul_add` is a libm `fmaf` call, ≈ 100× slower), with GFLOP/s at the
-//!   minimum and the summed minimum per layout and build, the table
-//!   DESIGN.md "Tensor backend" quotes.
+//! - **GEMMs.** Every GEMM shape of one `toy48` training step — the six
+//!   token projections (QKV, attention out, SwiGLU up / down, embed,
+//!   decode) over one sample's 512 tokens and the one-row time conditioner
+//!   `[32, 48]` and AdaLN head `[48, 288]` — in its three layouts (NN
+//!   `X·W`, NT `dY·Wᵀ`, TN `Xᵀ·dY`) through `gemm_on` on every build the CPU
+//!   supports (the portable one over N / 100 calls: its `mul_add` is a libm
+//!   `fmaf` call on x86-64), with GFLOP/s and the summed minimum per layout
+//!   and build, the table DESIGN.md "Tensor backend" quotes.
 //! - **Attention core.** `window_core` and `window_core_backward` at toy48's
-//!   geometry (32 windows of 16 tokens, 4 heads of 12), on every build the
-//!   CPU supports.
+//!   geometry (32 windows of 16 tokens, 4 heads of 12), on every build.
 //! - **Sweeps.** Every `dispatched!` loop of `aeris_tensor::sweeps` over one
-//!   sample (512 token rows of the width it runs at in toy48; the gathers
-//!   and scatters through the window partition), on every build the CPU
-//!   supports. `exp` works in place, so its row includes copying its input
-//!   in.
-//! - **Gaussian draws.** One sample's `[512, 20]` state drawn by
-//!   `Rng::normal` one draw at a time (scalar libm Box–Muller), then by
-//!   `Rng::fill_normal` on every build the CPU supports.
-//! - **Model.** `AerisModel::velocity` (N / 4 calls), the step's closing
-//!   `forecast::add_residual` (a plain sweep, built for the baseline
-//!   target), one `TrigFlow::churn` of the state, a quality-tier
-//!   `Forecaster::forecast_step` (6 second-order solver steps, 12 velocity
-//!   evaluations, 5 churns; N / 20 calls) of the benchmark's toy48 model,
-//!   and the sampler's own time: the step's minimum minus 12 ×
-//!   `velocity`'s.
+//!   sample's rows at their toy48 width (the gathers and scatters through
+//!   the window partition), on every build; `exp`'s row copies its input in.
+//! - **Gaussian draws.** One sample's `[512, 20]` state by `Rng::normal`,
+//!   one libm draw at a time, then by `Rng::fill_normal` on every build.
+//! - **Model.** `AerisModel::velocity`, `AerisModel::loss_grads` and the
+//!   recording chain it equals (tape forward, `weighted_mse`, backward; each
+//!   N / 4 calls), the step's closing `forecast::add_residual`, one
+//!   `TrigFlow::churn`, a quality-tier `Forecaster::forecast_step` (12
+//!   velocity evaluations, 5 churns; N / 20 calls), and the sampler's own
+//!   time: the step's minimum minus 12 × `velocity`'s.
 //!
 //! A row's level carries a ±25 % term from the binary's code layout: one
 //! change to an unrelated fn can move a row it does not touch by that much.
@@ -40,11 +32,13 @@
 //! cargo run --release --example layer_probe [calls]   # N, default 1500
 //! ```
 
+use aeris::autodiff::Tape;
 use aeris::core::forecast::add_residual;
 use aeris::core::{AerisConfig, AerisModel, Forecaster};
 use aeris::diffusion::{SamplerConfig, TrigFlow, TrigFlowSampler};
 use aeris::earthsim::NormStats;
 use aeris::nn::window::WindowGrid;
+use aeris::nn::Binding;
 use aeris::tensor::attention::{window_core_backward_on, window_core_on, WindowAttnPlan};
 use aeris::tensor::dispatch::Kernel;
 use aeris::tensor::gemm::gemm_on;
@@ -228,6 +222,18 @@ fn main() {
     let n = calls / 4;
     let velocity = min_median_us(n, || model.velocity(&x_t, &x_prev, &forcings, 0.7));
     println!("{:<26} {n:>16} {:>9.1} {:>9.1} {:>8}", "velocity", velocity.0, velocity.1, detected);
+    // One sample's gradients: `loss_grads`, then the recording chain it equals.
+    let (target, w, mut acc) = (Tensor::randn(&[tokens, channels], &mut rng), Tensor::ones(&[tokens, channels]), vec![None; model.store.len()]);
+    let (us, med) = min_median_us(n, || model.loss_grads(&x_t, &x_prev, &forcings, 0.7, &target, &w, &mut acc));
+    println!("{:<26} {n:>16} {us:>9.1} {med:>9.1} {:>8}", "loss_grads", detected);
+    let (us, med) = min_median_us(n, || {
+        let (mut tape, mut binding) = (Tape::new(), Binding::new(&model.store));
+        let iv = tape.constant(model.assemble_input(&x_t, &x_prev, &forcings));
+        let out = model.forward(&mut tape, &mut binding, iv, 0.7);
+        let loss = tape.weighted_mse(out, &target, &w);
+        binding.accumulate_grads(&mut tape.backward(loss), &mut acc);
+    });
+    println!("{:<26} {n:>16} {us:>9.1} {med:>9.1} {:>8}", "recording chain", detected);
     let stats = NormStats { mean: vec![0.0; channels], std: vec![1.0; channels] };
     let (us, med) = min_median_us(calls, || add_residual(&x_prev, &x_t, &stats));
     println!("{:<26} {calls:>16} {us:>9.1} {med:>9.1} {:>8}", "add_residual", "plain");

@@ -2,12 +2,12 @@
 # Surface scan (plain grep/awk). Prints, for the non-test code of the workspace:
 #   (i)  every `Tape::new()` and every `weighted_mse(` call site outside
 #        `#[cfg(test)]` items, `tests/` and `benchmark/` — the places a tape
-#        is built around the model. Expected: `AerisModel::loss_grads`
-#        (crates/core/src/model.rs, with its `weighted_mse(`) and the three
-#        SWiPe block-stage sites of crates/swipe/src/stage.rs (one with its
-#        `weighted_mse(`). Inference builds no tape (`AerisModel::velocity`
-#        runs its own block pass), so a tape anywhere else is an inference
-#        path keeping a backward it never runs, or a re-spelled `loss_grads`;
+#        is built around the model. Expected: the three SWiPe block-stage
+#        sites of crates/swipe/src/stage.rs (one with its `weighted_mse(`)
+#        and the recording-chain row of examples/layer_probe.rs. Neither
+#        `velocity` nor `loss_grads` records (both run `SwinBlock::pass`),
+#        so a tape anywhere else — in crates/core/src above all — is a
+#        path keeping a tape the executor replaced;
 #   (ii) every `pub fn` under crates/*/src whose name occurs nowhere but in
 #        `fn` definitions in non-test code (crates, examples, src) or anywhere
 #        in benchmark/src,
@@ -27,17 +27,10 @@
 #        `dispatched!(` loop that macro builds. Expected: the one detector
 #        (`Kernel::detected`) and the one `dispatched!` macro of
 #        crates/tensor/src/dispatch.rs, and the macro's fifteen invocations
-#        (DISPATCHED below) — the GEMM's row block (`compute_block`) in
-#        crates/tensor/src/gemm.rs, in sweeps.rs the `exp` family
-#        (`exp`, `sigmoid`, `silu`, `swiglu`), the Swin block's forward
-#        row-block kernels (`rmsnorm_rows`, `modulated_rmsnorm_rows`,
-#        `gated_residual`, `add_rows`), the
-#        backwards of the three fused block ops (`swiglu_backward`,
-#        `modulated_rmsnorm_backward`, `gated_residual_backward`) and the
-#        f64 Box–Muller lanes of `Rng::fill_normal` (`box_muller`), each named
-#        by its kernel-taking `*_on` entry; the window-attention core's
-#        forward and backward loops in
-#        crates/tensor/src/attention.rs — the hand-written `avx512f` builds
+#        (DISPATCHED below, each named by its kernel-taking `*_on` entry:
+#        the GEMM's row block, the row sweeps and Gaussian lanes of
+#        sweeps.rs, the window-attention core's two loops in
+#        crates/tensor/src/attention.rs) — the hand-written `avx512f` builds
 #        of the GEMM and of that core, admitted fn by fn (INTRINSIC_FNS
 #        below: their `#[target_feature]` lines and the unaligned, aligned
 #        and masked loads and stores), and the one foreign call of
@@ -45,27 +38,20 @@
 #        minor faults and voluntary context switches, exited threads
 #        included; no /proc file holds the switches); every other crate root (aeris-autodiff included) says
 #        `#![forbid(unsafe_code)]` (not listed);
-#   (v)  every contracted multiply-add call in the same non-test code —
-#        `mul_add(`, a libm `fma(` / `fmaf(`, and every x86 intrinsic of the
-#        `_fmadd_` / `_fmsub_` / `_fnmadd_` / `_fnmsub_` / `_fmaddsub_` /
-#        `_fmsubadd_` families — the only places a multiply-add may be
-#        contracted. Expected: exactly the
-#        two tile lines of crates/tensor/src/gemm.rs (the 4 × 16 body's
-#        `mul_add`, the AVX-512 tile's `_mm512_fmadd_ps`); a hit anywhere else
-#        is a result that depends on how the compiler or the CPU fuses (a
-#        RoPE `x0·c − x1·s` written as one `_fmsub_` is such a hit);
+#   (v)  every contracted multiply-add call in the same non-test code
+#        (`mul_add(`, libm `fma(` / `fmaf(`, the x86 `_fmadd_` / `_fmsub_` /
+#        `_fnmadd_` / `_fnmsub_` / `_fmaddsub_` / `_fmsubadd_` intrinsics).
+#        Expected: exactly the two tile lines of crates/tensor/src/gemm.rs
+#        (the 4 × 16 body's `mul_add`, the AVX-512 tile's `_mm512_fmadd_ps`);
+#        a hit anywhere else is a result that depends on how the compiler
+#        or the CPU fuses;
 #   (vi) every `from_le_bytes(` / `get_*_le(` byte-decoding site in the
-#        non-test code of crates/*/src, examples and src — the workspace's
-#        byte-format parsers. Expected: lines of crates/nn/src/checkpoint.rs
-#        (the one checkpoint decoder) only; anything else is a second
-#        hand-rolled format that the checkpoint entry list should carry.
-#        Then every call of the checkpoint file's writer and reader
-#        (`save_entries(`, `write_entries(`, `load_entries(`,
-#        `Entries::load(`) in the same code outside their own module
-#        crates/nn/src/checkpoint.rs. Expected: lines of crates/swipe/src
-#        only — SWiPe's step checkpoint (`Rank::save_checkpoint` writes it,
-#        `load_resume_state` reads it) is the one file the workspace writes
-#        or reads; a call anywhere else is a second file layout beside it;
+#        non-test code of crates/*/src, examples and src. Expected: lines of
+#        crates/nn/src/checkpoint.rs (the one decoder) only. Then every call
+#        of the checkpoint writer and reader (`save_entries(`,
+#        `write_entries(`, `load_entries(`, `Entries::load(`) outside that
+#        file. Expected: lines of crates/swipe/src only — SWiPe's step
+#        checkpoint is the one file the workspace writes or reads;
 #   (vii) every `thread::spawn` / `thread::scope` / `thread::Builder` site in
 #        the non-test code of crates, shims, examples and src — the places a
 #        thread is made. Expected: the serve lane workers of
@@ -76,7 +62,8 @@
 # Crude on purpose: names are matched as words, so a used fn hides an unused
 # one of the same name, and a name used only in a doc comment counts as unused.
 #
-# `--check` makes the scan a gate: it exits non-zero when (ii) prints a name
+# `--check` makes the scan a gate: it exits non-zero when (i) prints a site
+# outside stage.rs and layer_probe.rs, when (ii) prints a name
 # that KEPT does not list (or KEPT lists a name (ii) no longer prints), when
 # (iv) prints a site outside the detector and the `dispatched!` macro body
 # of crates/tensor/src/dispatch.rs, the INTRINSIC_FNS fns and the
@@ -236,9 +223,13 @@ sources() {
 }
 
 echo "== (i) tapes built and losses scored outside test code =="
-strip_tests $(sources crates/*/src examples src) \
-    | grep -E 'Tape::new\(\)|weighted_mse\(' \
-    | grep -v 'fn weighted_mse' || true
+tapes=$(strip_tests $(sources crates/*/src examples src) \
+    | grep -E 'Tape::new\(\)|weighted_mse\(' | grep -v 'fn weighted_mse' || true)
+[ -z "$tapes" ] || echo "$tapes"
+i_failed=0
+if printf '%s\n' "$tapes" | grep -v '^$' | grep -qvE '^(crates/swipe/src/stage|examples/layer_probe)\.rs:'; then
+    i_failed=1
+fi
 
 echo
 echo "== (ii) pub fns named nowhere else in non-test code =="
@@ -403,12 +394,13 @@ strip_tests $(sources crates/*/src shims/*/src examples src) \
 
 if [ "$check" = 1 ]; then
     echo
-    if [ "$ii_failed" = 1 ] || [ "$iv_failed" = 1 ] || [ "$v_failed" = 1 ] || [ "$vi_failed" = 1 ]; then
+    if [ "$i_failed" = 1 ] || [ "$ii_failed" = 1 ] || [ "$iv_failed" = 1 ] || [ "$v_failed" = 1 ] || [ "$vi_failed" = 1 ]; then
+        [ "$i_failed" = 0 ] || echo "check FAILED: (i) prints a tape or loss outside crates/swipe/src/stage.rs and examples/layer_probe.rs" >&2
         [ "$ii_failed" = 0 ] || echo "check FAILED: (ii) prints a name without a reason in KEPT, or KEPT is stale" >&2
         [ "$iv_failed" = 0 ] || echo "check FAILED: (iv) prints a site outside the detector, the dispatched! macro, the INTRINSIC_FNS fns and getrusage, or a dispatched!( invocation DISPATCHED does not list (or DISPATCHED or INTRINSIC_FNS is stale)" >&2
         [ "$v_failed" = 0 ] || echo "check FAILED: (v) prints a multiply-add other than the GEMM's two tile lines" >&2
         [ "$vi_failed" = 0 ] || echo "check FAILED: (vi) prints a decoder outside crates/nn/src/checkpoint.rs, or a checkpoint writer or reader outside crates/swipe/src" >&2
         exit 1
     fi
-    echo "check passed: every (ii) name has a reason; (iv) only the detector, the dispatched! macro, the DISPATCHED loops, the INTRINSIC_FNS fns and getrusage; (v) only the GEMM's two tile lines; (vi) is the checkpoint decoder only, its writer and reader called from crates/swipe/src only"
+    echo "check passed: (i) only the SWiPe stage and the probe; every (ii) name has a reason; (iv) only the detector, the dispatched! macro, the DISPATCHED loops, the INTRINSIC_FNS fns and getrusage; (v) only the GEMM's two tile lines; (vi) is the checkpoint decoder only, its writer and reader called from crates/swipe/src only"
 fi
