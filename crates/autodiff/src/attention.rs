@@ -7,16 +7,17 @@
 //! chain with **one** node: one `[tokens, dim] × [dim, 3·dim]` projection GEMM
 //! over the per-call concatenation `Wq | Wk | Wv`, the attention core, the
 //! output GEMM, and an analytic backward. The concatenation gives the core
-//! `Q | K | V` as the one row-major matrix it reads (the layout SWiPe's block
-//! stage hands it too), and makes the input gradient one
+//! `Q | K | V` as the one row-major matrix it reads, and makes the input gradient one
 //! `dQKV · (Wq | Wk | Wv)ᵀ` GEMM rather than three products and two sums.
 //!
 //! There is one attention core — `aeris_tensor::attention::window_core`
 //! forward, `window_core_backward` backward, each the only copy of its window
-//! loop — and two ops that record it: `window_attention` with the projection
-//! GEMMs around it (the single-rank block), and [`Tape::window_attention_core`]
-//! without them (SWiPe's block stage, whose Ulysses all-to-alls sit between
-//! the projections and the core, over the rank's local heads).
+//! loop — and one op that records it, `window_attention`, with the
+//! projection GEMMs around it. The tape-free block (`aeris_core`'s
+//! `SwinBlock::pass` and its backward, which SWiPe's block stage runs with
+//! its Ulysses all-to-alls around the core) calls the same two functions; a
+//! test-only op, `window_attention_core`, records the core alone for the
+//! oracles below.
 //!
 //! # Query-lane core
 //!
@@ -130,17 +131,19 @@ impl Tape {
             true,
         )
     }
+}
 
-    /// The attention core of [`Tape::window_attention`] on its own, for
-    /// callers that place the projections elsewhere (SWiPe's block stage
-    /// exchanges head blocks between them): `qkv` is the window-major
-    /// `[n_windows · window_len, 3 · dim]` matrix `Q | K | V` with
-    /// `dim = plan.dim()`, the result the `[n_windows · window_len, dim]`
-    /// context `O`. **One** node; only `O` is retained, and the backward reads
-    /// `qkv` from its parent. The same two functions `window_attention` runs
-    /// between its GEMMs, so `matmul(core(matmul(x, Wq|Wk|Wv)), Wo)` equals it
-    /// bitwise in value and gradients.
-    pub fn window_attention_core(&mut self, qkv: Var, plan: &WindowAttnPlan) -> Var {
+#[cfg(test)]
+impl Tape {
+    /// The attention core of [`Tape::window_attention`] on its own:
+    /// `qkv` is the window-major `[n_windows · window_len, 3 · dim]` matrix
+    /// `Q | K | V` with `dim = plan.dim()`, the result the
+    /// `[n_windows · window_len, dim]` context `O`. **One** node; only `O` is
+    /// retained, and the backward reads `qkv` from its parent. The same two
+    /// functions `window_attention` runs between its GEMMs, so
+    /// `matmul(core(matmul(x, Wq|Wk|Wv)), Wo)` equals it bitwise in value and
+    /// gradients.
+    pub(crate) fn window_attention_core(&mut self, qkv: Var, plan: &WindowAttnPlan) -> Var {
         assert_eq!(
             self.value(qkv).shape(),
             &[plan.tokens(), 3 * plan.dim()],

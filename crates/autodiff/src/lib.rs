@@ -1,23 +1,21 @@
 //! Tape-based reverse-mode automatic differentiation over `aeris-tensor`.
 //!
-//! Each training rank (and each pipeline microbatch) builds its own [`Tape`];
-//! tapes are cheap, single-threaded, and dropped after the backward pass, which
-//! mirrors how activation memory behaves in the real system (and makes the
-//! SWiPe activation-memory accounting in `aeris-swipe` meaningful).
+//! A [`Tape`] is cheap, single-threaded, and dropped after the backward
+//! pass.
 //!
 //! The op vocabulary is exactly what a pixel-level Swin diffusion transformer
 //! needs: matmul (plus the `A·Bᵀ` variant used for attention scores), row-wise
 //! softmax / RMSNorm, SiLU, elementwise arithmetic, column/row split-concat
 //! (heads, SwiGLU), row gathers (window partition / shift / rolls), RoPE
 //! rotations, and row-broadcast affine modulation (AdaLN) — plus the fused
-//! forms the model actually records: windowed attention (`attention`) and the
+//! forms `AerisModel::forward` records: windowed attention (`attention`) and the
 //! block's norm-modulate / SwiGLU / gated-residual chains (`fused`).
 //!
-//! The tape has one reverse loop, [`Tape::sweep`]. [`Tape::backward`] and
-//! [`Tape::backward_from`] seed cotangents and sweep the whole tape; a
-//! distributed pipeline stage sweeps in parts instead, seeding the cotangents
-//! other ranks send back between them ([`Tape::grads`], [`Tape::seed`]), so
-//! each node's backward still runs once.
+//! No model path records a tape any more: inference and training run the
+//! hand-written executor of `aeris-core` (`SwinBlock::pass` and its
+//! backward), on one process and in SWiPe's stages alike. The tape is the
+//! gradient oracle those are tested against bit for bit, and the benchmark's
+//! replay. [`Tape::backward`] is its one reverse sweep.
 //!
 //! Every op's backward is verified against central finite differences in the
 //! `grad` test module and property tests.

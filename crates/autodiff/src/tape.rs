@@ -43,13 +43,9 @@ impl Node {
     }
 }
 
-/// Gradients produced by [`Tape::backward`], and the accumulator of a
-/// resumable reverse sweep ([`Tape::grads`], [`Tape::seed`], [`Tape::sweep`]).
+/// Gradients produced by [`Tape::backward`].
 pub struct Grads {
     grads: Vec<Option<Tensor>>,
-    /// Nodes at or above this index have been swept: their cotangents went
-    /// to their parents (a leaf keeps its own).
-    unswept: usize,
 }
 
 impl Grads {
@@ -313,28 +309,6 @@ impl Tape {
         )
     }
 
-    /// Rows `[r0, r1)` of a 2-D tensor. Unlike [`Tape::gather_rows`] with a
-    /// consecutive index vector, this is a contiguous memcpy forward and a
-    /// single `copy_from_slice` into a zero buffer backward — no index vector,
-    /// no per-row scatter-add.
-    pub fn slice_rows(&mut self, a: Var, r0: usize, r1: usize) -> Var {
-        let av = self.value(a);
-        assert_eq!(av.ndim(), 2);
-        let (rows, cols) = (av.shape()[0], av.shape()[1]);
-        assert!(r0 <= r1 && r1 <= rows, "row slice [{r0}, {r1}) out of bounds ({rows})");
-        let value = av.slice_rows(r0, r1);
-        self.push(
-            value,
-            vec![a.0],
-            Some(Box::new(move |d, _| {
-                let mut dx = Tensor::zeros(&[rows, cols]);
-                dx.data_mut()[r0 * cols..r1 * cols].copy_from_slice(d.data());
-                vec![dx]
-            })),
-            true,
-        )
-    }
-
     /// Concatenate 2-D tensors along columns.
     pub fn concat_cols(&mut self, parts: &[Var]) -> Var {
         let tensors: Vec<&Tensor> = parts.iter().map(|&v| self.value(v)).collect();
@@ -350,28 +324,6 @@ impl Tape {
                 for &w in &widths {
                     out.push(d.slice_cols(c0, c0 + w));
                     c0 += w;
-                }
-                out
-            })),
-            true,
-        )
-    }
-
-    /// Concatenate 2-D tensors along rows.
-    pub fn concat_rows(&mut self, parts: &[Var]) -> Var {
-        let tensors: Vec<&Tensor> = parts.iter().map(|&v| self.value(v)).collect();
-        let heights: Vec<usize> = tensors.iter().map(|t| t.shape()[0]).collect();
-        let value = Tensor::concat_rows(&tensors);
-        let parents: Vec<usize> = parts.iter().map(|v| v.0).collect();
-        self.push(
-            value,
-            parents,
-            Some(Box::new(move |d, _| {
-                let mut out = Vec::with_capacity(heights.len());
-                let mut r0 = 0;
-                for &h in &heights {
-                    out.push(d.slice_rows(r0, r0 + h));
-                    r0 += h;
                 }
                 out
             })),
@@ -515,66 +467,24 @@ impl Tape {
         self.backward_from(&[(loss, seed)])
     }
 
-    /// Generalized backward pass (vector–Jacobian product) seeded with
-    /// explicit cotangents at arbitrary vars: seed them all, then sweep the
-    /// whole tape.
-    pub fn backward_from(&mut self, seeds: &[(Var, Tensor)]) -> Grads {
-        let mut grads = self.grads();
-        for (var, seed) in seeds {
-            self.seed(&mut grads, *var, seed.clone());
-        }
-        self.sweep(&mut grads, &[]);
-        grads
-    }
-
-    /// An empty accumulator for a reverse sweep over this tape, nothing yet
-    /// swept.
-    ///
-    /// A backward can run in stages: [`Tape::seed`] cotangents,
-    /// [`Tape::sweep`] down to some vars, seed more there, sweep on. This is
-    /// the primitive the distributed runtime uses: a value shipped to another
-    /// rank during the forward gets its cotangent back only after the sweep
-    /// has produced what that rank needs to compute it. Every node's backward
-    /// still runs once.
-    pub fn grads(&self) -> Grads {
-        Grads { grads: vec![None; self.nodes.len()], unswept: self.nodes.len() }
-    }
-
-    /// Add `cotangent` to the gradient accumulated at `var`. Panics if the
-    /// shape differs from the var's value, or if a sweep has already passed
-    /// `var` (the cotangent would never reach its parents).
-    pub fn seed(&self, grads: &mut Grads, var: Var, cotangent: Tensor) {
-        assert_eq!(
-            cotangent.shape(),
-            self.value(var).shape(),
-            "seed shape mismatch for var {}",
-            var.0
-        );
-        assert!(
-            var.0 < grads.unswept,
-            "cotangent seeded at var {} after the sweep passed it (swept down to {})",
-            var.0,
-            grads.unswept
-        );
-        match &mut grads.grads[var.0] {
-            Some(acc) => acc.add_assign(&cotangent),
-            slot @ None => *slot = Some(cotangent),
-        }
-    }
-
-    /// Reverse sweep over the nodes not yet swept that were recorded after
-    /// every var of `after` (the whole rest of the tape when `after` is
-    /// empty): each passes its accumulated cotangent to its parents, and a
-    /// differentiable leaf keeps it. The vars of `after` stay unswept, so
-    /// they can still be seeded.
-    // Inlined into its callers: an out-of-line sweep measured the single-process
-    // training step 2–4 % slower (most likely code layout).
+    /// The reverse sweep seeded with explicit cotangents at `seeds` (a
+    /// vector–Jacobian product): each node, last to first, passes its
+    /// accumulated cotangent to its parents, and a differentiable leaf keeps
+    /// it.
+    // Inlined into `backward`: an out-of-line sweep measured the
+    // single-process training step 2–4 % slower (most likely code layout).
     #[inline]
-    pub fn sweep(&self, grads: &mut Grads, after: &[Var]) {
-        assert_eq!(grads.grads.len(), self.nodes.len(), "accumulator from another tape");
-        let stop = after.iter().map(|v| v.0 + 1).max().unwrap_or(0);
-        for i in (stop..grads.unswept).rev() {
-            let Some(dout) = grads.grads[i].take() else { continue };
+    fn backward_from(&self, seeds: &[(Var, Tensor)]) -> Grads {
+        let mut grads: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
+        for (var, seed) in seeds {
+            assert_eq!(seed.shape(), self.value(*var).shape(), "seed shape mismatch for var {}", var.0);
+            match &mut grads[var.0] {
+                Some(acc) => acc.add_assign(seed),
+                slot @ None => *slot = Some(seed.clone()),
+            }
+        }
+        for i in (0..self.nodes.len()).rev() {
+            let Some(dout) = grads[i].take() else { continue };
             let node = &self.nodes[i];
             if let Some(back) = &node.backward {
                 let parent_grads = back(dout, &self.nodes);
@@ -583,16 +493,16 @@ impl Tape {
                     if !self.nodes[p].takes_grad() {
                         continue; // constant leaf: skip accumulation
                     }
-                    match &mut grads.grads[p] {
+                    match &mut grads[p] {
                         Some(acc) => acc.add_assign(&g),
                         slot @ None => *slot = Some(g),
                     }
                 }
             } else if node.requires_grad {
-                grads.grads[i] = Some(dout); // keep leaf gradient
+                grads[i] = Some(dout); // keep leaf gradient
             }
         }
-        grads.unswept = grads.unswept.min(stop);
+        Grads { grads }
     }
 }
 
@@ -604,11 +514,55 @@ impl Grads {
     }
 }
 
-/// Ops only this crate's tests build: primitives the gradchecks compose,
-/// and the unfused AdaLN chain the fused ops are checked against
-/// (`fused.rs` tests).
+/// Ops only this crate's tests build: primitives the gradchecks and the
+/// attention oracles compose, and the unfused AdaLN chain the fused ops are
+/// checked against (`fused.rs` tests).
 #[cfg(test)]
 impl Tape {
+    /// Rows `[r0, r1)` of a 2-D tensor. Unlike [`Tape::gather_rows`] with a
+    /// consecutive index vector, this is a contiguous memcpy forward and a
+    /// single `copy_from_slice` into a zero buffer backward — no index vector,
+    /// no per-row scatter-add.
+    pub(crate) fn slice_rows(&mut self, a: Var, r0: usize, r1: usize) -> Var {
+        let av = self.value(a);
+        assert_eq!(av.ndim(), 2);
+        let (rows, cols) = (av.shape()[0], av.shape()[1]);
+        assert!(r0 <= r1 && r1 <= rows, "row slice [{r0}, {r1}) out of bounds ({rows})");
+        let value = Tensor::from_vec(&[r1 - r0, cols], av.data()[r0 * cols..r1 * cols].to_vec());
+        self.push(
+            value,
+            vec![a.0],
+            Some(Box::new(move |d, _| {
+                let mut dx = Tensor::zeros(&[rows, cols]);
+                dx.data_mut()[r0 * cols..r1 * cols].copy_from_slice(d.data());
+                vec![dx]
+            })),
+            true,
+        )
+    }
+
+    /// Concatenate 2-D tensors along rows.
+    pub(crate) fn concat_rows(&mut self, parts: &[Var]) -> Var {
+        let tensors: Vec<&Tensor> = parts.iter().map(|&v| self.value(v)).collect();
+        let heights: Vec<usize> = tensors.iter().map(|t| t.shape()[0]).collect();
+        let value = Tensor::concat_rows(&tensors);
+        let parents: Vec<usize> = parts.iter().map(|v| v.0).collect();
+        self.push(
+            value,
+            parents,
+            Some(Box::new(move |d, _| {
+                let (cols, mut r0) = (d.shape()[1], 0);
+                let mut out = Vec::with_capacity(heights.len());
+                for &h in &heights {
+                    out.push(Tensor::from_vec(&[h, cols], d.data()[r0 * cols..(r0 + h) * cols].to_vec()));
+                    r0 += h;
+                }
+                out
+            })),
+            true,
+        )
+    }
+
     /// `a - b` (same shape).
     pub(crate) fn sub(&mut self, a: Var, b: Var) -> Var {
         let value = self.value(a).sub(self.value(b));
@@ -1113,87 +1067,6 @@ mod tests {
             (b, Tensor::from_slice(&[1.0])),
         ]);
         assert_eq!(grads.take(v).unwrap().data(), &[8.0]);
-    }
-
-    /// A branching tape: `x` feeds three paths that rejoin, with a constant
-    /// and a second leaf on the way. Returns the tape, its two leaves, and
-    /// every node in recording order.
-    fn branching_tape() -> (Tape, [Var; 2], Vec<Var>) {
-        let mut rng = Rng::seed_from(4);
-        let mut tape = Tape::new();
-        let x = tape.leaf(Tensor::randn(&[3, 4], &mut rng));
-        let w = tape.leaf(Tensor::randn(&[4, 2], &mut rng));
-        let c = tape.constant(Tensor::randn(&[3, 4], &mut rng));
-        let a = tape.mul(x, c);
-        let b = tape.scale(x, 0.5);
-        let s = tape.add(a, b);
-        let m = tape.matmul(s, w);
-        let e = tape.matmul(x, w);
-        let r = tape.sub(m, e);
-        let q = tape.mul(r, r);
-        let loss = tape.sum(q);
-        let nodes = vec![x, w, c, a, b, s, m, e, r, q, loss];
-        (tape, [x, w], nodes)
-    }
-
-    fn bits(t: &Tensor) -> Vec<u32> {
-        t.data().iter().map(|v| v.to_bits()).collect()
-    }
-
-    #[test]
-    fn a_sweep_split_at_any_stop_equals_one_backward_bitwise() {
-        let (mut tape, leaves, nodes) = branching_tape();
-        let loss = *nodes.last().unwrap();
-        let mut whole = tape.backward(loss);
-        let want = leaves.map(|v| bits(&whole.take(v).unwrap()));
-        for (i, &stop) in nodes.iter().enumerate() {
-            for &other in &nodes[..=i] {
-                let mut grads = tape.grads();
-                tape.seed(&mut grads, loss, Tensor::ones(&[1]));
-                tape.sweep(&mut grads, &[other, stop]);
-                tape.sweep(&mut grads, &[other]);
-                tape.sweep(&mut grads, &[]);
-                let got = leaves.map(|v| bits(&grads.take(v).unwrap()));
-                assert_eq!(got, want, "stops at {stop:?}, then {other:?}");
-            }
-        }
-    }
-
-    /// Cotangents of 1, 2 and 0.5 keep every product and sum of this tape
-    /// exact, so seeding late or up front must give the same bits.
-    #[test]
-    fn a_cotangent_seeded_between_sweeps_equals_one_seeded_up_front() {
-        let mut tape = Tape::new();
-        let x = tape.leaf(Tensor::from_slice(&[1.0, -2.0, 0.5, 4.0]));
-        let a = tape.scale(x, 2.0);
-        let b = tape.mul(a, x);
-        let c = tape.add(b, a);
-        let loss = tape.sum(c);
-        let late = Tensor::from_slice(&[0.5, 1.0, 2.0, -1.0]);
-
-        let mut up_front = tape.backward_from(&[(loss, Tensor::ones(&[1])), (a, late.clone())]);
-        let mut grads = tape.grads();
-        tape.seed(&mut grads, loss, Tensor::ones(&[1]));
-        tape.sweep(&mut grads, &[a]);
-        tape.seed(&mut grads, a, late);
-        tape.sweep(&mut grads, &[]);
-        let split = grads.take(x).unwrap();
-        assert_eq!(bits(&split), bits(&up_front.take(x).unwrap()));
-        // d/dx (2x² + 2x) + 2·late
-        assert_eq!(split.data(), &[7.0, -4.0, 8.0, 16.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "after the sweep passed it")]
-    fn seeding_a_swept_var_panics() {
-        let mut tape = Tape::new();
-        let x = tape.leaf(Tensor::from_slice(&[1.0]));
-        let a = tape.scale(x, 2.0);
-        let loss = tape.sum(a);
-        let mut grads = tape.grads();
-        tape.seed(&mut grads, loss, Tensor::ones(&[1]));
-        tape.sweep(&mut grads, &[x]);
-        tape.seed(&mut grads, a, Tensor::ones(&[1]));
     }
 
     #[test]

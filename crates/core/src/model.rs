@@ -3,41 +3,46 @@
 use crate::config::AerisConfig;
 use aeris_autodiff::{Tape, Var, WindowAttnPlan};
 use aeris_nn::posenc;
-use aeris_nn::timecond::{timestep_features, AdaLnHead};
+use aeris_nn::timecond::AdaLnHead;
 use aeris_nn::window::WindowGrid;
 use aeris_nn::{
     pos_encoding_2d, Binding, Linear, ParamStore, RmsNorm, RopeTable, SwiGlu, TimeConditioner,
     WindowAttention,
 };
-use aeris_tensor::attention::window_core_into;
+use aeris_tensor::attention::{window_core_backward_into, window_core_into};
 use aeris_tensor::dispatch::Kernel;
 use aeris_tensor::gemm::gemm;
 use aeris_tensor::{sweeps, Rng, Tensor};
 use std::cell::RefCell;
+use std::convert::Infallible;
 
 mod backward;
+
+pub use backward::{BlockGrads, BlockSaves};
 
 /// Whole windows per row block of the tape-free block pass
 /// ([`SwinBlock::pass`]): 4 × 16 tokens, 64 rows, at toy48.
 const WINDOWS_PER_PASS: usize = 4;
 
-/// The working buffers of the tape-free forward, one set per thread like
-/// the attention core's scratch: the attention plan, the time features
-/// `feats`, their projection `time` (before SiLU) and the conditioning
-/// vector `cond`, the assembled `input`, the residual
-/// stream `x` and its post-attention value `mid` (`[tokens, dim]`, token
-/// order), and per row block, in window order, the normalized rows `h`, the
-/// projection `qkv`, the context `o`, a branch output `y`, the gate-up `gu`
-/// and its SwiGLU `hid`. `inv_rms` receives the norms' `r`. After a forward,
-/// `x`, `mid` and `inv_rms` hold the output norm's input, output and `r`.
+/// The working buffers of the tape-free forward: the attention plan, the
+/// time features `feats`, their projection `time` (before SiLU) and the
+/// conditioning vector `cond`, the assembled `input`, the residual stream
+/// `x` and its post-attention value `mid` (`[tokens, dim]`, stream order),
+/// and per row block, in the order of the block's [`BlockRows`], the normed
+/// rows `h`, the projection `qkv`, the context `o`, a branch output `y`,
+/// the gate-up `gu` and its SwiGLU `hid`. `inv_rms` receives the norms'
+/// `r`. After a forward, `x`, `mid` and `inv_rms` hold the output norm's
+/// input, output and `r`. One set per thread serves `velocity` and
+/// `loss_grads`; a SWiPe block stage keeps its own.
 #[derive(Default)]
-struct Scratch {
+pub struct Scratch {
     plan: Option<WindowAttnPlan>,
-    feats: Vec<f32>,
-    time: Vec<f32>,
-    cond: Vec<f32>,
+    pub feats: Vec<f32>,
+    pub time: Vec<f32>,
+    pub cond: Vec<f32>,
     input: Vec<f32>,
-    x: Vec<f32>,
+    /// The stream: a block's input before its pass, its output after.
+    pub x: Vec<f32>,
     mid: Vec<f32>,
     h: Vec<f32>,
     qkv: Vec<f32>,
@@ -65,9 +70,10 @@ fn size_buffers<const N: usize>(bufs: [(&mut Vec<f32>, usize); N]) {
 }
 
 impl Scratch {
-    /// Size every buffer for `cfg`.
-    fn prepare(&mut self, cfg: &AerisConfig) {
-        let (tokens, dim, ffn, rows) = (cfg.tokens(), cfg.dim, cfg.ffn, WINDOWS_PER_PASS * cfg.window.0 * cfg.window.1);
+    /// Size every buffer for `cfg`'s model over `tokens` stream rows, taken
+    /// in row blocks of up to `rows`.
+    pub fn prepare(&mut self, cfg: &AerisConfig, tokens: usize, rows: usize) {
+        let (dim, ffn) = (cfg.dim, cfg.ffn);
         size_buffers([
             (&mut self.feats, cfg.time_feat_dim),
             (&mut self.time, cfg.cond_dim),
@@ -87,19 +93,20 @@ impl Scratch {
 }
 
 /// What [`SwinBlock::pass`] keeps for a backward, in the layouts the tape
-/// keeps them in. `()` keeps nothing: `velocity`'s pass, whose calls
-/// compile to nothing.
-trait Saves {
-    /// The block input `x`, `[tokens, dim]` in token order, before the pass.
-    fn input(&mut self, _x: &[f32]) {}
-    /// Where the row block at row `r0` of the window order (`n` rows) puts
-    /// its attention branch's normed rows, `qkv` and context when they are
-    /// kept (window order, so the kernels write them in place); `None`:
+/// keeps them in: [`BlockSaves`] for [`SwinBlock::backward`], `()` (keeps
+/// nothing) for `velocity`, whose calls compile to nothing.
+pub trait Saves {
+    /// The block input `x`, `[tokens, dim]` in stream order, before the
+    /// pass, and the conditioning vector.
+    fn input(&mut self, _x: &[f32], _cond: &[f32]) {}
+    /// Where the row block at row `r0` of the block's row order (`n` rows)
+    /// puts its attention branch's normed rows, `qkv` and context when they
+    /// are kept (row order, so the kernels write them in place); `None`:
     /// the scratch.
     fn window_rows(&mut self, _r0: usize, _n: usize) -> Option<[&mut [f32]; 3]> {
         None
     }
-    /// The row block after its attention branch: its token `rows` and
+    /// The row block after its attention branch: its stream `rows` and
     /// `[inv_rms, y]`, the norm's `r` and the branch output, one row per
     /// entry of `rows`.
     fn attention(&mut self, _rows: &[usize], _bufs: [&[f32]; 2]) {}
@@ -115,12 +122,58 @@ trait Saves {
 
 impl Saves for () {}
 
+/// The attention step of a block's sequence, between the fused
+/// `Wq | Wk | Wv` GEMM and `Wo`, and its backward, between `Wo`ᵀ and the
+/// fused projection's NT / TN GEMMs. On one process it is the window core
+/// ([`WindowAttnPlan`]); a SWiPe block stage puts its Ulysses exchanges
+/// around the core, and a failed exchange is its `Error`.
+pub trait AttentionStep {
+    /// Why the step can fail.
+    type Error;
+    /// A row block's `Q | K | V` (`[n, 3·dim]`, rows in the block's row
+    /// order) into its context `o` (`[n, dim]`, the same rows). The step may
+    /// leave `qkv` rewritten into the layout its backward reads.
+    fn forward(&mut self, qkv: &mut [f32], o: &mut [f32]) -> Result<(), Self::Error>;
+    /// The context's gradient `d_o` over every row of the block at once
+    /// into `dqkv`, reading `qkv` as the forward left it.
+    fn backward(&mut self, d_o: &[f32], qkv: &[f32], dqkv: &mut [f32]) -> Result<(), Self::Error>;
+}
+
+/// The single-process step: the window core over the rows' whole windows.
+impl AttentionStep for WindowAttnPlan {
+    type Error = Infallible;
+
+    fn forward(&mut self, qkv: &mut [f32], o: &mut [f32]) -> Result<(), Infallible> {
+        self.n_windows = o.len() / (self.window_len * self.dim());
+        window_core_into(Kernel::detected(), qkv, self, o);
+        Ok(())
+    }
+
+    fn backward(&mut self, d_o: &[f32], qkv: &[f32], dqkv: &mut [f32]) -> Result<(), Infallible> {
+        self.n_windows = d_o.len() / (self.window_len * self.dim());
+        window_core_backward_into(Kernel::detected(), d_o, qkv, self, dqkv);
+        Ok(())
+    }
+}
+
+/// The rows a block's sequence visits: `order` lists the stream's rows in
+/// the order its attention step reads them, `inv` is the inverse, and the
+/// pass takes `block` of them at a time. One process: the window partition
+/// and 4 windows a row block. A SWiPe block stage: its rows as they
+/// lie (already in window order) and its whole shard in one block.
+#[derive(Clone, Copy)]
+pub struct BlockRows<'a> {
+    pub order: &'a [usize],
+    pub inv: &'a [usize],
+    pub block: usize,
+}
+
 /// What a block pass derives from its parameters and `cond` before its row
 /// blocks: the six AdaLN vectors `[shift1, scale1, gate1, shift2, scale2,
 /// gate2]` (`[6·dim]`), `1 + scale` of each branch, as the taped norm adds
 /// it, and `Wq | Wk | Wv` side by side (`[dim, 3·dim]`), the matrix the
 /// taped attention multiplies by.
-struct BlockConsts {
+pub struct BlockConsts {
     mods: Vec<f32>,
     scales: [Vec<f32>; 2],
     w_qkv: Tensor,
@@ -151,38 +204,9 @@ impl SwinBlock {
         }
     }
 
-    /// The one block body, with the attention sub-layer supplied by the
-    /// caller: `attention` maps the modulated-norm output (`[rows, dim]`) to
-    /// the attention output for the same rows. [`SwinBlock::forward`] passes
-    /// the single-rank windowed attention; SWiPe's block stage passes the
-    /// same attention with its Ulysses exchanges in between, whose failure is
-    /// the `E` that comes back.
-    pub fn forward_with<E>(
-        &self,
-        tape: &mut Tape,
-        binding: &mut Binding,
-        store: &ParamStore,
-        x: Var,
-        cond: Var,
-        attention: impl FnOnce(&mut Tape, &mut Binding, Var) -> Result<Var, E>,
-    ) -> Result<Var, E> {
-        // AdaLN's scale enters as (1 + s) inside the modulated norm, so the
-        // zero-initialized head is identity.
-        let [shift1, scale1, gate1, shift2, scale2, gate2] =
-            self.adaln.forward(tape, binding, store, cond);
-
-        // ---- attention branch ----
-        let h = self.norm1.forward_modulated(tape, binding, store, x, scale1, shift1);
-        let h = attention(tape, binding, h)?;
-        let x = tape.gated_residual(x, h, gate1);
-
-        // ---- MLP branch ----
-        let h = self.norm2.forward_modulated(tape, binding, store, x, scale2, shift2);
-        let h = self.mlp.forward(tape, binding, store, h);
-        Ok(tape.gated_residual(x, h, gate2))
-    }
-
-    /// Forward one block over the full `[tokens, dim]` token matrix.
+    /// Forward one block over the full `[tokens, dim]` token matrix on a
+    /// tape: the recording oracle of [`SwinBlock::pass`] and
+    /// [`SwinBlock::backward`].
     pub fn forward(
         &self,
         tape: &mut Tape,
@@ -192,22 +216,24 @@ impl SwinBlock {
         cond: Var,
         geo: &BlockGeometry,
     ) -> Var {
-        // Window partition (with cyclic roll when shifted), per-window
-        // attention, merge back.
-        let (perm, inv) = geo.partition(self.shifted);
-        let Ok(out) = self.forward_with(tape, binding, store, x, cond, |tape, binding, h| {
-            let windowed = tape.gather_rows(h, perm);
-            let merged = self.attn.forward_all_windows(
-                tape,
-                binding,
-                store,
-                windowed,
-                &geo.rope,
-                geo.grid.count(),
-            );
-            Ok::<_, std::convert::Infallible>(tape.gather_rows(merged, inv))
-        });
-        out
+        // AdaLN's scale enters as (1 + s) inside the modulated norm, so the
+        // zero-initialized head is identity.
+        let [shift1, scale1, gate1, shift2, scale2, gate2] =
+            self.adaln.forward(tape, binding, store, cond);
+
+        // ---- attention branch: window partition (with cyclic roll when
+        // shifted), per-window attention, merge back ----
+        let rows = geo.rows(self.shifted);
+        let h = self.norm1.forward_modulated(tape, binding, store, x, scale1, shift1);
+        let windowed = tape.gather_rows(h, rows.order);
+        let merged = self.attn.forward_all_windows(tape, binding, store, windowed, &geo.rope, geo.grid.count());
+        let h = tape.gather_rows(merged, rows.inv);
+        let x = tape.gated_residual(x, h, gate1);
+
+        // ---- MLP branch ----
+        let h = self.norm2.forward_modulated(tape, binding, store, x, scale2, shift2);
+        let h = self.mlp.forward(tape, binding, store, h);
+        tape.gated_residual(x, h, gate2)
     }
 
     /// This block's [`BlockConsts`] for the conditioning vector `cond`.
@@ -222,35 +248,40 @@ impl SwinBlock {
         BlockConsts { mods, scales, w_qkv }
     }
 
-    /// The block without a tape, in place on `s.x`, conditioned on
-    /// `s.cond`: one pass over row blocks of [`WINDOWS_PER_PASS`] whole
-    /// windows (`plan` sized for one). A row block is five row-block kernels
-    /// of `sweeps` between the GEMMs and the attention core: the modulated
-    /// norm gathered straight into window order; the gated residual
-    /// scattered back through the partition permutation; the second norm,
-    /// gathered; the SwiGLU; its gated residual, scattered. Every element
-    /// comes from the kernel and expression of the op
-    /// [`SwinBlock::forward_with`] records, so the bits are the same.
-    /// `saves` keeps what the backward reads (`()`: nothing).
-    fn pass(&self, store: &ParamStore, geo: &BlockGeometry, plan: &mut WindowAttnPlan, s: &mut Scratch, saves: &mut impl Saves) {
-        let (dim, ffn, wlen) = (self.norm1.dim, self.mlp.ffn, plan.window_len);
+    /// The block without a tape, in place on `s.x`, conditioned on `s.cond`:
+    /// one pass over `rows` in row blocks of `rows.block`. A row block is
+    /// five row-block kernels of `sweeps` around the fused `Wq | Wk | Wv`
+    /// GEMM, the attention step `attn` and `Wo`: the modulated norm gathered
+    /// straight into the row order; the gated residual scattered back; the
+    /// second norm, gathered; the SwiGLU; its gated residual, scattered.
+    /// Every element comes from the kernel and expression of the op
+    /// [`SwinBlock::forward`] records, so the bits are the same. `saves`
+    /// keeps what [`SwinBlock::backward`] reads (`()`: nothing).
+    pub fn pass<A: AttentionStep>(
+        &self,
+        store: &ParamStore,
+        rows: BlockRows,
+        attn: &mut A,
+        s: &mut Scratch,
+        saves: &mut impl Saves,
+    ) -> Result<(), A::Error> {
+        let (dim, ffn) = (self.norm1.dim, self.mlp.ffn);
         let Scratch { cond, x, mid, h, qkv, o, y, gu, hid, inv_rms, .. } = s;
         let consts = self.consts(store, cond);
         let BlockConsts { mods, scales: [scale1, scale2], w_qkv } = &consts;
         let [shift1, _, gate1, shift2, _, gate2]: [&[f32]; 6] = std::array::from_fn(|i| &mods[i * dim..(i + 1) * dim]);
         let (g1, g2) = (store.get(self.norm1.gamma).data(), store.get(self.norm2.gamma).data());
-        let (perm, _) = geo.partition(self.shifted);
         let (mods1, mods2) = ([g1, &scale1[..], shift1], [g2, &scale2[..], shift2]);
-        saves.input(x);
-        for (block, rows) in perm.chunks(WINDOWS_PER_PASS * wlen).enumerate() {
+        saves.input(x, cond);
+        let BlockRows { order, block: per, .. } = rows;
+        for (i, rows) in order.chunks(per).enumerate() {
             let n = rows.len();
-            plan.n_windows = n / wlen;
             let (h, y, gu, hid, ir) = (&mut h[..n * dim], &mut y[..n * dim], &mut gu[..n * 2 * ffn], &mut hid[..n * ffn], &mut inv_rms[..n]);
             let scratch = [&mut *h, &mut qkv[..n * 3 * dim], &mut o[..n * dim]];
-            let [h1, qkv, o] = saves.window_rows(block * WINDOWS_PER_PASS * wlen, n).unwrap_or(scratch);
+            let [h1, qkv, o] = saves.window_rows(i * per, n).unwrap_or(scratch);
             sweeps::modulated_rmsnorm_rows(h1, ir, x, rows, mods1, self.norm1.eps);
             gemm(n, 3 * dim, dim, h1, false, w_qkv.data(), false, qkv);
-            window_core_into(Kernel::detected(), qkv, plan, o);
+            attn.forward(qkv, o)?;
             self.attn.wo.apply(store, o, y);
             sweeps::gated_residual(mid, x, y, rows, gate1);
             saves.attention(rows, [ir, y]);
@@ -262,6 +293,7 @@ impl SwinBlock {
             saves.mlp(rows, [h, ir, gu, hid, y]);
         }
         saves.done(mid, consts);
+        Ok(())
     }
 }
 
@@ -293,10 +325,13 @@ impl BlockGeometry {
         BlockGeometry { grid, rope, direct_perm, direct_inv, shifted_perm, shifted_inv }
     }
 
-    /// The window partition of a block, `(perm, inv)`: the gather of its
-    /// token rows into window order and its inverse.
-    fn partition(&self, shifted: bool) -> (&[usize], &[usize]) {
-        if shifted { (&self.shifted_perm, &self.shifted_inv) } else { (&self.direct_perm, &self.direct_inv) }
+    /// A block's rows on one process: the window partition (the gather of
+    /// its token rows into window order) and its inverse, taken
+    /// [`WINDOWS_PER_PASS`] windows at a time.
+    fn rows(&self, shifted: bool) -> BlockRows<'_> {
+        let (order, inv) =
+            if shifted { (&self.shifted_perm, &self.shifted_inv) } else { (&self.direct_perm, &self.direct_inv) };
+        BlockRows { order, inv, block: WINDOWS_PER_PASS * self.grid.window_len() }
     }
 }
 
@@ -413,19 +448,16 @@ impl AerisModel {
     /// taped ops run. Block `b` keeps its saves in `saves[b]`.
     fn run<S: Saves>(&self, parts: [&Tensor; 3], t: f32, s: &mut Scratch, saves: &mut [S], out: &mut [f32]) {
         let (store, cfg) = (&self.store, &self.cfg);
-        s.prepare(cfg);
-        s.feats.copy_from_slice(timestep_features(t, cfg.time_feat_dim).data());
-        self.time_cond.proj.apply(store, &s.feats, &mut s.time);
-        sweeps::silu(&mut s.cond, &s.time);
+        s.prepare(cfg, cfg.tokens(), WINDOWS_PER_PASS * self.geo.grid.window_len());
+        self.time_cond.apply(store, t, &mut s.feats, &mut s.time, &mut s.cond);
         let mut plan = self.plan(s.plan.take());
         posenc::assemble_into(&parts, &self.pos_field, &mut s.input);
         self.embed.apply(store, &s.input, &mut s.x);
         for (block, saves) in self.blocks.iter().zip(saves) {
-            block.pass(store, &self.geo, &mut plan, s, saves);
+            let Ok(()) = block.pass(store, self.geo.rows(block.shifted), &mut plan, s, saves);
         }
         s.plan = Some(plan);
-        let gamma = store.get(self.out_norm.gamma).data();
-        sweeps::rmsnorm_rows(&mut s.mid, &mut s.inv_rms, &s.x, gamma, self.out_norm.eps);
+        self.out_norm.apply(store, &s.x, &mut s.mid, &mut s.inv_rms);
         self.decode.apply(store, &s.mid, out);
     }
 }

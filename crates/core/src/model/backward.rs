@@ -1,7 +1,8 @@
 //! [`AerisModel::loss_grads`] without a tape: the forward is
 //! [`AerisModel::run`], each block's [`SwinBlock::pass`] keeping its saves,
 //! and the backward is the recording tape's reverse sweep written out by
-//! hand.
+//! hand, [`SwinBlock::backward`] per block. SWiPe's block stage runs the
+//! same pair over its rank's rows, with its exchanges as the attention step.
 //!
 //! **Bits.** The tape's backward of `forward` + `weighted_mse` is a fixed
 //! sequence of kernel calls; this is that sequence. Every call is the one
@@ -16,7 +17,9 @@
 //! gathers and the AdaLN head's six one-row gathers — a `−0.0` turns into
 //! `+0.0`, and so it does here, through the same `sweeps` fn. The loss and
 //! every gradient equal the tape's bit for bit
-//! (`loss_grads_equals_the_recording_backward_bitwise`).
+//! (`loss_grads_equals_the_recording_backward_bitwise`). Each weight
+//! gradient is a statement of its own beside the input-gradient chain, so a
+//! schedule may defer it.
 //!
 //! **Memory.** The saves and the backward's buffers live in one arena per
 //! thread, [`ARENA`], sized on the thread's first call: a warm call takes
@@ -24,37 +27,71 @@
 //! the `Wq | Wk | Wv` concatenation) and what the caller's empty gradient
 //! slots need.
 
-use super::{size_buffers, AerisModel, BlockConsts, Saves, Scratch, SwinBlock};
-use aeris_nn::{Linear, ParamId, ParamStore};
-use aeris_tensor::attention::{window_core_backward_into, WindowAttnPlan};
-use aeris_tensor::dispatch::Kernel;
+use super::{size_buffers, AerisModel, AttentionStep, BlockConsts, BlockRows, Saves, Scratch, SwinBlock};
+use crate::config::AerisConfig;
+use aeris_nn::{ParamStore, Slots};
 use aeris_tensor::gemm::gemm;
 use aeris_tensor::{sweeps, Tensor};
 use std::cell::RefCell;
 
 /// What one block's backward reads, kept by its pass in the layouts the
-/// tape keeps them in: window order inside attention, token order
-/// everywhere else.
+/// tape keeps them in: the attention step's row order inside attention,
+/// stream order everywhere else.
 #[derive(Default)]
-struct BlockSaves {
-    /// The block input and the post-attention stream `mid`, `[tokens, dim]`.
+pub struct BlockSaves {
+    /// The block input and the post-attention stream `mid`, `[tokens, dim]`,
+    /// and the conditioning vector.
     x: Vec<f32>,
     mid: Vec<f32>,
-    /// Window order: the first norm's rows, `qkv` and the context.
+    cond: Vec<f32>,
+    /// Row order: the first norm's rows, `qkv` (as the attention step left
+    /// it) and the context.
     h1: Vec<f32>,
     qkv: Vec<f32>,
     o: Vec<f32>,
-    /// Token order: the attention branch's output, the second norm's rows,
+    /// Stream order: the attention branch's output, the second norm's rows,
     /// the gate-up, the SwiGLU output and the MLP branch's output.
     y1: Vec<f32>,
     h2: Vec<f32>,
     gu: Vec<f32>,
     hid: Vec<f32>,
     y2: Vec<f32>,
-    /// Token order: both norms' `r`.
+    /// Stream order: both norms' `r`.
     ir1: Vec<f32>,
     ir2: Vec<f32>,
     consts: Option<BlockConsts>,
+}
+
+impl BlockSaves {
+    /// Size every buffer for a block of `cfg`'s model over `tokens` stream
+    /// rows.
+    pub fn prepare(&mut self, cfg: &AerisConfig, tokens: usize) {
+        let (dim, ffn) = (cfg.dim, cfg.ffn);
+        size_buffers([
+            (&mut self.x, tokens * dim),
+            (&mut self.mid, tokens * dim),
+            (&mut self.cond, cfg.cond_dim),
+            (&mut self.h1, tokens * dim),
+            (&mut self.qkv, tokens * 3 * dim),
+            (&mut self.o, tokens * dim),
+            (&mut self.y1, tokens * dim),
+            (&mut self.h2, tokens * dim),
+            (&mut self.gu, tokens * 2 * ffn),
+            (&mut self.hid, tokens * ffn),
+            (&mut self.y2, tokens * dim),
+            (&mut self.ir1, tokens),
+            (&mut self.ir2, tokens),
+        ]);
+    }
+
+    /// Activation elements held (the saves' buffers; the constants are
+    /// parameter-sized).
+    pub fn elems(&self) -> usize {
+        [&self.x, &self.mid, &self.cond, &self.h1, &self.qkv, &self.o, &self.y1, &self.h2, &self.gu, &self.hid, &self.y2, &self.ir1, &self.ir2]
+            .iter()
+            .map(|b| b.len())
+            .sum()
+    }
 }
 
 /// Row `i` of `src` (rows of `src.len() / rows.len()`) into row `rows[i]`
@@ -71,8 +108,9 @@ fn scatter(dst: &mut [f32], src: &[f32], rows: &[usize]) {
 }
 
 impl Saves for BlockSaves {
-    fn input(&mut self, x: &[f32]) {
+    fn input(&mut self, x: &[f32], cond: &[f32]) {
         self.x.copy_from_slice(x);
+        self.cond.copy_from_slice(cond);
     }
 
     fn window_rows(&mut self, r0: usize, n: usize) -> Option<[&mut [f32]; 3]> {
@@ -97,6 +135,55 @@ impl Saves for BlockSaves {
     }
 }
 
+/// The working buffers of [`SwinBlock::backward`] over `tokens` rows.
+#[derive(Default)]
+pub struct BlockGrads {
+    /// The stream's gradient, `[tokens, dim]`: the block output's before a
+    /// backward, its input's after.
+    pub dx: Vec<f32>,
+    /// `[tokens, dim]`: a branch's gradient (stream order), a norm's input
+    /// gradient, and, in row order, the attention output's gradient (then
+    /// the attention input's) and the context's.
+    dh: Vec<f32>,
+    dn: Vec<f32>,
+    dwin: Vec<f32>,
+    d_o: Vec<f32>,
+    dqkv: Vec<f32>,
+    dhid: Vec<f32>,
+    dgu: Vec<f32>,
+    /// A parameter's gradient on its way into a filled slot (the largest
+    /// parameter, or `[dim, 3·dim]`).
+    pub dw: Vec<f32>,
+    /// The block's six modulation gradients, `[shift1, scale1, gate1,
+    /// shift2, scale2, gate2]`, and their scatter-add into zeros.
+    dvecs: Vec<f32>,
+    dmods: Vec<f32>,
+    /// After a backward: the block's AdaLN head's part of `cond`'s gradient.
+    pub dcond: Vec<f32>,
+}
+
+impl BlockGrads {
+    /// Size every buffer for a block of `cfg`'s model over `tokens` rows,
+    /// `widest` the largest parameter a slot may take through `dw`.
+    pub fn prepare(&mut self, cfg: &AerisConfig, tokens: usize, widest: usize) {
+        let (dim, ffn) = (cfg.dim, cfg.ffn);
+        size_buffers([
+            (&mut self.dx, tokens * dim),
+            (&mut self.dh, tokens * dim),
+            (&mut self.dn, tokens * dim),
+            (&mut self.dwin, tokens * dim),
+            (&mut self.d_o, tokens * dim),
+            (&mut self.dqkv, tokens * 3 * dim),
+            (&mut self.dhid, tokens * ffn),
+            (&mut self.dgu, tokens * 2 * ffn),
+            (&mut self.dw, widest.max(dim * 3 * dim)),
+            (&mut self.dvecs, 6 * dim),
+            (&mut self.dmods, 6 * dim),
+            (&mut self.dcond, cfg.cond_dim),
+        ]);
+    }
+}
+
 /// The training forward's buffers, its saves and the backward's buffers.
 #[derive(Default)]
 struct Arena {
@@ -105,30 +192,12 @@ struct Arena {
     /// input, output (the decoder's input) and `r`.
     scratch: Scratch,
     blocks: Vec<BlockSaves>,
+    grads: BlockGrads,
     /// The prediction and its gradient, `[tokens, channels]`.
     out: Vec<f32>,
     dout: Vec<f32>,
-    /// `[tokens, dim]`: the stream's gradient, a branch's (token order), a
-    /// norm's input gradient, and, in window order, the attention output's
-    /// gradient (then the attention input's) and the context's.
-    dx: Vec<f32>,
-    dh: Vec<f32>,
-    dn: Vec<f32>,
-    dwin: Vec<f32>,
-    d_o: Vec<f32>,
-    dqkv: Vec<f32>,
-    dhid: Vec<f32>,
-    dgu: Vec<f32>,
-    /// A parameter's gradient on its way into the caller's slot (the
-    /// largest parameter, or `[dim, 3·dim]`).
-    dw: Vec<f32>,
-    /// A block's six modulation gradients, `[shift1, scale1, gate1, shift2,
-    /// scale2, gate2]`, and their scatter-add into zeros.
-    dvecs: Vec<f32>,
-    dmods: Vec<f32>,
-    /// `cond`'s gradient, one block's part of it, and the time projection's.
+    /// `cond`'s gradient and the time projection's.
     dcond: Vec<f32>,
-    dcond_b: Vec<f32>,
     dtime: Vec<f32>,
 }
 
@@ -141,101 +210,20 @@ impl Arena {
     /// one config; the scratch is sized by the forward).
     fn prepare(&mut self, m: &AerisModel) {
         let cfg = &m.cfg;
-        let (tokens, dim, ffn) = (cfg.tokens(), cfg.dim, cfg.ffn);
+        let tokens = cfg.tokens();
         self.blocks.resize_with(m.blocks.len(), BlockSaves::default);
-        for b in &mut self.blocks {
-            size_buffers([
-                (&mut b.x, tokens * dim),
-                (&mut b.mid, tokens * dim),
-                (&mut b.h1, tokens * dim),
-                (&mut b.qkv, tokens * 3 * dim),
-                (&mut b.o, tokens * dim),
-                (&mut b.y1, tokens * dim),
-                (&mut b.h2, tokens * dim),
-                (&mut b.gu, tokens * 2 * ffn),
-                (&mut b.hid, tokens * ffn),
-                (&mut b.y2, tokens * dim),
-                (&mut b.ir1, tokens),
-                (&mut b.ir2, tokens),
-            ]);
+        for saves in &mut self.blocks {
+            saves.prepare(cfg, tokens);
         }
-        let widest = m.store.iter().map(|(_, _, p)| p.len()).max().unwrap_or(0).max(dim * 3 * dim);
+        let widest = m.store.iter().map(|(_, _, p)| p.len()).max().unwrap_or(0);
+        self.grads.prepare(cfg, tokens, widest);
         size_buffers([
             (&mut self.out, tokens * cfg.channels),
             (&mut self.dout, tokens * cfg.channels),
-            (&mut self.dx, tokens * dim),
-            (&mut self.dh, tokens * dim),
-            (&mut self.dn, tokens * dim),
-            (&mut self.dwin, tokens * dim),
-            (&mut self.d_o, tokens * dim),
-            (&mut self.dqkv, tokens * 3 * dim),
-            (&mut self.dhid, tokens * ffn),
-            (&mut self.dgu, tokens * 2 * ffn),
-            (&mut self.dw, widest),
-            (&mut self.dvecs, 6 * dim),
-            (&mut self.dmods, 6 * dim),
             (&mut self.dcond, cfg.cond_dim),
-            (&mut self.dcond_b, cfg.cond_dim),
             (&mut self.dtime, cfg.cond_dim),
         ]);
     }
-}
-
-/// The caller's gradient slots, filled as `Binding::accumulate_grads`
-/// fills them: a parameter's first contribution moves in, later ones add.
-struct Slots<'a> {
-    store: &'a ParamStore,
-    acc: &'a mut [Option<Tensor>],
-}
-
-impl Slots<'_> {
-    /// Parameter `id`'s gradient, written whole by `f` into a slice of its
-    /// size: straight into a new tensor when the slot is empty, else into
-    /// `dw` and added.
-    fn put(&mut self, id: ParamId, dw: &mut [f32], f: impl FnOnce(&mut [f32])) {
-        match &mut self.acc[id.0] {
-            Some(sum) => {
-                let g = &mut dw[..sum.len()];
-                f(g);
-                sweeps::add_assign(sum.data_mut(), g);
-            }
-            slot @ None => {
-                let mut g = Tensor::for_overwrite(self.store.get(id).shape());
-                f(g.data_mut());
-                *slot = Some(g);
-            }
-        }
-    }
-
-    /// Columns `c0..c0 + n` of `g` (rows of `width`), `n` the width of
-    /// parameter `id`: what the tape's `slice_cols` hands on.
-    fn add_cols(&mut self, id: ParamId, g: &[f32], width: usize, c0: usize) {
-        let n = self.store.get(id).shape()[1];
-        let cols = g.chunks_exact(width).map(|row| &row[c0..c0 + n]);
-        match &mut self.acc[id.0] {
-            Some(sum) => sum.data_mut().chunks_exact_mut(n).zip(cols).for_each(|(s, c)| sweeps::add_assign(s, c)),
-            slot @ None => *slot = Some(Tensor::from_vec(self.store.get(id).shape(), cols.flatten().copied().collect())),
-        }
-    }
-
-    /// A linear layer's parameter gradients for the upstream gradient `d`
-    /// at input `x`: the bias's row sum of `d` (when it has a bias) and the
-    /// weight's `xᵀ·d`, the tape's TN GEMM.
-    fn linear(&mut self, lin: &Linear, x: &[f32], d: &[f32], dw: &mut [f32]) {
-        if let Some(b) = lin.b {
-            self.put(b, dw, |db| {
-                db.fill(0.0);
-                sweeps::add_rows_backward(db, d);
-            });
-        }
-        let rows = d.len() / lin.out_dim;
-        self.put(lin.w, dw, |g| gemm(lin.in_dim, lin.out_dim, rows, x, true, d, false, g));
-    }
-}
-
-/// A linear layer's input gradient `d·Wᵀ`, the tape's NT GEMM.
-fn input_grad(store: &ParamStore, lin: &Linear, d: &[f32], dx: &mut [f32]) {
-    gemm(d.len() / lin.out_dim, lin.in_dim, lin.out_dim, d, false, store.get(lin.w).data(), true, dx);
 }
 
 impl AerisModel {
@@ -261,13 +249,12 @@ impl AerisModel {
     ) -> f64 {
         let shape = [self.cfg.tokens(), self.cfg.channels];
         assert!(target.shape() == shape && weights.shape() == shape, "target and weights must be [tokens, channels]");
-        assert_eq!(acc.len(), self.store.len(), "one gradient slot per parameter");
         let parts = self.input_parts(x_t, x_prev, forcings);
         ARENA.with_borrow_mut(|a| {
             a.prepare(self);
             self.run(parts, t, &mut a.scratch, &mut a.blocks, &mut a.out);
             let loss = sweeps::weighted_mse_loss(&a.out, target.data(), weights.data());
-            self.backward(a, target.data(), weights.data(), &mut Slots { store: &self.store, acc });
+            self.backward(a, target.data(), weights.data(), &mut Slots::new(&self.store, acc));
             loss as f64
         })
     }
@@ -276,49 +263,44 @@ impl AerisModel {
     /// with 1 at the loss.
     fn backward(&self, a: &mut Arena, target: &[f32], weights: &[f32], slots: &mut Slots) {
         let store = &self.store;
-        let Arena { scratch: s, out, dout, dx, dn, dw, .. } = a;
+        let Arena { scratch: s, blocks, grads: g, out, dout, dcond, dtime } = a;
         sweeps::weighted_mse_backward(dout, out, target, weights, 1.0);
-        slots.linear(&self.decode, &s.mid, dout, dw);
-        input_grad(store, &self.decode, dout, dn);
-        slots.put(self.out_norm.gamma, dw, |dg| {
-            dg.fill(0.0);
-            sweeps::rmsnorm_rows_backward(dx, dg, &s.x, dn, store.get(self.out_norm.gamma).data(), &s.inv_rms);
-        });
-        let mut plan = a.scratch.plan.take().expect("the forward keeps its plan");
-        plan.n_windows = self.geo.grid.count();
-        for (b, block) in self.blocks.iter().enumerate().rev() {
-            block.backward(store, self.geo.partition(block.shifted), &plan, a, b, slots);
-            if b + 1 == self.blocks.len() {
-                a.dcond.copy_from_slice(&a.dcond_b);
+        slots.linear(&self.decode, &s.mid, dout, &mut g.dw);
+        self.decode.input_grad(store, dout, &mut g.dn);
+        slots.rmsnorm(&self.out_norm, &s.x, &g.dn, &s.inv_rms, &mut g.dx, &mut g.dw);
+        let mut plan = s.plan.take().expect("the forward keeps its plan");
+        for (i, (block, saves)) in self.blocks.iter().zip(blocks.iter()).enumerate().rev() {
+            let Ok(()) = block.backward(store, self.geo.rows(block.shifted), &mut plan, saves, g, slots);
+            if i + 1 == self.blocks.len() {
+                dcond.copy_from_slice(&g.dcond);
             } else {
-                sweeps::add_assign(&mut a.dcond, &a.dcond_b);
+                sweeps::add_assign(dcond, &g.dcond);
             }
         }
-        a.scratch.plan = Some(plan);
-        let Arena { scratch: s, dx, dw, dcond, dtime, .. } = a;
+        s.plan = Some(plan);
         // The embedding's input is a constant: no input gradient.
-        slots.linear(&self.embed, &s.input, dx, dw);
-        sweeps::silu_backward(dtime, &s.time, dcond);
-        slots.linear(&self.time_cond.proj, &s.feats, dtime, dw);
+        slots.linear(&self.embed, &s.input, &g.dx, &mut g.dw);
+        self.time_cond.backward(slots, &s.feats, &s.time, dcond, dtime, &mut g.dw);
     }
 }
 
 impl SwinBlock {
-    /// Block `b`'s backward over `a.blocks[b]`: `a.dx` holds its output's
-    /// gradient and leaves with its input's, and `a.dcond_b` with its
-    /// AdaLN head's part of `cond`'s.
-    fn backward(
+    /// The backward of [`SwinBlock::pass`] over its saves `sv`, with the
+    /// same `rows` and the attention step's backward: `g.dx` holds the
+    /// block output's gradient and leaves with its input's, and `g.dcond`
+    /// with its AdaLN head's part of `cond`'s. Parameter gradients go to
+    /// `slots`.
+    pub fn backward<A: AttentionStep>(
         &self,
         store: &ParamStore,
-        (perm, inv): (&[usize], &[usize]),
-        plan: &WindowAttnPlan,
-        a: &mut Arena,
-        b: usize,
+        rows: BlockRows,
+        attn: &mut A,
+        sv: &BlockSaves,
+        g: &mut BlockGrads,
         slots: &mut Slots,
-    ) {
+    ) -> Result<(), A::Error> {
         let (dim, ffn) = (self.norm1.dim, self.mlp.ffn);
-        let Arena { scratch: s, blocks, dx, dh, dn, dwin, d_o, dqkv, dhid, dgu, dw, dvecs, dmods, dcond_b, .. } = a;
-        let sv = &blocks[b];
+        let BlockGrads { dx, dh, dn, dwin, d_o, dqkv, dhid, dgu, dw, dvecs, dmods, dcond } = g;
         let BlockConsts { mods, scales: [scale1, scale2], w_qkv } = sv.consts.as_ref().expect("the pass keeps its constants");
         let gate = |i: usize| &mods[i * dim..(i + 1) * dim];
         dvecs.fill(0.0);
@@ -329,10 +311,10 @@ impl SwinBlock {
         // MLP branch: the gated residual (its `d` moves on to `mid`), the
         // down projection, SwiGLU, the gate-up projection and the norm.
         sweeps::gated_residual_backward(dh, dgate2, dx, &sv.y2, gate(5));
-        input_grad(store, &self.mlp.w_down, dh, dhid);
+        self.mlp.w_down.input_grad(store, dh, dhid);
         slots.linear(&self.mlp.w_down, &sv.hid, dh, dw);
         sweeps::swiglu_backward(dgu, &sv.gu, dhid, ffn);
-        input_grad(store, &self.mlp.w_in, dgu, dh);
+        self.mlp.w_in.input_grad(store, dgu, dh);
         slots.linear(&self.mlp.w_in, &sv.h2, dgu, dw);
         let g2 = store.get(self.norm2.gamma).data();
         slots.put(self.norm2.gamma, dw, |dg| {
@@ -342,17 +324,18 @@ impl SwinBlock {
         sweeps::add_assign(dx, dn);
 
         // Attention branch: the gated residual, the merge gather's
-        // scatter-add into zeros (window order), the output projection, the
-        // core, the fused projection and the partition gather's scatter-add.
+        // scatter-add into zeros (row order), the output projection, the
+        // attention step, the fused projection and the partition gather's
+        // scatter-add.
         sweeps::gated_residual_backward(dh, dgate1, dx, &sv.y1, gate(2));
         dwin.fill(0.0);
-        sweeps::gather_rows_backward(dwin, dh, inv, dim);
+        sweeps::gather_rows_backward(dwin, dh, rows.inv, dim);
         slots.linear(&self.attn.wo, &sv.o, dwin, dw);
-        input_grad(store, &self.attn.wo, dwin, d_o);
-        window_core_backward_into(Kernel::detected(), d_o, &sv.qkv, plan, dqkv);
+        self.attn.wo.input_grad(store, dwin, d_o);
+        attn.backward(d_o, &sv.qkv, dqkv)?;
         // The fused projection's NT and TN GEMMs; `dwin` takes the windowed
         // input's gradient.
-        let tokens = perm.len();
+        let tokens = rows.order.len();
         gemm(tokens, dim, 3 * dim, dqkv, false, w_qkv.data(), true, dwin);
         let dw_qkv = &mut dw[..dim * 3 * dim];
         gemm(dim, 3 * dim, tokens, &sv.h1, true, dqkv, false, dw_qkv);
@@ -360,7 +343,7 @@ impl SwinBlock {
             slots.add_cols(w, dw_qkv, 3 * dim, i * dim);
         }
         dh.fill(0.0);
-        sweeps::gather_rows_backward(dh, dwin, perm, dim);
+        sweeps::gather_rows_backward(dh, dwin, rows.order, dim);
         let g1 = store.get(self.norm1.gamma).data();
         slots.put(self.norm1.gamma, dw, |dg| {
             dg.fill(0.0);
@@ -373,7 +356,8 @@ impl SwinBlock {
         for (i, dv) in dvecs.chunks_exact(dim).enumerate() {
             sweeps::gather_rows_backward(dmods, dv, &[i], dim);
         }
-        slots.linear(&self.adaln.head, &s.cond, dmods, dw);
-        input_grad(store, &self.adaln.head, dmods, dcond_b);
+        slots.linear(&self.adaln.head, &sv.cond, dmods, dw);
+        self.adaln.head.input_grad(store, dmods, dcond);
+        Ok(())
     }
 }

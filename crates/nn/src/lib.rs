@@ -35,7 +35,7 @@ pub use ffn::SwiGlu;
 pub use linear::Linear;
 pub use norm::RmsNorm;
 pub use optim::{AdamW, AdamWConfig, Ema, LrSchedule};
-pub use params::{batch_mean, Binding, ParamId, ParamStore};
+pub use params::{batch_mean, Binding, ParamId, ParamStore, Slots};
 pub use posenc::pos_encoding_2d;
 pub use rope::RopeTable;
 pub use timecond::{timestep_features, TimeConditioner};

@@ -65,6 +65,13 @@ impl Linear {
         }
     }
 
+    /// The input gradient `d·Wᵀ` of [`Linear::apply`] for the upstream
+    /// gradient `d: [rows, out]` into `dx: [rows, in]`: the tape's NT GEMM.
+    /// The parameter gradients are [`crate::Slots::linear`].
+    pub fn input_grad(&self, store: &ParamStore, d: &[f32], dx: &mut [f32]) {
+        gemm(d.len() / self.out_dim, self.in_dim, self.out_dim, d, false, store.get(self.w).data(), true, dx);
+    }
+
     /// Number of scalar parameters.
     pub fn num_params(&self) -> usize {
         self.in_dim * self.out_dim + if self.b.is_some() { self.out_dim } else { 0 }

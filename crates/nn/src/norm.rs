@@ -2,6 +2,7 @@
 
 use crate::params::{Binding, ParamId, ParamStore};
 use aeris_autodiff::{Tape, Var};
+use aeris_tensor::sweeps;
 
 /// RMSNorm with a learned gain, applied over the feature (last) dimension of a
 /// `[tokens, dim]` activation.
@@ -39,6 +40,13 @@ impl RmsNorm {
     ) -> Var {
         let g = binding.var(tape, store, self.gamma);
         tape.modulated_rmsnorm(x, g, scale, shift, self.eps)
+    }
+
+    /// [`RmsNorm::forward`] without a tape: `x: [rows, dim]` into `out`,
+    /// each row's `1/rms` into `inv_rms` (`[rows]`), the sweep the tape op
+    /// runs; its backward is [`crate::Slots::rmsnorm`].
+    pub fn apply(&self, store: &ParamStore, x: &[f32], out: &mut [f32], inv_rms: &mut [f32]) {
+        sweeps::rmsnorm_rows(out, inv_rms, x, store.get(self.gamma).data(), self.eps);
     }
 
     /// Number of scalar parameters.

@@ -16,9 +16,10 @@
 use std::sync::Arc;
 
 use aeris_autodiff::{Grads, Tape, Var};
-use aeris_tensor::{Rng, Tensor};
+use aeris_tensor::{gemm::gemm, sweeps, Rng, Tensor};
 
-pub use aeris_autodiff::Grads as TapeGrads;
+use crate::linear::Linear;
+use crate::norm::RmsNorm;
 
 /// Index of a parameter inside a [`ParamStore`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -173,6 +174,78 @@ impl Binding {
                 _ => {}
             }
         }
+    }
+}
+
+/// Gradient slots filled without a tape, as [`Binding::accumulate_grads`]
+/// fills them: a parameter's first contribution moves in, later ones add.
+/// Every hand-written backward (`AerisModel::loss_grads`, SWiPe's stages)
+/// writes its parameter gradients through one.
+pub struct Slots<'a> {
+    store: &'a ParamStore,
+    acc: &'a mut [Option<Tensor>],
+}
+
+impl<'a> Slots<'a> {
+    /// The slots `acc` (one per parameter of `store`, in store order).
+    pub fn new(store: &'a ParamStore, acc: &'a mut [Option<Tensor>]) -> Self {
+        assert_eq!(acc.len(), store.len(), "one gradient slot per parameter");
+        Slots { store, acc }
+    }
+
+    /// Parameter `id`'s gradient, written whole by `f` into a slice of its
+    /// size: straight into a new tensor when the slot is empty, else into
+    /// `dw` and added.
+    pub fn put(&mut self, id: ParamId, dw: &mut [f32], f: impl FnOnce(&mut [f32])) {
+        match &mut self.acc[id.0] {
+            Some(sum) => {
+                let g = &mut dw[..sum.len()];
+                f(g);
+                sweeps::add_assign(sum.data_mut(), g);
+            }
+            slot @ None => {
+                let mut g = Tensor::for_overwrite(self.store.get(id).shape());
+                f(g.data_mut());
+                *slot = Some(g);
+            }
+        }
+    }
+
+    /// Columns `c0..c0 + n` of `g` (rows of `width`), `n` the width of
+    /// parameter `id`: what the tape's `slice_cols` hands on.
+    pub fn add_cols(&mut self, id: ParamId, g: &[f32], width: usize, c0: usize) {
+        let n = self.store.get(id).shape()[1];
+        let cols = g.chunks_exact(width).map(|row| &row[c0..c0 + n]);
+        match &mut self.acc[id.0] {
+            Some(sum) => sum.data_mut().chunks_exact_mut(n).zip(cols).for_each(|(s, c)| sweeps::add_assign(s, c)),
+            slot @ None => *slot = Some(Tensor::from_vec(self.store.get(id).shape(), cols.flatten().copied().collect())),
+        }
+    }
+
+    /// A linear layer's parameter gradients for the upstream gradient `d`
+    /// at input `x`: the bias's row sum of `d` (when it has a bias) and the
+    /// weight's `xᵀ·d`, the tape's TN GEMM. The input gradient is
+    /// [`Linear::input_grad`], a separate call.
+    pub fn linear(&mut self, lin: &Linear, x: &[f32], d: &[f32], dw: &mut [f32]) {
+        if let Some(b) = lin.b {
+            self.put(b, dw, |db| {
+                db.fill(0.0);
+                sweeps::add_rows_backward(db, d);
+            });
+        }
+        let rows = d.len() / lin.out_dim;
+        self.put(lin.w, dw, |g| gemm(lin.in_dim, lin.out_dim, rows, x, true, d, false, g));
+    }
+
+    /// The backward of [`RmsNorm::apply`] at input `x` (with its `inv_rms`)
+    /// for the upstream gradient `d`: the gain's gradient, and the input
+    /// gradient into `dx` from the same sweep, the tape op's backward.
+    pub fn rmsnorm(&mut self, norm: &RmsNorm, x: &[f32], d: &[f32], inv_rms: &[f32], dx: &mut [f32], dw: &mut [f32]) {
+        let gamma = self.store.get(norm.gamma).data();
+        self.put(norm.gamma, dw, |dg| {
+            dg.fill(0.0);
+            sweeps::rmsnorm_rows_backward(dx, dg, x, d, gamma, inv_rms);
+        });
     }
 }
 

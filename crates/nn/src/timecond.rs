@@ -8,9 +8,9 @@
 //! residual branch.
 
 use crate::linear::Linear;
-use crate::params::{Binding, ParamStore};
+use crate::params::{Binding, ParamStore, Slots};
 use aeris_autodiff::{Tape, Var};
-use aeris_tensor::{Rng, Tensor};
+use aeris_tensor::{sweeps, Rng, Tensor};
 
 /// Sinusoidal features of a scalar diffusion time. `dim` must be even; half
 /// the features are sines, half cosines, with log-spaced frequencies.
@@ -49,6 +49,23 @@ impl TimeConditioner {
         let f = tape.constant(feats);
         let h = self.proj.forward(tape, binding, store, f);
         tape.silu(h)
+    }
+
+    /// [`TimeConditioner::embed`] without a tape: `t`'s features into
+    /// `feats`, their projection into `time` and its SiLU, the conditioning
+    /// vector, into `cond`.
+    pub fn apply(&self, store: &ParamStore, t: f32, feats: &mut [f32], time: &mut [f32], cond: &mut [f32]) {
+        feats.copy_from_slice(timestep_features(t, self.feat_dim).data());
+        self.proj.apply(store, feats, time);
+        sweeps::silu(cond, time);
+    }
+
+    /// The backward of [`TimeConditioner::apply`] for `cond`'s gradient
+    /// `dcond`: the SiLU's into `dtime`, then the projection's parameter
+    /// gradients (the features are constants).
+    pub fn backward(&self, slots: &mut Slots, feats: &[f32], time: &[f32], dcond: &[f32], dtime: &mut [f32], dw: &mut [f32]) {
+        sweeps::silu_backward(dtime, time, dcond);
+        slots.linear(&self.proj, feats, dtime, dw);
     }
 
     /// Number of scalar parameters.

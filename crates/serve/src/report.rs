@@ -141,12 +141,6 @@ impl ServeReport {
                 "tier admitted total {tier_admitted} != tenant admitted total {admitted}"
             ));
         }
-        if self.completed + self.shed != admitted {
-            return Err(format!(
-                "global: completed {} + shed {} != admitted {admitted}",
-                self.completed, self.shed
-            ));
-        }
         Ok(())
     }
 }

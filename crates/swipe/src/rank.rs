@@ -495,7 +495,7 @@ impl<'a> Rank<'a> {
                     let (comm, shape) = (&mut self.comm, self.act_shape);
                     let x_in = self.up.as_ref().map(|up| up.recv(comm, shape)).transpose()?;
                     let fwd = self.comm.trace_span(SpanCategory::Forward);
-                    let stage_run = match (self.kind, x_in) {
+                    let (stage_run, out) = match (self.kind, x_in) {
                         (StageKind::Input, _) => {
                             let s = &run.samples[&sample];
                             let x0 = gather(&s.residual, &self.tokens);
@@ -504,27 +504,29 @@ impl<'a> Rank<'a> {
                             let z = noise_rows(seed, sample, &self.tokens, channels);
                             let x_t = tf.interpolate(&x0, &z, t);
                             let input = aeris_nn::posenc::assemble(&[&x_t, &prev, &forc], &self.pos);
-                            self.model.forward_input(input)
+                            let (stage_run, out) = self.model.forward_input(input);
+                            (stage_run, Some(out))
                         }
                         (StageKind::Block(_), Some(x_in)) => {
-                            self.model.forward_block(x_in, t, &mut self.comm, &self.sp_group)?
+                            let (stage_run, out) =
+                                self.model.forward_block(x_in, t, &mut self.comm, &self.sp_group)?;
+                            (stage_run, Some(out))
                         }
                         (StageKind::Head, Some(x_in)) => {
                             let x0 = gather(&run.samples[&sample].residual, &self.tokens);
                             let z = noise_rows(seed, sample, &self.tokens, channels);
                             let v_target = tf.velocity_target(&x0, &z, t);
                             let global_tokens = run.reference.cfg.tokens();
-                            let head_run = self.model.forward_head(
-                                x_in, &v_target, &self.weight_rows, global_tokens,
-                            );
-                            my_loss += head_run.loss;
-                            head_run
+                            let (stage_run, loss) =
+                                self.model.forward_head(x_in, v_target, &self.weight_rows, global_tokens);
+                            my_loss += loss;
+                            (stage_run, None)
                         }
                         _ => unreachable!("block and head stages have an up link"),
                     };
                     drop(fwd);
-                    if let Some(down) = &self.down {
-                        down.send(&mut self.comm, stage_run.tape.value(stage_run.out))?;
+                    if let (Some(down), Some(out)) = (&self.down, &out) {
+                        down.send(&mut self.comm, out)?;
                     }
                     runs.insert(m, stage_run);
                 }
@@ -536,7 +538,7 @@ impl<'a> Rank<'a> {
                     let bwd = self.comm.trace_span(SpanCategory::Backward);
                     let g_in = match (self.kind, g_out) {
                         (StageKind::Head, _) => {
-                            Some(self.model.backward_head(stage_run, &mut grads))
+                            Some(self.model.backward_head(stage_run, &self.weight_rows, &mut grads))
                         }
                         (StageKind::Block(_), Some(g_out)) => Some(self.model.backward_block(
                             stage_run, g_out, &mut self.comm, &self.sp_group, &mut grads,
@@ -553,7 +555,7 @@ impl<'a> Rank<'a> {
                     }
                 }
             }
-            // Activation accounting: all in-flight microbatch tapes.
+            // Activation accounting: every in-flight microbatch's saves.
             let live: usize = runs.values().map(|r| r.activation_elems()).sum();
             run.max_act.fetch_max(live, Ordering::Relaxed);
         }

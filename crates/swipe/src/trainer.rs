@@ -315,7 +315,8 @@ pub struct TrainReport {
     pub start_step: usize,
     /// Communication traffic by class.
     pub traffic: TrafficReport,
-    /// Maximum concurrently-live activation elements on any rank.
+    /// Maximum activation elements any rank held at once for its in-flight
+    /// microbatches' backwards (their saves).
     pub max_activation_elems: usize,
     /// Final parameters (reference-model names), from the lowest surviving
     /// dp / wp=(0,0) / sp=0 replica of each stage.

@@ -213,14 +213,6 @@ impl Tensor {
         Tensor { shape: vec![rows, w], data }
     }
 
-    /// Extract rows `[r0, r1)` of a 2-D tensor.
-    pub fn slice_rows(&self, r0: usize, r1: usize) -> Tensor {
-        assert_eq!(self.ndim(), 2);
-        let (rows, cols) = (self.shape[0], self.shape[1]);
-        assert!(r0 <= r1 && r1 <= rows);
-        Tensor { shape: vec![r1 - r0, cols], data: self.data[r0 * cols..r1 * cols].to_vec() }
-    }
-
     /// Maximum absolute difference to another tensor of the same shape.
     /// NaN differences propagate (return NaN) so comparisons against
     /// NaN-corrupted outputs fail loudly instead of passing silently.
@@ -285,7 +277,7 @@ mod tests {
 
         let r = Tensor::concat_rows(&[&a, &a]);
         assert_eq!(r.shape(), &[4, 2]);
-        assert_eq!(r.slice_rows(2, 4), a);
+        assert_eq!(&r.data()[4..], a.data());
     }
 
     /// The write-once guard: in a test build (`debug_assertions`) a

@@ -1,43 +1,28 @@
 #!/usr/bin/env bash
 # Surface scan (plain grep/awk). Prints, for the non-test code of the workspace:
 #   (i)  every `Tape::new()` and every `weighted_mse(` call site outside
-#        `#[cfg(test)]` items, `tests/` and `benchmark/` — the places a tape
-#        is built around the model. Expected: the three SWiPe block-stage
-#        sites of crates/swipe/src/stage.rs (one with its `weighted_mse(`)
-#        and the recording-chain row of examples/layer_probe.rs. Neither
-#        `velocity` nor `loss_grads` records (both run `SwinBlock::pass`),
-#        so a tape anywhere else — in crates/core/src above all — is a
-#        path keeping a tape the executor replaced;
-#   (ii) every `pub fn` under crates/*/src whose name occurs nowhere but in
-#        `fn` definitions in non-test code (crates, examples, src) or anywhere
-#        in benchmark/src,
-#        whose test modules count as callers; a `pub use` re-export is not a
-#        use. Each name it prints must have a stated reason in KEPT below
-#        (test vocabulary other crates' tests import, or an open ROADMAP
-#        decision); anything else is dead surface to delete or to move under
-#        `#[cfg(test)]`;
-#   (iii) every `par_chunks` / `par_iter` / `into_par_iter` under crates/*/src —
-#        the pool's parallel regions. Expected: the two coarse fan-outs in
-#        crates/core/src/forecast.rs (`ensemble`, `step_batch`) and nothing
-#        else; a hit inside a kernel is intra-op parallelism coming back
-#        (measured at 0.4–0.6x and deleted in PR 23, DESIGN.md "Where threads
-#        live");
-#   (iv) every `unsafe` / `target_feature` / `is_x86_feature_detected` site in
-#        the non-test code of crates, shims, examples and src, and every
-#        `dispatched!(` loop that macro builds. Expected: the one detector
-#        (`Kernel::detected`) and the one `dispatched!` macro of
-#        crates/tensor/src/dispatch.rs, and the macro's fifteen invocations
-#        (DISPATCHED below, each named by its kernel-taking `*_on` entry:
-#        the GEMM's row block, the row sweeps and Gaussian lanes of
-#        sweeps.rs, the window-attention core's two loops in
-#        crates/tensor/src/attention.rs) — the hand-written `avx512f` builds
-#        of the GEMM and of that core, admitted fn by fn (INTRINSIC_FNS
-#        below: their `#[target_feature]` lines and the unaligned, aligned
-#        and masked loads and stores), and the one foreign call of
-#        examples/swipe_scaling.rs (`getrusage`: the process's CPU times,
-#        minor faults and voluntary context switches, exited threads
-#        included; no /proc file holds the switches); every other crate root (aeris-autodiff included) says
-#        `#![forbid(unsafe_code)]` (not listed);
+#        `#[cfg(test)]` items, `tests/` and `benchmark/` — a tape built
+#        around the model. Expected: the recording-chain row of
+#        examples/layer_probe.rs only; `velocity`, `loss_grads` and every
+#        SWiPe stage run the tape-free executor (`SwinBlock::pass`);
+#   (ii) every `pub fn` under crates/*/src named only in `fn` definitions in
+#        non-test code (crates, examples, src) and nowhere in benchmark/src
+#        (whose test modules count as callers; a `pub use` is not a use).
+#        Each needs a reason in KEPT below; anything else is dead surface;
+#   (iii) every `par_chunks` / `par_iter` / `into_par_iter` under crates/*/src.
+#        Expected: the two fan-outs of crates/core/src/forecast.rs
+#        (`ensemble`, `step_batch`); a hit in a kernel is intra-op
+#        parallelism coming back (DESIGN.md "Where threads live");
+#   (iv) every `unsafe` / `target_feature` / `is_x86_feature_detected` site and
+#        every `dispatched!(` loop in the non-test code of crates, shims,
+#        examples and src. Expected: the detector (`Kernel::detected`) and the
+#        `dispatched!` macro of crates/tensor/src/dispatch.rs, its invocations
+#        (DISPATCHED below, each named by its kernel-taking `*_on` entry), the
+#        hand-written `avx512f` builds of the GEMM and of the attention core,
+#        admitted fn by fn (INTRINSIC_FNS below), and the `getrusage` call of
+#        examples/swipe_scaling.rs (CPU times, faults and context switches,
+#        exited threads included); every other crate root is
+#        `#![forbid(unsafe_code)]`;
 #   (v)  every contracted multiply-add call in the same non-test code
 #        (`mul_add(`, libm `fma(` / `fmaf(`, the x86 `_fmadd_` / `_fmsub_` /
 #        `_fnmadd_` / `_fnmsub_` / `_fmaddsub_` / `_fmsubadd_` intrinsics).
@@ -53,26 +38,21 @@
 #        file. Expected: lines of crates/swipe/src only — SWiPe's step
 #        checkpoint is the one file the workspace writes or reads;
 #   (vii) every `thread::spawn` / `thread::scope` / `thread::Builder` site in
-#        the non-test code of crates, shims, examples and src — the places a
-#        thread is made. Expected: the serve lane workers of
-#        crates/serve/src/engine.rs, the rayon shim's fan-out scope, the
-#        one spawn of a parked rank thread in crates/swipe/src/parked.rs and
-#        the three tenant clients of examples/serve_forecasts.rs; any other
-#        site makes a thread per operation.
+#        the same code. Expected: the serve lane workers (engine.rs), the
+#        rayon shim's fan-out scope, the parked rank spawn (swipe parked.rs)
+#        and the three tenant clients of examples/serve_forecasts.rs; any
+#        other site makes a thread per operation.
 # Crude on purpose: names are matched as words, so a used fn hides an unused
 # one of the same name, and a name used only in a doc comment counts as unused.
 #
 # `--check` makes the scan a gate: it exits non-zero when (i) prints a site
-# outside stage.rs and layer_probe.rs, when (ii) prints a name
-# that KEPT does not list (or KEPT lists a name (ii) no longer prints), when
-# (iv) prints a site outside the detector and the `dispatched!` macro body
-# of crates/tensor/src/dispatch.rs, the INTRINSIC_FNS fns and the
-# `getrusage` call, or a
-# `dispatched!(` invocation that DISPATCHED does not list (or DISPATCHED
-# lists one that is gone, or INTRINSIC_FNS a fn with no site), when (v)
-# prints anything but the GEMM's two tile lines, or when (vi) prints a
-# decoder outside crates/nn/src/checkpoint.rs or a checkpoint writer or
-# reader call outside crates/swipe/src.
+# outside layer_probe.rs, (ii) a name KEPT does not list (or KEPT a name
+# (ii) no longer prints), (iv) a site outside the detector and macro of
+# crates/tensor/src/dispatch.rs, the INTRINSIC_FNS fns and `getrusage`, or
+# an invocation DISPATCHED does not list (or DISPATCHED / INTRINSIC_FNS is
+# stale), (v) anything but the GEMM's two tile lines, or (vi) a decoder
+# outside crates/nn/src/checkpoint.rs or a writer / reader call outside
+# crates/swipe/src.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -227,7 +207,7 @@ tapes=$(strip_tests $(sources crates/*/src examples src) \
     | grep -E 'Tape::new\(\)|weighted_mse\(' | grep -v 'fn weighted_mse' || true)
 [ -z "$tapes" ] || echo "$tapes"
 i_failed=0
-if printf '%s\n' "$tapes" | grep -v '^$' | grep -qvE '^(crates/swipe/src/stage|examples/layer_probe)\.rs:'; then
+if printf '%s\n' "$tapes" | grep -v '^$' | grep -qv '^examples/layer_probe\.rs:'; then
     i_failed=1
 fi
 
@@ -395,12 +375,12 @@ strip_tests $(sources crates/*/src shims/*/src examples src) \
 if [ "$check" = 1 ]; then
     echo
     if [ "$i_failed" = 1 ] || [ "$ii_failed" = 1 ] || [ "$iv_failed" = 1 ] || [ "$v_failed" = 1 ] || [ "$vi_failed" = 1 ]; then
-        [ "$i_failed" = 0 ] || echo "check FAILED: (i) prints a tape or loss outside crates/swipe/src/stage.rs and examples/layer_probe.rs" >&2
+        [ "$i_failed" = 0 ] || echo "check FAILED: (i) prints a tape or loss outside examples/layer_probe.rs" >&2
         [ "$ii_failed" = 0 ] || echo "check FAILED: (ii) prints a name without a reason in KEPT, or KEPT is stale" >&2
         [ "$iv_failed" = 0 ] || echo "check FAILED: (iv) prints a site outside the detector, the dispatched! macro, the INTRINSIC_FNS fns and getrusage, or a dispatched!( invocation DISPATCHED does not list (or DISPATCHED or INTRINSIC_FNS is stale)" >&2
         [ "$v_failed" = 0 ] || echo "check FAILED: (v) prints a multiply-add other than the GEMM's two tile lines" >&2
         [ "$vi_failed" = 0 ] || echo "check FAILED: (vi) prints a decoder outside crates/nn/src/checkpoint.rs, or a checkpoint writer or reader outside crates/swipe/src" >&2
         exit 1
     fi
-    echo "check passed: (i) only the SWiPe stage and the probe; every (ii) name has a reason; (iv) only the detector, the dispatched! macro, the DISPATCHED loops, the INTRINSIC_FNS fns and getrusage; (v) only the GEMM's two tile lines; (vi) is the checkpoint decoder only, its writer and reader called from crates/swipe/src only"
+    echo "check passed: (i) only the probe; every (ii) name has a reason; (iv) only the detector, the dispatched! macro, the DISPATCHED loops, the INTRINSIC_FNS fns and getrusage; (v) only the GEMM's two tile lines; (vi) is the checkpoint decoder only, its writer and reader called from crates/swipe/src only"
 fi

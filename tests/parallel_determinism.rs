@@ -64,19 +64,21 @@ proptest! {
             let mut tape = Tape::new();
             let mut binding = Binding::new(&store);
             let xv = tape.leaf(x.clone());
-            let y = if fused {
-                attn.forward_all_windows(&mut tape, &mut binding, &store, xv, &rope, n_windows)
+            // All windows as one output, or one output per window; the loss
+            // is the sum of squares over every output either way.
+            let outs: Vec<_> = if fused {
+                vec![attn.forward_all_windows(&mut tape, &mut binding, &store, xv, &rope, n_windows)]
             } else {
-                let mut outs = Vec::new();
-                for w in 0..n_windows {
-                    let win = tape.slice_rows(xv, w * wlen, (w + 1) * wlen);
-                    outs.push(attn.forward(&mut tape, &mut binding, &store, win, &rope));
-                }
-                tape.concat_rows(&outs)
+                (0..n_windows)
+                    .map(|w| {
+                        let win = tape.gather_rows(xv, &(w * wlen..(w + 1) * wlen).collect::<Vec<_>>());
+                        attn.forward(&mut tape, &mut binding, &store, win, &rope)
+                    })
+                    .collect()
             };
-            let sq = tape.mul(y, y);
-            let loss = tape.sum(sq);
-            let y_val = tape.value(y).clone();
+            let y_val = Tensor::concat_rows(&outs.iter().map(|&y| tape.value(y)).collect::<Vec<_>>());
+            let sums: Vec<_> = outs.iter().map(|&y| { let sq = tape.mul(y, y); tape.sum(sq) }).collect();
+            let loss = sums[1..].iter().fold(sums[0], |acc, &s| tape.add(acc, s));
             let mut grads = tape.backward(loss);
             let gx = grads.take(xv).unwrap();
             (y_val, gx, binding.collect_grads(&mut grads))
