@@ -350,3 +350,40 @@ fn distributed_gradients_equal_reference_grads() {
         assert!(err < 1e-4, "dp={dp}: gradient of {name} deviates by {err:.2e} of its abs max");
     }
 }
+
+/// The distributed step as a contract: one `DistributedTrainer::train` call
+/// at DP 2, WP 1×2, SP 2 (Ulysses, the window exchange, the allreduce and
+/// ZeRO-1 all run), gas 2, two steps, on a reference whose AdaLN heads and
+/// decoder are nudged off zero (so every block's attention gets a gradient
+/// from the first step), hashes the losses and every final parameter (names
+/// sorted) to one pinned FNV-1a digest. The equivalence tests above compare
+/// within tolerances and the benchmark's `loss_digest` sees only losses;
+/// this sees a single gradient bit that moves a parameter.
+#[test]
+fn distributed_step_is_pinned_bitwise() {
+    let cfg = tiny_cfg();
+    let source = InMemorySource { samples: random_samples(8, cfg.tokens(), cfg.channels) };
+    let weights = weights_for(&cfg);
+    let mut reference = AerisModel::new(cfg.clone());
+    let mut rng = Rng::seed_from(21);
+    let heads = reference.blocks.iter().map(|b| b.adaln.head).chain([reference.decode]);
+    for id in heads.flat_map(|lin| [lin.w, lin.b.expect("bias")]).collect::<Vec<_>>() {
+        let nudge = Tensor::randn(reference.store.get(id).shape(), &mut rng).scale(0.05);
+        reference.store.get_mut(id).add_assign(&nudge);
+    }
+    let topo = SwipeTopology::new(2, 4, 1, 2, 2);
+    let swipe_cfg = SwipeConfig { gas: 2, n_steps: 2, lr: 1e-3, seed: 5, ..SwipeConfig::new(topo) };
+    let report = DistributedTrainer::train(&reference, &swipe_cfg, &source, &schedule(2, 2, 2, 8), &weights)
+        .expect("fault-free run");
+
+    let fnv = |h: u64, bits: u64| (h ^ bits).wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = report.losses.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, l| fnv(h, l.to_bits()));
+    let mut names: Vec<&String> = report.final_params.keys().collect();
+    names.sort();
+    assert_eq!(names.len(), reference.store.len(), "every parameter comes back");
+    for name in names {
+        h = name.bytes().fold(h, |h, b| fnv(h, b as u64));
+        h = report.final_params[name].data().iter().fold(h, |h, x| fnv(h, x.to_bits() as u64));
+    }
+    assert_eq!(h, 0x22cb_6a7d_b780_7f4d, "got {h:#x}");
+}
