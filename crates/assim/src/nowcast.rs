@@ -11,7 +11,7 @@
 use crate::guidance::{GuidanceSchedule, ObsGuidance};
 use crate::operator::ObservationSet;
 use aeris_core::forecast::ensemble;
-use aeris_core::{member_rng, ConsistencyStudent, Forecaster};
+use aeris_core::{member_rng, ConsistencyStudent, Forecaster, Workspace};
 use aeris_tensor::{Rng, Tensor};
 use std::sync::Arc;
 
@@ -20,11 +20,12 @@ pub struct NowcastEnsemble {
     pub members: Vec<Tensor>,
 }
 
-/// One guided analysis step on the caller's noise stream: a forecast step
-/// from `background` with [`ObsGuidance`] toward `obs` threaded through the
-/// sampler.
+/// One guided analysis step on the caller's noise stream, in `ws`: a
+/// forecast step from `background` with [`ObsGuidance`] toward `obs`
+/// threaded through the sampler.
 pub fn nowcast_step(
     fc: &Forecaster,
+    ws: &mut Workspace,
     background: &Arc<Tensor>,
     forcings: &Tensor,
     obs: &Arc<ObservationSet>,
@@ -38,11 +39,11 @@ pub fn nowcast_step(
         schedule,
         fc.sampler.cfg.n_steps,
     );
-    fc.forecast_step_guided(background, forcings, rng, &mut guidance)
+    fc.forecast_step_guided(ws, background, forcings, rng, &mut guidance)
 }
 
 /// One analysis member: [`nowcast_step`] on member `member`'s stream of an
-/// ensemble seeded `seed`.
+/// ensemble seeded `seed`, over a workspace of its own.
 pub fn nowcast_member(
     fc: &Forecaster,
     background: &Arc<Tensor>,
@@ -52,7 +53,7 @@ pub fn nowcast_member(
     seed: u64,
     member: usize,
 ) -> Tensor {
-    nowcast_step(fc, background, forcings, obs, schedule, &mut member_rng(seed, member))
+    nowcast_step(fc, &mut Workspace::default(), background, forcings, obs, schedule, &mut member_rng(seed, member))
 }
 
 /// One bounded Kalman-like relaxation of `x` toward the present
@@ -82,25 +83,26 @@ pub fn relax_toward_observations(x: &mut Tensor, obs: &ObservationSet, weight: f
     }
 }
 
-/// Fast-tier analysis step on the caller's noise stream: one distilled
-/// forecast step from `background` followed by
+/// Fast-tier analysis step on the caller's noise stream, in `ws`: one
+/// distilled forecast step from `background` followed by
 /// [`relax_toward_observations`] at the schedule's initial weight.
 pub fn nowcast_step_fast(
     student: &ConsistencyStudent,
+    ws: &mut Workspace,
     background: &Tensor,
     forcings: &Tensor,
     obs: &ObservationSet,
     schedule: GuidanceSchedule,
     rng: &mut Rng,
 ) -> Tensor {
-    let mut x = student.forecast_step(background, forcings, rng);
+    let mut x = student.forecast_step_in(ws, background, forcings, rng);
     relax_toward_observations(&mut x, obs, schedule.weight(0, 1));
     x
 }
 
 /// Fast-tier analysis member: [`nowcast_step_fast`] on the same member-seed
-/// discipline as [`nowcast_member`], so the result is bitwise reproducible
-/// across runs, thread counts, and serving engines.
+/// discipline as [`nowcast_member`] (a workspace of its own), so the result
+/// is bitwise reproducible across runs, thread counts, and serving engines.
 pub fn nowcast_member_fast(
     student: &ConsistencyStudent,
     background: &Arc<Tensor>,
@@ -110,12 +112,12 @@ pub fn nowcast_member_fast(
     seed: u64,
     member: usize,
 ) -> Tensor {
-    nowcast_step_fast(student, background, forcings, obs, schedule, &mut member_rng(seed, member))
+    nowcast_step_fast(student, &mut Workspace::default(), background, forcings, obs, schedule, &mut member_rng(seed, member))
 }
 
-/// A full analysis ensemble: [`nowcast_step`] once per member through
-/// [`aeris_core::forecast::ensemble`] (results are member-seed pure, so
-/// thread count never changes the numbers).
+/// A full analysis ensemble: [`nowcast_step`] once per member, each in its
+/// own workspace, through [`aeris_core::forecast::ensemble`] (results are
+/// member-seed pure, so thread count never changes the numbers).
 pub fn nowcast_ensemble(
     fc: &Forecaster,
     background: &Arc<Tensor>,
@@ -126,7 +128,7 @@ pub fn nowcast_ensemble(
     seed: u64,
 ) -> NowcastEnsemble {
     let members = ensemble(n_members, seed, |_, rng| {
-        nowcast_step(fc, background, forcings, obs, schedule, rng)
+        nowcast_step(fc, &mut Workspace::default(), background, forcings, obs, schedule, rng)
     });
     NowcastEnsemble { members }
 }

@@ -10,14 +10,14 @@
 //! `Q | K | V` as the one row-major matrix it reads, and makes the input gradient one
 //! `dQKV · (Wq | Wk | Wv)ᵀ` GEMM rather than three products and two sums.
 //!
-//! There is one attention core — `aeris_tensor::attention::window_core`
-//! forward, `window_core_backward` backward, each the only copy of its window
-//! loop — and one op that records it, `window_attention`, with the
-//! projection GEMMs around it. The tape-free block (`aeris_core`'s
-//! `SwinBlock::pass` and its backward, which SWiPe's block stage runs with
-//! its Ulysses all-to-alls around the core) calls the same two functions; a
-//! test-only op, `window_attention_core`, records the core alone for the
-//! oracles below.
+//! There is one attention core — `aeris_tensor::attention`'s forward and
+//! backward window loops — and one op that records it, `window_attention`,
+//! with the projection GEMMs around it: the `Tensor` forms `window_core_on`
+//! and `window_core_backward_on` on the detected build, each over a scratch
+//! of its own. The tape-free block (`aeris_core`'s `SwinBlock::pass` and its
+//! backward, which SWiPe's block stage runs with its Ulysses all-to-alls
+//! around the core) calls their slice forms over its `Workspace`'s scratch;
+//! a test-only op, `window_attention_core`, records the core alone.
 //!
 //! # Query-lane core
 //!
@@ -57,7 +57,8 @@
 //! `dX = dQKV · W_qkvᵀ` and `dW_qkv = Xᵀ · dQKV` (split by columns).
 
 use crate::tape::{Tape, Var};
-use aeris_tensor::attention::{window_core, window_core_backward, WindowAttnPlan};
+use aeris_tensor::attention::{window_core_backward_on, window_core_on, WindowAttnPlan};
+use aeris_tensor::dispatch::Kernel;
 use aeris_tensor::{matmul, matmul_nt, matmul_tn, Tensor};
 
 /// Forward: `Y = attn(X) Wo`. Returns `(y, qkv, o)` with the fused
@@ -65,7 +66,7 @@ use aeris_tensor::{matmul, matmul_nt, matmul_tn, Tensor};
 /// backward pass.
 fn forward(x: &Tensor, w_qkv: &Tensor, wo: &Tensor, plan: &WindowAttnPlan) -> (Tensor, Tensor, Tensor) {
     let qkv = matmul(x, w_qkv);
-    let o = window_core(&qkv, plan);
+    let o = window_core_on(Kernel::detected(), &qkv, plan);
     let y = matmul(&o, wo);
     (y, qkv, o)
 }
@@ -83,7 +84,7 @@ fn backward(
 ) -> Vec<Tensor> {
     let dim = plan.dim();
     let dwo = matmul_tn(o, dy);
-    let dqkv = window_core_backward(&matmul_nt(dy, wo), qkv, plan);
+    let dqkv = window_core_backward_on(Kernel::detected(), &matmul_nt(dy, wo), qkv, plan);
     let dx = matmul_nt(&dqkv, w_qkv);
     let dw_qkv = matmul_tn(x, &dqkv);
     vec![
@@ -149,14 +150,14 @@ impl Tape {
             &[plan.tokens(), 3 * plan.dim()],
             "window_attention_core input shape"
         );
-        let o = window_core(self.value(qkv), plan);
+        let o = window_core_on(Kernel::detected(), self.value(qkv), plan);
         let plan = plan.clone();
         let pqkv = qkv.0;
         self.push(
             o,
             vec![pqkv],
             Some(Box::new(move |d, nodes| {
-                vec![window_core_backward(&d, nodes[pqkv].value(), &plan)]
+                vec![window_core_backward_on(Kernel::detected(), &d, nodes[pqkv].value(), &plan)]
             })),
             true,
         )
@@ -584,7 +585,7 @@ mod tests {
         qkv.row_mut(0)[0] = 60.0;
         qkv.row_mut(0)[dim] = 60.0;
         qkv.row_mut(3)[2 * dim] = f32::INFINITY;
-        let o = window_core(&qkv, &plan);
+        let o = window_core_on(Kernel::detected(), &qkv, &plan);
         assert!(o.at(&[0, 0]).is_nan(), "0 · inf must stay NaN, got {}", o.at(&[0, 0]));
         assert!(o.row(0)[1..].iter().all(|v| *v == 0.0));
         // The tape op records that very core.
@@ -605,7 +606,7 @@ mod tests {
         qkv.row_mut(0)[0] = 60.0;
         qkv.row_mut(0)[dim] = 60.0;
         qkv.row_mut(16)[2 * dim] = f32::INFINITY;
-        let o = window_core(&qkv, &plan);
+        let o = window_core_on(Kernel::detected(), &qkv, &plan);
         assert!(o.at(&[0, 0]).is_nan(), "0 · inf must stay NaN, got {}", o.at(&[0, 0]));
         assert!(o.row(0)[1..].iter().all(|v| *v == 0.0));
         assert_eq!(o.at(&[16, 0]), f32::INFINITY, "tail-tile query must see the Inf");
@@ -655,7 +656,7 @@ mod tests {
             let qkv = Tensor::randn(&[plan.tokens(), 3 * plan.dim()], &mut rng);
             let d_o = Tensor::randn(&[plan.tokens(), plan.dim()], &mut rng);
             prop_assert_eq!(
-                bits(&window_core_backward(&d_o, &qkv, &plan)),
+                bits(&window_core_backward_on(Kernel::detected(), &d_o, &qkv, &plan)),
                 bits(&attention_core_backward(&d_o, &qkv, &plan)),
                 "dQKV bits moved at {:?}",
                 (n_windows, wlen, n_heads, HEAD_DIMS[hd])

@@ -4,7 +4,7 @@
 //! medium-range skill but blur at long leads and have no ensemble spread.
 
 use aeris_core::forecast::{add_residual, rollout};
-use aeris_core::{AerisModel, TrainSample};
+use aeris_core::{AerisModel, TrainSample, Workspace};
 use aeris_earthsim::NormStats;
 use aeris_nn::{batch_mean, AdamW, AdamWConfig};
 use aeris_tensor::Tensor;
@@ -24,10 +24,11 @@ impl DeterministicForecaster {
         DeterministicForecaster { model, stats, res_stats }
     }
 
-    /// One training step over a batch: weighted MSE on the standardized
-    /// residual. Returns the mean loss.
+    /// One training step over a batch, in `ws`: weighted MSE on the
+    /// standardized residual. Returns the mean loss.
     pub fn train_step(
         &mut self,
+        ws: &mut Workspace,
         opt: &mut AdamW,
         batch: &[&TrainSample],
         weights: &Tensor,
@@ -38,7 +39,7 @@ impl DeterministicForecaster {
         let zeros = Tensor::zeros(&[self.model.cfg.tokens(), self.model.cfg.channels]);
         for s in batch {
             total += self.model.loss_grads(
-                &zeros, &s.x_prev, &s.forcings, 0.0, &s.residual, weights, &mut acc,
+                ws, &zeros, &s.x_prev, &s.forcings, 0.0, &s.residual, weights, &mut acc,
             );
         }
         let loss = batch_mean(&mut acc, total, batch.len());
@@ -57,22 +58,24 @@ impl DeterministicForecaster {
         seed: u64,
     ) -> Vec<f64> {
         let mut opt = AdamW::new(&self.model.store, AdamWConfig::default());
+        let mut ws = Workspace::default();
         crate::fit_epochs(samples, batch, epochs, seed, |b, _| {
-            self.train_step(&mut opt, b, weights, lr)
+            self.train_step(&mut ws, &mut opt, b, weights, lr)
         })
     }
 
-    /// One deterministic forecast step in physical units.
-    pub fn forecast_step(&self, x_prev: &Tensor, forcings: &Tensor) -> Tensor {
+    /// One deterministic forecast step in physical units, in `ws`.
+    pub fn forecast_step(&self, ws: &mut Workspace, x_prev: &Tensor, forcings: &Tensor) -> Tensor {
         let prev_std = self.stats.standardize(x_prev);
         let zeros = Tensor::zeros(prev_std.shape());
-        let pred = self.model.velocity(&zeros, &prev_std, forcings, 0.0);
+        let pred = self.model.velocity_into(ws, &zeros, &prev_std, forcings, 0.0);
         add_residual(x_prev, &pred, &self.res_stats)
     }
 
-    /// Deterministic autoregressive rollout.
+    /// Deterministic autoregressive rollout, in one workspace.
     pub fn rollout(&self, x0: &Tensor, forcings: &dyn Fn(usize) -> Tensor, steps: usize) -> Vec<Tensor> {
-        rollout(x0, forcings, steps, |x, f| self.forecast_step(x, f))
+        let mut ws = Workspace::default();
+        rollout(x0, forcings, steps, |x, f| self.forecast_step(&mut ws, x, f))
     }
 }
 
@@ -133,7 +136,7 @@ mod tests {
     fn train_step_rejects_an_empty_batch() {
         let (mut f, _, weights) = setup();
         let mut opt = AdamW::new(&f.model.store, AdamWConfig::default());
-        f.train_step(&mut opt, &[], &weights, 3e-3);
+        f.train_step(&mut Workspace::default(), &mut opt, &[], &weights, 3e-3);
     }
 
     #[test]

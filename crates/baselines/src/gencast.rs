@@ -4,7 +4,7 @@
 //! contrasted against AERIS's TrigFlow in the ablation benches.
 
 use aeris_core::forecast::{add_residual, ensemble, rollout};
-use aeris_core::{AerisModel, TrainSample};
+use aeris_core::{AerisModel, TrainSample, Workspace};
 use aeris_diffusion::{EdmConfig, EdmSampler};
 use aeris_earthsim::NormStats;
 use aeris_nn::{batch_mean, AdamW, AdamWConfig};
@@ -42,17 +42,18 @@ impl GenCastAnalog {
     }
 
     /// The preconditioned denoiser `D(x_σ, σ)` (raw network in, x₀-estimate
-    /// out), conditioned on the previous state and forcings.
-    pub fn denoise(&self, x_sigma: &Tensor, prev_std: &Tensor, forcings: &Tensor, sigma: f32) -> Tensor {
+    /// out), conditioned on the previous state and forcings, in `ws`.
+    pub fn denoise(&self, ws: &mut Workspace, x_sigma: &Tensor, prev_std: &Tensor, forcings: &Tensor, sigma: f32) -> Tensor {
         let (c_skip, c_out, c_in, _) = self.edm.precond(sigma);
         let scaled = x_sigma.scale(c_in);
-        let f = self.model.velocity(&scaled, prev_std, forcings, self.t_of_sigma(sigma));
+        let f = self.model.velocity_into(ws, &scaled, prev_std, forcings, self.t_of_sigma(sigma));
         x_sigma.scale(c_skip).add(&f.scale(c_out))
     }
 
-    /// One EDM training step over a batch; returns the mean weighted loss.
+    /// One EDM training step over a batch in `ws`: the mean weighted loss.
     pub fn train_step(
         &mut self,
+        ws: &mut Workspace,
         opt: &mut AdamW,
         batch: &[&TrainSample],
         weights: &Tensor,
@@ -71,6 +72,7 @@ impl GenCastAnalog {
             let lw = self.edm.loss_weight(sigma) * c_out * c_out;
             let w = weights.scale(lw);
             total += self.model.loss_grads(
+                ws,
                 &x_sigma.scale(c_in),
                 &s.x_prev,
                 &s.forcings,
@@ -96,24 +98,25 @@ impl GenCastAnalog {
         seed: u64,
     ) -> Vec<f64> {
         let mut opt = AdamW::new(&self.model.store, AdamWConfig::default());
+        let mut ws = Workspace::default();
         crate::fit_epochs(samples, batch, epochs, seed, |b, rng| {
-            self.train_step(&mut opt, b, weights, lr, rng)
+            self.train_step(&mut ws, &mut opt, b, weights, lr, rng)
         })
     }
 
-    /// One stochastic forecast step (sample a residual with the Heun EDM
-    /// sampler, add to the state).
-    pub fn forecast_step(&self, x_prev: &Tensor, forcings: &Tensor, rng: &mut Rng) -> Tensor {
+    /// One stochastic forecast step in `ws` (sample a residual with the
+    /// Heun EDM sampler, add to the state).
+    pub fn forecast_step(&self, ws: &mut Workspace, x_prev: &Tensor, forcings: &Tensor, rng: &mut Rng) -> Tensor {
         let prev_std = self.stats.standardize(x_prev);
         let shape = prev_std.shape().to_vec();
         let sampler = EdmSampler::new(self.edm, self.n_sample_steps, self.churn);
         let mut denoise =
-            |x: &Tensor, sigma: f32| self.denoise(x, &prev_std, forcings, sigma);
+            |x: &Tensor, sigma: f32| self.denoise(ws, x, &prev_std, forcings, sigma);
         let residual_std = sampler.sample(&shape, &mut denoise, rng);
         add_residual(x_prev, &residual_std, &self.res_stats)
     }
 
-    /// Autoregressive rollout.
+    /// Autoregressive rollout, in one workspace.
     pub fn rollout(
         &self,
         x0: &Tensor,
@@ -121,7 +124,8 @@ impl GenCastAnalog {
         steps: usize,
         rng: &mut Rng,
     ) -> Vec<Tensor> {
-        rollout(x0, forcings, steps, |x, f| self.forecast_step(x, f, rng))
+        let mut ws = Workspace::default();
+        rollout(x0, forcings, steps, |x, f| self.forecast_step(&mut ws, x, f, rng))
     }
 
     /// Ensemble of rollouts (parallel over members, each on its own
@@ -171,11 +175,12 @@ mod tests {
             let sigma = 0.5f32;
             let mut rng = Rng::seed_from(1234);
             let mut total = 0.0f64;
+            let mut ws = Workspace::default();
             for s in &samples {
                 let z = Tensor::randn(s.residual.shape(), &mut rng);
                 let x_sigma = g.edm.add_noise(&s.residual, &z, sigma);
                 let prev = g.stats.standardize(&s.x_prev);
-                let d = g.denoise(&x_sigma, &prev, &s.forcings, sigma);
+                let d = g.denoise(&mut ws, &x_sigma, &prev, &s.forcings, sigma);
                 let diff = d.sub(&s.residual);
                 total += diff.dot(&diff) / diff.len() as f64;
             }
@@ -207,7 +212,7 @@ mod tests {
         let forc = &samples[0].forcings;
         let x = samples[0].residual.clone();
         // σ → 0: D(x) → x (c_skip→1, c_out→0).
-        let d = g.denoise(&x, &prev, forc, 1e-4);
+        let d = g.denoise(&mut Workspace::default(), &x, &prev, forc, 1e-4);
         assert!(d.max_abs_diff(&x) < 1e-3);
     }
 

@@ -12,7 +12,7 @@
 //! evaluation instead of `2·n_steps` (the DPMSolver++ 2S budget).
 
 use crate::forecast::{self, Forecaster};
-use crate::model::AerisModel;
+use crate::model::{AerisModel, Workspace};
 use crate::training::TrainSample;
 use aeris_diffusion::TrigFlow;
 use aeris_earthsim::NormStats;
@@ -80,6 +80,7 @@ impl ConsistencyStudent {
         };
 
         let mut target_model = AerisModel::new(teacher.model.cfg.clone());
+        let mut ws = Workspace::default();
         for _step in 0..cfg.steps {
             let sample = &samples[rng.below(samples.len())];
             // Pick an adjacent time pair (t_{n+1} > t_n).
@@ -91,14 +92,14 @@ impl ConsistencyStudent {
             // Teacher ODE hop t_hi → t_lo (one exact angular step with the
             // teacher's velocity).
             let v_teacher =
-                teacher.model.velocity(&x_hi, &sample.x_prev, &sample.forcings, t_hi);
+                teacher.model.velocity_into(&mut ws, &x_hi, &sample.x_prev, &sample.forcings, t_hi);
             let x_lo = tf.ode_step(&x_hi, &v_teacher, t_hi, t_lo);
 
             // Target: the EMA student's denoised prediction at (x_lo, t_lo);
             // at t_lo = 0 the target is x_lo itself (boundary condition).
             target_ema.apply_to(&mut target_model.store);
             let f_target = if t_lo > 0.0 {
-                let v = target_model.velocity(&x_lo, &sample.x_prev, &sample.forcings, t_lo);
+                let v = target_model.velocity_into(&mut ws, &x_lo, &sample.x_prev, &sample.forcings, t_lo);
                 tf.denoise(&x_lo, &v, t_lo)
             } else {
                 x_lo
@@ -113,7 +114,7 @@ impl ConsistencyStudent {
             // consistency (denoised-space) error.
             let w = weights.scale(s * s);
             let mut g: Vec<Option<Tensor>> = vec![None; student.store.len()];
-            student.loss_grads(&x_hi, &sample.x_prev, &sample.forcings, t_hi, &v_target, &w, &mut g);
+            student.loss_grads(&mut ws, &x_hi, &sample.x_prev, &sample.forcings, t_hi, &v_target, &w, &mut g);
             opt.step(&mut student.store, &g, cfg.lr);
             target_ema.update(&student.store, 1.0);
         }
@@ -126,17 +127,22 @@ impl ConsistencyStudent {
         }
     }
 
-    /// One-network-evaluation forecast step: denoise pure noise at t = π/2.
+    /// [`Self::forecast_step_in`] over a workspace of its own.
     pub fn forecast_step(&self, x_prev: &Tensor, forcings: &Tensor, rng: &mut Rng) -> Tensor {
+        self.forecast_step_in(&mut Workspace::default(), x_prev, forcings, rng)
+    }
+
+    /// One-network-evaluation forecast step in `ws`: denoise noise at t = π/2.
+    pub fn forecast_step_in(&self, ws: &mut Workspace, x_prev: &Tensor, forcings: &Tensor, rng: &mut Rng) -> Tensor {
         let prev_std = self.stats.standardize(x_prev);
         let t = self.tf.t_of_sigma(self.tf.sigma_max);
         let noise = Tensor::randn(prev_std.shape(), rng).scale(self.tf.sigma_d);
-        let v = self.model.velocity(&noise, &prev_std, forcings, t);
+        let v = self.model.velocity_into(ws, &noise, &prev_std, forcings, t);
         let residual_std = self.tf.denoise(&noise, &v, t);
         forecast::add_residual(x_prev, &residual_std, &self.res_stats)
     }
 
-    /// Single-step autoregressive rollout.
+    /// Single-step autoregressive rollout, in one workspace.
     pub fn rollout(
         &self,
         x0: &Tensor,
@@ -144,7 +150,8 @@ impl ConsistencyStudent {
         steps: usize,
         rng: &mut Rng,
     ) -> Vec<Tensor> {
-        forecast::rollout(x0, forcings, steps, |x, f| self.forecast_step(x, f, rng))
+        let mut ws = Workspace::default();
+        forecast::rollout(x0, forcings, steps, |x, f| self.forecast_step_in(&mut ws, x, f, rng))
     }
 
     /// Ensemble of one-step rollouts.

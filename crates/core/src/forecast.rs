@@ -5,7 +5,7 @@
 //! autoregressively. New ensemble members resample the initial noise (and
 //! churn noise) with different seeds.
 
-use crate::model::AerisModel;
+use crate::model::{AerisModel, Workspace};
 use aeris_diffusion::{Guidance, NoGuidance, TrigFlowSampler};
 use aeris_earthsim::NormStats;
 use aeris_tensor::{sweeps, Rng, Tensor};
@@ -91,13 +91,16 @@ pub fn ensemble<T: Send>(
 
 /// Advance several independent jobs by one step each, in parallel (the
 /// pool's other fan-out, next to [`ensemble`]); `out[i]` is
-/// `step(&mut jobs[i])` at any pool width. A job owns everything its step
-/// mutates (its RNG, any guidance state), so a job's result is a pure
-/// function of that job alone — batch order and composition can never change
-/// the numbers, which is what lets the serving engine coalesce requests
-/// freely while staying bitwise deterministic.
-pub fn step_batch<J: Send>(jobs: &mut [J], step: impl Fn(&mut J) -> Tensor + Sync) -> Vec<Tensor> {
-    jobs.iter_mut().into_par_iter().map(step).collect()
+/// `step(&mut jobs[i], &mut workspaces[i])` at any pool width (`workspaces`
+/// grows to one per job). A job owns everything its step mutates (its RNG,
+/// any guidance state) and runs in its own workspace, whose contents never
+/// reach a result, so a job's result is a pure function of that job alone —
+/// batch order and composition can never change the numbers, which is what
+/// lets the serving engine coalesce requests freely while staying bitwise
+/// deterministic.
+pub fn step_batch<J: Send>(jobs: &mut [J], workspaces: &mut Vec<Workspace>, step: impl Fn(&mut J, &mut Workspace) -> Tensor + Sync) -> Vec<Tensor> {
+    workspaces.resize_with(workspaces.len().max(jobs.len()), Workspace::default);
+    jobs.iter_mut().zip(workspaces).into_par_iter().map(|(job, ws)| step(job, ws)).collect()
 }
 
 impl EnsembleForecast {
@@ -130,17 +133,19 @@ impl Forecaster {
         }
     }
 
-    /// One forecast step: physical `x_prev` + forcings → physical `x_next`,
-    /// by sampling a standardized residual from the diffusion model.
+    /// One forecast step over a workspace of its own: physical `x_prev` +
+    /// forcings → physical `x_next`, by sampling a standardized residual.
     pub fn forecast_step(&self, x_prev: &Tensor, forcings: &Tensor, rng: &mut Rng) -> Tensor {
-        self.forecast_step_guided(x_prev, forcings, rng, &mut NoGuidance)
+        self.forecast_step_guided(&mut Workspace::default(), x_prev, forcings, rng, &mut NoGuidance)
     }
 
-    /// [`Self::forecast_step`] with an observation-consistency guidance hook
-    /// threaded into the sampler (generative data assimilation). A hook that
-    /// never fires leaves this bitwise identical to the plain step.
+    /// [`Self::forecast_step`] in `ws`, with an observation-consistency
+    /// guidance hook threaded into the sampler (generative data
+    /// assimilation). A hook that never fires ([`NoGuidance`]) leaves this
+    /// bitwise identical to the plain step.
     pub fn forecast_step_guided(
         &self,
+        ws: &mut Workspace,
         x_prev: &Tensor,
         forcings: &Tensor,
         rng: &mut Rng,
@@ -149,12 +154,12 @@ impl Forecaster {
         let prev_std = self.stats.standardize(x_prev);
         let shape = prev_std.shape().to_vec();
         let mut velocity =
-            |x_t: &Tensor, t: f32| self.model.velocity(x_t, &prev_std, forcings, t);
+            |x_t: &Tensor, t: f32| self.model.velocity_into(ws, x_t, &prev_std, forcings, t);
         let residual_std = self.sampler.sample_guided(&shape, &mut velocity, rng, guidance);
         add_residual(x_prev, &residual_std, &self.res_stats)
     }
 
-    /// Autoregressive rollout for `steps` steps. `forcings(k)` returns the
+    /// Autoregressive rollout (one workspace). `forcings(k)` returns the
     /// forcing tensor valid at the *input* of step `k` (solar radiation moves
     /// with the clock; orography and land-sea mask are static).
     pub fn rollout(
@@ -164,11 +169,13 @@ impl Forecaster {
         steps: usize,
         rng: &mut Rng,
     ) -> Vec<Tensor> {
-        rollout(x0, forcings, steps, |x, f| self.forecast_step(x, f, rng))
+        let mut ws = Workspace::default();
+        rollout(x0, forcings, steps, |x, f| self.forecast_step_guided(&mut ws, x, f, rng, &mut NoGuidance))
     }
 
-    /// Generate an ensemble of rollouts (members fan out through [`ensemble`]).
-    /// Member `m` draws from [`member_rng`]`(base_seed, m)`.
+    /// Generate an ensemble of rollouts (members fan out through [`ensemble`],
+    /// each a [`Self::rollout`] in its own workspace). Member `m` draws from
+    /// [`member_rng`]`(base_seed, m)`.
     pub fn ensemble(
         &self,
         x0: &Tensor,
@@ -314,7 +321,9 @@ mod tests {
             rayon::set_thread_override(Some(threads));
             let mut jobs: Vec<(&Tensor, Rng)> =
                 states.iter().enumerate().map(|(i, x)| (x, root.stream(i as u64))).collect();
-            let got = step_batch(&mut jobs, |(x, rng)| f.forecast_step(x, &forc, rng));
+            let got = step_batch(&mut jobs, &mut Vec::new(), |(x, rng), ws| {
+                f.forecast_step_guided(ws, x, &forc, rng, &mut NoGuidance)
+            });
             rayon::set_thread_override(None);
             assert_eq!(expect, got, "batching must not change the numbers ({threads} threads)");
             // The jobs' own state advanced exactly as the sequential calls did.

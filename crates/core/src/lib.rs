@@ -29,5 +29,5 @@ pub mod training;
 pub use config::AerisConfig;
 pub use distill::{ConsistencyStudent, DistillConfig};
 pub use forecast::{member_rng, step_batch, EnsembleForecast, Forecaster};
-pub use model::AerisModel;
+pub use model::{AerisModel, Workspace};
 pub use training::{prepare_samples, TrainSample, Trainer, TrainerConfig};

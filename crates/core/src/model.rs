@@ -9,11 +9,10 @@ use aeris_nn::{
     pos_encoding_2d, Binding, Linear, ParamStore, RmsNorm, RopeTable, SwiGlu, TimeConditioner,
     WindowAttention,
 };
-use aeris_tensor::attention::{window_core_backward_into, window_core_into};
+use aeris_tensor::attention::{window_core_backward_into, window_core_into, CoreScratch};
 use aeris_tensor::dispatch::Kernel;
 use aeris_tensor::gemm::gemm;
 use aeris_tensor::{sweeps, Rng, Tensor};
-use std::cell::RefCell;
 use std::convert::Infallible;
 
 mod backward;
@@ -24,19 +23,24 @@ pub use backward::{BlockGrads, BlockSaves};
 /// ([`SwinBlock::pass`]): 4 × 16 tokens, 64 rows, at toy48.
 const WINDOWS_PER_PASS: usize = 4;
 
-/// The working buffers of the tape-free forward: the attention plan, the
-/// time features `feats`, their projection `time` (before SiLU) and the
+/// Every buffer the executor uses, owned by its caller for as long as its
+/// work runs (a serve lane's batch slot, a `Trainer`, a rollout, a SWiPe
+/// block stage) and sized on first use and for each new model shape. The
+/// forward's: the attention plan and the core's tiles, the time features `feats`, their projection `time` (before SiLU) and the
 /// conditioning vector `cond`, the assembled `input`, the residual stream
 /// `x` and its post-attention value `mid` (`[tokens, dim]`, stream order),
 /// and per row block, in the order of the block's [`BlockRows`], the normed
-/// rows `h`, the projection `qkv`, the context `o`, a branch output `y`,
-/// the gate-up `gu` and its SwiGLU `hid`. `inv_rms` receives the norms'
-/// `r`. After a forward, `x`, `mid` and `inv_rms` hold the output norm's
-/// input, output and `r`. One set per thread serves `velocity` and
-/// `loss_grads`; a SWiPe block stage keeps its own.
+/// rows `h`, the projection `qkv`, the context `o`, a branch output `y`, the
+/// gate-up `gu` and its SwiGLU `hid`. `inv_rms` receives the norms' `r`.
+/// After a forward, `x`, `mid` and `inv_rms` hold the output norm's input,
+/// output and `r`. Training adds each block's [`BlockSaves`], the backward's
+/// [`BlockGrads`], the prediction `out` and its gradient `dout`, and the
+/// gradients of `cond` and of the time projection. A SWiPe block stage
+/// keeps its in-flight microbatches' spare saves in `saves`.
 #[derive(Default)]
-pub struct Scratch {
+pub struct Workspace {
     plan: Option<WindowAttnPlan>,
+    core: CoreScratch,
     pub feats: Vec<f32>,
     pub time: Vec<f32>,
     pub cond: Vec<f32>,
@@ -51,10 +55,12 @@ pub struct Scratch {
     gu: Vec<f32>,
     hid: Vec<f32>,
     inv_rms: Vec<f32>,
-}
-
-thread_local! {
-    static SCRATCH: RefCell<Scratch> = RefCell::default();
+    pub saves: Vec<BlockSaves>,
+    pub grads: BlockGrads,
+    out: Vec<f32>,
+    dout: Vec<f32>,
+    dcond: Vec<f32>,
+    dtime: Vec<f32>,
 }
 
 /// Size every buffer of `bufs` to its length. With `debug_assertions` every
@@ -69,9 +75,9 @@ fn size_buffers<const N: usize>(bufs: [(&mut Vec<f32>, usize); N]) {
     }
 }
 
-impl Scratch {
-    /// Size every buffer for `cfg`'s model over `tokens` stream rows, taken
-    /// in row blocks of up to `rows`.
+impl Workspace {
+    /// Size the forward's buffers for `cfg`'s model over `tokens` stream
+    /// rows, taken in row blocks of up to `rows`.
     pub fn prepare(&mut self, cfg: &AerisConfig, tokens: usize, rows: usize) {
         let (dim, ffn) = (cfg.dim, cfg.ffn);
         size_buffers([
@@ -131,27 +137,29 @@ pub trait AttentionStep {
     /// Why the step can fail.
     type Error;
     /// A row block's `Q | K | V` (`[n, 3·dim]`, rows in the block's row
-    /// order) into its context `o` (`[n, dim]`, the same rows). The step may
-    /// leave `qkv` rewritten into the layout its backward reads.
-    fn forward(&mut self, qkv: &mut [f32], o: &mut [f32]) -> Result<(), Self::Error>;
+    /// order) into its context `o` (`[n, dim]`, the same rows), the core
+    /// working in `core`. The step may leave `qkv` rewritten into the layout
+    /// its backward reads.
+    fn forward(&mut self, qkv: &mut [f32], o: &mut [f32], core: &mut CoreScratch) -> Result<(), Self::Error>;
     /// The context's gradient `d_o` over every row of the block at once
-    /// into `dqkv`, reading `qkv` as the forward left it.
-    fn backward(&mut self, d_o: &[f32], qkv: &[f32], dqkv: &mut [f32]) -> Result<(), Self::Error>;
+    /// into `dqkv`, reading `qkv` as the forward left it. The step may
+    /// overwrite `d_o`.
+    fn backward(&mut self, d_o: &mut [f32], qkv: &[f32], dqkv: &mut [f32], core: &mut CoreScratch) -> Result<(), Self::Error>;
 }
 
 /// The single-process step: the window core over the rows' whole windows.
 impl AttentionStep for WindowAttnPlan {
     type Error = Infallible;
 
-    fn forward(&mut self, qkv: &mut [f32], o: &mut [f32]) -> Result<(), Infallible> {
+    fn forward(&mut self, qkv: &mut [f32], o: &mut [f32], core: &mut CoreScratch) -> Result<(), Infallible> {
         self.n_windows = o.len() / (self.window_len * self.dim());
-        window_core_into(Kernel::detected(), qkv, self, o);
+        window_core_into(Kernel::detected(), qkv, self, o, core);
         Ok(())
     }
 
-    fn backward(&mut self, d_o: &[f32], qkv: &[f32], dqkv: &mut [f32]) -> Result<(), Infallible> {
+    fn backward(&mut self, d_o: &mut [f32], qkv: &[f32], dqkv: &mut [f32], core: &mut CoreScratch) -> Result<(), Infallible> {
         self.n_windows = d_o.len() / (self.window_len * self.dim());
-        window_core_backward_into(Kernel::detected(), d_o, qkv, self, dqkv);
+        window_core_backward_into(Kernel::detected(), d_o, qkv, self, dqkv, core);
         Ok(())
     }
 }
@@ -248,7 +256,7 @@ impl SwinBlock {
         BlockConsts { mods, scales, w_qkv }
     }
 
-    /// The block without a tape, in place on `s.x`, conditioned on `s.cond`:
+    /// The block without a tape, in place on `ws.x`, conditioned on `ws.cond`:
     /// one pass over `rows` in row blocks of `rows.block`. A row block is
     /// five row-block kernels of `sweeps` around the fused `Wq | Wk | Wv`
     /// GEMM, the attention step `attn` and `Wo`: the modulated norm gathered
@@ -262,11 +270,11 @@ impl SwinBlock {
         store: &ParamStore,
         rows: BlockRows,
         attn: &mut A,
-        s: &mut Scratch,
+        ws: &mut Workspace,
         saves: &mut impl Saves,
     ) -> Result<(), A::Error> {
         let (dim, ffn) = (self.norm1.dim, self.mlp.ffn);
-        let Scratch { cond, x, mid, h, qkv, o, y, gu, hid, inv_rms, .. } = s;
+        let Workspace { core, cond, x, mid, h, qkv, o, y, gu, hid, inv_rms, .. } = ws;
         let consts = self.consts(store, cond);
         let BlockConsts { mods, scales: [scale1, scale2], w_qkv } = &consts;
         let [shift1, _, gate1, shift2, _, gate2]: [&[f32]; 6] = std::array::from_fn(|i| &mods[i * dim..(i + 1) * dim]);
@@ -281,7 +289,7 @@ impl SwinBlock {
             let [h1, qkv, o] = saves.window_rows(i * per, n).unwrap_or(scratch);
             sweeps::modulated_rmsnorm_rows(h1, ir, x, rows, mods1, self.norm1.eps);
             gemm(n, 3 * dim, dim, h1, false, w_qkv.data(), false, qkv);
-            attn.forward(qkv, o)?;
+            attn.forward(qkv, o, core)?;
             self.attn.wo.apply(store, o, y);
             sweeps::gated_residual(mid, x, y, rows, gate1);
             saves.attention(rows, [ir, y]);
@@ -378,8 +386,8 @@ impl AerisModel {
         AerisModel { cfg, store, embed, blocks, out_norm, decode, time_cond, geo, pos_field }
     }
 
-    /// This model's attention plan: `kept` when it is one (a thread's
-    /// scratch keeps the last model's), else a new one.
+    /// This model's attention plan: `kept` when it is one (a workspace keeps
+    /// the last model's), else a new one.
     fn plan(&self, kept: Option<WindowAttnPlan>) -> WindowAttnPlan {
         let (rope, heads) = (&self.geo.rope, self.cfg.n_heads);
         match kept {
@@ -427,38 +435,39 @@ impl AerisModel {
         self.decode.forward(tape, binding, store, x)
     }
 
-    /// Inference-only velocity evaluation `σ_d F_θ(x/σ_d, t)` (σ_d = 1 on
-    /// standardized data), without a tape: the time embedding, the
-    /// embedding, each block's pass over row blocks of whole windows, the
-    /// output norm and the decoder, on the calling thread's scratch.
-    /// Bitwise equal to [`AerisModel::forward`].
+    /// [`Self::velocity_into`] over a workspace of its own.
     pub fn velocity(&self, x_t: &Tensor, x_prev: &Tensor, forcings: &Tensor, t: f32) -> Tensor {
+        self.velocity_into(&mut Workspace::default(), x_t, x_prev, forcings, t)
+    }
+
+    /// Inference-only velocity evaluation `σ_d F_θ(x/σ_d, t)` (σ_d = 1 on
+    /// standardized data) without a tape, in `ws` (`run`). Bitwise equal to
+    /// [`AerisModel::forward`].
+    pub fn velocity_into(&self, ws: &mut Workspace, x_t: &Tensor, x_prev: &Tensor, forcings: &Tensor, t: f32) -> Tensor {
         let mut out = Tensor::for_overwrite(&[self.cfg.tokens(), self.cfg.channels]);
-        SCRATCH.with_borrow_mut(|s| {
-            // A `Vec<()>` holds no memory.
-            let mut nothing = vec![(); self.blocks.len()];
-            self.run(self.input_parts(x_t, x_prev, forcings), t, s, &mut nothing, out.data_mut());
-        });
+        // A `Vec<()>` holds no memory.
+        let mut nothing = vec![(); self.blocks.len()];
+        self.run(self.input_parts(x_t, x_prev, forcings), t, ws, &mut nothing, out.data_mut());
         out
     }
 
     /// The tape-free forward into `out` (`[tokens, channels]`): the time
-    /// embedding, the embedding, each block's [`SwinBlock::pass`] over `s`,
+    /// embedding, the embedding, each block's [`SwinBlock::pass`] in `ws`,
     /// the output norm and the decoder, as plain calls of the kernels the
     /// taped ops run. Block `b` keeps its saves in `saves[b]`.
-    fn run<S: Saves>(&self, parts: [&Tensor; 3], t: f32, s: &mut Scratch, saves: &mut [S], out: &mut [f32]) {
+    fn run<S: Saves>(&self, parts: [&Tensor; 3], t: f32, ws: &mut Workspace, saves: &mut [S], out: &mut [f32]) {
         let (store, cfg) = (&self.store, &self.cfg);
-        s.prepare(cfg, cfg.tokens(), WINDOWS_PER_PASS * self.geo.grid.window_len());
-        self.time_cond.apply(store, t, &mut s.feats, &mut s.time, &mut s.cond);
-        let mut plan = self.plan(s.plan.take());
-        posenc::assemble_into(&parts, &self.pos_field, &mut s.input);
-        self.embed.apply(store, &s.input, &mut s.x);
+        ws.prepare(cfg, cfg.tokens(), WINDOWS_PER_PASS * self.geo.grid.window_len());
+        self.time_cond.apply(store, t, &mut ws.feats, &mut ws.time, &mut ws.cond);
+        let mut plan = self.plan(ws.plan.take());
+        posenc::assemble_into(&parts, &self.pos_field, &mut ws.input);
+        self.embed.apply(store, &ws.input, &mut ws.x);
         for (block, saves) in self.blocks.iter().zip(saves) {
-            let Ok(()) = block.pass(store, self.geo.rows(block.shifted), &mut plan, s, saves);
+            let Ok(()) = block.pass(store, self.geo.rows(block.shifted), &mut plan, ws, saves);
         }
-        s.plan = Some(plan);
-        self.out_norm.apply(store, &s.x, &mut s.mid, &mut s.inv_rms);
-        self.decode.apply(store, &s.mid, out);
+        ws.plan = Some(plan);
+        self.out_norm.apply(store, &ws.x, &mut ws.mid, &mut ws.inv_rms);
+        self.decode.apply(store, &ws.mid, out);
     }
 }
 
@@ -529,27 +538,31 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
 
-        /// `velocity` (each block one pass over row blocks of whole windows,
-        /// without a tape) is the recording forward bit for bit, on
+        /// `velocity_into` (each block one pass over row blocks of whole
+        /// windows, without a tape) is the recording forward bit for bit, on
         /// `test_tiny` (8 windows: full row blocks), on a 4 × 12 `test_tiny`
         /// (3 windows, a partial last row block) and on the toy48 shape, each
         /// with an unshifted and a shifted block, and again on a second call
-        /// over the warm scratch.
+        /// over the warm workspace. Three geometries in a row (repeats
+        /// allowed) share one workspace, which re-sizes between the models.
         #[test]
         fn velocity_equals_the_recording_forward_bitwise(
             seed in 0u64..1_000_000,
             t in 0.0f32..1.6,
-            geometry_index in 0usize..3,
+            geometries in proptest::collection::vec(0usize..3, 3),
         ) {
-            let (m, [x_t, x_prev, f]) = nudged(geometry(geometry_index), seed);
-            let mut tape = Tape::new();
-            let mut binding = Binding::new(&m.store);
-            let iv = tape.constant(m.assemble_input(&x_t, &x_prev, &f));
-            let out = m.forward(&mut tape, &mut binding, iv, t);
-            let recorded = bits(tape.value(out));
-            proptest::prop_assert!(tape.value(out).abs_max() > 0.0, "a zero output proves nothing");
-            proptest::prop_assert_eq!(bits(&m.velocity(&x_t, &x_prev, &f, t)), recorded.clone());
-            proptest::prop_assert_eq!(bits(&m.velocity(&x_t, &x_prev, &f, t)), recorded);
+            let mut ws = Workspace::default();
+            for geometry_index in geometries {
+                let (m, [x_t, x_prev, f]) = nudged(geometry(geometry_index), seed);
+                let mut tape = Tape::new();
+                let mut binding = Binding::new(&m.store);
+                let iv = tape.constant(m.assemble_input(&x_t, &x_prev, &f));
+                let out = m.forward(&mut tape, &mut binding, iv, t);
+                let recorded = bits(tape.value(out));
+                proptest::prop_assert!(tape.value(out).abs_max() > 0.0, "a zero output proves nothing");
+                proptest::prop_assert_eq!(bits(&m.velocity_into(&mut ws, &x_t, &x_prev, &f, t)), recorded.clone());
+                proptest::prop_assert_eq!(bits(&m.velocity_into(&mut ws, &x_t, &x_prev, &f, t)), recorded);
+            }
         }
     }
 
@@ -573,34 +586,38 @@ mod tests {
         /// `backward`, `accumulate_grads` — bit for bit on the loss and on
         /// every gradient, over the three geometries of the forward's
         /// proptest, for two samples summed into one `acc`: the second call
-        /// runs on the warm arena and adds into filled slots.
+        /// runs on the warm workspace and adds into filled slots. Three
+        /// geometries in a row share one workspace.
         #[test]
         fn loss_grads_equals_the_recording_backward_bitwise(
             seed in 0u64..1_000_000,
             t in 0.0f32..1.6,
-            geometry_index in 0usize..3,
+            geometries in proptest::collection::vec(0usize..3, 3),
         ) {
-            let (m, [x_t, x_prev, f]) = nudged(geometry(geometry_index), seed);
-            let mut rng = Rng::seed_from(seed ^ 0x5eed);
-            let shape = [m.cfg.tokens(), m.cfg.channels];
-            let w = Tensor::rand_uniform(&shape, 0.5, 1.5, &mut rng);
-            let (mut acc, mut recorded) = (vec![None; m.store.len()], vec![None; m.store.len()]);
-            for (t, x_t) in [(t, x_t.clone()), (1.6 - t, x_t.scale(-0.5))] {
-                let target = Tensor::randn(&shape, &mut rng);
-                let got = m.loss_grads(&x_t, &x_prev, &f, t, &target, &w, &mut acc);
-                let mut tape = Tape::new();
-                let mut binding = Binding::new(&m.store);
-                let iv = tape.constant(m.assemble_input(&x_t, &x_prev, &f));
-                let out = m.forward(&mut tape, &mut binding, iv, t);
-                let loss = tape.weighted_mse(out, &target, &w);
-                proptest::prop_assert_eq!(got.to_bits(), (tape.value(loss).data()[0] as f64).to_bits());
-                let mut grads = tape.backward(loss);
-                binding.accumulate_grads(&mut grads, &mut recorded);
-            }
-            for ((_, name, _), (a, b)) in m.store.iter().zip(acc.iter().zip(&recorded)) {
-                let (a, b) = (a.as_ref().expect("bound"), b.as_ref().expect("bound"));
-                proptest::prop_assert!(a.abs_max() > 0.0, "a zero gradient of {} proves nothing", name);
-                proptest::prop_assert_eq!(bits(a), bits(b), "gradient of {}", name);
+            let mut ws = Workspace::default();
+            for geometry_index in geometries {
+                let (m, [x_t, x_prev, f]) = nudged(geometry(geometry_index), seed);
+                let mut rng = Rng::seed_from(seed ^ 0x5eed);
+                let shape = [m.cfg.tokens(), m.cfg.channels];
+                let w = Tensor::rand_uniform(&shape, 0.5, 1.5, &mut rng);
+                let (mut acc, mut recorded) = (vec![None; m.store.len()], vec![None; m.store.len()]);
+                for (t, x_t) in [(t, x_t.clone()), (1.6 - t, x_t.scale(-0.5))] {
+                    let target = Tensor::randn(&shape, &mut rng);
+                    let got = m.loss_grads(&mut ws, &x_t, &x_prev, &f, t, &target, &w, &mut acc);
+                    let mut tape = Tape::new();
+                    let mut binding = Binding::new(&m.store);
+                    let iv = tape.constant(m.assemble_input(&x_t, &x_prev, &f));
+                    let out = m.forward(&mut tape, &mut binding, iv, t);
+                    let loss = tape.weighted_mse(out, &target, &w);
+                    proptest::prop_assert_eq!(got.to_bits(), (tape.value(loss).data()[0] as f64).to_bits());
+                    let mut grads = tape.backward(loss);
+                    binding.accumulate_grads(&mut grads, &mut recorded);
+                }
+                for ((_, name, _), (a, b)) in m.store.iter().zip(acc.iter().zip(&recorded)) {
+                    let (a, b) = (a.as_ref().expect("bound"), b.as_ref().expect("bound"));
+                    proptest::prop_assert!(a.abs_max() > 0.0, "a zero gradient of {} proves nothing", name);
+                    proptest::prop_assert_eq!(bits(a), bits(b), "gradient of {}", name);
+                }
             }
         }
     }
@@ -616,7 +633,7 @@ mod tests {
         let target = Tensor::randn(&[m.cfg.tokens(), m.cfg.channels], &mut rng);
         let w = Tensor::rand_uniform(target.shape(), 0.5, 1.5, &mut rng);
         let mut acc: Vec<Option<Tensor>> = vec![None; m.store.len()];
-        let loss = m.loss_grads(&x_t, &x_prev, &f, 0.7, &target, &w, &mut acc);
+        let loss = m.loss_grads(&mut Workspace::default(), &x_t, &x_prev, &f, 0.7, &target, &w, &mut acc);
         let mut h = (0xcbf2_9ce4_8422_2325u64 ^ loss.to_bits()).wrapping_mul(0x0000_0100_0000_01b3);
         for g in &acc {
             for x in g.as_ref().expect("every parameter is bound").data() {
@@ -790,12 +807,13 @@ mod tests {
 
         let mut acc: Vec<Option<Tensor>> = vec![None; m.store.len()];
         let mut by_hand: Vec<Option<Tensor>> = vec![None; m.store.len()];
+        let mut ws = Workspace::default();
         for t in [0.8f32, 0.3] {
             let x_t = Tensor::randn(&[128, 4], &mut rng);
             let x_prev = Tensor::randn(&[128, 4], &mut rng);
             let f = Tensor::randn(&[128, 3], &mut rng);
             let target = Tensor::randn(&[128, 4], &mut rng);
-            let got = m.loss_grads(&x_t, &x_prev, &f, t, &target, &w, &mut acc);
+            let got = m.loss_grads(&mut ws, &x_t, &x_prev, &f, t, &target, &w, &mut acc);
 
             let mut tape = Tape::new();
             let mut binding = Binding::new(&m.store);

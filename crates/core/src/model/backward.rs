@@ -21,18 +21,17 @@
 //! gradient is a statement of its own beside the input-gradient chain, so a
 //! schedule may defer it.
 //!
-//! **Memory.** The saves and the backward's buffers live in one arena per
-//! thread, [`ARENA`], sized on the thread's first call: a warm call takes
-//! from the heap only what the block pass does (its modulation vectors and
-//! the `Wq | Wk | Wv` concatenation) and what the caller's empty gradient
-//! slots need.
+//! **Memory.** The saves and the backward's buffers live in the caller's
+//! [`Workspace`] beside the forward's, sized on its first training call: a
+//! warm call takes from the heap only what the block pass does (its
+//! modulation vectors and the `Wq | Wk | Wv` concatenation), what the GEMMs
+//! pack and what the caller's empty gradient slots need.
 
-use super::{size_buffers, AerisModel, AttentionStep, BlockConsts, BlockRows, Saves, Scratch, SwinBlock};
+use super::{size_buffers, AerisModel, AttentionStep, BlockConsts, BlockRows, Saves, SwinBlock, Workspace};
 use crate::config::AerisConfig;
 use aeris_nn::{ParamStore, Slots};
 use aeris_tensor::gemm::gemm;
 use aeris_tensor::{sweeps, Tensor};
-use std::cell::RefCell;
 
 /// What one block's backward reads, kept by its pass in the layouts the
 /// tape keeps them in: the attention step's row order inside attention,
@@ -184,35 +183,14 @@ impl BlockGrads {
     }
 }
 
-/// The training forward's buffers, its saves and the backward's buffers.
-#[derive(Default)]
-struct Arena {
-    /// The forward's working buffers. After it they hold the time
-    /// projection, `cond`, the embedding's input, and the output norm's
-    /// input, output (the decoder's input) and `r`.
-    scratch: Scratch,
-    blocks: Vec<BlockSaves>,
-    grads: BlockGrads,
-    /// The prediction and its gradient, `[tokens, channels]`.
-    out: Vec<f32>,
-    dout: Vec<f32>,
-    /// `cond`'s gradient and the time projection's.
-    dcond: Vec<f32>,
-    dtime: Vec<f32>,
-}
-
-thread_local! {
-    static ARENA: RefCell<Arena> = RefCell::default();
-}
-
-impl Arena {
-    /// Size every buffer for `m` (a no-op after a thread's first call on
-    /// one config; the scratch is sized by the forward).
-    fn prepare(&mut self, m: &AerisModel) {
+impl Workspace {
+    /// Size the training buffers for `m` (a no-op after the first call on
+    /// one config; the forward's are sized by the forward).
+    fn prepare_grads(&mut self, m: &AerisModel) {
         let cfg = &m.cfg;
         let tokens = cfg.tokens();
-        self.blocks.resize_with(m.blocks.len(), BlockSaves::default);
-        for saves in &mut self.blocks {
+        self.saves.resize_with(m.blocks.len(), BlockSaves::default);
+        for saves in &mut self.saves {
             saves.prepare(cfg, tokens);
         }
         let widest = m.store.iter().map(|(_, _, p)| p.len()).max().unwrap_or(0);
@@ -227,18 +205,19 @@ impl Arena {
 }
 
 impl AerisModel {
-    /// The training sibling of [`AerisModel::velocity`]: the same
+    /// The training sibling of [`AerisModel::velocity_into`]: the same
     /// evaluation, scored against `target` with the `weights`-weighted MSE
     /// and differentiated, without a tape. The loss comes back; every
     /// parameter's gradient is added into `acc` (one slot per parameter in
     /// store order, `None` until first touched), so a batch is one call per
-    /// sample followed by [`aeris_nn::batch_mean`]. No randomness is drawn
+    /// sample followed by [`aeris_nn::batch_mean`], in `ws`. No randomness is drawn
     /// here: callers keep their own `t` / noise streams. Bitwise equal to
     /// the recording chain: [`AerisModel::forward`], `Tape::weighted_mse`,
     /// `Tape::backward` and `Binding::accumulate_grads`.
     #[allow(clippy::too_many_arguments)]
     pub fn loss_grads(
         &self,
+        ws: &mut Workspace,
         x_t: &Tensor,
         x_prev: &Tensor,
         forcings: &Tensor,
@@ -250,57 +229,61 @@ impl AerisModel {
         let shape = [self.cfg.tokens(), self.cfg.channels];
         assert!(target.shape() == shape && weights.shape() == shape, "target and weights must be [tokens, channels]");
         let parts = self.input_parts(x_t, x_prev, forcings);
-        ARENA.with_borrow_mut(|a| {
-            a.prepare(self);
-            self.run(parts, t, &mut a.scratch, &mut a.blocks, &mut a.out);
-            let loss = sweeps::weighted_mse_loss(&a.out, target.data(), weights.data());
-            self.backward(a, target.data(), weights.data(), &mut Slots::new(&self.store, acc));
-            loss as f64
-        })
+        ws.prepare_grads(self);
+        // The saves and the prediction leave `ws` while the forward and the
+        // backward work in it.
+        let (mut saves, mut out) = (std::mem::take(&mut ws.saves), std::mem::take(&mut ws.out));
+        self.run(parts, t, ws, &mut saves, &mut out);
+        let loss = sweeps::weighted_mse_loss(&out, target.data(), weights.data());
+        self.backward(ws, &saves, &out, target.data(), weights.data(), &mut Slots::new(&self.store, acc));
+        (ws.saves, ws.out) = (saves, out);
+        loss as f64
     }
 
-    /// The reverse sweep of the recording chain over `a`'s saves, seeded
-    /// with 1 at the loss.
-    fn backward(&self, a: &mut Arena, target: &[f32], weights: &[f32], slots: &mut Slots) {
+    /// The reverse sweep of the recording chain over the blocks' `saves` and
+    /// the prediction `out`, seeded with 1 at the loss.
+    fn backward(&self, ws: &mut Workspace, saves: &[BlockSaves], out: &[f32], target: &[f32], weights: &[f32], slots: &mut Slots) {
         let store = &self.store;
-        let Arena { scratch: s, blocks, grads: g, out, dout, dcond, dtime } = a;
+        let Workspace { grads: g, mid, x, inv_rms, dout, .. } = ws;
         sweeps::weighted_mse_backward(dout, out, target, weights, 1.0);
-        slots.linear(&self.decode, &s.mid, dout, &mut g.dw);
+        slots.linear(&self.decode, mid, dout, &mut g.dw);
         self.decode.input_grad(store, dout, &mut g.dn);
-        slots.rmsnorm(&self.out_norm, &s.x, &g.dn, &s.inv_rms, &mut g.dx, &mut g.dw);
-        let mut plan = s.plan.take().expect("the forward keeps its plan");
-        for (i, (block, saves)) in self.blocks.iter().zip(blocks.iter()).enumerate().rev() {
-            let Ok(()) = block.backward(store, self.geo.rows(block.shifted), &mut plan, saves, g, slots);
+        slots.rmsnorm(&self.out_norm, x, &g.dn, inv_rms, &mut g.dx, &mut g.dw);
+        let mut plan = ws.plan.take().expect("the forward keeps its plan");
+        for (i, (block, sv)) in self.blocks.iter().zip(saves).enumerate().rev() {
+            let Ok(()) = block.backward(store, self.geo.rows(block.shifted), &mut plan, sv, ws, slots);
             if i + 1 == self.blocks.len() {
-                dcond.copy_from_slice(&g.dcond);
+                ws.dcond.copy_from_slice(&ws.grads.dcond);
             } else {
-                sweeps::add_assign(dcond, &g.dcond);
+                sweeps::add_assign(&mut ws.dcond, &ws.grads.dcond);
             }
         }
-        s.plan = Some(plan);
+        ws.plan = Some(plan);
+        let Workspace { grads: g, input, feats, time, dcond, dtime, .. } = ws;
         // The embedding's input is a constant: no input gradient.
-        slots.linear(&self.embed, &s.input, &g.dx, &mut g.dw);
-        self.time_cond.backward(slots, &s.feats, &s.time, dcond, dtime, &mut g.dw);
+        slots.linear(&self.embed, input, &g.dx, &mut g.dw);
+        self.time_cond.backward(slots, feats, time, dcond, dtime, &mut g.dw);
     }
 }
 
 impl SwinBlock {
     /// The backward of [`SwinBlock::pass`] over its saves `sv`, with the
-    /// same `rows` and the attention step's backward: `g.dx` holds the
-    /// block output's gradient and leaves with its input's, and `g.dcond`
-    /// with its AdaLN head's part of `cond`'s. Parameter gradients go to
-    /// `slots`.
+    /// same `rows` and the attention step's backward, in `ws.grads`: `dx`
+    /// holds the block output's gradient and leaves with its input's, and
+    /// `dcond` with its AdaLN head's part of `cond`'s. Parameter gradients go
+    /// to `slots`.
     pub fn backward<A: AttentionStep>(
         &self,
         store: &ParamStore,
         rows: BlockRows,
         attn: &mut A,
         sv: &BlockSaves,
-        g: &mut BlockGrads,
+        ws: &mut Workspace,
         slots: &mut Slots,
     ) -> Result<(), A::Error> {
         let (dim, ffn) = (self.norm1.dim, self.mlp.ffn);
-        let BlockGrads { dx, dh, dn, dwin, d_o, dqkv, dhid, dgu, dw, dvecs, dmods, dcond } = g;
+        let Workspace { grads, core, .. } = ws;
+        let BlockGrads { dx, dh, dn, dwin, d_o, dqkv, dhid, dgu, dw, dvecs, dmods, dcond } = grads;
         let BlockConsts { mods, scales: [scale1, scale2], w_qkv } = sv.consts.as_ref().expect("the pass keeps its constants");
         let gate = |i: usize| &mods[i * dim..(i + 1) * dim];
         dvecs.fill(0.0);
@@ -332,7 +315,7 @@ impl SwinBlock {
         sweeps::gather_rows_backward(dwin, dh, rows.inv, dim);
         slots.linear(&self.attn.wo, &sv.o, dwin, dw);
         self.attn.wo.input_grad(store, dwin, d_o);
-        attn.backward(d_o, &sv.qkv, dqkv)?;
+        attn.backward(d_o, &sv.qkv, dqkv, core)?;
         // The fused projection's NT and TN GEMMs; `dwin` takes the windowed
         // input's gradient.
         let tokens = rows.order.len();

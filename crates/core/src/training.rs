@@ -2,7 +2,7 @@
 //! physically weighted loss, AdamW, the paper's LR schedule, and EMA.
 
 use crate::forecast::add_residual;
-use crate::model::AerisModel;
+use crate::model::{AerisModel, Workspace};
 use aeris_diffusion::{loss_weights, TrigFlow};
 use aeris_earthsim::{Dataset, Grid};
 use aeris_nn::{batch_mean, AdamW, AdamWConfig, Ema, LrSchedule};
@@ -66,6 +66,7 @@ pub struct Trainer {
     pub weights: Tensor,
     images_seen: u64,
     rng: Rng,
+    ws: Workspace,
 }
 
 impl Trainer {
@@ -82,6 +83,7 @@ impl Trainer {
             weights,
             images_seen: 0,
             rng: Rng::seed_from(cfg.seed),
+            ws: Workspace::default(),
         }
     }
 
@@ -97,7 +99,7 @@ impl Trainer {
             let v_target = self.tf.velocity_target(&sample.residual, &z, t);
             let (x_prev, forcings) = (&sample.x_prev, &sample.forcings);
             total_loss +=
-                model.loss_grads(&x_t, x_prev, forcings, t, &v_target, &self.weights, &mut acc);
+                model.loss_grads(&mut self.ws, &x_t, x_prev, forcings, t, &v_target, &self.weights, &mut acc);
         }
         let loss = batch_mean(&mut acc, total_loss, batch.len());
         let lr = self.cfg.schedule.lr_at(self.images_seen);
@@ -169,9 +171,9 @@ impl Trainer {
             let prev_std = ds.stats.standardize(&pair0.prev);
             let forc0 = pair0.forcings.clone();
             let shape = prev_std.shape().to_vec();
-            let velocity =
-                |x_t: &Tensor, t: f32| model.velocity(x_t, &prev_std, &forc0, t);
-            let res_std = sampler.sample(&shape, &mut |x, t| velocity(x, t), &mut self.rng);
+            let mut velocity =
+                |x_t: &Tensor, t: f32| model.velocity_into(&mut self.ws, x_t, &prev_std, &forc0, t);
+            let res_std = sampler.sample(&shape, &mut velocity, &mut self.rng);
             let x_hat = add_residual(&pair0.prev, &res_std, &ds.res_stats);
 
             // Step 2 (with grad): diffusion loss for x_{i+1} conditioned on

@@ -4,7 +4,8 @@
 use super::{EngineShared, Lane, MemberTask, RequestState, TierModel};
 use crate::api::ServeError;
 use aeris_assim::{nowcast_step, nowcast_step_fast};
-use aeris_core::step_batch;
+use aeris_core::{step_batch, Workspace};
+use aeris_diffusion::NoGuidance;
 use aeris_obs::{SloTracker, SloVerdict, SpanCategory};
 use aeris_tensor::Tensor;
 use std::sync::atomic::Ordering;
@@ -100,21 +101,21 @@ impl EngineShared {
 }
 
 impl TierModel {
-    /// Advance `task` by one step on its own RNG. Forecast tasks take the
-    /// model's plain step; nowcast tasks take the tier's assimilation step —
-    /// sampler guidance on the quality tier, and on the fast tier (where the
-    /// student has no solver iterations to guide) one post-hoc bounded
-    /// relaxation toward the observations.
-    fn step(&self, task: &mut MemberTask, forcings: &Tensor) -> Tensor {
+    /// Advance `task` by one step on its own RNG, in `ws`. Forecast tasks
+    /// take the model's plain step; nowcast tasks take the tier's
+    /// assimilation step — sampler guidance on the quality tier, and on the
+    /// fast tier (where the student has no solver iterations to guide) one
+    /// post-hoc bounded relaxation toward the observations.
+    fn step(&self, ws: &mut Workspace, task: &mut MemberTask, forcings: &Tensor) -> Tensor {
         let (x, rng) = (&task.x, &mut task.rng);
         match (self, &task.req.nowcast) {
-            (TierModel::Quality(fc), None) => fc.forecast_step(x, forcings, rng),
+            (TierModel::Quality(fc), None) => fc.forecast_step_guided(ws, x, forcings, rng, &mut NoGuidance),
             (TierModel::Quality(fc), Some(n)) => {
-                nowcast_step(fc, x, forcings, &n.obs, n.schedule, rng)
+                nowcast_step(fc, ws, x, forcings, &n.obs, n.schedule, rng)
             }
-            (TierModel::Fast(student), None) => student.forecast_step(x, forcings, rng),
+            (TierModel::Fast(student), None) => student.forecast_step_in(ws, x, forcings, rng),
             (TierModel::Fast(student), Some(n)) => {
-                nowcast_step_fast(student, x, forcings, &n.obs, n.schedule, rng)
+                nowcast_step_fast(student, ws, x, forcings, &n.obs, n.schedule, rng)
             }
         }
     }
@@ -130,10 +131,12 @@ impl TierModel {
 
 impl Lane {
     /// A worker's life: pull a batch in priority order, then *cull* it,
-    /// *step* what is left, and *retire* the results — until the queue
-    /// closes and runs dry.
+    /// *step* what is left (one workspace per batch slot, kept across
+    /// batches), and *retire* the results — until the queue closes and runs
+    /// dry.
     pub(super) fn run(&self, shared: &EngineShared, actor: usize) {
         let Some(model) = &self.model else { return };
+        let mut workspaces: Vec<Workspace> = Vec::new();
         loop {
             // The assembly span covers the blocking wait for work: its
             // duration is the dispatcher's gather window plus any idle time,
@@ -151,7 +154,7 @@ impl Lane {
             if live.is_empty() {
                 continue;
             }
-            let outs = self.step(shared, model, &mut live, actor);
+            let outs = self.step(shared, model, &mut live, &mut workspaces, actor);
             self.retire(shared, live, outs);
         }
     }
@@ -197,13 +200,14 @@ impl Lane {
     }
 
     /// Phase 2 — step: one batched model evaluation for the whole
-    /// (shape-compatible) batch; every task advances on its own private RNG.
-    /// Returns each task's next state, in batch order.
+    /// (shape-compatible) batch; every task advances on its own private RNG
+    /// and workspace. Returns each task's next state, in batch order.
     fn step(
         &self,
         shared: &EngineShared,
         model: &TierModel,
         live: &mut [MemberTask],
+        workspaces: &mut Vec<Workspace>,
         actor: usize,
     ) -> Vec<Tensor> {
         shared.metrics.batch_size.record(live.len() as f64);
@@ -216,7 +220,7 @@ impl Lane {
             let _fwd = fwd.micro(live.len() as u64);
             let mut jobs: Vec<(&mut MemberTask, &Tensor)> =
                 live.iter_mut().zip(&forcings).collect();
-            step_batch(&mut jobs, |(task, f)| model.step(task, f))
+            step_batch(&mut jobs, workspaces, |(task, f), ws| model.step(ws, task, f))
         };
         // Feed the router's and the doom check's service model with the
         // amortized (batching included) cost of one member-step as served.

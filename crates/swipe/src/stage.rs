@@ -18,16 +18,18 @@
 //! gather, the second all-to-all (heads gather) and `Wo`. The backward runs
 //! the mirror: `Wo`ᵀ, the transposed exchanges around the core's backward,
 //! then the fused projection's NT and TN GEMMs. A microbatch's [`StageRun`]
-//! owns the saves its backward reads, sized to the rank's rows.
+//! owns the saves its backward reads, sized to the rank's rows; the stage's
+//! [`Workspace`] holds its working buffers and the spare saves of finished
+//! microbatches.
 
 use crate::comm::{CommError, Communicator};
 use crate::layout::ActLayout;
-use aeris_core::model::{AttentionStep, BlockGrads, BlockRows, BlockSaves, Scratch, SwinBlock};
+use aeris_core::model::{AttentionStep, BlockRows, BlockSaves, SwinBlock, Workspace};
 use aeris_core::{AerisConfig, AerisModel};
 use aeris_nn::timecond::AdaLnHead;
 use aeris_nn::window::invert_perm;
 use aeris_nn::{Linear, ParamId, ParamStore, RmsNorm, RopeTable, Slots, SwiGlu, TimeConditioner, WindowAttention};
-use aeris_tensor::attention::{window_core_backward_into, window_core_into, WindowAttnPlan};
+use aeris_tensor::attention::{window_core_backward_into, window_core_into, CoreScratch, WindowAttnPlan};
 use aeris_tensor::dispatch::Kernel;
 use aeris_tensor::{sweeps, Tensor};
 
@@ -66,22 +68,15 @@ enum StageLayers {
         /// The rank's rows as they lie, `0..rows`: its layout is already
         /// window-major, so they are the block's row order and its inverse.
         rows: Vec<usize>,
-        work: BlockWork,
+        /// The pass's and the backward's buffers, kept across microbatches,
+        /// and in `saves` those of finished microbatches, which the next
+        /// forward takes over (1F1B holds at most pp at once).
+        ws: Workspace,
     },
     Head {
         out_norm: RmsNorm,
         decode: Linear,
     },
-}
-
-/// A block stage's buffers kept across microbatches: the pass's working
-/// set, the backward's, and the saves of finished microbatches, which the
-/// next forward takes over (1F1B holds at most pp at once).
-#[derive(Default)]
-struct BlockWork {
-    scratch: Scratch,
-    grads: BlockGrads,
-    spare: Vec<BlockSaves>,
 }
 
 /// Learnable state of one stage (parameters replicated across DP×WP×SP).
@@ -195,8 +190,8 @@ impl StageModel {
                     .collect();
                 let to_peers = invert_perm(&to_windows);
                 let rows = (0..layout.rows_per_rank()).collect();
-                let work = BlockWork::default();
-                StageLayers::Block { cfg: cfg.clone(), time_cond, block, plan, to_windows, to_peers, rows, work }
+                let ws = Workspace::default();
+                StageLayers::Block { cfg: cfg.clone(), time_cond, block, plan, to_windows, to_peers, rows, ws }
             }
             StageKind::Head => StageLayers::Head {
                 out_norm: c.rms(&model.out_norm),
@@ -313,30 +308,30 @@ impl AttentionStep for Ulysses<'_> {
     /// `[rows, 3·cols]` `Q | K | V` message (window chunks batched into a
     /// single message, as in the paper's merged communication). The peers'
     /// chunks, gathered into window-major rows of the local heads, replace
-    /// `qkv` (the backward reads them there). Heads gather: peer `j` takes
-    /// back its rows of every window, as head block `j` of its context.
-    fn forward(&mut self, qkv: &mut [f32], o: &mut [f32]) -> Result<(), CommError> {
+    /// `qkv` (the backward reads them there). The core writes the local
+    /// heads' context into `o`, every peer's message is cut from it, and
+    /// heads gather: peer `j` takes back its rows of every window, as head
+    /// block `j` of its context, which overwrites `o`.
+    fn forward(&mut self, qkv: &mut [f32], o: &mut [f32], core: &mut CoreScratch) -> Result<(), CommError> {
         let (sp, cols, plan, to_windows, to_peers) = (self.group.len(), self.plan.dim(), self.plan, self.to_windows, self.to_peers);
         let got = self.exchange(|j| head_block(qkv, sp * cols, 3, cols, j))?;
         gather_stacked(qkv, &got.iter().map(Tensor::data).collect::<Vec<_>>(), to_windows);
-        let mut local = vec![0.0; o.len()];
-        window_core_into(Kernel::detected(), qkv, plan, &mut local);
-        let got = self.exchange(|j| peer_rows(&local, to_peers, sp, cols, j))?;
+        window_core_into(Kernel::detected(), qkv, plan, o, core);
+        let got = self.exchange(|j| peer_rows(o, to_peers, sp, cols, j))?;
         put_head_blocks(o, sp * cols, cols, &got);
         Ok(())
     }
 
     /// The mirror: head block `j` of the context's gradient goes to peer
-    /// `j`, the core's backward runs on the window-major rows, and peer `j`
-    /// takes back the `dQ | dK | dV` of its rows.
-    fn backward(&mut self, d_o: &[f32], qkv: &[f32], dqkv: &mut [f32]) -> Result<(), CommError> {
+    /// `j`, the peers' blocks are gathered into window-major rows in `d_o`,
+    /// the core's backward writes their `dQ | dK | dV` into `dqkv`, and peer
+    /// `j` takes back that of its rows, which overwrites `dqkv`.
+    fn backward(&mut self, d_o: &mut [f32], qkv: &[f32], dqkv: &mut [f32], core: &mut CoreScratch) -> Result<(), CommError> {
         let (sp, cols, plan, to_windows, to_peers) = (self.group.len(), self.plan.dim(), self.plan, self.to_windows, self.to_peers);
         let got = self.exchange(|j| head_block(d_o, sp * cols, 1, cols, j))?;
-        let mut d_local = vec![0.0; d_o.len()];
-        gather_stacked(&mut d_local, &got.iter().map(Tensor::data).collect::<Vec<_>>(), to_windows);
-        let mut dqkv_local = vec![0.0; dqkv.len()];
-        window_core_backward_into(Kernel::detected(), &d_local, qkv, plan, &mut dqkv_local);
-        let got = self.exchange(|j| peer_rows(&dqkv_local, to_peers, sp, 3 * cols, j))?;
+        gather_stacked(d_o, &got.iter().map(Tensor::data).collect::<Vec<_>>(), to_windows);
+        window_core_backward_into(Kernel::detected(), d_o, qkv, plan, dqkv, core);
+        let got = self.exchange(|j| peer_rows(dqkv, to_peers, sp, 3 * cols, j))?;
         put_head_blocks(dqkv, sp * cols, cols, &got);
         Ok(())
     }
@@ -395,23 +390,22 @@ impl StageModel {
         comm: &mut Communicator,
         sp_group: &[usize],
     ) -> Result<(StageRun, Tensor), CommError> {
-        let StageLayers::Block { cfg, time_cond, block, plan, to_windows, to_peers, rows, work } = &mut self.layers
+        let StageLayers::Block { cfg, time_cond, block, plan, to_windows, to_peers, rows, ws } = &mut self.layers
         else {
             panic!("not a block stage")
         };
         let me = sp_group.iter().position(|&r| r == comm.rank()).expect("rank in sp group");
         assert_eq!(x_in.shape(), [rows.len(), cfg.dim], "block input rows vs. the stage's layout");
-        let s = &mut work.scratch;
-        s.prepare(cfg, rows.len(), rows.len());
-        time_cond.apply(&self.store, t, &mut s.feats, &mut s.time, &mut s.cond);
-        s.x.copy_from_slice(x_in.data());
-        let mut saves = work.spare.pop().unwrap_or_default();
+        ws.prepare(cfg, rows.len(), rows.len());
+        time_cond.apply(&self.store, t, &mut ws.feats, &mut ws.time, &mut ws.cond);
+        ws.x.copy_from_slice(x_in.data());
+        let mut saves = ws.saves.pop().unwrap_or_default();
         saves.prepare(cfg, rows.len());
         let mut step = Ulysses { comm, group: sp_group, me, plan, to_windows, to_peers };
         let order = BlockRows { order: rows, inv: rows, block: rows.len() };
-        block.pass(&self.store, order, &mut step, s, &mut saves)?;
-        let run = StageRun::Block { saves, feats: s.feats.clone(), time: s.time.clone() };
-        Ok((run, Tensor::from_vec(x_in.shape(), s.x.clone())))
+        block.pass(&self.store, order, &mut step, ws, &mut saves)?;
+        let run = StageRun::Block { saves, feats: ws.feats.clone(), time: ws.time.clone() };
+        Ok((run, Tensor::from_vec(x_in.shape(), ws.x.clone())))
     }
 
     /// Block backward: [`SwinBlock::backward`] over the run's saves with the
@@ -428,23 +422,22 @@ impl StageModel {
         param_grads: &mut [Option<Tensor>],
     ) -> Result<Tensor, CommError> {
         let widest = self.widest();
-        let StageLayers::Block { cfg, time_cond, block, plan, to_windows, to_peers, rows, work } = &mut self.layers
+        let StageLayers::Block { cfg, time_cond, block, plan, to_windows, to_peers, rows, ws } = &mut self.layers
         else {
             panic!("not a block stage")
         };
         let StageRun::Block { saves, feats, time } = run else { panic!("not a block run") };
         let me = sp_group.iter().position(|&r| r == comm.rank()).expect("rank in sp group");
-        let g = &mut work.grads;
-        g.prepare(cfg, rows.len(), widest);
-        g.dx.copy_from_slice(g_out.data());
+        ws.grads.prepare(cfg, rows.len(), widest);
+        ws.grads.dx.copy_from_slice(g_out.data());
         let mut slots = Slots::new(&self.store, param_grads);
         let mut step = Ulysses { comm, group: sp_group, me, plan, to_windows, to_peers };
         let order = BlockRows { order: rows, inv: rows, block: rows.len() };
-        block.backward(&self.store, order, &mut step, &saves, g, &mut slots)?;
+        block.backward(&self.store, order, &mut step, &saves, ws, &mut slots)?;
         let mut dtime = vec![0.0; time.len()];
-        time_cond.backward(&mut slots, &feats, &time, &g.dcond, &mut dtime, &mut g.dw);
-        work.spare.push(saves);
-        Ok(Tensor::from_vec(g_out.shape(), g.dx.clone()))
+        time_cond.backward(&mut slots, &feats, &time, &ws.grads.dcond, &mut dtime, &mut ws.grads.dw);
+        ws.saves.push(saves);
+        Ok(Tensor::from_vec(g_out.shape(), ws.grads.dx.clone()))
     }
 
     /// Input-stage backward: the embedding's parameter gradients (its input

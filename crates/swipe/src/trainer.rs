@@ -57,7 +57,7 @@ use crate::rank::Rank;
 use crate::schedule::ScheduleError;
 use crate::stage::StageError;
 use crate::topology::SwipeTopology;
-use aeris_core::{AerisModel, TrainSample};
+use aeris_core::{AerisModel, TrainSample, Workspace};
 use aeris_diffusion::TrigFlow;
 use aeris_nn::checkpoint::{entry_u64, Entries, EntryError};
 use aeris_nn::window::WindowGrid;
@@ -366,6 +366,7 @@ pub fn reference_grads(
     let mut acc: Vec<Option<Tensor>> = vec![None; model.store.len()];
     let mut total_loss = 0.0;
     let mut count = 0usize;
+    let mut ws = Workspace::default();
     for (dp, micro) in step_schedule.iter().enumerate() {
         for (m, &sample) in micro.iter().enumerate() {
             let t = shared_t(&tf, seed, step, dp, m);
@@ -374,7 +375,7 @@ pub fn reference_grads(
             let x_t = tf.interpolate(&s.residual, &z, t);
             let v_target = tf.velocity_target(&s.residual, &z, t);
             total_loss +=
-                model.loss_grads(&x_t, &s.x_prev, &s.forcings, t, &v_target, weights, &mut acc);
+                model.loss_grads(&mut ws, &x_t, &s.x_prev, &s.forcings, t, &v_target, weights, &mut acc);
             count += 1;
         }
     }

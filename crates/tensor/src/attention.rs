@@ -1,13 +1,17 @@
 //! The numeric core of windowed multi-head attention with RoPE, query-lane.
 //!
-//! [`window_core`] computes, per window and head of a window-partitioned
+//! Four entry points run the one window loop of each direction.
+//! [`window_core_into`] computes, per window and head of a window-partitioned
 //! token matrix, `O = softmax(R(Q) R(K)ᵀ · s) V` from the fused projection
 //! `qkv: [tokens, 3·dim]` (`Q | K | V` side by side, `R` the RoPE rotation,
-//! `s = 1/√head_dim`); [`window_core_backward`] is its analytic backward,
-//! `dQ | dK | dV` from `dO`. The projection GEMMs and the tape live in
-//! `aeris-autodiff`, which calls these two functions and nothing else of the
-//! core; the model's tape-free block pass calls the forward on slices,
-//! [`window_core_into`], one row block of whole windows at a time.
+//! `s = 1/√head_dim`); [`window_core_backward_into`] is its analytic
+//! backward, `dQ | dK | dV` from `dO`. Both write slices over a
+//! [`CoreScratch`] the caller keeps: the model's tape-free block pass (one
+//! row block of whole windows at a time) and its backward, and SWiPe's block
+//! stage. [`window_core_on`] and [`window_core_backward_on`] are the
+//! `Tensor` forms on a given build, each over a scratch of its own: the
+//! tape's op in `aeris-autodiff` (the recording oracle) calls them with
+//! [`Kernel::detected`], the parity tests on every build.
 //!
 //! # Layout
 //!
@@ -43,8 +47,8 @@
 //! (A prototype of this core saw `serve_quality_distinct` p50 swing
 //! 114.6–170.6 ms unaligned against 116.1–123.8 ms aligned. Re-measured with
 //! minor-fault counts, swings of that size follow the serve workers'
-//! heap-trim page-fault storms in both builds, which is why the scratch is
-//! per thread: see `TILES`.)
+//! heap-trim page-fault storms in both builds, which is why the caller
+//! keeps the scratch: see [`CoreScratch`].)
 //!
 //! # Bits
 //!
@@ -227,11 +231,18 @@ fn rope_lanes_inv(x: &mut [Lanes], cos: &[Lanes], sin: &[Lanes], head_dim: usize
     }
 }
 
-/// The scratch of the core: one per thread ([`TILES`]), re-sized and zeroed
-/// for every call, reused for every window; `[·]` counts are per tile. The
-/// backward-only buffers stay empty in the forward.
+/// The core's scratch: the lane-major tiles of one window, re-sized and
+/// zeroed for every call and reused for every window; `[·]` counts are per
+/// tile. The backward-only buffers stay empty in the forward. The caller
+/// keeps one across calls (the model's `Workspace` holds it), so a call
+/// allocates nothing but its result: allocated per call (64-byte aligned, so
+/// through the system allocator's aligned path), the scratch made glibc's
+/// heap-trim page-fault storms in the serve lane workers heavier — over 10
+/// 10-s `serve_quality_distinct` runs each, per call read p50
+/// 106.6–152.2 ms with up to 3.5 M minor faults a run, kept 100.3–115.9 ms
+/// with at most 2.5 M.
 #[derive(Default)]
-struct Tiles {
+pub struct CoreScratch {
     /// The RoPE tables lane-major, `[head_dim/2]`; pad lanes are 0.
     cos: Vec<Lanes>,
     sin: Vec<Lanes>,
@@ -263,18 +274,7 @@ struct Tiles {
     dv: Vec<Lanes>,
 }
 
-thread_local! {
-    /// The calling thread's scratch, so a call allocates nothing but its
-    /// result. Allocated per call (64-byte aligned, so through the system
-    /// allocator's aligned path), the scratch made glibc's heap-trim
-    /// page-fault storms in the serve lane workers heavier: over 10 10-s
-    /// `serve_quality_distinct` runs each, per call read p50 106.6–152.2 ms
-    /// with up to 3.5 M minor faults a run, per thread 100.3–115.9 ms with at
-    /// most 2.5 M.
-    static TILES: std::cell::RefCell<Tiles> = std::cell::RefCell::default();
-}
-
-impl Tiles {
+impl CoreScratch {
     /// Size every buffer for `plan` (the backward-only ones to 0 unless
     /// `backward`), zero it, and transpose the RoPE tables in.
     fn prepare(&mut self, plan: &WindowAttnPlan, backward: bool) {
@@ -364,7 +364,7 @@ impl Tiles {
 dispatched!(
     /// The forward window loop: `o: [tokens, dim]` from `qkv: [tokens, 3·dim]`.
     fn forward_windows, avx512 = forward_avx512,
-    (qkv: &[f32], plan: &WindowAttnPlan, o: &mut [f32], s: &mut Tiles) {
+    (qkv: &[f32], plan: &WindowAttnPlan, o: &mut [f32], s: &mut CoreScratch) {
         let (wlen, dim, head_dim) = (plan.window_len, plan.dim(), plan.head_dim);
         for (win, o_win) in qkv.chunks_exact(wlen * 3 * dim).zip(o.chunks_exact_mut(wlen * dim)) {
             s.load(win, plan);
@@ -392,7 +392,7 @@ dispatched!(
     /// The backward window loop: `dqkv: [tokens, 3·dim]` (`dQ | dK | dV`)
     /// from `d_o: [tokens, dim]`; each window writes only its own rows.
     fn backward_windows, avx512 = backward_avx512,
-    (d_o: &[f32], qkv: &[f32], plan: &WindowAttnPlan, dqkv: &mut [f32], s: &mut Tiles) {
+    (d_o: &[f32], qkv: &[f32], plan: &WindowAttnPlan, dqkv: &mut [f32], s: &mut CoreScratch) {
         let (wlen, dim, head_dim, scale) = (plan.window_len, plan.dim(), plan.head_dim, plan.scale());
         let (chunks, pairs) = (wlen.div_ceil(LANES), head_dim / 2);
         let windows = qkv.chunks_exact(wlen * 3 * dim).zip(d_o.chunks_exact(wlen * dim));
@@ -739,7 +739,7 @@ fn dq_block<const B: usize>(k: &[Lanes], ds: &[Lanes], col: usize, dim: usize) -
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[inline]
-fn dkv_block<const B: usize>(s: &mut Tiles, t: usize, col: usize, live: usize, dim: usize) {
+fn dkv_block<const B: usize>(s: &mut CoreScratch, t: usize, col: usize, live: usize, dim: usize) {
     let live = live.min(LANES);
     let chunks = s.dk.len() / dim;
     let (q, g) = (&s.q[t * dim + col..][..B], &s.d_o[t * dim + col..][..B]);
@@ -764,12 +764,12 @@ fn dkv_block<const B: usize>(s: &mut Tiles, t: usize, col: usize, live: usize, d
     }
 }
 
-/// The `avx512f` build of [`Tiles::load`]: each 16-token × 16-column block
+/// The `avx512f` build of [`CoreScratch::load`]: each 16-token × 16-column block
 /// of Q and K is transposed in registers and rotated there, then stored.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[inline]
-fn load_zmm(s: &mut Tiles, win: &[f32], plan: &WindowAttnPlan) {
+fn load_zmm(s: &mut CoreScratch, win: &[f32], plan: &WindowAttnPlan) {
     let (wlen, dim, head_dim) = (plan.window_len, plan.dim(), plan.head_dim);
     let pairs = head_dim / 2;
     for t in 0..wlen.div_ceil(LANES) {
@@ -788,7 +788,7 @@ fn load_zmm(s: &mut Tiles, win: &[f32], plan: &WindowAttnPlan) {
     }
 }
 
-/// The `avx512f` build of [`Tiles::probs`]: the same tile, bit for bit.
+/// The `avx512f` build of [`CoreScratch::probs`]: the same tile, bit for bit.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[inline]
@@ -825,7 +825,7 @@ fn probs_zmm(q: &[Lanes], k: &[Lanes], p: &mut [Lanes], t: usize, base: usize, p
 /// then transposed out into token rows.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-fn forward_avx512(qkv: &[f32], plan: &WindowAttnPlan, o: &mut [f32], s: &mut Tiles) {
+fn forward_avx512(qkv: &[f32], plan: &WindowAttnPlan, o: &mut [f32], s: &mut CoreScratch) {
     let (wlen, dim, head_dim) = (plan.window_len, plan.dim(), plan.head_dim);
     for (win, o_win) in qkv.chunks_exact(wlen * 3 * dim).zip(o.chunks_exact_mut(wlen * dim)) {
         load_zmm(s, win, plan);
@@ -866,7 +866,7 @@ fn forward_avx512(qkv: &[f32], plan: &WindowAttnPlan, o: &mut [f32], s: &mut Til
 /// write-out as register transposes.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-fn backward_avx512(d_o: &[f32], qkv: &[f32], plan: &WindowAttnPlan, dqkv: &mut [f32], s: &mut Tiles) {
+fn backward_avx512(d_o: &[f32], qkv: &[f32], plan: &WindowAttnPlan, dqkv: &mut [f32], s: &mut CoreScratch) {
     let (wlen, dim, head_dim, scale) = (plan.window_len, plan.dim(), plan.head_dim, plan.scale());
     let (chunks, pairs) = (wlen.div_ceil(LANES), head_dim / 2);
     let windows = qkv.chunks_exact(wlen * 3 * dim).zip(d_o.chunks_exact(wlen * dim));
@@ -969,65 +969,49 @@ fn backward_avx512(d_o: &[f32], qkv: &[f32], plan: &WindowAttnPlan, dqkv: &mut [
 
 /// The attention core: `O = softmax(R(Q) R(K)ᵀ · s) V` per window and head,
 /// `[tokens, dim]`, from the window-major fused projection
-/// `qkv: [tokens, 3·dim]` (`Q | K | V` side by side).
-pub fn window_core(qkv: &Tensor, plan: &WindowAttnPlan) -> Tensor {
-    window_core_on(Kernel::detected(), qkv, plan)
-}
-
-/// [`window_core`] on the build of `kernel`, for the parity tests.
-/// Panics when this CPU does not support `kernel`.
-#[doc(hidden)]
+/// `qkv: [tokens, 3·dim]` (`Q | K | V` side by side), on the build of
+/// `kernel` over a scratch of its own. Panics when this CPU does not support
+/// `kernel`.
 pub fn window_core_on(kernel: Kernel, qkv: &Tensor, plan: &WindowAttnPlan) -> Tensor {
     assert_eq!(qkv.shape(), &[plan.tokens(), 3 * plan.dim()], "window_core input shape");
     let mut o = Tensor::for_overwrite(&[plan.tokens(), plan.dim()]);
-    window_core_into(kernel, qkv.data(), plan, o.data_mut());
+    window_core_into(kernel, qkv.data(), plan, o.data_mut(), &mut CoreScratch::default());
     o
 }
 
-/// [`window_core_on`] on row-major slices: `qkv: [tokens, 3·dim]` in, every
-/// element of `o: [tokens, dim]` written.
-pub fn window_core_into(kernel: Kernel, qkv: &[f32], plan: &WindowAttnPlan, o: &mut [f32]) {
+/// [`window_core_on`] on row-major slices over the caller's scratch `s`:
+/// `qkv: [tokens, 3·dim]` in, every element of `o: [tokens, dim]` written.
+pub fn window_core_into(kernel: Kernel, qkv: &[f32], plan: &WindowAttnPlan, o: &mut [f32], s: &mut CoreScratch) {
     assert_eq!(qkv.len(), plan.tokens() * 3 * plan.dim(), "window_core input length");
     assert_eq!(o.len(), plan.tokens() * plan.dim(), "window_core output length");
-    TILES.with_borrow_mut(|s| {
-        s.prepare(plan, false);
-        forward_windows(kernel, qkv, plan, o, s);
-    });
+    s.prepare(plan, false);
+    forward_windows(kernel, qkv, plan, o, s);
 }
 
-/// Analytic backward of [`window_core`]: `dQ | dK | dV` side by side,
+/// Analytic backward of [`window_core_on`]: `dQ | dK | dV` side by side,
 /// `[tokens, 3·dim]`, from `d_o: [tokens, dim]`. With `S = Q̃K̃ᵀ·s`,
 /// `P = softmax(S)`: `dV = Pᵀ dO`, `dP = dO Vᵀ`,
 /// `dS_ij = s · P_ij (dP_ij − Σ_j P_ij dP_ij)`, `dQ̃ = dS K̃`, `dK̃ = dSᵀ Q̃`,
-/// and `dQ`, `dK` un-rotated with `R⁻¹ = R(−θ)`.
-pub fn window_core_backward(d_o: &Tensor, qkv: &Tensor, plan: &WindowAttnPlan) -> Tensor {
-    window_core_backward_on(Kernel::detected(), d_o, qkv, plan)
-}
-
-/// [`window_core_backward`] on the build of `kernel`, for the parity tests.
-/// Panics when this CPU does not support `kernel`.
-#[doc(hidden)]
+/// and `dQ`, `dK` un-rotated with `R⁻¹ = R(−θ)`, over a scratch of its own.
 pub fn window_core_backward_on(kernel: Kernel, d_o: &Tensor, qkv: &Tensor, plan: &WindowAttnPlan) -> Tensor {
     let (tokens, dim) = (plan.tokens(), plan.dim());
     assert_eq!(qkv.shape(), &[tokens, 3 * dim], "window_core_backward input shape");
     assert_eq!(d_o.shape(), &[tokens, dim], "window_core_backward gradient shape");
     let mut dqkv = Tensor::for_overwrite(&[tokens, 3 * dim]);
-    window_core_backward_into(kernel, d_o.data(), qkv.data(), plan, dqkv.data_mut());
+    window_core_backward_into(kernel, d_o.data(), qkv.data(), plan, dqkv.data_mut(), &mut CoreScratch::default());
     dqkv
 }
 
-/// [`window_core_backward_on`] on row-major slices: `d_o: [tokens, dim]` and
-/// `qkv: [tokens, 3·dim]` in, every element of `dqkv: [tokens, 3·dim]`
-/// written.
-pub fn window_core_backward_into(kernel: Kernel, d_o: &[f32], qkv: &[f32], plan: &WindowAttnPlan, dqkv: &mut [f32]) {
+/// [`window_core_backward_on`] on row-major slices over the caller's scratch
+/// `s`: `d_o: [tokens, dim]` and `qkv: [tokens, 3·dim]` in, every element of
+/// `dqkv: [tokens, 3·dim]` written.
+pub fn window_core_backward_into(kernel: Kernel, d_o: &[f32], qkv: &[f32], plan: &WindowAttnPlan, dqkv: &mut [f32], s: &mut CoreScratch) {
     let (tokens, dim) = (plan.tokens(), plan.dim());
     assert_eq!(qkv.len(), tokens * 3 * dim, "window_core_backward input length");
     assert_eq!(d_o.len(), tokens * dim, "window_core_backward gradient length");
     assert_eq!(dqkv.len(), tokens * 3 * dim, "window_core_backward output length");
-    TILES.with_borrow_mut(|s| {
-        s.prepare(plan, true);
-        backward_windows(kernel, d_o, qkv, plan, dqkv, s);
-    });
+    s.prepare(plan, true);
+    backward_windows(kernel, d_o, qkv, plan, dqkv, s);
 }
 
 #[cfg(test)]
@@ -1098,7 +1082,7 @@ mod tests {
             let qkv = Tensor::randn(&[plan.tokens(), 3 * plan.dim()], &mut rng);
             let d_o = Tensor::randn(&[plan.tokens(), plan.dim()], &mut rng);
 
-            let mut s = Tiles::default();
+            let mut s = CoreScratch::default();
             let mut o = vec![0.0; plan.tokens() * plan.dim()];
             s.prepare(&plan, false);
             forward_windows(Kernel::Portable, qkv.data(), &plan, &mut o, &mut s);
@@ -1107,7 +1091,7 @@ mod tests {
             backward_windows(Kernel::Portable, d_o.data(), qkv.data(), &plan, &mut dqkv, &mut s);
 
             for &kernel in arms {
-                let mut arm = Tiles::default();
+                let mut arm = CoreScratch::default();
                 let mut o_arm = vec![f32::NAN; o.len()];
                 arm.prepare(&plan, false);
                 forward_windows(kernel, qkv.data(), &plan, &mut o_arm, &mut arm);
@@ -1170,7 +1154,7 @@ mod tests {
             let plan = plan(n_windows, wlen, n_heads, head_dim);
             let mut rng = Rng::seed_from(60 + seed as u64);
             let qkv = Tensor::randn(&[plan.tokens(), 3 * plan.dim()], &mut rng);
-            let mut s = Tiles::default();
+            let mut s = CoreScratch::default();
             s.prepare(&plan, false);
             for win in qkv.data().chunks_exact(wlen * 3 * plan.dim()) {
                 s.load(win, &plan);

@@ -9,19 +9,19 @@
 //!   supports (the portable one over N / 100 calls: its `mul_add` is a libm
 //!   `fmaf` call on x86-64), with GFLOP/s and the summed minimum per layout
 //!   and build, the table DESIGN.md "Tensor backend" quotes.
-//! - **Attention core.** `window_core` and `window_core_backward` at toy48's
-//!   geometry (32 windows of 16 tokens, 4 heads of 12), on every build.
+//! - **Attention core.** `window_core_into` and `window_core_backward_into`
+//!   at toy48's geometry (32 windows × 16 tokens, 4 heads × 12), one scratch kept.
 //! - **Sweeps.** Every `dispatched!` loop of `aeris_tensor::sweeps` over one
 //!   sample's rows at their toy48 width (the gathers and scatters through
 //!   the window partition), on every build; `exp`'s row copies its input in.
 //! - **Gaussian draws.** One sample's `[512, 20]` state by `Rng::normal`,
 //!   one libm draw at a time, then by `Rng::fill_normal` on every build.
-//! - **Model.** `AerisModel::velocity`, `AerisModel::loss_grads` and the
-//!   recording chain it equals (tape forward, `weighted_mse`, backward; each
-//!   N / 4 calls), the step's closing `forecast::add_residual`, one
-//!   `TrigFlow::churn`, a quality-tier `Forecaster::forecast_step` (12
-//!   velocity evaluations, 5 churns; N / 20 calls), and the sampler's own
-//!   time: the step's minimum minus 12 × `velocity`'s.
+//! - **Model.** In one warm `Workspace`: `AerisModel::velocity_into`,
+//!   `AerisModel::loss_grads` and the recording chain it equals (tape
+//!   forward, `weighted_mse`, backward; each N / 4 calls), the step's closing
+//!   `forecast::add_residual`, one `TrigFlow::churn`, a quality-tier forecast
+//!   step (12 velocity evaluations, 5 churns; N / 20 calls), and the
+//!   sampler's own time: the step's minimum minus 12 × `velocity`'s.
 //!
 //! A row's level carries a ±25 % term from the binary's code layout: one
 //! change to an unrelated fn can move a row it does not touch by that much.
@@ -34,12 +34,12 @@
 
 use aeris::autodiff::Tape;
 use aeris::core::forecast::add_residual;
-use aeris::core::{AerisConfig, AerisModel, Forecaster};
-use aeris::diffusion::{SamplerConfig, TrigFlow, TrigFlowSampler};
+use aeris::core::{AerisConfig, AerisModel, Forecaster, Workspace};
+use aeris::diffusion::{NoGuidance, SamplerConfig, TrigFlow, TrigFlowSampler};
 use aeris::earthsim::NormStats;
 use aeris::nn::window::WindowGrid;
 use aeris::nn::Binding;
-use aeris::tensor::attention::{window_core_backward_on, window_core_on, WindowAttnPlan};
+use aeris::tensor::attention::{window_core_backward_into, window_core_into, CoreScratch, WindowAttnPlan};
 use aeris::tensor::dispatch::Kernel;
 use aeris::tensor::gemm::gemm_on;
 use aeris::tensor::{sweeps, Rng, Tensor};
@@ -158,12 +158,12 @@ fn main() {
     let plan = WindowAttnPlan::new(n_windows, wlen, n_heads, head_dim, cos, sin);
     let qkv = Tensor::randn(&[plan.tokens(), 3 * plan.dim()], &mut rng);
     let d_o = Tensor::randn(&[plan.tokens(), plan.dim()], &mut rng);
-    let shape = format!("({n_windows}, {wlen}, {n_heads}, {head_dim})");
+    let (shape, mut core, mut o, mut dqkv) = (format!("({n_windows}, {wlen}, {n_heads}, {head_dim})"), CoreScratch::default(), vec![0.0; d_o.len()], vec![0.0; qkv.len()]);
     println!("{:<26} {:>16} {:>9} {:>9} {:>8}", "attention core", "(win, len, h, d)", "min µs", "med µs", "build");
     for &k in kernels {
-        let (us, med) = min_median_us(calls, || window_core_on(k, &qkv, &plan));
+        let (us, med) = min_median_us(calls, || window_core_into(k, qkv.data(), &plan, &mut o, &mut core));
         println!("{:<26} {shape:>16} {us:>9.1} {med:>9.1} {:>8}", "window_core", k.name());
-        let (us, med) = min_median_us(calls, || window_core_backward_on(k, &d_o, &qkv, &plan));
+        let (us, med) = min_median_us(calls, || window_core_backward_into(k, d_o.data(), qkv.data(), &plan, &mut dqkv, &mut core));
         println!("{:<26} {shape:>16} {us:>9.1} {med:>9.1} {:>8}", "window_core_backward", k.name());
     }
 
@@ -219,12 +219,12 @@ fn main() {
     let x_prev = Tensor::randn(&[tokens, channels], &mut rng);
     let forcings = Tensor::randn(&[tokens, model.cfg.forcing_channels], &mut rng);
     println!("{:<26} {:>16} {:>9} {:>9} {:>8}", "model", "calls", "min µs", "med µs", "build");
-    let n = calls / 4;
-    let velocity = min_median_us(n, || model.velocity(&x_t, &x_prev, &forcings, 0.7));
+    let (n, mut ws) = (calls / 4, Workspace::default());
+    let velocity = min_median_us(n, || model.velocity_into(&mut ws, &x_t, &x_prev, &forcings, 0.7));
     println!("{:<26} {n:>16} {:>9.1} {:>9.1} {:>8}", "velocity", velocity.0, velocity.1, detected);
     // One sample's gradients: `loss_grads`, then the recording chain it equals.
     let (target, w, mut acc) = (Tensor::randn(&[tokens, channels], &mut rng), Tensor::ones(&[tokens, channels]), vec![None; model.store.len()]);
-    let (us, med) = min_median_us(n, || model.loss_grads(&x_t, &x_prev, &forcings, 0.7, &target, &w, &mut acc));
+    let (us, med) = min_median_us(n, || model.loss_grads(&mut ws, &x_t, &x_prev, &forcings, 0.7, &target, &w, &mut acc));
     println!("{:<26} {n:>16} {us:>9.1} {med:>9.1} {:>8}", "loss_grads", detected);
     let (us, med) = min_median_us(n, || {
         let (mut tape, mut binding) = (Tape::new(), Binding::new(&model.store));
@@ -243,7 +243,7 @@ fn main() {
     let sampler = SamplerConfig { n_steps: 6, churn: 0.1, second_order: true };
     let fc = Forecaster { model, res_stats: stats.clone(), stats, sampler: TrigFlowSampler::new(TrigFlow::default(), sampler) };
     let n = (calls / 20).max(3);
-    let (us, med) = min_median_us(n, || fc.forecast_step(&x_prev, &forcings, &mut rng));
+    let (us, med) = min_median_us(n, || fc.forecast_step_guided(&mut ws, &x_prev, &forcings, &mut rng, &mut NoGuidance));
     println!("{:<26} {n:>16} {us:>9.1} {med:>9.1} {:>8}", "forecast_step (12 evals)", detected);
     // Minima only: a difference of medians mixes two runs' noise.
     println!("{:<26} {:>16} {:>9.1} {:>9} {:>8}", "sampler self", "step − 12 × vel", us - 12.0 * velocity.0, "-", detected);

@@ -8,7 +8,7 @@
 //! cargo run --release --example thread_scaling [rounds]
 //! ```
 
-use aeris::core::{AerisConfig, AerisModel, Forecaster, TrainSample, Trainer, TrainerConfig};
+use aeris::core::{AerisConfig, AerisModel, Forecaster, TrainSample, Trainer, TrainerConfig, Workspace};
 use aeris::diffusion::{SamplerConfig, TrigFlow, TrigFlowSampler};
 use aeris::earthsim::{Grid, NormStats};
 use aeris::tensor::{Rng, Tensor};
@@ -51,7 +51,7 @@ fn main() {
     let mut rng = Rng::seed_from(2025);
     let mut state = || Tensor::randn(&[tokens, channels], &mut rng);
     let (x_t, x_prev) = (state(), state());
-    let forc = Tensor::zeros(&[tokens, forcing_channels]);
+    let (forc, mut ws) = (Tensor::zeros(&[tokens, forcing_channels]), Workspace::default());
     let samples: Vec<TrainSample> =
         (0..2).map(|_| TrainSample { x_prev: state(), residual: state().scale(0.3), forcings: forc.clone() }).collect();
     let batch: Vec<&TrainSample> = samples.iter().collect();
@@ -76,7 +76,7 @@ fn main() {
         for pool in [1, 2] {
             rayon::set_thread_override(Some(pool));
             let train = p50_ms(7, || trainer.train_step(&mut model, &batch));
-            let velocity = p50_ms(21, || model.velocity(&x_t, &x_prev, &forc, 0.8));
+            let velocity = p50_ms(21, || model.velocity_into(&mut ws, &x_t, &x_prev, &forc, 0.8));
             let ensemble = p50_ms(3, || forecaster.ensemble(&x_prev, &|_| forc.clone(), 1, 4, 11));
             println!("{round:>5}  {pool:>4}  {train:>22.1}  {velocity:>11.1}  {ensemble:>18.1}");
         }

@@ -37,11 +37,12 @@
 #        `write_entries(`, `load_entries(`, `Entries::load(`) outside that
 #        file. Expected: lines of crates/swipe/src only — SWiPe's step
 #        checkpoint is the one file the workspace writes or reads;
-#   (vii) every `thread::spawn` / `thread::scope` / `thread::Builder` site in
-#        the same code. Expected: the serve lane workers (engine.rs), the
-#        rayon shim's fan-out scope, the parked rank spawn (swipe parked.rs)
-#        and the three tenant clients of examples/serve_forecasts.rs; any
-#        other site makes a thread per operation.
+#   (vii) every `thread::spawn` / `thread::scope` / `thread::Builder` site and
+#        `thread_local!` in the same code. Expected: the serve lane workers
+#        (engine.rs), the rayon shim's fan-out scope, the parked rank spawn
+#        (swipe parked.rs) and the three tenant clients of
+#        examples/serve_forecasts.rs (any other site makes a thread per
+#        operation), and the histogram's shard index (crates/obs/src).
 # Crude on purpose: names are matched as words, so a used fn hides an unused
 # one of the same name, and a name used only in a doc comment counts as unused.
 #
@@ -50,9 +51,9 @@
 # (ii) no longer prints), (iv) a site outside the detector and macro of
 # crates/tensor/src/dispatch.rs, the INTRINSIC_FNS fns and `getrusage`, or
 # an invocation DISPATCHED does not list (or DISPATCHED / INTRINSIC_FNS is
-# stale), (v) anything but the GEMM's two tile lines, or (vi) a decoder
+# stale), (v) anything but the GEMM's two tile lines, (vi) a decoder
 # outside crates/nn/src/checkpoint.rs or a writer / reader call outside
-# crates/swipe/src.
+# crates/swipe/src, or (vii) a `thread_local!` outside histogram.rs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -206,10 +207,7 @@ echo "== (i) tapes built and losses scored outside test code =="
 tapes=$(strip_tests $(sources crates/*/src examples src) \
     | grep -E 'Tape::new\(\)|weighted_mse\(' | grep -v 'fn weighted_mse' || true)
 [ -z "$tapes" ] || echo "$tapes"
-i_failed=0
-if printf '%s\n' "$tapes" | grep -v '^$' | grep -qv '^examples/layer_probe\.rs:'; then
-    i_failed=1
-fi
+i_failed=$(printf '%s\n' "$tapes" | grep -v '^$' | grep -cv '^examples/layer_probe\.rs:' || true)
 
 echo
 echo "== (ii) pub fns named nowhere else in non-test code =="
@@ -368,19 +366,22 @@ if printf '%s\n' "$ckpt_io" | grep -v '^$' | grep -qv '^crates/swipe/src/'; then
 fi
 
 echo
-echo "== (vii) thread-making sites outside test code =="
-strip_tests $(sources crates/*/src shims/*/src examples src) \
-    | grep -E 'thread::(spawn|scope|Builder)' || true
+echo "== (vii) thread-making sites and thread-locals outside test code =="
+threads=$(strip_tests $(sources crates/*/src shims/*/src examples src) \
+    | grep -E 'thread::(spawn|scope|Builder)|thread_local!' || true)
+[ -z "$threads" ] || echo "$threads"
+vii_failed=$(printf '%s\n' "$threads" | grep 'thread_local!' | grep -cv '^crates/obs/src/histogram\.rs:' || true)
 
 if [ "$check" = 1 ]; then
     echo
-    if [ "$i_failed" = 1 ] || [ "$ii_failed" = 1 ] || [ "$iv_failed" = 1 ] || [ "$v_failed" = 1 ] || [ "$vi_failed" = 1 ]; then
+    if [ "$i_failed" != 0 ] || [ "$ii_failed" = 1 ] || [ "$iv_failed" = 1 ] || [ "$v_failed" = 1 ] || [ "$vi_failed" = 1 ] || [ "$vii_failed" != 0 ]; then
         [ "$i_failed" = 0 ] || echo "check FAILED: (i) prints a tape or loss outside examples/layer_probe.rs" >&2
         [ "$ii_failed" = 0 ] || echo "check FAILED: (ii) prints a name without a reason in KEPT, or KEPT is stale" >&2
         [ "$iv_failed" = 0 ] || echo "check FAILED: (iv) prints a site outside the detector, the dispatched! macro, the INTRINSIC_FNS fns and getrusage, or a dispatched!( invocation DISPATCHED does not list (or DISPATCHED or INTRINSIC_FNS is stale)" >&2
         [ "$v_failed" = 0 ] || echo "check FAILED: (v) prints a multiply-add other than the GEMM's two tile lines" >&2
         [ "$vi_failed" = 0 ] || echo "check FAILED: (vi) prints a decoder outside crates/nn/src/checkpoint.rs, or a checkpoint writer or reader outside crates/swipe/src" >&2
+        [ "$vii_failed" = 0 ] || echo "check FAILED: (vii) prints a thread_local! outside crates/obs/src/histogram.rs" >&2
         exit 1
     fi
-    echo "check passed: (i) only the probe; every (ii) name has a reason; (iv) only the detector, the dispatched! macro, the DISPATCHED loops, the INTRINSIC_FNS fns and getrusage; (v) only the GEMM's two tile lines; (vi) is the checkpoint decoder only, its writer and reader called from crates/swipe/src only"
+    echo "check passed: (i) only the probe; every (ii) name has a reason; (iv) only the detector, the dispatched! macro, the DISPATCHED loops, the INTRINSIC_FNS fns and getrusage; (v) only the GEMM's two tile lines; (vi) is the checkpoint decoder only, its writer and reader called from crates/swipe/src only; (vii) no thread-local but the histogram's shard index"
 fi

@@ -1,8 +1,8 @@
 //! Heap allocations per warm call, pinned exactly: a counting global
 //! allocator counts what the measuring thread takes from the heap, and each
 //! count is read on a spawned thread (whose heap glibc trims, unlike the
-//! main thread's) over a second call, after the first has sized the
-//! thread's scratch and arena.
+//! main thread's) over a second call in one `Workspace`, after the first has
+//! sized it.
 //!
 //! - `AerisModel::loss_grads` into filled gradient slots: 45, the forward's
 //!   23 (below) and one packed B per input-gradient GEMM and for the
@@ -13,10 +13,16 @@
 //!   decoder's packed partial panel, and per block the modulation vectors
 //!   (3) and the `Wq | Wk | Wv` concatenation (2), which ROADMAP item 22
 //!   drives to 0.
+//! - `Forecaster::forecast_step_guided` with `NoGuidance`, a quality-tier
+//!   step of 12 velocity evaluations (6 DPMSolver++ 2S steps, churn 0.1):
+//!   356, the evaluations' 12 × 25 and the sampler's 56 — the baseline the
+//!   in-place sampler of ROADMAP item 22 drives down.
 //!
 //! A change to either count is a change to say, not to re-pin quietly.
 
-use aeris::core::{AerisConfig, AerisModel};
+use aeris::core::{AerisConfig, AerisModel, Forecaster, Workspace};
+use aeris::diffusion::{NoGuidance, SamplerConfig, TrigFlow, TrigFlowSampler};
+use aeris::earthsim::NormStats;
 use aeris::tensor::{Rng, Tensor};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -93,27 +99,50 @@ fn toy48() -> (AerisModel, [Tensor; 5]) {
     (model, inputs)
 }
 
-/// `[first, warm]` allocation counts of two calls of `f` on a new thread.
-fn first_and_warm(f: impl Fn() + Send + Sync) -> [u64; 2] {
-    std::thread::scope(|s| s.spawn(|| [allocations(&f), allocations(&f)]).join().expect("no panic"))
+/// `[first, warm]` allocation counts of two calls of `f` in one workspace on
+/// a new thread.
+fn first_and_warm(f: impl Fn(&mut Workspace) + Send + Sync) -> [u64; 2] {
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut ws = Workspace::default();
+            [allocations(|| f(&mut ws)), allocations(|| f(&mut ws))]
+        })
+        .join()
+        .expect("no panic")
+    })
 }
 
 #[test]
 fn a_warm_loss_grads_allocates_a_pinned_few_times() {
     let (m, [x_t, x_prev, f, target, w]) = toy48();
     let acc = std::sync::Mutex::new(vec![None; m.store.len()]);
-    let [first, warm] = first_and_warm(|| {
+    let [first, warm] = first_and_warm(|ws| {
         let mut acc = acc.lock().expect("one caller");
-        m.loss_grads(&x_t, &x_prev, &f, 0.7, &target, &w, &mut acc);
+        m.loss_grads(ws, &x_t, &x_prev, &f, 0.7, &target, &w, &mut acc);
     });
-    assert!(first > warm, "the first call sizes the arena and fills the slots ({first} vs {warm})");
+    assert!(first > warm, "the first call sizes the workspace and fills the slots ({first} vs {warm})");
     assert_eq!(warm, 45, "allocations of a warm loss_grads");
 }
 
 #[test]
 fn a_warm_velocity_allocates_a_pinned_few_times() {
     let (m, [x_t, x_prev, f, ..]) = toy48();
-    let [first, warm] = first_and_warm(|| drop(m.velocity(&x_t, &x_prev, &f, 0.7)));
-    assert!(first > warm, "the first call sizes the scratch ({first} vs {warm})");
+    let [first, warm] = first_and_warm(|ws| drop(m.velocity_into(ws, &x_t, &x_prev, &f, 0.7)));
+    assert!(first > warm, "the first call sizes the workspace ({first} vs {warm})");
     assert_eq!(warm, 25, "allocations of a warm velocity");
+}
+
+#[test]
+fn a_warm_forecast_step_allocates_a_pinned_few_times() {
+    let (model, [x_prev, _, forcings, ..]) = toy48();
+    let stats = NormStats { mean: vec![0.0; model.cfg.channels], std: vec![1.0; model.cfg.channels] };
+    let sampler = TrigFlowSampler::new(TrigFlow::default(), SamplerConfig { n_steps: 6, churn: 0.1, second_order: true });
+    let fc = Forecaster { model, res_stats: stats.clone(), stats, sampler };
+    let rng = std::sync::Mutex::new(aeris::tensor::Rng::seed_from(4));
+    let [first, warm] = first_and_warm(|ws| {
+        let mut rng = rng.lock().expect("one caller");
+        drop(fc.forecast_step_guided(ws, &x_prev, &forcings, &mut rng, &mut NoGuidance));
+    });
+    assert!(first > warm, "the first call sizes the workspace ({first} vs {warm})");
+    assert_eq!(warm, 356, "allocations of a warm forecast step");
 }

@@ -18,7 +18,7 @@ use aeris::assim::{
     nowcast_ensemble, nowcast_member, nowcast_step, GuidanceSchedule, ObsOperator,
 };
 use aeris::baselines::{numerical_ensemble, GenCastAnalog};
-use aeris::core::{member_rng, AerisConfig, AerisModel, Forecaster};
+use aeris::core::{member_rng, AerisConfig, AerisModel, Forecaster, Workspace};
 use aeris::diffusion::{SamplerConfig, TrigFlow, TrigFlowSampler};
 use aeris::earthsim::{Grid, NormStats, ToyAtmosphere, ToyParams, VariableSet};
 use aeris::evaluation::{analysis_quality, AssimEvalConfig};
@@ -138,7 +138,7 @@ fn observations_and_analyses_are_bitwise_identical_across_thread_counts() {
     // The pool-free references: one direct call per member.
     let obs = observe();
     let direct_analyses: Vec<Tensor> = (0..3)
-        .map(|m| nowcast_step(&fc, &background, &forc, &obs, sched, &mut member_rng(55, m)))
+        .map(|m| nowcast_step(&fc, &mut Workspace::default(), &background, &forc, &obs, sched, &mut member_rng(55, m)))
         .collect();
     let direct_gencast: Vec<Vec<Tensor>> =
         (0..3).map(|m| gencast.rollout(&background, &forc_at, 2, &mut member_rng(56, m))).collect();
