@@ -7,7 +7,7 @@
 //! 5. window shift on vs off — cost of the gather permutations.
 
 use aeris_bench::*;
-use aeris_core::{prepare_samples, AerisConfig, AerisModel, Forecaster, TrainSample, Trainer, TrainerConfig};
+use aeris_core::{prepare_samples, AerisConfig, AerisModel, Forecaster, TrainSample, Trainer, TrainerConfig, Workspace};
 use aeris_diffusion::{SamplerConfig, TrigFlow, TrigFlowSampler};
 use aeris_earthsim::NormStats;
 use aeris_nn::LrSchedule;
@@ -74,7 +74,7 @@ fn main() {
 
     // ---- 4. solver order ----
     header("4. 1st- vs 2nd-order solver (one 10-step solve, tiny model)");
-    let m = AerisModel::new(AerisConfig::test_tiny());
+    let (m, mut ws) = (AerisModel::new(AerisConfig::test_tiny()), Workspace::default());
     let mut rng = Rng::seed_from(3);
     let prev = Tensor::randn(&[128, 4], &mut rng);
     let forc = Tensor::randn(&[128, 3], &mut rng);
@@ -84,7 +84,7 @@ fn main() {
             SamplerConfig { n_steps: 10, churn: 0.1, second_order },
         );
         let ms = best_ms(|| {
-            let mut vel = |x: &Tensor, t: f32| m.velocity(x, &prev, &forc, t);
+            let mut vel = |x: &Tensor, t: f32| m.velocity_into(&mut ws, x, &prev, &forc, t);
             black_box(sampler.sample(&[128, 4], &mut vel, &mut Rng::seed_from(4)));
         });
         println!("  {label:<14} {ms:>8.2} ms/solve");
@@ -104,9 +104,8 @@ fn main() {
         let x_t = Tensor::randn(&[128, 4], &mut rng);
         let prev = Tensor::randn(&[128, 4], &mut rng);
         let forc = Tensor::randn(&[128, 3], &mut rng);
-        best_ms(|| {
-            black_box(m.velocity(black_box(&x_t), &prev, &forc, 0.5));
-        })
+        let mut ws = Workspace::default();
+        best_ms(|| drop(black_box(m.velocity_into(&mut ws, black_box(&x_t), &prev, &forc, 0.5))))
     });
     println!("  1 block  (unshifted)           {:>8.3} ms", ms[0]);
     println!("  2 blocks (unshifted + shifted) {:>8.3} ms", ms[1]);

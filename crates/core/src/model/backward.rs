@@ -205,12 +205,12 @@ impl Workspace {
 }
 
 impl AerisModel {
-    /// The training sibling of [`AerisModel::velocity_into`]: the same
-    /// evaluation, scored against `target` with the `weights`-weighted MSE
-    /// and differentiated, without a tape. The loss comes back; every
+    /// The training sibling of [`AerisModel::velocity_into`], in `ws`: the
+    /// same evaluation, scored against `target` with the `weights`-weighted
+    /// MSE and differentiated, without a tape. The loss comes back; every
     /// parameter's gradient is added into `acc` (one slot per parameter in
     /// store order, `None` until first touched), so a batch is one call per
-    /// sample followed by [`aeris_nn::batch_mean`], in `ws`. No randomness is drawn
+    /// sample followed by [`aeris_nn::batch_mean`]. No randomness is drawn
     /// here: callers keep their own `t` / noise streams. Bitwise equal to
     /// the recording chain: [`AerisModel::forward`], `Tape::weighted_mse`,
     /// `Tape::backward` and `Binding::accumulate_grads`.
