@@ -9,19 +9,19 @@
 //! to `core::forecast`'s `step_batch` test and the 1-vs-8 fan-outs in
 //! `tests/assim.rs`, which vary the width via `rayon::set_thread_override`.
 //!
-//! Also here: `AerisModel::forward` must record the fused block ops
+//! Also here: the fused windowed-attention op must agree with the unfused
+//! per-window path, and `AerisModel::forward` must record the fused block ops
 //! (`modulated_rmsnorm`, `swiglu`, `gated_residual`, one `window_attention`
 //! with its single QKV GEMM) — pinned by a node count so a silent fall-back
-//! to the unfused chains cannot pass. (The fused attention op's agreement
-//! with the per-window path is `aeris-nn`'s
-//! `fused_all_windows_matches_per_window_path`.)
+//! to the unfused chains cannot pass.
 
 use aeris::autodiff::Tape;
 use aeris::core::{AerisConfig, AerisModel, Forecaster};
 use aeris::diffusion::{SamplerConfig, TrigFlow, TrigFlowSampler};
 use aeris::earthsim::NormStats;
-use aeris::nn::Binding;
+use aeris::nn::{Binding, RopeTable, WindowAttention};
 use aeris::tensor::{Rng, Tensor};
+use proptest::prelude::*;
 
 /// Nodes one `test_tiny` forward records (input constant included).
 const FUSED_TINY_FORWARD_NODES: usize = 89;
@@ -44,6 +44,55 @@ fn tiny_forward_records_the_fused_block_ops() {
     let iv = tape.constant(model.assemble_input(&x_t, &x_prev, &forcings));
     model.forward(&mut tape, &mut binding, iv, 0.8);
     assert_eq!(tape.len(), FUSED_TINY_FORWARD_NODES, "forward no longer records the fused block ops");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Fused `window_attention` agrees with the unfused per-window op chain
+    /// within 1e-5 in forward value, input gradient, and weight gradients.
+    #[test]
+    fn fused_attention_matches_unfused(seed in 0u64..1000) {
+        let mut store = aeris::nn::ParamStore::new();
+        let mut rng = Rng::seed_from(seed);
+        let attn = WindowAttention::new(&mut store, "attn", 8, 2, &mut rng);
+        let rope = RopeTable::new(2, 2, 4, 0, 0);
+        let (n_windows, wlen) = (4, rope.seq_len());
+        let x = Tensor::randn(&[n_windows * wlen, 8], &mut rng);
+
+        let run = |fused: bool| -> (Tensor, Tensor, Vec<Option<Tensor>>) {
+            let mut tape = Tape::new();
+            let mut binding = Binding::new(&store);
+            let xv = tape.leaf(x.clone());
+            // All windows as one output, or one output per window; the loss
+            // is the sum of squares over every output either way.
+            let outs: Vec<_> = if fused {
+                vec![attn.forward_all_windows(&mut tape, &mut binding, &store, xv, &rope, n_windows)]
+            } else {
+                (0..n_windows)
+                    .map(|w| {
+                        let win = tape.gather_rows(xv, &(w * wlen..(w + 1) * wlen).collect::<Vec<_>>());
+                        attn.forward(&mut tape, &mut binding, &store, win, &rope)
+                    })
+                    .collect()
+            };
+            let y_val = Tensor::concat_rows(&outs.iter().map(|&y| tape.value(y)).collect::<Vec<_>>());
+            let sums: Vec<_> = outs.iter().map(|&y| { let sq = tape.mul(y, y); tape.sum(sq) }).collect();
+            let loss = sums[1..].iter().fold(sums[0], |acc, &s| tape.add(acc, s));
+            let mut grads = tape.backward(loss);
+            let gx = grads.take(xv).unwrap();
+            (y_val, gx, binding.collect_grads(&mut grads))
+        };
+
+        let (y_f, gx_f, gw_f) = run(true);
+        let (y_u, gx_u, gw_u) = run(false);
+        prop_assert!(y_f.max_abs_diff(&y_u) < 1e-5, "forward diff {}", y_f.max_abs_diff(&y_u));
+        prop_assert!(gx_f.max_abs_diff(&gx_u) < 1e-5, "input grad diff {}", gx_f.max_abs_diff(&gx_u));
+        for lin in [attn.wq, attn.wk, attn.wv, attn.wo] {
+            let (a, b) = (gw_f[lin.w.0].as_ref().unwrap(), gw_u[lin.w.0].as_ref().unwrap());
+            prop_assert!(a.max_abs_diff(b) < 1e-5, "weight grad diff {}", a.max_abs_diff(b));
+        }
+    }
 }
 
 /// The `AERIS_THREADS` env override (read at every parallel region) changes
