@@ -1,43 +1,4 @@
-//! Regenerates Fig. 4 (top): strong scaling of the 40B configuration by
-//! gradient-accumulation steps (GBS 1960) and by window parallelism
-//! (GBS 140), vs the paper's 81.6% and 100/87/64%.
-
-use aeris_perfmodel::configs::config;
-use aeris_perfmodel::{strong_scaling_gas, strong_scaling_wp, EffModel, AURORA};
-
+//! Fig. 4 (top): strong scaling: prints [`aeris_bench::figs::fig4_strong_scaling`]'s report.
 fn main() {
-    let eff = EffModel::default();
-    let c = config("40B");
-
-    println!("Strong scaling via GAS (GBS = 1960):");
-    println!("{:>6}{:>8}{:>8}{:>14}{:>12}", "DP", "GAS", "nodes", "images/sec", "efficiency");
-    let pts = strong_scaling_gas(c, &AURORA, 1960, &[2, 4, 7, 14], &eff);
-    for p in &pts {
-        let dp = p.prediction.dp;
-        println!(
-            "{:>6}{:>8}{:>8}{:>14.1}{:>12.3}",
-            dp,
-            1960 / dp,
-            p.nodes,
-            p.prediction.samples_per_s,
-            p.efficiency
-        );
-    }
-    println!("Paper: 81.6% strong-scaling efficiency; losses mainly from the pipeline bubble.");
-
-    println!("\nStrong scaling via WP (GBS = 140, DP = 1):");
-    println!("{:>6}{:>8}{:>14}{:>12}{:>12}", "WP", "nodes", "images/sec", "efficiency", "speedup");
-    let pts = strong_scaling_wp(c, &AURORA, 140, &[36, 64, 144], &eff);
-    let base = pts[0].prediction.samples_per_s;
-    for (wp, p) in [36usize, 64, 144].iter().zip(&pts) {
-        println!(
-            "{:>6}{:>8}{:>14.1}{:>12.3}{:>12.2}",
-            wp,
-            p.nodes,
-            p.prediction.samples_per_s,
-            p.efficiency,
-            p.prediction.samples_per_s / base
-        );
-    }
-    println!("Paper: 100% / 87% / 64%; WP=144 is 4x the nodes of WP=36 for a 2.4x speedup.");
+    print!("{}", aeris_bench::figs::fig4_strong_scaling::run(&aeris_bench::RunScale::from_env()));
 }

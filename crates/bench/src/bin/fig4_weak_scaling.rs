@@ -1,37 +1,4 @@
-//! Regenerates Fig. 4 (bottom + 4b): weak scaling in images/sec and
-//! sustained FLOPS as data parallelism grows at fixed model-parallel
-//! settings.
-
-use aeris_perfmodel::{weak_scaling, EffModel, AURORA, LUMI, PAPER_CONFIGS};
-
+//! Fig. 4 (bottom + 4b): weak scaling: prints [`aeris_bench::figs::fig4_weak_scaling`]'s report.
 fn main() {
-    let eff = EffModel::default();
-    for c in &PAPER_CONFIGS {
-        let machine = if c.name.ends_with("(L)") { &LUMI } else { &AURORA };
-        let max_dp = c.dp.max(1);
-        let mut dps = vec![1usize];
-        while *dps.last().unwrap() * 2 <= max_dp {
-            dps.push(dps.last().unwrap() * 2);
-        }
-        if *dps.last().unwrap() != max_dp {
-            dps.push(max_dp);
-        }
-        let pts = weak_scaling(c, machine, &dps, &eff);
-        println!("\n{} on {} (WP={}, PP={}, GAS={}):", c.name, machine.name, c.wp(), c.pp, c.gas);
-        println!(
-            "{:>8}{:>8}{:>14}{:>12}{:>12}",
-            "DP", "nodes", "images/sec", "EF(sust)", "weak eff"
-        );
-        for (dp, p) in dps.iter().zip(&pts) {
-            println!(
-                "{:>8}{:>8}{:>14.1}{:>12.2}{:>12.3}",
-                dp,
-                p.nodes,
-                p.prediction.samples_per_s,
-                p.prediction.sustained_flops / 1e18,
-                p.efficiency
-            );
-        }
-    }
-    println!("\nPaper: 40B maintains ~95% weak-scaling efficiency to 10,080 nodes, 10.21 EF sustained.");
+    print!("{}", aeris_bench::figs::fig4_weak_scaling::run(&aeris_bench::RunScale::from_env()));
 }

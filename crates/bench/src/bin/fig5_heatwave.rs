@@ -1,84 +1,4 @@
-//! Regenerates Fig. 5b: heatwave ensemble forecast over the event location
-//! (paper: London, August 2020, lead > 1 week). Prints the truth T2m series,
-//! the ensemble envelope, the closest member, and the exceedance fraction.
-
-use aeris_bench::*;
-use aeris_evaluation::heatwave::{exceedance_fraction, point_series};
-use aeris_tensor::Tensor;
-
+//! Fig. 5b: heatwave ensemble forecast: prints [`aeris_bench::figs::fig5_heatwave`]'s report.
 fn main() {
-    let scale = RunScale::from_env();
-    let seed = 2020;
-    let n_steps = 460;
-    header("Fig 5b: heatwave ensemble forecast at the event location");
-    let scenario = standard_scenario();
-    let hw = *scenario.heatwaves.last().unwrap();
-    let ds = build_dataset(seed, scenario.clone(), n_steps);
-    let onset_step = (hw.onset_hours / 6.0) as usize;
-    let lead_steps = 8 * 4; // launch 8 days before onset
-    let i0 = onset_step.saturating_sub(lead_steps);
-    let horizon = lead_steps + (hw.duration_hours / 6.0) as usize + 8;
-    println!("heatwave onset at step {onset_step}; forecast launched {lead_steps} steps earlier");
-
-    println!("training AERIS…");
-    let aeris = train_aeris(&ds, &scale, seed);
-
-    let t2m = ds.vars.index_of("t2m").unwrap();
-    let x0 = ds.state(i0).clone();
-    let forc = forcing_provider(seed, ds.time(i0));
-    let ens = aeris.ensemble(&x0, &forc, horizon, scale.members, 51);
-
-    let truth_states: Vec<Tensor> =
-        (1..=horizon).map(|k| ds.state(i0 + k).clone()).collect();
-    let truth = point_series(&truth_states, ds.grid, hw.lat, hw.lon, t2m);
-    let member_series: Vec<Vec<f32>> = ens
-        .members
-        .iter()
-        .map(|m| point_series(m, ds.grid, hw.lat, hw.lon, t2m))
-        .collect();
-
-    // Closest member by point-series RMSE.
-    let rmse_of = |s: &Vec<f32>| {
-        (s.iter().zip(&truth).map(|(a, b)| ((a - b) * (a - b)) as f64).sum::<f64>()
-            / truth.len() as f64)
-            .sqrt()
-    };
-    let closest = member_series.iter().map(rmse_of).enumerate().fold(
-        (0usize, f64::INFINITY),
-        |acc, (i, e)| if e < acc.1 { (i, e) } else { acc },
-    );
-
-    println!("\nT2m at ({:.1}N, {:.1}E), daily:", hw.lat, hw.lon);
-    println!("{:>6}{:>9}{:>9}{:>9}{:>9}{:>9}", "day", "truth", "ens-min", "ens-mean", "ens-max", "closest");
-    for k in (3..horizon).step_by(4) {
-        let vals: Vec<f32> = member_series.iter().map(|s| s[k]).collect();
-        let mean = vals.iter().sum::<f32>() / vals.len() as f32;
-        let min = vals.iter().copied().fold(f32::INFINITY, f32::min);
-        let max = vals.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        println!(
-            "{:>6.1}{:>9.1}{:>9.1}{:>9.1}{:>9.1}{:>9.1}",
-            (k + 1) as f64 / 4.0,
-            truth[k],
-            min,
-            mean,
-            max,
-            member_series[closest.0][k]
-        );
-    }
-
-    // Exceedance: did the ensemble catch the anomalous warmth? Threshold =
-    // pre-event truth level + 2 K, tested during the event window.
-    let baseline = truth[..lead_steps.min(truth.len())].iter().sum::<f32>()
-        / lead_steps.min(truth.len()) as f32;
-    let t0 = lead_steps;
-    let t1 = (lead_steps + (hw.duration_hours / 6.0) as usize).min(horizon);
-    let truth_peak = truth[t0..t1].iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let frac = exceedance_fraction(&member_series, baseline + 2.0, t0, t1);
-    println!("\npre-event baseline {baseline:.1} K; truth event peak {truth_peak:.1} K");
-    println!(
-        "fraction of members exceeding baseline+2K during the event: {:.0}%",
-        frac * 100.0
-    );
-    println!("\nPaper shape: members capture the sharp rise then return to climatology,");
-    println!("with the ensemble mean tracking the event at > 1 week lead.");
+    print!("{}", aeris_bench::figs::fig5_heatwave::run(&aeris_bench::RunScale::from_env()));
 }

@@ -1,94 +1,4 @@
-//! Regenerates Fig. 6: cyclone track and intensity forecasts at decreasing
-//! lead times (paper: Hurricane Laura at 7/5/3 days before landfall).
-//!
-//! Truth positions come from the simulator's kinematic cyclone state (the
-//! "best track"); member storms are located with guided (matched-low)
-//! tracking around the best track, the standard verification practice.
-
-use aeris_bench::*;
-use aeris_evaluation::{track_cyclone_guided, CycloneTrack};
-use aeris_tensor::Tensor;
-
+//! Fig. 6: cyclone track and intensity by lead: prints [`aeris_bench::figs::fig6_hurricane`]'s report.
 fn main() {
-    let scale = RunScale::from_env();
-    let seed = 2020;
-    let n_steps = 460;
-    header("Fig 6: cyclone track & intensity by lead time");
-    let scenario = standard_scenario();
-    let genesis_hours = scenario.cyclones.last().unwrap().genesis_hours;
-    let ds = build_dataset(seed, scenario.clone(), n_steps);
-
-    let genesis_step = (genesis_hours / 6.0) as usize;
-    let verify_steps = 24usize; // 6 days
-    println!("test cyclone genesis at dataset step {genesis_step} (hour {genesis_hours})");
-
-    // Best track: replay the truth simulator and read the kinematic cyclone
-    // center each step.
-    let mut sim = sim_at(seed, scenario.clone(), genesis_step);
-    let mut guide: Vec<(f32, f32)> = Vec::with_capacity(verify_steps);
-    let g = ds.grid;
-    for _ in 0..verify_steps {
-        sim.step();
-        let cy = sim.cyclones()[scenario.cyclones.len() - 1];
-        let r = (cy.row.round() as usize).min(g.nlat - 1);
-        let c = cy.col.round() as usize % g.nlon;
-        guide.push((g.lat_deg(r), g.lon_deg(c)));
-    }
-
-    // Truth track: matched lows on the recorded truth states.
-    let truth_states: Vec<Tensor> =
-        (1..=verify_steps).map(|k| ds.state(genesis_step + k).clone()).collect();
-    let truth_track = track_cyclone_guided(&truth_states, g, &ds.vars, &guide, 900.0);
-    println!("\ntruth (best-track-matched), 6-hourly from genesis:");
-    for (k, p) in truth_track.points.iter().enumerate().step_by(4) {
-        println!(
-            "  day {:>4.1}: lat {:>6.1} lon {:>6.1}  mslp {:>7.1} hPa  max wind {:>5.1} m/s",
-            (k + 1) as f64 / 4.0,
-            p.lat,
-            p.lon,
-            p.mslp,
-            p.max_wind
-        );
-    }
-    println!("truth minimum central pressure: {:.1} hPa", truth_track.min_mslp());
-
-    println!("\ntraining AERIS…");
-    let aeris = train_aeris(&ds, &scale, seed);
-
-    for lead_days in [7usize, 5, 3] {
-        let i0 = genesis_step.saturating_sub(lead_days * 4).max(1);
-        let steps = genesis_step + verify_steps - i0;
-        let x0 = ds.state(i0).clone();
-        let forc = forcing_provider(seed, ds.time(i0));
-        let ens = aeris.ensemble(&x0, &forc, steps, scale.members, 600 + lead_days as u64);
-
-        let offset = genesis_step - i0;
-        let mut tracks: Vec<CycloneTrack> = Vec::new();
-        for member in &ens.members {
-            let states: Vec<Tensor> = (offset + 1..offset + 1 + verify_steps)
-                .map(|k| member[k - 1].clone())
-                .collect();
-            tracks.push(track_cyclone_guided(&states, g, &ds.vars, &guide, 900.0));
-        }
-        let mean_err: f32 = tracks
-            .iter()
-            .map(|t| t.mean_track_error_km(&truth_track))
-            .sum::<f32>()
-            / tracks.len() as f32;
-        let mean_min_mslp: f32 =
-            tracks.iter().map(|t| t.min_mslp()).sum::<f32>() / tracks.len() as f32;
-        let best_err = tracks
-            .iter()
-            .map(|t| t.mean_track_error_km(&truth_track))
-            .fold(f32::INFINITY, f32::min);
-        println!(
-            "\nlead {lead_days} d: ensemble mean track error {mean_err:>7.0} km (best member {best_err:>6.0} km)"
-        );
-        println!(
-            "          ensemble mean min MSLP {mean_min_mslp:>7.1} hPa vs truth {:>7.1} hPa",
-            truth_track.min_mslp()
-        );
-    }
-    println!("\nPaper shape: track errors shrink with lead time; the intensification");
-    println!("(central pressure drop) is captured at the shorter leads.");
+    print!("{}", aeris_bench::figs::fig6_hurricane::run(&aeris_bench::RunScale::from_env()));
 }

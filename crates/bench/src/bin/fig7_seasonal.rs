@@ -1,98 +1,4 @@
-//! Regenerates Fig. 7: seasonal (S2S) stability — (a) the Niño 3.4 plume
-//! with the spring barrier, (b) day-N field sharpness via zonal spectra,
-//! (c) the U850 equatorial Hovmöller and its pattern-correlation decay.
-//! `--full-field` trains an ablation model that predicts the full state
-//! instead of the residual (DESIGN.md ablation: rollouts destabilize).
-
-use aeris_bench::*;
-use aeris_earthsim::{render_climatology, EQUATORIAL_BAND};
-use aeris_evaluation::hovmoller::{hovmoller, pattern_correlation, remove_time_mean};
-use aeris_evaluation::nino::nino34_series;
-use aeris_evaluation::spectra::high_k_sharpness;
-use aeris_tensor::Tensor;
-
+//! Fig. 7: seasonal stability: prints [`aeris_bench::figs::fig7_seasonal`]'s report.
 fn main() {
-    let scale = RunScale::from_env();
-    let seed = 2021;
-    let horizon_days: usize =
-        if std::env::var("AERIS_FULL").map(|v| v == "1").unwrap_or(false) { 90 } else { 30 };
-    let horizon = horizon_days * 4;
-    let n_steps = 460 + horizon;
-    header("Fig 7: seasonal-scale stability");
-    println!("rollout horizon: {horizon_days} days ({horizon} steps)");
-
-    // Keep the training span fixed (~368 pairs, as in the other experiments)
-    // and let the held-out tail grow with the rollout horizon.
-    let train_frac = 368.0 / n_steps as f64;
-    let ds = aeris_earthsim::Dataset::generate(
-        toy_sim_params(seed, standard_scenario()),
-        &toy_vars(),
-        n_steps,
-        60,
-        train_frac,
-        0.05,
-    );
-    println!("training AERIS…");
-    let aeris = train_aeris(&ds, &scale, seed);
-
-    let (_, _, test) = ds.split_ranges();
-    let i0 = test.start + 2;
-    let x0 = ds.state(i0).clone();
-    let forc = forcing_provider(seed, ds.time(i0));
-    let members = scale.members.min(4);
-    println!("rolling out {members} members from step {i0}…");
-    let ens = aeris.ensemble(&x0, &forc, horizon, members, 77);
-
-    let truth: Vec<Tensor> = (1..=horizon).map(|k| ds.state(i0 + k).clone()).collect();
-    let clim = toy_climate(seed);
-    let clim_states: Vec<Tensor> = (1..=horizon)
-        .map(|k| render_climatology(&clim, &ds.vars, (ds.time(i0) + 6.0 * k as f64) / 24.0))
-        .collect();
-
-    // ---- (a) Niño 3.4 plume ----
-    header("Fig 7a: Niño 3.4 index (K), every 10 days");
-    let truth_nino = nino34_series(&truth, &clim_states, ds.grid, &ds.vars);
-    let member_ninos: Vec<Vec<f32>> = ens
-        .members
-        .iter()
-        .map(|m| nino34_series(m, &clim_states, ds.grid, &ds.vars))
-        .collect();
-    println!("{:>6}{:>9}{:>9}{:>9}{:>9}", "day", "truth", "ens-min", "ens-mean", "ens-max");
-    for k in (39..horizon).step_by(40) {
-        let vals: Vec<f32> = member_ninos.iter().map(|s| s[k]).collect();
-        let mean = vals.iter().sum::<f32>() / vals.len() as f32;
-        let min = vals.iter().copied().fold(f32::INFINITY, f32::min);
-        let max = vals.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        println!("{:>6.0}{:>9.2}{:>9.2}{:>9.2}{:>9.2}", (k + 1) as f64 / 4.0, truth_nino[k], min, mean, max);
-    }
-
-    // ---- (b) sharpness at the end of the rollout ----
-    header("Fig 7b: day-N spectral sharpness (high-k power ratio vs truth)");
-    for ch_name in ["sst", "q700", "u850"] {
-        let ch = ds.vars.index_of(ch_name).unwrap();
-        let s = high_k_sharpness(&ens.members[0][horizon - 1], &truth[horizon - 1], ds.grid, ch);
-        println!("  {ch_name:>5}: {s:.2}  (1.0 = perfectly sharp, << 1 = blurred/collapsed)");
-    }
-    // Stability check: fields finite and within physical bounds.
-    let t2m = ds.vars.index_of("t2m").unwrap();
-    let last = &ens.members[0][horizon - 1];
-    let mut t_min = f32::INFINITY;
-    let mut t_max = f32::NEG_INFINITY;
-    for t in 0..last.shape()[0] {
-        t_min = t_min.min(last.at(&[t, t2m]));
-        t_max = t_max.max(last.at(&[t, t2m]));
-    }
-    println!("  day-{horizon_days} T2m range: {t_min:.1}..{t_max:.1} K (finite: {})", last.all_finite());
-
-    // ---- (c) Hovmöller ----
-    header("Fig 7c: U850 equatorial Hovmöller pattern correlation vs truth");
-    let u850 = ds.vars.index_of("u850").unwrap();
-    let hov_truth = remove_time_mean(&hovmoller(&truth, ds.grid, &EQUATORIAL_BAND, u850));
-    let hov_fc = remove_time_mean(&hovmoller(&ens.members[0], ds.grid, &EQUATORIAL_BAND, u850));
-    println!("{:>6}{:>12}", "day", "pattern r");
-    for k in (3..horizon).step_by(16) {
-        println!("{:>6.0}{:>12.2}", (k + 1) as f64 / 4.0, pattern_correlation(&hov_fc, &hov_truth, k));
-    }
-    println!("\nPaper shape: skillful correlation for the first weeks, decaying toward 0");
-    println!("but with *stable, realistic variability* (no blow-up) to the horizon.");
+    print!("{}", aeris_bench::figs::fig7_seasonal::run(&aeris_bench::RunScale::from_env()));
 }

@@ -1,47 +1,4 @@
-//! Regenerates Table I: system configurations used in the evaluation.
-
-use aeris_perfmodel::{AURORA, LUMI};
-
+//! Table I: system configurations: prints [`aeris_bench::figs::table1_systems`]'s report.
 fn main() {
-    println!("Table I: System configuration for performance evaluations");
-    println!("{:<34}{:>16}{:>16}", "", "Aurora", "LUMI");
-    let rows: Vec<(&str, String, String)> = vec![
-        ("GPU", AURORA.gpu.into(), LUMI.gpu.into()),
-        (
-            "GPUs (tiles) / node",
-            format!("{}({})", AURORA.gpus_per_node, AURORA.tiles_per_node),
-            format!("{}({})", LUMI.gpus_per_node, LUMI.tiles_per_node),
-        ),
-        ("GPU Memory (GB)", format!("{}", AURORA.gpu_memory_gb), format!("{}", LUMI.gpu_memory_gb)),
-        (
-            "GPU Memory BW (TB/s)",
-            format!("{}", AURORA.gpu_mem_bw_tbs),
-            format!("{}", LUMI.gpu_mem_bw_tbs),
-        ),
-        ("NICs / node", format!("{}", AURORA.nics_per_node), format!("{}", LUMI.nics_per_node)),
-        (
-            "Network BW / direction (GB/s)",
-            format!("{}", AURORA.network_bw_gbs),
-            format!("{}", LUMI.network_bw_gbs),
-        ),
-        (
-            "Scale-up BW / direction (GB/s)",
-            format!("{}", AURORA.scaleup_bw_gbs),
-            format!("{}", LUMI.scaleup_bw_gbs),
-        ),
-        (
-            "Peak BF16 TFLOPS / tile",
-            format!("{}", AURORA.peak_bf16_tflops_per_tile),
-            format!("{}", LUMI.peak_bf16_tflops_per_tile),
-        ),
-        ("Collective library", AURORA.ccl.into(), LUMI.ccl.into()),
-        (
-            "Total nodes (tiles) scaled",
-            format!("{} ({})", AURORA.max_nodes, AURORA.tiles(AURORA.max_nodes)),
-            format!("{} ({})", LUMI.max_nodes, LUMI.tiles(LUMI.max_nodes)),
-        ),
-    ];
-    for (k, a, l) in rows {
-        println!("{k:<34}{a:>16}{l:>16}");
-    }
+    print!("{}", aeris_bench::figs::table1_systems::run(&aeris_bench::RunScale::from_env()));
 }

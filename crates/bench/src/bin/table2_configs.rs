@@ -1,30 +1,4 @@
-//! Regenerates Table II: AERIS model configurations, with parameter counts
-//! derived from the analytical model (blocks = 2·(PP−2), see DESIGN.md).
-
-use aeris_perfmodel::{params_count, PAPER_CONFIGS};
-
+//! Table II: model configurations: prints [`aeris_bench::figs::table2_configs`]'s report.
 fn main() {
-    println!("Table II: AERIS model configurations (derived params vs labels)");
-    println!(
-        "{:<8}{:>8}{:>12}{:>6}{:>6}{:>7}{:>8}{:>8}{:>8}{:>10}{:>12}",
-        "Params", "WP", "WP(large)", "PP", "GAS", "Dim", "Heads", "FFN", "Blocks", "Nodes/inst", "Derived(B)"
-    );
-    for c in &PAPER_CONFIGS {
-        println!(
-            "{:<8}{:>8}{:>12}{:>6}{:>6}{:>7}{:>8}{:>8}{:>8}{:>10}{:>12.2}",
-            c.name,
-            format!("{}x{}", c.wp_base.0, c.wp_base.1),
-            format!("{}x{}", c.wp_large.0, c.wp_large.1),
-            c.pp,
-            c.gas,
-            c.dim,
-            c.heads,
-            c.ffn,
-            c.blocks,
-            c.nodes_per_instance(),
-            params_count(c) / 1e9,
-        );
-    }
-    println!("\nNote: Table II prints WP=16(4x4) for the 40B row but 720 nodes;");
-    println!("the text and Table III use WP=36 (6x6): 36 x 20 = 720 (see DESIGN.md).");
+    print!("{}", aeris_bench::figs::table2_configs::run(&aeris_bench::RunScale::from_env()));
 }

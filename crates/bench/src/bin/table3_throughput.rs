@@ -1,46 +1,4 @@
-//! Regenerates Table III: sustained and peak training throughput from the
-//! analytical performance model, against the paper's published numbers.
-
-use aeris_perfmodel::throughput::predict_table3;
-use aeris_perfmodel::{EffModel, AURORA, LUMI, PAPER_CONFIGS};
-
+//! Table III: sustained and peak throughput: prints [`aeris_bench::figs::table3_throughput`]'s report.
 fn main() {
-    let eff = EffModel::default();
-    let paper = [
-        ("1.3B", 47.6, 21.6, 1.1, 1.2),
-        ("13B", 63.3, 28.8, 5.8, 6.4),
-        ("40B", 84.4, 38.4, 10.21, 11.21),
-        ("80B", 52.8, 24.0, 5.27, 6.1),
-        ("26B(L)", 66.5, 34.8, 0.54, 0.62),
-    ];
-    println!("Table III: sustained & peak throughput — analytical model vs paper");
-    println!(
-        "{:<8}{:>7}{:>5}{:>6} | {:>8}{:>8} | {:>8}{:>8} | {:>9}{:>9} | {:>9}{:>9}",
-        "Config", "Nodes", "DP", "GBS", "TF/T", "paper", "MFU%", "paper", "EF(S)", "paper", "EF(P)", "paper"
-    );
-    for (c, (_, tft_p, mfu_p, efs_p, efp_p)) in PAPER_CONFIGS.iter().zip(paper) {
-        let machine = if c.name.ends_with("(L)") { &LUMI } else { &AURORA };
-        let p = predict_table3(c, machine, &eff);
-        println!(
-            "{:<8}{:>7}{:>5}{:>6} | {:>8.1}{:>8.1} | {:>8.1}{:>8.1} | {:>9.2}{:>9.2} | {:>9.2}{:>9.2}",
-            c.name,
-            p.nodes,
-            p.dp,
-            p.gbs,
-            p.tf_per_tile,
-            tft_p,
-            p.mfu * 100.0,
-            mfu_p,
-            p.sustained_flops / 1e18,
-            efs_p,
-            p.peak_flops / 1e18,
-            efp_p,
-        );
-    }
-    let p40 = predict_table3(&PAPER_CONFIGS[2], &AURORA, &eff);
-    println!(
-        "\n40B at full scale: {:.0} samples/s (paper: ~50); 3M samples in {:.1} h (paper: ~15 h)",
-        p40.samples_per_s,
-        3.0e6 / p40.samples_per_s / 3600.0
-    );
+    print!("{}", aeris_bench::figs::table3_throughput::run(&aeris_bench::RunScale::from_env()));
 }
