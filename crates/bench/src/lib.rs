@@ -315,7 +315,7 @@ mod smoke_digests {
         fig5_medium_range: 0x0099_c3cc_f7c2_c796,
         fig5_heatwave: 0xb907_356d_371d_7503,
         fig6_hurricane: 0x8b7d_2539_f5ff_0751,
-        fig7_seasonal: 0x79b1_8cab_f519_a9b9,
+        fig7_seasonal: 0x7b5f_d171_6de4_de29,
         ablations: 0x3af8_52e7_2557_a5ee,
         assim: 0x113a_a8ad_fe1f_9749,
     }

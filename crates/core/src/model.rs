@@ -11,7 +11,7 @@ use aeris_nn::{
 };
 use aeris_tensor::attention::{window_core_backward_into, window_core_into, CoreScratch};
 use aeris_tensor::dispatch::Kernel;
-use aeris_tensor::gemm::gemm;
+use aeris_tensor::gemm::gemm_with;
 use aeris_tensor::{sweeps, Rng, Tensor};
 use std::convert::Infallible;
 
@@ -36,11 +36,16 @@ const WINDOWS_PER_PASS: usize = 4;
 /// output and `r`. Training adds each block's [`BlockSaves`], the backward's
 /// [`BlockGrads`], the prediction `out` and its gradient `dout`, and the
 /// gradients of `cond` and of the time projection. A SWiPe block stage
-/// keeps its in-flight microbatches' spare saves in `saves`.
+/// keeps its in-flight microbatches' spare saves in `saves`. Every pass
+/// writes its [`BlockConsts`] into `consts` and every GEMM packs into
+/// `pack`, so a warm workspace holds every buffer its work needs.
 #[derive(Default)]
 pub struct Workspace {
     plan: Option<WindowAttnPlan>,
     core: CoreScratch,
+    consts: BlockConsts,
+    /// The GEMMs' pack buffer (`gemm_with`).
+    pub pack: Vec<f32>,
     pub feats: Vec<f32>,
     pub time: Vec<f32>,
     pub cond: Vec<f32>,
@@ -120,10 +125,14 @@ pub trait Saves {
     /// the second norm's rows and `r`, the gate-up, the SwiGLU output and
     /// the branch output.
     fn mlp(&mut self, _rows: &[usize], _bufs: [&[f32]; 5]) {}
+    /// Exchange the block's kept [`BlockConsts`] with `consts`: the pass
+    /// calls it before it writes them, so it writes the saves' own buffers,
+    /// and again once written, to keep the result.
+    fn swap_consts(&mut self, _consts: &mut BlockConsts) {}
     /// The pass is done: the post-attention stream `mid` (which may be
     /// swapped out: the next pass, or the output norm, writes every row
-    /// before reading it) and the block's [`BlockConsts`].
-    fn done(&mut self, _mid: &mut Vec<f32>, _consts: BlockConsts) {}
+    /// before reading it).
+    fn done(&mut self, _mid: &mut Vec<f32>) {}
 }
 
 impl Saves for () {}
@@ -180,11 +189,12 @@ pub struct BlockRows<'a> {
 /// blocks: the six AdaLN vectors `[shift1, scale1, gate1, shift2, scale2,
 /// gate2]` (`[6·dim]`), `1 + scale` of each branch, as the taped norm adds
 /// it, and `Wq | Wk | Wv` side by side (`[dim, 3·dim]`), the matrix the
-/// taped attention multiplies by.
+/// taped attention multiplies by. Kept and rewritten in place by each pass.
+#[derive(Default)]
 pub struct BlockConsts {
     mods: Vec<f32>,
     scales: [Vec<f32>; 2],
-    w_qkv: Tensor,
+    w_qkv: Vec<f32>,
 }
 
 /// One transformer block: pre-RMSNorm → AdaLN modulate → window attention →
@@ -244,16 +254,23 @@ impl SwinBlock {
         tape.gated_residual(x, h, gate2)
     }
 
-    /// This block's [`BlockConsts`] for the conditioning vector `cond`.
-    fn consts(&self, store: &ParamStore, cond: &[f32]) -> BlockConsts {
+    /// This block's [`BlockConsts`] for the conditioning vector `cond`,
+    /// into every element of `into`.
+    fn consts(&self, store: &ParamStore, cond: &[f32], into: &mut BlockConsts, pack: &mut Vec<f32>) {
         let dim = self.norm1.dim;
-        let mut mods = vec![0.0; 6 * dim];
-        self.adaln.head.apply(store, cond, &mut mods);
-        let one_plus = |i: usize| -> Vec<f32> { mods[i * dim..(i + 1) * dim].iter().map(|x| x + 1.0).collect() };
-        let scales = [one_plus(1), one_plus(4)];
+        let BlockConsts { mods, scales: [scale1, scale2], w_qkv } = into;
+        size_buffers([(&mut *mods, 6 * dim), (&mut *scale1, dim), (&mut *scale2, dim), (&mut *w_qkv, dim * 3 * dim)]);
+        self.adaln.head.apply(store, cond, mods, pack);
+        for (scale, i) in [scale1, scale2].into_iter().zip([1, 4]) {
+            scale.iter_mut().zip(&mods[i * dim..(i + 1) * dim]).for_each(|(s, x)| *s = x + 1.0);
+        }
         let a = &self.attn;
-        let w_qkv = Tensor::concat_cols(&[store.get(a.wq.w), store.get(a.wk.w), store.get(a.wv.w)]);
-        BlockConsts { mods, scales, w_qkv }
+        let parts = [store.get(a.wq.w).data(), store.get(a.wk.w).data(), store.get(a.wv.w).data()];
+        for (r, row) in w_qkv.chunks_exact_mut(3 * dim).enumerate() {
+            for (cols, part) in row.chunks_exact_mut(dim).zip(parts) {
+                cols.copy_from_slice(&part[r * dim..(r + 1) * dim]);
+            }
+        }
     }
 
     /// The block without a tape, in place on `ws.x`, conditioned on `ws.cond`:
@@ -274,9 +291,10 @@ impl SwinBlock {
         saves: &mut impl Saves,
     ) -> Result<(), A::Error> {
         let (dim, ffn) = (self.norm1.dim, self.mlp.ffn);
-        let Workspace { core, cond, x, mid, h, qkv, o, y, gu, hid, inv_rms, .. } = ws;
-        let consts = self.consts(store, cond);
-        let BlockConsts { mods, scales: [scale1, scale2], w_qkv } = &consts;
+        let Workspace { core, consts, pack, cond, x, mid, h, qkv, o, y, gu, hid, inv_rms, .. } = ws;
+        saves.swap_consts(consts);
+        self.consts(store, cond, consts, pack);
+        let BlockConsts { mods, scales: [scale1, scale2], w_qkv } = &*consts;
         let [shift1, _, gate1, shift2, _, gate2]: [&[f32]; 6] = std::array::from_fn(|i| &mods[i * dim..(i + 1) * dim]);
         let (g1, g2) = (store.get(self.norm1.gamma).data(), store.get(self.norm2.gamma).data());
         let (mods1, mods2) = ([g1, &scale1[..], shift1], [g2, &scale2[..], shift2]);
@@ -288,19 +306,20 @@ impl SwinBlock {
             let scratch = [&mut *h, &mut qkv[..n * 3 * dim], &mut o[..n * dim]];
             let [h1, qkv, o] = saves.window_rows(i * per, n).unwrap_or(scratch);
             sweeps::modulated_rmsnorm_rows(h1, ir, x, rows, mods1, self.norm1.eps);
-            gemm(n, 3 * dim, dim, h1, false, w_qkv.data(), false, qkv);
+            gemm_with(pack, n, 3 * dim, dim, h1, false, w_qkv, false, qkv);
             attn.forward(qkv, o, core)?;
-            self.attn.wo.apply(store, o, y);
+            self.attn.wo.apply(store, o, y, pack);
             sweeps::gated_residual(mid, x, y, rows, gate1);
             saves.attention(rows, [ir, y]);
             sweeps::modulated_rmsnorm_rows(h, ir, mid, rows, mods2, self.norm2.eps);
-            self.mlp.w_in.apply(store, h, gu);
+            self.mlp.w_in.apply(store, h, gu, pack);
             sweeps::swiglu(hid, gu, ffn);
-            self.mlp.w_down.apply(store, hid, y);
+            self.mlp.w_down.apply(store, hid, y, pack);
             sweeps::gated_residual(x, mid, y, rows, gate2);
             saves.mlp(rows, [h, ir, gu, hid, y]);
         }
-        saves.done(mid, consts);
+        saves.swap_consts(consts);
+        saves.done(mid);
         Ok(())
     }
 }
@@ -458,16 +477,16 @@ impl AerisModel {
     fn run<S: Saves>(&self, parts: [&Tensor; 3], t: f32, ws: &mut Workspace, saves: &mut [S], out: &mut [f32]) {
         let (store, cfg) = (&self.store, &self.cfg);
         ws.prepare(cfg, cfg.tokens(), WINDOWS_PER_PASS * self.geo.grid.window_len());
-        self.time_cond.apply(store, t, &mut ws.feats, &mut ws.time, &mut ws.cond);
+        self.time_cond.apply(store, t, &mut ws.feats, &mut ws.time, &mut ws.cond, &mut ws.pack);
         let mut plan = self.plan(ws.plan.take());
-        posenc::assemble_into(&parts, &self.pos_field, &mut ws.input);
-        self.embed.apply(store, &ws.input, &mut ws.x);
+        posenc::assemble_into(&parts.map(Tensor::data), self.pos_field.data(), &mut ws.input);
+        self.embed.apply(store, &ws.input, &mut ws.x, &mut ws.pack);
         for (block, saves) in self.blocks.iter().zip(saves) {
             let Ok(()) = block.pass(store, self.geo.rows(block.shifted), &mut plan, ws, saves);
         }
         ws.plan = Some(plan);
         self.out_norm.apply(store, &ws.x, &mut ws.mid, &mut ws.inv_rms);
-        self.decode.apply(store, &ws.mid, out);
+        self.decode.apply(store, &ws.mid, out, &mut ws.pack);
     }
 }
 

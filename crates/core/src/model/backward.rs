@@ -30,7 +30,7 @@
 use super::{size_buffers, AerisModel, AttentionStep, BlockConsts, BlockRows, Saves, SwinBlock, Workspace};
 use crate::config::AerisConfig;
 use aeris_nn::{ParamStore, Slots};
-use aeris_tensor::gemm::gemm;
+use aeris_tensor::gemm::gemm_with;
 use aeris_tensor::{sweeps, Tensor};
 
 /// What one block's backward reads, kept by its pass in the layouts the
@@ -58,7 +58,7 @@ pub struct BlockSaves {
     /// Stream order: both norms' `r`.
     ir1: Vec<f32>,
     ir2: Vec<f32>,
-    consts: Option<BlockConsts>,
+    consts: BlockConsts,
 }
 
 impl BlockSaves {
@@ -128,9 +128,12 @@ impl Saves for BlockSaves {
         }
     }
 
-    fn done(&mut self, mid: &mut Vec<f32>, consts: BlockConsts) {
+    fn swap_consts(&mut self, consts: &mut BlockConsts) {
+        std::mem::swap(&mut self.consts, consts);
+    }
+
+    fn done(&mut self, mid: &mut Vec<f32>) {
         std::mem::swap(&mut self.mid, mid);
-        self.consts = Some(consts);
     }
 }
 
@@ -244,10 +247,10 @@ impl AerisModel {
     /// the prediction `out`, seeded with 1 at the loss.
     fn backward(&self, ws: &mut Workspace, saves: &[BlockSaves], out: &[f32], target: &[f32], weights: &[f32], slots: &mut Slots) {
         let store = &self.store;
-        let Workspace { grads: g, mid, x, inv_rms, dout, .. } = ws;
+        let Workspace { grads: g, mid, x, inv_rms, dout, pack, .. } = ws;
         sweeps::weighted_mse_backward(dout, out, target, weights, 1.0);
-        slots.linear(&self.decode, mid, dout, &mut g.dw);
-        self.decode.input_grad(store, dout, &mut g.dn);
+        slots.linear(&self.decode, mid, dout, &mut g.dw, pack);
+        self.decode.input_grad(store, dout, &mut g.dn, pack);
         slots.rmsnorm(&self.out_norm, x, &g.dn, inv_rms, &mut g.dx, &mut g.dw);
         let mut plan = ws.plan.take().expect("the forward keeps its plan");
         for (i, (block, sv)) in self.blocks.iter().zip(saves).enumerate().rev() {
@@ -259,10 +262,10 @@ impl AerisModel {
             }
         }
         ws.plan = Some(plan);
-        let Workspace { grads: g, input, feats, time, dcond, dtime, .. } = ws;
+        let Workspace { grads: g, input, feats, time, dcond, dtime, pack, .. } = ws;
         // The embedding's input is a constant: no input gradient.
-        slots.linear(&self.embed, input, &g.dx, &mut g.dw);
-        self.time_cond.backward(slots, feats, time, dcond, dtime, &mut g.dw);
+        slots.linear(&self.embed, input, &g.dx, &mut g.dw, pack);
+        self.time_cond.backward(slots, feats, time, dcond, dtime, &mut g.dw, pack);
     }
 }
 
@@ -282,9 +285,10 @@ impl SwinBlock {
         slots: &mut Slots,
     ) -> Result<(), A::Error> {
         let (dim, ffn) = (self.norm1.dim, self.mlp.ffn);
-        let Workspace { grads, core, .. } = ws;
+        let Workspace { grads, core, pack, .. } = ws;
         let BlockGrads { dx, dh, dn, dwin, d_o, dqkv, dhid, dgu, dw, dvecs, dmods, dcond } = grads;
-        let BlockConsts { mods, scales: [scale1, scale2], w_qkv } = sv.consts.as_ref().expect("the pass keeps its constants");
+        let BlockConsts { mods, scales: [scale1, scale2], w_qkv } = &sv.consts;
+        assert_eq!(mods.len(), 6 * dim, "the pass keeps its constants");
         let gate = |i: usize| &mods[i * dim..(i + 1) * dim];
         dvecs.fill(0.0);
         let mut d = dvecs.chunks_exact_mut(dim);
@@ -294,11 +298,11 @@ impl SwinBlock {
         // MLP branch: the gated residual (its `d` moves on to `mid`), the
         // down projection, SwiGLU, the gate-up projection and the norm.
         sweeps::gated_residual_backward(dh, dgate2, dx, &sv.y2, gate(5));
-        self.mlp.w_down.input_grad(store, dh, dhid);
-        slots.linear(&self.mlp.w_down, &sv.hid, dh, dw);
+        self.mlp.w_down.input_grad(store, dh, dhid, pack);
+        slots.linear(&self.mlp.w_down, &sv.hid, dh, dw, pack);
         sweeps::swiglu_backward(dgu, &sv.gu, dhid, ffn);
-        self.mlp.w_in.input_grad(store, dgu, dh);
-        slots.linear(&self.mlp.w_in, &sv.h2, dgu, dw);
+        self.mlp.w_in.input_grad(store, dgu, dh, pack);
+        slots.linear(&self.mlp.w_in, &sv.h2, dgu, dw, pack);
         let g2 = store.get(self.norm2.gamma).data();
         slots.put(self.norm2.gamma, dw, |dg| {
             dg.fill(0.0);
@@ -313,15 +317,15 @@ impl SwinBlock {
         sweeps::gated_residual_backward(dh, dgate1, dx, &sv.y1, gate(2));
         dwin.fill(0.0);
         sweeps::gather_rows_backward(dwin, dh, rows.inv, dim);
-        slots.linear(&self.attn.wo, &sv.o, dwin, dw);
-        self.attn.wo.input_grad(store, dwin, d_o);
+        slots.linear(&self.attn.wo, &sv.o, dwin, dw, pack);
+        self.attn.wo.input_grad(store, dwin, d_o, pack);
         attn.backward(d_o, &sv.qkv, dqkv, core)?;
         // The fused projection's NT and TN GEMMs; `dwin` takes the windowed
         // input's gradient.
         let tokens = rows.order.len();
-        gemm(tokens, dim, 3 * dim, dqkv, false, w_qkv.data(), true, dwin);
+        gemm_with(pack, tokens, dim, 3 * dim, dqkv, false, w_qkv, true, dwin);
         let dw_qkv = &mut dw[..dim * 3 * dim];
-        gemm(dim, 3 * dim, tokens, &sv.h1, true, dqkv, false, dw_qkv);
+        gemm_with(pack, dim, 3 * dim, tokens, &sv.h1, true, dqkv, false, dw_qkv);
         for (i, w) in [self.attn.wq.w, self.attn.wk.w, self.attn.wv.w].into_iter().enumerate() {
             slots.add_cols(w, dw_qkv, 3 * dim, i * dim);
         }
@@ -339,8 +343,8 @@ impl SwinBlock {
         for (i, dv) in dvecs.chunks_exact(dim).enumerate() {
             sweeps::gather_rows_backward(dmods, dv, &[i], dim);
         }
-        slots.linear(&self.adaln.head, &sv.cond, dmods, dw);
-        self.adaln.head.input_grad(store, dmods, dcond);
+        slots.linear(&self.adaln.head, &sv.cond, dmods, dw, pack);
+        self.adaln.head.input_grad(store, dmods, dcond, pack);
         Ok(())
     }
 }

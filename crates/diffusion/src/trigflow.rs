@@ -44,15 +44,31 @@ impl TrigFlow {
     /// Spherical interpolation `x_t = cos(t)·x₀ + sin(t)·z`.
     pub fn interpolate(&self, x0: &Tensor, z: &Tensor, t: f32) -> Tensor {
         assert_eq!(x0.shape(), z.shape());
+        let mut out = Tensor::for_overwrite(x0.shape());
+        self.interpolate_into(x0.data(), z.data(), t, out.data_mut());
+        out
+    }
+
+    /// [`TrigFlow::interpolate`] into every element of `out`.
+    pub fn interpolate_into(&self, x0: &[f32], z: &[f32], t: f32, out: &mut [f32]) {
+        assert!(x0.len() == z.len() && z.len() == out.len(), "interpolate lengths");
         let (c, s) = (t.cos(), t.sin());
-        x0.zip_map(z, |x, n| c * x + s * n)
+        out.iter_mut().zip(x0.iter().zip(z)).for_each(|(o, (&x, &n))| *o = c * x + s * n);
     }
 
     /// The velocity target `v_t = cos(t)·z − sin(t)·x₀`.
     pub fn velocity_target(&self, x0: &Tensor, z: &Tensor, t: f32) -> Tensor {
         assert_eq!(x0.shape(), z.shape());
+        let mut out = Tensor::for_overwrite(x0.shape());
+        self.velocity_target_into(x0.data(), z.data(), t, out.data_mut());
+        out
+    }
+
+    /// [`TrigFlow::velocity_target`] into every element of `out`.
+    pub fn velocity_target_into(&self, x0: &[f32], z: &[f32], t: f32, out: &mut [f32]) {
+        assert!(x0.len() == z.len() && z.len() == out.len(), "velocity_target lengths");
         let (c, s) = (t.cos(), t.sin());
-        z.zip_map(x0, |n, x| c * n - s * x)
+        out.iter_mut().zip(z.iter().zip(x0)).for_each(|(o, (&n, &x))| *o = c * n - s * x);
     }
 
     /// Recover the denoised estimate from a velocity prediction:

@@ -37,4 +37,4 @@ pub use heatwave::point_series;
 pub use hovmoller::{hovmoller as hovmoller_diagram, pattern_correlation};
 pub use metrics::{acc, crps, ensemble_mean, rmse, spread, ssr};
 pub use nino::nino34_series;
-pub use spectra::{spectral_ratio, zonal_spectrum};
+pub use spectra::zonal_spectrum;

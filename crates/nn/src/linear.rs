@@ -2,7 +2,7 @@
 
 use crate::params::{Binding, ParamId, ParamStore};
 use aeris_autodiff::{Tape, Var};
-use aeris_tensor::{gemm::gemm, sweeps, Rng};
+use aeris_tensor::{gemm::gemm_with, sweeps, Rng};
 
 /// `y = x W (+ b)` with `W: [in, out]`.
 #[derive(Clone, Copy, Debug)]
@@ -57,9 +57,11 @@ impl Linear {
 
     /// The same `x W (+ b)` without a tape, row-major `x: [rows, in]` into
     /// every element of `out: [rows, out]`: the GEMM and the bias sweep that
-    /// [`Linear::forward`]'s two ops run, so its bits.
-    pub fn apply(&self, store: &ParamStore, x: &[f32], out: &mut [f32]) {
-        gemm(x.len() / self.in_dim, self.out_dim, self.in_dim, x, false, store.get(self.w).data(), false, out);
+    /// [`Linear::forward`]'s two ops run, so its bits. `pack` is the GEMM's
+    /// pack buffer (`gemm_with`), kept by the caller.
+    pub fn apply(&self, store: &ParamStore, x: &[f32], out: &mut [f32], pack: &mut Vec<f32>) {
+        let w = store.get(self.w).data();
+        gemm_with(pack, x.len() / self.in_dim, self.out_dim, self.in_dim, x, false, w, false, out);
         if let Some(b) = self.b {
             sweeps::add_rows(out, store.get(b).data());
         }
@@ -67,9 +69,11 @@ impl Linear {
 
     /// The input gradient `d·Wᵀ` of [`Linear::apply`] for the upstream
     /// gradient `d: [rows, out]` into `dx: [rows, in]`: the tape's NT GEMM.
-    /// The parameter gradients are [`crate::Slots::linear`].
-    pub fn input_grad(&self, store: &ParamStore, d: &[f32], dx: &mut [f32]) {
-        gemm(d.len() / self.out_dim, self.in_dim, self.out_dim, d, false, store.get(self.w).data(), true, dx);
+    /// The parameter gradients are [`crate::Slots::linear`]. It packs all
+    /// of `Wᵀ` into `pack`.
+    pub fn input_grad(&self, store: &ParamStore, d: &[f32], dx: &mut [f32], pack: &mut Vec<f32>) {
+        let w = store.get(self.w).data();
+        gemm_with(pack, d.len() / self.out_dim, self.in_dim, self.out_dim, d, false, w, true, dx);
     }
 
     /// Number of scalar parameters.

@@ -2,7 +2,7 @@
 //! schedule, and the EMA of parameters used at inference.
 
 use crate::params::ParamStore;
-use aeris_tensor::Tensor;
+use aeris_tensor::{sweeps, Tensor};
 
 /// AdamW hyperparameters. Defaults follow the paper (§VI-B):
 /// β = [0.85, 0.9], ε = 1e-8, weight decay λ = 0.01.
@@ -48,22 +48,25 @@ impl AdamW {
     /// of the parameters).
     pub fn step(&mut self, store: &mut ParamStore, grads: &[Option<Tensor>], lr: f32) {
         assert_eq!(grads.len(), store.len(), "gradient vector size mismatch");
+        let grads = grads.iter().enumerate().filter_map(|(i, g)| Some((i, g.as_ref()?.data())));
+        self.step_slices(store, grads, lr);
+    }
+
+    /// [`AdamW::step`] over `(parameter id, gradient)` pairs, each id at
+    /// most once, read where they lie (a SWiPe rank's flat bucket).
+    pub fn step_slices<'g>(&mut self, store: &mut ParamStore, grads: impl IntoIterator<Item = (usize, &'g [f32])>, lr: f32) {
         self.step += 1;
         let t = self.step as f32;
         let bc1 = 1.0 - self.cfg.beta1.powf(t);
         let bc2 = 1.0 - self.cfg.beta2.powf(t);
-        for (i, grad) in grads.iter().enumerate() {
-            let Some(g) = grad else { continue };
+        for (i, g) in grads {
             let id = crate::params::ParamId(i);
             let m = &mut self.m[i];
             let v = &mut self.v[i];
-            assert_eq!(g.shape(), m.shape(), "grad shape mismatch for param {i}");
+            assert_eq!(g.len(), m.len(), "grad length mismatch for param {i}");
             let p = store.get_mut(id);
             let (b1, b2, eps, wd) = (self.cfg.beta1, self.cfg.beta2, self.cfg.eps, self.cfg.weight_decay);
-            adamw_sweep(
-                p.data_mut(), g.data(), m.data_mut(), v.data_mut(),
-                b1, b2, eps, wd, lr, bc1, bc2,
-            );
+            sweeps::adamw(p.data_mut(), g, m.data_mut(), v.data_mut(), [b1, b2, eps, wd, lr, bc1, bc2]);
         }
     }
 
@@ -83,57 +86,6 @@ impl AdamW {
     /// exactly where the saved run stopped.
     pub fn set_steps(&mut self, steps: u64) {
         self.step = steps;
-    }
-}
-
-/// The fused AdamW update over one parameter's flat buffers, unrolled in
-/// `sweeps::W`-wide unit-stride chunks so the autovectorizer can lift it to
-/// SIMD. Element `j` depends only on inputs `j` (no cross-element reduction),
-/// so the sweep is bitwise identical to the scalar loop it replaced —
-/// checkpoint-resume bitwise guarantees are unaffected.
-#[allow(clippy::too_many_arguments)]
-fn adamw_sweep(
-    p: &mut [f32],
-    g: &[f32],
-    m: &mut [f32],
-    v: &mut [f32],
-    b1: f32,
-    b2: f32,
-    eps: f32,
-    wd: f32,
-    lr: f32,
-    bc1: f32,
-    bc2: f32,
-) {
-    use aeris_tensor::sweeps::W;
-    #[inline(always)]
-    fn update(
-        pj: &mut f32, gj: f32, mj: &mut f32, vj: &mut f32,
-        b1: f32, b2: f32, eps: f32, wd: f32, lr: f32, bc1: f32, bc2: f32,
-    ) {
-        *mj = b1 * *mj + (1.0 - b1) * gj;
-        *vj = b2 * *vj + (1.0 - b2) * gj * gj;
-        let mhat = *mj / bc1;
-        let vhat = *vj / bc2;
-        *pj -= lr * (mhat / (vhat.sqrt() + eps) + wd * *pj);
-    }
-    let mut pc = p.chunks_exact_mut(W);
-    let mut gc = g.chunks_exact(W);
-    let mut mc = m.chunks_exact_mut(W);
-    let mut vc = v.chunks_exact_mut(W);
-    for (((pw, gw), mw), vw) in (&mut pc).zip(&mut gc).zip(&mut mc).zip(&mut vc) {
-        for j in 0..W {
-            update(&mut pw[j], gw[j], &mut mw[j], &mut vw[j], b1, b2, eps, wd, lr, bc1, bc2);
-        }
-    }
-    for (((pj, &gj), mj), vj) in pc
-        .into_remainder()
-        .iter_mut()
-        .zip(gc.remainder())
-        .zip(mc.into_remainder().iter_mut())
-        .zip(vc.into_remainder().iter_mut())
-    {
-        update(pj, gj, mj, vj, b1, b2, eps, wd, lr, bc1, bc2);
     }
 }
 
@@ -194,9 +146,7 @@ impl Ema {
     pub fn update(&mut self, store: &ParamStore, n_images: f64) {
         let decay = (0.5f64).powf(n_images / self.halflife) as f32;
         for ((_, _, p), s) in store.iter().zip(&mut self.shadow) {
-            // s = decay * s + (1 - decay) * p
-            s.scale_inplace(decay);
-            s.axpy(1.0 - decay, p);
+            sweeps::ema(s.data_mut(), p.data(), decay);
         }
     }
 

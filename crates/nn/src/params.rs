@@ -16,7 +16,7 @@
 use std::sync::Arc;
 
 use aeris_autodiff::{Grads, Tape, Var};
-use aeris_tensor::{gemm::gemm, sweeps, Rng, Tensor};
+use aeris_tensor::{gemm::gemm_with, sweeps, Rng, Tensor};
 
 use crate::linear::Linear;
 use crate::norm::RmsNorm;
@@ -184,13 +184,38 @@ impl Binding {
 pub struct Slots<'a> {
     store: &'a ParamStore,
     acc: &'a mut [Option<Tensor>],
+    /// Buffers for empty slots, by parameter: a first contribution moves
+    /// into `spare[i]`'s tensor, when there is one, instead of a new one.
+    spare: &'a mut [Option<Tensor>],
 }
 
 impl<'a> Slots<'a> {
     /// The slots `acc` (one per parameter of `store`, in store order).
     pub fn new(store: &'a ParamStore, acc: &'a mut [Option<Tensor>]) -> Self {
+        Self::reusing(store, acc, &mut [])
+    }
+
+    /// [`Slots::new`], filling an empty slot with the buffer of `spare`'s
+    /// entry for the parameter (one per parameter, or none), rewritten
+    /// whole: a caller that keeps last round's gradients there fills its
+    /// slots without the heap.
+    pub fn reusing(store: &'a ParamStore, acc: &'a mut [Option<Tensor>], spare: &'a mut [Option<Tensor>]) -> Self {
         assert_eq!(acc.len(), store.len(), "one gradient slot per parameter");
-        Slots { store, acc }
+        assert!(spare.is_empty() || spare.len() == acc.len(), "one spare per parameter");
+        Slots { store, acc, spare }
+    }
+
+    /// A buffer for parameter `id`'s first contribution: its spare, or a
+    /// new tensor (every element written by the caller).
+    fn fresh(&mut self, id: ParamId) -> Tensor {
+        let shape = self.store.get(id).shape();
+        match self.spare.get_mut(id.0).and_then(Option::take) {
+            Some(mut g) => {
+                g.reuse_for_overwrite(shape);
+                g
+            }
+            None => Tensor::for_overwrite(shape),
+        }
     }
 
     /// Parameter `id`'s gradient, written whole by `f` into a slice of its
@@ -203,10 +228,10 @@ impl<'a> Slots<'a> {
                 f(g);
                 sweeps::add_assign(sum.data_mut(), g);
             }
-            slot @ None => {
-                let mut g = Tensor::for_overwrite(self.store.get(id).shape());
+            None => {
+                let mut g = self.fresh(id);
                 f(g.data_mut());
-                *slot = Some(g);
+                self.acc[id.0] = Some(g);
             }
         }
     }
@@ -218,15 +243,20 @@ impl<'a> Slots<'a> {
         let cols = g.chunks_exact(width).map(|row| &row[c0..c0 + n]);
         match &mut self.acc[id.0] {
             Some(sum) => sum.data_mut().chunks_exact_mut(n).zip(cols).for_each(|(s, c)| sweeps::add_assign(s, c)),
-            slot @ None => *slot = Some(Tensor::from_vec(self.store.get(id).shape(), cols.flatten().copied().collect())),
+            None => {
+                let mut g = self.fresh(id);
+                g.data_mut().chunks_exact_mut(n).zip(cols).for_each(|(s, c)| s.copy_from_slice(c));
+                self.acc[id.0] = Some(g);
+            }
         }
     }
 
     /// A linear layer's parameter gradients for the upstream gradient `d`
     /// at input `x`: the bias's row sum of `d` (when it has a bias) and the
     /// weight's `xᵀ·d`, the tape's TN GEMM. The input gradient is
-    /// [`Linear::input_grad`], a separate call.
-    pub fn linear(&mut self, lin: &Linear, x: &[f32], d: &[f32], dw: &mut [f32]) {
+    /// [`Linear::input_grad`], a separate call. `pack` is the GEMM's pack
+    /// buffer.
+    pub fn linear(&mut self, lin: &Linear, x: &[f32], d: &[f32], dw: &mut [f32], pack: &mut Vec<f32>) {
         if let Some(b) = lin.b {
             self.put(b, dw, |db| {
                 db.fill(0.0);
@@ -234,7 +264,7 @@ impl<'a> Slots<'a> {
             });
         }
         let rows = d.len() / lin.out_dim;
-        self.put(lin.w, dw, |g| gemm(lin.in_dim, lin.out_dim, rows, x, true, d, false, g));
+        self.put(lin.w, dw, |g| gemm_with(pack, lin.in_dim, lin.out_dim, rows, x, true, d, false, g));
     }
 
     /// The backward of [`RmsNorm::apply`] at input `x` (with its `inv_rms`)

@@ -30,18 +30,20 @@ pub fn pos_encoding_2d(h: usize, w: usize, amp: f32) -> Tensor {
 /// The model input: `parts` (`[h*w, ·]` each) side by side, the positional
 /// field added to every channel, written into every element of a row-major
 /// `[h*w, Σ widths]` slice.
-pub fn assemble_into(parts: &[&Tensor], pe: &Tensor, out: &mut [f32]) {
-    let width: usize = parts.iter().map(|p| p.shape()[1]).sum();
-    assert!(parts.iter().all(|p| p.shape()[0] == pe.len()), "a part is not [h*w, ·]");
-    assert_eq!(out.len(), pe.len() * width, "assembled input length");
-    for (r, (row, &p)) in out.chunks_exact_mut(width).zip(pe.data()).enumerate() {
+pub fn assemble_into(parts: &[&[f32]], pe: &[f32], out: &mut [f32]) {
+    let rows = pe.len();
+    assert!(parts.iter().all(|p| p.len().is_multiple_of(rows.max(1))), "a part is not [h*w, ·]");
+    let width: usize = parts.iter().map(|p| p.len() / rows).sum();
+    assert_eq!(out.len(), rows * width, "assembled input length");
+    for (r, (row, &p)) in out.chunks_exact_mut(width).zip(pe).enumerate() {
         let mut c0 = 0;
         for part in parts {
-            let src = part.row(r);
-            for (o, &v) in row[c0..c0 + src.len()].iter_mut().zip(src) {
+            let w = part.len() / rows;
+            let src = &part[r * w..(r + 1) * w];
+            for (o, &v) in row[c0..c0 + w].iter_mut().zip(src) {
                 *o = v + p;
             }
-            c0 += src.len();
+            c0 += w;
         }
     }
 }
@@ -50,7 +52,8 @@ pub fn assemble_into(parts: &[&Tensor], pe: &Tensor, out: &mut [f32]) {
 pub fn assemble(parts: &[&Tensor], pe: &Tensor) -> Tensor {
     let width = parts.iter().map(|p| p.shape()[1]).sum();
     let mut out = Tensor::for_overwrite(&[pe.len(), width]);
-    assemble_into(parts, pe, out.data_mut());
+    let parts: Vec<&[f32]> = parts.iter().map(|p| p.data()).collect();
+    assemble_into(&parts, pe.data(), out.data_mut());
     out
 }
 

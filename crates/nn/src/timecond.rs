@@ -15,17 +15,23 @@ use aeris_tensor::{sweeps, Rng, Tensor};
 /// Sinusoidal features of a scalar diffusion time. `dim` must be even; half
 /// the features are sines, half cosines, with log-spaced frequencies.
 pub fn timestep_features(t: f32, dim: usize) -> Tensor {
+    let mut out = Tensor::zeros(&[dim]);
+    timestep_features_into(t, out.data_mut());
+    out
+}
+
+/// [`timestep_features`] into every element of `out` (`dim = out.len()`).
+fn timestep_features_into(t: f32, out: &mut [f32]) {
+    let dim = out.len();
     assert!(dim.is_multiple_of(2), "feature dim must be even");
     let half = dim / 2;
-    let mut out = Tensor::zeros(&[dim]);
     for k in 0..half {
         // Frequencies from 1 to 10^3, log-spaced — t is O(1) so low
         // frequencies carry the coarse scale and high ones the detail.
         let freq = 1_000.0f32.powf(k as f32 / (half.max(2) - 1) as f32);
-        out.data_mut()[k] = (t * freq).sin();
-        out.data_mut()[half + k] = (t * freq).cos();
+        out[k] = (t * freq).sin();
+        out[half + k] = (t * freq).cos();
     }
-    out
 }
 
 /// The shared part of the conditioner: features → SiLU(Linear) → cond vector.
@@ -53,19 +59,21 @@ impl TimeConditioner {
 
     /// [`TimeConditioner::embed`] without a tape: `t`'s features into
     /// `feats`, their projection into `time` and its SiLU, the conditioning
-    /// vector, into `cond`.
-    pub fn apply(&self, store: &ParamStore, t: f32, feats: &mut [f32], time: &mut [f32], cond: &mut [f32]) {
-        feats.copy_from_slice(timestep_features(t, self.feat_dim).data());
-        self.proj.apply(store, feats, time);
+    /// vector, into `cond`. `pack` is the GEMM's pack buffer.
+    pub fn apply(&self, store: &ParamStore, t: f32, feats: &mut [f32], time: &mut [f32], cond: &mut [f32], pack: &mut Vec<f32>) {
+        assert_eq!(feats.len(), self.feat_dim, "time feature width");
+        timestep_features_into(t, feats);
+        self.proj.apply(store, feats, time, pack);
         sweeps::silu(cond, time);
     }
 
     /// The backward of [`TimeConditioner::apply`] for `cond`'s gradient
     /// `dcond`: the SiLU's into `dtime`, then the projection's parameter
     /// gradients (the features are constants).
-    pub fn backward(&self, slots: &mut Slots, feats: &[f32], time: &[f32], dcond: &[f32], dtime: &mut [f32], dw: &mut [f32]) {
+    #[allow(clippy::too_many_arguments)]
+    pub fn backward(&self, slots: &mut Slots, feats: &[f32], time: &[f32], dcond: &[f32], dtime: &mut [f32], dw: &mut [f32], pack: &mut Vec<f32>) {
         sweeps::silu_backward(dtime, time, dcond);
-        slots.linear(&self.proj, feats, dtime, dw);
+        slots.linear(&self.proj, feats, dtime, dw, pack);
     }
 
     /// Number of scalar parameters.

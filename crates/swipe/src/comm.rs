@@ -32,6 +32,13 @@
 //!   every hook is a no-op costing one branch when no plan is installed,
 //! - dead ranks are tracked; waiting on a rank that died without having sent
 //!   yields [`CommError::PeerDead`] as soon as the death is observed.
+//!
+//! Buffers: the trainer's operations (`send_with` / `recv_with`, the
+//! all-to-all, the bucketed reduction and the owner broadcast over flat
+//! buckets) write every payload into a buffer from the sending rank's
+//! [`Pool`], and the receiver hands it to its own pool once read. A
+//! rank's sends and receives balance over a step, so a warm step takes
+//! nothing from the heap for its messages.
 
 use crate::events::{EventLog, FaultEvent};
 use crate::fault::{FaultPlan, MessageFault};
@@ -118,6 +125,64 @@ impl Default for CommConfig {
     }
 }
 
+/// A rank's spare one-tensor payloads, kept across its operations and,
+/// through the parked thread's stash, across `train` calls. Bounded: a
+/// payload given back to a full pool is freed.
+#[derive(Default)]
+pub struct Pool {
+    spare: Vec<Vec<Tensor>>,
+}
+
+impl Pool {
+    /// Most payloads a pool keeps. A rank's sends and receives balance
+    /// over a step, so the bound only stops a rank whose receives run
+    /// ahead of its sends from keeping them all.
+    const CAP: usize = 64;
+
+    /// A one-tensor `[len]` payload, every element NaN under
+    /// `debug_assertions` (the writer must overwrite all of it): the spare
+    /// whose buffer fits `len` most tightly, else the largest, grown.
+    fn take(&mut self, len: usize) -> Vec<Tensor> {
+        let cap = |p: &Vec<Tensor>| p[0].capacity();
+        let fit = (0..self.spare.len())
+            .filter(|&i| cap(&self.spare[i]) >= len)
+            .min_by_key(|&i| cap(&self.spare[i]))
+            .or_else(|| (0..self.spare.len()).max_by_key(|&i| cap(&self.spare[i])));
+        match fit {
+            Some(i) => {
+                let mut payload = self.spare.swap_remove(i);
+                payload[0].reuse_for_overwrite(&[len]);
+                payload
+            }
+            None => vec![Tensor::for_overwrite(&[len])],
+        }
+    }
+
+    /// Keep a read payload for a later `take`.
+    fn give(&mut self, payload: Vec<Tensor>) {
+        if payload.len() == 1 && self.spare.len() < Self::CAP {
+            self.spare.push(payload);
+        }
+    }
+}
+
+/// The data of a one-tensor payload.
+fn flat(payload: &[Tensor]) -> &[f32] {
+    match payload {
+        [t] => t.data(),
+        _ => panic!("a pooled message carries one tensor, not {}", payload.len()),
+    }
+}
+
+/// `(offset, len)` of each segment of a flat bucket of `lens`.
+pub(crate) fn segments(lens: &[usize]) -> impl Iterator<Item = (usize, usize)> + '_ {
+    lens.iter().scan(0, |off, &len| {
+        let seg = (*off, len);
+        *off += len;
+        Some(seg)
+    })
+}
+
 /// A buffered message plus its remaining injected-drop suppressions. While
 /// `suppressed > 0` the message is invisible to its receiver, as if lost in
 /// transit; each retransmit request recovers one suppression.
@@ -128,7 +193,6 @@ struct Envelope {
 
 /// One receiving rank's buffered messages; the receiver is the index of
 /// its [`Mailbox`], so keys name only the sender.
-#[derive(Default)]
 struct MailboxState {
     slots: HashMap<(usize, u64), Envelope>,
     /// Per sender: how many messages it has posted to this rank (the fault
@@ -136,6 +200,21 @@ struct MailboxState {
     posted: HashMap<usize, u64>,
     /// The `(src, tag)` keys this rank is blocked on right now.
     awaited: Vec<(usize, u64)>,
+}
+
+impl Default for MailboxState {
+    /// Room for `MailboxState::SLOTS` buffered messages up front, so how
+    /// far the ranks run ahead of a receiver does not decide when its
+    /// table grows.
+    fn default() -> Self {
+        MailboxState { slots: HashMap::with_capacity(Self::SLOTS), posted: HashMap::new(), awaited: Vec::new() }
+    }
+}
+
+impl MailboxState {
+    /// Messages a mailbox holds before its table grows (a warm step at the
+    /// benchmark's `train_swipe` shape grows none: `tests/allocations.rs`).
+    const SLOTS: usize = 32;
 }
 
 /// A receiving rank's mailbox. Only its owner's thread waits on `cond`, and
@@ -346,6 +425,7 @@ impl World {
             group_seq: HashMap::new(),
             trace_step: None,
             trace_micro: None,
+            pool: Pool::default(),
         }
     }
 
@@ -512,6 +592,8 @@ pub struct Communicator {
     trace_step: Option<u64>,
     /// Trace context: the microbatch in flight.
     trace_micro: Option<u64>,
+    /// The rank's message buffers (lent by its stash for a call).
+    pool: Pool,
 }
 
 impl Communicator {
@@ -523,6 +605,11 @@ impl Communicator {
     /// The world this communicator belongs to.
     pub fn world(&self) -> &World {
         &self.world
+    }
+
+    /// The rank's message buffers, to lend in and take back.
+    pub(crate) fn pool_mut(&mut self) -> &mut Pool {
+        &mut self.pool
     }
 
     /// Set the step tag stamped onto spans this communicator emits (clears
@@ -600,9 +687,16 @@ impl Communicator {
     /// per-group sequence counter. Distinct groups that share rank pairs must
     /// not collide in the mailbox, so the group identity is part of the tag.
     fn next_group_tag(&mut self, group: &[usize]) -> u64 {
-        let c = self.group_seq.entry(group.to_vec()).or_insert(0);
-        let count = *c;
-        *c += 1;
+        let count = match self.group_seq.get_mut(group) {
+            Some(c) => {
+                *c += 1;
+                *c - 1
+            }
+            None => {
+                self.group_seq.insert(group.to_vec(), 1);
+                0
+            }
+        };
         let mut h: u64 = 0xcbf29ce484222325;
         for &r in group {
             h ^= r as u64 + 1;
@@ -640,6 +734,29 @@ impl Communicator {
         self.op_hook()?;
         let tag = self.next_chan_tag(src, self.rank);
         self.world.take(src, self.rank, tag, true)
+    }
+
+    /// Send `dst` a `len`-element payload from this rank's pool, written
+    /// whole by `fill`.
+    pub(crate) fn send_with(
+        &mut self,
+        dst: usize,
+        class: CommClass,
+        len: usize,
+        fill: impl FnOnce(&mut [f32]),
+    ) -> Result<(), CommError> {
+        let mut payload = self.pool.take(len);
+        fill(payload[0].data_mut());
+        self.send(dst, class, payload)
+    }
+
+    /// Receive the next message from `src` (a pooled one-tensor payload),
+    /// hand its data to `read` and keep the buffer in this rank's pool.
+    pub(crate) fn recv_with<R>(&mut self, src: usize, read: impl FnOnce(&[f32]) -> R) -> Result<R, CommError> {
+        let payload = self.recv(src)?;
+        let out = read(flat(&payload));
+        self.pool.give(payload);
+        Ok(out)
     }
 
     /// Barrier over a group (all members must call with the identical group).
@@ -687,6 +804,69 @@ impl Communicator {
         Ok(())
     }
 
+    /// [`Communicator::post`] of pooled payloads: member `j` gets `len(j)`
+    /// elements written by `fill(j, ·)`.
+    fn post_pooled(
+        &mut self,
+        group: &[usize],
+        me: usize,
+        class: CommClass,
+        tag: impl Fn(usize) -> u64,
+        len: impl Fn(usize) -> usize,
+        mut fill: impl FnMut(usize, &mut [f32]),
+    ) {
+        for (j, &dst) in group.iter().enumerate() {
+            if j == me {
+                continue;
+            }
+            let mut payload = self.pool.take(len(j));
+            fill(j, payload[0].data_mut());
+            self.world.account(self.rank, class, Self::payload_bytes(&payload));
+            self.world.put(self.rank, dst, tag(j), class, payload);
+        }
+    }
+
+    /// [`Communicator::collect`] of pooled payloads: member `j`'s data goes
+    /// to `read(j, ·)`, its buffer to this rank's pool.
+    fn collect_pooled(
+        &mut self,
+        group: &[usize],
+        me: usize,
+        tag: impl Fn(usize) -> u64,
+        mut read: impl FnMut(usize, &[f32]),
+    ) -> Result<(), CommError> {
+        for (j, &src) in group.iter().enumerate() {
+            if j == me {
+                continue;
+            }
+            let payload = self.world.take(src, self.rank, tag(j), false)?;
+            read(j, flat(&payload));
+            self.pool.give(payload);
+        }
+        Ok(())
+    }
+
+    /// All-to-all within `group` over pooled payloads: member `j` is sent
+    /// `len` elements written by `fill(state, j, ·)`, and what member `j`
+    /// sent this rank goes to `read(state, j, ·)`, after every send. The
+    /// rank's own chunk never leaves: the caller reads it in place.
+    /// Accounted as [`Communicator::alltoall`] of the same chunks.
+    pub(crate) fn alltoall_with<S: ?Sized>(
+        &mut self,
+        group: &[usize],
+        state: &mut S,
+        len: usize,
+        mut fill: impl FnMut(&S, usize, &mut [f32]),
+        mut read: impl FnMut(&mut S, usize, &[f32]),
+    ) -> Result<(), CommError> {
+        let _span = self.trace_span(SpanCategory::AllToAll);
+        self.op_hook()?;
+        let tag_base = self.next_group_tag(group);
+        let me = group.iter().position(|&r| r == self.rank).expect("rank not in group");
+        self.post_pooled(group, me, CommClass::AllToAll, |j| tag_base | j as u64, |_| len, |j, buf| fill(state, j, buf));
+        self.collect_pooled(group, me, |_| tag_base | me as u64, |j, data| read(state, j, data))
+    }
+
     /// All-to-all within `group`: `chunks[j]` goes to group member `j`;
     /// returns the chunks received from each member (self-chunk passes
     /// through untouched and un-accounted, as on a real interconnect).
@@ -728,89 +908,103 @@ impl Communicator {
         Ok(out)
     }
 
-    /// Sum-allreduce of one tensor within `group`: the one-tensor case of
-    /// [`Communicator::allreduce_sum_many`].
+    /// Sum-allreduce of one tensor within `group`: the one-segment case of
+    /// `Communicator::allreduce_flat`.
     pub fn allreduce_sum(&mut self, group: &[usize], value: &Tensor) -> Result<Tensor, CommError> {
-        let mut out = self.allreduce_sum_many(group, std::slice::from_ref(value))?;
-        Ok(one(&mut out))
+        let mut out = value.clone();
+        self.allreduce_flat(group, out.data_mut(), &[value.len()])?;
+        Ok(out)
     }
 
-    /// Sum-allreduce of every tensor of `values` within `group`, in one
-    /// reduce-scatter + allgather round, so per-rank traffic is ≈ 2×data
-    /// regardless of group size (the bandwidth-optimal ring volume — this is
-    /// what makes the paper's "gradient-allreduce volume is unchanged by WP"
-    /// claim measurable). Member `j` owns chunk `j` of every tensor; one
-    /// message to it carries this member's slice of each, and its reply
-    /// carries each reduced chunk. Deterministic: every chunk is reduced in
-    /// group order by its owner, so each element, and the bytes accounted,
-    /// are those of one [`Communicator::allreduce_sum`] per tensor.
-    pub fn allreduce_sum_many(
-        &mut self,
-        group: &[usize],
-        values: &[Tensor],
-    ) -> Result<Vec<Tensor>, CommError> {
+    /// Sum-allreduce, in place, of a flat bucket of segments `lens` within
+    /// `group`, in one reduce-scatter + allgather round, so per-rank traffic
+    /// is ≈ 2×data regardless of group size (the bandwidth-optimal ring
+    /// volume — this is what makes the paper's "gradient-allreduce volume is
+    /// unchanged by WP" claim measurable). Member `j` owns chunk `j` of
+    /// every segment; one pooled message to it carries this member's slice
+    /// of each, and its reply carries each reduced chunk. Deterministic:
+    /// every chunk is reduced in group order by its owner, starting from its
+    /// own value, so each element, and the bytes accounted, are those of one
+    /// [`Communicator::allreduce_sum`] per segment.
+    pub(crate) fn allreduce_flat(&mut self, group: &[usize], bucket: &mut [f32], lens: &[usize]) -> Result<(), CommError> {
         let _span = self.trace_span(SpanCategory::AllReduce);
         self.op_hook()?;
         let n = group.len();
+        assert_eq!(bucket.len(), lens.iter().sum::<usize>(), "bucket length vs. its segments");
         if n == 1 {
-            return Ok(values.to_vec());
+            return Ok(());
         }
         let tag_base = self.next_group_tag(group);
         let me = group.iter().position(|&r| r == self.rank).expect("rank not in group");
-        let chunk = |len: usize, j: usize| len * j / n..len * (j + 1) / n;
-        // Reduce-scatter: send my slice of chunk j of every tensor to its owner j.
-        self.post(group, me, CommClass::AllReduce, |j| tag_base | j as u64, |j| {
-            values.iter().map(|v| Tensor::from_slice(&v.data()[chunk(v.len(), j)])).collect()
-        });
+        // Chunk `j` of each segment, as ranges of the bucket.
+        let chunks = |j: usize| segments(lens).map(move |(off, len)| off + len * j / n..off + len * (j + 1) / n);
+        let part_len = |j: usize| chunks(j).map(|c| c.len()).sum::<usize>();
+        let gather = |bucket: &[f32], j: usize, buf: &mut [f32]| {
+            let mut at = 0;
+            for c in chunks(j) {
+                buf[at..at + c.len()].copy_from_slice(&bucket[c.clone()]);
+                at += c.len();
+            }
+        };
+        // Reduce-scatter: send my slice of chunk j of every segment to its owner j.
+        self.post_pooled(group, me, CommClass::AllReduce, |j| tag_base | j as u64, part_len, |j, buf| gather(bucket, j, buf));
         // Deterministic accumulation: contributions arrive in group order.
-        let mut mine: Vec<Vec<f32>> =
-            values.iter().map(|v| v.data()[chunk(v.len(), me)].to_vec()).collect();
-        self.collect(group, me, |_| tag_base | me as u64, |_, parts| {
-            for (m, part) in mine.iter_mut().zip(&parts) {
-                for (m, &v) in m.iter_mut().zip(part.data()) {
+        self.collect_pooled(group, me, |_| tag_base | me as u64, |_, part| {
+            let mut at = 0;
+            for c in chunks(me) {
+                for (m, &v) in bucket[c.clone()].iter_mut().zip(&part[at..at + c.len()]) {
                     *m += v;
                 }
+                at += c.len();
             }
         })?;
         // Allgather the reduced chunks.
-        let reduced: Vec<Tensor> = mine.iter().map(|m| Tensor::from_slice(m)).collect();
         let tag2 = self.next_group_tag(group);
-        self.post(group, me, CommClass::AllReduce, |_| tag2 | me as u64, |_| reduced.clone());
-        let mut out: Vec<Vec<f32>> = values.iter().map(|v| vec![0.0f32; v.len()]).collect();
-        let mut place = |j: usize, parts: &[Tensor]| {
-            for (o, part) in out.iter_mut().zip(parts) {
-                let range = chunk(o.len(), j);
-                o[range].copy_from_slice(part.data());
+        self.post_pooled(group, me, CommClass::AllReduce, |_| tag2 | me as u64, |_| part_len(me), |_, buf| gather(bucket, me, buf));
+        self.collect_pooled(group, me, |j| tag2 | j as u64, |j, part| {
+            let mut at = 0;
+            for c in chunks(j) {
+                bucket[c.clone()].copy_from_slice(&part[at..at + c.len()]);
+                at += c.len();
             }
-        };
-        place(me, &reduced);
-        self.collect(group, me, |j| tag2 | j as u64, |j, parts| place(j, &parts))?;
-        Ok(out.into_iter().zip(values).map(|(o, v)| Tensor::from_vec(v.shape(), o)).collect())
+        })
     }
 
-    /// ZeRO-1 owner broadcast within `group`: slot `i` belongs to the member
-    /// at position `owners[i]`, and every member returns every slot's value,
-    /// in slot order. `owned` holds this member's own slots, in slot order;
-    /// it goes to each peer in one message. Values and accounted bytes are
-    /// those of one root broadcast per slot.
-    pub fn broadcast_owned(
+    /// ZeRO-1 owner broadcast, in place, of a flat bucket of segments
+    /// `lens` within `group`: segment `i` belongs to the member at position
+    /// `owners[i]`, which holds its value; every member ends with every
+    /// segment's. A member's own segments go to each peer in one pooled
+    /// message. Values and accounted bytes are those of one root broadcast
+    /// per segment.
+    pub(crate) fn broadcast_flat(
         &mut self,
         group: &[usize],
         owners: &[usize],
-        owned: Vec<Tensor>,
-    ) -> Result<Vec<Tensor>, CommError> {
+        bucket: &mut [f32],
+        lens: &[usize],
+    ) -> Result<(), CommError> {
         let _span = self.trace_span(SpanCategory::Broadcast);
         self.op_hook()?;
+        assert_eq!(owners.len(), lens.len(), "one owner per segment");
         let tag_base = self.next_group_tag(group);
         let me = group.iter().position(|&r| r == self.rank).expect("rank not in group");
-        let mine = owners.iter().filter(|&&o| o == me).count();
-        assert_eq!(owned.len(), mine, "rank {}: owned values do not match `owners`", self.rank);
-        self.post(group, me, CommClass::AllGather, |_| tag_base | me as u64, |_| owned.clone());
-        let mut from: Vec<std::vec::IntoIter<Tensor>> = vec![Vec::new().into_iter(); group.len()];
-        from[me] = owned.into_iter();
-        self.collect(group, me, |j| tag_base | j as u64, |j, parts| from[j] = parts.into_iter())?;
-        let slot = |&owner: &usize| from[owner].next().expect("an owner sends every slot it owns");
-        Ok(owners.iter().map(slot).collect())
+        let of = |j: usize| segments(lens).zip(owners).filter(move |(_, &o)| o == j).map(|(seg, _)| seg);
+        let mine: usize = of(me).map(|(_, len)| len).sum();
+        self.post_pooled(group, me, CommClass::AllGather, |_| tag_base | me as u64, |_| mine, |_, buf| {
+            let mut at = 0;
+            for (off, len) in of(me) {
+                buf[at..at + len].copy_from_slice(&bucket[off..off + len]);
+                at += len;
+            }
+        });
+        self.collect_pooled(group, me, |j| tag_base | j as u64, |j, part| {
+            let mut at = 0;
+            for (off, len) in of(j) {
+                bucket[off..off + len].copy_from_slice(&part[at..at + len]);
+                at += len;
+            }
+            assert_eq!(at, part.len(), "an owner sends every segment it owns");
+        })
     }
 }
 
@@ -893,10 +1087,9 @@ mod tests {
     fn broadcast_distributes_root_value() {
         let group: Vec<usize> = (0..3).collect();
         run_ranks(3, |mut c| {
-            let owned = if c.rank() == 1 { vec![Tensor::from_slice(&[7.0, 8.0])] } else { vec![] };
-            let out = c.broadcast_owned(&group, &[1], owned).unwrap();
-            assert_eq!(out.len(), 1);
-            assert_eq!(out[0].data(), &[7.0, 8.0]);
+            let mut bucket = if c.rank() == 1 { vec![7.0, 8.0] } else { vec![0.0; 2] };
+            c.broadcast_flat(&group, &[1], &mut bucket, &[2]).unwrap();
+            assert_eq!(bucket, [7.0, 8.0]);
         });
     }
 
@@ -922,6 +1115,11 @@ mod tests {
         values
     }
 
+    /// A flat bucket's segments of `lens`, one tensor each.
+    fn split(bucket: &[f32], lens: &[usize]) -> Vec<Tensor> {
+        segments(lens).map(|(off, len)| Tensor::from_slice(&bucket[off..off + len])).collect()
+    }
+
     /// Shape and bit pattern of each tensor: equal bits, not equal values
     /// (`-0.0 == 0.0`).
     fn bits(tensors: &[Tensor]) -> Vec<(Vec<usize>, Vec<u32>)> {
@@ -932,8 +1130,8 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
 
-        /// One bucketed reduction equals one reduction per tensor, and one
-        /// owner broadcast one root broadcast per slot: bit for bit on every
+        /// One bucketed reduction equals one reduction per segment, and one
+        /// owner broadcast one root broadcast per segment: bit for bit on every
         /// rank, byte for byte in the traffic report. Lengths include 0 and
         /// lengths below the group size (members whose chunk is empty).
         #[test]
@@ -949,8 +1147,12 @@ mod tests {
                 let mut rng = Rng::seed_from(seed * 8 + rank as u64);
                 lens[..k].iter().map(|&len| Tensor::randn(&[len], &mut rng)).collect()
             };
-            let (many, many_traffic) =
-                run_ranks(n, |mut c| c.allreduce_sum_many(&group, &values(c.rank())).unwrap());
+            let (many, many_traffic) = run_ranks(n, |mut c| {
+                let mine = values(c.rank());
+                let mut bucket: Vec<f32> = mine.iter().flat_map(|v| v.data().to_vec()).collect();
+                c.allreduce_flat(&group, &mut bucket, &lens[..k]).unwrap();
+                split(&bucket, &lens[..k])
+            });
             let (each, each_traffic) = run_ranks(n, |mut c| {
                 let mine = values(c.rank());
                 mine.iter().map(|v| c.allreduce_sum(&group, v).unwrap()).collect::<Vec<_>>()
@@ -961,10 +1163,11 @@ mod tests {
             proptest::prop_assert_eq!(many_traffic, each_traffic);
 
             let owners: Vec<usize> = owner_draws[..k].iter().map(|&o| o % n).collect();
+            let lens = &lens[..k];
             let (owned, owned_traffic) = run_ranks(n, |mut c| {
-                let me = c.rank();
-                let mine = values(me).into_iter().zip(&owners).filter(|(_, &o)| o == me);
-                c.broadcast_owned(&group, &owners, mine.map(|(v, _)| v).collect()).unwrap()
+                let mut bucket: Vec<f32> = values(c.rank()).iter().flat_map(|v| v.data().to_vec()).collect();
+                c.broadcast_flat(&group, &owners, &mut bucket, lens).unwrap();
+                split(&bucket, lens)
             });
             let (rooted, rooted_traffic) =
                 run_ranks(n, |mut c| {

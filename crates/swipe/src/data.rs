@@ -18,12 +18,18 @@ pub struct InMemorySource {
 
 /// Gather rows of a `[tokens, C]` tensor by index.
 pub(crate) fn gather(src: &Tensor, rows: &[usize]) -> Tensor {
-    let c = src.shape()[1];
-    let mut out = Tensor::zeros(&[rows.len(), c]);
-    for (i, &r) in rows.iter().enumerate() {
-        out.row_mut(i).copy_from_slice(src.row(r));
-    }
+    let mut out = Tensor::for_overwrite(&[rows.len(), src.shape()[1]]);
+    gather_rows(out.data_mut(), src.data(), rows);
     out
+}
+
+/// Row `idx[r]` of `src` into row `r` of `dst`, every row of it (rows of
+/// `dst.len() / idx.len()`).
+pub(crate) fn gather_rows(dst: &mut [f32], src: &[f32], idx: &[usize]) {
+    let width = dst.len() / idx.len().max(1);
+    for (row, &i) in dst.chunks_exact_mut(width.max(1)).zip(idx) {
+        row.copy_from_slice(&src[i * width..(i + 1) * width]);
+    }
 }
 
 #[cfg(test)]

@@ -1,25 +1,48 @@
 //! One rank of a distributed SWiPe run ([`crate::trainer`] runs one per
 //! parked thread): the per-rank step loop and the state it runs over — relayout
 //! links, ZeRO-1 ownership, per-step replica membership, checkpoint save and
-//! the elastic rejoin.
+//! the elastic rejoin — and the [`Stash`] of buffers its thread keeps from one
+//! call to the next.
 
-use crate::comm::{CommClass, CommError, Communicator};
+use crate::comm::{segments, CommClass, CommError, Communicator, Pool};
 use crate::data::gather;
 use crate::events::FaultEvent;
 use crate::layout::ActLayout;
 use crate::schedule::{one_f_one_b, Action};
-use crate::stage::{StageKind, StageModel, StageRun};
+use crate::stage::{sized, Feed, StageBufs, StageKind, StageModel, StageRun};
 use crate::topology::{RankCoords, SwipeTopology};
-use crate::trainer::{ckpt_io, noise_rows, shared_t, CheckpointConfig, Run, SwipeConfig, SwipeError};
+use crate::trainer::{ckpt_io, shared_t, CheckpointConfig, Run, SwipeConfig, SwipeError};
 use aeris_core::AerisModel;
 use aeris_diffusion::TrigFlow;
 use aeris_nn::checkpoint::{entry_u64, save_entries, u64_entry};
 use aeris_nn::window::WindowGrid;
-use aeris_nn::{AdamW, ParamId};
+use aeris_nn::{AdamW, ParamId, Slots};
 use aeris_obs::{SpanCategory, SpanGuard};
-use aeris_tensor::Tensor;
-use std::collections::HashMap;
+use aeris_tensor::{sweeps, Tensor};
 use std::sync::atomic::Ordering;
+
+/// What a parked rank thread keeps from one job to the next, as it keeps
+/// its stack and heap: every buffer a rank's steps need, sized by the
+/// first step that needs it — the message pool, the stage's buffers and
+/// spare runs, the gradient slots and the flat buckets. A call at another
+/// topology or model shape re-sizes them. A job that panics drops its
+/// stash, and its thread starts the next job with an empty one.
+#[derive(Default)]
+pub(crate) struct Stash {
+    pool: Pool,
+    bufs: StageBufs,
+    /// Runs of finished microbatches, for the next forwards to reuse, and
+    /// the in-flight ones by microbatch.
+    spare_runs: Vec<StageRun>,
+    runs: Vec<Option<StageRun>>,
+    /// The step's gradient slots, one per stage parameter (`None` until
+    /// first touched), and the buffers of the previous step's, reused.
+    grads: Vec<Option<Tensor>>,
+    spare_grads: Vec<Option<Tensor>>,
+    /// The flat gradient bucket of each group, reduced and then broadcast
+    /// in place.
+    flat: [Vec<f32>; 2],
+}
 
 /// One side of a stage boundary, resolved once per rank: the peer ranks this
 /// rank exchanges rows with across it, in message order, and the local rows
@@ -63,27 +86,28 @@ impl Link {
         (up, down)
     }
 
-    /// Ship each peer its rows of `value`.
-    fn send(&self, comm: &mut Communicator, value: &Tensor) -> Result<(), CommError> {
+    /// Ship each peer its rows of `value` (rows of `width`).
+    fn send(&self, comm: &mut Communicator, value: &[f32], width: usize) -> Result<(), CommError> {
         for (peer, rows) in &self.peers {
-            comm.send(*peer, CommClass::P2p, vec![gather(value, rows)])?;
+            comm.send_with(*peer, CommClass::P2p, rows.len() * width, |buf| crate::data::gather_rows(buf, value, rows))?;
         }
         Ok(())
     }
 
-    /// Assemble a `shape` matrix from the rows each peer ships. Traced as a
-    /// Bubble: this is the pipeline wait, blocked until the neighbouring
-    /// stage's rows arrive.
-    fn recv(&self, comm: &mut Communicator, shape: [usize; 2]) -> Result<Tensor, CommError> {
+    /// Assemble `[rows, width]` into `out` from the rows each peer ships.
+    /// Traced as a Bubble: this is the pipeline wait, blocked until the
+    /// neighbouring stage's rows arrive.
+    fn recv(&self, comm: &mut Communicator, out: &mut Vec<f32>, [rows, width]: [usize; 2]) -> Result<(), CommError> {
         let _bubble = comm.trace_span(SpanCategory::Bubble);
-        let mut out = Tensor::zeros(&shape);
+        let out = sized(out, rows * width);
         for (peer, rows) in &self.peers {
-            let payload = comm.recv(*peer)?.pop().expect("a relayout message carries one tensor");
-            for (i, &row) in rows.iter().enumerate() {
-                out.row_mut(row).copy_from_slice(payload.row(i));
-            }
+            comm.recv_with(*peer, |got| {
+                for (&row, src) in rows.iter().zip(got.chunks_exact(width)) {
+                    out[row * width..(row + 1) * width].copy_from_slice(src);
+                }
+            })?;
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -153,6 +177,25 @@ impl Shards {
     }
 }
 
+/// One group's flat gradient bucket, laid out once per call: its
+/// parameters in store order, each one segment, then (the head stage's
+/// stage-local bucket) the summed local loss as a last 1-element segment.
+struct Bucket {
+    shared: bool,
+    ixs: Vec<usize>,
+    lens: Vec<usize>,
+    /// Each parameter's owner position in its group (`Shards::owner_ix`).
+    owners: Vec<usize>,
+    with_loss: bool,
+}
+
+impl Bucket {
+    /// The parameters this rank owns, with their segments.
+    fn owned<'b>(&'b self, shards: &'b Shards) -> impl Iterator<Item = (usize, (usize, usize))> + 'b {
+        self.ixs.iter().zip(segments(&self.lens)).filter(|(&i, _)| shards.owns(i)).map(|(&i, seg)| (i, seg))
+    }
+}
+
 /// The replica sets one step needs. The fault plan is shared knowledge, so
 /// every rank derives the same sets for a step without any agreement
 /// protocol; a crashed rank takes its whole replica out with it.
@@ -175,16 +218,23 @@ impl Membership {
 
     /// Membership at `step` of a run whose first executed step is
     /// `start_step` (nobody rejoins at that first boundary: the run has no
-    /// earlier step to have been out of).
-    fn at(cfg: &SwipeConfig, start_step: usize, step: usize) -> Self {
+    /// earlier step to have been out of). `kept` is the last step's: when
+    /// the same replicas are out and none rejoins, it is the answer, and no
+    /// list is built.
+    fn at(cfg: &SwipeConfig, start_step: usize, step: usize, kept: Option<Membership>) -> Self {
         let dead_dps = Self::dead_at(cfg, step);
         let mut rejoining_dps = Vec::new();
         if step > start_step {
             rejoining_dps = Self::dead_at(cfg, step - 1);
             rejoining_dps.retain(|dp| !dead_dps.contains(dp));
         }
-        let all_live = cfg.topo.filter_live(&cfg.topo.all_ranks(), &dead_dps);
-        Membership { dp: cfg.topo.dp, dead_dps, rejoining_dps, all_live }
+        match kept {
+            Some(m) if m.dead_dps == dead_dps && m.rejoining_dps == rejoining_dps => m,
+            _ => {
+                let all_live = cfg.topo.filter_live(&cfg.topo.all_ranks(), &dead_dps);
+                Membership { dp: cfg.topo.dp, dead_dps, rejoining_dps, all_live }
+            }
+        }
     }
 
     fn live_dp(&self) -> usize {
@@ -238,11 +288,15 @@ pub(crate) struct Rank<'a> {
     /// The positional field and the loss weights at those tokens.
     pos: Tensor,
     weight_rows: Tensor,
+    /// The stage-local and the shared parameters' buckets.
+    buckets: [Bucket; 2],
+    stash: Stash,
 }
 
 impl<'a> Rank<'a> {
-    /// Shard `run` onto the rank behind `comm`.
-    pub(crate) fn new(comm: Communicator, run: &'a Run) -> Result<Self, SwipeError> {
+    /// Shard `run` onto the rank behind `comm`, over the buffers of `stash`
+    /// (its thread's, handed back by [`Rank::into_stash`]).
+    pub(crate) fn new(mut comm: Communicator, run: &'a Run, mut stash: Stash) -> Result<Self, SwipeError> {
         let (cfg, reference) = (&run.cfg, &run.reference);
         let topo = cfg.topo;
         let coords = topo.coords_of(comm.rank());
@@ -273,11 +327,30 @@ impl<'a> Rank<'a> {
         for (i, &tok) in tokens.iter().enumerate() {
             pos.data_mut()[i] = reference.pos_field.data()[tok];
         }
+        let shards = Shards::new(comm.rank(), &topo, coords, &model);
+        let buckets = [false, true].map(|shared| {
+            let ixs = shards.bucket(shared);
+            let mut lens: Vec<usize> = ixs.iter().map(|&i| model.store.get(ParamId(i)).len()).collect();
+            let owners = ixs.iter().map(|&i| shards.owner_ix(i)).collect();
+            let with_loss = !shared && kind == StageKind::Head;
+            if with_loss {
+                lens.push(1);
+            }
+            Bucket { shared, ixs, lens, owners, with_loss }
+        });
+        std::mem::swap(comm.pool_mut(), &mut stash.pool);
+        stash.grads.clear();
+        stash.grads.resize_with(model.store.len(), || None);
+        stash.spare_grads.resize_with(model.store.len(), || None);
+        stash.runs.clear();
+        stash.runs.resize_with(cfg.gas, || None);
         Ok(Rank {
             run,
             coords,
             kind,
-            shards: Shards::new(comm.rank(), &topo, coords, &model),
+            shards,
+            buckets,
+            stash,
             model,
             opt,
             actions,
@@ -304,12 +377,20 @@ impl<'a> Rank<'a> {
         // fault window; the open Outage span closes at rejoin, so balanced
         // Outage pairs prove every parked replica that was due back came back.
         let mut outage: Option<SpanGuard> = None;
+        // The last step's membership and live reduction groups: rebuilt
+        // only when the fault plan changes who is out.
+        let mut kept: Option<Membership> = None;
+        let mut live: Option<(Vec<usize>, [Vec<usize>; 2])> = None;
 
         for step in run.start_step..cfg.n_steps {
             self.comm.set_trace_step(step as u64);
             // ---- step-boundary fault-plan reconfiguration ----
             let crashed_now = self.comm.planned_crash(step);
-            let members = Membership::at(cfg, run.start_step, step);
+            let members = Membership::at(cfg, run.start_step, step, kept.take());
+            if live.as_ref().is_none_or(|(dead, _)| *dead != members.dead_dps) {
+                let filter = |group: &[usize]| cfg.topo.filter_live(group, &members.dead_dps);
+                live = Some((members.dead_dps.clone(), [filter(&self.grad_group), filter(&self.shared_grad_group)]));
+            }
             let live_dp = members.live_dp();
             if live_dp != prev_live_dp {
                 prev_live_dp = live_dp;
@@ -346,8 +427,9 @@ impl<'a> Rank<'a> {
             }
             self.rejoin(&members, outage.take(), step)?;
 
-            let (grads, my_loss) = self.microbatches(step)?;
-            self.reduce_and_update(&members, grads, my_loss, step)?;
+            let my_loss = self.microbatches(step)?;
+            let [stage_live, shared_live] = &live.as_ref().expect("set above").1;
+            self.reduce_and_update(&members, [stage_live, shared_live], my_loss, step)?;
 
             // ---- coordinated checkpoint ----
             let due = cfg
@@ -358,10 +440,11 @@ impl<'a> Rank<'a> {
                 let _ckpt = self.comm.trace_span(SpanCategory::Checkpoint);
                 self.save_checkpoint(&members, ck, step)?;
             }
+            kept = Some(members);
         }
 
         // Contribute final params from the canonical replica of the last step.
-        let last = Membership::at(cfg, run.start_step, cfg.n_steps.saturating_sub(1));
+        let last = Membership::at(cfg, run.start_step, cfg.n_steps.saturating_sub(1), kept);
         if self.speaks_for_stage(&last) {
             let mut fp = run.final_params.lock();
             for (_, name, v) in self.model.store.iter() {
@@ -371,6 +454,12 @@ impl<'a> Rank<'a> {
             }
         }
         Ok(())
+    }
+
+    /// The rank's buffers, back for its thread to keep.
+    pub(crate) fn into_stash(mut self) -> Stash {
+        std::mem::swap(self.comm.pool_mut(), &mut self.stash.pool);
+        self.stash
     }
 
     /// Whether this rank's copy of its stage's parameters is the one the run
@@ -476,170 +565,158 @@ impl<'a> Rank<'a> {
 
     /// Run this stage's 1F1B slots for one step. Every stage kind is the same
     /// sandwich — receive over one link, compute, send over the other — with
-    /// the edge stages missing a side. Returns the accumulated parameter
-    /// gradients and the summed local head loss.
-    fn microbatches(&mut self, step: usize) -> Result<(Vec<Option<Tensor>>, f64), SwipeError> {
-        let (run, dp) = (self.run, self.coords.dp);
-        let (seed, channels) = (run.cfg.seed, run.reference.cfg.channels);
+    /// the edge stages missing a side. Leaves the accumulated parameter
+    /// gradients in the stash's slots and returns the summed local head loss.
+    fn microbatches(&mut self, step: usize) -> Result<f64, SwipeError> {
+        let (run, dp, kind) = (self.run, self.coords.dp, self.kind);
+        let seed = run.cfg.seed;
         let tf = TrigFlow::default();
-        let mut runs: HashMap<usize, StageRun> = HashMap::new();
-        let mut grads: Vec<Option<Tensor>> = vec![None; self.model.store.len()];
+        let global_tokens = run.reference.cfg.tokens();
         let mut my_loss = 0.0f64;
+        let Stash { bufs, spare_runs, runs, grads, spare_grads, .. } = &mut self.stash;
 
         for action in &self.actions {
             match *action {
                 Action::Forward(m) => {
                     self.comm.set_trace_micro(Some(m as u64));
-                    let sample = run.schedule[step][dp][m];
+                    let ix = run.schedule[step][dp][m];
                     let t = shared_t(&tf, seed, step, dp, m);
-                    let (comm, shape) = (&mut self.comm, self.act_shape);
-                    let x_in = self.up.as_ref().map(|up| up.recv(comm, shape)).transpose()?;
-                    let fwd = self.comm.trace_span(SpanCategory::Forward);
-                    let (stage_run, out) = match (self.kind, x_in) {
-                        (StageKind::Input, _) => {
-                            let s = &run.samples[&sample];
-                            let x0 = gather(&s.residual, &self.tokens);
-                            let prev = gather(&s.x_prev, &self.tokens);
-                            let forc = gather(&s.forcings, &self.tokens);
-                            let z = noise_rows(seed, sample, &self.tokens, channels);
-                            let x_t = tf.interpolate(&x0, &z, t);
-                            let input = aeris_nn::posenc::assemble(&[&x_t, &prev, &forc], &self.pos);
-                            let (stage_run, out) = self.model.forward_input(input);
-                            (stage_run, Some(out))
-                        }
-                        (StageKind::Block(_), Some(x_in)) => {
-                            let (stage_run, out) =
-                                self.model.forward_block(x_in, t, &mut self.comm, &self.sp_group)?;
-                            (stage_run, Some(out))
-                        }
-                        (StageKind::Head, Some(x_in)) => {
-                            let x0 = gather(&run.samples[&sample].residual, &self.tokens);
-                            let z = noise_rows(seed, sample, &self.tokens, channels);
-                            let v_target = tf.velocity_target(&x0, &z, t);
-                            let global_tokens = run.reference.cfg.tokens();
-                            let (stage_run, loss) =
-                                self.model.forward_head(x_in, v_target, &self.weight_rows, global_tokens);
-                            my_loss += loss;
-                            (stage_run, None)
-                        }
-                        _ => unreachable!("block and head stages have an up link"),
-                    };
-                    drop(fwd);
-                    if let (Some(down), Some(out)) = (&self.down, &out) {
-                        down.send(&mut self.comm, out)?;
+                    let feed = Feed { sample: &run.samples[&ix], ix, seed, tokens: &self.tokens, t };
+                    if let Some(up) = &self.up {
+                        up.recv(&mut self.comm, &mut bufs.act, self.act_shape)?;
                     }
-                    runs.insert(m, stage_run);
+                    let fwd = self.comm.trace_span(SpanCategory::Forward);
+                    let mut stage_run = spare_runs.pop().filter(|r| r.is(kind)).unwrap_or_else(|| StageRun::new(kind));
+                    match kind {
+                        StageKind::Input => self.model.forward_input(bufs, &mut stage_run, &feed, self.pos.data()),
+                        StageKind::Block(_) => {
+                            self.model.forward_block(bufs, &mut stage_run, t, &mut self.comm, &self.sp_group)?
+                        }
+                        StageKind::Head => {
+                            let w = self.weight_rows.data();
+                            my_loss += self.model.forward_head(bufs, &mut stage_run, &feed, w, global_tokens);
+                        }
+                    }
+                    drop(fwd);
+                    if let Some(down) = &self.down {
+                        let out = if kind == StageKind::Input { &bufs.act } else { &bufs.ws.x };
+                        down.send(&mut self.comm, out, self.act_shape[1])?;
+                    }
+                    runs[m] = Some(stage_run);
                 }
                 Action::Backward(m) => {
                     self.comm.set_trace_micro(Some(m as u64));
-                    let stage_run = runs.remove(&m).expect("forward before backward");
-                    let (comm, shape) = (&mut self.comm, self.act_shape);
-                    let g_out = self.down.as_ref().map(|down| down.recv(comm, shape)).transpose()?;
-                    let bwd = self.comm.trace_span(SpanCategory::Backward);
-                    let g_in = match (self.kind, g_out) {
-                        (StageKind::Head, _) => {
-                            Some(self.model.backward_head(stage_run, &self.weight_rows, &mut grads))
-                        }
-                        (StageKind::Block(_), Some(g_out)) => Some(self.model.backward_block(
-                            stage_run, g_out, &mut self.comm, &self.sp_group, &mut grads,
-                        )?),
-                        (StageKind::Input, Some(g_out)) => {
-                            self.model.backward_input(stage_run, g_out, &mut grads);
-                            None
-                        }
-                        _ => unreachable!("input and block stages have a down link"),
-                    };
-                    drop(bwd);
-                    if let (Some(up), Some(g_in)) = (&self.up, &g_in) {
-                        up.send(&mut self.comm, g_in)?;
+                    let stage_run = runs[m].take().expect("forward before backward");
+                    if let Some(down) = &self.down {
+                        down.recv(&mut self.comm, &mut bufs.grad, self.act_shape)?;
                     }
+                    let bwd = self.comm.trace_span(SpanCategory::Backward);
+                    let mut slots = Slots::reusing(&self.model.store, grads, spare_grads);
+                    match kind {
+                        StageKind::Head => self.model.backward_head(bufs, &stage_run, self.weight_rows.data(), &mut slots),
+                        StageKind::Block(_) => {
+                            self.model.backward_block(bufs, &stage_run, &mut self.comm, &self.sp_group, &mut slots)?
+                        }
+                        StageKind::Input => self.model.backward_input(bufs, &stage_run, &mut slots),
+                    }
+                    drop(bwd);
+                    if let Some(up) = &self.up {
+                        let g_in = if kind == StageKind::Head { &bufs.grad } else { &bufs.ws.grads.dx };
+                        up.send(&mut self.comm, g_in, self.act_shape[1])?;
+                    }
+                    spare_runs.push(stage_run);
                 }
             }
             // Activation accounting: every in-flight microbatch's saves.
-            let live: usize = runs.values().map(|r| r.activation_elems()).sum();
+            let live: usize = runs.iter().flatten().map(StageRun::activation_elems).sum();
             run.max_act.fetch_max(live, Ordering::Relaxed);
         }
-        Ok((grads, my_loss))
+        Ok(my_loss)
     }
 
     /// Reduce the step's gradients across the live replicas, apply the
     /// sharded optimizer and, on the head stage, report the step's loss.
     ///
-    /// Each group takes one bucketed reduction and one owner broadcast. The
-    /// head stage's bucket ends with its summed local losses: a 1-element
-    /// tensor is owned, and summed in group order, by the group's last
-    /// member. Those are the additions, in order, of a sum over every live
-    /// rank (the last live rank is a head rank, and the others add 0), so
-    /// the loss is the same at any topology.
+    /// Each group takes one bucketed reduction and one owner broadcast,
+    /// both in place over the group's flat bucket. The head stage's bucket
+    /// ends with its summed local losses: a 1-element segment is owned, and
+    /// summed in group order, by the group's last member. Those are the
+    /// additions, in order, of a sum over every live rank (the last live
+    /// rank is a head rank, and the others add 0), so the loss is the same
+    /// at any topology.
     fn reduce_and_update(
         &mut self,
         members: &Membership,
-        mut grads: Vec<Option<Tensor>>,
+        [stage_live, shared_live]: [&[usize]; 2],
         my_loss: f64,
         step: usize,
     ) -> Result<(), SwipeError> {
         let cfg = &self.run.cfg;
+        let Stash { grads, spare_grads, flat, .. } = &mut self.stash;
+        let store = &mut self.model.store;
         // ---- gradient reduction (rescaled to the surviving global batch) ----
         self.comm.set_trace_micro(None);
-        let stage_live = cfg.topo.filter_live(&self.grad_group, &members.dead_dps);
-        let shared_live = cfg.topo.filter_live(&self.shared_grad_group, &members.dead_dps);
         let gbs = members.live_dp() * cfg.gas;
-        for shared in [false, true] {
-            let ixs = self.shards.bucket(shared);
-            let mut bucket: Vec<Tensor> = ixs
-                .iter()
-                .map(|&i| {
-                    let zeros = || Tensor::zeros(self.model.store.get(ParamId(i)).shape());
-                    grads[i].take().unwrap_or_else(zeros)
-                })
-                .collect();
-            let with_loss = !shared && self.kind == StageKind::Head;
-            if with_loss {
-                bucket.push(Tensor::from_slice(&[my_loss as f32]));
-            }
-            if bucket.is_empty() {
+        for (b, bucket) in self.buckets.iter().zip(flat.iter_mut()) {
+            if b.lens.is_empty() {
                 continue;
             }
-            let group = if shared { &shared_live } else { &stage_live };
-            let mut reduced = self.comm.allreduce_sum_many(group, &bucket)?;
-            if with_loss {
-                let loss_sum = reduced.pop().expect("the loss ends the bucket").data()[0] as f64;
+            let bucket = sized(bucket, b.lens.iter().sum());
+            let mut segs = bucket.iter_mut();
+            for &i in &b.ixs {
+                let seg = segs.by_ref().take(store.get(ParamId(i)).len());
+                // The step's gradient leaves its slot for the next step to reuse.
+                match grads[i].take() {
+                    Some(g) => {
+                        seg.zip(g.data()).for_each(|(s, &v)| *s = v);
+                        spare_grads[i] = Some(g);
+                    }
+                    None => seg.for_each(|s| *s = 0.0),
+                }
+            }
+            if b.with_loss {
+                *segs.next().expect("the loss ends the bucket") = my_loss as f32;
+            }
+            let group = if b.shared { shared_live } else { stage_live };
+            self.comm.allreduce_flat(group, bucket, &b.lens)?;
+            if b.with_loss {
+                let loss_sum = bucket[bucket.len() - 1] as f64;
                 if self.comm.rank() == group[0] {
                     self.run.losses.lock()[step] = loss_sum / gbs as f64;
                 }
             }
-            // Only the owner steps the parameter, so only it keeps the mean.
-            for (&i, mut g) in ixs.iter().zip(reduced) {
-                grads[i] = self.shards.owns(i).then(|| {
-                    g.scale_inplace(1.0 / gbs as f32);
-                    g
-                });
-            }
         }
 
         // ---- ZeRO-1 sharded optimizer (hybrid, within-replica) ----
-        // Each parameter's within-replica owner updates it with AdamW state,
-        // then every owner sends the parameters it owns to the rest of the
-        // replica's group in one message. Owner groups never shrink (live
-        // replicas are always whole), and every replica's owners compute
-        // bitwise-identical updates from the shared reduced gradient.
+        // Each parameter's within-replica owner updates it with AdamW state
+        // from the mean of its reduced gradient, then every owner sends the
+        // parameters it owns to the rest of the replica's group in one
+        // message. Owner groups never shrink (live replicas are always
+        // whole), and every replica's owners compute bitwise-identical
+        // updates from the shared reduced gradient.
         let _opt_span = self.comm.trace_span(SpanCategory::OptimizerStep);
-        self.opt.step(&mut self.model.store, &grads, cfg.lr);
-        for shared in [false, true] {
-            let ixs = self.shards.bucket(shared);
-            if ixs.is_empty() {
+        let shards = &self.shards;
+        for (b, bucket) in self.buckets.iter().zip(flat.iter_mut()) {
+            for (_, (off, len)) in b.owned(shards) {
+                sweeps::scale(&mut bucket[off..off + len], 1.0 / gbs as f32);
+            }
+        }
+        let means = self.buckets.iter().zip(flat.iter());
+        let means = means.flat_map(|(b, bucket)| b.owned(shards).map(move |(i, (off, len))| (i, &bucket[off..off + len])));
+        self.opt.step_slices(store, means, cfg.lr);
+        for (b, bucket) in self.buckets.iter().zip(flat.iter_mut()) {
+            if b.ixs.is_empty() {
                 continue;
             }
-            let owners: Vec<usize> = ixs.iter().map(|&i| self.shards.owner_ix(i)).collect();
-            let owned = ixs
-                .iter()
-                .filter(|&&i| self.shards.owns(i))
-                .map(|&i| self.model.store.get(ParamId(i)).clone())
-                .collect();
-            let group = if shared { &self.shards.shared_group } else { &self.shards.stage_group };
-            let fresh = self.comm.broadcast_owned(group, &owners, owned)?;
-            for (&i, value) in ixs.iter().zip(fresh) {
-                *self.model.store.get_mut(ParamId(i)) = value;
+            let lens = &b.lens[..b.ixs.len()];
+            let bucket = &mut bucket[..lens.iter().sum()];
+            for (i, (off, len)) in b.owned(shards) {
+                bucket[off..off + len].copy_from_slice(store.get(ParamId(i)).data());
+            }
+            let group = if b.shared { &shards.shared_group } else { &shards.stage_group };
+            self.comm.broadcast_flat(group, &b.owners, bucket, lens)?;
+            for (&i, (off, len)) in b.ixs.iter().zip(segments(lens)) {
+                store.get_mut(ParamId(i)).data_mut().copy_from_slice(&bucket[off..off + len]);
             }
         }
         Ok(())

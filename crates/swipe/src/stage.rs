@@ -13,25 +13,32 @@
 //! it: it runs [`SwinBlock::pass`] and [`SwinBlock::backward`] — the one
 //! block sequence — over the rank's rows as one row block, with `Ulysses`
 //! as the attention step: the fused `Wq | Wk | Wv` GEMM, the all-to-all
-//! (heads scatter), one gather of the peers' chunks into window-major
-//! `Q | K | V`, the window core over the rank's local heads, the inverse
-//! gather, the second all-to-all (heads gather) and `Wo`. The backward runs
-//! the mirror: `Wo`ᵀ, the transposed exchanges around the core's backward,
-//! then the fused projection's NT and TN GEMMs. A microbatch's [`StageRun`]
-//! owns the saves its backward reads, sized to the rank's rows; the stage's
-//! [`Workspace`] holds its working buffers and the spare saves of finished
-//! microbatches.
+//! (heads scatter) of the peers' chunks into window-major `Q | K | V`, the
+//! window core over the rank's local heads, the second all-to-all (heads
+//! gather) and `Wo`. The backward runs the mirror: `Wo`ᵀ, the transposed
+//! exchanges around the core's backward, then the fused projection's NT
+//! and TN GEMMs. The rank's own chunk never becomes a message: the heads
+//! gathers and the backward's scatter read it where it lies.
+//!
+//! Buffers: a microbatch's [`StageRun`] owns what its backward reads,
+//! sized to the rank's rows; [`StageBufs`] holds everything else — the
+//! executor's [`Workspace`] with its pack buffer, the Ulysses scratch, the
+//! edge stages' row buffers and the boundary rows. Both live in the rank
+//! thread's stash, so a warm microbatch only rewrites them.
 
 use crate::comm::{CommError, Communicator};
+use crate::data::gather_rows;
 use crate::layout::ActLayout;
+use crate::trainer::noise_rows_into;
 use aeris_core::model::{AttentionStep, BlockRows, BlockSaves, SwinBlock, Workspace};
-use aeris_core::{AerisConfig, AerisModel};
+use aeris_core::{AerisConfig, AerisModel, TrainSample};
+use aeris_diffusion::TrigFlow;
+use aeris_nn::posenc::assemble_into;
 use aeris_nn::timecond::AdaLnHead;
-use aeris_nn::window::invert_perm;
 use aeris_nn::{Linear, ParamId, ParamStore, RmsNorm, RopeTable, Slots, SwiGlu, TimeConditioner, WindowAttention};
 use aeris_tensor::attention::{window_core_backward_into, window_core_into, CoreScratch, WindowAttnPlan};
 use aeris_tensor::dispatch::Kernel;
-use aeris_tensor::{sweeps, Tensor};
+use aeris_tensor::sweeps;
 
 /// What a stage computes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -59,19 +66,13 @@ enum StageLayers {
         block: SwinBlock,
         /// This rank's windows over its local heads (`n_heads / sp`).
         plan: WindowAttnPlan,
-        /// Row `w·wlen + i·chunk + r` of the window-major `Q | K | V` is row
-        /// `i·rows + w·chunk + r` of the SP peers' chunks stacked in group
-        /// order (peer `i` holds rows `[i·chunk, (i+1)·chunk)` of each window).
-        to_windows: Vec<usize>,
-        /// The inverse: window-major attention rows back to peer-major.
+        /// Row `i·rows + r` of the SP peers' chunks stacked in group order
+        /// (peer `i` holds rows `[i·chunk, (i+1)·chunk)` of each window) is
+        /// row `to_peers[i·rows + r]` of the window-major `Q | K | V`.
         to_peers: Vec<usize>,
         /// The rank's rows as they lie, `0..rows`: its layout is already
         /// window-major, so they are the block's row order and its inverse.
         rows: Vec<usize>,
-        /// The pass's and the backward's buffers, kept across microbatches,
-        /// and in `saves` those of finished microbatches, which the next
-        /// forward takes over (1F1B holds at most pp at once).
-        ws: Workspace,
     },
     Head {
         out_norm: RmsNorm,
@@ -188,10 +189,9 @@ impl StageModel {
                     .flat_map(|w| (0..sp).map(move |i| (i * nw + w) * chunk))
                     .flat_map(|r0| r0..r0 + chunk)
                     .collect();
-                let to_peers = invert_perm(&to_windows);
+                let to_peers = aeris_nn::window::invert_perm(&to_windows);
                 let rows = (0..layout.rows_per_rank()).collect();
-                let ws = Workspace::default();
-                StageLayers::Block { cfg: cfg.clone(), time_cond, block, plan, to_windows, to_peers, rows, ws }
+                StageLayers::Block { cfg: cfg.clone(), time_cond, block, plan, to_peers, rows }
             }
             StageKind::Head => StageLayers::Head {
                 out_norm: c.rms(&model.out_norm),
@@ -211,22 +211,89 @@ impl StageModel {
     }
 }
 
+/// `buf` as `n` elements for a producer that writes every one: NaN-filled
+/// under `debug_assertions`, as `Workspace::prepare` fills its buffers, so
+/// an element a producer misses poisons the result.
+pub(crate) fn sized(buf: &mut Vec<f32>, n: usize) -> &mut [f32] {
+    buf.resize(n, 0.0);
+    if cfg!(debug_assertions) {
+        buf.fill(f32::NAN);
+    }
+    buf
+}
+
+/// A stage's working buffers, kept in its rank thread's stash across
+/// microbatches, steps and calls: each is sized by the use that needs it
+/// and rewritten in place after that.
+#[derive(Default)]
+pub struct StageBufs {
+    /// The executor's buffers: a block stage's stream, pass and backward
+    /// buffers and the spare saves of finished microbatches, and the GEMM
+    /// pack buffer every stage kind uses.
+    pub ws: Workspace,
+    /// Ulysses' window-major scratch, `[rows, dim]` and `[rows, 3·dim]`.
+    win: Vec<f32>,
+    win3: Vec<f32>,
+    /// The edge stages' sample rows (the residual's, `x_prev`'s and the
+    /// forcings'), the noise rows and the interpolated `x_t`.
+    x0: Vec<f32>,
+    prev: Vec<f32>,
+    forc: Vec<f32>,
+    z: Vec<f32>,
+    x_t: Vec<f32>,
+    /// The rows that cross the stage's boundaries: what a forward receives
+    /// (the input stage's embedding, which it sends), and the gradient a
+    /// backward receives (the head's input gradient, which it sends).
+    pub act: Vec<f32>,
+    pub grad: Vec<f32>,
+    /// The head's backward rows, a parameter gradient on its way into a
+    /// filled slot, and the block stage's time-projection gradient.
+    dpred: Vec<f32>,
+    dh: Vec<f32>,
+    dw: Vec<f32>,
+    dtime: Vec<f32>,
+}
+
 /// What one microbatch's forward keeps for its backward, sized to the
-/// rank's rows. 1F1B holds up to pp of them.
-// At most pp values per rank, each moved once into and out of its map: the
+/// rank's rows. 1F1B holds up to pp of them; a finished one is reused.
+// At most pp + 1 values per rank, each moved into and out of its slot: the
 // block variant's size is no cost.
 #[allow(clippy::large_enum_variant)]
 pub enum StageRun {
     /// The assembled input rows (the embedding's weight gradient reads them).
-    Input(Tensor),
+    Input(Vec<f32>),
     /// The block's saves, and the time embedding's features and projection.
     Block { saves: BlockSaves, feats: Vec<f32>, time: Vec<f32> },
     /// The head's input rows, the output norm's output and `r`, the
     /// prediction, the target and the loss scale.
-    Head { x: Tensor, h: Vec<f32>, inv_rms: Vec<f32>, pred: Vec<f32>, target: Tensor, scale: f32 },
+    Head { x: Vec<f32>, h: Vec<f32>, inv_rms: Vec<f32>, pred: Vec<f32>, target: Vec<f32>, scale: f32 },
 }
 
 impl StageRun {
+    /// An empty run of `kind`'s variant, its buffers sized by its forward.
+    pub fn new(kind: StageKind) -> Self {
+        match kind {
+            StageKind::Input => StageRun::Input(Vec::new()),
+            StageKind::Block(_) => StageRun::Block { saves: BlockSaves::default(), feats: Vec::new(), time: Vec::new() },
+            StageKind::Head => StageRun::Head {
+                x: Vec::new(),
+                h: Vec::new(),
+                inv_rms: Vec::new(),
+                pred: Vec::new(),
+                target: Vec::new(),
+                scale: 0.0,
+            },
+        }
+    }
+
+    /// Whether this run is `kind`'s variant.
+    pub fn is(&self, kind: StageKind) -> bool {
+        matches!(
+            (self, kind),
+            (StageRun::Input(_), StageKind::Input) | (StageRun::Block { .. }, StageKind::Block(_)) | (StageRun::Head { .. }, StageKind::Head)
+        )
+    }
+
     /// Activation elements this run holds.
     pub fn activation_elems(&self) -> usize {
         match self {
@@ -239,66 +306,72 @@ impl StageRun {
     }
 }
 
+/// What an edge stage reads of one microbatch: the sample, its index (the
+/// noise stream's key), the run's seed, the rank's token rows and the
+/// microbatch's diffusion time.
+pub struct Feed<'a> {
+    pub sample: &'a TrainSample,
+    pub ix: usize,
+    pub seed: u64,
+    pub tokens: &'a [usize],
+    pub t: f32,
+}
+
+impl Feed<'_> {
+    /// The sample's residual rows into `x0` and their noise rows into `z`.
+    fn residual_and_noise(&self, x0: &mut Vec<f32>, z: &mut Vec<f32>) {
+        let c = self.sample.residual.shape()[1];
+        let n = self.tokens.len() * c;
+        gather_rows(sized(x0, n), self.sample.residual.data(), self.tokens);
+        noise_rows_into(self.seed, self.ix, self.tokens, c, sized(z, n));
+    }
+}
+
 /// A block stage's attention step: the Ulysses all-to-alls of the rank's
-/// SP group around the window core over its local heads (`plan`).
+/// SP group around the window core over its local heads (`plan`), with the
+/// stage's window-major scratch.
 struct Ulysses<'a> {
     comm: &'a mut Communicator,
     group: &'a [usize],
     /// This rank's slot in `group`.
     me: usize,
     plan: &'a WindowAttnPlan,
-    to_windows: &'a [usize],
     to_peers: &'a [usize],
+    win: &'a mut Vec<f32>,
+    win3: &'a mut Vec<f32>,
 }
 
-impl Ulysses<'_> {
-    /// One all-to-all: peer `j` gets `chunk(j)`. Returns what each peer
-    /// sent, with the rank's own chunk, which never leaves, at its slot.
-    fn exchange(&mut self, chunk: impl Fn(usize) -> Tensor) -> Result<Vec<Tensor>, CommError> {
-        let me = self.me;
-        let sent = (0..self.group.len()).map(|j| if j == me { Tensor::zeros(&[0]) } else { chunk(j) }).collect();
-        let mut got = self.comm.alltoall(self.group, sent)?;
-        got[me] = chunk(me);
-        Ok(got)
+/// Head block `j` (`cols` columns of each of the `parts` `dim`-wide parts
+/// of a row) of every row `r` of `m`, into row `idx[r]` of `dst` (rows of
+/// `parts·cols`; `None`: row `r`).
+fn head_block_out(m: &[f32], [parts, dim, cols]: [usize; 3], j: usize, dst: &mut [f32], idx: Option<&[usize]>) {
+    let out = parts * cols;
+    for (r, row) in m.chunks_exact(parts * dim).enumerate() {
+        let d = idx.map_or(r, |idx| idx[r]);
+        for (o, part) in dst[d * out..(d + 1) * out].chunks_exact_mut(cols).zip(row.chunks_exact(dim)) {
+            o.copy_from_slice(&part[j * cols..(j + 1) * cols]);
+        }
     }
 }
 
-/// Head block `j` (`cols` columns of each `dim`-wide part of a row, `parts`
-/// parts a row) of every row of `m`, as `[rows, parts·cols]`.
-fn head_block(m: &[f32], dim: usize, parts: usize, cols: usize, j: usize) -> Tensor {
-    let mut data = Vec::with_capacity(m.len() / dim * cols);
-    for part in m.chunks_exact(dim) {
-        data.extend_from_slice(&part[j * cols..(j + 1) * cols]);
-    }
-    Tensor::from_vec(&[m.len() / (parts * dim), parts * cols], data)
-}
-
-/// The inverse of [`head_block`]: every peer's chunk into its head block of `m`.
-fn put_head_blocks(m: &mut [f32], dim: usize, cols: usize, got: &[Tensor]) {
-    for (j, chunk) in got.iter().enumerate() {
-        for (part, c) in m.chunks_exact_mut(dim).zip(chunk.data().chunks_exact(cols)) {
+/// The inverse of [`head_block_out`]: row `idx[r]` of `src` into head
+/// block `j` of every row `r` of `m`.
+fn head_block_in(m: &mut [f32], [parts, dim, cols]: [usize; 3], j: usize, src: &[f32], idx: Option<&[usize]>) {
+    let out = parts * cols;
+    for (r, row) in m.chunks_exact_mut(parts * dim).enumerate() {
+        let s = idx.map_or(r, |idx| idx[r]);
+        for (part, c) in row.chunks_exact_mut(dim).zip(src[s * out..(s + 1) * out].chunks_exact(cols)) {
             part[j * cols..(j + 1) * cols].copy_from_slice(c);
         }
     }
 }
 
-/// Row `k` of `dst` is row `idx[k]` of the matrices `srcs` stacked in
-/// order.
-fn gather_stacked(dst: &mut [f32], srcs: &[&[f32]], idx: &[usize]) {
-    let width = dst.len() / idx.len();
-    let per = srcs[0].len() / width;
-    for (row, &i) in dst.chunks_exact_mut(width).zip(idx) {
-        row.copy_from_slice(&srcs[i / per][(i % per) * width..][..width]);
+/// Row `r` of `src` into row `idx[r]` of `dst` (rows of `src.len() / idx.len()`).
+fn scatter_rows(dst: &mut [f32], src: &[f32], idx: &[usize]) {
+    let width = src.len() / idx.len();
+    for (row, &i) in src.chunks_exact(width).zip(idx) {
+        dst[i * width..(i + 1) * width].copy_from_slice(row);
     }
-}
-
-/// Peer `j`'s rows of the window-major `local` (rows of `width`), as a
-/// `[rows, width]` message: the inverse of the gather into window order.
-fn peer_rows(local: &[f32], to_peers: &[usize], sp: usize, width: usize, j: usize) -> Tensor {
-    let rows = to_peers.len() / sp;
-    let mut msg = Tensor::for_overwrite(&[rows, width]);
-    gather_stacked(msg.data_mut(), &[local], &to_peers[j * rows..(j + 1) * rows]);
-    msg
 }
 
 impl AttentionStep for Ulysses<'_> {
@@ -307,32 +380,72 @@ impl AttentionStep for Ulysses<'_> {
     /// Heads scatter: peer `j` gets head block `j` of the rank's rows as one
     /// `[rows, 3·cols]` `Q | K | V` message (window chunks batched into a
     /// single message, as in the paper's merged communication). The peers'
-    /// chunks, gathered into window-major rows of the local heads, replace
-    /// `qkv` (the backward reads them there). The core writes the local
-    /// heads' context into `o`, every peer's message is cut from it, and
-    /// heads gather: peer `j` takes back its rows of every window, as head
-    /// block `j` of its context, which overwrites `o`.
+    /// chunks, and the rank's own (copied out first: `qkv` is overwritten),
+    /// land in window-major rows of the local heads in `qkv` (the backward
+    /// reads them there). The core writes the local heads' context into the
+    /// scratch, peer `j`'s rows of every window are cut from it, and heads
+    /// gather: each peer's context, and the rank's own read in place, lands
+    /// in its head block of `o`.
     fn forward(&mut self, qkv: &mut [f32], o: &mut [f32], core: &mut CoreScratch) -> Result<(), CommError> {
-        let (sp, cols, plan, to_windows, to_peers) = (self.group.len(), self.plan.dim(), self.plan, self.to_windows, self.to_peers);
-        let got = self.exchange(|j| head_block(qkv, sp * cols, 3, cols, j))?;
-        gather_stacked(qkv, &got.iter().map(Tensor::data).collect::<Vec<_>>(), to_windows);
-        window_core_into(Kernel::detected(), qkv, plan, o, core);
-        let got = self.exchange(|j| peer_rows(o, to_peers, sp, cols, j))?;
-        put_head_blocks(o, sp * cols, cols, &got);
+        let (sp, cols, me, plan, to_peers) = (self.group.len(), self.plan.dim(), self.me, self.plan, self.to_peers);
+        let (dim, rows) = (sp * cols, to_peers.len() / sp);
+        let peer = |j: usize| &to_peers[j * rows..(j + 1) * rows];
+        let (qkv3, one) = ([3, dim, cols], [1, dim, cols]);
+        let own = sized(self.win3, rows * 3 * cols);
+        head_block_out(qkv, qkv3, me, own, None);
+        self.comm.alltoall_with(
+            self.group,
+            qkv,
+            rows * 3 * cols,
+            |qkv, j, buf| head_block_out(qkv, qkv3, j, buf, None),
+            |qkv, j, got| scatter_rows(qkv, got, peer(j)),
+        )?;
+        scatter_rows(qkv, own, peer(me));
+        let win = sized(self.win, o.len());
+        window_core_into(Kernel::detected(), qkv, plan, win, core);
+        let win = &*win;
+        self.comm.alltoall_with(
+            self.group,
+            o,
+            rows * cols,
+            |_, j, buf| gather_rows(buf, win, peer(j)),
+            |o, j, got| head_block_in(o, one, j, got, None),
+        )?;
+        head_block_in(o, one, me, win, Some(peer(me)));
         Ok(())
     }
 
     /// The mirror: head block `j` of the context's gradient goes to peer
-    /// `j`, the peers' blocks are gathered into window-major rows in `d_o`,
-    /// the core's backward writes their `dQ | dK | dV` into `dqkv`, and peer
-    /// `j` takes back that of its rows, which overwrites `dqkv`.
+    /// `j`, the peers' blocks and the rank's own, read in place, land in
+    /// window-major rows of the scratch, the core's backward writes their
+    /// `dQ | dK | dV` into the second scratch, and peer `j` takes back that
+    /// of its rows: each lands in its head block of `dqkv`.
     fn backward(&mut self, d_o: &mut [f32], qkv: &[f32], dqkv: &mut [f32], core: &mut CoreScratch) -> Result<(), CommError> {
-        let (sp, cols, plan, to_windows, to_peers) = (self.group.len(), self.plan.dim(), self.plan, self.to_windows, self.to_peers);
-        let got = self.exchange(|j| head_block(d_o, sp * cols, 1, cols, j))?;
-        gather_stacked(d_o, &got.iter().map(Tensor::data).collect::<Vec<_>>(), to_windows);
-        window_core_backward_into(Kernel::detected(), d_o, qkv, plan, dqkv, core);
-        let got = self.exchange(|j| peer_rows(dqkv, to_peers, sp, 3 * cols, j))?;
-        put_head_blocks(dqkv, sp * cols, cols, &got);
+        let (sp, cols, me, plan, to_peers) = (self.group.len(), self.plan.dim(), self.me, self.plan, self.to_peers);
+        let (dim, rows) = (sp * cols, to_peers.len() / sp);
+        let peer = |j: usize| &to_peers[j * rows..(j + 1) * rows];
+        let (qkv3, one) = ([3, dim, cols], [1, dim, cols]);
+        let d_o = &*d_o;
+        let win = sized(self.win, d_o.len());
+        self.comm.alltoall_with(
+            self.group,
+            win,
+            rows * cols,
+            |_, j, buf| head_block_out(d_o, one, j, buf, None),
+            |win, j, got| scatter_rows(win, got, peer(j)),
+        )?;
+        head_block_out(d_o, one, me, win, Some(peer(me)));
+        let win3 = sized(self.win3, dqkv.len());
+        window_core_backward_into(Kernel::detected(), win, qkv, plan, win3, core);
+        let win3 = &*win3;
+        self.comm.alltoall_with(
+            self.group,
+            dqkv,
+            rows * 3 * cols,
+            |_, j, buf| gather_rows(buf, win3, peer(j)),
+            |dqkv, j, got| head_block_in(dqkv, qkv3, j, got, None),
+        )?;
+        head_block_in(dqkv, qkv3, me, win3, Some(peer(me)));
         Ok(())
     }
 }
@@ -344,126 +457,132 @@ impl StageModel {
         self.store.iter().map(|(_, _, p)| p.len()).max().unwrap_or(0)
     }
 
-    /// Input-stage forward: `input` is the assembled, PE-augmented
-    /// `[rows, in_channels]` matrix for this rank's tokens. Returns the run
-    /// and the embedding.
-    pub fn forward_input(&self, input: Tensor) -> (StageRun, Tensor) {
+    /// Input-stage forward: the microbatch's `x_t`, `x_prev` and forcing
+    /// rows with the positional field `pos` added, assembled into the run
+    /// (`[rows, in_channels]`), and their embedding into `bufs.act`.
+    pub fn forward_input(&self, bufs: &mut StageBufs, run: &mut StageRun, feed: &Feed, pos: &[f32]) {
         let StageLayers::Input { embed } = &self.layers else { panic!("not an input stage") };
-        let mut out = Tensor::for_overwrite(&[input.shape()[0], embed.out_dim]);
-        embed.apply(&self.store, input.data(), out.data_mut());
-        (StageRun::Input(input), out)
+        let StageRun::Input(input) = run else { panic!("not an input run") };
+        let (s, rows) = (feed.sample, feed.tokens.len());
+        feed.residual_and_noise(&mut bufs.x0, &mut bufs.z);
+        TrigFlow::default().interpolate_into(&bufs.x0, &bufs.z, feed.t, sized(&mut bufs.x_t, bufs.x0.len()));
+        gather_rows(sized(&mut bufs.prev, s.x_prev.len() / s.x_prev.shape()[0] * rows), s.x_prev.data(), feed.tokens);
+        gather_rows(sized(&mut bufs.forc, s.forcings.len() / s.forcings.shape()[0] * rows), s.forcings.data(), feed.tokens);
+        let input = sized(input, rows * embed.in_dim);
+        assemble_into(&[&bufs.x_t, &bufs.prev, &bufs.forc], pos, input);
+        embed.apply(&self.store, input, sized(&mut bufs.act, rows * embed.out_dim), &mut bufs.ws.pack);
     }
 
-    /// Head-stage forward: output norm, decode and the physically weighted
-    /// loss against the target rows, scaled by `rows/global_tokens` (in f32)
-    /// so that summing the loss over all head ranks yields the global mean
-    /// objective. Returns the run and the scaled loss.
+    /// Head-stage forward over the input rows in `bufs.act`: output norm,
+    /// decode and the physically weighted loss against the microbatch's
+    /// velocity target rows, scaled by `rows/global_tokens` (in f32) so that
+    /// summing the loss over all head ranks yields the global mean
+    /// objective. Returns the scaled loss.
     pub fn forward_head(
         &self,
-        x: Tensor,
-        target: Tensor,
-        weight_rows: &Tensor,
+        bufs: &mut StageBufs,
+        run: &mut StageRun,
+        feed: &Feed,
+        weight_rows: &[f32],
         global_tokens: usize,
-    ) -> (StageRun, f64) {
+    ) -> f64 {
         let StageLayers::Head { out_norm, decode } = &self.layers else { panic!("not a head stage") };
-        let rows = x.shape()[0];
-        let (mut h, mut inv_rms) = (vec![0.0; x.len()], vec![0.0; rows]);
-        out_norm.apply(&self.store, x.data(), &mut h, &mut inv_rms);
-        let mut pred = vec![0.0; rows * decode.out_dim];
-        decode.apply(&self.store, &h, &mut pred);
-        let scale = rows as f32 / global_tokens as f32;
-        let loss = sweeps::weighted_mse_loss(&pred, target.data(), weight_rows.data()) * scale;
-        (StageRun::Head { x, h, inv_rms, pred, target, scale }, loss as f64)
+        let StageRun::Head { x, h, inv_rms, pred, target, scale } = run else { panic!("not a head run") };
+        let rows = feed.tokens.len();
+        feed.residual_and_noise(&mut bufs.x0, &mut bufs.z);
+        TrigFlow::default().velocity_target_into(&bufs.x0, &bufs.z, feed.t, sized(target, bufs.x0.len()));
+        sized(x, bufs.act.len()).copy_from_slice(&bufs.act);
+        out_norm.apply(&self.store, x, sized(h, x.len()), sized(inv_rms, rows));
+        decode.apply(&self.store, h, sized(pred, rows * decode.out_dim), &mut bufs.ws.pack);
+        *scale = rows as f32 / global_tokens as f32;
+        let loss = sweeps::weighted_mse_loss(pred, target, weight_rows) * *scale;
+        loss as f64
     }
 
     /// Block-stage forward: the reference block's [`SwinBlock::pass`] over
-    /// the rank's rows, with `Ulysses` attention.
-    ///
-    /// `x_in`: `[rows, dim]` for this rank's windows/chunk under the block's
-    /// layout; `t`: the shared diffusion time of this microbatch;
-    /// `sp_group`: world ranks of this rank's SP group (self included).
-    /// Returns the run and the block's output rows.
+    /// the rank's rows in `bufs.act`, with `Ulysses` attention, at the
+    /// shared diffusion time `t`; `sp_group` lists the world ranks of this
+    /// rank's SP group (self included). The block's output rows are left in
+    /// `bufs.ws.x`.
     pub fn forward_block(
-        &mut self,
-        x_in: Tensor,
+        &self,
+        bufs: &mut StageBufs,
+        run: &mut StageRun,
         t: f32,
         comm: &mut Communicator,
         sp_group: &[usize],
-    ) -> Result<(StageRun, Tensor), CommError> {
-        let StageLayers::Block { cfg, time_cond, block, plan, to_windows, to_peers, rows, ws } = &mut self.layers
-        else {
-            panic!("not a block stage")
-        };
-        let me = sp_group.iter().position(|&r| r == comm.rank()).expect("rank in sp group");
-        assert_eq!(x_in.shape(), [rows.len(), cfg.dim], "block input rows vs. the stage's layout");
-        ws.prepare(cfg, rows.len(), rows.len());
-        time_cond.apply(&self.store, t, &mut ws.feats, &mut ws.time, &mut ws.cond);
-        ws.x.copy_from_slice(x_in.data());
-        let mut saves = ws.saves.pop().unwrap_or_default();
-        saves.prepare(cfg, rows.len());
-        let mut step = Ulysses { comm, group: sp_group, me, plan, to_windows, to_peers };
-        let order = BlockRows { order: rows, inv: rows, block: rows.len() };
-        block.pass(&self.store, order, &mut step, ws, &mut saves)?;
-        let run = StageRun::Block { saves, feats: ws.feats.clone(), time: ws.time.clone() };
-        Ok((run, Tensor::from_vec(x_in.shape(), ws.x.clone())))
-    }
-
-    /// Block backward: [`SwinBlock::backward`] over the run's saves with the
-    /// `Ulysses` step's mirror, then the time conditioner's. Returns the
-    /// gradient w.r.t. the block input and accumulates parameter gradients
-    /// into `param_grads`; the run's saves go back to the stage for the
-    /// next forward.
-    pub fn backward_block(
-        &mut self,
-        run: StageRun,
-        g_out: Tensor,
-        comm: &mut Communicator,
-        sp_group: &[usize],
-        param_grads: &mut [Option<Tensor>],
-    ) -> Result<Tensor, CommError> {
-        let widest = self.widest();
-        let StageLayers::Block { cfg, time_cond, block, plan, to_windows, to_peers, rows, ws } = &mut self.layers
-        else {
+    ) -> Result<(), CommError> {
+        let StageLayers::Block { cfg, time_cond, block, plan, to_peers, rows } = &self.layers else {
             panic!("not a block stage")
         };
         let StageRun::Block { saves, feats, time } = run else { panic!("not a block run") };
         let me = sp_group.iter().position(|&r| r == comm.rank()).expect("rank in sp group");
-        ws.grads.prepare(cfg, rows.len(), widest);
-        ws.grads.dx.copy_from_slice(g_out.data());
-        let mut slots = Slots::new(&self.store, param_grads);
-        let mut step = Ulysses { comm, group: sp_group, me, plan, to_windows, to_peers };
+        let StageBufs { ws, win, win3, act, .. } = bufs;
+        assert_eq!(act.len(), rows.len() * cfg.dim, "block input rows vs. the stage's layout");
+        ws.prepare(cfg, rows.len(), rows.len());
+        time_cond.apply(&self.store, t, &mut ws.feats, &mut ws.time, &mut ws.cond, &mut ws.pack);
+        ws.x.copy_from_slice(act);
+        saves.prepare(cfg, rows.len());
+        let mut step = Ulysses { comm, group: sp_group, me, plan, to_peers, win, win3 };
         let order = BlockRows { order: rows, inv: rows, block: rows.len() };
-        block.backward(&self.store, order, &mut step, &saves, ws, &mut slots)?;
-        let mut dtime = vec![0.0; time.len()];
-        time_cond.backward(&mut slots, &feats, &time, &ws.grads.dcond, &mut dtime, &mut ws.grads.dw);
-        ws.saves.push(saves);
-        Ok(Tensor::from_vec(g_out.shape(), ws.grads.dx.clone()))
+        block.pass(&self.store, order, &mut step, ws, saves)?;
+        sized(feats, ws.feats.len()).copy_from_slice(&ws.feats);
+        sized(time, ws.time.len()).copy_from_slice(&ws.time);
+        Ok(())
     }
 
-    /// Input-stage backward: the embedding's parameter gradients (its input
-    /// is data, so no input gradient).
-    pub fn backward_input(&self, run: StageRun, g_out: Tensor, param_grads: &mut [Option<Tensor>]) {
+    /// Block backward for the output gradient in `bufs.grad`:
+    /// [`SwinBlock::backward`] over the run's saves with the `Ulysses`
+    /// step's mirror, then the time conditioner's. Leaves the gradient
+    /// w.r.t. the block input in `bufs.ws.grads.dx` and adds the parameter
+    /// gradients into `slots`.
+    pub fn backward_block(
+        &self,
+        bufs: &mut StageBufs,
+        run: &StageRun,
+        comm: &mut Communicator,
+        sp_group: &[usize],
+        slots: &mut Slots,
+    ) -> Result<(), CommError> {
+        let StageLayers::Block { cfg, time_cond, block, plan, to_peers, rows } = &self.layers else {
+            panic!("not a block stage")
+        };
+        let StageRun::Block { saves, feats, time } = run else { panic!("not a block run") };
+        let me = sp_group.iter().position(|&r| r == comm.rank()).expect("rank in sp group");
+        let StageBufs { ws, win, win3, grad, dtime, .. } = bufs;
+        ws.grads.prepare(cfg, rows.len(), self.widest());
+        ws.grads.dx.copy_from_slice(grad);
+        let mut step = Ulysses { comm, group: sp_group, me, plan, to_peers, win, win3 };
+        let order = BlockRows { order: rows, inv: rows, block: rows.len() };
+        block.backward(&self.store, order, &mut step, saves, ws, slots)?;
+        let dtime = sized(dtime, time.len());
+        time_cond.backward(slots, feats, time, &ws.grads.dcond, dtime, &mut ws.grads.dw, &mut ws.pack);
+        Ok(())
+    }
+
+    /// Input-stage backward for the embedding's output gradient in
+    /// `bufs.grad`: its parameter gradients (its input is data, so no input
+    /// gradient).
+    pub fn backward_input(&self, bufs: &mut StageBufs, run: &StageRun, slots: &mut Slots) {
         let StageLayers::Input { embed } = &self.layers else { panic!("not an input stage") };
         let StageRun::Input(input) = run else { panic!("not an input run") };
-        let mut dw = vec![0.0; self.widest()];
-        Slots::new(&self.store, param_grads).linear(embed, input.data(), g_out.data(), &mut dw);
+        let dw = sized(&mut bufs.dw, self.widest());
+        slots.linear(embed, input, &bufs.grad, dw, &mut bufs.ws.pack);
     }
 
-    /// Head-stage backward, seeded with the loss scale: returns the gradient
-    /// w.r.t. the head input rows.
-    pub fn backward_head(&self, run: StageRun, weight_rows: &Tensor, param_grads: &mut [Option<Tensor>]) -> Tensor {
+    /// Head-stage backward, seeded with the loss scale: the gradient w.r.t.
+    /// the head input rows into `bufs.grad`.
+    pub fn backward_head(&self, bufs: &mut StageBufs, run: &StageRun, weight_rows: &[f32], slots: &mut Slots) {
         let StageLayers::Head { out_norm, decode } = &self.layers else { panic!("not a head stage") };
         let StageRun::Head { x, h, inv_rms, pred, target, scale } = run else { panic!("not a head run") };
-        let mut dpred = vec![0.0; pred.len()];
-        sweeps::weighted_mse_backward(&mut dpred, &pred, target.data(), weight_rows.data(), scale);
-        let mut slots = Slots::new(&self.store, param_grads);
-        let mut dw = vec![0.0; self.widest()];
-        slots.linear(decode, &h, &dpred, &mut dw);
-        let mut dh = vec![0.0; h.len()];
-        decode.input_grad(&self.store, &dpred, &mut dh);
-        let mut dx = vec![0.0; x.len()];
-        slots.rmsnorm(out_norm, x.data(), &dh, &inv_rms, &mut dx, &mut dw);
-        Tensor::from_vec(x.shape(), dx)
+        let StageBufs { ws, grad, dpred, dh, dw, .. } = bufs;
+        let dpred = sized(dpred, pred.len());
+        sweeps::weighted_mse_backward(dpred, pred, target, weight_rows, *scale);
+        let dw = sized(dw, self.widest());
+        slots.linear(decode, h, dpred, dw, &mut ws.pack);
+        let dh = sized(dh, h.len());
+        decode.input_grad(&self.store, dpred, dh, &mut ws.pack);
+        slots.rmsnorm(out_norm, x, dh, inv_rms, sized(grad, x.len()), dw);
     }
 }
 
@@ -476,7 +595,7 @@ mod tests {
     use aeris_core::AerisConfig;
     use aeris_nn::window::WindowGrid;
     use aeris_nn::Binding;
-    use aeris_tensor::Rng;
+    use aeris_tensor::{Rng, Tensor};
 
     /// A two-block reference on a `grid_h × grid_w` grid of 4×4 windows, with
     /// every parameter nudged off its initialization (the zero-initialized
@@ -540,14 +659,28 @@ mod tests {
                 .map(|rank| {
                     let (mut comm, layout, group) = (world.communicator(rank), &layout, &group);
                     s.spawn(move || {
-                        let mut stage = StageModel::from_reference(m, StageKind::Block(b), layout).unwrap();
+                        let stage = StageModel::from_reference(m, StageKind::Block(b), layout).unwrap();
                         let tokens = layout.tokens_of(0, 0, rank);
-                        let (run, out) = stage.forward_block(gather(x, &tokens), t, &mut comm, group).unwrap();
-                        let mut grads = vec![None; stage.store.len()];
-                        let g_in =
-                            stage.backward_block(run, gather(g, &tokens), &mut comm, group, &mut grads).unwrap();
-                        let named: Vec<_> = stage.store.iter().map(|(id, n, _)| (n.to_string(), grads[id.0].take())).collect();
-                        (out, g_in, named)
+                        let shape = [tokens.len(), m.cfg.dim];
+                        let (mut bufs, mut run) = (StageBufs::default(), StageRun::new(StageKind::Block(b)));
+                        // Twice over the same buffers: the second, warm,
+                        // microbatch must return the first one's bits.
+                        let mut calls = (0..2).map(|_| {
+                            bufs.act = gather(x, &tokens).data().to_vec();
+                            stage.forward_block(&mut bufs, &mut run, t, &mut comm, group).unwrap();
+                            let out = Tensor::from_vec(&shape, bufs.ws.x.clone());
+                            let mut grads = vec![None; stage.store.len()];
+                            bufs.grad = gather(g, &tokens).data().to_vec();
+                            let mut slots = Slots::new(&stage.store, &mut grads);
+                            stage.backward_block(&mut bufs, &run, &mut comm, group, &mut slots).unwrap();
+                            let g_in = Tensor::from_vec(&shape, bufs.ws.grads.dx.clone());
+                            let named: Vec<_> =
+                                stage.store.iter().map(|(id, n, _)| (n.to_string(), grads[id.0].take())).collect();
+                            (out, g_in, named)
+                        });
+                        let (first, warm) = (calls.next().unwrap(), calls.next().unwrap());
+                        assert_eq!((bits(&warm.0), bits(&warm.1)), (bits(&first.0), bits(&first.1)), "a warm microbatch");
+                        first
                     })
                 })
                 .collect();
@@ -616,10 +749,18 @@ mod tests {
         let m = reference(8, 16);
         let layout = layout(&m, 1, 2);
         let stage = StageModel::from_reference(&m, StageKind::Head, &layout).unwrap();
-        let (rows, global) = (layout.rows_per_rank(), m.cfg.tokens());
+        let (rows, global, c) = (layout.rows_per_rank(), m.cfg.tokens(), m.cfg.channels);
         let mut rng = Rng::seed_from(5);
         let x = Tensor::randn(&[rows, m.cfg.dim], &mut rng);
-        let target = Tensor::randn(&[rows, m.cfg.channels], &mut rng);
+        let tokens = layout.tokens_of(0, 0, 1);
+        let sample = TrainSample {
+            x_prev: Tensor::zeros(&[global, c]),
+            residual: Tensor::randn(&[global, c], &mut rng),
+            forcings: Tensor::zeros(&[global, m.cfg.forcing_channels]),
+        };
+        let (ix, seed, t) = (3, 11, 0.6);
+        let z = crate::trainer::noise_rows(seed, ix, &tokens, c);
+        let target = TrigFlow::default().velocity_target(&gather(&sample.residual, &tokens), &z, t);
         let w = Tensor::rand_uniform(target.shape(), 0.5, 1.5, &mut rng);
 
         let mut tape = Tape::new();
@@ -634,11 +775,14 @@ mod tests {
         let want_g_in = grads.take(xv).expect("input grad");
         let want = binding.collect_grads(&mut grads);
 
-        let (run, got_loss) = stage.forward_head(x, target, &w, global);
+        let (mut bufs, mut run) = (StageBufs::default(), StageRun::new(StageKind::Head));
+        bufs.act = x.data().to_vec();
+        let feed = Feed { sample: &sample, ix, seed, tokens: &tokens, t };
+        let got_loss = stage.forward_head(&mut bufs, &mut run, &feed, w.data(), global);
         let mut got = vec![None; stage.store.len()];
-        let got_g_in = stage.backward_head(run, &w, &mut got);
+        stage.backward_head(&mut bufs, &run, w.data(), &mut Slots::new(&stage.store, &mut got));
         assert_eq!(got_loss.to_bits(), want_loss.to_bits());
-        assert_eq!(bits(&got_g_in), bits(&want_g_in));
+        assert_eq!(bits(&Tensor::from_vec(x.shape(), bufs.grad.clone())), bits(&want_g_in));
         for (id, name, _) in stage.store.iter() {
             let ref_id = m.store.iter().find(|(_, n, _)| *n == name).expect("reference parameter").0;
             let (g, r) = (got[id.0].as_ref().expect("staged"), want[ref_id.0].as_ref().expect("taped"));

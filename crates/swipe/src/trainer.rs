@@ -53,7 +53,7 @@ use crate::data::InMemorySource;
 use crate::events::EventRecord;
 use crate::fault::FaultPlan;
 use crate::parked::{self, Job};
-use crate::rank::Rank;
+use crate::rank::{Rank, Stash};
 use crate::schedule::ScheduleError;
 use crate::stage::StageError;
 use crate::topology::SwipeTopology;
@@ -342,12 +342,17 @@ pub fn shared_t(tf: &TrigFlow, seed: u64, step: usize, dp: usize, m: usize) -> f
 /// independent per sample, but reproducible by any rank that knows the token
 /// ids (the first and last pipeline stages need the same `z`).
 pub fn noise_rows(seed: u64, sample: usize, tokens: &[usize], channels: usize) -> Tensor {
-    let base = Rng::seed_from(seed ^ 0x2077).stream(sample as u64);
     let mut out = Tensor::zeros(&[tokens.len(), channels]);
-    for (row, &tok) in out.data_mut().chunks_exact_mut(channels.max(1)).zip(tokens) {
+    noise_rows_into(seed, sample, tokens, channels, out.data_mut());
+    out
+}
+
+/// [`noise_rows`] into every element of `out` (`[tokens, channels]`).
+pub(crate) fn noise_rows_into(seed: u64, sample: usize, tokens: &[usize], channels: usize, out: &mut [f32]) {
+    let base = Rng::seed_from(seed ^ 0x2077).stream(sample as u64);
+    for (row, &tok) in out.chunks_exact_mut(channels.max(1)).zip(tokens) {
         base.stream(tok as u64 + 1).fill_normal(row);
     }
-    out
 }
 
 /// Single-rank reference: the identical objective, noise, and gradient
@@ -622,12 +627,17 @@ impl DistributedTrainer {
         let jobs = (0..topo.world_size())
             .map(|rank| {
                 let (comm, world, run) = (world.communicator(rank), world.clone(), run.clone());
-                Box::new(move || {
+                Box::new(move |stash: &mut Stash| {
                     // A failed or panicking rank can no longer feed its peers:
                     // mark it dead so their waits collapse into fast PeerDead
                     // errors instead of sleeping out the full deadline.
                     let guard = DeadOnUnwind { world, rank };
-                    if let Err(e) = Rank::new(comm, &run).and_then(|mut r| r.train()) {
+                    let trained = Rank::new(comm, &run, std::mem::take(stash)).and_then(|mut r| {
+                        let trained = r.train();
+                        *stash = r.into_stash();
+                        trained
+                    });
+                    if let Err(e) = trained {
                         guard.world.mark_dead(rank);
                         run.errors.lock().push(e);
                     }

@@ -358,7 +358,8 @@ fn distributed_gradients_equal_reference_grads() {
 /// from the first step), hashes the losses and every final parameter (names
 /// sorted) to one pinned FNV-1a digest. The equivalence tests above compare
 /// within tolerances and the benchmark's `loss_digest` sees only losses;
-/// this sees a single gradient bit that moves a parameter.
+/// this sees a single gradient bit that moves a parameter. The call runs
+/// twice, the second time on the stashes a call at another shape left.
 #[test]
 fn distributed_step_is_pinned_bitwise() {
     let cfg = tiny_cfg();
@@ -373,17 +374,31 @@ fn distributed_step_is_pinned_bitwise() {
     }
     let topo = SwipeTopology::new(2, 4, 1, 2, 2);
     let swipe_cfg = SwipeConfig { gas: 2, n_steps: 2, lr: 1e-3, seed: 5, ..SwipeConfig::new(topo) };
-    let report = DistributedTrainer::train(&reference, &swipe_cfg, &source, &schedule(2, 2, 2, 8), &weights)
-        .expect("fault-free run");
-
-    let fnv = |h: u64, bits: u64| (h ^ bits).wrapping_mul(0x0000_0100_0000_01b3);
-    let mut h = report.losses.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, l| fnv(h, l.to_bits()));
-    let mut names: Vec<&String> = report.final_params.keys().collect();
-    names.sort();
-    assert_eq!(names.len(), reference.store.len(), "every parameter comes back");
-    for name in names {
-        h = name.bytes().fold(h, |h, b| fnv(h, b as u64));
-        h = report.final_params[name].data().iter().fold(h, |h, x| fnv(h, x.to_bits() as u64));
-    }
+    let digest = || {
+        let report = DistributedTrainer::train(&reference, &swipe_cfg, &source, &schedule(2, 2, 2, 8), &weights)
+            .expect("fault-free run");
+        let fnv = |h: u64, bits: u64| (h ^ bits).wrapping_mul(0x0000_0100_0000_01b3);
+        let mut h = report.losses.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, l| fnv(h, l.to_bits()));
+        let mut names: Vec<&String> = report.final_params.keys().collect();
+        names.sort();
+        assert_eq!(names.len(), reference.store.len(), "every parameter comes back");
+        for name in names {
+            h = name.bytes().fold(h, |h, b| fnv(h, b as u64));
+            h = report.final_params[name].data().iter().fold(h, |h, x| fnv(h, x.to_bits() as u64));
+        }
+        h
+    };
+    let h = digest();
     assert_eq!(h, 0x22cb_6a7d_b780_7f4d, "got {h:#x}");
+
+    // A call at another topology and model shape re-sizes the parked rank
+    // threads' stashes (message pools, stage buffers, saves, gradient
+    // slots); the pinned call then runs over them, warm, to the same bits.
+    let other = AerisConfig { dim: 32, n_heads: 4, ffn: 40, grid_w: 32, ..tiny_cfg() };
+    let other_source = InMemorySource { samples: random_samples(4, other.tokens(), other.channels) };
+    let other_cfg = SwipeConfig { gas: 3, n_steps: 1, ..SwipeConfig::new(SwipeTopology::new(1, 4, 2, 2, 4)) };
+    DistributedTrainer::train(&AerisModel::new(other.clone()), &other_cfg, &other_source, &schedule(1, 1, 3, 4), &weights_for(&other))
+        .expect("fault-free run at another shape");
+    let h = digest();
+    assert_eq!(h, 0x22cb_6a7d_b780_7f4d, "warm stashes: got {h:#x}");
 }

@@ -1,6 +1,7 @@
 //! Parked rank threads: `DistributedTrainer::train` runs its ranks on
 //! threads that outlive the call. A call spawns a thread only when none is
-//! idle, a later call reuses them, and two concurrent calls never share one.
+//! idle, a later call reuses them, two concurrent calls never share one,
+//! and a call after a panicked one returns what fresh threads do.
 //! Rank threads are counted by name in `/proc/self/task`, so this file holds
 //! one test: no other test's calls take or add threads while it counts.
 
@@ -100,4 +101,17 @@ fn parked_ranks_are_reused_and_never_shared() {
     );
     assert_eq!(call(), first);
     assert_eq!(rank_threads(), parked, "a call after the concurrent ones spawns no thread");
+
+    // A call whose ranks panic mid-call, in step 1 (sample 2's residual is
+    // one channel too wide): its threads drop the stashes step 0 filled,
+    // and the next call returns the bits of the first call's fresh threads.
+    let mut broken = InMemorySource { samples: source.samples.clone() };
+    let residual = &mut broken.samples[2].residual;
+    *residual = Tensor::zeros(&[residual.shape()[0], residual.shape()[1] + 1]);
+    let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        DistributedTrainer::train(&reference, &swipe, &broken, &schedule, &weights)
+    }));
+    assert!(panicked.is_err(), "the ranks' panic reaches the caller");
+    assert_eq!(call(), first, "a call after a panicked one returns fresh threads' bits");
+    assert_eq!(rank_threads(), parked, "a panicked job's thread survives it");
 }

@@ -74,8 +74,8 @@ const NR: usize = 16;
 const MC: usize = 32;
 
 /// Copy panel `p` of B (columns `p·NR .. p·NR+NR`) into `dst: [k, NR]`,
-/// which arrives zeroed, so columns past `n` stay zero. Only a transposed B's
-/// panels and a row-major B's partial last panel are copied.
+/// every element of it: columns past `n` are written as zeros. Only a
+/// transposed B's panels and a row-major B's partial last panel are copied.
 ///
 /// `b` is `[k, n]` row-major when `trans` is false, `[n, k]` row-major when
 /// true (the `matmul_nt` layout, read as its transpose).
@@ -83,6 +83,11 @@ fn pack_b_panel(b: &[f32], k: usize, n: usize, trans: bool, p: usize, dst: &mut 
     debug_assert_eq!(dst.len(), k * NR);
     let j0 = p * NR;
     let w = NR.min(n - j0);
+    if w < NR {
+        for out in dst.chunks_exact_mut(NR) {
+            out[w..].fill(0.0);
+        }
+    }
     if !trans {
         for (kk, out) in dst.chunks_exact_mut(NR).enumerate() {
             out[..w].copy_from_slice(&b[kk * n + j0..][..w]);
@@ -266,7 +271,9 @@ dispatched!(
 );
 
 /// `C = op(A) · op(B)` through the blocked core, on the kernel this CPU
-/// supports best.
+/// supports best, packing B's copied panels into a buffer of its own: the
+/// wrapper for cold callers. A hot loop passes a buffer it keeps to
+/// [`gemm_with`].
 ///
 /// - `a` is `[m, k]` row-major, or `[k, m]` when `a_trans` (read as Aᵀ);
 /// - `b` is `[k, n]` row-major, or `[n, k]` when `b_trans` (read as Bᵀ);
@@ -282,7 +289,26 @@ pub fn gemm(
     b_trans: bool,
     c: &mut [f32],
 ) {
-    gemm_on(Kernel::detected(), m, n, k, a, a_trans, b, b_trans, c);
+    gemm_with(&mut Vec::new(), m, n, k, a, a_trans, b, b_trans, c);
+}
+
+/// [`gemm`] with the caller's pack buffer: `pack_b_panel`'s strips (every
+/// panel of a transposed B, the partial last panel of a row-major one) go
+/// into `pack`, grown when too short and otherwise reused, so a warm call
+/// takes nothing from the heap. Its contents on entry are never read.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_with(
+    pack: &mut Vec<f32>,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    a_trans: bool,
+    b: &[f32],
+    b_trans: bool,
+    c: &mut [f32],
+) {
+    gemm_core(Kernel::detected(), pack, m, n, k, a, a_trans, b, b_trans, c);
 }
 
 /// [`gemm`] on a kernel given as a value, for the kernel-parity tests.
@@ -292,6 +318,22 @@ pub fn gemm(
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_on(
     kernel: Kernel,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    a_trans: bool,
+    b: &[f32],
+    b_trans: bool,
+    c: &mut [f32],
+) {
+    gemm_core(kernel, &mut Vec::new(), m, n, k, a, a_trans, b, b_trans, c);
+}
+
+#[allow(clippy::too_many_arguments)]
+fn gemm_core(
+    kernel: Kernel,
+    pack: &mut Vec<f32>,
     m: usize,
     n: usize,
     k: usize,
@@ -313,11 +355,18 @@ pub fn gemm_on(
     }
 
     let in_place = if b_trans { 0 } else { n / NR };
-    let mut packed = vec![0.0f32; (n.div_ceil(NR) - in_place) * k * NR];
+    let len = (n.div_ceil(NR) - in_place) * k * NR;
+    if pack.len() < len {
+        pack.resize(len, 0.0);
+    }
+    let packed = &mut pack[..len];
+    if cfg!(debug_assertions) {
+        packed.fill(f32::NAN);
+    }
     for (p, dst) in packed.chunks_exact_mut(k * NR).enumerate() {
         pack_b_panel(b, k, n, b_trans, in_place + p, dst);
     }
-    let b = BView { b, n, in_place, packed: &packed };
+    let b = BView { b, n, in_place, packed };
     for (blk, c_block) in c.chunks_mut(MC * n).enumerate() {
         let a = if a_trans {
             AView { a, base: blk * MC, row_stride: 1, k_stride: m }
@@ -391,6 +440,25 @@ mod tests {
             if panels % 3 == 0 {
                 assert!(groups.iter().all(|&g| g == 3), "{panels}: {groups:?}");
             }
+        }
+    }
+
+    /// A reused pack buffer, whatever it holds, gives the bits of a fresh
+    /// one: transposed B, a partial last panel, and a shorter product after
+    /// a longer one.
+    #[test]
+    fn a_dirty_pack_buffer_keeps_the_bits() {
+        let mut rng = crate::Rng::seed_from(5);
+        let mut pack = vec![f32::NAN; 7];
+        for &(m, n, k, b_trans) in &[(9, 20, 33, false), (9, 20, 33, true), (5, 48, 17, true), (3, 5, 7, false)] {
+            let a: Vec<f32> = (0..m * k).map(|_| rng.normal()).collect();
+            let b: Vec<f32> = (0..k * n).map(|_| rng.normal()).collect();
+            let (mut fresh, mut reused) = (vec![0.0f32; m * n], vec![0.0f32; m * n]);
+            gemm(m, n, k, &a, false, &b, b_trans, &mut fresh);
+            pack.iter_mut().for_each(|x| *x = f32::NAN);
+            gemm_with(&mut pack, m, n, k, &a, false, &b, b_trans, &mut reused);
+            let bits = |c: &[f32]| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&reused), bits(&fresh), "{m}x{n}x{k}, b_trans {b_trans}");
         }
     }
 

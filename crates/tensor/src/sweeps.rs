@@ -693,6 +693,36 @@ dispatched!(
     }
 );
 
+dispatched!(
+    /// One AdamW update over a parameter's flat buffers, elementwise: with
+    /// `[β₁, β₂, ε, λ, lr, bc₁, bc₂] = hp`, `m = β₁·m + (1 − β₁)·g`,
+    /// `v = β₂·v + (1 − β₂)·g·g`, `p −= lr·((m / bc₁) / (√(v / bc₂) + ε) + λ·p)`,
+    /// in that association order. Element `j` reads inputs `j` only.
+    pub fn adamw_on => adamw, (p: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32], hp: [f32; 7]) {
+        let [b1, b2, eps, wd, lr, bc1, bc2] = hp;
+        assert!(g.len() == p.len() && m.len() == p.len() && v.len() == p.len(), "adamw length mismatch");
+        for (((pj, &gj), mj), vj) in p.iter_mut().zip(g).zip(m.iter_mut()).zip(v.iter_mut()) {
+            *mj = b1 * *mj + (1.0 - b1) * gj;
+            *vj = b2 * *vj + (1.0 - b2) * gj * gj;
+            let mhat = *mj / bc1;
+            let vhat = *vj / bc2;
+            *pj -= lr * (mhat / (vhat.sqrt() + eps) + wd * *pj);
+        }
+    }
+);
+
+dispatched!(
+    /// The EMA fold `s = s·decay + (1 − decay)·p`, one pass: the bits of
+    /// [`scale`] by `decay` then [`axpy`] of `1 − decay`.
+    pub fn ema_on => ema, (s: &mut [f32], p: &[f32], decay: f32) {
+        assert_eq!(s.len(), p.len(), "ema length mismatch");
+        let a = 1.0 - decay;
+        for (sj, &pj) in s.iter_mut().zip(p) {
+            *sj = *sj * decay + a * pj;
+        }
+    }
+);
+
 // Box–Muller in f64 lanes: the same `r = √(−2 ln u)`, `θ = 2π·v` and
 // `r·cos θ`, `r·sin θ` as `Rng::normal`'s libm path, with `ln`, `sin` and
 // `cos` as fdlibm's polynomials (Sun's `e_log.c`, `k_sin.c`, `k_cos.c`), so
@@ -1222,6 +1252,43 @@ mod tests {
     }
 
     proptest! {
+        /// Every build of the optimizer loops ≡ the portable one, and the
+        /// portable one ≡ the scalar update it replaced (AdamW) and the two
+        /// passes it fuses (EMA), bitwise, over odd lengths and moments that
+        /// include zeros.
+        #[test]
+        fn optimizer_loops_builds_agree_bitwise(n in 0usize..70, seed in 0u64..1000, lr in 1e-5f32..1e-1) {
+            let mut rng = crate::Rng::seed_from(seed);
+            let mut draw = |scale: f32| (0..n).map(|_| rng.normal() * scale).collect::<Vec<f32>>();
+            let (p, g, m) = (draw(1.0), draw(1e-2), draw(1e-3));
+            let v: Vec<f32> = draw(1e-3).iter().map(|x| x * x).collect();
+            let hp = [0.85, 0.9, 1e-8, 0.01, lr, 0.7, 0.3];
+            let adamw_bits = every_build("adamw", |k| {
+                let (mut p, mut m, mut v) = (p.clone(), m.clone(), v.clone());
+                adamw_on(k, &mut p, &g, &mut m, &mut v, hp);
+                [bits(&p), bits(&m), bits(&v)]
+            });
+            let [b1, b2, eps, wd, lr, bc1, bc2] = hp;
+            let (mut p0, mut m0, mut v0) = (p.clone(), m.clone(), v.clone());
+            for j in 0..n {
+                m0[j] = b1 * m0[j] + (1.0 - b1) * g[j];
+                v0[j] = b2 * v0[j] + (1.0 - b2) * g[j] * g[j];
+                let (mhat, vhat) = (m0[j] / bc1, v0[j] / bc2);
+                p0[j] -= lr * (mhat / (vhat.sqrt() + eps) + wd * p0[j]);
+            }
+            proptest::prop_assert_eq!(adamw_bits, [bits(&p0), bits(&m0), bits(&v0)]);
+            let decay = lr.sqrt();
+            let ema_bits = every_build("ema", |k| {
+                let mut s = m.clone();
+                ema_on(k, &mut s, &p, decay);
+                bits(&s)
+            });
+            let mut two_pass = m.clone();
+            scale(&mut two_pass, decay);
+            axpy(&mut two_pass, 1.0 - decay, &p);
+            proptest::prop_assert_eq!(ema_bits, bits(&two_pass));
+        }
+
         /// Every build ≡ the portable one for Box–Muller's lane math, f64
         /// bits, over any state and any number of pairs.
         #[test]

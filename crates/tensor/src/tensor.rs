@@ -104,6 +104,24 @@ impl Tensor {
         &mut self.data
     }
 
+    /// Re-size this tensor, in its own buffers, to a `shape` tensor for a
+    /// producer that writes every element before anything reads one: the
+    /// reused sibling of [`Tensor::for_overwrite`], NaN-filled under
+    /// `debug_assertions` as it is. Takes from the heap only to grow.
+    pub fn reuse_for_overwrite(&mut self, shape: &[usize]) {
+        self.shape.clear();
+        self.shape.extend_from_slice(shape);
+        self.data.resize(shape.iter().product(), 0.0);
+        if cfg!(debug_assertions) {
+            self.data.fill(f32::NAN);
+        }
+    }
+
+    /// Elements the buffer holds without growing.
+    pub fn capacity(&self) -> usize {
+        self.data.capacity()
+    }
+
     /// Reshape in place to a new shape with the same element count.
     pub fn reshape(mut self, shape: &[usize]) -> Self {
         let n: usize = shape.iter().product();

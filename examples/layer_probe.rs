@@ -16,6 +16,8 @@
 //!   the window partition), on every build; `exp`'s row copies its input in.
 //! - **Gaussian draws.** One sample's `[512, 20]` state by `Rng::normal`,
 //!   one libm draw at a time, then by `Rng::fill_normal` on every build.
+//! - **Optimizer.** The AdamW update and the EMA fold over every toy48
+//!   parameter as one flat buffer, on every build.
 //! - **Model.** In one warm `Workspace`: `AerisModel::velocity_into`,
 //!   `AerisModel::loss_grads` and the recording chain it equals (tape
 //!   forward, `weighted_mse`, backward; each N / 4 calls), the step's closing
@@ -211,6 +213,13 @@ fn main() {
     let (us, med) = min_median_us(calls, || z.iter_mut().for_each(|v| *v = rng.normal()));
     println!("{:<26} {:>16} {us:>9.1} {med:>9.1} {:>8}", format!("normal × {}", z.len()), "", "scalar");
     sweep("fill_normal", &format!("[{TOKENS}, {CHANNELS}]"), &mut |k| rng.fill_normal_on(k, &mut z));
+    // The optimizer's loops over every toy48 parameter, as one flat buffer.
+    let n_params = toy48_model().param_count();
+    let mut draw = |n: usize| Tensor::randn(&[n], &mut rng).data().to_vec();
+    let (mut p, g, mut m, mut v) = (draw(n_params), draw(n_params), vec![0.0; n_params], vec![0.0; n_params]);
+    let params = format!("[{n_params}]");
+    sweep("adamw", &params, &mut |k| sweeps::adamw_on(k, &mut p, &g, &mut m, &mut v, [0.85, 0.9, 1e-8, 0.01, 1e-4, 0.15, 0.1]));
+    sweep("ema", &params, &mut |k| sweeps::ema_on(k, &mut m, &g, 0.999));
 
     // The model: one velocity evaluation and one quality-tier forecast step.
     let model = toy48_model();

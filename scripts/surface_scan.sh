@@ -87,8 +87,10 @@ DISPATCHED="\
 crates/tensor/src/attention.rs	backward_windows
 crates/tensor/src/attention.rs	forward_windows
 crates/tensor/src/gemm.rs	compute_block
+crates/tensor/src/sweeps.rs	adamw_on
 crates/tensor/src/sweeps.rs	add_rows_on
 crates/tensor/src/sweeps.rs	box_muller_on
+crates/tensor/src/sweeps.rs	ema_on
 crates/tensor/src/sweeps.rs	exp_on
 crates/tensor/src/sweeps.rs	gated_residual_backward_on
 crates/tensor/src/sweeps.rs	gated_residual_on

@@ -4,19 +4,22 @@
 //! main thread's) over a second call in one `Workspace`, after the first has
 //! sized it.
 //!
-//! - `AerisModel::loss_grads` into filled gradient slots: 45, the forward's
-//!   23 (below) and one packed B per input-gradient GEMM and for the
-//!   decoder's weight gradient (`gemm` packs a transposed or partial B into
-//!   a fresh buffer). The recording tape it replaced made 1,154 per call.
-//! - `AerisModel::velocity`: 25 (31 while it built its own plan and time
-//!   vectors), its result (2) and the forward's 23 — the time features, the
-//!   decoder's packed partial panel, and per block the modulation vectors
-//!   (3) and the `Wq | Wk | Wv` concatenation (2), which ROADMAP item 22
-//!   drives to 0.
+//! - `AerisModel::loss_grads` into filled gradient slots: 0. It read 45
+//!   while the forward took 23 (below) and `gemm` packed a transposed or
+//!   partial B into a fresh buffer for each input-gradient GEMM and for the
+//!   decoder's weight gradient; every GEMM now packs into the workspace's
+//!   `pack`, and each block's saves keep the constants their pass rewrites.
+//!   The recording tape it replaced made 1,154 per call.
+//! - `AerisModel::velocity`: 2, its result (shape and data). It read 25
+//!   with the forward's 23 — the time features, the decoder's packed
+//!   partial panel, and per block the modulation vectors (3) and the
+//!   `Wq | Wk | Wv` concatenation (2) — which the workspace now holds
+//!   (`consts`, `pack`).
 //! - `Forecaster::forecast_step_guided` with `NoGuidance`, a quality-tier
 //!   step of 12 velocity evaluations (6 DPMSolver++ 2S steps, churn 0.1):
-//!   356, the evaluations' 12 × 25 and the sampler's 56 — the baseline the
-//!   in-place sampler of ROADMAP item 22 drives down.
+//!   80, the evaluations' 12 × 2 and the sampler's 56 — what the in-place
+//!   sampler of ROADMAP item 22 drives down (356 before the workspace held
+//!   the pass's constants and pack buffer).
 //!
 //! A change to either count is a change to say, not to re-pin quietly.
 
@@ -121,7 +124,7 @@ fn a_warm_loss_grads_allocates_a_pinned_few_times() {
         m.loss_grads(ws, &x_t, &x_prev, &f, 0.7, &target, &w, &mut acc);
     });
     assert!(first > warm, "the first call sizes the workspace and fills the slots ({first} vs {warm})");
-    assert_eq!(warm, 45, "allocations of a warm loss_grads");
+    assert_eq!(warm, 0, "allocations of a warm loss_grads");
 }
 
 #[test]
@@ -129,7 +132,7 @@ fn a_warm_velocity_allocates_a_pinned_few_times() {
     let (m, [x_t, x_prev, f, ..]) = toy48();
     let [first, warm] = first_and_warm(|ws| drop(m.velocity_into(ws, &x_t, &x_prev, &f, 0.7)));
     assert!(first > warm, "the first call sizes the workspace ({first} vs {warm})");
-    assert_eq!(warm, 25, "allocations of a warm velocity");
+    assert_eq!(warm, 2, "allocations of a warm velocity");
 }
 
 #[test]
@@ -144,5 +147,5 @@ fn a_warm_forecast_step_allocates_a_pinned_few_times() {
         drop(fc.forecast_step_guided(ws, &x_prev, &forcings, &mut rng, &mut NoGuidance));
     });
     assert!(first > warm, "the first call sizes the workspace ({first} vs {warm})");
-    assert_eq!(warm, 356, "allocations of a warm forecast step");
+    assert_eq!(warm, 80, "allocations of a warm forecast step");
 }
