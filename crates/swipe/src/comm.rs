@@ -33,15 +33,22 @@
 //! - dead ranks are tracked; waiting on a rank that died without having sent
 //!   yields [`CommError::PeerDead`] as soon as the death is observed.
 //!
-//! Buffers: the trainer's operations (`send_with` / `recv_with`, the
+//! Buffers: every message is one flat `f32` buffer from the sending rank's
+//! [`Pool`], written whole by the sender and handed to the receiver's own
+//! pool once read. One pair, `post` / `collect`, puts and takes every
+//! message; the trainer's operations (`send_with` / `recv_with`, the
 //! all-to-all, the bucketed reduction and the owner broadcast over flat
-//! buckets) write every payload into a buffer from the sending rank's
-//! [`Pool`], and the receiver hands it to its own pool once read. A
-//! rank's sends and receives balance over a step, so a warm step takes
-//! nothing from the heap for its messages.
+//! buckets) write into and read from the buffer in place. A rank's sends
+//! and receives balance over a step, so a warm step takes nothing from the
+//! heap for its messages. The `Tensor` methods `send`, `recv`, `alltoall`
+//! and `allreduce_sum` are adapters over those operations, kept for callers
+//! outside the crate: `send` writes its tensors back to back into one
+//! message, and what arrives comes back as 1-D tensors, as it does from
+//! `allgather` (the checkpoint barrier's).
 
 use crate::events::{EventLog, FaultEvent};
 use crate::fault::{FaultPlan, MessageFault};
+use crate::stage::sized;
 use aeris_obs::{CommBytes, SpanCategory, SpanGuard, Tracer};
 use aeris_tensor::Tensor;
 use parking_lot::{Condvar, Mutex};
@@ -51,6 +58,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Traffic class, matching the paper's communication breakdown (§V-A).
+/// `class as usize` indexes the per-class byte counters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CommClass {
     /// Pipeline send/recv (stage-to-stage activations and gradients).
@@ -125,52 +133,39 @@ impl Default for CommConfig {
     }
 }
 
-/// A rank's spare one-tensor payloads, kept across its operations and,
+/// A rank's spare message buffers, kept across its operations and,
 /// through the parked thread's stash, across `train` calls. Bounded: a
-/// payload given back to a full pool is freed.
+/// buffer given back to a full pool is freed.
 #[derive(Default)]
 pub struct Pool {
-    spare: Vec<Vec<Tensor>>,
+    spare: Vec<Vec<f32>>,
 }
 
 impl Pool {
-    /// Most payloads a pool keeps. A rank's sends and receives balance
+    /// Most buffers a pool keeps. A rank's sends and receives balance
     /// over a step, so the bound only stops a rank whose receives run
     /// ahead of its sends from keeping them all.
     const CAP: usize = 64;
 
-    /// A one-tensor `[len]` payload, every element NaN under
-    /// `debug_assertions` (the writer must overwrite all of it): the spare
-    /// whose buffer fits `len` most tightly, else the largest, grown.
-    fn take(&mut self, len: usize) -> Vec<Tensor> {
-        let cap = |p: &Vec<Tensor>| p[0].capacity();
+    /// A `len`-element buffer, every element NaN under `debug_assertions`
+    /// (the writer must overwrite all of it): the spare whose capacity fits
+    /// `len` most tightly, else the largest, grown.
+    fn take(&mut self, len: usize) -> Vec<f32> {
+        let cap = |i: usize| self.spare[i].capacity();
         let fit = (0..self.spare.len())
-            .filter(|&i| cap(&self.spare[i]) >= len)
-            .min_by_key(|&i| cap(&self.spare[i]))
-            .or_else(|| (0..self.spare.len()).max_by_key(|&i| cap(&self.spare[i])));
-        match fit {
-            Some(i) => {
-                let mut payload = self.spare.swap_remove(i);
-                payload[0].reuse_for_overwrite(&[len]);
-                payload
-            }
-            None => vec![Tensor::for_overwrite(&[len])],
-        }
+            .filter(|&i| cap(i) >= len)
+            .min_by_key(|&i| cap(i))
+            .or_else(|| (0..self.spare.len()).max_by_key(|&i| cap(i)));
+        let mut buf = fit.map_or_else(Vec::new, |i| self.spare.swap_remove(i));
+        sized(&mut buf, len);
+        buf
     }
 
-    /// Keep a read payload for a later `take`.
-    fn give(&mut self, payload: Vec<Tensor>) {
-        if payload.len() == 1 && self.spare.len() < Self::CAP {
-            self.spare.push(payload);
+    /// Keep a read buffer for a later `take`.
+    fn give(&mut self, buf: Vec<f32>) {
+        if self.spare.len() < Self::CAP {
+            self.spare.push(buf);
         }
-    }
-}
-
-/// The data of a one-tensor payload.
-fn flat(payload: &[Tensor]) -> &[f32] {
-    match payload {
-        [t] => t.data(),
-        _ => panic!("a pooled message carries one tensor, not {}", payload.len()),
     }
 }
 
@@ -183,11 +178,23 @@ pub(crate) fn segments(lens: &[usize]) -> impl Iterator<Item = (usize, usize)> +
     })
 }
 
+/// Write `tensors` back to back into `buf`, which holds exactly their
+/// elements.
+pub(crate) fn write_concat<'t>(buf: &mut [f32], tensors: impl IntoIterator<Item = &'t Tensor>) {
+    let mut rest = buf;
+    for t in tensors {
+        let (head, tail) = rest.split_at_mut(t.len());
+        head.copy_from_slice(t.data());
+        rest = tail;
+    }
+    assert!(rest.is_empty(), "a buffer longer than its tensors");
+}
+
 /// A buffered message plus its remaining injected-drop suppressions. While
 /// `suppressed > 0` the message is invisible to its receiver, as if lost in
 /// transit; each retransmit request recovers one suppression.
 struct Envelope {
-    payload: Vec<Tensor>,
+    payload: Vec<f32>,
     suppressed: u32,
 }
 
@@ -255,18 +262,19 @@ pub struct World {
 /// Per-rank, per-class traffic totals (bytes).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TrafficReport {
-    pub per_rank: Vec<HashMap<&'static str, u64>>,
+    /// Bytes sent per rank, indexed by `CommClass as usize`.
+    pub per_rank: Vec<[u64; 5]>,
 }
 
 impl TrafficReport {
     /// Total bytes of a class across all ranks.
     pub fn total(&self, class: CommClass) -> u64 {
-        self.per_rank.iter().map(|m| m.get(class_name(class)).copied().unwrap_or(0)).sum()
+        self.per_rank.iter().map(|bytes| bytes[class as usize]).sum()
     }
 
     /// Bytes of a class sent by one rank.
     pub fn rank_total(&self, rank: usize, class: CommClass) -> u64 {
-        self.per_rank[rank].get(class_name(class)).copied().unwrap_or(0)
+        self.per_rank[rank][class as usize]
     }
 
     /// Per-class totals as the plain byte carrier the `aeris-obs` MFU report
@@ -431,27 +439,16 @@ impl World {
 
     /// Snapshot of traffic counters.
     pub fn traffic(&self) -> TrafficReport {
-        let per_rank = self
-            .inner
-            .sent
-            .iter()
-            .map(|counters| {
-                CLASSES
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &c)| (class_name(c), counters[i].load(Ordering::Relaxed)))
-                    .collect()
-            })
-            .collect();
+        let per_rank =
+            self.inner.sent.iter().map(|counters| std::array::from_fn(|i| counters[i].load(Ordering::Relaxed))).collect();
         TrafficReport { per_rank }
     }
 
     fn account(&self, rank: usize, class: CommClass, bytes: u64) {
-        let i = CLASSES.iter().position(|&c| c == class).unwrap();
-        self.inner.sent[rank][i].fetch_add(bytes, Ordering::Relaxed);
+        self.inner.sent[rank][class as usize].fetch_add(bytes, Ordering::Relaxed);
     }
 
-    fn put(&self, src: usize, dst: usize, tag: u64, class: CommClass, payload: Vec<Tensor>) {
+    fn put(&self, src: usize, dst: usize, tag: u64, class: CommClass, payload: Vec<f32>) {
         let mailbox = &self.inner.mailboxes[dst];
         let fault = {
             let mut st = mailbox.state.lock();
@@ -514,7 +511,7 @@ impl World {
         dst: usize,
         tag: u64,
         retry_p2p: bool,
-    ) -> Result<Vec<Tensor>, CommError> {
+    ) -> Result<Vec<f32>, CommError> {
         let config = &self.inner.config;
         let start = Instant::now();
         // `None` (a deadline past the clock's range, e.g. `Duration::MAX`):
@@ -708,36 +705,33 @@ impl Communicator {
         h << 16
     }
 
-    fn payload_bytes(payload: &[Tensor]) -> u64 {
-        payload.iter().map(|t| 4 * t.len() as u64).sum()
+    /// This rank's position in `group`.
+    fn member(&self, group: &[usize]) -> usize {
+        group.iter().position(|&r| r == self.rank).expect("rank not in group")
     }
 
-    /// Send tensors to `dst` (non-blocking; buffered in the mailbox).
-    pub fn send(
-        &mut self,
-        dst: usize,
-        class: CommClass,
-        payload: Vec<Tensor>,
-    ) -> Result<(), CommError> {
-        let _span = self.trace_span(class_category(class)).label("send");
-        self.op_hook()?;
-        let tag = self.next_chan_tag(self.rank, dst);
-        self.world.account(self.rank, class, Self::payload_bytes(&payload));
-        self.world.put(self.rank, dst, tag, class, payload);
-        Ok(())
+    /// Put one message to `dst` under `tag`, accounted to `class` at 4 B an
+    /// element: `len` elements from this rank's pool, written whole by
+    /// `fill`.
+    fn post(&mut self, dst: usize, tag: u64, class: CommClass, len: usize, fill: impl FnOnce(&mut [f32])) {
+        let mut buf = self.pool.take(len);
+        fill(&mut buf);
+        self.world.account(self.rank, class, 4 * len as u64);
+        self.world.put(self.rank, dst, tag, class, buf);
     }
 
-    /// Blocking receive of the next message from `src` (retransmit timer
-    /// active: recovers injected drops with exponential backoff).
-    pub fn recv(&mut self, src: usize) -> Result<Vec<Tensor>, CommError> {
-        let _span = self.trace_span(SpanCategory::P2p).label("recv");
-        self.op_hook()?;
-        let tag = self.next_chan_tag(src, self.rank);
-        self.world.take(src, self.rank, tag, true)
+    /// Take the message `src` put under `tag`, hand its data to `read` and
+    /// keep its buffer in this rank's pool. `retry` arms the retransmit
+    /// timer: point-to-point receives recover drops, collectives fail fast.
+    fn collect<R>(&mut self, src: usize, tag: u64, retry: bool, read: impl FnOnce(&[f32]) -> R) -> Result<R, CommError> {
+        let buf = self.world.take(src, self.rank, tag, retry)?;
+        let out = read(&buf);
+        self.pool.give(buf);
+        Ok(out)
     }
 
-    /// Send `dst` a `len`-element payload from this rank's pool, written
-    /// whole by `fill`.
+    /// Send `dst` a `len`-element message written whole by `fill`
+    /// (non-blocking; buffered in the mailbox).
     pub(crate) fn send_with(
         &mut self,
         dst: usize,
@@ -745,18 +739,32 @@ impl Communicator {
         len: usize,
         fill: impl FnOnce(&mut [f32]),
     ) -> Result<(), CommError> {
-        let mut payload = self.pool.take(len);
-        fill(payload[0].data_mut());
-        self.send(dst, class, payload)
+        let _span = self.trace_span(class_category(class)).label("send");
+        self.op_hook()?;
+        let tag = self.next_chan_tag(self.rank, dst);
+        self.post(dst, tag, class, len, fill);
+        Ok(())
     }
 
-    /// Receive the next message from `src` (a pooled one-tensor payload),
-    /// hand its data to `read` and keep the buffer in this rank's pool.
+    /// Receive the next message from `src` and hand its data to `read`
+    /// (retransmit timer active: recovers injected drops with exponential
+    /// backoff).
     pub(crate) fn recv_with<R>(&mut self, src: usize, read: impl FnOnce(&[f32]) -> R) -> Result<R, CommError> {
-        let payload = self.recv(src)?;
-        let out = read(flat(&payload));
-        self.pool.give(payload);
-        Ok(out)
+        let _span = self.trace_span(SpanCategory::P2p).label("recv");
+        self.op_hook()?;
+        let tag = self.next_chan_tag(src, self.rank);
+        self.collect(src, tag, true, read)
+    }
+
+    /// Send tensors to `dst`, back to back in one message.
+    pub fn send(&mut self, dst: usize, class: CommClass, payload: Vec<Tensor>) -> Result<(), CommError> {
+        self.send_with(dst, class, payload.iter().map(Tensor::len).sum(), |buf| write_concat(buf, &payload))
+    }
+
+    /// Receive the next message from `src`: a copy of it as one 1-D tensor
+    /// (its buffer goes to this rank's pool).
+    pub fn recv(&mut self, src: usize) -> Result<Vec<Tensor>, CommError> {
+        self.recv_with(src, |data| vec![Tensor::from_slice(data)])
     }
 
     /// Barrier over a group (all members must call with the identical group).
@@ -765,145 +773,61 @@ impl Communicator {
         Ok(())
     }
 
-    /// Post one message to every other member of `group`, in group order:
-    /// member `j` is sent `payload(j)` under `tag(j)`, accounted to `class`.
-    fn post(
-        &self,
-        group: &[usize],
-        me: usize,
-        class: CommClass,
-        tag: impl Fn(usize) -> u64,
-        mut payload: impl FnMut(usize) -> Vec<Tensor>,
-    ) {
-        for (j, &dst) in group.iter().enumerate() {
-            if j == me {
-                continue;
-            }
-            let payload = payload(j);
-            self.world.account(self.rank, class, Self::payload_bytes(&payload));
-            self.world.put(self.rank, dst, tag(j), class, payload);
-        }
-    }
-
-    /// Take one message from every other member of `group`, in group order,
-    /// handing member `j`'s tensors (awaited under `tag(j)`) to `sink`. No
-    /// retransmit timer: collectives fail fast on loss.
-    fn collect(
-        &self,
-        group: &[usize],
-        me: usize,
-        tag: impl Fn(usize) -> u64,
-        mut sink: impl FnMut(usize, Vec<Tensor>),
-    ) -> Result<(), CommError> {
-        for (j, &src) in group.iter().enumerate() {
-            if j == me {
-                continue;
-            }
-            sink(j, self.world.take(src, self.rank, tag(j), false)?);
-        }
-        Ok(())
-    }
-
-    /// [`Communicator::post`] of pooled payloads: member `j` gets `len(j)`
-    /// elements written by `fill(j, ·)`.
-    fn post_pooled(
-        &mut self,
-        group: &[usize],
-        me: usize,
-        class: CommClass,
-        tag: impl Fn(usize) -> u64,
-        len: impl Fn(usize) -> usize,
-        mut fill: impl FnMut(usize, &mut [f32]),
-    ) {
-        for (j, &dst) in group.iter().enumerate() {
-            if j == me {
-                continue;
-            }
-            let mut payload = self.pool.take(len(j));
-            fill(j, payload[0].data_mut());
-            self.world.account(self.rank, class, Self::payload_bytes(&payload));
-            self.world.put(self.rank, dst, tag(j), class, payload);
-        }
-    }
-
-    /// [`Communicator::collect`] of pooled payloads: member `j`'s data goes
-    /// to `read(j, ·)`, its buffer to this rank's pool.
-    fn collect_pooled(
-        &mut self,
-        group: &[usize],
-        me: usize,
-        tag: impl Fn(usize) -> u64,
-        mut read: impl FnMut(usize, &[f32]),
-    ) -> Result<(), CommError> {
-        for (j, &src) in group.iter().enumerate() {
-            if j == me {
-                continue;
-            }
-            let payload = self.world.take(src, self.rank, tag(j), false)?;
-            read(j, flat(&payload));
-            self.pool.give(payload);
-        }
-        Ok(())
-    }
-
-    /// All-to-all within `group` over pooled payloads: member `j` is sent
-    /// `len` elements written by `fill(state, j, ·)`, and what member `j`
-    /// sent this rank goes to `read(state, j, ·)`, after every send. The
-    /// rank's own chunk never leaves: the caller reads it in place.
-    /// Accounted as [`Communicator::alltoall`] of the same chunks.
+    /// All-to-all within `group`: member `j` is sent `len(j)` elements
+    /// written by `fill(state, j, ·)`, and what member `j` sent this rank
+    /// goes to `read(state, j, ·)`, after every send. The rank's own chunk
+    /// never leaves and is not accounted: the caller reads it in place.
     pub(crate) fn alltoall_with<S: ?Sized>(
         &mut self,
         group: &[usize],
         state: &mut S,
-        len: usize,
+        len: impl Fn(usize) -> usize,
         mut fill: impl FnMut(&S, usize, &mut [f32]),
         mut read: impl FnMut(&mut S, usize, &[f32]),
     ) -> Result<(), CommError> {
         let _span = self.trace_span(SpanCategory::AllToAll);
         self.op_hook()?;
         let tag_base = self.next_group_tag(group);
-        let me = group.iter().position(|&r| r == self.rank).expect("rank not in group");
-        self.post_pooled(group, me, CommClass::AllToAll, |j| tag_base | j as u64, |_| len, |j, buf| fill(state, j, buf));
-        self.collect_pooled(group, me, |_| tag_base | me as u64, |j, data| read(state, j, data))
+        let me = self.member(group);
+        for (j, dst) in others(group, me) {
+            self.post(dst, tag_base | j as u64, CommClass::AllToAll, len(j), |buf| fill(state, j, buf));
+        }
+        for (j, src) in others(group, me) {
+            self.collect(src, tag_base | me as u64, false, |got| read(state, j, got))?;
+        }
+        Ok(())
     }
 
     /// All-to-all within `group`: `chunks[j]` goes to group member `j`;
-    /// returns the chunks received from each member (self-chunk passes
-    /// through untouched and un-accounted, as on a real interconnect).
-    pub fn alltoall(
-        &mut self,
-        group: &[usize],
-        mut chunks: Vec<Tensor>,
-    ) -> Result<Vec<Tensor>, CommError> {
-        let _span = self.trace_span(SpanCategory::AllToAll);
-        self.op_hook()?;
+    /// returns the chunks received from each member as 1-D tensors (the
+    /// self-chunk passes through untouched).
+    pub fn alltoall(&mut self, group: &[usize], mut chunks: Vec<Tensor>) -> Result<Vec<Tensor>, CommError> {
         assert_eq!(chunks.len(), group.len());
-        let tag_base = self.next_group_tag(group);
-        let me = group.iter().position(|&r| r == self.rank).expect("rank not in group");
-        // Each chunk leaves its slot on the way out and the slot takes what
-        // that member sent back; slot `me` is never touched.
-        self.post(group, me, CommClass::AllToAll, |j| tag_base | j as u64, |j| {
-            vec![std::mem::replace(&mut chunks[j], Tensor::zeros(&[0]))]
-        });
-        self.collect(group, me, |_| tag_base | me as u64, |j, mut p| chunks[j] = one(&mut p))?;
+        let lens: Vec<usize> = chunks.iter().map(Tensor::len).collect();
+        self.alltoall_with(
+            group,
+            &mut chunks,
+            |j| lens[j],
+            |chunks, j, buf| buf.copy_from_slice(chunks[j].data()),
+            |chunks, j, got| chunks[j] = Tensor::from_slice(got),
+        )?;
         Ok(chunks)
     }
 
     /// Allgather within `group`: returns every member's tensor, in group
-    /// order.
-    pub fn allgather(
-        &mut self,
-        group: &[usize],
-        class: CommClass,
-        value: Tensor,
-    ) -> Result<Vec<Tensor>, CommError> {
+    /// order (the others' as 1-D tensors).
+    pub fn allgather(&mut self, group: &[usize], class: CommClass, value: Tensor) -> Result<Vec<Tensor>, CommError> {
         let _span = self.trace_span(class_category(class)).label("allgather");
         self.op_hook()?;
         let tag_base = self.next_group_tag(group);
-        let me = group.iter().position(|&r| r == self.rank).expect("rank not in group");
-        self.post(group, me, class, |_| tag_base | me as u64, |_| vec![value.clone()]);
+        let me = self.member(group);
+        for (_, dst) in others(group, me) {
+            self.post(dst, tag_base | me as u64, class, value.len(), |buf| buf.copy_from_slice(value.data()));
+        }
         let mut out = vec![Tensor::zeros(&[0]); group.len()];
-        self.collect(group, me, |j| tag_base | j as u64, |j, mut p| out[j] = one(&mut p))?;
+        for (j, src) in others(group, me) {
+            out[j] = self.collect(src, tag_base | j as u64, false, Tensor::from_slice)?;
+        }
         out[me] = value;
         Ok(out)
     }
@@ -921,8 +845,8 @@ impl Communicator {
     /// is ≈ 2×data regardless of group size (the bandwidth-optimal ring
     /// volume — this is what makes the paper's "gradient-allreduce volume is
     /// unchanged by WP" claim measurable). Member `j` owns chunk `j` of
-    /// every segment; one pooled message to it carries this member's slice
-    /// of each, and its reply carries each reduced chunk. Deterministic:
+    /// every segment; one message to it carries this member's slice of
+    /// each, and its reply carries each reduced chunk. Deterministic:
     /// every chunk is reduced in group order by its owner, starting from its
     /// own value, so each element, and the bytes accounted, are those of one
     /// [`Communicator::allreduce_sum`] per segment.
@@ -935,7 +859,7 @@ impl Communicator {
             return Ok(());
         }
         let tag_base = self.next_group_tag(group);
-        let me = group.iter().position(|&r| r == self.rank).expect("rank not in group");
+        let me = self.member(group);
         // Chunk `j` of each segment, as ranges of the bucket.
         let chunks = |j: usize| segments(lens).map(move |(off, len)| off + len * j / n..off + len * (j + 1) / n);
         let part_len = |j: usize| chunks(j).map(|c| c.len()).sum::<usize>();
@@ -947,35 +871,44 @@ impl Communicator {
             }
         };
         // Reduce-scatter: send my slice of chunk j of every segment to its owner j.
-        self.post_pooled(group, me, CommClass::AllReduce, |j| tag_base | j as u64, part_len, |j, buf| gather(bucket, j, buf));
+        for (j, dst) in others(group, me) {
+            self.post(dst, tag_base | j as u64, CommClass::AllReduce, part_len(j), |buf| gather(bucket, j, buf));
+        }
         // Deterministic accumulation: contributions arrive in group order.
-        self.collect_pooled(group, me, |_| tag_base | me as u64, |_, part| {
-            let mut at = 0;
-            for c in chunks(me) {
-                for (m, &v) in bucket[c.clone()].iter_mut().zip(&part[at..at + c.len()]) {
-                    *m += v;
+        for (_, src) in others(group, me) {
+            self.collect(src, tag_base | me as u64, false, |part| {
+                let mut at = 0;
+                for c in chunks(me) {
+                    for (m, &v) in bucket[c.clone()].iter_mut().zip(&part[at..at + c.len()]) {
+                        *m += v;
+                    }
+                    at += c.len();
                 }
-                at += c.len();
-            }
-        })?;
+            })?;
+        }
         // Allgather the reduced chunks.
         let tag2 = self.next_group_tag(group);
-        self.post_pooled(group, me, CommClass::AllReduce, |_| tag2 | me as u64, |_| part_len(me), |_, buf| gather(bucket, me, buf));
-        self.collect_pooled(group, me, |j| tag2 | j as u64, |j, part| {
-            let mut at = 0;
-            for c in chunks(j) {
-                bucket[c.clone()].copy_from_slice(&part[at..at + c.len()]);
-                at += c.len();
-            }
-        })
+        for (_, dst) in others(group, me) {
+            self.post(dst, tag2 | me as u64, CommClass::AllReduce, part_len(me), |buf| gather(bucket, me, buf));
+        }
+        for (j, src) in others(group, me) {
+            self.collect(src, tag2 | j as u64, false, |part| {
+                let mut at = 0;
+                for c in chunks(j) {
+                    bucket[c.clone()].copy_from_slice(&part[at..at + c.len()]);
+                    at += c.len();
+                }
+            })?;
+        }
+        Ok(())
     }
 
     /// ZeRO-1 owner broadcast, in place, of a flat bucket of segments
     /// `lens` within `group`: segment `i` belongs to the member at position
     /// `owners[i]`, which holds its value; every member ends with every
-    /// segment's. A member's own segments go to each peer in one pooled
-    /// message. Values and accounted bytes are those of one root broadcast
-    /// per segment.
+    /// segment's. A member's own segments go to each peer in one message.
+    /// Values and accounted bytes are those of one root broadcast per
+    /// segment.
     pub(crate) fn broadcast_flat(
         &mut self,
         group: &[usize],
@@ -987,30 +920,36 @@ impl Communicator {
         self.op_hook()?;
         assert_eq!(owners.len(), lens.len(), "one owner per segment");
         let tag_base = self.next_group_tag(group);
-        let me = group.iter().position(|&r| r == self.rank).expect("rank not in group");
+        let me = self.member(group);
         let of = |j: usize| segments(lens).zip(owners).filter(move |(_, &o)| o == j).map(|(seg, _)| seg);
         let mine: usize = of(me).map(|(_, len)| len).sum();
-        self.post_pooled(group, me, CommClass::AllGather, |_| tag_base | me as u64, |_| mine, |_, buf| {
-            let mut at = 0;
-            for (off, len) in of(me) {
-                buf[at..at + len].copy_from_slice(&bucket[off..off + len]);
-                at += len;
-            }
-        });
-        self.collect_pooled(group, me, |j| tag_base | j as u64, |j, part| {
-            let mut at = 0;
-            for (off, len) in of(j) {
-                bucket[off..off + len].copy_from_slice(&part[at..at + len]);
-                at += len;
-            }
-            assert_eq!(at, part.len(), "an owner sends every segment it owns");
-        })
+        for (_, dst) in others(group, me) {
+            self.post(dst, tag_base | me as u64, CommClass::AllGather, mine, |buf| {
+                let mut at = 0;
+                for (off, len) in of(me) {
+                    buf[at..at + len].copy_from_slice(&bucket[off..off + len]);
+                    at += len;
+                }
+            });
+        }
+        for (j, src) in others(group, me) {
+            self.collect(src, tag_base | j as u64, false, |part| {
+                let mut at = 0;
+                for (off, len) in of(j) {
+                    bucket[off..off + len].copy_from_slice(&part[at..at + len]);
+                    at += len;
+                }
+                assert_eq!(at, part.len(), "an owner sends every segment it owns");
+            })?;
+        }
+        Ok(())
     }
 }
 
-/// The one tensor of a single-tensor message.
-fn one(payload: &mut Vec<Tensor>) -> Tensor {
-    payload.pop().expect("a single-tensor message carries one tensor")
+/// The members of `group` other than the one at position `me`, as
+/// `(position, rank)` in group order.
+fn others(group: &[usize], me: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+    group.iter().copied().enumerate().filter(move |&(j, _)| j != me)
 }
 
 #[cfg(test)]
@@ -1226,6 +1165,25 @@ mod tests {
                 assert_eq!(parts[c.rank()], v);
             }
         });
+    }
+
+    /// `send` writes its tensors back to back into one message: `recv`
+    /// returns their concatenation, in order, as one 1-D tensor, accounted
+    /// at 4 B an element and counted as one op on each side.
+    #[test]
+    fn a_send_of_several_tensors_arrives_as_their_concatenation() {
+        let world = World::new(2);
+        let matrix = Tensor::from_vec(&[2, 3], (0..6).map(|v| v as f32).collect());
+        let parts = vec![matrix, Tensor::zeros(&[0]), Tensor::from_slice(&[6.0, 7.0])];
+        let got = thread::scope(|s| {
+            let mut c0 = world.communicator(0);
+            let mut c1 = world.communicator(1);
+            s.spawn(move || c0.send(1, CommClass::P2p, parts).unwrap());
+            s.spawn(move || c1.recv(0).unwrap()).join().unwrap()
+        });
+        assert_eq!(got, [Tensor::from_slice(&[0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])]);
+        assert_eq!(world.traffic().rank_total(0, CommClass::P2p), 4 * 8);
+        assert_eq!(world.op_counts(), vec![1, 1]);
     }
 
     #[test]

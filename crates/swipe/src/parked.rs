@@ -19,7 +19,7 @@
 //! - a stash holds buffers only: every one is rewritten before it is read
 //!   (NaN-filled under `debug_assertions`), so no bit depends on which
 //!   thread, or which earlier call, a rank's buffers come from;
-//! - it is bounded: the message pool keeps at most `Pool::CAP` payloads, and
+//! - it is bounded: the message pool keeps at most `Pool::CAP` buffers, and
 //!   the rest is one rank's working set at the largest shape it has run;
 //! - a job that panics drops its stash, and its thread runs the next job
 //!   with an empty one.

@@ -4,7 +4,7 @@
 //! the elastic rejoin — and the [`Stash`] of buffers its thread keeps from one
 //! call to the next.
 
-use crate::comm::{segments, CommClass, CommError, Communicator, Pool};
+use crate::comm::{segments, write_concat, CommClass, CommError, Communicator, Pool};
 use crate::data::gather;
 use crate::events::FaultEvent;
 use crate::layout::ActLayout;
@@ -42,6 +42,23 @@ pub(crate) struct Stash {
     /// The flat gradient bucket of each group, reduced and then broadcast
     /// in place.
     flat: [Vec<f32>; 2],
+}
+
+/// The single-message state transfer a donor sends each rejoiner, one flat
+/// buffer: every stage parameter in store order, then the (m, v) moment pair
+/// of each parameter this position owns under the within-replica ZeRO-1
+/// sharding, back to back, then the AdamW step counter as its `u64_entry`
+/// word. The rejoiner's same-coordinates rank owns exactly the same
+/// positions (identical positions own identical shards in every replica),
+/// so no index map is transferred, and a length that differs from the
+/// rejoiner's own is a protocol bug, not a runtime condition.
+fn reshard_tensors<'s>(model: &'s StageModel, opt: &'s AdamW, shards: &'s Shards) -> impl Iterator<Item = &'s Tensor> {
+    let owned = (0..model.store.len()).filter(|&i| shards.owns(i));
+    let moments = owned.flat_map(|i| {
+        let (m, v) = opt.state(i);
+        [m, v]
+    });
+    model.store.iter().map(|(_, _, v)| v).chain(moments)
 }
 
 /// One side of a stage boundary, resolved once per rank: the peer ranks this
@@ -505,62 +522,45 @@ impl<'a> Rank<'a> {
             let donor_dp = members.donor_dp().ok_or(SwipeError::AllReplicasLost { step })?;
             let donor = topo.rank_of(RankCoords { dp: donor_dp, ..coords });
             let _reshard = self.comm.trace_span(SpanCategory::Recovery).label("reshard_recv");
-            let payload = self.comm.recv(donor)?;
-            self.apply_reshard(payload);
+            let Rank { comm, model, opt, shards, .. } = self;
+            // The donor's state in this rank's lengths, then the two-element
+            // step word.
+            let len = reshard_tensors(model, opt, shards).map(Tensor::len).sum::<usize>() + 2;
+            let steps = comm.recv_with(donor, |flat| {
+                assert_eq!(flat.len(), len, "re-shard payload length");
+                let mut rest = flat;
+                let mut read = |t: &mut Tensor| {
+                    let (head, tail) = rest.split_at(t.len());
+                    t.data_mut().copy_from_slice(head);
+                    rest = tail;
+                };
+                let n = model.store.len();
+                for i in 0..n {
+                    read(model.store.get_mut(ParamId(i)));
+                }
+                for i in (0..n).filter(|&i| shards.owns(i)) {
+                    let (m, v) = opt.state_mut(i);
+                    read(m);
+                    read(v);
+                }
+                entry_u64(&Tensor::from_slice(rest)).expect("a two-element step word")
+            })?;
+            opt.set_steps(steps);
         } else if !members.rejoining_dps.is_empty() && members.donor_dp() == Some(coords.dp) {
             // Donor side: the lowest replica that stayed live across the
             // boundary re-shards its state to each rejoining replica's
             // same-coordinates rank.
             let _reshard = self.comm.trace_span(SpanCategory::Recovery).label("reshard_send");
-            let payload = self.reshard_payload();
+            let Rank { comm, model, opt, shards, .. } = self;
+            let word = u64_entry("", opt.steps()).1;
+            let state = || reshard_tensors(model, opt, shards).chain([&word]);
+            let len = state().map(Tensor::len).sum();
             for &dp in &members.rejoining_dps {
                 let dst = topo.rank_of(RankCoords { dp, ..coords });
-                self.comm.send(dst, CommClass::AllGather, payload.clone())?;
+                comm.send_with(dst, CommClass::AllGather, len, |buf| write_concat(buf, state()))?;
             }
         }
         Ok(())
-    }
-
-    /// The single-message state transfer a donor sends each rejoiner: every
-    /// stage parameter in store order, then the (m, v) moment pair of each
-    /// parameter this position owns under the within-replica ZeRO-1 sharding,
-    /// then the bit-encoded AdamW step counter. The rejoiner's
-    /// same-coordinates rank owns exactly the same positions (identical
-    /// positions own identical shards in every replica), so no index map is
-    /// transferred.
-    fn reshard_payload(&self) -> Vec<Tensor> {
-        let n = self.model.store.len();
-        let mut payload: Vec<Tensor> = self.model.store.iter().map(|(_, _, v)| v.clone()).collect();
-        for i in (0..n).filter(|&i| self.shards.owns(i)) {
-            let (m, v) = self.opt.state(i);
-            payload.extend([m.clone(), v.clone()]);
-        }
-        payload.push(u64_entry("", self.opt.steps()).1);
-        payload
-    }
-
-    /// Apply a donor's re-shard payload (inverse of [`Rank::reshard_payload`];
-    /// both sides derive the owned set positionally, so layout mismatches are
-    /// protocol bugs, not runtime conditions — hence the asserts).
-    fn apply_reshard(&mut self, payload: Vec<Tensor>) {
-        let n = self.model.store.len();
-        let mut it = payload.into_iter();
-        for i in 0..n {
-            let fresh = it.next().expect("re-shard payload missing a parameter");
-            assert_eq!(fresh.shape(), self.model.store.get(ParamId(i)).shape());
-            *self.model.store.get_mut(ParamId(i)) = fresh;
-        }
-        for i in (0..n).filter(|&i| self.shards.owns(i)) {
-            let m = it.next().expect("re-shard payload missing a first moment");
-            let v = it.next().expect("re-shard payload missing a second moment");
-            let (m_slot, v_slot) = self.opt.state_mut(i);
-            assert_eq!(m.shape(), m_slot.shape());
-            (*m_slot, *v_slot) = (m, v);
-        }
-        let steps = entry_u64(&it.next().expect("re-shard payload missing the step counter"))
-            .expect("malformed step counter in re-shard payload");
-        self.opt.set_steps(steps);
-        assert!(it.next().is_none(), "re-shard payload has trailing tensors");
     }
 
     /// Run this stage's 1F1B slots for one step. Every stage kind is the same
@@ -769,9 +769,16 @@ impl<'a> Rank<'a> {
             entries.push(u64_entry("meta/topo_wp_a", topo.wp_a as u64));
             entries.push(u64_entry("meta/topo_wp_b", topo.wp_b as u64));
             entries.push(u64_entry("meta/topo_sp", topo.sp as u64));
+            // Written under a `.tmp` name, synced, then renamed: a save
+            // killed mid-write leaves a file `latest_checkpoint` skips, never
+            // a torn `step_*.ckpt` that a restart would resume from.
             let path = ck.dir.join(format!("step_{:06}.ckpt", step + 1));
+            let tmp = path.with_extension("ckpt.tmp");
             std::fs::create_dir_all(&ck.dir).map_err(ckpt_io)?;
-            save_entries(&entries, &path).map_err(ckpt_io)?;
+            save_entries(&entries, &tmp).map_err(ckpt_io)?;
+            std::fs::File::open(&tmp).and_then(|f| f.sync_all()).map_err(ckpt_io)?;
+            std::fs::rename(&tmp, &path).map_err(ckpt_io)?;
+            std::fs::File::open(&ck.dir).and_then(|dir| dir.sync_all()).map_err(ckpt_io)?;
             self.comm.world().events().record(
                 me,
                 FaultEvent::CheckpointSaved { next_step: step + 1, path: path.display().to_string() },

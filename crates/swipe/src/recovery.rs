@@ -198,3 +198,97 @@ fn reached_step(failure: &TrainFailure) -> usize {
     }
     reached
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fault::FaultPlan;
+    use crate::topology::SwipeTopology;
+    use aeris_core::{AerisConfig, TrainSample};
+    use aeris_tensor::Rng;
+    use std::path::PathBuf;
+
+    /// A tiny model over two replicas of a four-stage pipeline (8 ranks),
+    /// four samples scheduled one per replica and step for four steps, and
+    /// the loss weights.
+    fn two_replica_run() -> (AerisModel, InMemorySource, Vec<Vec<Vec<usize>>>, Tensor) {
+        let reference = AerisModel::new(AerisConfig::test_tiny());
+        let cfg = &reference.cfg;
+        let mut rng = Rng::seed_from(5);
+        let samples = (0..4)
+            .map(|_| TrainSample {
+                x_prev: Tensor::randn(&[cfg.tokens(), cfg.channels], &mut rng),
+                residual: Tensor::randn(&[cfg.tokens(), cfg.channels], &mut rng).scale(0.3),
+                forcings: Tensor::randn(&[cfg.tokens(), cfg.forcing_channels], &mut rng),
+            })
+            .collect();
+        let schedule = (0..4).map(|step| vec![vec![(2 * step) % 4], vec![(2 * step + 1) % 4]]).collect();
+        let grid = aeris_earthsim::Grid::new(cfg.grid_h, cfg.grid_w);
+        let weights = aeris_diffusion::loss_weights(&grid.token_lat_weights(), &vec![1.0; cfg.channels]);
+        (reference, InMemorySource { samples }, schedule, weights)
+    }
+
+    fn config(n_steps: usize) -> SwipeConfig {
+        SwipeConfig { n_steps, ..SwipeConfig::new(SwipeTopology::new(2, 4, 1, 1, 1)) }
+    }
+
+    /// An empty directory of its own for a test.
+    fn scratch_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("aeris_recovery_unit_{tag}_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        dir
+    }
+
+    fn file_names(dir: &std::path::Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .expect("a checkpoint directory")
+            .map(|e| e.expect("a directory entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// Every save is written under a `.tmp` name and renamed once synced:
+    /// a finished run leaves its checkpoints under their final names only.
+    #[test]
+    fn a_checkpointed_run_leaves_no_temporary_file() {
+        let (reference, source, schedule, weights) = two_replica_run();
+        let dir = scratch_dir("no_tmp");
+        let cfg = SwipeConfig {
+            checkpoint: Some(CheckpointConfig { dir: dir.clone(), every: 1 }),
+            ..config(2)
+        };
+        DistributedTrainer::train(&reference, &cfg, &source, &schedule[..2], &weights).expect("a fault-free run");
+        assert_eq!(file_names(&dir), ["step_000001.ckpt", "step_000002.ckpt"]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A save killed mid-write leaves a `step_*.ckpt.tmp`, here garbage at a
+    /// later step than any good checkpoint. The supervisor still resumes
+    /// from the last good one (step 2) and matches the uninterrupted run
+    /// bitwise from there.
+    #[test]
+    fn a_torn_temporary_file_does_not_change_the_resume() {
+        let (reference, source, schedule, weights) = two_replica_run();
+        let clean = DistributedTrainer::train(&reference, &config(4), &source, &schedule, &weights)
+            .expect("a fault-free run");
+        let dir = scratch_dir("torn_tmp");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("step_000009.ckpt.tmp"), b"torn").unwrap();
+        // Both replicas die at step 3; `every: 2` last saved step 2.
+        let faulty = SwipeConfig { faults: Some(FaultPlan::new().crash_rank(1, 3).crash_rank(5, 3)), ..config(4) };
+        let rcfg = RecoveryConfig { max_restarts: 1, checkpoint: CheckpointConfig { dir: dir.clone(), every: 2 } };
+        let outcome = supervise(&reference, &faulty, &source, &schedule, &weights, &rcfg)
+            .expect("a resume past the torn file");
+        assert_eq!(outcome.restarts, 1);
+        assert_eq!(outcome.report.start_step, 2);
+        for step in 2..4 {
+            assert_eq!(outcome.report.losses[step].to_bits(), clean.losses[step].to_bits(), "step {step}");
+        }
+        for (name, value) in &clean.final_params {
+            assert_eq!(value.data(), outcome.report.final_params[name].data(), "{name}");
+        }
+        assert_eq!(file_names(&dir), ["step_000002.ckpt", "step_000004.ckpt", "step_000009.ckpt.tmp"]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}

@@ -396,7 +396,7 @@ impl AttentionStep for Ulysses<'_> {
         self.comm.alltoall_with(
             self.group,
             qkv,
-            rows * 3 * cols,
+            |_| rows * 3 * cols,
             |qkv, j, buf| head_block_out(qkv, qkv3, j, buf, None),
             |qkv, j, got| scatter_rows(qkv, got, peer(j)),
         )?;
@@ -407,7 +407,7 @@ impl AttentionStep for Ulysses<'_> {
         self.comm.alltoall_with(
             self.group,
             o,
-            rows * cols,
+            |_| rows * cols,
             |_, j, buf| gather_rows(buf, win, peer(j)),
             |o, j, got| head_block_in(o, one, j, got, None),
         )?;
@@ -430,7 +430,7 @@ impl AttentionStep for Ulysses<'_> {
         self.comm.alltoall_with(
             self.group,
             win,
-            rows * cols,
+            |_| rows * cols,
             |_, j, buf| head_block_out(d_o, one, j, buf, None),
             |win, j, got| scatter_rows(win, got, peer(j)),
         )?;
@@ -441,7 +441,7 @@ impl AttentionStep for Ulysses<'_> {
         self.comm.alltoall_with(
             self.group,
             dqkv,
-            rows * 3 * cols,
+            |_| rows * 3 * cols,
             |_, j, buf| gather_rows(buf, win3, peer(j)),
             |dqkv, j, got| head_block_in(dqkv, qkv3, j, got, None),
         )?;

@@ -55,12 +55,6 @@ impl Tensor {
         sweeps::add_assign(self.data_mut(), other.data());
     }
 
-    /// In-place `self += alpha * other` (axpy).
-    pub fn axpy(&mut self, alpha: f32, other: &Tensor) {
-        assert_eq!(self.shape(), other.shape(), "shape mismatch in axpy");
-        sweeps::axpy(self.data_mut(), alpha, other.data());
-    }
-
     /// Multiply by a scalar, as a new tensor.
     pub fn scale(&self, alpha: f32) -> Tensor {
         let mut out = self.clone();
@@ -155,6 +149,12 @@ impl Tensor {
 
 #[cfg(test)]
 impl Tensor {
+    /// In-place `self += alpha * other` (axpy).
+    pub(crate) fn axpy(&mut self, alpha: f32, other: &Tensor) {
+        assert_eq!(self.shape(), other.shape(), "shape mismatch in axpy");
+        sweeps::axpy(self.data_mut(), alpha, other.data());
+    }
+
     /// Elementwise division (unrolled sweep).
     pub(crate) fn div(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.shape(), other.shape(), "shape mismatch in div");

@@ -62,21 +62,6 @@ use crate::rng::{mix, GAMMA};
 /// registers in the baseline build.
 pub const W: usize = 8;
 
-/// `y[i] += alpha * x[i]`.
-pub fn axpy(y: &mut [f32], alpha: f32, x: &[f32]) {
-    assert_eq!(y.len(), x.len(), "axpy length mismatch");
-    let mut yc = y.chunks_exact_mut(W);
-    let mut xc = x.chunks_exact(W);
-    for (yw, xw) in (&mut yc).zip(&mut xc) {
-        for i in 0..W {
-            yw[i] += alpha * xw[i];
-        }
-    }
-    for (a, &b) in yc.into_remainder().iter_mut().zip(xc.remainder()) {
-        *a += alpha * b;
-    }
-}
-
 /// `y[i] *= alpha`.
 pub fn scale(y: &mut [f32], alpha: f32) {
     let mut yc = y.chunks_exact_mut(W);
@@ -713,7 +698,7 @@ dispatched!(
 
 dispatched!(
     /// The EMA fold `s = s·decay + (1 − decay)·p`, one pass: the bits of
-    /// [`scale`] by `decay` then [`axpy`] of `1 − decay`.
+    /// [`scale`] by `decay` then an axpy of `1 − decay`.
     pub fn ema_on => ema, (s: &mut [f32], p: &[f32], decay: f32) {
         assert_eq!(s.len(), p.len(), "ema length mismatch");
         let a = 1.0 - decay;
@@ -856,6 +841,23 @@ dispatched!(
 // `Tensor::div`'s sweep: only tests divide tensors.
 #[cfg(test)]
 binary_into!(div_into, /);
+
+/// `y[i] += alpha * x[i]`: `Tensor::axpy`'s sweep and the EMA fold's
+/// two-pass oracle; only tests add a scaled tensor.
+#[cfg(test)]
+pub(crate) fn axpy(y: &mut [f32], alpha: f32, x: &[f32]) {
+    assert_eq!(y.len(), x.len(), "axpy length mismatch");
+    let mut yc = y.chunks_exact_mut(W);
+    let mut xc = x.chunks_exact(W);
+    for (yw, xw) in (&mut yc).zip(&mut xc) {
+        for i in 0..W {
+            yw[i] += alpha * xw[i];
+        }
+    }
+    for (a, &b) in yc.into_remainder().iter_mut().zip(xc.remainder()) {
+        *a += alpha * b;
+    }
+}
 
 #[cfg(test)]
 mod tests {

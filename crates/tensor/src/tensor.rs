@@ -117,11 +117,6 @@ impl Tensor {
         }
     }
 
-    /// Elements the buffer holds without growing.
-    pub fn capacity(&self) -> usize {
-        self.data.capacity()
-    }
-
     /// Reshape in place to a new shape with the same element count.
     pub fn reshape(mut self, shape: &[usize]) -> Self {
         let n: usize = shape.iter().product();
